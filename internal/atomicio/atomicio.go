@@ -16,6 +16,56 @@ const MagicLen = 8
 // headerLen is magic + uint64 payload length + uint32 CRC.
 const headerLen = MagicLen + 8 + 4
 
+// Sum identifies a payload by its length and IEEE CRC32 — what a
+// framed file's header records about its own payload, and what a
+// journal's header records about the file it extends.
+type Sum struct {
+	Len uint64
+	CRC uint32
+}
+
+// SumOf computes payload's Sum.
+func SumOf(payload []byte) Sum {
+	return Sum{Len: uint64(len(payload)), CRC: crc32.ChecksumIEEE(payload)}
+}
+
+// appendHeader appends the header shared by framed files and
+// journals: magic, then sum's length and CRC, big-endian.
+func appendHeader(dst []byte, magic string, sum Sum) []byte {
+	dst = append(dst, magic...)
+	dst = binary.BigEndian.AppendUint64(dst, sum.Len)
+	return binary.BigEndian.AppendUint32(dst, sum.CRC)
+}
+
+// parseHeader checks raw's magic and returns the Sum its header
+// carries.
+func parseHeader(raw []byte, magic string) (Sum, error) {
+	if len(raw) < headerLen || string(raw[:MagicLen]) != magic {
+		return Sum{}, errors.New("atomicio: bad magic")
+	}
+	return Sum{
+		Len: binary.BigEndian.Uint64(raw[MagicLen : MagicLen+8]),
+		CRC: binary.BigEndian.Uint32(raw[MagicLen+8 : headerLen]),
+	}, nil
+}
+
+// checkMagic rejects a magic of the wrong length.
+func checkMagic(magic string) error {
+	if len(magic) != MagicLen {
+		return fmt.Errorf("atomicio: magic %q must be %d bytes", magic, MagicLen)
+	}
+	return nil
+}
+
+// syncDir makes a create, rename or remove in dir durable;
+// best-effort (some filesystems refuse directory fsync).
+func syncDir(dir string) {
+	if d, err := os.Open(dir); err == nil {
+		d.Sync()
+		d.Close()
+	}
+}
+
 // tempPattern returns the os.CreateTemp pattern for a destination
 // base name. The dot prefix keeps in-flight temps out of globs and
 // directory listings; the base name ties a leftover temp to the file
@@ -27,8 +77,8 @@ func tempPattern(base string) string { return "." + base + ".tmp-*" }
 // directory sync. On error the temp file is removed; path is either
 // untouched or fully replaced, never torn.
 func WriteFile(path, magic string, payload []byte) error {
-	if len(magic) != MagicLen {
-		return fmt.Errorf("atomicio: magic %q must be %d bytes", magic, MagicLen)
+	if err := checkMagic(magic); err != nil {
+		return err
 	}
 	dir := filepath.Dir(path)
 	f, err := os.CreateTemp(dir, tempPattern(filepath.Base(path)))
@@ -42,10 +92,7 @@ func WriteFile(path, magic string, payload []byte) error {
 		return err
 	}
 	var header [headerLen]byte
-	copy(header[:MagicLen], magic)
-	binary.BigEndian.PutUint64(header[MagicLen:MagicLen+8], uint64(len(payload)))
-	binary.BigEndian.PutUint32(header[MagicLen+8:], crc32.ChecksumIEEE(payload))
-	if _, err := f.Write(header[:]); err != nil {
+	if _, err := f.Write(appendHeader(header[:0], magic, SumOf(payload))); err != nil {
 		return cleanup(fmt.Errorf("atomicio: write: %w", err))
 	}
 	if _, err := f.Write(payload); err != nil {
@@ -62,36 +109,31 @@ func WriteFile(path, magic string, payload []byte) error {
 		os.Remove(tmp)
 		return fmt.Errorf("atomicio: publish: %w", err)
 	}
-	// Persist the rename itself; best-effort (some filesystems refuse
-	// directory fsync).
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
+	syncDir(dir)
 	return nil
 }
 
 // ReadFile reads and validates a framed file: magic, length and CRC
 // must all match before the payload is returned.
 func ReadFile(path, magic string) ([]byte, error) {
-	if len(magic) != MagicLen {
-		return nil, fmt.Errorf("atomicio: magic %q must be %d bytes", magic, MagicLen)
+	if err := checkMagic(magic); err != nil {
+		return nil, err
 	}
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("atomicio: read: %w", err)
 	}
-	if len(raw) < headerLen || string(raw[:MagicLen]) != magic {
-		return nil, errors.New("atomicio: bad magic")
-	}
-	n := binary.BigEndian.Uint64(raw[MagicLen : MagicLen+8])
-	if uint64(len(raw)-headerLen) != n {
-		return nil, fmt.Errorf("atomicio: truncated file: header says %d payload bytes, have %d",
-			n, len(raw)-headerLen)
+	want, err := parseHeader(raw, magic)
+	if err != nil {
+		return nil, err
 	}
 	payload := raw[headerLen:]
-	if got, want := crc32.ChecksumIEEE(payload), binary.BigEndian.Uint32(raw[MagicLen+8:headerLen]); got != want {
-		return nil, fmt.Errorf("atomicio: corrupt file: CRC %08x, want %08x", got, want)
+	if uint64(len(payload)) != want.Len {
+		return nil, fmt.Errorf("atomicio: truncated file: header says %d payload bytes, have %d",
+			want.Len, len(payload))
+	}
+	if got := crc32.ChecksumIEEE(payload); got != want.CRC {
+		return nil, fmt.Errorf("atomicio: corrupt file: CRC %08x, want %08x", got, want.CRC)
 	}
 	return payload, nil
 }

@@ -245,7 +245,7 @@ func (mgr *Manager) nfWorker(nf *NF, done <-chan struct{}) {
 	scratch := make([]*Mbuf, 1024)
 	idle := 0
 	for {
-		n := nf.processBurst(scratch)
+		n := nf.processBurst(scratch, done)
 		nf.stats.PollRounds.Add(1)
 		if n > 0 {
 			idle = 0
@@ -256,7 +256,7 @@ func (mgr *Manager) nfWorker(nf *NF, done <-chan struct{}) {
 			select {
 			case <-done:
 				// Final sweep so no packet is stranded mid-ring.
-				for nf.processBurst(scratch) > 0 {
+				for nf.processBurst(scratch, done) > 0 {
 				}
 				return
 			default:
@@ -269,7 +269,7 @@ func (mgr *Manager) nfWorker(nf *NF, done <-chan struct{}) {
 			nf.stats.Wakeups.Add(1)
 			idle = 0
 		case <-done:
-			for nf.processBurst(scratch) > 0 {
+			for nf.processBurst(scratch, done) > 0 {
 			}
 			return
 		}

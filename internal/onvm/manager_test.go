@@ -2,6 +2,7 @@ package onvm
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 	"time"
 
@@ -127,6 +128,94 @@ func TestManagerEndToEnd(t *testing.T) {
 	// All mbufs returned.
 	if mgr.Pool().Available() != mgr.Pool().Size() {
 		t.Errorf("leaked mbufs: %d/%d", mgr.Pool().Available(), mgr.Pool().Size())
+	}
+}
+
+// slowNF forwards everything but yields the processor per packet, so
+// whatever feeds it outruns it.
+type slowNF struct{ *Monitor }
+
+func (s *slowNF) Name() string { return "slow" }
+
+func (s *slowNF) Handle(m *Mbuf) Verdict {
+	runtime.Gosched()
+	return s.Monitor.Handle(m)
+}
+
+// TestMidChainBackpressureIsLossless pins where loss happens: a fast
+// head feeding a slow successor through a 16-slot ring stalls on the
+// full ring instead of dropping, so every packet RX accepted completes
+// and RingDrops stays zero while the manager runs.
+func TestMidChainBackpressureIsLossless(t *testing.T) {
+	chain, err := NewChain("bp", ChainConfig{RingCap: 16, Batch: 8}, NewMonitor(), &slowNF{NewMonitor()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr, err := NewManager(ManagerConfig{PoolSize: 256, PollSpins: 4, DrainTimeout: 10 * time.Second}, chain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flow, _ := traffic.SimpleFlow(1, 100000, 64)
+	const budget = 3000
+	res, err := mgr.Run([]Source{genSource(t, 7, budget, flow)}, budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Drained {
+		t.Fatal("pipeline did not drain")
+	}
+	accepted := mgr.Stats().RxPackets.Load()
+	if accepted == 0 {
+		t.Fatal("RX accepted nothing; test vacuous")
+	}
+	for _, nf := range chain.NFs() {
+		if d := nf.Stats().RingDrops.Load(); d != 0 {
+			t.Errorf("%s dropped %d packets mid-chain", nf.Name(), d)
+		}
+	}
+	if res.Completed != accepted {
+		t.Errorf("completed = %d, accepted = %d", res.Completed, accepted)
+	}
+	if got := accepted + mgr.Stats().RxDropsRing.Load() + mgr.Stats().RxDropsNoMbuf.Load(); got != budget {
+		t.Errorf("accepted + RX drops = %d, want %d", got, budget)
+	}
+}
+
+// TestFullRingDropsOnceShutdownBegan pins the other half: after done
+// is closed a full downstream ring is a counted RingDrop, not a spin
+// on a successor that may have exited.
+func TestFullRingDropsOnceShutdownBegan(t *testing.T) {
+	chain, err := NewChain("sd", ChainConfig{RingCap: 2, Batch: 8}, NewMonitor(), NewMonitor())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, err := NewMempool(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head := chain.Head()
+	// Nobody consumes the successor's ring; hand the head more
+	// packets than that ring holds, two at a time.
+	done := make(chan struct{})
+	close(done)
+	scratch := make([]*Mbuf, 8)
+	delivered := 0
+	for i := 0; i < 3; i++ {
+		for j := 0; j < 2; j++ {
+			m := pool.Get()
+			if _, err := m.Reset(64); err != nil {
+				t.Fatal(err)
+			}
+			if !head.deliver(m) {
+				t.Fatal("head ring refused a packet")
+			}
+			delivered++
+		}
+		head.processBurst(scratch, done)
+	}
+	st := head.Stats().Snapshot()
+	if st.TxPackets+st.RingDrops != uint64(delivered) || st.RingDrops == 0 {
+		t.Errorf("tx %d + ring drops %d, want %d with at least one drop", st.TxPackets, st.RingDrops, delivered)
 	}
 }
 

@@ -3,6 +3,7 @@ package onvm
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 )
 
@@ -48,7 +49,7 @@ type NFStats struct {
 	RxPackets   atomic.Uint64
 	TxPackets   atomic.Uint64
 	Dropped     atomic.Uint64 // verdict drops
-	RingDrops   atomic.Uint64 // downstream ring full
+	RingDrops   atomic.Uint64 // downstream ring full during shutdown
 	Wakeups     atomic.Uint64
 	PollRounds  atomic.Uint64
 	EmptyPolls  atomic.Uint64
@@ -156,7 +157,14 @@ func (nf *NF) deliver(m *Mbuf) bool {
 // processBurst dequeues and handles up to one batch, forwarding
 // survivors downstream (or freeing them at the chain tail). It
 // reports the number of packets taken off the ring.
-func (nf *NF) processBurst(scratch []*Mbuf) int {
+//
+// Mid-chain delivery is lossless while the manager runs: on a full
+// downstream ring the NF yields and retries — backpressure, which in
+// turn fills this NF's own ring until the RX path drops. Only once
+// done is closed (shutdown has begun, the successor's worker may have
+// exited) does a full ring become a counted RingDrop, so a drain that
+// timed out cannot leave a worker spinning on a dead successor.
+func (nf *NF) processBurst(scratch []*Mbuf, done <-chan struct{}) int {
 	b := nf.Batch()
 	if b > len(scratch) {
 		b = len(scratch)
@@ -182,12 +190,26 @@ func (nf *NF) processBurst(scratch []*Mbuf) int {
 			m.Free()
 			continue
 		}
-		if !nf.next.deliver(m) {
+		if nf.deliverNext(m, done) {
+			nf.stats.TxPackets.Add(1)
+		} else {
 			nf.stats.RingDrops.Add(1)
 			m.Free()
-			continue
 		}
-		nf.stats.TxPackets.Add(1)
 	}
 	return n
+}
+
+// deliverNext hands m to the next stage, yielding while its ring is
+// full; it gives up (false) only when done is closed.
+func (nf *NF) deliverNext(m *Mbuf, done <-chan struct{}) bool {
+	for !nf.next.deliver(m) {
+		select {
+		case <-done:
+			return false
+		default:
+			runtime.Gosched()
+		}
+	}
+	return true
 }

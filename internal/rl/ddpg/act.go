@@ -3,6 +3,7 @@ package ddpg
 import (
 	"fmt"
 
+	"greennfv/internal/nn"
 	"greennfv/internal/rl/replay"
 )
 
@@ -46,18 +47,27 @@ func growFloat32(buf []float32, n int) []float32 {
 // which must have length ActionDim. The result is bit-identical to Act
 // and consumes the agent's noise RNG identically.
 func (a *Agent) ActInto(state []float64, explore bool, dst []float64) error {
-	if len(state) != a.cfg.StateDim {
-		return fmt.Errorf("ddpg: state dim %d, want %d", len(state), a.cfg.StateDim)
-	}
-	if len(dst) != a.cfg.ActionDim {
-		return fmt.Errorf("ddpg: action dst dim %d, want %d", len(dst), a.cfg.ActionDim)
-	}
-	out := a.Actor.Forward(state)
-	copy(dst, out)
+	var noise *OUNoise
 	if explore {
-		noise := a.noise.Sample()
-		for i := range dst {
-			dst[i] += noise[i]
+		noise = a.noise
+	}
+	return actInto(a.Actor, a.cfg.StateDim, a.cfg.ActionDim, state, noise, dst)
+}
+
+// actInto runs one scalar actor pass into dst: dimension checks,
+// forward, optional noise, clamp to [-1, 1] — the single definition
+// Agent.ActInto and GreedyActor.ActInto share.
+func actInto(actor *nn.Network, stateDim, actionDim int, state []float64, noise *OUNoise, dst []float64) error {
+	if len(state) != stateDim {
+		return fmt.Errorf("ddpg: state dim %d, want %d", len(state), stateDim)
+	}
+	if len(dst) != actionDim {
+		return fmt.Errorf("ddpg: action dst dim %d, want %d", len(dst), actionDim)
+	}
+	copy(dst, actor.Forward(state))
+	if noise != nil {
+		for i, v := range noise.Sample() {
+			dst[i] += v
 		}
 	}
 	for i := range dst {
@@ -69,6 +79,36 @@ func (a *Agent) ActInto(state []float64, explore bool, dst []float64) error {
 		}
 	}
 	return nil
+}
+
+// GreedyActor is an inference-only replica of an agent's policy: the
+// actor network and nothing else — no critics, targets, optimiser
+// moments or replay arena. Its ActInto is bit-identical to the source
+// agent's greedy ActInto. A GreedyActor owns forward scratch, so each
+// concurrent caller needs its own; Clone makes one from any replica
+// (concurrent Clones of one replica are safe — they only read it).
+type GreedyActor struct {
+	actor               *nn.Network
+	stateDim, actionDim int
+}
+
+// GreedyActor returns an independent greedy replica of the agent's
+// current policy.
+func (a *Agent) GreedyActor() *GreedyActor {
+	return &GreedyActor{actor: a.Actor.Clone(), stateDim: a.cfg.StateDim, actionDim: a.cfg.ActionDim}
+}
+
+// Clone returns an independent replica with the same weights.
+func (g *GreedyActor) Clone() *GreedyActor {
+	c := *g
+	c.actor = g.actor.Clone()
+	return &c
+}
+
+// ActInto writes the clamped greedy action for state into dst (length
+// ActionDim), allocating nothing.
+func (g *GreedyActor) ActInto(state, dst []float64) error {
+	return actInto(g.actor, g.stateDim, g.actionDim, state, nil, dst)
 }
 
 // ActBatch computes policy actions for n states (row-major

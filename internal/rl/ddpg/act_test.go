@@ -59,6 +59,63 @@ func TestActIntoMatchesAct(t *testing.T) {
 // reference — one Forward per row plus that row's own OU noise plus
 // the clamp — at any row count. This is the parity the VecActor driver
 // stands on.
+// A GreedyActor — and a clone of it — must act bit-identically to the
+// agent's own greedy ActInto, stay independent of the agent's later
+// updates, reject wrong dimensions, and allocate nothing per action.
+func TestGreedyActorMatchesAgent(t *testing.T) {
+	a, err := New(actConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	replica := a.GreedyActor()
+	clone := replica.Clone()
+	rng := rand.New(rand.NewSource(11))
+	state := make([]float64, 5)
+	want, got, got2 := make([]float64, 3), make([]float64, 3), make([]float64, 3)
+	for step := 0; step < 20; step++ {
+		for i := range state {
+			state[i] = 3 * rng.NormFloat64()
+		}
+		if err := a.ActInto(state, false, want); err != nil {
+			t.Fatal(err)
+		}
+		if err := replica.ActInto(state, got); err != nil {
+			t.Fatal(err)
+		}
+		if err := clone.ActInto(state, got2); err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if got[i] != want[i] || got2[i] != want[i] {
+				t.Fatalf("step %d action[%d]: agent %v, replica %v, clone %v", step, i, want[i], got[i], got2[i])
+			}
+		}
+	}
+	// The replica owns its weights: moving the agent's does not move it.
+	for _, p := range a.Actor.ParamSlices() {
+		for i := range p {
+			p[i] += 0.5
+		}
+	}
+	if err := replica.ActInto(state, got); err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("replica moved with the agent: action[%d] %v -> %v", i, want[i], got[i])
+		}
+	}
+	if err := replica.ActInto(state[:4], got); err == nil {
+		t.Error("short state accepted")
+	}
+	if err := replica.ActInto(state, got[:2]); err == nil {
+		t.Error("short action buffer accepted")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { replica.ActInto(state, got) }); allocs != 0 {
+		t.Errorf("GreedyActor.ActInto allocates %v per action", allocs)
+	}
+}
+
 func TestActBatchMatchesScalarReference(t *testing.T) {
 	cfg := actConfig()
 	a, err := New(cfg)

@@ -4,10 +4,15 @@ package serve
 // operation whose cost bounds fleet size. The serial case is the
 // single-caller floor; the parallel cases show how lock striping, the
 // atomic policy snapshot, and pooled inference scratch let many nodes
-// report concurrently. Tracked in BENCH.json by the CI bench lane.
+// report concurrently. The persist variants run the production
+// configuration (StatePath set): steady reports never touch the disk,
+// changing ones each append one fsynced journal record (and compact
+// into a snapshot when the journal outgrows it). Tracked in BENCH.json
+// by the CI bench lane.
 
 import (
 	"fmt"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 
@@ -15,18 +20,21 @@ import (
 )
 
 // benchFleet builds a controller with nodes registered nodes plus the
-// matching per-node observation/traffic fixtures.
-func benchFleet(b *testing.B, nodes int) (*Controller, []*simNode) {
+// matching per-node observation/traffic fixtures; persist sets
+// StatePath.
+func benchFleet(b *testing.B, nodes int, persist bool) (*Controller, []*simNode) {
 	b.Helper()
 	dir := b.TempDir()
 	spec := testSpec(sla.NewEnergyEfficiency())
-	ctrl, err := NewController(Config{
-		Spec:       spec,
-		PolicyPath: writePolicy(b, dir, spec, 17),
-	})
+	cfg := Config{Spec: spec, PolicyPath: writePolicy(b, dir, spec, 17)}
+	if persist {
+		cfg.StatePath = filepath.Join(dir, "controller.state")
+	}
+	ctrl, err := NewController(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.Cleanup(func() { ctrl.Close() })
 	sims := make([]*simNode, nodes)
 	for i := range sims {
 		sims[i] = newSimNode(b, spec, i)
@@ -55,32 +63,63 @@ func reportOnce(c *Controller, n *simNode, reply *ReportReply) error {
 	}, reply)
 }
 
+// forgetLastGood drops node n's last-known-good, so its next report —
+// the same vetted config as ever — counts as a config change and takes
+// the durable path.
+func forgetLastGood(c *Controller, n *simNode) {
+	sh := c.shardFor(n.id)
+	sh.mu.Lock()
+	delete(sh.lastGood, n.id)
+	sh.mu.Unlock()
+}
+
 func BenchmarkControllerReport(b *testing.B) {
-	b.Run("serial/nodes=1", func(b *testing.B) {
-		ctrl, sims := benchFleet(b, 1)
-		var reply ReportReply
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := reportOnce(ctrl, sims[0], &reply); err != nil {
-				b.Fatal(err)
+	// serial drives one node from one goroutine; parallel gives each
+	// RunParallel goroutine a node of its own.
+	serial := func(persist, changing bool) func(*testing.B) {
+		return func(b *testing.B) {
+			ctrl, sims := benchFleet(b, 1, persist)
+			var reply ReportReply
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if changing {
+					forgetLastGood(ctrl, sims[0])
+				}
+				if err := reportOnce(ctrl, sims[0], &reply); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
-	})
-	for _, nodes := range []int{8, 32} {
-		b.Run(fmt.Sprintf("parallel/nodes=%d", nodes), func(b *testing.B) {
-			ctrl, sims := benchFleet(b, nodes)
+	}
+	parallel := func(nodes int, persist, changing bool) func(*testing.B) {
+		return func(b *testing.B) {
+			ctrl, sims := benchFleet(b, nodes, persist)
 			var next atomic.Uint64
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
 				n := sims[int(next.Add(1)-1)%nodes]
 				var reply ReportReply
 				for pb.Next() {
+					if changing {
+						forgetLastGood(ctrl, n)
+					}
 					if err := reportOnce(ctrl, n, &reply); err != nil {
 						b.Error(err)
 						return
 					}
 				}
 			})
-		})
+		}
+	}
+	b.Run("serial/nodes=1", serial(false, false))
+	for _, nodes := range []int{8, 32} {
+		b.Run(fmt.Sprintf("parallel/nodes=%d", nodes), parallel(nodes, false, false))
+	}
+	for _, v := range []struct {
+		name     string
+		changing bool
+	}{{"steady", false}, {"changing", true}} {
+		b.Run("persist/"+v.name+"/serial/nodes=1", serial(true, v.changing))
+		b.Run("persist/"+v.name+"/parallel/nodes=32", parallel(32, true, v.changing))
 	}
 }

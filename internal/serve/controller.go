@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -38,8 +39,18 @@ const (
 	// failed report calls (agent).
 	CounterHeartbeatMisses = "heartbeat_misses"
 	// CounterStatePersistErrors counts failed controller-state writes
-	// (serving continues; the next state change retries).
+	// (serving continues; the next state change retries with a full
+	// snapshot).
 	CounterStatePersistErrors = "state_persist_errors"
+	// CounterStateJournalAppends counts config changes made durable as
+	// one journal record; CounterStateSnapshots counts full state-file
+	// writes (reload, close, recovery, compaction, healing).
+	CounterStateJournalAppends = "state_journal_appends"
+	CounterStateSnapshots      = "state_snapshots"
+	// CounterReportsRejected counts reports answered with an error:
+	// no lease, stale epoch, malformed observation or traffic, policy
+	// failure.
+	CounterReportsRejected = "reports_rejected"
 	// CounterSourcePolicy, CounterSourceLastGood and CounterSourceHold
 	// count report replies by the ladder rung that produced them.
 	CounterSourcePolicy   = "configs_source_policy"
@@ -65,7 +76,8 @@ type Config struct {
 	// Ignored when StatePath resumes a persisted policy.
 	PolicyPath string
 	// StatePath, when set, persists controller state (policy blob +
-	// last-known-good configs) crash-safely across restarts.
+	// last-known-good configs) crash-safely across restarts: a
+	// snapshot at this path plus a journal at StatePath+".journal".
 	StatePath string
 	// LeaseWindow is the heartbeat window: a node silent for longer
 	// loses its lease and must re-register. Zero defaults to 10s.
@@ -102,20 +114,24 @@ type shard struct {
 
 // policySnapshot is the immutable serving policy: reports load it
 // with one atomic read, reload/persist swap it on the writer path.
+// actor is the validated checkpoint's policy network, kept only as the
+// template report scratch clones its replicas from; nothing runs
+// inference on it.
 type policySnapshot struct {
 	blob    []byte
 	version int
+	actor   *ddpg.GreedyActor
 }
 
 // reportScratch is one in-flight report's private inference state: a
-// read-only actor replica (ddpg.Agent.ActInto shares per-network
-// forward scratch, so concurrent reports need distinct replicas), the
-// action/knob decode buffers, and a guardrail (whose prediction
-// scratch is equally single-owner). Pooled; a replica older than the
-// current policy snapshot is rebuilt lazily on checkout.
+// greedy actor replica (a forward pass reuses per-network scratch, so
+// concurrent reports need distinct replicas), the action/knob decode
+// buffers, and a guardrail (whose prediction scratch is equally
+// single-owner). Pooled; a replica older than the current policy
+// snapshot is re-cloned lazily on checkout.
 type reportScratch struct {
 	version int
-	agent   *ddpg.Agent
+	actor   *ddpg.GreedyActor
 	action  []float64
 	knobs   []perfmodel.NFKnobs
 	guard   Guardrail
@@ -140,12 +156,17 @@ type Controller struct {
 
 	reportLatency *stats.PromHistogram
 
-	// persistMu serializes state writes; reloadMu serializes policy
-	// swaps (so concurrent reloads cannot race the version bump).
-	// Neither is ever held while a nodeRec mutex is wanted.
+	// persistMu serializes state writes (journal appends and
+	// snapshots alike); reloadMu serializes policy swaps (so concurrent
+	// reloads cannot race the version bump). Neither is ever held while
+	// a nodeRec mutex is wanted.
 	persistMu sync.Mutex
 	reloadMu  sync.Mutex
 	store     stateStore
+	// snapshotDue (under persistMu) is set by a failed state write:
+	// disk and memory may disagree by more than one record, so the
+	// next change writes the whole state instead of appending.
+	snapshotDue bool
 
 	srvMu sync.Mutex
 	srv   *rpcutil.Server
@@ -176,22 +197,24 @@ func NewController(cfg Config) (*Controller, error) {
 	}
 
 	var resumed *ControllerState
+	replayed := 0
 	if cfg.StatePath != "" {
 		store, err := OpenStateStore(cfg.StatePath)
 		if err != nil {
 			return nil, err
 		}
 		c.store = store
-		if resumed, err = store.Load(); err != nil {
+		if resumed, replayed, err = store.load(); err != nil {
 			return nil, err
 		}
 	}
 	switch {
 	case resumed != nil:
-		if _, err := c.validatePolicy(resumed.PolicyBlob); err != nil {
+		actor, err := c.validatePolicy(resumed.PolicyBlob)
+		if err != nil {
 			return nil, fmt.Errorf("serve: persisted policy: %w", err)
 		}
-		c.policy.Store(&policySnapshot{blob: resumed.PolicyBlob, version: resumed.PolicyVersion})
+		c.policy.Store(&policySnapshot{blob: resumed.PolicyBlob, version: resumed.PolicyVersion, actor: actor})
 		for id, ks := range resumed.LastGood {
 			sh := c.shardFor(id)
 			sh.lastGood[id] = ks
@@ -201,12 +224,21 @@ func NewController(cfg Config) (*Controller, error) {
 		if err != nil {
 			return nil, fmt.Errorf("serve: read policy: %w", err)
 		}
-		if _, err := c.validatePolicy(blob); err != nil {
+		actor, err := c.validatePolicy(blob)
+		if err != nil {
 			return nil, err
 		}
-		c.policy.Store(&policySnapshot{blob: blob, version: 1})
+		c.policy.Store(&policySnapshot{blob: blob, version: 1, actor: actor})
 	default:
 		return nil, errors.New("serve: controller needs a policy (PolicyPath or persisted state)")
+	}
+	if replayed > 0 {
+		// The predecessor died without Close. Fold what its journal
+		// held into a fresh snapshot before serving, so appends never
+		// resume on an old journal.
+		if err := c.snapshot(); err != nil {
+			return nil, fmt.Errorf("serve: recover state: %w", err)
+		}
 	}
 	return c, nil
 }
@@ -226,10 +258,12 @@ func (c *Controller) shardFor(nodeID string) *shard {
 	return &c.shards[h.Sum32()%numShards]
 }
 
-// validatePolicy decodes a policy blob and checks its dimensions
-// against the node spec — the gate both boot and hot reload pass
-// through.
-func (c *Controller) validatePolicy(blob []byte) (*ddpg.Agent, error) {
+// validatePolicy decodes a full policy checkpoint and checks its
+// dimensions against the node spec — the gate both boot and hot
+// reload pass through — and returns the decoded policy's greedy
+// actor. The rest of the decoded agent (critics, optimiser moments,
+// replay arena) is garbage once this returns.
+func (c *Controller) validatePolicy(blob []byte) (*ddpg.GreedyActor, error) {
 	agent, err := ddpg.LoadAgentBytes(blob)
 	if err != nil {
 		return nil, fmt.Errorf("serve: load policy: %w", err)
@@ -239,13 +273,13 @@ func (c *Controller) validatePolicy(blob []byte) (*ddpg.Agent, error) {
 		return nil, fmt.Errorf("serve: policy dims %dx%d do not match node spec %dx%d",
 			acfg.StateDim, acfg.ActionDim, c.probe.StateDim(), c.probe.ActionDim())
 	}
-	return agent, nil
+	return agent.GreedyActor(), nil
 }
 
 // getScratch checks out pooled report scratch whose actor replica
-// matches snap, rebuilding the replica only when a reload made it
-// stale (the blob was validated when the snapshot was installed).
-func (c *Controller) getScratch(snap *policySnapshot) (*reportScratch, error) {
+// matches snap, re-cloning the replica from the snapshot's validated
+// actor only when a reload made it stale.
+func (c *Controller) getScratch(snap *policySnapshot) *reportScratch {
 	sc, _ := c.scratch.Get().(*reportScratch)
 	if sc == nil {
 		sc = &reportScratch{
@@ -259,14 +293,10 @@ func (c *Controller) getScratch(snap *policySnapshot) (*reportScratch, error) {
 			},
 		}
 	}
-	if sc.agent == nil || sc.version != snap.version {
-		agent, err := ddpg.LoadAgentBytes(snap.blob)
-		if err != nil {
-			return nil, fmt.Errorf("serve: policy replica: %w", err)
-		}
-		sc.agent, sc.version = agent, snap.version
+	if sc.actor == nil || sc.version != snap.version {
+		sc.actor, sc.version = snap.actor.Clone(), snap.version
 	}
-	return sc, nil
+	return sc
 }
 
 // Start serves the controller RPC on addr (e.g. "127.0.0.1:7070";
@@ -292,14 +322,16 @@ func (c *Controller) Addr() string {
 	return c.srv.Addr()
 }
 
-// Close persists state and stops the RPC server. Agents surviving the
-// controller degrade locally and re-register when it returns.
+// Close writes a final state snapshot — which retires the journal, so
+// a cleanly stopped controller leaves one self-contained state file —
+// and stops the RPC server. Agents surviving the controller degrade
+// locally and re-register when it returns.
 func (c *Controller) Close() error {
 	c.srvMu.Lock()
 	srv := c.srv
 	c.srv = nil
 	c.srvMu.Unlock()
-	err := c.persist()
+	err := c.snapshot()
 	if srv != nil {
 		if cerr := srv.Close(); err == nil {
 			err = cerr
@@ -354,8 +386,8 @@ func (c *Controller) LastGood(nodeID string) []perfmodel.NFKnobs {
 
 // RegisterMetrics exposes the controller on a Prometheus registry:
 // every serving counter as `greennfv_serve_<name>_total`, the
-// registered-node and policy-version gauges, and the report-latency
-// histogram.
+// registered-node, policy-version and state-journal-size gauges, and
+// the report-latency histogram.
 func (c *Controller) RegisterMetrics(reg *stats.Registry) {
 	reg.RegisterCounterSet("greennfv_serve", "Serving control-plane events.", c.counters)
 	reg.RegisterGauge("greennfv_serve_registered_nodes",
@@ -374,6 +406,18 @@ func (c *Controller) RegisterMetrics(reg *stats.Registry) {
 			}
 			return float64(c.srv.ConnCount())
 		})
+	reg.RegisterGauge("greennfv_serve_state_journal_bytes",
+		"Size of the state journal on disk (0 without one): falls to 0 at every snapshot, so a value that only grows is a journal that is not compacting.",
+		func() float64 {
+			if c.cfg.StatePath == "" {
+				return 0
+			}
+			info, err := os.Stat(journalPath(c.cfg.StatePath))
+			if err != nil {
+				return 0
+			}
+			return float64(info.Size())
+		})
 	reg.RegisterHistogram("greennfv_serve_report_latency_seconds",
 		"Report decision latency (lease check through reply).", c.reportLatency)
 }
@@ -389,13 +433,14 @@ func (c *Controller) ReloadPolicy(path string) error {
 	if err != nil {
 		return fmt.Errorf("serve: reload policy: %w", err)
 	}
-	if _, err := c.validatePolicy(blob); err != nil {
+	actor, err := c.validatePolicy(blob)
+	if err != nil {
 		return fmt.Errorf("serve: reload rejected: %w", err)
 	}
 	c.reloadMu.Lock()
-	c.policy.Store(&policySnapshot{blob: blob, version: c.policy.Load().version + 1})
+	c.policy.Store(&policySnapshot{blob: blob, version: c.policy.Load().version + 1, actor: actor})
 	c.reloadMu.Unlock()
-	return c.persist()
+	return c.snapshot()
 }
 
 // ExpireLeases revokes the lease of every node that has not reported
@@ -454,12 +499,27 @@ func (c *Controller) register(args *RegisterNodeArgs, reply *RegisterNodeReply) 
 	return nil
 }
 
-// report implements the Report RPC: lease check, policy decision,
-// limiter, guardrail, ladder. Reports from different nodes run
-// concurrently end to end; reports from the same node serialize on
-// its record.
+// report implements the Report RPC, and is where every report is
+// accounted: its decision latency is observed whatever the outcome,
+// and an error reply counts as a rejected report.
 func (c *Controller) report(args *ReportArgs, reply *ReportReply) error {
 	start := c.now()
+	err := c.decide(start, args, reply)
+	if err != nil {
+		c.counters.Inc(CounterReportsRejected)
+	}
+	c.reportLatency.Observe(c.now().Sub(start).Seconds())
+	return err
+}
+
+// finite reports whether v is neither NaN nor infinite.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
+// decide is one report's serving decision: lease check, input checks,
+// policy action, limiter, guardrail, ladder. Reports from different
+// nodes run concurrently end to end; reports from the same node
+// serialize on its record.
+func (c *Controller) decide(start time.Time, args *ReportArgs, reply *ReportReply) error {
 	sh := c.shardFor(args.NodeID)
 	sh.mu.Lock()
 	rec := sh.nodes[args.NodeID]
@@ -480,19 +540,24 @@ func (c *Controller) report(args *ReportArgs, reply *ReportReply) error {
 	if len(args.Obs) != c.probe.StateDim() {
 		return fmt.Errorf("serve: observation dim %d, want %d", len(args.Obs), c.probe.StateDim())
 	}
+	for i, v := range args.Obs {
+		if !finite(v) {
+			return fmt.Errorf("serve: observation[%d] is %v", i, v)
+		}
+	}
+	if tr := args.Traffic; !finite(tr.OfferedPPS) || !finite(tr.Burstiness) {
+		return fmt.Errorf("serve: report traffic is not finite: %+v", tr)
+	}
 	if args.Traffic.OfferedPPS <= 0 {
 		return fmt.Errorf("serve: report carries no traffic")
 	}
 	snap := c.policy.Load()
 	reply.PolicyVersion = snap.version
-	sc, err := c.getScratch(snap)
-	if err != nil {
-		return err
-	}
+	sc := c.getScratch(snap)
 	defer c.scratch.Put(sc)
 
 	// Rung 1: fresh policy decision, rate-limited then vetted.
-	if err := sc.agent.ActInto(args.Obs, false, sc.action); err != nil {
+	if err := sc.actor.ActInto(args.Obs, sc.action); err != nil {
 		return fmt.Errorf("serve: policy action: %w", err)
 	}
 	for i := range sc.knobs {
@@ -506,7 +571,6 @@ func (c *Controller) report(args *ReportArgs, reply *ReportReply) error {
 		c.recordLastGood(args.NodeID, limited)
 		c.counters.Inc(CounterConfigsPushed)
 		c.counters.Inc(CounterSourcePolicy)
-		c.reportLatency.Observe(c.now().Sub(start).Seconds())
 		return nil
 	}
 	c.counters.Inc(CounterGuardrailRejections)
@@ -524,7 +588,6 @@ func (c *Controller) report(args *ReportArgs, reply *ReportReply) error {
 			rec.limiter.Record(lg)
 			c.counters.Inc(CounterConfigsPushed)
 			c.counters.Inc(CounterSourceLastGood)
-			c.reportLatency.Observe(c.now().Sub(start).Seconds())
 			return nil
 		}
 		c.counters.Inc(CounterGuardrailRejections)
@@ -537,13 +600,13 @@ func (c *Controller) report(args *ReportArgs, reply *ReportReply) error {
 	reply.Source = SourceHold
 	c.counters.Inc(CounterSourceHold)
 	c.counters.Inc(CounterFallbackActivations)
-	c.reportLatency.Observe(c.now().Sub(start).Seconds())
 	return nil
 }
 
 // recordLastGood stores a vetted config as the node's last-known-good
-// and persists if it changed. Called with the node's rec.mu held;
-// takes only the shard map lock (never another node's record), so the
+// and, if it changed, makes the change durable before returning — so
+// before the report replies. Called with the node's rec.mu held; takes
+// only the shard map lock (never another node's record), so the
 // persist path cannot deadlock two concurrent reports.
 func (c *Controller) recordLastGood(nodeID string, ks []perfmodel.NFKnobs) {
 	sh := c.shardFor(nodeID)
@@ -562,25 +625,54 @@ func (c *Controller) recordLastGood(nodeID string, ks []perfmodel.NFKnobs) {
 		sh.lastGood[nodeID] = append([]perfmodel.NFKnobs(nil), ks...)
 	}
 	sh.mu.Unlock()
-	if same {
+	if same || c.store == nil {
 		return
 	}
-	if err := c.persist(); err != nil {
+	if err := c.persistChange(nodeID, ks); err != nil {
 		// Persistence failure must not take down serving; the ledger
 		// records it and the next change retries.
 		c.counters.Inc(CounterStatePersistErrors)
 	}
 }
 
-// persist writes controller state through the store (no-op without
-// one). Writers serialize on persistMu; the fleet's last-known-good
-// view is collected shard by shard.
-func (c *Controller) persist() error {
+// persistChange makes one node's new last-known-good durable: one
+// fsynced journal record, or a whole snapshot when the store has
+// nothing to append to, the journal is due for compaction, or an
+// earlier write failed. Records are idempotent "set node = knobs" and
+// a node's changes arrive in order (its rec.mu is held), so any
+// interleaving with another node's append or with a snapshot leaves
+// disk equal to memory.
+func (c *Controller) persistChange(nodeID string, ks []perfmodel.NFKnobs) error {
+	c.persistMu.Lock()
+	defer c.persistMu.Unlock()
+	if !c.snapshotDue {
+		err := c.store.Append(nodeID, ks)
+		if err == nil {
+			c.counters.Inc(CounterStateJournalAppends)
+			return nil
+		}
+		if !errors.Is(err, errSnapshotDue) {
+			c.snapshotDue = true
+			return err
+		}
+	}
+	return c.snapshotLocked()
+}
+
+// snapshot writes the whole controller state through the store (no-op
+// without one).
+func (c *Controller) snapshot() error {
 	if c.store == nil {
 		return nil
 	}
 	c.persistMu.Lock()
 	defer c.persistMu.Unlock()
+	return c.snapshotLocked()
+}
+
+// snapshotLocked collects the fleet's last-known-good view shard by
+// shard and saves it with the serving policy. Caller holds persistMu.
+func (c *Controller) snapshotLocked() error {
 	lg := make(map[string][]perfmodel.NFKnobs)
 	for i := range c.shards {
 		sh := &c.shards[i]
@@ -591,9 +683,14 @@ func (c *Controller) persist() error {
 		sh.mu.Unlock()
 	}
 	snap := c.policy.Load()
-	return c.store.Save(&ControllerState{
+	err := c.store.Save(&ControllerState{
 		PolicyBlob:    snap.blob,
 		PolicyVersion: snap.version,
 		LastGood:      lg,
 	})
+	c.snapshotDue = err != nil
+	if err == nil {
+		c.counters.Inc(CounterStateSnapshots)
+	}
+	return err
 }

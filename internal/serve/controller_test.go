@@ -8,21 +8,25 @@ package serve
 import (
 	"errors"
 	"io"
+	"math"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"greennfv/internal/perfmodel"
 	"greennfv/internal/sla"
 	"greennfv/internal/stats"
 )
 
-// flakyStore wraps a real store and fails Save while tripped.
+// flakyStore wraps a real store and fails its writes while tripped.
 type flakyStore struct {
-	inner stateStore
-	fail  bool
-	saves int
+	inner   stateStore
+	fail    bool
+	saves   int
+	appends int
 }
 
 func (f *flakyStore) Save(st *ControllerState) error {
@@ -33,12 +37,24 @@ func (f *flakyStore) Save(st *ControllerState) error {
 	return f.inner.Save(st)
 }
 
+func (f *flakyStore) Append(nodeID string, ks []perfmodel.NFKnobs) error {
+	if f.fail {
+		return errors.New("injected: disk full")
+	}
+	err := f.inner.Append(nodeID, ks)
+	if err == nil {
+		f.appends++
+	}
+	return err
+}
+
 func (f *flakyStore) Load() (*ControllerState, error) { return f.inner.Load() }
 
 // TestPersistFailureKeepsServing pins the recordLastGood persistence-
 // failure path: a failing store bumps the state_persist_errors ledger
-// entry, serving continues untouched, and the next last-good change
-// retries (and lands) once the store heals.
+// entry, serving continues untouched, and once the store heals the
+// next last-good change lands through a full snapshot — a failed
+// append is never followed by another append to the same journal.
 func TestPersistFailureKeepsServing(t *testing.T) {
 	dir := t.TempDir()
 	spec := testSpec(sla.NewEnergyEfficiency())
@@ -72,26 +88,68 @@ func TestPersistFailureKeepsServing(t *testing.T) {
 		t.Fatal("failed persist dropped the in-memory last-known-good")
 	}
 
-	// Heal the store; the next last-good CHANGE retries the write.
+	// change records a new last-known-good for the node and returns it.
+	change := func() []perfmodel.NFKnobs {
+		ks := ctrl.LastGood(n.id)
+		ks[0].Batch++
+		ctrl.recordLastGood(n.id, ks)
+		return ks
+	}
+	// onDisk asserts what a restart would resume for the node.
+	onDisk := func(want []perfmodel.NFKnobs) {
+		t.Helper()
+		st, err := flaky.Load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st == nil || len(st.LastGood[n.id]) == 0 {
+			t.Fatal("persisted state is missing the node")
+		}
+		if got := st.LastGood[n.id][0].Batch; got != want[0].Batch {
+			t.Errorf("persisted batch %d, want %d", got, want[0].Batch)
+		}
+	}
+
+	// Heal the store; the next last-good CHANGE retries with a
+	// snapshot (the controller was fresh: there was none to append to).
 	flaky.fail = false
-	changed := append([]perfmodel.NFKnobs(nil), ctrl.LastGood(n.id)...)
-	changed[0].Batch++
-	ctrl.recordLastGood(n.id, changed)
-	if flaky.saves == 0 {
-		t.Fatal("healed store never saw the retry")
+	onDisk(change())
+	if flaky.saves != 1 || flaky.appends != 0 {
+		t.Fatalf("after heal: %d snapshots / %d appends, want 1 / 0", flaky.saves, flaky.appends)
 	}
-	st, err := flaky.Load()
-	if err != nil {
-		t.Fatal(err)
+	// With a snapshot to extend, a change is one journal record.
+	onDisk(change())
+	if flaky.saves != 1 || flaky.appends != 1 {
+		t.Fatalf("steady change: %d snapshots / %d appends, want 1 / 1", flaky.saves, flaky.appends)
 	}
-	if st == nil || len(st.LastGood[n.id]) == 0 {
-		t.Fatal("retried persist did not land on disk")
+
+	// A failed append: ledger +1, serving continues, and the change
+	// after the store heals is a snapshot again, not an append.
+	flaky.fail = true
+	change()
+	if got := ctrl.Counters().Get(CounterStatePersistErrors); got != 2 {
+		t.Fatalf("state_persist_errors = %d after a failed append, want 2", got)
 	}
-	if st.LastGood[n.id][0].Batch != changed[0].Batch {
-		t.Errorf("persisted batch %d, want %d", st.LastGood[n.id][0].Batch, changed[0].Batch)
+	if _, err := n.step(ctrl); err != nil {
+		t.Fatalf("report after a failed append: %v", err)
 	}
-	if got := ctrl.Counters().Get(CounterStatePersistErrors); got != 1 {
-		t.Errorf("state_persist_errors = %d after heal, want still 1", got)
+	// (That report may itself have moved the config and failed to
+	// persist it.)
+	failed := ctrl.Counters().Get(CounterStatePersistErrors)
+	flaky.fail = false
+	onDisk(change())
+	if flaky.saves != 2 || flaky.appends != 1 {
+		t.Fatalf("after failed append: %d snapshots / %d appends, want 2 / 1", flaky.saves, flaky.appends)
+	}
+	if got := ctrl.Counters().Get(CounterStatePersistErrors); got != failed {
+		t.Errorf("state_persist_errors = %d after heal, want still %d", got, failed)
+	}
+	c := ctrl.Counters()
+	if got, want := c.Get(CounterStateSnapshots), int64(flaky.saves); got != want {
+		t.Errorf("state_snapshots = %d, want %d", got, want)
+	}
+	if got, want := c.Get(CounterStateJournalAppends), int64(flaky.appends); got != want {
+		t.Errorf("state_journal_appends = %d, want %d", got, want)
 	}
 }
 
@@ -170,6 +228,94 @@ func TestReportCounterConservation(t *testing.T) {
 	}
 }
 
+// TestRejectedReportsAreCounted walks every error return of the report
+// path — no lease, expired lease, stale epoch, wrong dimension,
+// non-finite observation, missing and non-finite traffic — and pins
+// that each one bumps reports_rejected and is timed like a served
+// report, so a misbehaving agent shows on /metrics. Nothing rejected
+// reaches the policy: no config is pushed and last-known-good stays
+// put.
+func TestRejectedReportsAreCounted(t *testing.T) {
+	dir := t.TempDir()
+	spec := testSpec(sla.NewEnergyEfficiency())
+	clk := newFakeClock(time.Unix(1700000000, 0))
+	ctrl, err := NewController(Config{
+		Spec:        spec,
+		PolicyPath:  writePolicy(t, dir, spec, 44),
+		LeaseWindow: 10 * time.Second,
+		Now:         clk.Now,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := newSimNode(t, spec, 0)
+	if err := n.register(ctrl); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n.step(ctrl); err != nil {
+		t.Fatal(err)
+	}
+	n.env.ObserveInto(n.obs)
+	good := ReportArgs{NodeID: n.id, Epoch: n.epoch, Obs: n.obs, Traffic: n.env.LastTraffic()}
+	with := func(mutate func(*ReportArgs)) ReportArgs {
+		a := good
+		a.Obs = append([]float64(nil), good.Obs...)
+		mutate(&a)
+		return a
+	}
+	cases := []struct {
+		name string
+		args ReportArgs
+	}{
+		{"unknown node", with(func(a *ReportArgs) { a.NodeID = "nobody" })},
+		{"stale epoch", with(func(a *ReportArgs) { a.Epoch-- })},
+		{"short observation", with(func(a *ReportArgs) { a.Obs = a.Obs[1:] })},
+		{"NaN observation", with(func(a *ReportArgs) { a.Obs[2] = math.NaN() })},
+		{"infinite observation", with(func(a *ReportArgs) { a.Obs[0] = math.Inf(-1) })},
+		{"no traffic", with(func(a *ReportArgs) { a.Traffic.OfferedPPS = 0 })},
+		{"NaN traffic", with(func(a *ReportArgs) { a.Traffic.OfferedPPS = math.NaN() })},
+		{"infinite traffic", with(func(a *ReportArgs) { a.Traffic.OfferedPPS = math.Inf(1) })},
+		{"NaN burstiness", with(func(a *ReportArgs) { a.Traffic.Burstiness = math.NaN() })},
+	}
+	pushed := ctrl.Counters().Get(CounterConfigsPushed)
+	lastGood := ctrl.LastGood(n.id)
+	for i, tc := range cases {
+		var reply ReportReply
+		if err := ctrl.report(&tc.args, &reply); err == nil {
+			t.Errorf("%s: report accepted", tc.name)
+		}
+		if reply.Config != nil || reply.Hold {
+			t.Errorf("%s: rejected report still carries a decision: %+v", tc.name, reply)
+		}
+		if got := ctrl.Counters().Get(CounterReportsRejected); got != int64(i+1) {
+			t.Errorf("%s: reports_rejected = %d, want %d", tc.name, got, i+1)
+		}
+	}
+	// An expired lease is the remaining rejection.
+	clk.Advance(11 * time.Second)
+	if ctrl.ExpireLeases(clk.Now()) != 1 {
+		t.Fatal("lease did not expire")
+	}
+	var reply ReportReply
+	if err := ctrl.report(&good, &reply); !IsUnregisteredNode(err) {
+		t.Errorf("expired lease: %v, want unregistered", err)
+	}
+	rejected := int64(len(cases) + 1)
+	if got := ctrl.Counters().Get(CounterReportsRejected); got != rejected {
+		t.Errorf("reports_rejected = %d, want %d", got, rejected)
+	}
+	// One served report (the priming step) plus every rejection.
+	if got := ctrl.reportLatency.Count(); got != uint64(1+rejected) {
+		t.Errorf("latency observations = %d, want %d", got, 1+rejected)
+	}
+	if got := ctrl.Counters().Get(CounterConfigsPushed); got != pushed {
+		t.Errorf("configs_pushed moved %d -> %d on rejected reports", pushed, got)
+	}
+	if got := ctrl.LastGood(n.id); !reflect.DeepEqual(got, lastGood) {
+		t.Errorf("last-known-good moved on rejected reports: %+v -> %+v", lastGood, got)
+	}
+}
+
 // TestControllerMetricsExposition pins the /metrics contract the
 // daemons serve: every stats.Counters key appears as a
 // greennfv_serve_<key>_total counter, the gauges report live values,
@@ -180,6 +326,7 @@ func TestControllerMetricsExposition(t *testing.T) {
 	ctrl, err := NewController(Config{
 		Spec:       spec,
 		PolicyPath: writePolicy(t, dir, spec, 43),
+		StatePath:  filepath.Join(dir, "controller.state"),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -193,6 +340,11 @@ func TestControllerMetricsExposition(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// One more config change, so the state has seen its first
+	// snapshot and at least one journal record.
+	changed := ctrl.LastGood(n.id)
+	changed[0].Batch++
+	ctrl.recordLastGood(n.id, changed)
 
 	reg := stats.NewRegistry()
 	ctrl.RegisterMetrics(reg)
@@ -224,9 +376,15 @@ func TestControllerMetricsExposition(t *testing.T) {
 		`greennfv_serve_report_latency_seconds_bucket{le="+Inf"} 3`,
 		"greennfv_serve_report_latency_seconds_count 3",
 		"greennfv_serve_configs_pushed_total 3",
+		"greennfv_serve_state_snapshots_total 1",
+		"greennfv_serve_state_journal_appends_total ",
+		"greennfv_serve_state_journal_bytes ",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("scrape missing %q:\n%s", want, out)
 		}
+	}
+	if strings.Contains(out, "greennfv_serve_state_journal_bytes 0\n") {
+		t.Errorf("journal gauge reads 0 with a journal on disk:\n%s", out)
 	}
 }

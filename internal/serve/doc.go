@@ -50,8 +50,9 @@
 // reports read it lock-free, and only ReloadPolicy takes the writer
 // path (validate, then swap a new snapshot with a bumped version).
 // Each in-flight report draws pooled inference scratch — a private
-// policy replica plus action/knob buffers — because the DDPG actor's
-// forward pass reuses per-agent scratch and cannot be shared. The
+// greedy-actor replica (ddpg.GreedyActor, cloned from the snapshot's
+// validated actor) plus action/knob buffers — because the actor's
+// forward pass reuses per-network scratch and cannot be shared. The
 // greedy action consumes no randomness, so a node's decision depends
 // only on its own history and the snapshot: concurrent serving is
 // bit-for-bit identical to serial (the fleet harness pins this).
@@ -61,21 +62,71 @@
 // Controller and agent expose their serving ledgers for Prometheus
 // through stats.Registry: every counter as
 // greennfv_serve_<name>_total / greennfv_agent_<name>_total, gauges
-// for registered nodes and policy version, and a report-latency
-// histogram (greennfv_serve_report_latency_seconds). Conservation
-// laws tie the counters together: configs_pushed equals the policy-
-// plus last-good-sourced replies, and fallback_activations counts
-// only holds (a last-good recovery is a push, not a fallback). Both
-// daemons serve the registry at /metrics (-metrics flag).
+// for registered nodes, policy version and the state journal's size
+// on disk, and a report-latency histogram
+// (greennfv_serve_report_latency_seconds) that times every report,
+// served or rejected. Conservation laws tie the counters together:
+// configs_pushed equals the policy- plus last-good-sourced replies,
+// and fallback_activations counts only holds (a last-good recovery is
+// a push, not a fallback). reports_rejected counts reports answered
+// with an error (no lease, stale epoch, wrong dimension, NaN or Inf in
+// the observation or traffic, policy failure) — none of which reach
+// the policy. Persistence shows as state_journal_appends,
+// state_snapshots and state_persist_errors; a
+// greennfv_serve_state_journal_bytes that only grows is a journal that
+// is not compacting. Both daemons serve the registry at /metrics
+// (-metrics flag).
 //
 // # Crash safety
 //
 // Controller state — the current policy blob, its version, and each
-// node's last-known-good config — persists through atomicio (magic
-// "GNFVSRV1", temp+fsync+rename, CRC). A restarted controller resumes
-// with the policy it was last serving (hot reloads included) and the
-// fleet re-registers transparently. Hot policy reload validates the
-// new checkpoint (dimensions against the node spec, decodable agent)
-// before an atomic swap; a corrupt or mismatched checkpoint is
-// rejected loudly without dropping the serving loop.
+// node's last-known-good config — lives in two files. The snapshot at
+// StatePath is the whole state, written through atomicio (magic
+// "GNFVSRV1", temp+fsync+rename, CRC). The journal at
+// StatePath+".journal" (magic "GNFVSRJ1") extends it: a header naming
+// the snapshot it belongs to (that snapshot's payload length and
+// CRC32), then one CRC-framed "set node = knobs" record per
+// last-known-good change, ~150 bytes in a fixed binary layout.
+//
+// What is durable when a report returns: everything it decided. A
+// report whose vetted config differs from the node's last-known-good
+// appends one record and fsyncs it before the reply is sent; a report
+// that changes nothing touches no file. There is no background
+// flusher, timer or staleness window — the cost of a change is one
+// small write and one fsync, independent of fleet size and of the
+// policy blob.
+//
+// The snapshot is rewritten only where the blob or the base changes:
+// ReloadPolicy, Close, the first change of a controller that booted
+// without a state file, recovery after an unclean shutdown, the change
+// after a failed write (state_persist_errors counts the failure,
+// serving continues, the next change heals with a full snapshot), and
+// compaction once the journal has grown past the snapshot's own size.
+// Every snapshot retires the journal, so a clean Close leaves exactly
+// one self-contained file, readable on its own and by a build that
+// predates the journal.
+//
+// Recovery: StateStore.Load reads the snapshot, then applies the
+// journal on top if and only if its header names that snapshot. A
+// journal left by a crash between publishing a snapshot and retiring
+// the old journal names the previous snapshot and is ignored — the new
+// snapshot already holds everything in it. A final record that is
+// short or fails its CRC is a torn tail and is dropped: its fsync
+// never finished, so its reply was never sent. A failing record with
+// bytes after it, a malformed record body or a wrong journal magic is
+// corruption and fails Load, exactly as a corrupt snapshot does. A
+// controller that replayed any record folds the journal into a fresh
+// snapshot before it serves, so appends never resume on an old
+// journal. The restarted controller resumes with the policy it was
+// last serving (hot reloads included) and the fleet re-registers
+// transparently.
+//
+// Hot policy reload validates the new checkpoint in full (decodable
+// agent, dimensions against the node spec) before an atomic swap; a
+// corrupt or mismatched checkpoint is rejected loudly without dropping
+// the serving loop. The validated agent's actor network stays with the
+// policy snapshot, and each pooled report scratch clones its replica
+// from it — the checkpoint is decoded once per boot or reload, not
+// once per replica, and no replica pins the checkpoint's replay arena,
+// critics or optimiser state.
 package serve

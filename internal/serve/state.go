@@ -2,16 +2,27 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
+	"math"
 	"os"
 
 	"greennfv/internal/atomicio"
 	"greennfv/internal/perfmodel"
 )
 
-// stateMagic identifies (and versions) the controller state file.
-const stateMagic = "GNFVSRV1"
+// stateMagic identifies (and versions) the controller state snapshot;
+// journalMagic the journal of config changes that extends it.
+const (
+	stateMagic   = "GNFVSRV1"
+	journalMagic = "GNFVSRJ1"
+)
+
+// journalPath names the journal that extends the snapshot at
+// statePath.
+func journalPath(statePath string) string { return statePath + ".journal" }
 
 // ControllerState is what a controller must remember across a crash:
 // the policy it is serving (hot reloads included, so a restart does
@@ -28,18 +39,33 @@ type ControllerState struct {
 	LastGood map[string][]perfmodel.NFKnobs
 }
 
+// errSnapshotDue is Append's refusal: the store has no snapshot to
+// extend, or the journal has outgrown it. Not a failure — the caller
+// writes a snapshot with Save instead.
+var errSnapshotDue = errors.New("serve: state snapshot due")
+
 // stateStore is the controller's persistence seam: the file-backed
 // StateStore in production, a stub in the persistence-failure tests.
 type stateStore interface {
 	Save(*ControllerState) error
 	Load() (*ControllerState, error)
+	Append(nodeID string, ks []perfmodel.NFKnobs) error
 }
 
-// StateStore persists ControllerState at one path with atomicio
-// framing. The controller is the single writer; OpenStateStore sweeps
-// temp files a crashed predecessor left behind.
+// StateStore persists ControllerState at one path as a snapshot (the
+// whole state, atomicio-framed, written by Save) plus a journal beside
+// it (one fsynced record per last-known-good change, written by
+// Append). The controller is the single writer and serializes calls;
+// OpenStateStore sweeps temp files a crashed predecessor left behind.
 type StateStore struct {
 	path string
+	// base sums the snapshot this store last wrote or loaded — what a
+	// journal it creates extends. based is false until there is one.
+	base  atomicio.Sum
+	based bool
+	// journal is nil until the first Append after a snapshot.
+	journal *atomicio.Journal
+	rec     []byte // reused record encode buffer
 }
 
 // OpenStateStore prepares a store at path, sweeping stale temp files
@@ -54,7 +80,9 @@ func OpenStateStore(path string) (*StateStore, error) {
 	return &StateStore{path: path}, nil
 }
 
-// Save writes st atomically.
+// Save writes st as the new snapshot, atomically, and retires the
+// journal, whose records st already holds: after Save the snapshot is
+// the only file and is self-contained.
 func (s *StateStore) Save(st *ControllerState) error {
 	var payload bytes.Buffer
 	if err := gob.NewEncoder(&payload).Encode(st); err != nil {
@@ -63,22 +91,142 @@ func (s *StateStore) Save(st *ControllerState) error {
 	if err := atomicio.WriteFile(s.path, stateMagic, payload.Bytes()); err != nil {
 		return fmt.Errorf("serve: state: %w", err)
 	}
+	s.base, s.based = atomicio.SumOf(payload.Bytes()), true
+	// A crash from here on leaves a journal that names the previous
+	// snapshot; Load ignores it.
+	s.closeJournal()
+	if err := os.Remove(journalPath(s.path)); err != nil && !os.IsNotExist(err) {
+		return fmt.Errorf("serve: retire state journal: %w", err)
+	}
 	return nil
 }
 
-// Load reads and validates the state file. A missing file returns
-// (nil, nil): a fresh controller with nothing to resume.
+func (s *StateStore) closeJournal() {
+	if s.journal != nil {
+		s.journal.Close()
+		s.journal = nil
+	}
+}
+
+// Append makes one node's new last-known-good durable as a journal
+// record, fsynced before it returns. It returns errSnapshotDue,
+// writing nothing, when there is no snapshot to extend or the journal
+// has grown past the snapshot's size (replaying it would cost more
+// than the snapshot it saves rewriting). After a failed write the
+// journal refuses every later append; the next Save replaces it.
+func (s *StateStore) Append(nodeID string, ks []perfmodel.NFKnobs) error {
+	if !s.based || (s.journal != nil && uint64(s.journal.Size()) > s.base.Len) {
+		return errSnapshotDue
+	}
+	if s.journal == nil {
+		// Truncates a journal a crashed predecessor left for an older
+		// snapshot.
+		j, err := atomicio.CreateJournal(journalPath(s.path), journalMagic, s.base)
+		if err != nil {
+			return fmt.Errorf("serve: state journal: %w", err)
+		}
+		s.journal = j
+	}
+	s.rec = appendChange(s.rec[:0], nodeID, ks)
+	if err := s.journal.Append(s.rec); err != nil {
+		return fmt.Errorf("serve: state journal: %w", err)
+	}
+	return nil
+}
+
+// Load reads and validates the snapshot, then applies on top of it the
+// journal that extends it. A missing snapshot returns (nil, nil): a
+// fresh controller with nothing to resume. Load writes nothing, so it
+// is safe on a stopped fleet's files.
 func (s *StateStore) Load() (*ControllerState, error) {
+	st, _, err := s.load()
+	return st, err
+}
+
+// load is Load, also reporting how many journal records it replayed.
+func (s *StateStore) load() (*ControllerState, int, error) {
 	if _, err := os.Stat(s.path); os.IsNotExist(err) {
-		return nil, nil
+		return nil, 0, nil
 	}
 	payload, err := atomicio.ReadFile(s.path, stateMagic)
 	if err != nil {
-		return nil, fmt.Errorf("serve: state: %w", err)
+		return nil, 0, fmt.Errorf("serve: state: %w", err)
 	}
 	var st ControllerState
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&st); err != nil {
-		return nil, fmt.Errorf("serve: decode state: %w", err)
+		return nil, 0, fmt.Errorf("serve: decode state: %w", err)
 	}
-	return &st, nil
+	base := atomicio.SumOf(payload)
+	replayed, err := atomicio.ReadJournal(journalPath(s.path), journalMagic, base, func(body []byte) error {
+		nodeID, ks, err := decodeChange(body)
+		if err != nil {
+			return err
+		}
+		if st.LastGood == nil {
+			st.LastGood = make(map[string][]perfmodel.NFKnobs)
+		}
+		st.LastGood[nodeID] = ks
+		return nil
+	})
+	if err != nil {
+		return nil, 0, fmt.Errorf("serve: state: %w", err)
+	}
+	// A journal with records must be folded into a snapshot (Save)
+	// before this store appends: a new journal would overwrite them.
+	s.base, s.based = base, replayed == 0
+	return &st, replayed, nil
+}
+
+// knobsLen is one NFKnobs on disk: three float64 and two int64.
+const knobsLen = 5 * 8
+
+// appendChange appends the journal record body "set nodeID's
+// last-known-good to ks": the ID and the knob sets, each behind a
+// uint32 count, every field fixed-width big-endian.
+func appendChange(dst []byte, nodeID string, ks []perfmodel.NFKnobs) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(nodeID)))
+	dst = append(dst, nodeID...)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(ks)))
+	for _, k := range ks {
+		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(k.CPUShare))
+		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(k.FreqGHz))
+		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(k.LLCFraction))
+		dst = binary.BigEndian.AppendUint64(dst, uint64(k.DMABytes))
+		dst = binary.BigEndian.AppendUint64(dst, uint64(int64(k.Batch)))
+	}
+	return dst
+}
+
+var errBadChange = errors.New("serve: malformed state journal record")
+
+// decodeChange is appendChange's inverse. The body must be exactly one
+// well-formed change; anything else is corruption.
+func decodeChange(body []byte) (string, []perfmodel.NFKnobs, error) {
+	if len(body) < 4 {
+		return "", nil, errBadChange
+	}
+	idLen := uint64(binary.BigEndian.Uint32(body))
+	body = body[4:]
+	if idLen == 0 || uint64(len(body)) < idLen+4 {
+		return "", nil, errBadChange
+	}
+	nodeID := string(body[:idLen])
+	body = body[idLen:]
+	n := uint64(binary.BigEndian.Uint32(body))
+	body = body[4:]
+	if uint64(len(body)) != n*knobsLen {
+		return "", nil, errBadChange
+	}
+	ks := make([]perfmodel.NFKnobs, n)
+	for i := range ks {
+		f := body[i*knobsLen:]
+		ks[i] = perfmodel.NFKnobs{
+			CPUShare:    math.Float64frombits(binary.BigEndian.Uint64(f)),
+			FreqGHz:     math.Float64frombits(binary.BigEndian.Uint64(f[8:])),
+			LLCFraction: math.Float64frombits(binary.BigEndian.Uint64(f[16:])),
+			DMABytes:    int64(binary.BigEndian.Uint64(f[24:])),
+			Batch:       int(int64(binary.BigEndian.Uint64(f[32:]))),
+		}
+	}
+	return nodeID, ks, nil
 }
