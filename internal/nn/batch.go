@@ -5,7 +5,7 @@ import "math"
 // This file is the minibatch fast path: ForwardBatch/BackwardBatch
 // process a whole row-major [rows × dim] matrix per call with
 // preallocated, layer-owned scratch buffers (zero allocations once
-// warm) and ILP-friendly unrolled inner kernels. The scalar
+// warm) and two layer-granular kernels, rows4 and accumGrads. The scalar
 // Forward/Backward path is untouched so single-state inference and
 // gob checkpoints behave exactly as before; the batched path is free
 // to reassociate floating-point sums for speed.
@@ -71,22 +71,64 @@ func axpy(alpha float64, x, y []float64) {
 	}
 }
 
-// dot4rows dispatches the four-row dot product to the AVX2 kernel
-// when available.
-func dot4rows(w, x0, x1, x2, x3 []float64) (float64, float64, float64, float64) {
+// rows4 is the four-row product kernel under the forward and the
+// input-gradient passes: for the four n-long rows of x and the m
+// n-long rows of w it stores
+//
+//	z[r*m+o] = bias[o] + w[o*n:(o+1)*n] · x[r*n:(r+1)*n]
+//
+// (the plain product when bias is nil). One call covers a whole 4-row
+// group of a layer: on AVX2+FMA the output loop, bias add and stores
+// all run inside the register-tiled assembly; the fallback is the
+// pure-Go dot4 loop. Either way each element follows the kernel
+// contract in doc.go.
+func rows4(w, x, bias, z []float64, n, m int) {
+	w, x, z = w[:m*n], x[:4*n], z[:4*m]
 	if useSIMD {
-		return dot4asm(&w[0], &x0[0], &x1[0], &x2[0], &x3[0], len(w))
-	}
-	return dot4(w, x0, x1, x2, x3)
-}
-
-// axpyFast dispatches y += alpha*x to the AVX2 kernel when available.
-func axpyFast(alpha float64, x, y []float64) {
-	if useSIMD {
-		axpyasm(alpha, &x[0], &y[0], len(x))
+		var b *float64
+		if bias != nil {
+			b = &bias[:m][0]
+		}
+		rows4asm(&w[0], &x[0], b, &z[0], n, m)
 		return
 	}
-	axpy(alpha, x, y)
+	x0, x1, x2, x3 := x[:n], x[n:2*n], x[2*n:3*n], x[3*n:]
+	for o := 0; o < m; o++ {
+		s0, s1, s2, s3 := dot4(w[o*n:(o+1)*n], x0, x1, x2, x3)
+		if bias != nil {
+			b := bias[o]
+			s0, s1, s2, s3 = b+s0, b+s1, b+s2, b+s3
+		}
+		z[o], z[m+o], z[2*m+o], z[3*m+o] = s0, s1, s2, s3
+	}
+}
+
+// accumGrads is the parameter-gradient kernel: over the first rows
+// rows of dz ([rows × out]) and x ([rows × in]), in ascending row
+// order and skipping exact zeros of dz (ReLU makes them common),
+//
+//	db[o] += dz[r*out+o]        dw[o*in+i] += dz[r*out+o] * x[r*in+i]
+//
+// One call covers a whole layer. On AVX2+FMA each column's non-zero
+// rows are compacted into scratch (2*rows words, layer-owned because
+// networks train concurrently) and the dw row tile stays in registers
+// across them; the fallback is one pure-Go axpy per (row, column).
+func accumGrads(dz, x, dw, db []float64, scratch []uint64, rows, in, out int) {
+	dz, x, dw, db = dz[:rows*out], x[:rows*in], dw[:out*in], db[:out]
+	if useSIMD {
+		gradasm(&dz[0], &x[0], &dw[0], &db[0], &scratch[:2*rows][0], rows, in, out)
+		return
+	}
+	for r := 0; r < rows; r++ {
+		xr := x[r*in : (r+1)*in]
+		for o, v := range dz[r*out : (r+1)*out] {
+			if v == 0 {
+				continue
+			}
+			db[o] += v
+			axpy(v, xr, dw[o*in:(o+1)*in])
+		}
+	}
 }
 
 // applyBatch evaluates the activation elementwise with the branch
@@ -144,11 +186,11 @@ func derivBatch(a Activation, dY, z, y, dz []float64) {
 // grow returns buf resized to n, reallocating only when capacity is
 // insufficient — the steady state (fixed minibatch size) never
 // allocates.
-func grow(buf []float64, n int) []float64 {
+func grow[T any](buf []T, n int) []T {
 	if cap(buf) >= n {
 		return buf[:n]
 	}
-	return make([]float64, n)
+	return make([]T, n)
 }
 
 // ForwardBatch computes y_r = act(W x_r + b) for rows row-major
@@ -165,18 +207,7 @@ func (d *Dense) ForwardBatch(x []float64, rows int) []float64 {
 	copy(d.bx, x[:rows*d.In])
 	r := 0
 	for ; r+4 <= rows; r += 4 {
-		x0 := d.bx[r*d.In : (r+1)*d.In]
-		x1 := d.bx[(r+1)*d.In : (r+2)*d.In]
-		x2 := d.bx[(r+2)*d.In : (r+3)*d.In]
-		x3 := d.bx[(r+3)*d.In : (r+4)*d.In]
-		for o := 0; o < d.Out; o++ {
-			s0, s1, s2, s3 := dot4rows(d.W[o*d.In:(o+1)*d.In], x0, x1, x2, x3)
-			b := d.B[o]
-			d.bz[r*d.Out+o] = b + s0
-			d.bz[(r+1)*d.Out+o] = b + s1
-			d.bz[(r+2)*d.Out+o] = b + s2
-			d.bz[(r+3)*d.Out+o] = b + s3
-		}
+		rows4(d.W, d.bx[r*d.In:], d.B, d.bz[r*d.Out:], d.In, d.Out)
 	}
 	for ; r < rows; r++ {
 		xr := d.bx[r*d.In : (r+1)*d.In]
@@ -210,23 +241,17 @@ func (d *Dense) backwardBatch(dY []float64, rows int, needDX bool, gradRows int)
 	}
 	d.bdz = grow(d.bdz, rows*d.Out)
 	derivBatch(d.Act, dY[:rows*d.Out], d.bz, d.by, d.bdz)
-	for r := 0; r < gradRows; r++ {
-		dzr := d.bdz[r*d.Out : (r+1)*d.Out]
-		xr := d.bx[r*d.In : (r+1)*d.In]
-		for o, dz := range dzr {
-			if dz == 0 {
-				continue // ReLU zeros are common; skip the row work
-			}
-			d.dB[o] += dz
-			axpyFast(dz, xr, d.dW[o*d.In:(o+1)*d.In])
-		}
+	if gradRows > 0 {
+		d.bnz = grow(d.bnz, 2*gradRows)
+		accumGrads(d.bdz, d.bx, d.dW, d.dB, d.bnz, gradRows, d.In, d.Out)
 	}
 	if !needDX {
 		return nil
 	}
 	// dX = dz × W, computed against a transposed weight copy so each
-	// dX element is a contiguous dot product (dot4 ILP) instead of a
-	// strided read-modify-write accumulation.
+	// dX element is a contiguous dot product — the same rows4 product
+	// as the forward pass — instead of a strided read-modify-write
+	// accumulation.
 	d.wt = grow(d.wt, d.In*d.Out)
 	for o := 0; o < d.Out; o++ {
 		row := d.W[o*d.In : (o+1)*d.In]
@@ -237,17 +262,7 @@ func (d *Dense) backwardBatch(dY []float64, rows int, needDX bool, gradRows int)
 	d.bdx = grow(d.bdx, rows*d.In)
 	r := 0
 	for ; r+4 <= rows; r += 4 {
-		dz0 := d.bdz[r*d.Out : (r+1)*d.Out]
-		dz1 := d.bdz[(r+1)*d.Out : (r+2)*d.Out]
-		dz2 := d.bdz[(r+2)*d.Out : (r+3)*d.Out]
-		dz3 := d.bdz[(r+3)*d.Out : (r+4)*d.Out]
-		for i := 0; i < d.In; i++ {
-			s0, s1, s2, s3 := dot4rows(d.wt[i*d.Out:(i+1)*d.Out], dz0, dz1, dz2, dz3)
-			d.bdx[r*d.In+i] = s0
-			d.bdx[(r+1)*d.In+i] = s1
-			d.bdx[(r+2)*d.In+i] = s2
-			d.bdx[(r+3)*d.In+i] = s3
-		}
+		rows4(d.wt, d.bdz[r*d.Out:], nil, d.bdx[r*d.In:], d.Out, d.In)
 	}
 	for ; r < rows; r++ {
 		dzr := d.bdz[r*d.Out : (r+1)*d.Out]

@@ -82,23 +82,45 @@ func axpyF32(alpha float32, x, y []float32) {
 	}
 }
 
-// dot4rowsF32 dispatches the four-row f32 dot product to the AVX2
-// kernel when available.
-func dot4rowsF32(w, x0, x1, x2, x3 []float32) (float32, float32, float32, float32) {
+// rows4F32 is the float32 rows4 (8 lanes per vector on AVX2+FMA).
+func rows4F32(w, x, bias, z []float32, n, m int) {
+	w, x, z = w[:m*n], x[:4*n], z[:4*m]
 	if useSIMD {
-		return dot4asmf32(&w[0], &x0[0], &x1[0], &x2[0], &x3[0], len(w))
-	}
-	return dot4F32(w, x0, x1, x2, x3)
-}
-
-// axpyFastF32 dispatches y += alpha*x to the AVX2 kernel when
-// available.
-func axpyFastF32(alpha float32, x, y []float32) {
-	if useSIMD {
-		axpyasmf32(alpha, &x[0], &y[0], len(x))
+		var b *float32
+		if bias != nil {
+			b = &bias[:m][0]
+		}
+		rows4asmf32(&w[0], &x[0], b, &z[0], n, m)
 		return
 	}
-	axpyF32(alpha, x, y)
+	x0, x1, x2, x3 := x[:n], x[n:2*n], x[2*n:3*n], x[3*n:]
+	for o := 0; o < m; o++ {
+		s0, s1, s2, s3 := dot4F32(w[o*n:(o+1)*n], x0, x1, x2, x3)
+		if bias != nil {
+			b := bias[o]
+			s0, s1, s2, s3 = b+s0, b+s1, b+s2, b+s3
+		}
+		z[o], z[m+o], z[2*m+o], z[3*m+o] = s0, s1, s2, s3
+	}
+}
+
+// accumGradsF32 is the float32 accumGrads.
+func accumGradsF32(dz, x, dw, db []float32, scratch []uint64, rows, in, out int) {
+	dz, x, dw, db = dz[:rows*out], x[:rows*in], dw[:out*in], db[:out]
+	if useSIMD {
+		gradasmf32(&dz[0], &x[0], &dw[0], &db[0], &scratch[:2*rows][0], rows, in, out)
+		return
+	}
+	for r := 0; r < rows; r++ {
+		xr := x[r*in : (r+1)*in]
+		for o, v := range dz[r*out : (r+1)*out] {
+			if v == 0 {
+				continue
+			}
+			db[o] += v
+			axpyF32(v, xr, dw[o*in:(o+1)*in])
+		}
+	}
 }
 
 // abs32 is branch-free |v| for float32.
@@ -200,15 +222,6 @@ func derivBatchF32(a Activation, dY, z, y, dz []float32) {
 	}
 }
 
-// growF32 returns buf resized to n, reallocating only when capacity
-// is insufficient.
-func growF32(buf []float32, n int) []float32 {
-	if cap(buf) >= n {
-		return buf[:n]
-	}
-	return make([]float32, n)
-}
-
 // EnableF32 allocates (once) and refreshes the float32 parameter
 // mirrors from the f64 weights. Call it before the first F32 pass and
 // after any f64-side parameter change (CopyParamsFrom, UnmarshalBinary)
@@ -260,24 +273,13 @@ func (d *Dense) ForwardBatchF32(x []float32, rows int) []float32 {
 	if len(x) < rows*d.In {
 		panic("nn: ForwardBatchF32 input shorter than rows*In")
 	}
-	d.bx32 = growF32(d.bx32, rows*d.In)
-	d.bz32 = growF32(d.bz32, rows*d.Out)
-	d.by32 = growF32(d.by32, rows*d.Out)
+	d.bx32 = grow(d.bx32, rows*d.In)
+	d.bz32 = grow(d.bz32, rows*d.Out)
+	d.by32 = grow(d.by32, rows*d.Out)
 	copy(d.bx32, x[:rows*d.In])
 	r := 0
 	for ; r+4 <= rows; r += 4 {
-		x0 := d.bx32[r*d.In : (r+1)*d.In]
-		x1 := d.bx32[(r+1)*d.In : (r+2)*d.In]
-		x2 := d.bx32[(r+2)*d.In : (r+3)*d.In]
-		x3 := d.bx32[(r+3)*d.In : (r+4)*d.In]
-		for o := 0; o < d.Out; o++ {
-			s0, s1, s2, s3 := dot4rowsF32(d.w32[o*d.In:(o+1)*d.In], x0, x1, x2, x3)
-			b := d.b32[o]
-			d.bz32[r*d.Out+o] = b + s0
-			d.bz32[(r+1)*d.Out+o] = b + s1
-			d.bz32[(r+2)*d.Out+o] = b + s2
-			d.bz32[(r+3)*d.Out+o] = b + s3
-		}
+		rows4F32(d.w32, d.bx32[r*d.In:], d.b32, d.bz32[r*d.Out:], d.In, d.Out)
 	}
 	for ; r < rows; r++ {
 		xr := d.bx32[r*d.In : (r+1)*d.In]
@@ -300,45 +302,28 @@ func (d *Dense) backwardBatchF32(dY []float32, rows int, needDX bool, gradRows i
 	if gradRows > rows {
 		gradRows = rows
 	}
-	d.bdz32 = growF32(d.bdz32, rows*d.Out)
+	d.bdz32 = grow(d.bdz32, rows*d.Out)
 	derivBatchF32(d.Act, dY[:rows*d.Out], d.bz32, d.by32, d.bdz32)
-	for r := 0; r < gradRows; r++ {
-		dzr := d.bdz32[r*d.Out : (r+1)*d.Out]
-		xr := d.bx32[r*d.In : (r+1)*d.In]
-		for o, dz := range dzr {
-			if dz == 0 {
-				continue // ReLU zeros are common; skip the row work
-			}
-			d.dB32[o] += dz
-			axpyFastF32(dz, xr, d.dW32[o*d.In:(o+1)*d.In])
-		}
+	if gradRows > 0 {
+		d.bnz = grow(d.bnz, 2*gradRows)
+		accumGradsF32(d.bdz32, d.bx32, d.dW32, d.dB32, d.bnz, gradRows, d.In, d.Out)
 	}
 	if !needDX {
 		return nil
 	}
 	// dX = dz × W against a transposed weight copy, same as the f64
 	// path: contiguous dot products instead of strided accumulation.
-	d.wt32 = growF32(d.wt32, d.In*d.Out)
+	d.wt32 = grow(d.wt32, d.In*d.Out)
 	for o := 0; o < d.Out; o++ {
 		row := d.w32[o*d.In : (o+1)*d.In]
 		for i, w := range row {
 			d.wt32[i*d.Out+o] = w
 		}
 	}
-	d.bdx32 = growF32(d.bdx32, rows*d.In)
+	d.bdx32 = grow(d.bdx32, rows*d.In)
 	r := 0
 	for ; r+4 <= rows; r += 4 {
-		dz0 := d.bdz32[r*d.Out : (r+1)*d.Out]
-		dz1 := d.bdz32[(r+1)*d.Out : (r+2)*d.Out]
-		dz2 := d.bdz32[(r+2)*d.Out : (r+3)*d.Out]
-		dz3 := d.bdz32[(r+3)*d.Out : (r+4)*d.Out]
-		for i := 0; i < d.In; i++ {
-			s0, s1, s2, s3 := dot4rowsF32(d.wt32[i*d.Out:(i+1)*d.Out], dz0, dz1, dz2, dz3)
-			d.bdx32[r*d.In+i] = s0
-			d.bdx32[(r+1)*d.In+i] = s1
-			d.bdx32[(r+2)*d.In+i] = s2
-			d.bdx32[(r+3)*d.In+i] = s3
-		}
+		rows4F32(d.wt32, d.bdz32[r*d.Out:], nil, d.bdx32[r*d.In:], d.Out, d.In)
 	}
 	for ; r < rows; r++ {
 		dzr := d.bdz32[r*d.Out : (r+1)*d.Out]

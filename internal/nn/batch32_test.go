@@ -236,9 +236,11 @@ func TestDotKernelF32(t *testing.T) {
 			t.Errorf("dot4F32 len %d = %v, want %v", n, r0, want)
 		}
 		if useSIMD && n > 0 {
-			s0, s1, _, _ := dot4asmf32(&a[0], &b[0], &b[0], &b[0], &b[0], n)
-			if !relClose(float64(s0), want, 1e-5) || s0 != s1 {
-				t.Errorf("dot4asmf32 len %d = %v/%v, want %v", n, s0, s1, want)
+			x4 := append(append(append(append([]float32(nil), b...), b...), b...), b...)
+			var z [4]float32
+			rows4asmf32(&a[0], &x4[0], nil, &z[0], n, 1)
+			if !relClose(float64(z[0]), want, 1e-5) || z[0] != z[1] || z[0] != z[3] {
+				t.Errorf("rows4asmf32 len %d = %v, want %v", n, z, want)
 			}
 		}
 	}

@@ -17,20 +17,69 @@
 // the following backward pass, and batch passes reuse layer-owned
 // scratch. Give each concurrent user its own Clone. Initialization
 // and training are deterministic given the seed on a fixed CPU
-// feature set: the hot kernels (dot, axpy, Adam, soft-update) have
-// AVX2+FMA assembly variants, CPUID-gated with a pure-Go fallback,
-// and FMA contraction rounds differently than the scalar code — so
-// results are reproducible on a given machine but may differ in the
-// last bits across machines with different vector support. The
-// batch passes (ForwardBatch/BackwardBatch and the BackwardBatchSplit
-// variant) allocate nothing in steady state; scalar Backward is also
-// allocation-free.
+// feature set: the hot kernels (the batch passes' layer kernels, Adam,
+// soft-update) have AVX2+FMA assembly variants, CPUID-gated with a
+// pure-Go fallback, and FMA contraction rounds differently than the
+// scalar code — so results are reproducible on a given machine but
+// may differ in the last bits across machines with different vector
+// support. The batch passes (ForwardBatch/BackwardBatch and the
+// BackwardBatchSplit variant) allocate nothing in steady state; scalar
+// Backward is also allocation-free.
+//
+// # Kernel contract
+//
+// The f64 batch passes run on two layer-granular kernels (batch.go):
+// rows4, one call per 4-row group for the forward pass and again for
+// the input gradients, and accumGrads, one call per layer for dW/dB.
+// How they tile, unroll or schedule is free; what every ELEMENT
+// computes is pinned, because the byte-diffed figure tables
+// (scripts/figdiff.sh) rest on it. "Bit-identical" here means, per
+// CPU capability:
+//
+//   - Lane partition. A product w·x of a 4-row group is summed in four
+//     lanes starting from +0: lane j takes the products at indices
+//     ≡ j (mod 4), in ascending order, each step one FMA
+//     (lane = fma(w[i], x[i], lane)). The pure-Go fallback (dot4)
+//     instead keeps two accumulators, even and odd indices, each step
+//     a rounded multiply then a rounded add.
+//   - Reduce order. The lanes combine as (l0+l2)+(l1+l3); the fallback
+//     returns even+odd.
+//   - Tail. The n%4 trailing indices continue on the reduced sum by
+//     scalar FMA in ascending order (fallback: an odd last index goes
+//     to the even accumulator before the final add).
+//   - Bias. The forward pass stores b + s, added last; the input
+//     gradients store s with nothing added (s + 0 would lose a -0).
+//   - Remainder rows. The rows%4 rows after the last full group use the
+//     pure-Go dot — four accumulators over indices mod 4, multiply then
+//     add, (s0+s1)+(s2+s3), tail into s0 — on every CPU. So a row's
+//     bits depend on whether it falls in a full group, which is why
+//     BackwardBatchSplit's parity with separate passes holds for
+//     halves that are multiples of four.
+//   - Gradients. dW[o][i] accumulates over rows in ascending order,
+//     one FMA per row (fma(dz, x, dW); fallback: multiply then add),
+//     onto whatever dW already holds; dB[o] += dz by plain adds in the
+//     same order. A row whose dz is zero of either sign is skipped
+//     entirely — not an optimisation: adding a +0 would turn a -0
+//     accumulator into +0.
+//
+// kernel_test.go holds the kernels to an element-by-element reference
+// of exactly this, on both capability paths, and fingerprint_test.go
+// pins 300 composed DDPG updates to the values recorded before the
+// kernels were made layer-granular. Kernel scratch (the gradient
+// kernel's compacted non-zero rows) is layer-owned like every other
+// batch buffer: the figure pool trains networks concurrently, and a
+// package-level buffer passes every test here yet changes the figures.
+// The float32 mirror runs on the same two kernels in 8-lane form with
+// no bit contract. Deliberately outside the contract and untouched:
+// Adam's divides and square root (divider-bound; a reciprocal would
+// round differently), math.Tanh on the actor heads, and the scalar
+// ForwardRows path.
 //
 // # Float32 fast path
 //
-// The batch engine has a single-precision mirror (batch32.go): f32
-// AVX2+FMA kernels with 8 lanes per register instead of 4, halving
-// memory traffic on the dot-kernel-bound learn step. The path is an
+// The batch engine has a single-precision mirror (batch32.go): the same
+// layer kernels with 8 lanes per register instead of 4, halving memory
+// traffic on the learn step. The path is an
 // explicit opt-in with a snapshot/flush contract: EnableF32 copies
 // the f64 weights into f32 mirrors, the *F32 passes, Adam.StepF32 and
 // SoftUpdateF32 then treat the mirrors as the authoritative weights,

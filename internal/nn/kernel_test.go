@@ -1,0 +1,299 @@
+package nn
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// This file pins the kernel contract of doc.go: the batch passes must
+// equal, bit for bit, a reference that computes every element on its
+// own with the arithmetic the contract names — nothing tiled, nothing
+// shared between elements.
+
+// setSIMD selects the kernel set for one test and restores it after.
+func setSIMD(t *testing.T, on bool) {
+	t.Helper()
+	prev := useSIMD
+	useSIMD = on
+	t.Cleanup(func() { useSIMD = prev })
+}
+
+// refProduct is one element w·x of a 4-row group. With the AVX2+FMA
+// kernels lane j sums the products at indices ≡ j (mod 4) by FMA, the
+// lanes reduce as (l0+l2)+(l1+l3) and the n%4 tail continues by FMA;
+// the fallback is the pure-Go dot4, whose rows are independent.
+func refProduct(w, x []float64, simd bool) float64 {
+	if !simd {
+		s, _, _, _ := dot4(w, x, x, x, x)
+		return s
+	}
+	var l [4]float64
+	i := 0
+	for ; i+4 <= len(w); i += 4 {
+		for j := range l {
+			l[j] = math.FMA(w[i+j], x[i+j], l[j])
+		}
+	}
+	s := (l[0] + l[2]) + (l[1] + l[3])
+	for ; i < len(w); i++ {
+		s = math.FMA(w[i], x[i], s)
+	}
+	return s
+}
+
+// refLayer is one dense layer computed element by element.
+type refLayer struct {
+	in, out      int
+	act          Activation
+	w, b, dw, db []float64
+	x, z, y      []float64
+}
+
+func (l *refLayer) forward(x []float64, rows int, simd bool) []float64 {
+	l.x = append(l.x[:0], x[:rows*l.in]...)
+	l.z = make([]float64, rows*l.out)
+	l.y = make([]float64, rows*l.out)
+	grouped := rows - rows%4
+	for r := 0; r < rows; r++ {
+		xr := l.x[r*l.in : (r+1)*l.in]
+		for o := 0; o < l.out; o++ {
+			wo := l.w[o*l.in : (o+1)*l.in]
+			if r < grouped {
+				l.z[r*l.out+o] = l.b[o] + refProduct(wo, xr, simd)
+			} else {
+				l.z[r*l.out+o] = l.b[o] + dot(wo, xr)
+			}
+		}
+	}
+	applyBatch(l.act, l.z, l.y)
+	return l.y
+}
+
+func (l *refLayer) backward(dY []float64, rows int, needDX bool, gradRows int, simd bool) []float64 {
+	dz := make([]float64, rows*l.out)
+	derivBatch(l.act, dY[:rows*l.out], l.z, l.y, dz)
+	for o := 0; o < l.out; o++ {
+		for r := 0; r < gradRows; r++ {
+			v := dz[r*l.out+o]
+			if v == 0 {
+				continue
+			}
+			l.db[o] += v
+			for i := 0; i < l.in; i++ {
+				if simd {
+					l.dw[o*l.in+i] = math.FMA(v, l.x[r*l.in+i], l.dw[o*l.in+i])
+				} else {
+					l.dw[o*l.in+i] += v * l.x[r*l.in+i]
+				}
+			}
+		}
+	}
+	if !needDX {
+		return nil
+	}
+	dx := make([]float64, rows*l.in)
+	col := make([]float64, l.out)
+	grouped := rows - rows%4
+	for i := 0; i < l.in; i++ {
+		for o := range col {
+			col[o] = l.w[o*l.in+i]
+		}
+		for r := 0; r < rows; r++ {
+			dzr := dz[r*l.out : (r+1)*l.out]
+			if r < grouped {
+				dx[r*l.in+i] = refProduct(col, dzr, simd)
+			} else {
+				dx[r*l.in+i] = dot(dzr, col)
+			}
+		}
+	}
+	return dx
+}
+
+// refNet mirrors a Network layer for layer, sharing nothing with it.
+func refNet(n *Network) []*refLayer {
+	var ls []*refLayer
+	for _, d := range n.layers {
+		ls = append(ls, &refLayer{
+			in: d.In, out: d.Out, act: d.Act,
+			w: append([]float64(nil), d.W...), b: append([]float64(nil), d.B...),
+			dw: append([]float64(nil), d.dW...), db: append([]float64(nil), d.dB...),
+		})
+	}
+	return ls
+}
+
+func sameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: len %d, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s[%d] = %x (%v), reference %x (%v)", what, i,
+				math.Float64bits(got[i]), got[i], math.Float64bits(want[i]), want[i])
+		}
+	}
+}
+
+// checkKernelParity runs forward and every backward mode on random
+// odd-shaped networks against the element-wise reference.
+func checkKernelParity(t *testing.T, simd bool) {
+	setSIMD(t, simd)
+	rng := rand.New(rand.NewSource(127))
+	// Fixed shapes hit every kernel path: 1-wide layers (tail only, odd
+	// single column), whole-vector widths, the 8-vector gradient tile
+	// (In >= 32) with and without a masked remainder, and the paper's
+	// critic; the random ones add odd In/Out pairs.
+	shapes := [][]int{
+		{1, 1}, {2, 3, 1}, {4, 8, 4}, {27, 48, 48, 1}, {32, 5, 33}, {67, 2, 71, 3},
+	}
+	for len(shapes) < 14 {
+		shapes = append(shapes, []int{1 + rng.Intn(70), 1 + rng.Intn(70), 1 + rng.Intn(70)})
+	}
+	acts := []Activation{ReLU, Linear, Tanh, Sigmoid}
+	for si, sizes := range shapes {
+		for _, rows := range []int{1, 3, 4, 7, 32, 64} {
+			net := MustMLP(sizes, acts[si%len(acts)], acts[(si+1)%len(acts)], rng)
+			for _, l := range net.layers {
+				for i := range l.B {
+					l.B[i] = rng.NormFloat64()
+				}
+				// Gradients accumulate onto what is already there.
+				for i := range l.dW {
+					l.dW[i] = rng.NormFloat64()
+				}
+				for i := range l.dB {
+					l.dB[i] = rng.NormFloat64()
+				}
+			}
+			ref := refNet(net)
+			in, out := sizes[0], sizes[len(sizes)-1]
+			x := make([]float64, rows*in)
+			for i := range x {
+				x[i] = rng.NormFloat64()
+			}
+			// Exact zeros of both signs in dY reach the zero-skip on
+			// Linear layers; ReLU layers make their own (dY * 0 = ±0).
+			dY := make([]float64, rows*out)
+			for i := range dY {
+				switch rng.Intn(5) {
+				case 0:
+					dY[i] = 0
+				case 1:
+					dY[i] = math.Copysign(0, -1)
+				default:
+					dY[i] = rng.NormFloat64()
+				}
+			}
+			name := fmt.Sprintf("simd=%v sizes=%v rows=%d", simd, sizes, rows)
+
+			got := net.ForwardBatch(x, rows)
+			want := x
+			for _, l := range ref {
+				want = l.forward(want, rows, simd)
+			}
+			sameBits(t, name+" forward", got, want)
+
+			for _, mode := range []struct {
+				name     string
+				needDX   bool
+				gradRows int
+			}{
+				{"full", true, rows}, {"params", false, rows}, {"input", true, 0}, {"split", true, rows / 2},
+			} {
+				gotDX := net.backwardBatch(dY, rows, mode.needDX, mode.gradRows)
+				d := dY
+				for i := len(ref) - 1; i >= 0; i-- {
+					d = ref[i].backward(d, rows, i > 0 || mode.needDX, mode.gradRows, simd)
+				}
+				what := name + " backward " + mode.name
+				if mode.needDX {
+					sameBits(t, what+" dX", gotDX, d)
+				}
+				for li, l := range net.layers {
+					sameBits(t, fmt.Sprintf("%s layer %d dW", what, li), l.dW, ref[li].dw)
+					sameBits(t, fmt.Sprintf("%s layer %d dB", what, li), l.dB, ref[li].db)
+				}
+			}
+		}
+	}
+}
+
+func TestKernelParityAVX2(t *testing.T) {
+	if !useSIMD {
+		t.Skip("AVX2+FMA kernels not selected on this CPU")
+	}
+	checkKernelParity(t, true)
+}
+
+func TestKernelParityGo(t *testing.T) { checkKernelParity(t, false) }
+
+// TestKernelZeroSkipSign is the case that makes the dz == 0 skip part
+// of the contract rather than an optimisation: a -0 bias gradient
+// must survive a row whose dz is +0, which adding the zero would turn
+// into +0.
+func TestKernelZeroSkipSign(t *testing.T) {
+	for _, simd := range []bool{useSIMD, false} {
+		setSIMD(t, simd)
+		negZero := math.Copysign(0, -1)
+		dz := []float64{0, negZero, 0, negZero}
+		x := []float64{1, 2, 3, 4, 5, 6, 7, 8}
+		dw := []float64{negZero, negZero}
+		db := []float64{negZero}
+		accumGrads(dz, x, dw, db, make([]uint64, 8), 4, 2, 1)
+		for _, v := range append(dw, db...) {
+			if math.Float64bits(v) != math.Float64bits(negZero) {
+				t.Errorf("simd=%v: zero rows changed a -0 gradient to %x", simd, math.Float64bits(v))
+			}
+		}
+	}
+}
+
+// TestKernelsF32MatchGoWide covers what the small f32 parity nets do
+// not reach: the 8-vector gradient tile (In >= 64 floats), its masked
+// remainder, remainder rows and the split backward. f32 has no bit
+// contract, so the AVX2 kernels are held to the pure-Go ones within a
+// relative tolerance.
+func TestKernelsF32MatchGoWide(t *testing.T) {
+	if !useSIMD {
+		t.Skip("AVX2+FMA kernels not selected on this CPU")
+	}
+	const rows = 11
+	sizes := []int{77, 64, 3, 70, 1}
+	run := func(simd bool) (out, dx []float32, grads [][]float32) {
+		setSIMD(t, simd)
+		rng := rand.New(rand.NewSource(131))
+		net := MustMLP(sizes, ReLU, Linear, rng)
+		net.EnableF32()
+		x := make([]float32, rows*sizes[0])
+		for i := range x {
+			x[i] = float32(rng.NormFloat64())
+		}
+		dOut := make([]float32, rows)
+		for i := range dOut {
+			dOut[i] = float32(rng.NormFloat64())
+		}
+		out = append(out, net.ForwardBatchF32(x, rows)...)
+		net.ZeroGradF32()
+		dx = append(dx, net.BackwardBatchSplitF32(dOut, rows, 6)...)
+		return out, dx, net.GradSlicesF32()
+	}
+	gotOut, gotDX, gotG := run(true)
+	wantOut, wantDX, wantG := run(false)
+	check := func(what string, got, want []float32) {
+		t.Helper()
+		for i := range want {
+			if !relClose(float64(got[i]), float64(want[i]), 1e-4) {
+				t.Fatalf("%s[%d]: simd %v, go %v", what, i, got[i], want[i])
+			}
+		}
+	}
+	check("out", gotOut, wantOut)
+	check("dX", gotDX, wantDX)
+	for i := range wantG {
+		check(fmt.Sprintf("grad slice %d", i), gotG[i], wantG[i])
+	}
+}

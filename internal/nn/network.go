@@ -88,8 +88,10 @@ type Dense struct {
 	dx []float64
 	// batch-path caches and scratch (see batch.go), lazily sized to
 	// the largest minibatch seen; wt is the transposed weight copy
-	// the batched backward uses for input gradients.
+	// the batched backward uses for input gradients, bnz the gradient
+	// kernel's compaction scratch (shared with the f32 passes).
 	bx, bz, by, bdz, bdx, wt []float64
+	bnz                      []uint64
 	// float32 fast-path state (batch32.go): w32/b32 mirror W/B while
 	// the f32 path is active, dW32/dB32 accumulate f32 gradients, and
 	// the remaining slices are the f32 batch caches and scratch.
@@ -372,30 +374,84 @@ func (n *Network) MarshalBinary() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (n *Network) UnmarshalBinary(data []byte) error {
+// decodeState decodes a MarshalBinary blob and validates it in full:
+// the four lists describe the same number of layers, every size is
+// positive, every activation is known, and each W/B length matches
+// its sizes (by division, so a huge size product cannot wrap around
+// to a short slice's length). The bytes may come from a remote peer.
+func decodeState(data []byte) (*netState, error) {
 	var st netState
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
-		return err
+		return nil, err
 	}
-	if len(st.Sizes) < 2 || len(st.Acts) != len(st.Sizes)-1 {
-		return errors.New("nn: corrupt network state")
+	layers := len(st.Sizes) - 1
+	if layers < 1 || len(st.Acts) != layers || len(st.W) != layers || len(st.B) != layers {
+		return nil, errors.New("nn: corrupt network state")
+	}
+	for i, s := range st.Sizes {
+		if s <= 0 {
+			return nil, fmt.Errorf("nn: corrupt network state: layer %d size %d", i, s)
+		}
+	}
+	for i := 0; i < layers; i++ {
+		in, out := st.Sizes[i], st.Sizes[i+1]
+		if a := st.Acts[i]; a < Linear || a > Sigmoid {
+			return nil, fmt.Errorf("nn: corrupt layer state: unknown %v", a)
+		}
+		if len(st.B[i]) != out || len(st.W[i])%out != 0 || len(st.W[i])/out != in {
+			return nil, errors.New("nn: corrupt layer state")
+		}
+	}
+	return &st, nil
+}
+
+// UnmarshalBinary implements encoding.BinaryUnmarshaler. On error the
+// network is left as it was.
+func (n *Network) UnmarshalBinary(data []byte) error {
+	st, err := decodeState(data)
+	if err != nil {
+		return err
 	}
 	n.layers = nil
 	n.pSlices, n.gSlices = nil, nil
 	n.pSlices32, n.gSlices32 = nil, nil
-	for i := 0; i < len(st.Sizes)-1; i++ {
+	for i, act := range st.Acts {
 		in, out := st.Sizes[i], st.Sizes[i+1]
-		if len(st.W[i]) != in*out || len(st.B[i]) != out {
-			return errors.New("nn: corrupt layer state")
-		}
-		l := &Dense{
-			In: in, Out: out, Act: st.Acts[i],
-			W: append([]float64(nil), st.W[i]...), B: append([]float64(nil), st.B[i]...),
-			dW: make([]float64, in*out), dB: make([]float64, out),
+		n.layers = append(n.layers, &Dense{
+			In: in, Out: out, Act: act,
+			W: st.W[i], B: st.B[i],
+			dW: make([]float64, len(st.W[i])), dB: make([]float64, out),
 			x: make([]float64, in), z: make([]float64, out), y: make([]float64, out),
+		})
+	}
+	return nil
+}
+
+// LoadParams overwrites this network's parameters in place from a
+// MarshalBinary blob of a network with the same layer sizes and
+// activations — the per-broadcast path of a parameter pull, which
+// only needs the weights moved, not a second network built. The blob
+// is decoded and checked against this network completely before the
+// first parameter is written: on error nothing has changed.
+func (n *Network) LoadParams(data []byte) error {
+	st, err := decodeState(data)
+	if err != nil {
+		return err
+	}
+	if len(st.Acts) != len(n.layers) {
+		return errors.New("nn: topology mismatch")
+	}
+	for i, l := range n.layers {
+		if st.Sizes[i] != l.In || st.Sizes[i+1] != l.Out {
+			return errors.New("nn: layer size mismatch")
 		}
-		n.layers = append(n.layers, l)
+		if st.Acts[i] != l.Act {
+			return errors.New("nn: layer activation mismatch")
+		}
+	}
+	for i, l := range n.layers {
+		copy(l.W, st.W[i])
+		copy(l.B, st.B[i])
 	}
 	return nil
 }

@@ -4,7 +4,7 @@ package nn
 // evaluates many inputs in one call with layer-owned scratch (zero
 // allocations once warm) while keeping the scalar Forward's sequential
 // summation order per row. ForwardBatch (batch.go) is faster — its
-// dot4/dot kernels reassociate sums and its numerics depend on a row's
+// rows4/dot kernels reassociate sums and its numerics depend on a row's
 // position in the batch — which is exactly what batched actors
 // computing replay priorities cannot tolerate: the deterministic
 // round-robin figures and the remote actors' bit-for-bit priority

@@ -4,11 +4,14 @@ package nn
 
 // Assembly kernel declarations (simd_amd64.s).
 
+// rows4asm and gradasm are the two layer kernels of the batch passes;
+// batch.go documents them at their callers (rows4, accumGrads).
+//
 //go:noescape
-func dot4asm(w, x0, x1, x2, x3 *float64, n int) (s0, s1, s2, s3 float64)
+func rows4asm(w, x, bias, z *float64, n, m int)
 
 //go:noescape
-func axpyasm(alpha float64, x, y *float64, n int)
+func gradasm(dz, x, dw, db *float64, scratch *uint64, rows, in, out int)
 
 //go:noescape
 func adamasm(p, grad, m, v *float64, n int, beta1, beta2, lr, eps, b1c, b2c float64)
@@ -22,10 +25,10 @@ func scaleasm(f float64, x *float64, n int)
 // float32 kernels (8 lanes per YMM instead of 4).
 
 //go:noescape
-func dot4asmf32(w, x0, x1, x2, x3 *float32, n int) (s0, s1, s2, s3 float32)
+func rows4asmf32(w, x, bias, z *float32, n, m int)
 
 //go:noescape
-func axpyasmf32(alpha float32, x, y *float32, n int)
+func gradasmf32(dz, x, dw, db *float32, scratch *uint64, rows, in, out int)
 
 //go:noescape
 func adamasmf32(p, grad, m, v *float32, n int, beta1, beta2, lr, eps, b1c, b2c float32)

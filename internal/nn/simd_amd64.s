@@ -1,6 +1,8 @@
 // AVX2+FMA kernels for the batched minibatch path. Selected at init
 // by detectAVX2FMA (simd_amd64.go); the pure-Go kernels in batch.go
-// are the fallback and the reference implementation.
+// are the fallback. The two layer kernels of the batch passes (rows4,
+// grad) have one body each, in kernel_*_amd64.h, instantiated for
+// float64 and float32 at the end of this file.
 
 #include "textflag.h"
 
@@ -21,133 +23,6 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-8
 	XGETBV
 	MOVL AX, eax+0(FP)
 	MOVL DX, edx+4(FP)
-	RET
-
-// func dot4asm(w, x0, x1, x2, x3 *float64, n int) (s0, s1, s2, s3 float64)
-//
-// Four simultaneous dot products of one weight row against four input
-// rows: the weight vector is loaded once per 4 elements and feeds four
-// independent FMA accumulator chains.
-TEXT ·dot4asm(SB), NOSPLIT, $0-80
-	MOVQ w+0(FP), SI
-	MOVQ x0+8(FP), R8
-	MOVQ x1+16(FP), R9
-	MOVQ x2+24(FP), R10
-	MOVQ x3+32(FP), R11
-	MOVQ n+40(FP), CX
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	VXORPD Y2, Y2, Y2
-	VXORPD Y3, Y3, Y3
-	MOVQ CX, DX
-	SHRQ $2, DX
-	JZ   reduce
-
-vloop:
-	VMOVUPD (SI), Y4
-	VFMADD231PD (R8), Y4, Y0
-	VFMADD231PD (R9), Y4, Y1
-	VFMADD231PD (R10), Y4, Y2
-	VFMADD231PD (R11), Y4, Y3
-	ADDQ $32, SI
-	ADDQ $32, R8
-	ADDQ $32, R9
-	ADDQ $32, R10
-	ADDQ $32, R11
-	DECQ DX
-	JNZ  vloop
-
-reduce:
-	VEXTRACTF128 $1, Y0, X5
-	VADDPD  X5, X0, X0
-	VHADDPD X0, X0, X0
-	VEXTRACTF128 $1, Y1, X5
-	VADDPD  X5, X1, X1
-	VHADDPD X1, X1, X1
-	VEXTRACTF128 $1, Y2, X5
-	VADDPD  X5, X2, X2
-	VHADDPD X2, X2, X2
-	VEXTRACTF128 $1, Y3, X5
-	VADDPD  X5, X3, X3
-	VHADDPD X3, X3, X3
-	ANDQ $3, CX
-	JZ   done
-
-stail:
-	VMOVSD (SI), X4
-	VMOVSD (R8), X5
-	VFMADD231SD X5, X4, X0
-	VMOVSD (R9), X5
-	VFMADD231SD X5, X4, X1
-	VMOVSD (R10), X5
-	VFMADD231SD X5, X4, X2
-	VMOVSD (R11), X5
-	VFMADD231SD X5, X4, X3
-	ADDQ $8, SI
-	ADDQ $8, R8
-	ADDQ $8, R9
-	ADDQ $8, R10
-	ADDQ $8, R11
-	DECQ CX
-	JNZ  stail
-
-done:
-	VMOVSD X0, s0+48(FP)
-	VMOVSD X1, s1+56(FP)
-	VMOVSD X2, s2+64(FP)
-	VMOVSD X3, s3+72(FP)
-	VZEROUPPER
-	RET
-
-// func axpyasm(alpha float64, x, y *float64, n int)
-//
-// y[0:n] += alpha * x[0:n].
-TEXT ·axpyasm(SB), NOSPLIT, $0-32
-	VBROADCASTSD alpha+0(FP), Y0
-	MOVQ x+8(FP), SI
-	MOVQ y+16(FP), DI
-	MOVQ n+24(FP), CX
-	MOVQ CX, DX
-	SHRQ $3, DX
-	JZ   ax4
-
-ax8loop:
-	VMOVUPD (DI), Y1
-	VMOVUPD 32(DI), Y2
-	VFMADD231PD (SI), Y0, Y1
-	VFMADD231PD 32(SI), Y0, Y2
-	VMOVUPD Y1, (DI)
-	VMOVUPD Y2, 32(DI)
-	ADDQ $64, SI
-	ADDQ $64, DI
-	DECQ DX
-	JNZ  ax8loop
-
-ax4:
-	TESTQ $4, CX
-	JZ axtail
-	VMOVUPD (DI), Y1
-	VFMADD231PD (SI), Y0, Y1
-	VMOVUPD Y1, (DI)
-	ADDQ $32, SI
-	ADDQ $32, DI
-
-axtail:
-	ANDQ $3, CX
-	JZ   axdone
-
-axstail:
-	VMOVSD (DI), X1
-	VMOVSD (SI), X2
-	VFMADD231SD X2, X0, X1
-	VMOVSD X1, (DI)
-	ADDQ $8, SI
-	ADDQ $8, DI
-	DECQ CX
-	JNZ  axstail
-
-axdone:
-	VZEROUPPER
 	RET
 
 // func adamasm(p, grad, m, v *float64, n int, beta1, beta2, lr, eps, b1c, b2c float64)
@@ -327,141 +202,10 @@ scaledone:
 	VZEROUPPER
 	RET
 
-// ---- float32 kernels: same structure as the float64 kernels above,
-// with 8 lanes per YMM register instead of 4 and PS/SS arithmetic.
-// The f32 path has no bit-parity contract with the pure-Go fallbacks
-// (FMA contraction and reassociated sums round differently); the
-// reference implementations live in batch32.go.
-
-// func dot4asmf32(w, x0, x1, x2, x3 *float32, n int) (s0, s1, s2, s3 float32)
-//
-// Four simultaneous f32 dot products of one weight row against four
-// input rows, 8 elements per iteration.
-TEXT ·dot4asmf32(SB), NOSPLIT, $0-64
-	MOVQ w+0(FP), SI
-	MOVQ x0+8(FP), R8
-	MOVQ x1+16(FP), R9
-	MOVQ x2+24(FP), R10
-	MOVQ x3+32(FP), R11
-	MOVQ n+40(FP), CX
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
-	VXORPS Y2, Y2, Y2
-	VXORPS Y3, Y3, Y3
-	MOVQ CX, DX
-	SHRQ $3, DX
-	JZ   f32reduce
-
-f32vloop:
-	VMOVUPS (SI), Y4
-	VFMADD231PS (R8), Y4, Y0
-	VFMADD231PS (R9), Y4, Y1
-	VFMADD231PS (R10), Y4, Y2
-	VFMADD231PS (R11), Y4, Y3
-	ADDQ $32, SI
-	ADDQ $32, R8
-	ADDQ $32, R9
-	ADDQ $32, R10
-	ADDQ $32, R11
-	DECQ DX
-	JNZ  f32vloop
-
-f32reduce:
-	VEXTRACTF128 $1, Y0, X5
-	VADDPS  X5, X0, X0
-	VHADDPS X0, X0, X0
-	VHADDPS X0, X0, X0
-	VEXTRACTF128 $1, Y1, X5
-	VADDPS  X5, X1, X1
-	VHADDPS X1, X1, X1
-	VHADDPS X1, X1, X1
-	VEXTRACTF128 $1, Y2, X5
-	VADDPS  X5, X2, X2
-	VHADDPS X2, X2, X2
-	VHADDPS X2, X2, X2
-	VEXTRACTF128 $1, Y3, X5
-	VADDPS  X5, X3, X3
-	VHADDPS X3, X3, X3
-	VHADDPS X3, X3, X3
-	ANDQ $7, CX
-	JZ   f32done
-
-f32stail:
-	VMOVSS (SI), X4
-	VMOVSS (R8), X5
-	VFMADD231SS X5, X4, X0
-	VMOVSS (R9), X5
-	VFMADD231SS X5, X4, X1
-	VMOVSS (R10), X5
-	VFMADD231SS X5, X4, X2
-	VMOVSS (R11), X5
-	VFMADD231SS X5, X4, X3
-	ADDQ $4, SI
-	ADDQ $4, R8
-	ADDQ $4, R9
-	ADDQ $4, R10
-	ADDQ $4, R11
-	DECQ CX
-	JNZ  f32stail
-
-f32done:
-	VMOVSS X0, s0+48(FP)
-	VMOVSS X1, s1+52(FP)
-	VMOVSS X2, s2+56(FP)
-	VMOVSS X3, s3+60(FP)
-	VZEROUPPER
-	RET
-
-// func axpyasmf32(alpha float32, x, y *float32, n int)
-//
-// y[0:n] += alpha * x[0:n], 16 floats per main-loop iteration.
-TEXT ·axpyasmf32(SB), NOSPLIT, $0-32
-	VBROADCASTSS alpha+0(FP), Y0
-	MOVQ x+8(FP), SI
-	MOVQ y+16(FP), DI
-	MOVQ n+24(FP), CX
-	MOVQ CX, DX
-	SHRQ $4, DX
-	JZ   f32ax8
-
-f32ax16loop:
-	VMOVUPS (DI), Y1
-	VMOVUPS 32(DI), Y2
-	VFMADD231PS (SI), Y0, Y1
-	VFMADD231PS 32(SI), Y0, Y2
-	VMOVUPS Y1, (DI)
-	VMOVUPS Y2, 32(DI)
-	ADDQ $64, SI
-	ADDQ $64, DI
-	DECQ DX
-	JNZ  f32ax16loop
-
-f32ax8:
-	TESTQ $8, CX
-	JZ f32axtail
-	VMOVUPS (DI), Y1
-	VFMADD231PS (SI), Y0, Y1
-	VMOVUPS Y1, (DI)
-	ADDQ $32, SI
-	ADDQ $32, DI
-
-f32axtail:
-	ANDQ $7, CX
-	JZ   f32axdone
-
-f32axstail:
-	VMOVSS (DI), X1
-	VMOVSS (SI), X2
-	VFMADD231SS X2, X0, X1
-	VMOVSS X1, (DI)
-	ADDQ $4, SI
-	ADDQ $4, DI
-	DECQ CX
-	JNZ  f32axstail
-
-f32axdone:
-	VZEROUPPER
-	RET
+// ---- float32 optimizer kernels: same structure as the float64
+// kernels above, with 8 lanes per YMM register instead of 4 and PS/SS
+// arithmetic. The f32 path has no bit-parity contract with the pure-Go
+// fallbacks (FMA contraction and reassociated sums round differently).
 
 // func adamasmf32(p, grad, m, v *float32, n int, beta1, beta2, lr, eps, b1c, b2c float32)
 //
@@ -638,3 +382,117 @@ f32scalestail:
 f32scaledone:
 	VZEROUPPER
 	RET
+
+// ---- batch layer kernels. tileoff holds the byte offset of every
+// 16-bit lane of a 4-vector (128-byte) tile; the grad kernel compares
+// it with the bytes left in a row to mask the row's last tile.
+
+DATA tileoff<>+0(SB)/8, $0x0006000400020000
+DATA tileoff<>+8(SB)/8, $0x000e000c000a0008
+DATA tileoff<>+16(SB)/8, $0x0016001400120010
+DATA tileoff<>+24(SB)/8, $0x001e001c001a0018
+DATA tileoff<>+32(SB)/8, $0x0026002400220020
+DATA tileoff<>+40(SB)/8, $0x002e002c002a0028
+DATA tileoff<>+48(SB)/8, $0x0036003400320030
+DATA tileoff<>+56(SB)/8, $0x003e003c003a0038
+DATA tileoff<>+64(SB)/8, $0x0046004400420040
+DATA tileoff<>+72(SB)/8, $0x004e004c004a0048
+DATA tileoff<>+80(SB)/8, $0x0056005400520050
+DATA tileoff<>+88(SB)/8, $0x005e005c005a0058
+DATA tileoff<>+96(SB)/8, $0x0066006400620060
+DATA tileoff<>+104(SB)/8, $0x006e006c006a0068
+DATA tileoff<>+112(SB)/8, $0x0076007400720070
+DATA tileoff<>+120(SB)/8, $0x007e007c007a0078
+GLOBL tileoff<>(SB), RODATA|NOPTR, $128
+
+// float64: 4 lanes per vector.
+#define ES 8
+#define LOGES 3
+#define VMOVU VMOVUPD
+#define VMOVS VMOVSD
+#define VFMAP VFMADD231PD
+#define VFMAS VFMADD231SD
+#define VADDP VADDPD
+#define VADDS VADDSD
+#define VHADD VHADDPD
+#define HADDMORE(X)
+#define VBCAST VBROADCASTSD
+#define VMASKMOV VMASKMOVPD
+#define MOVE MOVQ
+#define SHLE SHLQ
+#define NEGE NEGQ
+
+// func rows4asm(w, x, bias, z *float64, n, m int)
+TEXT ·rows4asm(SB), NOSPLIT, $0-48
+	MOVQ w+0(FP), SI
+	MOVQ x+8(FP), R8
+	MOVQ bias+16(FP), BX
+	MOVQ z+24(FP), DI
+	MOVQ n+32(FP), CX
+	MOVQ m+40(FP), DX
+#include "kernel_rows4_amd64.h"
+
+// func gradasm(dz, x, dw, db *float64, scratch *uint64, rows, in, out int)
+TEXT ·gradasm(SB), NOSPLIT, $0-64
+	MOVQ dz+0(FP), R8
+	MOVQ dw+16(FP), SI
+	MOVQ db+24(FP), BX
+	MOVQ scratch+32(FP), R9
+	MOVQ rows+40(FP), DX
+	MOVQ in+48(FP), R12
+	MOVQ out+56(FP), R15
+#include "kernel_grad_amd64.h"
+
+#undef ES
+#undef LOGES
+#undef VMOVU
+#undef VMOVS
+#undef VFMAP
+#undef VFMAS
+#undef VADDP
+#undef VADDS
+#undef VHADD
+#undef HADDMORE
+#undef VBCAST
+#undef VMASKMOV
+#undef MOVE
+#undef SHLE
+#undef NEGE
+
+// float32: 8 lanes per vector, so the lane reduce is one level deeper.
+#define ES 4
+#define LOGES 2
+#define VMOVU VMOVUPS
+#define VMOVS VMOVSS
+#define VFMAP VFMADD231PS
+#define VFMAS VFMADD231SS
+#define VADDP VADDPS
+#define VADDS VADDSS
+#define VHADD VHADDPS
+#define HADDMORE(X) VHADDPS X, X, X
+#define VBCAST VBROADCASTSS
+#define VMASKMOV VMASKMOVPS
+#define MOVE MOVL
+#define SHLE SHLL
+#define NEGE NEGL
+
+// func rows4asmf32(w, x, bias, z *float32, n, m int)
+TEXT ·rows4asmf32(SB), NOSPLIT, $0-48
+	MOVQ w+0(FP), SI
+	MOVQ x+8(FP), R8
+	MOVQ bias+16(FP), BX
+	MOVQ z+24(FP), DI
+	MOVQ n+32(FP), CX
+	MOVQ m+40(FP), DX
+#include "kernel_rows4_amd64.h"
+
+// func gradasmf32(dz, x, dw, db *float32, scratch *uint64, rows, in, out int)
+TEXT ·gradasmf32(SB), NOSPLIT, $0-64
+	MOVQ dz+0(FP), R8
+	MOVQ dw+16(FP), SI
+	MOVQ db+24(FP), BX
+	MOVQ scratch+32(FP), R9
+	MOVQ rows+40(FP), DX
+	MOVQ in+48(FP), R12
+	MOVQ out+56(FP), R15
+#include "kernel_grad_amd64.h"

@@ -6,11 +6,11 @@ package nn
 // var (always false here) so tests that toggle it compile everywhere.
 var useSIMD = false
 
-func dot4asm(w, x0, x1, x2, x3 *float64, n int) (s0, s1, s2, s3 float64) {
+func rows4asm(w, x, bias, z *float64, n, m int) {
 	panic("nn: SIMD kernel on non-amd64")
 }
 
-func axpyasm(alpha float64, x, y *float64, n int) {
+func gradasm(dz, x, dw, db *float64, scratch *uint64, rows, in, out int) {
 	panic("nn: SIMD kernel on non-amd64")
 }
 
@@ -26,11 +26,11 @@ func scaleasm(f float64, x *float64, n int) {
 	panic("nn: SIMD kernel on non-amd64")
 }
 
-func dot4asmf32(w, x0, x1, x2, x3 *float32, n int) (s0, s1, s2, s3 float32) {
+func rows4asmf32(w, x, bias, z *float32, n, m int) {
 	panic("nn: SIMD kernel on non-amd64")
 }
 
-func axpyasmf32(alpha float32, x, y *float32, n int) {
+func gradasmf32(dz, x, dw, db *float32, scratch *uint64, rows, in, out int) {
 	panic("nn: SIMD kernel on non-amd64")
 }
 

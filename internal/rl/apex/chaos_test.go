@@ -219,7 +219,10 @@ func TestChaosKillResume(t *testing.T) {
 	cfg := chaosConfig(bin, ckpt, mark)
 	budget := cfg.LearnPerStep * (cfg.TotalSteps - cfg.WarmupSteps)
 
-	// Phase 1: run until the first checkpoint lands, then SIGKILL.
+	// Phase 1: run until the first checkpoint has landed AND rank 1's
+	// injected crash has fired, then SIGKILL. The two are unordered
+	// (the learner's 20th update races the actor's 10th step, and a
+	// fast learner wins it), so the kill waits for both.
 	phase1 := chaosCmd(t, env)
 	if err := phase1.Start(); err != nil {
 		t.Fatal(err)
@@ -228,10 +231,12 @@ func TestChaosKillResume(t *testing.T) {
 	deadline := time.Now().Add(90 * time.Second)
 	for {
 		if time.Now().After(deadline) {
-			t.Fatal("phase 1 produced no checkpoint within 90s")
+			t.Fatal("phase 1 produced no checkpoint and injected crash within 90s")
 		}
 		if ck, err := ReadCheckpoint(ckpt); err == nil && ck.Updates > 0 {
-			break
+			if _, err := os.Stat(mark); err == nil {
+				break
+			}
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

@@ -110,11 +110,7 @@ func (a *Agent) StateBytes(includeReplay bool) ([]byte, error) {
 
 // loadNetwork replaces dst's parameters from a checkpoint blob.
 func loadNetwork(dst *nn.Network, data []byte, name string) error {
-	var net nn.Network
-	if err := net.UnmarshalBinary(data); err != nil {
-		return fmt.Errorf("ddpg: restore %s: %w", name, err)
-	}
-	if err := dst.CopyParamsFrom(&net); err != nil {
+	if err := dst.LoadParams(data); err != nil {
 		return fmt.Errorf("ddpg: restore %s: %w", name, err)
 	}
 	return nil

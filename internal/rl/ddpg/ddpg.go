@@ -691,16 +691,13 @@ func (a *Agent) ActorBytes() ([]byte, error) {
 	return a.Actor.MarshalBinary()
 }
 
-// LoadActorBytes replaces the actor network from a broadcast. While
-// the f32 acting path is active the actor's parameter mirrors are
-// refreshed from the new weights, so batched acting never runs on a
-// stale policy.
+// LoadActorBytes replaces the actor's parameters from a broadcast, in
+// place; a blob that does not decode or does not match the actor's
+// shape leaves the actor untouched. While the f32 acting path is
+// active the actor's parameter mirrors are refreshed from the new
+// weights, so batched acting never runs on a stale policy.
 func (a *Agent) LoadActorBytes(data []byte) error {
-	var net nn.Network
-	if err := net.UnmarshalBinary(data); err != nil {
-		return err
-	}
-	if err := a.Actor.CopyParamsFrom(&net); err != nil {
+	if err := a.Actor.LoadParams(data); err != nil {
 		return err
 	}
 	if a.actF32 {

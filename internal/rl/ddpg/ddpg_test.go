@@ -1,10 +1,12 @@
 package ddpg
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
 
+	"greennfv/internal/nn"
 	"greennfv/internal/rl/replay"
 )
 
@@ -259,5 +261,47 @@ func TestOUNoiseStatistics(t *testing.T) {
 		// First post-reset sample includes fresh noise; just ensure
 		// the process still runs.
 		t.Log("post-reset sample happened to be zero")
+	}
+}
+
+// TestLoadActorBytesInPlace: a parameter pull moves weights into the
+// live actor — it builds no second network, so it allocates less than
+// decoding one — and a blob of the wrong shape changes nothing, even
+// when only the last layer differs.
+func TestLoadActorBytesInPlace(t *testing.T) {
+	a, _ := New(smallConfig())
+	b, _ := New(smallConfig())
+	data, err := a.ActorBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pull := testing.AllocsPerRun(20, func() {
+		if err := b.LoadActorBytes(data); err != nil {
+			t.Fatal(err)
+		}
+	})
+	rebuild := testing.AllocsPerRun(20, func() {
+		if err := new(nn.Network).UnmarshalBinary(data); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if pull >= rebuild {
+		t.Errorf("LoadActorBytes makes %v allocations per pull, decoding a fresh network %v", pull, rebuild)
+	}
+
+	wide := smallConfig()
+	wide.ActionDim++
+	other, _ := New(wide)
+	bad, err := other.ActorBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := b.ActorBytes()
+	if err := b.LoadActorBytes(bad); err == nil {
+		t.Fatal("actor bytes of another shape accepted")
+	}
+	got, _ := b.ActorBytes()
+	if !bytes.Equal(got, want) {
+		t.Fatal("a rejected pull was partially applied")
 	}
 }
