@@ -13,13 +13,15 @@
 //   - EEPstate: the Iqbal & John P/C-state scheme from related work.
 //   - QControl: the tabular Q-learning comparison model (§4.3).
 //   - GreenNFV: the paper's controller (§4.3.2), trained with Ape-X
-//     DDPG and deployed greedily; Figures 6–11.
-//   - ClusterGreenNFV: the multi-node extension — same DDPG + Ape-X
-//     stack trained on env.ClusterEnv, with knob blocks for every
-//     chain and (when the factory leaves placement unpinned) the
-//     per-chain placement logit head. FigCluster compares it against
-//     the analytic placement.FFDSwap and placement.Relaxation
-//     policies at fixed knob training.
+//     DDPG and deployed greedily; Figures 6–11. One controller for
+//     every topology: TrainOn/StepOn take any env.Stepper, so the
+//     same type trains on a multi-node env.ClusterEnv — knob blocks
+//     for every chain and (when the factory leaves placement
+//     unpinned) the per-chain placement logit head; FigCluster
+//     compares that against the analytic placement.FFDSwap and
+//     placement.Relaxation policies at fixed knob training. Prepare
+//     and Step, the Controller-interface methods, are the *env.Env
+//     case of TrainOn and StepOn.
 //
 // # Concurrency and determinism
 //

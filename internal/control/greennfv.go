@@ -15,7 +15,11 @@ import (
 // GreenNFV is the paper's controller: a DDPG policy trained with the
 // Ape-X distributed prioritized-replay architecture, deployed
 // greedily at control time, on the poll/callback platform with NF
-// sleeping.
+// sleeping. It trains and steps over any env.Stepper (TrainOn,
+// StepOn): on a multi-node env.ClusterEnv the same policy carries a
+// knob block per chain and, when placement is left to the agent, the
+// placement logit head. Prepare and Step — the Controller interface
+// the single-host comparison runs through — are the *env.Env case.
 type GreenNFV struct {
 	slaSpec sla.SLA
 	// TrainSteps is the training budget ("episodes").
@@ -97,11 +101,20 @@ func (g *GreenNFV) Name() string {
 // poll/callback mix, deep C-states).
 func (g *GreenNFV) Options() perfmodel.EvalOptions { return perfmodel.EvalOptions{} }
 
-// Prepare implements Controller: run Ape-X training.
+// Prepare implements Controller: run Ape-X training on single-host
+// environments of this controller's platform variant.
 func (g *GreenNFV) Prepare(factory EnvFactory) error {
 	if factory == nil {
 		return errors.New("control: GreenNFV needs an environment factory")
 	}
+	return g.TrainOn(func(seed int64) (env.Stepper, error) { return factory(seed, g.Options()) })
+}
+
+// TrainOn runs Ape-X training over the environments the factory
+// builds, one per actor (actor i gets seed Seed + 131·i). The factory
+// owns topology, workload and placement policy. Cluster environments
+// train round-robin only: Parallel and RemoteActors need *env.Env.
+func (g *GreenNFV) TrainOn(factory func(seed int64) (env.Stepper, error)) error {
 	cfg := apex.DefaultTrainerConfig(g.TrainSteps)
 	if g.Actors > 0 {
 		cfg.Actors = g.Actors
@@ -117,8 +130,8 @@ func (g *GreenNFV) Prepare(factory EnvFactory) error {
 	cfg.CheckpointPath = g.CheckpointPath
 	cfg.CheckpointEvery = g.CheckpointEvery
 	cfg.CheckpointReplay = g.CheckpointReplay
-	cfg.EnvFactory = func(actorID int) (*env.Env, error) {
-		return factory(g.Seed+int64(actorID)*131, g.Options())
+	cfg.StepperFactory = func(actorID int) (env.Stepper, error) {
+		return factory(g.Seed + int64(actorID)*131)
 	}
 	cfg.AgentConfig = ddpg.DefaultConfig(0, 0)
 	cfg.AgentConfig.Seed = g.Seed
@@ -200,7 +213,12 @@ func NewGreenNFVFromActor(s sla.SLA, stateDim, actionDim int, r io.Reader) (*Gre
 func (g *GreenNFV) Trainer() *apex.Trainer { return g.trainer }
 
 // Step implements Controller: greedy policy action.
-func (g *GreenNFV) Step(e *env.Env) (perfmodel.Result, error) {
+func (g *GreenNFV) Step(e *env.Env) (perfmodel.Result, error) { return g.StepOn(e) }
+
+// StepOn runs one greedy policy action on the environment and returns
+// its info Result (on a cluster, the roll-up — see
+// env.ClusterEnv.Summary).
+func (g *GreenNFV) StepOn(e env.Stepper) (perfmodel.Result, error) {
 	if g.agent == nil {
 		return perfmodel.Result{}, errors.New("control: GreenNFV not prepared")
 	}

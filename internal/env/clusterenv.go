@@ -41,16 +41,17 @@ type ClusterConfig struct {
 	Placement placement.Policy
 }
 
-// ClusterEnv is the multi-node counterpart of Env: one environment
-// stepping a whole cluster.Workload through cluster evaluation. Its
+// ClusterEnv is the environment: it steps a whole cluster.Workload
+// through cluster evaluation, and owns the only decode → advance-load
+// → evaluate → observe → reward implementation in the package. Its
 // observation vector is the concatenation of every chain's per-NF
-// block (same normalization as Env) followed, on multi-node
+// block (the paper's equation 8, normalized) followed, on multi-node
 // topologies, by per-node {utilization, power} pairs and the current
 // assignment one-hot — and its action vector is every chain's knob
 // block followed by the placement logit block when the DRL head is
-// active. On a 1-node topology both vectors collapse to Env's layout
-// and the episode trace is bit-identical to Env (the single-node
-// parity contract, pinned by TestClusterEnvSingleNodeParity).
+// active. One chain on one node is the paper's setting; Env is that
+// case with single-chain accessors (its episodes are pinned bit for
+// bit by TestEnvEpisodeFingerprint).
 //
 // Not goroutine-safe; each Ape-X actor owns one instance.
 type ClusterEnv struct {
@@ -70,7 +71,6 @@ type ClusterEnv struct {
 	pinned   []int // non-nil when placement is policy-pinned
 	last     cluster.Result
 	summary  perfmodel.Result
-	stepNum  int
 	nfTotal  int
 }
 
@@ -82,7 +82,7 @@ func NewCluster(cfg ClusterConfig) (*ClusterEnv, error) {
 	if len(cfg.Chains) == 0 {
 		return nil, errors.New("env: cluster needs at least one chain")
 	}
-	if cfg.LoadJitter < 0 || cfg.LoadJitter >= 1 {
+	if !(cfg.LoadJitter >= 0 && cfg.LoadJitter < 1) { // also rejects NaN
 		return nil, errors.New("env: LoadJitter must be in [0,1)")
 	}
 	e := &ClusterEnv{cfg: cfg}
@@ -217,7 +217,6 @@ func (e *ClusterEnv) ResetInto(seed int64, obs []float64) []float64 {
 		e.src.Seed(seed)
 	}
 	copy(e.knobFlat, e.defFlat)
-	e.stepNum = 0
 	for c := range e.w.Chains {
 		e.w.Chains[c].Traffic = e.base[c]
 	}
@@ -266,7 +265,7 @@ func (e *ClusterEnv) StepInto(action, obs []float64) (float64, perfmodel.Result,
 	if len(obs) != e.StateDim() {
 		return 0, perfmodel.Result{}, fmt.Errorf("env: obs dim %d, want %d", len(obs), e.StateDim())
 	}
-	// Knob block: identical decode to Env, chain-major.
+	// Knob block, chain-major.
 	j := 0
 	for c := range e.knobs {
 		n := len(e.knobs[c])
@@ -292,15 +291,13 @@ func (e *ClusterEnv) StepInto(action, obs []float64) (float64, perfmodel.Result,
 	}
 	e.advanceLoad()
 	e.evaluate()
-	e.stepNum++
 	r := e.cfg.SLA.Reward(e.last.SLAGbps, e.last.EnergyJ)
 	e.ObserveInto(obs)
 	return r, e.summary, nil
 }
 
 // advanceLoad jitters each chain's offered traffic around its base,
-// consuming the shared RNG in chain order — one chain on one node
-// reproduces Env's stream exactly.
+// consuming the shared RNG in chain order.
 func (e *ClusterEnv) advanceLoad() {
 	for c := range e.w.Chains {
 		e.w.Chains[c].Traffic = e.base[c]
@@ -320,6 +317,13 @@ func (e *ClusterEnv) evaluate() {
 		panic(fmt.Sprintf("env: cluster evaluate: %v", err))
 	}
 	// Roll the cluster result into the Stepper's single-Result view.
+	// One chain on one node needs no roll-up: the view is that chain's
+	// full measurement, verbatim (re-deriving CPUPercent from busy
+	// cores would round it).
+	if len(e.last.PerChain) == 1 && e.NumNodes() == 1 {
+		e.summary = e.last.PerChain[0]
+		return
+	}
 	var busy, power, util float64
 	for n := range e.last.PerNode {
 		power += e.last.PerNode[n].PowerWatts
@@ -337,14 +341,15 @@ func (e *ClusterEnv) evaluate() {
 }
 
 // Summary returns the cluster roll-up StepInto reports as its info
-// Result.
+// Result (for one chain on one node, that chain's own Result).
 func (e *ClusterEnv) Summary() perfmodel.Result { return e.summary }
 
 // ObserveInto writes the observation vector into dst (length
-// StateDim; a buffer of the wrong size panics) and returns dst. The
-// per-NF block reuses Env's normalization per chain; node utilization
-// is already in [0,1] and node power normalizes against a 400 W
-// envelope.
+// StateDim; a buffer of the wrong size is a programming error and
+// panics) and returns dst. The per-NF block is the paper's state
+// vector — normalized {throughput, energy, CPU utilization, arrival
+// rate} — per chain; node utilization is already in [0,1] and node
+// power normalizes against a 400 W envelope.
 func (e *ClusterEnv) ObserveInto(dst []float64) []float64 {
 	if len(dst) != e.StateDim() {
 		panic(fmt.Sprintf("env: ObserveInto buffer len %d, want %d", len(dst), e.StateDim()))

@@ -31,85 +31,9 @@ func clusterCfg(nodes, chains int, pol placement.Policy) ClusterConfig {
 	}
 }
 
-// TestClusterEnvSingleNodeParity pins the tentpole invariant: a
-// 1-node homogeneous ClusterEnv with one chain must produce a
-// bit-identical episode trace (observations, rewards, knobs) to the
-// existing single-node Env under the same seed and actions.
-func TestClusterEnvSingleNodeParity(t *testing.T) {
-	single, err := New(Config{
-		Model:      perfmodel.Default(),
-		Chain:      perfmodel.StandardChain(),
-		Bounds:     perfmodel.DefaultBounds(),
-		SLA:        testSLA(),
-		Flows:      StandardWorkload(),
-		LoadJitter: 0.1,
-		Seed:       17,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cc := ClusterConfig{
-		Topology:   cluster.Homogeneous(1),
-		Chains:     []ClusterChain{{Chain: perfmodel.StandardChain(), Flows: StandardWorkload()}},
-		Bounds:     perfmodel.DefaultBounds(),
-		SLA:        testSLA(),
-		LoadJitter: 0.1,
-		Seed:       17,
-	}
-	clus, err := NewCluster(cc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if clus.StateDim() != single.StateDim() || clus.ActionDim() != single.ActionDim() {
-		t.Fatalf("dims: cluster (%d,%d) vs env (%d,%d)",
-			clus.StateDim(), clus.ActionDim(), single.StateDim(), single.ActionDim())
-	}
-
-	obsS := single.Reset(17)
-	obsC := clus.Reset(17)
-	for i := range obsS {
-		if obsS[i] != obsC[i] {
-			t.Fatalf("reset obs[%d]: env %v != cluster %v", i, obsS[i], obsC[i])
-		}
-	}
-	rng := rand.New(rand.NewSource(5))
-	action := make([]float64, single.ActionDim())
-	for step := 0; step < 50; step++ {
-		for i := range action {
-			action[i] = 2*rng.Float64() - 1
-		}
-		rS, infoS, err := single.StepInto(action, obsS)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rC, infoC, err := clus.StepInto(action, obsC)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rS != rC {
-			t.Fatalf("step %d: reward env %v != cluster %v", step, rS, rC)
-		}
-		if infoS.ThroughputGbps != infoC.ThroughputGbps || infoS.EnergyJoules != infoC.EnergyJoules {
-			t.Fatalf("step %d: info env (%v Gbps, %v J) != cluster (%v Gbps, %v J)",
-				step, infoS.ThroughputGbps, infoS.EnergyJoules, infoC.ThroughputGbps, infoC.EnergyJoules)
-		}
-		for i := range obsS {
-			if obsS[i] != obsC[i] {
-				t.Fatalf("step %d: obs[%d] env %v != cluster %v", step, i, obsS[i], obsC[i])
-			}
-		}
-		ksS, ksC := single.Knobs(), clus.Knobs()
-		for i := range ksS {
-			if ksS[i] != ksC[i] {
-				t.Fatalf("step %d: knobs[%d] env %+v != cluster %+v", step, i, ksS[i], ksC[i])
-			}
-		}
-	}
-}
-
 // TestClusterEnvDeterminism is the satellite gate: same seed + same
 // placement policy ⇒ bit-identical episode traces at 1, 2, and 8
-// nodes (run under -race in the cluster CI lane).
+// nodes (a named gate in scripts/gates.sh).
 func TestClusterEnvDeterminism(t *testing.T) {
 	for _, nodes := range []int{1, 2, 8} {
 		for _, pol := range []placement.Policy{nil, placement.FFDSwap{}, placement.Relaxation{}} {

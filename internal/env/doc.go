@@ -14,32 +14,52 @@
 //     the per-interval load noise that defeats static heuristics.
 //   - FrozenKnobs: the knob-contribution ablation.
 //
-// # Concurrency and determinism
+// # One environment
 //
-// An Env is deterministic given its Seed: the load process draws
-// from a private RNG whose source is reused across Resets, so a
-// seeded episode replays exactly — the property the round-robin
-// Ape-X mode and the recorded training figures rely on. An Env is
-// NOT goroutine-safe; each Ape-X actor owns one instance. VecEnv
-// steps a set of instances as a batch over the shared bounded pool
-// (internal/pool) and keeps per-instance determinism at any worker
-// count. StepInto/ObserveInto are the zero-alloc stepping path
-// (caller-owned observation buffer, pre-clamped default knobs);
-// Step/Observe are allocating wrappers.
+// ClusterEnv is the environment, and the only implementation of the
+// step: decode the action, advance the load process, evaluate the
+// cluster (internal/cluster), observe, pay the reward. It carries
+// per-chain knob blocks in chain-major order and, when
+// ClusterConfig.Placement is nil on a multi-node topology, a trailing
+// C×N placement-logit block the agent decodes by per-chain argmax
+// (the DRL placement head). With a non-nil Placement policy the
+// assignment is solved once at construction and pinned; the action
+// space is knobs only.
 //
-// # Stepper and ClusterEnv
+// Env — the paper's setting, one host and one chain — is the 1-node,
+// 1-chain ClusterEnv: New maps Config.Model onto the cluster's only
+// node (no link, no hops, no placement head) and Env embeds the
+// result, adding only the single-chain accessors the serving plane,
+// the heuristic controllers and the figures use (Chain, Last,
+// LastTraffic, SetKnobs, DecodeAction, EncodeKnobs). Its info Result
+// is the chain's full perfmodel.Result, verbatim. There is no
+// single-node fast path to keep in step: TestEnvEpisodeFingerprint
+// pins whole single-node episodes to hashes recorded from the
+// stand-alone implementation this replaced, and cluster's
+// TestSingleNodeReduction pins a 1-node cluster evaluation to the
+// perfmodel path.
 //
 // The Stepper interface is the stepping surface the RL stack trains
-// against (internal/rl/apex takes Steppers, not concrete Envs). Env
-// and ClusterEnv both satisfy it. ClusterEnv scales the environment
-// to a multi-node cluster (internal/cluster): per-chain knob blocks
-// in chain-major order and, when ClusterConfig.Placement is nil on a
-// multi-node topology, a trailing C×N placement-logit block the
-// agent decodes by per-chain argmax (the DRL placement head). With a
-// non-nil Placement policy the assignment is solved once at
-// construction and pinned; the action space is knobs only. A 1-node
-// ClusterEnv is bit-for-bit the single-node Env — same observations,
-// rewards, and knob decode (shared decodeKnobAction) — the parity
-// the figure suite pins. ClusterEnv keeps Env's determinism and
-// zero-alloc StepInto contracts.
+// against (internal/rl/apex and control.GreenNFV take Steppers, not
+// concrete types).
+//
+// Flow sets are validated once, in Aggregate, for every constructor
+// path: frame sizes inside the Ethernet range the model accepts,
+// finite positive rates, finite burstiness and totals. A spec off the
+// wire (apex.ActorSpec) that the model would refuse is an error from
+// the constructor, never a panic from the first evaluation.
+//
+// # Concurrency and determinism
+//
+// An environment is deterministic given its Seed: the load process
+// draws from a private RNG whose source is reused across Resets, so a
+// seeded episode replays exactly — the property the round-robin
+// Ape-X mode and the recorded training figures rely on. It is NOT
+// goroutine-safe; each Ape-X actor owns one instance. VecEnv steps a
+// set of Env instances as a batch over the shared bounded pool
+// (internal/pool) and keeps per-instance determinism at any worker
+// count. StepInto, ObserveInto and Env.SetKnobs allocate nothing in
+// steady state (caller-owned observation buffer, pre-clamped default
+// knobs, capacity-reused cluster scratch; TestEnvStepZeroAlloc,
+// TestClusterEnvStepAllocs); Step/Reset are allocating wrappers.
 package env

@@ -4,10 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 
+	"greennfv/internal/cluster"
 	"greennfv/internal/perfmodel"
 	"greennfv/internal/sla"
+	"greennfv/internal/traffic"
 )
 
 // KnobsPerNF is the action dimensionality per network function
@@ -39,14 +40,18 @@ func StandardWorkload() []FlowLoad {
 
 // Aggregate folds a flow set into the model's traffic descriptor:
 // total packet rate, packet-weighted mean frame size, and weighted
-// burstiness.
+// burstiness. This is where hostile flow sets (an ActorSpec off the
+// wire) are rejected: every flow needs a finite positive rate, an
+// Ethernet frame size the model accepts, and finite burstiness, and
+// the totals must not overflow — the environment treats a model error
+// after construction as a programming bug and panics.
 func Aggregate(flows []FlowLoad) (perfmodel.Traffic, error) {
 	if len(flows) == 0 {
 		return perfmodel.Traffic{}, errors.New("env: need at least one flow")
 	}
 	var pps, fsum, bsum float64
 	for i, f := range flows {
-		if f.PPS <= 0 || f.FrameBytes <= 0 {
+		if !(f.PPS > 0) || f.FrameBytes < traffic.MinFrame || f.FrameBytes > traffic.MaxFrame {
 			return perfmodel.Traffic{}, fmt.Errorf("env: flow %d invalid (%+v)", i, f)
 		}
 		pps += f.PPS
@@ -57,6 +62,10 @@ func Aggregate(flows []FlowLoad) (perfmodel.Traffic, error) {
 		}
 		bsum += f.PPS * b
 	}
+	// NaN burstiness and rates that sum past MaxFloat64 surface here.
+	if math.IsInf(pps, 0) || math.IsInf(fsum, 0) || math.IsNaN(bsum) || math.IsInf(bsum, 0) {
+		return perfmodel.Traffic{}, fmt.Errorf("env: flow set does not aggregate to finite traffic (%+v)", flows)
+	}
 	return perfmodel.Traffic{
 		OfferedPPS: pps,
 		FrameBytes: int(fsum / pps),
@@ -64,7 +73,7 @@ func Aggregate(flows []FlowLoad) (perfmodel.Traffic, error) {
 	}, nil
 }
 
-// Config assembles an environment.
+// Config assembles a single-node, single-chain environment.
 type Config struct {
 	Model  perfmodel.Config
 	Chain  perfmodel.ChainSpec
@@ -88,105 +97,56 @@ type Config struct {
 	Seed int64
 }
 
-// Env is a single-node, single-chain environment instance. It is not
-// goroutine-safe; Ape-X actors each own one instance (use VecEnv to
-// step a set of instances as a batch).
+// Env is the paper's environment: one host, one service chain. It is
+// the 1-node, 1-chain ClusterEnv — stepping, reset, observation and
+// reward are the embedded ClusterEnv's, there is no second
+// implementation — plus the single-chain accessors the serving plane,
+// the heuristic controllers and the figures use. Not goroutine-safe;
+// Ape-X actors each own one instance (use VecEnv to step a set of
+// instances as a batch).
 type Env struct {
-	cfg  Config
-	base perfmodel.Traffic
-	src  rand.Source
-	rng  *rand.Rand
-	// defKnobs are the platform defaults pre-clamped to the bounds;
-	// defKnob is the single-NF default DecodeAction freezes against.
-	// Both are computed once at construction so neither Reset nor the
-	// action decode allocates.
-	defKnobs []perfmodel.NFKnobs
-	defKnob  perfmodel.NFKnobs
-	knobs    []perfmodel.NFKnobs
-	last     perfmodel.Result
-	lastTr   perfmodel.Traffic
-	stepNum  int
+	*ClusterEnv
 }
 
-// New validates the configuration and builds an environment.
+// New validates the configuration and builds an environment:
+// Config.Model becomes the cluster's only node, Config.Chain its only
+// chain; no link, no hops, no placement head.
 func New(cfg Config) (*Env, error) {
-	if err := cfg.Model.Validate(); err != nil {
-		return nil, err
+	if cfg.Chain.Name == "" {
+		// cluster.Workload wants named chains (placement keys on the
+		// name); a lone chain never needed one.
+		cfg.Chain.Name = "chain"
 	}
-	if len(cfg.Chain.NFs) == 0 {
-		return nil, errors.New("env: empty chain")
-	}
-	base, err := Aggregate(cfg.Flows)
+	c, err := NewCluster(ClusterConfig{
+		Topology:    cluster.Topology{Nodes: []cluster.NodeSpec{{Name: "node", Model: cfg.Model}}},
+		Chains:      []ClusterChain{{Chain: cfg.Chain, Flows: cfg.Flows}},
+		Bounds:      cfg.Bounds,
+		SLA:         cfg.SLA,
+		LoadJitter:  cfg.LoadJitter,
+		FrozenKnobs: cfg.FrozenKnobs,
+		Options:     cfg.Options,
+		Seed:        cfg.Seed,
+	})
 	if err != nil {
 		return nil, err
 	}
-	if cfg.LoadJitter < 0 || cfg.LoadJitter >= 1 {
-		return nil, errors.New("env: LoadJitter must be in [0,1)")
-	}
-	e := &Env{cfg: cfg, base: base}
-	e.defKnobs = perfmodel.DefaultKnobs(len(cfg.Chain.NFs))
-	for i := range e.defKnobs {
-		e.defKnobs[i] = cfg.Bounds.Clamp(e.defKnobs[i])
-	}
-	e.defKnob = perfmodel.DefaultKnobs(1)[0]
-	e.knobs = make([]perfmodel.NFKnobs, len(cfg.Chain.NFs))
-	e.Reset(cfg.Seed)
-	return e, nil
+	return &Env{c}, nil
 }
-
-// NumNFs reports the chain length.
-func (e *Env) NumNFs() int { return len(e.cfg.Chain.NFs) }
-
-// StateDim reports the observation vector length (4 per NF).
-func (e *Env) StateDim() int { return StatePerNF * e.NumNFs() }
-
-// ActionDim reports the action vector length (5 per NF).
-func (e *Env) ActionDim() int { return KnobsPerNF * e.NumNFs() }
-
-// SLA returns the environment's agreement.
-func (e *Env) SLA() sla.SLA { return e.cfg.SLA }
-
-// Bounds returns the knob bounds.
-func (e *Env) Bounds() perfmodel.KnobBounds { return e.cfg.Bounds }
 
 // Chain returns the chain spec.
-func (e *Env) Chain() perfmodel.ChainSpec { return e.cfg.Chain }
+func (e *Env) Chain() perfmodel.ChainSpec { return e.cfg.Chains[0].Chain }
 
-// Reset reseeds the load process, restores default knobs, evaluates
-// once and returns the initial observation (a fresh slice owned by
-// the caller).
-func (e *Env) Reset(seed int64) []float64 {
-	return e.ResetInto(seed, make([]float64, e.StateDim()))
-}
+// Last returns the most recent measurement: the chain's full
+// single-node evaluation (what StepInto reports as info).
+func (e *Env) Last() perfmodel.Result { return e.last.PerChain[0] }
 
-// ResetInto is Reset with a caller-owned observation buffer (length
-// StateDim): the zero-alloc counterpart, as StepInto is to Step.
-func (e *Env) ResetInto(seed int64, obs []float64) []float64 {
-	if e.src == nil {
-		e.src = rand.NewSource(seed)
-		e.rng = rand.New(e.src)
-	} else {
-		// Reseeding in place reproduces rand.NewSource(seed)'s stream
-		// without re-allocating the source's ~5 KB state table.
-		e.src.Seed(seed)
-	}
-	copy(e.knobs, e.defKnobs)
-	e.stepNum = 0
-	e.lastTr = e.base
-	e.evaluate()
-	return e.ObserveInto(obs)
-}
+// LastTraffic returns the most recent offered traffic.
+func (e *Env) LastTraffic() perfmodel.Traffic { return e.w.Chains[0].Traffic }
 
-// Knobs returns a copy of the current knob settings.
-func (e *Env) Knobs() []perfmodel.NFKnobs {
-	out := make([]perfmodel.NFKnobs, len(e.knobs))
-	copy(out, e.knobs)
-	return out
-}
-
-// SetKnobs installs explicit knob settings (clamped to bounds) and
-// re-evaluates, returning the measurement. Controllers that bypass
-// the action encoding (heuristics, EE-Pstate) drive the environment
+// SetKnobs installs explicit knob settings (clamped to bounds),
+// advances the load process and re-evaluates, returning the
+// measurement. Controllers that bypass the action encoding
+// (heuristics, EE-Pstate, the serving agent) drive the environment
 // through this. The returned Result's PerNF aliases environment
 // scratch and is only valid until the next step.
 func (e *Env) SetKnobs(ks []perfmodel.NFKnobs) (perfmodel.Result, error) {
@@ -194,54 +154,12 @@ func (e *Env) SetKnobs(ks []perfmodel.NFKnobs) (perfmodel.Result, error) {
 		return perfmodel.Result{}, fmt.Errorf("env: %d knob sets for %d NFs", len(ks), e.NumNFs())
 	}
 	for i := range ks {
-		e.knobs[i] = e.cfg.Bounds.Clamp(ks[i])
+		e.knobFlat[i] = e.cfg.Bounds.Clamp(ks[i])
 	}
 	e.advanceLoad()
 	e.evaluate()
-	return e.last, nil
+	return e.Last(), nil
 }
-
-// Step applies an action vector in [-1,1]^ActionDim, advances the
-// load process, evaluates, and returns (observation, reward, info).
-// The observation is a fresh slice owned by the caller; the returned
-// Result's PerNF field aliases environment scratch and is only valid
-// until the next step.
-func (e *Env) Step(action []float64) ([]float64, float64, perfmodel.Result, error) {
-	obs := make([]float64, e.StateDim())
-	r, info, err := e.StepInto(action, obs)
-	if err != nil {
-		return nil, 0, perfmodel.Result{}, err
-	}
-	return obs, r, info, nil
-}
-
-// StepInto is Step with a caller-owned observation buffer (length
-// StateDim): it allocates nothing in steady state, which is what the
-// Ape-X actors and VecEnv step through. The returned Result's PerNF
-// aliases environment scratch, valid until the next step.
-func (e *Env) StepInto(action, obs []float64) (float64, perfmodel.Result, error) {
-	if len(action) != e.ActionDim() {
-		return 0, perfmodel.Result{}, fmt.Errorf("env: action dim %d, want %d", len(action), e.ActionDim())
-	}
-	if len(obs) != e.StateDim() {
-		return 0, perfmodel.Result{}, fmt.Errorf("env: obs dim %d, want %d", len(obs), e.StateDim())
-	}
-	for i := 0; i < e.NumNFs(); i++ {
-		e.knobs[i] = e.DecodeAction(action[i*KnobsPerNF : (i+1)*KnobsPerNF])
-	}
-	e.advanceLoad()
-	e.evaluate()
-	e.stepNum++
-	r := e.cfg.SLA.Reward(e.last.ThroughputGbps, e.last.EnergyJoules)
-	e.ObserveInto(obs)
-	return r, e.last, nil
-}
-
-// Last returns the most recent measurement.
-func (e *Env) Last() perfmodel.Result { return e.last }
-
-// LastTraffic returns the most recent offered traffic.
-func (e *Env) LastTraffic() perfmodel.Traffic { return e.lastTr }
 
 // DecodeAction maps one NF's action slice ([-1,1]^5) onto knobs.
 // Share and frequency scale linearly; DMA and batch scale
@@ -250,10 +168,10 @@ func (e *Env) DecodeAction(a []float64) perfmodel.NFKnobs {
 	return decodeKnobAction(a, e.cfg.Bounds, e.cfg.FrozenKnobs, e.defKnob, e.NumNFs())
 }
 
-// decodeKnobAction is the shared single- and cluster-env action
-// decode. Env and ClusterEnv must map identical action slices to
-// bit-identical knobs (the single-node parity contract), so the
-// arithmetic lives here once; do not reorder the operations.
+// decodeKnobAction is the one per-NF action decode, behind both
+// StepInto and Env.DecodeAction (the serving controller decodes policy
+// output with it). The figures are byte-diffed against this
+// arithmetic; do not reorder the operations.
 func decodeKnobAction(a []float64, b perfmodel.KnobBounds, frozen [KnobsPerNF]bool, def perfmodel.NFKnobs, numNFs int) perfmodel.NFKnobs {
 	u := func(x float64) float64 { // [-1,1] -> [0,1]
 		if math.IsNaN(x) {
@@ -311,51 +229,4 @@ func (e *Env) EncodeKnobs(k perfmodel.NFKnobs) []float64 {
 		logv(float64(k.DMABytes), float64(b.DMAMin), float64(b.DMAMax)),
 		logv(float64(k.Batch), float64(b.BatchMin), float64(b.BatchMax)),
 	}
-}
-
-// advanceLoad jitters the offered traffic around the configured base.
-func (e *Env) advanceLoad() {
-	e.lastTr = e.base
-	if e.cfg.LoadJitter > 0 {
-		f := 1 + e.cfg.LoadJitter*(2*e.rng.Float64()-1)
-		e.lastTr.OfferedPPS *= f
-	}
-}
-
-// evaluate runs the model at the current knobs and load, reusing
-// e.last's PerNF scratch so the steady-state step performs no
-// allocations.
-func (e *Env) evaluate() {
-	if e.lastTr.OfferedPPS == 0 {
-		e.lastTr = e.base
-	}
-	if err := e.cfg.Model.EvaluateInto(&e.last, e.cfg.Chain, e.knobs, e.lastTr, e.cfg.Options); err != nil {
-		// Inputs are clamped and validated at construction; a model
-		// error here is a programming bug.
-		panic(fmt.Sprintf("env: evaluate: %v", err))
-	}
-}
-
-// ObserveInto writes the paper's state vector — per NF, normalized
-// {throughput, energy, CPU utilization, arrival rate} — into dst,
-// which must have length StateDim (a buffer of the wrong size is a
-// programming error and panics), and returns dst.
-func (e *Env) ObserveInto(dst []float64) []float64 {
-	if len(dst) != e.StateDim() {
-		panic(fmt.Sprintf("env: ObserveInto buffer len %d, want %d", len(dst), e.StateDim()))
-	}
-	n := float64(e.NumNFs())
-	j := 0
-	for i := 0; i < e.NumNFs(); i++ {
-		busy := 0.0
-		if i < len(e.last.PerNF) {
-			busy = e.last.PerNF[i].BusyCores
-		}
-		dst[j] = e.last.ThroughputGbps / 10
-		dst[j+1] = e.last.EnergyJoules / (3300 * n) // per-NF energy share
-		dst[j+2] = busy / 4
-		dst[j+3] = e.lastTr.OfferedPPS / 15e6
-		j += StatePerNF
-	}
-	return dst
 }

@@ -86,6 +86,59 @@ func TestEnvValidation(t *testing.T) {
 	}
 }
 
+// Flow sets the model would refuse must be refused at construction —
+// Reset evaluates, and a model error there is a panic. (The same table
+// runs through apex.ActorSpec.BuildEnv, the path a JSON payload takes.)
+func TestNewRejectsHostileFlows(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	ok := FlowLoad{PPS: 1e6, FrameBytes: 512, Burstiness: 1}
+	for _, c := range []struct {
+		name   string
+		flows  []FlowLoad
+		jitter float64
+	}{
+		{"runt frame", []FlowLoad{{PPS: 1e6, FrameBytes: 32, Burstiness: 1}}, 0},
+		{"jumbo frame", []FlowLoad{{PPS: 1e6, FrameBytes: 9000, Burstiness: 1}}, 0},
+		{"one runt among good", []FlowLoad{ok, {PPS: 1, FrameBytes: 63}}, 0},
+		{"zero pps", []FlowLoad{{PPS: 0, FrameBytes: 512}}, 0},
+		{"NaN pps", []FlowLoad{{PPS: nan, FrameBytes: 512}}, 0},
+		{"Inf pps", []FlowLoad{{PPS: inf, FrameBytes: 512}}, 0},
+		{"NaN burstiness", []FlowLoad{{PPS: 1e6, FrameBytes: 512, Burstiness: nan}}, 0},
+		{"Inf burstiness", []FlowLoad{{PPS: 1e6, FrameBytes: 512, Burstiness: inf}}, 0},
+		{"rates overflow", []FlowLoad{{PPS: 1.5e308, FrameBytes: 64}, {PPS: 1.5e308, FrameBytes: 64}}, 0},
+		{"NaN jitter", []FlowLoad{ok}, nan},
+		{"jitter 1", []FlowLoad{ok}, 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := New(Config{
+				Model:      perfmodel.Default(),
+				Chain:      perfmodel.StandardChain(),
+				Bounds:     perfmodel.DefaultBounds(),
+				SLA:        sla.NewEnergyEfficiency(),
+				Flows:      c.flows,
+				LoadJitter: c.jitter,
+			})
+			if err == nil {
+				t.Error("accepted")
+			}
+		})
+	}
+	// The edges of the accepted range do build and step.
+	e, err := New(Config{
+		Model:  perfmodel.Default(),
+		Chain:  perfmodel.ChainSpec{NFs: perfmodel.StandardChain().NFs}, // unnamed, as before the merge
+		Bounds: perfmodel.DefaultBounds(),
+		SLA:    sla.NewEnergyEfficiency(),
+		Flows:  []FlowLoad{{PPS: 1e6, FrameBytes: 64}, {PPS: 1e6, FrameBytes: 1518, Burstiness: -3}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := e.Step(make([]float64, e.ActionDim())); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestResetDeterminism(t *testing.T) {
 	e := testEnv(t, sla.NewEnergyEfficiency(), false)
 	s1 := e.Reset(7)

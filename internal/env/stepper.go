@@ -5,13 +5,14 @@ import (
 	"greennfv/internal/sla"
 )
 
-// Stepper is the environment surface the Ape-X actors and the greedy
-// evaluation loop step through: the single-node Env and the
-// multi-node ClusterEnv both satisfy it, so the training stack is
-// topology-agnostic. The perfmodel.Result returned by Step/StepInto
-// is the single-node measurement for Env and a cluster roll-up for
-// ClusterEnv (see ClusterEnv.Summary); either way its PerNF/scratch
-// aliases environment state and is only valid until the next step.
+// Stepper is the environment surface the Ape-X actors, the DRL
+// controller and the greedy evaluation loop step through, so the
+// training stack is topology-agnostic. ClusterEnv implements it; Env
+// satisfies it through the ClusterEnv it embeds. The perfmodel.Result
+// returned by Step/StepInto is the cluster roll-up (see
+// ClusterEnv.Summary) — for Env, the chain's full single-node
+// measurement; either way its PerNF/scratch aliases environment state
+// and is only valid until the next step.
 type Stepper interface {
 	// StateDim and ActionDim report the observation and action vector
 	// lengths; ddpg checkpoints stay self-describing because the

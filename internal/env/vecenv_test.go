@@ -165,8 +165,10 @@ type errTestType struct{}
 
 func (errTestType) Error() string { return "boom" }
 
-// The zero-alloc contract of the environment step path: StepInto with
-// a caller buffer allocates nothing in steady state.
+// The zero-alloc contract of the environment's hot paths: the
+// training step (StepInto with a caller buffer) and the serving tick's
+// two environment calls (ObserveInto, then SetKnobs with the vetted
+// configuration) allocate nothing in steady state.
 func TestEnvStepZeroAlloc(t *testing.T) {
 	e := testEnv(t, sla.NewEnergyEfficiency(), false)
 	a := randomActions(1, e.ActionDim(), 1)
@@ -181,6 +183,16 @@ func TestEnvStepZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("StepInto allocates %.1f objects per call, want 0", allocs)
+	}
+	ks := e.Knobs()
+	allocs = testing.AllocsPerRun(100, func() {
+		e.ObserveInto(obs)
+		if _, err := e.SetKnobs(ks); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("ObserveInto + SetKnobs allocate %.1f objects per tick, want 0", allocs)
 	}
 }
 

@@ -3,6 +3,7 @@ package experiments
 import (
 	"greennfv/internal/env"
 	"greennfv/internal/perfmodel"
+	"greennfv/internal/pool"
 	"greennfv/internal/rl/apex"
 	"greennfv/internal/rl/ddpg"
 	"greennfv/internal/rl/replay"
@@ -19,7 +20,7 @@ import (
 func trainEE(o Options, actors int, prioritized bool, frozen [env.KnobsPerNF]bool, s sla.SLA) (float64, *apex.Trainer, error) {
 	cfg := apex.DefaultTrainerConfig(o.TrainSteps)
 	cfg.Actors = actors
-	cfg.EnvFactory = func(actorID int) (*env.Env, error) {
+	cfg.StepperFactory = func(actorID int) (env.Stepper, error) {
 		return env.New(env.Config{
 			Model:       perfmodel.Default(),
 			Chain:       perfmodel.StandardChain(),
@@ -62,7 +63,7 @@ func AblationPER(o Options) (*Table, error) {
 	}
 	// The two arms are independent trainings; run them concurrently.
 	var per, uni float64
-	err := forEach(2, batchWorkers(), func(i int) error {
+	_, err := pool.ForEach(2, batchWorkers(), func(i int) error {
 		var err error
 		if i == 0 {
 			per, err = trainEESingle(o, true)
@@ -152,7 +153,7 @@ func AblationActors(o Options) (*Table, error) {
 	}
 	counts := []int{1, 2, 4, 8}
 	effs := make([]float64, len(counts))
-	err := forEach(len(counts), batchWorkers(), func(i int) error {
+	_, err := pool.ForEach(len(counts), batchWorkers(), func(i int) error {
 		eff, _, err := trainEE(o, counts[i], true, [env.KnobsPerNF]bool{}, sla.NewEnergyEfficiency())
 		effs[i] = eff
 		return err
@@ -181,7 +182,7 @@ func AblationKnobs(o Options) (*Table, error) {
 	// Arm 0 is the all-tunable reference; arms 1..5 freeze one knob
 	// each. All six trainings are independent, so they share the pool.
 	effs := make([]float64, env.KnobsPerNF+1)
-	err := forEach(len(effs), batchWorkers(), func(i int) error {
+	_, err := pool.ForEach(len(effs), batchWorkers(), func(i int) error {
 		var frozen [env.KnobsPerNF]bool
 		if i > 0 {
 			frozen[i-1] = true
@@ -228,7 +229,7 @@ func AblationReward(o Options) (*Table, error) {
 		tput, energy, violation float64
 	}
 	outs := make([]armOut, len(entries))
-	err = forEach(len(entries), batchWorkers(), func(i int) error {
+	_, err = pool.ForEach(len(entries), batchWorkers(), func(i int) error {
 		_, trainer, err := trainEE(o, o.Actors, true, [env.KnobsPerNF]bool{}, entries[i].s)
 		if err != nil {
 			return err

@@ -1,122 +1,39 @@
 package experiments
 
 import (
-	"fmt"
-
-	"greennfv/internal/cluster"
-	"greennfv/internal/control"
 	"greennfv/internal/env"
-	"greennfv/internal/perfmodel"
-	"greennfv/internal/placement"
 	"greennfv/internal/sla"
+	"greennfv/internal/sweep"
 )
-
-// ClusterRow is one cell of the cluster scale-out figure.
-type ClusterRow struct {
-	Nodes          int
-	Policy         string
-	ThroughputGbps float64
-	EnergyJ        float64
-	LinkJ          float64
-	NodesUsed      int
-	Efficiency     float64 // Gbps per kJ
-}
-
-// clusterPolicies enumerates the placement strategies FigCluster
-// compares: the DRL placement head (nil policy — the agent's action
-// vector carries per-chain placement logits) against the two analytic
-// baselines.
-func clusterPolicies() []struct {
-	name string
-	pol  placement.Policy
-} {
-	return []struct {
-		name string
-		pol  placement.Policy
-	}{
-		{"drl-head", nil},
-		{placement.FFDSwap{}.Name(), placement.FFDSwap{}},
-		{placement.Relaxation{}.Name(), placement.Relaxation{}},
-	}
-}
-
-// clusterFactory builds the FigCluster environment family: a
-// heterogeneous topology of n nodes hosting six preset chains in one
-// service-function path, with a 150 µs end-to-end latency budget (a
-// fully split path pays 5 × 50 µs and busts it — the SLA pressure
-// that makes placement matter).
-func clusterFactory(nodes int, pol placement.Policy) control.ClusterFactory {
-	return func(seed int64) (*env.ClusterEnv, error) {
-		chains, hops := env.StandardClusterChains(6)
-		return env.NewCluster(env.ClusterConfig{
-			Topology:        cluster.Heterogeneous(nodes),
-			Chains:          chains,
-			Hops:            hops,
-			LatencyBudgetNs: 150e3,
-			Bounds:          perfmodel.DefaultBounds(),
-			SLA:             sla.NewEnergyEfficiency(),
-			LoadJitter:      0.05,
-			Seed:            seed,
-			Placement:       pol,
-		})
-	}
-}
 
 // FigCluster is the cluster scale-out study the paper never had:
 // energy versus cluster size at 2, 4, and 8 heterogeneous nodes,
 // comparing the DRL placement head against the FFD+swap and
 // relaxation-and-rounding analytic baselines, all three training the
-// same DDPG knob policy. Deterministic (round-robin training, fixed
-// seeds): the table byte-diffs across runs.
-func FigCluster(o Options) (*Table, []ClusterRow, error) {
+// same DDPG knob policy. It is a sweep grid plus a formatter: one
+// seed, the Energy-Efficiency SLA, the standard mix, three topologies
+// × three placements, each cell trained and measured by sweep.Run
+// (six preset chains in one service-function path under a 150 µs
+// end-to-end latency budget — a fully split path pays 5 × 50 µs and
+// busts it, the SLA pressure that makes placement matter).
+// Deterministic (round-robin training, fixed seeds): the table
+// byte-diffs across runs.
+func FigCluster(o Options) (*Table, []sweep.Result, error) {
 	if err := o.Validate(); err != nil {
 		return nil, nil, err
 	}
-	sizes := []int{2, 4, 8}
-	pols := clusterPolicies()
-	rows := make([]ClusterRow, len(sizes)*len(pols))
-	err := forEach(len(rows), batchWorkers(), func(i int) error {
-		nodes := sizes[i/len(pols)]
-		entry := pols[i%len(pols)]
-		factory := clusterFactory(nodes, entry.pol)
-		ctl := control.NewClusterGreenNFV(sla.NewEnergyEfficiency(), o.TrainSteps, o.Actors, o.Seed)
-		if err := ctl.Prepare(factory); err != nil {
-			return fmt.Errorf("prepare %d-node %s: %w", nodes, entry.name, err)
-		}
-		meas, err := factory(o.Seed + 1000)
-		if err != nil {
-			return err
-		}
-		settle := o.ControlSteps / 4
-		if settle < 1 {
-			settle = 1
-		}
-		var tput, energy, link float64
-		var used, counted int
-		for step := 0; step < o.ControlSteps; step++ {
-			info, err := ctl.Step(meas)
-			if err != nil {
-				return fmt.Errorf("run %d-node %s: %w", nodes, entry.name, err)
-			}
-			if step >= o.ControlSteps-settle {
-				tput += info.ThroughputGbps
-				energy += info.EnergyJoules
-				link += meas.LastCluster().LinkEnergyJ
-				used = meas.LastCluster().NodesUsed
-				counted++
-			}
-		}
-		n := float64(counted)
-		rows[i] = ClusterRow{
-			Nodes:          nodes,
-			Policy:         entry.name,
-			ThroughputGbps: tput / n,
-			EnergyJ:        energy / n,
-			LinkJ:          link / n,
-			NodesUsed:      used,
-			Efficiency:     (tput / n) / (energy / n / 1000),
-		}
-		return nil
+	rows, err := sweep.Run(sweep.Config{
+		Seeds: []int64{o.Seed},
+		Tiers: []sweep.Tier{{Name: "ee", SLA: sla.NewEnergyEfficiency()}},
+		Mixes: []sweep.Mix{{Name: "standard", Flows: env.StandardWorkload(), LoadJitter: 0.05}},
+		Topos: []sweep.Topo{
+			{Name: "hetero-2", Nodes: 2}, {Name: "hetero-4", Nodes: 4}, {Name: "hetero-8", Nodes: 8},
+		},
+		Placements:   sweep.DefaultPlacements(),
+		TrainSteps:   o.TrainSteps,
+		Actors:       o.Actors,
+		ControlSteps: o.ControlSteps,
+		Workers:      batchWorkers(),
 	})
 	if err != nil {
 		return nil, nil, err
@@ -128,8 +45,8 @@ func FigCluster(o Options) (*Table, []ClusterRow, error) {
 			"nodes used", "Gbps/kJ"},
 	}
 	for _, r := range rows {
-		t.AddRow(itoa(r.Nodes), r.Policy, f2(r.ThroughputGbps), f0(r.EnergyJ),
-			f1(r.LinkJ), itoa(r.NodesUsed), f2(r.Efficiency))
+		t.AddRow(itoa(r.Nodes), r.Placement, f2(r.ThroughputGbps), f0(r.EnergyJ),
+			f1(r.LinkEnergyJ), itoa(r.NodesUsed), f2(r.Efficiency))
 	}
 	return t, rows, nil
 }

@@ -3,6 +3,12 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"greennfv/internal/cluster"
+	"greennfv/internal/env"
+	"greennfv/internal/perfmodel"
+	"greennfv/internal/sla"
+	"greennfv/internal/sweep"
 )
 
 // tinyOptions keeps cluster training short enough for unit tests.
@@ -37,10 +43,10 @@ func TestFigClusterDeterministic(t *testing.T) {
 	}
 	for _, r := range rows1 {
 		if r.ThroughputGbps <= 0 || r.EnergyJ <= 0 {
-			t.Errorf("%d-node %s: non-positive cell %+v", r.Nodes, r.Policy, r)
+			t.Errorf("%d-node %s: non-positive cell %+v", r.Nodes, r.Placement, r)
 		}
 		if r.NodesUsed < 1 || r.NodesUsed > r.Nodes {
-			t.Errorf("%d-node %s: nodes used %d out of range", r.Nodes, r.Policy, r.NodesUsed)
+			t.Errorf("%d-node %s: nodes used %d out of range", r.Nodes, r.Placement, r.NodesUsed)
 		}
 	}
 	for _, col := range []string{"nodes", "placement", "Gbps", "Energy J"} {
@@ -55,18 +61,28 @@ func TestFigClusterDeterministic(t *testing.T) {
 // every host (idle-power discipline), and the relaxation must respect
 // its own bound.
 func TestClusterAnalyticBaselinesConsolidate(t *testing.T) {
-	for _, pol := range clusterPolicies()[1:] {
-		factory := clusterFactory(8, pol.pol)
-		e, err := factory(17)
+	for _, pol := range sweep.DefaultPlacements()[1:] {
+		chains, hops := env.StandardClusterChains(6)
+		e, err := env.NewCluster(env.ClusterConfig{
+			Topology:        cluster.Heterogeneous(8),
+			Chains:          chains,
+			Hops:            hops,
+			LatencyBudgetNs: 150e3,
+			Bounds:          perfmodel.DefaultBounds(),
+			SLA:             sla.NewEnergyEfficiency(),
+			LoadJitter:      0.05,
+			Seed:            17,
+			Placement:       pol.Policy,
+		})
 		if err != nil {
-			t.Fatalf("%s: %v", pol.name, err)
+			t.Fatalf("%s: %v", pol.Name, err)
 		}
 		used := map[int]bool{}
 		for _, n := range e.Assignment() {
 			used[n] = true
 		}
 		if len(used) >= 8 {
-			t.Errorf("%s scattered 6 chains across all 8 nodes", pol.name)
+			t.Errorf("%s scattered 6 chains across all 8 nodes", pol.Name)
 		}
 	}
 }

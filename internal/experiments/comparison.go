@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"greennfv/internal/control"
+	"greennfv/internal/pool"
 	"greennfv/internal/sla"
 )
 
@@ -55,7 +56,7 @@ func Fig9(o Options) (*Table, []ComparisonRow, error) {
 	// concurrently over the bounded pool; rows[i] keeps the bar order
 	// of the serial loop and the numbers are identical to it.
 	rows := make([]ComparisonRow, len(controllers))
-	err = forEach(len(controllers), batchWorkers(), func(i int) error {
+	_, err = pool.ForEach(len(controllers), batchWorkers(), func(i int) error {
 		entry := controllers[i]
 		factory := Factory(entry.s)
 		if err := entry.c.Prepare(factory); err != nil {

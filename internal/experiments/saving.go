@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"greennfv/internal/control"
+	"greennfv/internal/pool"
 	"greennfv/internal/sla"
 )
 
@@ -25,7 +26,7 @@ func Fig11(o Options) (*Table, error) {
 	// (separate controllers, environments and seeds), so they run
 	// concurrently; the numbers are identical to the serial order.
 	var gEnergy, bEnergy float64
-	err = forEach(2, batchWorkers(), func(i int) error {
+	_, err = pool.ForEach(2, batchWorkers(), func(i int) error {
 		var err error
 		switch i {
 		case 0:

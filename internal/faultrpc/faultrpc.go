@@ -1,4 +1,4 @@
-package apex
+package faultrpc
 
 import (
 	"errors"
@@ -10,15 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 )
-
-// faultrpc: a seeded-deterministic TCP proxy for injecting transport
-// faults between actors and the learner. The chaos tests point
-// TrainerConfig.AdvertiseAddr at a FaultProxy so every actor RPC
-// crosses it; rules then drop connections (actors see a mid-call
-// transport error and must redial), delay them (exercising per-call
-// deadlines and backoff), or partition the link entirely. Faults are
-// drawn from a seeded RNG, so a failing chaos run replays with the
-// same fault schedule.
 
 // FaultRule parameterizes the proxy's per-connection fault draws.
 type FaultRule struct {
@@ -37,7 +28,7 @@ type FaultProxyStats struct {
 	Accepted, Dropped, Delayed, Refused int64
 }
 
-// FaultProxy is a TCP proxy in front of a learner Server that injects
+// FaultProxy is a TCP proxy in front of an rpcutil.Server that injects
 // faults per FaultRule. Zero-valued rules proxy transparently.
 //
 // Teardown contract: a connection is closed exactly once, by whoever
@@ -66,11 +57,11 @@ type FaultProxy struct {
 // seeded with seed.
 func NewFaultProxy(target string, seed int64) (*FaultProxy, error) {
 	if target == "" {
-		return nil, errors.New("apex: fault proxy needs a target address")
+		return nil, errors.New("faultrpc: fault proxy needs a target address")
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return nil, fmt.Errorf("apex: fault proxy listen: %w", err)
+		return nil, fmt.Errorf("faultrpc: fault proxy listen: %w", err)
 	}
 	p := &FaultProxy{
 		target:   target,
@@ -95,8 +86,8 @@ func (p *FaultProxy) SetRule(r FaultRule) {
 }
 
 // Partition, when on, severs every live connection and refuses new
-// ones until turned off — a full network partition between the actors
-// and the learner.
+// ones until turned off — a full network partition between the
+// clients and the server.
 func (p *FaultProxy) Partition(on bool) {
 	p.mu.Lock()
 	p.partitioned = on
@@ -246,7 +237,7 @@ func (p *FaultProxy) forget(conn net.Conn) {
 func (p *FaultProxy) proxy(client net.Conn) {
 	upstream, err := net.Dial("tcp", p.target)
 	if err != nil {
-		return // learner down: client sees the severed connection
+		return // target down: client sees the severed connection
 	}
 	if !p.track(upstream) {
 		upstream.Close()

@@ -23,11 +23,17 @@ func envFactory(s sla.SLA) func(int) (*env.Env, error) {
 	}
 }
 
+// stepperFactory is envFactory in the trainer's factory signature.
+func stepperFactory(s sla.SLA) func(int) (env.Stepper, error) {
+	f := envFactory(s)
+	return func(actorID int) (env.Stepper, error) { return f(actorID) }
+}
+
 func smallTrainer(t *testing.T, steps int) *Trainer {
 	t.Helper()
 	cfg := DefaultTrainerConfig(steps)
 	cfg.Actors = 2
-	cfg.EnvFactory = envFactory(sla.NewEnergyEfficiency())
+	cfg.StepperFactory = stepperFactory(sla.NewEnergyEfficiency())
 	cfg.AgentConfig = ddpg.DefaultConfig(0, 0) // dims filled by trainer
 	cfg.AgentConfig.Hidden = []int{24, 24}
 	cfg.AgentConfig.BatchSize = 16
@@ -44,7 +50,7 @@ func TestTrainerValidation(t *testing.T) {
 	if _, err := NewTrainer(cfg); err == nil {
 		t.Error("missing env factory accepted")
 	}
-	cfg.EnvFactory = envFactory(sla.NewEnergyEfficiency())
+	cfg.StepperFactory = stepperFactory(sla.NewEnergyEfficiency())
 	cfg.AgentConfig = ddpg.DefaultConfig(0, 0)
 	cfg.Actors = 0
 	if _, err := NewTrainer(cfg); err == nil {

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"greennfv/internal/atomicio"
+	"greennfv/internal/faultrpc"
 	"greennfv/internal/rl/ddpg"
 )
 
@@ -132,12 +133,12 @@ func chaosTrainerMain() int {
 	addr := ln.Addr().String()
 	ln.Close()
 	cfg.ListenAddr = addr
-	proxy, err := NewFaultProxy(addr, 42)
+	proxy, err := faultrpc.NewFaultProxy(addr, 42)
 	if err != nil {
 		return fail(err)
 	}
 	defer proxy.Close()
-	proxy.SetRule(FaultRule{DropProb: 0.05, DelayProb: 0.2, Delay: 2 * time.Millisecond})
+	proxy.SetRule(faultrpc.FaultRule{DropProb: 0.05, DelayProb: 0.2, Delay: 2 * time.Millisecond})
 	cfg.AdvertiseAddr = proxy.Addr()
 
 	tr, err := NewTrainer(cfg)

@@ -17,7 +17,7 @@ func checkpointTrainerConfig(t *testing.T, totalSteps int) TrainerConfig {
 	cfg := DefaultTrainerConfig(totalSteps)
 	cfg.Actors = 2
 	cfg.WarmupSteps = 16
-	cfg.EnvFactory = envFactory(sla.NewEnergyEfficiency())
+	cfg.StepperFactory = stepperFactory(sla.NewEnergyEfficiency())
 	cfg.AgentConfig = ddpg.DefaultConfig(0, 0)
 	cfg.AgentConfig.Hidden = []int{12, 12}
 	cfg.AgentConfig.BatchSize = 8

@@ -39,6 +39,16 @@
 // (LearnPerStep × post-warmup steps), so they are comparable runs of
 // the same algorithm, not different algorithms.
 //
+// A trainer is given its environments one way:
+// TrainerConfig.StepperFactory builds an env.Stepper per actor —
+// *env.Env for the paper's single host, *env.ClusterEnv for a
+// multi-node topology (actor networks are sized from the probe's
+// StateDim/ActionDim, so the placement head needs nothing special).
+// Round-robin takes either; Parallel vectorizes the single-node
+// layout through VecEnv and rejects anything but *env.Env; Remote
+// ignores the factory and builds *env.Env from RemoteSpec on both
+// sides of the wire.
+//
 // # Concurrency and determinism
 //
 // The Learner's experience ingest (PushExperience) is lock-free with
@@ -118,8 +128,9 @@
 //     backoff and transparently re-registers (fresh epoch) when the
 //     learner restarted — only deliberate rejections are fatal.
 //
-// FaultProxy (faultrpc.go) injects drops, delays and partitions
-// between actors and learner for tests; TestChaosKillResume drives
+// faultrpc.FaultProxy (internal/faultrpc, test support — this package
+// no longer carries it) injects drops, delays and partitions between
+// actors and learner for tests; TestChaosKillResume drives
 // the whole story — crash-injected actor, lossy proxy, SIGKILL'd and
 // resumed learner — and still demands the full update budget and
 // bit-exact restored weights across processes.

@@ -16,7 +16,7 @@ func TestParallelTrainerSmoke(t *testing.T) {
 	cfg := DefaultTrainerConfig(600)
 	cfg.Actors = 3
 	cfg.Parallel = true
-	cfg.EnvFactory = envFactory(sla.NewEnergyEfficiency())
+	cfg.StepperFactory = stepperFactory(sla.NewEnergyEfficiency())
 	cfg.AgentConfig = ddpg.DefaultConfig(0, 0)
 	cfg.AgentConfig.Hidden = []int{24, 24}
 	cfg.AgentConfig.BatchSize = 16
@@ -86,7 +86,7 @@ func TestParallelFloat32(t *testing.T) {
 	cfg.Actors = 2
 	cfg.Parallel = true
 	cfg.Float32 = true
-	cfg.EnvFactory = envFactory(sla.NewEnergyEfficiency())
+	cfg.StepperFactory = stepperFactory(sla.NewEnergyEfficiency())
 	cfg.AgentConfig = ddpg.DefaultConfig(0, 0)
 	cfg.AgentConfig.Hidden = []int{24, 24}
 	cfg.AgentConfig.BatchSize = 16
@@ -129,7 +129,7 @@ func TestParallelMatchesBudget(t *testing.T) {
 	cfg := DefaultTrainerConfig(300)
 	cfg.Actors = 2
 	cfg.Parallel = true
-	cfg.EnvFactory = envFactory(s)
+	cfg.StepperFactory = stepperFactory(s)
 	cfg.AgentConfig = ddpg.DefaultConfig(0, 0)
 	cfg.AgentConfig.Hidden = []int{16, 16}
 	cfg.AgentConfig.BatchSize = 8

@@ -18,7 +18,7 @@ func TestParallelInstallsShardedReplay(t *testing.T) {
 	cfg.Actors = 2
 	cfg.Parallel = true
 	cfg.ReplayShards = 4
-	cfg.EnvFactory = envFactory(sla.NewEnergyEfficiency())
+	cfg.StepperFactory = stepperFactory(sla.NewEnergyEfficiency())
 	cfg.AgentConfig = ddpg.DefaultConfig(0, 0)
 	cfg.AgentConfig.Hidden = []int{12}
 	cfg.AgentConfig.BatchSize = 8
@@ -48,7 +48,7 @@ func TestParallelInstallsShardedReplay(t *testing.T) {
 func TestRoundRobinKeepsSingleTreeReplay(t *testing.T) {
 	cfg := DefaultTrainerConfig(100)
 	cfg.Actors = 2
-	cfg.EnvFactory = envFactory(sla.NewEnergyEfficiency())
+	cfg.StepperFactory = stepperFactory(sla.NewEnergyEfficiency())
 	cfg.AgentConfig = ddpg.DefaultConfig(0, 0)
 	cfg.AgentConfig.Hidden = []int{12}
 	cfg.AgentConfig.BatchSize = 8

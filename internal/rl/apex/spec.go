@@ -14,7 +14,7 @@ import (
 // This file defines the JSON contract between a trainer and its
 // remote actor processes: everything an actor needs to rebuild the
 // training environment and its local network copy from scratch in a
-// fresh OS process. Closures (EnvFactory) cannot cross a process
+// fresh OS process. Closures (StepperFactory) cannot cross a process
 // boundary, so the remote mode ships this spec instead; the trainer
 // normalizes it (normalizeSpec, remote.go) so the actor's agent
 // hyperparameters — network shape above all — always match the
@@ -135,12 +135,6 @@ func (s *ActorSpec) BuildEnv(rank int) (*env.Env, error) {
 		LoadJitter: s.LoadJitter,
 		Seed:       s.EnvSeed + int64(rank)*131,
 	})
-}
-
-// EnvFactory adapts the spec to the trainer's per-actor factory
-// signature (used for the dimension probe in remote mode).
-func (s *ActorSpec) EnvFactory() func(actorID int) (*env.Env, error) {
-	return func(actorID int) (*env.Env, error) { return s.BuildEnv(actorID) }
 }
 
 // agentConfig builds the rank's local-network configuration from the

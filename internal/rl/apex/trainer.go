@@ -112,9 +112,9 @@ type TrainerConfig struct {
 	// six-node deployment): the trainer serves the learner over
 	// net/rpc and RemoteActors actor processes connect as RPC
 	// clients, each with its own environment and exploration
-	// intensity. Actors/EnvFactory/Parallel are ignored; RemoteSpec
-	// is required. Like Parallel, the run is not deterministic; the
-	// figure harness keeps round-robin.
+	// intensity. Actors/StepperFactory/Parallel are ignored;
+	// RemoteSpec is required. Like Parallel, the run is not
+	// deterministic; the figure harness keeps round-robin.
 	RemoteActors int
 	// SpawnRemote, when non-empty, is the argv prefix the trainer
 	// execs to launch each actor process (typically the cmd/apexactor
@@ -160,13 +160,11 @@ type TrainerConfig struct {
 	// a wedged actor cannot hang the round forever. Zero waits
 	// indefinitely (the pre-supervision behavior).
 	DrainTimeout time.Duration
-	// EnvFactory builds one environment per actor (distinct seeds).
-	EnvFactory func(actorID int) (*env.Env, error)
-	// StepperFactory is EnvFactory's generalization for environments
-	// that are not the single-node *env.Env (the multi-node
-	// ClusterEnv). Used only when EnvFactory is nil; remote mode and
-	// Parallel require single-node EnvFactory environments, so
-	// stepper-built trainers run the deterministic round-robin path.
+	// StepperFactory builds one environment per actor (distinct
+	// seeds): *env.Env for the paper's single host, *env.ClusterEnv
+	// for a multi-node topology. Parallel vectorizes the single-node
+	// layout and so requires *env.Env; cluster environments train
+	// through the deterministic round-robin path.
 	StepperFactory func(actorID int) (env.Stepper, error)
 	// AgentConfig templates the learner and actor networks; state
 	// and action dims are filled from the environment.
@@ -223,6 +221,7 @@ func NewTrainer(cfg TrainerConfig) (*Trainer, error) {
 	if cfg.TotalSteps <= 0 {
 		return nil, errors.New("apex: TotalSteps must be positive")
 	}
+	factory := cfg.StepperFactory
 	if remote {
 		if cfg.RemoteSpec == nil {
 			return nil, errors.New("apex: remote mode needs a RemoteSpec")
@@ -231,13 +230,8 @@ func NewTrainer(cfg TrainerConfig) (*Trainer, error) {
 		// learner's dimension probe must come from the same env
 		// construction the actor processes will use, or the learner
 		// and actor network shapes could silently diverge. Any
-		// caller-supplied EnvFactory is ignored, as documented.
-		cfg.EnvFactory = cfg.RemoteSpec.EnvFactory()
-	}
-	factory := cfg.StepperFactory
-	if cfg.EnvFactory != nil {
-		ef := cfg.EnvFactory
-		factory = func(actorID int) (env.Stepper, error) { return ef(actorID) }
+		// caller-supplied StepperFactory is ignored, as documented.
+		factory = func(actorID int) (env.Stepper, error) { return cfg.RemoteSpec.BuildEnv(actorID) }
 	}
 	if factory == nil {
 		return nil, errors.New("apex: need an environment factory")

@@ -239,7 +239,7 @@ func TestSamplesPerInsertPacesLearner(t *testing.T) {
 	cfg.Parallel = true
 	cfg.LearnPerStep = 2
 	cfg.SamplesPerInsert = 1
-	cfg.EnvFactory = envFactory(sla.NewEnergyEfficiency())
+	cfg.StepperFactory = stepperFactory(sla.NewEnergyEfficiency())
 	cfg.AgentConfig = ddpg.DefaultConfig(0, 0)
 	cfg.AgentConfig.Hidden = []int{12}
 	cfg.AgentConfig.BatchSize = 16

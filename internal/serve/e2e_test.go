@@ -1,7 +1,7 @@
 package serve
 
 // End-to-end chaos drill for the serving plane: a controller and a
-// node agent talk through an apex.FaultProxy while the harness
+// node agent talk through a faultrpc.FaultProxy while the harness
 // partitions the network, kills and restarts the controller, and
 // feeds it a corrupt hot-reload checkpoint. The invariant throughout:
 // the node always runs a guardrail-approved configuration (degrading
@@ -16,7 +16,7 @@ import (
 	"time"
 
 	"greennfv/internal/atomicio"
-	"greennfv/internal/rl/apex"
+	"greennfv/internal/faultrpc"
 	"greennfv/internal/sla"
 )
 
@@ -49,7 +49,7 @@ func TestServeChaosE2E(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	proxy, err := apex.NewFaultProxy(ctrlAddr, 7)
+	proxy, err := faultrpc.NewFaultProxy(ctrlAddr, 7)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,7 @@ package serve
 // Fleet-scale serving harness: a deterministic, in-process fleet
 // simulator for the sharded controller. 32+ node agents with seeded
 // per-rank traffic drive a live controller through scripted lease
-// churn, partitions (apex.FaultProxy) and hot policy reloads
+// churn, partitions (faultrpc.FaultProxy) and hot policy reloads
 // mid-storm — all on an injectable clock, under -race in CI. The
 // pinned invariants:
 //
@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"greennfv/internal/env"
+	"greennfv/internal/faultrpc"
 	"greennfv/internal/rl/apex"
 	"greennfv/internal/sla"
 )
@@ -259,7 +260,7 @@ func TestFleetSoakStorm(t *testing.T) {
 		LeaseWindow: 10 * time.Second,
 		Now:         clk.Now,
 	})
-	proxy, err := apex.NewFaultProxy(ctrl.Addr(), 5)
+	proxy, err := faultrpc.NewFaultProxy(ctrl.Addr(), 5)
 	if err != nil {
 		t.Fatal(err)
 	}

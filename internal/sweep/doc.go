@@ -64,8 +64,8 @@
 // deterministic seed-major grid order regardless of scheduling.
 // With the default round-robin trainer each cell is deterministic
 // given its seed; Config.ParallelTrain trades that determinism for
-// speed (multi-node cells ignore it — the cluster trainer is always
-// round-robin, so cluster rows stay deterministic regardless). A
+// speed (multi-node cells ignore it — cluster environments always
+// train round-robin, so cluster rows stay deterministic regardless). A
 // failing cell records its error in its own row without stopping the
 // rest of the grid.
 //
@@ -73,10 +73,12 @@
 //
 // Config.Topos adds cluster size as a grid axis (cmd/experiments
 // -sweep -sweep-cluster): each multi-node Topo crosses with every
-// Config.Placements entry and trains control.ClusterGreenNFV on a
+// Config.Placements entry and trains control.GreenNFV on a
 // heterogeneous cluster hosting the FigCluster six-chain
 // service-function path, with each chain carrying the cell's traffic
-// mix at half rate. Single-node Topo entries run the original
-// environment path unchanged. An empty Topos keeps the original grid
-// and the original rows, byte for byte.
+// mix at half rate. Single-node Topo entries train the same
+// controller on the paper's one-host environment; one cell runner
+// serves both and adds the cluster extras when the environment has
+// more than one node. An empty Topos keeps the original grid and the
+// original rows, byte for byte.
 package sweep

@@ -227,9 +227,15 @@ type Result struct {
 	Error        string  `json:"error,omitempty"`
 }
 
-// factory builds the cell's environment factory for one mix.
-func factory(s sla.SLA, m Mix) control.EnvFactory {
-	return func(seed int64, opts perfmodel.EvalOptions) (*env.Env, error) {
+// cellEnv builds one environment of a cell's family. A single-node
+// cell runs the paper's environment — the standard chain under the
+// mix. A multi-node cell runs the FigCluster workload (six preset
+// chains in one service-function path, 150 µs end-to-end budget) on a
+// heterogeneous topology, each chain carrying the mix at half rate —
+// the scaling StandardClusterChains applies to the standard workload,
+// so the "standard" mix reproduces it exactly.
+func cellEnv(s sla.SLA, m Mix, nodes int, pol placement.Policy, seed int64) (env.Stepper, error) {
+	if nodes <= 1 {
 		return env.New(env.Config{
 			Model:      perfmodel.Default(),
 			Chain:      perfmodel.StandardChain(),
@@ -237,58 +243,60 @@ func factory(s sla.SLA, m Mix) control.EnvFactory {
 			SLA:        s,
 			Flows:      m.Flows,
 			LoadJitter: m.LoadJitter,
-			Options:    opts,
 			Seed:       seed,
 		})
 	}
-}
-
-// clusterEnvFactory builds the multi-node cell's environment family:
-// the FigCluster workload (six preset chains in one service-function
-// path, 150 µs end-to-end budget) on a heterogeneous topology, with
-// each chain carrying the cell's traffic mix at half rate — the same
-// scaling StandardClusterChains applies to the standard workload, so
-// the "standard" mix reproduces it exactly.
-func clusterEnvFactory(s sla.SLA, m Mix, nodes int, pol placement.Policy) control.ClusterFactory {
-	return func(seed int64) (*env.ClusterEnv, error) {
-		chains, hops := env.StandardClusterChains(6)
-		for i := range chains {
-			chains[i].Flows = scaleFlows(m.Flows, 0.5, 1)
-		}
-		return env.NewCluster(env.ClusterConfig{
-			Topology:        cluster.Heterogeneous(nodes),
-			Chains:          chains,
-			Hops:            hops,
-			LatencyBudgetNs: 150e3,
-			Bounds:          perfmodel.DefaultBounds(),
-			SLA:             s,
-			LoadJitter:      m.LoadJitter,
-			Seed:            seed,
-			Placement:       pol,
-		})
+	chains, hops := env.StandardClusterChains(6)
+	for i := range chains {
+		chains[i].Flows = scaleFlows(m.Flows, 0.5, 1)
 	}
+	return env.NewCluster(env.ClusterConfig{
+		Topology:        cluster.Heterogeneous(nodes),
+		Chains:          chains,
+		Hops:            hops,
+		LatencyBudgetNs: 150e3,
+		Bounds:          perfmodel.DefaultBounds(),
+		SLA:             s,
+		LoadJitter:      m.LoadJitter,
+		Seed:            seed,
+		Placement:       pol,
+	})
 }
 
-// runClusterCell trains and measures one multi-node grid cell. The
-// cluster trainer is always round-robin (ParallelTrain is ignored —
-// the concurrent pipeline requires single-node environments), so
-// every cluster row is deterministic given its seed.
-func runClusterCell(cfg Config, seed int64, tier Tier, mix Mix, topo Topo, pl Placement) (Result, error) {
+// runCell trains and measures one grid cell. On a single node the
+// topo argument only stamps row identity: an explicit topology axis
+// value names the row, the implicit (topology-less) grid leaves the
+// fields empty so existing rows stay byte-identical. Multi-node cells
+// add the placement name and the cluster extras, and always train
+// round-robin (the concurrent pipeline vectorizes the single-node
+// layout), so every cluster row is deterministic given its seed.
+func runCell(cfg Config, seed int64, tier Tier, mix Mix, topo Topo, pl Placement) (Result, error) {
 	r := Result{
 		Seed: seed, SLA: tier.Name, SLADetail: tier.SLA.Describe(),
-		Traffic: mix.Name, Topology: topo.Name, Nodes: topo.Nodes,
-		Placement: pl.Name, TrainSteps: cfg.TrainSteps, Actors: cfg.Actors,
+		Traffic: mix.Name, TrainSteps: cfg.TrainSteps, Actors: cfg.Actors,
 		ControlSteps: cfg.ControlSteps,
 	}
-	g := control.NewClusterGreenNFV(tier.SLA, cfg.TrainSteps, cfg.Actors, seed)
-	f := clusterEnvFactory(tier.SLA, mix, topo.Nodes, pl.Policy)
+	multi := topo.Nodes > 1
+	if multi {
+		r.Topology, r.Nodes, r.Placement = topo.Name, topo.Nodes, pl.Name
+	} else if topo.Name != "" {
+		r.Topology, r.Nodes = topo.Name, 1
+	}
+	g := control.NewGreenNFV(tier.SLA, cfg.TrainSteps, cfg.Actors, seed)
+	g.Parallel = cfg.ParallelTrain && !multi
+	newEnv := func(seed int64) (env.Stepper, error) {
+		return cellEnv(tier.SLA, mix, topo.Nodes, pl.Policy, seed)
+	}
 	start := time.Now()
-	if err := g.Prepare(f); err != nil {
+	if err := g.TrainOn(newEnv); err != nil {
 		return r, fmt.Errorf("prepare: %w", err)
 	}
 	r.TrainSeconds = time.Since(start).Seconds()
 
-	e, err := f(seed + 1000)
+	// Measure the trained policy: run the control loop, track SLA
+	// satisfaction on every interval, and report the settled means of
+	// the last quarter of the horizon (the Fig 9 idiom).
+	e, err := newEnv(seed + 1000)
 	if err != nil {
 		return r, fmt.Errorf("measure env: %w", err)
 	}
@@ -299,7 +307,7 @@ func runClusterCell(cfg Config, seed int64, tier Tier, mix Mix, topo Topo, pl Pl
 	}
 	var tput, energy, link float64
 	for i := 0; i < cfg.ControlSteps; i++ {
-		res, err := g.Step(e)
+		res, err := g.StepOn(e)
 		if err != nil {
 			return r, fmt.Errorf("control step %d: %w", i, err)
 		}
@@ -307,8 +315,11 @@ func runClusterCell(cfg Config, seed int64, tier Tier, mix Mix, topo Topo, pl Pl
 		if i >= cfg.ControlSteps-settle {
 			tput += res.ThroughputGbps
 			energy += res.EnergyJoules
-			link += e.LastCluster().LinkEnergyJ
-			r.NodesUsed = e.LastCluster().NodesUsed
+			if multi {
+				last := e.(*env.ClusterEnv).LastCluster()
+				link += last.LinkEnergyJ
+				r.NodesUsed = last.NodesUsed
+			}
 		}
 	}
 	r.ThroughputGbps = tput / float64(settle)
@@ -317,63 +328,6 @@ func runClusterCell(cfg Config, seed int64, tier Tier, mix Mix, topo Topo, pl Pl
 		r.Efficiency = r.ThroughputGbps / (r.EnergyJ / 1000)
 	}
 	r.LinkEnergyJ = link / float64(settle)
-	r.ViolationRate = tracker.ViolationRate()
-	r.MeanViolation = tracker.MeanViolation()
-	return r, nil
-}
-
-// runCell trains and measures one single-node grid cell. The topo
-// argument only stamps row identity: an explicit single-node topology
-// axis value names the row, the implicit (topology-less) grid leaves
-// the fields empty so existing rows stay byte-identical.
-func runCell(cfg Config, seed int64, tier Tier, mix Mix, topo Topo) (Result, error) {
-	r := Result{
-		Seed: seed, SLA: tier.Name, SLADetail: tier.SLA.Describe(),
-		Traffic: mix.Name, TrainSteps: cfg.TrainSteps, Actors: cfg.Actors,
-		ControlSteps: cfg.ControlSteps,
-	}
-	if topo.Name != "" {
-		r.Topology = topo.Name
-		r.Nodes = 1
-	}
-	g := control.NewGreenNFV(tier.SLA, cfg.TrainSteps, cfg.Actors, seed)
-	g.Parallel = cfg.ParallelTrain
-	f := factory(tier.SLA, mix)
-	start := time.Now()
-	if err := g.Prepare(f); err != nil {
-		return r, fmt.Errorf("prepare: %w", err)
-	}
-	r.TrainSeconds = time.Since(start).Seconds()
-
-	// Measure the trained policy: run the control loop, track SLA
-	// satisfaction on every interval, and report the settled means of
-	// the last quarter of the horizon (the Fig 9 idiom).
-	e, err := f(seed+1000, g.Options())
-	if err != nil {
-		return r, fmt.Errorf("measure env: %w", err)
-	}
-	tracker := sla.NewTracker(tier.SLA)
-	settle := cfg.ControlSteps / 4
-	if settle < 1 {
-		settle = 1
-	}
-	var tput, energy float64
-	for i := 0; i < cfg.ControlSteps; i++ {
-		res, err := g.Step(e)
-		if err != nil {
-			return r, fmt.Errorf("control step %d: %w", i, err)
-		}
-		tracker.Observe(res.ThroughputGbps, res.EnergyJoules)
-		if i >= cfg.ControlSteps-settle {
-			tput += res.ThroughputGbps
-			energy += res.EnergyJoules
-		}
-	}
-	r.ThroughputGbps = tput / float64(settle)
-	r.EnergyJ = energy / float64(settle)
-	if r.EnergyJ > 0 {
-		r.Efficiency = r.ThroughputGbps / (r.EnergyJ / 1000)
-	}
 	r.ViolationRate = tracker.ViolationRate()
 	r.MeanViolation = tracker.MeanViolation()
 	return r, nil
@@ -429,13 +383,8 @@ func Run(cfg Config) ([]Result, error) {
 	// a closure errors). workers <= 0 selects GOMAXPROCS inside
 	// ForEach.
 	pool.ForEach(len(cells), cfg.Workers, func(i int) error {
-		var r Result
-		var err error
-		if cells[i].topo.Nodes > 1 {
-			r, err = runClusterCell(cfg, cells[i].seed, cells[i].tier, cells[i].mix, cells[i].topo, cells[i].pl)
-		} else {
-			r, err = runCell(cfg, cells[i].seed, cells[i].tier, cells[i].mix, cells[i].topo)
-		}
+		c := cells[i]
+		r, err := runCell(cfg, c.seed, c.tier, c.mix, c.topo, c.pl)
 		if err != nil {
 			r.Error = err.Error()
 		}

@@ -1,0 +1,57 @@
+#!/usr/bin/env bash
+# gates.sh [go test flags] — the named regression gates, by name.
+#
+# `go test -race ./...` already runs every one of these; this script
+# runs them once more on their own, verbose, so that each gate's
+# PASS/FAIL line is grep-able in a CI log, so that the allocation
+# budgets are checked without the race detector's instrumentation, and
+# so that a gate that was renamed or deleted FAILS here instead of
+# silently matching nothing. CI's test job and a developer run the same
+# file; extra arguments go to `go test` (e.g. scripts/gates.sh -race).
+#
+# One line per package: the package, then the -run pattern. Add a gate
+# by adding its name to a pattern.
+set -euo pipefail
+cd "$(dirname "${BASH_SOURCE[0]}")/.."
+
+gates=(
+	# Fault tolerance: actor crash + respawn, lossy proxy, learner
+	# SIGKILL + resume; serialize → restore bit-identical (weights and
+	# next updates) at agent and trainer level, both precisions.
+	"./internal/rl/apex TestChaosKillResume|TestTrainerCheckpointResume|TestWriteReadCheckpoint"
+	"./internal/rl/ddpg TestCheckpoint"
+	# Serving safety: no applied config outside bounds or predicted to
+	# violate the SLA on any ladder rung; the 32-node fleet soak and its
+	# serial-vs-concurrent bit-identity; lease expiry racing the shards.
+	"./internal/serve TestGuardrailProperty|TestFleet|TestExpireLeasesChurnRace"
+	# The fault proxy both planes' chaos tests stand on.
+	"./internal/faultrpc TestFaultProxy"
+	# One environment: single-node episodes bit-identical to the
+	# recorded fingerprints, cluster traces deterministic at 1/2/8
+	# nodes, zero allocations per step and per serving tick.
+	"./internal/env TestEnvEpisodeFingerprint|TestClusterEnvDeterminism|TestClusterEnvStepAllocs|TestEnvStepZeroAlloc"
+	# A 1-node cluster is the perfmodel path bit for bit; cluster
+	# evaluation stays inside its allocation budget.
+	"./internal/cluster TestSingleNodeReduction|TestEvaluateClusterAllocs"
+	# The cluster figure byte-diffs across runs.
+	"./internal/experiments TestFigClusterDeterministic"
+)
+
+for gate in "${gates[@]}"; do
+	pkg=${gate%% *}
+	pattern=${gate#* }
+	out=$(go test "$@" -count=1 -v -run "^($pattern)" "$pkg") || {
+		echo "$out"
+		echo "gates: FAILED in $pkg" >&2
+		exit 1
+	}
+	grep -E '^(--- |ok|PASS)' <<<"$out" || true
+	# Every name in the pattern must have matched a test that passed.
+	for name in ${pattern//|/ }; do
+		if ! grep -q "^--- PASS: $name" <<<"$out"; then
+			echo "gates: no passing test matches $name in $pkg (renamed or removed?)" >&2
+			exit 1
+		fi
+	done
+done
+echo "gates: all named gates passed"
