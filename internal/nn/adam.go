@@ -16,17 +16,19 @@ type Adam struct {
 	// ClipNorm caps the global gradient L2 norm when positive.
 	ClipNorm float64
 
-	t int
-	m [][]float64
-	v [][]float64
+	// One step counter and moment set per element type, so one
+	// optimizer drives either the f64 or the f32 parameters of a
+	// network but never mixes moments across precisions.
+	f64 moments[float64]
+	f32 moments[float32]
+}
 
-	// float32-path state (StepF32): separate step counter and moment
-	// estimates, so one optimizer drives either the f64 or the f32
-	// parameters of a network but never mixes moments across
-	// precisions.
-	t32 int
-	m32 [][]float32
-	v32 [][]float32
+// moments is the optimizer state at one element type: the step count
+// and the first/second moment estimates, shaped like the network's
+// parameter slices (nil until the first step).
+type moments[T float] struct {
+	t    int
+	m, v [][]T
 }
 
 // NewAdam builds an optimizer with standard hyperparameters.
@@ -46,110 +48,61 @@ func MustAdam(lr float64) *Adam {
 	return a
 }
 
-// Step applies one update to the network from its accumulated
-// gradients. The caller is responsible for ZeroGrad afterwards.
-func (a *Adam) Step(n *Network) {
-	params := n.ParamSlices()
-	grads := n.GradSlices()
-	if a.m == nil {
-		a.m = make([][]float64, len(params))
-		a.v = make([][]float64, len(params))
-		for i := range params {
-			a.m[i] = make([]float64, len(params[i]))
-			a.v[i] = make([]float64, len(params[i]))
-		}
-	}
-	if a.ClipNorm > 0 {
-		var norm float64
-		for i := range grads {
-			for _, g := range grads[i] {
-				norm += g * g
-			}
-		}
-		norm = math.Sqrt(norm)
-		if norm > a.ClipNorm {
-			scale := a.ClipNorm / norm
-			for i := range grads {
-				if useSIMD && len(grads[i]) > 0 {
-					scaleasm(scale, &grads[i][0], len(grads[i]))
-					continue
-				}
-				for j := range grads[i] {
-					grads[i][j] *= scale
-				}
-			}
-		}
-	}
-	a.t++
-	b1c := 1 - math.Pow(a.Beta1, float64(a.t))
-	b2c := 1 - math.Pow(a.Beta2, float64(a.t))
-	for i := range params {
-		p, g, m, v := params[i], grads[i], a.m[i], a.v[i]
-		if useSIMD && len(p) > 0 {
-			// Vectorized update, bit-identical to the loop below.
-			adamasm(&p[0], &g[0], &m[0], &v[0], len(p),
-				a.Beta1, a.Beta2, a.LR, a.Epsilon, b1c, b2c)
-			continue
-		}
-		for j := range p {
-			m[j] = a.Beta1*m[j] + (1-a.Beta1)*g[j]
-			v[j] = a.Beta2*v[j] + (1-a.Beta2)*g[j]*g[j]
-			mHat := m[j] / b1c
-			vHat := v[j] / b2c
-			p[j] -= a.LR * mHat / (math.Sqrt(vHat) + a.Epsilon)
-		}
-	}
-}
+// Step applies one update to the network's float64 parameters.
+func (a *Adam) Step(n *Network) { AdamStep[float64](a, n) }
 
-// StepF32 applies one update to the network's float32 parameter
-// mirrors from its accumulated float32 gradients — the f32 fast
-// path's optimizer step. The network must have EnableF32 applied; the
-// caller is responsible for ZeroGradF32 afterwards. Norm and bias
-// corrections are computed in float64 (cheap, and the squared-norm
-// accumulation would otherwise lose precision over thousands of
-// gradient entries); the per-parameter update runs in float32.
-func (a *Adam) StepF32(n *Network) {
-	params := n.ParamSlicesF32()
-	grads := n.GradSlicesF32()
-	if a.m32 == nil {
-		a.m32 = make([][]float32, len(params))
-		a.v32 = make([][]float32, len(params))
+// AdamStep applies one update to the network's parameters of element
+// type T from its accumulated gradients of that type (float32: the
+// parameter mirrors, so EnableF32 must have run). The caller is
+// responsible for ZeroGrad afterwards. The per-parameter update runs
+// in T; the gradient norm is accumulated and the bias corrections are
+// computed in float64 and then narrowed (cheap, and a float32
+// squared-norm accumulation would lose precision over thousands of
+// gradient entries), and the square root goes through float64 — all
+// identity conversions at T = float64.
+func AdamStep[T float](a *Adam, n *Network) {
+	params, grads := views[T](n)
+	mo, ok := any(&a.f64).(*moments[T])
+	if !ok {
+		mo = any(&a.f32).(*moments[T])
+	}
+	if mo.m == nil {
+		mo.m = make([][]T, len(params))
+		mo.v = make([][]T, len(params))
 		for i := range params {
-			a.m32[i] = make([]float32, len(params[i]))
-			a.v32[i] = make([]float32, len(params[i]))
+			mo.m[i] = make([]T, len(params[i]))
+			mo.v[i] = make([]T, len(params[i]))
 		}
 	}
 	if a.ClipNorm > 0 {
 		var norm float64
-		for i := range grads {
-			for _, g := range grads[i] {
-				norm += float64(g) * float64(g)
+		for _, g := range grads {
+			for _, v := range g {
+				norm += float64(v) * float64(v)
 			}
 		}
 		norm = math.Sqrt(norm)
 		if norm > a.ClipNorm {
-			scale := float32(a.ClipNorm / norm)
-			for i := range grads {
-				if useSIMD && len(grads[i]) > 0 {
-					scaleasmf32(scale, &grads[i][0], len(grads[i]))
-					continue
-				}
-				for j := range grads[i] {
-					grads[i][j] *= scale
-				}
-			}
+			ScaleGrad(n, T(a.ClipNorm/norm))
 		}
 	}
-	a.t32++
-	b1c := float32(1 - math.Pow(a.Beta1, float64(a.t32)))
-	b2c := float32(1 - math.Pow(a.Beta2, float64(a.t32)))
-	beta1, beta2 := float32(a.Beta1), float32(a.Beta2)
-	lr, eps := float32(a.LR), float32(a.Epsilon)
+	mo.t++
+	b1c := T(1 - math.Pow(a.Beta1, float64(mo.t)))
+	b2c := T(1 - math.Pow(a.Beta2, float64(mo.t)))
+	beta1, beta2 := T(a.Beta1), T(a.Beta2)
+	lr, eps := T(a.LR), T(a.Epsilon)
 	for i := range params {
-		p, g, m, v := params[i], grads[i], a.m32[i], a.v32[i]
+		p, g, m, v := params[i], grads[i], mo.m[i], mo.v[i]
 		if useSIMD && len(p) > 0 {
-			adamasmf32(&p[0], &g[0], &m[0], &v[0], len(p),
-				beta1, beta2, lr, eps, b1c, b2c)
+			// Vectorized update; at float64 bit-identical to the loop
+			// below.
+			if wide[T]() {
+				adamasm(p64(&p[0]), p64(&g[0]), p64(&m[0]), p64(&v[0]), len(p),
+					float64(beta1), float64(beta2), float64(lr), float64(eps), float64(b1c), float64(b2c))
+			} else {
+				adamasmf32(p32(&p[0]), p32(&g[0]), p32(&m[0]), p32(&v[0]), len(p),
+					float32(beta1), float32(beta2), float32(lr), float32(eps), float32(b1c), float32(b2c))
+			}
 			continue
 		}
 		for j := range p {
@@ -157,17 +110,9 @@ func (a *Adam) StepF32(n *Network) {
 			v[j] = beta2*v[j] + (1-beta2)*g[j]*g[j]
 			mHat := m[j] / b1c
 			vHat := v[j] / b2c
-			p[j] -= lr * mHat / (float32(math.Sqrt(float64(vHat))) + eps)
+			p[j] -= lr * mHat / (T(math.Sqrt(float64(vHat))) + eps)
 		}
 	}
-}
-
-// Reset clears moment estimates (e.g. after loading a checkpoint).
-func (a *Adam) Reset() {
-	a.t = 0
-	a.m, a.v = nil, nil
-	a.t32 = 0
-	a.m32, a.v32 = nil, nil
 }
 
 // AdamState is the serializable optimizer state: the step counters and
@@ -177,56 +122,75 @@ func (a *Adam) Reset() {
 type AdamState struct {
 	T    int
 	M, V [][]float64
-	// Float32-path moments (StepF32); empty when the f32 path never
-	// ran.
+	// Float32-path moments; empty when the f32 path never ran.
 	T32      int
 	M32, V32 [][]float32
+}
+
+// copy2 deep-copies a slice of slices (nil stays nil).
+func copy2[T float](src [][]T) [][]T {
+	var dst [][]T
+	for _, s := range src {
+		dst = append(dst, append([]T(nil), s...))
+	}
+	return dst
 }
 
 // State deep-copies the optimizer's moment estimates for
 // checkpointing. A fresh optimizer returns a zero state.
 func (a *Adam) State() AdamState {
-	st := AdamState{T: a.t, T32: a.t32}
-	for i := range a.m {
-		st.M = append(st.M, append([]float64(nil), a.m[i]...))
-		st.V = append(st.V, append([]float64(nil), a.v[i]...))
+	return AdamState{
+		T: a.f64.t, M: copy2(a.f64.m), V: copy2(a.f64.v),
+		T32: a.f32.t, M32: copy2(a.f32.m), V32: copy2(a.f32.v),
 	}
-	for i := range a.m32 {
-		st.M32 = append(st.M32, append([]float32(nil), a.m32[i]...))
-		st.V32 = append(st.V32, append([]float32(nil), a.v32[i]...))
-	}
-	return st
 }
 
-// SetState restores checkpointed moment estimates. n, when non-nil, is
-// the network this optimizer will step: the moment shapes must match
-// its parameter slices exactly (a zero state matches any network — it
-// restores a fresh optimizer).
-func (a *Adam) SetState(st AdamState, n *Network) error {
-	if len(st.M) != len(st.V) || len(st.M32) != len(st.V32) {
+// checkMoments validates checkpointed moments of one element type —
+// the bytes may come from disk: the step count is not negative, m and
+// v have the same shape slice by slice, and, when n is non-nil and
+// there are moments at all (a zero state matches any network — it
+// restores a fresh optimizer), that shape is exactly n's parameter
+// slices'. AdamStep indexes the moments by the parameter shapes and
+// hands the assembly kernels bare pointers, so anything this lets
+// through is an out-of-bounds write later.
+func checkMoments[T float](t int, m, v [][]T, n *Network) error {
+	if t < 0 {
+		return errors.New("nn: adam state step count is negative")
+	}
+	if len(m) != len(v) {
 		return errors.New("nn: adam state m/v length mismatch")
 	}
-	if n != nil && st.M != nil {
-		params := n.ParamSlices()
-		if len(st.M) != len(params) {
+	for i := range m {
+		if len(m[i]) != len(v[i]) {
+			return errors.New("nn: adam state m/v length mismatch")
+		}
+	}
+	if n != nil && len(m) > 0 {
+		params := n.ParamSlices() // the float32 mirrors have the same shapes
+		if len(m) != len(params) {
 			return errors.New("nn: adam state does not match network topology")
 		}
 		for i := range params {
-			if len(st.M[i]) != len(params[i]) || len(st.V[i]) != len(params[i]) {
+			if len(m[i]) != len(params[i]) {
 				return errors.New("nn: adam state does not match network layer sizes")
 			}
 		}
 	}
-	a.t, a.t32 = st.T, st.T32
-	a.m, a.v = nil, nil
-	for i := range st.M {
-		a.m = append(a.m, append([]float64(nil), st.M[i]...))
-		a.v = append(a.v, append([]float64(nil), st.V[i]...))
+	return nil
+}
+
+// SetState restores checkpointed moment estimates. n, when non-nil, is
+// the network this optimizer will step: the moment shapes of both
+// precisions must match its parameter slices exactly. On error the
+// optimizer is left as it was.
+func (a *Adam) SetState(st AdamState, n *Network) error {
+	if err := checkMoments(st.T, st.M, st.V, n); err != nil {
+		return err
 	}
-	a.m32, a.v32 = nil, nil
-	for i := range st.M32 {
-		a.m32 = append(a.m32, append([]float32(nil), st.M32[i]...))
-		a.v32 = append(a.v32, append([]float32(nil), st.V32[i]...))
+	if err := checkMoments(st.T32, st.M32, st.V32, n); err != nil {
+		return err
 	}
+	a.f64 = moments[float64]{st.T, copy2(st.M), copy2(st.V)}
+	a.f32 = moments[float32]{st.T32, copy2(st.M32), copy2(st.V32)}
 	return nil
 }

@@ -1,24 +1,65 @@
 package nn
 
-import "math"
+import (
+	"errors"
+	"math"
+	"unsafe"
+)
 
-// This file is the minibatch fast path: ForwardBatch/BackwardBatch
-// process a whole row-major [rows × dim] matrix per call with
-// preallocated, layer-owned scratch buffers (zero allocations once
-// warm) and two layer-granular kernels, rows4 and accumGrads. The scalar
-// Forward/Backward path is untouched so single-state inference and
-// gob checkpoints behave exactly as before; the batched path is free
-// to reassociate floating-point sums for speed.
+// This file is the minibatch engine, written once over float32 |
+// float64: ForwardBatch/BackwardBatch process a whole row-major
+// [rows × dim] matrix per call with preallocated, layer-owned scratch
+// buffers (zero allocations once warm) and two layer-granular kernels,
+// rows4 and accumGrads. The scalar Forward/Backward path is untouched
+// so single-state inference and gob checkpoints behave exactly as
+// before; the batched path is free to reassociate floating-point sums
+// for speed. Each element type is its own instantiation of the same
+// bodies, calling its own assembly symbols; what differs between the
+// two beyond the type is listed in doc.go ("Float32 fast path").
+
+// float is the element type of a batch pass.
+type float interface{ float32 | float64 }
+
+// precision is a layer's batch state at one element type: parameters,
+// accumulated gradients, and the batch caches and scratch, lazily
+// sized to the largest minibatch seen (wt is the transposed weight
+// copy the backward pass uses for input gradients). Dense holds one
+// per element type.
+type precision[T float] struct {
+	w, b, dw, db             []T
+	bx, bz, by, bdz, bdx, wt []T
+}
+
+// at returns the layer's batch state at element type T.
+func at[T float](d *Dense) *precision[T] {
+	if p, ok := any(&d.f64).(*precision[T]); ok {
+		return p
+	}
+	return any(&d.f32).(*precision[T])
+}
+
+// wide reports whether T is float64. It is a constant of each
+// instantiation, so a branch on it in front of the assembly calls
+// costs nothing and allocates nothing.
+func wide[T float]() bool {
+	var z T
+	return unsafe.Sizeof(z) == 8
+}
+
+// p64 and p32 reinterpret a *T for the assembly kernel of T's own
+// width; callers branch on wide first.
+func p64[T float](p *T) *float64 { return (*float64)(unsafe.Pointer(p)) }
+func p32[T float](p *T) *float32 { return (*float32)(unsafe.Pointer(p)) }
 
 // dot computes the inner product of a and b (len(b) >= len(a)) with
 // four accumulators. The scalar loop `sum += a[i]*b[i]` serializes on
 // the add's floating-point latency; four independent chains keep the
 // FMA pipeline busy, which is where most of the minibatch speedup
 // comes from.
-func dot(a, b []float64) float64 {
+func dot[T float](a, b []T) T {
 	n := len(a)
 	b = b[:n]
-	var s0, s1, s2, s3 float64
+	var s0, s1, s2, s3 T
 	i := 0
 	for ; i+4 <= n; i += 4 {
 		s0 += a[i] * b[i]
@@ -36,10 +77,10 @@ func dot(a, b []float64) float64 {
 // once: the weight row is loaded once per element, and the eight
 // accumulator chains (two per row) saturate both the FP latency and
 // throughput limits of a scalar core.
-func dot4(w, x0, x1, x2, x3 []float64) (r0, r1, r2, r3 float64) {
+func dot4[T float](w, x0, x1, x2, x3 []T) (r0, r1, r2, r3 T) {
 	n := len(w)
 	x0, x1, x2, x3 = x0[:n], x1[:n], x2[:n], x3[:n]
-	var a0, a1, a2, a3, b0, b1, b2, b3 float64
+	var a0, a1, a2, a3, b0, b1, b2, b3 T
 	i := 0
 	for ; i+2 <= n; i += 2 {
 		w0, w1 := w[i], w[i+1]
@@ -64,7 +105,7 @@ func dot4(w, x0, x1, x2, x3 []float64) (r0, r1, r2, r3 float64) {
 
 // axpy computes y += alpha*x. The iterations are independent, so the
 // plain loop already pipelines well.
-func axpy(alpha float64, x, y []float64) {
+func axpy[T float](alpha T, x, y []T) {
 	y = y[:len(x)]
 	for i, xv := range x {
 		y[i] += alpha * xv
@@ -79,17 +120,22 @@ func axpy(alpha float64, x, y []float64) {
 //
 // (the plain product when bias is nil). One call covers a whole 4-row
 // group of a layer: on AVX2+FMA the output loop, bias add and stores
-// all run inside the register-tiled assembly; the fallback is the
-// pure-Go dot4 loop. Either way each element follows the kernel
-// contract in doc.go.
-func rows4(w, x, bias, z []float64, n, m int) {
+// all run inside the register-tiled assembly (4 lanes per vector at
+// float64, 8 at float32); the fallback is the pure-Go dot4 loop.
+// Either way each float64 element follows the kernel contract in
+// doc.go.
+func rows4[T float](w, x, bias, z []T, n, m int) {
 	w, x, z = w[:m*n], x[:4*n], z[:4*m]
 	if useSIMD {
-		var b *float64
+		var b *T
 		if bias != nil {
 			b = &bias[:m][0]
 		}
-		rows4asm(&w[0], &x[0], b, &z[0], n, m)
+		if wide[T]() {
+			rows4asm(p64(&w[0]), p64(&x[0]), p64(b), p64(&z[0]), n, m)
+		} else {
+			rows4asmf32(p32(&w[0]), p32(&x[0]), p32(b), p32(&z[0]), n, m)
+		}
 		return
 	}
 	x0, x1, x2, x3 := x[:n], x[n:2*n], x[2*n:3*n], x[3*n:]
@@ -103,6 +149,27 @@ func rows4(w, x, bias, z []float64, n, m int) {
 	}
 }
 
+// product is rows4 over every row of x ([rows × n]): one kernel call
+// per full 4-row group, then the rows%4 remainder rows by the pure-Go
+// dot on every CPU (so a row's bits depend on whether it falls in a
+// full group; see doc.go).
+func product[T float](w, x, bias, z []T, rows, n, m int) {
+	r := 0
+	for ; r+4 <= rows; r += 4 {
+		rows4(w, x[r*n:], bias, z[r*m:], n, m)
+	}
+	for ; r < rows; r++ {
+		xr := x[r*n : (r+1)*n]
+		zr := z[r*m : (r+1)*m]
+		for o := range zr {
+			zr[o] = dot(w[o*n:(o+1)*n], xr)
+			if bias != nil {
+				zr[o] = bias[o] + zr[o]
+			}
+		}
+	}
+}
+
 // accumGrads is the parameter-gradient kernel: over the first rows
 // rows of dz ([rows × out]) and x ([rows × in]), in ascending row
 // order and skipping exact zeros of dz (ReLU makes them common),
@@ -113,10 +180,15 @@ func rows4(w, x, bias, z []float64, n, m int) {
 // rows are compacted into scratch (2*rows words, layer-owned because
 // networks train concurrently) and the dw row tile stays in registers
 // across them; the fallback is one pure-Go axpy per (row, column).
-func accumGrads(dz, x, dw, db []float64, scratch []uint64, rows, in, out int) {
+func accumGrads[T float](dz, x, dw, db []T, scratch []uint64, rows, in, out int) {
 	dz, x, dw, db = dz[:rows*out], x[:rows*in], dw[:out*in], db[:out]
 	if useSIMD {
-		gradasm(&dz[0], &x[0], &dw[0], &db[0], &scratch[:2*rows][0], rows, in, out)
+		nz := &scratch[:2*rows][0]
+		if wide[T]() {
+			gradasm(p64(&dz[0]), p64(&x[0]), p64(&dw[0]), p64(&db[0]), nz, rows, in, out)
+		} else {
+			gradasmf32(p32(&dz[0]), p32(&x[0]), p32(&dw[0]), p32(&db[0]), nz, rows, in, out)
+		}
 		return
 	}
 	for r := 0; r < rows; r++ {
@@ -131,42 +203,89 @@ func accumGrads(dz, x, dw, db []float64, scratch []uint64, rows, in, out int) {
 	}
 }
 
+// scale computes x *= f.
+func scale[T float](f T, x []T) {
+	if useSIMD && len(x) > 0 {
+		if wide[T]() {
+			scaleasm(float64(f), p64(&x[0]), len(x))
+		} else {
+			scaleasmf32(float32(f), p32(&x[0]), len(x))
+		}
+		return
+	}
+	for i := range x {
+		x[i] *= f
+	}
+}
+
 // applyBatch evaluates the activation elementwise with the branch
-// hoisted out of the loop.
-func applyBatch(a Activation, z, y []float64) {
+// hoisted out of the loop. ReLU and Tanh are the leaves that differ per
+// element type (math.Abs and math.Tanh here, abs32 and tanh32 in
+// batch32.go); the pair is chosen once per layer call, on the slice
+// type. Sigmoid goes through the float64 math library at either type
+// (unused by the GreenNFV networks, so not worth a float32 leaf).
+func applyBatch[T float](a Activation, z, y []T) {
 	y = y[:len(z)]
 	switch a {
 	case ReLU:
-		// 0.5*(v+|v|) is exactly max(0, v) and branchless: ReLU
-		// pre-activations are unpredictable, so a compare here costs
-		// a mispredict every other element.
-		for i, v := range z {
-			y[i] = 0.5 * (v + math.Abs(v))
+		switch z := any(z).(type) {
+		case []float64:
+			relu64(z, any(y).([]float64))
+		case []float32:
+			relu32(z, any(y).([]float32))
 		}
 	case Tanh:
-		for i, v := range z {
-			y[i] = math.Tanh(v)
+		switch z := any(z).(type) {
+		case []float64:
+			tanhs64(z, any(y).([]float64))
+		case []float32:
+			tanhs32(z, any(y).([]float32))
 		}
 	case Sigmoid:
 		for i, v := range z {
-			y[i] = 1 / (1 + math.Exp(-v))
+			y[i] = T(1 / (1 + math.Exp(-float64(v))))
 		}
 	default:
 		copy(y, z)
 	}
 }
 
-// derivBatch computes dz = dY ⊙ act'(z, y) elementwise.
-func derivBatch(a Activation, dY, z, y, dz []float64) {
+// relu64 is ReLU at float64: 0.5*(v+|v|) is exactly max(0, v) and
+// branchless — ReLU pre-activations are unpredictable, so a compare
+// here costs a mispredict every other element.
+func relu64(z, y []float64) {
+	for i, v := range z {
+		y[i] = 0.5 * (v + math.Abs(v))
+	}
+}
+
+func tanhs64(z, y []float64) {
+	for i, v := range z {
+		y[i] = math.Tanh(v)
+	}
+}
+
+// reluDeriv64 is dz = dY ⊙ step(z) at float64, the step a branchless
+// 1/0 via Copysign. At exactly z == +0 this passes the gradient where
+// the scalar path drops it; the subgradient at 0 is arbitrary and the
+// case has measure zero.
+func reluDeriv64(dY, z, dz []float64) {
+	for i, v := range z {
+		dz[i] = dY[i] * (0.5 * (math.Copysign(1, v) + 1))
+	}
+}
+
+// derivBatch computes dz = dY ⊙ act'(z, y) elementwise; the ReLU step
+// is the one leaf that differs per element type.
+func derivBatch[T float](a Activation, dY, z, y, dz []T) {
 	dz = dz[:len(dY)]
 	switch a {
 	case ReLU:
-		// Branchless 1/0 step via Copysign. At exactly z == +0 this
-		// passes the gradient where the scalar path drops it; the
-		// subgradient at 0 is arbitrary and the case has measure zero.
-		z = z[:len(dY)]
-		for i, v := range z {
-			dz[i] = dY[i] * (0.5 * (math.Copysign(1, v) + 1))
+		switch z := any(z[:len(dY)]).(type) {
+		case []float64:
+			reluDeriv64(any(dY).([]float64), z, any(dz).([]float64))
+		case []float32:
+			reluDeriv32(any(dY).([]float32), z, any(dz).([]float32))
 		}
 	case Tanh:
 		y = y[:len(dY)]
@@ -193,57 +312,41 @@ func grow[T any](buf []T, n int) []T {
 	return make([]T, n)
 }
 
-// ForwardBatch computes y_r = act(W x_r + b) for rows row-major
-// inputs, caching activations for BackwardBatch. The returned slice
-// ([rows × Out], owned by the layer) is valid until the next
-// ForwardBatch call.
-func (d *Dense) ForwardBatch(x []float64, rows int) []float64 {
+// forward computes y_r = act(W x_r + b) for rows row-major inputs,
+// caching activations for backward. The returned slice ([rows × Out],
+// owned by the layer) is valid until the next forward call at this
+// element type.
+func (p *precision[T]) forward(d *Dense, x []T, rows int) []T {
 	if len(x) < rows*d.In {
 		panic("nn: ForwardBatch input shorter than rows*In")
 	}
-	d.bx = grow(d.bx, rows*d.In)
-	d.bz = grow(d.bz, rows*d.Out)
-	d.by = grow(d.by, rows*d.Out)
-	copy(d.bx, x[:rows*d.In])
-	r := 0
-	for ; r+4 <= rows; r += 4 {
-		rows4(d.W, d.bx[r*d.In:], d.B, d.bz[r*d.Out:], d.In, d.Out)
-	}
-	for ; r < rows; r++ {
-		xr := d.bx[r*d.In : (r+1)*d.In]
-		zr := d.bz[r*d.Out : (r+1)*d.Out]
-		for o := 0; o < d.Out; o++ {
-			zr[o] = d.B[o] + dot(d.W[o*d.In:(o+1)*d.In], xr)
-		}
-	}
-	applyBatch(d.Act, d.bz, d.by)
-	return d.by
+	p.bx = grow(p.bx, rows*d.In)
+	p.bz = grow(p.bz, rows*d.Out)
+	p.by = grow(p.by, rows*d.Out)
+	copy(p.bx, x[:rows*d.In])
+	product(p.w, p.bx, p.b, p.bz, rows, d.In, d.Out)
+	applyBatch(d.Act, p.bz, p.by)
+	return p.by
 }
 
-// BackwardBatch consumes dL/dY for the rows of the preceding
-// ForwardBatch, accumulates dW/dB over the whole minibatch, and
-// returns dL/dX ([rows × In], owned by the layer).
-func (d *Dense) BackwardBatch(dY []float64, rows int) []float64 {
-	return d.backwardBatch(dY, rows, true, rows)
-}
-
-// backwardBatch is the shared backward kernel: parameter gradients
-// accumulate from the first gradRows rows only (0 = none, rows = the
-// whole minibatch), dX is computed for every row when needDX. The
-// split is what lets the fused DDPG learn step push a regression
-// half-batch and an action-gradient half-batch through one pass.
-func (d *Dense) backwardBatch(dY []float64, rows int, needDX bool, gradRows int) []float64 {
+// backward consumes dL/dY for the rows of the preceding forward:
+// parameter gradients accumulate from the first gradRows rows only
+// (0 = none, rows = the whole minibatch), dX ([rows × In], owned by
+// the layer) is computed for every row when needDX. The split is what
+// lets the fused DDPG learn step push a regression half-batch and an
+// action-gradient half-batch through one pass.
+func (p *precision[T]) backward(d *Dense, dY []T, rows int, needDX bool, gradRows int) []T {
 	if len(dY) < rows*d.Out {
 		panic("nn: BackwardBatch gradient shorter than rows*Out")
 	}
 	if gradRows > rows {
 		gradRows = rows
 	}
-	d.bdz = grow(d.bdz, rows*d.Out)
-	derivBatch(d.Act, dY[:rows*d.Out], d.bz, d.by, d.bdz)
+	p.bdz = grow(p.bdz, rows*d.Out)
+	derivBatch(d.Act, dY[:rows*d.Out], p.bz, p.by, p.bdz)
 	if gradRows > 0 {
 		d.bnz = grow(d.bnz, 2*gradRows)
-		accumGrads(d.bdz, d.bx, d.dW, d.dB, d.bnz, gradRows, d.In, d.Out)
+		accumGrads(p.bdz, p.bx, p.dw, p.db, d.bnz, gradRows, d.In, d.Out)
 	}
 	if !needDX {
 		return nil
@@ -252,60 +355,50 @@ func (d *Dense) backwardBatch(dY []float64, rows int, needDX bool, gradRows int)
 	// dX element is a contiguous dot product — the same rows4 product
 	// as the forward pass — instead of a strided read-modify-write
 	// accumulation.
-	d.wt = grow(d.wt, d.In*d.Out)
+	p.wt = grow(p.wt, d.In*d.Out)
 	for o := 0; o < d.Out; o++ {
-		row := d.W[o*d.In : (o+1)*d.In]
+		row := p.w[o*d.In : (o+1)*d.In]
 		for i, w := range row {
-			d.wt[i*d.Out+o] = w
+			p.wt[i*d.Out+o] = w
 		}
 	}
-	d.bdx = grow(d.bdx, rows*d.In)
-	r := 0
-	for ; r+4 <= rows; r += 4 {
-		rows4(d.wt, d.bdz[r*d.Out:], nil, d.bdx[r*d.In:], d.Out, d.In)
-	}
-	for ; r < rows; r++ {
-		dzr := d.bdz[r*d.Out : (r+1)*d.Out]
-		dxr := d.bdx[r*d.In : (r+1)*d.In]
-		for i := 0; i < d.In; i++ {
-			dxr[i] = dot(dzr, d.wt[i*d.Out:(i+1)*d.Out])
-		}
-	}
-	return d.bdx
+	p.bdx = grow(p.bdx, rows*d.In)
+	product(p.wt, p.bdz, nil, p.bdx, rows, d.Out, d.In)
+	return p.bdx
 }
+
+// The network-level passes are generic functions because a method
+// cannot take a type parameter: ddpg's one update body calls them at
+// either element type, and the methods below them are the
+// instantiations other callers use. The float32 ones run on the
+// parameter mirrors, so EnableF32 (batch32.go) must have run.
 
 // ForwardBatch runs the network over rows row-major inputs
 // ([rows × InputDim]), returning [rows × OutputDim]. The result is
 // owned by the last layer and valid until its next forward call.
-func (n *Network) ForwardBatch(x []float64, rows int) []float64 {
+func ForwardBatch[T float](n *Network, x []T, rows int) []T {
 	out := x
 	for _, l := range n.layers {
-		out = l.ForwardBatch(out, rows)
+		out = at[T](l).forward(l, out, rows)
 	}
 	return out
 }
 
-// BackwardBatch propagates dL/dOutput ([rows × OutputDim]) for the
-// rows of the preceding ForwardBatch through the network, summing
-// parameter gradients over the minibatch, and returns dL/dInput
-// ([rows × InputDim]).
-func (n *Network) BackwardBatch(dOut []float64, rows int) []float64 {
-	return n.backwardBatch(dOut, rows, true, rows)
+func backwardBatch[T float](n *Network, dOut []T, rows int, needInputDX bool, gradRows int) []T {
+	d := dOut
+	for i := len(n.layers) - 1; i >= 0; i-- {
+		l := n.layers[i]
+		d = at[T](l).backward(l, d, rows, i > 0 || needInputDX, gradRows)
+	}
+	return d
 }
 
-// BackwardBatchParams is BackwardBatch for callers that only need
-// parameter gradients: the first layer's input gradient — pure
-// overhead in a critic or actor regression step — is skipped.
-func (n *Network) BackwardBatchParams(dOut []float64, rows int) {
-	n.backwardBatch(dOut, rows, false, rows)
-}
-
-// BackwardBatchInput propagates input gradients WITHOUT accumulating
-// any parameter gradients — the DDPG actor update pushes dQ/da back
-// through the critic and then throws the critic's own gradients
-// away, so not computing them saves half the pass.
-func (n *Network) BackwardBatchInput(dOut []float64, rows int) []float64 {
-	return n.backwardBatch(dOut, rows, true, 0)
+// BackwardBatchParams propagates dL/dOutput ([rows × OutputDim]) for
+// the rows of the preceding ForwardBatch, summing parameter gradients
+// over the minibatch. The first layer's input gradient — pure overhead
+// in a critic or actor regression step — is skipped.
+func BackwardBatchParams[T float](n *Network, dOut []T, rows int) {
+	backwardBatch(n, dOut, rows, false, rows)
 }
 
 // BackwardBatchSplit propagates dL/dOutput for ALL rows of the
@@ -317,15 +410,100 @@ func (n *Network) BackwardBatchInput(dOut []float64, rows int) []float64 {
 // carry dQ/da probes whose input gradients flow to the actor (per-row
 // identical to a separate BackwardBatchInput call). One pass replaces
 // two, transposing each weight matrix once instead of twice.
-func (n *Network) BackwardBatchSplit(dOut []float64, rows, gradRows int) []float64 {
-	return n.backwardBatch(dOut, rows, true, gradRows)
+func BackwardBatchSplit[T float](n *Network, dOut []T, rows, gradRows int) []T {
+	return backwardBatch(n, dOut, rows, true, gradRows)
 }
 
-func (n *Network) backwardBatch(dOut []float64, rows int, needInputDX bool, gradRows int) []float64 {
-	d := dOut
-	for i := len(n.layers) - 1; i >= 0; i-- {
-		needDX := i > 0 || needInputDX
-		d = n.layers[i].backwardBatch(d, rows, needDX, gradRows)
+// ForwardBatch is the float64 ForwardBatch.
+func (n *Network) ForwardBatch(x []float64, rows int) []float64 {
+	return ForwardBatch(n, x, rows)
+}
+
+// BackwardBatch propagates dL/dOutput ([rows × OutputDim]) for the
+// rows of the preceding ForwardBatch through the network, summing
+// parameter gradients over the minibatch, and returns dL/dInput
+// ([rows × InputDim]).
+func (n *Network) BackwardBatch(dOut []float64, rows int) []float64 {
+	return backwardBatch(n, dOut, rows, true, rows)
+}
+
+// BackwardBatchParams is the float64 BackwardBatchParams.
+func (n *Network) BackwardBatchParams(dOut []float64, rows int) {
+	BackwardBatchParams(n, dOut, rows)
+}
+
+// BackwardBatchInput propagates input gradients WITHOUT accumulating
+// any parameter gradients — the unfused DDPG actor update pushes dQ/da
+// back through the critic and then throws the critic's own gradients
+// away, so not computing them saves half the pass.
+func (n *Network) BackwardBatchInput(dOut []float64, rows int) []float64 {
+	return backwardBatch(n, dOut, rows, true, 0)
+}
+
+// views returns the network's parameter and gradient buffers at
+// element type T (weights then biases, layer by layer), cached because
+// the layer buffers never move — optimizer steps don't allocate.
+func views[T float](n *Network) (params, grads [][]T) {
+	c, ok := any(&n.v64).(*sliceViews[T])
+	if !ok {
+		c = any(&n.v32).(*sliceViews[T])
 	}
-	return d
+	if c.params == nil {
+		for _, l := range n.layers {
+			p := at[T](l)
+			c.params = append(c.params, p.w, p.b)
+			c.grads = append(c.grads, p.dw, p.db)
+		}
+	}
+	return c.params, c.grads
+}
+
+// ZeroGrad clears the accumulated gradients of element type T.
+func ZeroGrad[T float](n *Network) {
+	_, grads := views[T](n)
+	for _, g := range grads {
+		clear(g)
+	}
+}
+
+// ScaleGrad multiplies all accumulated gradients of element type T by
+// f (used to average over a minibatch).
+func ScaleGrad[T float](n *Network, f T) {
+	_, grads := views[T](n)
+	for _, g := range grads {
+		scale(f, g)
+	}
+}
+
+// SoftUpdate moves dst's parameters toward src's:
+// θ ← τ·θ_src + (1−τ)·θ. This is the DDPG target-network update
+// (Algorithm 2, lines 9–10).
+func SoftUpdate[T float](dst, src *Network, tau T) error {
+	if tau < 0 || tau > 1 {
+		return errors.New("nn: tau must be in [0,1]")
+	}
+	to, _ := views[T](dst)
+	from, _ := views[T](src)
+	if len(to) != len(from) {
+		return errors.New("nn: topology mismatch")
+	}
+	for i := range to {
+		x, y := from[i], to[i]
+		if len(x) != len(y) {
+			return errors.New("nn: layer size mismatch")
+		}
+		if useSIMD && len(y) > 0 {
+			// Vectorized, bit-identical to the loop below.
+			if wide[T]() {
+				axpbyasm(float64(tau), p64(&x[0]), p64(&y[0]), len(y))
+			} else {
+				axpbyasmf32(float32(tau), p32(&x[0]), p32(&y[0]), len(y))
+			}
+			continue
+		}
+		for j := range y {
+			y[j] = tau*x[j] + (1-tau)*y[j]
+		}
+	}
+	return nil
 }

@@ -66,9 +66,9 @@ func TestBackwardBatchF32MatchesF64(t *testing.T) {
 	wantG := net.GradSlices()
 
 	net.ForwardBatchF32(x32, rows)
-	net.ZeroGradF32()
-	gotDX := net.BackwardBatchSplitF32(dOut32, rows, rows)
-	gotG := net.GradSlicesF32()
+	ZeroGrad[float32](net)
+	gotDX := BackwardBatchSplit(net, dOut32, rows, rows)
+	_, gotG := views[float32](net)
 
 	for i := range wantDX {
 		if !relClose(float64(gotDX[i]), wantDX[i], 1e-4) {
@@ -79,60 +79,6 @@ func TestBackwardBatchF32MatchesF64(t *testing.T) {
 		for j := range wantG[i] {
 			if !relClose(float64(gotG[i][j]), wantG[i][j], 1e-4) {
 				t.Errorf("grad slice %d idx %d: f32 %v vs f64 %v", i, j, gotG[i][j], wantG[i][j])
-			}
-		}
-	}
-}
-
-// TestF32SplitMatchesSeparate pins the f32 fused-pass contract (the
-// analogue of the f64 BackwardBatchSplit parity test): parameter
-// gradients equal a params-only pass over the first gradRows rows,
-// input gradients equal an input-only pass, bit for bit. Like the f64
-// parity test, gradRows is a multiple of four so every row lands in
-// the same dot4 lane in both runs.
-func TestF32SplitMatchesSeparate(t *testing.T) {
-	const rows, gradRows = 8, 4
-	net, _, x32 := f32TestNet(t, rows)
-	dOut32 := make([]float32, rows*5)
-	rng := rand.New(rand.NewSource(101))
-	for i := range dOut32 {
-		dOut32[i] = float32(rng.NormFloat64())
-	}
-
-	// Split pass.
-	net.ForwardBatchF32(x32, rows)
-	net.ZeroGradF32()
-	dx := append([]float32(nil), net.BackwardBatchSplitF32(dOut32, rows, gradRows)...)
-	var grads [][]float32
-	for _, g := range net.GradSlicesF32() {
-		grads = append(grads, append([]float32(nil), g...))
-	}
-
-	// Separate params-only pass over the first gradRows rows.
-	net.ForwardBatchF32(x32[:gradRows*9], gradRows)
-	net.ZeroGradF32()
-	net.BackwardBatchParamsF32(dOut32[:gradRows*5], gradRows)
-	for i, g := range net.GradSlicesF32() {
-		for j := range g {
-			if g[j] != grads[i][j] {
-				t.Fatalf("grad slice %d idx %d: split %v separate %v", i, j, grads[i][j], g[j])
-			}
-		}
-	}
-
-	// Separate input-only pass over all rows.
-	net.ForwardBatchF32(x32, rows)
-	net.ZeroGradF32()
-	dx2 := net.BackwardBatchInputF32(dOut32, rows)
-	for i := range dx2 {
-		if dx[i] != dx2[i] {
-			t.Fatalf("dX[%d]: split %v separate %v", i, dx[i], dx2[i])
-		}
-	}
-	for _, g := range net.GradSlicesF32() {
-		for j := range g {
-			if g[j] != 0 {
-				t.Fatal("input-only f32 pass accumulated parameter gradients")
 			}
 		}
 	}
@@ -167,16 +113,18 @@ func TestF32KernelsMatchGo(t *testing.T) {
 			for i := range dOut {
 				dOut[i] = float32(drv.NormFloat64())
 			}
-			net.ZeroGradF32()
+			ZeroGrad[float32](net)
 			net.ForwardBatchF32(x, 4)
 			net.BackwardBatchF32(dOut, 4)
-			net.ScaleGradF32(0.25)
-			opt.StepF32(net)
-			if err := target.SoftUpdateF32(net, 0.01); err != nil {
+			ScaleGrad[float32](net, 0.25)
+			AdamStep[float32](opt, net)
+			if err := SoftUpdate[float32](target, net, 0.01); err != nil {
 				t.Fatal(err)
 			}
 		}
-		return net.ParamSlicesF32(), target.ParamSlicesF32()
+		params, _ := views[float32](net)
+		targets, _ := views[float32](target)
+		return params, targets
 	}
 	gotP, gotT := run(true)
 	wantP, wantT := run(false)
@@ -215,37 +163,6 @@ func TestTanh32Accuracy(t *testing.T) {
 	}
 }
 
-// TestDotKernelF32 checks the pure-Go f32 dot kernels against a naive
-// accumulation, including tail lengths.
-func TestDotKernelF32(t *testing.T) {
-	rng := rand.New(rand.NewSource(109))
-	for n := 0; n <= 19; n++ {
-		a := make([]float32, n)
-		b := make([]float32, n)
-		var want float64
-		for i := range a {
-			a[i] = float32(rng.NormFloat64())
-			b[i] = float32(rng.NormFloat64())
-			want += float64(a[i]) * float64(b[i])
-		}
-		if got := dotF32(a, b); !relClose(float64(got), want, 1e-5) {
-			t.Errorf("dotF32 len %d = %v, want %v", n, got, want)
-		}
-		r0, _, _, _ := dot4F32(a, b, b, b, b)
-		if !relClose(float64(r0), want, 1e-5) {
-			t.Errorf("dot4F32 len %d = %v, want %v", n, r0, want)
-		}
-		if useSIMD && n > 0 {
-			x4 := append(append(append(append([]float32(nil), b...), b...), b...), b...)
-			var z [4]float32
-			rows4asmf32(&a[0], &x4[0], nil, &z[0], n, 1)
-			if !relClose(float64(z[0]), want, 1e-5) || z[0] != z[1] || z[0] != z[3] {
-				t.Errorf("rows4asmf32 len %d = %v, want %v", n, z, want)
-			}
-		}
-	}
-}
-
 // TestEnableFlushF32RoundTrip: enabling snapshots the f64 weights,
 // flushing writes the (possibly trained) mirrors back.
 func TestEnableFlushF32RoundTrip(t *testing.T) {
@@ -266,86 +183,9 @@ func TestEnableFlushF32RoundTrip(t *testing.T) {
 		}
 	}
 	// A trained mirror lands in the f64 weights on flush.
-	net.layers[0].w32[0] = 42
+	net.layers[0].f32.w[0] = 42
 	net.FlushF32()
 	if net.layers[0].W[0] != 42 {
 		t.Fatalf("flush ignored mirror update: W[0] = %v", net.layers[0].W[0])
-	}
-}
-
-// TestF32ZeroAllocSteadyState: the f32 batch passes, optimizer step
-// and soft-update must not allocate once warm.
-func TestF32ZeroAllocSteadyState(t *testing.T) {
-	rng := rand.New(rand.NewSource(127))
-	net := MustMLP([]int{27, 48, 48, 1}, ReLU, Linear, rng)
-	net.EnableF32()
-	target := net.Clone()
-	target.EnableF32()
-	opt := MustAdam(1e-3)
-	const rows = 32
-	x := make([]float32, rows*27)
-	dOut := make([]float32, rows)
-	for i := range x {
-		x[i] = float32(rng.NormFloat64())
-	}
-	for i := range dOut {
-		dOut[i] = float32(rng.NormFloat64())
-	}
-	step := func() {
-		net.ForwardBatchF32(x, rows)
-		net.ZeroGradF32()
-		net.BackwardBatchSplitF32(dOut, rows, rows/2)
-		net.ScaleGradF32(1.0 / rows)
-		opt.StepF32(net)
-		if err := target.SoftUpdateF32(net, 0.01); err != nil {
-			t.Fatal(err)
-		}
-	}
-	step() // warm scratch, moments and slice caches
-	if allocs := testing.AllocsPerRun(20, step); allocs != 0 {
-		t.Errorf("steady-state f32 train step allocates %v/op, want 0", allocs)
-	}
-}
-
-// BenchmarkDenseForwardBatchF32 is the f32 counterpart of
-// BenchmarkDenseForwardBatch (same critic shape, same rows).
-func BenchmarkDenseForwardBatchF32(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	net := MustMLP([]int{27, 48, 48, 1}, ReLU, Linear, rng)
-	net.EnableF32()
-	const rows = 32
-	x := make([]float32, rows*27)
-	for i := range x {
-		x[i] = float32(rng.NormFloat64())
-	}
-	net.ForwardBatchF32(x, rows)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net.ForwardBatchF32(x, rows)
-	}
-}
-
-// BenchmarkDenseBackwardBatchF32 is the f32 counterpart of
-// BenchmarkDenseBackwardBatch.
-func BenchmarkDenseBackwardBatchF32(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	net := MustMLP([]int{27, 48, 48, 1}, ReLU, Linear, rng)
-	net.EnableF32()
-	const rows = 32
-	x := make([]float32, rows*27)
-	dOut := make([]float32, rows)
-	for i := range x {
-		x[i] = float32(rng.NormFloat64())
-	}
-	for i := range dOut {
-		dOut[i] = float32(rng.NormFloat64())
-	}
-	net.ForwardBatchF32(x, rows)
-	net.BackwardBatchF32(dOut, rows)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net.BackwardBatchF32(dOut, rows)
 	}
 }

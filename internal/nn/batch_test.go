@@ -105,30 +105,44 @@ func TestBatchSizeChanges(t *testing.T) {
 	}
 }
 
-// Steady-state batched forward+backward must not allocate.
-func TestBatchZeroAllocSteadyState(t *testing.T) {
+// testZeroAllocSteadyState: a whole train step at element type T —
+// the batch passes (full and split backward), gradient scaling, the
+// optimizer step and the soft update — must not allocate once warm.
+func testZeroAllocSteadyState[T float](t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	net := MustMLP([]int{27, 48, 48, 1}, ReLU, Linear, rng)
+	net.EnableF32()
+	target := net.Clone()
+	target.EnableF32()
+	opt := MustAdam(1e-3)
 	const rows = 32
-	x := make([]float64, rows*27)
-	dOut := make([]float64, rows)
+	x := make([]T, rows*27)
+	dOut := make([]T, rows)
 	for i := range x {
-		x[i] = rng.NormFloat64()
+		x[i] = T(rng.NormFloat64())
 	}
 	for i := range dOut {
-		dOut[i] = rng.NormFloat64()
+		dOut[i] = T(rng.NormFloat64())
 	}
-	// Warm the scratch buffers.
-	net.ForwardBatch(x, rows)
-	net.BackwardBatch(dOut, rows)
-	allocs := testing.AllocsPerRun(20, func() {
-		net.ForwardBatch(x, rows)
-		net.BackwardBatch(dOut, rows)
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state batch pass allocates %v/op, want 0", allocs)
+	step := func() {
+		ForwardBatch(net, x, rows)
+		ZeroGrad[T](net)
+		backwardBatch(net, dOut, rows, true, rows)
+		BackwardBatchSplit(net, dOut, rows, rows/2)
+		ScaleGrad(net, T(1.0/rows))
+		AdamStep[T](opt, net)
+		if err := SoftUpdate(target, net, T(0.01)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	step() // warm scratch, moments and slice caches
+	if allocs := testing.AllocsPerRun(20, step); allocs != 0 {
+		t.Errorf("steady-state train step allocates %v/op, want 0", allocs)
 	}
 }
+
+func TestBatchZeroAllocSteadyState(t *testing.T) { testZeroAllocSteadyState[float64](t) }
+func TestF32ZeroAllocSteadyState(t *testing.T)   { testZeroAllocSteadyState[float32](t) }
 
 // Scalar Backward no longer allocates its dX result.
 func TestScalarBackwardZeroAlloc(t *testing.T) {
@@ -147,65 +161,88 @@ func TestScalarBackwardZeroAlloc(t *testing.T) {
 	}
 }
 
-func TestDotKernel(t *testing.T) {
+// testDotKernel checks dot, dot4 and rows4 (the assembly of T's width
+// where selected, the pure-Go loop otherwise) against a naive float64
+// accumulation, including tail lengths.
+func testDotKernel[T float](t *testing.T, tol float64) {
 	rng := rand.New(rand.NewSource(61))
-	for n := 0; n <= 17; n++ {
-		a := make([]float64, n)
-		b := make([]float64, n)
+	for n := 0; n <= 19; n++ {
+		a := make([]T, n)
+		b := make([]T, n)
 		var want float64
 		for i := range a {
-			a[i] = rng.NormFloat64()
-			b[i] = rng.NormFloat64()
-			want += a[i] * b[i]
+			a[i] = T(rng.NormFloat64())
+			b[i] = T(rng.NormFloat64())
+			want += float64(a[i]) * float64(b[i])
 		}
-		if got := dot(a, b); math.Abs(got-want) > 1e-9 {
+		if got := dot(a, b); !relClose(float64(got), want, tol) {
 			t.Errorf("dot len %d = %v, want %v", n, got, want)
+		}
+		if r0, _, _, _ := dot4(a, b, b, b, b); !relClose(float64(r0), want, tol) {
+			t.Errorf("dot4 len %d = %v, want %v", n, r0, want)
+		}
+		if n > 0 {
+			x4 := append(append(append(append([]T(nil), b...), b...), b...), b...)
+			z := make([]T, 4)
+			rows4(a, x4, nil, z, n, 1)
+			if !relClose(float64(z[0]), want, tol) || z[0] != z[1] || z[0] != z[3] {
+				t.Errorf("rows4 len %d = %v, want %v", n, z, want)
+			}
 		}
 	}
 }
 
+func TestDotKernel(t *testing.T)    { testDotKernel[float64](t, 1e-12) }
+func TestDotKernelF32(t *testing.T) { testDotKernel[float32](t, 1e-5) }
+
 // benchNet matches the GreenNFV critic shape (27 -> 48 -> 48 -> 1).
-func benchNet(b *testing.B) (*Network, []float64, []float64, int) {
+func benchNet[T float](b *testing.B) (*Network, []T, []T, int) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(1))
 	net := MustMLP([]int{27, 48, 48, 1}, ReLU, Linear, rng)
+	net.EnableF32()
 	const rows = 32
-	x := make([]float64, rows*27)
-	dOut := make([]float64, rows)
+	x := make([]T, rows*27)
+	dOut := make([]T, rows)
 	for i := range x {
-		x[i] = rng.NormFloat64()
+		x[i] = T(rng.NormFloat64())
 	}
 	for i := range dOut {
-		dOut[i] = rng.NormFloat64()
+		dOut[i] = T(rng.NormFloat64())
 	}
 	return net, x, dOut, rows
 }
 
-func BenchmarkDenseForwardBatch(b *testing.B) {
-	net, x, _, rows := benchNet(b)
-	net.ForwardBatch(x, rows)
+func benchForwardBatch[T float](b *testing.B) {
+	net, x, _, rows := benchNet[T](b)
+	ForwardBatch(net, x, rows)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		net.ForwardBatch(x, rows)
+		ForwardBatch(net, x, rows)
 	}
 }
 
-func BenchmarkDenseBackwardBatch(b *testing.B) {
-	net, x, dOut, rows := benchNet(b)
-	net.ForwardBatch(x, rows)
-	net.BackwardBatch(dOut, rows)
+func benchBackwardBatch[T float](b *testing.B) {
+	net, x, dOut, rows := benchNet[T](b)
+	ForwardBatch(net, x, rows)
+	backwardBatch(net, dOut, rows, true, rows)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		net.BackwardBatch(dOut, rows)
+		backwardBatch(net, dOut, rows, true, rows)
 	}
 }
+
+func BenchmarkDenseForwardBatch(b *testing.B)     { benchForwardBatch[float64](b) }
+func BenchmarkDenseBackwardBatch(b *testing.B)    { benchBackwardBatch[float64](b) }
+func BenchmarkDenseForwardBatchF32(b *testing.B)  { benchForwardBatch[float32](b) }
+func BenchmarkDenseBackwardBatchF32(b *testing.B) { benchBackwardBatch[float32](b) }
 
 // BenchmarkDenseForwardScalarLoop is the old per-sample path over the
 // same 32-row minibatch, for comparison with BenchmarkDenseForwardBatch.
 func BenchmarkDenseForwardScalarLoop(b *testing.B) {
-	net, x, _, rows := benchNet(b)
+	net, x, _, rows := benchNet[float64](b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

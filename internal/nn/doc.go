@@ -28,13 +28,16 @@
 //
 // # Kernel contract
 //
-// The f64 batch passes run on two layer-granular kernels (batch.go):
-// rows4, one call per 4-row group for the forward pass and again for
-// the input gradients, and accumGrads, one call per layer for dW/dB.
-// How they tile, unroll or schedule is free; what every ELEMENT
-// computes is pinned, because the byte-diffed figure tables
-// (scripts/figdiff.sh) rest on it. "Bit-identical" here means, per
-// CPU capability:
+// There is one batch engine (batch.go), written over float32 | float64
+// and instantiated at both: the passes, gradient scaling, the soft
+// update and Adam exist once, and each instantiation calls the
+// assembly symbols of its own width. The passes run on two
+// layer-granular kernels: rows4, one call per 4-row group for the
+// forward pass and again for the input gradients, and accumGrads, one
+// call per layer for dW/dB. How they tile, unroll or schedule is free;
+// what every float64 ELEMENT computes is pinned, because the
+// byte-diffed figure tables (scripts/figdiff.sh) rest on it.
+// "Bit-identical" here means, per CPU capability:
 //
 //   - Lane partition. A product w·x of a 4-row group is summed in four
 //     lanes starting from +0: lane j takes the products at indices
@@ -64,33 +67,57 @@
 //
 // kernel_test.go holds the kernels to an element-by-element reference
 // of exactly this, on both capability paths, and fingerprint_test.go
-// pins 300 composed DDPG updates to the values recorded before the
-// kernels were made layer-granular. Kernel scratch (the gradient
-// kernel's compacted non-zero rows) is layer-owned like every other
-// batch buffer: the figure pool trains networks concurrently, and a
+// pins 300 composed float64 DDPG updates to the values recorded before
+// the kernels were made layer-granular, and 200 float32 ones to the
+// values recorded before the two engines became one. Kernel scratch
+// (the gradient kernel's compacted non-zero rows) is layer-owned like
+// every other batch buffer, and shared by both element types of a
+// layer: the figure pool trains networks concurrently, and a
 // package-level buffer passes every test here yet changes the figures.
-// The float32 mirror runs on the same two kernels in 8-lane form with
-// no bit contract. Deliberately outside the contract and untouched:
-// Adam's divides and square root (divider-bound; a reciprocal would
-// round differently), math.Tanh on the actor heads, and the scalar
+// The float32 instantiation runs the same two kernels in 8-lane form;
+// its element arithmetic is not specified beyond those recorded
+// values. Deliberately outside the contract and untouched: Adam's
+// divides and square root (divider-bound; a reciprocal would round
+// differently), math.Tanh on the actor heads, and the scalar
 // ForwardRows path.
 //
 // # Float32 fast path
 //
-// The batch engine has a single-precision mirror (batch32.go): the same
-// layer kernels with 8 lanes per register instead of 4, halving memory
-// traffic on the learn step. The path is an
-// explicit opt-in with a snapshot/flush contract: EnableF32 copies
-// the f64 weights into f32 mirrors, the *F32 passes, Adam.StepF32 and
-// SoftUpdateF32 then treat the mirrors as the authoritative weights,
-// and FlushF32 writes them back for serialization and scalar f64
-// inference. Determinism: the f32 path is deterministic given the
-// seed on a fixed CPU feature set (same caveat as f64), but it is NOT
-// bit-comparable to the f64 path and makes no parity promise beyond
-// the quantified bound in the ddpg package's f32-vs-f64 test; the
-// activation functions may use faster float32 approximations
-// (tanh32). Nothing on the f64 path reads the mirrors, so the
-// deterministic f64 figure path is unaffected by f32 use elsewhere.
-// The f32 batch passes, optimizer step and soft-update are zero-alloc
-// in steady state, pinned by TestF32ZeroAllocSteadyState.
+// The float32 instantiation of the engine halves the memory traffic of
+// the learn step (8 lanes per register instead of 4). Callers outside
+// the package reach either element type through the generic functions
+// (ForwardBatch, BackwardBatchParams, BackwardBatchSplit, ZeroGrad,
+// ScaleGrad, AdamStep, SoftUpdate); the methods of the same names are
+// the float64 instantiations, and ForwardBatchF32/BackwardBatchF32 the
+// float32 ones. What differs between the two beyond the type, and why:
+//
+//   - Parameters. Float64 passes run on W/B themselves. Float32 ones
+//     run on mirrors, an explicit opt-in with a snapshot/flush
+//     contract: EnableF32 copies the f64 weights into the mirrors, the
+//     float32 passes, AdamStep and SoftUpdate then treat the mirrors as
+//     the authoritative weights, and FlushF32 writes them back for
+//     serialization and scalar f64 inference. Nothing at float64 reads
+//     the mirrors, so the deterministic figure path is unaffected by
+//     f32 use elsewhere.
+//   - Elementwise leaves (batch32.go). ReLU's |v| and step are bit
+//     masks instead of math.Abs/Copysign, and Tanh is the rational
+//     tanh32 instead of math.Tanh (~15% of the f32 learn step
+//     otherwise). Each is chosen once per layer call on the slice type,
+//     never per element. Sigmoid goes through float64 at both types.
+//   - Mixed precision, part of the contract because the recorded
+//     float32 values depend on it: Adam accumulates the clip norm in
+//     float64 and narrows the scale factor; computes both bias
+//     corrections in float64 and narrows them; and takes the square
+//     root as T(math.Sqrt(float64(vHat))). Everything else in a step —
+//     moments, divides, the update — is in T. All of these are identity
+//     conversions at T = float64, which is what lets one body be exact
+//     for both.
+//
+// Determinism: the f32 path is deterministic given the seed on a fixed
+// CPU feature set (same caveat as f64), but it is NOT bit-comparable
+// to the f64 path and makes no parity promise beyond the quantified
+// bound in the ddpg package's f32-vs-f64 test. Both instantiations are
+// zero-alloc in steady state (batch passes, optimizer step and
+// soft-update), pinned by TestBatchZeroAllocSteadyState and
+// TestF32ZeroAllocSteadyState.
 package nn

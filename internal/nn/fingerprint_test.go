@@ -2,7 +2,9 @@ package nn_test
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -23,12 +25,23 @@ import (
 // change that moves either value has changed the arithmetic; a change
 // to ddpg's defaults or update rule moves both and re-records them
 // (go test -run TestLearnFingerprint -v prints the new values).
+//
+// The F32 pair is learnFingerprintF32, recorded at PR 15's tree from
+// the separate float32 engine before it became the second
+// instantiation of the generic one.
 const (
 	learnFingerprintAVX2 = "981d18d8fe483b4b2a37d35d7fe28d0b2b2984d51443e07d71bfb4abfc6839b0"
 	learnFingerprintGo   = "a6dac5e26fe1ebaf070412938c86fe521ee4b46b35d33e725f2be7130323bd10"
+
+	learnFingerprintF32AVX2 = "b627ec41d99d6104c2dca6c98df81d8e3c08931dc16c82d2b29c851e9c87acd2"
+	learnFingerprintF32Go   = "6ce29c9f67387863adde4352309338e99fb1c53a982549a0bf01864af271ddcb"
 )
 
-func learnFingerprint(t *testing.T) string {
+// fingerprintAgent builds the agent both fingerprints train — the
+// paper environment's shapes on a seeded 256-transition replay — and
+// returns the generator that filled it, which goes on to drive the
+// external sampling.
+func fingerprintAgent(t *testing.T) (*ddpg.Agent, ddpg.Config, *rand.Rand) {
 	t.Helper()
 	const stateDim, actionDim = 22, 5 // the paper environment's shapes
 	cfg := ddpg.DefaultConfig(stateDim, actionDim)
@@ -52,6 +65,30 @@ func learnFingerprint(t *testing.T) string {
 			NextState: vec(stateDim), Done: i%17 == 0,
 		})
 	}
+	return a, cfg, rng
+}
+
+func stateHash(t *testing.T, a *ddpg.Agent, extra ...[]float64) string {
+	t.Helper()
+	blob, err := a.StateBytes(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	h.Write(blob)
+	for _, vs := range extra {
+		for _, v := range vs {
+			var b [8]byte
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+			h.Write(b[:])
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+func learnFingerprint(t *testing.T) string {
+	t.Helper()
+	a, cfg, rng := fingerprintAgent(t)
 	for i := 0; i < 200; i++ {
 		a.Learn()
 	}
@@ -62,12 +99,39 @@ func learnFingerprint(t *testing.T) string {
 		batch, idx, w = a.SampleReplayInto(rng, cfg.BatchSize, batch[:0], idx[:0], w[:0])
 		a.LearnBatch(batch, idx, w)
 	}
-	blob, err := a.StateBytes(false)
-	if err != nil {
+	return stateHash(t, a)
+}
+
+// learnFingerprintF32 is the single-precision run: 200 LearnBatch
+// steps under SetFloat32, flushed so the blob carries the trained
+// weights beside the f32 Adam moments, then one ActBatch and one
+// TDErrorBatch window under SetActFloat32 (11 rows: two 4-row groups
+// and three remainder rows), hashed by their float bits.
+func learnFingerprintF32(t *testing.T) string {
+	t.Helper()
+	a, cfg, rng := fingerprintAgent(t)
+	a.SetFloat32(true)
+	var batch []replay.Transition
+	var idx []int
+	var w []float64
+	for i := 0; i < 200; i++ {
+		batch, idx, w = a.SampleReplayInto(rng, cfg.BatchSize, batch[:0], idx[:0], w[:0])
+		a.LearnBatch(batch, idx, w)
+	}
+	a.SetFloat32(false)
+
+	a.SetActFloat32(true)
+	const window = 11
+	batch, _, _ = a.SampleReplayInto(rng, window, batch[:0], idx[:0], w[:0])
+	states := make([]float64, 0, window*cfg.StateDim)
+	for _, tr := range batch {
+		states = append(states, tr.State...)
+	}
+	actions := make([]float64, window*cfg.ActionDim)
+	if err := a.ActBatch(states, window, nil, actions); err != nil {
 		t.Fatal(err)
 	}
-	sum := sha256.Sum256(blob)
-	return hex.EncodeToString(sum[:])
+	return stateHash(t, a, actions, a.TDErrorBatch(batch, nil))
 }
 
 func TestLearnFingerprint(t *testing.T) {
@@ -77,17 +141,20 @@ func TestLearnFingerprint(t *testing.T) {
 	for _, mode := range []struct {
 		name string
 		simd bool
+		run  func(*testing.T) string
 		want string
 	}{
-		{"avx2", true, learnFingerprintAVX2},
-		{"go", false, learnFingerprintGo},
+		{"avx2", true, learnFingerprint, learnFingerprintAVX2},
+		{"go", false, learnFingerprint, learnFingerprintGo},
+		{"f32-avx2", true, learnFingerprintF32, learnFingerprintF32AVX2},
+		{"f32-go", false, learnFingerprintF32, learnFingerprintF32Go},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			if mode.simd && !nn.SIMDSelected() {
 				t.Skip("AVX2+FMA kernels not selected on this CPU")
 			}
 			nn.SetSIMD(t, mode.simd)
-			got := learnFingerprint(t)
+			got := mode.run(t)
 			t.Logf("fingerprint %s", got)
 			if got != mode.want {
 				t.Errorf("learn fingerprint %s, recorded %s", got, mode.want)

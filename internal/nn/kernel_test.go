@@ -119,7 +119,7 @@ func refNet(n *Network) []*refLayer {
 		ls = append(ls, &refLayer{
 			in: d.In, out: d.Out, act: d.Act,
 			w: append([]float64(nil), d.W...), b: append([]float64(nil), d.B...),
-			dw: append([]float64(nil), d.dW...), db: append([]float64(nil), d.dB...),
+			dw: append([]float64(nil), d.f64.dw...), db: append([]float64(nil), d.f64.db...),
 		})
 	}
 	return ls
@@ -162,11 +162,11 @@ func checkKernelParity(t *testing.T, simd bool) {
 					l.B[i] = rng.NormFloat64()
 				}
 				// Gradients accumulate onto what is already there.
-				for i := range l.dW {
-					l.dW[i] = rng.NormFloat64()
+				for i := range l.f64.dw {
+					l.f64.dw[i] = rng.NormFloat64()
 				}
-				for i := range l.dB {
-					l.dB[i] = rng.NormFloat64()
+				for i := range l.f64.db {
+					l.f64.db[i] = rng.NormFloat64()
 				}
 			}
 			ref := refNet(net)
@@ -204,7 +204,7 @@ func checkKernelParity(t *testing.T, simd bool) {
 			}{
 				{"full", true, rows}, {"params", false, rows}, {"input", true, 0}, {"split", true, rows / 2},
 			} {
-				gotDX := net.backwardBatch(dY, rows, mode.needDX, mode.gradRows)
+				gotDX := backwardBatch(net, dY, rows, mode.needDX, mode.gradRows)
 				d := dY
 				for i := len(ref) - 1; i >= 0; i-- {
 					d = ref[i].backward(d, rows, i > 0 || mode.needDX, mode.gradRows, simd)
@@ -214,8 +214,8 @@ func checkKernelParity(t *testing.T, simd bool) {
 					sameBits(t, what+" dX", gotDX, d)
 				}
 				for li, l := range net.layers {
-					sameBits(t, fmt.Sprintf("%s layer %d dW", what, li), l.dW, ref[li].dw)
-					sameBits(t, fmt.Sprintf("%s layer %d dB", what, li), l.dB, ref[li].db)
+					sameBits(t, fmt.Sprintf("%s layer %d dW", what, li), l.f64.dw, ref[li].dw)
+					sameBits(t, fmt.Sprintf("%s layer %d dB", what, li), l.f64.db, ref[li].db)
 				}
 			}
 		}
@@ -277,9 +277,10 @@ func TestKernelsF32MatchGoWide(t *testing.T) {
 			dOut[i] = float32(rng.NormFloat64())
 		}
 		out = append(out, net.ForwardBatchF32(x, rows)...)
-		net.ZeroGradF32()
-		dx = append(dx, net.BackwardBatchSplitF32(dOut, rows, 6)...)
-		return out, dx, net.GradSlicesF32()
+		ZeroGrad[float32](net)
+		dx = append(dx, BackwardBatchSplit(net, dOut, rows, 6)...)
+		_, grads = views[float32](net)
+		return out, dx, grads
 	}
 	gotOut, gotDX, gotG := run(true)
 	wantOut, wantDX, wantG := run(false)

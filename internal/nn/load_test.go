@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -141,4 +142,98 @@ func FuzzNetworkUnmarshal(f *testing.F) {
 			t.Fatalf("a network rejects its own parameters: %v", err)
 		}
 	})
+}
+
+// hostileMoments returns ill-shaped variants of the valid moments
+// (m, v) of an optimizer at step t, at one element type.
+func hostileMoments[T float](t int, m, v [][]T) map[string]moments[T] {
+	last := len(m) - 1
+	edit := func(src [][]T, i int, f func([]T) []T) [][]T {
+		dst := copy2(src)
+		dst[i] = f(dst[i])
+		return dst
+	}
+	short := func(s []T) []T { return s[:len(s)-1] }
+	long := func(s []T) []T { return append(s, 0) }
+	return map[string]moments[T]{
+		"short":       {t, edit(m, 0, short), edit(v, 0, short)},
+		"short-last":  {t, edit(m, last, short), edit(v, last, short)},
+		"long":        {t, edit(m, 0, long), edit(v, 0, long)},
+		"ragged":      {t, edit(m, 1, short), v},
+		"count-short": {t, m[:last], v[:last]},
+		"count-long":  {t, append(copy2(m), nil), append(copy2(v), nil)},
+		"m-without-v": {t, m, nil},
+		"v-without-m": {t, nil, v},
+		"one-scalar":  {t, [][]T{{1}}, [][]T{{1}}},
+		"negative-t":  {-1, m, v},
+	}
+}
+
+// TestAdamSetStateRejectsHostile: optimizer moments come from disk
+// with the rest of a checkpoint, and AdamStep indexes them by the
+// network's parameter shapes (the assembly kernels get a bare pointer
+// and the parameter count). Every ill-shaped state, at either element
+// type and with the other type's moments valid or absent, must come
+// back as an error that leaves the optimizer as it was and still able
+// to step.
+func TestAdamSetStateRejectsHostile(t *testing.T) {
+	for _, simd := range []bool{useSIMD, false} {
+		setSIMD(t, simd)
+		rng := rand.New(rand.NewSource(137))
+		net := MustMLP([]int{8, 16, 1}, ReLU, Linear, rng)
+		net.EnableF32()
+		opt := MustAdam(1e-3)
+		opt.ClipNorm = 5
+		step := func() {
+			for _, g := range net.GradSlices() {
+				for i := range g {
+					g[i] = rng.NormFloat64()
+				}
+			}
+			_, g32 := views[float32](net)
+			for _, g := range g32 {
+				for i := range g {
+					g[i] = float32(rng.NormFloat64())
+				}
+			}
+			opt.Step(net)
+			AdamStep[float32](opt, net)
+		}
+		step()
+		valid := opt.State()
+		if err := opt.SetState(valid, net); err != nil {
+			t.Fatalf("valid state rejected: %v", err)
+		}
+
+		var cases []AdamState
+		var names []string
+		for name, h := range hostileMoments(valid.T, valid.M, valid.V) {
+			names = append(names, "f64 "+name, "f64 "+name+", no f32")
+			cases = append(cases,
+				AdamState{T: h.t, M: h.m, V: h.v, T32: valid.T32, M32: valid.M32, V32: valid.V32},
+				AdamState{T: h.t, M: h.m, V: h.v})
+		}
+		for name, h := range hostileMoments(valid.T32, valid.M32, valid.V32) {
+			names = append(names, "f32 "+name, "f32 "+name+", no f64")
+			cases = append(cases,
+				AdamState{T: valid.T, M: valid.M, V: valid.V, T32: h.t, M32: h.m, V32: h.v},
+				AdamState{T32: h.t, M32: h.m, V32: h.v})
+		}
+		for i, st := range cases {
+			if err := opt.SetState(st, net); err == nil {
+				t.Errorf("simd=%v %s: SetState accepted it", simd, names[i])
+			}
+			if got := opt.State(); !reflect.DeepEqual(got, valid) {
+				t.Fatalf("simd=%v %s: a rejected state changed the optimizer", simd, names[i])
+			}
+		}
+		step()
+
+		// Without a network to compare with, m and v must still agree
+		// slice by slice.
+		ragged := hostileMoments(valid.T32, valid.M32, valid.V32)["ragged"]
+		if err := opt.SetState(AdamState{T32: ragged.t, M32: ragged.m, V32: ragged.v}, nil); err == nil {
+			t.Errorf("simd=%v: SetState(ragged f32, nil network) accepted it", simd)
+		}
+	}
 }

@@ -80,34 +80,39 @@ type Dense struct {
 	Act     Activation
 	// W is row-major Out x In; B has Out entries.
 	W, B []float64
-	// dW and dB accumulate gradients across Backward calls.
-	dW, dB []float64
 	// forward caches for backprop.
 	x, z, y []float64
 	// dx is the reusable scalar-Backward output buffer.
 	dx []float64
-	// batch-path caches and scratch (see batch.go), lazily sized to
-	// the largest minibatch seen; wt is the transposed weight copy
-	// the batched backward uses for input gradients, bnz the gradient
-	// kernel's compaction scratch (shared with the f32 passes).
-	bx, bz, by, bdz, bdx, wt []float64
-	bnz                      []uint64
-	// float32 fast-path state (batch32.go): w32/b32 mirror W/B while
-	// the f32 path is active, dW32/dB32 accumulate f32 gradients, and
-	// the remaining slices are the f32 batch caches and scratch.
-	// Allocated by EnableF32; nil on the f64-only path.
-	w32, b32, dW32, dB32                 []float32
-	bx32, bz32, by32, bdz32, bdx32, wt32 []float32
+	// Batch state per element type (batch.go). f64.w and f64.b ARE W
+	// and B (same backing arrays), and f64.dw/db are the gradients the
+	// scalar Backward accumulates into as well. f32's parameters mirror
+	// W/B while the float32 path is active: allocated by EnableF32,
+	// nil before it.
+	f64 precision[float64]
+	f32 precision[float32]
+	// bnz is the gradient kernel's compaction scratch, shared by both
+	// element types of this layer (a layer runs one pass at a time).
+	bnz []uint64
+}
+
+// newLayer builds a layer around the given parameter buffers, which
+// it keeps (W/B and the float64 batch state alias them).
+func newLayer(in, out int, act Activation, w, b []float64) *Dense {
+	return &Dense{
+		In: in, Out: out, Act: act,
+		W: w, B: b,
+		x: make([]float64, in), z: make([]float64, out), y: make([]float64, out),
+		f64: precision[float64]{
+			w: w, b: b,
+			dw: make([]float64, len(w)), db: make([]float64, len(b)),
+		},
+	}
 }
 
 // newDense builds a layer with Xavier/Glorot-uniform weights.
 func newDense(in, out int, act Activation, rng *rand.Rand) *Dense {
-	d := &Dense{
-		In: in, Out: out, Act: act,
-		W: make([]float64, in*out), B: make([]float64, out),
-		dW: make([]float64, in*out), dB: make([]float64, out),
-		x: make([]float64, in), z: make([]float64, out), y: make([]float64, out),
-	}
+	d := newLayer(in, out, act, make([]float64, in*out), make([]float64, out))
 	limit := math.Sqrt(6 / float64(in+out))
 	for i := range d.W {
 		d.W[i] = (2*rng.Float64() - 1) * limit
@@ -143,9 +148,9 @@ func (d *Dense) Backward(dY []float64) []float64 {
 	}
 	for o := 0; o < d.Out; o++ {
 		dz := dY[o] * d.Act.derivative(d.y[o], d.z[o])
-		d.dB[o] += dz
+		d.f64.db[o] += dz
 		row := d.W[o*d.In : (o+1)*d.In]
-		dRow := d.dW[o*d.In : (o+1)*d.In]
+		dRow := d.f64.dw[o*d.In : (o+1)*d.In]
 		for i := 0; i < d.In; i++ {
 			dRow[i] += dz * d.x[i]
 			dX[i] += dz * row[i]
@@ -157,12 +162,13 @@ func (d *Dense) Backward(dY []float64) []float64 {
 // Network is a feed-forward stack of dense layers.
 type Network struct {
 	layers []*Dense
-	// cached ParamSlices/GradSlices headers (the layer buffers they
-	// point at never move), so optimizer steps don't allocate.
-	pSlices, gSlices [][]float64
-	// float32 mirrors of the two caches, populated by EnableF32.
-	pSlices32, gSlices32 [][]float32
+	// cached parameter and gradient slice headers per element type
+	// (see views).
+	v64 sliceViews[float64]
+	v32 sliceViews[float32]
 }
+
+type sliceViews[T float] struct{ params, grads [][]T }
 
 // NewMLP builds a multilayer perceptron with the given layer sizes
 // (sizes[0] = input dim, sizes[len-1] = output dim), hidden
@@ -225,56 +231,24 @@ func (n *Network) Backward(dOut []float64) []float64 {
 	return d
 }
 
-// ZeroGrad clears accumulated gradients.
-func (n *Network) ZeroGrad() {
-	for _, l := range n.layers {
-		for i := range l.dW {
-			l.dW[i] = 0
-		}
-		for i := range l.dB {
-			l.dB[i] = 0
-		}
-	}
-}
+// ZeroGrad clears the accumulated float64 gradients.
+func (n *Network) ZeroGrad() { ZeroGrad[float64](n) }
 
-// ScaleGrad multiplies all accumulated gradients by f (used to
-// average over a minibatch).
-func (n *Network) ScaleGrad(f float64) {
-	for _, l := range n.layers {
-		if useSIMD {
-			scaleasm(f, &l.dW[0], len(l.dW))
-			scaleasm(f, &l.dB[0], len(l.dB))
-			continue
-		}
-		for i := range l.dW {
-			l.dW[i] *= f
-		}
-		for i := range l.dB {
-			l.dB[i] *= f
-		}
-	}
-}
+// ScaleGrad multiplies all accumulated float64 gradients by f.
+func (n *Network) ScaleGrad(f float64) { ScaleGrad(n, f) }
 
 // ParamSlices exposes the parameter buffers (weights then biases,
 // layer by layer) for optimizers and synchronization.
 func (n *Network) ParamSlices() [][]float64 {
-	if n.pSlices == nil {
-		for _, l := range n.layers {
-			n.pSlices = append(n.pSlices, l.W, l.B)
-		}
-	}
-	return n.pSlices
+	params, _ := views[float64](n)
+	return params
 }
 
 // GradSlices exposes gradient buffers in the same order as
 // ParamSlices.
 func (n *Network) GradSlices() [][]float64 {
-	if n.gSlices == nil {
-		for _, l := range n.layers {
-			n.gSlices = append(n.gSlices, l.dW, l.dB)
-		}
-	}
-	return n.gSlices
+	_, grads := views[float64](n)
+	return grads
 }
 
 // NumParams reports the total parameter count.
@@ -290,13 +264,8 @@ func (n *Network) NumParams() int {
 func (n *Network) Clone() *Network {
 	c := &Network{}
 	for _, l := range n.layers {
-		nl := &Dense{
-			In: l.In, Out: l.Out, Act: l.Act,
-			W: append([]float64(nil), l.W...), B: append([]float64(nil), l.B...),
-			dW: make([]float64, len(l.dW)), dB: make([]float64, len(l.dB)),
-			x: make([]float64, l.In), z: make([]float64, l.Out), y: make([]float64, l.Out),
-		}
-		c.layers = append(c.layers, nl)
+		c.layers = append(c.layers, newLayer(l.In, l.Out, l.Act,
+			append([]float64(nil), l.W...), append([]float64(nil), l.B...)))
 	}
 	return c
 }
@@ -318,33 +287,9 @@ func (n *Network) CopyParamsFrom(src *Network) error {
 	return nil
 }
 
-// SoftUpdate moves this network's parameters toward src:
-// θ ← τ·θ_src + (1−τ)·θ. This is the DDPG target-network update
-// (Algorithm 2, lines 9–10).
-func (n *Network) SoftUpdate(src *Network, tau float64) error {
-	if tau < 0 || tau > 1 {
-		return errors.New("nn: tau must be in [0,1]")
-	}
-	dst := n.ParamSlices()
-	from := src.ParamSlices()
-	if len(dst) != len(from) {
-		return errors.New("nn: topology mismatch")
-	}
-	for i := range dst {
-		if len(dst[i]) != len(from[i]) {
-			return errors.New("nn: layer size mismatch")
-		}
-		if useSIMD && len(dst[i]) > 0 {
-			// Vectorized, bit-identical to the loop below.
-			axpbyasm(tau, &from[i][0], &dst[i][0], len(dst[i]))
-			continue
-		}
-		for j := range dst[i] {
-			dst[i][j] = tau*from[i][j] + (1-tau)*dst[i][j]
-		}
-	}
-	return nil
-}
+// SoftUpdate moves this network's float64 parameters toward src's
+// (see the SoftUpdate function).
+func (n *Network) SoftUpdate(src *Network, tau float64) error { return SoftUpdate(n, src, tau) }
 
 // netState is the gob-serializable form.
 type netState struct {
@@ -412,17 +357,9 @@ func (n *Network) UnmarshalBinary(data []byte) error {
 	if err != nil {
 		return err
 	}
-	n.layers = nil
-	n.pSlices, n.gSlices = nil, nil
-	n.pSlices32, n.gSlices32 = nil, nil
+	*n = Network{}
 	for i, act := range st.Acts {
-		in, out := st.Sizes[i], st.Sizes[i+1]
-		n.layers = append(n.layers, &Dense{
-			In: in, Out: out, Act: act,
-			W: st.W[i], B: st.B[i],
-			dW: make([]float64, len(st.W[i])), dB: make([]float64, out),
-			x: make([]float64, in), z: make([]float64, out), y: make([]float64, out),
-		})
+		n.layers = append(n.layers, newLayer(st.Sizes[i], st.Sizes[i+1], act, st.W[i], st.B[i]))
 	}
 	return nil
 }

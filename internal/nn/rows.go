@@ -23,27 +23,28 @@ func (d *Dense) ForwardRows(x []float64, rows int) []float64 {
 	if len(x) < rows*d.In {
 		panic("nn: ForwardRows input shorter than rows*In")
 	}
-	d.bx = grow(d.bx, rows*d.In)
-	d.bz = grow(d.bz, rows*d.Out)
-	d.by = grow(d.by, rows*d.Out)
-	copy(d.bx, x[:rows*d.In])
+	p := &d.f64
+	p.bx = grow(p.bx, rows*d.In)
+	p.bz = grow(p.bz, rows*d.Out)
+	p.by = grow(p.by, rows*d.Out)
+	copy(p.bx, x[:rows*d.In])
 	for o := 0; o < d.Out; o++ {
 		row := d.W[o*d.In : (o+1)*d.In]
 		b := d.B[o]
 		for r := 0; r < rows; r++ {
-			xr := d.bx[r*d.In : (r+1)*d.In]
+			xr := p.bx[r*d.In : (r+1)*d.In]
 			sum := b
 			for i, xi := range xr {
 				sum += row[i] * xi
 			}
-			d.bz[r*d.Out+o] = sum
+			p.bz[r*d.Out+o] = sum
 		}
 	}
-	// applyBatch's elementwise kernels are bit-equal to Act.apply:
+	// applyBatch's float64 kernels are bit-equal to Act.apply:
 	// 0.5*(v+|v|) is exactly max(0, v), and Tanh/Sigmoid share the
 	// same math calls.
-	applyBatch(d.Act, d.bz, d.by)
-	return d.by
+	applyBatch(d.Act, p.bz, p.by)
+	return p.by
 }
 
 // ForwardRows runs the network over rows row-major inputs

@@ -210,7 +210,7 @@ scaledone:
 // func adamasmf32(p, grad, m, v *float32, n int, beta1, beta2, lr, eps, b1c, b2c float32)
 //
 // One Adam update over a float32 parameter slice, 8 floats per
-// iteration. Mirrors the StepF32 scalar loop (no FMA contraction in
+// iteration. Mirrors the AdamStep scalar loop (no FMA contraction in
 // the EMA updates); VSQRTSS/VSQRTPS round once where the Go fallback
 // rounds through float64, a ≤1-ulp difference the f32 contract
 // allows.

@@ -5,65 +5,92 @@ import (
 	"testing"
 )
 
-// TestBackwardBatchSplitParity verifies the fused backward against
-// the two passes it replaces, bit for bit: parameter gradients from
-// the first half must equal a standalone BackwardBatchParams over
-// that half, and input gradients of the second half must equal a
-// standalone BackwardBatchInput over that half. Halves are multiples
-// of four so every row lands in the same dot4 lane in both runs.
-func TestBackwardBatchSplitParity(t *testing.T) {
-	const half = 8
-	const rows = 2 * half
-	sizes := []int{7, 16, 16, 3}
-
+// testSplitParity verifies the fused backward against the passes it
+// replaces, bit for bit, at element type T: parameter gradients from
+// the first half must equal a standalone params-only pass over that
+// half; input gradients must equal an input-only pass over all rows
+// and, for the second half, a standalone input-only pass over that
+// half alone; and an input-only pass must leave the parameter
+// gradients untouched. Halves are multiples of four so every row lands
+// in the same dot4 lane in every run.
+func testSplitParity[T float](t *testing.T, sizes []int, half int) {
+	rows := 2 * half
+	in, out := sizes[0], sizes[len(sizes)-1]
 	build := func() *Network {
-		return MustMLP(sizes, ReLU, Linear, rand.New(rand.NewSource(42)))
+		net := MustMLP(sizes, ReLU, Tanh, rand.New(rand.NewSource(42)))
+		net.EnableF32()
+		return net
 	}
 	rng := rand.New(rand.NewSource(9))
-	x := make([]float64, rows*sizes[0])
+	x := make([]T, rows*in)
 	for i := range x {
-		x[i] = rng.NormFloat64()
+		x[i] = T(rng.NormFloat64())
 	}
-	dY := make([]float64, rows*sizes[len(sizes)-1])
+	dY := make([]T, rows*out)
 	for i := range dY {
-		dY[i] = rng.NormFloat64()
+		dY[i] = T(rng.NormFloat64())
 	}
 
 	// Reference pass 1: parameter gradients from the first half.
 	ref := build()
-	ref.ForwardBatch(x[:half*sizes[0]], half)
-	ref.ZeroGrad()
-	ref.BackwardBatchParams(dY[:half*sizes[len(sizes)-1]], half)
-	var refGrads [][]float64
-	for _, g := range ref.GradSlices() {
-		refGrads = append(refGrads, append([]float64(nil), g...))
-	}
+	ForwardBatch(ref, x[:half*in], half)
+	ZeroGrad[T](ref)
+	BackwardBatchParams(ref, dY[:half*out], half)
+	_, refGrads := views[T](ref)
 
-	// Reference pass 2: input gradients from the second half.
+	// Reference pass 2: input gradients from the second half alone.
 	ref2 := build()
-	ref2.ForwardBatch(x[half*sizes[0]:], half)
-	refDX := append([]float64(nil),
-		ref2.BackwardBatchInput(dY[half*sizes[len(sizes)-1]:], half)...)
+	ForwardBatch(ref2, x[half*in:], half)
+	refDX2 := backwardBatch(ref2, dY[half*out:], half, true, 0)
+
+	// Reference pass 3: input gradients of every row, no parameters.
+	ref3 := build()
+	ForwardBatch(ref3, x, rows)
+	ZeroGrad[T](ref3)
+	refDX := backwardBatch(ref3, dY, rows, true, 0)
+	_, grads3 := views[T](ref3)
+	for li, g := range grads3 {
+		for j := range g {
+			if g[j] != 0 {
+				t.Fatalf("input-only pass accumulated parameter gradient %d[%d] = %v", li, j, g[j])
+			}
+		}
+	}
 
 	// Fused pass over both halves at once.
 	fused := build()
-	fused.ForwardBatch(x, rows)
-	fused.ZeroGrad()
-	dX := fused.BackwardBatchSplit(dY, rows, half)
+	ForwardBatch(fused, x, rows)
+	ZeroGrad[T](fused)
+	dX := BackwardBatchSplit(fused, dY, rows, half)
 
-	for li, g := range fused.GradSlices() {
+	_, grads := views[T](fused)
+	for li, g := range grads {
 		for j := range g {
 			if g[j] != refGrads[li][j] {
 				t.Fatalf("grad slice %d[%d]: fused %v, reference %v", li, j, g[j], refGrads[li][j])
 			}
 		}
 	}
-	in := sizes[0]
-	for i := 0; i < half*in; i++ {
-		if dX[half*in+i] != refDX[i] {
-			t.Fatalf("dX[%d]: fused %v, reference %v", i, dX[half*in+i], refDX[i])
+	for i := range refDX {
+		if dX[i] != refDX[i] {
+			t.Fatalf("dX[%d]: fused %v, input-only %v", i, dX[i], refDX[i])
 		}
 	}
+	for i := range refDX2 {
+		if dX[half*in+i] != refDX2[i] {
+			t.Fatalf("dX[%d]: fused %v, second half alone %v", half*in+i, dX[half*in+i], refDX2[i])
+		}
+	}
+}
+
+func TestBackwardBatchSplitParity(t *testing.T) {
+	testSplitParity[float64](t, []int{7, 16, 16, 3}, 8)
+	testSplitParity[float64](t, []int{9, 31, 13, 5}, 4)
+}
+
+func TestF32SplitMatchesSeparate(t *testing.T) {
+	testSplitParity[float32](t, []int{7, 16, 16, 3}, 8)
+	testSplitParity[float32](t, []int{9, 31, 13, 5}, 4)
 }
 
 // TestBackwardBatchSplitGradRowsClamp: gradRows beyond rows behaves
@@ -86,7 +113,7 @@ func TestBackwardBatchSplitGradRowsClamp(t *testing.T) {
 	dxa := append([]float64(nil), a.BackwardBatch(dY, 4)...)
 	b.ForwardBatch(x, 4)
 	b.ZeroGrad()
-	dxb := b.BackwardBatchSplit(dY, 4, 99)
+	dxb := BackwardBatchSplit(b, dY, 4, 99)
 	for i := range dxa {
 		if dxa[i] != dxb[i] {
 			t.Fatalf("dX[%d]: %v vs %v", i, dxa[i], dxb[i])

@@ -26,20 +26,12 @@ import (
 // All entry points run over agent-owned scratch: zero allocations in
 // steady state (buffers grow to the largest batch seen and stick).
 
-// growFloat64 returns buf resized to n, reallocating only when
-// capacity is insufficient.
-func growFloat64(buf []float64, n int) []float64 {
-	if cap(buf) >= n {
-		return buf[:n]
-	}
-	return make([]float64, n)
-}
-
-func growFloat32(buf []float32, n int) []float32 {
-	if cap(buf) >= n {
-		return buf[:n]
-	}
-	return make([]float32, n)
+// actScratch holds the matrices the batched acting passes assemble at
+// one element type, grown to the largest batch seen.
+type actScratch[T float] struct {
+	states []T // n × StateDim: TDErrorBatch's next states, ActBatch's converted input
+	nextSA []T // n × (StateDim+ActionDim) target critic input
+	sa     []T // n × (StateDim+ActionDim) critic input
 }
 
 // ActInto is Act without the per-call allocation: the clamped policy
@@ -134,11 +126,9 @@ func (a *Agent) ActBatch(states []float64, n int, noises []*OUNoise, dst []float
 		return fmt.Errorf("ddpg: ActBatch has %d noise processes for %d rows", len(noises), n)
 	}
 	if a.actF32 {
-		a.act32States = growFloat32(a.act32States, n*S)
-		for i, v := range states[:n*S] {
-			a.act32States[i] = float32(v)
-		}
-		out := a.Actor.ForwardBatchF32(a.act32States, n)
+		a.act32.states = resize(a.act32.states, n*S)
+		convert(a.act32.states, states)
+		out := a.Actor.ForwardBatchF32(a.act32.states, n)
 		for i, v := range out[:n*A] {
 			dst[i] = float64(v)
 		}
@@ -178,71 +168,40 @@ func (a *Agent) ActBatch(states []float64, n int, noises []*OUNoise, dst []float
 // are sampling weights, not gradients — the f32 drift is harmless and
 // the parallel mode that enables it is non-deterministic anyway).
 func (a *Agent) TDErrorBatch(batch []replay.Transition, out []float64) []float64 {
-	n := len(batch)
-	out = growFloat64(out[:0], n)
-	if n == 0 {
+	out = resize(out, len(batch))
+	if len(batch) == 0 {
 		return out
 	}
 	if a.actF32 {
-		return a.tdErrorBatch32(batch, out)
+		return tdErrorBatch(a, &a.act32, nn.ForwardBatch[float32], batch, out)
 	}
-	S, A := a.cfg.StateDim, a.cfg.ActionDim
-	SA := S + A
-	a.actNext = growFloat64(a.actNext, n*S)
-	a.actNextSA = growFloat64(a.actNextSA, n*SA)
-	a.actSA = growFloat64(a.actSA, n*SA)
-	for i := range batch {
-		t := &batch[i]
-		copy(a.actNext[i*S:(i+1)*S], t.NextState)
-		copy(a.actNextSA[i*SA:], t.NextState)
-		copy(a.actSA[i*SA:], t.State)
-		copy(a.actSA[i*SA+S:(i+1)*SA], t.Action)
-	}
-	nextA := a.actorTarget.ForwardRows(a.actNext, n)
-	for i := 0; i < n; i++ {
-		copy(a.actNextSA[i*SA+S:(i+1)*SA], nextA[i*A:(i+1)*A])
-	}
-	qNext := a.criticTarget.ForwardRows(a.actNextSA, n)
-	q := a.Critic.ForwardRows(a.actSA, n)
-	for i := range batch {
-		target := batch[i].Reward
-		if !batch[i].Done {
-			target += a.cfg.Gamma * qNext[i]
-		}
-		out[i] = target - q[i]
-	}
-	return out
+	return tdErrorBatch(a, &a.act64, (*nn.Network).ForwardRows, batch, out)
 }
 
-// tdErrorBatch32 is TDErrorBatch through the f32 batch engine: same
-// three passes over the f32 parameter mirrors, with the final
-// target/error arithmetic in f64 over the converted Q values.
-func (a *Agent) tdErrorBatch32(batch []replay.Transition, out []float64) []float64 {
+// tdErrorBatch is TDErrorBatch at element type T through the given
+// batched forward: three passes (target actor, target critic, critic)
+// over matrices assembled from the float64 transitions, with the final
+// target/error arithmetic in float64 over the widened Q values.
+func tdErrorBatch[T float](a *Agent, s *actScratch[T], forward func(*nn.Network, []T, int) []T, batch []replay.Transition, out []float64) []float64 {
 	n := len(batch)
 	S, A := a.cfg.StateDim, a.cfg.ActionDim
 	SA := S + A
-	a.act32States = growFloat32(a.act32States, n*S)
-	a.act32NextSA = growFloat32(a.act32NextSA, n*SA)
-	a.act32SA = growFloat32(a.act32SA, n*SA)
+	s.states = resize(s.states, n*S)
+	s.nextSA = resize(s.nextSA, n*SA)
+	s.sa = resize(s.sa, n*SA)
 	for i := range batch {
 		t := &batch[i]
-		for j, v := range t.NextState {
-			a.act32States[i*S+j] = float32(v)
-			a.act32NextSA[i*SA+j] = float32(v)
-		}
-		for j, v := range t.State {
-			a.act32SA[i*SA+j] = float32(v)
-		}
-		for j, v := range t.Action {
-			a.act32SA[i*SA+S+j] = float32(v)
-		}
+		convert(s.states[i*S:(i+1)*S], t.NextState)
+		convert(s.nextSA[i*SA:i*SA+S], t.NextState)
+		convert(s.sa[i*SA:i*SA+S], t.State)
+		convert(s.sa[i*SA+S:(i+1)*SA], t.Action)
 	}
-	nextA := a.actorTarget.ForwardBatchF32(a.act32States, n)
+	nextA := forward(a.actorTarget, s.states, n)
 	for i := 0; i < n; i++ {
-		copy(a.act32NextSA[i*SA+S:(i+1)*SA], nextA[i*A:(i+1)*A])
+		copy(s.nextSA[i*SA+S:(i+1)*SA], nextA[i*A:(i+1)*A])
 	}
-	qNext := a.criticTarget.ForwardBatchF32(a.act32NextSA, n)
-	q := a.Critic.ForwardBatchF32(a.act32SA, n)
+	qNext := forward(a.criticTarget, s.nextSA, n)
+	q := forward(a.Critic, s.sa, n)
 	for i := range batch {
 		target := batch[i].Reward
 		if !batch[i].Done {

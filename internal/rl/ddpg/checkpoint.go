@@ -136,9 +136,13 @@ func (a *Agent) LoadState(r io.Reader) error {
 }
 
 // applyState restores a decoded checkpoint into a, whose Config
-// already matches st.Cfg. withReplay controls whether a carried
-// replay snapshot is restored (inference-only consumers skip it).
-func (a *Agent) applyState(st *agentState, withReplay bool) error {
+// already matches st.Cfg. resume additionally restores a carried
+// replay snapshot and fast-forwards the RNG to the recorded stream
+// position, which together give next-update parity. Inference-only
+// consumers skip both — the fast-forward costs one generator step per
+// recorded draw, a count read from the blob, and greedy inference
+// never draws — so their RNG stays at its seed position.
+func (a *Agent) applyState(st *agentState, resume bool) error {
 	if err := loadNetwork(a.Actor, st.Actor, "actor"); err != nil {
 		return err
 	}
@@ -161,10 +165,12 @@ func (a *Agent) applyState(st *agentState, withReplay bool) error {
 		return err
 	}
 	a.noise.SetSigma(st.NoiseSigma)
-	a.rngSrc.skipTo(st.RNGDraws)
 	a.learnSteps = st.LearnSteps
+	if resume {
+		a.rngSrc.skipTo(st.RNGDraws)
+	}
 	switch {
-	case !withReplay:
+	case !resume:
 	case st.Replay != nil:
 		buf, ok := a.prioritized.(*replay.Prioritized)
 		if !ok {
@@ -200,11 +206,13 @@ func (a *Agent) LoadStateBytes(data []byte) error {
 
 // LoadAgent builds a fresh agent from a SaveState checkpoint alone:
 // the embedded Config constructs the agent, then everything except
-// replay contents is restored. This is the serving-plane entry point —
-// a controller daemon handed a checkpoint file knows nothing about
-// the configuration that trained it, and inference never touches the
-// replay buffer, so a carried replay snapshot is skipped rather than
-// required to fit.
+// replay contents and the RNG stream position is restored. This is the
+// serving-plane entry point — a controller daemon handed a checkpoint
+// file knows nothing about the configuration that trained it, and
+// inference never touches the replay buffer or the RNG, so a carried
+// replay snapshot is skipped rather than required to fit and the RNG
+// stays at its seed position (resuming training from the result would
+// not reproduce the saved agent's sampling; LoadState is that path).
 func LoadAgent(r io.Reader) (*Agent, error) {
 	var st agentState
 	if err := gob.NewDecoder(r).Decode(&st); err != nil {

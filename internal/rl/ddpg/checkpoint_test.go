@@ -2,10 +2,13 @@ package ddpg
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
+	"greennfv/internal/nn"
 	"greennfv/internal/rl/replay"
 )
 
@@ -221,5 +224,129 @@ func TestLoadAgentFromCheckpointAlone(t *testing.T) {
 
 	if _, err := LoadAgentBytes(blob[:len(blob)/2]); err == nil {
 		t.Error("LoadAgent accepted a truncated checkpoint")
+	}
+}
+
+// reencode decodes a StateBytes blob, applies edit and encodes it
+// again: a well-formed checkpoint with hostile contents.
+func reencode(t *testing.T, blob []byte, edit func(*agentState)) []byte {
+	t.Helper()
+	var st agentState
+	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	edit(&st)
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&st); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestLoadStateRejectsHostileOptimizer: the optimizer moments in a
+// checkpoint come from disk and the next update indexes them by the
+// networks' shapes (the f32 learner hands the assembly a bare pointer).
+// Ill-shaped moments of either precision, in either optimizer, must be
+// an error from LoadStateBytes — not a panic or an out-of-bounds write
+// at the next update — and leave the agent able to learn.
+func TestLoadStateRejectsHostileOptimizer(t *testing.T) {
+	cfg := DefaultConfig(6, 4)
+	cfg.BatchSize = 16
+	cfg.BufferCap = 256
+	src, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillReplay(src, cfg, 64, 71)
+	src.Learn()
+	src.SetFloat32(true)
+	src.Learn()
+	src.SetFloat32(false)
+	blob, err := src.StateBytes(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	hostile := map[string]func(*nn.AdamState){
+		"f32 one scalar": func(o *nn.AdamState) { o.T32, o.M32, o.V32 = 3, [][]float32{{1}}, [][]float32{{1}} },
+		"f32 short":      func(o *nn.AdamState) { o.M32[0], o.V32[0] = o.M32[0][:1], o.V32[0][:1] },
+		"f32 long":       func(o *nn.AdamState) { o.M32[0], o.V32[0] = append(o.M32[0], 0), append(o.V32[0], 0) },
+		"f32 ragged":     func(o *nn.AdamState) { o.V32[1] = o.V32[1][:1] },
+		"f32 count":      func(o *nn.AdamState) { o.M32, o.V32 = o.M32[:1], o.V32[:1] },
+		"f32 m-only":     func(o *nn.AdamState) { o.V32 = nil },
+		"f32 negative t": func(o *nn.AdamState) { o.T32 = -1 },
+		"f64 short":      func(o *nn.AdamState) { o.M[0], o.V[0] = o.M[0][:1], o.V[0][:1] },
+		"f64 ragged":     func(o *nn.AdamState) { o.V[1] = o.V[1][:1] },
+		"f64 negative t": func(o *nn.AdamState) { o.T = -1 },
+	}
+	for _, f32 := range []bool{false, true} {
+		for name, edit := range hostile {
+			for which, pick := range map[string]func(*agentState) *nn.AdamState{
+				"actor":  func(st *agentState) *nn.AdamState { return &st.ActorOpt },
+				"critic": func(st *agentState) *nn.AdamState { return &st.CriticOpt },
+			} {
+				a, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fillReplay(a, cfg, 64, 71)
+				a.SetFloat32(f32)
+				bad := reencode(t, blob, func(st *agentState) { edit(pick(st)) })
+				if err := a.LoadStateBytes(bad); err == nil {
+					t.Errorf("f32=%v %s optimizer, %s: LoadStateBytes accepted it", f32, which, name)
+				}
+				if loss := a.Learn(); math.IsNaN(loss) {
+					t.Errorf("f32=%v %s optimizer, %s: NaN loss after the rejected load", f32, which, name)
+				}
+			}
+		}
+	}
+}
+
+// TestLoadAgentSkipsRNGFastForward: loading for serving must not replay
+// the trainer's RNG stream — the draw count is read from the blob, the
+// fast-forward is one generator step per draw, and greedy inference
+// never draws. A checkpoint claiming 2^62 draws loads promptly and
+// serves the same policy.
+func TestLoadAgentSkipsRNGFastForward(t *testing.T) {
+	cfg := DefaultConfig(6, 4)
+	cfg.BatchSize = 16
+	cfg.BufferCap = 256
+	orig, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillReplay(orig, cfg, 64, 71)
+	for i := 0; i < 5; i++ {
+		orig.Learn()
+	}
+	blob, err := orig.StateBytes(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := LoadAgentBytes(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	start := time.Now()
+	got, err := LoadAgentBytes(reencode(t, blob, func(st *agentState) { st.RNGDraws = 1 << 62 }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("LoadAgentBytes took %v on a blob claiming 2^62 RNG draws", d)
+	}
+	state := make([]float64, cfg.StateDim)
+	for trial := 0; trial < 3; trial++ {
+		for j := range state {
+			state[j] = 0.01 * float64(trial*10+j)
+		}
+		w, g := want.Greedy(state), got.Greedy(state)
+		for j := range w {
+			if w[j] != g[j] {
+				t.Fatalf("trial %d: greedy action diverged: %v vs %v", trial, g, w)
+			}
+		}
 	}
 }

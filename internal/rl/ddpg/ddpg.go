@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"greennfv/internal/nn"
 	"greennfv/internal/rl/replay"
@@ -211,73 +212,60 @@ type Agent struct {
 	learnSteps int
 	// scratch buffers to avoid per-step garbage.
 	saBuf []float64
-	// minibatch scratch, sized on first Learn and reused forever:
-	// sample buffers and the row-major matrices fed to the batched
-	// network passes.
-	batchBuf    []replay.Transition
-	idxBuf      []int
-	weightBuf   []float64
-	bStates     []float64 // BatchSize × StateDim
-	bNextStates []float64 // BatchSize × StateDim
-	bSA         []float64 // BatchSize × (StateDim+ActionDim)
-	bNextSA     []float64 // BatchSize × (StateDim+ActionDim)
-	bY          []float64 // BatchSize targets
-	bDQ         []float64 // BatchSize dL/dQ
-	bDAct       []float64 // BatchSize × ActionDim
-	tdErrBuf    []float64 // BatchSize TD errors for priority updates
-	// fused-pass scratch (LearnBatch): the regression half and the
-	// action-gradient half of the critic pass stacked in one matrix.
-	bSA2 []float64 // 2·BatchSize × (StateDim+ActionDim)
-	bDQ2 []float64 // 2·BatchSize dL/dQ
-
-	// batched acting scratch (act.go): TDErrorBatch's assembled
-	// matrices, grown to the largest flush window seen.
-	actNext   []float64 // n × StateDim next states
-	actNextSA []float64 // n × (StateDim+ActionDim) target critic input
-	actSA     []float64 // n × (StateDim+ActionDim) critic input
-
-	// float32 fast path (learn32.go): enabled by SetFloat32, used by
-	// the non-deterministic Parallel/RemoteActors trainer modes.
+	// sample buffers and the TD errors for priority updates, sized on
+	// first use and reused forever.
+	batchBuf  []replay.Transition
+	idxBuf    []int
+	weightBuf []float64
+	tdErrBuf  []float64
+	// minibatch scratch of the update, one per element type (f32: the
+	// fast path SetFloat32 enables, used by the non-deterministic
+	// Parallel/RemoteActors trainer modes).
 	f32 bool
-	// float32 acting path (act.go): enabled by SetActFloat32 on
-	// acting-only agents; routes ActBatch/TDErrorBatch through the f32
-	// batch engine.
-	actF32      bool
-	act32States []float32
-	act32NextSA []float32
-	act32SA     []float32
-	// f32 minibatch scratch, the single-precision mirror of the fused
-	// buffers above.
-	bStates32     []float32 // BatchSize × StateDim
-	bNextStates32 []float32 // BatchSize × StateDim
-	bNextSA32     []float32 // BatchSize × (StateDim+ActionDim)
-	bY32          []float32 // BatchSize targets
-	bDAct32       []float32 // BatchSize × ActionDim
-	bSA232        []float32 // 2·BatchSize × (StateDim+ActionDim)
-	bDQ232        []float32 // 2·BatchSize dL/dQ
+	s64 scratch[float64]
+	s32 scratch[float32]
+	// batched acting scratch (act.go), one per element type (f32:
+	// SetActFloat32 on acting-only agents routes ActBatch/TDErrorBatch
+	// through the f32 batch engine).
+	actF32 bool
+	act64  actScratch[float64]
+	act32  actScratch[float32]
 }
 
-// growScratch sizes the minibatch scratch buffers once.
-func (a *Agent) growScratch() {
-	if a.bStates != nil {
-		return
+// float is the element type of an update or a batched acting pass.
+type float interface{ float32 | float64 }
+
+// scratch holds the row-major matrices one update of n transitions
+// feeds to the batched network passes, at one element type; sized by
+// the first update (bootstrapTargets) and reused forever.
+type scratch[T float] struct {
+	states     []T // n × StateDim
+	nextStates []T // n × StateDim
+	nextSA     []T // n × (StateDim+ActionDim)
+	y          []T // n targets
+	dAct       []T // n × ActionDim
+	// The critic pass: the regression rows and, stacked behind them in
+	// the fused update, the action-gradient probe rows.
+	sa []T // 2n × (StateDim+ActionDim)
+	dq []T // 2n dL/dQ
+}
+
+// resize returns buf with length n, reallocating only when capacity is
+// insufficient — the steady state never allocates. The contents are
+// scratch.
+func resize[T any](buf []T, n int) []T {
+	return slices.Grow(buf[:0], n)[:n]
+}
+
+// convert is copy from the float64 replay into a matrix row of element
+// type T; like copy it stops at the shorter of the two.
+func convert[T float](dst []T, src []float64) {
+	if len(src) > len(dst) {
+		src = src[:len(dst)]
 	}
-	n, S, A := a.cfg.BatchSize, a.cfg.StateDim, a.cfg.ActionDim
-	a.batchBuf = make([]replay.Transition, 0, n)
-	if a.prioritized != nil {
-		a.idxBuf = make([]int, 0, n)
-		a.weightBuf = make([]float64, 0, n)
+	for j, v := range src {
+		dst[j] = T(v)
 	}
-	a.bStates = make([]float64, n*S)
-	a.bNextStates = make([]float64, n*S)
-	a.bSA = make([]float64, n*(S+A))
-	a.bNextSA = make([]float64, n*(S+A))
-	a.bY = make([]float64, n)
-	a.bDQ = make([]float64, n)
-	a.bDAct = make([]float64, n*A)
-	a.tdErrBuf = make([]float64, n)
-	a.bSA2 = make([]float64, 2*n*(S+A))
-	a.bDQ2 = make([]float64, 2*n)
 }
 
 // New builds an agent from a validated configuration.
@@ -454,26 +442,20 @@ func (a *Agent) TDError(t replay.Transition) float64 {
 // ascent) run batched over row-major [BatchSize × dim] matrices with
 // agent-owned scratch, so the steady state allocates nothing.
 func (a *Agent) Learn() float64 {
-	var batch []replay.Transition
+	n := a.cfg.BatchSize
+	if a.BufferLen() < n {
+		return 0
+	}
 	var indices []int
 	var weights []float64
 	if a.prioritized != nil {
-		if a.prioritized.Len() < a.cfg.BatchSize {
-			return 0
-		}
-		a.growScratch()
-		batch, indices, weights = a.prioritized.SampleInto(
-			a.rng, a.cfg.BatchSize, a.batchBuf, a.idxBuf, a.weightBuf)
-		a.batchBuf, a.idxBuf, a.weightBuf = batch, indices, weights
+		a.batchBuf, a.idxBuf, a.weightBuf = a.prioritized.SampleInto(a.rng, n,
+			resize(a.batchBuf, n), resize(a.idxBuf, n), resize(a.weightBuf, n))
+		indices, weights = a.idxBuf, a.weightBuf
 	} else {
-		if a.uniform.Len() < a.cfg.BatchSize {
-			return 0
-		}
-		a.growScratch()
-		batch = a.uniform.SampleInto(a.rng, a.cfg.BatchSize, a.batchBuf)
-		a.batchBuf = batch
+		a.batchBuf = a.uniform.SampleInto(a.rng, n, resize(a.batchBuf, n))
 	}
-	return a.learnMinibatch(batch, indices, weights, false)
+	return a.learnMinibatch(a.batchBuf, indices, weights, false)
 }
 
 // LearnBatch runs one update on an externally sampled minibatch — the
@@ -491,72 +473,45 @@ func (a *Agent) LearnBatch(batch []replay.Transition, indices []int, weights []f
 	if len(batch) > a.cfg.BatchSize {
 		batch = batch[:a.cfg.BatchSize] // scratch is sized to BatchSize
 	}
-	a.growScratch()
 	return a.learnMinibatch(batch, indices, weights, true)
 }
 
-// learnMinibatch is the shared DDPG update body. The fused flag
-// selects the 2n-row critic pass of LearnBatch; the unfused sequence
-// is op-for-op the historical Learn and must stay byte-identical.
+// learnMinibatch routes one update: the fused body (learnFused) for
+// LearnBatch, and for both entry points while SetFloat32 is active;
+// otherwise the unfused sequence, which is op-for-op the historical
+// Learn and must stay byte-identical.
 func (a *Agent) learnMinibatch(batch []replay.Transition, indices []int, weights []float64, fused bool) float64 {
 	if len(batch) == 0 {
 		return 0
 	}
 	if a.f32 {
-		// Float32 fast path (learn32.go): both Learn and LearnBatch
-		// route here while SetFloat32 is active — the fused structure
-		// in single precision.
-		return a.learnMinibatchF32(batch, indices, weights)
+		return learnFused(a, &a.s32, batch, indices, weights)
+	}
+	if fused {
+		return learnFused(a, &a.s64, batch, indices, weights)
 	}
 
+	s := &a.s64
 	n := len(batch)
 	S, A := a.cfg.StateDim, a.cfg.ActionDim
 	SA := S + A
-
-	// Assemble the minibatch matrices: states, next states, (state,
-	// action) pairs, and the state columns of the target critic input
-	// (its action columns are filled from the target actor below).
-	for i, t := range batch {
-		copy(a.bStates[i*S:(i+1)*S], t.State)
-		copy(a.bNextStates[i*S:(i+1)*S], t.NextState)
-		copy(a.bSA[i*SA:], t.State)
-		copy(a.bSA[i*SA+S:(i+1)*SA], t.Action)
-		copy(a.bNextSA[i*SA:], t.NextState)
-	}
-
-	// Bootstrapped targets y_i = r_i + γ Q'(s', μ'(s')).
-	nextA := a.actorTarget.ForwardBatch(a.bNextStates, n)
-	for i := 0; i < n; i++ {
-		copy(a.bNextSA[i*SA+S:(i+1)*SA], nextA[i*A:(i+1)*A])
-	}
-	qNext := a.criticTarget.ForwardBatch(a.bNextSA, n)
-	for i, t := range batch {
-		y := t.Reward
-		if !t.Done {
-			y += a.cfg.Gamma * qNext[i]
-		}
-		a.bY[i] = y
-	}
-
-	if fused {
-		return a.finishFused(batch, indices, weights, n)
-	}
+	bootstrapTargets(a, s, batch)
 
 	// Critic update: minimize Σ w_i (y_i − Q(s_i, a_i))².
-	q := a.Critic.ForwardBatch(a.bSA, n)
+	q := a.Critic.ForwardBatch(s.sa, n)
 	var loss float64
 	for i := range batch {
-		diff := q[i] - a.bY[i]
+		diff := q[i] - s.y[i]
 		a.tdErrBuf[i] = -diff
 		w := 1.0
 		if weights != nil {
 			w = weights[i]
 		}
 		loss += w * diff * diff
-		a.bDQ[i] = w * diff
+		s.dq[i] = w * diff
 	}
 	a.Critic.ZeroGrad()
-	a.Critic.BackwardBatchParams(a.bDQ, n)
+	a.Critic.BackwardBatchParams(s.dq, n)
 	a.Critic.ScaleGrad(1 / float64(n))
 	a.criticOpt.Step(a.Critic)
 	loss /= float64(n)
@@ -569,63 +524,111 @@ func (a *Agent) learnMinibatch(batch []replay.Transition, indices []int, weights
 	// back through the critic and through the actor in one batched
 	// pass each; BackwardBatchInput leaves the critic's own gradients
 	// untouched, so no ZeroGrad bookkeeping is needed around it.
-	actions := a.Actor.ForwardBatch(a.bStates, n)
+	actions := a.Actor.ForwardBatch(s.states, n)
 	for i := 0; i < n; i++ {
-		copy(a.bSA[i*SA+S:(i+1)*SA], actions[i*A:(i+1)*A]) // states already in place
+		copy(s.sa[i*SA+S:(i+1)*SA], actions[i*A:(i+1)*A]) // states already in place
 	}
-	a.Critic.ForwardBatch(a.bSA, n)
+	a.Critic.ForwardBatch(s.sa, n)
 	for i := 0; i < n; i++ {
-		a.bDQ[i] = -1 // ascend Q
+		s.dq[i] = -1 // ascend Q
 	}
-	dInput := a.Critic.BackwardBatchInput(a.bDQ, n)
+	dInput := a.Critic.BackwardBatchInput(s.dq, n)
 	for i := 0; i < n; i++ {
-		copy(a.bDAct[i*A:(i+1)*A], dInput[i*SA+S:(i+1)*SA])
+		copy(s.dAct[i*A:(i+1)*A], dInput[i*SA+S:(i+1)*SA])
 	}
 	a.Actor.ZeroGrad()
-	a.Actor.BackwardBatchParams(a.bDAct, n)
+	a.Actor.BackwardBatchParams(s.dAct, n)
 	a.Actor.ScaleGrad(1 / float64(n))
 	a.actorOpt.Step(a.Actor)
 
-	a.finishTargets()
+	finishTargets[float64](a)
 	return loss
 }
 
-// finishFused is the fused critic pass of LearnBatch: one 2n-row
-// forward over [regression rows; (s, μ(s)) probe rows] and one
-// BackwardBatchSplit that keeps parameter gradients from the first
-// half while returning input gradients for the second.
-func (a *Agent) finishFused(batch []replay.Transition, indices []int, weights []float64, n int) float64 {
+// bootstrapTargets is the head every update shares. It sizes the
+// update's scratch, assembles the minibatch matrices at element type T
+// straight from the float64 transitions — states, next states, the regression rows of the critic
+// input, the state columns of the target critic input (its action
+// columns come from the target actor) — and computes the bootstrapped
+// targets y_i = r_i + γ Q'(s', μ'(s')).
+func bootstrapTargets[T float](a *Agent, s *scratch[T], batch []replay.Transition) {
+	n := len(batch)
 	S, A := a.cfg.StateDim, a.cfg.ActionDim
 	SA := S + A
+	a.tdErrBuf = resize(a.tdErrBuf, n)
+	s.states = resize(s.states, n*S)
+	s.nextStates = resize(s.nextStates, n*S)
+	s.nextSA = resize(s.nextSA, n*SA)
+	s.y = resize(s.y, n)
+	s.dAct = resize(s.dAct, n*A)
+	s.sa = resize(s.sa, 2*n*SA)
+	s.dq = resize(s.dq, 2*n)
+	for i := range batch {
+		t := &batch[i]
+		convert(s.states[i*S:(i+1)*S], t.State)
+		convert(s.nextStates[i*S:(i+1)*S], t.NextState)
+		convert(s.sa[i*SA:i*SA+S], t.State)
+		convert(s.sa[i*SA+S:(i+1)*SA], t.Action)
+		convert(s.nextSA[i*SA:i*SA+S], t.NextState)
+	}
+	nextA := nn.ForwardBatch(a.actorTarget, s.nextStates, n)
+	for i := 0; i < n; i++ {
+		copy(s.nextSA[i*SA+S:(i+1)*SA], nextA[i*A:(i+1)*A])
+	}
+	qNext := nn.ForwardBatch(a.criticTarget, s.nextSA, n)
+	gamma := T(a.cfg.Gamma)
+	for i := range batch {
+		y := T(batch[i].Reward)
+		if !batch[i].Done {
+			y += gamma * qNext[i]
+		}
+		s.y[i] = y
+	}
+}
+
+// learnFused is the fused update at element type T: after the shared
+// head, one 2n-row critic forward over [regression rows; (s, μ(s))
+// probe rows] and one BackwardBatchSplit that keeps parameter
+// gradients from the first half while returning input gradients for
+// the second, then the actor ascent and the soft target updates — all
+// through nn's batch engine at T, zero allocations once warm. The
+// places it leaves T are the same at either type and are identities at
+// float64: the TD errors and the loss are widened from a product
+// computed in T, importance weights are narrowed to T, and everything
+// after the optimizer steps is float64 bookkeeping.
+func learnFused[T float](a *Agent, s *scratch[T], batch []replay.Transition, indices []int, weights []float64) float64 {
+	n := len(batch)
+	S, A := a.cfg.StateDim, a.cfg.ActionDim
+	SA := S + A
+	bootstrapTargets(a, s, batch)
 
 	// Probe actions μ(s) from the online actor; its cached
 	// activations feed the actor backward below (the critic passes in
 	// between do not disturb them).
-	actions := a.Actor.ForwardBatch(a.bStates, n)
-	copy(a.bSA2[:n*SA], a.bSA[:n*SA])
+	actions := nn.ForwardBatch(a.Actor, s.states, n)
 	for i := 0; i < n; i++ {
-		row := a.bSA2[(n+i)*SA : (n+i+1)*SA]
-		copy(row[:S], batch[i].State)
+		row := s.sa[(n+i)*SA : (n+i+1)*SA]
+		copy(row[:S], s.states[i*S:(i+1)*S])
 		copy(row[S:], actions[i*A:(i+1)*A])
 	}
 
-	q2 := a.Critic.ForwardBatch(a.bSA2, 2*n)
+	q2 := nn.ForwardBatch(a.Critic, s.sa, 2*n)
 	var loss float64
 	for i := 0; i < n; i++ {
-		diff := q2[i] - a.bY[i]
-		a.tdErrBuf[i] = -diff
-		w := 1.0
+		diff := q2[i] - s.y[i]
+		a.tdErrBuf[i] = float64(-diff)
+		w := T(1)
 		if weights != nil {
-			w = weights[i]
+			w = T(weights[i])
 		}
-		loss += w * diff * diff
-		a.bDQ2[i] = w * diff
-		a.bDQ2[n+i] = -1 // ascend Q along the probe rows
+		loss += float64(w * diff * diff)
+		s.dq[i] = w * diff
+		s.dq[n+i] = -1 // ascend Q along the probe rows
 	}
-	a.Critic.ZeroGrad()
-	dInput := a.Critic.BackwardBatchSplit(a.bDQ2, 2*n, n)
-	a.Critic.ScaleGrad(1 / float64(n))
-	a.criticOpt.Step(a.Critic)
+	nn.ZeroGrad[T](a.Critic)
+	dInput := nn.BackwardBatchSplit(a.Critic, s.dq, 2*n, n)
+	nn.ScaleGrad(a.Critic, 1/T(n))
+	nn.AdamStep[T](a.criticOpt, a.Critic)
 	loss /= float64(n)
 
 	if a.prioritized != nil && indices != nil {
@@ -633,24 +636,25 @@ func (a *Agent) finishFused(batch []replay.Transition, indices []int, weights []
 	}
 
 	for i := 0; i < n; i++ {
-		copy(a.bDAct[i*A:(i+1)*A], dInput[(n+i)*SA+S:(n+i+1)*SA])
+		copy(s.dAct[i*A:(i+1)*A], dInput[(n+i)*SA+S:(n+i+1)*SA])
 	}
-	a.Actor.ZeroGrad()
-	a.Actor.BackwardBatchParams(a.bDAct, n)
-	a.Actor.ScaleGrad(1 / float64(n))
-	a.actorOpt.Step(a.Actor)
+	nn.ZeroGrad[T](a.Actor)
+	nn.BackwardBatchParams(a.Actor, s.dAct, n)
+	nn.ScaleGrad(a.Actor, 1/T(n))
+	nn.AdamStep[T](a.actorOpt, a.Actor)
 
-	a.finishTargets()
+	finishTargets[T](a)
 	return loss
 }
 
-// finishTargets applies the soft target updates and per-step
-// bookkeeping shared by both learn paths.
-func (a *Agent) finishTargets() {
-	if err := a.actorTarget.SoftUpdate(a.Actor, a.cfg.Tau); err != nil {
+// finishTargets applies the soft target updates at element type T and
+// the per-step bookkeeping every update shares.
+func finishTargets[T float](a *Agent) {
+	tau := T(a.cfg.Tau)
+	if err := nn.SoftUpdate(a.actorTarget, a.Actor, tau); err != nil {
 		panic(err) // topologies are construction-matched
 	}
-	if err := a.criticTarget.SoftUpdate(a.Critic, a.cfg.Tau); err != nil {
+	if err := nn.SoftUpdate(a.criticTarget, a.Critic, tau); err != nil {
 		panic(err)
 	}
 

@@ -20,26 +20,35 @@
 // keeps the round-robin training figures byte-identical.
 //
 // Learn is organized as sample + learnMinibatch: Learn draws a
-// prioritized minibatch and hands it to the shared update step, and
-// the Ape-X pipeline calls the same step through LearnBatch with a
-// prefetched minibatch instead. Both run three batched network
-// passes over reusable scratch (zero allocations per update,
-// including sampling, pinned by benchmarks). LearnBatch additionally
-// takes the fused path — one 2n-row critic forward over [regression;
-// (s,μ(s)) probes] with nn.BackwardBatchSplit, where dQ/da reads the
+// prioritized minibatch and hands it to the update, and the Ape-X
+// pipeline reaches the same update through LearnBatch with a
+// prefetched minibatch instead. Every update starts with one head
+// (bootstrapTargets: assemble the matrices, compute the targets) and
+// runs batched network passes over reusable scratch (zero allocations
+// per update, including sampling, pinned by benchmarks). There are
+// two bodies behind the head. LearnBatch takes the fused one,
+// learnFused — one 2n-row critic forward over [regression; (s,μ(s))
+// probes] with nn.BackwardBatchSplit, where dQ/da reads the
 // pre-update critic — which is bit-unidentical to the unfused order
 // and therefore used only by the non-deterministic parallel mode;
-// the unfused path is op-identical to the original Learn and stays
-// on the figure path. The replay behind Observe/ObserveBatch is
+// the unfused sequence is op-identical to the original Learn and
+// stays on the figure path. learnFused and the head are written once
+// over float32 | float64, on nn's generic batch engine. The replay behind Observe/ObserveBatch is
 // goroutine-safe (see internal/replay), so experience ingest may run
 // concurrently with action selection but not with updates.
 //
 // # Float32 fast path
 //
-// SetFloat32(true) routes both Learn and LearnBatch through a
-// single-precision mirror of the fused update (learn32.go) built on
-// internal/nn's f32 batch engine — roughly 1.3x the f64 update rate
-// on AVX2. Precision contract: while enabled, the f32 parameter
+// SetFloat32(true) routes both Learn and LearnBatch through
+// learnFused at float32 — the same body LearnBatch runs at float64,
+// on the float32 instantiation of internal/nn's batch engine —
+// roughly 1.3x the f64 update rate on AVX2. Where that body leaves T
+// it does so at either type, and each is an identity at float64: the
+// transitions, rewards and importance weights arrive as float64 and
+// are narrowed to T; the loss and the TD errors written back as
+// priorities are widened from a product computed in T; TDErrorBatch
+// forms its targets in float64 from widened Q values. Precision
+// contract: while enabled, the f32 parameter
 // mirrors of all four networks are authoritative and the f64 weights
 // go stale; ActorBytes flushes the actor mirror before serializing
 // (broadcasts always carry the current policy) and SetFloat32(false)
@@ -74,7 +83,9 @@
 //     which is why the Ape-X actor may defer priority settlement to
 //     push time without changing a single priority bit.
 //   - SetActFloat32 routes ActBatch/TDErrorBatch through the f32
-//     batch engine (~2x on AVX2) WITHOUT touching the learner state:
+//     batch engine (~2x on AVX2; TDErrorBatch is one body taking the
+//     forward pass as a parameter — ForwardRows at float64,
+//     nn.ForwardBatch at float32) WITHOUT touching the learner state:
 //     it mirrors only the acting nets, and it is a no-op while
 //     SetFloat32 learning is enabled on the same agent — the learner
 //     owns the mirrors then, and acting precision must not fight it.
@@ -88,7 +99,7 @@
 //
 // SaveState/LoadState (checkpoint.go) serialize the COMPLETE training
 // state, not just the policy: all four networks, both Adam moment
-// sets (f64 and, when the f32 paths ran, their f32 twins), the OU
+// sets (f64 and, when the f32 path ran, f32), the OU
 // noise process, the exploration-RNG stream position, the learn-step
 // counter and optionally the replay contents. The restore contract is
 // bit-exactness: an agent restored from a snapshot produces the same
@@ -102,7 +113,10 @@
 // restores by draw count — the counting source re-seeds and
 // fast-forwards — so snapshots stay valid across Go versions only as
 // far as math/rand's generator is stable, which is the same
-// assumption seeded training already makes. ActorBytes remains the
+// assumption seeded training already makes. LoadAgent, the serving
+// entry point, restores neither the replay nor the stream position:
+// the fast-forward costs one generator step per draw, the count comes
+// from the blob, and greedy inference never draws. ActorBytes remains the
 // separate, policy-only format for broadcasts and deployment; the
 // two formats are unrelated on the wire.
 package ddpg

@@ -1,23 +1,10 @@
 package ddpg
 
-import (
-	"greennfv/internal/rl/replay"
-)
-
-// This file is the float32 fast path of the DDPG update: the fused
-// LearnBatch structure computed through the nn package's f32 batch
-// engine (8-lane AVX2 kernels, half the memory traffic of f64).
-//
-// Precision contract: while SetFloat32(true) is active, the f32
-// parameter mirrors of all four networks are the authoritative
-// weights — forward, backward, Adam and the soft target updates all
-// run in single precision — and the f64 weights go stale until
-// ActorBytes (parameter broadcast) or SetFloat32(false) flushes the
-// mirrors back. The path is used only by the non-deterministic
-// Parallel/RemoteActors trainer modes; the deterministic round-robin
-// figure path never enables it, so recorded figures stay
-// byte-identical. Parity with the f64 update is quantified by
-// TestLearnF32ParityWithF64 (max |ΔQ| after a fixed update schedule).
+// The float32 fast path of the DDPG update is learnFused (ddpg.go) at
+// T = float32: the fused LearnBatch structure through the float32
+// instantiation of nn's batch engine (8-lane AVX2 kernels, half the
+// memory traffic of f64). This file is the switch; the precision
+// contract it puts in force is in doc.go ("Float32 fast path").
 
 // SetFloat32 switches the agent's learn path between double and
 // single precision. Enabling snapshots the f64 weights into f32
@@ -53,119 +40,3 @@ func (a *Agent) SetFloat32(enable bool) {
 
 // Float32 reports whether the f32 learn path is active.
 func (a *Agent) Float32() bool { return a.f32 }
-
-// growScratch32 sizes the f32 minibatch scratch once.
-func (a *Agent) growScratch32() {
-	if a.bStates32 != nil {
-		return
-	}
-	n, S, A := a.cfg.BatchSize, a.cfg.StateDim, a.cfg.ActionDim
-	a.bStates32 = make([]float32, n*S)
-	a.bNextStates32 = make([]float32, n*S)
-	a.bNextSA32 = make([]float32, n*(S+A))
-	a.bY32 = make([]float32, n)
-	a.bDAct32 = make([]float32, n*A)
-	a.bSA232 = make([]float32, 2*n*(S+A))
-	a.bDQ232 = make([]float32, 2*n)
-}
-
-// learnMinibatchF32 is the single-precision DDPG update: the same
-// fused sequence as finishFused — bootstrapped critic targets, one
-// 2n-row critic pass over [regression rows; (s, μ(s)) probe rows]
-// with BackwardBatchSplitF32, actor ascent, soft target updates — all
-// through the f32 engine. Zero allocations once warm.
-func (a *Agent) learnMinibatchF32(batch []replay.Transition, indices []int, weights []float64) float64 {
-	a.growScratch()
-	a.growScratch32()
-	n := len(batch)
-	S, A := a.cfg.StateDim, a.cfg.ActionDim
-	SA := S + A
-	gamma := float32(a.cfg.Gamma)
-
-	// Assemble the f32 minibatch matrices straight from the f64
-	// transitions: states, next states, the regression half of the
-	// fused critic input, and the state columns of the target critic
-	// input.
-	for i := range batch {
-		t := &batch[i]
-		for j, v := range t.State {
-			a.bStates32[i*S+j] = float32(v)
-			a.bSA232[i*SA+j] = float32(v)
-		}
-		for j, v := range t.Action {
-			a.bSA232[i*SA+S+j] = float32(v)
-		}
-		for j, v := range t.NextState {
-			a.bNextStates32[i*S+j] = float32(v)
-			a.bNextSA32[i*SA+j] = float32(v)
-		}
-	}
-
-	// Bootstrapped targets y_i = r_i + γ Q'(s', μ'(s')).
-	nextA := a.actorTarget.ForwardBatchF32(a.bNextStates32, n)
-	for i := 0; i < n; i++ {
-		copy(a.bNextSA32[i*SA+S:(i+1)*SA], nextA[i*A:(i+1)*A])
-	}
-	qNext := a.criticTarget.ForwardBatchF32(a.bNextSA32, n)
-	for i := range batch {
-		y := float32(batch[i].Reward)
-		if !batch[i].Done {
-			y += gamma * qNext[i]
-		}
-		a.bY32[i] = y
-	}
-
-	// Probe actions μ(s) fill the second half of the fused input.
-	actions := a.Actor.ForwardBatchF32(a.bStates32, n)
-	for i := 0; i < n; i++ {
-		row := a.bSA232[(n+i)*SA : (n+i+1)*SA]
-		copy(row[:S], a.bStates32[i*S:(i+1)*S])
-		copy(row[S:], actions[i*A:(i+1)*A])
-	}
-
-	q2 := a.Critic.ForwardBatchF32(a.bSA232, 2*n)
-	var loss float64
-	for i := 0; i < n; i++ {
-		diff := q2[i] - a.bY32[i]
-		a.tdErrBuf[i] = float64(-diff)
-		w := float32(1)
-		if weights != nil {
-			w = float32(weights[i])
-		}
-		loss += float64(w * diff * diff)
-		a.bDQ232[i] = w * diff
-		a.bDQ232[n+i] = -1 // ascend Q along the probe rows
-	}
-	a.Critic.ZeroGradF32()
-	dInput := a.Critic.BackwardBatchSplitF32(a.bDQ232, 2*n, n)
-	a.Critic.ScaleGradF32(1 / float32(n))
-	a.criticOpt.StepF32(a.Critic)
-	loss /= float64(n)
-
-	if a.prioritized != nil && indices != nil {
-		a.prioritized.UpdatePrioritiesBatch(indices, a.tdErrBuf[:n])
-	}
-
-	for i := 0; i < n; i++ {
-		copy(a.bDAct32[i*A:(i+1)*A], dInput[(n+i)*SA+S:(n+i+1)*SA])
-	}
-	a.Actor.ZeroGradF32()
-	a.Actor.BackwardBatchParamsF32(a.bDAct32, n)
-	a.Actor.ScaleGradF32(1 / float32(n))
-	a.actorOpt.StepF32(a.Actor)
-
-	// Soft target updates and per-step bookkeeping, the f32 analogue
-	// of finishTargets.
-	tau := float32(a.cfg.Tau)
-	if err := a.actorTarget.SoftUpdateF32(a.Actor, tau); err != nil {
-		panic(err) // topologies are construction-matched
-	}
-	if err := a.criticTarget.SoftUpdateF32(a.Critic, tau); err != nil {
-		panic(err)
-	}
-	a.learnSteps++
-	if a.cfg.NoiseDecay > 0 && a.cfg.NoiseDecay < 1 {
-		a.noise.SetSigma(a.noise.Sigma() * a.cfg.NoiseDecay)
-	}
-	return loss
-}

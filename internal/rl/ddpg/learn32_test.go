@@ -198,73 +198,3 @@ func TestLearnF32RoutesBothEntryPoints(t *testing.T) {
 		}
 	}
 }
-
-// TestLearnBatchF32ZeroAlloc is the f32 analogue of the prefetcher
-// path's zero-alloc gate: one sample+learn cycle in single precision
-// must not allocate once warm.
-func TestLearnBatchF32ZeroAlloc(t *testing.T) {
-	cfg := DefaultConfig(12, 15)
-	a, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded, err := replay.NewSharded(cfg.BufferCap, 8, cfg.PERAlpha, cfg.PERBeta, cfg.PERBetaInc, cfg.Seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.SetReplay(sharded); err != nil {
-		t.Fatal(err)
-	}
-	a.SetFloat32(true)
-	fillAgent(t, a, 4*cfg.BatchSize)
-
-	rng := rand.New(rand.NewSource(11))
-	samples := make([]replay.Transition, 0, cfg.BatchSize)
-	indices := make([]int, 0, cfg.BatchSize)
-	weights := make([]float64, 0, cfg.BatchSize)
-	s, idx, w := a.SampleReplayInto(rng, cfg.BatchSize, samples, indices, weights)
-	a.LearnBatch(s, idx, w) // warm agent, network and optimizer scratch
-
-	allocs := testing.AllocsPerRun(20, func() {
-		s, idx, w := a.SampleReplayInto(rng, cfg.BatchSize, samples, indices, weights)
-		if a.LearnBatch(s, idx, w) < 0 {
-			t.Fatal("negative loss")
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("f32 prefetcher path allocates %v/op, want 0", allocs)
-	}
-}
-
-// BenchmarkAgentLearnBatchF32 is the f32 counterpart of
-// BenchmarkAgentLearnBatch: same problem size, same sharded replay,
-// sample+learn per iteration — the per-update cost the parallel
-// learner pays with TrainerConfig.Float32 set.
-func BenchmarkAgentLearnBatchF32(b *testing.B) {
-	cfg := DefaultConfig(12, 15)
-	a, err := New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sharded, err := replay.NewSharded(cfg.BufferCap, 8, cfg.PERAlpha, cfg.PERBeta, cfg.PERBetaInc, cfg.Seed)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := a.SetReplay(sharded); err != nil {
-		b.Fatal(err)
-	}
-	a.SetFloat32(true)
-	fillAgent(b, a, 4*cfg.BatchSize)
-	rng := rand.New(rand.NewSource(5))
-	samples := make([]replay.Transition, 0, cfg.BatchSize)
-	indices := make([]int, 0, cfg.BatchSize)
-	weights := make([]float64, 0, cfg.BatchSize)
-	s, idx, w := a.SampleReplayInto(rng, cfg.BatchSize, samples, indices, weights)
-	a.LearnBatch(s, idx, w)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s, idx, w := a.SampleReplayInto(rng, cfg.BatchSize, samples, indices, weights)
-		a.LearnBatch(s, idx, w)
-	}
-}

@@ -76,11 +76,13 @@ func TestLearnBatchLearns(t *testing.T) {
 	}
 }
 
-// TestLearnBatchZeroAlloc is the acceptance gate on the prefetcher
-// path: with warm scratch and caller-owned sample buffers, one
-// sample+learn cycle — exactly what the pipeline's sampler and
-// learner goroutines execute — must not allocate.
-func TestLearnBatchZeroAlloc(t *testing.T) {
+// prefetcherAgent builds an agent at the GreenNFV problem size on a
+// sharded replay, in either precision, and returns one sample+learn
+// cycle over caller-owned buffers — exactly what the pipeline's
+// sampler and learner goroutines execute — already run once to warm
+// the agent, network and optimizer scratch.
+func prefetcherAgent(t testing.TB, f32 bool) (cycle func() float64) {
+	t.Helper()
 	cfg := DefaultConfig(12, 15)
 	a, err := New(cfg)
 	if err != nil {
@@ -93,26 +95,38 @@ func TestLearnBatchZeroAlloc(t *testing.T) {
 	if err := a.SetReplay(sharded); err != nil {
 		t.Fatal(err)
 	}
+	a.SetFloat32(f32)
 	fillAgent(t, a, 4*cfg.BatchSize)
 
 	rng := rand.New(rand.NewSource(11))
 	samples := make([]replay.Transition, 0, cfg.BatchSize)
 	indices := make([]int, 0, cfg.BatchSize)
 	weights := make([]float64, 0, cfg.BatchSize)
-	// Warm the agent scratch and the network layer scratch.
-	s, idx, w := a.SampleReplayInto(rng, cfg.BatchSize, samples, indices, weights)
-	a.LearnBatch(s, idx, w)
-
-	allocs := testing.AllocsPerRun(20, func() {
+	cycle = func() float64 {
 		s, idx, w := a.SampleReplayInto(rng, cfg.BatchSize, samples, indices, weights)
-		if a.LearnBatch(s, idx, w) < 0 {
+		return a.LearnBatch(s, idx, w)
+	}
+	cycle()
+	return cycle
+}
+
+// testLearnBatchZeroAlloc is the acceptance gate on the prefetcher
+// path in one precision: with warm scratch one sample+learn cycle must
+// not allocate.
+func testLearnBatchZeroAlloc(t *testing.T, f32 bool) {
+	cycle := prefetcherAgent(t, f32)
+	allocs := testing.AllocsPerRun(20, func() {
+		if cycle() < 0 {
 			t.Fatal("negative loss")
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("prefetcher path allocates %v/op, want 0", allocs)
+		t.Errorf("prefetcher path (f32=%v) allocates %v/op, want 0", f32, allocs)
 	}
 }
+
+func TestLearnBatchZeroAlloc(t *testing.T)    { testLearnBatchZeroAlloc(t, false) }
+func TestLearnBatchF32ZeroAlloc(t *testing.T) { testLearnBatchZeroAlloc(t, true) }
 
 // TestSetReplayGuards: swapping is only allowed on an empty
 // prioritized agent.
@@ -145,33 +159,18 @@ func TestSetReplayGuards(t *testing.T) {
 	}
 }
 
-// BenchmarkAgentLearnBatch measures the fused prefetcher-path update
+// benchLearnBatch measures the fused prefetcher-path update
 // (externally sampled minibatch + LearnBatch) at the GreenNFV problem
-// size, the per-update cost the parallel learner pays.
-func BenchmarkAgentLearnBatch(b *testing.B) {
-	cfg := DefaultConfig(12, 15)
-	a, err := New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sharded, err := replay.NewSharded(cfg.BufferCap, 8, cfg.PERAlpha, cfg.PERBeta, cfg.PERBetaInc, cfg.Seed)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := a.SetReplay(sharded); err != nil {
-		b.Fatal(err)
-	}
-	fillAgent(b, a, 4*cfg.BatchSize)
-	rng := rand.New(rand.NewSource(5))
-	samples := make([]replay.Transition, 0, cfg.BatchSize)
-	indices := make([]int, 0, cfg.BatchSize)
-	weights := make([]float64, 0, cfg.BatchSize)
-	s, idx, w := a.SampleReplayInto(rng, cfg.BatchSize, samples, indices, weights)
-	a.LearnBatch(s, idx, w)
+// size, the per-update cost the parallel learner pays — in single
+// precision with TrainerConfig.Float32 set.
+func benchLearnBatch(b *testing.B, f32 bool) {
+	cycle := prefetcherAgent(b, f32)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s, idx, w := a.SampleReplayInto(rng, cfg.BatchSize, samples, indices, weights)
-		a.LearnBatch(s, idx, w)
+		cycle()
 	}
 }
+
+func BenchmarkAgentLearnBatch(b *testing.B)    { benchLearnBatch(b, false) }
+func BenchmarkAgentLearnBatchF32(b *testing.B) { benchLearnBatch(b, true) }

@@ -9,7 +9,7 @@
 # silently matching nothing. CI's test job and a developer run the same
 # file; extra arguments go to `go test` (e.g. scripts/gates.sh -race).
 #
-# One line per package: the package, then the -run pattern. Add a gate
+# One line per package and concern: the package, then the -run pattern. Add a gate
 # by adding its name to a pattern.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
@@ -20,6 +20,13 @@ gates=(
 	# next updates) at agent and trainer level, both precisions.
 	"./internal/rl/apex TestChaosKillResume|TestTrainerCheckpointResume|TestWriteReadCheckpoint"
 	"./internal/rl/ddpg TestCheckpoint"
+	# One NN engine at two element types: 300 f64 and 200 f32 composed
+	# updates hash to the recorded values on both kernel sets, the
+	# kernels equal their element-wise reference, and a train step, a
+	# learn step and batched acting allocate nothing at either type —
+	# budgets that `go test -race` cannot check.
+	"./internal/nn TestLearnFingerprint|TestKernelParityAVX2|TestKernelParityGo|TestKernelsF32MatchGoWide|TestBatchZeroAllocSteadyState|TestF32ZeroAllocSteadyState|TestForwardRowsNoAllocs"
+	"./internal/rl/ddpg TestLearnBatchZeroAlloc|TestLearnBatchF32ZeroAlloc|TestActBatchNoAllocs|TestLearnF32ParityWithF64"
 	# Serving safety: no applied config outside bounds or predicted to
 	# violate the SLA on any ladder rung; the 32-node fleet soak and its
 	# serial-vs-concurrent bit-identity; lease expiry racing the shards.
