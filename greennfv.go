@@ -200,13 +200,14 @@ type TrainOptions struct {
 	ActorCommand []string
 	// Checkpoint, when set, makes training write its full state (the
 	// networks, optimizer moments, noise/RNG stream and progress
-	// counters) to this path atomically: on an update interval in the
-	// RemoteActors mode, and when training completes in every mode. A
-	// killed training run can then continue via Resume instead of
-	// starting over.
+	// counters) to this path atomically: when training completes in
+	// every mode, and on an update interval in the concurrent modes
+	// (Parallel, RemoteActors). A killed training run can then continue
+	// via Resume instead of starting over.
 	Checkpoint string
 	// CheckpointEvery is the learner-update interval between
-	// checkpoints in the RemoteActors mode (<= 0: completion only).
+	// checkpoints in the Parallel and RemoteActors modes (<= 0:
+	// completion only).
 	CheckpointEvery int
 	// CheckpointReplay additionally snapshots the replay buffer, making
 	// resumed updates bit-exact at the cost of much larger files.

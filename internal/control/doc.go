@@ -30,7 +30,10 @@
 // environment. With the default (round-robin) trainer every
 // controller is deterministic given its seed — the property the
 // byte-diffed figure tables rest on. GreenNFV.Parallel and
-// GreenNFV.RemoteActors select the concurrent and multi-process
-// Ape-X training modes, which are faster but not deterministic, so
-// the figure harness never enables them.
+// GreenNFV.RemoteActors run apex's concurrent learner pipeline over
+// its in-process or multi-process experience transport, which is
+// faster but not deterministic, so the figure harness never enables
+// them. With CheckpointPath set the trainer itself writes the
+// completion checkpoint in every mode, and interval checkpoints in
+// the two concurrent ones.
 package control

@@ -28,11 +28,11 @@ type GreenNFV struct {
 	Actors int
 	// Seed fixes training randomness.
 	Seed int64
-	// Parallel trains with concurrent actor goroutines and the
+	// Parallel trains with a concurrent actor driver feeding the
 	// prefetching learner pipeline instead of the deterministic
 	// round-robin interleaving (see apex.TrainerConfig).
 	Parallel bool
-	// ReplayShards overrides the parallel mode's replay lock-stripe
+	// ReplayShards overrides the concurrent modes' replay lock-stripe
 	// count (0 = auto).
 	ReplayShards int
 	// Float32 runs learner updates through the single-precision NN
@@ -56,12 +56,14 @@ type GreenNFV struct {
 	// RemoteSpec tells remote actors how to rebuild the environment.
 	RemoteSpec *apex.ActorSpec
 	// CheckpointPath, when set, makes the trainer write its full
-	// training state there atomically — every CheckpointEvery learner
-	// updates in remote mode, and again when training completes. See
-	// apex.Trainer.Checkpoint.
+	// training state there atomically — when training completes and,
+	// in the concurrent modes (Parallel, RemoteActors), every
+	// CheckpointEvery learner updates on the way. See
+	// apex.TrainerConfig.CheckpointPath.
 	CheckpointPath string
-	// CheckpointEvery is the update interval between checkpoints
-	// (<= 0: only the completion checkpoint is written).
+	// CheckpointEvery is the update interval between checkpoints in
+	// the Parallel and RemoteActors modes (<= 0, or round-robin: only
+	// the completion checkpoint is written).
 	CheckpointEvery int
 	// CheckpointReplay includes replay-buffer contents in checkpoints,
 	// making a resumed run's updates bit-exact at the cost of much
@@ -146,13 +148,6 @@ func (g *GreenNFV) TrainOn(factory func(seed int64) (env.Stepper, error)) error 
 	}
 	if err := trainer.Run(); err != nil {
 		return fmt.Errorf("control: GreenNFV training: %w", err)
-	}
-	// The remote mode checkpoints on completion itself; the in-process
-	// modes leave it to us.
-	if g.CheckpointPath != "" && g.RemoteActors == 0 {
-		if err := trainer.Checkpoint(g.CheckpointPath); err != nil {
-			return fmt.Errorf("control: GreenNFV checkpoint: %w", err)
-		}
 	}
 	g.trainer = trainer
 	g.agent = trainer.Learner().Agent()

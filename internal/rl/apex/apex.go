@@ -25,9 +25,8 @@ type Experience struct {
 }
 
 // LearnerAPI is the surface actors need from the central learner.
-// Three implementations satisfy it: the in-process Learner, the plain
-// RPC Client, and the reconnecting RemoteLearner that actor processes
-// use.
+// Two implementations satisfy it: the in-process Learner and the
+// reconnecting RPC client RemoteLearner that actor processes use.
 type LearnerAPI interface {
 	// PushExperience appends a batch to the central replay.
 	PushExperience(batch []Experience) error
@@ -37,8 +36,8 @@ type LearnerAPI interface {
 	PullParams(haveVersion int) (version int, actorBytes []byte, err error)
 	// RetainsExperience reports whether pushed batches' float slices
 	// stay referenced after PushExperience returns. The in-process
-	// Learner aliases them into the replay buffer forever; the RPC
-	// implementations serialize them onto the wire and retain nothing.
+	// Learner aliases them into the replay buffer forever; RemoteLearner
+	// serializes them onto the wire and retains nothing.
 	// Actors use this to decide whether flushed arena chunks can be
 	// recycled (see txnArena).
 	RetainsExperience() bool
@@ -57,8 +56,8 @@ type Learner struct {
 	pushes     atomic.Int64
 	received   atomic.Int64
 	// ingestCh carries a (coalesced) wake-up per PushExperience so the
-	// SamplesPerInsert pacing gate (prefetch.go) can block on ingest
-	// instead of polling the received counter.
+	// pacing gate (pipeline.go) can block on ingest instead of polling
+	// the received counter.
 	ingestCh chan struct{}
 }
 
@@ -126,10 +125,6 @@ func (l *Learner) PushExperience(batch []Experience) error {
 // actors must not reuse flushed chunks.
 func (l *Learner) RetainsExperience() bool { return true }
 
-// ingestNotify exposes the coalesced push wake-up channel to the
-// pacing gate.
-func (l *Learner) ingestNotify() <-chan struct{} { return l.ingestCh }
-
 // PullParams implements LearnerAPI.
 func (l *Learner) PullParams(haveVersion int) (int, []byte, error) {
 	l.mu.Lock()
@@ -140,59 +135,45 @@ func (l *Learner) PullParams(haveVersion int) (int, []byte, error) {
 	return l.version, l.paramCache, nil
 }
 
-// LearnStep runs one DDPG update and bumps the parameter version
-// every versionEvery completed updates. It returns the critic loss.
-// A call that could not update (replay below one batch) leaves the
-// version alone, so actors are not rebroadcast identical parameters.
+// LearnStep runs one DDPG update on a minibatch the agent samples
+// itself (the round-robin reference loop's path) and returns the critic
+// loss. Like LearnBatchStep it holds the learner mutex only to publish:
+// the networks are touched by the one goroutine that runs updates, and
+// the parameter broadcast is the sole state actors read.
 func (l *Learner) LearnStep(versionEvery int) float64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	before := l.agent.LearnSteps()
 	loss := l.agent.Learn()
-	if l.agent.LearnSteps() == before {
-		return loss // no-op: not enough experience yet
-	}
-	if versionEvery <= 0 {
-		versionEvery = 1
-	}
-	if l.agent.LearnSteps()%versionEvery == 0 {
-		l.version++
-		if err := l.refreshParamCache(); err != nil {
-			// Serialization of a healthy network cannot fail; treat
-			// it as a programming error.
-			panic(fmt.Sprintf("apex: param cache: %v", err))
-		}
-	}
+	l.publish(before, versionEvery)
 	return loss
 }
 
 // LearnBatchStep runs one update on a prefetched minibatch (the
-// parallel pipeline's path). Unlike LearnStep it does not hold the
-// learner mutex during the network update: the networks are touched
-// only from the learner goroutine, and the parameter broadcast —
-// the sole state actors read — is refreshed under the mutex after
-// the update completes.
+// concurrent pipeline's path).
 func (l *Learner) LearnBatchStep(samples []replay.Transition, indices []int, weights []float64, versionEvery int) float64 {
 	before := l.agent.LearnSteps()
 	loss := l.agent.LearnBatch(samples, indices, weights)
-	if l.agent.LearnSteps() == before {
-		return loss // no-op batch
-	}
-	if versionEvery <= 0 {
-		versionEvery = 1
-	}
-	if l.agent.LearnSteps()%versionEvery == 0 {
-		l.mu.Lock()
-		l.version++
-		err := l.refreshParamCache()
-		l.mu.Unlock()
-		if err != nil {
-			// Serialization of a healthy network cannot fail; treat
-			// it as a programming error.
-			panic(fmt.Sprintf("apex: param cache: %v", err))
-		}
-	}
+	l.publish(before, versionEvery)
 	return loss
+}
+
+// publish bumps the parameter version and re-serializes the broadcast
+// every versionEvery completed updates. A call that could not update
+// (replay below one batch) leaves the version alone, so actors are not
+// rebroadcast identical parameters.
+func (l *Learner) publish(before, versionEvery int) {
+	steps := l.agent.LearnSteps()
+	if steps == before || steps%max(versionEvery, 1) != 0 {
+		return
+	}
+	l.mu.Lock()
+	l.version++
+	err := l.refreshParamCache()
+	l.mu.Unlock()
+	if err != nil {
+		// Serialization of a healthy network cannot fail; treat it as
+		// a programming error.
+		panic(fmt.Sprintf("apex: param cache: %v", err))
+	}
 }
 
 // refreshParamCache re-serializes the actor. Caller holds mu (or is
@@ -211,40 +192,146 @@ func (l *Learner) Stats() (pushes, transitions int) {
 	return int(l.pushes.Load()), int(l.received.Load())
 }
 
-// Actor is one NF controller (Algorithm 3's NF_CONTROLLER): it acts
-// in its own environment with its own exploration intensity, buffers
-// experience locally, and exchanges data with the learner.
+// staging is the actor-side half of the experience exchange, shared by
+// the scalar Actor and the batched VecActor: the local network copy,
+// the arena-backed window of transitions not yet pushed, their lazily
+// settled priorities, and the parameter version last pulled.
 //
-// The acting step is allocation-free: transitions live in a pooled
+// Staging a transition allocates nothing: its rows live in a pooled
 // arena (arena.go) handed off at Flush granularity, and TD-error
-// priorities are settled lazily in one ddpg.TDErrorBatch pass per
-// flush window instead of one scalar forward chain per step. The
-// deferral is value-exact: the priority networks (target actor, target
-// critic, critic) are never touched by parameter syncs — broadcasts
-// carry only the policy network — so a TD error computed at Flush is
-// bit-identical to one computed at Step time.
-type Actor struct {
-	ID    int
-	env   env.Stepper
-	agent *ddpg.Agent // local network copy: acting + TD priorities only
-
-	state   []float64
-	obsBuf  []float64 // reused next-observation buffer for StepInto
-	local   []Experience
+// priorities are settled in one ddpg.TDErrorBatch pass per flush window
+// (package doc, "Actor stepping", has why the deferral is value-exact).
+type staging struct {
+	id      int         // owner, for error messages
+	agent   *ddpg.Agent // local network copy: acting + TD priorities only
 	version int
 
-	// Batched-priority machinery: arena rows back local's slices,
-	// pend mirrors local as replay.Transitions for TDErrorBatch,
-	// settled is the prefix of local whose priorities are final.
+	// arena rows back local's slices, pend mirrors local as
+	// replay.Transitions for TDErrorBatch, settled is the prefix of
+	// local whose priorities are final.
 	arena   *txnArena
+	local   []Experience
 	pend    []replay.Transition
 	tdBuf   []float64
 	settled int
 	verify  bool
 
-	// Steps between pushes and parameter pulls.
+	// Owner steps between pushes and between parameter pulls.
 	pushEvery, syncEvery int
-	steps                int
+}
+
+// newStaging sizes the window for rows transitions per push.
+func newStaging(id int, agent *ddpg.Agent, stateDim, actionDim, rows, pushEvery, syncEvery int) staging {
+	return staging{
+		id:        id,
+		agent:     agent,
+		arena:     newTxnArena(stateDim, actionDim, rows),
+		local:     make([]Experience, 0, rows),
+		pend:      make([]replay.Transition, 0, rows),
+		pushEvery: pushEvery,
+		syncEvery: syncEvery,
+	}
+}
+
+// stage buffers one transition whose rows were carved by arena.next.
+func (s *staging) stage(state, action, next []float64, reward float64) {
+	s.local = append(s.local, Experience{State: state, Action: action, Reward: reward, NextState: next})
+	s.pend = append(s.pend, replay.Transition{State: state, Action: action, Reward: reward, NextState: next})
+}
+
+// settlePriorities computes the TD-error priorities of every
+// still-unsettled buffered transition in one batched pass. The
+// priority networks are frozen between parameter loads (broadcasts
+// never carry them at all), so the values are bit-identical to the
+// per-step scalar computation — verify checks exactly that.
+func (s *staging) settlePriorities() error {
+	if s.settled == len(s.local) {
+		return nil
+	}
+	fresh := s.pend[s.settled:]
+	s.tdBuf = s.agent.TDErrorBatch(fresh, s.tdBuf)
+	for i := range fresh {
+		prio := math.Abs(s.tdBuf[i])
+		if s.verify {
+			if want := math.Abs(s.agent.TDError(fresh[i])); prio != want {
+				return fmt.Errorf("apex: actor %d: batched priority %v != scalar %v at row %d of the flush window",
+					s.id, prio, want, s.settled+i)
+			}
+		}
+		s.local[s.settled+i].Priority = prio
+	}
+	s.settled = len(s.local)
+	return nil
+}
+
+// exchange runs the push and pull cadences after the owner's n-th step.
+func (s *staging) exchange(learner LearnerAPI, n int) error {
+	if n%s.pushEvery == 0 {
+		if err := s.Flush(learner); err != nil {
+			return err
+		}
+	}
+	if n%s.syncEvery == 0 {
+		return s.SyncParams(learner)
+	}
+	return nil
+}
+
+// Flush settles priorities and pushes any locally buffered experience
+// to the learner: at the PushEvery cadence, and once more when a run
+// ends between boundaries, so no transitions are lost. Arena chunks are
+// recycled only when the learner does not retain pushed slices.
+func (s *staging) Flush(learner LearnerAPI) error {
+	if len(s.local) == 0 {
+		return nil
+	}
+	if err := s.settlePriorities(); err != nil {
+		return err
+	}
+	if err := learner.PushExperience(s.local); err != nil {
+		return fmt.Errorf("apex: push: %w", err)
+	}
+	s.arena.release(learner.RetainsExperience())
+	s.local = s.local[:0]
+	s.pend = s.pend[:0]
+	s.settled = 0
+	return nil
+}
+
+// SyncParams pulls the learner's parameters when newer than the ones
+// held: at the SyncEvery cadence, and at a remote actor's startup so it
+// acts on the broadcast policy, not its own fresh random weights.
+// Pending priorities are settled first, keeping the
+// settle-before-any-parameter-load invariant even though today's
+// broadcasts only ever replace the policy network.
+func (s *staging) SyncParams(learner LearnerAPI) error {
+	if err := s.settlePriorities(); err != nil {
+		return err
+	}
+	v, data, err := learner.PullParams(s.version)
+	if err != nil {
+		return fmt.Errorf("apex: pull: %w", err)
+	}
+	if data != nil {
+		if err := s.agent.LoadActorBytes(data); err != nil {
+			return fmt.Errorf("apex: load params: %w", err)
+		}
+	}
+	s.version = v
+	return nil
+}
+
+// Actor is one NF controller (Algorithm 3's NF_CONTROLLER): it acts
+// in its own environment with its own exploration intensity, buffers
+// experience locally (staging), and exchanges data with the learner.
+type Actor struct {
+	ID  int
+	env env.Stepper
+	staging
+
+	state  []float64
+	obsBuf []float64 // reused next-observation buffer for StepInto
+	steps  int
 }
 
 // ActorConfig builds one actor.
@@ -283,16 +370,12 @@ func NewActor(cfg ActorConfig) (*Actor, error) {
 		return nil, err
 	}
 	a := &Actor{
-		ID:        cfg.ID,
-		env:       cfg.Env,
-		agent:     agent,
-		arena:     newTxnArena(cfg.Env.StateDim(), cfg.Env.ActionDim(), cfg.PushEvery),
-		local:     make([]Experience, 0, cfg.PushEvery),
-		pend:      make([]replay.Transition, 0, cfg.PushEvery),
-		verify:    cfg.VerifyPriorities,
-		pushEvery: cfg.PushEvery,
-		syncEvery: cfg.SyncEvery,
+		ID:  cfg.ID,
+		env: cfg.Env,
+		staging: newStaging(cfg.ID, agent, cfg.Env.StateDim(), cfg.Env.ActionDim(),
+			cfg.PushEvery, cfg.PushEvery, cfg.SyncEvery),
 	}
+	a.verify = cfg.VerifyPriorities
 	a.state = cfg.Env.Reset(cfg.AgentConfig.Seed)
 	a.obsBuf = make([]float64, cfg.Env.StateDim())
 	return a, nil
@@ -322,98 +405,10 @@ func (a *Actor) Step(learner LearnerAPI) (float64, perfmodel.Result, error) {
 		return 0, perfmodel.Result{}, err
 	}
 	copy(nextRow, a.obsBuf)
-	a.local = append(a.local, Experience{
-		State: stateRow, Action: actionRow, Reward: reward, NextState: nextRow,
-	})
-	a.pend = append(a.pend, replay.Transition{
-		State: stateRow, Action: actionRow, Reward: reward, NextState: nextRow,
-	})
+	a.stage(stateRow, actionRow, nextRow, reward)
 	a.state, a.obsBuf = a.obsBuf, a.state
 	a.steps++
-
-	if a.steps%a.pushEvery == 0 {
-		if err := a.Flush(learner); err != nil {
-			return reward, info, err
-		}
-	}
-	if a.steps%a.syncEvery == 0 {
-		if err := a.SyncParams(learner); err != nil {
-			return reward, info, err
-		}
-	}
-	return reward, info, nil
-}
-
-// settlePriorities computes the TD-error priorities of every
-// still-unsettled buffered transition in one batched pass. Because the
-// priority networks are frozen between parameter loads (and broadcasts
-// never carry them at all), the batched values are bit-identical to
-// the per-step scalar computation the actors used to run —
-// VerifyPriorities checks exactly that.
-func (a *Actor) settlePriorities() error {
-	if a.settled == len(a.local) {
-		return nil
-	}
-	fresh := a.pend[a.settled:]
-	a.tdBuf = a.agent.TDErrorBatch(fresh, a.tdBuf)
-	for i := range fresh {
-		prio := math.Abs(a.tdBuf[i])
-		if a.verify {
-			if want := math.Abs(a.agent.TDError(fresh[i])); prio != want {
-				return fmt.Errorf("apex: actor %d: batched priority %v != scalar %v at step %d",
-					a.ID, prio, want, a.steps-len(fresh)+i+1)
-			}
-		}
-		a.local[a.settled+i].Priority = prio
-	}
-	a.settled = len(a.local)
-	return nil
-}
-
-// Flush settles priorities and pushes any locally buffered experience
-// to the learner. Step calls it at the PushEvery cadence; remote
-// actors also call it when a run ends between boundaries, so no
-// transitions are lost. The staging buffers are reused afterwards;
-// arena chunks are recycled only when the learner does not retain
-// pushed slices.
-func (a *Actor) Flush(learner LearnerAPI) error {
-	if len(a.local) == 0 {
-		return nil
-	}
-	if err := a.settlePriorities(); err != nil {
-		return err
-	}
-	if err := learner.PushExperience(a.local); err != nil {
-		return fmt.Errorf("apex: push: %w", err)
-	}
-	a.arena.release(learner.RetainsExperience())
-	a.local = a.local[:0]
-	a.pend = a.pend[:0]
-	a.settled = 0
-	return nil
-}
-
-// SyncParams pulls the learner's parameters when newer than the
-// actor's. Step calls it at the SyncEvery cadence; remote actors also
-// call it at startup so they act on the broadcast policy instead of
-// their own fresh random weights. Pending priorities are settled
-// first, keeping the settle-before-any-parameter-load invariant even
-// though today's broadcasts only ever replace the policy network.
-func (a *Actor) SyncParams(learner LearnerAPI) error {
-	if err := a.settlePriorities(); err != nil {
-		return err
-	}
-	v, data, err := learner.PullParams(a.version)
-	if err != nil {
-		return fmt.Errorf("apex: pull: %w", err)
-	}
-	if data != nil {
-		if err := a.agent.LoadActorBytes(data); err != nil {
-			return fmt.Errorf("apex: load params: %w", err)
-		}
-	}
-	a.version = v
-	return nil
+	return reward, info, a.exchange(learner, a.steps)
 }
 
 // Steps reports how many environment steps the actor has taken.

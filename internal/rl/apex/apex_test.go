@@ -168,12 +168,9 @@ func TestRPCTransport(t *testing.T) {
 	}
 	defer srv.Close()
 
-	client, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
+	client := singleShot(srv.Addr(), 0)
 	defer client.Close()
-	if _, err := client.RegisterAs(0); err != nil {
+	if _, err := client.Register(); err != nil {
 		t.Fatal(err)
 	}
 

@@ -2,9 +2,7 @@ package apex
 
 // txnArena is the pooled backing store for an actor's staged
 // transitions: one flat chunk holds the state/action/next-state rows
-// of a whole PushEvery window, replacing the two per-transition
-// `append([]float64(nil), …)` copies (and the per-step action
-// allocation) the old Actor.Step paid.
+// of a whole PushEvery window.
 //
 // Lifecycle is tied to Flush and to whether the learner RETAINS pushed
 // slices (LearnerAPI.RetainsExperience):

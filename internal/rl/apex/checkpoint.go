@@ -39,7 +39,7 @@ type TrainerCheckpoint struct {
 	// LearnSteps at save time).
 	Updates int
 	// Pushes and Received are the learner's experience counters; the
-	// resumed pacing loop needs Received to compute its allowance.
+	// pacing rule of a resumed run computes its allowance from Received.
 	Pushes, Received int64
 	// Steps and TotalSteps record trainer progress against its budget.
 	Steps, TotalSteps int
@@ -75,9 +75,9 @@ func ReadCheckpoint(path string) (*TrainerCheckpoint, error) {
 // Checkpoint writes the trainer's current training state to path
 // (atomically; see WriteCheckpoint). Replay contents are included
 // when cfg.CheckpointReplay is set. Call it from the goroutine
-// driving learner updates (the remote pacing loop checkpoints between
-// updates; a quiesced trainer can checkpoint any time) — concurrent
-// RPC pushes are safe, concurrent updates are not.
+// driving learner updates (the pipeline checkpoints between updates;
+// a quiesced trainer can checkpoint any time) — concurrent pushes and
+// sampling are safe, concurrent updates are not.
 func (t *Trainer) Checkpoint(path string) error {
 	l := t.learner
 	// Counter order matters: capture Received before the replay
@@ -144,7 +144,7 @@ func (t *Trainer) applyResume() error {
 
 // restoreCheckpoint loads a checkpoint into the learner: agent state,
 // broadcast version (with a fresh parameter cache), and the
-// experience counters the pacing loop reads.
+// experience counters the pacing rule reads.
 func (l *Learner) restoreCheckpoint(ck *TrainerCheckpoint) error {
 	if err := l.agent.LoadStateBytes(ck.Agent); err != nil {
 		return err

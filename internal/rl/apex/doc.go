@@ -16,28 +16,36 @@
 //
 // # Training modes
 //
-// Trainer runs one of three modes:
+// Trainer has one reference loop and one concurrent pipeline:
 //
-//   - Round-robin (default): actors interleave single-threaded.
-//     Deterministic given the seeds — the mode behind every recorded
-//     figure; its outputs are byte-diffed across PRs.
-//   - Parallel (TrainerConfig.Parallel): ONE VecActor driver
-//     goroutine (vecactor.go) steps every actor environment through
-//     a VecEnv with a single batched policy pass per round, while a
-//     sampler/learner pipeline (prefetch.go) runs batched updates
-//     over the lock-striped replay. Fastest in-process mode; NOT
-//     deterministic.
+//   - Round-robin (default): actors interleave single-threaded, one
+//     LearnStep attempt per post-warm-up step. Deterministic given the
+//     seeds — the loop behind every recorded figure; its outputs are
+//     byte-diffed across PRs and TestTrainerFingerprint hashes whole
+//     runs of it.
+//   - The concurrent pipeline (pipeline.go): a sampler prefetches
+//     minibatches from a lock-striped replay under the pacing rule
+//     below while the learner goroutine runs batched updates and
+//     writes interval checkpoints. NOT deterministic. The same code
+//     runs over either of two experience transports:
+//   - Parallel (TrainerConfig.Parallel): ONE VecActor driver goroutine
+//     (parallel.go, vecactor.go) steps every actor environment through
+//     a VecEnv with a single batched policy pass per round.
 //   - Remote (TrainerConfig.RemoteActors): the paper's multi-node
-//     split. The trainer serves the learner over net/rpc (rpc.go)
-//     and actors run as separate OS processes (cmd/apexactor,
-//     spawned via SpawnRemote or started externally against
-//     ListenAddr), reconstructing environments from a JSON ActorSpec
-//     and exchanging experience/parameters through a reconnecting
-//     RemoteLearner client. NOT deterministic.
+//     split. The learner is served over net/rpc (rpc.go) to actor
+//     processes (cmd/apexactor; spawned and supervised via SpawnRemote
+//     or started externally against ListenAddr; remote.go) that
+//     rebuild their environments from a JSON ActorSpec and talk
+//     through a reconnecting RemoteLearner.
 //
-// All three modes spend the same learner-update budget
-// (LearnPerStep × post-warmup steps), so they are comparable runs of
-// the same algorithm, not different algorithms.
+// All spend the same learner-update budget (LearnPerStep × post-warmup
+// steps, counted on from the restored update count after a Resume), so
+// they are comparable runs of one algorithm. The one difference:
+// round-robin counts LearnStep attempts, the pipeline completed
+// updates. They diverge only while the replay holds less than one
+// batch after warm-up — round-robin's attempts are then no-ops it
+// cannot take back without moving every recorded figure, where the
+// pipeline's sampler simply waits for the batch.
 //
 // A trainer is given its environments one way:
 // TrainerConfig.StepperFactory builds an env.Stepper per actor —
@@ -47,7 +55,9 @@
 // Round-robin takes either; Parallel vectorizes the single-node
 // layout through VecEnv and rejects anything but *env.Env; Remote
 // ignores the factory and builds *env.Env from RemoteSpec on both
-// sides of the wire.
+// sides of the wire. Every actor of every mode sits on its rung of one
+// exploration ladder (ladderRung: seed + 101·rank, sigma =
+// BaseSigma·(1 + rank/2)).
 //
 // # Concurrency and determinism
 //
@@ -55,15 +65,17 @@
 // pooled conversion scratch — concurrent pushes neither serialize
 // each other nor stall behind a learning step; its mutex guards only
 // the parameter broadcast (version + serialized actor cache).
-// Actors are single-threaded and own their environments. The
-// net/rpc transport (Server/Client/RemoteLearner) is goroutine-safe;
+// One goroutine runs updates and checkpoints (the caller of
+// LearnStep, or the pipeline's learner). Actors are single-threaded
+// and own their environments. The net/rpc server is goroutine-safe;
 // per-actor connection lifecycle (registration, push stats, drain)
 // lives in LearnerService. Only the round-robin mode is
 // deterministic; tests and figures rely on it.
 //
 // # Actor stepping: arena, batched priorities, verification
 //
-// Actor.Step and the VecActor round are zero-allocation in steady
+// Actor.Step and the VecActor round stage experience through one
+// shared type (staging, apex.go) and are zero-allocation in steady
 // state. Each PushEvery window's transitions live in one flat
 // txnArena chunk (arena.go) instead of per-step slices; priorities
 // are settled lazily at Flush/SyncParams time with one
@@ -72,8 +84,8 @@
 // parameter broadcasts (see internal/rl/ddpg doc). What happens to
 // the chunk after PushExperience is the learner's call:
 // LearnerAPI.RetainsExperience reports whether the endpoint keeps
-// aliases of the pushed slices (the in-process Learner does; Client
-// and RemoteLearner gob-serialize inside the call and do not), and
+// aliases of the pushed slices (the in-process Learner does;
+// RemoteLearner gob-serializes inside the call and does not), and
 // the arena recycles the chunk through a free list only when it may.
 // BenchmarkActorStep and TestActorStepAllocGate pin the 0 allocs/op
 // contract.
@@ -86,15 +98,23 @@
 //
 // # Learner pacing
 //
-// TrainerConfig.SamplesPerInsert bounds how far the learner may run
-// ahead of experience ingest in the concurrent modes (Reverb-style
-// samples-to-inserts ratio). The sampler blocks on the learner's
-// ingest signal whenever drawing the next minibatch would exceed
-// ratio × transitions received, so a starved learner waits for fresh
-// experience instead of replaying a stale buffer; the remote mode
-// applies the same cap to its update budget. Zero (the default)
-// preserves the fixed LearnPerStep budget of the comparable-runs
-// contract above.
+// The pipeline has one pacing rule, evaluated by the sampler before
+// every draw (Trainer.allowedUpdates). With received transitions in
+// the replay the learner may have completed at most
+//
+//	min(budget, LearnPerStep·(received − WarmupSteps), ⌊SamplesPerInsert·received/batch⌋)
+//
+// updates (the last term only when SamplesPerInsert > 0). The middle
+// term keeps the learner behind the experience exactly as round-robin's
+// cadence does, so it never runs ahead on a warming-up replay; it is
+// lifted once the producers are done, and the rest of the budget is
+// spent on what they left behind. SamplesPerInsert is the Reverb-style
+// samples-to-inserts ratio: a starved learner waits for fresh
+// experience instead of replaying a stale buffer, and gives up what the
+// ratio still withholds when the producers are done. A closed gate
+// blocks on the learner's ingest notification — signalled by every
+// PushExperience, from the driver goroutine or an RPC handler — never
+// on a timer.
 //
 // # Fault tolerance
 //
@@ -102,19 +122,23 @@
 // every failure either recoverable or loud:
 //
 //   - Learner crash: with TrainerConfig.CheckpointPath set the
-//     trainer atomically writes its full training state (the agent's
+//     pipeline atomically writes its full training state (the agent's
 //     SaveState blob plus version/progress counters; checkpoint.go)
-//     every CheckpointEvery updates and after drain. Trainer.Resume
-//     restores it — a SIGKILL'd learner restarts mid-budget with
-//     bit-exact weights, and with CheckpointReplay even its next
-//     updates are bit-exact. Files are magic-tagged and
+//     every CheckpointEvery updates — in either concurrent mode — and
+//     Run writes it once more when the round completes.
+//     Trainer.Resume restores it: a SIGKILL'd learner restarts
+//     mid-budget with bit-exact weights and spends only what is left
+//     of the update and step budgets. Files are magic-tagged and
 //     CRC-checksummed; a torn or corrupt checkpoint is rejected, not
 //     half-loaded.
 //   - Actor crash: spawned ranks are supervised (remote.go). A
 //     crashed rank is respawned on its original sigma/seed ladder
 //     rung with jittered exponential backoff, at most
-//     MaxActorRestarts times; exhausting the budget fails the round
-//     instead of training on with a hole in the exploration ladder.
+//     MaxActorRestarts times; exhausting the budget fails the round:
+//     the learner stops at once instead of training on with a hole in
+//     the exploration ladder, no completion checkpoint overwrites the
+//     last interval one, and Run returns the supervisor's error. A
+//     failed in-process driver ends the round the same way.
 //   - Zombie actors: Register issues a per-actor epoch, and every
 //     Push/Pull carries it. A respawn supersedes the old epoch, so a
 //     hung predecessor's late calls fail fatally (ErrStaleActorEpoch)
@@ -122,16 +146,16 @@
 //     unregistered ID is rejected outright (ErrUnregisteredActor).
 //     Drain is additionally bounded by DrainTimeout of push-heartbeat
 //     silence, after which stragglers are killed.
-//   - Network faults: every client call has a deadline (Client.
-//     Timeout) that tears down the connection rather than wedging a
-//     goroutine; RemoteLearner redials with jittered exponential
-//     backoff and transparently re-registers (fresh epoch) when the
-//     learner restarted — only deliberate rejections are fatal.
+//   - Network faults: every client call has a deadline
+//     (RemoteLearner.CallTimeout) that tears down the connection
+//     rather than wedging a goroutine; RemoteLearner redials with
+//     jittered exponential backoff and transparently re-registers
+//     (fresh epoch) when the learner restarted — only deliberate
+//     rejections are fatal.
 //
-// faultrpc.FaultProxy (internal/faultrpc, test support — this package
-// no longer carries it) injects drops, delays and partitions between
-// actors and learner for tests; TestChaosKillResume drives
-// the whole story — crash-injected actor, lossy proxy, SIGKILL'd and
-// resumed learner — and still demands the full update budget and
+// faultrpc.FaultProxy (internal/faultrpc, test support) injects drops,
+// delays and partitions between actors and learner; TestChaosKillResume
+// drives the whole story — crash-injected actor, lossy proxy, SIGKILL'd
+// and resumed learner — and still demands the full update budget and
 // bit-exact restored weights across processes.
 package apex

@@ -20,10 +20,7 @@ func TestUnregisteredActorRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	client, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
+	client := singleShot(srv.Addr(), 0)
 	defer client.Close()
 
 	err = client.PushExperience(rpcBatch(2))
@@ -41,7 +38,7 @@ func TestUnregisteredActorRejected(t *testing.T) {
 	}
 
 	// After registering, the same client is accepted.
-	if _, err := client.RegisterAs(0); err != nil {
+	if _, err := client.Register(); err != nil {
 		t.Fatal(err)
 	}
 	if err := client.PushExperience(rpcBatch(2)); err != nil {
@@ -61,24 +58,18 @@ func TestStaleEpochRejected(t *testing.T) {
 	}
 	defer srv.Close()
 
-	zombie, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
+	zombie := singleShot(srv.Addr(), 7)
 	defer zombie.Close()
-	if _, err := zombie.RegisterAs(7); err != nil {
+	if _, err := zombie.Register(); err != nil {
 		t.Fatal(err)
 	}
 	if err := zombie.PushExperience(rpcBatch(1)); err != nil {
 		t.Fatal(err)
 	}
 
-	respawn, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
+	respawn := singleShot(srv.Addr(), 7)
 	defer respawn.Close()
-	if _, err := respawn.RegisterAs(7); err != nil {
+	if _, err := respawn.Register(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -147,28 +138,25 @@ func TestCallDeadline(t *testing.T) {
 		}
 	}()
 
-	client, err := Dial(ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
+	client := singleShot(ln.Addr().String(), 0)
 	defer client.Close()
-	client.Timeout = 50 * time.Millisecond
+	client.CallTimeout = 50 * time.Millisecond
 
 	start := time.Now()
-	_, rerr := client.RegisterAs(0)
+	_, rerr := client.Register()
 	elapsed := time.Since(start)
 	var de *DeadlineError
 	if !errors.As(rerr, &de) {
 		t.Fatalf("black-hole call error = %v, want DeadlineError", rerr)
 	}
-	if de.Method != "Learner.Register" || de.Timeout != client.Timeout {
+	if de.Method != "Learner.Register" || de.Timeout != client.CallTimeout {
 		t.Errorf("deadline error fields: %+v", de)
 	}
 	if !retriable(rerr) {
 		t.Error("deadline error is not retryable")
 	}
 	if elapsed > 5*time.Second {
-		t.Errorf("deadline call took %v, want ~%v", elapsed, client.Timeout)
+		t.Errorf("deadline call took %v, want ~%v", elapsed, client.CallTimeout)
 	}
 }
 
@@ -191,14 +179,11 @@ func TestServerCloseUnderLoad(t *testing.T) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			client, err := Dial(srv.Addr())
-			if err != nil {
-				return // server may already be closing
-			}
+			client := singleShot(srv.Addr(), id)
 			defer client.Close()
-			client.Timeout = 2 * time.Second
-			if _, err := client.RegisterAs(id); err != nil {
-				return
+			client.CallTimeout = 2 * time.Second
+			if _, err := client.Register(); err != nil {
+				return // server may already be closing
 			}
 			<-start
 			for i := 0; ; i++ {

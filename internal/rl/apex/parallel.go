@@ -2,111 +2,38 @@ package apex
 
 import (
 	"fmt"
-	"runtime"
-	"sync/atomic"
 
 	"greennfv/internal/env"
 	"greennfv/internal/rl/ddpg"
-	"greennfv/internal/rl/replay"
 )
 
-// The concurrent training mode of Horgan et al. is a three-stage
-// pipeline over the lock-striped replay buffer:
-//
-//	driver  ── batched act/step ── staging chunks ── AddBatch
-//	sampler ── SampleInto ──▶ ready channel ──▶ learner (LearnBatch)
-//
-// The acting half lives here and in vecactor.go: ONE driver goroutine
-// steps all actors through a VecEnv with a single batched policy pass
-// per step, replacing the per-actor goroutines (and their scalar
-// forwards, atomic ticket counter and fairness yields) of the earlier
-// design. The sampler/learner half is prefetch.go. The learner never
-// touches a replay mutex actors contend on.
-
-// defaultReplayShards sizes the lock stripes to the parallelism
-// actually available, clamped to keep per-shard capacity useful.
-func defaultReplayShards() int {
-	shards := runtime.GOMAXPROCS(0)
-	if shards < 2 {
-		shards = 2
-	}
-	if shards > 16 {
-		shards = 16
-	}
-	return shards
+// vecDriver is the in-process transport of the concurrent pipeline
+// (pipeline.go): ONE goroutine steps all actors through a VecEnv with a
+// single batched policy pass per step (vecactor.go) and pushes their
+// staged chunks straight into the learner's lock-striped replay, so
+// wall-clock time approaches max(actor time, learner time), not their
+// sum.
+type vecDriver struct {
+	signals
+	t   *Trainer
+	va  *VecActor
+	err error // set before failedCh closes
 }
 
-// installShardedReplay swaps the agent's replay for the lock-striped
-// buffer while it is still empty, so concurrent ingest and sampling
-// contend on shard locks, never on one global mutex. Shared by the
-// parallel and remote modes (both take concurrent pushes).
-func (t *Trainer) installShardedReplay(agent *ddpg.Agent) error {
-	if agent.BufferLen() != 0 {
-		return nil
-	}
-	acfg := agent.Config()
-	shards := t.cfg.ReplayShards
-	if shards <= 0 {
-		shards = defaultReplayShards()
-	}
-	sharded, err := replay.NewSharded(acfg.BufferCap, shards,
-		acfg.PERAlpha, acfg.PERBeta, acfg.PERBetaInc, acfg.Seed)
-	if err != nil {
-		return fmt.Errorf("apex: sharded replay: %w", err)
-	}
-	if err := agent.SetReplay(sharded); err != nil {
-		return fmt.Errorf("apex: sharded replay: %w", err)
-	}
-	return nil
-}
-
-// runParallel executes the pipeline: the VecActor driver steps every
-// actor environment with one batched policy pass per step and
-// exchanges experience/parameters with the learner, while the sampler
-// prefetches minibatches and the learner drains the same update budget
-// the round-robin mode would spend. Wall-clock time approaches
-// max(actor time, learner time) instead of their sum.
-//
-// The run is NOT deterministic: the learner's sampling interleaves
-// with acting on the scheduler's terms. Figure-quality reproducible
-// runs use round-robin mode.
-func (t *Trainer) runParallel() error {
-	agent := t.learner.Agent()
-	acfg := agent.Config()
-	batch := acfg.BatchSize
-
-	if err := t.installShardedReplay(agent); err != nil {
-		return err
-	}
-	if t.cfg.Float32 {
-		// Learner updates run in single precision; the flush makes the
-		// trained policy visible to the f64 side (GreedyEval,
-		// SaveActor) once the run ends. The acting agent below gets its
-		// own f32 switch (SetActFloat32) — the two paths never share a
-		// network.
-		agent.SetFloat32(true)
-		defer agent.SetFloat32(false)
-	}
-	// Restore checkpoint state only after the replay implementation
-	// and precision mode match the one that wrote it.
-	if err := t.applyResume(); err != nil {
-		return err
-	}
-
-	// Build the batched driver over the round-robin actors' resources:
-	// their environments back the VecEnv, actor 0's agent becomes the
-	// shared policy, and each actor's config ladder (rung sigma,
-	// private seed) becomes a VecActor noise lane.
-	n := len(t.actors)
-	envs := make([]*env.Env, n)
-	ladder := make([]ddpg.Config, n)
+// driveVecActor opens the in-process transport: it builds the batched
+// driver over the round-robin actors' resources — their environments
+// back the VecEnv, actor 0's agent becomes the shared policy, each
+// actor's ladder rung (sigma, private seed) a VecActor noise lane — and
+// starts it for the given steps.
+func (t *Trainer) driveVecActor(steps int) (transport, error) {
+	envs := make([]*env.Env, len(t.actors))
+	ladder := make([]ddpg.Config, len(t.actors))
 	for i, a := range t.actors {
 		se, ok := a.Env().(*env.Env)
 		if !ok {
 			// VecEnv vectorizes the single-node env's fixed layout;
-			// cluster environments train through the deterministic
-			// round-robin path instead.
-			return fmt.Errorf("apex: Parallel requires single-node environments, actor %d has %T", i, a.Env())
+			// cluster environments train through round-robin instead.
+			return nil, fmt.Errorf("apex: Parallel requires single-node environments, actor %d has %T", i, a.Env())
 		}
 		envs[i] = se
 		ladder[i] = a.agent.Config()
@@ -116,86 +43,64 @@ func (t *Trainer) runParallel() error {
 	// and the spare cores belong to the learner pipeline anyway.
 	vec, err := env.NewVecEnv(envs, 1)
 	if err != nil {
-		return err
+		return nil, err
 	}
+	acfg := t.learner.Agent().Config()
 	vec.Reset(acfg.Seed)
 	vagent := t.actors[0].agent
-	if t.cfg.Float32 {
-		// Batched f32 actor fast path: acting and TD-error priorities
-		// run through the vectorized f32 engine. Independent of the
-		// learner's SetFloat32 above (different agent).
-		vagent.SetActFloat32(true)
-		defer vagent.SetActFloat32(false)
+	// With Float32, acting and TD-error priorities run through the
+	// vectorized f32 engine too — a different agent from the learner's,
+	// so the two precision switches never share a network.
+	vagent.SetActFloat32(t.cfg.Float32)
+	d := &vecDriver{
+		signals: newSignals(),
+		t:       t,
+		va: newVecActor(vagent, vec, noiseLadder(acfg.ActionDim, ladder),
+			t.cfg.PushEvery, t.cfg.SyncEvery),
 	}
-	va := newVecActor(vagent, vec, noiseLadder(acfg.ActionDim, ladder),
-		t.cfg.PushEvery, t.cfg.SyncEvery)
+	go d.run(steps, t.steps)
+	return d, nil
+}
 
-	var stop atomic.Bool
-	var firstErr error
-	total := t.cfg.TotalSteps
-	rounds, rem := total/n, total%n
+// run is the driver goroutine; on failure failedCh closes before doneCh.
+func (d *vecDriver) run(steps, base int) {
+	defer close(d.doneCh)
+	if err := d.step(steps, base); err != nil {
+		d.err = fmt.Errorf("apex: vec actor: %w", err)
+		close(d.failedCh)
+	}
+}
 
-	// warmReady closes once warmup has passed AND the replay holds at
-	// least one batch: the gate that lets the sampler spend the update
-	// budget on real gradient steps, not no-op draws from an
-	// under-filled buffer.
-	warmReady := make(chan struct{})
-	actorsDone := make(chan struct{})
-
-	driverDone := make(chan struct{})
-	go func() {
-		defer close(driverDone)
-		warmed := false
-		lastSnap := 0
-		for r := 0; r < rounds && !stop.Load(); r++ {
-			reward0, info0, err := va.StepRound(t.learner)
-			if err != nil {
-				firstErr = fmt.Errorf("apex: vec actor: %w", err)
-				stop.Store(true)
-				return
-			}
-			steps := va.Steps()
-			if !warmed && steps > t.cfg.WarmupSteps && agent.BufferLen() >= batch {
-				warmed = true
-				close(warmReady)
-			}
-			if t.cfg.SnapshotEvery > 0 && steps >= lastSnap+t.cfg.SnapshotEvery {
-				lastSnap = steps - steps%t.cfg.SnapshotEvery
-				t.Snapshots = append(t.Snapshots, SnapshotOf(steps, vec.Env(0), info0, reward0))
-			}
+// step takes steps environment steps — whole rounds, then a remainder
+// over the lowest lanes — recording lane 0's snapshots (episodes count
+// on from base, the steps a resumed run had already taken), and
+// flushes the tail so a window shorter than PushEvery is not lost.
+func (d *vecDriver) step(steps, base int) error {
+	t, va, n := d.t, d.va, d.va.n
+	lastSnap := base
+	for r := 0; r < steps/n; r++ {
+		reward0, info0, err := va.StepRound(t.learner)
+		if err != nil {
+			return err
 		}
-		if rem > 0 && !stop.Load() {
-			if err := va.StepRemainder(t.learner, rem); err != nil {
-				firstErr = fmt.Errorf("apex: vec actor: %w", err)
-				stop.Store(true)
-				return
-			}
-		}
-		// Final flush so a tail shorter than PushEvery is not lost.
-		if err := va.Flush(t.learner); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("apex: vec actor: %w", err)
-			stop.Store(true)
-		}
-	}()
-
-	learnerDone := t.startLearnerPipeline(agent, batch,
-		t.cfg.LearnPerStep*(t.cfg.TotalSteps-t.cfg.WarmupSteps),
-		&stop, warmReady, actorsDone)
-
-	<-driverDone
-	close(actorsDone)
-	<-learnerDone
-
-	// Attribute steps back to the per-actor records: a full round gives
-	// every lane one step; the remainder went to the lowest lanes.
-	done := va.Steps()
-	q, r := done/n, done%n
-	for i, a := range t.actors {
-		a.steps = q
-		if i < r {
-			a.steps++
+		if at := base + va.Steps(); t.cfg.SnapshotEvery > 0 && at >= lastSnap+t.cfg.SnapshotEvery {
+			lastSnap = at - at%t.cfg.SnapshotEvery
+			t.Snapshots = append(t.Snapshots, SnapshotOf(at, va.vec.Env(0), info0, reward0))
 		}
 	}
-	t.steps = done
-	return firstErr
+	if err := va.StepRemainder(t.learner, steps%n); err != nil {
+		return err
+	}
+	return va.Flush(t.learner)
+}
+
+// finish waits for the driver and attributes its steps back to the
+// per-actor records.
+func (d *vecDriver) finish() error {
+	<-d.doneCh
+	d.va.agent.SetActFloat32(false)
+	for i, a := range d.t.actors {
+		a.steps = stepShare(d.va.Steps(), d.va.n, i)
+	}
+	return d.err
 }

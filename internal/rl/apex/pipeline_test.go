@@ -66,25 +66,27 @@ func TestRoundRobinKeepsSingleTreeReplay(t *testing.T) {
 }
 
 // TestNoBusyWaitInParallel pins two hard-won properties of the
-// parallel mode. The learner loop once busy-waited on the replay with
-// a 100µs poll and a runtime.Gosched handoff ("let actors at the
-// learner mutex"); the sampler/learner pipeline (prefetch.go) blocks
-// on channels only — including the SamplesPerInsert pacing gate, which
-// waits on the ingest notification — and no polling or yield primitive
-// may reappear there. And the per-actor goroutines once needed a
-// cooperative Gosched so one actor could not monopolize a core; the
-// single batched VecActor driver (parallel.go, vecactor.go) has no
-// sibling goroutines to starve, so no yield or sleep belongs in the
-// acting half either.
+// concurrent modes. The learner loop once busy-waited on the replay
+// with a 100µs poll and a runtime.Gosched handoff, and the remote
+// mode's pacing loop slept 500µs between looks at the received counter;
+// the one sampler/learner pipeline (pipeline.go) blocks on channels only
+// — the pacing gate waits on the ingest notification in both modes —
+// and no polling or yield primitive may reappear there. And the
+// per-actor goroutines once needed a cooperative Gosched so one actor
+// could not monopolize a core; the single batched VecActor driver
+// (parallel.go, vecactor.go) has no sibling goroutines to starve, so no
+// yield or sleep belongs in the acting half either. (The supervisor's
+// back-off and the drain's heartbeat ticker pace no learning and live
+// in remote.go.)
 func TestNoBusyWaitInParallel(t *testing.T) {
-	for _, file := range []string{"prefetch.go", "parallel.go", "vecactor.go"} {
+	for _, file := range []string{"pipeline.go", "parallel.go", "vecactor.go"} {
 		src, err := os.ReadFile(file)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, banned := range []string{"runtime.Gosched", "time.After", "time.Sleep", "time.Tick"} {
 			if strings.Contains(string(src), banned) {
-				t.Errorf("%s contains %s — the parallel mode must block on channels, not poll or yield", file, banned)
+				t.Errorf("%s contains %s — the concurrent pipeline must block on channels, not poll or yield", file, banned)
 			}
 		}
 	}

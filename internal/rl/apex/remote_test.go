@@ -125,6 +125,58 @@ func TestRemoteTrainingRound(t *testing.T) {
 	}
 }
 
+// TestFleetFailureStopsLearner pins what a fatal fleet failure does to
+// the round: rank 1 crashes after 100 steps with no restart budget, so
+// the supervisor gives up and kills the fleet — and the learner must
+// stop with it instead of spending the rest of an 8 000-step budget on
+// the couple of hundred transitions that arrived, and must leave the
+// last interval checkpoint in place rather than overwrite it with a
+// "round complete" one.
+func TestFleetFailureStopsLearner(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns subprocesses")
+	}
+	bin := buildActorBinary(t)
+	ckpt := filepath.Join(t.TempDir(), "trainer.ckpt")
+
+	cfg := DefaultTrainerConfig(8000)
+	cfg.RemoteActors = 2
+	cfg.SpawnRemote = []string{bin, "-q", "-crashat", "100", "-crashrank", "1"}
+	cfg.RemoteSpec = testSpec()
+	cfg.WarmupSteps = 32
+	cfg.MaxActorRestarts = 0
+	cfg.CheckpointPath = ckpt
+	cfg.CheckpointEvery = 50
+	cfg.AgentConfig = ddpg.DefaultConfig(0, 0)
+	cfg.AgentConfig.Hidden = []int{16, 16}
+	cfg.AgentConfig.BatchSize = 16
+	cfg.AgentConfig.Seed = 23
+	budget := cfg.LearnPerStep * (cfg.TotalSteps - cfg.WarmupSteps)
+
+	tr, err := NewTrainer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- tr.Run() }()
+	select {
+	case err = <-done:
+	case <-time.After(120 * time.Second):
+		t.Fatal("failed round did not end")
+	}
+	if err == nil || !strings.Contains(err.Error(), "gave up") {
+		t.Fatalf("Run error = %v, want the supervisor's \"gave up\" failure", err)
+	}
+	if got := tr.Learner().Agent().LearnSteps(); got >= budget/4 {
+		t.Errorf("learner ran %d of %d updates after the fleet failed; want it stopped", got, budget)
+	}
+	// An interval checkpoint may or may not have landed before the
+	// crash; a completion checkpoint must not have.
+	if ck, err := ReadCheckpoint(ckpt); err == nil && ck.Updates >= budget {
+		t.Errorf("checkpoint records %d updates: the failed round wrote a completion checkpoint", ck.Updates)
+	}
+}
+
 // TestRemoteTrainerValidation pins the remote-mode constructor
 // contract: a spec is required, and its normalized copy must match
 // the learner's network shape and the trainer's cadence.

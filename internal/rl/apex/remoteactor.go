@@ -6,7 +6,10 @@ import (
 	"net/rpc"
 	"os"
 	"sync"
+	"sync/atomic"
 	"time"
+
+	"greennfv/internal/rpcutil"
 )
 
 // This file is the actor-process side of the multi-process mode: a
@@ -17,11 +20,11 @@ import (
 // RemoteLearner is a LearnerAPI backed by an RPC connection that
 // redials with jittered exponential backoff when the transport fails,
 // so a learner restart (or a transient network fault) does not kill
-// the actor. Application-level errors returned by the learner are not
-// retried — with one exception: ErrUnregisteredActor triggers a
-// re-registration (the learner restarted and lost this actor's
-// epoch) and one more attempt. ErrStaleActorEpoch is always fatal:
-// this actor has been superseded by a respawn and must exit.
+// the actor. Errors returned by the learner itself are not retried,
+// except ErrUnregisteredActor: the learner restarted and lost this
+// actor's epoch, so it re-registers and tries once more.
+// ErrStaleActorEpoch is always fatal: this actor has been superseded by
+// a respawn and must exit.
 //
 // A RemoteLearner is used by one actor goroutine; it is not
 // goroutine-safe beyond the internal reconnect bookkeeping.
@@ -31,30 +34,30 @@ type RemoteLearner struct {
 
 	// MaxRetries bounds redial attempts per call (total tries =
 	// MaxRetries+1); Backoff is the initial retry delay, doubling per
-	// attempt up to MaxBackoff. Without the cap, a user-raised
-	// MaxRetries against a flapping learner turns the doubling into
-	// multi-minute sleeps that stall the actor long after the learner
-	// is back.
+	// attempt up to MaxBackoff — without the cap a raised MaxRetries
+	// against a flapping learner means multi-minute sleeps that stall
+	// the actor long after the learner is back.
 	MaxRetries int
 	Backoff    time.Duration
 	MaxBackoff time.Duration
 	// CallTimeout is the per-call deadline applied to every dialed
-	// connection (Client.Timeout); zero disables deadlines.
+	// connection (rpcutil.Conn.Timeout): on expiry the call fails with
+	// a retryable DeadlineError and the connection is torn down. Zero
+	// disables deadlines.
 	CallTimeout time.Duration
 
-	mu         sync.Mutex
-	client     *Client
-	version    int  // newest parameter version pulled, reported in pushes
-	drain      bool // learner asked us to stop
-	epoch      uint64
-	registered bool
-	jrng       *rand.Rand // backoff jitter source
+	mu      sync.Mutex
+	client  *rpcutil.Conn
+	version int         // newest parameter version pulled, reported in pushes
+	epoch   uint64      // issued by Register; 0 — never registered — is rejected
+	jrng    *rand.Rand  // backoff jitter source
+	drain   atomic.Bool // learner asked us to stop
 }
 
 // NewRemoteLearner builds a lazily-dialing client for the learner at
-// addr, identifying itself as actor actorID in pushes. The first RPC
-// establishes the connection. The jitter stream is seeded per actor
-// ID so a fleet's redial schedules decorrelate deterministically.
+// addr, identifying itself as actor actorID; the first RPC dials. The
+// jitter stream is seeded per actor ID so a fleet's redial schedules
+// decorrelate deterministically.
 func NewRemoteLearner(addr string, actorID int) *RemoteLearner {
 	return &RemoteLearner{
 		addr:        addr,
@@ -67,50 +70,54 @@ func NewRemoteLearner(addr string, actorID int) *RemoteLearner {
 	}
 }
 
-// backoffFor returns the capped base sleep before retry attempt+1:
-// the initial Backoff doubled attempt times, clamped to MaxBackoff
-// (the doubling is overflow-safe for any attempt count).
+// backoff is the capped exponential retry delay: base doubled attempt
+// times, clamped to limit (the doubling is overflow-safe for any
+// attempt count).
+func backoff(base, limit time.Duration, attempt int) time.Duration {
+	d := base
+	for ; attempt > 0 && d < limit; attempt-- {
+		d *= 2
+	}
+	return min(d, limit)
+}
+
+// jitter spreads d uniformly over [d/2, d], so processes that lost
+// their peer at the same instant do not come back in lockstep (the
+// thundering-herd failure mode of synchronized retry schedules).
+func jitter(d time.Duration, rng *rand.Rand) time.Duration {
+	half := d / 2
+	if half <= 0 {
+		return d
+	}
+	return half + time.Duration(rng.Int63n(int64(half)+1))
+}
+
+// backoffFor returns the base sleep before retry attempt+1: Backoff
+// doubled attempt times, capped at MaxBackoff (2s when unset).
 func (r *RemoteLearner) backoffFor(attempt int) time.Duration {
 	limit := r.MaxBackoff
 	if limit <= 0 {
 		limit = 2 * time.Second
 	}
-	d := r.Backoff
-	for ; attempt > 0 && d < limit; attempt-- {
-		d *= 2
-	}
-	if d > limit {
-		d = limit
-	}
-	return d
+	return backoff(r.Backoff, limit, attempt)
 }
 
-// jitteredBackoff spreads the base backoff uniformly over
-// [backoffFor/2, backoffFor], so a fleet of actors that lost the
-// learner at the same instant does not redial it in lockstep (the
-// thundering-herd failure mode of synchronized retry schedules).
+// jitteredBackoff is backoffFor with this actor's jitter stream.
 func (r *RemoteLearner) jitteredBackoff(attempt int) time.Duration {
-	d := r.backoffFor(attempt)
-	half := d / 2
-	if half <= 0 {
-		return d
-	}
 	r.mu.Lock()
-	j := time.Duration(r.jrng.Int63n(int64(half) + 1))
-	r.mu.Unlock()
-	return half + j
+	defer r.mu.Unlock()
+	return jitter(r.backoffFor(attempt), r.jrng)
 }
 
 // conn returns the live connection, dialing if needed.
-func (r *RemoteLearner) conn() (*Client, error) {
+func (r *RemoteLearner) conn() (*rpcutil.Conn, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.client == nil {
-		c, err := Dial(r.addr)
+		c, err := rpcutil.Dial(r.addr, r.CallTimeout)
 		if err != nil {
 			return nil, err
 		}
-		c.Timeout = r.CallTimeout
 		r.client = c
 	}
 	return r.client, nil
@@ -118,13 +125,14 @@ func (r *RemoteLearner) conn() (*Client, error) {
 
 // dropConn discards a connection observed failing, so the next call
 // redials. Only drops it if no other call already replaced it.
-func (r *RemoteLearner) dropConn(c *Client) {
+func (r *RemoteLearner) dropConn(c *rpcutil.Conn) error {
 	r.mu.Lock()
-	if r.client == c {
-		r.client.Close()
-		r.client = nil
+	defer r.mu.Unlock()
+	if c == nil || r.client != c {
+		return nil
 	}
-	r.mu.Unlock()
+	r.client = nil
+	return c.Close()
 }
 
 // retriable reports whether an RPC error is transport-level (worth a
@@ -136,43 +144,41 @@ func retriable(err error) bool {
 	return !isApp
 }
 
-// reregister refreshes this actor's registration on c after an
-// ErrUnregisteredActor rejection (a restarted learner has no epochs).
-func (r *RemoteLearner) reregister(c *Client) error {
+// register announces the actor on c and adopts the epoch the learner
+// issues: the one registration path, taken at startup (Register) and
+// again whenever a call is rejected with ErrUnregisteredActor.
+func (r *RemoteLearner) register(c *rpcutil.Conn) (int, error) {
 	var reply RegisterReply
-	if err := c.call("Learner.Register", &RegisterArgs{ActorID: r.actorID}, &reply); err != nil {
-		return err
+	if err := c.Call("Learner.Register", &RegisterArgs{ActorID: r.actorID}, &reply); err != nil {
+		return 0, err
 	}
 	r.mu.Lock()
 	r.epoch = reply.Epoch
-	r.registered = true
-	if reply.Version > r.version {
-		r.version = reply.Version
-	}
+	r.version = max(r.version, reply.Version)
 	r.mu.Unlock()
-	return nil
+	return reply.Version, nil
 }
 
-// call invokes one RPC method, redialing with capped jittered
-// exponential backoff on transport failures. mkArgs builds the
-// request per attempt, so retries after a mid-call re-registration
-// carry the fresh epoch. Once the learner has signalled drain the
-// first transport failure is final: the round is over, so a vanished
-// learner means there is nothing left to deliver and retrying would
-// only delay the actor's exit.
-func (r *RemoteLearner) call(method string, mkArgs func() any, reply any) error {
+// call runs one RPC exchange, redialing with capped jittered
+// exponential backoff on transport failures. do issues the request on
+// the connection it is handed and builds its arguments per attempt, so
+// a retry after a mid-call re-registration carries the fresh epoch.
+// Once the learner has signalled drain the first transport failure is
+// final: the round is over, and retrying a vanished learner would only
+// delay the actor's exit.
+func (r *RemoteLearner) call(method string, do func(c *rpcutil.Conn) error) error {
 	var lastErr error
 	for attempt := 0; attempt <= r.MaxRetries; attempt++ {
 		c, err := r.conn()
 		if err == nil {
-			if err = c.call(method, mkArgs(), reply); err == nil {
+			if err = do(c); err == nil {
 				return nil
 			}
 			if !retriable(err) {
-				if IsUnregisteredActor(err) && method != "Learner.Register" {
+				if IsUnregisteredActor(err) && attempt < r.MaxRetries {
 					// Learner restarted (fresh service, no epochs):
 					// re-register and burn this attempt on a repeat.
-					if rerr := r.reregister(c); rerr == nil {
+					if _, rerr := r.register(c); rerr == nil {
 						lastErr = err
 						continue
 					}
@@ -197,18 +203,12 @@ func (r *RemoteLearner) call(method string, mkArgs func() any, reply any) error 
 // Register announces the actor, stores the issued epoch, and returns
 // the learner's current parameter version.
 func (r *RemoteLearner) Register() (int, error) {
-	var reply RegisterReply
-	if err := r.call("Learner.Register", func() any { return &RegisterArgs{ActorID: r.actorID} }, &reply); err != nil {
-		return 0, err
-	}
-	r.mu.Lock()
-	r.epoch = reply.Epoch
-	r.registered = true
-	if reply.Version > r.version {
-		r.version = reply.Version
-	}
-	r.mu.Unlock()
-	return reply.Version, nil
+	var version int
+	err := r.call("Learner.Register", func(c *rpcutil.Conn) (err error) {
+		version, err = r.register(c)
+		return err
+	})
+	return version, err
 }
 
 // PushExperience implements LearnerAPI, tagging the batch with the
@@ -216,18 +216,17 @@ func (r *RemoteLearner) Register() (int, error) {
 // latching the learner's drain signal from the reply.
 func (r *RemoteLearner) PushExperience(batch []Experience) error {
 	var reply PushReply
-	err := r.call("Learner.Push", func() any {
+	err := r.call("Learner.Push", func(c *rpcutil.Conn) error {
 		r.mu.Lock()
-		defer r.mu.Unlock()
-		return &PushArgs{Batch: batch, ActorID: r.actorID, Epoch: r.epoch, Version: r.version}
-	}, &reply)
+		args := &PushArgs{Batch: batch, ActorID: r.actorID, Epoch: r.epoch, Version: r.version}
+		r.mu.Unlock()
+		return c.Call("Learner.Push", args, &reply)
+	})
 	if err != nil {
 		return err
 	}
 	if reply.Drain {
-		r.mu.Lock()
-		r.drain = true
-		r.mu.Unlock()
+		r.drain.Store(true)
 	}
 	return nil
 }
@@ -235,18 +234,17 @@ func (r *RemoteLearner) PushExperience(batch []Experience) error {
 // PullParams implements LearnerAPI.
 func (r *RemoteLearner) PullParams(haveVersion int) (int, []byte, error) {
 	var reply PullReply
-	err := r.call("Learner.Pull", func() any {
+	err := r.call("Learner.Pull", func(c *rpcutil.Conn) error {
 		r.mu.Lock()
-		defer r.mu.Unlock()
-		return &PullArgs{HaveVersion: haveVersion, ActorID: r.actorID, Epoch: r.epoch}
-	}, &reply)
+		args := &PullArgs{HaveVersion: haveVersion, ActorID: r.actorID, Epoch: r.epoch}
+		r.mu.Unlock()
+		return c.Call("Learner.Pull", args, &reply)
+	})
 	if err != nil {
 		return 0, nil, err
 	}
 	r.mu.Lock()
-	if reply.Version > r.version {
-		r.version = reply.Version
-	}
+	r.version = max(r.version, reply.Version)
 	r.mu.Unlock()
 	return reply.Version, reply.ActorBytes, nil
 }
@@ -258,22 +256,14 @@ func (r *RemoteLearner) PullParams(haveVersion int) (int, []byte, error) {
 func (r *RemoteLearner) RetainsExperience() bool { return false }
 
 // Draining reports whether the learner has asked this actor to stop.
-func (r *RemoteLearner) Draining() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.drain
-}
+func (r *RemoteLearner) Draining() bool { return r.drain.Load() }
 
 // Close releases the connection.
 func (r *RemoteLearner) Close() error {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.client == nil {
-		return nil
-	}
-	err := r.client.Close()
-	r.client = nil
-	return err
+	c := r.client
+	r.mu.Unlock()
+	return r.dropConn(c)
 }
 
 var _ LearnerAPI = (*RemoteLearner)(nil)
@@ -318,11 +308,10 @@ func shouldInjectCrash(opt *RemoteActorOptions) bool {
 // RunRemoteActor is the main loop of an actor process: build the
 // environment and local network from the spec, register with the
 // learner, sync the initial parameters, then step/push/pull until the
-// step budget is spent or the learner drains the round. The local
-// experience buffer is flushed before returning so no transitions are
-// lost. A crashed actor process (or an injected CrashAfter fault)
-// loses at most PushEvery-1 unflushed transitions; the supervising
-// trainer respawns the rank with its original ladder rung.
+// step budget is spent or the learner drains the round, and flush the
+// local buffer before returning. A crashed actor process (or an
+// injected CrashAfter fault) loses at most PushEvery-1 unflushed
+// transitions; the supervising trainer respawns the rank on its rung.
 func RunRemoteActor(spec ActorSpec, opt RemoteActorOptions) error {
 	logf := opt.Logf
 	if logf == nil {

@@ -15,10 +15,7 @@ import (
 // NF controllers on the chain-hosting servers feed one central
 // learner. Payloads are gob-encoded by net/rpc. The trainer's remote
 // mode (remote.go) serves a Learner here and spawns cmd/apexactor
-// processes against it; LearnerService adds the connection-lifecycle
-// half — actor registration with per-actor epochs, last-push
-// heartbeats, push statistics, and the graceful drain signal that
-// ends a round.
+// processes against it; LearnerService adds the connection lifecycle.
 //
 // Fault-tolerance contract: every Push/Pull carries the actor's
 // (ID, epoch) pair issued by Register. A call without a live
@@ -28,13 +25,13 @@ import (
 // with ErrStaleActorEpoch (fatal — the supervisor already respawned
 // this rank, so the zombie must exit rather than corrupt its
 // replacement's statistics). Per-call deadlines bound every client
-// RPC so a hung connection can never wedge an actor.
+// RPC so a hung connection can never wedge an actor. The client side
+// is RemoteLearner (remoteactor.go).
 
 // DefaultCallTimeout bounds one RPC round-trip (dial excluded) unless
-// the caller overrides it. Pushes and pulls move at most a few
-// hundred KB over loopback or a rack link; ten seconds is orders of
-// magnitude above healthy latency while still unwedging a dead
-// connection quickly.
+// the caller overrides it. Pushes and pulls move a few hundred KB at
+// most; ten seconds is orders of magnitude above healthy latency while
+// still unwedging a dead connection quickly.
 const DefaultCallTimeout = 10 * time.Second
 
 // Typed RPC failures. net/rpc flattens server-side errors into
@@ -92,9 +89,8 @@ type RegisterArgs struct {
 	ActorID int
 }
 
-// RegisterReply returns the current parameter version so a freshly
-// started actor can pull immediately, plus the registration epoch the
-// actor must echo in every subsequent call.
+// RegisterReply returns the current parameter version, so a fresh
+// actor can pull immediately, and the epoch it must echo in every call.
 type RegisterReply struct {
 	Version int
 	Epoch   uint64
@@ -267,18 +263,6 @@ func (s *LearnerService) ActorStats() map[int]ActorStats {
 	return out
 }
 
-// LastPush returns the last heartbeat (Register or Push) of one actor
-// and whether it has ever registered.
-func (s *LearnerService) LastPush(id int) (time.Time, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	rec, ok := s.actors[id]
-	if !ok || !rec.Registered {
-		return time.Time{}, false
-	}
-	return rec.lastPush, true
-}
-
 // FleetIdle reports whether no registered actor has pushed within the
 // given window — the heartbeat view a draining trainer uses to detect
 // a wedged fleet. A fleet with no registered actors is idle.
@@ -298,7 +282,6 @@ func (s *LearnerService) FleetIdle(window time.Duration) bool {
 // its open connections so Close can tear them down instead of waiting
 // for every actor to hang up.
 type Server struct {
-	learner *Learner
 	service *LearnerService
 	srv     *rpcutil.Server
 }
@@ -315,7 +298,7 @@ func Serve(learner *Learner, addr string) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Server{learner: learner, service: service, srv: srv}, nil
+	return &Server{service: service, srv: srv}, nil
 }
 
 // Addr reports the listening address.
@@ -327,82 +310,8 @@ func (s *Server) Service() *LearnerService { return s.service }
 
 // Close stops accepting connections, disconnects the remaining
 // clients, and waits for in-flight handlers. Actors surviving the
-// learner see transport errors (and, if they use RemoteLearner,
-// retry until the learner returns or their backoff budget runs out).
+// learner see transport errors, which RemoteLearner retries until the
+// learner returns or its backoff budget runs out.
 func (s *Server) Close() error { return s.srv.Close() }
 
-// Client is a LearnerAPI backed by a single TCP connection to a
-// Server (an embedded rpcutil.Conn, whose Timeout field bounds each
-// call); once the connection drops its calls fail permanently. Actor
-// processes use RemoteLearner, which wraps the same calls with
-// redial-and-retry. Push and Pull require a prior RegisterAs — the
-// server rejects anonymous callers.
-type Client struct {
-	*rpcutil.Conn
-
-	mu      sync.Mutex
-	actorID int
-	epoch   uint64
-}
-
-// Dial connects to a learner server. The client starts with the
-// DefaultCallTimeout per-call deadline.
-func Dial(addr string) (*Client, error) {
-	conn, err := rpcutil.Dial(addr, DefaultCallTimeout)
-	if err != nil {
-		return nil, fmt.Errorf("apex: %w", err)
-	}
-	return &Client{Conn: conn}, nil
-}
-
-// call invokes one RPC with the per-call deadline (rpcutil.Conn.Call).
-func (c *Client) call(method string, args, reply any) error {
-	return c.Conn.Call(method, args, reply)
-}
-
-// RegisterAs announces the client as the given actor, stores the
-// issued epoch for subsequent Push/Pull calls, and returns the
-// learner's current parameter version.
-func (c *Client) RegisterAs(actorID int) (int, error) {
-	var reply RegisterReply
-	if err := c.call("Learner.Register", &RegisterArgs{ActorID: actorID}, &reply); err != nil {
-		return 0, err
-	}
-	c.mu.Lock()
-	c.actorID, c.epoch = actorID, reply.Epoch
-	c.mu.Unlock()
-	return reply.Version, nil
-}
-
-// identity returns the registered (ID, epoch) pair; epoch 0 — never
-// registered — is rejected by the server.
-func (c *Client) identity() (int, uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.actorID, c.epoch
-}
-
-// PushExperience implements LearnerAPI.
-func (c *Client) PushExperience(batch []Experience) error {
-	id, epoch := c.identity()
-	var reply PushReply
-	return c.call("Learner.Push", &PushArgs{Batch: batch, ActorID: id, Epoch: epoch}, &reply)
-}
-
-// PullParams implements LearnerAPI.
-func (c *Client) PullParams(haveVersion int) (int, []byte, error) {
-	id, epoch := c.identity()
-	var reply PullReply
-	if err := c.call("Learner.Pull", &PullArgs{HaveVersion: haveVersion, ActorID: id, Epoch: epoch}, &reply); err != nil {
-		return 0, nil, err
-	}
-	return reply.Version, reply.ActorBytes, nil
-}
-
-// RetainsExperience implements LearnerAPI: batches are gob-serialized
-// inside the synchronous Call, so nothing references the caller's
-// slices once PushExperience returns.
-func (c *Client) RetainsExperience() bool { return false }
-
-var _ LearnerAPI = (*Client)(nil)
 var _ LearnerAPI = (*Learner)(nil)

@@ -24,6 +24,15 @@ func rpcLearner(t *testing.T) *Learner {
 	return learner
 }
 
+// singleShot is a RemoteLearner that issues every call exactly once —
+// no redial, no re-registration — so a test sees the learner's own
+// answer to that call rather than the client's recovery from it.
+func singleShot(addr string, actorID int) *RemoteLearner {
+	rl := NewRemoteLearner(addr, actorID)
+	rl.MaxRetries = 0
+	return rl
+}
+
 func rpcBatch(n int) []Experience {
 	batch := make([]Experience, n)
 	for i := range batch {
@@ -36,9 +45,9 @@ func rpcBatch(n int) []Experience {
 }
 
 // TestPushOnStoppedLearner pins the failure mode of pushing to a
-// learner whose server is gone: the plain Client fails immediately,
-// and the reconnecting RemoteLearner fails only after exhausting its
-// redial budget, with the transport error preserved in the chain.
+// learner whose server is gone: a client without retries fails
+// immediately, and one with a redial budget fails only after
+// exhausting it, with the transport error preserved in the chain.
 func TestPushOnStoppedLearner(t *testing.T) {
 	learner := rpcLearner(t)
 	srv, err := Serve(learner, "127.0.0.1:0")
@@ -46,12 +55,9 @@ func TestPushOnStoppedLearner(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr := srv.Addr()
-	client, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	client := singleShot(addr, 0)
 	defer client.Close()
-	if _, err := client.RegisterAs(0); err != nil {
+	if _, err := client.Register(); err != nil {
 		t.Fatal(err)
 	}
 	if err := client.PushExperience(rpcBatch(2)); err != nil {
@@ -93,12 +99,9 @@ func TestPullStaleVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	client, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
+	client := singleShot(srv.Addr(), 0)
 	defer client.Close()
-	if _, err := client.RegisterAs(0); err != nil {
+	if _, err := client.Register(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -119,9 +122,9 @@ func TestPullStaleVersion(t *testing.T) {
 }
 
 // TestClientReconnectAfterRestart restarts the server on the same
-// address and checks that a RemoteLearner carries on (redial) while
-// the plain Client stays dead — the property that lets a killed
-// learner come back without wedging its actor fleet.
+// address and checks that a RemoteLearner carries on (redial and
+// re-register) — the property that lets a killed learner come back
+// without wedging its actor fleet.
 func TestClientReconnectAfterRestart(t *testing.T) {
 	learner := rpcLearner(t)
 	srv, err := Serve(learner, "127.0.0.1:0")
@@ -130,11 +133,6 @@ func TestClientReconnectAfterRestart(t *testing.T) {
 	}
 	addr := srv.Addr()
 
-	plain, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer plain.Close()
 	rl := NewRemoteLearner(addr, 3)
 	rl.Backoff = time.Millisecond
 	defer rl.Close()
@@ -156,9 +154,6 @@ func TestClientReconnectAfterRestart(t *testing.T) {
 	}
 	if _, _, err := rl.PullParams(0); err != nil {
 		t.Errorf("pull after restart: %v", err)
-	}
-	if err := plain.PushExperience(rpcBatch(1)); err == nil {
-		t.Error("plain client survived a server restart without redial support")
 	}
 
 	// The restarted service starts with fresh per-actor stats; the

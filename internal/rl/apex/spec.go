@@ -34,10 +34,9 @@ type FlowSpec struct {
 // separate process (cmd/apexactor) can reconstruct both. It is the
 // unit the trainer writes, as JSON, to each spawned actor's stdin.
 //
-// Seeding and exploration follow the in-process trainer exactly:
-// actor rank r steps an environment seeded EnvSeed+131r with a local
-// network seeded AgentSeed+101r and OU noise sigma
-// BaseSigma*(1+r/2) — the Ape-X exploration ladder.
+// Actor rank r steps an environment seeded EnvSeed+131r, and its local
+// network sits on rung r of the exploration ladder (ladderRung) — the
+// function the in-process trainer builds its actors with.
 type ActorSpec struct {
 	// Chain selects the calibrated service chain: "standard"
 	// (default), "heavy", or "light".
@@ -138,18 +137,14 @@ func (s *ActorSpec) BuildEnv(rank int) (*env.Env, error) {
 }
 
 // agentConfig builds the rank's local-network configuration from the
-// spec's agent template, applying the exploration ladder exactly like
-// the in-process trainer does (seed +101 per rank, sigma scaled
-// unconditionally — BaseSigma 0 means greedy, in both modes).
+// spec's agent template.
 func (s *ActorSpec) agentConfig(stateDim, actionDim, rank int) ddpg.Config {
 	cfg := s.Agent
 	if len(cfg.Hidden) == 0 {
 		cfg = ddpg.DefaultConfig(0, 0)
 	}
 	cfg.StateDim, cfg.ActionDim = stateDim, actionDim
-	cfg.Seed += int64(rank) * 101
-	cfg.OUSigma = s.BaseSigma * (1 + 0.5*float64(rank))
-	return cfg
+	return ladderRung(cfg, s.BaseSigma, rank)
 }
 
 // DecodeActorSpec reads one JSON-encoded spec.

@@ -77,51 +77,45 @@ type TrainerConfig struct {
 	// BaseSigma is actor 0's OU noise; each additional actor gets
 	// progressively more exploration (Ape-X's per-actor epsilon).
 	BaseSigma float64
-	// SamplesPerInsert, when positive, caps how far the learner may run
-	// ahead of the actors in the asynchronous modes (Parallel, remote):
-	// at most SamplesPerInsert replay samples are consumed per inserted
-	// transition, so a fast learner blocks for fresh experience instead
-	// of replaying a stale buffer (the ratio knob of Reverb-style
-	// samplers). Zero (the default) disables pacing and the update
-	// budget is spent exactly; the deterministic round-robin mode
-	// ignores it — its learn cadence is fixed by LearnPerStep.
+	// SamplesPerInsert, when positive, adds a ratio cap to the
+	// concurrent pipeline's pacing rule: at most that many replay
+	// samples are consumed per inserted transition, so a fast learner
+	// blocks for fresh experience instead of replaying a stale buffer
+	// (the ratio knob of Reverb-style samplers). Zero (the default)
+	// leaves only the LearnPerStep cadence and the update budget is
+	// spent exactly. Round-robin ignores it.
 	SamplesPerInsert float64
-	// Parallel selects truly concurrent training — actor goroutines
-	// stepping their own environments while a sampler/learner pipeline
-	// runs batched updates over a lock-striped replay, the
-	// architecture of Horgan et al. — instead of the deterministic
-	// round-robin interleaving. Round-robin remains the default: it is
-	// reproducible, which tests and recorded figures rely on.
+	// Parallel selects the concurrent pipeline over its in-process
+	// transport — a driver goroutine stepping every actor environment
+	// while the sampler/learner runs batched updates over a lock-striped
+	// replay, the architecture of Horgan et al. Round-robin remains the
+	// default: it is reproducible, which tests and figures rely on.
 	Parallel bool
-	// ReplayShards sets the lock-stripe count of the parallel mode's
-	// sharded replay buffer (0 = GOMAXPROCS, clamped to [2, 16]).
-	// Ignored by the deterministic round-robin mode, which keeps the
-	// single-tree buffer.
+	// ReplayShards sets the lock-stripe count of the concurrent
+	// pipeline's sharded replay buffer (0 = GOMAXPROCS, clamped to
+	// [2, 16]). Round-robin keeps the single-tree buffer.
 	ReplayShards int
-	// Float32 runs the learner's updates through the single-precision
+	// Float32 runs the pipeline's updates through the single-precision
 	// NN fast path (8-lane AVX2 kernels, roughly 1.3x the f64 update
-	// rate) in the Parallel and RemoteActors modes. The trained policy
-	// is flushed back to float64 when the run ends, and every
-	// parameter broadcast carries the current weights. Ignored by the
-	// deterministic round-robin mode, whose recorded figures depend on
-	// the f64 path staying byte-identical; parity of the f32 update is
-	// bounded by the ddpg package's f32-vs-f64 test (max |ΔQ| well
-	// under 1e-3 over a fixed schedule).
+	// rate). The trained policy is flushed back to float64 when the run
+	// ends, and every parameter broadcast carries the current weights.
+	// Round-robin ignores it: its recorded figures depend on the f64
+	// path staying byte-identical. Parity of the f32 update is bounded
+	// by the ddpg package's f32-vs-f64 test (max |ΔQ| well under 1e-3
+	// over a fixed schedule).
 	Float32 bool
-	// RemoteActors selects the multi-process mode (the paper's
-	// six-node deployment): the trainer serves the learner over
-	// net/rpc and RemoteActors actor processes connect as RPC
-	// clients, each with its own environment and exploration
-	// intensity. Actors/StepperFactory/Parallel are ignored;
-	// RemoteSpec is required. Like Parallel, the run is not
-	// deterministic; the figure harness keeps round-robin.
+	// RemoteActors selects the pipeline's multi-process transport (the
+	// paper's six-node deployment): the trainer serves the learner over
+	// net/rpc and RemoteActors actor processes connect as RPC clients,
+	// each with its own environment and exploration intensity.
+	// Actors/StepperFactory/Parallel are ignored; RemoteSpec is
+	// required. Not deterministic; the figure harness keeps round-robin.
 	RemoteActors int
 	// SpawnRemote, when non-empty, is the argv prefix the trainer
-	// execs to launch each actor process (typically the cmd/apexactor
-	// binary). The trainer appends "-learner ADDR -rank R -steps N"
-	// and writes the normalized RemoteSpec JSON to the child's stdin.
-	// Empty means actors are launched externally (multi-machine
-	// deployments) and connect to ListenAddr themselves.
+	// execs to launch each actor process (typically cmd/apexactor). It
+	// appends "-learner ADDR -rank R -steps N" and writes the
+	// normalized RemoteSpec JSON to the child's stdin. Empty means
+	// actors are launched externally and connect to ListenAddr.
 	SpawnRemote []string
 	// ListenAddr is the learner's RPC bind address in remote mode
 	// ("" = 127.0.0.1 on an ephemeral port, the right choice when
@@ -134,31 +128,29 @@ type TrainerConfig struct {
 	// AdvertiseAddr, when non-empty, is the learner address handed to
 	// spawned actor processes instead of the actual listen address —
 	// the hook that routes actor traffic through a proxy (the chaos
-	// tests put a faultrpc.FaultProxy here). External fleets ignore
-	// it; they dial whatever they were configured with.
+	// tests put a faultrpc.FaultProxy here). External fleets ignore it.
 	AdvertiseAddr string
-	// CheckpointPath, when non-empty, makes the remote mode write an
-	// atomic training checkpoint (see WriteCheckpoint) every
-	// CheckpointEvery learner updates and again after drain, so a
-	// killed trainer resumes mid-budget via Resume. CheckpointReplay
-	// additionally snapshots the replay buffer into each checkpoint —
-	// required for bit-exact update parity after restore, at the cost
-	// of checkpoint size.
+	// CheckpointPath, when non-empty, makes Run write an atomic
+	// training checkpoint (see WriteCheckpoint) when the round
+	// completes and, in the concurrent modes (Parallel, remote), every
+	// CheckpointEvery learner updates on the way, so a killed trainer
+	// resumes mid-budget via Resume. CheckpointReplay additionally
+	// snapshots the replay buffer into each checkpoint — required for
+	// bit-exact update parity after restore, at the cost of checkpoint
+	// size.
 	CheckpointPath   string
 	CheckpointEvery  int
 	CheckpointReplay bool
 	// MaxActorRestarts bounds how many times the trainer respawns one
 	// crashed spawned-actor rank (original sigma/seed ladder rung,
-	// jittered exponential backoff). Zero disables supervision: a
-	// crashed rank stays down, as before.
+	// jittered exponential backoff). Zero: the first crash fails the round.
 	MaxActorRestarts int
 	// ActorRestartBackoff is the initial respawn delay, doubling per
 	// restart of the same rank (default 250ms when zero).
 	ActorRestartBackoff time.Duration
 	// DrainTimeout bounds how long drain waits for a spawned fleet
 	// after the last push heartbeat before killing the stragglers, so
-	// a wedged actor cannot hang the round forever. Zero waits
-	// indefinitely (the pre-supervision behavior).
+	// a wedged actor cannot hang the round. Zero waits indefinitely.
 	DrainTimeout time.Duration
 	// StepperFactory builds one environment per actor (distinct
 	// seeds): *env.Env for the paper's single host, *env.ClusterEnv
@@ -175,10 +167,6 @@ type TrainerConfig struct {
 // GreenNFV environment: small networks, four actors, snapshot
 // cadence proportional to run length.
 func DefaultTrainerConfig(totalSteps int) TrainerConfig {
-	snap := totalSteps / 40
-	if snap < 1 {
-		snap = 1
-	}
 	return TrainerConfig{
 		Actors:        4,
 		TotalSteps:    totalSteps,
@@ -187,7 +175,7 @@ func DefaultTrainerConfig(totalSteps int) TrainerConfig {
 		PushEvery:     8,
 		SyncEvery:     16,
 		VersionEvery:  8,
-		SnapshotEvery: snap,
+		SnapshotEvery: max(totalSteps/40, 1),
 		BaseSigma:     0.3,
 		// Supervision default: a crashed actor rank gets two respawns
 		// before the round is declared failed.
@@ -196,8 +184,9 @@ func DefaultTrainerConfig(totalSteps int) TrainerConfig {
 	}
 }
 
-// Trainer orchestrates an Ape-X run: in-process actors (round-robin
-// or Parallel) or remote actor processes (RemoteActors).
+// Trainer orchestrates an Ape-X run: the round-robin reference loop,
+// or the concurrent pipeline fed by in-process actors (Parallel) or
+// remote actor processes (RemoteActors).
 type Trainer struct {
 	cfg     TrainerConfig
 	learner *Learner
@@ -227,10 +216,9 @@ func NewTrainer(cfg TrainerConfig) (*Trainer, error) {
 			return nil, errors.New("apex: remote mode needs a RemoteSpec")
 		}
 		// The spec is the single source of truth in remote mode: the
-		// learner's dimension probe must come from the same env
-		// construction the actor processes will use, or the learner
-		// and actor network shapes could silently diverge. Any
-		// caller-supplied StepperFactory is ignored, as documented.
+		// learner's dimension probe must come from the env construction
+		// the actor processes use, or network shapes could silently
+		// diverge. A caller-supplied StepperFactory is ignored.
 		factory = func(actorID int) (env.Stepper, error) { return cfg.RemoteSpec.BuildEnv(actorID) }
 	}
 	if factory == nil {
@@ -241,8 +229,7 @@ func NewTrainer(cfg TrainerConfig) (*Trainer, error) {
 		return nil, err
 	}
 	agentCfg := cfg.AgentConfig
-	agentCfg.StateDim = probe.StateDim()
-	agentCfg.ActionDim = probe.ActionDim()
+	agentCfg.StateDim, agentCfg.ActionDim = probe.StateDim(), probe.ActionDim()
 	agentCfg.Prioritized = true
 	learnerAgent, err := ddpg.New(agentCfg)
 	if err != nil {
@@ -272,13 +259,8 @@ func NewTrainer(cfg TrainerConfig) (*Trainer, error) {
 				return nil, err
 			}
 		}
-		aCfg := agentCfg
-		aCfg.Seed = agentCfg.Seed + int64(i)*101
-		// Ape-X exploration ladder: later actors explore harder.
-		aCfg.OUSigma = cfg.BaseSigma * (1 + 0.5*float64(i))
-		aCfg.NoiseDecay = agentCfg.NoiseDecay
 		actor, err := NewActor(ActorConfig{
-			ID: i, Env: e, AgentConfig: aCfg,
+			ID: i, Env: e, AgentConfig: ladderRung(agentCfg, cfg.BaseSigma, i),
 			PushEvery: cfg.PushEvery, SyncEvery: cfg.SyncEvery,
 		})
 		if err != nil {
@@ -289,32 +271,60 @@ func NewTrainer(cfg TrainerConfig) (*Trainer, error) {
 	return t, nil
 }
 
+// ladderRung puts an agent template on rung rank of the Ape-X
+// exploration ladder: a private seed (+101 per rank) and OU noise that
+// grows with rank, sigma = baseSigma·(1 + rank/2), scaled
+// unconditionally — a zero baseSigma means greedy actors. Every actor
+// of every mode is built through here.
+func ladderRung(cfg ddpg.Config, baseSigma float64, rank int) ddpg.Config {
+	cfg.Seed += int64(rank) * 101
+	cfg.OUSigma = baseSigma * (1 + 0.5*float64(rank))
+	return cfg
+}
+
+// stepShare is rank's part of total environment steps split over n
+// actors: total/n each, the first total%n ranks taking one more.
+func stepShare(total, n, rank int) int {
+	share := total / n
+	if rank < total%n {
+		share++
+	}
+	return share
+}
+
 // Learner exposes the central learner.
 func (t *Trainer) Learner() *Learner { return t.learner }
 
 // Actors exposes the actor pool.
 func (t *Trainer) Actors() []*Actor { return t.actors }
 
-// Run executes the configured number of steps: deterministic
-// round-robin (default, snapshots from actor 0), truly concurrent
-// in-process (cfg.Parallel), or multi-process over net/rpc
-// (cfg.RemoteActors).
+// Run executes the configured number of steps — in the deterministic
+// round-robin reference loop (default, snapshots from actor 0), or in
+// the concurrent pipeline over its in-process (cfg.Parallel) or
+// multi-process (cfg.RemoteActors) transport — and, with CheckpointPath
+// set, writes the completion checkpoint of a round that succeeded. A
+// round that failed leaves the last interval checkpoint in place.
 func (t *Trainer) Run() error {
 	if t.cfg.CheckpointPath != "" {
-		// A previous run killed mid-write may have left checkpoint temp
-		// files behind; the atomic rename protocol makes them garbage by
-		// construction, so clear them before producing new ones.
+		// A run killed mid-write may have left checkpoint temp files;
+		// the atomic rename protocol makes them garbage, so clear them.
 		if _, err := atomicio.Sweep(t.cfg.CheckpointPath); err != nil {
 			return fmt.Errorf("apex: sweep checkpoint temps: %w", err)
 		}
 	}
-	if t.cfg.RemoteActors > 0 {
-		return t.runRemote()
+	var err error
+	switch {
+	case t.cfg.RemoteActors > 0:
+		err = t.runPipeline(t.serveFleet)
+	case t.cfg.Parallel:
+		err = t.runPipeline(t.driveVecActor)
+	default:
+		err = t.runRoundRobin()
 	}
-	if t.cfg.Parallel {
-		return t.runParallel()
+	if err != nil || t.cfg.CheckpointPath == "" {
+		return err
 	}
-	return t.runRoundRobin()
+	return t.Checkpoint(t.cfg.CheckpointPath)
 }
 
 // RemoteActorStats returns the learner-side per-actor records of the
@@ -361,12 +371,9 @@ func (t *Trainer) runRoundRobin() error {
 // environment for a few settling steps and returns the final
 // measurement — the paper's periodic "testing" of the trained model.
 func (t *Trainer) GreedyEval(e env.Stepper, settle int) (perfmodel.Result, error) {
-	if settle < 1 {
-		settle = 1
-	}
 	state := e.Reset(9999)
 	var last perfmodel.Result
-	for i := 0; i < settle; i++ {
+	for i := 0; i < max(settle, 1); i++ {
 		action := t.learner.Agent().Greedy(state)
 		next, _, info, err := e.Step(action)
 		if err != nil {

@@ -2,69 +2,52 @@ package apex
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"greennfv/internal/env"
 	"greennfv/internal/perfmodel"
 	"greennfv/internal/rl/ddpg"
-	"greennfv/internal/rl/replay"
 )
 
 // VecActor drives every in-process parallel actor through ONE batched
-// policy pass per environment step: the N actor goroutines of the old
-// parallel mode (each running its own scalar Forward per step) are
-// replaced by a single driver stepping a VecEnv, with ddpg.ActBatch
-// computing all N actions in one network pass and ddpg.TDErrorBatch
-// settling a whole flush window's priorities in three.
+// policy pass per environment step: a single driver steps a VecEnv,
+// with ddpg.ActBatch computing all N actions in one network pass and
+// ddpg.TDErrorBatch settling a whole flush window's priorities in
+// three.
 //
 // The Ape-X exploration ladder survives batching: each lane keeps its
 // own OU noise process (rung sigma, private RNG), only the policy
-// network is shared. Sharing the network is exactly what the paper's
-// actors do between broadcasts anyway — every lane acts on the same
-// pulled parameters — and is only valid in the non-deterministic
-// Parallel mode: round-robin actors keep their private agents, whose
-// per-actor RNG streams the recorded figures depend on.
+// network is shared — what the paper's actors do between broadcasts
+// anyway, every lane acting on the same pulled parameters. Valid only
+// in the non-deterministic Parallel mode: round-robin actors keep their
+// private agents, whose RNG streams the recorded figures depend on.
 //
-// Steady state allocates nothing: transitions land in pooled arena
-// rows (arena.go), the VecEnv owns the state/action matrices, and the
-// batch scratch inside the agent grows once and sticks.
+// Steady state allocates nothing: transitions land in the same staging
+// window Actor uses (one flush window is PushEvery rounds of every
+// lane), the VecEnv owns the state/action matrices, and the batch
+// scratch inside the agent grows once and sticks.
 type VecActor struct {
-	agent  *ddpg.Agent // shared policy + priority networks
-	vec    *env.VecEnv
-	noises []*ddpg.OUNoise // per-lane exploration ladder
-	n      int
-
-	local   []Experience
-	pend    []replay.Transition
-	tdBuf   []float64
-	settled int
-	arena   *txnArena
+	staging // agent: the shared policy + priority networks
+	vec     *env.VecEnv
+	noises  []*ddpg.OUNoise // per-lane exploration ladder
+	n       int
 	actFn   func(states []float64, n int, actions []float64) error
 
-	version              int
-	pushEvery, syncEvery int // in rounds == per-lane steps
-	rounds               int
-	steps                int // total environment steps across lanes
+	rounds int // == per-lane steps, what the push/pull cadences count
+	steps  int // total environment steps across lanes
 }
 
 // newVecActor assembles the batched driver: one shared acting agent,
 // the wrapped environments, and one OU process per lane. pushEvery and
-// syncEvery are per-lane step cadences, as in ActorConfig — a round
-// advances every lane by one step, so they are round cadences here.
+// syncEvery are per-lane step cadences as in ActorConfig, which a round
+// (one step of every lane) makes round cadences here.
 func newVecActor(agent *ddpg.Agent, vec *env.VecEnv, noises []*ddpg.OUNoise, pushEvery, syncEvery int) *VecActor {
 	n := vec.Len()
-	rows := pushEvery * n
 	v := &VecActor{
-		agent:     agent,
-		vec:       vec,
-		noises:    noises,
-		n:         n,
-		local:     make([]Experience, 0, rows),
-		pend:      make([]replay.Transition, 0, rows),
-		arena:     newTxnArena(vec.StateDim(), vec.ActionDim(), rows),
-		pushEvery: pushEvery,
-		syncEvery: syncEvery,
+		staging: newStaging(0, agent, vec.StateDim(), vec.ActionDim(), pushEvery*n, pushEvery, syncEvery),
+		vec:     vec,
+		noises:  noises,
+		n:       n,
 	}
 	// Preallocated closure: StepBatch's act hook must not capture per
 	// round or every step pays an allocation.
@@ -100,39 +83,19 @@ func (v *VecActor) StepRound(learner LearnerAPI) (float64, perfmodel.Result, err
 		copy(stateRow, prev[i*sd:(i+1)*sd])
 		copy(actionRow, actions[i*ad:(i+1)*ad])
 		copy(nextRow, obs[i*sd:(i+1)*sd])
-		v.local = append(v.local, Experience{
-			State: stateRow, Action: actionRow, Reward: rewards[i], NextState: nextRow,
-		})
-		v.pend = append(v.pend, replay.Transition{
-			State: stateRow, Action: actionRow, Reward: rewards[i], NextState: nextRow,
-		})
+		v.stage(stateRow, actionRow, nextRow, rewards[i])
 	}
 	v.rounds++
 	v.steps += v.n
-
-	if v.rounds%v.pushEvery == 0 {
-		if err := v.Flush(learner); err != nil {
-			return rewards[0], infos[0], err
-		}
-	}
-	if v.rounds%v.syncEvery == 0 {
-		if err := v.SyncParams(learner); err != nil {
-			return rewards[0], infos[0], err
-		}
-	}
-	return rewards[0], infos[0], nil
+	return rewards[0], infos[0], v.exchange(learner, v.rounds)
 }
 
-// StepRemainder spends a TotalSteps%N tail smaller than one full
-// round: one batched act over the first k lanes, then scalar env
-// steps. Runs at most once per training run, so its small action
-// scratch allocation is irrelevant.
+// StepRemainder spends a tail smaller than one full round: one batched
+// act over the first k lanes, then scalar env steps. It runs at most
+// once per training run, so its action scratch allocation is irrelevant.
 func (v *VecActor) StepRemainder(learner LearnerAPI, k int) error {
 	if k <= 0 {
 		return nil
-	}
-	if k > v.n {
-		k = v.n
 	}
 	sd, ad := v.vec.StateDim(), v.vec.ActionDim()
 	states := v.vec.Obs()
@@ -149,62 +112,9 @@ func (v *VecActor) StepRemainder(learner LearnerAPI, k int) error {
 			return fmt.Errorf("apex: lane %d: %w", i, err)
 		}
 		copy(states[i*sd:(i+1)*sd], nextRow) // keep vec.Obs coherent
-		v.local = append(v.local, Experience{
-			State: stateRow, Action: actionRow, Reward: reward, NextState: nextRow,
-		})
-		v.pend = append(v.pend, replay.Transition{
-			State: stateRow, Action: actionRow, Reward: reward, NextState: nextRow,
-		})
+		v.stage(stateRow, actionRow, nextRow, reward)
 	}
 	v.steps += k
-	return nil
-}
-
-// settlePriorities batches the TD-error priorities of the unsettled
-// suffix, exactly as Actor.settlePriorities does.
-func (v *VecActor) settlePriorities() {
-	if v.settled == len(v.local) {
-		return
-	}
-	fresh := v.pend[v.settled:]
-	v.tdBuf = v.agent.TDErrorBatch(fresh, v.tdBuf)
-	for i := range fresh {
-		v.local[v.settled+i].Priority = math.Abs(v.tdBuf[i])
-	}
-	v.settled = len(v.local)
-}
-
-// Flush settles priorities and pushes the staged window, recycling
-// arena chunks when the learner does not retain pushed slices.
-func (v *VecActor) Flush(learner LearnerAPI) error {
-	if len(v.local) == 0 {
-		return nil
-	}
-	v.settlePriorities()
-	if err := learner.PushExperience(v.local); err != nil {
-		return fmt.Errorf("apex: push: %w", err)
-	}
-	v.arena.release(learner.RetainsExperience())
-	v.local = v.local[:0]
-	v.pend = v.pend[:0]
-	v.settled = 0
-	return nil
-}
-
-// SyncParams pulls newer policy parameters into the shared agent,
-// settling pending priorities first (same invariant as Actor).
-func (v *VecActor) SyncParams(learner LearnerAPI) error {
-	v.settlePriorities()
-	ver, data, err := learner.PullParams(v.version)
-	if err != nil {
-		return fmt.Errorf("apex: pull: %w", err)
-	}
-	if data != nil {
-		if err := v.agent.LoadActorBytes(data); err != nil {
-			return fmt.Errorf("apex: load params: %w", err)
-		}
-	}
-	v.version = ver
 	return nil
 }
 

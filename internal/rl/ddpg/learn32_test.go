@@ -149,8 +149,8 @@ func TestSetFloat32RedundantEnableIsNoOp(t *testing.T) {
 }
 
 // TestLearnF32RoutesBothEntryPoints: with the f32 path enabled, both
-// Learn (remote pacing loop) and LearnBatch (parallel prefetcher)
-// train through it, update priorities, and count steps.
+// Learn (apex.Learner.LearnStep) and LearnBatch (the concurrent
+// pipeline's prefetcher) train through it, update priorities, and count steps.
 func TestLearnF32RoutesBothEntryPoints(t *testing.T) {
 	cfg := DefaultConfig(6, 4)
 	cfg.Hidden = []int{16, 16}

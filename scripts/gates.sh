@@ -16,9 +16,12 @@ cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
 gates=(
 	# Fault tolerance: actor crash + respawn, lossy proxy, learner
-	# SIGKILL + resume; serialize → restore bit-identical (weights and
-	# next updates) at agent and trainer level, both precisions.
-	"./internal/rl/apex TestChaosKillResume|TestTrainerCheckpointResume|TestWriteReadCheckpoint"
+	# SIGKILL + resume; a fleet that fails for good stops the learner;
+	# serialize → restore bit-identical (weights and next updates) at
+	# agent and trainer level, both precisions. And the reference loop:
+	# whole round-robin runs hash to the values recorded before the
+	# concurrent modes were merged beside it.
+	"./internal/rl/apex TestChaosKillResume|TestFleetFailureStopsLearner|TestTrainerCheckpointResume|TestWriteReadCheckpoint|TestTrainerFingerprint"
 	"./internal/rl/ddpg TestCheckpoint"
 	# One NN engine at two element types: 300 f64 and 200 f32 composed
 	# updates hash to the recorded values on both kernel sets, the
