@@ -296,9 +296,12 @@ func (p *Policy) TrainingCurve() (episodes []int, tput, energy, efficiency []flo
 	return
 }
 
-// Save writes the trained policy network to w. A saved policy can be
-// reloaded with System.LoadPolicy — the train-once / deploy-many
-// workflow whose energy amortization Figure 11 quantifies.
+// Save writes the trained policy network to w — its parameters as one
+// fixed-layout frame (internal/nn, "Parameter frame"), the same bytes
+// the trainer broadcasts to its actors. A saved policy can be reloaded
+// with System.LoadPolicy, which also still reads the gob files written
+// before the frame existed — the train-once / deploy-many workflow
+// whose energy amortization Figure 11 quantifies.
 func (p *Policy) Save(w io.Writer) error {
 	if p == nil || p.ctl == nil {
 		return errors.New("greennfv: nil policy")

@@ -218,21 +218,61 @@ func scale[T float](f T, x []T) {
 	}
 }
 
+// lanes is how many elements of T one 32-byte vector holds.
+func lanes[T float]() int {
+	var z T
+	return 32 / int(unsafe.Sizeof(z))
+}
+
+// reluVec runs the elementwise ReLU kernel over the whole vectors of z
+// and reports how many elements that covered — none without AVX2. The
+// caller finishes the rest with the Go leaf: the two compute the same
+// bits (doc.go, "Kernel contract"), so where the split falls does not
+// show.
+func reluVec[T float](z, y []T) int {
+	n := len(z) &^ (lanes[T]() - 1)
+	if !useSIMD || n == 0 {
+		return 0
+	}
+	if wide[T]() {
+		reluasm(p64(&z[0]), p64(&y[0]), n)
+	} else {
+		reluasmf32(p32(&z[0]), p32(&y[0]), n)
+	}
+	return n
+}
+
+// reluDerivVec is reluVec for dz = dY ⊙ step(z).
+func reluDerivVec[T float](dY, z, dz []T) int {
+	n := len(z) &^ (lanes[T]() - 1)
+	if !useSIMD || n == 0 {
+		return 0
+	}
+	if wide[T]() {
+		reluderivasm(p64(&dY[0]), p64(&z[0]), p64(&dz[0]), n)
+	} else {
+		reluderivasmf32(p32(&dY[0]), p32(&z[0]), p32(&dz[0]), n)
+	}
+	return n
+}
+
 // applyBatch evaluates the activation elementwise with the branch
 // hoisted out of the loop. ReLU and Tanh are the leaves that differ per
 // element type (math.Abs and math.Tanh here, abs32 and tanh32 in
 // batch32.go); the pair is chosen once per layer call, on the slice
-// type. Sigmoid goes through the float64 math library at either type
-// (unused by the GreenNFV networks, so not worth a float32 leaf).
+// type, and ReLU's whole vectors go to the AVX2 kernel first. Sigmoid
+// goes through the float64 math library at either type (unused by the
+// GreenNFV networks, so not worth a float32 leaf).
 func applyBatch[T float](a Activation, z, y []T) {
 	y = y[:len(z)]
 	switch a {
 	case ReLU:
-		switch z := any(z).(type) {
+		n := reluVec(z, y)
+		switch z := any(z[n:]).(type) {
 		case []float64:
-			relu64(z, any(y).([]float64))
+			relu64(z, any(y[n:]).([]float64))
 		case []float32:
-			relu32(z, any(y).([]float32))
+			relu32(z, any(y[n:]).([]float32))
 		}
 	case Tanh:
 		switch z := any(z).(type) {
@@ -281,11 +321,13 @@ func derivBatch[T float](a Activation, dY, z, y, dz []T) {
 	dz = dz[:len(dY)]
 	switch a {
 	case ReLU:
-		switch z := any(z[:len(dY)]).(type) {
+		z = z[:len(dY)]
+		n := reluDerivVec(dY, z, dz)
+		switch z := any(z[n:]).(type) {
 		case []float64:
-			reluDeriv64(any(dY).([]float64), z, any(dz).([]float64))
+			reluDeriv64(any(dY[n:]).([]float64), z, any(dz[n:]).([]float64))
 		case []float32:
-			reluDeriv32(any(dY).([]float32), z, any(dz).([]float32))
+			reluDeriv32(any(dY[n:]).([]float32), z, any(dz[n:]).([]float32))
 		}
 	case Tanh:
 		y = y[:len(dY)]
@@ -302,10 +344,12 @@ func derivBatch[T float](a Activation, dY, z, y, dz []T) {
 	}
 }
 
-// grow returns buf resized to n, reallocating only when capacity is
-// insufficient — the steady state (fixed minibatch size) never
+// Grow returns buf resized to n elements, reallocating only when its
+// capacity is insufficient; the contents are scratch. Every batch
+// buffer — the layers' here, the update's matrices in ddpg — is sized
+// through it, so the steady state (fixed minibatch size) never
 // allocates.
-func grow[T any](buf []T, n int) []T {
+func Grow[T any](buf []T, n int) []T {
 	if cap(buf) >= n {
 		return buf[:n]
 	}
@@ -320,9 +364,9 @@ func (p *precision[T]) forward(d *Dense, x []T, rows int) []T {
 	if len(x) < rows*d.In {
 		panic("nn: ForwardBatch input shorter than rows*In")
 	}
-	p.bx = grow(p.bx, rows*d.In)
-	p.bz = grow(p.bz, rows*d.Out)
-	p.by = grow(p.by, rows*d.Out)
+	p.bx = Grow(p.bx, rows*d.In)
+	p.bz = Grow(p.bz, rows*d.Out)
+	p.by = Grow(p.by, rows*d.Out)
 	copy(p.bx, x[:rows*d.In])
 	product(p.w, p.bx, p.b, p.bz, rows, d.In, d.Out)
 	applyBatch(d.Act, p.bz, p.by)
@@ -342,10 +386,10 @@ func (p *precision[T]) backward(d *Dense, dY []T, rows int, needDX bool, gradRow
 	if gradRows > rows {
 		gradRows = rows
 	}
-	p.bdz = grow(p.bdz, rows*d.Out)
+	p.bdz = Grow(p.bdz, rows*d.Out)
 	derivBatch(d.Act, dY[:rows*d.Out], p.bz, p.by, p.bdz)
 	if gradRows > 0 {
-		d.bnz = grow(d.bnz, 2*gradRows)
+		d.bnz = Grow(d.bnz, 2*gradRows)
 		accumGrads(p.bdz, p.bx, p.dw, p.db, d.bnz, gradRows, d.In, d.Out)
 	}
 	if !needDX {
@@ -355,14 +399,14 @@ func (p *precision[T]) backward(d *Dense, dY []T, rows int, needDX bool, gradRow
 	// dX element is a contiguous dot product — the same rows4 product
 	// as the forward pass — instead of a strided read-modify-write
 	// accumulation.
-	p.wt = grow(p.wt, d.In*d.Out)
+	p.wt = Grow(p.wt, d.In*d.Out)
 	for o := 0; o < d.Out; o++ {
 		row := p.w[o*d.In : (o+1)*d.In]
 		for i, w := range row {
 			p.wt[i*d.Out+o] = w
 		}
 	}
-	p.bdx = grow(p.bdx, rows*d.In)
+	p.bdx = Grow(p.bdx, rows*d.In)
 	product(p.wt, p.bdz, nil, p.bdx, rows, d.Out, d.In)
 	return p.bdx
 }

@@ -1,15 +1,17 @@
 // Package nn is a small, dependency-free neural-network library: the
-// dense multilayer perceptrons, Adam optimizer and gob checkpointing
-// that GreenNFV's DDPG actor and critic are built from. It replaces
+// dense multilayer perceptrons, Adam optimizer, gob checkpointing and
+// fixed-layout parameter frame that GreenNFV's DDPG actor and critic
+// are built from. It replaces
 // the paper's Python 3.6 + TensorFlow learner with a pure-Go
 // implementation sized for the problem (networks of a few thousand
 // parameters, trained on one machine).
 //
 // # Paper mapping
 //
-// The actor/critic MLPs of Algorithm 2 (§4.3.2); checkpointing
-// (MarshalBinary) is the train-once/deploy-many artifact Figure 11
-// amortizes.
+// The actor/critic MLPs of Algorithm 2 (§4.3.2); the saved policy (a
+// parameter frame, below) is the train-once/deploy-many artifact
+// Figure 11 amortizes, and the same frame is what Algorithm 3's actors
+// "periodically" pull from the learner.
 //
 // # Concurrency and determinism
 //
@@ -58,6 +60,20 @@
 //     bits depend on whether it falls in a full group, which is why
 //     BackwardBatchSplit's parity with separate passes holds for
 //     halves that are multiples of four.
+//   - ReLU. The forward pass computes y = 0.5·(z + |z|) — |z| by
+//     clearing the sign bit, then one rounded add and one rounded
+//     multiply — and the derivative dz = dY·(0.5·(copysign(1, z) + 1)) —
+//     copysign by moving z's sign bit onto 1, one add, two multiplies —
+//     per element, at either type, in the two AVX2 kernels
+//     (kernel_relu_amd64.h, whole vectors) and in the pure-Go leaves
+//     (relu64/reluDeriv64, relu32/reluDeriv32: the fallback, and the
+//     tail after the last whole vector) alike, so where a layer's
+//     elements split between them does not show. It is deliberately
+//     not max(0, z) and a select: the step at z = ±0 follows the sign
+//     bit (+0 passes the gradient, -0 does not), dY·0 is -0 for
+//     negative dY and that sign travels on into dX, and ±Inf·0 is NaN.
+//     A NaN z yields a NaN whose sign is the hardware's choice of add
+//     operand; nothing else about NaNs is left open.
 //   - Gradients. dW[o][i] accumulates over rows in ascending order,
 //     one FMA per row (fma(dz, x, dW); fallback: multiply then add),
 //     onto whatever dW already holds; dB[o] += dz by plain adds in the
@@ -66,7 +82,10 @@
 //     accumulator into +0.
 //
 // kernel_test.go holds the kernels to an element-by-element reference
-// of exactly this, on both capability paths, and fingerprint_test.go
+// of exactly this, on both capability paths (TestReLUKernelParity: both
+// ReLU kernels against the Go leaves at both widths, every length from
+// 0 to 17 and a 32×48 layer, zeros of both signs, NaNs, infinities and
+// subnormals in every lane), and fingerprint_test.go
 // pins 300 composed float64 DDPG updates to the values recorded before
 // the kernels were made layer-granular, and 200 float32 ones to the
 // values recorded before the two engines became one. Kernel scratch
@@ -74,12 +93,53 @@
 // every other batch buffer, and shared by both element types of a
 // layer: the figure pool trains networks concurrently, and a
 // package-level buffer passes every test here yet changes the figures.
-// The float32 instantiation runs the same two kernels in 8-lane form;
-// its element arithmetic is not specified beyond those recorded
-// values. Deliberately outside the contract and untouched: Adam's
-// divides and square root (divider-bound; a reciprocal would round
-// differently), math.Tanh on the actor heads, and the scalar
-// ForwardRows path.
+// The float32 instantiation runs the same two layer kernels in 8-lane
+// form; their element arithmetic is not specified beyond those recorded
+// values (the ReLU entry above holds at both types). Deliberately
+// outside the contract and untouched: Adam's divides and square root
+// (divider-bound; a reciprocal would round differently), math.Tanh on
+// the actor heads, the Go-side weight transpose, and the scalar
+// ForwardRows products.
+//
+// # Parameter frame
+//
+// A network's parameters travel — from the Ape-X learner to every
+// actor, and into the saved policy file — as one fixed-layout frame
+// (frame.go), little-endian throughout:
+//
+//	offset        size       field
+//	0             8          magic "GNFVPRM1"
+//	8             4          L, the layer count (uint32)
+//	12 + 12·l     4, 4, 4    layer l: In, Out, Act (uint32 each), l = 0..L-1
+//	12 + 12·L     8·In·Out   layer 0's W, row-major Out × In, the IEEE-754
+//	                         bits of each float64
+//	…             8·Out      layer 0's B
+//	…                        layer 1's W, then B, and so on to layer L-1
+//
+// so a frame is exactly 12 + 12·L + 8·NumParams bytes. ParamFrame
+// writes one in a single allocation of exactly that size and keeps no
+// reference to it: a published frame is immutable, which is what lets
+// pullers read it while the next one is being made. LoadParams reads
+// one into a network that already exists, in place and without
+// allocating; the header is there to be compared with that network,
+// never to size anything. Validation order — all of it before the
+// first parameter is written, so a refused frame changes nothing:
+//
+//  1. the magic (bytes that do not start with it are tried as a
+//     MarshalBinary gob blob instead: checkpoints embed those, and so
+//     did policy files written before the frame existed);
+//  2. the total length, against the length of this network's own frame
+//     — exact, so truncation, trailing bytes and every later
+//     out-of-bounds read are excluded at once, and no product of sizes
+//     read from the bytes is ever formed;
+//  3. the layer count;
+//  4. each layer's In, Out and Act, against the live layer.
+//
+// Every bit pattern survives the trip (NaN payloads, -0), so
+// ParamFrame ∘ LoadParams ∘ ParamFrame is the identity on frames.
+// Float32 mirrors are not in the frame: the sender flushes them into
+// the float64 weights first, the receiver re-derives its own (ddpg does
+// both).
 //
 // # Float32 fast path
 //
@@ -99,11 +159,13 @@
 //     serialization and scalar f64 inference. Nothing at float64 reads
 //     the mirrors, so the deterministic figure path is unaffected by
 //     f32 use elsewhere.
-//   - Elementwise leaves (batch32.go). ReLU's |v| and step are bit
-//     masks instead of math.Abs/Copysign, and Tanh is the rational
-//     tanh32 instead of math.Tanh (~15% of the f32 learn step
-//     otherwise). Each is chosen once per layer call on the slice type,
-//     never per element. Sigmoid goes through float64 at both types.
+//   - Elementwise leaves (batch32.go). Tanh is the rational tanh32
+//     instead of math.Tanh (~15% of the f32 learn step otherwise).
+//     ReLU is the same arithmetic at both types (Kernel contract); its
+//     pure-Go leaves only spell the bit masks differently, integer
+//     masks on Float32bits where float64 has math.Abs/Copysign. Each
+//     leaf is chosen once per layer call on the slice type, never per
+//     element. Sigmoid goes through float64 at both types.
 //   - Mixed precision, part of the contract because the recorded
 //     float32 values depend on it: Adam accumulates the clip norm in
 //     float64 and narrows the scale factor; computes both bias

@@ -1,0 +1,100 @@
+package nn
+
+import (
+	"encoding/binary"
+	"errors"
+	"math"
+)
+
+// The parameter frame is the fixed layout a network's parameters travel
+// in: the Ape-X broadcast (one frame per parameter version, shared by
+// every puller) and the saved policy file. doc.go ("Parameter frame")
+// has the layout byte by byte. It carries parameters for a network the
+// receiver already has — the header exists to be checked against that
+// network, not to build one.
+
+// paramMagic opens every parameter frame.
+const paramMagic = "GNFVPRM1"
+
+const (
+	frameHeaderLen = len(paramMagic) + 4 // magic, layer count
+	layerHeaderLen = 3 * 4               // In, Out, Act
+)
+
+// paramFrameLen is the exact length of this network's frame.
+func (n *Network) paramFrameLen() int {
+	size := frameHeaderLen + layerHeaderLen*len(n.layers)
+	for _, l := range n.layers {
+		size += 8 * (len(l.W) + len(l.B))
+	}
+	return size
+}
+
+// ParamFrame encodes the float64 parameters as one parameter frame, in
+// one allocation of exactly the frame's size. The caller owns the
+// result; nothing in this package keeps or rewrites it.
+func (n *Network) ParamFrame() []byte {
+	le := binary.LittleEndian
+	frame := make([]byte, n.paramFrameLen())
+	copy(frame, paramMagic)
+	le.PutUint32(frame[len(paramMagic):], uint32(len(n.layers)))
+	at := frame[frameHeaderLen:]
+	for _, l := range n.layers {
+		le.PutUint32(at, uint32(l.In))
+		le.PutUint32(at[4:], uint32(l.Out))
+		le.PutUint32(at[8:], uint32(l.Act))
+		at = at[layerHeaderLen:]
+	}
+	for _, l := range n.layers {
+		for _, p := range [2][]float64{l.W, l.B} {
+			for i, v := range p {
+				le.PutUint64(at[8*i:], math.Float64bits(v))
+			}
+			at = at[8*len(p):]
+		}
+	}
+	return frame
+}
+
+// isParamFrame reports whether data opens with the frame magic (a gob
+// stream cannot: its first message would be a value of a type id never
+// defined).
+func isParamFrame(data []byte) bool {
+	return len(data) >= len(paramMagic) && string(data[:len(paramMagic)]) == paramMagic
+}
+
+// loadParamFrame copies a frame's parameters into this network, in
+// place and without allocating. The bytes may come from a remote peer
+// or a file: the total length, the layer count and every layer's sizes
+// and activation are checked against this network — in that order, so
+// every later read is in bounds and no size is ever computed from the
+// bytes — before the first parameter is written. On error nothing has
+// changed.
+func (n *Network) loadParamFrame(frame []byte) error {
+	le := binary.LittleEndian
+	if len(frame) != n.paramFrameLen() {
+		return errors.New("nn: parameter frame length does not match this network")
+	}
+	if le.Uint32(frame[len(paramMagic):]) != uint32(len(n.layers)) {
+		return errors.New("nn: topology mismatch")
+	}
+	at := frame[frameHeaderLen:]
+	for _, l := range n.layers {
+		if le.Uint32(at) != uint32(l.In) || le.Uint32(at[4:]) != uint32(l.Out) {
+			return errors.New("nn: layer size mismatch")
+		}
+		if le.Uint32(at[8:]) != uint32(l.Act) {
+			return errors.New("nn: layer activation mismatch")
+		}
+		at = at[layerHeaderLen:]
+	}
+	for _, l := range n.layers {
+		for _, p := range [2][]float64{l.W, l.B} {
+			for i := range p {
+				p[i] = math.Float64frombits(le.Uint64(at[8*i:]))
+			}
+			at = at[8*len(p):]
+		}
+	}
+	return nil
+}

@@ -298,3 +298,85 @@ func TestKernelsF32MatchGoWide(t *testing.T) {
 		check(fmt.Sprintf("grad slice %d", i), gotG[i], wantG[i])
 	}
 }
+
+// reluInputs returns n pre-activations and n upstream gradients that
+// put every special value in every lane position of a vector: zeros of
+// both signs, infinities, NaNs, subnormals, the largest finite values,
+// and negative dY (whose product with a 0 step is -0).
+func reluInputs[T float](n int, rng *rand.Rand) (z, dY []T) {
+	var tiny T = 1
+	for tiny/2 > 0 {
+		tiny /= 2 // the smallest subnormal of T
+	}
+	inf := T(math.Inf(1))
+	nan := T(math.NaN())
+	special := []T{0, -1 / inf, inf, -inf, nan, -nan, tiny, -tiny, 1, -1, 3e38, -3e38}
+	z, dY = make([]T, n), make([]T, n)
+	for i := range z {
+		z[i], dY[i] = T(rng.NormFloat64()), T(rng.NormFloat64())
+		// Coprime strides walk the specials through every lane.
+		if i%3 != 2 {
+			z[i] = special[(i+i/3)%len(special)]
+		}
+		if i%4 == 1 {
+			dY[i] = special[(i/2+i/5)%len(special)]
+		}
+	}
+	return z, dY
+}
+
+// checkReLUParity holds applyBatch and derivBatch at ReLU — whole
+// vectors through the AVX2 kernel when selected, the tail through the
+// Go leaf — to the Go leaf alone, element by element and bit for bit.
+// A NaN must come out a NaN; which NaN is x86's choice of operand, not
+// part of the contract.
+func checkReLUParity[T float](t *testing.T, relu func(z, y []T), deriv func(dY, z, dz []T)) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(151))
+	same := func(what string, n int, got, want []T) {
+		t.Helper()
+		for i := range want {
+			g, w := float64(got[i]), float64(want[i])
+			if math.IsNaN(w) && math.IsNaN(g) {
+				continue
+			}
+			if math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("%s, %d elements: [%d] = %x (%v), Go leaf %x (%v)", what, n, i,
+					math.Float64bits(g), g, math.Float64bits(w), w)
+			}
+		}
+	}
+	lengths := []int{32 * 48}
+	for n := 0; n <= 17; n++ {
+		lengths = append(lengths, n)
+	}
+	for _, n := range lengths {
+		z, dY := reluInputs[T](n, rng)
+		// The slack behind each output shows a kernel that writes past
+		// its n elements.
+		const slack = 9
+		got, want := make([]T, n+slack), make([]T, n+slack)
+		applyBatch(ReLU, z, got[:n])
+		relu(z, want[:n])
+		same("forward", n, got, want)
+		clear(got)
+		derivBatch(ReLU, dY, z, nil, got[:n])
+		deriv(dY, z, want[:n])
+		same("derivative", n, got, want)
+		for i := n; i < n+slack; i++ {
+			if got[i] != 0 {
+				t.Fatalf("%d elements: wrote past the end at [%d]", n, i)
+			}
+		}
+	}
+}
+
+// TestReLUKernelParity pins the "Kernel contract" entry of the two
+// elementwise ReLU kernels at both widths and on both kernel sets.
+func TestReLUKernelParity(t *testing.T) {
+	for _, simd := range []bool{useSIMD, false} {
+		setSIMD(t, simd)
+		checkReLUParity(t, relu64, reluDeriv64)
+		checkReLUParity(t, relu32, reluDeriv32)
+	}
+}

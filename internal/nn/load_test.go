@@ -73,46 +73,105 @@ func TestUnmarshalRejectsHostileState(t *testing.T) {
 	}
 }
 
+// paramEncodings are the two forms LoadParams reads: the parameter
+// frame and the gob blob (checkpoints, policy files from before the
+// frame).
+var paramEncodings = map[string]func(*Network) []byte{
+	"frame": (*Network).ParamFrame,
+	"gob": func(n *Network) []byte {
+		blob, err := n.MarshalBinary()
+		if err != nil {
+			panic(err)
+		}
+		return blob
+	},
+}
+
 // TestLoadParams: an in-place load equals a rebuild, and a blob whose
 // LAST layer is the one that mismatches changes nothing — the check
-// covers the whole network before the first copy.
+// covers the whole network before the first copy. In either encoding.
 func TestLoadParams(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	src := MustMLP([]int{6, 9, 4}, ReLU, Tanh, rng)
-	dst := MustMLP([]int{6, 9, 4}, ReLU, Tanh, rng)
-	blob, err := src.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
+	for enc, encode := range paramEncodings {
+		rng := rand.New(rand.NewSource(5))
+		src := MustMLP([]int{6, 9, 4}, ReLU, Tanh, rng)
+		dst := MustMLP([]int{6, 9, 4}, ReLU, Tanh, rng)
+		if err := dst.LoadParams(encode(src)); err != nil {
+			t.Fatal(enc, err)
+		}
+		for i, p := range src.ParamSlices() {
+			for j := range p {
+				if math.Float64bits(p[j]) != math.Float64bits(dst.ParamSlices()[i][j]) {
+					t.Fatalf("%s: param slice %d[%d] not loaded", enc, i, j)
+				}
+			}
+		}
+
+		before := dst.ParamFrame()
+		for name, other := range map[string]*Network{
+			"last layer wider":      MustMLP([]int{6, 9, 5}, ReLU, Tanh, rng),
+			"last layer activation": MustMLP([]int{6, 9, 4}, ReLU, Linear, rng),
+			"one layer more":        MustMLP([]int{6, 9, 4, 4}, ReLU, Tanh, rng),
+			"one layer fewer":       MustMLP([]int{6, 4}, ReLU, Tanh, rng),
+			"same size, transposed": MustMLP([]int{6, 4, 9}, ReLU, Tanh, rng),
+		} {
+			if err := dst.LoadParams(encode(other)); err == nil {
+				t.Errorf("%s, %s: LoadParams accepted a mismatched network", enc, name)
+			}
+			if !bytes.Equal(before, dst.ParamFrame()) {
+				t.Fatalf("%s, %s: a rejected load was partially applied", enc, name)
+			}
+		}
 	}
-	if err := dst.LoadParams(blob); err != nil {
+}
+
+// TestParamFrame pins the broadcast codec's costs and exactness: the
+// encoder makes one allocation, of exactly the frame; the decoder makes
+// none; and every bit pattern survives the trip — NaN payloads, -0,
+// infinities and subnormals included — so encode ∘ load ∘ encode is the
+// identity on frames.
+func TestParamFrame(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	src := MustMLP([]int{5, 7, 3}, ReLU, Tanh, rng)
+	odd := []uint64{
+		0x7ff8000000000001, 0x7ff4000000000000, 0xfff8dead0000beef, // quiet, signalling and negative NaNs
+		0x8000000000000000, 0x7ff0000000000000, 0xfff0000000000000, // -0, ±Inf
+		1, 0x800fffffffffffff, // subnormals
+	}
+	for i, p := range src.ParamSlices() {
+		for j := range p {
+			if (i+j)%3 == 0 {
+				p[j] = math.Float64frombits(odd[(i+j)%len(odd)])
+			}
+		}
+	}
+	frame := src.ParamFrame()
+	wantLen := 8 + 4 + 2*12 + 8*src.NumParams()
+	if len(frame) != wantLen || cap(frame) != wantLen {
+		t.Fatalf("frame is %d bytes in a %d-byte buffer, want exactly %d", len(frame), cap(frame), wantLen)
+	}
+	dst := MustMLP([]int{5, 7, 3}, ReLU, Tanh, rng)
+	if err := dst.LoadParams(frame); err != nil {
 		t.Fatal(err)
 	}
 	for i, p := range src.ParamSlices() {
 		for j := range p {
 			if math.Float64bits(p[j]) != math.Float64bits(dst.ParamSlices()[i][j]) {
-				t.Fatalf("param slice %d[%d] not loaded", i, j)
+				t.Fatalf("param slice %d[%d]: bits %x became %x", i, j, math.Float64bits(p[j]), math.Float64bits(dst.ParamSlices()[i][j]))
 			}
 		}
 	}
-
-	before, _ := dst.MarshalBinary()
-	for name, other := range map[string]*Network{
-		"last layer wider":      MustMLP([]int{6, 9, 5}, ReLU, Tanh, rng),
-		"last layer activation": MustMLP([]int{6, 9, 4}, ReLU, Linear, rng),
-		"one layer more":        MustMLP([]int{6, 9, 4, 4}, ReLU, Tanh, rng),
-		"one layer fewer":       MustMLP([]int{6, 4}, ReLU, Tanh, rng),
-	} {
-		blob, err := other.MarshalBinary()
-		if err != nil {
+	if !bytes.Equal(frame, dst.ParamFrame()) {
+		t.Fatal("frame does not round-trip")
+	}
+	if n := testing.AllocsPerRun(50, func() { frame = src.ParamFrame() }); n != 1 {
+		t.Errorf("ParamFrame makes %v allocations, want 1", n)
+	}
+	if n := testing.AllocsPerRun(50, func() {
+		if err := dst.LoadParams(frame); err != nil {
 			t.Fatal(err)
 		}
-		if err := dst.LoadParams(blob); err == nil {
-			t.Errorf("%s: LoadParams accepted a mismatched network", name)
-		}
-		after, _ := dst.MarshalBinary()
-		if !bytes.Equal(before, after) {
-			t.Fatalf("%s: a rejected load was partially applied", name)
-		}
+	}); n != 0 {
+		t.Errorf("loading a frame makes %v allocations, want 0", n)
 	}
 }
 

@@ -299,8 +299,10 @@ type netState struct {
 	B     [][]float64
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler for checkpoints
-// and Ape-X parameter sync.
+// MarshalBinary implements encoding.BinaryMarshaler: the
+// self-describing gob form checkpoints embed, from which
+// UnmarshalBinary can build a network. Parameters alone travel as a
+// ParamFrame.
 func (n *Network) MarshalBinary() ([]byte, error) {
 	st := netState{}
 	for i, l := range n.layers {
@@ -364,13 +366,17 @@ func (n *Network) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
-// LoadParams overwrites this network's parameters in place from a
-// MarshalBinary blob of a network with the same layer sizes and
-// activations — the per-broadcast path of a parameter pull, which
-// only needs the weights moved, not a second network built. The blob
-// is decoded and checked against this network completely before the
+// LoadParams overwrites this network's parameters in place from those
+// of a network with the same layer sizes and activations: a ParamFrame
+// (the per-broadcast path of a parameter pull — copied straight in,
+// zero allocations) or a MarshalBinary blob (checkpoints, and policy
+// files written before the frame existed), told apart by the frame's
+// magic. Either is checked against this network completely before the
 // first parameter is written: on error nothing has changed.
 func (n *Network) LoadParams(data []byte) error {
+	if isParamFrame(data) {
+		return n.loadParamFrame(data)
+	}
 	st, err := decodeState(data)
 	if err != nil {
 		return err

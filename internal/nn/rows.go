@@ -24,9 +24,9 @@ func (d *Dense) ForwardRows(x []float64, rows int) []float64 {
 		panic("nn: ForwardRows input shorter than rows*In")
 	}
 	p := &d.f64
-	p.bx = grow(p.bx, rows*d.In)
-	p.bz = grow(p.bz, rows*d.Out)
-	p.by = grow(p.by, rows*d.Out)
+	p.bx = Grow(p.bx, rows*d.In)
+	p.bz = Grow(p.bz, rows*d.Out)
+	p.by = Grow(p.by, rows*d.Out)
 	copy(p.bx, x[:rows*d.In])
 	for o := 0; o < d.Out; o++ {
 		row := d.W[o*d.In : (o+1)*d.In]

@@ -13,6 +13,15 @@ func rows4asm(w, x, bias, z *float64, n, m int)
 //go:noescape
 func gradasm(dz, x, dw, db *float64, scratch *uint64, rows, in, out int)
 
+// reluasm and reluderivasm are the elementwise ReLU kernels over n
+// elements, n a multiple of the lane count (reluVec, reluDerivVec).
+//
+//go:noescape
+func reluasm(z, y *float64, n int)
+
+//go:noescape
+func reluderivasm(dY, z, dz *float64, n int)
+
 //go:noescape
 func adamasm(p, grad, m, v *float64, n int, beta1, beta2, lr, eps, b1c, b2c float64)
 
@@ -29,6 +38,12 @@ func rows4asmf32(w, x, bias, z *float32, n, m int)
 
 //go:noescape
 func gradasmf32(dz, x, dw, db *float32, scratch *uint64, rows, in, out int)
+
+//go:noescape
+func reluasmf32(z, y *float32, n int)
+
+//go:noescape
+func reluderivasmf32(dY, z, dz *float32, n int)
 
 //go:noescape
 func adamasmf32(p, grad, m, v *float32, n int, beta1, beta2, lr, eps, b1c, b2c float32)

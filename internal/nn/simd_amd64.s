@@ -1,8 +1,9 @@
 // AVX2+FMA kernels for the batched minibatch path. Selected at init
 // by detectAVX2FMA (simd_amd64.go); the pure-Go kernels in batch.go
 // are the fallback. The two layer kernels of the batch passes (rows4,
-// grad) have one body each, in kernel_*_amd64.h, instantiated for
-// float64 and float32 at the end of this file.
+// grad) and the two elementwise ReLU kernels have one body each, in
+// kernel_*_amd64.h, instantiated for float64 and float32 at the end of
+// this file.
 
 #include "textflag.h"
 
@@ -421,6 +422,13 @@ GLOBL tileoff<>(SB), RODATA|NOPTR, $128
 #define MOVE MOVQ
 #define SHLE SHLQ
 #define NEGE NEGQ
+#define VMULP VMULPD
+#define VANDP VANDPD
+#define VANDNP VANDNPD
+#define VORP VORPD
+#define SIGNBITS $0x8000000000000000
+#define ONEBITS $0x3FF0000000000000
+#define HALFBITS $0x3FE0000000000000
 
 // func rows4asm(w, x, bias, z *float64, n, m int)
 TEXT ·rows4asm(SB), NOSPLIT, $0-48
@@ -443,6 +451,24 @@ TEXT ·gradasm(SB), NOSPLIT, $0-64
 	MOVQ out+56(FP), R15
 #include "kernel_grad_amd64.h"
 
+// func reluasm(z, y *float64, n int)
+TEXT ·reluasm(SB), NOSPLIT, $0-24
+	MOVQ z+0(FP), SI
+	MOVQ y+8(FP), DI
+	MOVQ n+16(FP), CX
+#include "kernel_relu_amd64.h"
+
+#define RELU_DERIV
+
+// func reluderivasm(dY, z, dz *float64, n int)
+TEXT ·reluderivasm(SB), NOSPLIT, $0-32
+	MOVQ dY+0(FP), R8
+	MOVQ z+8(FP), SI
+	MOVQ dz+16(FP), DI
+	MOVQ n+24(FP), CX
+#include "kernel_relu_amd64.h"
+
+#undef RELU_DERIV
 #undef ES
 #undef LOGES
 #undef VMOVU
@@ -458,6 +484,13 @@ TEXT ·gradasm(SB), NOSPLIT, $0-64
 #undef MOVE
 #undef SHLE
 #undef NEGE
+#undef VMULP
+#undef VANDP
+#undef VANDNP
+#undef VORP
+#undef SIGNBITS
+#undef ONEBITS
+#undef HALFBITS
 
 // float32: 8 lanes per vector, so the lane reduce is one level deeper.
 #define ES 4
@@ -475,6 +508,13 @@ TEXT ·gradasm(SB), NOSPLIT, $0-64
 #define MOVE MOVL
 #define SHLE SHLL
 #define NEGE NEGL
+#define VMULP VMULPS
+#define VANDP VANDPS
+#define VANDNP VANDNPS
+#define VORP VORPS
+#define SIGNBITS $0x80000000
+#define ONEBITS $0x3F800000
+#define HALFBITS $0x3F000000
 
 // func rows4asmf32(w, x, bias, z *float32, n, m int)
 TEXT ·rows4asmf32(SB), NOSPLIT, $0-48
@@ -496,3 +536,20 @@ TEXT ·gradasmf32(SB), NOSPLIT, $0-64
 	MOVQ in+48(FP), R12
 	MOVQ out+56(FP), R15
 #include "kernel_grad_amd64.h"
+
+// func reluasmf32(z, y *float32, n int)
+TEXT ·reluasmf32(SB), NOSPLIT, $0-24
+	MOVQ z+0(FP), SI
+	MOVQ y+8(FP), DI
+	MOVQ n+16(FP), CX
+#include "kernel_relu_amd64.h"
+
+#define RELU_DERIV
+
+// func reluderivasmf32(dY, z, dz *float32, n int)
+TEXT ·reluderivasmf32(SB), NOSPLIT, $0-32
+	MOVQ dY+0(FP), R8
+	MOVQ z+8(FP), SI
+	MOVQ dz+16(FP), DI
+	MOVQ n+24(FP), CX
+#include "kernel_relu_amd64.h"

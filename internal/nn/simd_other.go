@@ -14,6 +14,14 @@ func gradasm(dz, x, dw, db *float64, scratch *uint64, rows, in, out int) {
 	panic("nn: SIMD kernel on non-amd64")
 }
 
+func reluasm(z, y *float64, n int) {
+	panic("nn: SIMD kernel on non-amd64")
+}
+
+func reluderivasm(dY, z, dz *float64, n int) {
+	panic("nn: SIMD kernel on non-amd64")
+}
+
 func adamasm(p, grad, m, v *float64, n int, beta1, beta2, lr, eps, b1c, b2c float64) {
 	panic("nn: SIMD kernel on non-amd64")
 }
@@ -31,6 +39,14 @@ func rows4asmf32(w, x, bias, z *float32, n, m int) {
 }
 
 func gradasmf32(dz, x, dw, db *float32, scratch *uint64, rows, in, out int) {
+	panic("nn: SIMD kernel on non-amd64")
+}
+
+func reluasmf32(z, y *float32, n int) {
+	panic("nn: SIMD kernel on non-amd64")
+}
+
+func reluderivasmf32(dY, z, dz *float32, n int) {
 	panic("nn: SIMD kernel on non-amd64")
 }
 

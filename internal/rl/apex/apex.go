@@ -30,9 +30,10 @@ type Experience struct {
 type LearnerAPI interface {
 	// PushExperience appends a batch to the central replay.
 	PushExperience(batch []Experience) error
-	// PullParams returns the current parameter version and the
-	// serialized actor network when newer than haveVersion
-	// (nil bytes otherwise).
+	// PullParams returns the current parameter version and, when it is
+	// newer than haveVersion, the actor network's parameter frame
+	// (nil bytes otherwise). The bytes are shared with every other
+	// puller and must not be written.
 	PullParams(haveVersion int) (version int, actorBytes []byte, err error)
 	// RetainsExperience reports whether pushed batches' float slices
 	// stay referenced after PushExperience returns. The in-process
@@ -51,7 +52,10 @@ type Learner struct {
 	mu      sync.Mutex
 	agent   *ddpg.Agent
 	version int
-	// cached broadcast of the current actor network.
+	// paramCache is the current version's parameter frame. A published
+	// frame is immutable: PullParams hands the same bytes to every
+	// puller, who reads them after mu is released, so refreshParamCache
+	// installs a new buffer per version and never rewrites an old one.
 	paramCache []byte
 	pushes     atomic.Int64
 	received   atomic.Int64
@@ -156,10 +160,10 @@ func (l *Learner) LearnBatchStep(samples []replay.Transition, indices []int, wei
 	return loss
 }
 
-// publish bumps the parameter version and re-serializes the broadcast
-// every versionEvery completed updates. A call that could not update
-// (replay below one batch) leaves the version alone, so actors are not
-// rebroadcast identical parameters.
+// publish bumps the parameter version and encodes its frame (one
+// allocation, the frame) every versionEvery completed updates. A call
+// that could not update (replay below one batch) leaves the version
+// alone, so actors are not rebroadcast identical parameters.
 func (l *Learner) publish(before, versionEvery int) {
 	steps := l.agent.LearnSteps()
 	if steps == before || steps%max(versionEvery, 1) != 0 {
@@ -170,14 +174,14 @@ func (l *Learner) publish(before, versionEvery int) {
 	err := l.refreshParamCache()
 	l.mu.Unlock()
 	if err != nil {
-		// Serialization of a healthy network cannot fail; treat it as
-		// a programming error.
+		// Encoding a network cannot fail; treat it as a programming
+		// error.
 		panic(fmt.Sprintf("apex: param cache: %v", err))
 	}
 }
 
-// refreshParamCache re-serializes the actor. Caller holds mu (or is
-// the constructor).
+// refreshParamCache encodes the actor into a fresh frame. Caller holds
+// mu (or is the constructor).
 func (l *Learner) refreshParamCache() error {
 	data, err := l.agent.ActorBytes()
 	if err != nil {

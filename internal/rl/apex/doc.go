@@ -64,13 +64,39 @@
 // The Learner's experience ingest (PushExperience) is lock-free with
 // pooled conversion scratch — concurrent pushes neither serialize
 // each other nor stall behind a learning step; its mutex guards only
-// the parameter broadcast (version + serialized actor cache).
+// the parameter broadcast (version + the current frame).
 // One goroutine runs updates and checkpoints (the caller of
 // LearnStep, or the pipeline's learner). Actors are single-threaded
 // and own their environments. The net/rpc server is goroutine-safe;
 // per-actor connection lifecycle (registration, push stats, drain)
 // lives in LearnerService. Only the round-robin mode is
 // deterministic; tests and figures rely on it.
+//
+// # Parameter broadcast
+//
+// Algorithm 3's actors only act, and "periodically" take the learner's
+// parameters. Every VersionEvery completed updates the learner
+// publishes a version: ddpg.Agent.ActorBytes encodes the policy network
+// as one fixed-layout parameter frame (internal/nn, "Parameter frame")
+// in one allocation, and the learner swaps it in under its mutex. A
+// published frame is immutable — never reused, never rewritten — which
+// is what lets PullParams hand the same bytes to every puller and lets
+// them be read outside the mutex: by the round-robin actors and the
+// VecActor driver, which copy them straight into their live network
+// (ddpg.Agent.LoadActorBytes: validated against that network first,
+// zero allocations), and by the RPC handler, which gob-encodes the
+// PullReply around them for a RemoteLearner whose actor then does the
+// same copy. One codec serves all three transports and the saved policy
+// file; a pull that finds no newer version is a version compare.
+// TestPublishAllocatesOneFrame, TestSyncParamsAllocatesNothing and
+// TestPublishedFrameIsImmutable pin the costs and the immutability.
+// An apexactor built before the frame cannot read a newer learner's
+// broadcast (it expects gob); the reverse works.
+//
+// The central replay is the learner's alone. Each actor's local agent
+// is built with the same replay capacity but never stores a transition,
+// and capacity is a bound, not a reservation (internal/rl/replay), so
+// actors hold no replay storage; the learner's grows with the run.
 //
 // # Actor stepping: arena, batched priorities, verification
 //
@@ -85,7 +111,8 @@
 // the chunk after PushExperience is the learner's call:
 // LearnerAPI.RetainsExperience reports whether the endpoint keeps
 // aliases of the pushed slices (the in-process Learner does;
-// RemoteLearner gob-serializes inside the call and does not), and
+// RemoteLearner gob-serializes the experience inside the call and does
+// not), and
 // the arena recycles the chunk through a free list only when it may.
 // BenchmarkActorStep and TestActorStepAllocGate pin the 0 allocs/op
 // contract.

@@ -17,27 +17,31 @@ import (
 
 // The round-robin loop is the reference path: every recorded figure
 // and bench/'s train_rr replica are byte-pinned to it. These are the
-// SHA-256 of whole round-robin runs — the learner's serialized policy,
-// every snapshot field, the experience counters and the update count —
-// recorded at PR 16's tree (2712f09), before Parallel and Remote were
-// merged into one pipeline beside it: first with the AVX2 kernels nn
-// selects on this hardware, then with its pure-Go kernels (the two sum
-// in different orders, and this package cannot ask nn which it chose,
-// so a run must match one of the pair). A change that moves any bit of
-// a round-robin run moves these; a deliberate one re-records them
-// (go test -run TestTrainerFingerprint -v prints the new values).
+// SHA-256 of whole round-robin runs — the bit patterns of the learner's
+// policy parameters, every snapshot field, the experience counters and
+// the update count — first with the AVX2 kernels nn selects on this
+// hardware, then with its pure-Go kernels (the two sum in different
+// orders, and this package cannot ask nn which it chose, so a run must
+// match one of the pair). They hash the parameters themselves, not a
+// serialization of them: the values recorded at PR 16's tree (2712f09)
+// hashed ActorBytes, then a gob stream, whose type ids depend on which
+// gob users ran earlier in the process. These were recorded at a5d8e5b
+// (where those still passed), before the broadcast left gob, replay
+// storage became lazy and ReLU moved into assembly. A change that moves
+// any bit of a round-robin run moves these; a deliberate one re-records
+// them (go test -run TestTrainerFingerprint -v prints the new values).
 var trainerFingerprints = map[string][2]string{
 	"default-4-actors": {
-		"81191c9ba19711f36ad274123d6a75dfc3b7402816cde54df286005b59aa254a",
-		"430f13f7fe9a757c34a913c0fc8dc27ea0631c586bbc3574daa8f62323d46686",
+		"243f57cdcbba4821a2aa0a079790ad0d48a7fc847c018f8b9c4002d8ce876356",
+		"d9a96bfaa1af3fe3c5bcee083ea6d27a9610e4c8fb9726890f8f98f659cf4568",
 	},
 	"starved-3-actors": {
-		"c2f639563fc422dea14a2bbb31738e51506abd8d77bac2f9248163d9ce8a3311",
-		"c28fb4bf20d52105bab9df50bd91b53009744555a855da9fd9667c5685167e86",
+		"d64a42d202ac905cb19f4831761876484032a71c3b300d86fc3c86410c94cff8",
+		"6a2fc84f06fa65f750d1cbfbbf535005df4fdb24a86bd4e679beaa51293e502b",
 	},
 	"cluster-2-nodes": {
-		"11992a8837026f0550e3506b0b18ffeba43815388ab08b8fdaada3b8dc665c28",
-		"a1be7391911b8ea078d68f0e7e5354ac077b3dce0282fb0b49bb3707fcf2994b",
+		"4febb0ebfe589506c7045ad9835ae3aedbe86f95ff79f689458501c776b0442e",
+		"8f10b792c51b69867f044ca8152342dc6673ca55937ea0a471813a6db47279da",
 	},
 }
 
@@ -51,17 +55,15 @@ func trainerFingerprint(t *testing.T, cfg TrainerConfig) string {
 		t.Fatal(err)
 	}
 	h := sha256.New()
-	actor, err := tr.Learner().Agent().ActorBytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.Write(actor)
 	put := func(vs ...float64) {
 		var b [8]byte
 		for _, v := range vs {
 			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
 			h.Write(b[:])
 		}
+	}
+	for _, p := range tr.Learner().Agent().Actor.ParamSlices() {
+		put(p...)
 	}
 	for _, s := range tr.Snapshots {
 		put(float64(s.Episode), s.ThroughputGbps, s.EnergyJ, s.Efficiency, s.Reward,

@@ -126,7 +126,7 @@ func (a *Agent) ActBatch(states []float64, n int, noises []*OUNoise, dst []float
 		return fmt.Errorf("ddpg: ActBatch has %d noise processes for %d rows", len(noises), n)
 	}
 	if a.actF32 {
-		a.act32.states = resize(a.act32.states, n*S)
+		a.act32.states = nn.Grow(a.act32.states, n*S)
 		convert(a.act32.states, states)
 		out := a.Actor.ForwardBatchF32(a.act32.states, n)
 		for i, v := range out[:n*A] {
@@ -168,7 +168,7 @@ func (a *Agent) ActBatch(states []float64, n int, noises []*OUNoise, dst []float
 // are sampling weights, not gradients — the f32 drift is harmless and
 // the parallel mode that enables it is non-deterministic anyway).
 func (a *Agent) TDErrorBatch(batch []replay.Transition, out []float64) []float64 {
-	out = resize(out, len(batch))
+	out = nn.Grow(out, len(batch))
 	if len(batch) == 0 {
 		return out
 	}
@@ -186,9 +186,9 @@ func tdErrorBatch[T float](a *Agent, s *actScratch[T], forward func(*nn.Network,
 	n := len(batch)
 	S, A := a.cfg.StateDim, a.cfg.ActionDim
 	SA := S + A
-	s.states = resize(s.states, n*S)
-	s.nextSA = resize(s.nextSA, n*SA)
-	s.sa = resize(s.sa, n*SA)
+	s.states = nn.Grow(s.states, n*S)
+	s.nextSA = nn.Grow(s.nextSA, n*SA)
+	s.sa = nn.Grow(s.sa, n*SA)
 	for i := range batch {
 		t := &batch[i]
 		convert(s.states[i*S:(i+1)*S], t.NextState)

@@ -1,0 +1,252 @@
+package ddpg
+
+import (
+	"bytes"
+	"encoding/binary"
+	"flag"
+	"math"
+	"os"
+	"path/filepath"
+	"slices"
+	"strconv"
+	"testing"
+
+	"greennfv/internal/nn"
+)
+
+var updateCorpus = flag.Bool("update-corpus", false, "rewrite testdata/fuzz/FuzzLoadActorBytes")
+
+// frameConfig shapes the agents of the hostile-bytes tests: a
+// three-layer actor (3 → 4 → 3 → 2) whose whole frame is 360 bytes, so
+// the committed corpus stays small and the fuzzer's mutations land on
+// the header as often as on the parameters.
+func frameConfig() Config {
+	cfg := smallConfig()
+	cfg.Hidden = []int{4, 3}
+	return cfg
+}
+
+// frameAgent is the receiving end the hostile-bytes tests load into: an
+// acting agent with the f32 acting path on, so the actor has float32
+// mirrors a bad load could also corrupt.
+func frameAgent(t testing.TB) *Agent {
+	t.Helper()
+	a, err := New(frameConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.SetActFloat32(true)
+	return a
+}
+
+// actorState is everything LoadActorBytes may write: the bit pattern of
+// every actor parameter and, read through a float32 batch pass, the
+// actor's float32 mirrors.
+func actorState(a *Agent) []uint64 {
+	var bits []uint64
+	for _, p := range a.Actor.ParamSlices() {
+		for _, v := range p {
+			bits = append(bits, math.Float64bits(v))
+		}
+	}
+	const rows = 5
+	probe := make([]float32, rows*a.cfg.StateDim)
+	for i := range probe {
+		probe[i] = float32(i%7)/3 - 1
+	}
+	for _, v := range nn.ForwardBatch(a.Actor, probe, rows) {
+		bits = append(bits, uint64(math.Float32bits(v)))
+	}
+	return bits
+}
+
+// Byte offsets in the frame of frameConfig's actor: magic, layer count,
+// then In/Out/Act of each of the three layers.
+var frameMagic = []byte("GNFVPRM1")
+
+const (
+	frameCountAt   = 8
+	frameLayer0At  = 12
+	frameLayerSize = 12
+)
+
+// hostileFrames are ActorBytes frames of the receiving agent's own
+// shape with one thing wrong each, and what a peer of another shape or
+// another version sends. None may be accepted.
+func hostileFrames(t testing.TB) map[string][]byte {
+	a, err := New(frameConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	valid, _ := a.ActorBytes()
+	edit := func(f func(b []byte) []byte) []byte { return f(bytes.Clone(valid)) }
+	put32 := func(at int, v uint32) []byte {
+		return edit(func(b []byte) []byte { binary.LittleEndian.PutUint32(b[at:], v); return b })
+	}
+	out1 := frameLayer0At + frameLayerSize + 4 // layer 1's Out
+	wide := frameConfig()
+	wide.Hidden = []int{4, 5}
+	other, _ := New(wide)
+	otherFrame, _ := other.ActorBytes()
+	otherGob, err := other.Actor.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string][]byte{
+		"empty":            {},
+		"bad-magic":        edit(func(b []byte) []byte { b[7] = '2'; return b }),
+		"magic-only":       valid[:8],
+		"truncated-header": valid[:frameLayer0At+5],
+		"header-only":      valid[:frameLayer0At+3*frameLayerSize],
+		"short-1":          valid[:len(valid)-1],
+		"short-8":          valid[:len(valid)-8],
+		"long-1":           edit(func(b []byte) []byte { return append(b, 0) }),
+		"long-8":           edit(func(b []byte) []byte { return append(b, make([]byte, 8)...) }),
+		"trailing-frame":   edit(func(b []byte) []byte { return append(b, valid...) }),
+		"layers-0":         put32(frameCountAt, 0),
+		"layers-2":         put32(frameCountAt, 2),
+		"layers-max":       put32(frameCountAt, math.MaxUint32),
+		"out-changed":      put32(out1, 5),
+		"in-changed":       put32(frameLayer0At, 4),
+		"act-changed":      put32(frameLayer0At+8, uint32(nn.Tanh)),
+		"act-out-of-range": put32(frameLayer0At+2*frameLayerSize+8, 9),
+		"act-negative":     put32(frameLayer0At+8, math.MaxUint32),
+		// In·Out = 2³² wraps to 0 in 32 bits.
+		"size-wraps-32": edit(func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[frameLayer0At+frameLayerSize:], 1<<16)
+			binary.LittleEndian.PutUint32(b[out1:], 1<<16)
+			return b
+		}),
+		"other-shape-frame": otherFrame,
+		"other-shape-gob":   otherGob,
+	}
+}
+
+// TestLoadActorBytesRejectsHostileFrames: bytes from a peer or a file
+// that are not exactly this actor's frame come back as an error, leave
+// every parameter and float32 mirror as it was, and cost no allocation
+// that grows with anything the bytes claim.
+func TestLoadActorBytesRejectsHostileFrames(t *testing.T) {
+	b := frameAgent(t)
+	before := actorState(b)
+	for name, frame := range hostileFrames(t) {
+		if err := b.LoadActorBytes(frame); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+		if after := actorState(b); !slices.Equal(before, after) {
+			t.Fatalf("%s: rejected bytes changed the actor", name)
+		}
+		if bytes.HasPrefix(frame, frameMagic) {
+			if n := testing.AllocsPerRun(10, func() { _ = b.LoadActorBytes(frame) }); n > 1 {
+				t.Errorf("%s: rejecting it makes %v allocations", name, n)
+			}
+		}
+	}
+}
+
+// TestLoadActorBytesLegacyGob: a policy saved before the frame existed
+// is the actor network's gob blob; it still loads, and what the agent
+// writes from then on is the frame.
+func TestLoadActorBytesLegacyGob(t *testing.T) {
+	cfg := frameConfig()
+	cfg.Seed = 5
+	src, _ := New(cfg)
+	legacy, err := src.Actor.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := frameAgent(t)
+	if err := b.LoadActorBytes(legacy); err != nil {
+		t.Fatalf("legacy policy blob rejected: %v", err)
+	}
+	got, _ := b.ActorBytes()
+	want, _ := src.ActorBytes()
+	if !bytes.Equal(got, want) {
+		t.Fatal("legacy blob loaded other parameters than it holds")
+	}
+	if !bytes.HasPrefix(got, frameMagic) {
+		t.Fatal("ActorBytes did not write a frame")
+	}
+}
+
+// FuzzLoadActorBytes: any byte string is either refused with the actor
+// and its float32 mirrors bit-for-bit untouched, or loaded — and then a
+// frame reads back byte for byte (NaN payloads and -0 included) and a
+// legacy blob re-encodes to a frame that does. The committed corpus
+// (testdata/fuzz/FuzzLoadActorBytes) is hostileFrames plus a valid
+// frame, a frame of NaNs and signed zeros, and a legacy gob blob;
+// `go test . -run TestLoadActorBytesCorpus -update-corpus` rewrites it.
+func FuzzLoadActorBytes(f *testing.F) {
+	// One receiving pair per fuzz process, put back to the same
+	// parameters before every input: building an agent costs far more
+	// than loading a frame.
+	a, b := frameAgent(f), frameAgent(f)
+	start, _ := a.ActorBytes()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := a.LoadActorBytes(start); err != nil {
+			t.Fatal(err)
+		}
+		before := actorState(a)
+		if err := a.LoadActorBytes(data); err != nil {
+			if !slices.Equal(before, actorState(a)) {
+				t.Fatal("rejected bytes changed the actor")
+			}
+			return
+		}
+		out, _ := a.ActorBytes()
+		if bytes.HasPrefix(data, frameMagic) && !bytes.Equal(out, data) {
+			t.Fatal("an accepted frame does not read back byte for byte")
+		}
+		if err := b.LoadActorBytes(out); err != nil {
+			t.Fatalf("an agent's own frame was refused: %v", err)
+		}
+		if again, _ := b.ActorBytes(); !bytes.Equal(again, out) {
+			t.Fatal("ActorBytes → LoadActorBytes → ActorBytes changed the frame")
+		}
+	})
+}
+
+// TestLoadActorBytesCorpus keeps the committed fuzz corpus in step with
+// hostileFrames: every seed is present with exactly these bytes.
+func TestLoadActorBytesCorpus(t *testing.T) {
+	seeds := hostileFrames(t)
+	a, _ := New(frameConfig())
+	seeds["valid"], _ = a.ActorBytes()
+	odd := []uint64{0x7ff8000000000001, 0x7ff4000000000000, 0xfff8dead0000beef, 1 << 63, 0x7ff0000000000000, 1}
+	for i, p := range a.Actor.ParamSlices() {
+		for j := range p {
+			p[j] = math.Float64frombits(odd[(i+j)%len(odd)])
+		}
+	}
+	seeds["valid-nan-negzero"], _ = a.ActorBytes()
+	legacy, _ := New(frameConfig())
+	var err error
+	if seeds["legacy-gob"], err = legacy.Actor.MarshalBinary(); err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join("testdata", "fuzz", "FuzzLoadActorBytes")
+	for name, data := range seeds {
+		path := filepath.Join(dir, name)
+		want := "go test fuzz v1\n[]byte(" + strconv.Quote(string(data)) + ")\n"
+		if name == "legacy-gob" {
+			// gob type ids depend on what was encoded earlier in the
+			// process: the committed blob is whichever one was written.
+			if _, err := os.Stat(path); err == nil && !*updateCorpus {
+				continue
+			}
+		}
+		if *updateCorpus {
+			if err := os.MkdirAll(dir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, []byte(want), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		got, err := os.ReadFile(path)
+		if err != nil || string(got) != want {
+			t.Errorf("corpus seed %s is missing or stale (go test . -run TestLoadActorBytesCorpus -update-corpus): %v", name, err)
+		}
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 
 	"greennfv/internal/nn"
 	"greennfv/internal/rl/replay"
@@ -250,13 +249,6 @@ type scratch[T float] struct {
 	dq []T // 2n dL/dQ
 }
 
-// resize returns buf with length n, reallocating only when capacity is
-// insufficient — the steady state never allocates. The contents are
-// scratch.
-func resize[T any](buf []T, n int) []T {
-	return slices.Grow(buf[:0], n)[:n]
-}
-
 // convert is copy from the float64 replay into a matrix row of element
 // type T; like copy it stops at the shorter of the two.
 func convert[T float](dst []T, src []float64) {
@@ -450,10 +442,10 @@ func (a *Agent) Learn() float64 {
 	var weights []float64
 	if a.prioritized != nil {
 		a.batchBuf, a.idxBuf, a.weightBuf = a.prioritized.SampleInto(a.rng, n,
-			resize(a.batchBuf, n), resize(a.idxBuf, n), resize(a.weightBuf, n))
+			nn.Grow(a.batchBuf, n), nn.Grow(a.idxBuf, n), nn.Grow(a.weightBuf, n))
 		indices, weights = a.idxBuf, a.weightBuf
 	} else {
-		a.batchBuf = a.uniform.SampleInto(a.rng, n, resize(a.batchBuf, n))
+		a.batchBuf = a.uniform.SampleInto(a.rng, n, nn.Grow(a.batchBuf, n))
 	}
 	return a.learnMinibatch(a.batchBuf, indices, weights, false)
 }
@@ -555,14 +547,14 @@ func bootstrapTargets[T float](a *Agent, s *scratch[T], batch []replay.Transitio
 	n := len(batch)
 	S, A := a.cfg.StateDim, a.cfg.ActionDim
 	SA := S + A
-	a.tdErrBuf = resize(a.tdErrBuf, n)
-	s.states = resize(s.states, n*S)
-	s.nextStates = resize(s.nextStates, n*S)
-	s.nextSA = resize(s.nextSA, n*SA)
-	s.y = resize(s.y, n)
-	s.dAct = resize(s.dAct, n*A)
-	s.sa = resize(s.sa, 2*n*SA)
-	s.dq = resize(s.dq, 2*n)
+	a.tdErrBuf = nn.Grow(a.tdErrBuf, n)
+	s.states = nn.Grow(s.states, n*S)
+	s.nextStates = nn.Grow(s.nextStates, n*S)
+	s.nextSA = nn.Grow(s.nextSA, n*SA)
+	s.y = nn.Grow(s.y, n)
+	s.dAct = nn.Grow(s.dAct, n*A)
+	s.sa = nn.Grow(s.sa, 2*n*SA)
+	s.dq = nn.Grow(s.dq, 2*n)
 	for i := range batch {
 		t := &batch[i]
 		convert(s.states[i*S:(i+1)*S], t.State)
@@ -685,21 +677,28 @@ func (a *Agent) SyncFrom(src *Agent) error {
 	return a.criticTarget.CopyParamsFrom(src.criticTarget)
 }
 
-// ActorBytes serializes the actor network for parameter broadcast.
+// ActorBytes encodes the actor's parameters for broadcast and for the
+// saved policy file: one nn parameter frame, one allocation of exactly
+// its size, never touched again by the agent — so a published version
+// can be read by any number of pullers while the next is being made.
 // On the float32 path the trained mirrors are flushed to the f64
-// weights first, so broadcasts always carry the current policy.
+// weights first, so broadcasts always carry the current policy. The
+// error is always nil (the signature predates the frame).
 func (a *Agent) ActorBytes() ([]byte, error) {
 	if a.f32 {
 		a.Actor.FlushF32()
 	}
-	return a.Actor.MarshalBinary()
+	return a.Actor.ParamFrame(), nil
 }
 
-// LoadActorBytes replaces the actor's parameters from a broadcast, in
-// place; a blob that does not decode or does not match the actor's
-// shape leaves the actor untouched. While the f32 acting path is
-// active the actor's parameter mirrors are refreshed from the new
-// weights, so batched acting never runs on a stale policy.
+// LoadActorBytes replaces the actor's parameters from a broadcast or a
+// policy file, in place: an ActorBytes frame is copied straight in
+// without allocating, a policy saved before the frame existed (a gob
+// blob) is still read. Bytes that do not decode or do not match the
+// actor's shape and activations leave the actor untouched. While the
+// f32 acting path is active the actor's parameter mirrors are
+// refreshed from the new weights, so batched acting never runs on a
+// stale policy.
 func (a *Agent) LoadActorBytes(data []byte) error {
 	if err := a.Actor.LoadParams(data); err != nil {
 		return err

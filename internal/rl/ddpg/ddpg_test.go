@@ -4,9 +4,9 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
-	"greennfv/internal/nn"
 	"greennfv/internal/rl/replay"
 )
 
@@ -264,10 +264,9 @@ func TestOUNoiseStatistics(t *testing.T) {
 	}
 }
 
-// TestLoadActorBytesInPlace: a parameter pull moves weights into the
-// live actor — it builds no second network, so it allocates less than
-// decoding one — and a blob of the wrong shape changes nothing, even
-// when only the last layer differs.
+// TestLoadActorBytesInPlace: a parameter pull copies the frame into the
+// live actor without allocating anything, and a frame of the wrong
+// shape changes nothing, even when only the last layer differs.
 func TestLoadActorBytesInPlace(t *testing.T) {
 	a, _ := New(smallConfig())
 	b, _ := New(smallConfig())
@@ -275,18 +274,12 @@ func TestLoadActorBytesInPlace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pull := testing.AllocsPerRun(20, func() {
+	if pull := testing.AllocsPerRun(20, func() {
 		if err := b.LoadActorBytes(data); err != nil {
 			t.Fatal(err)
 		}
-	})
-	rebuild := testing.AllocsPerRun(20, func() {
-		if err := new(nn.Network).UnmarshalBinary(data); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if pull >= rebuild {
-		t.Errorf("LoadActorBytes makes %v allocations per pull, decoding a fresh network %v", pull, rebuild)
+	}); pull != 0 {
+		t.Errorf("LoadActorBytes makes %v allocations per pull, want 0", pull)
 	}
 
 	wide := smallConfig()
@@ -303,5 +296,32 @@ func TestLoadActorBytesInPlace(t *testing.T) {
 	got, _ := b.ActorBytes()
 	if !bytes.Equal(got, want) {
 		t.Fatal("a rejected pull was partially applied")
+	}
+}
+
+// TestAgentFootprint: BufferCap bounds the replay, it does not reserve
+// it. An agent that only acts — every Ape-X actor, every serving
+// replica — never stores a transition, and building one used to zero a
+// 65 536-slot ring and a 1 MB sum tree it would never touch (6.8 MB).
+func TestAgentFootprint(t *testing.T) {
+	cfg := DefaultConfig(15, 15) // the paper workload's environment
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	a, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	state, action := make([]float64, cfg.StateDim), make([]float64, cfg.ActionDim)
+	for i := 0; i < 100; i++ {
+		if err := a.ActInto(state, true, action); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a.Learn() // a no-op on an empty replay, as in a starved round-robin step
+	runtime.ReadMemStats(&after)
+	// Four 15-48-48-15-ish networks with their gradient buffers are
+	// ~270 KB of that.
+	if got := after.TotalAlloc - before.TotalAlloc; got > 512<<10 {
+		t.Errorf("building and acting with a default agent allocates %d KB, want under 512 KB", got>>10)
 	}
 }

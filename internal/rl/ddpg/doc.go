@@ -50,7 +50,7 @@
 // forms its targets in float64 from widened Q values. Precision
 // contract: while enabled, the f32 parameter
 // mirrors of all four networks are authoritative and the f64 weights
-// go stale; ActorBytes flushes the actor mirror before serializing
+// go stale; ActorBytes flushes the actor mirror before encoding
 // (broadcasts always carry the current policy) and SetFloat32(false)
 // flushes everything back, after which Act/Greedy/TDError see the
 // trained policy. The path is deterministic given the seed on a fixed
@@ -116,7 +116,32 @@
 // assumption seeded training already makes. LoadAgent, the serving
 // entry point, restores neither the replay nor the stream position:
 // the fast-forward costs one generator step per draw, the count comes
-// from the blob, and greedy inference never draws. ActorBytes remains the
-// separate, policy-only format for broadcasts and deployment; the
-// two formats are unrelated on the wire.
+// from the blob, and greedy inference never draws.
+//
+// # Parameter broadcast and policy file
+//
+// ActorBytes is the separate, policy-only format: one nn parameter
+// frame (internal/nn doc, "Parameter frame" — magic, per-layer header,
+// the raw bits of W and B) of the actor network. It is the Ape-X
+// broadcast on every transport — the round-robin actors, the VecActor
+// driver and remote actor processes all LoadActorBytes what the
+// learner's ActorBytes made — and the policy file Policy.Save writes.
+// One frame is allocated per call, exactly its size, and the agent
+// never touches it again, so a published frame may be read by any number of pullers
+// while the next one is made; LoadActorBytes checks the whole frame
+// against the live actor before writing and then copies in place
+// without allocating. A policy file from before the frame existed (the
+// actor's gob blob) still loads; nothing writes that form any more.
+// The checkpoint above and the frame are unrelated on the wire:
+// checkpoints embed gob network blobs, which LoadState keeps reading.
+//
+// # Replay ownership
+//
+// Every agent is built with a replay of Config.BufferCap, but the
+// capacity is a bound, not a reservation (internal/rl/replay): storage
+// appears when transitions are stored. The agents that only act — each
+// Ape-X actor's local network copy, a serving replica rebuilt by
+// LoadAgent, an agent whose buffer SetReplay swaps for a sharded one —
+// never store any and hold a few hundred bytes of replay; the learner's
+// holds what its run has observed (TestAgentFootprint).
 package ddpg

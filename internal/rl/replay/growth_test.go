@@ -1,0 +1,148 @@
+package replay
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// Storage grows with its contents, and nothing a caller can observe may
+// depend on that: these are the SHA-256 of one fixed script per buffer
+// — adds (single, prioritized, batched) from empty through every growth
+// step and several wrap-arounds of the ring, a State/SetState hand-over
+// to a fresh buffer taken mid-growth and again after the wrap, and
+// between them every sampled reward, index and weight and the effect of
+// every priority write-back — recorded at a5d8e5b, where every buffer
+// still reserved its whole capacity and its whole sum tree up front.
+// The tree keeps its full power-of-two size once it exists because leaf
+// positions and the order of the partial sums are what these depend on.
+var growthFingerprints = map[string]string{
+	"prioritized": "cc694777b1c86c22d19fc470cb9aca067e7c96ec786049c87cd53630a06c31bc",
+	"sharded":     "cd2418a2ea57e2595f84ab9a6a0b784e0cfa8ec94b9cbf4705964a824e7abb4d",
+}
+
+// growthBuffer is what the script drives; both prioritized buffers
+// satisfy it.
+type growthBuffer interface {
+	Len() int
+	Add(t Transition)
+	AddWithPriority(t Transition, priority float64)
+	AddBatch(ts []Transition, priorities []float64)
+	SampleInto(rng *rand.Rand, n int, samples []Transition, indices []int, weights []float64) ([]Transition, []int, []float64)
+	UpdatePrioritiesBatch(indices []int, tdErrs []float64)
+}
+
+// growthScript runs the fixed script on buf and returns its hash.
+// handOver moves the contents into a fresh buffer through
+// State/SetState and writes the snapshot's fields to the hash.
+func growthScript(t *testing.T, buf growthBuffer, capacity int, handOver func(growthBuffer, func(...float64)) growthBuffer) string {
+	t.Helper()
+	h := sha256.New()
+	put := func(vs ...float64) {
+		var b [8]byte
+		for _, v := range vs {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+			h.Write(b[:])
+		}
+	}
+	const batch = 16
+	script := rand.New(rand.NewSource(41)) // what to do next
+	sampler := rand.New(rand.NewSource(43))
+	samples, indices, weights := make([]Transition, 0, batch), make([]int, 0, batch), make([]float64, 0, batch)
+	tdErrs := make([]float64, batch)
+	added := 0
+	next := func() Transition { added++; return tr(float64(added)) }
+	handOvers := []int{capacity / 3, 2*capacity + capacity/2} // mid-growth, after the wrap
+	for step := 0; added < 4*capacity; step++ {
+		switch script.Intn(4) {
+		case 0:
+			buf.Add(next())
+		case 1:
+			buf.AddWithPriority(next(), 3*script.Float64())
+		default:
+			chunk := make([]Transition, 1+script.Intn(9))
+			prios := make([]float64, script.Intn(len(chunk)+1))
+			for i := range chunk {
+				chunk[i] = next()
+			}
+			for i := range prios {
+				prios[i] = 2 * script.Float64()
+			}
+			buf.AddBatch(chunk, prios)
+		}
+		put(float64(buf.Len()))
+		if buf.Len() >= batch && step%3 == 0 {
+			samples, indices, weights = buf.SampleInto(sampler, batch, samples, indices, weights)
+			for i := range samples {
+				put(samples[i].Reward, float64(indices[i]), weights[i])
+				tdErrs[i] = 4*script.Float64() - 2
+			}
+			buf.UpdatePrioritiesBatch(indices, tdErrs[:len(indices)])
+		}
+		if len(handOvers) > 0 && added >= handOvers[0] {
+			handOvers = handOvers[1:]
+			buf = handOver(buf, put)
+		}
+	}
+	handOver(buf, put)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+func putPrioritizedState(put func(...float64), st PrioritizedState) {
+	put(float64(st.Next), float64(st.Count), st.Beta, st.MaxPrior)
+	for i := range st.Data {
+		put(st.Data[i].Reward, st.Leaves[i])
+	}
+}
+
+func TestReplayGrowthParity(t *testing.T) {
+	const capacity = 300 // not a power of two: the tree pads to 512
+	check := func(name, got string) {
+		t.Logf("%s fingerprint %s", name, got)
+		if want := growthFingerprints[name]; got != want {
+			t.Errorf("%s: growth fingerprint %s, recorded %s", name, got, want)
+		}
+	}
+	t.Run("prioritized", func(t *testing.T) {
+		fresh := func() *Prioritized {
+			p, err := NewPrioritized(capacity, 0.6, 0.4, 1e-3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p
+		}
+		check("prioritized", growthScript(t, fresh(), capacity, func(b growthBuffer, put func(...float64)) growthBuffer {
+			st := b.(*Prioritized).State()
+			putPrioritizedState(put, st)
+			p := fresh()
+			if err := p.SetState(st); err != nil {
+				t.Fatal(err)
+			}
+			return p
+		}))
+	})
+	t.Run("sharded", func(t *testing.T) {
+		fresh := func() *Sharded {
+			s, err := NewSharded(capacity, 4, 0.6, 0.4, 1e-3, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}
+		check("sharded", growthScript(t, fresh(), capacity, func(b growthBuffer, put func(...float64)) growthBuffer {
+			st := b.(*Sharded).State()
+			put(st.Beta, float64(st.Ingest))
+			for _, rec := range st.Shards {
+				putPrioritizedState(put, rec)
+			}
+			s := fresh()
+			if err := s.SetState(st); err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}))
+	})
+}

@@ -17,13 +17,42 @@ type Transition struct {
 	Done      bool
 }
 
+// ring is the transition store every buffer shares: a ring of at most
+// capacity slots whose backing array grows with its contents (doubling,
+// never past capacity), so capacity is a bound, not a reservation.
+// Until the ring is full next == count == len(data); from then on
+// len(data) == capacity and next is the eviction cursor.
+type ring struct {
+	capacity int
+	data     []Transition
+	next     int
+	count    int
+}
+
+// put stores t in the next slot (evicting the oldest transition once
+// full) and returns that slot's index.
+func (r *ring) put(t Transition) int {
+	idx := r.next
+	if idx == len(r.data) {
+		if idx == cap(r.data) {
+			r.data = append(make([]Transition, 0, min(max(2*idx, 16), r.capacity)), r.data...)
+		}
+		r.data = append(r.data, t)
+	} else {
+		r.data[idx] = t
+	}
+	r.next = (idx + 1) % r.capacity
+	if r.count < r.capacity {
+		r.count++
+	}
+	return idx
+}
+
 // Uniform is a fixed-capacity ring buffer with uniform sampling.
 // It is goroutine-safe.
 type Uniform struct {
-	mu    sync.Mutex
-	buf   []Transition
-	next  int
-	count int
+	mu sync.Mutex
+	ring
 }
 
 // NewUniform builds a buffer holding up to capacity transitions.
@@ -31,17 +60,13 @@ func NewUniform(capacity int) (*Uniform, error) {
 	if capacity <= 0 {
 		return nil, errors.New("replay: capacity must be positive")
 	}
-	return &Uniform{buf: make([]Transition, capacity)}, nil
+	return &Uniform{ring: ring{capacity: capacity}}, nil
 }
 
 // Add stores a transition, evicting the oldest when full.
 func (u *Uniform) Add(t Transition) {
 	u.mu.Lock()
-	u.buf[u.next] = t
-	u.next = (u.next + 1) % len(u.buf)
-	if u.count < len(u.buf) {
-		u.count++
-	}
+	u.put(t)
 	u.mu.Unlock()
 }
 
@@ -72,24 +97,35 @@ func (u *Uniform) SampleInto(rng *rand.Rand, n int, dst []Transition) []Transiti
 	}
 	dst = dst[:0]
 	for i := 0; i < n; i++ {
-		dst = append(dst, u.buf[rng.Intn(u.count)])
+		dst = append(dst, u.data[rng.Intn(u.count)])
 	}
 	return dst
 }
 
 // sumTree is a complete binary tree whose leaves hold priorities and
 // whose internal nodes hold subtree sums, supporting O(log n)
-// prefix-sum search.
+// prefix-sum search. The nodes are allocated by the first set — a
+// buffer nobody adds to holds no tree — and at full size from then on:
+// leaf positions and the order of the partial sums decide which
+// transition a prefix sum finds, so a tree that grew would sample
+// differently.
 type sumTree struct {
-	cap  int
-	tree []float64 // 1-indexed; leaves at [cap, 2cap)
+	cap  int       // leaves: the buffer capacity rounded up to a power of two
+	tree []float64 // 1-indexed; leaves at [cap, 2cap); nil until the first set
 }
 
-func newSumTree(capacity int) *sumTree {
-	return &sumTree{cap: capacity, tree: make([]float64, 2*capacity)}
+func newSumTree(capacity int) sumTree {
+	capPow := 1
+	for capPow < capacity {
+		capPow *= 2
+	}
+	return sumTree{cap: capPow}
 }
 
 func (s *sumTree) set(idx int, p float64) {
+	if s.tree == nil {
+		s.tree = make([]float64, 2*s.cap)
+	}
 	i := idx + s.cap
 	s.tree[i] = p
 	for i >>= 1; i >= 1; i >>= 1 {
@@ -97,11 +133,18 @@ func (s *sumTree) set(idx int, p float64) {
 	}
 }
 
+// get reads a leaf that was set (every stored slot's has been).
 func (s *sumTree) get(idx int) float64 { return s.tree[idx+s.cap] }
 
-func (s *sumTree) total() float64 { return s.tree[1] }
+func (s *sumTree) total() float64 {
+	if s.tree == nil {
+		return 0
+	}
+	return s.tree[1]
+}
 
-// find locates the leaf containing prefix sum v.
+// find locates the leaf containing prefix sum v. Callers sample only
+// from a positive total, so the tree exists.
 func (s *sumTree) find(v float64) int {
 	i := 1
 	for i < s.cap {
@@ -122,11 +165,9 @@ func (s *sumTree) find(v float64) int {
 // It is goroutine-safe: Ape-X actors Add concurrently with the
 // learner's Sample/UpdatePriorities.
 type Prioritized struct {
-	mu       sync.Mutex
-	tree     *sumTree
-	data     []Transition
-	next     int
-	count    int
+	mu sync.Mutex
+	ring
+	tree     sumTree
 	alpha    float64
 	beta     float64
 	betaInc  float64
@@ -145,14 +186,9 @@ func NewPrioritized(capacity int, alpha, beta, betaInc float64) (*Prioritized, e
 	if alpha < 0 || beta < 0 || beta > 1 {
 		return nil, errors.New("replay: need alpha >= 0 and beta in [0,1]")
 	}
-	// Round capacity up to a power of two for the tree.
-	capPow := 1
-	for capPow < capacity {
-		capPow *= 2
-	}
 	return &Prioritized{
-		tree:     newSumTree(capPow),
-		data:     make([]Transition, capacity),
+		ring:     ring{capacity: capacity},
+		tree:     newSumTree(capacity),
 		alpha:    alpha,
 		beta:     beta,
 		betaInc:  betaInc,
@@ -193,12 +229,7 @@ func (p *Prioritized) addLocked(t Transition, priority float64) {
 	if priority > p.maxPrior {
 		p.maxPrior = priority
 	}
-	p.data[p.next] = t
-	p.tree.set(p.next, math.Pow(priority+p.eps, p.alpha))
-	p.next = (p.next + 1) % len(p.data)
-	if p.count < len(p.data) {
-		p.count++
-	}
+	p.tree.set(p.put(t), math.Pow(priority+p.eps, p.alpha))
 }
 
 // AddBatch stores a chunk of transitions under one lock acquire —
@@ -284,7 +315,7 @@ func (p *Prioritized) UpdatePriorities(indices []int, tdErrs []float64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for i, idx := range indices {
-		if idx < 0 || idx >= len(p.data) || i >= len(tdErrs) {
+		if idx < 0 || idx >= p.capacity || i >= len(tdErrs) {
 			continue
 		}
 		prio := math.Abs(tdErrs[i])

@@ -332,3 +332,48 @@ func BenchmarkPrioritizedSample(b *testing.B) {
 		p.SampleInto(rng, 32, samples, indices, weights)
 	}
 }
+
+// TestIdleBufferHoldsNoStorage: capacity is a bound, not a
+// reservation. A buffer nobody has added to — asked for its length,
+// sampled, snapshotted and restored from an empty snapshot — holds no
+// ring and no sum tree; the first add allocates the tree at full size
+// and the ring at a few slots.
+func TestIdleBufferHoldsNoStorage(t *testing.T) {
+	p, _ := NewPrioritized(1<<16, 0.6, 0.4, 1e-5)
+	s, _ := NewSharded(1<<16, 4, 0.6, 0.4, 1e-5, 1)
+	u, _ := NewUniform(1 << 16)
+	rng := rand.New(rand.NewSource(1))
+	if got, _, _ := p.Sample(rng, 8); got != nil {
+		t.Error("empty prioritized buffer sampled something")
+	}
+	if got, _, _ := s.SampleInto(rng, 8, nil, nil, nil); got != nil {
+		t.Error("empty sharded buffer sampled something")
+	}
+	if err := p.SetState(p.State()); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetState(s.State()); err != nil {
+		t.Fatal(err)
+	}
+	if p.Len()+s.Len()+u.Len() != 0 || p.data != nil || p.tree.tree != nil || u.data != nil {
+		t.Error("an idle buffer allocated storage")
+	}
+	for k := range s.shards {
+		if s.shards[k].data != nil || s.shards[k].tree.tree != nil {
+			t.Errorf("idle shard %d allocated storage", k)
+		}
+	}
+	p.Add(tr(1))
+	u.Add(tr(1))
+	if len(p.tree.tree) != 2<<16 || cap(p.data) >= 1<<10 || cap(u.data) >= 1<<10 {
+		t.Errorf("after one add: tree %d nodes, rings %d and %d slots", len(p.tree.tree), cap(p.data), cap(u.data))
+	}
+	// A full ring holds exactly its capacity.
+	small, _ := NewPrioritized(300, 0.6, 0.4, 0)
+	for i := 0; i < 1000; i++ {
+		small.Add(tr(float64(i)))
+	}
+	if len(small.data) != 300 || cap(small.data) != 300 {
+		t.Errorf("full 300-slot ring holds %d slots in a %d-slot array", len(small.data), cap(small.data))
+	}
+}

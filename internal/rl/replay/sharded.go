@@ -44,11 +44,9 @@ type Sharded struct {
 // stream. The trailing pad keeps one shard's hot state (mutex, ring
 // cursor) from false-sharing a cache line with its neighbor.
 type shard struct {
-	mu       sync.Mutex
-	tree     *sumTree
-	data     []Transition
-	next     int
-	count    int
+	mu sync.Mutex
+	ring
+	tree     sumTree
 	maxPrior float64
 	rng      *rand.Rand
 	_        [64]byte
@@ -71,10 +69,6 @@ func NewSharded(capacity, shards int, alpha, beta, betaInc float64, seed int64) 
 		shards = capacity
 	}
 	shardCap := (capacity + shards - 1) / shards
-	capPow := 1
-	for capPow < shardCap {
-		capPow *= 2
-	}
 	s := &Sharded{
 		shards:   make([]shard, shards),
 		shardCap: shardCap,
@@ -86,8 +80,8 @@ func NewSharded(capacity, shards int, alpha, beta, betaInc float64, seed int64) 
 	}
 	for k := range s.shards {
 		sh := &s.shards[k]
-		sh.tree = newSumTree(capPow)
-		sh.data = make([]Transition, shardCap)
+		sh.ring = ring{capacity: shardCap}
+		sh.tree = newSumTree(shardCap)
 		sh.maxPrior = 1
 		sh.rng = rand.New(rand.NewSource(seed + int64(k)*0x9E37 + 1))
 	}
@@ -119,14 +113,9 @@ func (s *Sharded) addLocked(sh *shard, t Transition, priority float64) bool {
 	if priority > sh.maxPrior {
 		sh.maxPrior = priority
 	}
-	sh.data[sh.next] = t
-	sh.tree.set(sh.next, math.Pow(priority+s.eps, s.alpha))
-	sh.next = (sh.next + 1) % len(sh.data)
-	if sh.count < len(sh.data) {
-		sh.count++
-		return true
-	}
-	return false
+	before := sh.count
+	sh.tree.set(sh.put(t), math.Pow(priority+s.eps, s.alpha))
+	return sh.count > before
 }
 
 // nextShard advances the round-robin ingest cursor.

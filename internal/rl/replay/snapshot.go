@@ -2,6 +2,7 @@ package replay
 
 import (
 	"errors"
+	"fmt"
 	"math"
 )
 
@@ -48,27 +49,53 @@ func (p *Prioritized) State() PrioritizedState {
 	return st
 }
 
+// validate reports why the snapshot cannot be the contents of a ring of
+// the given capacity. The bytes come from a checkpoint file: the fill
+// level must fit, Data and Leaves must agree with it, the cursor must be
+// where a ring with that fill level has it (a ring that is not full has
+// never wrapped, so Next == Count; a full one evicts at 0 ≤ Next <
+// capacity — anything else indexes outside the storage at the next Add),
+// and no leaf may be NaN or negative.
+func (st *PrioritizedState) validate(capacity int) error {
+	if st.Count < 0 || st.Count > capacity || len(st.Data) != st.Count || len(st.Leaves) != st.Count {
+		return errors.New("replay: snapshot does not fit buffer capacity")
+	}
+	if st.Count < capacity && st.Next != st.Count || st.Count == capacity && (st.Next < 0 || st.Next >= capacity) {
+		return errors.New("replay: corrupt snapshot ring cursor")
+	}
+	for _, leaf := range st.Leaves {
+		if math.IsNaN(leaf) || leaf < 0 {
+			return errors.New("replay: corrupt snapshot leaf priority")
+		}
+	}
+	return nil
+}
+
+// restore installs a validated snapshot's transitions, leaves and
+// cursor into an empty ring and its tree.
+func (r *ring) restore(tree *sumTree, st *PrioritizedState) {
+	if st.Count > 0 {
+		r.data = append(make([]Transition, 0, st.Count), st.Data...)
+	}
+	for i, leaf := range st.Leaves {
+		tree.set(i, leaf)
+	}
+	r.next, r.count = st.Next, st.Count
+}
+
 // SetState restores a snapshot into this buffer, which must have the
-// same capacity it was taken from and must still be empty.
+// same capacity it was taken from and must still be empty. A refused
+// snapshot leaves the buffer untouched.
 func (p *Prioritized) SetState(st PrioritizedState) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.count != 0 {
 		return errors.New("replay: restore target already holds experience")
 	}
-	if st.Count > len(p.data) || st.Next > len(p.data) ||
-		len(st.Data) != st.Count || len(st.Leaves) != st.Count {
-		return errors.New("replay: snapshot does not fit buffer capacity")
+	if err := st.validate(p.capacity); err != nil {
+		return err
 	}
-	copy(p.data, st.Data)
-	for i := 0; i < st.Count; i++ {
-		leaf := st.Leaves[i]
-		if math.IsNaN(leaf) || leaf < 0 {
-			return errors.New("replay: corrupt snapshot leaf priority")
-		}
-		p.tree.set(i, leaf)
-	}
-	p.next, p.count = st.Next, st.Count
+	p.restore(&p.tree, &st)
 	p.beta, p.maxPrior = st.Beta, st.MaxPrior
 	return nil
 }
@@ -111,6 +138,8 @@ func (s *Sharded) State() ShardedState {
 
 // SetState restores a snapshot into this buffer, which must have the
 // same shard count and per-shard capacity and must still be empty.
+// Every shard's record is validated before the first is written, so a
+// refused snapshot leaves the buffer untouched.
 func (s *Sharded) SetState(st ShardedState) error {
 	if len(st.Shards) != len(s.shards) {
 		return errors.New("replay: snapshot shard count mismatch")
@@ -118,21 +147,18 @@ func (s *Sharded) SetState(st ShardedState) error {
 	if s.count.Load() != 0 {
 		return errors.New("replay: restore target already holds experience")
 	}
+	for k := range st.Shards {
+		if err := st.Shards[k].validate(s.shardCap); err != nil {
+			return fmt.Errorf("shard %d: %w", k, err)
+		}
+	}
 	total := int64(0)
 	for k := range s.shards {
 		sh := &s.shards[k]
-		rec := st.Shards[k]
+		rec := &st.Shards[k]
 		sh.mu.Lock()
-		if rec.Count > len(sh.data) || rec.Next > len(sh.data) ||
-			len(rec.Data) != rec.Count || len(rec.Leaves) != rec.Count {
-			sh.mu.Unlock()
-			return errors.New("replay: snapshot does not fit shard capacity")
-		}
-		copy(sh.data, rec.Data)
-		for i := 0; i < rec.Count; i++ {
-			sh.tree.set(i, rec.Leaves[i])
-		}
-		sh.next, sh.count, sh.maxPrior = rec.Next, rec.Count, rec.MaxPrior
+		sh.restore(&sh.tree, rec)
+		sh.maxPrior = rec.MaxPrior
 		sh.mu.Unlock()
 		total += int64(rec.Count)
 	}

@@ -197,3 +197,128 @@ func TestShardedSnapshotRoundTrip(t *testing.T) {
 		t.Fatal("per-shard capacity mismatch accepted")
 	}
 }
+
+// snapshotOf builds the snapshot of a ring holding count transitions
+// with the cursor at next.
+func snapshotOf(count, next int) PrioritizedState {
+	st := PrioritizedState{Next: next, Count: count, Beta: 0.4, MaxPrior: 1}
+	for i := 0; i < count; i++ {
+		st.Data = append(st.Data, tr(float64(i)))
+		st.Leaves = append(st.Leaves, 1)
+	}
+	return st
+}
+
+// TestSetStateRejectsCorruptSnapshot: a snapshot is bytes from a
+// checkpoint file. One whose cursor a ring of its fill level cannot
+// have (reproduced before the fix: Next == capacity and Next < 0 were
+// accepted and the next Add indexed out of range), whose fill level does
+// not fit, or whose leaves are corrupt is refused by both buffers, the
+// refused buffer is untouched — every shard of it, also when a later
+// shard is the bad one — and still usable.
+func TestSetStateRejectsCorruptSnapshot(t *testing.T) {
+	const capacity = 4
+	leaf := func(v float64) PrioritizedState {
+		st := snapshotOf(3, 3)
+		st.Leaves[1] = v
+		return st
+	}
+	short := snapshotOf(3, 3)
+	short.Leaves = short.Leaves[:2]
+	cases := map[string]PrioritizedState{
+		"cursor at capacity":          snapshotOf(capacity, capacity),
+		"cursor past capacity":        snapshotOf(capacity, capacity+1),
+		"negative cursor":             snapshotOf(capacity, -1),
+		"negative cursor, not full":   snapshotOf(2, -1),
+		"cursor behind the fill":      snapshotOf(3, 1),
+		"cursor ahead of the fill":    snapshotOf(2, 3),
+		"wrapped cursor, empty":       snapshotOf(0, 2),
+		"negative count":              {Count: -1, Next: -1},
+		"count past capacity":         snapshotOf(capacity+1, 0),
+		"leaves shorter than data":    short,
+		"NaN leaf":                    leaf(math.NaN()),
+		"negative leaf":               leaf(-1),
+		"negative infinity leaf":      leaf(math.Inf(-1)),
+		"count without data (forged)": {Count: 2, Next: 2},
+	}
+	for name, st := range cases {
+		p, _ := NewPrioritized(capacity, 0.6, 0.4, 0)
+		if err := p.SetState(st); err == nil {
+			t.Errorf("%s: Prioritized accepted it", name)
+			continue
+		}
+		if p.Len() != 0 || p.next != 0 || p.tree.total() != 0 {
+			t.Errorf("%s: refused snapshot changed the buffer", name)
+		}
+		for i := 0; i < 2*capacity; i++ {
+			p.Add(tr(float64(i)))
+		}
+
+		// The same record as the LAST shard of an otherwise valid
+		// sharded snapshot.
+		s, _ := NewSharded(2*capacity, 2, 0.6, 0.4, 0, 1)
+		if err := s.SetState(ShardedState{Shards: []PrioritizedState{snapshotOf(2, 2), st}, Beta: 0.4}); err == nil {
+			t.Errorf("%s: Sharded accepted it", name)
+			continue
+		}
+		if s.Len() != 0 || s.shards[0].count != 0 || s.shards[0].tree.total() != 0 {
+			t.Errorf("%s: refused snapshot left shard 0 restored", name)
+		}
+		for i := 0; i < 4*capacity; i++ {
+			s.Add(tr(float64(i)))
+		}
+	}
+
+	// The cursors a ring can have are all accepted.
+	for _, st := range []PrioritizedState{snapshotOf(0, 0), snapshotOf(3, 3), snapshotOf(capacity, 0), snapshotOf(capacity, capacity-1)} {
+		p, _ := NewPrioritized(capacity, 0.6, 0.4, 0)
+		if err := p.SetState(st); err != nil {
+			t.Errorf("count %d next %d: %v", st.Count, st.Next, err)
+		}
+		p.Add(tr(9))
+	}
+}
+
+// FuzzReplaySetState: whatever a snapshot claims, both buffers either
+// refuse it untouched or take it and go on working — adds across the
+// wrap, samples, priority write-backs — without indexing outside their
+// storage.
+func FuzzReplaySetState(f *testing.F) {
+	f.Add(3, 3, uint8(3), uint8(3), 1.0)
+	f.Add(8, 0, uint8(8), uint8(8), 0.5)
+	f.Add(8, 8, uint8(8), uint8(8), 1.0)
+	f.Add(8, -1, uint8(8), uint8(8), 1.0)
+	f.Add(2, 5, uint8(2), uint8(2), 1.0)
+	f.Add(-1, -1, uint8(0), uint8(0), 0.0)
+	f.Add(3, 3, uint8(3), uint8(2), 1.0)
+	f.Add(3, 3, uint8(3), uint8(3), math.NaN())
+	f.Add(3, 3, uint8(3), uint8(3), math.Inf(1))
+	f.Fuzz(func(t *testing.T, count, next int, nData, nLeaves uint8, leaf float64) {
+		const capacity = 8
+		st := PrioritizedState{Next: next, Count: count, Beta: 0.4, MaxPrior: 1}
+		for i := 0; i < int(nData%32); i++ {
+			st.Data = append(st.Data, tr(float64(i)))
+		}
+		for i := 0; i < int(nLeaves%32); i++ {
+			st.Leaves = append(st.Leaves, leaf)
+		}
+		rng := rand.New(rand.NewSource(1))
+		drive := func(buf growthBuffer, accepted bool) {
+			if !accepted && buf.Len() != 0 {
+				t.Fatal("a refused snapshot left experience behind")
+			}
+			for i := 0; i < 3*capacity; i++ {
+				buf.Add(tr(float64(i)))
+				_, idx, _ := buf.SampleInto(rng, 4, nil, nil, nil)
+				buf.UpdatePrioritiesBatch(idx, []float64{1, 2, 3, 4})
+			}
+			if buf.Len() > 2*capacity {
+				t.Fatalf("buffer holds %d transitions", buf.Len())
+			}
+		}
+		p, _ := NewPrioritized(capacity, 0.6, 0.4, 0)
+		drive(p, p.SetState(st) == nil)
+		s, _ := NewSharded(2*capacity, 2, 0.6, 0.4, 0, 1)
+		drive(s, s.SetState(ShardedState{Shards: []PrioritizedState{snapshotOf(2, 2), st}, Beta: 0.4}) == nil)
+	})
+}

@@ -19,16 +19,26 @@ gates=(
 	# SIGKILL + resume; a fleet that fails for good stops the learner;
 	# serialize → restore bit-identical (weights and next updates) at
 	# agent and trainer level, both precisions. And the reference loop:
-	# whole round-robin runs hash to the values recorded before the
-	# concurrent modes were merged beside it.
+	# whole round-robin runs hash (on raw parameter bits) to the values
+	# recorded before the broadcast left gob, replay storage became lazy
+	# and ReLU moved into assembly.
 	"./internal/rl/apex TestChaosKillResume|TestFleetFailureStopsLearner|TestTrainerCheckpointResume|TestWriteReadCheckpoint|TestTrainerFingerprint"
 	"./internal/rl/ddpg TestCheckpoint"
+	# The parameter broadcast: one allocation per version (the frame), a
+	# pull copies in place with none, a published frame is never
+	# rewritten; hostile frames change nothing. Replay capacity is a
+	# bound, not a reservation: a trainer and an acting agent are small,
+	# an idle buffer holds no storage, growth shows in no sample, and a
+	# corrupt snapshot cursor is refused.
+	"./internal/rl/apex TestPublishAllocatesOneFrame|TestSyncParamsAllocatesNothing|TestPublishedFrameIsImmutable|TestNewTrainerFootprint"
+	"./internal/rl/ddpg TestLoadActorBytesInPlace|TestLoadActorBytesRejectsHostileFrames|TestLoadActorBytesLegacyGob|TestAgentFootprint"
+	"./internal/rl/replay TestReplayGrowthParity|TestIdleBufferHoldsNoStorage|TestSetStateRejectsCorruptSnapshot"
 	# One NN engine at two element types: 300 f64 and 200 f32 composed
 	# updates hash to the recorded values on both kernel sets, the
 	# kernels equal their element-wise reference, and a train step, a
 	# learn step and batched acting allocate nothing at either type —
 	# budgets that `go test -race` cannot check.
-	"./internal/nn TestLearnFingerprint|TestKernelParityAVX2|TestKernelParityGo|TestKernelsF32MatchGoWide|TestBatchZeroAllocSteadyState|TestF32ZeroAllocSteadyState|TestForwardRowsNoAllocs"
+	"./internal/nn TestLearnFingerprint|TestKernelParityAVX2|TestKernelParityGo|TestReLUKernelParity|TestKernelsF32MatchGoWide|TestParamFrame|TestBatchZeroAllocSteadyState|TestF32ZeroAllocSteadyState|TestForwardRowsNoAllocs"
 	"./internal/rl/ddpg TestLearnBatchZeroAlloc|TestLearnBatchF32ZeroAlloc|TestActBatchNoAllocs|TestLearnF32ParityWithF64"
 	# Serving safety: no applied config outside bounds or predicted to
 	# violate the SLA on any ladder rung; the 32-node fleet soak and its
