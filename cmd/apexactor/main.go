@@ -1,8 +1,10 @@
 // Command apexactor is one Ape-X actor process of the multi-process training
 // mode: it rebuilds the training environment and a local policy-network
 // copy from a JSON ActorSpec, connects to the central learner over
-// net/rpc, and runs the act/push/pull loop until its step budget is
-// spent or the learner drains the round.
+// TCP (internal/rpcutil), and runs the act/push/pull loop until its
+// step budget is spent or the learner drains the round. Actors and
+// learner must be the same build: the transport's preamble makes a
+// mixed pair fail at the first call rather than misread each other.
 //
 // It is normally spawned by the trainer (apex.TrainerConfig with
 // RemoteActors and SpawnRemote set), which writes the spec to stdin:

@@ -1,7 +1,10 @@
 // Command greennfvd is the GreenNFV serving-plane controller daemon:
 // it loads a trained policy checkpoint, leases a fleet of
-// cmd/greennfv-agent node agents over net/rpc, and continuously turns
-// their observations into SLA-guardrailed, rate-limited knob configs.
+// cmd/greennfv-agent node agents over TCP (internal/rpcutil), and
+// continuously turns their observations into SLA-guardrailed,
+// rate-limited knob configs. Agents and controller upgrade together:
+// the transport's preamble makes a mixed pair fail at the agent's first
+// call (it then runs its local ladder) rather than misread each other.
 //
 // The node spec file (greennfv -write-spec, or System.WriteNodeSpec)
 // pins the environment contract — chain, workload, SLA — that the

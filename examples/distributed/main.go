@@ -1,6 +1,6 @@
 // distributed runs the Ape-X architecture across real process
 // boundaries the way the paper's six-node deployment does: the
-// trainer serves the central learner over net/rpc and spawns three
+// trainer serves the central learner over TCP (internal/rpcutil) and spawns three
 // actor OS processes (cmd/apexactor), each rebuilding its own
 // environment from the shipped JSON spec and climbing the exploration
 // ladder by rank. Experience flows in over RPC; parameter broadcasts

@@ -190,7 +190,8 @@ type TrainOptions struct {
 	// disables pacing; the deterministic mode ignores it.
 	SamplesPerInsert float64
 	// RemoteActors > 0 trains with actor OS processes connected to
-	// the learner over net/rpc — the paper's six-node topology. The
+	// the learner over TCP (internal/rpcutil) — the paper's six-node
+	// topology. The
 	// processes run ActorCommand (default: an "apexactor" binary
 	// found on PATH; build it with `go build ./cmd/apexactor`).
 	RemoteActors int

@@ -43,7 +43,7 @@ type GreenNFV struct {
 	// inserted in the asynchronous modes (0 = unpaced). See
 	// apex.TrainerConfig.SamplesPerInsert.
 	SamplesPerInsert float64
-	// RemoteActors > 0 trains with actor processes over net/rpc (the
+	// RemoteActors > 0 trains with actor processes over RPC (the
 	// paper's six-node topology) instead of in-process actors;
 	// RemoteSpec must describe the actors' environment. See
 	// apex.TrainerConfig.

@@ -32,7 +32,7 @@
 //     (parallel.go, vecactor.go) steps every actor environment through
 //     a VecEnv with a single batched policy pass per round.
 //   - Remote (TrainerConfig.RemoteActors): the paper's multi-node
-//     split. The learner is served over net/rpc (rpc.go) to actor
+//     split. The learner is served over rpcutil (rpc.go) to actor
 //     processes (cmd/apexactor; spawned and supervised via SpawnRemote
 //     or started externally against ListenAddr; remote.go) that
 //     rebuild their environments from a JSON ActorSpec and talk
@@ -67,7 +67,8 @@
 // the parameter broadcast (version + the current frame).
 // One goroutine runs updates and checkpoints (the caller of
 // LearnStep, or the pipeline's learner). Actors are single-threaded
-// and own their environments. The net/rpc server is goroutine-safe;
+// and own their environments. The RPC service is goroutine-safe (the
+// server calls it from one goroutine per actor connection);
 // per-actor connection lifecycle (registration, push stats, drain)
 // lives in LearnerService. Only the round-robin mode is
 // deterministic; tests and figures rely on it.
@@ -84,9 +85,10 @@
 // them be read outside the mutex: by the round-robin actors and the
 // VecActor driver, which copy them straight into their live network
 // (ddpg.Agent.LoadActorBytes: validated against that network first,
-// zero allocations), and by the RPC handler, which gob-encodes the
-// PullReply around them for a RemoteLearner whose actor then does the
-// same copy. One codec serves all three transports and the saved policy
+// zero allocations), and by the RPC handler, whose connection
+// gob-encodes the PullReply around them (rpcutil's body for types
+// without a layout) for a RemoteLearner whose actor then does the same
+// copy. One codec serves all three transports and the saved policy
 // file; a pull that finds no newer version is a version compare.
 // TestPublishAllocatesOneFrame, TestSyncParamsAllocatesNothing and
 // TestPublishedFrameIsImmutable pin the costs and the immutability.

@@ -14,7 +14,7 @@ import (
 )
 
 // This file is the multi-process transport of the concurrent pipeline
-// (pipeline.go): the trainer serves its learner over net/rpc (rpc.go),
+// (pipeline.go): the trainer serves its learner over rpcutil (rpc.go),
 // optionally spawns and supervises the actor processes (SpawnRemote),
 // and drains the round once the learner has stopped. Pacing, budget and
 // checkpoints belong to the pipeline; the timers here are the

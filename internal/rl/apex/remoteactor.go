@@ -3,7 +3,6 @@ package apex
 import (
 	"fmt"
 	"math/rand"
-	"net/rpc"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -137,10 +136,10 @@ func (r *RemoteLearner) dropConn(c *rpcutil.Conn) error {
 
 // retriable reports whether an RPC error is transport-level (worth a
 // redial) rather than an application error from the learner itself.
-// net/rpc surfaces server-side errors as rpc.ServerError; everything
+// The learner's own errors arrive as rpcutil.ServerError; everything
 // else here — deadline expiries included — is a connection fault.
 func retriable(err error) bool {
-	_, isApp := err.(rpc.ServerError)
+	_, isApp := err.(rpcutil.ServerError)
 	return !isApp
 }
 

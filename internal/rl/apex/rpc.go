@@ -13,7 +13,10 @@ import (
 // The RPC transport lets actors run in separate processes or on
 // separate machines, matching the paper's six-node deployment where
 // NF controllers on the chain-hosting servers feed one central
-// learner. Payloads are gob-encoded by net/rpc. The trainer's remote
+// learner. The transport is internal/rpcutil; these messages have no
+// layout of their own, so each crosses as one gob value inside a frame
+// — a push or a pull is hundreds of transitions or a whole parameter
+// frame, which amortises gob. The trainer's remote
 // mode (remote.go) serves a Learner here and spawns cmd/apexactor
 // processes against it; LearnerService adds the connection lifecycle.
 //
@@ -34,8 +37,8 @@ import (
 // still unwedging a dead connection quickly.
 const DefaultCallTimeout = 10 * time.Second
 
-// Typed RPC failures. net/rpc flattens server-side errors into
-// rpc.ServerError strings, so cross-process matching is by message
+// Typed RPC failures. A server-side error crosses as its message only
+// (rpcutil.ServerError), so cross-process matching is by message
 // prefix: keep these strings stable.
 var (
 	// ErrUnregisteredActor rejects a Push/Pull whose actor has no live
@@ -140,7 +143,7 @@ type actorRec struct {
 	lastPush time.Time
 }
 
-// LearnerService is the net/rpc wrapper around a Learner. Beyond the
+// LearnerService is the receiver a Learner is served through. Beyond the
 // two LearnerAPI methods it tracks per-actor statistics, registration
 // epochs and last-push heartbeats, and carries the drain signal that
 // ends a remote training round gracefully.

@@ -106,7 +106,7 @@ type TrainerConfig struct {
 	Float32 bool
 	// RemoteActors selects the pipeline's multi-process transport (the
 	// paper's six-node deployment): the trainer serves the learner over
-	// net/rpc and RemoteActors actor processes connect as RPC clients,
+	// rpcutil and RemoteActors actor processes connect as RPC clients,
 	// each with its own environment and exploration intensity.
 	// Actors/StepperFactory/Parallel are ignored; RemoteSpec is
 	// required. Not deterministic; the figure harness keeps round-robin.

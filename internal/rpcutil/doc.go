@@ -1,29 +1,97 @@
-// Package rpcutil is the hardened net/rpc plumbing shared by the
-// training plane (internal/rl/apex) and the serving control plane
-// (internal/serve): a connection-tracking TCP server whose Close
-// actually terminates in-flight handlers, a client connection with a
-// per-call deadline, and error matching that survives net/rpc's
-// flattening of server-side errors into strings.
+// Package rpcutil is the RPC transport shared by the training plane
+// (internal/rl/apex) and the serving control plane (internal/serve):
+// length-prefixed frames over TCP, a synchronous client with a
+// per-call deadline, a connection-tracking server whose Close actually
+// terminates, and error matching that survives a server-side error
+// crossing as its message only. The serving tick pays for it every
+// control interval on every node, so a call costs what it must — one
+// write and one read on each side — and nothing per call is allocated,
+// scheduled or timed beyond that.
+//
+// # The frame
+//
+// Each direction of a connection opens, once, with the eight-byte
+// preamble "GNFVRPC" + version 1; a peer that opens with anything else
+// (a build from before the frame, a port scanner) is disconnected
+// before a byte of it is parsed, so a mixed pair fails at its first
+// call instead of misreading each other. After the preamble every
+// message, request or reply, is one frame, big-endian:
+//
+//	u32  length of the rest of the frame, 12 to 16 MiB
+//	u64  sequence number: the client's call count, echoed by the reply
+//	u8   method length | method ("Name.Method"; empty in replies)
+//	u16  error length  | error (a reply's ServerError; empty = success)
+//	u8   body kind: 0 none, 1 layout, 2 gob
+//	...  body, to the end of the frame
+//
+// Every length is checked against the bytes present before it is
+// used. A declared length outside its range is refused before any
+// buffer is sized by it; a kind past 2, or a body behind kind 0, is
+// malformed. On a malformed frame the server closes the connection
+// without answering and the client fails the call: the byte stream has
+// no resynchronisation point, and a peer that produced one bad frame
+// is not one to keep reading.
+//
+// # Bodies
+//
+// A message type that implements Wire crosses as its own layout
+// (kind 1): AppendWire writes it, ReadWire checks and reads it, and
+// this package never looks inside. internal/serve's four messages do,
+// as fixed big-endian layouts (serve/rpc.go), because a fleet sends
+// them every tick. Any other type crosses as one value on a gob
+// encoder/decoder pair the connection keeps for its lifetime (kind 2),
+// so a type's descriptor crosses once, as under net/rpc:
+// internal/rl/apex's Push and Pull, whose payloads are large enough
+// to amortise gob, ride this way. Which path a value takes is a
+// property of its type, not an option, and the receiver holds the
+// sender to it: a body whose kind is not the one the receiving type
+// would have been sent as is undecodable.
+//
+// The gob stream is why an undecodable request body is answered with
+// an error and then a hang-up — the decoder may be out of step with
+// the peer's encoder — while a call to an unknown method is answered
+// with an error and the connection lives: the server reads the body
+// into nothing, descriptors included. A handler's error crosses in
+// the error field with no body at all, so it never touches the stream.
+//
+// # Ordering
+//
+// A connection carries one call at a time. Conn.Call writes the
+// request and reads the reply on the calling goroutine; goroutines
+// sharing a Conn take turns under its mutex rather than being
+// multiplexed (both planes' callers are single-goroutine by contract,
+// so nothing lost concurrency to this). The server runs one goroutine
+// per connection, which reads a frame, calls the handler inline and
+// writes the reply: a connection's calls are answered in order, and a
+// handler that blocks holds up only its own connection. Handlers of
+// different connections run concurrently and must be goroutine-safe.
+// The server hands each call freshly allocated argument and reply
+// values, which the handler may keep.
 //
 // # Server lifecycle
 //
-// An rpc.ServeConn handler blocks reading the next request until its
-// *client* hangs up, so a naive server's Close would wait on peers
-// that never disconnect. Serve tracks every accepted connection;
-// Close closes them all, then the listener, then waits for handlers
-// to drain. Safe to call concurrently and more than once.
+// A connection's goroutine blocks reading the next request until its
+// client hangs up, so a naive server's Close would wait on peers that
+// never disconnect. Serve tracks every accepted connection; Close
+// closes them all, then the listener, then waits for handlers to
+// drain. Safe to call concurrently and more than once. Stats counts
+// calls, refused input and bytes each way, for scraping.
 //
 // # Call deadlines
 //
-// net/rpc cannot abandon a single in-flight call, so a Conn whose
-// call exceeds its Timeout tears down the whole connection (failing
-// every call pending on it) and returns a retryable *DeadlineError.
-// Callers that want to keep going redial.
+// Conn.Timeout becomes the connection's read/write deadline for the
+// whole round trip. A call that exceeds it returns a retryable
+// *DeadlineError and the connection is torn down — its reply may
+// still arrive, and would answer the next call. Any other transport
+// failure tears the connection down too; later calls return
+// ErrShutdown at once and callers that want to keep going redial.
+// Conn.Close from another goroutine fails a parked call the same way.
 //
 // # Error matching
 //
-// net/rpc delivers a server-side error to remote callers as an
-// rpc.ServerError holding only the message string. Matches compares
-// by errors.Is in-process and by message prefix across the wire —
-// which is why sentinel error strings passed to it must stay stable.
+// A server-side error reaches remote callers as a ServerError holding
+// only the message string, on a connection that stays usable. Matches
+// compares by errors.Is in-process and by message prefix across the
+// wire — which is why sentinel error strings passed to it must stay
+// stable.
 package rpcutil

@@ -3,7 +3,6 @@ package rpcutil
 import (
 	"errors"
 	"net"
-	"net/rpc"
 	"testing"
 	"time"
 )
@@ -154,8 +153,8 @@ func TestCallAfterClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	in, out := 1, 0
-	if err := conn.Call("Svc.Echo", &in, &out); !errors.Is(err, rpc.ErrShutdown) {
-		t.Errorf("call after Close returned %v, want rpc.ErrShutdown", err)
+	if err := conn.Call("Svc.Echo", &in, &out); !errors.Is(err, ErrShutdown) {
+		t.Errorf("call after Close returned %v, want ErrShutdown", err)
 	}
 }
 

@@ -60,6 +60,11 @@ type NodeAgent struct {
 	mode        string
 	result      perfmodel.Result
 	obs         []float64
+	// report and reply are the tick's messages, kept across ticks: the
+	// report shares obs, and apply copies the reply's config before the
+	// next tick overwrites it.
+	report ReportArgs
+	reply  ReportReply
 
 	// policyVersion is the controller's policy version as of the last
 	// successful contact. Atomic: the metrics endpoint reads it while
@@ -69,8 +74,8 @@ type NodeAgent struct {
 
 // NewNodeAgent builds the agent and its local environment.
 func NewNodeAgent(cfg NodeConfig) (*NodeAgent, error) {
-	if cfg.NodeID == "" {
-		return nil, errors.New("serve: node agent needs a NodeID")
+	if err := checkNodeID(cfg.NodeID); err != nil {
+		return nil, err
 	}
 	if cfg.ControllerAddr == "" {
 		return nil, errors.New("serve: node agent needs a controller address")
@@ -202,13 +207,9 @@ func (a *NodeAgent) stepRemote(now time.Time, tr perfmodel.Traffic) error {
 		a.counters.Inc(CounterHeartbeatMisses)
 		return err
 	}
-	var reply ReportReply
-	err := a.conn.Call("Controller.Report", &ReportArgs{
-		NodeID:  a.cfg.NodeID,
-		Epoch:   a.epoch,
-		Obs:     a.obs,
-		Traffic: tr,
-	}, &reply)
+	a.report = ReportArgs{NodeID: a.cfg.NodeID, Epoch: a.epoch, Obs: a.obs, Traffic: tr}
+	reply := &a.reply
+	err := a.conn.Call("Controller.Report", &a.report, reply)
 	switch {
 	case err == nil:
 	case IsUnregisteredNode(err):

@@ -16,6 +16,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"greennfv/internal/rpcutil"
 	"greennfv/internal/sla"
 )
 
@@ -121,5 +122,38 @@ func BenchmarkControllerReport(b *testing.B) {
 	}{{"steady", false}, {"changing", true}} {
 		b.Run("persist/"+v.name+"/serial/nodes=1", serial(true, v.changing))
 		b.Run("persist/"+v.name+"/parallel/nodes=32", parallel(32, true, v.changing))
+	}
+}
+
+// BenchmarkReportRoundTrip is the steady serving tick's controller
+// call with its transport: 32 agents' connections taken round-robin
+// over loopback, each call a Report out and a vetted config back
+// through rpcutil and the layouts in rpc.go. Beside ControllerReport
+// (the same decision, called directly) it prices the wire; allocs/op
+// is client and server together.
+func BenchmarkReportRoundTrip(b *testing.B) {
+	const nodes = 32
+	ctrl, sims := benchFleet(b, nodes, false)
+	if err := ctrl.Start("127.0.0.1:0"); err != nil {
+		b.Fatal(err)
+	}
+	conns := make([]*rpcutil.Conn, nodes)
+	reports := make([]ReportArgs, nodes)
+	for i, n := range sims {
+		conn, err := rpcutil.Dial(ctrl.Addr(), DefaultCallTimeout)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { conn.Close() })
+		conns[i] = conn
+		reports[i] = ReportArgs{NodeID: n.id, Epoch: n.epoch, Obs: n.obs, Traffic: n.env.LastTraffic()}
+	}
+	var reply ReportReply
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := conns[i%nodes].Call("Controller.Report", &reports[i%nodes], &reply); err != nil || reply.Hold {
+			b.Fatalf("report: hold=%v, %v", reply.Hold, err)
+		}
 	}
 }

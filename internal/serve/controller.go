@@ -3,7 +3,6 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"os"
 	"sync"
@@ -251,11 +250,14 @@ func (c *Controller) now() time.Time {
 	return time.Now()
 }
 
-// shardFor maps a node ID onto its lock stripe (FNV-1a).
+// shardFor maps a node ID onto its lock stripe (FNV-1a, inline: the
+// report path hashes every tick).
 func (c *Controller) shardFor(nodeID string) *shard {
-	h := fnv.New32a()
-	h.Write([]byte(nodeID))
-	return &c.shards[h.Sum32()%numShards]
+	h := uint32(2166136261)
+	for i := 0; i < len(nodeID); i++ {
+		h = (h ^ uint32(nodeID[i])) * 16777619
+	}
+	return &c.shards[h%numShards]
 }
 
 // validatePolicy decodes a full policy checkpoint and checks its
@@ -386,7 +388,8 @@ func (c *Controller) LastGood(nodeID string) []perfmodel.NFKnobs {
 
 // RegisterMetrics exposes the controller on a Prometheus registry:
 // every serving counter as `greennfv_serve_<name>_total`, the
-// registered-node, policy-version and state-journal-size gauges, and
+// registered-node, policy-version and state-journal-size gauges, the
+// transport's connection gauge and `greennfv_serve_rpc_*` counters, and
 // the report-latency histogram.
 func (c *Controller) RegisterMetrics(reg *stats.Registry) {
 	reg.RegisterCounterSet("greennfv_serve", "Serving control-plane events.", c.counters)
@@ -396,16 +399,37 @@ func (c *Controller) RegisterMetrics(reg *stats.Registry) {
 	reg.RegisterGauge("greennfv_serve_policy_version",
 		"Serving policy version (bumped by every hot reload).",
 		func() float64 { return float64(c.PolicyVersion()) })
-	reg.RegisterGauge("greennfv_serve_open_connections",
-		"Open agent RPC connections (0 until Start).",
-		func() float64 {
+	// The RPC server exists only between Start and Close; outside it
+	// every transport metric reads 0.
+	transport := func(read func(*rpcutil.Server) float64) func() float64 {
+		return func() float64 {
 			c.srvMu.Lock()
 			defer c.srvMu.Unlock()
 			if c.srv == nil {
 				return 0
 			}
-			return float64(c.srv.ConnCount())
-		})
+			return read(c.srv)
+		}
+	}
+	reg.RegisterGauge("greennfv_serve_open_connections",
+		"Open agent RPC connections (0 until Start).",
+		transport(func(s *rpcutil.Server) float64 { return float64(s.ConnCount()) }))
+	for _, m := range []struct {
+		name, help string
+		read       func(rpcutil.ServerStats) uint64
+	}{
+		{"calls", "Register and Report calls that reached their handler.",
+			func(st rpcutil.ServerStats) uint64 { return st.Calls }},
+		{"rejected", "Agent-port input refused before any handler: wrong preamble, malformed or oversized frame, unknown method, undecodable message. Moving means someone is sending garbage.",
+			func(st rpcutil.ServerStats) uint64 { return st.Rejected }},
+		{"bytes_in", "Bytes read from agents; over calls, what a report costs on the wire.",
+			func(st rpcutil.ServerStats) uint64 { return st.BytesIn }},
+		{"bytes_out", "Bytes written to agents.",
+			func(st rpcutil.ServerStats) uint64 { return st.BytesOut }},
+	} {
+		reg.RegisterCounter("greennfv_serve_rpc_"+m.name+"_total", m.help,
+			transport(func(s *rpcutil.Server) float64 { return float64(m.read(s.Stats())) }))
+	}
 	reg.RegisterGauge("greennfv_serve_state_journal_bytes",
 		"Size of the state journal on disk (0 without one): falls to 0 at every snapshot, so a value that only grows is a journal that is not compacting.",
 		func() float64 {
@@ -475,8 +499,8 @@ func (c *Controller) ExpireLeases(now time.Time) int {
 
 // register implements the Register RPC.
 func (c *Controller) register(args *RegisterNodeArgs, reply *RegisterNodeReply) error {
-	if args.NodeID == "" {
-		return errors.New("serve: empty node ID")
+	if err := checkNodeID(args.NodeID); err != nil {
+		return err
 	}
 	sh := c.shardFor(args.NodeID)
 	sh.mu.Lock()
@@ -520,6 +544,9 @@ func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 // nodes run concurrently end to end; reports from the same node
 // serialize on its record.
 func (c *Controller) decide(start time.Time, args *ReportArgs, reply *ReportReply) error {
+	if err := checkNodeID(args.NodeID); err != nil {
+		return err
+	}
 	sh := c.shardFor(args.NodeID)
 	sh.mu.Lock()
 	rec := sh.nodes[args.NodeID]
@@ -568,7 +595,7 @@ func (c *Controller) decide(start time.Time, args *ReportArgs, reply *ReportRepl
 		reply.Config = append([]perfmodel.NFKnobs(nil), limited...)
 		reply.Source = SourcePolicy
 		rec.limiter.Record(limited)
-		c.recordLastGood(args.NodeID, limited)
+		c.recordLastGood(sh, args.NodeID, limited)
 		c.counters.Inc(CounterConfigsPushed)
 		c.counters.Inc(CounterSourcePolicy)
 		return nil
@@ -605,11 +632,10 @@ func (c *Controller) decide(start time.Time, args *ReportArgs, reply *ReportRepl
 
 // recordLastGood stores a vetted config as the node's last-known-good
 // and, if it changed, makes the change durable before returning — so
-// before the report replies. Called with the node's rec.mu held; takes
-// only the shard map lock (never another node's record), so the
-// persist path cannot deadlock two concurrent reports.
-func (c *Controller) recordLastGood(nodeID string, ks []perfmodel.NFKnobs) {
-	sh := c.shardFor(nodeID)
+// before the report replies. Called with the node's rec.mu held and
+// its shard; takes only the shard map lock (never another node's
+// record), so the persist path cannot deadlock two concurrent reports.
+func (c *Controller) recordLastGood(sh *shard, nodeID string, ks []perfmodel.NFKnobs) {
 	sh.mu.Lock()
 	prev := sh.lastGood[nodeID]
 	same := len(prev) == len(ks)

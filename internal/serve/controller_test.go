@@ -92,7 +92,7 @@ func TestPersistFailureKeepsServing(t *testing.T) {
 	change := func() []perfmodel.NFKnobs {
 		ks := ctrl.LastGood(n.id)
 		ks[0].Batch++
-		ctrl.recordLastGood(n.id, ks)
+		ctrl.recordLastGood(ctrl.shardFor(n.id), n.id, ks)
 		return ks
 	}
 	// onDisk asserts what a restart would resume for the node.
@@ -344,7 +344,7 @@ func TestControllerMetricsExposition(t *testing.T) {
 	// snapshot and at least one journal record.
 	changed := ctrl.LastGood(n.id)
 	changed[0].Batch++
-	ctrl.recordLastGood(n.id, changed)
+	ctrl.recordLastGood(ctrl.shardFor(n.id), n.id, changed)
 
 	reg := stats.NewRegistry()
 	ctrl.RegisterMetrics(reg)

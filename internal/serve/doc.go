@@ -7,16 +7,19 @@
 //
 // # Topology and protocol
 //
-// Node agents register with the controller over net/rpc (rpcutil) and
-// then report each control interval: observation vector, offered
-// traffic, last measurement. The controller answers with the next
+// Node agents register with the controller over rpcutil (framed TCP;
+// the four messages are fixed big-endian layouts, rpc.go) and then
+// report each control interval: observation vector and offered
+// traffic. The controller answers with the next
 // knob configuration — the policy's greedy action decoded to knobs,
 // rate-limited against the node's previous configuration and vetted
 // by the SLA guardrail. Registration issues a per-node lease epoch
 // (the zombie-fencing pattern of the training plane): reports from a
 // superseded epoch are rejected fatally, reports from an unknown node
 // are rejected retryably, and a controller restart simply makes the
-// fleet re-register.
+// fleet re-register. A node ID is 1 to 255 bytes (MaxNodeIDLen): the
+// layouts carry its length in a byte, and the controller keeps every
+// registered ID as a map key.
 //
 // # Safety invariant
 //
@@ -74,8 +77,12 @@
 // the policy. Persistence shows as state_journal_appends,
 // state_snapshots and state_persist_errors; a
 // greennfv_serve_state_journal_bytes that only grows is a journal that
-// is not compacting. Both daemons serve the registry at /metrics
-// (-metrics flag).
+// is not compacting. The transport shows beside open_connections as
+// greennfv_serve_rpc_{calls,rejected,bytes_in,bytes_out}_total
+// (rpcutil.Server.Stats): rejected moving means something on the agent
+// port is not an agent, and bytes_in over calls is what a report costs
+// on the wire. Both daemons serve the registry at /metrics (-metrics
+// flag).
 //
 // # Crash safety
 //

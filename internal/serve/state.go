@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 
 	"greennfv/internal/atomicio"
 	"greennfv/internal/perfmodel"
@@ -180,12 +181,10 @@ func (s *StateStore) load() (*ControllerState, int, error) {
 // knobsLen is one NFKnobs on disk: three float64 and two int64.
 const knobsLen = 5 * 8
 
-// appendChange appends the journal record body "set nodeID's
-// last-known-good to ks": the ID and the knob sets, each behind a
-// uint32 count, every field fixed-width big-endian.
-func appendChange(dst []byte, nodeID string, ks []perfmodel.NFKnobs) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(nodeID)))
-	dst = append(dst, nodeID...)
+// appendKnobs appends a knob config: a uint32 count, then every field
+// of every set fixed-width big-endian. The journal record and the
+// report reply (rpc.go) both end in one.
+func appendKnobs(dst []byte, ks []perfmodel.NFKnobs) []byte {
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(ks)))
 	for _, k := range ks {
 		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(k.CPUShare))
@@ -195,6 +194,40 @@ func appendChange(dst []byte, nodeID string, ks []perfmodel.NFKnobs) []byte {
 		dst = binary.BigEndian.AppendUint64(dst, uint64(int64(k.Batch)))
 	}
 	return dst
+}
+
+// readKnobs is appendKnobs' inverse, appending to dst. body must be
+// exactly one config: the count is checked against the bytes present
+// before anything is sized by it.
+func readKnobs(dst []perfmodel.NFKnobs, body []byte) ([]perfmodel.NFKnobs, bool) {
+	if len(body) < 4 {
+		return dst, false
+	}
+	n := uint64(binary.BigEndian.Uint32(body))
+	body = body[4:]
+	if uint64(len(body)) != n*knobsLen {
+		return dst, false
+	}
+	dst = slices.Grow(dst, int(n))
+	for ; len(body) > 0; body = body[knobsLen:] {
+		dst = append(dst, perfmodel.NFKnobs{
+			CPUShare:    math.Float64frombits(binary.BigEndian.Uint64(body)),
+			FreqGHz:     math.Float64frombits(binary.BigEndian.Uint64(body[8:])),
+			LLCFraction: math.Float64frombits(binary.BigEndian.Uint64(body[16:])),
+			DMABytes:    int64(binary.BigEndian.Uint64(body[24:])),
+			Batch:       int(int64(binary.BigEndian.Uint64(body[32:]))),
+		})
+	}
+	return dst, true
+}
+
+// appendChange appends the journal record body "set nodeID's
+// last-known-good to ks": the ID behind a uint32 length, then the
+// config.
+func appendChange(dst []byte, nodeID string, ks []perfmodel.NFKnobs) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(nodeID)))
+	dst = append(dst, nodeID...)
+	return appendKnobs(dst, ks)
 }
 
 var errBadChange = errors.New("serve: malformed state journal record")
@@ -210,23 +243,9 @@ func decodeChange(body []byte) (string, []perfmodel.NFKnobs, error) {
 	if idLen == 0 || uint64(len(body)) < idLen+4 {
 		return "", nil, errBadChange
 	}
-	nodeID := string(body[:idLen])
-	body = body[idLen:]
-	n := uint64(binary.BigEndian.Uint32(body))
-	body = body[4:]
-	if uint64(len(body)) != n*knobsLen {
+	ks, ok := readKnobs([]perfmodel.NFKnobs{}, body[idLen:])
+	if !ok {
 		return "", nil, errBadChange
 	}
-	ks := make([]perfmodel.NFKnobs, n)
-	for i := range ks {
-		f := body[i*knobsLen:]
-		ks[i] = perfmodel.NFKnobs{
-			CPUShare:    math.Float64frombits(binary.BigEndian.Uint64(f)),
-			FreqGHz:     math.Float64frombits(binary.BigEndian.Uint64(f[8:])),
-			LLCFraction: math.Float64frombits(binary.BigEndian.Uint64(f[16:])),
-			DMABytes:    int64(binary.BigEndian.Uint64(f[24:])),
-			Batch:       int(int64(binary.BigEndian.Uint64(f[32:]))),
-		}
-	}
-	return nodeID, ks, nil
+	return string(body[:idLen]), ks, nil
 }

@@ -96,9 +96,10 @@ type metricFamily struct {
 	name string // full metric name; for counter sets, the prefix
 	help string
 	// Exactly one of the sources is set.
-	gauge func() float64
-	hist  *PromHistogram
-	set   *Counters
+	gauge   func() float64
+	counter func() float64
+	hist    *PromHistogram
+	set     *Counters
 }
 
 // Registry collects metric sources and writes them in Prometheus text
@@ -136,6 +137,16 @@ func (r *Registry) RegisterGauge(name, help string, fn func() float64) {
 	r.register(metricFamily{name: name, help: help, gauge: fn})
 }
 
+// RegisterCounter registers a counter whose owner keeps the count: fn
+// is read at scrape time and must never decrease while its source
+// lives. name should end in _total.
+func (r *Registry) RegisterCounter(name, help string, fn func() float64) {
+	if fn == nil {
+		panic("stats: nil counter func")
+	}
+	r.register(metricFamily{name: name, help: help, counter: fn})
+}
+
 // RegisterHistogram registers a PromHistogram under name.
 func (r *Registry) RegisterHistogram(name, help string, h *PromHistogram) {
 	if h == nil {
@@ -166,6 +177,8 @@ func (r *Registry) WriteText(w io.Writer) error {
 		switch {
 		case f.gauge != nil:
 			err = writeSimple(w, f.name, f.help, "gauge", formatFloat(f.gauge()))
+		case f.counter != nil:
+			err = writeSimple(w, f.name, f.help, "counter", formatFloat(f.counter()))
 		case f.hist != nil:
 			err = writeHistogram(w, f.name, f.help, f.hist)
 		case f.set != nil:

@@ -57,7 +57,7 @@ func TestPromHistogramPanics(t *testing.T) {
 }
 
 // TestRegistryExposition pins the full scrape: gauges, counter-set
-// expansion with _total suffix, histograms, registration order, and
+// expansion with _total suffix, owner-kept counters, histograms, registration order, and
 // that every line parses as valid exposition text.
 func TestRegistryExposition(t *testing.T) {
 	reg := NewRegistry()
@@ -66,6 +66,7 @@ func TestRegistryExposition(t *testing.T) {
 	c.Add("odd key!", 1) // sanitized to odd_key_
 	reg.RegisterCounterSet("svc", "Service events.", c)
 	reg.RegisterGauge("svc_nodes", "Registered nodes.", func() float64 { return 3 })
+	reg.RegisterCounter("svc_rpc_calls_total", "Calls.", func() float64 { return 12 })
 	h := NewPromHistogram([]float64{0.001, 0.1})
 	h.Observe(0.05)
 	reg.RegisterHistogram("svc_latency_seconds", "Latency.", h)
@@ -80,6 +81,8 @@ func TestRegistryExposition(t *testing.T) {
 		"svc_odd_key__total 1",
 		"# TYPE svc_nodes gauge",
 		"svc_nodes 3",
+		"# TYPE svc_rpc_calls_total counter",
+		"svc_rpc_calls_total 12",
 		`svc_latency_seconds_bucket{le="0.001"} 0`,
 		`svc_latency_seconds_bucket{le="+Inf"} 1`,
 		"svc_latency_seconds_count 1",

@@ -42,8 +42,10 @@ gates=(
 	"./internal/rl/ddpg TestLearnBatchZeroAlloc|TestLearnBatchF32ZeroAlloc|TestActBatchNoAllocs|TestLearnF32ParityWithF64"
 	# Serving safety: no applied config outside bounds or predicted to
 	# violate the SLA on any ladder rung; the 32-node fleet soak and its
-	# serial-vs-concurrent bit-identity; lease expiry racing the shards.
-	"./internal/serve TestGuardrailProperty|TestFleet|TestExpireLeasesChurnRace"
+	# serial-vs-concurrent bit-identity; lease expiry racing the shards;
+	# a steady report over loopback, client and server, inside its
+	# allocation budget.
+	"./internal/serve TestGuardrailProperty|TestFleet|TestExpireLeasesChurnRace|TestReportRoundTripAllocs"
 	# The fault proxy both planes' chaos tests stand on.
 	"./internal/faultrpc TestFaultProxy"
 	# One environment: single-node episodes bit-identical to the
