@@ -24,6 +24,7 @@ import (
 	"log"
 	"os"
 
+	"greennfv/internal/nn"
 	"greennfv/internal/rl/apex"
 )
 
@@ -67,6 +68,7 @@ func main() {
 	if *quiet {
 		logf = func(string, ...any) {}
 	}
+	logf("nn kernels: %s", nn.KernelSet())
 	opt := apex.RemoteActorOptions{
 		Addr: *learnerAddr, Rank: *rank, Steps: *steps, Logf: logf,
 		VerifyPriorities: *verifyPrio,

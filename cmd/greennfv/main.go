@@ -23,6 +23,7 @@ import (
 	"os"
 
 	"greennfv"
+	"greennfv/internal/nn"
 )
 
 func main() {
@@ -41,6 +42,7 @@ func main() {
 	savePolicy := flag.String("save-policy", "", "write the trained policy checkpoint here (greennfvd format)")
 	writeSpec := flag.String("write-spec", "", "write the node spec JSON here for the serving plane, then exit")
 	flag.Parse()
+	log.Printf("nn kernels: %s", nn.KernelSet())
 
 	cfg := greennfv.DefaultConfig()
 	cfg.Seed = *seed

@@ -33,6 +33,7 @@ import (
 	"syscall"
 	"time"
 
+	"greennfv/internal/nn"
 	"greennfv/internal/rl/apex"
 	"greennfv/internal/serve"
 	"greennfv/internal/stats"
@@ -69,7 +70,7 @@ func main() {
 	if err := ctrl.Start(*listen); err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("serving policy v%d on %s (lease window %v)", ctrl.PolicyVersion(), ctrl.Addr(), *lease)
+	log.Printf("serving policy v%d on %s (lease window %v, nn kernels %s)", ctrl.PolicyVersion(), ctrl.Addr(), *lease, nn.KernelSet())
 
 	if *metricsAddr != "" {
 		reg := stats.NewRegistry()

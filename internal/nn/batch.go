@@ -10,12 +10,25 @@ import (
 // float64: ForwardBatch/BackwardBatch process a whole row-major
 // [rows × dim] matrix per call with preallocated, layer-owned scratch
 // buffers (zero allocations once warm) and two layer-granular kernels,
-// rows4 and accumGrads. The scalar Forward/Backward path is untouched
-// so single-state inference and gob checkpoints behave exactly as
-// before; the batched path is free to reassociate floating-point sums
-// for speed. Each element type is its own instantiation of the same
-// bodies, calling its own assembly symbols; what differs between the
-// two beyond the type is listed in doc.go ("Float32 fast path").
+// rows4 and accumGrads, which are free to reassociate floating-point
+// sums for speed. Scalar Forward and ForwardRows are not: their product
+// (seqProduct, below) keeps the sequential order on every path, and
+// they share this file's activation leaves. Each element type is its
+// own instantiation of the same bodies, calling its own assembly
+// symbols; what differs between the two beyond the type is listed in
+// doc.go ("Float32 fast path").
+
+// KernelSet names the kernel set the CPU probe selected for this
+// process: "avx2+fma" or "go". The two compute different last bits in
+// the batch passes (doc.go, "Kernel contract") and differ severalfold
+// in speed, so daemons log it at start and the serving controller
+// exports it.
+func KernelSet() string {
+	if useSIMD {
+		return "avx2+fma"
+	}
+	return "go"
+}
 
 // float is the element type of a batch pass.
 type float interface{ float32 | float64 }
@@ -170,6 +183,36 @@ func product[T float](w, x, bias, z []T, rows, n, m int) {
 	}
 }
 
+// seqProduct is the sequential-order product under Forward and
+// ForwardRows, the passes whose rows must not depend on how they are
+// batched:
+//
+//	z[o] = b[o] + Σ_i w[o*in+i]·x[i]
+//
+// summed in ascending i starting from the bias, every step a rounded
+// multiply then a rounded add — the loop below, which is the pure-Go
+// path, the path of layers with fewer than four outputs, and the
+// tests' reference. On AVX2 four outputs share a vector, one per lane,
+// each lane walking its own row in that order (doc.go, "Kernel
+// contract"), so the two paths agree bit for bit. The kernel keeps no
+// state — in particular no transposed copy of w that a parameter write
+// would have to invalidate.
+func seqProduct(w, x, b, z []float64, in, out int) {
+	w, x, b, z = w[:out*in], x[:in], b[:out], z[:out]
+	if useSIMD && out >= 4 && in > 0 {
+		seqasm(&w[0], &x[0], &b[0], &z[0], in, out)
+		return
+	}
+	for o := range z {
+		sum := b[o]
+		row := w[o*in : (o+1)*in]
+		for i, xi := range x {
+			sum += row[i] * xi
+		}
+		z[o] = sum
+	}
+}
+
 // accumGrads is the parameter-gradient kernel: over the first rows
 // rows of dz ([rows × out]) and x ([rows × in]), in ascending row
 // order and skipping exact zeros of dz (ReLU makes them common),
@@ -257,10 +300,12 @@ func reluDerivVec[T float](dY, z, dz []T) int {
 }
 
 // applyBatch evaluates the activation elementwise with the branch
-// hoisted out of the loop. ReLU and Tanh are the leaves that differ per
-// element type (math.Abs and math.Tanh here, abs32 and tanh32 in
+// hoisted out of the loop; every forward pass, scalar Forward included,
+// applies its activation here. ReLU and Tanh are the leaves that differ
+// per element type (math.Abs and math.Tanh here, abs32 and tanh32 in
 // batch32.go); the pair is chosen once per layer call, on the slice
-// type, and ReLU's whole vectors go to the AVX2 kernel first. Sigmoid
+// type. ReLU's whole vectors go to the AVX2 kernels reluasm/reluasmf32
+// first, and float64 Tanh's to tanhasm (inside tanhs64). Sigmoid
 // goes through the float64 math library at either type (unused by the
 // GreenNFV networks, so not worth a float32 leaf).
 func applyBatch[T float](a Activation, z, y []T) {
@@ -299,9 +344,17 @@ func relu64(z, y []float64) {
 	}
 }
 
+// tanhs64 is Tanh at float64. The AVX2 kernel takes the whole vectors
+// and math.Tanh the rest; the kernel IS math.Tanh, operation for
+// operation (doc.go, "Kernel contract"), so the split does not show.
 func tanhs64(z, y []float64) {
-	for i, v := range z {
-		y[i] = math.Tanh(v)
+	n := 0
+	if useSIMD && len(z) >= 4 {
+		n = len(z) &^ 3
+		tanhasm(&z[0], &y[0], n)
+	}
+	for i, v := range z[n:] {
+		y[n+i] = math.Tanh(v)
 	}
 }
 
@@ -356,6 +409,28 @@ func Grow[T any](buf []T, n int) []T {
 	return make([]T, n)
 }
 
+// transpose writes the out × in matrix w into wt transposed:
+// wt[i*out+o] = w[o*in+i]. At float64 on AVX2 the whole 4×4 blocks go
+// through registers (transposeasm) and the loop below copies the edges;
+// float32 keeps the loop. Movement only, so there is nothing to round.
+func transpose[T float](w, wt []T, in, out int) {
+	w, wt = w[:out*in], wt[:in*out]
+	in4, out4 := 0, 0 // the block the kernel covered
+	if useSIMD && wide[T]() && in >= 4 && out >= 4 {
+		in4, out4 = in&^3, out&^3
+		transposeasm(p64(&w[0]), p64(&wt[0]), in, out)
+	}
+	for o := 0; o < out; o++ {
+		i := 0
+		if o < out4 {
+			i = in4
+		}
+		for ; i < in; i++ {
+			wt[i*out+o] = w[o*in+i]
+		}
+	}
+}
+
 // forward computes y_r = act(W x_r + b) for rows row-major inputs,
 // caching activations for backward. The returned slice ([rows × Out],
 // owned by the layer) is valid until the next forward call at this
@@ -398,14 +473,10 @@ func (p *precision[T]) backward(d *Dense, dY []T, rows int, needDX bool, gradRow
 	// dX = dz × W, computed against a transposed weight copy so each
 	// dX element is a contiguous dot product — the same rows4 product
 	// as the forward pass — instead of a strided read-modify-write
-	// accumulation.
+	// accumulation. The copy is remade every pass (transposeasm's 4×4
+	// register blocks at float64), never cached across a weight write.
 	p.wt = Grow(p.wt, d.In*d.Out)
-	for o := 0; o < d.Out; o++ {
-		row := p.w[o*d.In : (o+1)*d.In]
-		for i, w := range row {
-			p.wt[i*d.Out+o] = w
-		}
-	}
+	transpose(p.w, p.wt, d.In, d.Out)
 	p.bdx = Grow(p.bdx, rows*d.In)
 	product(p.wt, p.bdz, nil, p.bdx, rows, d.Out, d.In)
 	return p.bdx

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -249,6 +250,44 @@ func BenchmarkDenseForwardScalarLoop(b *testing.B) {
 		for r := 0; r < rows; r++ {
 			net.Forward(x[r*27 : (r+1)*27])
 		}
+	}
+}
+
+// BenchmarkDenseForward is one scalar Forward end to end — what a
+// serving decision and an actor's step pay — on the serving actor
+// (12→48→48→15) and on the cluster sweep's (104→48→48→114).
+func BenchmarkDenseForward(b *testing.B) {
+	for _, sizes := range [][]int{{12, 48, 48, 15}, {104, 48, 48, 114}} {
+		b.Run(fmt.Sprintf("%dx%d", sizes[0], sizes[3]), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			net := MustMLP(sizes, ReLU, Tanh, rng)
+			x := make([]float64, sizes[0])
+			for i := range x {
+				x[i] = rng.NormFloat64()
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				net.Forward(x)
+			}
+		})
+	}
+}
+
+// BenchmarkTanhBatch is the Tanh leaf over an actor head's minibatch:
+// 32 rows of 15 and of 114.
+func BenchmarkTanhBatch(b *testing.B) {
+	for _, n := range []int{480, 3648} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			z, y := make([]float64, n), make([]float64, n)
+			for i := range z {
+				z[i] = 2 * rng.NormFloat64()
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				applyBatch(Tanh, z, y)
+			}
+		})
 	}
 }
 

@@ -24,9 +24,12 @@
 // pure-Go fallback, and FMA contraction rounds differently than the
 // scalar code — so results are reproducible on a given machine but
 // may differ in the last bits across machines with different vector
-// support. The batch passes (ForwardBatch/BackwardBatch and the
-// BackwardBatchSplit variant) allocate nothing in steady state; scalar
-// Backward is also allocation-free.
+// support. KernelSet names the set this process selected. Inference —
+// Forward and ForwardRows — does NOT depend on it: its kernels equal
+// their Go loops bit for bit (below). The batch passes
+// (ForwardBatch/BackwardBatch and the BackwardBatchSplit variant)
+// allocate nothing in steady state; scalar Forward, Backward and
+// ForwardRows are also allocation-free.
 //
 // # Kernel contract
 //
@@ -68,7 +71,9 @@
 //     (kernel_relu_amd64.h, whole vectors) and in the pure-Go leaves
 //     (relu64/reluDeriv64, relu32/reluDeriv32: the fallback, and the
 //     tail after the last whole vector) alike, so where a layer's
-//     elements split between them does not show. It is deliberately
+//     elements split between them does not show. Forward and
+//     ForwardRows apply the same leaves, so there is one ReLU (and one
+//     Tanh, one Sigmoid) in the package. It is deliberately
 //     not max(0, z) and a select: the step at z = ±0 follows the sign
 //     bit (+0 passes the gradient, -0 does not), dY·0 is -0 for
 //     negative dY and that sign travels on into dX, and ±Inf·0 is NaN.
@@ -80,12 +85,62 @@
 //     same order. A row whose dz is zero of either sign is skipped
 //     entirely — not an optimisation: adding a +0 would turn a -0
 //     accumulator into +0.
+//   - Sequential-order product (seqProduct, under Forward and
+//     ForwardRows — serving inference, acting, replay priorities). An
+//     output is z[o] = b[o] + Σ_i W[o][i]·x[i] summed in ascending i
+//     starting from the bias, every step one rounded multiply then one
+//     rounded add, never an FMA: `sum := b[o]; sum += W[o][i] * x[i]`.
+//     That loop is the pure-Go path. In the AVX2 kernel a lane is an
+//     OUTPUT — four rows of W share a vector, 4×4 blocks transposed in
+//     registers on the way in, the in%4 columns gathered — and each
+//     lane walks its own row in exactly that order, so the two paths
+//     agree bit for bit and a row's bits do not depend on how rows are
+//     batched, which is what ForwardRows exists for. Sixteen outputs
+//     are in flight to cover the add latency; when Out is not a
+//     multiple of the group size the last groups start at Out-4 and
+//     recompute rows an earlier group also covers (same bits, stored
+//     twice); layers with fewer than four outputs take the Go loop.
+//     The kernel keeps no state, in particular no transposed copy of W:
+//     Adam, SoftUpdate, LoadParams and CopyParamsFrom write W with
+//     nothing to invalidate. When two NaNs meet, which payload
+//     survives is the hardware's choice of operand, in the kernel and
+//     in compiled Go alike; nothing else is left open.
+//   - Tanh (tanhs64, float64 only). The AVX2 kernel is math.Tanh, lane
+//     for lane: the operation sequence of math.tanh (tanh.go) — the
+//     rational x + x·s·P(s)/Q(s), s = x², below 0.625;
+//     1 − 2/(Exp(2|x|) + 1) with x's sign above; ±1 past 0.5·MAXLOG —
+//     and under it that of the FMA branch of math.archExp
+//     (exp_amd64.s: the LOG2E multiply, round to nearest, two fused
+//     reductions by LN2U and LN2L, ×1/16, seven fused Horner steps,
+//     four (y+2)·y doublings with the last fused into +1, the exponent
+//     added by shifting it into place), with the same constants. Every
+//     lane computes both forms and ordered compares blend them in the
+//     order of tanh's switch: the rational form, x itself where x = ±0
+//     (so −0 survives), the exponential form where |x| ≥ 0.625, ±1
+//     where |x| > 0.5·MAXLOG. A NaN fails every ordered compare and
+//     leaves through the rational form, quieted, as it does in Go. The
+//     kernel takes whole vectors and math.Tanh itself the len%4 tail,
+//     so parity with the toolchain's math.Tanh is the contract, not a
+//     nicety: it holds because useSIMD requires FMA, which is exactly
+//     when math.useFMA takes that branch of archExp, and because the
+//     compiler does not fuse tanh.go's multiply-adds at the default
+//     GOAMD64=v1 (assumed here as it is for Adam's Go loop against
+//     adamasm). A toolchain that changes either source fails
+//     TestTanhKernelParity by name.
+//   - Transpose (transpose, float64 only). The backward pass's
+//     wt[i][o] = W[o][i] moves whole 4×4 blocks through registers and
+//     copies the edges in Go. Movement only: no element is computed.
 //
 // kernel_test.go holds the kernels to an element-by-element reference
 // of exactly this, on both capability paths (TestReLUKernelParity: both
 // ReLU kernels against the Go leaves at both widths, every length from
 // 0 to 17 and a 32×48 layer, zeros of both signs, NaNs, infinities and
-// subnormals in every lane), and fingerprint_test.go
+// subnormals in every lane; TestSeqKernelParity: every shape from 1×1
+// to 64×70 with the same specials; TestTanhKernelParity and
+// FuzzTanhKernelParity: every boundary of math.Tanh with its
+// neighbours, then four million values, against math.Tanh;
+// TestTransposeParity), TestKernelsConcurrent runs the stateless
+// kernels from eight goroutines at once, and fingerprint_test.go
 // pins 300 composed float64 DDPG updates to the values recorded before
 // the kernels were made layer-granular, and 200 float32 ones to the
 // values recorded before the two engines became one. Kernel scratch
@@ -97,9 +152,7 @@
 // form; their element arithmetic is not specified beyond those recorded
 // values (the ReLU entry above holds at both types). Deliberately
 // outside the contract and untouched: Adam's divides and square root
-// (divider-bound; a reciprocal would round differently), math.Tanh on
-// the actor heads, the Go-side weight transpose, and the scalar
-// ForwardRows products.
+// (divider-bound; a reciprocal would round differently).
 //
 // # Parameter frame
 //

@@ -150,7 +150,7 @@ func TestLearnFingerprint(t *testing.T) {
 		{"f32-go", false, learnFingerprintF32, learnFingerprintF32Go},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
-			if mode.simd && !nn.SIMDSelected() {
+			if mode.simd && nn.KernelSet() == "go" {
 				t.Skip("AVX2+FMA kernels not selected on this CPU")
 			}
 			nn.SetSIMD(t, mode.simd)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -127,10 +128,26 @@ func refNet(n *Network) []*refLayer {
 
 func sameBits(t *testing.T, what string, got, want []float64) {
 	t.Helper()
+	compareBits(t, what, got, want, false)
+}
+
+// sameBitsNaN is sameBits with any NaN equal to any NaN: when two NaNs
+// meet in a multiply or an add, which one comes out is the hardware's
+// choice of operand, in the kernels and in compiled Go alike.
+func sameBitsNaN(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	compareBits(t, what, got, want, true)
+}
+
+func compareBits(t *testing.T, what string, got, want []float64, anyNaN bool) {
+	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: len %d, want %d", what, len(got), len(want))
 	}
 	for i := range want {
+		if anyNaN && math.IsNaN(got[i]) && math.IsNaN(want[i]) {
+			continue
+		}
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 			t.Fatalf("%s[%d] = %x (%v), reference %x (%v)", what, i,
 				math.Float64bits(got[i]), got[i], math.Float64bits(want[i]), want[i])
@@ -378,5 +395,260 @@ func TestReLUKernelParity(t *testing.T) {
 		setSIMD(t, simd)
 		checkReLUParity(t, relu64, reluDeriv64)
 		checkReLUParity(t, relu32, reluDeriv32)
+	}
+}
+
+// refSeq is the sequential-order product as the contract words it: one
+// output at a time, from the bias, ascending, multiply then add.
+func refSeq(w, x, b []float64, in, out int) []float64 {
+	z := make([]float64, out)
+	for o := range z {
+		sum := b[o]
+		for i := 0; i < in; i++ {
+			sum += w[o*in+i] * x[i]
+		}
+		z[o] = sum
+	}
+	return z
+}
+
+// TestSeqKernelParity pins the "Kernel contract" entry of the
+// sequential-order product on both kernel sets: seqProduct, Forward and
+// ForwardRows against refSeq, bit for bit, on every shape from 1×1 to
+// 64×70 — every count of whole column blocks and trailing columns,
+// every count of output groups, overlapped last groups and layers too
+// narrow for the kernel. Each shape runs three fills: ordinary values;
+// zeros of both signs, subnormals and magnitudes that overflow, dense;
+// and NaNs and infinities, sparse, at positions that walk through every
+// lane of w, x and b as the shapes go by.
+func TestSeqKernelParity(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	finite := []float64{0, negZero, 5e-324, -5e-324, 2.2e-308, 1e300, -1e300, 1, -1}
+	wild := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+	const rows, slack = 2, 5
+	for _, simd := range []bool{useSIMD, false} {
+		setSIMD(t, simd)
+		// Shapes draw their values from two pools at offsets that differ
+		// from shape to shape: drawing 13 440 shapes fresh costs more
+		// than checking them, tenfold so under -race.
+		rng := rand.New(rand.NewSource(163))
+		ordinary := make([]float64, 3*64*70)
+		dense := make([]float64, len(ordinary))
+		for i := range ordinary {
+			ordinary[i], dense[i] = rng.NormFloat64(), rng.NormFloat64()
+			if rng.Intn(3) == 0 {
+				dense[i] = finite[rng.Intn(len(finite))]
+			}
+		}
+		for in := 1; in <= 64; in++ {
+			for out := 1; out <= 70; out++ {
+				for fill := 0; fill < 3; fill++ {
+					k := in*71 + out
+					pool := ordinary
+					if fill == 1 {
+						pool = dense
+					}
+					vals := append([]float64(nil), pool[k:k+out*in+out+rows*in]...)
+					w, b, x := vals[:out*in], vals[out*in:out*in+out], vals[out*in+out:]
+					if fill == 2 {
+						w[k%len(w)] = wild[k%3]
+						b[(k/3)%len(b)] = wild[(k+1)%3]
+						x[(k/5)%len(x)] = wild[(k+2)%3]
+					}
+					name := fmt.Sprintf("simd=%v in=%d out=%d fill=%d", simd, in, out, fill)
+
+					var want []float64
+					for r := 0; r < rows; r++ {
+						want = append(want, refSeq(w, x[r*in:], b, in, out)...)
+					}
+
+					z := make([]float64, out+slack)
+					seqProduct(w, x, b, z[:out], in, out)
+					sameBitsNaN(t, name+" seqProduct", z[:out], want[:out])
+					for _, v := range z[out:] {
+						if v != 0 {
+							t.Fatalf("%s: seqProduct wrote past its %d outputs", name, out)
+						}
+					}
+
+					d := newLayer(in, out, Linear, w, b)
+					sameBitsNaN(t, name+" Forward", d.Forward(x[:in]), want[:out])
+					sameBitsNaN(t, name+" ForwardRows", d.ForwardRows(x, rows), want)
+				}
+			}
+		}
+	}
+}
+
+// tanhSpecials are the inputs where math.Tanh changes form, with both
+// float64 neighbours of each boundary, and the values it special-cases.
+func tanhSpecials() []float64 {
+	const small, big = 0.625, 0.5 * 8.8029691931113054295988e+01
+	s := []float64{0, math.Inf(1), math.NaN(), 5e-324, 1e300, 1e-300, 1, 30}
+	for _, v := range []float64{small, big} {
+		s = append(s, v, math.Nextafter(v, 0), math.Nextafter(v, math.Inf(1)))
+	}
+	for _, v := range s {
+		s = append(s, -v)
+	}
+	return s
+}
+
+// checkTanh holds tanhs64 over z — whole vectors through the AVX2
+// kernel when selected, the tail through math.Tanh — to math.Tanh alone,
+// bit for bit, NaNs included: a NaN leaves both as itself, quieted.
+func checkTanh(t testing.TB, what string, z []float64) {
+	t.Helper()
+	const slack = 5
+	y := make([]float64, len(z)+slack)
+	tanhs64(z, y[:len(z)])
+	for i, v := range z {
+		if want := math.Tanh(v); math.Float64bits(y[i]) != math.Float64bits(want) {
+			t.Fatalf("%s, %d elements: tanh(%x = %v) = %x (%v), math.Tanh %x (%v) — "+
+				"toolchain changed math.Tanh or math.Exp: vector lanes and scalar tail no longer agree",
+				what, len(z), math.Float64bits(v), v, math.Float64bits(y[i]), y[i], math.Float64bits(want), want)
+		}
+	}
+	for _, v := range y[len(z):] {
+		if v != 0 {
+			t.Fatalf("%s: wrote past its %d elements", what, len(z))
+		}
+	}
+}
+
+// TestTanhKernelParity pins the "Kernel contract" entry of the tanh
+// kernel on both kernel sets: the specials in every lane at every
+// length from 0 to 17, then four generators — the rational range, the
+// pre-activations a layer sees, the exponential range out to
+// saturation, and raw bit patterns — a million values each (16 Ki each
+// under -short).
+func TestTanhKernelParity(t *testing.T) {
+	for _, simd := range []bool{useSIMD, false} {
+		setSIMD(t, simd)
+		specials := tanhSpecials()
+		for n := 0; n <= 17; n++ {
+			// Every rotation puts every special in every lane.
+			for rot := range specials {
+				z := make([]float64, n)
+				for i := range z {
+					z[i] = specials[(rot+i)%len(specials)]
+				}
+				checkTanh(t, fmt.Sprintf("simd=%v specials", simd), z)
+			}
+		}
+		rng := rand.New(rand.NewSource(167))
+		n := 1 << 20
+		if testing.Short() {
+			n = 1 << 14
+		}
+		for _, g := range []struct {
+			name string
+			gen  func() float64
+		}{
+			{"rational", func() float64 { return 2*rng.Float64() - 1 }},
+			{"layer", func() float64 { return 4 * rng.NormFloat64() }},
+			{"exponential", func() float64 { return 100*rng.Float64() - 50 }},
+			{"bits", func() float64 { return math.Float64frombits(rng.Uint64()) }},
+		} {
+			z := make([]float64, n)
+			for i := range z {
+				z[i] = g.gen()
+			}
+			checkTanh(t, fmt.Sprintf("simd=%v %s", simd, g.name), z)
+		}
+	}
+}
+
+// FuzzTanhKernelParity is TestTanhKernelParity's search: any four bit
+// patterns, one vector, against math.Tanh.
+func FuzzTanhKernelParity(f *testing.F) {
+	s := tanhSpecials()
+	for i := 0; i+4 <= len(s); i += 4 {
+		f.Add(math.Float64bits(s[i]), math.Float64bits(s[i+1]), math.Float64bits(s[i+2]), math.Float64bits(s[i+3]))
+	}
+	f.Fuzz(func(t *testing.T, a, b, c, d uint64) {
+		checkTanh(t, "fuzz", []float64{
+			math.Float64frombits(a), math.Float64frombits(b), math.Float64frombits(c), math.Float64frombits(d),
+		})
+	})
+}
+
+// TestTransposeParity holds transpose — whole 4×4 blocks through the
+// AVX2 kernel when selected, the edges copied in Go — to the double
+// loop, on every shape with an edge of every width and on the layers
+// the workloads train.
+func TestTransposeParity(t *testing.T) {
+	shapes := [][2]int{{48, 48}, {104, 48}, {48, 114}}
+	for in := 1; in <= 20; in++ {
+		for out := 1; out <= 20; out++ {
+			shapes = append(shapes, [2]int{in, out})
+		}
+	}
+	for _, simd := range []bool{useSIMD, false} {
+		setSIMD(t, simd)
+		for _, s := range shapes {
+			in, out := s[0], s[1]
+			w := make([]float64, out*in)
+			for i := range w {
+				w[i] = float64(i + 1) // every element distinct, none zero
+			}
+			const slack = 5
+			wt := make([]float64, in*out+slack)
+			transpose(w, wt[:in*out], in, out)
+			for o := 0; o < out; o++ {
+				for i := 0; i < in; i++ {
+					if wt[i*out+o] != w[o*in+i] {
+						t.Fatalf("simd=%v %d×%d: wt[%d][%d] = %v, want w[%d][%d] = %v",
+							simd, out, in, i, o, wt[i*out+o], o, i, w[o*in+i])
+					}
+				}
+			}
+			for _, v := range wt[in*out:] {
+				if v != 0 {
+					t.Fatalf("simd=%v %d×%d: wrote past the end", simd, out, in)
+				}
+			}
+		}
+	}
+}
+
+// TestKernelsConcurrent is what statelessness buys: the controller's
+// shards and the figure pool run these kernels from many goroutines at
+// once, each on its own network, and every result must carry the bits
+// of a serial run. Under -race it also shows the kernels share nothing.
+func TestKernelsConcurrent(t *testing.T) {
+	const workers, rounds, rows = 8, 40, 5
+	sizes := []int{12, 48, 48, 15}
+	run := func(seed int64) []float64 {
+		rng := rand.New(rand.NewSource(seed))
+		net := MustMLP(sizes, ReLU, Tanh, rng)
+		x := make([]float64, rows*sizes[0])
+		var out []float64
+		for round := 0; round < rounds; round++ {
+			for i := range x {
+				x[i] = 3 * rng.NormFloat64()
+			}
+			out = append(out, net.Forward(x[:sizes[0]])...)
+			out = append(out, net.ForwardRows(x, rows)...)
+			out = append(out, net.ForwardBatch(x, rows)...)
+		}
+		return out
+	}
+	want := make([][]float64, workers)
+	for w := range want {
+		want[w] = run(int64(w))
+	}
+	got := make([][]float64, workers)
+	var wg sync.WaitGroup
+	for w := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[w] = run(int64(w))
+		}()
+	}
+	wg.Wait()
+	for w := range want {
+		sameBits(t, fmt.Sprintf("worker %d", w), got[w], want[w])
 	}
 }

@@ -40,22 +40,6 @@ func (a Activation) String() string {
 	}
 }
 
-func (a Activation) apply(x float64) float64 {
-	switch a {
-	case ReLU:
-		if x < 0 {
-			return 0
-		}
-		return x
-	case Tanh:
-		return math.Tanh(x)
-	case Sigmoid:
-		return 1 / (1 + math.Exp(-x))
-	default:
-		return x
-	}
-}
-
 // derivative computes dAct/dz given the post-activation output y and
 // pre-activation z.
 func (a Activation) derivative(y, z float64) float64 {
@@ -122,16 +106,12 @@ func newDense(in, out int, act Activation, rng *rand.Rand) *Dense {
 
 // Forward computes the layer output, caching inputs for Backward.
 func (d *Dense) Forward(x []float64) []float64 {
-	copy(d.x, x)
-	for o := 0; o < d.Out; o++ {
-		sum := d.B[o]
-		row := d.W[o*d.In : (o+1)*d.In]
-		for i, xi := range x {
-			sum += row[i] * xi
-		}
-		d.z[o] = sum
-		d.y[o] = d.Act.apply(sum)
+	if len(x) != d.In {
+		panic("nn: Forward input length differs from In")
 	}
+	copy(d.x, x)
+	seqProduct(d.W, d.x, d.B, d.z, d.In, d.Out)
+	applyBatch(d.Act, d.z, d.y)
 	return d.y
 }
 

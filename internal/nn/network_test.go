@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -40,12 +41,31 @@ func TestActivations(t *testing.T) {
 		{Sigmoid, 0, 0.5},
 	}
 	for _, c := range cases {
-		if got := c.act.apply(c.x); math.Abs(got-c.want) > 1e-12 {
+		y := make([]float64, 1)
+		applyBatch(c.act, []float64{c.x}, y)
+		if got := y[0]; math.Abs(got-c.want) > 1e-12 {
 			t.Errorf("%v(%v) = %v, want %v", c.act, c.x, got, c.want)
 		}
 	}
 	if Tanh.String() != "tanh" || ReLU.String() != "relu" {
 		t.Error("activation names")
+	}
+}
+
+// Forward hands its input to a kernel by pointer, so a wrong length is
+// refused by name in both directions: a short input used to sum over
+// whatever the cache still held, a long one to index out of range.
+func TestForwardInputLength(t *testing.T) {
+	net := MustMLP([]int{5, 8, 2}, ReLU, Tanh, rand.New(rand.NewSource(3)))
+	for _, n := range []int{0, 4, 6} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.HasPrefix(msg, "nn: Forward input") {
+					t.Errorf("Forward of %d values into 5 inputs: recovered %q, want an nn: Forward input panic", n, msg)
+				}
+			}()
+			net.Forward(make([]float64, n))
+		}()
 	}
 }
 

@@ -9,16 +9,16 @@ package nn
 // computing replay priorities cannot tolerate: the deterministic
 // round-robin figures and the remote actors' bit-for-bit priority
 // verification both require that batching over rows changes nothing.
-// ForwardRows trades the ILP kernels for the weight-row cache reuse of
-// the o-outer/r-inner loop nest, which is still markedly faster than
-// calling Forward per state (one pass over W serves every row).
+// ForwardRows is rows × the sequential-order product Forward itself
+// runs (seqProduct, batch.go): on AVX2 a kernel whose lanes are four
+// outputs, each summed in the scalar order, so it is fast without
+// reassociating anything.
 
 // ForwardRows computes y_r = act(W x_r + b) for rows row-major inputs.
 // Each output row is bit-identical to Forward on that row's input: the
-// inner product runs in the scalar sequential order and the activation
-// is applied with the same elementwise functions. The returned slice
-// ([rows × Out]) shares the layer's batch scratch with ForwardBatch
-// and is valid until the next batched forward call.
+// same product, one call per row, and the same activation leaves. The
+// returned slice ([rows × Out]) shares the layer's batch scratch with
+// ForwardBatch and is valid until the next batched forward call.
 func (d *Dense) ForwardRows(x []float64, rows int) []float64 {
 	if len(x) < rows*d.In {
 		panic("nn: ForwardRows input shorter than rows*In")
@@ -28,21 +28,9 @@ func (d *Dense) ForwardRows(x []float64, rows int) []float64 {
 	p.bz = Grow(p.bz, rows*d.Out)
 	p.by = Grow(p.by, rows*d.Out)
 	copy(p.bx, x[:rows*d.In])
-	for o := 0; o < d.Out; o++ {
-		row := d.W[o*d.In : (o+1)*d.In]
-		b := d.B[o]
-		for r := 0; r < rows; r++ {
-			xr := p.bx[r*d.In : (r+1)*d.In]
-			sum := b
-			for i, xi := range xr {
-				sum += row[i] * xi
-			}
-			p.bz[r*d.Out+o] = sum
-		}
+	for r := 0; r < rows; r++ {
+		seqProduct(d.W, p.bx[r*d.In:(r+1)*d.In], d.B, p.bz[r*d.Out:(r+1)*d.Out], d.In, d.Out)
 	}
-	// applyBatch's float64 kernels are bit-equal to Act.apply:
-	// 0.5*(v+|v|) is exactly max(0, v), and Tanh/Sigmoid share the
-	// same math calls.
 	applyBatch(d.Act, p.bz, p.by)
 	return p.by
 }

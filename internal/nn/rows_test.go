@@ -71,18 +71,26 @@ func TestForwardRowsInterleavedWithBatch(t *testing.T) {
 	}
 }
 
-// Steady-state ForwardRows must not allocate (the acting hot path runs
-// it every environment step).
+// Steady-state ForwardRows and scalar Forward must not allocate (the
+// acting hot path runs one every environment step, serving one every
+// report), on either kernel set: the layers are wide enough that the
+// product and the Tanh head go through their kernels where selected.
 func TestForwardRowsNoAllocs(t *testing.T) {
-	rng := rand.New(rand.NewSource(71))
-	net := MustMLP([]int{6, 14, 4}, ReLU, Tanh, rng)
-	const rows = 4
-	x := make([]float64, rows*6)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	net.ForwardRows(x, rows) // warm the scratch
-	if avg := testing.AllocsPerRun(50, func() { net.ForwardRows(x, rows) }); avg != 0 {
-		t.Errorf("ForwardRows allocates %.1f per call, want 0", avg)
+	for _, simd := range []bool{useSIMD, false} {
+		setSIMD(t, simd)
+		rng := rand.New(rand.NewSource(71))
+		net := MustMLP([]int{6, 14, 9}, ReLU, Tanh, rng)
+		const rows = 4
+		x := make([]float64, rows*6)
+		for i := range x {
+			x[i] = rng.NormFloat64()
+		}
+		net.ForwardRows(x, rows) // warm the scratch
+		if avg := testing.AllocsPerRun(50, func() { net.ForwardRows(x, rows) }); avg != 0 {
+			t.Errorf("simd=%v: ForwardRows allocates %.1f per call, want 0", simd, avg)
+		}
+		if avg := testing.AllocsPerRun(50, func() { net.Forward(x[:6]) }); avg != 0 {
+			t.Errorf("simd=%v: Forward allocates %.1f per call, want 0", simd, avg)
+		}
 	}
 }

@@ -22,6 +22,19 @@ func reluasm(z, y *float64, n int)
 //go:noescape
 func reluderivasm(dY, z, dz *float64, n int)
 
+// seqasm, tanhasm and transposeasm are the float64 leaf kernels
+// (leaves_amd64.s); batch.go documents them at their callers
+// (seqProduct, tanhs64, transpose).
+//
+//go:noescape
+func seqasm(w, x, b, z *float64, in, out int)
+
+//go:noescape
+func tanhasm(z, y *float64, n int)
+
+//go:noescape
+func transposeasm(w, wt *float64, in, out int)
+
 //go:noescape
 func adamasm(p, grad, m, v *float64, n int, beta1, beta2, lr, eps, b1c, b2c float64)
 

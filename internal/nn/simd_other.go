@@ -22,6 +22,18 @@ func reluderivasm(dY, z, dz *float64, n int) {
 	panic("nn: SIMD kernel on non-amd64")
 }
 
+func seqasm(w, x, b, z *float64, in, out int) {
+	panic("nn: SIMD kernel on non-amd64")
+}
+
+func tanhasm(z, y *float64, n int) {
+	panic("nn: SIMD kernel on non-amd64")
+}
+
+func transposeasm(w, wt *float64, in, out int) {
+	panic("nn: SIMD kernel on non-amd64")
+}
+
 func adamasm(p, grad, m, v *float64, n int, beta1, beta2, lr, eps, b1c, b2c float64) {
 	panic("nn: SIMD kernel on non-amd64")
 }

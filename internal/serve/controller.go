@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"greennfv/internal/env"
+	"greennfv/internal/nn"
 	"greennfv/internal/perfmodel"
 	"greennfv/internal/rl/apex"
 	"greennfv/internal/rl/ddpg"
@@ -389,10 +390,14 @@ func (c *Controller) LastGood(nodeID string) []perfmodel.NFKnobs {
 // RegisterMetrics exposes the controller on a Prometheus registry:
 // every serving counter as `greennfv_serve_<name>_total`, the
 // registered-node, policy-version and state-journal-size gauges, the
-// transport's connection gauge and `greennfv_serve_rpc_*` counters, and
-// the report-latency histogram.
+// transport's connection gauge and `greennfv_serve_rpc_*` counters, the
+// report-latency histogram, and which nn kernel set this process runs
+// inference on.
 func (c *Controller) RegisterMetrics(reg *stats.Registry) {
 	reg.RegisterCounterSet("greennfv_serve", "Serving control-plane events.", c.counters)
+	reg.RegisterInfo("greennfv_nn_kernel_info",
+		"Kernel set the CPU probe selected for policy inference: avx2+fma, or go (several times slower per decision) on a CPU or VM without AVX2 and FMA.",
+		"set", nn.KernelSet())
 	reg.RegisterGauge("greennfv_serve_registered_nodes",
 		"Nodes currently holding a live lease.",
 		func() float64 { return float64(c.RegisteredNodes()) })

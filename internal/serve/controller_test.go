@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"greennfv/internal/nn"
 	"greennfv/internal/perfmodel"
 	"greennfv/internal/sla"
 	"greennfv/internal/stats"
@@ -373,6 +374,7 @@ func TestControllerMetricsExposition(t *testing.T) {
 	for _, want := range []string{
 		"greennfv_serve_registered_nodes 1",
 		"greennfv_serve_policy_version 1",
+		`greennfv_nn_kernel_info{set="` + nn.KernelSet() + `"} 1`,
 		`greennfv_serve_report_latency_seconds_bucket{le="+Inf"} 3`,
 		"greennfv_serve_report_latency_seconds_count 3",
 		"greennfv_serve_configs_pushed_total 3",

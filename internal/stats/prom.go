@@ -14,8 +14,9 @@ import (
 // without pulling a client library into the build. Three metric
 // shapes cover the control plane's needs — counter sets (every
 // Counters key becomes its own `<prefix>_<key>_total` family), gauges
-// (a float read at scrape time), and histograms (PromHistogram,
-// cumulative `le` buckets + sum + count).
+// (a float read at scrape time; an info gauge is the constant 1 with
+// one label), and histograms (PromHistogram, cumulative `le` buckets +
+// sum + count).
 //
 // A Registry is goroutine-safe: registration, scrapes and the metric
 // sources they read may all run concurrently with the serving path.
@@ -100,6 +101,9 @@ type metricFamily struct {
 	counter func() float64
 	hist    *PromHistogram
 	set     *Counters
+	// labels is the rendered label set of a gauge's one sample
+	// (`{set="avx2+fma"}`), empty for a bare name.
+	labels string
 }
 
 // Registry collects metric sources and writes them in Prometheus text
@@ -135,6 +139,16 @@ func (r *Registry) RegisterGauge(name, help string, fn func() float64) {
 		panic("stats: nil gauge func")
 	}
 	r.register(metricFamily{name: name, help: help, gauge: fn})
+}
+
+// RegisterInfo registers an info gauge: the constant 1 carrying one
+// label, `name{label="value"} 1` — how a process publishes a fact about
+// itself that is a string (a build, a selected code path). name should
+// end in _info.
+func (r *Registry) RegisterInfo(name, help, label, value string) {
+	r.register(metricFamily{name: name, help: help,
+		labels: fmt.Sprintf("{%s=%q}", SanitizeMetricName(label), value),
+		gauge:  func() float64 { return 1 }})
 }
 
 // RegisterCounter registers a counter whose owner keeps the count: fn
@@ -176,9 +190,9 @@ func (r *Registry) WriteText(w io.Writer) error {
 		var err error
 		switch {
 		case f.gauge != nil:
-			err = writeSimple(w, f.name, f.help, "gauge", formatFloat(f.gauge()))
+			err = writeSimple(w, f.name, f.labels, f.help, "gauge", formatFloat(f.gauge()))
 		case f.counter != nil:
-			err = writeSimple(w, f.name, f.help, "counter", formatFloat(f.counter()))
+			err = writeSimple(w, f.name, "", f.help, "counter", formatFloat(f.counter()))
 		case f.hist != nil:
 			err = writeHistogram(w, f.name, f.help, f.hist)
 		case f.set != nil:
@@ -197,15 +211,15 @@ func (r *Registry) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
 	r.WriteText(w)
 }
 
-func writeSimple(w io.Writer, name, help, typ, value string) error {
-	_, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %s\n", name, help, name, typ, name, value)
+func writeSimple(w io.Writer, name, labels, help, typ, value string) error {
+	_, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s%s %s\n", name, help, name, typ, name, labels, value)
 	return err
 }
 
 func writeCounterSet(w io.Writer, prefix, help string, c *Counters) error {
 	for _, key := range c.Names() {
 		name := prefix + "_" + SanitizeMetricName(key) + "_total"
-		if err := writeSimple(w, name, help+" ("+key+")", "counter",
+		if err := writeSimple(w, name, "", help+" ("+key+")", "counter",
 			strconv.FormatInt(c.Get(key), 10)); err != nil {
 			return err
 		}

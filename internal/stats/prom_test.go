@@ -70,6 +70,7 @@ func TestRegistryExposition(t *testing.T) {
 	h := NewPromHistogram([]float64{0.001, 0.1})
 	h.Observe(0.05)
 	reg.RegisterHistogram("svc_latency_seconds", "Latency.", h)
+	reg.RegisterInfo("svc_kernel_info", "Selected kernels.", "set", "avx2+fma")
 
 	var buf bytes.Buffer
 	if err := reg.WriteText(&buf); err != nil {
@@ -86,13 +87,15 @@ func TestRegistryExposition(t *testing.T) {
 		`svc_latency_seconds_bucket{le="0.001"} 0`,
 		`svc_latency_seconds_bucket{le="+Inf"} 1`,
 		"svc_latency_seconds_count 1",
+		"# TYPE svc_kernel_info gauge",
+		`svc_kernel_info{set="avx2+fma"} 1`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("scrape missing %q:\n%s", want, out)
 		}
 	}
 	// Every non-comment line must be `name{labels}? value`.
-	line := regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{le="[^"]+"\})? -?[0-9].*$`)
+	line := regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{(le|set)="[^"]+"\})? -?[0-9].*$`)
 	for _, l := range strings.Split(strings.TrimRight(out, "\n"), "\n") {
 		if strings.HasPrefix(l, "#") {
 			continue

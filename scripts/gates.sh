@@ -37,8 +37,10 @@ gates=(
 	# updates hash to the recorded values on both kernel sets, the
 	# kernels equal their element-wise reference, and a train step, a
 	# learn step and batched acting allocate nothing at either type —
-	# budgets that `go test -race` cannot check.
-	"./internal/nn TestLearnFingerprint|TestKernelParityAVX2|TestKernelParityGo|TestReLUKernelParity|TestKernelsF32MatchGoWide|TestParamFrame|TestBatchZeroAllocSteadyState|TestF32ZeroAllocSteadyState|TestForwardRowsNoAllocs"
+	# budgets that `go test -race` cannot check. The three float64 leaf
+	# kernels (sequential-order product, tanh, transpose) equal the Go
+	# loops they replace bit for bit, math.Tanh included.
+	"./internal/nn TestLearnFingerprint|TestKernelParityAVX2|TestKernelParityGo|TestReLUKernelParity|TestSeqKernelParity|TestTanhKernelParity|TestTransposeParity|TestKernelsF32MatchGoWide|TestParamFrame|TestBatchZeroAllocSteadyState|TestF32ZeroAllocSteadyState|TestForwardRowsNoAllocs"
 	"./internal/rl/ddpg TestLearnBatchZeroAlloc|TestLearnBatchF32ZeroAlloc|TestActBatchNoAllocs|TestLearnF32ParityWithF64"
 	# Serving safety: no applied config outside bounds or predicted to
 	# violate the SLA on any ladder rung; the 32-node fleet soak and its
