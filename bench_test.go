@@ -93,7 +93,8 @@ func BenchmarkFig06TrainMaxThroughput(b *testing.B) {
 			b.Fatal(err)
 		}
 		printTableOnce(b, t)
-		if snap, ok := experiments.FinalSnapshot(g); ok {
+		if snaps := g.Trainer().Snapshots; len(snaps) > 0 {
+			snap := snaps[len(snaps)-1]
 			b.ReportMetric(snap.ThroughputGbps, "Gbps")
 			b.ReportMetric(snap.EnergyJ, "J")
 		}
@@ -122,7 +123,8 @@ func BenchmarkFig07TrainMinEnergy(b *testing.B) {
 			b.Fatal(err)
 		}
 		printTableOnce(b, t)
-		if snap, ok := experiments.FinalSnapshot(g); ok {
+		if snaps := g.Trainer().Snapshots; len(snaps) > 0 {
+			snap := snaps[len(snaps)-1]
 			b.ReportMetric(snap.ThroughputGbps, "Gbps")
 			b.ReportMetric(snap.EnergyJ, "J")
 		}
@@ -137,8 +139,8 @@ func BenchmarkFig08TrainEfficiency(b *testing.B) {
 			b.Fatal(err)
 		}
 		printTableOnce(b, t)
-		if snap, ok := experiments.FinalSnapshot(g); ok {
-			b.ReportMetric(snap.Efficiency, "Gbps/kJ")
+		if snaps := g.Trainer().Snapshots; len(snaps) > 0 {
+			b.ReportMetric(snaps[len(snaps)-1].Efficiency, "Gbps/kJ")
 		}
 	}
 }

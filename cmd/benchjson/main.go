@@ -3,19 +3,15 @@
 // wall-clock trajectory across PRs (BENCH_PR2.json and successors)
 // without parsing benchmark text in shell.
 //
-// It also carries the CI regression gates: -compare diffs the parsed
+// It also carries the CI regression gate: -compare diffs the parsed
 // results against a previous summary and fails the run when any
-// matched benchmark slowed down beyond the threshold, and
-// -assert-faster fails it when a relative ordering between two
-// benchmarks of the same run does not hold (e.g. the parallel trainer
-// must beat the round-robin one on a multi-core runner).
+// matched benchmark slowed down beyond the threshold.
 //
 // Usage:
 //
 //	go test -run '^$' -bench . -benchtime=1x . | go run ./cmd/benchjson -o BENCH_PR3.json
 //	go run ./cmd/benchjson -o BENCH_PR3.json bench.txt
 //	go run ./cmd/benchjson -o BENCH_PR3.json -compare BENCH_PR2.json -max-regress 0.15 -match Fig bench.txt
-//	go run ./cmd/benchjson -assert-faster 'BenchmarkFig06TrainParallel<BenchmarkFig06TrainMaxThroughput' bench.txt
 package main
 
 import (
@@ -62,7 +58,6 @@ func main() {
 	maxRegress := flag.Float64("max-regress", 0.15, "allowed fractional ns/op slowdown per benchmark before -compare fails")
 	match := flag.String("match", "", "substring filter selecting which benchmarks the -compare gate applies to (empty = all)")
 	minMs := flag.Float64("min-ms", 0, "ignore baseline benchmarks faster than this many ms in -compare (single-iteration runs of µs-scale benchmarks are pure noise)")
-	assertFaster := flag.String("assert-faster", "", "'A<B' pair of benchmark names from this run: fail unless A's ns/op is lower than B's")
 	flag.Parse()
 
 	in := io.Reader(os.Stdin)
@@ -91,11 +86,6 @@ func main() {
 		}
 		fmt.Printf("wrote %d benchmarks to %s\n", len(sum.Benchmarks), *out)
 	}
-	if *assertFaster != "" {
-		if err := checkFaster(os.Stderr, sum, *assertFaster); err != nil {
-			log.Fatal(err)
-		}
-	}
 	if *baseline != "" {
 		// The report goes to stderr so the JSON summary on stdout
 		// (when -o is unset) stays machine-parseable.
@@ -108,36 +98,6 @@ func main() {
 				regressions, *maxRegress*100, *baseline)
 		}
 	}
-}
-
-// checkFaster enforces an "A<B" ordering between two benchmarks of
-// the current run: A's ns/op must be strictly lower than B's. Both
-// names must be present — a missing benchmark is a failure, not a
-// skip, so a renamed benchmark cannot silently disable the gate.
-func checkFaster(w io.Writer, sum *Summary, spec string) error {
-	names := strings.SplitN(spec, "<", 2)
-	if len(names) != 2 || names[0] == "" || names[1] == "" {
-		return fmt.Errorf("-assert-faster %q: want the form 'A<B'", spec)
-	}
-	ns := make(map[string]float64, 2)
-	for _, b := range sum.Benchmarks {
-		if b.Name == names[0] || b.Name == names[1] {
-			ns[b.Name] = b.NsPerOp
-		}
-	}
-	for _, name := range names {
-		if _, ok := ns[name]; !ok {
-			return fmt.Errorf("-assert-faster: benchmark %s not found in this run", name)
-		}
-	}
-	a, b := ns[names[0]], ns[names[1]]
-	fmt.Fprintf(w, "%-40s %12.2fms  vs  %s %12.2fms  (%.2fx)\n",
-		names[0], a/1e6, names[1], b/1e6, b/a)
-	if a >= b {
-		return fmt.Errorf("-assert-faster: %s (%.2fms) is not faster than %s (%.2fms)",
-			names[0], a/1e6, names[1], b/1e6)
-	}
-	return nil
 }
 
 // compare diffs the current summary against a baseline JSON file and

@@ -229,26 +229,22 @@ func (s *System) Train(agreement SLA, opts TrainOptions) (*Policy, error) {
 	if opts.Steps <= 0 {
 		return nil, errors.New("greennfv: TrainOptions.Steps must be positive")
 	}
-	actors := opts.Actors
-	if actors <= 0 {
-		actors = 4
-	}
-	g := control.NewGreenNFV(agreement.spec, opts.Steps, actors, s.cfg.Seed)
-	g.Parallel = opts.Parallel
-	g.ReplayShards = opts.ReplayShards
-	g.Float32 = opts.Float32
-	g.SamplesPerInsert = opts.SamplesPerInsert
-	g.CheckpointPath = opts.Checkpoint
-	g.CheckpointEvery = opts.CheckpointEvery
-	g.CheckpointReplay = opts.CheckpointReplay
+	g := control.NewGreenNFV(agreement.spec, opts.Steps, opts.Actors, s.cfg.Seed)
+	g.Train.Parallel = opts.Parallel
+	g.Train.ReplayShards = opts.ReplayShards
+	g.Train.Float32 = opts.Float32
+	g.Train.SamplesPerInsert = opts.SamplesPerInsert
+	g.Train.CheckpointPath = opts.Checkpoint
+	g.Train.CheckpointEvery = opts.CheckpointEvery
+	g.Train.CheckpointReplay = opts.CheckpointReplay
 	g.ResumePath = opts.Resume
 	if opts.RemoteActors > 0 {
-		g.RemoteActors = opts.RemoteActors
-		g.SpawnRemote = opts.ActorCommand
-		if len(g.SpawnRemote) == 0 {
-			g.SpawnRemote = []string{"apexactor"}
+		g.Train.RemoteActors = opts.RemoteActors
+		g.Train.SpawnRemote = opts.ActorCommand
+		if len(g.Train.SpawnRemote) == 0 {
+			g.Train.SpawnRemote = []string{"apexactor"}
 		}
-		g.RemoteSpec = s.actorSpec(agreement.spec)
+		g.Train.RemoteSpec = s.actorSpec(agreement.spec)
 	}
 	if err := g.Prepare(s.factory(agreement.spec)); err != nil {
 		return nil, err

@@ -75,6 +75,34 @@ func TestTrainMeasureRoundTrip(t *testing.T) {
 	}
 }
 
+// TestMeasureIsIdempotent: every Measure deploys the policy on a fresh
+// environment from that environment's own reset, so repeated calls on
+// one policy agree to the bit. The controller once carried the last
+// observation of the previous environment into the next one.
+func TestMeasureIsIdempotent(t *testing.T) {
+	sys, err := NewSystem(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	policy, err := sys.Train(EfficiencySLA(), TrainOptions{Steps: 400, Actors: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := sys.Measure(policy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for call := 2; call <= 3; call++ {
+		m, err := sys.Measure(policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m != first {
+			t.Errorf("Measure call %d = %+v, first call %+v", call, m, first)
+		}
+	}
+}
+
 func TestMeasureBaselines(t *testing.T) {
 	sys, err := NewSystem(DefaultConfig())
 	if err != nil {

@@ -6,7 +6,6 @@ import (
 
 	"greennfv/internal/perfmodel"
 	"greennfv/internal/placement"
-	"greennfv/internal/pool"
 )
 
 // NodeSpec is one host in the cluster: a name and a full analytic
@@ -278,15 +277,6 @@ func growI(buf []int, n int) []int {
 	return make([]int, n)
 }
 
-// EvaluateCluster is EvaluateClusterInto with a fresh result.
-func (t *Topology) EvaluateCluster(w *Workload, knobs [][]perfmodel.NFKnobs, assign []int, opt perfmodel.EvalOptions) (Result, error) {
-	var res Result
-	if err := t.EvaluateClusterInto(&res, w, knobs, assign, opt); err != nil {
-		return Result{}, err
-	}
-	return res, nil
-}
-
 // EvaluateClusterInto evaluates the workload placed by assign
 // (assign[c] = node index hosting chain c) under per-chain per-NF
 // knobs, serially. Scratch inside res is capacity-reused, so a caller
@@ -303,24 +293,11 @@ func (t *Topology) EvaluateCluster(w *Workload, knobs [][]perfmodel.NFKnobs, ass
 // chains, the same rule EvaluateInto applies within one chain) and
 // the node's utilization/power aggregate over all hosted chains'
 // busy cores.
+//
+// Every chain is attempted even when an earlier one fails: the
+// lowest-index chain error is returned and the PerChain entries of the
+// chains that did evaluate stay valid; the aggregates are not computed.
 func (t *Topology) EvaluateClusterInto(res *Result, w *Workload, knobs [][]perfmodel.NFKnobs, assign []int, opt perfmodel.EvalOptions) error {
-	return t.evaluateCluster(res, w, knobs, assign, opt, 1)
-}
-
-// EvaluateClusterParallelInto is EvaluateClusterInto with chains
-// evaluated concurrently on up to workers goroutines (<= 0 means
-// GOMAXPROCS). Unlike BatchEvaluate's stop-on-first-error contract,
-// every chain is always attempted: on error, the lowest-index chain
-// error is returned and PerChain entries for the chains that did
-// evaluate remain valid (the partial results the cluster control
-// plane needs to degrade per node instead of discarding the whole
-// cluster view). Aggregation is serial either way, so the result is
-// bit-identical to the serial path.
-func (t *Topology) EvaluateClusterParallelInto(res *Result, w *Workload, knobs [][]perfmodel.NFKnobs, assign []int, opt perfmodel.EvalOptions, workers int) error {
-	return t.evaluateCluster(res, w, knobs, assign, opt, workers)
-}
-
-func (t *Topology) evaluateCluster(res *Result, w *Workload, knobs [][]perfmodel.NFKnobs, assign []int, opt perfmodel.EvalOptions, workers int) error {
 	nNodes := len(t.Nodes)
 	nChains := len(w.Chains)
 	if nNodes == 0 {
@@ -418,21 +395,10 @@ func (t *Topology) evaluateCluster(res *Result, w *Workload, knobs [][]perfmodel
 		res.knobEff[c] = res.knobBuf[start:len(res.knobBuf):len(res.knobBuf)]
 	}
 
-	// Per-chain evaluation — every chain is attempted even when an
-	// earlier one fails, so partial per-node results survive. The
-	// serial branch avoids the pool closure, keeping the hot path
-	// allocation-free.
-	if workers == 1 || nChains == 1 {
-		for c := 0; c < nChains; c++ {
-			res.errs[c] = t.Nodes[assign[c]].Model.EvaluateInto(
-				&res.PerChain[c], w.Chains[c].Chain, res.knobEff[c], w.Chains[c].Traffic, opt)
-		}
-	} else {
-		pool.ForEach(nChains, workers, func(c int) error {
-			res.errs[c] = t.Nodes[assign[c]].Model.EvaluateInto(
-				&res.PerChain[c], w.Chains[c].Chain, res.knobEff[c], w.Chains[c].Traffic, opt)
-			return nil
-		})
+	// Per-chain evaluation; a failure does not stop the later chains.
+	for c := 0; c < nChains; c++ {
+		res.errs[c] = t.Nodes[assign[c]].Model.EvaluateInto(
+			&res.PerChain[c], w.Chains[c].Chain, res.knobEff[c], w.Chains[c].Traffic, opt)
 	}
 	for c := 0; c < nChains; c++ {
 		if res.errs[c] != nil {

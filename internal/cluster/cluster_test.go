@@ -174,33 +174,6 @@ func TestHeterogeneousAggregation(t *testing.T) {
 	}
 }
 
-// TestParallelMatchesSerial is the -race parity gate: the parallel
-// evaluation path must be bit-identical to serial.
-func TestParallelMatchesSerial(t *testing.T) {
-	topo := Heterogeneous(4)
-	w := workload3()
-	knobs := defaultKnobs(&w)
-	assign := []int{0, 1, 2}
-	var serial, par Result
-	if err := topo.EvaluateClusterInto(&serial, &w, knobs, assign, perfmodel.EvalOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{0, 2, 8} {
-		if err := topo.EvaluateClusterParallelInto(&par, &w, knobs, assign, perfmodel.EvalOptions{}, workers); err != nil {
-			t.Fatal(err)
-		}
-		if par.EnergyJ != serial.EnergyJ || par.ThroughputGbps != serial.ThroughputGbps ||
-			par.SLAGbps != serial.SLAGbps || par.LinkEnergyJ != serial.LinkEnergyJ {
-			t.Errorf("workers=%d: parallel %+v != serial %+v", workers, par, serial)
-		}
-		for c := range serial.PerChain {
-			if par.PerChain[c].EnergyJoules != serial.PerChain[c].EnergyJoules {
-				t.Errorf("workers=%d: chain %d energy differs", workers, c)
-			}
-		}
-	}
-}
-
 // TestPartialResultsOnError: a failing chain must not destroy the
 // other chains' results (the contract BatchEvaluate does not give).
 func TestPartialResultsOnError(t *testing.T) {
@@ -209,7 +182,7 @@ func TestPartialResultsOnError(t *testing.T) {
 	knobs := defaultKnobs(&w)
 	w.Chains[1].Traffic.FrameBytes = 1 // below MinFrame: chain 1 fails inside EvaluateInto
 	var res Result
-	err := topo.EvaluateClusterParallelInto(&res, &w, knobs, []int{0, 1, 0}, perfmodel.EvalOptions{}, 2)
+	err := topo.EvaluateClusterInto(&res, &w, knobs, []int{0, 1, 0}, perfmodel.EvalOptions{})
 	if err == nil {
 		t.Fatal("want error for bad chain")
 	}
@@ -301,4 +274,13 @@ func TestPlacementProblem(t *testing.T) {
 	if math.IsNaN(sol.CrossPPS) {
 		t.Error("NaN cross traffic")
 	}
+}
+
+// EvaluateCluster is EvaluateClusterInto with a fresh result.
+func (t *Topology) EvaluateCluster(w *Workload, knobs [][]perfmodel.NFKnobs, assign []int, opt perfmodel.EvalOptions) (Result, error) {
+	var res Result
+	if err := t.EvaluateClusterInto(&res, w, knobs, assign, opt); err != nil {
+		return Result{}, err
+	}
+	return res, nil
 }

@@ -32,12 +32,9 @@
 // every hosted chain's busy cores through the same utilization tail
 // the single-node model uses.
 //
-// # Concurrency
+// # Partial results
 //
-// EvaluateClusterParallelInto fans per-chain evaluation over a
-// bounded pool. Unlike perfmodel.BatchEvaluate's stop-on-first-error
-// contract, every chain is always attempted so partial per-node
-// results survive an individual chain failure; aggregation is serial
-// either way, making the parallel path bit-identical to the serial
-// one (pinned under -race).
+// Unlike perfmodel.BatchEvaluate's stop-on-first-error contract,
+// EvaluateClusterInto always attempts every chain, so per-chain
+// results survive an individual chain failure.
 package cluster

@@ -29,7 +29,7 @@ func SmallNodeModel() perfmodel.Config {
 
 // Homogeneous builds an n-node cluster of the paper's testbed server
 // (perfmodel.Default) joined by the default fabric. Homogeneous(1)
-// is the single-node model: EvaluateCluster on it reproduces the
+// is the single-node model: EvaluateClusterInto on it reproduces the
 // existing path bit-for-bit.
 func Homogeneous(n int) Topology {
 	t := Topology{Link: DefaultLink()}

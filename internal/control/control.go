@@ -26,14 +26,6 @@ type Controller interface {
 	Step(e *env.Env) (perfmodel.Result, error)
 }
 
-// Proposer is implemented by controllers that can compute their next
-// knob allocation without applying it to an env. The serving plane's
-// degradation ladder uses it to get a safe fallback configuration for
-// a real node from a shadow environment.
-type Proposer interface {
-	Propose(e *env.Env) []perfmodel.NFKnobs
-}
-
 // Run drives a prepared controller for `steps` intervals on a fresh
 // environment and returns the mean of the last `settle` measurements
 // (throughput Gbps, energy J) plus the final measurement.

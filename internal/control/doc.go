@@ -21,7 +21,10 @@
 //     compares that against the analytic placement.FFDSwap and
 //     placement.Relaxation policies at fixed knob training. Prepare
 //     and Step, the Controller-interface methods, are the *env.Env
-//     case of TrainOn and StepOn.
+//     case of TrainOn and StepOn. The training run is configured
+//     through one field, GreenNFV.Train (an apex.TrainerConfig that
+//     NewGreenNFV fills with the defaults); TrainOn adds only the
+//     environment factory, the agent template and the seeds.
 //
 // # Concurrency and determinism
 //
@@ -29,11 +32,11 @@
 // give each concurrently running cell its own controller and
 // environment. With the default (round-robin) trainer every
 // controller is deterministic given its seed — the property the
-// byte-diffed figure tables rest on. GreenNFV.Parallel and
-// GreenNFV.RemoteActors run apex's concurrent learner pipeline over
+// byte-diffed figure tables rest on. Train.Parallel and
+// Train.RemoteActors run apex's concurrent learner pipeline over
 // its in-process or multi-process experience transport, which is
 // faster but not deterministic, so the figure harness never enables
-// them. With CheckpointPath set the trainer itself writes the
+// them. With Train.CheckpointPath set the trainer itself writes the
 // completion checkpoint in every mode, and interval checkpoints in
 // the two concurrent ones.
 package control

@@ -61,8 +61,8 @@ func (p *EEPstate) Step(e *env.Env) (perfmodel.Result, error) {
 	return e.SetKnobs(p.Propose(e))
 }
 
-// Propose implements Proposer: it forecasts the next interval's load
-// and computes the P-state allocation without applying it.
+// Propose forecasts the next interval's load and computes the P-state
+// allocation without applying it.
 func (p *EEPstate) Propose(e *env.Env) []perfmodel.NFKnobs {
 	bounds := e.Bounds()
 	tr := e.LastTraffic()

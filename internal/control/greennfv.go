@@ -22,53 +22,13 @@ import (
 // the single-host comparison runs through — are the *env.Env case.
 type GreenNFV struct {
 	slaSpec sla.SLA
-	// TrainSteps is the training budget ("episodes").
-	TrainSteps int
-	// Actors is the Ape-X worker count.
-	Actors int
+	// Train configures the Ape-X run TrainOn starts: NewGreenNFV fills
+	// it from apex.DefaultTrainerConfig and callers set the mode,
+	// pacing, remote-fleet and checkpoint fields directly. TrainOn
+	// supplies StepperFactory, AgentConfig and the seeds.
+	Train apex.TrainerConfig
 	// Seed fixes training randomness.
 	Seed int64
-	// Parallel trains with a concurrent actor driver feeding the
-	// prefetching learner pipeline instead of the deterministic
-	// round-robin interleaving (see apex.TrainerConfig).
-	Parallel bool
-	// ReplayShards overrides the concurrent modes' replay lock-stripe
-	// count (0 = auto).
-	ReplayShards int
-	// Float32 runs learner updates through the single-precision NN
-	// fast path in the Parallel/RemoteActors modes (ignored by the
-	// deterministic round-robin mode). See apex.TrainerConfig.Float32.
-	Float32 bool
-	// SamplesPerInsert caps replay samples consumed per transition
-	// inserted in the asynchronous modes (0 = unpaced). See
-	// apex.TrainerConfig.SamplesPerInsert.
-	SamplesPerInsert float64
-	// RemoteActors > 0 trains with actor processes over RPC (the
-	// paper's six-node topology) instead of in-process actors;
-	// RemoteSpec must describe the actors' environment. See
-	// apex.TrainerConfig.
-	RemoteActors int
-	// SpawnRemote is the argv prefix that launches each actor process
-	// (empty = actors connect externally to ListenAddr).
-	SpawnRemote []string
-	// ListenAddr is the learner's RPC bind address in remote mode.
-	ListenAddr string
-	// RemoteSpec tells remote actors how to rebuild the environment.
-	RemoteSpec *apex.ActorSpec
-	// CheckpointPath, when set, makes the trainer write its full
-	// training state there atomically — when training completes and,
-	// in the concurrent modes (Parallel, RemoteActors), every
-	// CheckpointEvery learner updates on the way. See
-	// apex.TrainerConfig.CheckpointPath.
-	CheckpointPath string
-	// CheckpointEvery is the update interval between checkpoints in
-	// the Parallel and RemoteActors modes (<= 0, or round-robin: only
-	// the completion checkpoint is written).
-	CheckpointEvery int
-	// CheckpointReplay includes replay-buffer contents in checkpoints,
-	// making a resumed run's updates bit-exact at the cost of much
-	// larger files.
-	CheckpointReplay bool
 	// ResumePath, when set, restores training state from that
 	// checkpoint before stepping, so a killed training run continues
 	// mid-budget instead of starting over. The configuration must
@@ -79,12 +39,20 @@ type GreenNFV struct {
 	// agent is the deployed policy network: the learner's agent
 	// after Prepare, or a loaded agent after LoadActor.
 	agent *ddpg.Agent
+	// state is the last observation of on, the environment StepOn is
+	// driving; a different environment starts from its own reset.
 	state []float64
+	on    env.Stepper
 }
 
-// NewGreenNFV builds the controller for one SLA.
+// NewGreenNFV builds the controller for one SLA with a trainSteps
+// budget ("episodes") over actors Ape-X workers (<= 0: the default).
 func NewGreenNFV(s sla.SLA, trainSteps, actors int, seed int64) *GreenNFV {
-	return &GreenNFV{slaSpec: s, TrainSteps: trainSteps, Actors: actors, Seed: seed}
+	g := &GreenNFV{slaSpec: s, Train: apex.DefaultTrainerConfig(trainSteps), Seed: seed}
+	if actors > 0 {
+		g.Train.Actors = actors
+	}
+	return g
 }
 
 // Name implements Controller.
@@ -117,21 +85,7 @@ func (g *GreenNFV) Prepare(factory EnvFactory) error {
 // owns topology, workload and placement policy. Cluster environments
 // train round-robin only: Parallel and RemoteActors need *env.Env.
 func (g *GreenNFV) TrainOn(factory func(seed int64) (env.Stepper, error)) error {
-	cfg := apex.DefaultTrainerConfig(g.TrainSteps)
-	if g.Actors > 0 {
-		cfg.Actors = g.Actors
-	}
-	cfg.Parallel = g.Parallel
-	cfg.ReplayShards = g.ReplayShards
-	cfg.Float32 = g.Float32
-	cfg.SamplesPerInsert = g.SamplesPerInsert
-	cfg.RemoteActors = g.RemoteActors
-	cfg.SpawnRemote = g.SpawnRemote
-	cfg.ListenAddr = g.ListenAddr
-	cfg.RemoteSpec = g.RemoteSpec
-	cfg.CheckpointPath = g.CheckpointPath
-	cfg.CheckpointEvery = g.CheckpointEvery
-	cfg.CheckpointReplay = g.CheckpointReplay
+	cfg := g.Train
 	cfg.StepperFactory = func(actorID int) (env.Stepper, error) {
 		return factory(g.Seed + int64(actorID)*131)
 	}
@@ -212,13 +166,13 @@ func (g *GreenNFV) Step(e *env.Env) (perfmodel.Result, error) { return g.StepOn(
 
 // StepOn runs one greedy policy action on the environment and returns
 // its info Result (on a cluster, the roll-up — see
-// env.ClusterEnv.Summary).
+// env.ClusterEnv.StepInto).
 func (g *GreenNFV) StepOn(e env.Stepper) (perfmodel.Result, error) {
 	if g.agent == nil {
 		return perfmodel.Result{}, errors.New("control: GreenNFV not prepared")
 	}
-	if g.state == nil || len(g.state) != e.StateDim() {
-		g.state = e.Reset(g.Seed + 7777)
+	if g.on != e {
+		g.state, g.on = e.Reset(g.Seed+7777), e
 	}
 	action := g.agent.Greedy(g.state)
 	next, _, info, err := e.Step(action)

@@ -48,9 +48,9 @@ func (h *Heuristic) Step(e *env.Env) (perfmodel.Result, error) {
 	return e.SetKnobs(h.Propose(e))
 }
 
-// Propose implements Proposer: it computes the next allocation from
-// the env's last observation without applying it. The returned slice
-// is owned by the controller and valid until the next Propose.
+// Propose computes the next allocation from the env's last
+// observation without applying it. The returned slice is owned by the
+// controller and valid until the next Propose.
 func (h *Heuristic) Propose(e *env.Env) []perfmodel.NFKnobs {
 	bounds := e.Bounds()
 	if !h.initialized {

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"greennfv/internal/cluster"
 	"greennfv/internal/perfmodel"
@@ -183,13 +182,6 @@ func (e *ClusterEnv) SLA() sla.SLA { return e.cfg.SLA }
 // Bounds returns the knob bounds.
 func (e *ClusterEnv) Bounds() perfmodel.KnobBounds { return e.cfg.Bounds }
 
-// Assignment returns a copy of the current chain→node assignment.
-func (e *ClusterEnv) Assignment() []int {
-	out := make([]int, len(e.assign))
-	copy(out, e.assign)
-	return out
-}
-
 // LastCluster returns the most recent cluster measurement. Its
 // slices alias environment scratch, valid until the next step.
 func (e *ClusterEnv) LastCluster() *cluster.Result { return &e.last }
@@ -340,10 +332,6 @@ func (e *ClusterEnv) evaluate() {
 	}
 }
 
-// Summary returns the cluster roll-up StepInto reports as its info
-// Result (for one chain on one node, that chain's own Result).
-func (e *ClusterEnv) Summary() perfmodel.Result { return e.summary }
-
 // ObserveInto writes the observation vector into dst (length
 // StateDim; a buffer of the wrong size is a programming error and
 // panics) and returns dst. The per-NF block is the paper's state
@@ -421,26 +409,4 @@ func StandardClusterChains(n int) ([]ClusterChain, []cluster.Hop) {
 		hops = append(hops, cluster.Hop{From: i - 1, To: i, PPS: 600e3, FrameBytes: 512})
 	}
 	return chains, hops
-}
-
-// DescribeAssignment renders an assignment as "chain→node" pairs in
-// chain-name order, for deterministic table cells.
-func (e *ClusterEnv) DescribeAssignment() string {
-	type pair struct {
-		name string
-		node int
-	}
-	pairs := make([]pair, len(e.assign))
-	for c := range e.assign {
-		pairs[c] = pair{e.cfg.Chains[c].Chain.Name, e.assign[c]}
-	}
-	sort.Slice(pairs, func(a, b int) bool { return pairs[a].name < pairs[b].name })
-	s := ""
-	for i, p := range pairs {
-		if i > 0 {
-			s += " "
-		}
-		s += fmt.Sprintf("%s:%d", p.name, p.node)
-	}
-	return s
 }

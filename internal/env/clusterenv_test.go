@@ -73,8 +73,8 @@ func TestClusterEnvDeterminism(t *testing.T) {
 						t.Fatalf("nodes=%d %s step %d: obs[%d] differs", nodes, name, step, i)
 					}
 				}
-				for i, an := range a.Assignment() {
-					if an != b.Assignment()[i] {
+				for i, an := range a.assign {
+					if an != b.assign[i] {
 						t.Fatalf("nodes=%d %s step %d: assignment[%d] differs", nodes, name, step, i)
 					}
 				}
@@ -114,7 +114,7 @@ func TestClusterEnvPlacementHead(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []int{2, 0, 3}
-	for c, n := range e.Assignment() {
+	for c, n := range e.assign {
 		if n != want[c] {
 			t.Errorf("chain %d on node %d, want %d", c, n, want[c])
 		}
@@ -135,7 +135,7 @@ func TestClusterEnvPinnedPolicy(t *testing.T) {
 	if got, want := e.ActionDim(), KnobsPerNF*e.NumNFs(); got != want {
 		t.Fatalf("ActionDim = %d, want %d", got, want)
 	}
-	before := e.Assignment()
+	before := append([]int(nil), e.assign...)
 	rng := rand.New(rand.NewSource(3))
 	action := make([]float64, e.ActionDim())
 	obs := make([]float64, e.StateDim())
@@ -147,7 +147,7 @@ func TestClusterEnvPinnedPolicy(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for c, n := range e.Assignment() {
+	for c, n := range e.assign {
 		if n != before[c] {
 			t.Errorf("pinned assignment drifted: chain %d %d→%d", c, before[c], n)
 		}

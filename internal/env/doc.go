@@ -31,7 +31,7 @@
 // node (no link, no hops, no placement head) and Env embeds the
 // result, adding only the single-chain accessors the serving plane,
 // the heuristic controllers and the figures use (Chain, Last,
-// LastTraffic, SetKnobs, DecodeAction, EncodeKnobs). Its info Result
+// LastTraffic, SetKnobs, DecodeAction). Its info Result
 // is the chain's full perfmodel.Result, verbatim. There is no
 // single-node fast path to keep in step: TestEnvEpisodeFingerprint
 // pins whole single-node episodes to hashes recorded from the
@@ -56,10 +56,9 @@
 // seeded episode replays exactly — the property the round-robin
 // Ape-X mode and the recorded training figures rely on. It is NOT
 // goroutine-safe; each Ape-X actor owns one instance. VecEnv steps a
-// set of Env instances as a batch over the shared bounded pool
-// (internal/pool) and keeps per-instance determinism at any worker
-// count. StepInto, ObserveInto and Env.SetKnobs allocate nothing in
-// steady state (caller-owned observation buffer, pre-clamped default
+// set of Env instances as a batch, in index order on the calling
+// goroutine, each on its own RNG and scratch. StepInto, ObserveInto
+// and Env.SetKnobs allocate nothing in steady state (caller-owned observation buffer, pre-clamped default
 // knobs, capacity-reused cluster scratch; TestEnvStepZeroAlloc,
 // TestClusterEnvStepAllocs); Step/Reset are allocating wrappers.
 package env

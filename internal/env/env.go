@@ -213,20 +213,3 @@ func decodeKnobAction(a []float64, b perfmodel.KnobBounds, frozen [KnobsPerNF]bo
 	}
 	return b.Clamp(k)
 }
-
-// EncodeKnobs inverts DecodeAction for warm-starting policies.
-func (e *Env) EncodeKnobs(k perfmodel.NFKnobs) []float64 {
-	b := e.cfg.Bounds
-	k = b.Clamp(k)
-	lin := func(v, lo, hi float64) float64 { return 2*(v-lo)/(hi-lo) - 1 }
-	logv := func(v, lo, hi float64) float64 {
-		return 2*(math.Log(v)-math.Log(lo))/(math.Log(hi)-math.Log(lo)) - 1
-	}
-	return []float64{
-		lin(k.CPUShare, b.ShareMin, b.ShareMax),
-		lin(k.FreqGHz, b.FreqMin, b.FreqMax),
-		lin(k.LLCFraction, b.LLCMin, b.LLCMax),
-		logv(float64(k.DMABytes), float64(b.DMAMin), float64(b.DMAMax)),
-		logv(float64(k.Batch), float64(b.BatchMin), float64(b.BatchMax)),
-	}
-}

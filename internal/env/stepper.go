@@ -10,7 +10,7 @@ import (
 // training stack is topology-agnostic. ClusterEnv implements it; Env
 // satisfies it through the ClusterEnv it embeds. The perfmodel.Result
 // returned by Step/StepInto is the cluster roll-up (see
-// ClusterEnv.Summary) — for Env, the chain's full single-node
+// ClusterEnv.StepInto) — for Env, the chain's full single-node
 // measurement; either way its PerNF/scratch aliases environment state
 // and is only valid until the next step.
 type Stepper interface {

@@ -3,29 +3,22 @@ package env
 import (
 	"errors"
 	"fmt"
-	"runtime"
 
 	"greennfv/internal/perfmodel"
-	"greennfv/internal/pool"
 )
 
-// VecEnv steps N independent environments as one batched call over
-// the shared bounded worker pool, so drivers that would otherwise
-// serialize on single-env evaluation spend wall-clock proportional to
-// the slowest environment, not the sum. Step takes a row-major action
-// matrix (the shape batch policy rollouts produce); Do runs one
-// arbitrary closure per environment and is what the heterogeneous
-// figure drivers use (Fig 10 binds one controller per environment).
-// Every environment is stepped with its own RNG, knobs and scratch,
-// so the results are bit-identical to stepping the environments one
-// by one — the worker count is purely a throughput knob.
+// VecEnv steps N independent environments as one batched call: Step
+// takes a row-major action matrix (the shape batch policy rollouts
+// produce) and steps the environments in index order on the calling
+// goroutine — one step is ~1 µs, less than handing it to a worker.
+// Every environment keeps its own RNG, knobs and scratch, so the
+// results are those of stepping the environments one by one.
 //
 // A VecEnv owns its observation/reward/result buffers and reuses
 // them across calls: Step performs no allocations in steady state.
 // The VecEnv itself is not goroutine-safe; one caller drives it.
 type VecEnv struct {
-	envs    []*Env
-	workers int
+	envs []*Env
 
 	obs     []float64 // N × StateDim, row-major
 	rewards []float64
@@ -40,8 +33,8 @@ type VecEnv struct {
 }
 
 // NewVecEnv wraps the given environments, which must share state and
-// action dimensionality. workers <= 0 selects GOMAXPROCS.
-func NewVecEnv(envs []*Env, workers int) (*VecEnv, error) {
+// action dimensionality.
+func NewVecEnv(envs []*Env) (*VecEnv, error) {
 	if len(envs) == 0 {
 		return nil, errors.New("env: VecEnv needs at least one environment")
 	}
@@ -55,12 +48,8 @@ func NewVecEnv(envs []*Env, workers int) (*VecEnv, error) {
 				i, e.StateDim(), e.ActionDim(), sd, ad)
 		}
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	return &VecEnv{
 		envs:    envs,
-		workers: workers,
 		obs:     make([]float64, len(envs)*sd),
 		rewards: make([]float64, len(envs)),
 		infos:   make([]perfmodel.Result, len(envs)),
@@ -84,10 +73,9 @@ func (v *VecEnv) Env(i int) *Env { return v.envs[i] }
 // initial observation ([N × StateDim], owned by the VecEnv).
 func (v *VecEnv) Reset(seedBase int64) []float64 {
 	sd := v.StateDim()
-	_ = v.Do(func(i int, e *Env) error {
+	for i, e := range v.envs {
 		e.ResetInto(seedBase+int64(i)*131, v.obs[i*sd:(i+1)*sd])
-		return nil
-	})
+	}
 	return v.obs
 }
 
@@ -95,29 +83,19 @@ func (v *VecEnv) Reset(seedBase int64) []float64 {
 // every environment. The returned observation matrix ([N × StateDim]),
 // rewards and results are owned by the VecEnv and valid until the
 // next call; each Result's PerNF aliases its environment's scratch.
-// On failure the lowest-indexed environment's error is returned.
+// The first failure stops the batch and is returned.
 func (v *VecEnv) Step(actions []float64) (obs []float64, rewards []float64, infos []perfmodel.Result, err error) {
 	sd, ad := v.StateDim(), v.ActionDim()
 	if len(actions) != len(v.envs)*ad {
 		return nil, nil, nil, fmt.Errorf("env: VecEnv action matrix len %d, want %d", len(actions), len(v.envs)*ad)
 	}
-	n := len(v.envs)
-	if v.workers <= 1 || n == 1 {
-		// Inline loop rather than Do: no closure capture, so the
-		// single-worker batch step allocates nothing. Stops at the
-		// first failure, as with Do.
-		for i, e := range v.envs {
-			if err := v.stepOne(i, e, actions, sd, ad); err != nil {
-				return nil, nil, nil, fmt.Errorf("env: VecEnv environment %d: %w", i, err)
-			}
+	for i, e := range v.envs {
+		r, info, err := e.StepInto(actions[i*ad:(i+1)*ad], v.obs[i*sd:(i+1)*sd])
+		if err != nil {
+			return nil, nil, nil, fmt.Errorf("env: VecEnv environment %d: %w", i, err)
 		}
-		return v.obs, v.rewards, v.infos, nil
-	}
-	err = v.Do(func(i int, e *Env) error {
-		return v.stepOne(i, e, actions, sd, ad)
-	})
-	if err != nil {
-		return nil, nil, nil, err
+		v.rewards[i] = r
+		v.infos[i] = info
 	}
 	return v.obs, v.rewards, v.infos, nil
 }
@@ -154,32 +132,4 @@ func (v *VecEnv) StepBatch(act func(states []float64, n int, actions []float64) 
 		return nil, nil, nil, nil, nil, err
 	}
 	return v.prev, v.actions, v.obs, v.rewards, v.infos, nil
-}
-
-// stepOne steps environment i into the VecEnv's row-i buffers.
-func (v *VecEnv) stepOne(i int, e *Env, actions []float64, sd, ad int) error {
-	r, info, err := e.StepInto(actions[i*ad:(i+1)*ad], v.obs[i*sd:(i+1)*sd])
-	if err != nil {
-		return err
-	}
-	v.rewards[i] = r
-	v.infos[i] = info
-	return nil
-}
-
-// Do applies f to every (index, environment) pair across the shared
-// worker pool; f(i, ·) may touch only index-i state, which makes the
-// batch race-free and its outcome identical to a serial loop. Drivers
-// use this to run heterogeneous controllers — each bound to its own
-// environment — through one bounded-parallel call. A failure stops
-// the batch (no new indices start once one has failed) and the
-// lowest-indexed error is returned deterministically.
-func (v *VecEnv) Do(f func(i int, e *Env) error) error {
-	i, err := pool.ForEach(len(v.envs), v.workers, func(i int) error {
-		return f(i, v.envs[i])
-	})
-	if err != nil {
-		return fmt.Errorf("env: VecEnv environment %d: %w", i, err)
-	}
-	return nil
 }

@@ -2,7 +2,6 @@ package env
 
 import (
 	"math"
-	"sync/atomic"
 	"testing"
 
 	"greennfv/internal/perfmodel"
@@ -63,22 +62,20 @@ func TestStepIntoValidatesDims(t *testing.T) {
 	}
 }
 
-func vecOf(t *testing.T, n, workers int) (*VecEnv, []*Env) {
+func vecOf(t *testing.T, n int) (*VecEnv, []*Env) {
 	t.Helper()
 	envs := make([]*Env, n)
 	for i := range envs {
 		envs[i] = testEnv(t, sla.NewEnergyEfficiency(), false)
 	}
-	v, err := NewVecEnv(envs, workers)
+	v, err := NewVecEnv(envs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return v, envs
 }
 
-// VecEnv must be bit-identical to stepping each environment serially,
-// at every worker count; CI's -race run doubles as the pool's race
-// check.
+// VecEnv must be bit-identical to stepping each environment serially.
 func TestVecEnvMatchesSerial(t *testing.T) {
 	const n, steps = 5, 10
 	// Reference: serial envs stepped one by one.
@@ -87,35 +84,29 @@ func TestVecEnvMatchesSerial(t *testing.T) {
 		refs[i] = testEnv(t, sla.NewEnergyEfficiency(), false)
 		refs[i].Reset(900 + int64(i)*131)
 	}
-	for _, workers := range []int{1, 2, 8} {
-		vec, _ := vecOf(t, n, workers)
-		vec.Reset(900)
-		sd, ad := vec.StateDim(), vec.ActionDim()
-		// Fresh serial reference streams per worker count.
-		for i := range refs {
-			refs[i].Reset(900 + int64(i)*131)
+	vec, _ := vecOf(t, n)
+	vec.Reset(900)
+	sd, ad := vec.StateDim(), vec.ActionDim()
+	for step := 0; step < steps; step++ {
+		actions := randomActions(n, ad, float64(step))
+		obs, rewards, infos, err := vec.Step(actions)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for step := 0; step < steps; step++ {
-			actions := randomActions(n, ad, float64(step))
-			obs, rewards, infos, err := vec.Step(actions)
+		for i := 0; i < n; i++ {
+			wantObs, wantR, wantInfo, err := refs[i].Step(actions[i*ad : (i+1)*ad])
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i := 0; i < n; i++ {
-				wantObs, wantR, wantInfo, err := refs[i].Step(actions[i*ad : (i+1)*ad])
-				if err != nil {
-					t.Fatal(err)
-				}
-				if rewards[i] != wantR {
-					t.Fatalf("workers=%d step %d env %d: reward %v vs %v", workers, step, i, rewards[i], wantR)
-				}
-				if infos[i].EnergyJoules != wantInfo.EnergyJoules {
-					t.Fatalf("workers=%d step %d env %d: energy diverges", workers, step, i)
-				}
-				for j := 0; j < sd; j++ {
-					if obs[i*sd+j] != wantObs[j] {
-						t.Fatalf("workers=%d step %d env %d: obs[%d] diverges", workers, step, i, j)
-					}
+			if rewards[i] != wantR {
+				t.Fatalf("step %d env %d: reward %v vs %v", step, i, rewards[i], wantR)
+			}
+			if infos[i].EnergyJoules != wantInfo.EnergyJoules {
+				t.Fatalf("step %d env %d: energy diverges", step, i)
+			}
+			for j := 0; j < sd; j++ {
+				if obs[i*sd+j] != wantObs[j] {
+					t.Fatalf("step %d env %d: obs[%d] diverges", step, i, j)
 				}
 			}
 		}
@@ -123,47 +114,14 @@ func TestVecEnvMatchesSerial(t *testing.T) {
 }
 
 func TestVecEnvValidation(t *testing.T) {
-	if _, err := NewVecEnv(nil, 0); err == nil {
+	if _, err := NewVecEnv(nil); err == nil {
 		t.Error("empty VecEnv accepted")
 	}
-	vec, _ := vecOf(t, 2, 2)
+	vec, _ := vecOf(t, 2)
 	if _, _, _, err := vec.Step(make([]float64, 3)); err == nil {
 		t.Error("short action matrix accepted")
 	}
 }
-
-// A Do failure must report the lowest failing index regardless of
-// scheduling. Indices below it always run (they are claimed first);
-// indices above it may be skipped once the failure stops the batch.
-func TestVecEnvDoDeterministicError(t *testing.T) {
-	vec, _ := vecOf(t, 4, 4)
-	var ran [4]atomic.Bool
-	err := vec.Do(func(i int, e *Env) error {
-		ran[i].Store(true)
-		if i == 1 || i == 3 {
-			return errTest
-		}
-		return nil
-	})
-	if err == nil {
-		t.Fatal("error swallowed")
-	}
-	const want = "env: VecEnv environment 1: "
-	if got := err.Error(); len(got) < len(want) || got[:len(want)] != want {
-		t.Errorf("error %q does not report lowest failing index", got)
-	}
-	for i := 0; i <= 1; i++ {
-		if !ran[i].Load() {
-			t.Errorf("closure %d (at or below the failing index) skipped", i)
-		}
-	}
-}
-
-var errTest = errTestType{}
-
-type errTestType struct{}
-
-func (errTestType) Error() string { return "boom" }
 
 // The zero-alloc contract of the environment's hot paths: the
 // training step (StepInto with a caller buffer) and the serving tick's
@@ -237,7 +195,7 @@ func BenchmarkVecEnvStep8(b *testing.B) {
 		}
 		envs[i] = e
 	}
-	vec, err := NewVecEnv(envs, 0)
+	vec, err := NewVecEnv(envs)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -17,7 +17,7 @@ import (
 
 // trainEE runs one Ape-X training with the given overrides and
 // returns the mean efficiency of the last quarter of snapshots.
-func trainEE(o Options, actors int, prioritized bool, frozen [env.KnobsPerNF]bool, s sla.SLA) (float64, *apex.Trainer, error) {
+func trainEE(o Options, actors int, frozen [env.KnobsPerNF]bool, s sla.SLA) (float64, *apex.Trainer, error) {
 	cfg := apex.DefaultTrainerConfig(o.TrainSteps)
 	cfg.Actors = actors
 	cfg.StepperFactory = func(actorID int) (env.Stepper, error) {
@@ -34,7 +34,6 @@ func trainEE(o Options, actors int, prioritized bool, frozen [env.KnobsPerNF]boo
 	}
 	cfg.AgentConfig = ddpg.DefaultConfig(0, 0)
 	cfg.AgentConfig.Seed = o.Seed
-	cfg.AgentConfig.Prioritized = prioritized
 	trainer, err := apex.NewTrainer(cfg)
 	if err != nil {
 		return 0, nil, err
@@ -154,7 +153,7 @@ func AblationActors(o Options) (*Table, error) {
 	counts := []int{1, 2, 4, 8}
 	effs := make([]float64, len(counts))
 	_, err := pool.ForEach(len(counts), batchWorkers(), func(i int) error {
-		eff, _, err := trainEE(o, counts[i], true, [env.KnobsPerNF]bool{}, sla.NewEnergyEfficiency())
+		eff, _, err := trainEE(o, counts[i], [env.KnobsPerNF]bool{}, sla.NewEnergyEfficiency())
 		effs[i] = eff
 		return err
 	})
@@ -187,7 +186,7 @@ func AblationKnobs(o Options) (*Table, error) {
 		if i > 0 {
 			frozen[i-1] = true
 		}
-		eff, _, err := trainEE(o, o.Actors, true, frozen, sla.NewEnergyEfficiency())
+		eff, _, err := trainEE(o, o.Actors, frozen, sla.NewEnergyEfficiency())
 		effs[i] = eff
 		return err
 	})
@@ -230,7 +229,7 @@ func AblationReward(o Options) (*Table, error) {
 	}
 	outs := make([]armOut, len(entries))
 	_, err = pool.ForEach(len(entries), batchWorkers(), func(i int) error {
-		_, trainer, err := trainEE(o, o.Actors, true, [env.KnobsPerNF]bool{}, entries[i].s)
+		_, trainer, err := trainEE(o, o.Actors, [env.KnobsPerNF]bool{}, entries[i].s)
 		if err != nil {
 			return err
 		}

@@ -14,10 +14,10 @@
 // and the cell formatter's integer fast path is byte-identical to
 // the fmt %.Nf it replaced. Parallelism never changes bytes — the
 // Figure 1–4 grids run through perfmodel.BatchEvaluate and the
-// Figure 9/10/11 controller pipelines through env.VecEnv.Do and
-// pool.ForEach, both order-preserving and bit-identical at any worker
-// count; FigCluster is a sweep.Run grid plus a formatter. Training-curve figures (6–8) use the deterministic
-// round-robin Ape-X mode, never the parallel or remote modes. The
+// Figure 9/10/11 controller pipelines through pool.ForEach, both
+// order-preserving and bit-identical at any worker count; FigCluster
+// is a sweep.Run grid plus a formatter. Training-curve figures (6–8)
+// use the deterministic round-robin Ape-X mode, never the parallel or remote modes. The
 // figure-output byte-diff against the previous PR is the
 // regression gate every perf change must pass.
 package experiments

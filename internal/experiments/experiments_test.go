@@ -152,7 +152,7 @@ func TestFig6TrainingRespectsEnergyBudget(t *testing.T) {
 	if inside*2 < len(late) {
 		t.Errorf("only %d/%d late snapshots inside the energy budget", inside, len(late))
 	}
-	if _, ok := FinalSnapshot(g); !ok {
+	if len(g.Trainer().Snapshots) == 0 {
 		t.Error("no final snapshot")
 	}
 }

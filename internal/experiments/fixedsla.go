@@ -2,7 +2,7 @@ package experiments
 
 import (
 	"greennfv/internal/control"
-	"greennfv/internal/env"
+	"greennfv/internal/pool"
 	"greennfv/internal/sla"
 )
 
@@ -43,24 +43,16 @@ func Fig10(o Options) (*Table, error) {
 		{s: minE, c: control.NewGreenNFV(minE, o.TrainSteps, o.Actors, o.Seed+5)},
 	}
 	const intervals = 12 // 120 s at the 10 s window
-	// Both deployments — training included — are independent, so each
-	// runs against its own environment through one VecEnv batch. Each
-	// closure touches only index-i state, and the per-run seeds are
-	// unchanged, so the time series match the serial loop exactly.
-	envs := make([]*env.Env, len(runs))
-	for i, r := range runs {
+	// Both deployments — training included — are independent, so they
+	// run concurrently over the bounded pool. Each closure touches only
+	// index-i state, and the per-run seeds are unchanged, so the time
+	// series match the serial loop exactly.
+	_, err = pool.ForEach(len(runs), batchWorkers(), func(i int) error {
+		r := runs[i]
 		e, err := Factory(r.s)(o.Seed+42, r.c.Options())
 		if err != nil {
-			return nil, err
+			return err
 		}
-		envs[i] = e
-	}
-	vec, err := env.NewVecEnv(envs, batchWorkers())
-	if err != nil {
-		return nil, err
-	}
-	err = vec.Do(func(i int, e *env.Env) error {
-		r := runs[i]
 		if err := r.c.Prepare(Factory(r.s)); err != nil {
 			return err
 		}

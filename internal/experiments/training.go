@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"greennfv/internal/control"
-	"greennfv/internal/rl/apex"
 	"greennfv/internal/sla"
 )
 
@@ -16,7 +15,7 @@ func trainCurve(id, title string, s sla.SLA, o Options) (*Table, *control.GreenN
 		return nil, nil, err
 	}
 	g := control.NewGreenNFV(s, o.TrainSteps, o.Actors, o.Seed)
-	g.Parallel = o.ParallelTrain
+	g.Train.Parallel = o.ParallelTrain
 	if err := g.Prepare(Factory(s)); err != nil {
 		return nil, nil, err
 	}
@@ -68,14 +67,4 @@ func Fig7(o Options) (*Table, *control.GreenNFV, error) {
 func Fig8(o Options) (*Table, *control.GreenNFV, error) {
 	return trainCurve("fig8", "Training progress, Energy-Efficiency SLA (max T/E)",
 		sla.NewEnergyEfficiency(), o)
-}
-
-// FinalSnapshot returns the last training snapshot of a trained
-// model, or false when no snapshots were recorded.
-func FinalSnapshot(g *control.GreenNFV) (apex.Snapshot, bool) {
-	snaps := g.Trainer().Snapshots
-	if len(snaps) == 0 {
-		return apex.Snapshot{}, false
-	}
-	return snaps[len(snaps)-1], true
 }

@@ -1,21 +1,6 @@
 package cache
 
-import (
-	"errors"
-	"fmt"
-	"math"
-	"math/bits"
-	"sort"
-	"sync"
-)
-
-// Errors returned by CAT operations.
-var (
-	ErrNonContiguous = errors.New("cache: CBM must be a contiguous run of set bits")
-	ErrEmptyMask     = errors.New("cache: CBM must have at least one way")
-	ErrMaskRange     = errors.New("cache: CBM exceeds the number of ways")
-	ErrUnknownCLOS   = errors.New("cache: unknown CLOS")
-)
+import "errors"
 
 // Config sizes the cache model.
 type Config struct {
@@ -61,212 +46,6 @@ func (c Config) DDIOBytes() int64 { return int64(c.DDIOWays) * c.WayBytes }
 // SharedBytes reports LLC capacity available to CLOS masks (total
 // minus the DDIO reservation).
 func (c Config) SharedBytes() int64 { return c.TotalBytes() - c.DDIOBytes() }
-
-// CAT is the Cache Allocation Technology control plane: CLOS
-// definitions plus group-to-CLOS assignment. Safe for concurrent use.
-type CAT struct {
-	mu     sync.RWMutex
-	cfg    Config
-	clos   map[int]uint64 // CLOS id -> CBM
-	groups map[string]int // group (NF/chain) -> CLOS id
-}
-
-// NewCAT builds a CAT controller over the given cache configuration.
-// CLOS 0 is predefined as "all non-DDIO ways" (the firmware default).
-func NewCAT(cfg Config) (*CAT, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	defaultMask := contiguousMask(cfg.Ways-cfg.DDIOWays, 0)
-	return &CAT{
-		cfg:    cfg,
-		clos:   map[int]uint64{0: defaultMask},
-		groups: make(map[string]int),
-	}, nil
-}
-
-// MustNewCAT is NewCAT that panics on error.
-func MustNewCAT(cfg Config) *CAT {
-	c, err := NewCAT(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
-// Config returns the cache configuration.
-func (c *CAT) Config() Config { return c.cfg }
-
-// contiguousMask builds a mask of `width` set bits starting at `shift`.
-func contiguousMask(width, shift int) uint64 {
-	if width <= 0 {
-		return 0
-	}
-	if width >= 64 {
-		return ^uint64(0) << shift
-	}
-	return ((uint64(1) << width) - 1) << shift
-}
-
-// isContiguous reports whether the set bits of m form one run.
-func isContiguous(m uint64) bool {
-	if m == 0 {
-		return false
-	}
-	shifted := m >> bits.TrailingZeros64(m)
-	return shifted&(shifted+1) == 0
-}
-
-// DefineCLOS installs (or replaces) a CLOS with the given capacity
-// bitmask over the non-DDIO ways. Bit i selects way i. Masks must be
-// contiguous (hardware requirement) and within range.
-func (c *CAT) DefineCLOS(id int, cbm uint64) error {
-	if cbm == 0 {
-		return ErrEmptyMask
-	}
-	if !isContiguous(cbm) {
-		return ErrNonContiguous
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	maxWays := c.cfg.Ways - c.cfg.DDIOWays
-	if bits.Len64(cbm) > maxWays {
-		return fmt.Errorf("%w: mask needs way %d of %d non-DDIO ways",
-			ErrMaskRange, bits.Len64(cbm)-1, maxWays)
-	}
-	c.clos[id] = cbm
-	return nil
-}
-
-// DefineCLOSFraction is a convenience that installs a CLOS covering
-// approximately `fraction` of the non-DDIO LLC, as a contiguous mask
-// starting at `startWay`. At least one way is always allocated.
-// It returns the actual byte capacity granted.
-func (c *CAT) DefineCLOSFraction(id int, fraction float64, startWay int) (int64, error) {
-	if fraction < 0 {
-		fraction = 0
-	}
-	if fraction > 1 {
-		fraction = 1
-	}
-	maxWays := c.cfg.Ways - c.cfg.DDIOWays
-	ways := int(math.Round(fraction * float64(maxWays)))
-	if ways < 1 {
-		ways = 1
-	}
-	if startWay < 0 {
-		startWay = 0
-	}
-	if startWay+ways > maxWays {
-		startWay = maxWays - ways
-		if startWay < 0 {
-			startWay, ways = 0, maxWays
-		}
-	}
-	if err := c.DefineCLOS(id, contiguousMask(ways, startWay)); err != nil {
-		return 0, err
-	}
-	return int64(ways) * c.cfg.WayBytes, nil
-}
-
-// RemoveCLOS deletes a CLOS definition. CLOS 0 cannot be removed;
-// groups assigned to the removed CLOS fall back to CLOS 0.
-func (c *CAT) RemoveCLOS(id int) error {
-	if id == 0 {
-		return errors.New("cache: CLOS 0 is the firmware default and cannot be removed")
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.clos[id]; !ok {
-		return ErrUnknownCLOS
-	}
-	delete(c.clos, id)
-	for g, cid := range c.groups {
-		if cid == id {
-			c.groups[g] = 0
-		}
-	}
-	return nil
-}
-
-// Assign binds a group (an NF or a chain) to a CLOS.
-func (c *CAT) Assign(group string, closID int) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.clos[closID]; !ok {
-		return ErrUnknownCLOS
-	}
-	c.groups[group] = closID
-	return nil
-}
-
-// CLOSOf reports the CLOS a group is assigned to (default 0).
-func (c *CAT) CLOSOf(group string) int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.groups[group]
-}
-
-// Mask reports the CBM of a CLOS.
-func (c *CAT) Mask(closID int) (uint64, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	m, ok := c.clos[closID]
-	if !ok {
-		return 0, ErrUnknownCLOS
-	}
-	return m, nil
-}
-
-// EffectiveBytes reports the cache capacity a group can rely on:
-// exclusively-held ways count in full; ways shared with other
-// *assigned* classes are split evenly among the sharers, which is how
-// contended LLC ways behave on average under LRU.
-func (c *CAT) EffectiveBytes(group string) int64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	myMask, ok := c.clos[c.groups[group]]
-	if !ok {
-		return 0
-	}
-	// Count, per way of mine, how many assigned groups share it.
-	// Multiple groups mapped onto one CLOS contend within it too, so
-	// each assigned group counts separately.
-	maxWays := c.cfg.Ways - c.cfg.DDIOWays
-	counts := make([]int, maxWays)
-	for _, cid := range c.groups {
-		m := c.clos[cid]
-		for w := 0; w < maxWays; w++ {
-			if m&(1<<uint(w)) != 0 {
-				counts[w]++
-			}
-		}
-	}
-	var capacity float64
-	for w := 0; w < maxWays; w++ {
-		if myMask&(1<<uint(w)) == 0 {
-			continue
-		}
-		sharers := counts[w]
-		if sharers < 1 {
-			sharers = 1
-		}
-		capacity += float64(c.cfg.WayBytes) / float64(sharers)
-	}
-	return int64(capacity)
-}
-
-// Groups reports assigned group names in sorted order.
-func (c *CAT) Groups() []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]string, 0, len(c.groups))
-	for g := range c.groups {
-		out = append(out, g)
-	}
-	sort.Strings(out)
-	return out
-}
 
 // MissRate estimates the LLC miss rate for a working set of
 // `workingSet` bytes given `allocated` bytes of effective cache, with

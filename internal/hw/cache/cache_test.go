@@ -37,130 +37,6 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-func TestContiguityEnforced(t *testing.T) {
-	c := MustNewCAT(XeonE5v4())
-	if err := c.DefineCLOS(1, 0b1011); err != ErrNonContiguous {
-		t.Errorf("gap mask accepted: %v", err)
-	}
-	if err := c.DefineCLOS(1, 0); err != ErrEmptyMask {
-		t.Errorf("empty mask: %v", err)
-	}
-	if err := c.DefineCLOS(1, 0b1111); err != nil {
-		t.Errorf("valid mask rejected: %v", err)
-	}
-	// 18 non-DDIO ways: mask needing way 18 must fail.
-	if err := c.DefineCLOS(2, 1<<18); err == nil {
-		t.Error("mask beyond non-DDIO ways accepted")
-	}
-	// Mask of exactly 18 ways is the maximum.
-	if err := c.DefineCLOS(2, (1<<18)-1); err != nil {
-		t.Errorf("full-width mask rejected: %v", err)
-	}
-}
-
-func TestAssignAndCLOSOf(t *testing.T) {
-	c := MustNewCAT(XeonE5v4())
-	_ = c.DefineCLOS(3, 0b111)
-	if err := c.Assign("chain1", 3); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.CLOSOf("chain1"); got != 3 {
-		t.Errorf("CLOSOf = %d, want 3", got)
-	}
-	if got := c.CLOSOf("unknown"); got != 0 {
-		t.Errorf("unassigned group CLOS = %d, want 0", got)
-	}
-	if err := c.Assign("x", 99); err != ErrUnknownCLOS {
-		t.Errorf("assign to unknown CLOS: %v", err)
-	}
-}
-
-func TestRemoveCLOSFallsBack(t *testing.T) {
-	c := MustNewCAT(XeonE5v4())
-	_ = c.DefineCLOS(5, 0b11)
-	_ = c.Assign("nf", 5)
-	if err := c.RemoveCLOS(5); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.CLOSOf("nf"); got != 0 {
-		t.Errorf("group did not fall back to CLOS 0, got %d", got)
-	}
-	if err := c.RemoveCLOS(0); err == nil {
-		t.Error("CLOS 0 removal accepted")
-	}
-	if err := c.RemoveCLOS(42); err != ErrUnknownCLOS {
-		t.Errorf("removing unknown CLOS: %v", err)
-	}
-}
-
-func TestEffectiveBytesExclusive(t *testing.T) {
-	c := MustNewCAT(XeonE5v4())
-	wb := c.Config().WayBytes
-	_ = c.DefineCLOS(1, 0b1111)     // ways 0-3
-	_ = c.DefineCLOS(2, 0b11110000) // ways 4-7, disjoint
-	_ = c.Assign("a", 1)
-	_ = c.Assign("b", 2)
-	if got := c.EffectiveBytes("a"); got != 4*wb {
-		t.Errorf("exclusive a = %d, want %d", got, 4*wb)
-	}
-	if got := c.EffectiveBytes("b"); got != 4*wb {
-		t.Errorf("exclusive b = %d, want %d", got, 4*wb)
-	}
-}
-
-func TestEffectiveBytesSharedWaysSplit(t *testing.T) {
-	c := MustNewCAT(XeonE5v4())
-	wb := c.Config().WayBytes
-	_ = c.DefineCLOS(1, 0b0111) // ways 0-2
-	_ = c.DefineCLOS(2, 0b0110) // ways 1-2 shared with CLOS 1
-	_ = c.Assign("a", 1)
-	_ = c.Assign("b", 2)
-	// a: way0 exclusive + ways1,2 halved = 1 + 1 = 2 ways.
-	if got := c.EffectiveBytes("a"); got != 2*wb {
-		t.Errorf("shared a = %d, want %d", got, 2*wb)
-	}
-	// b: ways1,2 halved = 1 way.
-	if got := c.EffectiveBytes("b"); got != 1*wb {
-		t.Errorf("shared b = %d, want %d", got, 1*wb)
-	}
-}
-
-func TestEffectiveBytesUnknownGroupUsesCLOS0(t *testing.T) {
-	c := MustNewCAT(XeonE5v4())
-	// Unassigned group maps to CLOS 0 = all 18 non-DDIO ways.
-	want := c.Config().SharedBytes()
-	if got := c.EffectiveBytes("ghost"); got != want {
-		t.Errorf("CLOS-0 effective = %d, want %d", got, want)
-	}
-}
-
-func TestDefineCLOSFraction(t *testing.T) {
-	c := MustNewCAT(XeonE5v4())
-	wb := c.Config().WayBytes
-	got, err := c.DefineCLOSFraction(1, 0.5, 0) // 9 of 18 ways
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 9*wb {
-		t.Errorf("0.5 fraction = %d bytes, want %d", got, 9*wb)
-	}
-	// Tiny fraction still grants one way.
-	got, err = c.DefineCLOSFraction(2, 0.001, 0)
-	if err != nil || got != wb {
-		t.Errorf("min fraction = %d (%v), want one way", got, err)
-	}
-	// Fraction over 1 clamps to everything.
-	got, err = c.DefineCLOSFraction(3, 7, 0)
-	if err != nil || got != 18*wb {
-		t.Errorf("clamped fraction = %d (%v), want %d", got, err, 18*wb)
-	}
-	// Start way beyond range slides back.
-	got, err = c.DefineCLOSFraction(4, 0.5, 15)
-	if err != nil || got != 9*wb {
-		t.Errorf("sliding start = %d (%v), want %d", got, err, 9*wb)
-	}
-}
-
 func TestMissRateShape(t *testing.T) {
 	const meg = int64(1 << 20)
 	// Fits: only cold misses.
@@ -219,25 +95,5 @@ func TestDDIOOverflow(t *testing.T) {
 	e = DDIOOverflowEvictions(1000*meg, 2*meg, 0.3)
 	if e <= 0.29 || e > 0.3 {
 		t.Errorf("saturated evictions = %v, want ≈0.3", e)
-	}
-}
-
-func TestMaskLookups(t *testing.T) {
-	c := MustNewCAT(XeonE5v4())
-	m, err := c.Mask(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m != (1<<18)-1 {
-		t.Errorf("CLOS 0 mask = %b, want 18 ways", m)
-	}
-	if _, err := c.Mask(7); err != ErrUnknownCLOS {
-		t.Errorf("unknown CLOS mask: %v", err)
-	}
-	_ = c.Assign("g1", 0)
-	_ = c.Assign("g2", 0)
-	groups := c.Groups()
-	if len(groups) != 2 || groups[0] != "g1" || groups[1] != "g2" {
-		t.Errorf("groups = %v", groups)
 	}
 }

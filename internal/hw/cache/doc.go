@@ -1,15 +1,13 @@
-// Package cache models the shared last-level cache (LLC) and Intel
-// Cache Allocation Technology (CAT) controls GreenNFV uses to
-// partition it between NF service chains.
+// Package cache models the shared last-level cache (LLC) miss rate
+// and its Data Direct I/O (DDIO) interaction — the part of the cache
+// GreenNFV's performance model evaluates.
 //
 // The model follows the paper's testbed part (Xeon E5-2620 v4: 20 MB
-// LLC organized as 20 ways of 1 MB) and Intel's CAT semantics:
-// software defines Classes of Service (CLOS), each with a capacity
-// bitmask (CBM) selecting which ways the class may fill. CBMs must be
-// contiguous runs of set bits (an Intel hardware requirement), ways
-// may be shared between classes (shared ways are contended), and by
-// convention the top 10% of the LLC is reserved for Data Direct I/O
-// (DDIO), the region NIC DMA writes land in.
+// LLC organized as 20 ways of 1 MB). An NF's LLC allocation is a byte
+// capacity (the share of the non-DDIO ways its knob selects; Intel CAT
+// would install it as a contiguous way mask), and by convention the
+// top 10% of the LLC is reserved for DDIO, the region NIC DMA writes
+// land in.
 //
 // # Paper mapping
 //
@@ -19,7 +17,5 @@
 //
 // # Concurrency and determinism
 //
-// Pure state machines with no RNG and no goroutine-safety: a CAT
-// controller belongs to one node.Node, and all queries are
-// deterministic functions of the configured bitmasks.
+// Pure functions of their arguments: no state, no RNG.
 package cache

@@ -1,9 +1,6 @@
 package dma
 
-import (
-	"errors"
-	"math"
-)
+import "math"
 
 // Buffer describes a DMA buffer configuration.
 type Buffer struct {
@@ -23,19 +20,6 @@ func Default() Buffer {
 	return Buffer{Bytes: 2 << 20, DescriptorBytes: 16, FrameBytes: 2048}
 }
 
-// Validate reports whether the buffer shape is usable.
-func (b Buffer) Validate() error {
-	switch {
-	case b.Bytes <= 0:
-		return errors.New("dma: buffer must have positive capacity")
-	case b.DescriptorBytes < 0:
-		return errors.New("dma: descriptor size cannot be negative")
-	case b.FrameBytes <= 0:
-		return errors.New("dma: frame slot must be positive")
-	}
-	return nil
-}
-
 // Slots reports how many packet slots the buffer holds.
 func (b Buffer) Slots() int64 {
 	per := b.FrameBytes + b.DescriptorBytes
@@ -53,23 +37,6 @@ func (b Buffer) WithBytes(n int64) Buffer {
 	}
 	b.Bytes = n
 	return b
-}
-
-// AbsorbableBurst reports the largest packet burst (in packets) the
-// buffer can absorb without drops while the chain drains at
-// `drainPps` and the burst arrives at `arrivalPps`. For arrival
-// slower than drain the burst is unbounded and +Inf is returned.
-func (b Buffer) AbsorbableBurst(arrivalPps, drainPps float64) float64 {
-	if arrivalPps <= drainPps {
-		return math.Inf(1)
-	}
-	// Queue grows at (arrival − drain); slots / growth-per-packet.
-	slots := float64(b.Slots())
-	growthFrac := (arrivalPps - drainPps) / arrivalPps
-	if growthFrac <= 0 {
-		return math.Inf(1)
-	}
-	return slots / growthFrac
 }
 
 // DropProbability estimates the steady-state packet drop probability

@@ -6,25 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestDefaultValidates(t *testing.T) {
-	if err := Default().Validate(); err != nil {
-		t.Fatalf("default buffer invalid: %v", err)
-	}
-}
-
-func TestValidation(t *testing.T) {
-	bad := []Buffer{
-		{Bytes: 0, FrameBytes: 2048},
-		{Bytes: 1 << 20, DescriptorBytes: -1, FrameBytes: 2048},
-		{Bytes: 1 << 20, FrameBytes: 0},
-	}
-	for i, b := range bad {
-		if err := b.Validate(); err == nil {
-			t.Errorf("case %d: invalid buffer accepted", i)
-		}
-	}
-}
-
 func TestSlots(t *testing.T) {
 	b := Buffer{Bytes: 2 << 20, DescriptorBytes: 16, FrameBytes: 2048}
 	want := int64(2<<20) / 2064
@@ -41,20 +22,6 @@ func TestWithBytesFloor(t *testing.T) {
 	b = Default().WithBytes(40 << 20)
 	if b.Bytes != 40<<20 {
 		t.Errorf("bytes = %d, want 40 MiB", b.Bytes)
-	}
-}
-
-func TestAbsorbableBurst(t *testing.T) {
-	b := Default()
-	if got := b.AbsorbableBurst(1e6, 2e6); !math.IsInf(got, 1) {
-		t.Errorf("underloaded burst = %v, want +Inf", got)
-	}
-	// Arrival at 2 Mpps, drain at 1 Mpps: queue grows at half the
-	// arrival, so burst = 2×slots.
-	got := b.AbsorbableBurst(2e6, 1e6)
-	want := 2 * float64(b.Slots())
-	if math.Abs(got-want) > 1e-6 {
-		t.Errorf("burst = %v, want %v", got, want)
 	}
 }
 

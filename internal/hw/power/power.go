@@ -2,7 +2,6 @@ package power
 
 import (
 	"errors"
-	"fmt"
 	"math"
 )
 
@@ -98,97 +97,3 @@ func (m Model) ClampFreq(f float64) float64 {
 	}
 	return f
 }
-
-// CalibrateH fits the calibration parameter h so the model matches a
-// measured (u, watts) observation at frequency f, reproducing the
-// paper's procedure of fitting h against the WT210 meter. It searches
-// h in [0.1, 4] by bisection on the monotone residual and returns an
-// error if the observation is outside the representable range.
-func (m Model) CalibrateH(u, f, watts float64) (float64, error) {
-	if u <= 0 || u > 1 {
-		return 0, fmt.Errorf("power: calibration utilization %v outside (0,1]", u)
-	}
-	pmax := m.PMaxAt(f)
-	// P(h) = (pmax-pidle)(2u - u^h) + pidle is increasing in h for
-	// u in (0,1): u^h shrinks as h grows.
-	pAt := func(h float64) float64 {
-		return (pmax-m.PIdle)*(2*u-math.Pow(u, h)) + m.PIdle
-	}
-	lo, hi := 0.1, 4.0
-	if watts < pAt(lo) || watts > pAt(hi) {
-		return 0, fmt.Errorf("power: observation %v W not representable (range %.1f–%.1f W)",
-			watts, pAt(lo), pAt(hi))
-	}
-	for i := 0; i < 80; i++ {
-		mid := (lo + hi) / 2
-		if pAt(mid) < watts {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2, nil
-}
-
-// Meter integrates power samples into energy, standing in for the
-// Yokogawa WT210's accumulation mode. It is driven with explicit
-// timestamps so it works identically in simulated and wall-clock time.
-type Meter struct {
-	joules   float64
-	lastT    float64
-	lastP    float64
-	started  bool
-	samples  int64
-	peakW    float64
-	sumWatts float64
-}
-
-// NewMeter returns a meter with no accumulated energy.
-func NewMeter() *Meter { return &Meter{} }
-
-// Sample records instantaneous power p (watts) at time t (seconds).
-// Energy accumulates by trapezoidal integration between consecutive
-// samples; out-of-order samples are ignored.
-func (mt *Meter) Sample(t, p float64) {
-	if p < 0 {
-		p = 0
-	}
-	if !mt.started {
-		mt.started = true
-		mt.lastT, mt.lastP = t, p
-		mt.samples = 1
-		mt.peakW = p
-		mt.sumWatts = p
-		return
-	}
-	if t <= mt.lastT {
-		return
-	}
-	mt.joules += (t - mt.lastT) * (p + mt.lastP) / 2
-	mt.lastT, mt.lastP = t, p
-	mt.samples++
-	mt.sumWatts += p
-	if p > mt.peakW {
-		mt.peakW = p
-	}
-}
-
-// Joules reports total accumulated energy.
-func (mt *Meter) Joules() float64 { return mt.joules }
-
-// MeanWatts reports the mean of the sampled powers.
-func (mt *Meter) MeanWatts() float64 {
-	if mt.samples == 0 {
-		return 0
-	}
-	return mt.sumWatts / float64(mt.samples)
-}
-
-// PeakWatts reports the largest sampled power.
-func (mt *Meter) PeakWatts() float64 { return mt.peakW }
-
-// Samples reports how many samples the meter has integrated.
-func (mt *Meter) Samples() int64 { return mt.samples }
-
-// Reset clears accumulated energy and sample history.
-func (mt *Meter) Reset() { *mt = Meter{} }

@@ -104,88 +104,6 @@ func TestPowerNonLinearShape(t *testing.T) {
 	}
 }
 
-func TestCalibrateHRoundTrip(t *testing.T) {
-	m := Default()
-	trueH := 1.7
-	m.H = trueH
-	watts := m.Power(0.6, 1.8)
-	m.H = 1.0 // forget it
-	got, err := m.CalibrateH(0.6, 1.8, watts)
-	if err != nil {
-		t.Fatalf("CalibrateH: %v", err)
-	}
-	if !almostEqual(got, trueH, 1e-6) {
-		t.Errorf("recovered h = %v, want %v", got, trueH)
-	}
-}
-
-func TestCalibrateHRejectsImpossible(t *testing.T) {
-	m := Default()
-	if _, err := m.CalibrateH(0.5, 1.8, 5000); err == nil {
-		t.Error("impossible observation accepted")
-	}
-	if _, err := m.CalibrateH(0, 1.8, 150); err == nil {
-		t.Error("zero utilization accepted")
-	}
-}
-
-func TestMeterConstantPower(t *testing.T) {
-	mt := NewMeter()
-	for i := 0; i <= 100; i++ {
-		mt.Sample(float64(i)*0.1, 200) // 200 W for 10 s
-	}
-	if !almostEqual(mt.Joules(), 2000, 1e-9) {
-		t.Errorf("energy = %v J, want 2000", mt.Joules())
-	}
-	if !almostEqual(mt.MeanWatts(), 200, 1e-9) {
-		t.Errorf("mean = %v W, want 200", mt.MeanWatts())
-	}
-	if mt.PeakWatts() != 200 {
-		t.Errorf("peak = %v W, want 200", mt.PeakWatts())
-	}
-}
-
-func TestMeterTrapezoid(t *testing.T) {
-	mt := NewMeter()
-	mt.Sample(0, 100)
-	mt.Sample(2, 300) // trapezoid: 2s * (100+300)/2 = 400 J
-	if !almostEqual(mt.Joules(), 400, 1e-9) {
-		t.Errorf("energy = %v J, want 400", mt.Joules())
-	}
-}
-
-func TestMeterIgnoresOutOfOrder(t *testing.T) {
-	mt := NewMeter()
-	mt.Sample(1, 100)
-	mt.Sample(0.5, 999) // ignored
-	mt.Sample(2, 100)
-	if !almostEqual(mt.Joules(), 100, 1e-9) {
-		t.Errorf("energy = %v J, want 100", mt.Joules())
-	}
-	if mt.Samples() != 2 {
-		t.Errorf("samples = %d, want 2", mt.Samples())
-	}
-}
-
-func TestMeterNegativePowerClamped(t *testing.T) {
-	mt := NewMeter()
-	mt.Sample(0, -50)
-	mt.Sample(1, -50)
-	if mt.Joules() != 0 {
-		t.Errorf("energy = %v, want 0 for clamped negative power", mt.Joules())
-	}
-}
-
-func TestMeterReset(t *testing.T) {
-	mt := NewMeter()
-	mt.Sample(0, 10)
-	mt.Sample(1, 10)
-	mt.Reset()
-	if mt.Joules() != 0 || mt.Samples() != 0 {
-		t.Error("reset did not clear meter")
-	}
-}
-
 func almostEqual(a, b, eps float64) bool {
 	diff := math.Abs(a - b)
 	if diff <= eps {

@@ -122,11 +122,6 @@ func (n *Network) FlushF32() {
 	}
 }
 
-// Float32Enabled reports whether the f32 mirrors exist.
-func (n *Network) Float32Enabled() bool {
-	return len(n.layers) > 0 && n.layers[0].f32.w != nil
-}
-
 // ForwardBatchF32 is the float32 ForwardBatch.
 func (n *Network) ForwardBatchF32(x []float32, rows int) []float32 {
 	return ForwardBatch(n, x, rows)

@@ -168,12 +168,12 @@ func TestTanh32Accuracy(t *testing.T) {
 func TestEnableFlushF32RoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(113))
 	net := MustMLP([]int{4, 8, 2}, ReLU, Linear, rng)
-	if net.Float32Enabled() {
+	if net.layers[0].f32.w != nil {
 		t.Fatal("f32 mirrors exist before EnableF32")
 	}
 	before := append([]float64(nil), net.layers[0].W...)
 	net.EnableF32()
-	if !net.Float32Enabled() {
+	if net.layers[0].f32.w == nil {
 		t.Fatal("EnableF32 did not create mirrors")
 	}
 	net.FlushF32()

@@ -325,7 +325,7 @@ func TestOptimizerKernelsBitExact(t *testing.T) {
 			net.Backward(dOut)
 			net.ScaleGrad(0.125)
 			opt.Step(net)
-			if err := target.SoftUpdate(net, 0.01); err != nil {
+			if err := SoftUpdate(target, net, 0.01); err != nil {
 				t.Fatal(err)
 			}
 		}

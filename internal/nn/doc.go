@@ -101,8 +101,8 @@
 //     recompute rows an earlier group also covers (same bits, stored
 //     twice); layers with fewer than four outputs take the Go loop.
 //     The kernel keeps no state, in particular no transposed copy of W:
-//     Adam, SoftUpdate, LoadParams and CopyParamsFrom write W with
-//     nothing to invalidate. When two NaNs meet, which payload
+//     Adam, SoftUpdate and LoadParams write W with nothing to
+//     invalidate. When two NaNs meet, which payload
 //     survives is the hardware's choice of operand, in the kernel and
 //     in compiled Go alike; nothing else is left open.
 //   - Tanh (tanhs64, float64 only). The AVX2 kernel is math.Tanh, lane

@@ -5,3 +5,19 @@ import "testing"
 // SetSIMD selects the kernel set for one test of the external test
 // package and restores it after.
 func SetSIMD(t *testing.T, on bool) { setSIMD(t, on) }
+
+// GradSlices exposes gradient buffers in the same order as
+// ParamSlices.
+func (n *Network) GradSlices() [][]float64 {
+	_, grads := views[float64](n)
+	return grads
+}
+
+// NumParams reports the total parameter count.
+func (n *Network) NumParams() int {
+	total := 0
+	for _, l := range n.layers {
+		total += len(l.W) + len(l.B)
+	}
+	return total
+}

@@ -189,10 +189,10 @@ func FuzzNetworkUnmarshal(f *testing.F) {
 			return
 		}
 		const rows = 5 // one 4-row group and a remainder row
-		x := make([]float64, rows*n.InputDim())
-		n.Forward(x[:n.InputDim()])
+		x := make([]float64, rows*n.layers[0].In)
+		n.Forward(x[:n.layers[0].In])
 		n.ForwardBatch(x, rows)
-		n.BackwardBatch(make([]float64, rows*n.OutputDim()), rows)
+		n.BackwardBatch(make([]float64, rows*n.layers[len(n.layers)-1].Out), rows)
 		blob, err := n.MarshalBinary()
 		if err != nil {
 			t.Fatal(err)

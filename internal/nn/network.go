@@ -185,12 +185,6 @@ func MustMLP(sizes []int, hidden, outAct Activation, rng *rand.Rand) *Network {
 	return n
 }
 
-// InputDim reports the expected input length.
-func (n *Network) InputDim() int { return n.layers[0].In }
-
-// OutputDim reports the output length.
-func (n *Network) OutputDim() int { return n.layers[len(n.layers)-1].Out }
-
 // Forward runs the network. The returned slice is owned by the last
 // layer and valid until the next Forward; copy it to retain.
 func (n *Network) Forward(x []float64) []float64 {
@@ -224,22 +218,6 @@ func (n *Network) ParamSlices() [][]float64 {
 	return params
 }
 
-// GradSlices exposes gradient buffers in the same order as
-// ParamSlices.
-func (n *Network) GradSlices() [][]float64 {
-	_, grads := views[float64](n)
-	return grads
-}
-
-// NumParams reports the total parameter count.
-func (n *Network) NumParams() int {
-	total := 0
-	for _, l := range n.layers {
-		total += len(l.W) + len(l.B)
-	}
-	return total
-}
-
 // Clone deep-copies the network (fresh caches, same weights).
 func (n *Network) Clone() *Network {
 	c := &Network{}
@@ -249,27 +227,6 @@ func (n *Network) Clone() *Network {
 	}
 	return c
 }
-
-// CopyParamsFrom overwrites this network's parameters with src's.
-// The topologies must match.
-func (n *Network) CopyParamsFrom(src *Network) error {
-	dst := n.ParamSlices()
-	from := src.ParamSlices()
-	if len(dst) != len(from) {
-		return errors.New("nn: topology mismatch")
-	}
-	for i := range dst {
-		if len(dst[i]) != len(from[i]) {
-			return errors.New("nn: layer size mismatch")
-		}
-		copy(dst[i], from[i])
-	}
-	return nil
-}
-
-// SoftUpdate moves this network's float64 parameters toward src's
-// (see the SoftUpdate function).
-func (n *Network) SoftUpdate(src *Network, tau float64) error { return SoftUpdate(n, src, tau) }
 
 // netState is the gob-serializable form.
 type netState struct {

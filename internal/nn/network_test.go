@@ -11,8 +11,8 @@ import (
 func TestMLPConstruction(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	n := MustMLP([]int{4, 8, 2}, ReLU, Tanh, rng)
-	if n.InputDim() != 4 || n.OutputDim() != 2 {
-		t.Errorf("dims %d/%d", n.InputDim(), n.OutputDim())
+	if in, out := n.layers[0].In, n.layers[len(n.layers)-1].Out; in != 4 || out != 2 {
+		t.Errorf("dims %d/%d", in, out)
 	}
 	if n.NumParams() != 4*8+8+8*2+2 {
 		t.Errorf("params = %d", n.NumParams())
@@ -270,7 +270,7 @@ func TestSoftUpdate(t *testing.T) {
 	src := target.Clone()
 	src.ParamSlices()[0][0] = 10
 	target.ParamSlices()[0][0] = 0
-	if err := target.SoftUpdate(src, 0.1); err != nil {
+	if err := SoftUpdate(target, src, 0.1); err != nil {
 		t.Fatal(err)
 	}
 	got := target.ParamSlices()[0][0]
@@ -278,17 +278,17 @@ func TestSoftUpdate(t *testing.T) {
 		t.Errorf("soft update = %v, want 1.0", got)
 	}
 	// tau=1 copies exactly.
-	if err := target.SoftUpdate(src, 1); err != nil {
+	if err := SoftUpdate(target, src, 1.0); err != nil {
 		t.Fatal(err)
 	}
 	if target.ParamSlices()[0][0] != 10 {
 		t.Error("tau=1 did not copy")
 	}
-	if err := target.SoftUpdate(src, 2); err == nil {
+	if err := SoftUpdate(target, src, 2.0); err == nil {
 		t.Error("tau > 1 accepted")
 	}
 	other := MustMLP([]int{3, 2}, Linear, Linear, rng)
-	if err := target.SoftUpdate(other, 0.5); err == nil {
+	if err := SoftUpdate(target, other, 0.5); err == nil {
 		t.Error("topology mismatch accepted")
 	}
 }
@@ -321,7 +321,7 @@ func TestCopyParamsFrom(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	a := MustMLP([]int{2, 3, 1}, ReLU, Linear, rng)
 	b := MustMLP([]int{2, 3, 1}, ReLU, Linear, rng)
-	if err := b.CopyParamsFrom(a); err != nil {
+	if err := b.LoadParams(a.ParamFrame()); err != nil {
 		t.Fatal(err)
 	}
 	x := []float64{0.5, 0.5}
@@ -329,7 +329,7 @@ func TestCopyParamsFrom(t *testing.T) {
 		t.Error("copy did not synchronize outputs")
 	}
 	c := MustMLP([]int{3, 1}, ReLU, Linear, rng)
-	if err := c.CopyParamsFrom(a); err == nil {
+	if err := c.LoadParams(a.ParamFrame()); err == nil {
 		t.Error("mismatched copy accepted")
 	}
 }

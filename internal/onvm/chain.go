@@ -22,12 +22,6 @@ type ChainConfig struct {
 	Batch int
 }
 
-// DefaultChainConfig mirrors OpenNetVM defaults: 4096-entry rings,
-// 32-packet bursts.
-func DefaultChainConfig() ChainConfig {
-	return ChainConfig{RingCap: 4096, Batch: 32}
-}
-
 // NewChain wires handlers into a chain. The first handler receives
 // RX traffic; the last handler's survivors count as completed.
 func NewChain(name string, cfg ChainConfig, handlers ...Handler) (*Chain, error) {
@@ -65,26 +59,6 @@ func (c *Chain) Head() *NF { return c.nfs[0] }
 
 // Tail returns the last NF.
 func (c *Chain) Tail() *NF { return c.nfs[len(c.nfs)-1] }
-
-// SetBatchAll updates the burst size of every NF in the chain.
-func (c *Chain) SetBatchAll(n int) error {
-	for _, nf := range c.nfs {
-		if err := nf.SetBatch(n); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// CostModels reports each NF's computational profile in chain order,
-// the hook the performance model uses to derive chain capacity.
-func (c *Chain) CostModels() []CostModel {
-	out := make([]CostModel, len(c.nfs))
-	for i, nf := range c.nfs {
-		out[i] = nf.Handler().Cost()
-	}
-	return out
-}
 
 // Completed reports packets that made it through the whole chain.
 func (c *Chain) Completed() uint64 { return c.Tail().Stats().TxPackets.Load() }

@@ -32,9 +32,6 @@ func NewCryptoNF(key []byte) (*CryptoNF, error) {
 // Name implements Handler.
 func (c *CryptoNF) Name() string { return "crypto" }
 
-// Processed reports the number of payloads transformed.
-func (c *CryptoNF) Processed() uint64 { return c.processed.Load() }
-
 // Handle implements Handler: encrypt the L4 payload in place.
 func (c *CryptoNF) Handle(m *Mbuf) Verdict {
 	payload := l4Payload(m.Data)
@@ -87,9 +84,6 @@ func (v *VXLANTunnel) Name() string {
 	}
 	return "vxlan-encap"
 }
-
-// Errors reports packets dropped for malformed encapsulation.
-func (v *VXLANTunnel) Errors() uint64 { return v.errors.Load() }
 
 // Handle implements Handler.
 func (v *VXLANTunnel) Handle(m *Mbuf) Verdict {

@@ -92,9 +92,6 @@ func NewFirewall(rules []FirewallRule, defaultAccept bool) *Firewall {
 // Name implements Handler.
 func (f *Firewall) Name() string { return "firewall" }
 
-// Denied reports how many packets the firewall dropped.
-func (f *Firewall) Denied() uint64 { return f.denied.Load() }
-
 // Handle implements Handler.
 func (f *Firewall) Handle(m *Mbuf) Verdict {
 	ft, err := traffic.ParseFrame(m.Data)

@@ -36,9 +36,6 @@ func NewIDS(signatures [][]byte, dropOnMatch bool) (*IDS, error) {
 // Name implements Handler.
 func (d *IDS) Name() string { return "ids" }
 
-// Alerts reports the number of signature hits so far.
-func (d *IDS) Alerts() uint64 { return d.alerts.Load() }
-
 // Handle implements Handler: scan the L4 payload.
 func (d *IDS) Handle(m *Mbuf) Verdict {
 	payload := l4Payload(m.Data)

@@ -33,11 +33,6 @@ type ManagerConfig struct {
 	DrainTimeout time.Duration
 }
 
-// DefaultManagerConfig returns production-like defaults.
-func DefaultManagerConfig() ManagerConfig {
-	return ManagerConfig{PoolSize: 8192, PollSpins: 64, DrainTimeout: 5 * time.Second}
-}
-
 // ManagerStats aggregates RX-path counters.
 type ManagerStats struct {
 	RxPackets      atomic.Uint64
@@ -79,12 +74,6 @@ func NewManager(cfg ManagerConfig, chains ...*Chain) (*Manager, error) {
 
 // Stats exposes the manager's RX counters.
 func (mgr *Manager) Stats() *ManagerStats { return &mgr.stats }
-
-// Pool exposes the mempool (to resize experiments' DMA model).
-func (mgr *Manager) Pool() *Mempool { return mgr.pool }
-
-// Chains returns the managed chains.
-func (mgr *Manager) Chains() []*Chain { return mgr.chains }
 
 // RunResult summarizes one Run invocation.
 type RunResult struct {

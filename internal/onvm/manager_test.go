@@ -50,18 +50,15 @@ func TestChainConstruction(t *testing.T) {
 	if got := c.String(); got != "c1[firewall -> nat -> monitor]" {
 		t.Errorf("String = %q", got)
 	}
-	if len(c.CostModels()) != 3 {
-		t.Error("cost models missing")
-	}
-	if err := c.SetBatchAll(64); err != nil {
-		t.Fatal(err)
-	}
 	for _, nf := range c.NFs() {
+		if err := nf.SetBatch(64); err != nil {
+			t.Fatal(err)
+		}
 		if nf.Batch() != 64 {
 			t.Errorf("%s batch = %d", nf.Name(), nf.Batch())
 		}
 	}
-	if err := c.SetBatchAll(0); err == nil {
+	if err := c.Head().SetBatch(0); err == nil {
 		t.Error("batch 0 accepted")
 	}
 	if _, err := NewChain("", DefaultChainConfig(), NewMonitor()); err == nil {
@@ -117,17 +114,16 @@ func TestManagerEndToEnd(t *testing.T) {
 		t.Errorf("completed = %d, accepted = %d", res.Completed, accepted)
 	}
 	// The monitor at the tail saw every completed packet.
-	mon := chain.Tail().Handler().(*Monitor)
-	pk, _ := mon.Totals()
-	if pk != res.Completed {
+	mon := chain.Tail().handler.(*Monitor)
+	if pk := mon.pkts.Load(); pk != res.Completed {
 		t.Errorf("monitor saw %d, completed %d", pk, res.Completed)
 	}
 	if res.VirtualSpan <= 0 {
 		t.Error("virtual span not recorded")
 	}
 	// All mbufs returned.
-	if mgr.Pool().Available() != mgr.Pool().Size() {
-		t.Errorf("leaked mbufs: %d/%d", mgr.Pool().Available(), mgr.Pool().Size())
+	if mgr.pool.Available() != mgr.pool.Size() {
+		t.Errorf("leaked mbufs: %d/%d", mgr.pool.Available(), mgr.pool.Size())
 	}
 }
 
@@ -253,12 +249,12 @@ func TestManagerMultipleChains(t *testing.T) {
 	if c2.Completed() != 0 {
 		t.Errorf("chain 2 completed %d, want 0 (all denied)", c2.Completed())
 	}
-	if fw2.Denied() == 0 {
+	if fw2.denied.Load() == 0 {
 		t.Error("fw2 denied nothing")
 	}
 	fw2Seen := c2.Head().Stats().RxPackets.Load()
-	if fw2.Denied() != fw2Seen {
-		t.Errorf("fw2 denied %d of %d packets seen", fw2.Denied(), fw2Seen)
+	if fw2.denied.Load() != fw2Seen {
+		t.Errorf("fw2 denied %d of %d packets seen", fw2.denied.Load(), fw2Seen)
 	}
 }
 
@@ -322,8 +318,8 @@ func TestManagerHeavyChain(t *testing.T) {
 	if !res.Drained || res.Completed != 1000 {
 		t.Errorf("completed = %d drained=%v, want 1000/true", res.Completed, res.Drained)
 	}
-	if cr.Processed() != 1000 {
-		t.Errorf("crypto processed %d", cr.Processed())
+	if cr.processed.Load() != 1000 {
+		t.Errorf("crypto processed %d", cr.processed.Load())
 	}
 }
 
@@ -347,4 +343,15 @@ func TestNFBatchValidation(t *testing.T) {
 	if _, err := NewNF(NewMonitor(), 64, 0); err == nil {
 		t.Error("zero batch accepted")
 	}
+}
+
+// DefaultChainConfig mirrors OpenNetVM defaults: 4096-entry rings,
+// 32-packet bursts.
+func DefaultChainConfig() ChainConfig {
+	return ChainConfig{RingCap: 4096, Batch: 32}
+}
+
+// DefaultManagerConfig returns production-like defaults.
+func DefaultManagerConfig() ManagerConfig {
+	return ManagerConfig{PoolSize: 8192, PollSpins: 64, DrainTimeout: 5 * time.Second}
 }

@@ -104,15 +104,6 @@ func NewMempool(n int) (*Mempool, error) {
 	return p, nil
 }
 
-// MustNewMempool is NewMempool that panics on error.
-func MustNewMempool(n int) *Mempool {
-	p, err := NewMempool(n)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // Get takes an mbuf from the pool, or nil if the pool is exhausted
 // (callers count this as an RX drop).
 func (p *Mempool) Get() *Mbuf {

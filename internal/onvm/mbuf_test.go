@@ -119,3 +119,12 @@ func TestMbufResetClearsMetadata(t *testing.T) {
 		t.Error("reset did not clear metadata")
 	}
 }
+
+// MustNewMempool is NewMempool that panics on error.
+func MustNewMempool(n int) *Mempool {
+	p, err := NewMempool(n)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}

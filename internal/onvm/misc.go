@@ -3,7 +3,6 @@ package onvm
 import (
 	"errors"
 	"hash/fnv"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -58,45 +57,11 @@ func (mo *Monitor) Handle(m *Mbuf) Verdict {
 	return VerdictForward
 }
 
-// Totals reports aggregate packet and byte counts.
-func (mo *Monitor) Totals() (packets, bytes uint64) {
-	return mo.pkts.Load(), mo.bytes.Load()
-}
-
-// Flow returns a copy of one flow's counters.
-func (mo *Monitor) Flow(ft traffic.FiveTuple) (FlowCounter, bool) {
-	mo.mu.Lock()
-	defer mo.mu.Unlock()
-	fc, ok := mo.flows[ft]
-	if !ok {
-		return FlowCounter{}, false
-	}
-	return *fc, true
-}
-
 // FlowCount reports the number of distinct flows seen.
 func (mo *Monitor) FlowCount() int {
 	mo.mu.Lock()
 	defer mo.mu.Unlock()
 	return len(mo.flows)
-}
-
-// Rates estimates per-flow packet rates over each flow's observed
-// lifetime, sorted descending — the arrival-rate signal Ω the RL
-// state vector consumes.
-func (mo *Monitor) Rates() []float64 {
-	mo.mu.Lock()
-	defer mo.mu.Unlock()
-	rates := make([]float64, 0, len(mo.flows))
-	for _, fc := range mo.flows {
-		span := fc.Last - fc.First
-		if span <= 0 {
-			span = 1e-9
-		}
-		rates = append(rates, float64(fc.Packets)/span)
-	}
-	sort.Sort(sort.Reverse(sort.Float64Slice(rates)))
-	return rates
 }
 
 // Cost implements Handler: hash-map update per packet.
@@ -154,15 +119,6 @@ func fmix32(h uint32) uint32 {
 	return h
 }
 
-// BackendCounts reports per-backend packet totals.
-func (lb *LoadBalancer) BackendCounts() []uint64 {
-	out := make([]uint64, lb.backends)
-	for i := range out {
-		out[i] = lb.counts[i].Load()
-	}
-	return out
-}
-
 // Cost implements Handler.
 func (lb *LoadBalancer) Cost() CostModel {
 	return CostModel{CyclesPerPacket: 110, CyclesPerByte: 0, StateBytes: 4096}
@@ -192,9 +148,6 @@ func NewRateLimiter(rate, burst float64) (*RateLimiter, error) {
 
 // Name implements Handler.
 func (rl *RateLimiter) Name() string { return "ratelimiter" }
-
-// Drops reports packets dropped by policing.
-func (rl *RateLimiter) Drops() uint64 { return rl.drops.Load() }
 
 // Handle implements Handler.
 func (rl *RateLimiter) Handle(m *Mbuf) Verdict {
@@ -272,15 +225,6 @@ func (d *DPI) Handle(m *Mbuf) Verdict {
 	}
 	d.counts[class].Add(1)
 	return VerdictForward
-}
-
-// Counts reports per-class packet totals.
-func (d *DPI) Counts() map[string]uint64 {
-	out := make(map[string]uint64, len(d.counts))
-	for k, v := range d.counts {
-		out[k] = v.Load()
-	}
-	return out
 }
 
 // Cost implements Handler: header plus a short payload peek.

@@ -116,9 +116,6 @@ func NewNF(h Handler, ringCap, batch int) (*NF, error) {
 // Name reports the handler name.
 func (nf *NF) Name() string { return nf.handler.Name() }
 
-// Handler returns the wrapped handler.
-func (nf *NF) Handler() Handler { return nf.handler }
-
 // Stats exposes the NF's counters.
 func (nf *NF) Stats() *NFStats { return &nf.stats }
 

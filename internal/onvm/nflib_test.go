@@ -62,8 +62,8 @@ func TestFirewallRules(t *testing.T) {
 	}
 	outside.Free()
 
-	if fw.Denied() != 2 {
-		t.Errorf("denied = %d, want 2", fw.Denied())
+	if fw.denied.Load() != 2 {
+		t.Errorf("denied = %d, want 2", fw.denied.Load())
 	}
 	if fw.Cost().CyclesPerPacket <= 0 {
 		t.Error("zero cost model")
@@ -174,8 +174,8 @@ func TestRouterLPMAndTTL(t *testing.T) {
 	if r.Handle(m2) != VerdictDrop {
 		t.Error("expired TTL forwarded")
 	}
-	if r.TTLExpired() != 1 {
-		t.Errorf("ttlExpired = %d", r.TTLExpired())
+	if r.ttlExpired.Load() != 1 {
+		t.Errorf("ttlExpired = %d", r.ttlExpired.Load())
 	}
 	m2.Free()
 
@@ -208,8 +208,8 @@ func TestIDSSignatures(t *testing.T) {
 	if ids.Handle(m) != VerdictDrop {
 		t.Error("signature not caught")
 	}
-	if ids.Alerts() != 1 {
-		t.Errorf("alerts = %d", ids.Alerts())
+	if ids.alerts.Load() != 1 {
+		t.Errorf("alerts = %d", ids.alerts.Load())
 	}
 	m.Free()
 
@@ -227,7 +227,7 @@ func TestIDSSignatures(t *testing.T) {
 	if passive.Handle(m3) != VerdictForward {
 		t.Error("passive IDS dropped")
 	}
-	if passive.Alerts() != 1 {
+	if passive.alerts.Load() != 1 {
 		t.Error("passive IDS did not alert")
 	}
 	m3.Free()
@@ -279,8 +279,8 @@ func TestCryptoNFRoundTrip(t *testing.T) {
 	if !traffic.VerifyIPv4Checksum(m.Data) {
 		t.Error("crypto damaged the IP header")
 	}
-	if c.Processed() != 1 {
-		t.Errorf("processed = %d", c.Processed())
+	if c.processed.Load() != 1 {
+		t.Errorf("processed = %d", c.processed.Load())
 	}
 	m.Free()
 
@@ -324,8 +324,8 @@ func TestVXLANEncapDecapRoundTrip(t *testing.T) {
 	if decWrong.Handle(m2) != VerdictDrop {
 		t.Error("wrong VNI accepted")
 	}
-	if decWrong.Errors() != 1 {
-		t.Errorf("errors = %d", decWrong.Errors())
+	if decWrong.errors.Load() != 1 {
+		t.Errorf("errors = %d", decWrong.errors.Load())
 	}
 	m2.Free()
 
@@ -349,20 +349,16 @@ func TestMonitorCountsFlows(t *testing.T) {
 	_ = mo.Handle(m)
 	m.Free()
 
-	pk, by := mo.Totals()
+	pk, by := mo.pkts.Load(), mo.bytes.Load()
 	if pk != 4 || by != 3*64+128 {
 		t.Errorf("totals = %d pkts %d bytes", pk, by)
 	}
 	if mo.FlowCount() != 2 {
 		t.Errorf("flows = %d", mo.FlowCount())
 	}
-	fc, ok := mo.Flow(tuple(1, 80, traffic.ProtoUDP))
+	fc, ok := mo.flows[tuple(1, 80, traffic.ProtoUDP)]
 	if !ok || fc.Packets != 3 {
 		t.Errorf("flow counter = %+v ok=%v", fc, ok)
-	}
-	rates := mo.Rates()
-	if len(rates) != 2 || rates[0] < rates[1] {
-		t.Errorf("rates not sorted descending: %v", rates)
 	}
 }
 
@@ -392,15 +388,14 @@ func TestLoadBalancerConsistency(t *testing.T) {
 		_ = lb.Handle(m)
 		m.Free()
 	}
-	counts := lb.BackendCounts()
 	nonEmpty := 0
-	for _, c := range counts {
-		if c > 0 {
+	for i := range lb.counts {
+		if lb.counts[i].Load() > 0 {
 			nonEmpty++
 		}
 	}
 	if nonEmpty < 3 {
-		t.Errorf("poor spread: %v", counts)
+		t.Errorf("poor spread: %d of %d backends used", nonEmpty, len(lb.counts))
 	}
 	if _, err := NewLoadBalancer(0); err == nil {
 		t.Error("zero backends accepted")
@@ -431,8 +426,8 @@ func TestRateLimiterPolicing(t *testing.T) {
 		t.Error("refilled bucket still dropping")
 	}
 	m.Free()
-	if rl.Drops() != 1 {
-		t.Errorf("drops = %d", rl.Drops())
+	if rl.drops.Load() != 1 {
+		t.Errorf("drops = %d", rl.drops.Load())
 	}
 	if _, err := NewRateLimiter(0, 1); err == nil {
 		t.Error("zero rate accepted")
@@ -461,9 +456,10 @@ func TestDPIClassification(t *testing.T) {
 	_ = d.Handle(m)
 	m.Free()
 
-	counts := d.Counts()
-	if counts["dns"] != 1 || counts["tls"] != 1 || counts["http"] != 2 || counts["other"] != 1 {
-		t.Errorf("counts = %v", counts)
+	for class, want := range map[string]uint64{"dns": 1, "tls": 1, "http": 2, "other": 1} {
+		if got := d.counts[class].Load(); got != want {
+			t.Errorf("%s count = %d, want %d", class, got, want)
+		}
 	}
 }
 

@@ -85,9 +85,9 @@ func TestRandomChainConservation(t *testing.T) {
 			t.Fatalf("trial %d (%v, ring %d, batch %d): %d accounted of %d",
 				trial, chain, ringCap, batch, accounted, budget)
 		}
-		if mgr.Pool().Available() != mgr.Pool().Size() {
+		if mgr.pool.Available() != mgr.pool.Size() {
 			t.Fatalf("trial %d: leaked %d mbufs", trial,
-				mgr.Pool().Size()-mgr.Pool().Available())
+				mgr.pool.Size()-mgr.pool.Available())
 		}
 	}
 }

@@ -31,15 +31,6 @@ func NewRing(capacity int) (*Ring, error) {
 	return &Ring{mask: uint64(capacity - 1), buf: make([]*Mbuf, capacity)}, nil
 }
 
-// MustNewRing is NewRing that panics on error.
-func MustNewRing(capacity int) *Ring {
-	r, err := NewRing(capacity)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
 // Cap reports the ring capacity.
 func (r *Ring) Cap() int { return len(r.buf) }
 
@@ -61,36 +52,6 @@ func (r *Ring) Enqueue(m *Mbuf) bool {
 	return true
 }
 
-// EnqueueBurst adds up to len(ms) packets and reports how many were
-// accepted; the remainder should be dropped or retried by the caller.
-func (r *Ring) EnqueueBurst(ms []*Mbuf) int {
-	tail := r.tail.Load()
-	free := uint64(len(r.buf)) - (tail - r.head.Load())
-	n := uint64(len(ms))
-	if n > free {
-		n = free
-	}
-	for i := uint64(0); i < n; i++ {
-		r.buf[(tail+i)&r.mask] = ms[i]
-	}
-	if n > 0 {
-		r.tail.Store(tail + n)
-	}
-	return int(n)
-}
-
-// Dequeue removes one packet, or returns nil when the ring is empty.
-func (r *Ring) Dequeue() *Mbuf {
-	head := r.head.Load()
-	if head == r.tail.Load() {
-		return nil
-	}
-	m := r.buf[head&r.mask]
-	r.buf[head&r.mask] = nil
-	r.head.Store(head + 1)
-	return m
-}
-
 // DequeueBurst removes up to len(dst) packets into dst and reports
 // the count — the batched read the paper's batch-size knob controls.
 func (r *Ring) DequeueBurst(dst []*Mbuf) int {
@@ -109,114 +70,4 @@ func (r *Ring) DequeueBurst(dst []*Mbuf) int {
 		r.head.Store(head + n)
 	}
 	return int(n)
-}
-
-// MPMCRing is a bounded multi-producer/multi-consumer lock-free queue
-// (Vyukov's algorithm), used where several NF workers feed one TX
-// thread. Each slot carries a sequence number that encodes whether it
-// is ready for a producer or a consumer.
-type MPMCRing struct {
-	mask  uint64
-	slots []mpmcSlot
-	_     [64]byte
-	head  atomic.Uint64 // consumer position
-	_     [64]byte
-	tail  atomic.Uint64 // producer position
-}
-
-type mpmcSlot struct {
-	seq atomic.Uint64
-	m   *Mbuf
-}
-
-// NewMPMCRing builds an MPMC ring with power-of-two capacity.
-func NewMPMCRing(capacity int) (*MPMCRing, error) {
-	if capacity < 2 || capacity&(capacity-1) != 0 {
-		return nil, fmt.Errorf("%w: got %d", ErrRingSize, capacity)
-	}
-	r := &MPMCRing{mask: uint64(capacity - 1), slots: make([]mpmcSlot, capacity)}
-	for i := range r.slots {
-		r.slots[i].seq.Store(uint64(i))
-	}
-	return r, nil
-}
-
-// MustNewMPMCRing is NewMPMCRing that panics on error.
-func MustNewMPMCRing(capacity int) *MPMCRing {
-	r, err := NewMPMCRing(capacity)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
-// Cap reports the ring capacity.
-func (r *MPMCRing) Cap() int { return len(r.slots) }
-
-// Len reports the approximate number of queued packets.
-func (r *MPMCRing) Len() int {
-	n := int(r.tail.Load()) - int(r.head.Load())
-	if n < 0 {
-		return 0
-	}
-	return n
-}
-
-// Enqueue adds one packet from any goroutine; false means full.
-func (r *MPMCRing) Enqueue(m *Mbuf) bool {
-	pos := r.tail.Load()
-	for {
-		slot := &r.slots[pos&r.mask]
-		seq := slot.seq.Load()
-		switch {
-		case seq == pos: // slot free for this position
-			if r.tail.CompareAndSwap(pos, pos+1) {
-				slot.m = m
-				slot.seq.Store(pos + 1) // publish to consumers
-				return true
-			}
-			pos = r.tail.Load()
-		case seq < pos: // slot still holds an unconsumed older element
-			return false
-		default: // another producer claimed it; reload
-			pos = r.tail.Load()
-		}
-	}
-}
-
-// Dequeue removes one packet from any goroutine; nil means empty.
-func (r *MPMCRing) Dequeue() *Mbuf {
-	pos := r.head.Load()
-	for {
-		slot := &r.slots[pos&r.mask]
-		seq := slot.seq.Load()
-		switch {
-		case seq == pos+1: // slot published for this position
-			if r.head.CompareAndSwap(pos, pos+1) {
-				m := slot.m
-				slot.m = nil
-				slot.seq.Store(pos + uint64(len(r.slots))) // recycle for producers
-				return m
-			}
-			pos = r.head.Load()
-		case seq <= pos: // not yet published
-			return nil
-		default:
-			pos = r.head.Load()
-		}
-	}
-}
-
-// DequeueBurst removes up to len(dst) packets and reports the count.
-func (r *MPMCRing) DequeueBurst(dst []*Mbuf) int {
-	n := 0
-	for n < len(dst) {
-		m := r.Dequeue()
-		if m == nil {
-			break
-		}
-		dst[n] = m
-		n++
-	}
-	return n
 }

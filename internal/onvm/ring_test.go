@@ -12,9 +12,6 @@ func TestRingRejectsBadCapacity(t *testing.T) {
 		if _, err := NewRing(c); err == nil {
 			t.Errorf("capacity %d accepted", c)
 		}
-		if _, err := NewMPMCRing(c); err == nil {
-			t.Errorf("MPMC capacity %d accepted", c)
-		}
 	}
 	if _, err := NewRing(8); err != nil {
 		t.Errorf("capacity 8 rejected: %v", err)
@@ -33,12 +30,12 @@ func TestRingFIFOSingleThread(t *testing.T) {
 		t.Errorf("len = %d, want 5", r.Len())
 	}
 	for i, want := range ms {
-		got := r.Dequeue()
+		got := dequeue(r)
 		if got != want {
 			t.Fatalf("dequeue %d: wrong mbuf", i)
 		}
 	}
-	if r.Dequeue() != nil {
+	if dequeue(r) != nil {
 		t.Error("dequeue from empty ring returned a packet")
 	}
 }
@@ -62,9 +59,14 @@ func TestRingFullRejects(t *testing.T) {
 func TestRingBurstOperations(t *testing.T) {
 	r := MustNewRing(8)
 	ms := makeMbufs(10)
-	n := r.EnqueueBurst(ms)
+	n := 0
+	for _, m := range ms {
+		if r.Enqueue(m) {
+			n++
+		}
+	}
 	if n != 8 {
-		t.Fatalf("enqueue burst = %d, want 8 (capacity)", n)
+		t.Fatalf("enqueued %d, want 8 (capacity)", n)
 	}
 	dst := make([]*Mbuf, 3)
 	if got := r.DequeueBurst(dst); got != 3 {
@@ -78,7 +80,7 @@ func TestRingBurstOperations(t *testing.T) {
 	if got := r.DequeueBurst(make([]*Mbuf, 16)); got != 5 {
 		t.Errorf("drain burst = %d, want 5", got)
 	}
-	if got := r.EnqueueBurst(nil); got != 0 {
+	if got := r.DequeueBurst(nil); got != 0 {
 		t.Errorf("empty burst = %d", got)
 	}
 }
@@ -104,7 +106,7 @@ func TestRingModelEquivalence(t *testing.T) {
 					model = append(model, m)
 				}
 			} else {
-				got := r.Dequeue()
+				got := dequeue(r)
 				if len(model) == 0 {
 					if got != nil {
 						return false
@@ -147,7 +149,7 @@ func TestRingConcurrentSPSC(t *testing.T) {
 	}()
 	seen := 0
 	for seen < total {
-		m := r.Dequeue()
+		m := dequeue(r)
 		if m == nil {
 			runtime.Gosched()
 			continue
@@ -163,101 +165,28 @@ func TestRingConcurrentSPSC(t *testing.T) {
 	}
 }
 
-// MPMC ring under multiple producers and consumers: conservation (no
-// loss, no duplication).
-func TestMPMCConservation(t *testing.T) {
-	r := MustNewMPMCRing(32)
-	const producers, perProducer = 4, 2000
-	const total = producers * perProducer
-	ms := makeMbufs(total)
-	var wg sync.WaitGroup
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		go func(base int) {
-			defer wg.Done()
-			for i := 0; i < perProducer; {
-				if r.Enqueue(ms[base+i]) {
-					i++
-				} else {
-					runtime.Gosched()
-				}
-			}
-		}(p * perProducer)
-	}
-	var mu sync.Mutex
-	received := make(map[*Mbuf]int, total)
-	var cg sync.WaitGroup
-	done := make(chan struct{})
-	for c := 0; c < 3; c++ {
-		cg.Add(1)
-		go func() {
-			defer cg.Done()
-			for {
-				m := r.Dequeue()
-				if m == nil {
-					select {
-					case <-done:
-						// Final drain after producers finish.
-						for {
-							m := r.Dequeue()
-							if m == nil {
-								return
-							}
-							mu.Lock()
-							received[m]++
-							mu.Unlock()
-						}
-					default:
-						runtime.Gosched()
-						continue
-					}
-				}
-				mu.Lock()
-				received[m]++
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	close(done)
-	cg.Wait()
-	if len(received) != total {
-		t.Fatalf("received %d distinct packets, want %d", len(received), total)
-	}
-	for m, n := range received {
-		if n != 1 {
-			t.Fatalf("packet %p received %d times", m, n)
-		}
-	}
-}
-
-func TestMPMCFullAndEmpty(t *testing.T) {
-	r := MustNewMPMCRing(4)
-	ms := makeMbufs(5)
-	for i := 0; i < 4; i++ {
-		if !r.Enqueue(ms[i]) {
-			t.Fatalf("enqueue %d failed", i)
-		}
-	}
-	if r.Enqueue(ms[4]) {
-		t.Error("full MPMC accepted a packet")
-	}
-	if r.Len() != 4 || r.Cap() != 4 {
-		t.Errorf("len/cap = %d/%d", r.Len(), r.Cap())
-	}
-	dst := make([]*Mbuf, 8)
-	if n := r.DequeueBurst(dst); n != 4 {
-		t.Errorf("burst = %d, want 4", n)
-	}
-	if r.Dequeue() != nil {
-		t.Error("empty MPMC returned a packet")
-	}
-}
-
 func makeMbufs(n int) []*Mbuf {
 	out := make([]*Mbuf, n)
 	for i := range out {
 		out[i] = &Mbuf{}
 	}
 	return out
+}
+
+// dequeue removes one packet through the burst read, nil when empty.
+func dequeue(r *Ring) *Mbuf {
+	var one [1]*Mbuf
+	if r.DequeueBurst(one[:]) == 0 {
+		return nil
+	}
+	return one[0]
+}
+
+// MustNewRing is NewRing that panics on error.
+func MustNewRing(capacity int) *Ring {
+	r, err := NewRing(capacity)
+	if err != nil {
+		panic(err)
+	}
+	return r
 }

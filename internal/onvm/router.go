@@ -51,9 +51,6 @@ func NewRouter(routes []Route, defaultPort int) (*Router, error) {
 // Name implements Handler.
 func (r *Router) Name() string { return "router" }
 
-// TTLExpired reports packets dropped for TTL exhaustion.
-func (r *Router) TTLExpired() uint64 { return r.ttlExpired.Load() }
-
 // Lookup performs longest-prefix match on a destination address,
 // returning the egress port and whether any route matched.
 func (r *Router) Lookup(dst [4]byte) (uint16, bool) {

@@ -8,7 +8,6 @@ import (
 	"greennfv/internal/hw/cache"
 	"greennfv/internal/hw/dma"
 	"greennfv/internal/hw/power"
-	"greennfv/internal/onvm"
 	"greennfv/internal/traffic"
 )
 
@@ -28,37 +27,10 @@ type NFSpec struct {
 	StateLinesPerPacket float64
 }
 
-// SpecFromHandler derives an NFSpec from a live onvm handler.
-func SpecFromHandler(h onvm.Handler) NFSpec {
-	c := h.Cost()
-	// Heavier state implies more lines touched per packet; clamp to
-	// a small constant range so light NFs stay light.
-	lines := 2 + math.Log2(1+float64(c.StateBytes)/4096)
-	if lines > 10 {
-		lines = 10
-	}
-	return NFSpec{
-		Name:                h.Name(),
-		CyclesPerPacket:     c.CyclesPerPacket,
-		CyclesPerByte:       c.CyclesPerByte,
-		StateBytes:          c.StateBytes,
-		StateLinesPerPacket: lines,
-	}
-}
-
 // ChainSpec is a service chain's profile.
 type ChainSpec struct {
 	Name string
 	NFs  []NFSpec
-}
-
-// ChainFromHandlers builds a ChainSpec from onvm handlers.
-func ChainFromHandlers(name string, hs ...onvm.Handler) ChainSpec {
-	spec := ChainSpec{Name: name}
-	for _, h := range hs {
-		spec.NFs = append(spec.NFs, SpecFromHandler(h))
-	}
-	return spec
 }
 
 // TotalStateBytes sums the chain's NF state.
@@ -433,16 +405,6 @@ func growNF(buf []NFResult, n int) []NFResult {
 		return buf[:n]
 	}
 	return make([]NFResult, n)
-}
-
-// EvaluateUniform applies one knob set to every NF of the chain, the
-// common case for chain-granular control.
-func (c *Config) EvaluateUniform(chain ChainSpec, k NFKnobs, tr Traffic, opt EvalOptions) (Result, error) {
-	knobs := make([]NFKnobs, len(chain.NFs))
-	for i := range knobs {
-		knobs[i] = k
-	}
-	return c.Evaluate(chain, knobs, tr, opt)
 }
 
 func clamp(x, lo, hi float64) float64 {

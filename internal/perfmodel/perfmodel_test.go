@@ -11,6 +11,16 @@ func defaultTraffic() Traffic {
 	return Traffic{OfferedPPS: 2.2e6, FrameBytes: 512, Burstiness: 1}
 }
 
+// EvaluateUniform applies one knob set to every NF of the chain, the
+// common case for chain-granular control.
+func (c *Config) EvaluateUniform(chain ChainSpec, k NFKnobs, tr Traffic, opt EvalOptions) (Result, error) {
+	knobs := make([]NFKnobs, len(chain.NFs))
+	for i := range knobs {
+		knobs[i] = k
+	}
+	return c.Evaluate(chain, knobs, tr, opt)
+}
+
 func TestDefaultConfigValidates(t *testing.T) {
 	cfg := Default()
 	if err := cfg.Validate(); err != nil {
@@ -353,6 +363,33 @@ func TestLLCOversubscriptionRescaled(t *testing.T) {
 	if math.Abs(a.ThroughputGbps-b.ThroughputGbps) > 1e-9 {
 		t.Errorf("oversubscribed %v != rescaled %v", a.ThroughputGbps, b.ThroughputGbps)
 	}
+}
+
+// SpecFromHandler derives an NFSpec from a live onvm handler.
+func SpecFromHandler(h onvm.Handler) NFSpec {
+	c := h.Cost()
+	// Heavier state implies more lines touched per packet; clamp to
+	// a small constant range so light NFs stay light.
+	lines := 2 + math.Log2(1+float64(c.StateBytes)/4096)
+	if lines > 10 {
+		lines = 10
+	}
+	return NFSpec{
+		Name:                h.Name(),
+		CyclesPerPacket:     c.CyclesPerPacket,
+		CyclesPerByte:       c.CyclesPerByte,
+		StateBytes:          c.StateBytes,
+		StateLinesPerPacket: lines,
+	}
+}
+
+// ChainFromHandlers builds a ChainSpec from onvm handlers.
+func ChainFromHandlers(name string, hs ...onvm.Handler) ChainSpec {
+	spec := ChainSpec{Name: name}
+	for _, h := range hs {
+		spec.NFs = append(spec.NFs, SpecFromHandler(h))
+	}
+	return spec
 }
 
 func TestSpecFromHandler(t *testing.T) {

@@ -61,14 +61,6 @@ func (p *Problem) capacities() []NodeCapacity {
 	return caps
 }
 
-// NumNodes reports how many hosts the instance offers.
-func (p *Problem) NumNodes() int {
-	if len(p.Nodes) > 0 {
-		return len(p.Nodes)
-	}
-	return p.MaxNodes
-}
-
 // Validate reports whether the instance is well formed. A chain that
 // exceeds every node's capacity makes the whole instance infeasible
 // by construction; that case reports an error wrapping ErrInfeasible.

@@ -1,5 +1,5 @@
 // Package pool is the one bounded worker pool the batch surfaces
-// share: perfmodel.BatchEvaluate, env.VecEnv, the experiments figure
+// share: perfmodel.BatchEvaluate, the experiments figure
 // drivers and the internal/sweep grid all fan independent
 // index-addressed work through ForEach instead of growing private
 // copies of the same scheduling and error-selection logic.

@@ -163,7 +163,7 @@ func chaosTrainerMain() int {
 
 	_, transitions := tr.Learner().Stats()
 	st := chaosStatus{
-		ResumedUpdates: tr.ResumedUpdates(),
+		ResumedUpdates: tr.resumedUpdates,
 		Updates:        tr.Learner().Agent().LearnSteps(),
 		Transitions:    transitions,
 		RestoredSHA:    restoredSHA,

@@ -119,10 +119,6 @@ func (t *Trainer) Resume(path string) error {
 	return nil
 }
 
-// ResumedUpdates reports how many learner updates the checkpoint
-// restored by the last Run carried, or -1 if the run did not resume.
-func (t *Trainer) ResumedUpdates() int { return t.resumedUpdates }
-
 // applyResume restores the recorded checkpoint into the learner. The
 // run modes call it once their replay implementation is installed
 // (the snapshot must restore into a matching buffer).

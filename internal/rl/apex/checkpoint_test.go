@@ -123,7 +123,7 @@ func TestTrainerCheckpointResume(t *testing.T) {
 			if err := tr2.Run(); err != nil {
 				t.Fatal(err)
 			}
-			if got := tr2.ResumedUpdates(); got != wantUpdates {
+			if got := tr2.resumedUpdates; got != wantUpdates {
 				t.Errorf("ResumedUpdates = %d, want %d", got, wantUpdates)
 			}
 			gotBytes, err := tr2.Learner().Agent().ActorBytes()

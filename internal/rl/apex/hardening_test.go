@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"greennfv/internal/rpcutil"
 )
 
 // TestUnregisteredActorRejected pins the registration gate: Push and
@@ -74,10 +76,10 @@ func TestStaleEpochRejected(t *testing.T) {
 	}
 
 	err = zombie.PushExperience(rpcBatch(1))
-	if !IsStaleActorEpoch(err) {
+	if !rpcutil.Matches(err, ErrStaleActorEpoch) {
 		t.Errorf("zombie push error = %v, want ErrStaleActorEpoch", err)
 	}
-	if _, _, err := zombie.PullParams(0); !IsStaleActorEpoch(err) {
+	if _, _, err := zombie.PullParams(0); !rpcutil.Matches(err, ErrStaleActorEpoch) {
 		t.Errorf("zombie pull error = %v, want ErrStaleActorEpoch", err)
 	}
 	if err := respawn.PushExperience(rpcBatch(3)); err != nil {
@@ -145,7 +147,7 @@ func TestCallDeadline(t *testing.T) {
 	start := time.Now()
 	_, rerr := client.Register()
 	elapsed := time.Since(start)
-	var de *DeadlineError
+	var de *rpcutil.DeadlineError
 	if !errors.As(rerr, &de) {
 		t.Fatalf("black-hole call error = %v, want DeadlineError", rerr)
 	}

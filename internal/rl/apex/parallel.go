@@ -38,10 +38,7 @@ func (t *Trainer) driveVecActor(steps int) (transport, error) {
 		envs[i] = se
 		ladder[i] = a.agent.Config()
 	}
-	// workers=1: per-env steps are microseconds of arithmetic, so the
-	// inline single-worker path beats paying pool dispatch per round —
-	// and the spare cores belong to the learner pipeline anyway.
-	vec, err := env.NewVecEnv(envs, 1)
+	vec, err := env.NewVecEnv(envs)
 	if err != nil {
 		return nil, err
 	}

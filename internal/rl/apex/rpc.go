@@ -55,15 +55,6 @@ var (
 // rejection, locally or over RPC.
 func IsUnregisteredActor(err error) bool { return rpcutil.Matches(err, ErrUnregisteredActor) }
 
-// IsStaleActorEpoch reports whether err is an ErrStaleActorEpoch
-// rejection, locally or over RPC.
-func IsStaleActorEpoch(err error) bool { return rpcutil.Matches(err, ErrStaleActorEpoch) }
-
-// DeadlineError is the retryable failure of an RPC call that exceeded
-// its deadline; the underlying connection has been torn down. It is
-// the shared rpcutil.DeadlineError.
-type DeadlineError = rpcutil.DeadlineError
-
 // PushArgs is the RPC request for experience submission.
 type PushArgs struct {
 	Batch []Experience

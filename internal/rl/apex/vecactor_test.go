@@ -69,7 +69,7 @@ func TestVecActorMatchesScalarStepping(t *testing.T) {
 			c.OUSigma = 0.3 * (1 + 0.5*float64(i))
 			ladder[i] = c
 		}
-		vec, err := env.NewVecEnv(envs, 0)
+		vec, err := env.NewVecEnv(envs)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -236,6 +236,3 @@ func (a *Agent) SetActFloat32(enable bool) {
 		a.criticTarget.EnableF32()
 	}
 }
-
-// ActFloat32 reports whether the f32 acting path is active.
-func (a *Agent) ActFloat32() bool { return a.actF32 }

@@ -178,7 +178,7 @@ func TestActBatchFloat32Parity(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.SetActFloat32(true)
-	if !b.ActFloat32() {
+	if !b.actF32 {
 		t.Fatal("SetActFloat32 did not enable the f32 acting path")
 	}
 	const n = 6
@@ -304,7 +304,7 @@ func TestSetActFloat32NoOpUnderLearnerF32(t *testing.T) {
 	}
 	a.SetFloat32(true)
 	a.SetActFloat32(true)
-	if a.ActFloat32() {
+	if a.actF32 {
 		t.Error("SetActFloat32 engaged while the learner owns the f32 mirrors")
 	}
 	a.SetFloat32(false)

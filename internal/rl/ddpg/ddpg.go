@@ -344,16 +344,6 @@ func (a *Agent) Observe(t replay.Transition) {
 	a.uniform.Add(t)
 }
 
-// ObserveWithPriority stores a transition with an Ape-X style
-// actor-computed initial priority.
-func (a *Agent) ObserveWithPriority(t replay.Transition, priority float64) {
-	if a.prioritized != nil {
-		a.prioritized.AddWithPriority(t, priority)
-		return
-	}
-	a.uniform.Add(t)
-}
-
 // ObserveBatch stores a chunk of transitions with their priorities in
 // one replay call — one lock acquire per chunk instead of one per
 // transition. priorities may be nil (maximal priority).
@@ -658,24 +648,6 @@ func finishTargets[T float](a *Agent) {
 
 // LearnSteps reports completed updates.
 func (a *Agent) LearnSteps() int { return a.learnSteps }
-
-// NoiseSigma reports the current exploration scale.
-func (a *Agent) NoiseSigma() float64 { return a.noise.Sigma() }
-
-// SyncFrom copies another agent's network parameters (Ape-X actors
-// pull learner parameters through this).
-func (a *Agent) SyncFrom(src *Agent) error {
-	if err := a.Actor.CopyParamsFrom(src.Actor); err != nil {
-		return err
-	}
-	if err := a.Critic.CopyParamsFrom(src.Critic); err != nil {
-		return err
-	}
-	if err := a.actorTarget.CopyParamsFrom(src.actorTarget); err != nil {
-		return err
-	}
-	return a.criticTarget.CopyParamsFrom(src.criticTarget)
-}
 
 // ActorBytes encodes the actor's parameters for broadcast and for the
 // saved policy file: one nn parameter frame, one allocation of exactly

@@ -159,10 +159,10 @@ func TestNoiseDecays(t *testing.T) {
 			NextState: []float64{0, 0, 0},
 		})
 	}
-	before := a.NoiseSigma()
+	before := a.noise.Sigma()
 	a.Learn()
-	if a.NoiseSigma() >= before {
-		t.Errorf("sigma did not decay: %v -> %v", before, a.NoiseSigma())
+	if a.noise.Sigma() >= before {
+		t.Errorf("sigma did not decay: %v -> %v", before, a.noise.Sigma())
 	}
 	if a.LearnSteps() != 1 {
 		t.Errorf("learn steps = %d", a.LearnSteps())
@@ -183,7 +183,11 @@ func TestSyncFrom(t *testing.T) {
 	}
 	a.Learn()
 	s := []float64{0.4, 0.4, 0.4}
-	if err := b.SyncFrom(a); err != nil {
+	state, err := a.StateBytes(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.LoadStateBytes(state); err != nil {
 		t.Fatal(err)
 	}
 	ga, gb := a.Greedy(s), b.Greedy(s)

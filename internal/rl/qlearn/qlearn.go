@@ -125,12 +125,6 @@ func New(cfg Config) (*Agent, error) {
 	return a, nil
 }
 
-// NumActions reports the joint discrete action count (Levels^5).
-func (a *Agent) NumActions() int { return a.actions }
-
-// NumStates reports the discrete state count.
-func (a *Agent) NumStates() int { return len(a.q) }
-
 // StateIndex discretizes a (throughput, energy) measurement.
 func (a *Agent) StateIndex(tputGbps, energyJ float64) int {
 	tb := binOf(tputGbps, a.cfg.MaxThroughputGbps, a.cfg.ThroughputBins)
@@ -207,9 +201,3 @@ func (a *Agent) Update(state, action int, reward float64, nextState int) error {
 	a.eps = math.Max(a.cfg.EpsilonMin, a.eps*a.cfg.EpsilonDecay)
 	return nil
 }
-
-// Epsilon reports the current exploration rate.
-func (a *Agent) Epsilon() float64 { return a.eps }
-
-// QValue reports one table entry (for tests and debugging).
-func (a *Agent) QValue(state, action int) float64 { return a.q[state][action] }

@@ -29,11 +29,11 @@ func TestActionSpaceSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.NumActions() != 243 { // 3^5
-		t.Errorf("actions = %d, want 243", a.NumActions())
+	if a.actions != 243 { // 3^5
+		t.Errorf("actions = %d, want 243", a.actions)
 	}
-	if a.NumStates() != 64 {
-		t.Errorf("states = %d, want 64", a.NumStates())
+	if len(a.q) != 64 {
+		t.Errorf("states = %d, want 64", len(a.q))
 	}
 }
 
@@ -58,7 +58,7 @@ func TestKnobsDecodeAllValid(t *testing.T) {
 	a, _ := New(DefaultConfig())
 	b := perfmodel.DefaultBounds()
 	seen := map[perfmodel.NFKnobs]bool{}
-	for act := 0; act < a.NumActions(); act++ {
+	for act := 0; act < a.actions; act++ {
 		k, err := a.Knobs(act)
 		if err != nil {
 			t.Fatalf("action %d: %v", act, err)
@@ -74,8 +74,8 @@ func TestKnobsDecodeAllValid(t *testing.T) {
 		}
 		seen[k] = true
 	}
-	if len(seen) != a.NumActions() {
-		t.Errorf("only %d distinct knob sets from %d actions", len(seen), a.NumActions())
+	if len(seen) != a.actions {
+		t.Errorf("only %d distinct knob sets from %d actions", len(seen), a.actions)
 	}
 	if _, err := a.Knobs(-1); err == nil {
 		t.Error("negative action accepted")
@@ -95,8 +95,8 @@ func TestEpsilonDecay(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if a.Epsilon() != 0.1 {
-		t.Errorf("epsilon = %v, want floor 0.1", a.Epsilon())
+	if a.eps != 0.1 {
+		t.Errorf("epsilon = %v, want floor 0.1", a.eps)
 	}
 }
 
@@ -122,19 +122,19 @@ func TestLearnsBestAction(t *testing.T) {
 	a, _ := New(cfg)
 	const lucky = 7
 	for step := 0; step < 30000; step++ {
-		s := step % a.NumStates()
+		s := step % len(a.q)
 		act := a.Act(s)
 		r := 0.0
 		if act == lucky {
 			r = 1
 		}
-		if err := a.Update(s, act, r, (s+1)%a.NumStates()); err != nil {
+		if err := a.Update(s, act, r, (s+1)%len(a.q)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for s := 0; s < a.NumStates(); s++ {
+	for s := 0; s < len(a.q); s++ {
 		if got := a.Greedy(s); got != lucky {
-			t.Fatalf("state %d greedy = %d, want %d (q=%v)", s, got, lucky, a.QValue(s, got))
+			t.Fatalf("state %d greedy = %d, want %d (q=%v)", s, got, lucky, a.q[s][got])
 		}
 	}
 }

@@ -77,18 +77,10 @@ func (u *Uniform) Len() int {
 	return u.count
 }
 
-// Sample draws n transitions uniformly with replacement. It returns
-// fewer than n only when the buffer is empty.
-func (u *Uniform) Sample(rng *rand.Rand, n int) []Transition {
-	if n <= 0 {
-		return nil
-	}
-	return u.SampleInto(rng, n, make([]Transition, 0, n))
-}
-
-// SampleInto is Sample without per-call allocation: samples are
-// appended to dst (truncated to length zero first), which should
-// have capacity n to stay allocation-free.
+// SampleInto draws n transitions uniformly with replacement; it
+// returns nil only when the buffer is empty. Samples are appended to
+// dst (truncated to length zero first), which should have capacity n
+// to stay allocation-free.
 func (u *Uniform) SampleInto(rng *rand.Rand, n int, dst []Transition) []Transition {
 	u.mu.Lock()
 	defer u.mu.Unlock()
@@ -250,22 +242,13 @@ func (p *Prioritized) AddBatch(ts []Transition, priorities []float64) {
 	p.mu.Unlock()
 }
 
-// Sample draws n transitions by priority. It returns the samples,
-// their buffer indices (for UpdatePriorities) and their normalized
-// importance-sampling weights. Fewer than n are returned only when
-// the buffer is empty.
-func (p *Prioritized) Sample(rng *rand.Rand, n int) ([]Transition, []int, []float64) {
-	if n <= 0 {
-		return nil, nil, nil
-	}
-	return p.SampleInto(rng, n,
-		make([]Transition, 0, n), make([]int, 0, n), make([]float64, 0, n))
-}
-
-// SampleInto is Sample without per-call allocation: results are
-// appended to the provided slices (truncated to length zero first),
-// which should have capacity n to stay allocation-free. The learner's
-// batched update path reuses one set of buffers across its whole run.
+// SampleInto draws n transitions by priority: the samples, their
+// buffer indices (for UpdatePriorities) and their normalized
+// importance-sampling weights, nil only when the buffer is empty.
+// Results are appended to the provided slices (truncated to length
+// zero first), which should have capacity n to stay allocation-free.
+// The learner's batched update path reuses one set of buffers across
+// its whole run.
 func (p *Prioritized) SampleInto(rng *rand.Rand, n int, samples []Transition, indices []int, weights []float64) ([]Transition, []int, []float64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()

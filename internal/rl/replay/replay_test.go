@@ -377,3 +377,20 @@ func TestIdleBufferHoldsNoStorage(t *testing.T) {
 		t.Errorf("full 300-slot ring holds %d slots in a %d-slot array", len(small.data), cap(small.data))
 	}
 }
+
+// Sample is SampleInto with fresh buffers.
+func (u *Uniform) Sample(rng *rand.Rand, n int) []Transition {
+	if n <= 0 {
+		return nil
+	}
+	return u.SampleInto(rng, n, make([]Transition, 0, n))
+}
+
+// Sample is SampleInto with fresh buffers.
+func (p *Prioritized) Sample(rng *rand.Rand, n int) ([]Transition, []int, []float64) {
+	if n <= 0 {
+		return nil, nil, nil
+	}
+	return p.SampleInto(rng, n,
+		make([]Transition, 0, n), make([]int, 0, n), make([]float64, 0, n))
+}

@@ -91,9 +91,6 @@ func NewSharded(capacity, shards int, alpha, beta, betaInc float64, seed int64) 
 // NumShards reports the stripe count.
 func (s *Sharded) NumShards() int { return len(s.shards) }
 
-// Capacity reports total transition capacity across shards.
-func (s *Sharded) Capacity() int { return len(s.shards) * s.shardCap }
-
 // Len reports the number of stored transitions (lock-free).
 func (s *Sharded) Len() int { return int(s.count.Load()) }
 

@@ -120,11 +120,6 @@ func (a *NodeAgent) Counters() *stats.Counters { return a.counters }
 // through it).
 func (a *NodeAgent) Env() *env.Env { return a.env }
 
-// PolicyVersion reports the controller's policy version as of the
-// last successful contact (0 before the first register). Safe to read
-// concurrently with the serving loop.
-func (a *NodeAgent) PolicyVersion() int { return int(a.policyVersion.Load()) }
-
 // RegisterMetrics exposes the agent on a Prometheus registry: every
 // serving counter as `greennfv_agent_<name>_total` plus the
 // last-observed policy-version gauge.
@@ -286,19 +281,4 @@ func (a *NodeAgent) apply(ks []perfmodel.NFKnobs, source string) {
 	a.mode = source
 	a.lastGood = append(a.lastGood[:0], ks...)
 	a.counters.Inc(CounterConfigsPushed)
-}
-
-// Run drives Step on a ticker until stop closes. RPC errors degrade
-// the node (Step already fell back); they do not end the loop.
-func (a *NodeAgent) Run(interval time.Duration, stop <-chan struct{}) {
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case t := <-ticker.C:
-			a.Step(t)
-		}
-	}
 }

@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -21,6 +22,27 @@ import (
 	"greennfv/internal/sla"
 	"greennfv/internal/stats"
 )
+
+// latencyObservations reads the decision-latency histogram's count
+// the way a scrape does.
+func latencyObservations(t *testing.T, c *Controller) uint64 {
+	t.Helper()
+	reg := stats.NewRegistry()
+	reg.RegisterHistogram("latency", "", c.reportLatency)
+	var text strings.Builder
+	if err := reg.WriteText(&text); err != nil {
+		t.Fatal(err)
+	}
+	_, after, ok := strings.Cut(text.String(), "latency_count ")
+	if !ok {
+		t.Fatalf("no latency_count in %q", text.String())
+	}
+	n, err := strconv.ParseUint(strings.TrimSpace(after), 10, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
 
 // flakyStore wraps a real store and fails its writes while tripped.
 type flakyStore struct {
@@ -224,7 +246,7 @@ func TestReportCounterConservation(t *testing.T) {
 	}
 	assertCountersConserve(t, ctrl)
 	// Decision latency is observed once per decision (any source).
-	if got := ctrl.reportLatency.Count(); got != 120 {
+	if got := latencyObservations(t, ctrl); got != 120 {
 		t.Errorf("latency observations = %d, want 120", got)
 	}
 }
@@ -306,7 +328,7 @@ func TestRejectedReportsAreCounted(t *testing.T) {
 		t.Errorf("reports_rejected = %d, want %d", got, rejected)
 	}
 	// One served report (the priming step) plus every rejection.
-	if got := ctrl.reportLatency.Count(); got != uint64(1+rejected) {
+	if got := latencyObservations(t, ctrl); got != uint64(1+rejected) {
 		t.Errorf("latency observations = %d, want %d", got, 1+rejected)
 	}
 	if got := ctrl.Counters().Get(CounterConfigsPushed); got != pushed {

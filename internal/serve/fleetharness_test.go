@@ -336,7 +336,7 @@ func TestFleetSoakStorm(t *testing.T) {
 		if a.Mode() != SourcePolicy {
 			t.Errorf("agent %d mode %q after storm, want policy", i, a.Mode())
 		}
-		if got := a.PolicyVersion(); got != ctrl.PolicyVersion() {
+		if got := int(a.policyVersion.Load()); got != ctrl.PolicyVersion() {
 			t.Errorf("agent %d sees policy v%d, controller serves v%d", i, got, ctrl.PolicyVersion())
 		}
 	}

@@ -190,9 +190,6 @@ func (t *Tracker) Observe(tputGbps, energyJ float64) {
 	}
 }
 
-// Steps reports observations seen.
-func (t *Tracker) Steps() int { return t.steps }
-
 // ViolationRate reports the fraction of observations violating the
 // constraint.
 func (t *Tracker) ViolationRate() float64 {

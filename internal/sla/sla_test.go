@@ -121,8 +121,8 @@ func TestTracker(t *testing.T) {
 	tr.Observe(5, 900)  // ok
 	tr.Observe(5, 1500) // violation 0.5
 	tr.Observe(5, 1250) // violation 0.25
-	if tr.Steps() != 3 {
-		t.Errorf("steps = %d", tr.Steps())
+	if tr.steps != 3 {
+		t.Errorf("steps = %d", tr.steps)
 	}
 	if math.Abs(tr.ViolationRate()-2.0/3) > 1e-12 {
 		t.Errorf("violation rate = %v", tr.ViolationRate())

@@ -1,24 +1,19 @@
 package stats
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
+import "fmt"
 
 // Histogram is a fixed-range linear-bucket histogram with overflow and
 // underflow buckets. It answers approximate percentile queries in
 // O(buckets) and is used for latency and batch-occupancy distributions
 // in the packet simulator.
 type Histogram struct {
-	lo, hi   float64
-	width    float64
-	counts   []uint64
-	under    uint64
-	over     uint64
-	total    uint64
-	sum      float64
-	observed Welford
+	lo, hi float64
+	width  float64
+	counts []uint64
+	under  uint64
+	over   uint64
+	total  uint64
+	sum    float64
 }
 
 // NewHistogram builds a histogram covering [lo, hi) with n equal
@@ -42,7 +37,6 @@ func NewHistogram(lo, hi float64, n int) *Histogram {
 func (h *Histogram) Add(x float64) {
 	h.total++
 	h.sum += x
-	h.observed.Add(x)
 	switch {
 	case x < h.lo:
 		h.under++
@@ -57,10 +51,6 @@ func (h *Histogram) Add(x float64) {
 	}
 }
 
-// Count reports the total number of observations, including the
-// underflow and overflow buckets.
-func (h *Histogram) Count() uint64 { return h.total }
-
 // Mean reports the exact mean of all observations.
 func (h *Histogram) Mean() float64 {
 	if h.total == 0 {
@@ -68,9 +58,6 @@ func (h *Histogram) Mean() float64 {
 	}
 	return h.sum / float64(h.total)
 }
-
-// Stddev reports the exact sample standard deviation of observations.
-func (h *Histogram) Stddev() float64 { return h.observed.Stddev() }
 
 // Quantile reports an approximate q-quantile (q in [0,1]) by linear
 // interpolation within the containing bucket. Underflow observations
@@ -113,31 +100,4 @@ func (h *Histogram) Reset() {
 		h.counts[i] = 0
 	}
 	h.under, h.over, h.total, h.sum = 0, 0, 0, 0
-	h.observed.Reset()
-}
-
-// Percentile computes the exact p-th percentile (p in [0,100]) of a
-// sample slice using linear interpolation between closest ranks.
-// The input is not modified.
-func Percentile(sample []float64, p float64) float64 {
-	if len(sample) == 0 {
-		return math.NaN()
-	}
-	s := make([]float64, len(sample))
-	copy(s, sample)
-	sort.Float64s(s)
-	if p <= 0 {
-		return s[0]
-	}
-	if p >= 100 {
-		return s[len(s)-1]
-	}
-	rank := p / 100 * float64(len(s)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return s[lo]
-	}
-	frac := rank - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
 }

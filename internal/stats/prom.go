@@ -69,20 +69,6 @@ func (h *PromHistogram) Observe(v float64) {
 	h.mu.Unlock()
 }
 
-// Count reports the total number of observations.
-func (h *PromHistogram) Count() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.n
-}
-
-// Sum reports the exact sum of observations.
-func (h *PromHistogram) Sum() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
-
 // snapshot copies the histogram state for exposition.
 func (h *PromHistogram) snapshot() (counts []uint64, sum float64, n uint64) {
 	h.mu.Lock()

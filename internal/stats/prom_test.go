@@ -16,11 +16,8 @@ func TestPromHistogramBuckets(t *testing.T) {
 	for _, v := range []float64{0.5, 1, 5, 10, 50, 1000} {
 		h.Observe(v)
 	}
-	if got := h.Count(); got != 6 {
-		t.Fatalf("count = %d, want 6", got)
-	}
-	if got := h.Sum(); got != 1066.5 {
-		t.Fatalf("sum = %g, want 1066.5", got)
+	if _, sum, n := h.snapshot(); n != 6 || sum != 1066.5 {
+		t.Fatalf("count, sum = %d, %g, want 6, 1066.5", n, sum)
 	}
 	var buf bytes.Buffer
 	if err := writeHistogram(&buf, "lat", "help", h); err != nil {
@@ -175,7 +172,7 @@ func TestPromConcurrentScrape(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := h.Count(); got != 800 {
+	if _, _, got := h.snapshot(); got != 800 {
 		t.Errorf("histogram count %d, want 800", got)
 	}
 	if got := c.Get("events"); got != 800 {

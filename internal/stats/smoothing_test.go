@@ -3,81 +3,7 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
-
-func TestEWMAFirstSampleDominates(t *testing.T) {
-	e := NewEWMA(0.3)
-	if e.Initialized() {
-		t.Fatal("fresh EWMA reports initialized")
-	}
-	if got := e.Add(10); got != 10 {
-		t.Errorf("first Add = %v, want 10", got)
-	}
-	if !e.Initialized() {
-		t.Error("EWMA not initialized after first sample")
-	}
-}
-
-func TestEWMAConvergesToConstant(t *testing.T) {
-	e := NewEWMA(0.2)
-	for i := 0; i < 200; i++ {
-		e.Add(7.5)
-	}
-	if !almostEqual(e.Value(), 7.5, 1e-9) {
-		t.Errorf("EWMA of constant = %v, want 7.5", e.Value())
-	}
-}
-
-func TestEWMARecurrence(t *testing.T) {
-	e := NewEWMA(0.25)
-	e.Add(4)
-	got := e.Add(8) // 0.25*8 + 0.75*4 = 5
-	if !almostEqual(got, 5, 1e-12) {
-		t.Errorf("EWMA = %v, want 5", got)
-	}
-}
-
-func TestEWMAInvalidAlphaPanics(t *testing.T) {
-	for _, a := range []float64{0, -0.1, 1.5} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("NewEWMA(%v) did not panic", a)
-				}
-			}()
-			NewEWMA(a)
-		}()
-	}
-}
-
-// Property: EWMA output always lies within the range of inputs seen.
-func TestEWMABounded(t *testing.T) {
-	f := func(raw []float64) bool {
-		e := NewEWMA(0.3)
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for _, x := range raw {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				continue
-			}
-			e.Add(x)
-			if x < lo {
-				lo = x
-			}
-			if x > hi {
-				hi = x
-			}
-		}
-		if math.IsInf(lo, 1) {
-			return true // no valid samples
-		}
-		v := e.Value()
-		return v >= lo-1e-9 && v <= hi+1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
 
 func TestDESRejectsBadFactors(t *testing.T) {
 	if _, err := NewDES(0, 0.5); err == nil {
@@ -105,8 +31,8 @@ func TestDESTracksLinearTrendExactly(t *testing.T) {
 			t.Errorf("Forecast(%d) = %v, want %v", h, d.Forecast(h), want)
 		}
 	}
-	if !almostEqual(d.Trend(), 2, 1e-6) {
-		t.Errorf("trend = %v, want 2", d.Trend())
+	if !almostEqual(d.trend, 2, 1e-6) {
+		t.Errorf("trend = %v, want 2", d.trend)
 	}
 }
 
@@ -118,8 +44,8 @@ func TestDESConstantSeriesHasZeroTrend(t *testing.T) {
 	if !almostEqual(d.Forecast(10), 9, 1e-9) {
 		t.Errorf("Forecast = %v, want 9", d.Forecast(10))
 	}
-	if math.Abs(d.Trend()) > 1e-9 {
-		t.Errorf("trend = %v, want ~0", d.Trend())
+	if math.Abs(d.trend) > 1e-9 {
+		t.Errorf("trend = %v, want ~0", d.trend)
 	}
 }
 
@@ -132,8 +58,8 @@ func TestDESFewSamples(t *testing.T) {
 	if d.Forecast(3) != 5 {
 		t.Errorf("single-sample forecast = %v, want 5", d.Forecast(3))
 	}
-	if d.N() != 1 {
-		t.Errorf("N = %d, want 1", d.N())
+	if d.n != 1 {
+		t.Errorf("N = %d, want 1", d.n)
 	}
 }
 
@@ -142,7 +68,7 @@ func TestDESReset(t *testing.T) {
 	d.Observe(1)
 	d.Observe(2)
 	d.Reset()
-	if d.N() != 0 || d.Level() != 0 || d.Trend() != 0 {
+	if d.n != 0 || d.level != 0 || d.trend != 0 {
 		t.Error("reset did not clear state")
 	}
 }

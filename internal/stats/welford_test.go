@@ -21,8 +21,8 @@ func almostEqual(a, b, eps float64) bool {
 
 func TestWelfordEmpty(t *testing.T) {
 	var w Welford
-	if w.N() != 0 || w.Mean() != 0 || w.Variance() != 0 || w.Stddev() != 0 {
-		t.Fatalf("zero-value Welford should report zeros, got n=%d mean=%v var=%v", w.N(), w.Mean(), w.Variance())
+	if w.n != 0 || w.Mean() != 0 || w.PopVariance() != 0 {
+		t.Fatalf("zero-value Welford should report zeros, got n=%d mean=%v var=%v", w.n, w.Mean(), w.PopVariance())
 	}
 }
 
@@ -32,11 +32,8 @@ func TestWelfordSingle(t *testing.T) {
 	if w.Mean() != 42 {
 		t.Errorf("mean = %v, want 42", w.Mean())
 	}
-	if w.Variance() != 0 {
-		t.Errorf("variance of single sample = %v, want 0", w.Variance())
-	}
-	if w.Min() != 42 || w.Max() != 42 {
-		t.Errorf("min/max = %v/%v, want 42/42", w.Min(), w.Max())
+	if w.PopVariance() != 0 {
+		t.Errorf("variance of single sample = %v, want 0", w.PopVariance())
 	}
 }
 
@@ -50,12 +47,6 @@ func TestWelfordKnownValues(t *testing.T) {
 	}
 	if !almostEqual(w.PopVariance(), 4, 1e-12) {
 		t.Errorf("population variance = %v, want 4", w.PopVariance())
-	}
-	if !almostEqual(w.Variance(), 32.0/7.0, 1e-12) {
-		t.Errorf("sample variance = %v, want %v", w.Variance(), 32.0/7.0)
-	}
-	if w.Min() != 2 || w.Max() != 9 {
-		t.Errorf("min/max = %v/%v, want 2/9", w.Min(), w.Max())
 	}
 }
 
@@ -83,65 +74,47 @@ func TestWelfordMatchesTwoPass(t *testing.T) {
 		for _, x := range xs {
 			ss += (x - mean) * (x - mean)
 		}
-		wantVar := ss / float64(len(xs)-1)
-		return almostEqual(w.Mean(), mean, 1e-9) && almostEqual(w.Variance(), wantVar, 1e-6)
+		wantVar := ss / float64(len(xs))
+		return almostEqual(w.Mean(), mean, 1e-9) && almostEqual(w.PopVariance(), wantVar, 1e-6)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }
 
-// Property: merging two accumulators equals accumulating the
-// concatenation.
-func TestWelfordMergeEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 50; trial++ {
-		n1, n2 := rng.Intn(40), rng.Intn(40)
-		var a, b, all Welford
-		for i := 0; i < n1; i++ {
-			x := rng.NormFloat64() * 10
-			a.Add(x)
-			all.Add(x)
+func TestIndexOfDispersion(t *testing.T) {
+	// CBR: identical counts, IoD = 0.
+	cbr := []float64{10, 10, 10, 10, 10}
+	if iod := IndexOfDispersion(cbr); iod != 0 {
+		t.Errorf("CBR IoD = %v, want 0", iod)
+	}
+	// Poisson(λ=50): IoD ≈ 1.
+	rng := rand.New(rand.NewSource(11))
+	poisson := make([]float64, 5000)
+	for i := range poisson {
+		// Knuth's algorithm for small λ.
+		l := math.Exp(-50)
+		k, p := 0, 1.0
+		for p > l {
+			k++
+			p *= rng.Float64()
 		}
-		for i := 0; i < n2; i++ {
-			x := rng.NormFloat64()*3 + 5
-			b.Add(x)
-			all.Add(x)
-		}
-		a.Merge(b)
-		if a.N() != all.N() {
-			t.Fatalf("merged n = %d, want %d", a.N(), all.N())
-		}
-		if all.N() > 0 && !almostEqual(a.Mean(), all.Mean(), 1e-9) {
-			t.Fatalf("merged mean = %v, want %v", a.Mean(), all.Mean())
-		}
-		if all.N() > 1 && !almostEqual(a.Variance(), all.Variance(), 1e-9) {
-			t.Fatalf("merged variance = %v, want %v", a.Variance(), all.Variance())
+		poisson[i] = float64(k - 1)
+	}
+	if iod := IndexOfDispersion(poisson); iod < 0.8 || iod > 1.2 {
+		t.Errorf("Poisson IoD = %v, want ~1", iod)
+	}
+	// Bursty: alternating silence and bursts, IoD >> 1.
+	bursty := make([]float64, 100)
+	for i := range bursty {
+		if i%10 == 0 {
+			bursty[i] = 500
 		}
 	}
-}
-
-func TestWelfordReset(t *testing.T) {
-	var w Welford
-	w.Add(1)
-	w.Add(2)
-	w.Reset()
-	if w.N() != 0 || w.Mean() != 0 {
-		t.Errorf("after reset n=%d mean=%v, want zeros", w.N(), w.Mean())
+	if iod := IndexOfDispersion(bursty); iod <= 10 {
+		t.Errorf("bursty IoD = %v, want >> 1", iod)
 	}
-}
-
-func TestWelfordMergeIntoEmpty(t *testing.T) {
-	var a, b Welford
-	b.Add(3)
-	b.Add(5)
-	a.Merge(b)
-	if a.N() != 2 || !almostEqual(a.Mean(), 4, 1e-12) {
-		t.Errorf("merge into empty: n=%d mean=%v", a.N(), a.Mean())
-	}
-	var c Welford
-	a.Merge(c) // merging an empty accumulator is a no-op
-	if a.N() != 2 {
-		t.Errorf("merge of empty changed n to %d", a.N())
+	if IndexOfDispersion(nil) != 0 {
+		t.Error("empty IoD should be 0")
 	}
 }

@@ -283,7 +283,7 @@ func runCell(cfg Config, seed int64, tier Tier, mix Mix, topo Topo, pl Placement
 		r.Topology, r.Nodes = topo.Name, 1
 	}
 	g := control.NewGreenNFV(tier.SLA, cfg.TrainSteps, cfg.Actors, seed)
-	g.Parallel = cfg.ParallelTrain && !multi
+	g.Train.Parallel = cfg.ParallelTrain && !multi
 	newEnv := func(seed int64) (env.Stepper, error) {
 		return cellEnv(tier.SLA, mix, topo.Nodes, pl.Policy, seed)
 	}

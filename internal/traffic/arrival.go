@@ -2,8 +2,6 @@ package traffic
 
 import (
 	"errors"
-	"fmt"
-	"math"
 	"math/rand"
 )
 
@@ -170,44 +168,4 @@ func (o *OnOff) MeanPPS() float64 {
 		return o.PeakPPS
 	}
 	return o.PeakPPS * o.OnDur / cycle
-}
-
-// Trace replays recorded inter-arrival gaps in a loop, the equivalent
-// of MoonGen's pcap replay mode for captured production traffic.
-type Trace struct {
-	Gaps []float64
-	idx  int
-}
-
-// NewTrace builds a replay source from inter-arrival gaps (seconds).
-func NewTrace(gaps []float64) (*Trace, error) {
-	if len(gaps) == 0 {
-		return nil, errors.New("traffic: trace needs at least one gap")
-	}
-	var sum float64
-	for i, g := range gaps {
-		if g <= 0 || math.IsNaN(g) || math.IsInf(g, 0) {
-			return nil, fmt.Errorf("traffic: trace gap %d invalid (%v)", i, g)
-		}
-		sum += g
-	}
-	cp := make([]float64, len(gaps))
-	copy(cp, gaps)
-	return &Trace{Gaps: cp}, nil
-}
-
-// Next implements Arrival.
-func (t *Trace) Next(*rand.Rand) float64 {
-	g := t.Gaps[t.idx]
-	t.idx = (t.idx + 1) % len(t.Gaps)
-	return g
-}
-
-// MeanPPS implements Arrival.
-func (t *Trace) MeanPPS() float64 {
-	var sum float64
-	for _, g := range t.Gaps {
-		sum += g
-	}
-	return float64(len(t.Gaps)) / sum
 }

@@ -27,14 +27,6 @@ func (f *Flow) Validate() error {
 	return nil
 }
 
-// OfferedPPS reports the flow's mean offered packet rate.
-func (f *Flow) OfferedPPS() float64 { return f.Arrival.MeanPPS() }
-
-// OfferedBps reports the flow's mean offered goodput in bits/second.
-func (f *Flow) OfferedBps() float64 {
-	return ThroughputBps(f.OfferedPPS(), f.FrameBytes)
-}
-
 // SimpleFlow is a convenience constructor for a CBR UDP flow with a
 // deterministic tuple derived from id.
 func SimpleFlow(id int, pps float64, frameBytes int) (*Flow, error) {
@@ -120,19 +112,4 @@ func (g *Generator) Next() Event {
 	g.now = g.nextAt[best]
 	g.nextAt[best] += g.flows[best].Arrival.Next(g.rng)
 	return ev
-}
-
-// Now reports the time of the most recently emitted event.
-func (g *Generator) Now() float64 { return g.now }
-
-// Flows returns the generator's flow list.
-func (g *Generator) Flows() []*Flow { return g.flows }
-
-// TotalOfferedPPS reports the aggregate mean offered rate.
-func (g *Generator) TotalOfferedPPS() float64 {
-	var sum float64
-	for _, f := range g.flows {
-		sum += f.OfferedPPS()
-	}
-	return sum
 }

@@ -192,28 +192,6 @@ func TestOnOffDutyCycle(t *testing.T) {
 	}
 }
 
-func TestTraceReplayLoops(t *testing.T) {
-	tr, err := NewTrace([]float64{0.1, 0.2, 0.3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{0.1, 0.2, 0.3, 0.1, 0.2}
-	for i, w := range want {
-		if got := tr.Next(nil); got != w {
-			t.Errorf("gap %d = %v, want %v", i, got, w)
-		}
-	}
-	if math.Abs(tr.MeanPPS()-3/0.6) > 1e-9 {
-		t.Errorf("trace mean = %v, want 5", tr.MeanPPS())
-	}
-	if _, err := NewTrace(nil); err == nil {
-		t.Error("empty trace accepted")
-	}
-	if _, err := NewTrace([]float64{0.1, -1}); err == nil {
-		t.Error("negative gap accepted")
-	}
-}
-
 func TestGeneratorTimeOrdered(t *testing.T) {
 	f1, _ := SimpleFlow(1, 1000, 64)
 	f2, _ := SimpleFlow(2, 333, 1518)
@@ -239,11 +217,8 @@ func TestGeneratorTimeOrdered(t *testing.T) {
 	if ratio < 2.7 || ratio > 3.3 {
 		t.Errorf("flow ratio = %v, want ~3", ratio)
 	}
-	if g.TotalOfferedPPS() != 1333 {
-		t.Errorf("total offered = %v", g.TotalOfferedPPS())
-	}
-	if g.Now() != last {
-		t.Errorf("Now() = %v, want %v", g.Now(), last)
+	if g.now != last {
+		t.Errorf("now = %v, want %v", g.now, last)
 	}
 }
 
@@ -270,8 +245,8 @@ func TestSimpleFlowDeterministicTuple(t *testing.T) {
 	if f.Tuple.SrcPort != 1031 || f.Tuple.SrcIP != [4]byte{10, 0, 0, 7} {
 		t.Errorf("tuple = %v", f.Tuple)
 	}
-	if f.OfferedBps() != 100*128*8 {
-		t.Errorf("offered bps = %v", f.OfferedBps())
+	if bps := ThroughputBps(f.Arrival.MeanPPS(), f.FrameBytes); bps != 100*128*8 {
+		t.Errorf("offered bps = %v", bps)
 	}
 	if _, err := SimpleFlow(1, -5, 128); err == nil {
 		t.Error("negative rate accepted")

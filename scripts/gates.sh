@@ -59,6 +59,10 @@ gates=(
 	"./internal/cluster TestSingleNodeReduction|TestEvaluateClusterAllocs"
 	# The cluster figure byte-diffs across runs.
 	"./internal/experiments TestFigClusterDeterministic"
+	# Nothing outside tests stays unless a binary, the public API or
+	# bench/ reaches it (testdata/reach.keep lists the exceptions), and
+	# measuring a policy twice gives the same answer.
+	". TestReachability|TestMeasureIsIdempotent"
 )
 
 for gate in "${gates[@]}"; do
