@@ -104,6 +104,19 @@ func run() error {
 		if err := sweep.WriteJSONL(out, results); err != nil {
 			return err
 		}
+		// A row without an error and without training time took its
+		// measurements from an earlier cell built from the same inputs.
+		trained, shared := 0, 0
+		for _, r := range results {
+			switch {
+			case r.TrainSeconds > 0:
+				trained++
+			case r.Error == "":
+				shared++
+			}
+		}
+		fmt.Fprintf(os.Stderr, "sweep: trained %d of %d cells (%d share a resolved placement with an earlier cell)\n",
+			trained, len(results), shared)
 		if runErr != nil {
 			return runErr
 		}

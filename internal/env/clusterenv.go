@@ -38,6 +38,13 @@ type ClusterConfig struct {
 	// DRL placement head — the action vector grows a per-chain
 	// placement logit block and the agent places chains itself.
 	Placement placement.Policy
+	// Assignment pins an already-resolved assignment instead: chain i
+	// runs on node Assignment[i] in every episode and no policy is
+	// consulted. It is what Assignment() reads back from an environment
+	// built with Placement, so a caller that builds many environments
+	// over one workload solves once and hands the result to the rest
+	// (internal/sweep). Set at most one of the two.
+	Assignment []int
 }
 
 // ClusterEnv is the environment: it steps a whole cluster.Workload
@@ -124,18 +131,78 @@ func NewCluster(cfg ClusterConfig) (*ClusterEnv, error) {
 	e.defKnob = perfmodel.DefaultKnobs(1)[0]
 
 	e.assign = make([]int, len(cfg.Chains))
-	if cfg.Placement != nil && e.NumNodes() > 1 {
-		sol, err := cfg.Placement.Solve(e.w.PlacementProblem(&e.cfg.Topology))
-		if err != nil {
-			return nil, fmt.Errorf("env: placement (%s): %w", cfg.Placement.Name(), err)
+	switch {
+	case cfg.Placement != nil && cfg.Assignment != nil:
+		return nil, errors.New("env: set ClusterConfig.Placement or Assignment, not both")
+	case cfg.Assignment != nil:
+		if err := e.pin(cfg.Assignment); err != nil {
+			return nil, fmt.Errorf("env: pinned assignment: %w", err)
 		}
-		e.pinned = make([]int, len(cfg.Chains))
-		for i := range cfg.Chains {
-			e.pinned[i] = sol.Assignment[cfg.Chains[i].Chain.Name]
+	case cfg.Placement != nil && e.NumNodes() > 1:
+		if err := e.solveAndPin(cfg.Placement); err != nil {
+			return nil, fmt.Errorf("env: placement (%s): %w", cfg.Placement.Name(), err)
 		}
 	}
 	e.Reset(cfg.Seed)
 	return e, nil
+}
+
+// solveAndPin runs the policy on the derived placement instance and
+// pins what it returns.
+func (e *ClusterEnv) solveAndPin(pol placement.Policy) error {
+	sol, err := pol.Solve(e.w.PlacementProblem(&e.cfg.Topology))
+	if err != nil {
+		return err
+	}
+	byChain, err := assignmentByChain(sol.Assignment, e.cfg.Chains)
+	if err != nil {
+		return err
+	}
+	return e.pin(byChain)
+}
+
+// assignmentByChain orders a policy's name-keyed assignment by chain
+// index. The map read alone would put a chain the policy left out —
+// or the second of two chains sharing a name — on node 0 silently, so
+// an assignment that does not name every chain exactly once is
+// refused.
+func assignmentByChain(a placement.Assignment, chains []ClusterChain) ([]int, error) {
+	if len(a) != len(chains) {
+		return nil, fmt.Errorf("assignment names %d chains, workload has %d", len(a), len(chains))
+	}
+	out := make([]int, len(chains))
+	seen := make(map[string]bool, len(chains))
+	for i := range chains {
+		name := chains[i].Chain.Name
+		node, ok := a[name]
+		switch {
+		case !ok:
+			return nil, fmt.Errorf("assignment omits chain %q", name)
+		case seen[name]:
+			return nil, fmt.Errorf("two chains named %q share one assignment entry", name)
+		}
+		seen[name] = true
+		out[i] = node
+	}
+	return out, nil
+}
+
+// pin vets a resolved assignment — one entry per chain, every entry a
+// node of the topology — and fixes it for every episode. Vetting here
+// keeps a bad index an error from the constructor instead of a panic
+// from the first evaluation inside Reset.
+func (e *ClusterEnv) pin(a []int) error {
+	if len(a) != len(e.assign) {
+		return fmt.Errorf("%d entries for %d chains", len(a), len(e.assign))
+	}
+	for c, n := range a {
+		if n < 0 || n >= e.NumNodes() {
+			return fmt.Errorf("chain %q on node %d, topology has nodes 0..%d",
+				e.cfg.Chains[c].Chain.Name, n, e.NumNodes()-1)
+		}
+	}
+	e.pinned = append([]int(nil), a...)
+	return nil
 }
 
 // NumChains reports the chain count, NumNodes the host count, and
@@ -149,10 +216,10 @@ func (e *ClusterEnv) NumNodes() int { return len(e.cfg.Topology.Nodes) }
 func (e *ClusterEnv) NumNFs() int { return e.nfTotal }
 
 // PlacementHead reports whether the agent's action vector carries the
-// per-chain placement logit block (multi-node topology, no pinned
-// policy).
+// per-chain placement logit block (multi-node topology, nothing
+// pinned).
 func (e *ClusterEnv) PlacementHead() bool {
-	return e.cfg.Placement == nil && e.NumNodes() > 1
+	return e.pinned == nil && e.NumNodes() > 1
 }
 
 // StateDim reports the observation length: StatePerNF per NF, plus —
@@ -181,6 +248,13 @@ func (e *ClusterEnv) SLA() sla.SLA { return e.cfg.SLA }
 
 // Bounds returns the knob bounds.
 func (e *ClusterEnv) Bounds() perfmodel.KnobBounds { return e.cfg.Bounds }
+
+// Assignment returns a copy of the current chain→node assignment: on
+// a pinned environment, the resolved assignment every episode runs
+// under (what ClusterConfig.Assignment accepts).
+func (e *ClusterEnv) Assignment() []int {
+	return append([]int(nil), e.assign...)
+}
 
 // LastCluster returns the most recent cluster measurement. Its
 // slices alias environment scratch, valid until the next step.

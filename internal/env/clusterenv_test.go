@@ -1,8 +1,11 @@
 package env
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"greennfv/internal/cluster"
@@ -199,5 +202,151 @@ func TestClusterEnvObservationSane(t *testing.T) {
 	}
 	if oneHot != float64(e.NumChains()) {
 		t.Errorf("one-hot block sums to %v, want %d", oneHot, e.NumChains())
+	}
+}
+
+// stubPolicy returns a fixed solution, unvetted: what a policy outside
+// this repo's two could hand NewCluster.
+type stubPolicy struct {
+	assign placement.Assignment
+	err    error
+}
+
+func (stubPolicy) Name() string { return "stub" }
+
+func (s stubPolicy) Solve(placement.Problem) (placement.Solution, error) {
+	return placement.Solution{Assignment: s.assign}, s.err
+}
+
+// TestClusterEnvPinVetting: a pinned assignment is vetted when it is
+// pinned. A policy that leaves a chain out, one whose assignment
+// cannot tell two same-named chains apart, and a node index outside
+// the topology are each an error from the constructor that names the
+// policy — not a silent node 0, not a panic from the first evaluation.
+func TestClusterEnvPinVetting(t *testing.T) {
+	cfg := clusterCfg(2, 3, nil)
+	names := make([]string, len(cfg.Chains))
+	for i := range cfg.Chains {
+		names[i] = cfg.Chains[i].Chain.Name
+	}
+	all := func(node int) placement.Assignment {
+		a := placement.Assignment{}
+		for _, n := range names {
+			a[n] = node
+		}
+		return a
+	}
+
+	omit := all(1)
+	delete(omit, names[2])
+	renamed := all(1)
+	delete(renamed, names[2])
+	renamed["nobody"] = 1
+	high := all(0)
+	high[names[1]] = 2
+	low := all(0)
+	low[names[0]] = -1
+	for _, tc := range []struct {
+		name   string
+		assign placement.Assignment
+		want   string
+	}{
+		{"omitted chain", omit, "names 2 chains, workload has 3"},
+		{"omitted chain, same count", renamed, "omits chain"},
+		{"index past the last node", high, "on node 2"},
+		{"negative index", low, "on node -1"},
+	} {
+		c := cfg
+		c.Placement = stubPolicy{assign: tc.assign}
+		_, err := NewCluster(c)
+		if err == nil {
+			t.Errorf("%s: accepted", tc.name)
+			continue
+		}
+		if !strings.Contains(err.Error(), "placement (stub)") || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not name the policy and the defect (%q)", tc.name, err, tc.want)
+		}
+	}
+
+	// Two chains sharing a name: cluster.Workload.Validate refuses the
+	// workload before any policy runs, and the pin-time check does not
+	// lean on that ordering.
+	dup := cfg
+	dup.Chains = append([]ClusterChain(nil), cfg.Chains...)
+	dup.Chains[2].Chain.Name = names[0]
+	dup.Placement = stubPolicy{assign: all(1)}
+	if _, err := NewCluster(dup); err == nil {
+		t.Error("duplicate chain name accepted")
+	}
+	if _, err := assignmentByChain(placement.Assignment{names[0]: 0, names[1]: 1, "spare": 1}, dup.Chains); err == nil ||
+		!strings.Contains(err.Error(), "two chains named") {
+		t.Errorf("assignmentByChain on a duplicate name: %v", err)
+	}
+
+	// The already-resolved path takes the same checks, and refuses to
+	// guess when handed a policy as well.
+	for _, a := range [][]int{{0, 1}, {0, 1, 2}, {0, -1, 1}} {
+		c := cfg
+		c.Assignment = a
+		if _, err := NewCluster(c); err == nil || !strings.Contains(err.Error(), "pinned assignment") {
+			t.Errorf("Assignment %v: err = %v", a, err)
+		}
+	}
+	both := cfg
+	both.Placement, both.Assignment = placement.FFDSwap{}, []int{0, 0, 0}
+	if _, err := NewCluster(both); err == nil {
+		t.Error("Placement and Assignment together accepted")
+	}
+	failing := cfg
+	failing.Placement = stubPolicy{err: placement.ErrInfeasible}
+	if _, err := NewCluster(failing); !errors.Is(err, placement.ErrInfeasible) {
+		t.Errorf("Solve error not passed up: %v", err)
+	}
+}
+
+// TestClusterEnvResolvedAssignment: an environment handed the
+// assignment another one resolved is the same environment — same
+// dimensions, no placement head, the same episode bit for bit — so a
+// caller may solve once and build the rest from the result.
+func TestClusterEnvResolvedAssignment(t *testing.T) {
+	split := stubPolicy{assign: placement.Assignment{}}
+	cfg := clusterCfg(4, 4, nil)
+	for i := range cfg.Chains {
+		split.assign[cfg.Chains[i].Chain.Name] = i % 2
+	}
+	for _, pol := range []placement.Policy{placement.FFDSwap{}, placement.Relaxation{}, split} {
+		cfg.Placement, cfg.Assignment = pol, nil
+		a, err := NewCluster(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Placement, cfg.Assignment = nil, a.Assignment()
+		b, err := NewCluster(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.PlacementHead() || b.ActionDim() != a.ActionDim() || b.StateDim() != a.StateDim() {
+			t.Fatalf("%s: resolved env differs in shape: head=%v action %d/%d state %d/%d",
+				pol.Name(), b.PlacementHead(), b.ActionDim(), a.ActionDim(), b.StateDim(), a.StateDim())
+		}
+		obsA, obsB := a.Reset(5), b.Reset(5)
+		rng := rand.New(rand.NewSource(11))
+		action := make([]float64, a.ActionDim())
+		for step := 0; step < 20; step++ {
+			for i := range action {
+				action[i] = 2*rng.Float64() - 1
+			}
+			rA, _, err := a.StepInto(action, obsA)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rB, _, err := b.StepInto(action, obsB)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rA != rB || !slices.Equal(obsA, obsB) || !slices.Equal(a.Assignment(), b.Assignment()) {
+				t.Fatalf("%s step %d: resolved env diverged", pol.Name(), step)
+			}
+		}
 	}
 }

@@ -24,7 +24,17 @@
 // C×N placement-logit block the agent decodes by per-chain argmax
 // (the DRL placement head). With a non-nil Placement policy the
 // assignment is solved once at construction and pinned; the action
-// space is knobs only.
+// space is knobs only. ClusterConfig.Assignment pins an
+// already-resolved assignment (chain index → node index) without
+// consulting a policy — it is what Assignment() reads back from an
+// environment built with Placement, so a caller building many
+// environments over one workload (internal/sweep) solves once and
+// builds the rest from the result; the two environments step
+// identically (TestClusterEnvResolvedAssignment). Either way the
+// assignment is vetted when it is pinned: every chain named exactly
+// once, every index a node of the topology, or NewCluster returns an
+// error naming the policy — never a silent node 0, never a panic from
+// the first evaluation (TestClusterEnvPinVetting).
 //
 // Env — the paper's setting, one host and one chain — is the 1-node,
 // 1-chain ClusterEnv: New maps Config.Model onto the cluster's only

@@ -52,7 +52,10 @@
 //   - "link_energy_j" (float, omitted on single-node rows): settled
 //     mean inter-node transfer energy per measurement window, the
 //     link share of "energy_j" (cluster.Result.LinkEnergyJ).
-//   - "train_seconds" (float): wall-clock training time of the cell.
+//   - "train_seconds" (float): wall-clock training time spent on this
+//     row; 0 on a row that shares an earlier cell's training (see
+//     "Planning and shared cells"), so the sum over rows is the
+//     training time the grid actually spent.
 //   - "error" (string, omitted when empty): the cell's failure, if
 //     any; a failing cell still emits its row with the identity and
 //     budget fields filled.
@@ -66,8 +69,41 @@
 // given its seed; Config.ParallelTrain trades that determinism for
 // speed (multi-node cells ignore it — cluster environments always
 // train round-robin, so cluster rows stay deterministic regardless). A
-// failing cell records its error in its own row without stopping the
-// rest of the grid.
+// failing cell records its error in its own row (and in the rows that
+// share its training) without stopping the rest of the grid.
+//
+// # Planning and shared cells
+//
+// Run plans before it trains. Every pinned Placement is resolved once
+// per (mix, cluster size, policy) — one env.NewCluster with the
+// policy, which solves and vets, and one Assignment read-back —
+// instead of once in each of a cell's Actors+1 environments, and the
+// cell's environments are then built from that resolved assignment
+// (env.ClusterConfig.Assignment). A policy that fails to resolve fails
+// its own rows, with the error NewCluster gave, and nothing else.
+//
+// A pinned multi-node cell is keyed by exactly what its environments
+// are constructed from: (seed, tier index, mix index, cluster size,
+// resolved assignment). Such a cell consults nothing else — the
+// policy's name is a row label — and always trains round-robin, so
+// two cells with equal keys are one deterministic computation. Run
+// trains the first of them and fills the others' rows by copy, each
+// under its own "topology" and "placement" names, with
+// "train_seconds" 0: no training was spent on that row. Every other
+// field equals, bit for bit, what the cell would have measured had it
+// been trained (TestSweepSharesResolvedCells). On every instance this
+// repo ships, "ffd+swap" and "relax+round" resolve to the same
+// assignment — all six chains fit node 0, and both heuristics find
+// that packing — so those two rows are one training: 1 cell in 3 of a
+// default-placement cluster grid, 3 of FigCluster's 9, 60 of
+// -sweep-cluster's 210.
+//
+// Only pinned multi-node cells qualify. A DRL-head cell has no
+// resolved assignment to compare, and a single-node cell may train
+// with the non-deterministic concurrent pipeline (ParallelTrain);
+// each gets a key of its own and is always trained. Sharing is not an
+// option and has no switch: the key is the environment's inputs, so
+// equal key ⇒ equal row holds by construction.
 //
 // # Topology and placement axes
 //

@@ -227,14 +227,153 @@ type Result struct {
 	Error        string  `json:"error,omitempty"`
 }
 
+// cell is one grid position — a seed, indices into the tier and mix
+// axes, a topology and a placement — plus what the plan resolved for
+// it before anything trains.
+type cell struct {
+	seed      int64
+	tier, mix int
+	topo      Topo
+	pl        Placement
+	// pinned is the placement policy's resolved assignment, planErr its
+	// failure; both stay zero on DRL-head and single-node cells.
+	pinned  []int
+	planErr error
+	// primary indexes the cell whose training this one's row comes
+	// from: the cell itself unless an earlier cell has the same key.
+	primary int
+}
+
+// clusterConfig is the environment family of a multi-node cell: the
+// FigCluster workload (six preset chains in one service-function
+// path, 150 µs end-to-end budget) on a heterogeneous topology, each
+// chain carrying the mix at half rate — the scaling
+// StandardClusterChains applies to the standard workload, so the
+// "standard" mix reproduces it exactly.
+func clusterConfig(s sla.SLA, m Mix, nodes int, seed int64) env.ClusterConfig {
+	chains, hops := env.StandardClusterChains(6)
+	for i := range chains {
+		chains[i].Flows = scaleFlows(m.Flows, 0.5, 1)
+	}
+	return env.ClusterConfig{
+		Topology:        cluster.Heterogeneous(nodes),
+		Chains:          chains,
+		Hops:            hops,
+		LatencyBudgetNs: 150e3,
+		Bounds:          perfmodel.DefaultBounds(),
+		SLA:             s,
+		LoadJitter:      m.LoadJitter,
+		Seed:            seed,
+	}
+}
+
+// resolve runs a placement policy once on the instance a (mix,
+// cluster size) pair derives and reads the vetted assignment back.
+// Neither the SLA nor the seed enters the instance (chain demands,
+// offered rates, node capacities, hop affinities), so one resolution
+// serves every seed and tier of the grid.
+func resolve(m Mix, nodes int, pol placement.Policy) ([]int, error) {
+	cc := clusterConfig(sla.SLA{}, m, nodes, 0)
+	cc.Placement = pol
+	e, err := env.NewCluster(cc)
+	if err != nil {
+		return nil, err
+	}
+	return e.Assignment(), nil
+}
+
+// plan lays the grid out in seed-major order, resolves every pinned
+// placement once per (mix, cluster size, policy), and points each cell
+// at the first cell built from the same inputs. The key of a pinned
+// multi-node cell is exactly what cellEnv constructs its environments
+// from — seed, tier, mix, cluster size, resolved assignment — and
+// such a cell always trains round-robin, so cells with equal keys are
+// one deterministic computation. Every other cell is its own primary:
+// the DRL head has no assignment to compare, and single-node cells
+// may train with the non-deterministic pipeline.
+func plan(cfg Config) []cell {
+	topos := cfg.Topos
+	if len(topos) == 0 {
+		// Implicit single-node grid: identity fields stay empty so the
+		// rows match the pre-topology schema byte for byte.
+		topos = []Topo{{}}
+	}
+	pls := cfg.Placements
+	if len(pls) == 0 {
+		pls = []Placement{{Name: "drl-head"}}
+	}
+	type instance struct{ mix, nodes, pl int }
+	type resolution struct {
+		assign []int
+		err    error
+	}
+	resolved := map[instance]resolution{}
+	type key struct {
+		seed             int64
+		tier, mix, nodes int
+		assign           string
+	}
+	first := map[key]int{}
+	var cells []cell
+	// pin gives a policy-placed cell, about to become cells[len(cells)],
+	// its resolved assignment and its primary.
+	pin := func(c *cell, pi int) {
+		in := instance{c.mix, c.topo.Nodes, pi}
+		r, ok := resolved[in]
+		if !ok {
+			r.assign, r.err = resolve(cfg.Mixes[c.mix], c.topo.Nodes, c.pl.Policy)
+			resolved[in] = r
+		}
+		c.pinned, c.planErr = r.assign, r.err
+		if r.err != nil {
+			return
+		}
+		k := key{c.seed, c.tier, c.mix, c.topo.Nodes, fmt.Sprint(r.assign)}
+		if p, ok := first[k]; ok {
+			c.primary = p
+		} else {
+			first[k] = len(cells)
+		}
+	}
+	for _, seed := range cfg.Seeds {
+		for ti := range cfg.Tiers {
+			for mi := range cfg.Mixes {
+				for _, topo := range topos {
+					if topo.Nodes <= 1 {
+						cells = append(cells, cell{seed: seed, tier: ti, mix: mi, topo: topo, primary: len(cells)})
+						continue
+					}
+					for pi, pl := range pls {
+						c := cell{seed: seed, tier: ti, mix: mi, topo: topo, pl: pl, primary: len(cells)}
+						if pl.Policy != nil {
+							pin(&c, pi)
+						}
+						cells = append(cells, c)
+					}
+				}
+			}
+		}
+	}
+	return cells
+}
+
+// stamp writes the cell's topology and placement identity into a row.
+// On a single node the topo value only names the row: an explicit
+// topology axis value is recorded, the implicit (topology-less) grid
+// leaves the fields empty so existing rows stay byte-identical.
+func (c cell) stamp(r *Result) {
+	if c.topo.Nodes > 1 {
+		r.Topology, r.Nodes, r.Placement = c.topo.Name, c.topo.Nodes, c.pl.Name
+	} else if c.topo.Name != "" {
+		r.Topology, r.Nodes = c.topo.Name, 1
+	}
+}
+
 // cellEnv builds one environment of a cell's family. A single-node
 // cell runs the paper's environment — the standard chain under the
-// mix. A multi-node cell runs the FigCluster workload (six preset
-// chains in one service-function path, 150 µs end-to-end budget) on a
-// heterogeneous topology, each chain carrying the mix at half rate —
-// the scaling StandardClusterChains applies to the standard workload,
-// so the "standard" mix reproduces it exactly.
-func cellEnv(s sla.SLA, m Mix, nodes int, pol placement.Policy, seed int64) (env.Stepper, error) {
+// mix; a multi-node cell runs clusterConfig under the assignment the
+// plan resolved (nil: the DRL placement head).
+func cellEnv(s sla.SLA, m Mix, nodes int, pinned []int, seed int64) (env.Stepper, error) {
 	if nodes <= 1 {
 		return env.New(env.Config{
 			Model:      perfmodel.Default(),
@@ -246,46 +385,31 @@ func cellEnv(s sla.SLA, m Mix, nodes int, pol placement.Policy, seed int64) (env
 			Seed:       seed,
 		})
 	}
-	chains, hops := env.StandardClusterChains(6)
-	for i := range chains {
-		chains[i].Flows = scaleFlows(m.Flows, 0.5, 1)
-	}
-	return env.NewCluster(env.ClusterConfig{
-		Topology:        cluster.Heterogeneous(nodes),
-		Chains:          chains,
-		Hops:            hops,
-		LatencyBudgetNs: 150e3,
-		Bounds:          perfmodel.DefaultBounds(),
-		SLA:             s,
-		LoadJitter:      m.LoadJitter,
-		Seed:            seed,
-		Placement:       pol,
-	})
+	cc := clusterConfig(s, m, nodes, seed)
+	cc.Assignment = pinned
+	return env.NewCluster(cc)
 }
 
-// runCell trains and measures one grid cell. On a single node the
-// topo argument only stamps row identity: an explicit topology axis
-// value names the row, the implicit (topology-less) grid leaves the
-// fields empty so existing rows stay byte-identical. Multi-node cells
-// add the placement name and the cluster extras, and always train
-// round-robin (the concurrent pipeline vectorizes the single-node
-// layout), so every cluster row is deterministic given its seed.
-func runCell(cfg Config, seed int64, tier Tier, mix Mix, topo Topo, pl Placement) (Result, error) {
+// runCell trains and measures one grid cell. Multi-node cells add the
+// placement name and the cluster extras, and always train round-robin
+// (the concurrent pipeline vectorizes the single-node layout), so
+// every cluster row is deterministic given its seed.
+func runCell(cfg Config, c cell) (Result, error) {
+	tier, mix := cfg.Tiers[c.tier], cfg.Mixes[c.mix]
 	r := Result{
-		Seed: seed, SLA: tier.Name, SLADetail: tier.SLA.Describe(),
+		Seed: c.seed, SLA: tier.Name, SLADetail: tier.SLA.Describe(),
 		Traffic: mix.Name, TrainSteps: cfg.TrainSteps, Actors: cfg.Actors,
 		ControlSteps: cfg.ControlSteps,
 	}
-	multi := topo.Nodes > 1
-	if multi {
-		r.Topology, r.Nodes, r.Placement = topo.Name, topo.Nodes, pl.Name
-	} else if topo.Name != "" {
-		r.Topology, r.Nodes = topo.Name, 1
+	c.stamp(&r)
+	if c.planErr != nil {
+		return r, fmt.Errorf("prepare: %w", c.planErr)
 	}
-	g := control.NewGreenNFV(tier.SLA, cfg.TrainSteps, cfg.Actors, seed)
+	multi := c.topo.Nodes > 1
+	g := control.NewGreenNFV(tier.SLA, cfg.TrainSteps, cfg.Actors, c.seed)
 	g.Train.Parallel = cfg.ParallelTrain && !multi
 	newEnv := func(seed int64) (env.Stepper, error) {
-		return cellEnv(tier.SLA, mix, topo.Nodes, pl.Policy, seed)
+		return cellEnv(tier.SLA, mix, c.topo.Nodes, c.pinned, seed)
 	}
 	start := time.Now()
 	if err := g.TrainOn(newEnv); err != nil {
@@ -296,7 +420,7 @@ func runCell(cfg Config, seed int64, tier Tier, mix Mix, topo Topo, pl Placement
 	// Measure the trained policy: run the control loop, track SLA
 	// satisfaction on every interval, and report the settled means of
 	// the last quarter of the horizon (the Fig 9 idiom).
-	e, err := newEnv(seed + 1000)
+	e, err := newEnv(c.seed + 1000)
 	if err != nil {
 		return r, fmt.Errorf("measure env: %w", err)
 	}
@@ -333,46 +457,23 @@ func runCell(cfg Config, seed int64, tier Tier, mix Mix, topo Topo, pl Placement
 	return r, nil
 }
 
-// Run executes every grid cell across the shared bounded worker pool
-// and returns one Result per cell in deterministic seed-major order
-// regardless of scheduling. A failing cell records its error in the
-// row and does not stop the rest of the grid; the lowest failing
-// cell's error is also returned after all cells ran.
+// Run plans the grid, trains and measures every distinct cell across
+// the shared bounded worker pool, and returns one Result per cell in
+// deterministic seed-major order regardless of scheduling. A cell
+// whose key an earlier cell already has is not trained again: its row
+// is that cell's row under its own topology and placement names, with
+// TrainSeconds 0. A failing cell records its error in the row (and in
+// the rows that share it) and does not stop the rest of the grid; the
+// lowest failing cell's error is also returned after all cells ran.
 func Run(cfg Config) ([]Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	type cell struct {
-		seed int64
-		tier Tier
-		mix  Mix
-		topo Topo
-		pl   Placement
-	}
-	topos := cfg.Topos
-	if len(topos) == 0 {
-		// Implicit single-node grid: identity fields stay empty so the
-		// rows match the pre-topology schema byte for byte.
-		topos = []Topo{{}}
-	}
-	pls := cfg.Placements
-	if len(pls) == 0 {
-		pls = []Placement{{Name: "drl-head"}}
-	}
-	var cells []cell
-	for _, seed := range cfg.Seeds {
-		for _, tier := range cfg.Tiers {
-			for _, mix := range cfg.Mixes {
-				for _, topo := range topos {
-					if topo.Nodes <= 1 {
-						cells = append(cells, cell{seed, tier, mix, topo, Placement{}})
-						continue
-					}
-					for _, pl := range pls {
-						cells = append(cells, cell{seed, tier, mix, topo, pl})
-					}
-				}
-			}
+	cells := plan(cfg)
+	var distinct []int
+	for i, c := range cells {
+		if c.primary == i {
+			distinct = append(distinct, i)
 		}
 	}
 	results := make([]Result, len(cells))
@@ -382,19 +483,28 @@ func Run(cfg Config) ([]Result, error) {
 	// returned to the pool (pool.ForEach stops claiming new work once
 	// a closure errors). workers <= 0 selects GOMAXPROCS inside
 	// ForEach.
-	pool.ForEach(len(cells), cfg.Workers, func(i int) error {
-		c := cells[i]
-		r, err := runCell(cfg, c.seed, c.tier, c.mix, c.topo, c.pl)
+	pool.ForEach(len(distinct), cfg.Workers, func(k int) error {
+		i := distinct[k]
+		r, err := runCell(cfg, cells[i])
 		if err != nil {
 			r.Error = err.Error()
 		}
 		results[i] = r
 		return nil
 	})
+	for i, c := range cells {
+		if c.primary != i {
+			r := results[c.primary]
+			c.stamp(&r)
+			r.TrainSeconds = 0
+			results[i] = r
+		}
+	}
 	for i := range results {
 		if results[i].Error != "" {
+			c := cells[i]
 			return results, fmt.Errorf("sweep: cell %d (%s/%s/seed %d): %s",
-				i, cells[i].tier.Name, cells[i].mix.Name, cells[i].seed, results[i].Error)
+				i, cfg.Tiers[c.tier].Name, cfg.Mixes[c.mix].Name, c.seed, results[i].Error)
 		}
 	}
 	return results, nil

@@ -3,9 +3,36 @@ package sweep
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
+
+	"greennfv/internal/placement"
 )
+
+// stubPolicy places chain i on node(i), or fails; solves counts its
+// Solve calls (the plan runs them on one goroutine).
+type stubPolicy struct {
+	node   func(chain int) int
+	err    error
+	solves *int
+}
+
+func (stubPolicy) Name() string { return "stub" }
+
+func (s stubPolicy) Solve(p placement.Problem) (placement.Solution, error) {
+	if s.solves != nil {
+		*s.solves++
+	}
+	if s.err != nil {
+		return placement.Solution{}, s.err
+	}
+	a := placement.Assignment{}
+	for i, c := range p.Chains {
+		a[c.Name] = s.node(i)
+	}
+	return placement.Solution{Assignment: a}, nil
+}
 
 func TestConfigValidate(t *testing.T) {
 	cfg, err := DefaultConfig(100, 1, 4)
@@ -70,6 +97,174 @@ func TestSweepFailingCellDoesNotStopGrid(t *testing.T) {
 	if results[1].Traffic != "standard" || results[1].ThroughputGbps <= 0 {
 		t.Errorf("healthy cell did not run after the failure: %+v", results[1])
 	}
+
+	// A policy that fails when the plan resolves it — before the pool
+	// starts — fails its own rows and nothing else, on every seed, with
+	// identity and budgets filled, after one Solve.
+	solves := 0
+	boom := errors.New("boom")
+	cfg.Seeds = []int64{17, 43}
+	cfg.Mixes = DefaultMixes()[:1]
+	cfg.Topos = []Topo{{Name: "hetero-2", Nodes: 2}}
+	cfg.Placements = []Placement{
+		{Name: "ffd+swap", Policy: placement.FFDSwap{}},
+		{Name: "failing", Policy: stubPolicy{err: boom, solves: &solves}},
+		{Name: "relax+round", Policy: placement.Relaxation{}},
+	}
+	results, err = Run(cfg)
+	if err == nil || !strings.Contains(err.Error(), "cell 1 ") || !strings.Contains(err.Error(), "placement (stub): boom") {
+		t.Errorf("plan-time failure reported as %v, want cell 1 and the policy's error", err)
+	}
+	if len(results) != 6 {
+		t.Fatalf("got %d results, want 6", len(results))
+	}
+	for i, r := range results {
+		if r.Placement != cfg.Placements[i%3].Name || r.Nodes != 2 || r.Seed != cfg.Seeds[i/3] || r.TrainSteps != 60 {
+			t.Errorf("row %d identity or budgets not filled: %+v", i, r)
+		}
+		if failing := i%3 == 1; failing != (r.Error != "") {
+			t.Errorf("row %d (%s): error %q", i, r.Placement, r.Error)
+		} else if !failing && r.ThroughputGbps <= 0 {
+			t.Errorf("row %d (%s) did not run beside the failing policy: %+v", i, r.Placement, r)
+		}
+	}
+	if solves != 1 {
+		t.Errorf("failing policy solved %d times in one Run, want 1", solves)
+	}
+}
+
+// measured strips the two things a shared row does not copy from the
+// cell that trained it: the training time and the names on its axes.
+func measured(r Result) Result {
+	r.TrainSeconds, r.Topology, r.Placement = 0, "", ""
+	return r
+}
+
+// TestSweepSharesResolvedCells: pinned multi-node cells built from the
+// same inputs are trained once, and nothing but train_seconds shows it.
+func TestSweepSharesResolvedCells(t *testing.T) {
+	tiers, err := DefaultTiers()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{
+		Seeds:        []int64{17},
+		Tiers:        tiers[4:], // ee
+		Mixes:        DefaultMixes()[:1],
+		Topos:        []Topo{{Name: "hetero-4", Nodes: 4}},
+		Placements:   DefaultPlacements(),
+		TrainSteps:   60,
+		Actors:       2,
+		ControlSteps: 4,
+		Workers:      1,
+	}
+	run := func(c Config) []Result {
+		t.Helper()
+		rows, err := Run(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != c.Cells() {
+			t.Fatalf("got %d rows, want %d", len(rows), c.Cells())
+		}
+		return rows
+	}
+
+	// (a) Both analytic policies put all six chains on node 0 of
+	// hetero-4: one training, two rows, each under its own name.
+	rows := run(cfg)
+	for i, want := range []string{"drl-head", "ffd+swap", "relax+round"} {
+		if rows[i].Placement != want || rows[i].Topology != "hetero-4" || rows[i].ThroughputGbps <= 0 {
+			t.Fatalf("row %d = %+v, want a measured %s row", i, rows[i], want)
+		}
+	}
+	if measured(rows[1]) != measured(rows[2]) {
+		t.Errorf("ffd+swap and relax+round rows differ:\n%+v\n%+v", rows[1], rows[2])
+	}
+	if rows[0].TrainSeconds <= 0 || rows[1].TrainSeconds <= 0 || rows[2].TrainSeconds != 0 {
+		t.Errorf("train_seconds = %v, %v, %v; want >0, >0, 0",
+			rows[0].TrainSeconds, rows[1].TrainSeconds, rows[2].TrainSeconds)
+	}
+
+	// (b) The grid equals three one-placement runs — every cell trained
+	// on its own, as before there was a plan — except in train_seconds.
+	for i, pl := range cfg.Placements {
+		one := cfg
+		one.Placements = []Placement{pl}
+		alone := run(one)[0]
+		if alone.TrainSeconds <= 0 {
+			t.Errorf("%s alone: train_seconds = %v", pl.Name, alone.TrainSeconds)
+		}
+		if measured(alone) != measured(rows[i]) || alone.Placement != rows[i].Placement || alone.Topology != rows[i].Topology {
+			t.Errorf("%s: grid row differs from the cell trained alone:\n%+v\n%+v", pl.Name, rows[i], alone)
+		}
+	}
+
+	// (c) What is shared is the resolved assignment, not a name: a
+	// policy that splits the chains over two nodes trains on its own and
+	// measures differently; one that packs node 0 like the analytic pair
+	// shares their training under a third name. Each is solved once for
+	// both seeds and tiers.
+	var splitSolves, packSolves int
+	wide := cfg
+	wide.Seeds = []int64{17, 43}
+	wide.Tiers = tiers[3:]
+	wide.Placements = []Placement{
+		{Name: "ffd+swap", Policy: placement.FFDSwap{}},
+		{Name: "split", Policy: stubPolicy{node: func(c int) int { return c % 2 }, solves: &splitSolves}},
+		{Name: "pack-0", Policy: stubPolicy{node: func(int) int { return 0 }, solves: &packSolves}},
+	}
+	got := run(wide)
+	for i := 0; i < len(got); i += 3 {
+		ffd, split, pack := got[i], got[i+1], got[i+2]
+		if ffd.Placement != "ffd+swap" || split.Placement != "split" || pack.Placement != "pack-0" {
+			t.Fatalf("rows %d..%d out of order: %s, %s, %s", i, i+2, ffd.Placement, split.Placement, pack.Placement)
+		}
+		if split.TrainSeconds <= 0 || split.NodesUsed != 2 || measured(split) == measured(ffd) {
+			t.Errorf("row %d: split cell not trained on its own: %+v", i+1, split)
+		}
+		if pack.TrainSeconds != 0 || measured(pack) != measured(ffd) {
+			t.Errorf("row %d: pack-0 does not share ffd+swap's cell:\n%+v\n%+v", i+2, pack, ffd)
+		}
+	}
+	if splitSolves != 1 || packSolves != 1 {
+		t.Errorf("Solve ran %d and %d times in one Run, want once per (mix, topology, policy)", splitSolves, packSolves)
+	}
+
+	// (d) Neither the worker count nor the order of the placement axis
+	// changes a row; the first cell with a key is the one that trains.
+	par := cfg
+	par.Workers = 3
+	for i, r := range run(par) {
+		if measured(r) != measured(rows[i]) || r.Placement != rows[i].Placement || (r.TrainSeconds == 0) != (rows[i].TrainSeconds == 0) {
+			t.Errorf("Workers 3 row %d differs:\n%+v\n%+v", i, r, rows[i])
+		}
+	}
+	perm := cfg
+	perm.Placements = []Placement{cfg.Placements[2], cfg.Placements[0], cfg.Placements[1]}
+	for i, r := range run(perm) {
+		want := rows[(i+2)%3]
+		if measured(r) != measured(want) || r.Placement != want.Placement {
+			t.Errorf("permuted row %d differs:\n%+v\n%+v", i, r, want)
+		}
+		if trained := r.Placement != "ffd+swap"; trained != (r.TrainSeconds > 0) {
+			t.Errorf("permuted row %d (%s): train_seconds = %v", i, r.Placement, r.TrainSeconds)
+		}
+	}
+
+	// (e) Cells without a resolved assignment never share: two DRL
+	// heads, two single nodes, round-robin or concurrent.
+	own := cfg
+	own.Topos = []Topo{{Name: "single-a", Nodes: 1}, {Name: "single-b", Nodes: 1}, {Name: "hetero-2", Nodes: 2}}
+	own.Placements = []Placement{{Name: "drl-a"}, {Name: "drl-b"}}
+	for _, parallel := range []bool{false, true} {
+		own.ParallelTrain = parallel
+		for i, r := range run(own) {
+			if r.TrainSeconds <= 0 {
+				t.Errorf("parallel=%v row %d (%s/%s) was not trained: %+v", parallel, i, r.Topology, r.Placement, r)
+			}
+		}
+	}
 }
 
 // TestSweepSmallGrid trains a tiny grid end to end and checks one
@@ -114,6 +309,8 @@ func TestSweepSmallGrid(t *testing.T) {
 		if r.Seed != 17 || r.TrainSteps != 120 {
 			t.Errorf("cell %d: budgets not recorded: %+v", i, r)
 		}
+		// No row of this grid is shared (single-node cells never are),
+		// so every one of them was trained.
 		if r.TrainSeconds <= 0 {
 			t.Errorf("cell %d: train_seconds = %v", i, r.TrainSeconds)
 		}

@@ -52,11 +52,17 @@ gates=(
 	"./internal/faultrpc TestFaultProxy"
 	# One environment: single-node episodes bit-identical to the
 	# recorded fingerprints, cluster traces deterministic at 1/2/8
-	# nodes, zero allocations per step and per serving tick.
-	"./internal/env TestEnvEpisodeFingerprint|TestClusterEnvDeterminism|TestClusterEnvStepAllocs|TestEnvStepZeroAlloc"
+	# nodes, zero allocations per step and per serving tick. A pinned
+	# assignment is vetted when it is pinned, and an environment handed
+	# a resolved assignment is the one that resolved it, bit for bit.
+	"./internal/env TestEnvEpisodeFingerprint|TestClusterEnvDeterminism|TestClusterEnvStepAllocs|TestEnvStepZeroAlloc|TestClusterEnvPinVetting|TestClusterEnvResolvedAssignment"
 	# A 1-node cluster is the perfmodel path bit for bit; cluster
 	# evaluation stays inside its allocation budget.
 	"./internal/cluster TestSingleNodeReduction|TestEvaluateClusterAllocs"
+	# The sweep trains cells built from the same inputs once, and only
+	# train_seconds shows it; a policy that fails in the plan fails its
+	# own rows.
+	"./internal/sweep TestSweepSharesResolvedCells|TestSweepFailingCellDoesNotStopGrid"
 	# The cluster figure byte-diffs across runs.
 	"./internal/experiments TestFigClusterDeterministic"
 	# Nothing outside tests stays unless a binary, the public API or
