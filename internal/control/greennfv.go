@@ -82,8 +82,10 @@ func (g *GreenNFV) Prepare(factory EnvFactory) error {
 
 // TrainOn runs Ape-X training over the environments the factory
 // builds, one per actor (actor i gets seed Seed + 131·i). The factory
-// owns topology, workload and placement policy. Cluster environments
-// train round-robin only: Parallel and RemoteActors need *env.Env.
+// owns topology, workload and placement policy. Round-robin and
+// Parallel step whatever it builds; RemoteActors ignores it and
+// rebuilds *env.Env in the actor processes (apex.ActorSpec.BuildEnv),
+// so cluster environments train in-process only.
 func (g *GreenNFV) TrainOn(factory func(seed int64) (env.Stepper, error)) error {
 	cfg := g.Train
 	cfg.StepperFactory = func(actorID int) (env.Stepper, error) {

@@ -65,9 +65,8 @@
 // draws from a private RNG whose source is reused across Resets, so a
 // seeded episode replays exactly — the property the round-robin
 // Ape-X mode and the recorded training figures rely on. It is NOT
-// goroutine-safe; each Ape-X actor owns one instance. VecEnv steps a
-// set of Env instances as a batch, in index order on the calling
-// goroutine, each on its own RNG and scratch. StepInto, ObserveInto
+// goroutine-safe; each Ape-X actor owns one instance, on its own RNG
+// and scratch. StepInto, ObserveInto
 // and Env.SetKnobs allocate nothing in steady state (caller-owned observation buffer, pre-clamped default
 // knobs, capacity-reused cluster scratch; TestEnvStepZeroAlloc,
 // TestClusterEnvStepAllocs); Step/Reset are allocating wrappers.

@@ -102,8 +102,7 @@ type Config struct {
 // reward are the embedded ClusterEnv's, there is no second
 // implementation — plus the single-chain accessors the serving plane,
 // the heuristic controllers and the figures use. Not goroutine-safe;
-// Ape-X actors each own one instance (use VecEnv to step a set of
-// instances as a batch).
+// Ape-X actors each own one instance.
 type Env struct {
 	*ClusterEnv
 }

@@ -196,19 +196,23 @@ func (l *Learner) Stats() (pushes, transitions int) {
 	return int(l.pushes.Load()), int(l.received.Load())
 }
 
-// staging is the actor-side half of the experience exchange, shared by
-// the scalar Actor and the batched VecActor: the local network copy,
-// the arena-backed window of transitions not yet pushed, their lazily
-// settled priorities, and the parameter version last pulled.
+// Actor is one NF controller (Algorithm 3's NF_CONTROLLER), the only
+// type that acts and stages experience: it acts in its own environment
+// with its own exploration intensity on a local network copy, keeps the
+// arena-backed window of transitions not yet pushed with their lazily
+// settled priorities, and exchanges data with the learner. Every
+// scheduler steps this type — the round-robin loop, the concurrent
+// pipeline's in-process driver, and each cmd/apexactor process.
 //
 // Staging a transition allocates nothing: its rows live in a pooled
 // arena (arena.go) handed off at Flush granularity, and TD-error
 // priorities are settled in one ddpg.TDErrorBatch pass per flush window
 // (package doc, "Actor stepping", has why the deferral is value-exact).
-type staging struct {
-	id      int         // owner, for error messages
+type Actor struct {
+	ID      int
+	env     env.Stepper
 	agent   *ddpg.Agent // local network copy: acting + TD priorities only
-	version int
+	version int         // parameter version last pulled
 
 	// arena rows back local's slices, pend mirrors local as
 	// replay.Transitions for TDErrorBatch, settled is the prefix of
@@ -220,118 +224,8 @@ type staging struct {
 	settled int
 	verify  bool
 
-	// Owner steps between pushes and between parameter pulls.
+	// Steps between pushes and between parameter pulls.
 	pushEvery, syncEvery int
-}
-
-// newStaging sizes the window for rows transitions per push.
-func newStaging(id int, agent *ddpg.Agent, stateDim, actionDim, rows, pushEvery, syncEvery int) staging {
-	return staging{
-		id:        id,
-		agent:     agent,
-		arena:     newTxnArena(stateDim, actionDim, rows),
-		local:     make([]Experience, 0, rows),
-		pend:      make([]replay.Transition, 0, rows),
-		pushEvery: pushEvery,
-		syncEvery: syncEvery,
-	}
-}
-
-// stage buffers one transition whose rows were carved by arena.next.
-func (s *staging) stage(state, action, next []float64, reward float64) {
-	s.local = append(s.local, Experience{State: state, Action: action, Reward: reward, NextState: next})
-	s.pend = append(s.pend, replay.Transition{State: state, Action: action, Reward: reward, NextState: next})
-}
-
-// settlePriorities computes the TD-error priorities of every
-// still-unsettled buffered transition in one batched pass. The
-// priority networks are frozen between parameter loads (broadcasts
-// never carry them at all), so the values are bit-identical to the
-// per-step scalar computation — verify checks exactly that.
-func (s *staging) settlePriorities() error {
-	if s.settled == len(s.local) {
-		return nil
-	}
-	fresh := s.pend[s.settled:]
-	s.tdBuf = s.agent.TDErrorBatch(fresh, s.tdBuf)
-	for i := range fresh {
-		prio := math.Abs(s.tdBuf[i])
-		if s.verify {
-			if want := math.Abs(s.agent.TDError(fresh[i])); prio != want {
-				return fmt.Errorf("apex: actor %d: batched priority %v != scalar %v at row %d of the flush window",
-					s.id, prio, want, s.settled+i)
-			}
-		}
-		s.local[s.settled+i].Priority = prio
-	}
-	s.settled = len(s.local)
-	return nil
-}
-
-// exchange runs the push and pull cadences after the owner's n-th step.
-func (s *staging) exchange(learner LearnerAPI, n int) error {
-	if n%s.pushEvery == 0 {
-		if err := s.Flush(learner); err != nil {
-			return err
-		}
-	}
-	if n%s.syncEvery == 0 {
-		return s.SyncParams(learner)
-	}
-	return nil
-}
-
-// Flush settles priorities and pushes any locally buffered experience
-// to the learner: at the PushEvery cadence, and once more when a run
-// ends between boundaries, so no transitions are lost. Arena chunks are
-// recycled only when the learner does not retain pushed slices.
-func (s *staging) Flush(learner LearnerAPI) error {
-	if len(s.local) == 0 {
-		return nil
-	}
-	if err := s.settlePriorities(); err != nil {
-		return err
-	}
-	if err := learner.PushExperience(s.local); err != nil {
-		return fmt.Errorf("apex: push: %w", err)
-	}
-	s.arena.release(learner.RetainsExperience())
-	s.local = s.local[:0]
-	s.pend = s.pend[:0]
-	s.settled = 0
-	return nil
-}
-
-// SyncParams pulls the learner's parameters when newer than the ones
-// held: at the SyncEvery cadence, and at a remote actor's startup so it
-// acts on the broadcast policy, not its own fresh random weights.
-// Pending priorities are settled first, keeping the
-// settle-before-any-parameter-load invariant even though today's
-// broadcasts only ever replace the policy network.
-func (s *staging) SyncParams(learner LearnerAPI) error {
-	if err := s.settlePriorities(); err != nil {
-		return err
-	}
-	v, data, err := learner.PullParams(s.version)
-	if err != nil {
-		return fmt.Errorf("apex: pull: %w", err)
-	}
-	if data != nil {
-		if err := s.agent.LoadActorBytes(data); err != nil {
-			return fmt.Errorf("apex: load params: %w", err)
-		}
-	}
-	s.version = v
-	return nil
-}
-
-// Actor is one NF controller (Algorithm 3's NF_CONTROLLER): it acts
-// in its own environment with its own exploration intensity, buffers
-// experience locally (staging), and exchanges data with the learner.
-type Actor struct {
-	ID  int
-	env env.Stepper
-	staging
 
 	state  []float64
 	obsBuf []float64 // reused next-observation buffer for StepInto
@@ -361,7 +255,8 @@ type ActorConfig struct {
 	VerifyPriorities bool
 }
 
-// NewActor builds an actor.
+// NewActor builds an actor; its staging window is sized for PushEvery
+// transitions per push.
 func NewActor(cfg ActorConfig) (*Actor, error) {
 	if cfg.Env == nil {
 		return nil, errors.New("apex: actor needs an environment")
@@ -373,16 +268,19 @@ func NewActor(cfg ActorConfig) (*Actor, error) {
 	if err != nil {
 		return nil, err
 	}
-	a := &Actor{
-		ID:  cfg.ID,
-		env: cfg.Env,
-		staging: newStaging(cfg.ID, agent, cfg.Env.StateDim(), cfg.Env.ActionDim(),
-			cfg.PushEvery, cfg.PushEvery, cfg.SyncEvery),
-	}
-	a.verify = cfg.VerifyPriorities
-	a.state = cfg.Env.Reset(cfg.AgentConfig.Seed)
-	a.obsBuf = make([]float64, cfg.Env.StateDim())
-	return a, nil
+	return &Actor{
+		ID:        cfg.ID,
+		env:       cfg.Env,
+		agent:     agent,
+		arena:     newTxnArena(cfg.Env.StateDim(), cfg.Env.ActionDim(), cfg.PushEvery),
+		local:     make([]Experience, 0, cfg.PushEvery),
+		pend:      make([]replay.Transition, 0, cfg.PushEvery),
+		verify:    cfg.VerifyPriorities,
+		pushEvery: cfg.PushEvery,
+		syncEvery: cfg.SyncEvery,
+		state:     cfg.Env.Reset(cfg.AgentConfig.Seed),
+		obsBuf:    make([]float64, cfg.Env.StateDim()),
+	}, nil
 }
 
 // Env exposes the actor's environment (for snapshotting knobs).
@@ -409,11 +307,89 @@ func (a *Actor) Step(learner LearnerAPI) (float64, perfmodel.Result, error) {
 		return 0, perfmodel.Result{}, err
 	}
 	copy(nextRow, a.obsBuf)
-	a.stage(stateRow, actionRow, nextRow, reward)
+	a.local = append(a.local, Experience{State: stateRow, Action: actionRow, Reward: reward, NextState: nextRow})
+	a.pend = append(a.pend, replay.Transition{State: stateRow, Action: actionRow, Reward: reward, NextState: nextRow})
 	a.state, a.obsBuf = a.obsBuf, a.state
 	a.steps++
-	return reward, info, a.exchange(learner, a.steps)
+	if a.steps%a.pushEvery == 0 {
+		if err := a.Flush(learner); err != nil {
+			return reward, info, err
+		}
+	}
+	if a.steps%a.syncEvery == 0 {
+		return reward, info, a.SyncParams(learner)
+	}
+	return reward, info, nil
 }
 
 // Steps reports how many environment steps the actor has taken.
 func (a *Actor) Steps() int { return a.steps }
+
+// settlePriorities computes the TD-error priorities of every
+// still-unsettled buffered transition in one batched pass. The
+// priority networks are frozen between parameter loads (broadcasts
+// never carry them at all), so the values are bit-identical to the
+// per-step scalar computation — verify checks exactly that.
+func (a *Actor) settlePriorities() error {
+	if a.settled == len(a.local) {
+		return nil
+	}
+	fresh := a.pend[a.settled:]
+	a.tdBuf = a.agent.TDErrorBatch(fresh, a.tdBuf)
+	for i := range fresh {
+		prio := math.Abs(a.tdBuf[i])
+		if a.verify {
+			if want := math.Abs(a.agent.TDError(fresh[i])); prio != want {
+				return fmt.Errorf("apex: actor %d: batched priority %v != scalar %v at row %d of the flush window",
+					a.ID, prio, want, a.settled+i)
+			}
+		}
+		a.local[a.settled+i].Priority = prio
+	}
+	a.settled = len(a.local)
+	return nil
+}
+
+// Flush settles priorities and pushes any locally buffered experience
+// to the learner: at the PushEvery cadence, and once more when a run
+// ends between boundaries, so no transitions are lost. Arena chunks are
+// recycled only when the learner does not retain pushed slices.
+func (a *Actor) Flush(learner LearnerAPI) error {
+	if len(a.local) == 0 {
+		return nil
+	}
+	if err := a.settlePriorities(); err != nil {
+		return err
+	}
+	if err := learner.PushExperience(a.local); err != nil {
+		return fmt.Errorf("apex: push: %w", err)
+	}
+	a.arena.release(learner.RetainsExperience())
+	a.local = a.local[:0]
+	a.pend = a.pend[:0]
+	a.settled = 0
+	return nil
+}
+
+// SyncParams pulls the learner's parameters when newer than the ones
+// held: at the SyncEvery cadence, and at a remote actor's startup so it
+// acts on the broadcast policy, not its own fresh random weights.
+// Pending priorities are settled first, keeping the
+// settle-before-any-parameter-load invariant even though today's
+// broadcasts only ever replace the policy network.
+func (a *Actor) SyncParams(learner LearnerAPI) error {
+	if err := a.settlePriorities(); err != nil {
+		return err
+	}
+	v, data, err := learner.PullParams(a.version)
+	if err != nil {
+		return fmt.Errorf("apex: pull: %w", err)
+	}
+	if data != nil {
+		if err := a.agent.LoadActorBytes(data); err != nil {
+			return fmt.Errorf("apex: load params: %w", err)
+		}
+	}
+	a.version = v
+	return nil
+}

@@ -3,6 +3,7 @@ package apex
 import (
 	"testing"
 
+	"greennfv/internal/cluster"
 	"greennfv/internal/env"
 	"greennfv/internal/perfmodel"
 	"greennfv/internal/rl/ddpg"
@@ -27,6 +28,22 @@ func envFactory(s sla.SLA) func(int) (*env.Env, error) {
 func stepperFactory(s sla.SLA) func(int) (env.Stepper, error) {
 	f := envFactory(s)
 	return func(actorID int) (env.Stepper, error) { return f(actorID) }
+}
+
+// clusterFactory builds a two-node, three-chain ClusterEnv with the DRL
+// placement head active.
+func clusterFactory(actorID int) (env.Stepper, error) {
+	chains, hops := env.StandardClusterChains(3)
+	return env.NewCluster(env.ClusterConfig{
+		Topology:        cluster.Homogeneous(2),
+		Chains:          chains,
+		Hops:            hops,
+		LatencyBudgetNs: 1e6,
+		Bounds:          perfmodel.DefaultBounds(),
+		SLA:             sla.NewEnergyEfficiency(),
+		LoadJitter:      0.05,
+		Seed:            int64(2000 + actorID),
+	})
 }
 
 func smallTrainer(t *testing.T, steps int) *Trainer {
@@ -217,4 +234,77 @@ func TestServerCloseIdempotent(t *testing.T) {
 	if err := srv.Close(); err != nil {
 		t.Errorf("second close: %v", err)
 	}
+}
+
+// discardLearner drops pushes without copying — the zero-alloc gate's
+// non-retaining endpoint.
+type discardLearner struct{}
+
+func (discardLearner) PushExperience([]Experience) error   { return nil }
+func (discardLearner) PullParams(int) (int, []byte, error) { return 1, nil, nil }
+func (discardLearner) RetainsExperience() bool             { return false }
+
+// TestActorStepAllocGate pins the zero-alloc actor step. With a
+// non-retaining learner the arena recycles its chunks and the steady
+// state allocates nothing at all; the in-process learner retains
+// pushed slices, leaving exactly one chunk handoff per PushEvery
+// window — still well under one allocation per step.
+func TestActorStepAllocGate(t *testing.T) {
+	build := func(t *testing.T) *Actor {
+		e, err := envFactory(sla.NewEnergyEfficiency())(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		acfg := ddpg.DefaultConfig(e.StateDim(), e.ActionDim())
+		acfg.Seed = 23
+		actor, err := NewActor(ActorConfig{
+			ID: 0, Env: e, AgentConfig: acfg, PushEvery: 8, SyncEvery: 16,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return actor
+	}
+
+	t.Run("non-retaining", func(t *testing.T) {
+		actor := build(t)
+		learner := discardLearner{}
+		for i := 0; i < 64; i++ { // warm arena free list and scratch
+			if _, _, err := actor.Step(learner); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if avg := testing.AllocsPerRun(200, func() {
+			if _, _, err := actor.Step(learner); err != nil {
+				t.Fatal(err)
+			}
+		}); avg != 0 {
+			t.Errorf("Step allocates %.3f per step with a non-retaining learner, want 0", avg)
+		}
+	})
+
+	t.Run("retaining", func(t *testing.T) {
+		actor := build(t)
+		agent, err := ddpg.New(ddpg.DefaultConfig(actor.env.StateDim(), actor.env.ActionDim()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		learner, err := NewLearner(agent)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 64; i++ {
+			if _, _, err := actor.Step(learner); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if avg := testing.AllocsPerRun(200, func() {
+			if _, _, err := actor.Step(learner); err != nil {
+				t.Fatal(err)
+			}
+		}); avg >= 1 {
+			t.Errorf("Step allocates %.3f per step with the in-process learner, want < 1 (one chunk per %d-step window)",
+				avg, actor.pushEvery)
+		}
+	})
 }

@@ -106,8 +106,10 @@ func (t *Trainer) Checkpoint(path string) error {
 // checkpoint at path before stepping: the learner continues mid-budget
 // with bit-exact weights, optimizer moments and (if checkpointed)
 // replay contents. The trainer must be configured identically to the
-// one that wrote the checkpoint — the agent configuration is verified
-// strictly on restore. Call before Run.
+// one that wrote the checkpoint — the agent configuration and the step
+// budget are verified strictly on restore, and so are the checkpoint's
+// counters (TrainerCheckpoint.vet): the CRC only catches a torn file,
+// not a well-framed one that says nonsense. Call before Run.
 func (t *Trainer) Resume(path string) error {
 	if path == "" {
 		return errors.New("apex: empty resume path")
@@ -130,6 +132,9 @@ func (t *Trainer) applyResume() error {
 	if err != nil {
 		return err
 	}
+	if err := ck.vet(t.cfg.TotalSteps); err != nil {
+		return err
+	}
 	if err := t.learner.restoreCheckpoint(ck); err != nil {
 		return err
 	}
@@ -138,12 +143,38 @@ func (t *Trainer) applyResume() error {
 	return nil
 }
 
-// restoreCheckpoint loads a checkpoint into the learner: agent state,
-// broadcast version (with a fresh parameter cache), and the
+// vet refuses a checkpoint whose counters no trainer with a budget of
+// totalSteps could have written, naming the field — everything that can
+// be checked before the agent blob is decoded, so a refused checkpoint
+// loads nothing.
+func (ck *TrainerCheckpoint) vet(totalSteps int) error {
+	switch {
+	case ck.TotalSteps != totalSteps:
+		return fmt.Errorf("apex: checkpoint: TotalSteps %d, this trainer's budget is %d", ck.TotalSteps, totalSteps)
+	case ck.Steps < 0 || ck.Steps > ck.TotalSteps:
+		return fmt.Errorf("apex: checkpoint: Steps %d outside [0, TotalSteps %d]", ck.Steps, ck.TotalSteps)
+	case ck.Version < 1:
+		return fmt.Errorf("apex: checkpoint: Version %d, the first broadcast is 1", ck.Version)
+	case ck.Updates < 0:
+		return fmt.Errorf("apex: checkpoint: negative Updates %d", ck.Updates)
+	case ck.Pushes < 0:
+		return fmt.Errorf("apex: checkpoint: negative Pushes %d", ck.Pushes)
+	case ck.Received < 0:
+		return fmt.Errorf("apex: checkpoint: negative Received %d", ck.Received)
+	}
+	return nil
+}
+
+// restoreCheckpoint loads a vetted checkpoint into the learner: agent
+// state (whose own update count must be the one the checkpoint
+// records), broadcast version (with a fresh parameter cache), and the
 // experience counters the pacing rule reads.
 func (l *Learner) restoreCheckpoint(ck *TrainerCheckpoint) error {
 	if err := l.agent.LoadStateBytes(ck.Agent); err != nil {
 		return err
+	}
+	if got := l.agent.LearnSteps(); got != ck.Updates {
+		return fmt.Errorf("apex: checkpoint: Updates %d, but its agent state has run %d", ck.Updates, got)
 	}
 	l.mu.Lock()
 	l.version = ck.Version

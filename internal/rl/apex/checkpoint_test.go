@@ -2,9 +2,13 @@ package apex
 
 import (
 	"bytes"
+	"encoding/gob"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"greennfv/internal/atomicio"
 
 	"greennfv/internal/rl/ddpg"
 	"greennfv/internal/sla"
@@ -159,8 +163,10 @@ func TestTrainerCheckpointResume(t *testing.T) {
 }
 
 // TestResumeRejectsMissingAndMismatched pins Resume error handling: a
-// missing file fails at Resume time, and a checkpoint from a
-// different agent configuration fails at restore time.
+// missing file fails at Resume time; a checkpoint from a different
+// agent configuration, or a well-framed one whose counters no run with
+// this budget could have written, fails at restore time with an error
+// that names the field.
 func TestResumeRejectsMissingAndMismatched(t *testing.T) {
 	cfg := checkpointTrainerConfig(t, 40)
 	tr, err := NewTrainer(cfg)
@@ -190,4 +196,123 @@ func TestResumeRejectsMissingAndMismatched(t *testing.T) {
 	if err := tr2.Run(); err == nil {
 		t.Error("resume into a mismatched agent config did not error")
 	}
+
+	good, err := ReadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for field, corrupt := range map[string]func(*TrainerCheckpoint){
+		"TotalSteps": func(ck *TrainerCheckpoint) { ck.TotalSteps = 41 },
+		"Steps":      func(ck *TrainerCheckpoint) { ck.Steps = ck.TotalSteps + 1 },
+		"Version":    func(ck *TrainerCheckpoint) { ck.Version = 0 },
+		"Updates":    func(ck *TrainerCheckpoint) { ck.Updates++ },
+		"Pushes":     func(ck *TrainerCheckpoint) { ck.Pushes = -1 },
+		"Received":   func(ck *TrainerCheckpoint) { ck.Received = -360 },
+	} {
+		ck := *good
+		corrupt(&ck)
+		bad := filepath.Join(t.TempDir(), "bad")
+		if err := WriteCheckpoint(bad, &ck); err != nil {
+			t.Fatal(err)
+		}
+		tr3, err := NewTrainer(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tr3.Resume(bad); err != nil {
+			t.Fatal(err)
+		}
+		if err := tr3.Run(); err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("checkpoint with a bad %s: Run returned %v, want an error naming the field", field, err)
+		}
+	}
+}
+
+// FuzzTrainerCheckpoint: a checkpoint file whose frame is intact (magic,
+// length and CRC all valid — what the frame cannot catch) but whose
+// payload is arbitrary either fails to restore or leaves a trainer whose
+// counters agree with each other and whose broadcast an actor can load.
+// It never panics. Seeds are f.Add calls: a real checkpoint, with and
+// without its replay, and one per counter TrainerCheckpoint.vet refuses.
+func FuzzTrainerCheckpoint(f *testing.F) {
+	config := func() TrainerConfig {
+		cfg := DefaultTrainerConfig(48)
+		cfg.Actors = 1
+		cfg.WarmupSteps = 8
+		cfg.StepperFactory = stepperFactory(sla.NewEnergyEfficiency())
+		cfg.AgentConfig = ddpg.DefaultConfig(0, 0)
+		cfg.AgentConfig.Hidden = []int{4}
+		cfg.AgentConfig.BatchSize = 4
+		cfg.AgentConfig.Seed = 5
+		return cfg
+	}
+	tr, err := NewTrainer(config())
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := tr.Run(); err != nil {
+		f.Fatal(err)
+	}
+	seed := func(withReplay bool, corrupt func(*TrainerCheckpoint)) {
+		tr.cfg.CheckpointReplay = withReplay
+		path := filepath.Join(f.TempDir(), "seed")
+		if err := tr.Checkpoint(path); err != nil {
+			f.Fatal(err)
+		}
+		ck, err := ReadCheckpoint(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		corrupt(ck)
+		var payload bytes.Buffer
+		if err := gob.NewEncoder(&payload).Encode(ck); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(payload.Bytes())
+	}
+	seed(true, func(*TrainerCheckpoint) {})
+	seed(false, func(*TrainerCheckpoint) {})
+	seed(false, func(ck *TrainerCheckpoint) { ck.TotalSteps++ })
+	seed(false, func(ck *TrainerCheckpoint) { ck.Steps = -1 })
+	seed(false, func(ck *TrainerCheckpoint) { ck.Version = 0 })
+	seed(false, func(ck *TrainerCheckpoint) { ck.Updates-- })
+	seed(false, func(ck *TrainerCheckpoint) { ck.Received = -1 })
+
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		path := filepath.Join(t.TempDir(), "ck")
+		if err := atomicio.WriteFile(path, checkpointMagic, payload); err != nil {
+			t.Fatal(err)
+		}
+		ck, err := ReadCheckpoint(path)
+		if err != nil {
+			return
+		}
+		tr, err := NewTrainer(config())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.Resume(path); err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.applyResume(); err != nil {
+			return
+		}
+		l := tr.learner
+		if tr.steps != ck.Steps || tr.steps < 0 || tr.steps > tr.cfg.TotalSteps {
+			t.Errorf("restored %d steps of %d from a checkpoint recording %d", tr.steps, tr.cfg.TotalSteps, ck.Steps)
+		}
+		if got := l.agent.LearnSteps(); got != ck.Updates || got != tr.resumedUpdates || got < 0 {
+			t.Errorf("agent has run %d updates, checkpoint says %d, trainer resumed %d", got, ck.Updates, tr.resumedUpdates)
+		}
+		if pushes, received := l.Stats(); pushes < 0 || received < 0 {
+			t.Errorf("restored negative experience counters: %d pushes, %d transitions", pushes, received)
+		}
+		actor := tr.actors[0]
+		if err := actor.SyncParams(l); err != nil {
+			t.Fatalf("actor cannot load the restored broadcast: %v", err)
+		}
+		if actor.version != ck.Version || ck.Version < 1 {
+			t.Errorf("actor pulled version %d from a checkpoint recording %d", actor.version, ck.Version)
+		}
+	})
 }

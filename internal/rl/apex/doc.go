@@ -16,27 +16,35 @@
 //
 // # Training modes
 //
-// Trainer has one reference loop and one concurrent pipeline:
+// There is one actor type — Actor: act, stage experience with a local
+// priority, push, pull — and three schedulers of it:
 //
-//   - Round-robin (default): actors interleave single-threaded, one
-//     LearnStep attempt per post-warm-up step. Deterministic given the
-//     seeds — the loop behind every recorded figure; its outputs are
-//     byte-diffed across PRs and TestTrainerFingerprint hashes whole
-//     runs of it.
-//   - The concurrent pipeline (pipeline.go): a sampler prefetches
-//     minibatches from a lock-striped replay under the pacing rule
-//     below while the learner goroutine runs batched updates and
-//     writes interval checkpoints. NOT deterministic. The same code
-//     runs over either of two experience transports:
-//   - Parallel (TrainerConfig.Parallel): ONE VecActor driver goroutine
-//     (parallel.go, vecactor.go) steps every actor environment through
-//     a VecEnv with a single batched policy pass per round.
+//   - Round-robin (default): Trainer.stepActors steps the actors in rank
+//     order on one goroutine, with one LearnStep attempt per
+//     post-warm-up step in between. Deterministic given the seeds — the
+//     loop behind every recorded figure; its outputs are byte-diffed
+//     across PRs and TestTrainerFingerprint hashes whole runs of it.
+//   - Parallel (TrainerConfig.Parallel): ONE driver goroutine
+//     (parallel.go) runs the same stepActors over the same actors with
+//     nothing in between, and flushes their tails; learning happens on
+//     the concurrent pipeline below.
 //   - Remote (TrainerConfig.RemoteActors): the paper's multi-node
-//     split. The learner is served over rpcutil (rpc.go) to actor
-//     processes (cmd/apexactor; spawned and supervised via SpawnRemote
-//     or started externally against ListenAddr; remote.go) that
-//     rebuild their environments from a JSON ActorSpec and talk
-//     through a reconnecting RemoteLearner.
+//     split. Each cmd/apexactor process steps one Actor
+//     (RunRemoteActor). The learner is served over rpcutil (rpc.go) to
+//     the processes (spawned and supervised via SpawnRemote or started
+//     externally against ListenAddr; remote.go), which rebuild their
+//     environments from a JSON ActorSpec and talk through a
+//     reconnecting RemoteLearner.
+//
+// Parallel and Remote are the two experience transports of the one
+// concurrent pipeline (pipeline.go): a sampler prefetches minibatches
+// from a lock-striped replay under the pacing rule below while the
+// learner goroutine runs batched updates and writes interval
+// checkpoints. NOT deterministic in what it learns; the in-process
+// driver's stepping is — with no version published it takes the steps
+// round-robin takes and stamps snapshots on the same grid
+// (TestParallelDriverMatchesRoundRobinStepping,
+// TestParallelSnapshotsOnRoundRobinGrid).
 //
 // All spend the same learner-update budget (LearnPerStep × post-warmup
 // steps, counted on from the restored update count after a Resume), so
@@ -52,11 +60,10 @@
 // *env.Env for the paper's single host, *env.ClusterEnv for a
 // multi-node topology (actor networks are sized from the probe's
 // StateDim/ActionDim, so the placement head needs nothing special).
-// Round-robin takes either; Parallel vectorizes the single-node
-// layout through VecEnv and rejects anything but *env.Env; Remote
-// ignores the factory and builds *env.Env from RemoteSpec on both
-// sides of the wire. Every actor of every mode sits on its rung of one
-// exploration ladder (ladderRung: seed + 101·rank, sigma =
+// Round-robin and Parallel take either (TestParallelTrainsClusterEnv);
+// Remote ignores the factory and builds *env.Env from RemoteSpec on
+// both sides of the wire. Every actor of every mode sits on its rung of
+// one exploration ladder (ladderRung: seed + 101·rank, sigma =
 // BaseSigma·(1 + rank/2)).
 //
 // # Concurrency and determinism
@@ -82,8 +89,8 @@
 // in one allocation, and the learner swaps it in under its mutex. A
 // published frame is immutable — never reused, never rewritten — which
 // is what lets PullParams hand the same bytes to every puller and lets
-// them be read outside the mutex: by the round-robin actors and the
-// VecActor driver, which copy them straight into their live network
+// them be read outside the mutex: by the in-process actors of either
+// scheduler, which copy them straight into their live network
 // (ddpg.Agent.LoadActorBytes: validated against that network first,
 // zero allocations), and by the RPC handler, whose connection
 // gob-encodes the PullReply around them (rpcutil's body for types
@@ -102,9 +109,9 @@
 //
 // # Actor stepping: arena, batched priorities, verification
 //
-// Actor.Step and the VecActor round stage experience through one
-// shared type (staging, apex.go) and are zero-allocation in steady
-// state. Each PushEvery window's transitions live in one flat
+// Actor.Step is the one acting step of every scheduler and is
+// zero-allocation in steady state. Each PushEvery window's
+// transitions live in one flat
 // txnArena chunk (arena.go) instead of per-step slices; priorities
 // are settled lazily at Flush/SyncParams time with one
 // ddpg.TDErrorBatch call over the window — bit-identical to eager

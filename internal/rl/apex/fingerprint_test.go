@@ -8,9 +8,6 @@ import (
 	"runtime"
 	"testing"
 
-	"greennfv/internal/cluster"
-	"greennfv/internal/env"
-	"greennfv/internal/perfmodel"
 	"greennfv/internal/rl/ddpg"
 	"greennfv/internal/sla"
 )
@@ -103,19 +100,7 @@ func TestTrainerFingerprint(t *testing.T) {
 	// Two nodes, three chains, the DRL placement head active.
 	clustered := DefaultTrainerConfig(240)
 	clustered.Actors = 2
-	clustered.StepperFactory = func(actorID int) (env.Stepper, error) {
-		chains, hops := env.StandardClusterChains(3)
-		return env.NewCluster(env.ClusterConfig{
-			Topology:        cluster.Homogeneous(2),
-			Chains:          chains,
-			Hops:            hops,
-			LatencyBudgetNs: 1e6,
-			Bounds:          perfmodel.DefaultBounds(),
-			SLA:             sla.NewEnergyEfficiency(),
-			LoadJitter:      0.05,
-			Seed:            int64(2000 + actorID),
-		})
-	}
+	clustered.StepperFactory = clusterFactory
 	clustered.AgentConfig = agentCfg(13, 16)
 
 	for _, c := range []struct {

@@ -10,8 +10,8 @@ import (
 )
 
 // This file is the one concurrent learner pipeline. Parallel and Remote
-// are the same loop over two experience transports — an in-process
-// VecActor driver (parallel.go) or the RPC server plus actor fleet
+// are the same loop over two experience transports — the in-process
+// actor driver (parallel.go) or the RPC server plus actor fleet
 // (remote.go):
 //
 //	transport ── PushExperience ──▶ sharded replay

@@ -73,13 +73,13 @@ func TestRoundRobinKeepsSingleTreeReplay(t *testing.T) {
 // — the pacing gate waits on the ingest notification in both modes —
 // and no polling or yield primitive may reappear there. And the
 // per-actor goroutines once needed a cooperative Gosched so one actor
-// could not monopolize a core; the single batched VecActor driver
-// (parallel.go, vecactor.go) has no sibling goroutines to starve, so no
-// yield or sleep belongs in the acting half either. (The supervisor's
-// back-off and the drain's heartbeat ticker pace no learning and live
-// in remote.go.)
+// could not monopolize a core; the single driver goroutine (parallel.go)
+// has no sibling goroutines to starve, so no yield or sleep belongs in
+// the acting half either. (The supervisor's back-off and the drain's
+// heartbeat ticker pace no learning and live in remote.go.) A listed
+// file that is missing fails the test: a rename must not retire it.
 func TestNoBusyWaitInParallel(t *testing.T) {
-	for _, file := range []string{"pipeline.go", "parallel.go", "vecactor.go"} {
+	for _, file := range []string{"pipeline.go", "parallel.go"} {
 		src, err := os.ReadFile(file)
 		if err != nil {
 			t.Fatal(err)
@@ -89,5 +89,44 @@ func TestNoBusyWaitInParallel(t *testing.T) {
 				t.Errorf("%s contains %s — the concurrent pipeline must block on channels, not poll or yield", file, banned)
 			}
 		}
+	}
+}
+
+// TestSamplesPerInsertPacesLearner pins the adaptive pacing knob under
+// actor starvation: with SamplesPerInsert=1 the learner may consume at
+// most one replay sample per inserted transition, so a 2-updates-per-
+// step budget (4352 samples' worth) collapses to at most
+// TotalSteps/BatchSize updates — the learner blocked for experience
+// instead of replaying the stale buffer.
+func TestSamplesPerInsertPacesLearner(t *testing.T) {
+	cfg := DefaultTrainerConfig(200)
+	cfg.Actors = 2
+	cfg.Parallel = true
+	cfg.LearnPerStep = 2
+	cfg.SamplesPerInsert = 1
+	cfg.StepperFactory = stepperFactory(sla.NewEnergyEfficiency())
+	cfg.AgentConfig = ddpg.DefaultConfig(0, 0)
+	cfg.AgentConfig.Hidden = []int{12}
+	cfg.AgentConfig.BatchSize = 16
+	cfg.AgentConfig.Seed = 19
+	tr, err := NewTrainer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Run(); err != nil {
+		t.Fatal(err)
+	}
+	got := tr.Learner().Agent().LearnSteps()
+	maxUpdates := int(cfg.SamplesPerInsert * float64(cfg.TotalSteps) / float64(cfg.AgentConfig.BatchSize))
+	budget := cfg.LearnPerStep * (cfg.TotalSteps - cfg.WarmupSteps)
+	if maxUpdates >= budget {
+		t.Fatalf("test misconfigured: ratio cap %d does not bind budget %d", maxUpdates, budget)
+	}
+	if got == 0 {
+		t.Fatal("paced learner never updated")
+	}
+	if got > maxUpdates {
+		t.Errorf("learner ran %d updates, SamplesPerInsert=%v allows at most %d",
+			got, cfg.SamplesPerInsert, maxUpdates)
 	}
 }

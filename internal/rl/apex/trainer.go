@@ -86,10 +86,11 @@ type TrainerConfig struct {
 	// spent exactly. Round-robin ignores it.
 	SamplesPerInsert float64
 	// Parallel selects the concurrent pipeline over its in-process
-	// transport — a driver goroutine stepping every actor environment
-	// while the sampler/learner runs batched updates over a lock-striped
-	// replay, the architecture of Horgan et al. Round-robin remains the
-	// default: it is reproducible, which tests and figures rely on.
+	// transport — a driver goroutine stepping the same actors round-robin
+	// steps, in the same rank order, while the sampler/learner runs
+	// batched updates over a lock-striped replay, the architecture of
+	// Horgan et al. Round-robin remains the default: it is reproducible,
+	// which tests and figures rely on.
 	Parallel bool
 	// ReplayShards sets the lock-stripe count of the concurrent
 	// pipeline's sharded replay buffer (0 = GOMAXPROCS, clamped to
@@ -154,9 +155,8 @@ type TrainerConfig struct {
 	DrainTimeout time.Duration
 	// StepperFactory builds one environment per actor (distinct
 	// seeds): *env.Env for the paper's single host, *env.ClusterEnv
-	// for a multi-node topology. Parallel vectorizes the single-node
-	// layout and so requires *env.Env; cluster environments train
-	// through the deterministic round-robin path.
+	// for a multi-node topology. Round-robin and Parallel step either
+	// through the same Actor.
 	StepperFactory func(actorID int) (env.Stepper, error)
 	// AgentConfig templates the learner and actor networks; state
 	// and action dims are filled from the environment.
@@ -317,7 +317,7 @@ func (t *Trainer) Run() error {
 	case t.cfg.RemoteActors > 0:
 		err = t.runPipeline(t.serveFleet)
 	case t.cfg.Parallel:
-		err = t.runPipeline(t.driveVecActor)
+		err = t.runPipeline(t.driveActors)
 	default:
 		err = t.runRoundRobin()
 	}
@@ -331,18 +331,37 @@ func (t *Trainer) Run() error {
 // last remote run (rank → stats); nil for in-process runs.
 func (t *Trainer) RemoteActorStats() map[int]ActorStats { return t.remoteStats }
 
-// runRoundRobin interleaves actors single-threaded — deterministic,
-// which suits both tests and the figure harness.
+// runRoundRobin interleaves acting and learning single-threaded —
+// deterministic, which suits both tests and the figure harness: after
+// every post-warm-up step it makes LearnPerStep LearnStep attempts.
 func (t *Trainer) runRoundRobin() error {
 	if err := t.applyResume(); err != nil {
 		return err
 	}
+	return t.stepActors(t.steps, t.cfg.TotalSteps, func(n int) {
+		t.steps = n
+		if n > t.cfg.WarmupSteps {
+			for l := 0; l < t.cfg.LearnPerStep; l++ {
+				t.learner.LearnStep(t.cfg.VersionEvery)
+			}
+		}
+	})
+}
+
+// stepActors is the one stepping loop of the in-process modes: it takes
+// environment steps from+1 … to, stepping the actors in rank order
+// (every pass starts at actor 0, a resumed run's first too), calls
+// afterStep with the count n once step n is taken, and records actor 0's
+// latest measurement as a snapshot whenever n is a multiple of
+// SnapshotEvery. What runs between two steps is the caller's: round-robin
+// learns there; the concurrent pipeline's driver (parallel.go) does
+// nothing and leaves learning to the other goroutine.
+func (t *Trainer) stepActors(from, to int, afterStep func(n int)) error {
 	var last0 perfmodel.Result
 	var lastR0 float64
-	have0 := false
-	for t.steps < t.cfg.TotalSteps {
+	for n := from; n < to; {
 		for _, actor := range t.actors {
-			if t.steps >= t.cfg.TotalSteps {
+			if n >= to {
 				break
 			}
 			reward, info, err := actor.Step(t.learner)
@@ -350,17 +369,13 @@ func (t *Trainer) runRoundRobin() error {
 				return fmt.Errorf("apex: actor %d: %w", actor.ID, err)
 			}
 			if actor.ID == 0 {
-				last0, lastR0, have0 = info, reward, true
+				last0, lastR0 = info, reward
 			}
-			t.steps++
-			if t.steps > t.cfg.WarmupSteps {
-				for l := 0; l < t.cfg.LearnPerStep; l++ {
-					t.learner.LearnStep(t.cfg.VersionEvery)
-				}
-			}
-			if have0 && t.cfg.SnapshotEvery > 0 && t.steps%t.cfg.SnapshotEvery == 0 {
+			n++
+			afterStep(n)
+			if t.cfg.SnapshotEvery > 0 && n%t.cfg.SnapshotEvery == 0 {
 				t.Snapshots = append(t.Snapshots,
-					SnapshotOf(t.steps, t.actors[0].Env(), last0, lastR0))
+					SnapshotOf(n, t.actors[0].Env(), last0, lastR0))
 			}
 		}
 	}

@@ -7,11 +7,13 @@ import (
 	"greennfv/internal/rl/replay"
 )
 
-// This file is the batched acting fast path of the Ape-X actor half:
-// one network pass serves every parallel actor's action (ActBatch) and
-// one fused pass serves a whole staging buffer's TD-error priorities
-// (TDErrorBatch), replacing the per-state scalar forwards the actors
-// used to run. Two precision regimes share the entry points:
+// This file is the acting half of the agent: ActInto, the allocation-free
+// scalar act every Ape-X actor steps through; TDErrorBatch, one fused
+// pass over an actor's whole push window of TD-error priorities; and
+// ActBatch, one network pass for n states' actions, which no trainer
+// calls (apex steps one Actor type through ActInto); bench/'s f32
+// acting probe does. Two precision regimes share the batched entry
+// points:
 //
 //   - f64 (default): nn.ForwardRows, whose per-row results are
 //     bit-identical to the scalar Forward. Batching over rows changes
@@ -20,8 +22,8 @@ import (
 //     rely on this.
 //   - f32 (SetActFloat32): nn.ForwardBatchF32 over the f32 parameter
 //     mirrors — the vectorized 8-lane kernels. Not bit-comparable to
-//     f64; the acting parity test bounds |Δaction| ≤ 1e-3. Only the
-//     non-deterministic Parallel trainer mode enables it.
+//     f64; the acting parity test bounds |Δaction| ≤ 1e-3. No trainer
+//     mode enables it.
 //
 // All entry points run over agent-owned scratch: zero allocations in
 // steady state (buffers grow to the largest batch seen and stick).

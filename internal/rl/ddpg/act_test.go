@@ -57,8 +57,7 @@ func TestActIntoMatchesAct(t *testing.T) {
 
 // ActBatch on the f64 path must be bit-identical to the scalar
 // reference — one Forward per row plus that row's own OU noise plus
-// the clamp — at any row count. This is the parity the VecActor driver
-// stands on.
+// the clamp — at any row count.
 // A GreedyActor — and a clone of it — must act bit-identically to the
 // agent's own greedy ActInto, stay independent of the agent's later
 // updates, reject wrong dimensions, and allocate nothing per action.

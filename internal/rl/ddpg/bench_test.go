@@ -39,9 +39,10 @@ func BenchmarkAgentLearn(b *testing.B) {
 	}
 }
 
-// benchActBatch measures one batched acting pass over n parallel
-// actors' states at the GreenNFV problem size — the VecActor driver's
-// per-step policy cost.
+// benchActBatch measures one batched acting pass over n actors' states
+// at the GreenNFV problem size. No trainer acts through it (every Ape-X
+// actor acts through ActInto); bench/'s ddpg.act_batch_f32_us probe is
+// its caller.
 func benchActBatch(b *testing.B, n int, f32 bool) {
 	cfg := DefaultConfig(12, 15)
 	a, err := New(cfg)

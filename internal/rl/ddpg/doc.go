@@ -73,9 +73,11 @@
 //     one nn.ForwardRows pass over the row matrix plus the per-lane
 //     OU noise draws and clamps. ForwardRows keeps the scalar
 //     per-row summation order, so the f64 batch is BIT-IDENTICAL to
-//     n scalar Act calls (pinned by TestActBatchMatchesScalarReference
-//     and the apex VecActor parity test); it exists so batching is a
-//     pure throughput knob, never a numerics change.
+//     n scalar Act calls (pinned by TestActBatchMatchesScalarReference);
+//     it exists so batching is a pure throughput knob, never a numerics
+//     change. No trainer uses it: every Ape-X actor acts through
+//     ActInto, and bench/'s ddpg.act_batch_f32_us probe is the one
+//     caller outside tests.
 //   - TDErrorBatch computes |δ| priorities for a whole push window in
 //     two target-net row passes instead of 3·n scalar forwards, again
 //     bit-identical to scalar TDError. It reads only the target nets
@@ -123,8 +125,8 @@
 // ActorBytes is the separate, policy-only format: one nn parameter
 // frame (internal/nn doc, "Parameter frame" — magic, per-layer header,
 // the raw bits of W and B) of the actor network. It is the Ape-X
-// broadcast on every transport — the round-robin actors, the VecActor
-// driver and remote actor processes all LoadActorBytes what the
+// broadcast on every transport — in-process actors, under either
+// scheduler, and remote actor processes all LoadActorBytes what the
 // learner's ActorBytes made — and the policy file Policy.Save writes.
 // One frame is allocated per call, exactly its size, and the agent
 // never touches it again, so a published frame may be read by any number of pullers

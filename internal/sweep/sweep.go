@@ -391,9 +391,11 @@ func cellEnv(s sla.SLA, m Mix, nodes int, pinned []int, seed int64) (env.Stepper
 }
 
 // runCell trains and measures one grid cell. Multi-node cells add the
-// placement name and the cluster extras, and always train round-robin
-// (the concurrent pipeline vectorizes the single-node layout), so
-// every cluster row is deterministic given its seed.
+// placement name and the cluster extras, and always train round-robin:
+// the concurrent pipeline would step a ClusterEnv just as well, but
+// plan shares one training between cells with equal keys, which only a
+// deterministic trainer makes the same computation — so every cluster
+// row is deterministic given its seed.
 func runCell(cfg Config, c cell) (Result, error) {
 	tier, mix := cfg.Tiers[c.tier], cfg.Mixes[c.mix]
 	r := Result{

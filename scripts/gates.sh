@@ -21,8 +21,12 @@ gates=(
 	# agent and trainer level, both precisions. And the reference loop:
 	# whole round-robin runs hash (on raw parameter bits) to the values
 	# recorded before the broadcast left gob, replay storage became lazy
-	# and ReLU moved into assembly.
-	"./internal/rl/apex TestChaosKillResume|TestFleetFailureStopsLearner|TestTrainerCheckpointResume|TestWriteReadCheckpoint|TestTrainerFingerprint"
+	# and ReLU moved into assembly. A well-framed checkpoint whose
+	# counters lie is refused by field (the fuzz target's seed run).
+	"./internal/rl/apex TestChaosKillResume|TestFleetFailureStopsLearner|TestTrainerCheckpointResume|TestWriteReadCheckpoint|TestTrainerFingerprint|FuzzTrainerCheckpoint"
+	# One actor, one stepping loop: the in-process driver and round-robin
+	# take identical steps and stamp snapshots on one grid.
+	"./internal/rl/apex TestParallelDriverMatchesRoundRobinStepping|TestParallelSnapshotsOnRoundRobinGrid"
 	"./internal/rl/ddpg TestCheckpoint"
 	# The parameter broadcast: one allocation per version (the frame), a
 	# pull copies in place with none, a published frame is never
