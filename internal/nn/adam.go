@@ -48,20 +48,41 @@ func MustAdam(lr float64) *Adam {
 	return a
 }
 
-// Step applies one update to the network's float64 parameters.
-func (a *Adam) Step(n *Network) { AdamStep[float64](a, n) }
-
-// AdamStep applies one update to the network's parameters of element
-// type T from its accumulated gradients of that type (float32: the
-// parameter mirrors, so EnableF32 must have run). The caller is
-// responsible for ZeroGrad afterwards. The per-parameter update runs
-// in T; the gradient norm is accumulated and the bias corrections are
-// computed in float64 and then narrowed (cheap, and a float32
-// squared-norm accumulation would lose precision over thousands of
-// gradient entries), and the square root goes through float64 — all
-// identity conversions at T = float64.
-func AdamStep[T float](a *Adam, n *Network) {
+// AdamStep is one optimizer step on the network's parameters of
+// element type T (float32: the parameter mirrors, so EnableF32 must
+// have run), from the gradients accumulated at that type: it scales the
+// gradients by gscale (1/n averages a minibatch sum), clips their
+// global norm to ClipNorm, applies Adam and moves target's parameters
+// toward the updated ones, θ' ← τ·θ + (1−τ)·θ' — the DDPG
+// target-network update (Algorithm 2, lines 9–10). target must have the
+// network's topology and tau lie in [0, 1]; either mistake panics. The
+// caller is responsible for ZeroGrad afterwards.
+//
+// Past the scaling pass the step is one pass per parameter slice: on
+// AVX2 adamasm writes the parameter and, right after it, the target
+// element, with the arithmetic of the Go loops below (doc.go, "Kernel
+// contract"). The scaling pass also sums the squares of the scaled
+// gradients, in an order of its own; when that sum certifies the norm
+// is below ClipNorm (clipFree) the sequential norm loop, which alone
+// decides a clip, is not run. The per-parameter update runs in T; the
+// norm is accumulated and the bias corrections computed in float64 and
+// then narrowed (cheap, and a float32 squared-norm accumulation would
+// lose precision over thousands of gradient entries), and the square
+// root goes through float64 — all identity conversions at T = float64.
+func AdamStep[T float](a *Adam, n *Network, gscale T, target *Network, tau T) {
+	if tau < 0 || tau > 1 {
+		panic("nn: tau must be in [0,1]")
+	}
 	params, grads := views[T](n)
+	to, _ := views[T](target)
+	if len(to) != len(params) {
+		panic("nn: target topology differs from the network's")
+	}
+	for i := range to {
+		if len(to[i]) != len(params[i]) {
+			panic("nn: target layer sizes differ from the network's")
+		}
+	}
 	mo, ok := any(&a.f64).(*moments[T])
 	if !ok {
 		mo = any(&a.f32).(*moments[T])
@@ -74,7 +95,13 @@ func AdamStep[T float](a *Adam, n *Network) {
 			mo.v[i] = make([]T, len(params[i]))
 		}
 	}
-	if a.ClipNorm > 0 {
+	var sq float64
+	count := 0
+	for _, g := range grads {
+		sq += scale(gscale, g)
+		count += len(g)
+	}
+	if a.ClipNorm > 0 && !clipFree(sq, a.ClipNorm, count) {
 		var norm float64
 		for _, g := range grads {
 			for _, v := range g {
@@ -83,7 +110,10 @@ func AdamStep[T float](a *Adam, n *Network) {
 		}
 		norm = math.Sqrt(norm)
 		if norm > a.ClipNorm {
-			ScaleGrad(n, T(a.ClipNorm/norm))
+			f := T(a.ClipNorm / norm)
+			for _, g := range grads {
+				scale(f, g)
+			}
 		}
 	}
 	mo.t++
@@ -92,16 +122,14 @@ func AdamStep[T float](a *Adam, n *Network) {
 	beta1, beta2 := T(a.Beta1), T(a.Beta2)
 	lr, eps := T(a.LR), T(a.Epsilon)
 	for i := range params {
-		p, g, m, v := params[i], grads[i], mo.m[i], mo.v[i]
+		p, g, m, v, t := params[i], grads[i], mo.m[i], mo.v[i], to[i]
 		if useSIMD && len(p) > 0 {
-			// Vectorized update; at float64 bit-identical to the loop
-			// below.
 			if wide[T]() {
-				adamasm(p64(&p[0]), p64(&g[0]), p64(&m[0]), p64(&v[0]), len(p),
-					float64(beta1), float64(beta2), float64(lr), float64(eps), float64(b1c), float64(b2c))
+				adamasm(p64(&p[0]), p64(&g[0]), p64(&m[0]), p64(&v[0]), p64(&t[0]), len(p),
+					float64(beta1), float64(beta2), float64(lr), float64(eps), float64(b1c), float64(b2c), float64(tau))
 			} else {
-				adamasmf32(p32(&p[0]), p32(&g[0]), p32(&m[0]), p32(&v[0]), len(p),
-					float32(beta1), float32(beta2), float32(lr), float32(eps), float32(b1c), float32(b2c))
+				adamasmf32(p32(&p[0]), p32(&g[0]), p32(&m[0]), p32(&v[0]), p32(&t[0]), len(p),
+					float32(beta1), float32(beta2), float32(lr), float32(eps), float32(b1c), float32(b2c), float32(tau))
 			}
 			continue
 		}
@@ -112,7 +140,25 @@ func AdamStep[T float](a *Adam, n *Network) {
 			vHat := v[j] / b2c
 			p[j] -= lr * mHat / (T(math.Sqrt(float64(vHat))) + eps)
 		}
+		for j := range t {
+			t[j] = tau*p[j] + (1-tau)*t[j]
+		}
 	}
+}
+
+// clipFree reports whether gradients whose squares, count of them, sum
+// to sq in some order certainly have a sequential norm — AdamStep's
+// loop — of at most clip, so that loop cannot clip and need not run.
+// Two float64 summation orders of count non-negative terms each lie
+// within count·u·S of the exact sum S (u = 2⁻⁵³; plus count·2⁻¹⁰⁷⁵ from
+// squares that underflow), so for count < 2³⁰ they differ by less than
+// 2⁻²² relative: a sum below clip²·(1−2⁻²⁰) puts the sequential sum
+// below clip² and its correctly rounded square root at or below clip.
+// The margin is relative, so clip² must lie well inside the normal
+// range; a NaN or infinite sum fails the compare and takes the loop.
+func clipFree(sq, clip float64, count int) bool {
+	lim := clip * clip * (1 - 0x1p-20)
+	return count < 1<<30 && lim > 0x1p-1000 && lim < 0x1p1000 && sq < lim
 }
 
 // AdamState is the serializable optimizer state: the step counters and

@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"errors"
 	"math"
 	"unsafe"
 )
@@ -246,19 +245,24 @@ func accumGrads[T float](dz, x, dw, db []T, scratch []uint64, rows, in, out int)
 	}
 }
 
-// scale computes x *= f.
-func scale[T float](f T, x []T) {
+// scale computes x *= f and returns the sum of the squares of the
+// scaled elements, accumulated in float64 in an order of the kernel's
+// choosing: sixteen FMA lane chains on AVX2 (scaleasm/scaleasmf32, the
+// float32 lanes widened before their FMA), ascending multiply-then-add
+// here. AdamStep's clip-norm skip is written for any order.
+func scale[T float](f T, x []T) float64 {
 	if useSIMD && len(x) > 0 {
 		if wide[T]() {
-			scaleasm(float64(f), p64(&x[0]), len(x))
-		} else {
-			scaleasmf32(float32(f), p32(&x[0]), len(x))
+			return scaleasm(float64(f), p64(&x[0]), len(x))
 		}
-		return
+		return scaleasmf32(float32(f), p32(&x[0]), len(x))
 	}
+	var sq float64
 	for i := range x {
 		x[i] *= f
+		sq += float64(x[i]) * float64(x[i])
 	}
+	return sq
 }
 
 // lanes is how many elements of T one 32-byte vector holds.
@@ -450,11 +454,17 @@ func (p *precision[T]) forward(d *Dense, x []T, rows int) []T {
 
 // backward consumes dL/dY for the rows of the preceding forward:
 // parameter gradients accumulate from the first gradRows rows only
-// (0 = none, rows = the whole minibatch), dX ([rows × In], owned by
-// the layer) is computed for every row when needDX. The split is what
-// lets the fused DDPG learn step push a regression half-batch and an
-// action-gradient half-batch through one pass.
-func (p *precision[T]) backward(d *Dense, dY []T, rows int, needDX bool, gradRows int) []T {
+// (0 = none, rows = the whole minibatch), and dX is computed for rows
+// [row0, rows) and input columns [col0, In) only — none when row0 is
+// rows — into a [(rows−row0) × (In−col0)] matrix owned by the layer.
+// The gradRows split is what lets the fused DDPG learn step push a
+// regression half-batch and an action-gradient half-batch through one
+// pass; the dX window is what lets the critic's first layer skip the
+// state columns and the regression rows, whose input gradients nobody
+// reads. A row's bits depend on whether it falls in a full 4-row group
+// counted from row0 (doc.go), so a window equals the matching slice of
+// the whole dX when row0 is a multiple of four.
+func (p *precision[T]) backward(d *Dense, dY []T, rows, gradRows, row0, col0 int) []T {
 	if len(dY) < rows*d.Out {
 		panic("nn: BackwardBatch gradient shorter than rows*Out")
 	}
@@ -467,18 +477,20 @@ func (p *precision[T]) backward(d *Dense, dY []T, rows int, needDX bool, gradRow
 		d.bnz = Grow(d.bnz, 2*gradRows)
 		accumGrads(p.bdz, p.bx, p.dw, p.db, d.bnz, gradRows, d.In, d.Out)
 	}
-	if !needDX {
+	if row0 >= rows {
 		return nil
 	}
 	// dX = dz × W, computed against a transposed weight copy so each
 	// dX element is a contiguous dot product — the same rows4 product
 	// as the forward pass — instead of a strided read-modify-write
-	// accumulation. The copy is remade every pass (transposeasm's 4×4
-	// register blocks at float64), never cached across a weight write.
+	// accumulation; the window's columns are a contiguous block of its
+	// rows. The copy is remade every pass (transposeasm's 4×4 register
+	// blocks at float64), never cached across a weight write.
 	p.wt = Grow(p.wt, d.In*d.Out)
 	transpose(p.w, p.wt, d.In, d.Out)
-	p.bdx = Grow(p.bdx, rows*d.In)
-	product(p.wt, p.bdz, nil, p.bdx, rows, d.Out, d.In)
+	cols := d.In - col0
+	p.bdx = Grow(p.bdx, (rows-row0)*cols)
+	product(p.wt[col0*d.Out:], p.bdz[row0*d.Out:], nil, p.bdx, rows-row0, d.Out, cols)
 	return p.bdx
 }
 
@@ -499,11 +511,19 @@ func ForwardBatch[T float](n *Network, x []T, rows int) []T {
 	return out
 }
 
-func backwardBatch[T float](n *Network, dOut []T, rows int, needInputDX bool, gradRows int) []T {
+// backwardBatch is the whole backward pass: parameter gradients from
+// the first gradRows rows, and the first layer's input gradient for
+// rows [row0, rows) and input columns [col0, InputDim) (none when row0
+// is rows); every later layer's dX is computed whole.
+func backwardBatch[T float](n *Network, dOut []T, rows, gradRows, row0, col0 int) []T {
 	d := dOut
 	for i := len(n.layers) - 1; i >= 0; i-- {
 		l := n.layers[i]
-		d = at[T](l).backward(l, d, rows, i > 0 || needInputDX, gradRows)
+		if i > 0 {
+			d = at[T](l).backward(l, d, rows, gradRows, 0, 0)
+		} else {
+			d = at[T](l).backward(l, d, rows, gradRows, row0, col0)
+		}
 	}
 	return d
 }
@@ -513,20 +533,26 @@ func backwardBatch[T float](n *Network, dOut []T, rows int, needInputDX bool, gr
 // over the minibatch. The first layer's input gradient — pure overhead
 // in a critic or actor regression step — is skipped.
 func BackwardBatchParams[T float](n *Network, dOut []T, rows int) {
-	backwardBatch(n, dOut, rows, false, rows)
+	backwardBatch(n, dOut, rows, rows, rows, 0)
 }
 
 // BackwardBatchSplit propagates dL/dOutput for ALL rows of the
 // preceding ForwardBatch but accumulates parameter gradients from the
-// FIRST gradRows rows only, returning dL/dInput for every row. It is
-// the fused DDPG critic pass: rows [0, gradRows) carry the critic
+// FIRST gradRows rows only, and returns dL/dInput of the rows after
+// them, for input columns [col, InputDim) only: a
+// [(rows−gradRows) × (InputDim−col)] matrix owned by the first layer.
+// It is the fused DDPG critic pass: rows [0, gradRows) carry the critic
 // regression (their parameter gradients are kept, per-row identical
-// to a separate BackwardBatchParams call), rows [gradRows, rows)
-// carry dQ/da probes whose input gradients flow to the actor (per-row
-// identical to a separate BackwardBatchInput call). One pass replaces
-// two, transposing each weight matrix once instead of twice.
-func BackwardBatchSplit[T float](n *Network, dOut []T, rows, gradRows int) []T {
-	return backwardBatch(n, dOut, rows, true, gradRows)
+// to a separate BackwardBatchParams call), rows [gradRows, rows) carry
+// dQ/da probes whose action-column input gradients flow to the actor
+// (per element identical to the whole pass's dX: the window starts at
+// the 4-row group gradRows falls in). One pass replaces two,
+// transposing each weight matrix once instead of twice.
+func BackwardBatchSplit[T float](n *Network, dOut []T, rows, gradRows, col int) []T {
+	gradRows = min(gradRows, rows)
+	row0 := gradRows &^ 3
+	dx := backwardBatch(n, dOut, rows, gradRows, row0, col)
+	return dx[(gradRows-row0)*(n.layers[0].In-col):]
 }
 
 // ForwardBatch is the float64 ForwardBatch.
@@ -539,7 +565,7 @@ func (n *Network) ForwardBatch(x []float64, rows int) []float64 {
 // parameter gradients over the minibatch, and returns dL/dInput
 // ([rows × InputDim]).
 func (n *Network) BackwardBatch(dOut []float64, rows int) []float64 {
-	return backwardBatch(n, dOut, rows, true, rows)
+	return backwardBatch(n, dOut, rows, rows, 0, 0)
 }
 
 // BackwardBatchParams is the float64 BackwardBatchParams.
@@ -548,11 +574,13 @@ func (n *Network) BackwardBatchParams(dOut []float64, rows int) {
 }
 
 // BackwardBatchInput propagates input gradients WITHOUT accumulating
-// any parameter gradients — the unfused DDPG actor update pushes dQ/da
-// back through the critic and then throws the critic's own gradients
-// away, so not computing them saves half the pass.
-func (n *Network) BackwardBatchInput(dOut []float64, rows int) []float64 {
-	return backwardBatch(n, dOut, rows, true, 0)
+// any parameter gradients and returns dL/dInput for input columns
+// [col, InputDim) only ([rows × (InputDim−col)], owned by the first
+// layer) — the unfused DDPG actor update pushes dQ/da back through the
+// critic for the action columns and throws the critic's own gradients
+// and the state columns away, so neither is computed.
+func (n *Network) BackwardBatchInput(dOut []float64, rows, col int) []float64 {
+	return backwardBatch(n, dOut, rows, 0, 0, col)
 }
 
 // views returns the network's parameter and gradient buffers at
@@ -579,46 +607,4 @@ func ZeroGrad[T float](n *Network) {
 	for _, g := range grads {
 		clear(g)
 	}
-}
-
-// ScaleGrad multiplies all accumulated gradients of element type T by
-// f (used to average over a minibatch).
-func ScaleGrad[T float](n *Network, f T) {
-	_, grads := views[T](n)
-	for _, g := range grads {
-		scale(f, g)
-	}
-}
-
-// SoftUpdate moves dst's parameters toward src's:
-// θ ← τ·θ_src + (1−τ)·θ. This is the DDPG target-network update
-// (Algorithm 2, lines 9–10).
-func SoftUpdate[T float](dst, src *Network, tau T) error {
-	if tau < 0 || tau > 1 {
-		return errors.New("nn: tau must be in [0,1]")
-	}
-	to, _ := views[T](dst)
-	from, _ := views[T](src)
-	if len(to) != len(from) {
-		return errors.New("nn: topology mismatch")
-	}
-	for i := range to {
-		x, y := from[i], to[i]
-		if len(x) != len(y) {
-			return errors.New("nn: layer size mismatch")
-		}
-		if useSIMD && len(y) > 0 {
-			// Vectorized, bit-identical to the loop below.
-			if wide[T]() {
-				axpbyasm(float64(tau), p64(&x[0]), p64(&y[0]), len(y))
-			} else {
-				axpbyasmf32(float32(tau), p32(&x[0]), p32(&y[0]), len(y))
-			}
-			continue
-		}
-		for j := range y {
-			y[j] = tau*x[j] + (1-tau)*y[j]
-		}
-	}
-	return nil
 }

@@ -129,5 +129,5 @@ func (n *Network) ForwardBatchF32(x []float32, rows int) []float32 {
 
 // BackwardBatchF32 is the float32 BackwardBatch.
 func (n *Network) BackwardBatchF32(dOut []float32, rows int) []float32 {
-	return backwardBatch(n, dOut, rows, true, rows)
+	return backwardBatch(n, dOut, rows, rows, 0, 0)
 }

@@ -67,7 +67,7 @@ func TestBackwardBatchF32MatchesF64(t *testing.T) {
 
 	net.ForwardBatchF32(x32, rows)
 	ZeroGrad[float32](net)
-	gotDX := BackwardBatchSplit(net, dOut32, rows, rows)
+	gotDX := net.BackwardBatchF32(dOut32, rows)
 	_, gotG := views[float32](net)
 
 	for i := range wantDX {
@@ -85,10 +85,10 @@ func TestBackwardBatchF32MatchesF64(t *testing.T) {
 }
 
 // TestF32KernelsMatchGo compares the AVX2 f32 kernels against the
-// pure-Go fallbacks over one full train step (forward, backward,
-// scale, Adam, soft-update). FMA contraction and the packed sqrt
-// round differently, so the bound is a relative tolerance rather than
-// bit equality.
+// pure-Go fallbacks over one full train step (forward, backward, and
+// the optimizer step with its target update). FMA contraction rounds
+// differently, so the bound is a relative tolerance rather than bit
+// equality.
 func TestF32KernelsMatchGo(t *testing.T) {
 	if !useSIMD {
 		t.Skip("SIMD kernels not selected on this CPU")
@@ -116,11 +116,7 @@ func TestF32KernelsMatchGo(t *testing.T) {
 			ZeroGrad[float32](net)
 			net.ForwardBatchF32(x, 4)
 			net.BackwardBatchF32(dOut, 4)
-			ScaleGrad[float32](net, 0.25)
-			AdamStep[float32](opt, net)
-			if err := SoftUpdate[float32](target, net, 0.01); err != nil {
-				t.Fatal(err)
-			}
+			AdamStep[float32](opt, net, 0.25, target, 0.01)
 		}
 		params, _ := views[float32](net)
 		targets, _ := views[float32](target)

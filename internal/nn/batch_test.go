@@ -107,8 +107,8 @@ func TestBatchSizeChanges(t *testing.T) {
 }
 
 // testZeroAllocSteadyState: a whole train step at element type T —
-// the batch passes (full and split backward), gradient scaling, the
-// optimizer step and the soft update — must not allocate once warm.
+// the batch passes (full, split and windowed backward) and the
+// optimizer step with its target update — must not allocate once warm.
 func testZeroAllocSteadyState[T float](t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	net := MustMLP([]int{27, 48, 48, 1}, ReLU, Linear, rng)
@@ -128,13 +128,9 @@ func testZeroAllocSteadyState[T float](t *testing.T) {
 	step := func() {
 		ForwardBatch(net, x, rows)
 		ZeroGrad[T](net)
-		backwardBatch(net, dOut, rows, true, rows)
-		BackwardBatchSplit(net, dOut, rows, rows/2)
-		ScaleGrad(net, T(1.0/rows))
-		AdamStep[T](opt, net)
-		if err := SoftUpdate(target, net, T(0.01)); err != nil {
-			t.Fatal(err)
-		}
+		backwardBatch(net, dOut, rows, rows, 0, 0)
+		BackwardBatchSplit(net, dOut, rows, rows/2, 22)
+		AdamStep(opt, net, T(1.0/rows), target, T(0.01))
 	}
 	step() // warm scratch, moments and slice caches
 	if allocs := testing.AllocsPerRun(20, step); allocs != 0 {
@@ -227,11 +223,11 @@ func benchForwardBatch[T float](b *testing.B) {
 func benchBackwardBatch[T float](b *testing.B) {
 	net, x, dOut, rows := benchNet[T](b)
 	ForwardBatch(net, x, rows)
-	backwardBatch(net, dOut, rows, true, rows)
+	backwardBatch(net, dOut, rows, rows, 0, 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		backwardBatch(net, dOut, rows, true, rows)
+		backwardBatch(net, dOut, rows, rows, 0, 0)
 	}
 }
 
@@ -291,9 +287,10 @@ func BenchmarkTanhBatch(b *testing.B) {
 	}
 }
 
-// The Adam, SoftUpdate and ScaleGrad SIMD kernels must be
-// bit-identical to the pure-Go loops (they mirror them operation for
-// operation). Only meaningful where the kernels are selected.
+// The optimizer kernels (Adam with the target update, gradient
+// scaling) must be bit-identical to the pure-Go loops: they mirror
+// them operation for operation. Only meaningful where the kernels are
+// selected.
 func TestOptimizerKernelsBitExact(t *testing.T) {
 	if !useSIMD {
 		t.Skip("SIMD kernels not selected on this CPU")
@@ -323,11 +320,7 @@ func TestOptimizerKernelsBitExact(t *testing.T) {
 			net.ZeroGrad()
 			net.Forward(x)
 			net.Backward(dOut)
-			net.ScaleGrad(0.125)
-			opt.Step(net)
-			if err := SoftUpdate(target, net, 0.01); err != nil {
-				t.Fatal(err)
-			}
+			AdamStep(opt, net, 0.125, target, 0.01)
 		}
 		return net.ParamSlices(), target.ParamSlices()
 	}

@@ -19,8 +19,8 @@
 // the following backward pass, and batch passes reuse layer-owned
 // scratch. Give each concurrent user its own Clone. Initialization
 // and training are deterministic given the seed on a fixed CPU
-// feature set: the hot kernels (the batch passes' layer kernels, Adam,
-// soft-update) have AVX2+FMA assembly variants, CPUID-gated with a
+// feature set: the hot kernels (the batch passes' layer kernels, the
+// optimizer step) have AVX2+FMA assembly variants, CPUID-gated with a
 // pure-Go fallback, and FMA contraction rounds differently than the
 // scalar code — so results are reproducible on a given machine but
 // may differ in the last bits across machines with different vector
@@ -34,12 +34,12 @@
 // # Kernel contract
 //
 // There is one batch engine (batch.go), written over float32 | float64
-// and instantiated at both: the passes, gradient scaling, the soft
-// update and Adam exist once, and each instantiation calls the
-// assembly symbols of its own width. The passes run on two
-// layer-granular kernels: rows4, one call per 4-row group for the
-// forward pass and again for the input gradients, and accumGrads, one
-// call per layer for dW/dB. How they tile, unroll or schedule is free;
+// and instantiated at both: the passes and the optimizer step (adam.go:
+// gradient scaling, clipping, Adam and the target update) exist once,
+// and each instantiation calls the assembly symbols of its own width.
+// The passes run on two layer-granular kernels: rows4, one call per
+// 4-row group for the forward pass and again for the input gradients,
+// and accumGrads, one call per layer for dW/dB. How they tile, unroll or schedule is free;
 // what every float64 ELEMENT computes is pinned, because the
 // byte-diffed figure tables (scripts/figdiff.sh) rest on it.
 // "Bit-identical" here means, per CPU capability:
@@ -51,10 +51,25 @@
 //     instead keeps two accumulators, even and odd indices, each step
 //     a rounded multiply then a rounded add.
 //   - Reduce order. The lanes combine as (l0+l2)+(l1+l3); the fallback
-//     returns even+odd.
-//   - Tail. The n%4 trailing indices continue on the reduced sum by
-//     scalar FMA in ascending order (fallback: an odd last index goes
-//     to the even accumulator before the final add).
+//     returns even+odd. The kernel (kernel_rows4_amd64.h) schedules
+//     that order two accumulators at a time: VPERM2F128 gathers the low
+//     halves of two accumulators in one register and their high halves
+//     in another, one add forms l0+l2 and l1+l3 of both (low half the
+//     first operand), and VHADD adds each pair — eight accumulators of
+//     a 4-row × 2-output tile in 8 lane shuffles, 4 adds and 2
+//     horizontal adds, ending as each row's two sums side by side.
+//     Every element gets exactly the adds above, each operand in the
+//     position a one-accumulator reduce gives it, so even NaN payloads
+//     agree with one.
+//   - Tail. The n%4 trailing indices continue on the reduced sum by FMA
+//     in ascending order — in the kernel as vector FMAs on the reduced
+//     tile, each lane still one element's sequence (fallback: an odd
+//     last index goes to the even accumulator before the final add).
+//     At n == 1 (the input gradient through a one-output layer) there
+//     is nothing to reduce, so every element is its one tail step,
+//     fma(w[o], x[r], +0): the kernel computes it as an outer product,
+//     a vector of outputs per row — a -0 product comes out +0, as it
+//     does from the +0 reduced sum on any other shape.
 //   - Bias. The forward pass stores b + s, added last; the input
 //     gradients store s with nothing added (s + 0 would lose a -0).
 //   - Remainder rows. The rows%4 rows after the last full group use the
@@ -101,8 +116,8 @@
 //     recompute rows an earlier group also covers (same bits, stored
 //     twice); layers with fewer than four outputs take the Go loop.
 //     The kernel keeps no state, in particular no transposed copy of W:
-//     Adam, SoftUpdate and LoadParams write W with nothing to
-//     invalidate. When two NaNs meet, which payload
+//     AdamStep and LoadParams write W with nothing to invalidate. When
+//     two NaNs meet, which payload
 //     survives is the hardware's choice of operand, in the kernel and
 //     in compiled Go alike; nothing else is left open.
 //   - Tanh (tanhs64, float64 only). The AVX2 kernel is math.Tanh, lane
@@ -130,16 +145,52 @@
 //   - Transpose (transpose, float64 only). The backward pass's
 //     wt[i][o] = W[o][i] moves whole 4×4 blocks through registers and
 //     copies the edges in Go. Movement only: no element is computed.
+//   - Input-gradient window. The first layer's dX may be asked for
+//     rows [row0, rows) and columns [col0, In) only (the DDPG critic:
+//     the action columns of the probe rows). A window element is the
+//     same rows4 product of the same column of W against the same dz
+//     row; the row groups count from row0, so with row0 a multiple of
+//     four a window is bit for bit the matching slice of the whole dX
+//     (BackwardBatchSplit rounds its row0 down to one).
+//   - Optimizer step (AdamStep). Per element, in order: the gradient
+//     times the scale (one multiply); Adam's m' = β1·m + (1−β1)·g,
+//     v' = β2·v + (1−β2)·g·g, p' = p − lr·(m'/b1c) / (√(v'/b2c) + ε),
+//     every operation rounded on its own, never an FMA; then the target,
+//     t' = τ·p' + (1−τ)·t, multiply, multiply, add. adamasm runs both
+//     in one pass, each instruction whose two operands can both be NaN
+//     taking them in the Go loop's order. Two things the kernel skips
+//     change no bit: m'/b1c once b1c (1 − β1^t, rounded) is exactly 1 —
+//     at float64 from t = 356 on, at float32 from t = 165 — because x/1
+//     is x for every x, NaN included; and the clip-norm loop when it
+//     cannot clip. The clip is decided by that loop alone: Σ g², in
+//     order, each square and add rounded in float64, √, clip when the
+//     norm exceeds ClipNorm. The scaling pass sums the same squares in
+//     an order of its own (sixteen FMA lane chains); two orders of N
+//     non-negative terms each lie within N·u·S of the exact sum S
+//     (u = 2⁻⁵³, plus N·2⁻¹⁰⁷⁵ from squares that underflow), so for
+//     N < 2³⁰ a lane sum below ClipNorm²·(1−2⁻²⁰) puts the sequential
+//     sum below ClipNorm² and its correctly rounded root at or below
+//     ClipNorm, and the loop is not run (clipFree; a NaN or infinite
+//     sum, or ClipNorm² outside [2⁻¹⁰⁰⁰, 2¹⁰⁰⁰], always runs it).
 //
 // kernel_test.go holds the kernels to an element-by-element reference
-// of exactly this, on both capability paths (TestReLUKernelParity: both
+// of exactly this, on both capability paths (TestRows4TreeParity: the
+// four-row product at both widths on every n × m from 1×1 to 70×70,
+// bias on and off, zeros of both signs, subnormals, overflowing
+// magnitudes, NaNs and infinities in every lane, n == 1 included;
+// TestBackwardInputColumns: windows against the whole dX, odd column
+// and multiple-of-4 row offsets; TestReLUKernelParity: both
 // ReLU kernels against the Go leaves at both widths, every length from
 // 0 to 17 and a 32×48 layer, zeros of both signs, NaNs, infinities and
 // subnormals in every lane; TestSeqKernelParity: every shape from 1×1
 // to 64×70 with the same specials; TestTanhKernelParity and
 // FuzzTanhKernelParity: every boundary of math.Tanh with its
 // neighbours, then four million values, against math.Tanh;
-// TestTransposeParity), TestKernelsConcurrent runs the stateless
+// TestTransposeParity; adam_test.go's TestFusedOptimizerParity: 400
+// steps at both widths against the step as it was before the target
+// update and the skips, with norms landed a few ulps either side of
+// ClipNorm, NaN, infinite and zero gradients, past both b1c = 1
+// points), TestKernelsConcurrent runs the stateless
 // kernels from eight goroutines at once, and fingerprint_test.go
 // pins 300 composed float64 DDPG updates to the values recorded before
 // the kernels were made layer-granular, and 200 float32 ones to the
@@ -148,11 +199,14 @@
 // every other batch buffer, and shared by both element types of a
 // layer: the figure pool trains networks concurrently, and a
 // package-level buffer passes every test here yet changes the figures.
-// The float32 instantiation runs the same two layer kernels in 8-lane
-// form; their element arithmetic is not specified beyond those recorded
-// values (the ReLU entry above holds at both types). Deliberately
-// outside the contract and untouched: Adam's divides and square root
-// (divider-bound; a reciprocal would round differently).
+// The float32 instantiation runs the same layer kernels in 8-lane form:
+// rows4's lanes fold as ((l0+l4)+(l1+l5)) + ((l2+l6)+(l3+l7)), one more
+// horizontal add on the same tree, and the optimizer entry holds as
+// written (its square root goes through float64, which at 24 bits
+// rounds as a single-precision root would). Beyond those and the ReLU
+// entry, float32 element arithmetic is not specified except by the
+// recorded values. Still untouched: Adam's remaining divides and its
+// square root (divider-bound; a reciprocal would round differently).
 //
 // # Parameter frame
 //
@@ -200,15 +254,15 @@
 // the learn step (8 lanes per register instead of 4). Callers outside
 // the package reach either element type through the generic functions
 // (ForwardBatch, BackwardBatchParams, BackwardBatchSplit, ZeroGrad,
-// ScaleGrad, AdamStep, SoftUpdate); the methods of the same names are
-// the float64 instantiations, and ForwardBatchF32/BackwardBatchF32 the
+// AdamStep); the methods of the same names, where they exist, are the
+// float64 instantiations, and ForwardBatchF32/BackwardBatchF32 the
 // float32 ones. What differs between the two beyond the type, and why:
 //
 //   - Parameters. Float64 passes run on W/B themselves. Float32 ones
 //     run on mirrors, an explicit opt-in with a snapshot/flush
 //     contract: EnableF32 copies the f64 weights into the mirrors, the
-//     float32 passes, AdamStep and SoftUpdate then treat the mirrors as
-//     the authoritative weights, and FlushF32 writes them back for
+//     float32 passes and AdamStep (target update included) then treat
+//     the mirrors as the authoritative weights, and FlushF32 writes them back for
 //     serialization and scalar f64 inference. Nothing at float64 reads
 //     the mirrors, so the deterministic figure path is unaffected by
 //     f32 use elsewhere.
@@ -232,7 +286,7 @@
 // CPU feature set (same caveat as f64), but it is NOT bit-comparable
 // to the f64 path and makes no parity promise beyond the quantified
 // bound in the ddpg package's f32-vs-f64 test. Both instantiations are
-// zero-alloc in steady state (batch passes, optimizer step and
-// soft-update), pinned by TestBatchZeroAllocSteadyState and
+// zero-alloc in steady state (batch passes and the optimizer step with
+// its target update), pinned by TestBatchZeroAllocSteadyState and
 // TestF32ZeroAllocSteadyState.
 package nn

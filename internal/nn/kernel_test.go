@@ -21,27 +21,15 @@ func setSIMD(t *testing.T, on bool) {
 	t.Cleanup(func() { useSIMD = prev })
 }
 
-// refProduct is one element w·x of a 4-row group. With the AVX2+FMA
-// kernels lane j sums the products at indices ≡ j (mod 4) by FMA, the
-// lanes reduce as (l0+l2)+(l1+l3) and the n%4 tail continues by FMA;
-// the fallback is the pure-Go dot4, whose rows are independent.
+// refProduct is one element w·x of a 4-row group: refRows4 with the
+// AVX2+FMA kernels; with the fallback the pure-Go dot4, whose rows are
+// independent.
 func refProduct(w, x []float64, simd bool) float64 {
 	if !simd {
 		s, _, _, _ := dot4(w, x, x, x, x)
 		return s
 	}
-	var l [4]float64
-	i := 0
-	for ; i+4 <= len(w); i += 4 {
-		for j := range l {
-			l[j] = math.FMA(w[i+j], x[i+j], l[j])
-		}
-	}
-	s := (l[0] + l[2]) + (l[1] + l[3])
-	for ; i < len(w); i++ {
-		s = math.FMA(w[i], x[i], s)
-	}
-	return s
+	return refRows4(w, x)
 }
 
 // refLayer is one dense layer computed element by element.
@@ -221,7 +209,11 @@ func checkKernelParity(t *testing.T, simd bool) {
 			}{
 				{"full", true, rows}, {"params", false, rows}, {"input", true, 0}, {"split", true, rows / 2},
 			} {
-				gotDX := backwardBatch(net, dY, rows, mode.needDX, mode.gradRows)
+				row0 := rows
+				if mode.needDX {
+					row0 = 0
+				}
+				gotDX := backwardBatch(net, dY, rows, mode.gradRows, row0, 0)
 				d := dY
 				for i := len(ref) - 1; i >= 0; i-- {
 					d = ref[i].backward(d, rows, i > 0 || mode.needDX, mode.gradRows, simd)
@@ -247,6 +239,220 @@ func TestKernelParityAVX2(t *testing.T) {
 }
 
 func TestKernelParityGo(t *testing.T) { checkKernelParity(t, false) }
+
+// fma32 is a·b + c rounded once to float32. a·b is exact in float64, so
+// the float64 sum s is off the exact value by exactly TwoSum's error e,
+// and narrowing s is already right unless s lies on a float32 midpoint,
+// where e's sign says which way the exact value lies.
+func fma32(a, b, c float32) float32 {
+	p, q := float64(a)*float64(b), float64(c)
+	s := p + q
+	r := float32(s)
+	if math.IsNaN(s) || math.IsInf(s, 0) || float64(r) == s {
+		return r
+	}
+	bv := s - p
+	e := (p - (s - bv)) + (q - bv)
+	other := math.Nextafter32(r, float32(math.Copysign(math.Inf(1), s-float64(r))))
+	if e == 0 || (float64(r)+float64(other))/2 != s {
+		return r
+	}
+	if (e > 0) == (other > r) {
+		return other
+	}
+	return r
+}
+
+// fmaT is a·b + c rounded once at T's width.
+func fmaT[T float](a, b, c T) T {
+	if a32, ok := any(a).(float32); ok {
+		return T(fma32(a32, float32(b), float32(c)))
+	}
+	return T(math.FMA(float64(a), float64(b), float64(c)))
+}
+
+// refRows4 is one element w·x of a 4-row group as the contract words it
+// for the AVX2 kernel at T's width, L = lanes[T]() lanes: lane j sums
+// the products at indices ≡ j (mod L) from +0 by FMA; the lanes fold as
+// lane j + lane j+L/2, then neighbours pairwise, low operand first —
+// (l0+l2)+(l1+l3) at float64, ((l0+l4)+(l1+l5))+((l2+l6)+(l3+l7)) at
+// float32; the n%L tail continues by FMA on the sum.
+func refRows4[T float](w, x []T) T {
+	L := lanes[T]()
+	var l [8]T
+	i := 0
+	for ; i+L <= len(w); i += L {
+		for j := 0; j < L; j++ {
+			l[j] = fmaT(w[i+j], x[i+j], l[j])
+		}
+	}
+	for j := 0; j < L/2; j++ {
+		l[j] = l[j] + l[j+L/2]
+	}
+	for k := L / 2; k > 1; k /= 2 {
+		for j := 0; j < k/2; j++ {
+			l[j] = l[2*j] + l[2*j+1]
+		}
+	}
+	s := l[0]
+	for ; i < len(w); i++ {
+		s = fmaT(w[i], x[i], s)
+	}
+	return s
+}
+
+// checkRows4Tree runs rows4 at T on every shape from n×m = 1×1 to 70×70,
+// with and without bias, against refRows4 (bias added first-operand,
+// last), and checks nothing past the 4×m outputs is written. Two fills
+// per shape: ordinary values; and zeros of both signs, subnormals and
+// overflowing magnitudes, dense, with NaNs and infinities, sparse —
+// drawn from pools at offsets that differ from shape to shape so every
+// special visits every lane of w, x and the bias. n == 1 is the
+// kernel's outer-product path: the same element as any other shape with
+// no whole vector, fma(w[o], x[r], +0) — so a -0 product comes out +0.
+func checkRows4Tree[T float](t *testing.T) {
+	var tiny T = 1
+	for tiny/2 > 0 {
+		tiny /= 2
+	}
+	big := 3e38
+	if wide[T]() {
+		big = 1e308
+	}
+	inf, nan, negZero := T(math.Inf(1)), T(math.NaN()), T(math.Copysign(0, -1))
+	finite := []T{0, negZero, tiny, -tiny, 3 * tiny, T(big), -T(big), 1, -1}
+	wild := []T{nan, inf, -inf}
+	const maxN, maxM, slack = 70, 70, 9
+	span := maxM*maxN + 4*maxN + maxM
+	rng := rand.New(rand.NewSource(181))
+	pools := [2][]T{make([]T, span+maxN*(maxM+1)+maxM), nil}
+	pools[1] = make([]T, len(pools[0]))
+	for i := range pools[0] {
+		pools[0][i] = T(rng.NormFloat64())
+		switch v := rng.Intn(16); {
+		case v < 5:
+			pools[1][i] = finite[rng.Intn(len(finite))]
+		case v == 5:
+			pools[1][i] = wild[rng.Intn(len(wild))]
+		default:
+			pools[1][i] = T(rng.NormFloat64())
+		}
+	}
+	z := [2][]T{make([]T, 4*maxM+slack), make([]T, 4*maxM+slack)}
+	for n := 1; n <= maxN; n++ {
+		for m := 1; m <= maxM; m++ {
+			for fill, pool := range pools {
+				k := n*(maxM+1) + m
+				w, x, b := pool[k:k+m*n], pool[k+m*n:k+m*n+4*n], pool[k+m*n+4*n:k+m*n+4*n+m]
+				for i, bias := range [][]T{nil, b} {
+					clear(z[i])
+					rows4(w, x, bias, z[i][:4*m], n, m)
+					for _, v := range z[i][4*m:] {
+						if v != 0 {
+							t.Fatalf("n=%d m=%d: rows4 wrote past its %d outputs", n, m, 4*m)
+						}
+					}
+				}
+				for r := 0; r < 4; r++ {
+					for o := 0; o < m; o++ {
+						s := refRows4(w[o*n:(o+1)*n], x[r*n:(r+1)*n])
+						for i, want := range []T{s, b[o] + s} {
+							g, w := float64(z[i][r*m+o]), float64(want)
+							if math.Float64bits(g) != math.Float64bits(w) && !(math.IsNaN(g) && math.IsNaN(w)) {
+								t.Fatalf("%d-bit n=%d m=%d fill=%d bias=%v: z[%d][%d] = %v (%x), reference %v (%x)",
+									256/lanes[T](), n, m, fill, i == 1, r, o, g, math.Float64bits(g), w, math.Float64bits(w))
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRows4TreeParity pins the four-row product's "Kernel contract"
+// entry on the AVX2 kernels at both widths (the Go path is dot4 itself,
+// checked by TestKernelParityGo).
+func TestRows4TreeParity(t *testing.T) {
+	if !useSIMD {
+		t.Skip("AVX2+FMA kernels not selected on this CPU")
+	}
+	checkRows4Tree[float64](t)
+	checkRows4Tree[float32](t)
+}
+
+// checkInputColumns holds the windowed first-layer input gradient —
+// rows [row0, rows), columns [col0, In) — to the matching slice of the
+// whole pass's dX, bit for bit, at T: every odd column offset (a
+// sample of them on wide inputs), row offsets in steps of four, and the
+// public forms that take a window.
+func checkInputColumns[T float](t *testing.T, sizes []int, rows int) {
+	rng := rand.New(rand.NewSource(191))
+	net := MustMLP(sizes, ReLU, Linear, rng)
+	net.EnableF32()
+	in := sizes[0]
+	x := make([]T, rows*in)
+	for i := range x {
+		x[i] = T(rng.NormFloat64())
+	}
+	dY := make([]T, rows*sizes[len(sizes)-1])
+	for i := range dY {
+		dY[i] = T(rng.NormFloat64())
+	}
+	ForwardBatch(net, x, rows)
+	full := append([]T(nil), backwardBatch(net, dY, rows, 0, 0, 0)...)
+	window := func(what string, got []T, row0, col0 int) {
+		t.Helper()
+		cols := in - col0
+		if len(got) != (rows-row0)*cols {
+			t.Fatalf("%s: %d elements, want %d × %d", what, len(got), rows-row0, cols)
+		}
+		for r := row0; r < rows; r++ {
+			for c := col0; c < in; c++ {
+				g, w := got[(r-row0)*cols+c-col0], full[r*in+c]
+				if math.Float64bits(float64(g)) != math.Float64bits(float64(w)) {
+					t.Fatalf("%s sizes=%v rows=%d window (%d, %d): dX[%d][%d] = %v, whole pass %v",
+						what, sizes, rows, row0, col0, r, c, g, w)
+				}
+			}
+		}
+	}
+	var offsets []int
+	for c := 1; c < in; c += 2 {
+		if in < 40 || c < 8 || c%16 == 7 {
+			offsets = append(offsets, c)
+		}
+	}
+	for row0 := 0; row0 < rows; row0 += 4 {
+		for _, col0 := range offsets {
+			window("backwardBatch", backwardBatch(net, dY, rows, 0, row0, col0), row0, col0)
+		}
+	}
+	col0 := offsets[len(offsets)/2]
+	half := rows / 2 &^ 3
+	ZeroGrad[T](net)
+	window("BackwardBatchSplit", BackwardBatchSplit(net, dY, rows, half, col0), half, col0)
+	if d64, ok := any(dY).([]float64); ok {
+		window("BackwardBatchInput", any(net.BackwardBatchInput(d64, rows, col0)).([]T), 0, col0)
+	}
+}
+
+// TestBackwardInputColumns: computing the first layer's input gradient
+// only for the action columns and the probe rows, as the DDPG critic
+// pass does, changes none of the elements it keeps — on both kernel
+// sets, at both widths, on the critic shapes of the paper and of the
+// cluster sweep and on odd ones.
+func TestBackwardInputColumns(t *testing.T) {
+	for _, simd := range []bool{useSIMD, false} {
+		setSIMD(t, simd)
+		for _, sizes := range [][]int{{27, 48, 48, 1}, {218, 48, 48, 1}, {9, 31, 5}, {3, 7, 2}} {
+			for _, rows := range []int{8, 13, 32} {
+				checkInputColumns[float64](t, sizes, rows)
+				checkInputColumns[float32](t, sizes, rows)
+			}
+		}
+	}
+}
 
 // TestKernelZeroSkipSign is the case that makes the dz == 0 skip part
 // of the contract rather than an optimisation: a -0 bias gradient
@@ -295,7 +501,7 @@ func TestKernelsF32MatchGoWide(t *testing.T) {
 		}
 		out = append(out, net.ForwardBatchF32(x, rows)...)
 		ZeroGrad[float32](net)
-		dx = append(dx, BackwardBatchSplit(net, dOut, rows, 6)...)
+		dx = append(dx, BackwardBatchSplit(net, dOut, rows, 6, 0)...)
 		_, grads = views[float32](net)
 		return out, dx, grads
 	}

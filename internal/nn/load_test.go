@@ -241,6 +241,8 @@ func TestAdamSetStateRejectsHostile(t *testing.T) {
 		rng := rand.New(rand.NewSource(137))
 		net := MustMLP([]int{8, 16, 1}, ReLU, Linear, rng)
 		net.EnableF32()
+		target := net.Clone()
+		target.EnableF32()
 		opt := MustAdam(1e-3)
 		opt.ClipNorm = 5
 		step := func() {
@@ -255,8 +257,8 @@ func TestAdamSetStateRejectsHostile(t *testing.T) {
 					g[i] = float32(rng.NormFloat64())
 				}
 			}
-			opt.Step(net)
-			AdamStep[float32](opt, net)
+			AdamStep[float64](opt, net, 1, target, 0.01)
+			AdamStep[float32](opt, net, 1, target, 0.01)
 		}
 		step()
 		valid := opt.State()

@@ -208,9 +208,6 @@ func (n *Network) Backward(dOut []float64) []float64 {
 // ZeroGrad clears the accumulated float64 gradients.
 func (n *Network) ZeroGrad() { ZeroGrad[float64](n) }
 
-// ScaleGrad multiplies all accumulated float64 gradients by f.
-func (n *Network) ScaleGrad(f float64) { ScaleGrad(n, f) }
-
 // ParamSlices exposes the parameter buffers (weights then biases,
 // layer by layer) for optimizers and synchronization.
 func (n *Network) ParamSlices() [][]float64 {

@@ -191,6 +191,7 @@ func TestAdamReducesLoss(t *testing.T) {
 	// Fit y = sin(x) on a few points; loss must fall by 10x.
 	rng := rand.New(rand.NewSource(5))
 	net := MustMLP([]int{1, 16, 16, 1}, Tanh, Linear, rng)
+	target := net.Clone()
 	opt := MustAdam(0.01)
 	xs := make([][]float64, 32)
 	ys := make([]float64, 32)
@@ -214,8 +215,7 @@ func TestAdamReducesLoss(t *testing.T) {
 			out := net.Forward(xs[i])
 			net.Backward([]float64{out[0] - ys[i]})
 		}
-		net.ScaleGrad(1 / float64(len(xs)))
-		opt.Step(net)
+		AdamStep(opt, net, 1/float64(len(xs)), target, 0.01)
 	}
 	final := lossAt()
 	if final > initial/10 {
@@ -232,13 +232,14 @@ func TestAdamValidation(t *testing.T) {
 func TestAdamClipNorm(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	net := MustMLP([]int{2, 2}, Linear, Linear, rng)
+	target := net.Clone()
 	opt := MustAdam(0.1)
 	opt.ClipNorm = 0.001
 	before := append([]float64(nil), net.ParamSlices()[0]...)
 	net.ZeroGrad()
 	net.Forward([]float64{100, 100})
 	net.Backward([]float64{1000, 1000}) // huge gradients
-	opt.Step(net)
+	AdamStep(opt, net, 1, target, 0.01)
 	after := net.ParamSlices()[0]
 	for i := range before {
 		if math.Abs(after[i]-before[i]) > 0.2 {
@@ -264,33 +265,41 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestSoftUpdate(t *testing.T) {
+// TestAdamStepTargetUpdate: the optimizer step moves the target toward
+// the updated parameters by tau (a zero gradient leaves them where they
+// are), tau = 1 copies them, and a tau outside [0, 1] or a target of
+// another topology panics.
+func TestAdamStepTargetUpdate(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	target := MustMLP([]int{2, 2}, Linear, Linear, rng)
 	src := target.Clone()
 	src.ParamSlices()[0][0] = 10
 	target.ParamSlices()[0][0] = 0
-	if err := SoftUpdate(target, src, 0.1); err != nil {
-		t.Fatal(err)
+	opt := MustAdam(0.1)
+	AdamStep(opt, src, 1, target, 0.1)
+	if src.ParamSlices()[0][0] != 10 {
+		t.Fatalf("zero gradient moved the parameter to %v", src.ParamSlices()[0][0])
 	}
 	got := target.ParamSlices()[0][0]
 	if math.Abs(got-1.0) > 1e-12 {
-		t.Errorf("soft update = %v, want 1.0", got)
+		t.Errorf("target update = %v, want 1.0", got)
 	}
-	// tau=1 copies exactly.
-	if err := SoftUpdate(target, src, 1.0); err != nil {
-		t.Fatal(err)
-	}
+	AdamStep(opt, src, 1, target, 1.0)
 	if target.ParamSlices()[0][0] != 10 {
 		t.Error("tau=1 did not copy")
 	}
-	if err := SoftUpdate(target, src, 2.0); err == nil {
-		t.Error("tau > 1 accepted")
+	panics := func(what string, step func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s accepted", what)
+			}
+		}()
+		step()
 	}
+	panics("tau > 1", func() { AdamStep(opt, src, 1, target, 2.0) })
 	other := MustMLP([]int{3, 2}, Linear, Linear, rng)
-	if err := SoftUpdate(target, other, 0.5); err == nil {
-		t.Error("topology mismatch accepted")
-	}
+	panics("topology mismatch", func() { AdamStep(opt, src, 1, other, 0.5) })
 }
 
 func TestSerializationRoundTrip(t *testing.T) {

@@ -35,14 +35,14 @@ func tanhasm(z, y *float64, n int)
 //go:noescape
 func transposeasm(w, wt *float64, in, out int)
 
+// adamasm and scaleasm are the optimizer kernels; adam.go documents
+// them at their callers (AdamStep, scale).
+//
 //go:noescape
-func adamasm(p, grad, m, v *float64, n int, beta1, beta2, lr, eps, b1c, b2c float64)
+func adamasm(p, grad, m, v, tgt *float64, n int, beta1, beta2, lr, eps, b1c, b2c, tau float64)
 
 //go:noescape
-func axpbyasm(tau float64, x, y *float64, n int)
-
-//go:noescape
-func scaleasm(f float64, x *float64, n int)
+func scaleasm(f float64, x *float64, n int) (sq float64)
 
 // float32 kernels (8 lanes per YMM instead of 4).
 
@@ -59,13 +59,10 @@ func reluasmf32(z, y *float32, n int)
 func reluderivasmf32(dY, z, dz *float32, n int)
 
 //go:noescape
-func adamasmf32(p, grad, m, v *float32, n int, beta1, beta2, lr, eps, b1c, b2c float32)
+func adamasmf32(p, grad, m, v, tgt *float32, n int, beta1, beta2, lr, eps, b1c, b2c, tau float32)
 
 //go:noescape
-func axpbyasmf32(tau float32, x, y *float32, n int)
-
-//go:noescape
-func scaleasmf32(f float32, x *float32, n int)
+func scaleasmf32(f float32, x *float32, n int) (sq float64)
 
 func cpuidx(leaf, sub uint32) (a, b, c, d uint32)
 

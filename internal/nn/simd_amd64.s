@@ -26,58 +26,72 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// func adamasm(p, grad, m, v *float64, n int, beta1, beta2, lr, eps, b1c, b2c float64)
+// func adamasm(p, grad, m, v, tgt *float64, n int, beta1, beta2, lr, eps, b1c, b2c, tau float64)
 //
-// One Adam update over a parameter slice, 4 doubles per iteration.
-// The arithmetic (two moment EMAs, bias-corrected divides, sqrt)
-// matches the scalar Go loop operation for operation.
-TEXT ·adamasm(SB), NOSPLIT, $0-88
+// One Adam update over a parameter slice, 4 doubles per iteration,
+// each element followed by the soft target update of the same element,
+// tgt = tau*p' + (1-tau)*tgt. The arithmetic (two moment
+// EMAs, bias-corrected divides, sqrt; multiply, multiply, add) is the
+// scalar Go loops' operation for operation, no FMA contraction, and
+// every instruction whose two operands can both be NaN takes them in
+// the Go loops' order. When b1c == 1 (every step past t = 356) the
+// divide m'/b1c is skipped: it would return m' itself.
+TEXT ·adamasm(SB), NOSPLIT, $0-104
 	MOVQ p+0(FP), DI
 	MOVQ grad+8(FP), SI
 	MOVQ m+16(FP), R8
 	MOVQ v+24(FP), R9
-	MOVQ n+32(FP), CX
-	VBROADCASTSD beta1+40(FP), Y8
-	VBROADCASTSD beta2+48(FP), Y9
-	VBROADCASTSD lr+56(FP), Y10
-	VBROADCASTSD eps+64(FP), Y11
-	VBROADCASTSD b1c+72(FP), Y12
-	VBROADCASTSD b2c+80(FP), Y13
-	// Y14 = 1-beta1, Y15 = 1-beta2
+	MOVQ tgt+32(FP), R10
+	MOVQ n+40(FP), CX
+	VBROADCASTSD beta1+48(FP), Y8
+	VBROADCASTSD beta2+56(FP), Y9
+	VBROADCASTSD lr+64(FP), Y10
+	VBROADCASTSD eps+72(FP), Y11
+	VBROADCASTSD b1c+80(FP), Y12
+	VBROADCASTSD b2c+88(FP), Y13
+	VBROADCASTSD tau+96(FP), Y0
 	MOVQ $0x3FF0000000000000, AX // 1.0
-	MOVQ AX, X0
-	VBROADCASTSD X0, Y0
-	VSUBPD Y8, Y0, Y14
-	VSUBPD Y9, Y0, Y15
+	MOVQ b1c+80(FP), R11
+	XORQ AX, R11                 // R11 = 0 iff b1c == 1
+	MOVQ AX, X1
+	VBROADCASTSD X1, Y1
+	VSUBPD Y8, Y1, Y14           // 1-beta1
+	VSUBPD Y9, Y1, Y15           // 1-beta2
+	VSUBPD Y0, Y1, Y5            // 1-tau
 	MOVQ CX, DX
 	SHRQ $2, DX
 	JZ   adamtail
 
 adamloop:
-	// Mirrors the scalar Go loop operation for operation (no FMA
-	// contraction) so results are bit-identical.
 	VMOVUPD (SI), Y1            // g
-	VMOVUPD (R8), Y2            // m
-	VMOVUPD (R9), Y3            // v
-	VMULPD Y8, Y2, Y2           // beta1*m
+	VMULPD (R8), Y8, Y2         // beta1*m
 	VMULPD Y14, Y1, Y4          // (1-beta1)*g
 	VADDPD Y4, Y2, Y2           // m'
 	VMULPD Y15, Y1, Y4          // (1-beta2)*g
 	VMULPD Y1, Y4, Y4           // (1-beta2)*g*g
-	VMULPD Y9, Y3, Y3           // beta2*v
+	VMULPD (R9), Y9, Y3         // beta2*v
 	VADDPD Y4, Y3, Y3           // v'
 	VMOVUPD Y2, (R8)
 	VMOVUPD Y3, (R9)
-	VDIVPD Y12, Y2, Y5          // mHat = m'/b1c
-	VDIVPD Y13, Y3, Y6          // vHat = v'/b2c
-	VSQRTPD Y6, Y6
-	VADDPD Y11, Y6, Y6          // sqrt(vHat)+eps
-	VMULPD Y10, Y5, Y5          // lr*mHat
-	VDIVPD Y6, Y5, Y5           // step
+	TESTQ R11, R11
+	JZ   adamvhat
+	VDIVPD Y12, Y2, Y2          // mHat = m'/b1c
+
+adamvhat:
+	VDIVPD Y13, Y3, Y3          // vHat = v'/b2c
+	VSQRTPD Y3, Y3
+	VADDPD Y11, Y3, Y3          // sqrt(vHat)+eps
+	VMULPD Y10, Y2, Y2          // lr*mHat
+	VDIVPD Y3, Y2, Y2           // step
 	VMOVUPD (DI), Y7
-	VSUBPD Y5, Y7, Y7
+	VSUBPD Y2, Y7, Y7
 	VMOVUPD Y7, (DI)
+	VMULPD Y7, Y0, Y1           // tau*p'
+	VMULPD (R10), Y5, Y2        // (1-tau)*tgt
+	VADDPD Y2, Y1, Y1
+	VMOVUPD Y1, (R10)
 	ADDQ $32, DI
+	ADDQ $32, R10
 	ADDQ $32, SI
 	ADDQ $32, R8
 	ADDQ $32, R9
@@ -90,27 +104,34 @@ adamtail:
 
 adamstail:
 	VMOVSD (SI), X1
-	VMOVSD (R8), X2
-	VMOVSD (R9), X3
-	VMULSD X8, X2, X2
+	VMULSD (R8), X8, X2
 	VMULSD X14, X1, X4
 	VADDSD X4, X2, X2
 	VMULSD X15, X1, X4
 	VMULSD X1, X4, X4
-	VMULSD X9, X3, X3
+	VMULSD (R9), X9, X3
 	VADDSD X4, X3, X3
 	VMOVSD X2, (R8)
 	VMOVSD X3, (R9)
-	VDIVSD X12, X2, X5
-	VDIVSD X13, X3, X6
-	VSQRTSD X6, X6, X6
-	VADDSD X11, X6, X6
-	VMULSD X10, X5, X5
-	VDIVSD X6, X5, X5
+	TESTQ R11, R11
+	JZ   adamsvhat
+	VDIVSD X12, X2, X2
+
+adamsvhat:
+	VDIVSD X13, X3, X3
+	VSQRTSD X3, X3, X3
+	VADDSD X11, X3, X3
+	VMULSD X10, X2, X2
+	VDIVSD X3, X2, X2
 	VMOVSD (DI), X7
-	VSUBSD X5, X7, X7
+	VSUBSD X2, X7, X7
 	VMOVSD X7, (DI)
+	VMULSD X7, X0, X1
+	VMULSD (R10), X5, X2
+	VADDSD X2, X1, X1
+	VMOVSD X1, (R10)
 	ADDQ $8, DI
+	ADDQ $8, R10
 	ADDQ $8, SI
 	ADDQ $8, R8
 	ADDQ $8, R9
@@ -121,145 +142,145 @@ adamdone:
 	VZEROUPPER
 	RET
 
-// func axpbyasm(tau float64, x, y *float64, n int)
+// func scaleasm(f float64, x *float64, n int) (sq float64)
 //
-// y = tau*x + (1-tau)*y, with mul/mul/add kept separate so the result
-// is bit-identical to the scalar SoftUpdate loop.
-TEXT ·axpbyasm(SB), NOSPLIT, $0-32
-	VBROADCASTSD tau+0(FP), Y0
-	MOVQ x+8(FP), SI
-	MOVQ y+16(FP), DI
-	MOVQ n+24(FP), CX
-	// Y8 = 1-tau
-	MOVQ $0x3FF0000000000000, AX
-	MOVQ AX, X1
-	VBROADCASTSD X1, Y1
-	VSUBPD Y0, Y1, Y8
-	MOVQ CX, DX
-	SHRQ $2, DX
-	JZ   axpbytail
-
-axpbyloop:
-	VMULPD (SI), Y0, Y2         // tau*x
-	VMULPD (DI), Y8, Y3         // (1-tau)*y
-	VADDPD Y3, Y2, Y2
-	VMOVUPD Y2, (DI)
-	ADDQ $32, SI
-	ADDQ $32, DI
-	DECQ DX
-	JNZ  axpbyloop
-
-axpbytail:
-	ANDQ $3, CX
-	JZ   axpbydone
-
-axpbystail:
-	VMOVSD (SI), X2
-	VMULSD X0, X2, X2
-	VMOVSD (DI), X3
-	VMULSD X8, X3, X3
-	VADDSD X3, X2, X2
-	VMOVSD X2, (DI)
-	ADDQ $8, SI
-	ADDQ $8, DI
-	DECQ CX
-	JNZ  axpbystail
-
-axpbydone:
-	VZEROUPPER
-	RET
-
-// func scaleasm(f float64, x *float64, n int)
-//
-// x *= f.
-TEXT ·scaleasm(SB), NOSPLIT, $0-24
+// x *= f, returning Σ x² of the scaled values, summed by FMA in
+// sixteen lane chains that combine at the end — an order of the
+// kernel's own, which is all AdamStep's clip-norm skip needs.
+TEXT ·scaleasm(SB), NOSPLIT, $0-32
 	VBROADCASTSD f+0(FP), Y0
 	MOVQ x+8(FP), DI
 	MOVQ n+16(FP), CX
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	VXORPD X8, X8, X8            // the scalar tail's sum (a VEX.128 op zeroes its destination's upper half)
 	MOVQ CX, DX
-	SHRQ $2, DX
+	SHRQ $4, DX
+	JZ   scalevec
+
+scaleloop4:
+	VMULPD (DI), Y0, Y1
+	VMULPD 32(DI), Y0, Y2
+	VMOVUPD Y1, (DI)
+	VMOVUPD Y2, 32(DI)
+	VFMADD231PD Y1, Y1, Y4
+	VFMADD231PD Y2, Y2, Y5
+	VMULPD 64(DI), Y0, Y1
+	VMULPD 96(DI), Y0, Y2
+	VMOVUPD Y1, 64(DI)
+	VMOVUPD Y2, 96(DI)
+	VFMADD231PD Y1, Y1, Y6
+	VFMADD231PD Y2, Y2, Y7
+	ADDQ $128, DI
+	DECQ DX
+	JNZ  scaleloop4
+
+scalevec:
+	MOVQ CX, DX
+	ANDQ $15, CX
+	SHRQ $2, CX
 	JZ   scaletail
 
-scaleloop:
+scalevecloop:
 	VMULPD (DI), Y0, Y1
 	VMOVUPD Y1, (DI)
+	VFMADD231PD Y1, Y1, Y4
 	ADDQ $32, DI
-	DECQ DX
-	JNZ  scaleloop
+	DECQ CX
+	JNZ  scalevecloop
 
 scaletail:
-	ANDQ $3, CX
-	JZ   scaledone
+	ANDQ $3, DX
+	JZ   scalesum
 
 scalestail:
 	VMOVSD (DI), X1
 	VMULSD X0, X1, X1
 	VMOVSD X1, (DI)
+	VFMADD231SD X1, X1, X8
 	ADDQ $8, DI
-	DECQ CX
+	DECQ DX
 	JNZ  scalestail
 
-scaledone:
+scalesum:
+	VADDPD Y8, Y4, Y4
+	VADDPD Y5, Y4, Y4
+	VADDPD Y7, Y6, Y6
+	VADDPD Y6, Y4, Y4
+	VEXTRACTF128 $1, Y4, X5
+	VADDPD X5, X4, X4
+	VHADDPD X4, X4, X4
+	VMOVSD X4, sq+24(FP)
 	VZEROUPPER
 	RET
 
 // ---- float32 optimizer kernels: same structure as the float64
 // kernels above, with 8 lanes per YMM register instead of 4 and PS/SS
-// arithmetic. The f32 path has no bit-parity contract with the pure-Go
-// fallbacks (FMA contraction and reassociated sums round differently).
+// arithmetic.
 
-// func adamasmf32(p, grad, m, v *float32, n int, beta1, beta2, lr, eps, b1c, b2c float32)
+// func adamasmf32(p, grad, m, v, tgt *float32, n int, beta1, beta2, lr, eps, b1c, b2c, tau float32)
 //
-// One Adam update over a float32 parameter slice, 8 floats per
-// iteration. Mirrors the AdamStep scalar loop (no FMA contraction in
-// the EMA updates); VSQRTSS/VSQRTPS round once where the Go fallback
-// rounds through float64, a ≤1-ulp difference the f32 contract
-// allows.
-TEXT ·adamasmf32(SB), NOSPLIT, $0-64
+// adamasm at float32, 8 floats per iteration. VSQRTPS/VSQRTSS round
+// once where the Go loop goes through float64 and narrows; with 53
+// bits for a 24-bit square root the two agree.
+TEXT ·adamasmf32(SB), NOSPLIT, $0-76
 	MOVQ p+0(FP), DI
 	MOVQ grad+8(FP), SI
 	MOVQ m+16(FP), R8
 	MOVQ v+24(FP), R9
-	MOVQ n+32(FP), CX
-	VBROADCASTSS beta1+40(FP), Y8
-	VBROADCASTSS beta2+44(FP), Y9
-	VBROADCASTSS lr+48(FP), Y10
-	VBROADCASTSS eps+52(FP), Y11
-	VBROADCASTSS b1c+56(FP), Y12
-	VBROADCASTSS b2c+60(FP), Y13
-	// Y14 = 1-beta1, Y15 = 1-beta2
+	MOVQ tgt+32(FP), R10
+	MOVQ n+40(FP), CX
+	VBROADCASTSS beta1+48(FP), Y8
+	VBROADCASTSS beta2+52(FP), Y9
+	VBROADCASTSS lr+56(FP), Y10
+	VBROADCASTSS eps+60(FP), Y11
+	VBROADCASTSS b1c+64(FP), Y12
+	VBROADCASTSS b2c+68(FP), Y13
+	VBROADCASTSS tau+72(FP), Y0
 	MOVL $0x3F800000, AX // 1.0f
-	MOVL AX, X0
-	VBROADCASTSS X0, Y0
-	VSUBPS Y8, Y0, Y14
-	VSUBPS Y9, Y0, Y15
+	MOVL b1c+64(FP), R11
+	XORL AX, R11                 // R11 = 0 iff b1c == 1
+	MOVL AX, X1
+	VBROADCASTSS X1, Y1
+	VSUBPS Y8, Y1, Y14           // 1-beta1
+	VSUBPS Y9, Y1, Y15           // 1-beta2
+	VSUBPS Y0, Y1, Y5            // 1-tau
 	MOVQ CX, DX
 	SHRQ $3, DX
 	JZ   f32adamtail
 
 f32adamloop:
 	VMOVUPS (SI), Y1            // g
-	VMOVUPS (R8), Y2            // m
-	VMOVUPS (R9), Y3            // v
-	VMULPS Y8, Y2, Y2           // beta1*m
+	VMULPS (R8), Y8, Y2         // beta1*m
 	VMULPS Y14, Y1, Y4          // (1-beta1)*g
 	VADDPS Y4, Y2, Y2           // m'
 	VMULPS Y15, Y1, Y4          // (1-beta2)*g
 	VMULPS Y1, Y4, Y4           // (1-beta2)*g*g
-	VMULPS Y9, Y3, Y3           // beta2*v
+	VMULPS (R9), Y9, Y3         // beta2*v
 	VADDPS Y4, Y3, Y3           // v'
 	VMOVUPS Y2, (R8)
 	VMOVUPS Y3, (R9)
-	VDIVPS Y12, Y2, Y5          // mHat = m'/b1c
-	VDIVPS Y13, Y3, Y6          // vHat = v'/b2c
-	VSQRTPS Y6, Y6
-	VADDPS Y11, Y6, Y6          // sqrt(vHat)+eps
-	VMULPS Y10, Y5, Y5          // lr*mHat
-	VDIVPS Y6, Y5, Y5           // step
+	TESTL R11, R11
+	JZ   f32adamvhat
+	VDIVPS Y12, Y2, Y2          // mHat = m'/b1c
+
+f32adamvhat:
+	VDIVPS Y13, Y3, Y3          // vHat = v'/b2c
+	VSQRTPS Y3, Y3
+	VADDPS Y11, Y3, Y3          // sqrt(vHat)+eps
+	VMULPS Y10, Y2, Y2          // lr*mHat
+	VDIVPS Y3, Y2, Y2           // step
 	VMOVUPS (DI), Y7
-	VSUBPS Y5, Y7, Y7
+	VSUBPS Y2, Y7, Y7
 	VMOVUPS Y7, (DI)
+	VMULPS Y7, Y0, Y1           // tau*p'
+	VMULPS (R10), Y5, Y2        // (1-tau)*tgt
+	VADDPS Y2, Y1, Y1
+	VMOVUPS Y1, (R10)
 	ADDQ $32, DI
+	ADDQ $32, R10
 	ADDQ $32, SI
 	ADDQ $32, R8
 	ADDQ $32, R9
@@ -272,27 +293,34 @@ f32adamtail:
 
 f32adamstail:
 	VMOVSS (SI), X1
-	VMOVSS (R8), X2
-	VMOVSS (R9), X3
-	VMULSS X8, X2, X2
+	VMULSS (R8), X8, X2
 	VMULSS X14, X1, X4
 	VADDSS X4, X2, X2
 	VMULSS X15, X1, X4
 	VMULSS X1, X4, X4
-	VMULSS X9, X3, X3
+	VMULSS (R9), X9, X3
 	VADDSS X4, X3, X3
 	VMOVSS X2, (R8)
 	VMOVSS X3, (R9)
-	VDIVSS X12, X2, X5
-	VDIVSS X13, X3, X6
-	VSQRTSS X6, X6, X6
-	VADDSS X11, X6, X6
-	VMULSS X10, X5, X5
-	VDIVSS X6, X5, X5
+	TESTL R11, R11
+	JZ   f32adamsvhat
+	VDIVSS X12, X2, X2
+
+f32adamsvhat:
+	VDIVSS X13, X3, X3
+	VSQRTSS X3, X3, X3
+	VADDSS X11, X3, X3
+	VMULSS X10, X2, X2
+	VDIVSS X3, X2, X2
 	VMOVSS (DI), X7
-	VSUBSS X5, X7, X7
+	VSUBSS X2, X7, X7
 	VMOVSS X7, (DI)
+	VMULSS X7, X0, X1
+	VMULSS (R10), X5, X2
+	VADDSS X2, X1, X1
+	VMOVSS X1, (R10)
 	ADDQ $4, DI
+	ADDQ $4, R10
 	ADDQ $4, SI
 	ADDQ $4, R8
 	ADDQ $4, R9
@@ -303,84 +331,79 @@ f32adamdone:
 	VZEROUPPER
 	RET
 
-// func axpbyasmf32(tau float32, x, y *float32, n int)
+// func scaleasmf32(f float32, x *float32, n int) (sq float64)
 //
-// y = tau*x + (1-tau)*y — the f32 soft-update kernel.
-TEXT ·axpbyasmf32(SB), NOSPLIT, $0-32
-	VBROADCASTSS tau+0(FP), Y0
-	MOVQ x+8(FP), SI
-	MOVQ y+16(FP), DI
-	MOVQ n+24(FP), CX
-	// Y8 = 1-tau
-	MOVL $0x3F800000, AX
-	MOVL AX, X1
-	VBROADCASTSS X1, Y1
-	VSUBPS Y0, Y1, Y8
-	MOVQ CX, DX
-	SHRQ $3, DX
-	JZ   f32axpbytail
-
-f32axpbyloop:
-	VMULPS (SI), Y0, Y2         // tau*x
-	VMULPS (DI), Y8, Y3         // (1-tau)*y
-	VADDPS Y3, Y2, Y2
-	VMOVUPS Y2, (DI)
-	ADDQ $32, SI
-	ADDQ $32, DI
-	DECQ DX
-	JNZ  f32axpbyloop
-
-f32axpbytail:
-	ANDQ $7, CX
-	JZ   f32axpbydone
-
-f32axpbystail:
-	VMOVSS (SI), X2
-	VMULSS X0, X2, X2
-	VMOVSS (DI), X3
-	VMULSS X8, X3, X3
-	VADDSS X3, X2, X2
-	VMOVSS X2, (DI)
-	ADDQ $4, SI
-	ADDQ $4, DI
-	DECQ CX
-	JNZ  f32axpbystail
-
-f32axpbydone:
-	VZEROUPPER
-	RET
-
-// func scaleasmf32(f float32, x *float32, n int)
-//
-// x *= f.
-TEXT ·scaleasmf32(SB), NOSPLIT, $0-24
+// x *= f, returning Σ x² of the scaled values in float64: each lane
+// is widened before its FMA, so every square is exact.
+TEXT ·scaleasmf32(SB), NOSPLIT, $0-32
 	VBROADCASTSS f+0(FP), Y0
 	MOVQ x+8(FP), DI
 	MOVQ n+16(FP), CX
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	VXORPD X8, X8, X8            // the scalar tail's own sum
 	MOVQ CX, DX
-	SHRQ $3, DX
-	JZ   f32scaletail
+	SHRQ $4, DX
+	JZ   f32scalevec
 
-f32scaleloop:
+f32scaleloop2:
+	VMULPS (DI), Y0, Y1
+	VMULPS 32(DI), Y0, Y2
+	VMOVUPS Y1, (DI)
+	VMOVUPS Y2, 32(DI)
+	VCVTPS2PD X1, Y3
+	VFMADD231PD Y3, Y3, Y4
+	VEXTRACTF128 $1, Y1, X1
+	VCVTPS2PD X1, Y3
+	VFMADD231PD Y3, Y3, Y5
+	VCVTPS2PD X2, Y3
+	VFMADD231PD Y3, Y3, Y6
+	VEXTRACTF128 $1, Y2, X2
+	VCVTPS2PD X2, Y3
+	VFMADD231PD Y3, Y3, Y7
+	ADDQ $64, DI
+	DECQ DX
+	JNZ  f32scaleloop2
+
+f32scalevec:
+	MOVQ CX, DX
+	ANDQ $15, CX
+	SHRQ $3, CX
+	JZ   f32scaletail
 	VMULPS (DI), Y0, Y1
 	VMOVUPS Y1, (DI)
+	VCVTPS2PD X1, Y3
+	VFMADD231PD Y3, Y3, Y4
+	VEXTRACTF128 $1, Y1, X1
+	VCVTPS2PD X1, Y3
+	VFMADD231PD Y3, Y3, Y5
 	ADDQ $32, DI
-	DECQ DX
-	JNZ  f32scaleloop
 
 f32scaletail:
-	ANDQ $7, CX
-	JZ   f32scaledone
+	ANDQ $7, DX
+	JZ   f32scalesum
 
 f32scalestail:
 	VMOVSS (DI), X1
 	VMULSS X0, X1, X1
 	VMOVSS X1, (DI)
+	VCVTSS2SD X1, X1, X1
+	VFMADD231SD X1, X1, X8
 	ADDQ $4, DI
-	DECQ CX
+	DECQ DX
 	JNZ  f32scalestail
 
-f32scaledone:
+f32scalesum:
+	VADDPD Y8, Y4, Y4
+	VADDPD Y5, Y4, Y4
+	VADDPD Y7, Y6, Y6
+	VADDPD Y6, Y4, Y4
+	VEXTRACTF128 $1, Y4, X5
+	VADDPD X5, X4, X4
+	VHADDPD X4, X4, X4
+	VMOVSD X4, sq+24(FP)
 	VZEROUPPER
 	RET
 
@@ -416,7 +439,6 @@ GLOBL tileoff<>(SB), RODATA|NOPTR, $128
 #define VADDP VADDPD
 #define VADDS VADDSD
 #define VHADD VHADDPD
-#define HADDMORE(X)
 #define VBCAST VBROADCASTSD
 #define VMASKMOV VMASKMOVPD
 #define MOVE MOVQ
@@ -478,7 +500,6 @@ TEXT ·reluderivasm(SB), NOSPLIT, $0-32
 #undef VADDP
 #undef VADDS
 #undef VHADD
-#undef HADDMORE
 #undef VBCAST
 #undef VMASKMOV
 #undef MOVE
@@ -493,6 +514,7 @@ TEXT ·reluderivasm(SB), NOSPLIT, $0-32
 #undef HALFBITS
 
 // float32: 8 lanes per vector, so the lane reduce is one level deeper.
+#define LANES8
 #define ES 4
 #define LOGES 2
 #define VMOVU VMOVUPS
@@ -502,7 +524,6 @@ TEXT ·reluderivasm(SB), NOSPLIT, $0-32
 #define VADDP VADDPS
 #define VADDS VADDSS
 #define VHADD VHADDPS
-#define HADDMORE(X) VHADDPS X, X, X
 #define VBCAST VBROADCASTSS
 #define VMASKMOV VMASKMOVPS
 #define MOVE MOVL

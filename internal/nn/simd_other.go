@@ -34,15 +34,11 @@ func transposeasm(w, wt *float64, in, out int) {
 	panic("nn: SIMD kernel on non-amd64")
 }
 
-func adamasm(p, grad, m, v *float64, n int, beta1, beta2, lr, eps, b1c, b2c float64) {
+func adamasm(p, grad, m, v, tgt *float64, n int, beta1, beta2, lr, eps, b1c, b2c, tau float64) {
 	panic("nn: SIMD kernel on non-amd64")
 }
 
-func axpbyasm(tau float64, x, y *float64, n int) {
-	panic("nn: SIMD kernel on non-amd64")
-}
-
-func scaleasm(f float64, x *float64, n int) {
+func scaleasm(f float64, x *float64, n int) (sq float64) {
 	panic("nn: SIMD kernel on non-amd64")
 }
 
@@ -62,14 +58,10 @@ func reluderivasmf32(dY, z, dz *float32, n int) {
 	panic("nn: SIMD kernel on non-amd64")
 }
 
-func adamasmf32(p, grad, m, v *float32, n int, beta1, beta2, lr, eps, b1c, b2c float32) {
+func adamasmf32(p, grad, m, v, tgt *float32, n int, beta1, beta2, lr, eps, b1c, b2c, tau float32) {
 	panic("nn: SIMD kernel on non-amd64")
 }
 
-func axpbyasmf32(tau float32, x, y *float32, n int) {
-	panic("nn: SIMD kernel on non-amd64")
-}
-
-func scaleasmf32(f float32, x *float32, n int) {
+func scaleasmf32(f float32, x *float32, n int) (sq float64) {
 	panic("nn: SIMD kernel on non-amd64")
 }

@@ -3,40 +3,56 @@ package ddpg
 import (
 	"math/rand"
 	"testing"
-
-	"greennfv/internal/rl/replay"
 )
 
-// BenchmarkAgentLearn measures one batched DDPG update at the
-// GreenNFV problem size (12-dim state, 15-dim action, 48×48 hidden,
-// batch 32) with a warm replay buffer. The steady state should not
-// allocate.
-func BenchmarkAgentLearn(b *testing.B) {
-	cfg := DefaultConfig(12, 15)
-	a, err := New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 4*cfg.BatchSize; i++ {
-		s := make([]float64, 12)
-		act := make([]float64, 15)
-		ns := make([]float64, 12)
-		for j := range s {
-			s[j] = rng.NormFloat64()
-			ns[j] = rng.NormFloat64()
-		}
-		for j := range act {
-			act[j] = 2*rng.Float64() - 1
-		}
-		a.Observe(replay.Transition{State: s, Action: act, Reward: rng.NormFloat64(), NextState: ns})
-	}
-	a.Learn() // warm the scratch buffers
+// rebuildEvery is how many updates a learn benchmark runs on one agent
+// before it builds a fresh one with the timer stopped. An agent that
+// learns forever on its few hundred fixed transitions drives its Adam
+// moments into subnormals after ~10 000 updates, and the divider pays
+// for those in microcode assists — a cost no training run has (their
+// moments hold no subnormal) and one that made the time per update grow
+// with b.N.
+const rebuildEvery = 2000
+
+// benchLearn times step, an update on a warm agent that build makes,
+// over b.N updates, a fresh agent every rebuildEvery of them.
+func benchLearn(b *testing.B, build func() (step func() float64)) {
+	step := build()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a.Learn()
+		if i > 0 && i%rebuildEvery == 0 {
+			b.StopTimer()
+			step = build()
+			b.StartTimer()
+		}
+		step()
 	}
+}
+
+// learnAgent builds an agent of the given state/action dims with a warm
+// replay of four minibatches and returns its Learn, already run once
+// to warm the scratch buffers.
+func learnAgent(b *testing.B, dims [2]int) func() float64 {
+	a, err := New(DefaultConfig(dims[0], dims[1]))
+	if err != nil {
+		b.Fatal(err)
+	}
+	fillAgent(b, a, 4*a.Config().BatchSize)
+	a.Learn()
+	return a.Learn
+}
+
+// BenchmarkAgentLearn measures one DDPG update — the unfused Learn the
+// round-robin trainer runs — at the GreenNFV problem size (12-dim
+// state, 15-dim action, 48×48 hidden, batch 32); BenchmarkAgentLearnWide
+// at sweep_cluster's 104/114. The steady state should not allocate.
+func BenchmarkAgentLearn(b *testing.B) {
+	benchLearn(b, func() func() float64 { return learnAgent(b, paperDims) })
+}
+
+func BenchmarkAgentLearnWide(b *testing.B) {
+	benchLearn(b, func() func() float64 { return learnAgent(b, wideDims) })
 }
 
 // benchActBatch measures one batched acting pass over n actors' states

@@ -242,7 +242,6 @@ type scratch[T float] struct {
 	nextStates []T // n × StateDim
 	nextSA     []T // n × (StateDim+ActionDim)
 	y          []T // n targets
-	dAct       []T // n × ActionDim
 	// The critic pass: the regression rows and, stacked behind them in
 	// the fused update, the action-gradient probe rows.
 	sa []T // 2n × (StateDim+ActionDim)
@@ -250,8 +249,13 @@ type scratch[T float] struct {
 }
 
 // convert is copy from the float64 replay into a matrix row of element
-// type T; like copy it stops at the shorter of the two.
+// type T; like copy it stops at the shorter of the two. At float64 it
+// is copy.
 func convert[T float](dst []T, src []float64) {
+	if d, ok := any(dst).([]float64); ok {
+		copy(d, src)
+		return
+	}
 	if len(src) > len(dst) {
 		src = src[:len(dst)]
 	}
@@ -494,8 +498,7 @@ func (a *Agent) learnMinibatch(batch []replay.Transition, indices []int, weights
 	}
 	a.Critic.ZeroGrad()
 	a.Critic.BackwardBatchParams(s.dq, n)
-	a.Critic.ScaleGrad(1 / float64(n))
-	a.criticOpt.Step(a.Critic)
+	nn.AdamStep(a.criticOpt, a.Critic, 1/float64(n), a.criticTarget, a.cfg.Tau)
 	loss /= float64(n)
 
 	if a.prioritized != nil && indices != nil {
@@ -505,7 +508,8 @@ func (a *Agent) learnMinibatch(batch []replay.Transition, indices []int, weights
 	// Actor update: ascend E[Q(s, μ(s))] — equation 6. Push dQ/da
 	// back through the critic and through the actor in one batched
 	// pass each; BackwardBatchInput leaves the critic's own gradients
-	// untouched, so no ZeroGrad bookkeeping is needed around it.
+	// untouched, so no ZeroGrad bookkeeping is needed around it, and
+	// returns the action columns of dQ/d(s, a) alone: the actor's dY.
 	actions := a.Actor.ForwardBatch(s.states, n)
 	for i := 0; i < n; i++ {
 		copy(s.sa[i*SA+S:(i+1)*SA], actions[i*A:(i+1)*A]) // states already in place
@@ -514,16 +518,12 @@ func (a *Agent) learnMinibatch(batch []replay.Transition, indices []int, weights
 	for i := 0; i < n; i++ {
 		s.dq[i] = -1 // ascend Q
 	}
-	dInput := a.Critic.BackwardBatchInput(s.dq, n)
-	for i := 0; i < n; i++ {
-		copy(s.dAct[i*A:(i+1)*A], dInput[i*SA+S:(i+1)*SA])
-	}
+	dAct := a.Critic.BackwardBatchInput(s.dq, n, S)
 	a.Actor.ZeroGrad()
-	a.Actor.BackwardBatchParams(s.dAct, n)
-	a.Actor.ScaleGrad(1 / float64(n))
-	a.actorOpt.Step(a.Actor)
+	a.Actor.BackwardBatchParams(dAct, n)
+	nn.AdamStep(a.actorOpt, a.Actor, 1/float64(n), a.actorTarget, a.cfg.Tau)
 
-	finishTargets[float64](a)
+	a.finishUpdate()
 	return loss
 }
 
@@ -542,7 +542,6 @@ func bootstrapTargets[T float](a *Agent, s *scratch[T], batch []replay.Transitio
 	s.nextStates = nn.Grow(s.nextStates, n*S)
 	s.nextSA = nn.Grow(s.nextSA, n*SA)
 	s.y = nn.Grow(s.y, n)
-	s.dAct = nn.Grow(s.dAct, n*A)
 	s.sa = nn.Grow(s.sa, 2*n*SA)
 	s.dq = nn.Grow(s.dq, 2*n)
 	for i := range batch {
@@ -571,9 +570,10 @@ func bootstrapTargets[T float](a *Agent, s *scratch[T], batch []replay.Transitio
 // learnFused is the fused update at element type T: after the shared
 // head, one 2n-row critic forward over [regression rows; (s, μ(s))
 // probe rows] and one BackwardBatchSplit that keeps parameter
-// gradients from the first half while returning input gradients for
-// the second, then the actor ascent and the soft target updates — all
-// through nn's batch engine at T, zero allocations once warm. The
+// gradients from the first half while returning the action-column
+// input gradients of the second, then the actor ascent — each network's
+// optimizer step carrying its target's soft update — all through nn's
+// batch engine at T, zero allocations once warm. The
 // places it leaves T are the same at either type and are identities at
 // float64: the TD errors and the loss are widened from a product
 // computed in T, importance weights are narrowed to T, and everything
@@ -607,39 +607,26 @@ func learnFused[T float](a *Agent, s *scratch[T], batch []replay.Transition, ind
 		s.dq[i] = w * diff
 		s.dq[n+i] = -1 // ascend Q along the probe rows
 	}
+	tau := T(a.cfg.Tau)
 	nn.ZeroGrad[T](a.Critic)
-	dInput := nn.BackwardBatchSplit(a.Critic, s.dq, 2*n, n)
-	nn.ScaleGrad(a.Critic, 1/T(n))
-	nn.AdamStep[T](a.criticOpt, a.Critic)
+	dAct := nn.BackwardBatchSplit(a.Critic, s.dq, 2*n, n, S)
+	nn.AdamStep(a.criticOpt, a.Critic, 1/T(n), a.criticTarget, tau)
 	loss /= float64(n)
 
 	if a.prioritized != nil && indices != nil {
 		a.prioritized.UpdatePrioritiesBatch(indices, a.tdErrBuf[:n])
 	}
 
-	for i := 0; i < n; i++ {
-		copy(s.dAct[i*A:(i+1)*A], dInput[(n+i)*SA+S:(n+i+1)*SA])
-	}
 	nn.ZeroGrad[T](a.Actor)
-	nn.BackwardBatchParams(a.Actor, s.dAct, n)
-	nn.ScaleGrad(a.Actor, 1/T(n))
-	nn.AdamStep[T](a.actorOpt, a.Actor)
+	nn.BackwardBatchParams(a.Actor, dAct, n)
+	nn.AdamStep(a.actorOpt, a.Actor, 1/T(n), a.actorTarget, tau)
 
-	finishTargets[T](a)
+	a.finishUpdate()
 	return loss
 }
 
-// finishTargets applies the soft target updates at element type T and
-// the per-step bookkeeping every update shares.
-func finishTargets[T float](a *Agent) {
-	tau := T(a.cfg.Tau)
-	if err := nn.SoftUpdate(a.actorTarget, a.Actor, tau); err != nil {
-		panic(err) // topologies are construction-matched
-	}
-	if err := nn.SoftUpdate(a.criticTarget, a.Critic, tau); err != nil {
-		panic(err)
-	}
-
+// finishUpdate is the per-step bookkeeping every update shares.
+func (a *Agent) finishUpdate() {
 	a.learnSteps++
 	if a.cfg.NoiseDecay > 0 && a.cfg.NoiseDecay < 1 {
 		a.noise.SetSigma(a.noise.Sigma() * a.cfg.NoiseDecay)

@@ -33,7 +33,17 @@
 // and therefore used only by the non-deterministic parallel mode;
 // the unfused sequence is op-identical to the original Learn and
 // stays on the figure path. learnFused and the head are written once
-// over float32 | float64, on nn's generic batch engine. The replay behind Observe/ObserveBatch is
+// over float32 | float64, on nn's generic batch engine. Both bodies end
+// each network's half the same way: one nn.AdamStep that averages the
+// gradients, clips, steps Adam and soft-updates that network's target
+// in the same kernel pass (Algorithm 2 lines 9–10 ride the optimizer;
+// the targets are read by nothing in between, so moving them earlier
+// in the step changes no bit). And both ask the critic's first layer
+// for dQ/da alone — the action columns of dQ/d(s, a), and in the fused
+// body only the probe rows (nn.BackwardBatchInput, nn.BackwardBatchSplit
+// with a column offset) — which is exactly the actor's dY: the state
+// columns and regression rows are never computed, and nothing is
+// copied. The replay behind Observe/ObserveBatch is
 // goroutine-safe (see internal/replay), so experience ingest may run
 // concurrently with action selection but not with updates.
 //

@@ -174,12 +174,7 @@ func TestSetReplayGuards(t *testing.T) {
 // comparison ROADMAP's f32 decision needs (round-robin ignores the
 // precision switch, so no end-to-end workload can make it).
 func benchLearnBatch(b *testing.B, dims [2]int, f32 bool) {
-	cycle := prefetcherAgent(b, dims, f32)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cycle()
-	}
+	benchLearn(b, func() func() float64 { return prefetcherAgent(b, dims, f32) })
 }
 
 func BenchmarkAgentLearnBatch(b *testing.B)        { benchLearnBatch(b, paperDims, false) }

@@ -43,8 +43,12 @@ gates=(
 	# learn step and batched acting allocate nothing at either type —
 	# budgets that `go test -race` cannot check. The three float64 leaf
 	# kernels (sequential-order product, tanh, transpose) equal the Go
-	# loops they replace bit for bit, math.Tanh included.
-	"./internal/nn TestLearnFingerprint|TestKernelParityAVX2|TestKernelParityGo|TestReLUKernelParity|TestSeqKernelParity|TestTanhKernelParity|TestTransposeParity|TestKernelsF32MatchGoWide|TestParamFrame|TestBatchZeroAllocSteadyState|TestF32ZeroAllocSteadyState|TestForwardRowsNoAllocs"
+	# loops they replace bit for bit, math.Tanh included. The learn-step
+	# kernels: the four-row product's shuffle-tree reduce and outer
+	# product on every shape to 70×70 at both widths, the windowed
+	# first-layer input gradient, and the fused optimizer step (target
+	# update, b1c and clip-norm skips) against the step it replaced.
+	"./internal/nn TestLearnFingerprint|TestKernelParityAVX2|TestKernelParityGo|TestReLUKernelParity|TestSeqKernelParity|TestTanhKernelParity|TestTransposeParity|TestKernelsF32MatchGoWide|TestRows4TreeParity|TestBackwardInputColumns|TestFusedOptimizerParity|TestParamFrame|TestBatchZeroAllocSteadyState|TestF32ZeroAllocSteadyState|TestForwardRowsNoAllocs"
 	"./internal/rl/ddpg TestLearnBatchZeroAlloc|TestLearnBatchF32ZeroAlloc|TestActBatchNoAllocs|TestLearnF32ParityWithF64"
 	# Serving safety: no applied config outside bounds or predicted to
 	# violate the SLA on any ladder rung; the 32-node fleet soak and its
