@@ -9,8 +9,7 @@ package greennfv
 //	go test -bench=. -benchmem
 //
 // reproduces the full evaluation. Budgets here are the bench-scale
-// ones; cmd/experiments runs the Full() budgets and records the
-// outcome in EXPERIMENTS.md.
+// ones; cmd/experiments -full runs experiments.Full().
 
 import (
 	"fmt"

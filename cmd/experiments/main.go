@@ -5,7 +5,7 @@
 // Usage:
 //
 //	experiments                  # quick budgets, all figures to stdout
-//	experiments -full            # EXPERIMENTS.md budgets
+//	experiments -full            # experiments.Full() budgets
 //	experiments -only fig9       # one experiment
 //	experiments -csv out/        # also write CSV per figure
 //	experiments -cpuprofile p.pb # profile the figure runs (go tool pprof)
@@ -37,7 +37,7 @@ func main() {
 // run carries the whole figure sweep so the profile defers fire on
 // every exit path (log.Fatal in main would skip them).
 func run() error {
-	full := flag.Bool("full", false, "use the Full() budgets recorded in EXPERIMENTS.md")
+	full := flag.Bool("full", false, "use the experiments.Full() budgets instead of Quick()")
 	only := flag.String("only", "", "run a single experiment: fig1..fig4, fig6..fig11, figcluster, ablations")
 	csvDir := flag.String("csv", "", "also write CSV files into this directory")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the figure runs to this file")

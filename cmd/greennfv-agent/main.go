@@ -18,17 +18,13 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"log"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
-	"greennfv/internal/rl/apex"
 	"greennfv/internal/serve"
 	"greennfv/internal/stats"
 )
@@ -50,7 +46,7 @@ func main() {
 	if *specPath == "" {
 		log.Fatal("-spec is required")
 	}
-	spec, err := readSpec(*specPath)
+	spec, err := serve.ReadSpec(*specPath)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -70,13 +66,10 @@ func main() {
 	if *metricsAddr != "" {
 		reg := stats.NewRegistry()
 		agent.RegisterMetrics(reg)
-		ln, err := net.Listen("tcp", *metricsAddr)
+		ln, err := reg.Serve(*metricsAddr)
 		if err != nil {
 			log.Fatalf("metrics listener: %v", err)
 		}
-		mux := http.NewServeMux()
-		mux.Handle("/metrics", reg)
-		go http.Serve(ln, mux)
 		log.Printf("metrics on http://%s/metrics", ln.Addr())
 	}
 
@@ -111,19 +104,4 @@ func main() {
 			}
 		}
 	}
-}
-
-// readSpec loads the node spec (environment half only; BuildEnv
-// validates it).
-func readSpec(path string) (apex.ActorSpec, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return apex.ActorSpec{}, err
-	}
-	defer f.Close()
-	var spec apex.ActorSpec
-	if err := json.NewDecoder(f).Decode(&spec); err != nil {
-		return apex.ActorSpec{}, err
-	}
-	return spec, nil
 }

@@ -23,18 +23,14 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"log"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
 	"greennfv/internal/nn"
-	"greennfv/internal/rl/apex"
 	"greennfv/internal/serve"
 	"greennfv/internal/stats"
 )
@@ -54,7 +50,7 @@ func main() {
 	if *specPath == "" {
 		log.Fatal("-spec is required")
 	}
-	spec, err := readSpec(*specPath)
+	spec, err := serve.ReadSpec(*specPath)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -75,9 +71,11 @@ func main() {
 	if *metricsAddr != "" {
 		reg := stats.NewRegistry()
 		ctrl.RegisterMetrics(reg)
-		if err := serveMetrics(*metricsAddr, reg); err != nil {
+		ln, err := reg.Serve(*metricsAddr)
+		if err != nil {
 			log.Fatalf("metrics listener: %v", err)
 		}
+		log.Printf("metrics on http://%s/metrics", ln.Addr())
 	}
 
 	hup := make(chan os.Signal, 1)
@@ -114,33 +112,4 @@ func main() {
 			return
 		}
 	}
-}
-
-// serveMetrics exposes reg at /metrics on addr in the background.
-func serveMetrics(addr string, reg *stats.Registry) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	mux := http.NewServeMux()
-	mux.Handle("/metrics", reg)
-	go http.Serve(ln, mux)
-	log.Printf("metrics on http://%s/metrics", ln.Addr())
-	return nil
-}
-
-// readSpec loads the node spec. Only the environment half matters for
-// serving, so it decodes directly (BuildEnv validates) instead of
-// requiring the training-cadence fields DecodeActorSpec insists on.
-func readSpec(path string) (apex.ActorSpec, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return apex.ActorSpec{}, err
-	}
-	defer f.Close()
-	var spec apex.ActorSpec
-	if err := json.NewDecoder(f).Decode(&spec); err != nil {
-		return apex.ActorSpec{}, err
-	}
-	return spec, nil
 }

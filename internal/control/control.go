@@ -26,37 +26,51 @@ type Controller interface {
 	Step(e *env.Env) (perfmodel.Result, error)
 }
 
-// Run drives a prepared controller for `steps` intervals on a fresh
-// environment and returns the mean of the last `settle` measurements
-// (throughput Gbps, energy J) plus the final measurement.
-func Run(c Controller, factory EnvFactory, seed int64, steps, settle int) (avgTput, avgEnergy float64, last perfmodel.Result, err error) {
+// Deploy drives a prepared controller for `steps` intervals on a fresh
+// environment, factory(seed, c.Options()), and returns every interval's
+// measurement in order. An entry's PerNF may alias environment scratch
+// that later intervals overwrite.
+func Deploy(c Controller, factory EnvFactory, seed int64, steps int) ([]perfmodel.Result, error) {
 	if steps <= 0 {
-		return 0, 0, perfmodel.Result{}, errors.New("control: steps must be positive")
-	}
-	if settle <= 0 || settle > steps {
-		settle = steps
+		return nil, errors.New("control: steps must be positive")
 	}
 	e, err := factory(seed, c.Options())
 	if err != nil {
+		return nil, err
+	}
+	series := make([]perfmodel.Result, steps)
+	for i := range series {
+		if series[i], err = c.Step(e); err != nil {
+			return nil, err
+		}
+	}
+	return series, nil
+}
+
+// Settled returns the mean throughput (Gbps) and energy (J) of the last
+// `settle` measurements of a deployment; settle <= 0 or beyond the
+// series means all of it.
+func Settled(series []perfmodel.Result, settle int) (avgTput, avgEnergy float64) {
+	if settle <= 0 || settle > len(series) {
+		settle = len(series)
+	}
+	for _, r := range series[len(series)-settle:] {
+		avgTput += r.ThroughputGbps
+		avgEnergy += r.EnergyJoules
+	}
+	return avgTput / float64(settle), avgEnergy / float64(settle)
+}
+
+// Run deploys a prepared controller for `steps` intervals (Deploy) and
+// returns the mean of the last `settle` measurements (Settled) plus the
+// final measurement.
+func Run(c Controller, factory EnvFactory, seed int64, steps, settle int) (avgTput, avgEnergy float64, last perfmodel.Result, err error) {
+	series, err := Deploy(c, factory, seed, steps)
+	if err != nil {
 		return 0, 0, perfmodel.Result{}, err
 	}
-	var tputs, energies []float64
-	for i := 0; i < steps; i++ {
-		res, err := c.Step(e)
-		if err != nil {
-			return 0, 0, perfmodel.Result{}, err
-		}
-		last = res
-		tputs = append(tputs, res.ThroughputGbps)
-		energies = append(energies, res.EnergyJoules)
-	}
-	for i := steps - settle; i < steps; i++ {
-		avgTput += tputs[i]
-		avgEnergy += energies[i]
-	}
-	avgTput /= float64(settle)
-	avgEnergy /= float64(settle)
-	return avgTput, avgEnergy, last, nil
+	avgTput, avgEnergy = Settled(series, settle)
+	return avgTput, avgEnergy, series[steps-1], nil
 }
 
 // Baseline is the untuned platform: performance governor (max

@@ -5,6 +5,7 @@ import (
 
 	"greennfv/internal/env"
 	"greennfv/internal/perfmodel"
+	"greennfv/internal/rl/ddpg"
 	"greennfv/internal/sla"
 )
 
@@ -145,6 +146,64 @@ func TestGreenNFVPreparesAndControls(t *testing.T) {
 func TestRunValidation(t *testing.T) {
 	if _, _, _, err := Run(NewBaseline(), factory(t), 1, 0, 0); err == nil {
 		t.Error("zero steps accepted")
+	}
+	if _, err := Deploy(NewBaseline(), factory(t), 1, 0); err == nil {
+		t.Error("Deploy accepted zero steps")
+	}
+}
+
+// Run is the settled mean of Deploy's series plus its last interval,
+// and a settle window outside the series averages all of it.
+func TestRunIsSettledDeploy(t *testing.T) {
+	series, err := Deploy(NewBaseline(), factory(t), 5, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(series) != 8 {
+		t.Fatalf("Deploy returned %d intervals, want 8", len(series))
+	}
+	for _, settle := range []int{3, 0, 9} {
+		tput, energy, last, err := Run(NewBaseline(), factory(t), 5, 8, settle)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantT, wantE := Settled(series, settle)
+		if tput != wantT || energy != wantE || last.ThroughputGbps != series[7].ThroughputGbps {
+			t.Errorf("settle %d: Run = (%v, %v, %v), Deploy gives (%v, %v, %v)",
+				settle, tput, energy, last.ThroughputGbps, wantT, wantE, series[7].ThroughputGbps)
+		}
+	}
+	whole, _ := Settled(series, 0)
+	var sum float64
+	for _, r := range series {
+		sum += r.ThroughputGbps
+	}
+	if whole != sum/8 {
+		t.Errorf("Settled(series, 0) = %v, want the mean of all %v", whole, sum/8)
+	}
+}
+
+// A deployed GreenNFV allocates nothing per interval once it has
+// stepped an environment.
+func TestGreenNFVStepOnAllocs(t *testing.T) {
+	e, err := factory(t)(1, perfmodel.EvalOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	agent, err := ddpg.New(ddpg.DefaultConfig(e.StateDim(), e.ActionDim()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := NewGreenNFVFromAgent(sla.NewEnergyEfficiency(), agent)
+	if _, err := g.StepOn(e); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(50, func() {
+		if _, err := g.StepOn(e); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("StepOn allocates %v per interval, want 0", allocs)
 	}
 }
 

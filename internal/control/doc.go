@@ -26,6 +26,12 @@
 //     NewGreenNFV fills with the defaults); TrainOn adds only the
 //     environment factory, the agent template and the seeds.
 //
+// # Deployment
+//
+// Deploy is the one controller deploy loop (one Step per interval,
+// every measurement returned); Run is its settled mean (Settled) plus
+// the last interval, and the experiment figures format either.
+//
 // # Concurrency and determinism
 //
 // Controllers are NOT goroutine-safe; the sweep and figure drivers

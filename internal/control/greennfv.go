@@ -41,8 +41,9 @@ type GreenNFV struct {
 	agent *ddpg.Agent
 	// state is the last observation of on, the environment StepOn is
 	// driving; a different environment starts from its own reset.
-	state []float64
-	on    env.Stepper
+	// action is StepOn's reused action buffer.
+	state, action []float64
+	on            env.Stepper
 }
 
 // NewGreenNFV builds the controller for one SLA with a trainSteps
@@ -168,19 +169,19 @@ func (g *GreenNFV) Step(e *env.Env) (perfmodel.Result, error) { return g.StepOn(
 
 // StepOn runs one greedy policy action on the environment and returns
 // its info Result (on a cluster, the roll-up — see
-// env.ClusterEnv.StepInto).
+// env.ClusterEnv.StepInto). After the first interval on an environment
+// it allocates nothing.
 func (g *GreenNFV) StepOn(e env.Stepper) (perfmodel.Result, error) {
 	if g.agent == nil {
 		return perfmodel.Result{}, errors.New("control: GreenNFV not prepared")
 	}
 	if g.on != e {
 		g.state, g.on = e.Reset(g.Seed+7777), e
+		g.action = make([]float64, e.ActionDim())
 	}
-	action := g.agent.Greedy(g.state)
-	next, _, info, err := e.Step(action)
-	if err != nil {
+	if err := g.agent.ActInto(g.state, false, g.action); err != nil {
 		return perfmodel.Result{}, err
 	}
-	g.state = next
-	return info, nil
+	_, info, err := e.StepInto(g.action, g.state)
+	return info, err
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"greennfv/internal/control"
 	"greennfv/internal/env"
 	"greennfv/internal/perfmodel"
 	"greennfv/internal/pool"
@@ -10,52 +11,30 @@ import (
 	"greennfv/internal/sla"
 )
 
-// The ablations quantify the design choices DESIGN.md calls out,
-// beyond the paper's own evaluation: prioritized vs uniform replay,
-// Ape-X actor-count scaling, per-knob contribution, and the paper's
-// hard-constraint reward vs penalty shaping.
+// The ablations quantify design choices beyond the paper's own
+// evaluation: prioritized vs uniform replay, Ape-X actor-count
+// scaling, per-knob contribution, and the paper's hard-constraint
+// reward vs penalty shaping.
 
-// trainEE runs one Ape-X training with the given overrides and
-// returns the mean efficiency of the last quarter of snapshots.
-func trainEE(o Options, actors int, frozen [env.KnobsPerNF]bool, s sla.SLA) (float64, *apex.Trainer, error) {
-	cfg := apex.DefaultTrainerConfig(o.TrainSteps)
-	cfg.Actors = actors
-	cfg.StepperFactory = func(actorID int) (env.Stepper, error) {
-		return env.New(env.Config{
-			Model:       perfmodel.Default(),
-			Chain:       perfmodel.StandardChain(),
-			Bounds:      perfmodel.DefaultBounds(),
-			SLA:         s,
-			Flows:       env.StandardWorkload(),
-			LoadJitter:  0.03,
-			FrozenKnobs: frozen,
-			Seed:        o.Seed + int64(actorID)*131,
-		})
+// lateEfficiency is the mean efficiency of the last quarter of a
+// training's snapshots, 0 without any.
+func lateEfficiency(snaps []apex.Snapshot) float64 {
+	late := snaps[len(snaps)*3/4:]
+	if len(late) == 0 {
+		return 0
 	}
-	cfg.AgentConfig = ddpg.DefaultConfig(0, 0)
-	cfg.AgentConfig.Seed = o.Seed
-	trainer, err := apex.NewTrainer(cfg)
-	if err != nil {
-		return 0, nil, err
-	}
-	if err := trainer.Run(); err != nil {
-		return 0, nil, err
-	}
-	snaps := trainer.Snapshots
-	if len(snaps) == 0 {
-		return 0, trainer, nil
-	}
-	start := len(snaps) * 3 / 4
 	var sum float64
-	for _, sn := range snaps[start:] {
+	for _, sn := range late {
 		sum += sn.Efficiency
 	}
-	return sum / float64(len(snaps)-start), trainer, nil
+	return sum / float64(len(late))
 }
 
 // AblationPER compares prioritized vs uniform replay at equal budget
 // (the Ape-X design claim), holding everything else fixed: both arms
-// train one DDPG agent through the identical single-actor loop.
+// train one DDPG agent through the identical single-actor loop. It is
+// the one trained table outside runArms: its arms are single agents,
+// not Ape-X controllers.
 func AblationPER(o Options) (*Table, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
@@ -87,15 +66,7 @@ func AblationPER(o Options) (*Table, error) {
 // trainEESingle is one single-agent DDPG training arm with the
 // replay variant selected by prioritized.
 func trainEESingle(o Options, prioritized bool) (float64, error) {
-	e, err := env.New(env.Config{
-		Model:      perfmodel.Default(),
-		Chain:      perfmodel.StandardChain(),
-		Bounds:     perfmodel.DefaultBounds(),
-		SLA:        sla.NewEnergyEfficiency(),
-		Flows:      env.StandardWorkload(),
-		LoadJitter: 0.03,
-		Seed:       o.Seed,
-	})
+	e, err := envFactory(sla.NewEnergyEfficiency())(o.Seed, perfmodel.EvalOptions{})
 	if err != nil {
 		return 0, err
 	}
@@ -107,7 +78,8 @@ func trainEESingle(o Options, prioritized bool) (float64, error) {
 		return 0, err
 	}
 	state := e.Reset(o.Seed)
-	var lastEffs []float64
+	var sum float64
+	n := 0
 	for i := 0; i < o.TrainSteps; i++ {
 		action, err := agent.Act(state, true)
 		if err != nil {
@@ -126,17 +98,14 @@ func trainEESingle(o Options, prioritized bool) (float64, error) {
 		agent.Learn()
 		state = next
 		if i >= o.TrainSteps*3/4 {
-			lastEffs = append(lastEffs, info.Efficiency)
+			sum += info.Efficiency
+			n++
 		}
 	}
-	var sum float64
-	for _, v := range lastEffs {
-		sum += v
-	}
-	if len(lastEffs) == 0 {
+	if n == 0 {
 		return 0, nil
 	}
-	return sum / float64(len(lastEffs)), nil
+	return sum / float64(n), nil
 }
 
 // AblationActors sweeps the Ape-X actor count at a fixed total step
@@ -145,23 +114,22 @@ func AblationActors(o Options) (*Table, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
+	ee := sla.NewEnergyEfficiency()
+	counts := []int{1, 2, 4, 8}
+	arms := make([]arm, len(counts))
+	for i, actors := range counts {
+		arms[i] = arm{c: control.NewGreenNFV(ee, o.TrainSteps, actors, o.Seed), env: envFactory(ee)}
+	}
+	if _, err := runArms(arms); err != nil {
+		return nil, err
+	}
 	t := &Table{
 		ID:      "ablation-actors",
 		Title:   "Ape-X actor-count scaling (fixed total steps)",
 		Columns: []string{"actors", "efficiency"},
 	}
-	counts := []int{1, 2, 4, 8}
-	effs := make([]float64, len(counts))
-	_, err := pool.ForEach(len(counts), batchWorkers(), func(i int) error {
-		eff, _, err := trainEE(o, counts[i], [env.KnobsPerNF]bool{}, sla.NewEnergyEfficiency())
-		effs[i] = eff
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
 	for i, actors := range counts {
-		t.AddRow(itoa(actors), f2(effs[i]))
+		t.AddRow(itoa(actors), f2(lateEfficiency(snapshots(arms[i]))))
 	}
 	return t, nil
 }
@@ -172,38 +140,34 @@ func AblationKnobs(o Options) (*Table, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
+	// Arm 0 is the all-tunable reference; arm k+1 freezes knob k.
+	ee := sla.NewEnergyEfficiency()
+	arms := []arm{{c: control.NewGreenNFV(ee, o.TrainSteps, o.Actors, o.Seed), env: envFactory(ee)}}
+	for k := 0; k < env.KnobsPerNF; k++ {
+		arms = append(arms, arm{c: control.NewGreenNFV(ee, o.TrainSteps, o.Actors, o.Seed), env: envFactory(ee, k)})
+	}
+	if _, err := runArms(arms); err != nil {
+		return nil, err
+	}
 	names := []string{"CPU share", "frequency", "LLC", "DMA", "batch"}
 	t := &Table{
 		ID:      "ablation-knobs",
 		Title:   "Knob contribution: efficiency with each knob frozen at defaults",
 		Columns: []string{"frozen knob", "efficiency", "vs all-tunable"},
 	}
-	// Arm 0 is the all-tunable reference; arms 1..5 freeze one knob
-	// each. All six trainings are independent, so they share the pool.
-	effs := make([]float64, env.KnobsPerNF+1)
-	_, err := pool.ForEach(len(effs), batchWorkers(), func(i int) error {
-		var frozen [env.KnobsPerNF]bool
-		if i > 0 {
-			frozen[i-1] = true
-		}
-		eff, _, err := trainEE(o, o.Actors, frozen, sla.NewEnergyEfficiency())
-		effs[i] = eff
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	full := effs[0]
+	full := lateEfficiency(snapshots(arms[0]))
 	t.AddRow("(none)", f2(full), "100%")
-	for i := 0; i < env.KnobsPerNF; i++ {
-		t.AddRow(names[i], f2(effs[i+1]), f0(effs[i+1]/full*100)+"%")
+	for k, name := range names {
+		eff := lateEfficiency(snapshots(arms[k+1]))
+		t.AddRow(name, f2(eff), f0(eff/full*100)+"%")
 	}
 	return t, nil
 }
 
 // AblationReward compares the paper's hard-constraint reward (zero
 // outside the constraint) against penalty shaping for the
-// MaxThroughput SLA, reporting throughput and violation rate.
+// MaxThroughput SLA, reporting throughput and violation rate over the
+// last quarter of training.
 func AblationReward(o Options) (*Table, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
@@ -215,45 +179,32 @@ func AblationReward(o Options) (*Table, error) {
 	shaped := hard
 	shaped.PenaltyWeight = 2.0
 
+	names := []string{"hard (paper)", "penalty-shaped"}
+	slas := []sla.SLA{hard, shaped}
+	arms := make([]arm, len(slas))
+	for i, s := range slas {
+		arms[i] = arm{c: control.NewGreenNFV(s, o.TrainSteps, o.Actors, o.Seed), env: envFactory(s)}
+	}
+	if _, err := runArms(arms); err != nil {
+		return nil, err
+	}
 	t := &Table{
 		ID:      "ablation-reward",
 		Title:   "Hard-constraint (paper) vs penalty-shaped reward, MaxT SLA E<=2000J",
 		Columns: []string{"reward", "Gbps", "Energy J", "violation rate"},
 	}
-	entries := []struct {
-		name string
-		s    sla.SLA
-	}{{"hard (paper)", hard}, {"penalty-shaped", shaped}}
-	type armOut struct {
-		tput, energy, violation float64
-	}
-	outs := make([]armOut, len(entries))
-	_, err = pool.ForEach(len(entries), batchWorkers(), func(i int) error {
-		_, trainer, err := trainEE(o, o.Actors, [env.KnobsPerNF]bool{}, entries[i].s)
-		if err != nil {
-			return err
-		}
-		snaps := trainer.Snapshots
-		tracker := sla.NewTracker(entries[i].s)
+	for i, s := range slas {
+		snaps := snapshots(arms[i])
+		late := snaps[len(snaps)*3/4:]
+		tracker := sla.NewTracker(s)
 		var tput, energy float64
-		n := 0
-		for _, sn := range snaps[len(snaps)*3/4:] {
+		for _, sn := range late {
 			tracker.Observe(sn.ThroughputGbps, sn.EnergyJ)
 			tput += sn.ThroughputGbps
 			energy += sn.EnergyJ
-			n++
 		}
-		if n == 0 {
-			n = 1
-		}
-		outs[i] = armOut{tput / float64(n), energy / float64(n), tracker.ViolationRate()}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, entry := range entries {
-		t.AddRow(entry.name, f2(outs[i].tput), f0(outs[i].energy), f2(outs[i].violation))
+		n := float64(max(len(late), 1))
+		t.AddRow(names[i], f2(tput/n), f0(energy/n), f2(tracker.ViolationRate()))
 	}
 	return t, nil
 }

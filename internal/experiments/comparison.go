@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"greennfv/internal/control"
-	"greennfv/internal/pool"
 	"greennfv/internal/sla"
 )
 
@@ -37,49 +36,31 @@ func Fig9(o Options) (*Table, []ComparisonRow, error) {
 	}
 	ee := sla.NewEnergyEfficiency()
 
-	controllers := []struct {
-		c     control.Controller
-		s     sla.SLA
-		steps int
-	}{
-		{control.NewBaseline(), ee, 12},
-		{control.NewHeuristic(), ee, 400},
-		{control.NewEEPstate(), ee, 50},
-		{control.NewQLearning(ee, o.QTrainSteps), ee, o.ControlSteps},
-		{control.NewGreenNFV(minE, o.TrainSteps, o.Actors, o.Seed), minE, o.ControlSteps},
-		{control.NewGreenNFV(maxT, o.TrainSteps, o.Actors, o.Seed), maxT, o.ControlSteps},
-		{control.NewGreenNFV(ee, o.TrainSteps, o.Actors, o.Seed), ee, o.ControlSteps},
+	// One arm per bar, each deployed from the same seed; a bar is the
+	// settled mean of the last quarter of its deployment.
+	seed := o.Seed + 1000
+	arms := []arm{
+		{control.NewBaseline(), envFactory(ee), seed, 12},
+		{control.NewHeuristic(), envFactory(ee), seed, 400},
+		{control.NewEEPstate(), envFactory(ee), seed, 50},
+		{control.NewQLearning(ee, o.QTrainSteps), envFactory(ee), seed, o.ControlSteps},
+		{control.NewGreenNFV(minE, o.TrainSteps, o.Actors, o.Seed), envFactory(minE), seed, o.ControlSteps},
+		{control.NewGreenNFV(maxT, o.TrainSteps, o.Actors, o.Seed), envFactory(maxT), seed, o.ControlSteps},
+		{control.NewGreenNFV(ee, o.TrainSteps, o.Actors, o.Seed), envFactory(ee), seed, o.ControlSteps},
 	}
-
-	// The controller pipelines share nothing mutable — each Prepare
-	// trains against its own environments and seeds — so they run
-	// concurrently over the bounded pool; rows[i] keeps the bar order
-	// of the serial loop and the numbers are identical to it.
-	rows := make([]ComparisonRow, len(controllers))
-	_, err = pool.ForEach(len(controllers), batchWorkers(), func(i int) error {
-		entry := controllers[i]
-		factory := Factory(entry.s)
-		if err := entry.c.Prepare(factory); err != nil {
-			return fmt.Errorf("prepare %s: %w", entry.c.Name(), err)
-		}
-		settle := entry.steps / 4
-		if settle < 1 {
-			settle = 1
-		}
-		tput, energy, _, err := control.Run(entry.c, factory, o.Seed+1000, entry.steps, settle)
-		if err != nil {
-			return fmt.Errorf("run %s: %w", entry.c.Name(), err)
-		}
+	series, err := runArms(arms)
+	if err != nil {
+		return nil, nil, err
+	}
+	rows := make([]ComparisonRow, len(arms))
+	for i, a := range arms {
+		tput, energy := control.Settled(series[i], max(a.steps/4, 1))
 		rows[i] = ComparisonRow{
-			Name:           entry.c.Name(),
+			Name:           a.c.Name(),
 			ThroughputGbps: tput,
 			EnergyJ:        energy,
 			Efficiency:     tput / (energy / 1000),
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
 	}
 	base := rows[0]
 	t := &Table{

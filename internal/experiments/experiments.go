@@ -11,6 +11,8 @@ import (
 	"greennfv/internal/control"
 	"greennfv/internal/env"
 	"greennfv/internal/perfmodel"
+	"greennfv/internal/pool"
+	"greennfv/internal/rl/apex"
 	"greennfv/internal/sla"
 )
 
@@ -112,10 +114,10 @@ type Options struct {
 	ControlSteps int
 	// Seed fixes all randomness.
 	Seed int64
-	// ParallelTrain runs Ape-X training with concurrent actor
+	// ParallelTrain runs the Figure 6–8 trainings with concurrent actor
 	// goroutines (fast, non-deterministic) instead of the default
-	// reproducible round-robin interleaving. Recorded EXPERIMENTS.md
-	// results use the deterministic mode.
+	// reproducible round-robin interleaving. cmd/experiments never sets
+	// it, so its tables stay byte-diffable.
 	ParallelTrain bool
 }
 
@@ -124,8 +126,7 @@ func Quick() Options {
 	return Options{TrainSteps: 400, QTrainSteps: 1500, Actors: 2, ControlSteps: 12, Seed: 17}
 }
 
-// Full returns the budgets used for the recorded results in
-// EXPERIMENTS.md.
+// Full returns the full budgets, the ones cmd/experiments -full runs.
 func Full() Options {
 	return Options{TrainSteps: 4000, QTrainSteps: 12000, Actors: 4, ControlSteps: 40, Seed: 17}
 }
@@ -138,22 +139,69 @@ func (o Options) Validate() error {
 	return nil
 }
 
-// Factory returns the standard single-node environment factory used
-// by the SLA experiments: standard chain, five-flow workload, mild
-// load jitter.
-func Factory(s sla.SLA) control.EnvFactory {
+// envFactory returns the standard single-node environment factory the
+// trained figures share: standard chain, five-flow workload, mild load
+// jitter, the SLA s, and the listed knobs (indices into an NF's
+// env.KnobsPerNF block) frozen at platform defaults.
+func envFactory(s sla.SLA, frozen ...int) control.EnvFactory {
+	var mask [env.KnobsPerNF]bool
+	for _, k := range frozen {
+		mask[k] = true
+	}
 	return func(seed int64, opts perfmodel.EvalOptions) (*env.Env, error) {
 		return env.New(env.Config{
-			Model:      perfmodel.Default(),
-			Chain:      perfmodel.StandardChain(),
-			Bounds:     perfmodel.DefaultBounds(),
-			SLA:        s,
-			Flows:      env.StandardWorkload(),
-			LoadJitter: 0.03,
-			Options:    opts,
-			Seed:       seed,
+			Model:       perfmodel.Default(),
+			Chain:       perfmodel.StandardChain(),
+			Bounds:      perfmodel.DefaultBounds(),
+			SLA:         s,
+			Flows:       env.StandardWorkload(),
+			LoadJitter:  0.03,
+			FrozenKnobs: mask,
+			Options:     opts,
+			Seed:        seed,
 		})
 	}
+}
+
+// arm is one controller run of a trained figure: the controller, the
+// environment factory it trains and is deployed on, and the seed and
+// number of control intervals of its deployment. An arm with no
+// intervals only trains; its figure reads the controller's trainer.
+type arm struct {
+	c     control.Controller
+	env   control.EnvFactory
+	seed  int64
+	steps int
+}
+
+// runArms prepares and deploys every arm over one bounded pool and
+// returns each arm's per-interval measurements (control.Deploy) at its
+// index, nil for an arm that only trains. Arms share nothing mutable —
+// each has its own controller, environments and seeds — so the numbers
+// equal a serial loop's at any worker count.
+func runArms(arms []arm) ([][]perfmodel.Result, error) {
+	series := make([][]perfmodel.Result, len(arms))
+	_, err := pool.ForEach(len(arms), batchWorkers(), func(i int) error {
+		a := arms[i]
+		if err := a.c.Prepare(a.env); err != nil {
+			return fmt.Errorf("prepare %s: %w", a.c.Name(), err)
+		}
+		if a.steps == 0 {
+			return nil
+		}
+		var err error
+		if series[i], err = control.Deploy(a.c, a.env, a.seed, a.steps); err != nil {
+			return fmt.Errorf("run %s: %w", a.c.Name(), err)
+		}
+		return nil
+	})
+	return series, err
+}
+
+// snapshots returns the training snapshots of an arm whose controller
+// is a prepared GreenNFV.
+func snapshots(a arm) []apex.Snapshot {
+	return a.c.(*control.GreenNFV).Trainer().Snapshots
 }
 
 // Cell formatters, byte-identical to the fmt.Sprintf("%.Nf") calls

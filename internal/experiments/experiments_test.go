@@ -225,7 +225,7 @@ func TestFig9Ordering(t *testing.T) {
 		t.Errorf("MinE %.2f not ~3x baseline %.2f", minE.ThroughputGbps, base.ThroughputGbps)
 	}
 	// The paper reports ~50%; the quick training budget lands close
-	// to that and the Full() budget (EXPERIMENTS.md) tightens it.
+	// to that and the Full() budget tightens it.
 	if minE.EnergyJ > 0.66*base.EnergyJ {
 		t.Errorf("MinE energy %.0f not well below baseline %.0f", minE.EnergyJ, base.EnergyJ)
 	}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"greennfv/internal/control"
-	"greennfv/internal/pool"
 	"greennfv/internal/sla"
 )
 
@@ -19,38 +18,25 @@ func Fig11(o Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := control.NewGreenNFV(minE, o.TrainSteps, o.Actors, o.Seed)
-	factory := Factory(minE)
 	// Steady-state energies of the trained model and the baseline
-	// under the same workload. The two pipelines are independent
-	// (separate controllers, environments and seeds), so they run
-	// concurrently; the numbers are identical to the serial order.
-	var gEnergy, bEnergy float64
-	_, err = pool.ForEach(2, batchWorkers(), func(i int) error {
-		var err error
-		switch i {
-		case 0:
-			if err = g.Prepare(factory); err != nil {
-				return err
-			}
-			_, gEnergy, _, err = control.Run(g, factory, o.Seed+9, o.ControlSteps, o.ControlSteps/2+1)
-		case 1:
-			_, bEnergy, _, err = control.Run(control.NewBaseline(), factory, o.Seed+9, 8, 4)
-		}
-		return err
-	})
+	// under the same workload and deploy seed.
+	arms := []arm{
+		{control.NewGreenNFV(minE, o.TrainSteps, o.Actors, o.Seed), envFactory(minE), o.Seed + 9, o.ControlSteps},
+		{control.NewBaseline(), envFactory(minE), o.Seed + 9, 8},
+	}
+	series, err := runArms(arms)
 	if err != nil {
 		return nil, err
 	}
+	_, gEnergy := control.Settled(series[0], o.ControlSteps/2+1)
+	_, bEnergy := control.Settled(series[1], 4)
 	window := 10.0 // seconds per measurement interval
 	pGreen := gEnergy / window
 	pBase := bEnergy / window
 
-	// Training energy: mean power observed across the recorded
-	// training snapshots, over a nominal half-hour training session
-	// (the paper trains once before deployment).
+	// Training power: the mean over the recorded training snapshots.
 	var pTrain float64
-	snaps := g.Trainer().Snapshots
+	snaps := snapshots(arms[0])
 	for _, s := range snaps {
 		pTrain += s.EnergyJ / window
 	}

@@ -7,16 +7,17 @@ import (
 	"greennfv/internal/sla"
 )
 
-// trainCurve trains one GreenNFV SLA model and tabulates its training
-// progress — the series the paper plots in Figures 6–8: throughput,
-// energy, efficiency, and the trajectory of every control knob.
+// trainCurve trains one GreenNFV SLA model, a single train-only arm,
+// and tabulates its training progress — the series the paper plots in
+// Figures 6–8: throughput, energy, efficiency, and the trajectory of
+// every control knob.
 func trainCurve(id, title string, s sla.SLA, o Options) (*Table, *control.GreenNFV, error) {
 	if err := o.Validate(); err != nil {
 		return nil, nil, err
 	}
 	g := control.NewGreenNFV(s, o.TrainSteps, o.Actors, o.Seed)
 	g.Train.Parallel = o.ParallelTrain
-	if err := g.Prepare(Factory(s)); err != nil {
+	if _, err := runArms([]arm{{c: g, env: envFactory(s)}}); err != nil {
 		return nil, nil, err
 	}
 	t := &Table{

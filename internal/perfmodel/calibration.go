@@ -7,8 +7,8 @@ import (
 
 // Default returns the model calibrated to the paper's testbed class.
 // The constants were fitted so the §3 micro-benchmarks reproduce in
-// shape (see perfmodel tests and DESIGN.md §4 for the acceptance
-// criteria):
+// shape; internal/experiments' TestFig1Shape–TestFig4Shape check these
+// acceptance criteria:
 //
 //   - Figure 1: chain throughput degrades and energy/MP rises as its
 //     LLC share shrinks below its working set.

@@ -387,14 +387,16 @@ func (t *Trainer) stepActors(from, to int, afterStep func(n int)) error {
 // measurement — the paper's periodic "testing" of the trained model.
 func (t *Trainer) GreedyEval(e env.Stepper, settle int) (perfmodel.Result, error) {
 	state := e.Reset(9999)
+	action := make([]float64, e.ActionDim())
 	var last perfmodel.Result
 	for i := 0; i < max(settle, 1); i++ {
-		action := t.learner.Agent().Greedy(state)
-		next, _, info, err := e.Step(action)
+		if err := t.learner.Agent().ActInto(state, false, action); err != nil {
+			return perfmodel.Result{}, err
+		}
+		_, info, err := e.StepInto(action, state)
 		if err != nil {
 			return perfmodel.Result{}, err
 		}
-		state = next
 		last = info
 	}
 	return last, nil

@@ -342,7 +342,7 @@ func TestLoadAgentSkipsRNGFastForward(t *testing.T) {
 		for j := range state {
 			state[j] = 0.01 * float64(trial*10+j)
 		}
-		w, g := want.Greedy(state), got.Greedy(state)
+		w, g := greedy(t, want, state), greedy(t, got, state)
 		for j := range w {
 			if w[j] != g[j] {
 				t.Fatalf("trial %d: greedy action diverged: %v vs %v", trial, g, w)

@@ -3,7 +3,6 @@ package ddpg
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 
 	"greennfv/internal/nn"
@@ -673,19 +672,4 @@ func concat(dst, a, b []float64) []float64 {
 	dst = append(dst, a...)
 	dst = append(dst, b...)
 	return dst
-}
-
-// Greedy evaluates the deterministic policy μ(s) without exploration,
-// returning a fresh slice. Unlike Act it never errors: mismatched
-// states panic (programming bug).
-func (a *Agent) Greedy(state []float64) []float64 {
-	if len(state) != a.cfg.StateDim {
-		panic("ddpg: state dimension mismatch")
-	}
-	out := a.Actor.Forward(state)
-	action := append([]float64(nil), out...)
-	for i := range action {
-		action[i] = math.Max(-1, math.Min(1, action[i]))
-	}
-	return action
 }

@@ -18,6 +18,17 @@ func smallConfig() Config {
 	return cfg
 }
 
+// greedy is the agent's clamped deterministic action for state, through
+// ActInto into a fresh buffer.
+func greedy(t testing.TB, a *Agent, state []float64) []float64 {
+	t.Helper()
+	dst := make([]float64, a.cfg.ActionDim)
+	if err := a.ActInto(state, false, dst); err != nil {
+		t.Fatal(err)
+	}
+	return dst
+}
+
 func TestConfigValidation(t *testing.T) {
 	bad := []func(*Config){
 		func(c *Config) { c.StateDim = 0 },
@@ -58,9 +69,9 @@ func TestActBoundsAndDim(t *testing.T) {
 	if _, err := a.Act([]float64{1}, false); err == nil {
 		t.Error("wrong state dim accepted")
 	}
-	// Greedy is deterministic.
-	g1 := a.Greedy([]float64{0.5, -0.5, 0.1})
-	g2 := a.Greedy([]float64{0.5, -0.5, 0.1})
+	// The greedy action is deterministic.
+	g1 := greedy(t, a, []float64{0.5, -0.5, 0.1})
+	g2 := greedy(t, a, []float64{0.5, -0.5, 0.1})
 	for i := range g1 {
 		if g1[i] != g2[i] {
 			t.Error("greedy policy not deterministic")
@@ -121,7 +132,7 @@ func TestLearnsContinuousBandit(t *testing.T) {
 		a.Learn()
 		_ = rng
 	}
-	got := a.Greedy(state)[0]
+	got := greedy(t, a, state)[0]
 	if math.Abs(got-0.5) > 0.15 {
 		t.Errorf("greedy action = %v, want ~0.5", got)
 	}
@@ -190,7 +201,7 @@ func TestSyncFrom(t *testing.T) {
 	if err := b.LoadStateBytes(state); err != nil {
 		t.Fatal(err)
 	}
-	ga, gb := a.Greedy(s), b.Greedy(s)
+	ga, gb := greedy(t, a, s), greedy(t, b, s)
 	for i := range ga {
 		if ga[i] != gb[i] {
 			t.Fatal("sync did not equalize policies")
@@ -209,7 +220,7 @@ func TestActorBytesRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := []float64{0.2, 0.2, 0.2}
-	ga, gb := a.Greedy(s), b.Greedy(s)
+	ga, gb := greedy(t, a, s), greedy(t, b, s)
 	for i := range ga {
 		if ga[i] != gb[i] {
 			t.Fatal("actor broadcast did not reproduce the policy")

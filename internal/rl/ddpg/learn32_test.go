@@ -88,8 +88,8 @@ func TestLearnF32ParityWithF64(t *testing.T) {
 		for j := range s {
 			s[j] = probe.NormFloat64()
 		}
-		act64 := a64.Greedy(s)
-		act32 := a32.Greedy(s)
+		act64 := greedy(t, a64, s)
+		act32 := greedy(t, a32, s)
 		for j := range act64 {
 			if d := math.Abs(act64[j] - act32[j]); d > maxDA {
 				maxDA = d
@@ -137,7 +137,7 @@ func TestSetFloat32RedundantEnableIsNoOp(t *testing.T) {
 			a.LearnBatch(batch, nil, nil)
 		}
 		a.SetFloat32(false)
-		return a.Greedy(make([]float64, cfg.StateDim))
+		return greedy(t, a, make([]float64, cfg.StateDim))
 	}
 	want := run(false)
 	got := run(true)
@@ -189,7 +189,7 @@ func TestLearnF32RoutesBothEntryPoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := make([]float64, cfg.StateDim)
-	got, want := b.Greedy(st), a.Greedy(st)
+	got, want := greedy(t, b, st), greedy(t, a, st)
 	for j := range want {
 		// a's f64 actor was flushed by ActorBytes, so the loaded copy
 		// must reproduce it exactly.

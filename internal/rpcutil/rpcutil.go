@@ -353,10 +353,12 @@ func Serve(name string, rcvr any, addr string) (*Server, error) {
 			go func() {
 				defer s.wg.Done()
 				s.serveConn(conn)
-				conn.Close()
+				// Uncount before closing: a peer that has read the
+				// hang-up must not find itself in ConnCount.
 				s.mu.Lock()
 				delete(s.conns, conn)
 				s.mu.Unlock()
+				conn.Close()
 			}()
 		}
 	}()

@@ -142,6 +142,28 @@ func TestServeStopsOnClose(t *testing.T) {
 	}
 }
 
+// A connection leaves the open set before the server closes it, so a
+// refused peer that has read EOF is never still counted: a gauge read
+// after the peer saw the hang-up is exact.
+func TestRefusedPeerUncountedOnceHungUp(t *testing.T) {
+	_, srv := serve(t)
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("GNFVRPC\x00")); err != nil { // version 0
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if n, err := conn.Read(make([]byte, 1)); n != 0 || err == nil {
+		t.Fatalf("server answered a wrong preamble: %d bytes, %v", n, err)
+	}
+	if n := srv.ConnCount(); n != 0 {
+		t.Errorf("ConnCount = %d after the refused peer read EOF, want 0", n)
+	}
+}
+
 // A call after the client closed its own connection errors at once.
 func TestCallAfterClose(t *testing.T) {
 	_, srv := serve(t)

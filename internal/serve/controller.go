@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -88,6 +89,24 @@ type Config struct {
 	// report-latency measurement (nil: time.Now). Tests drive it so
 	// lease expiry is deterministic instead of sleep-based.
 	Now func() time.Time
+}
+
+// ReadSpec loads the node spec file greennfvd and greennfv-agent share
+// (greennfv -write-spec). Only the environment half matters for
+// serving, so it decodes the JSON directly (building the environment
+// validates it) instead of requiring the training-cadence fields
+// apex.DecodeActorSpec insists on.
+func ReadSpec(path string) (apex.ActorSpec, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return apex.ActorSpec{}, err
+	}
+	defer f.Close()
+	var spec apex.ActorSpec
+	if err := json.NewDecoder(f).Decode(&spec); err != nil {
+		return apex.ActorSpec{}, err
+	}
+	return spec, nil
 }
 
 // nodeRec is the controller's per-node record: lease, heartbeat,

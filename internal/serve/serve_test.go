@@ -3,6 +3,7 @@ package serve
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -19,6 +20,39 @@ import (
 // property can be asserted exactly).
 func testSpec(s sla.SLA) apex.ActorSpec {
 	return apex.ActorSpec{SLA: s, EnvSeed: 42}
+}
+
+// ReadSpec reads back what ActorSpec.Encode (greennfv -write-spec)
+// wrote, without the training-cadence fields DecodeActorSpec requires,
+// and refuses a missing or malformed file.
+func TestReadSpec(t *testing.T) {
+	dir := t.TempDir()
+	want := testSpec(sla.NewEnergyEfficiency())
+	path := filepath.Join(dir, "node.json")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := want.Encode(f); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	got, err := ReadSpec(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("ReadSpec = %+v, want %+v", got, want)
+	}
+	bad := filepath.Join(dir, "bad.json")
+	if err := os.WriteFile(bad, []byte("{not json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{bad, filepath.Join(dir, "missing.json")} {
+		if _, err := ReadSpec(p); err == nil {
+			t.Errorf("ReadSpec(%s) succeeded", filepath.Base(p))
+		}
+	}
 }
 
 // writePolicy saves an untrained (random-weight — the noisiest policy

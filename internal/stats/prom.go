@@ -3,6 +3,7 @@ package stats
 import (
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"sort"
 	"strconv"
@@ -195,6 +196,19 @@ func (r *Registry) WriteText(w io.Writer) error {
 func (r *Registry) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", PromContentType)
 	r.WriteText(w)
+}
+
+// Serve listens on addr and serves the registry at /metrics in the
+// background until the returned listener is closed.
+func (r *Registry) Serve(addr string) (net.Listener, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	mux := http.NewServeMux()
+	mux.Handle("/metrics", r)
+	go http.Serve(ln, mux)
+	return ln, nil
 }
 
 func writeSimple(w io.Writer, name, labels, help, typ, value string) error {

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"bytes"
+	"net/http"
 	"net/http/httptest"
 	"regexp"
 	"strings"
@@ -124,6 +125,33 @@ func TestRegistryHTTP(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "up 1") {
 		t.Errorf("scrape body missing gauge:\n%s", buf.String())
+	}
+}
+
+// TestRegistryServe scrapes the listener the daemons start: the
+// registry at /metrics on the listener Serve returns, until it closes.
+func TestRegistryServe(t *testing.T) {
+	reg := NewRegistry()
+	reg.RegisterGauge("up", "1 while serving.", func() float64 { return 1 })
+	ln, err := reg.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	resp, err := http.Get("http://" + ln.Addr().String() + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var buf bytes.Buffer
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || !strings.Contains(buf.String(), "up 1") {
+		t.Errorf("scrape: status %d, body:\n%s", resp.StatusCode, buf.String())
+	}
+	if _, err := reg.Serve(ln.Addr().String()); err == nil {
+		t.Error("second listener on a bound address succeeded")
 	}
 }
 
