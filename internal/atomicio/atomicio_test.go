@@ -110,3 +110,40 @@ func TestSweepRemovesOnlyOwnTemps(t *testing.T) {
 		t.Errorf("sweep of missing dir: %v", err)
 	}
 }
+
+// FuzzReadFile: arbitrary bytes on disk never panic ReadFile, and a
+// payload it accepts is one WriteFile frames back to the same bytes —
+// the header is a function of the payload, so an accepted file has
+// exactly one form.
+func FuzzReadFile(f *testing.F) {
+	for _, payload := range []string{"", "the quick brown fox"} {
+		f.Add(append(appendHeader(nil, testMagic, SumOf([]byte(payload))), payload...))
+	}
+	f.Add([]byte(testMagic))
+	f.Add(append(appendHeader(nil, testMagic, Sum{Len: 1 << 62}), 'x'))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		in, out := filepath.Join(dir, "in"), filepath.Join(dir, "out")
+		if err := os.WriteFile(in, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		payload, err := ReadFile(in, testMagic)
+		if err != nil {
+			return
+		}
+		if err := WriteFile(out, testMagic, payload); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(raw, data) {
+			t.Fatalf("accepted %d bytes, WriteFile framed them as %d different bytes", len(data), len(raw))
+		}
+		again, err := ReadFile(out, testMagic)
+		if err != nil || !bytes.Equal(again, payload) {
+			t.Fatalf("rewritten payload reads back as %q, %v", again, err)
+		}
+	})
+}

@@ -81,8 +81,8 @@ func trainEESingle(o Options, prioritized bool) (float64, error) {
 	var sum float64
 	n := 0
 	for i := 0; i < o.TrainSteps; i++ {
-		action, err := agent.Act(state, true)
-		if err != nil {
+		action := make([]float64, cfg.ActionDim) // the replay keeps it
+		if err := agent.ActInto(state, true, action); err != nil {
 			return 0, err
 		}
 		next, reward, info, err := e.Step(action)

@@ -150,7 +150,7 @@ func checkFusedOptimizer[T float](t *testing.T) {
 	target := MustMLP(sizes, ReLU, Tanh, rng)
 	net.EnableF32()
 	target.EnableF32()
-	ref, refTarget := net.Clone(), target.Clone()
+	ref, refTarget := trainableClone(net), target.Clone()
 	ref.EnableF32()
 	refTarget.EnableF32()
 	opt := MustAdam(0.01)

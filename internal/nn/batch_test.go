@@ -43,7 +43,7 @@ func TestBackwardBatchMatchesScalar(t *testing.T) {
 		{ReLU, Linear}, {Tanh, Tanh}, {Sigmoid, Sigmoid},
 	} {
 		net := MustMLP([]int{6, 10, 4}, acts.hidden, acts.out, rng)
-		ref := net.Clone()
+		ref := trainableClone(net)
 		const rows = 8
 		x := make([]float64, rows*6)
 		dOut := make([]float64, rows*4)

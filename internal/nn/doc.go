@@ -17,7 +17,9 @@
 //
 // Networks are NOT goroutine-safe: forward caches activations for
 // the following backward pass, and batch passes reuse layer-owned
-// scratch. Give each concurrent user its own Clone. Initialization
+// scratch. Give each concurrent inference user its own Clone (a
+// clone, like NewMLP without trainable, has no gradient buffers and
+// only runs forward). Initialization
 // and training are deterministic given the seed on a fixed CPU
 // feature set: the hot kernels (the batch passes' layer kernels, the
 // optimizer step) have AVX2+FMA assembly variants, CPUID-gated with a

@@ -677,7 +677,7 @@ func TestSeqKernelParity(t *testing.T) {
 						}
 					}
 
-					d := newLayer(in, out, Linear, w, b)
+					d := newLayer(in, out, Linear, w, b, false)
 					sameBitsNaN(t, name+" Forward", d.Forward(x[:in]), want[:out])
 					sameBitsNaN(t, name+" ForwardRows", d.ForwardRows(x, rows), want)
 				}

@@ -81,22 +81,24 @@ type Dense struct {
 }
 
 // newLayer builds a layer around the given parameter buffers, which
-// it keeps (W/B and the float64 batch state alias them).
-func newLayer(in, out int, act Activation, w, b []float64) *Dense {
-	return &Dense{
+// it keeps (W/B and the float64 batch state alias them), with gradient
+// buffers when trainable. A layer without them only runs forward.
+func newLayer(in, out int, act Activation, w, b []float64, trainable bool) *Dense {
+	d := &Dense{
 		In: in, Out: out, Act: act,
 		W: w, B: b,
 		x: make([]float64, in), z: make([]float64, out), y: make([]float64, out),
-		f64: precision[float64]{
-			w: w, b: b,
-			dw: make([]float64, len(w)), db: make([]float64, len(b)),
-		},
+		f64: precision[float64]{w: w, b: b},
 	}
+	if trainable {
+		d.f64.dw, d.f64.db = make([]float64, len(w)), make([]float64, len(b))
+	}
+	return d
 }
 
 // newDense builds a layer with Xavier/Glorot-uniform weights.
-func newDense(in, out int, act Activation, rng *rand.Rand) *Dense {
-	d := newLayer(in, out, act, make([]float64, in*out), make([]float64, out))
+func newDense(in, out int, act Activation, rng *rand.Rand, trainable bool) *Dense {
+	d := newLayer(in, out, act, make([]float64, in*out), make([]float64, out), trainable)
 	limit := math.Sqrt(6 / float64(in+out))
 	for i := range d.W {
 		d.W[i] = (2*rng.Float64() - 1) * limit
@@ -153,7 +155,9 @@ type sliceViews[T float] struct{ params, grads [][]T }
 // NewMLP builds a multilayer perceptron with the given layer sizes
 // (sizes[0] = input dim, sizes[len-1] = output dim), hidden
 // activation for interior layers and outAct for the final layer.
-func NewMLP(sizes []int, hidden, outAct Activation, rng *rand.Rand) (*Network, error) {
+// Without trainable it holds no gradient buffers and only runs forward,
+// like a Clone; either way the weights are the same draws from rng.
+func NewMLP(sizes []int, hidden, outAct Activation, rng *rand.Rand, trainable bool) (*Network, error) {
 	if len(sizes) < 2 {
 		return nil, errors.New("nn: MLP needs at least input and output sizes")
 	}
@@ -171,14 +175,14 @@ func NewMLP(sizes []int, hidden, outAct Activation, rng *rand.Rand) (*Network, e
 		if i == len(sizes)-2 {
 			act = outAct
 		}
-		n.layers = append(n.layers, newDense(sizes[i], sizes[i+1], act, rng))
+		n.layers = append(n.layers, newDense(sizes[i], sizes[i+1], act, rng, trainable))
 	}
 	return n, nil
 }
 
-// MustMLP is NewMLP that panics on error.
+// MustMLP is a trainable NewMLP that panics on error.
 func MustMLP(sizes []int, hidden, outAct Activation, rng *rand.Rand) *Network {
-	n, err := NewMLP(sizes, hidden, outAct, rng)
+	n, err := NewMLP(sizes, hidden, outAct, rng, true)
 	if err != nil {
 		panic(err)
 	}
@@ -215,12 +219,15 @@ func (n *Network) ParamSlices() [][]float64 {
 	return params
 }
 
-// Clone deep-copies the network (fresh caches, same weights).
+// Clone copies the network for inference: the same weights, fresh
+// forward caches and no gradient buffers. A clone runs every forward
+// pass and can be an optimizer step's target (AdamStep only reads and
+// writes its parameters), but its backward passes panic.
 func (n *Network) Clone() *Network {
 	c := &Network{}
 	for _, l := range n.layers {
 		c.layers = append(c.layers, newLayer(l.In, l.Out, l.Act,
-			append([]float64(nil), l.W...), append([]float64(nil), l.B...)))
+			append([]float64(nil), l.W...), append([]float64(nil), l.B...), false))
 	}
 	return c
 }
@@ -295,7 +302,7 @@ func (n *Network) UnmarshalBinary(data []byte) error {
 	}
 	*n = Network{}
 	for i, act := range st.Acts {
-		n.layers = append(n.layers, newLayer(st.Sizes[i], st.Sizes[i+1], act, st.W[i], st.B[i]))
+		n.layers = append(n.layers, newLayer(st.Sizes[i], st.Sizes[i+1], act, st.W[i], st.B[i], true))
 	}
 	return nil
 }

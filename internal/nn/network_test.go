@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -17,13 +18,13 @@ func TestMLPConstruction(t *testing.T) {
 	if n.NumParams() != 4*8+8+8*2+2 {
 		t.Errorf("params = %d", n.NumParams())
 	}
-	if _, err := NewMLP([]int{4}, ReLU, Linear, rng); err == nil {
+	if _, err := NewMLP([]int{4}, ReLU, Linear, rng, true); err == nil {
 		t.Error("single-layer spec accepted")
 	}
-	if _, err := NewMLP([]int{4, 0, 2}, ReLU, Linear, rng); err == nil {
+	if _, err := NewMLP([]int{4, 0, 2}, ReLU, Linear, rng, true); err == nil {
 		t.Error("zero-size layer accepted")
 	}
-	if _, err := NewMLP([]int{4, 2}, ReLU, Linear, nil); err == nil {
+	if _, err := NewMLP([]int{4, 2}, ReLU, Linear, nil, true); err == nil {
 		t.Error("nil rng accepted")
 	}
 }
@@ -248,6 +249,16 @@ func TestAdamClipNorm(t *testing.T) {
 	}
 }
 
+// trainableClone is Clone with gradient buffers: a network with the
+// same weights that a test trains beside the original.
+func trainableClone(n *Network) *Network {
+	c := n.Clone()
+	for _, l := range c.layers {
+		l.f64.dw, l.f64.db = make([]float64, len(l.W)), make([]float64, len(l.B))
+	}
+	return c
+}
+
 func TestCloneIndependence(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	a := MustMLP([]int{2, 3, 1}, ReLU, Linear, rng)
@@ -265,6 +276,44 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
+// TestCloneFootprint: a Clone is for inference. It holds no gradient
+// buffers at either element type, its Forward is bit-identical to its
+// source's, and it takes about half of its source's heap — the
+// gradients were the other half.
+func TestCloneFootprint(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	sizes := []int{15, 48, 48, 15} // the paper workload's actor
+	var m0, m1, m2 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	src := MustMLP(sizes, ReLU, Tanh, rng)
+	runtime.ReadMemStats(&m1)
+	c := src.Clone()
+	runtime.ReadMemStats(&m2)
+	srcB, cloneB := m1.TotalAlloc-m0.TotalAlloc, m2.TotalAlloc-m1.TotalAlloc
+	t.Logf("source %d B, clone %d B (%.1f %%)", srcB, cloneB, 100*float64(cloneB)/float64(srcB))
+	if cloneB*100 > srcB*55 {
+		t.Errorf("a clone takes %d B of its source's %d B, want at most 55 %%", cloneB, srcB)
+	}
+	c.EnableF32()
+	for i, l := range c.layers {
+		if l.f64.dw != nil || l.f64.db != nil || l.f32.dw != nil || l.f32.db != nil {
+			t.Errorf("layer %d of a clone holds gradient buffers", i)
+		}
+	}
+	x := make([]float64, sizes[0])
+	for round := 0; round < 20; round++ {
+		for i := range x {
+			x[i] = 2 * rng.NormFloat64()
+		}
+		want := append([]float64(nil), src.Forward(x)...)
+		for i, v := range c.Forward(x) {
+			if math.Float64bits(v) != math.Float64bits(want[i]) {
+				t.Fatalf("round %d: clone out[%d] = %v, source %v", round, i, v, want[i])
+			}
+		}
+	}
+}
+
 // TestAdamStepTargetUpdate: the optimizer step moves the target toward
 // the updated parameters by tau (a zero gradient leaves them where they
 // are), tau = 1 copies them, and a tau outside [0, 1] or a target of
@@ -272,7 +321,7 @@ func TestCloneIndependence(t *testing.T) {
 func TestAdamStepTargetUpdate(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	target := MustMLP([]int{2, 2}, Linear, Linear, rng)
-	src := target.Clone()
+	src := trainableClone(target)
 	src.ParamSlices()[0][0] = 10
 	target.ParamSlices()[0][0] = 0
 	opt := MustAdam(0.1)

@@ -198,21 +198,23 @@ func (l *Learner) Stats() (pushes, transitions int) {
 
 // Actor is one NF controller (Algorithm 3's NF_CONTROLLER), the only
 // type that acts and stages experience: it acts in its own environment
-// with its own exploration intensity on a local network copy, keeps the
-// arena-backed window of transitions not yet pushed with their lazily
-// settled priorities, and exchanges data with the learner. Every
-// scheduler steps this type — the round-robin loop, the concurrent
-// pipeline's in-process driver, and each cmd/apexactor process.
+// with its own exploration intensity on a local inference view of the
+// policy, keeps the arena-backed window of transitions not yet pushed
+// with their lazily settled priorities, and exchanges data with the
+// learner. Every scheduler steps this type — the round-robin loop, the
+// concurrent pipeline's in-process driver, and each cmd/apexactor
+// process.
 //
 // Staging a transition allocates nothing: its rows live in a pooled
 // arena (arena.go) handed off at Flush granularity, and TD-error
-// priorities are settled in one ddpg.TDErrorBatch pass per flush window
-// (package doc, "Actor stepping", has why the deferral is value-exact).
+// priorities are settled in one ddpg.View.TDErrorBatch pass per flush
+// window (package doc, "Actor stepping", has why the deferral is
+// value-exact).
 type Actor struct {
 	ID      int
 	env     env.Stepper
-	agent   *ddpg.Agent // local network copy: acting + TD priorities only
-	version int         // parameter version last pulled
+	view    *ddpg.View // local acting view: policy, frozen priority nets, noise
+	version int        // parameter version last pulled
 
 	// arena rows back local's slices, pend mirrors local as
 	// replay.Transitions for TDErrorBatch, settled is the prefix of
@@ -238,8 +240,8 @@ type ActorConfig struct {
 	// Env is the actor's private environment instance (single-node
 	// Env or multi-node ClusterEnv — anything satisfying Stepper).
 	Env env.Stepper
-	// AgentConfig shapes the local network copy; exploration sigma
-	// is typically varied per actor (Ape-X's ε_i ladder).
+	// AgentConfig shapes the local view (ddpg.NewView); exploration
+	// sigma is typically varied per actor (Ape-X's ε_i ladder).
 	AgentConfig ddpg.Config
 	// PushEvery is the local-buffer flush interval in steps
 	// (Algorithm 3 line 8 "periodically").
@@ -264,14 +266,14 @@ func NewActor(cfg ActorConfig) (*Actor, error) {
 	if cfg.PushEvery <= 0 || cfg.SyncEvery <= 0 {
 		return nil, errors.New("apex: PushEvery and SyncEvery must be positive")
 	}
-	agent, err := ddpg.New(cfg.AgentConfig)
+	view, err := ddpg.NewView(cfg.AgentConfig)
 	if err != nil {
 		return nil, err
 	}
 	return &Actor{
 		ID:        cfg.ID,
 		env:       cfg.Env,
-		agent:     agent,
+		view:      view,
 		arena:     newTxnArena(cfg.Env.StateDim(), cfg.Env.ActionDim(), cfg.PushEvery),
 		local:     make([]Experience, 0, cfg.PushEvery),
 		pend:      make([]replay.Transition, 0, cfg.PushEvery),
@@ -291,12 +293,12 @@ func (a *Actor) Env() env.Stepper { return a.env }
 // and measurement.
 //
 // Steady state allocates nothing: the action is computed straight into
-// its arena row (ddpg.ActInto), the state copies land in arena rows,
+// its arena row (ddpg.View.ActInto), the state copies land in arena rows,
 // and the priority is settled in the flush-window TDErrorBatch.
 func (a *Actor) Step(learner LearnerAPI) (float64, perfmodel.Result, error) {
 	stateRow, actionRow, nextRow := a.arena.next()
 	copy(stateRow, a.state)
-	if err := a.agent.ActInto(a.state, true, actionRow); err != nil {
+	if err := a.view.ActInto(a.state, true, actionRow); err != nil {
 		return 0, perfmodel.Result{}, err
 	}
 	// StepInto reuses the actor's observation buffer; the transition
@@ -335,11 +337,11 @@ func (a *Actor) settlePriorities() error {
 		return nil
 	}
 	fresh := a.pend[a.settled:]
-	a.tdBuf = a.agent.TDErrorBatch(fresh, a.tdBuf)
+	a.tdBuf = a.view.TDErrorBatch(fresh, a.tdBuf)
 	for i := range fresh {
 		prio := math.Abs(a.tdBuf[i])
 		if a.verify {
-			if want := math.Abs(a.agent.TDError(fresh[i])); prio != want {
+			if want := math.Abs(a.view.TDError(fresh[i])); prio != want {
 				return fmt.Errorf("apex: actor %d: batched priority %v != scalar %v at row %d of the flush window",
 					a.ID, prio, want, a.settled+i)
 			}
@@ -386,7 +388,7 @@ func (a *Actor) SyncParams(learner LearnerAPI) error {
 		return fmt.Errorf("apex: pull: %w", err)
 	}
 	if data != nil {
-		if err := a.agent.LoadActorBytes(data); err != nil {
+		if err := a.view.LoadActorBytes(data); err != nil {
 			return fmt.Errorf("apex: load params: %w", err)
 		}
 	}

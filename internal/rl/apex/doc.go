@@ -91,7 +91,7 @@
 // is what lets PullParams hand the same bytes to every puller and lets
 // them be read outside the mutex: by the in-process actors of either
 // scheduler, which copy them straight into their live network
-// (ddpg.Agent.LoadActorBytes: validated against that network first,
+// (ddpg.View.LoadActorBytes: validated against that network first,
 // zero allocations), and by the RPC handler, whose connection
 // gob-encodes the PullReply around them (rpcutil's body for types
 // without a layout) for a RemoteLearner whose actor then does the same
@@ -102,10 +102,10 @@
 // An apexactor built before the frame cannot read a newer learner's
 // broadcast (it expects gob); the reverse works.
 //
-// The central replay is the learner's alone. Each actor's local agent
-// is built with the same replay capacity but never stores a transition,
-// and capacity is a bound, not a reservation (internal/rl/replay), so
-// actors hold no replay storage; the learner's grows with the run.
+// The central replay is the learner's alone. An actor holds a
+// ddpg.View — the policy, the frozen priority networks and its noise,
+// all inference-only — and no replay, optimizer or gradient buffer;
+// the learner's replay grows with the run (internal/rl/replay).
 //
 // # Actor stepping: arena, batched priorities, verification
 //
@@ -114,7 +114,7 @@
 // transitions live in one flat
 // txnArena chunk (arena.go) instead of per-step slices; priorities
 // are settled lazily at Flush/SyncParams time with one
-// ddpg.TDErrorBatch call over the window — bit-identical to eager
+// ddpg.View.TDErrorBatch call over the window — bit-identical to eager
 // scalar TDError because the priority nets are untouched by
 // parameter broadcasts (see internal/rl/ddpg doc). What happens to
 // the chunk after PushExperience is the learner's call:

@@ -2,18 +2,17 @@ package ddpg
 
 import (
 	"fmt"
+	"math/rand"
 
 	"greennfv/internal/nn"
 	"greennfv/internal/rl/replay"
 )
 
-// This file is the acting half of the agent: ActInto, the allocation-free
-// scalar act every Ape-X actor steps through; TDErrorBatch, one fused
-// pass over an actor's whole push window of TD-error priorities; and
-// ActBatch, one network pass for n states' actions, which no trainer
-// calls (apex steps one Actor type through ActInto); bench/'s f32
-// acting probe does. Two precision regimes share the batched entry
-// points:
+// This file is the acting half of DDPG: View, which every Ape-X actor
+// holds and Agent embeds, with ActInto and TDErrorBatch (one fused pass
+// over a push window's priorities); Policy, its actor-only part, which
+// a serving replica holds; and ActBatch, which only bench/'s f32 acting
+// probe calls. Two precision regimes share the batched entry points:
 //
 //   - f64 (default): nn.ForwardRows, whose per-row results are
 //     bit-identical to the scalar Forward. Batching over rows changes
@@ -25,7 +24,7 @@ import (
 //     f64; the acting parity test bounds |Δaction| ≤ 1e-3. No trainer
 //     mode enables it.
 //
-// All entry points run over agent-owned scratch: zero allocations in
+// All entry points run over view-owned scratch: zero allocations in
 // steady state (buffers grow to the largest batch seen and stick).
 
 // actScratch holds the matrices the batched acting passes assemble at
@@ -36,73 +35,152 @@ type actScratch[T float] struct {
 	sa     []T // n × (StateDim+ActionDim) critic input
 }
 
-// ActInto is Act without the per-call allocation: the clamped policy
-// action (plus OU noise when explore is set) is written into dst,
-// which must have length ActionDim. The result is bit-identical to Act
-// and consumes the agent's noise RNG identically.
-func (a *Agent) ActInto(state []float64, explore bool, dst []float64) error {
-	var noise *OUNoise
-	if explore {
-		noise = a.noise
-	}
-	return actInto(a.Actor, a.cfg.StateDim, a.cfg.ActionDim, state, noise, dst)
+// Policy is the actor-only part of acting: the policy network and its
+// dimensions. It owns forward scratch, so each concurrent caller needs
+// its own; Clone makes one (concurrent Clones of one Policy are safe —
+// they only read it).
+type Policy struct {
+	Actor               *nn.Network
+	stateDim, actionDim int
 }
+
+// Clone returns an independent replica with the same weights, holding
+// an inference-only nn clone of the network.
+func (p *Policy) Clone() *Policy {
+	c := *p
+	c.Actor = p.Actor.Clone()
+	return &c
+}
+
+// Greedy writes the clamped greedy action for state into dst (length
+// ActionDim), allocating nothing.
+func (p *Policy) Greedy(state, dst []float64) error { return p.actInto(state, nil, dst) }
 
 // actInto runs one scalar actor pass into dst: dimension checks,
 // forward, optional noise, clamp to [-1, 1] — the single definition
-// Agent.ActInto and GreedyActor.ActInto share.
-func actInto(actor *nn.Network, stateDim, actionDim int, state []float64, noise *OUNoise, dst []float64) error {
-	if len(state) != stateDim {
-		return fmt.Errorf("ddpg: state dim %d, want %d", len(state), stateDim)
+// every way of acting shares.
+func (p *Policy) actInto(state []float64, noise *OUNoise, dst []float64) error {
+	if len(state) != p.stateDim {
+		return fmt.Errorf("ddpg: state dim %d, want %d", len(state), p.stateDim)
 	}
-	if len(dst) != actionDim {
-		return fmt.Errorf("ddpg: action dst dim %d, want %d", len(dst), actionDim)
+	if len(dst) != p.actionDim {
+		return fmt.Errorf("ddpg: action dst dim %d, want %d", len(dst), p.actionDim)
 	}
-	copy(dst, actor.Forward(state))
+	copy(dst, p.Actor.Forward(state))
+	finishAction(dst, noise)
+	return nil
+}
+
+// finishAction adds one draw of noise (none when nil) to a policy
+// output and clamps it to [-1, 1].
+func finishAction(dst []float64, noise *OUNoise) {
 	if noise != nil {
 		for i, v := range noise.Sample() {
 			dst[i] += v
 		}
 	}
-	for i := range dst {
-		if dst[i] < -1 {
-			dst[i] = -1
-		}
-		if dst[i] > 1 {
-			dst[i] = 1
-		}
+	for i, v := range dst {
+		dst[i] = max(-1, min(1, v))
+	}
+}
+
+// View is the inference view of an agent: the Policy, the priority
+// networks (critic and both targets, frozen: only a learner's update
+// moves them, and a broadcast carries the policy alone), the OU noise,
+// γ and the acting scratch — inference-only networks, no optimizer, no
+// replay. Agent embeds one with a trainable policy and critic, so
+// acting has one definition.
+type View struct {
+	Policy
+	Critic                    *nn.Network
+	actorTarget, criticTarget *nn.Network
+	noise                     *OUNoise
+	gamma                     float64
+	saBuf                     []float64 // TDError's critic input
+	// batched acting scratch, one per element type (f32: SetActFloat32
+	// routes ActBatch/TDErrorBatch through the f32 batch engine).
+	actF32 bool
+	act64  actScratch[float64]
+	act32  actScratch[float32]
+}
+
+// NewView builds the view New(cfg) embeds. The configuration is
+// validated exactly as New validates it (actor specs arrive from other
+// processes), and the seeded stream is drawn in New's order — actor
+// init, critic init, then the OU noise on the same stream — so actions
+// and priorities are bit-identical to New(cfg)'s.
+func NewView(cfg Config) (*View, error) {
+	return newView(cfg, rand.New(newCountedSource(cfg.Seed)), false)
+}
+
+// newView validates cfg and builds a view whose networks and noise draw
+// from rng; trainable gives the policy and critic gradient buffers (an
+// Agent's view).
+func newView(cfg Config, rng *rand.Rand, trainable bool) (*View, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	actorSizes := append([]int{cfg.StateDim}, cfg.Hidden...)
+	actorSizes = append(actorSizes, cfg.ActionDim)
+	criticSizes := append([]int{cfg.StateDim + cfg.ActionDim}, cfg.Hidden...)
+	criticSizes = append(criticSizes, 1)
+	actor, err := nn.NewMLP(actorSizes, nn.ReLU, nn.Tanh, rng, trainable)
+	if err != nil {
+		return nil, err
+	}
+	critic, err := nn.NewMLP(criticSizes, nn.ReLU, nn.Linear, rng, trainable)
+	if err != nil {
+		return nil, err
+	}
+	return &View{
+		Policy:       Policy{Actor: actor, stateDim: cfg.StateDim, actionDim: cfg.ActionDim},
+		Critic:       critic,
+		actorTarget:  actor.Clone(),
+		criticTarget: critic.Clone(),
+		noise:        NewOUNoise(cfg.ActionDim, cfg.OUTheta, cfg.OUSigma, rng),
+		gamma:        cfg.Gamma,
+		saBuf:        make([]float64, cfg.StateDim+cfg.ActionDim),
+	}, nil
+}
+
+// ActInto writes the clamped policy action for state into dst, which
+// must have length ActionDim, adding OU noise when explore is set. It
+// allocates nothing.
+func (v *View) ActInto(state []float64, explore bool, dst []float64) error {
+	var noise *OUNoise
+	if explore {
+		noise = v.noise
+	}
+	return v.actInto(state, noise, dst)
+}
+
+// TDError computes the temporal-difference error of a single
+// transition under the current networks — the scalar reference
+// TDErrorBatch is bit-identical to.
+func (v *View) TDError(t replay.Transition) float64 {
+	target := t.Reward
+	if !t.Done {
+		nextA := v.actorTarget.Forward(t.NextState)
+		q := v.criticTarget.Forward(concat(v.saBuf[:0], t.NextState, nextA))
+		target += v.gamma * q[0]
+	}
+	q := v.Critic.Forward(concat(v.saBuf[:0], t.State, t.Action))
+	return target - q[0]
+}
+
+// LoadActorBytes replaces the policy's parameters in place from an
+// ActorBytes frame (copied without allocating) or a pre-frame gob
+// policy file. Bytes that do not decode or do not match the actor's
+// shape and activations leave it untouched. While the f32 acting path
+// is active the actor's mirrors are refreshed from the new weights.
+func (v *View) LoadActorBytes(data []byte) error {
+	if err := v.Actor.LoadParams(data); err != nil {
+		return err
+	}
+	if v.actF32 {
+		v.Actor.EnableF32()
 	}
 	return nil
-}
-
-// GreedyActor is an inference-only replica of an agent's policy: the
-// actor network and nothing else — no critics, targets, optimiser
-// moments or replay arena. Its ActInto is bit-identical to the source
-// agent's greedy ActInto. A GreedyActor owns forward scratch, so each
-// concurrent caller needs its own; Clone makes one from any replica
-// (concurrent Clones of one replica are safe — they only read it).
-type GreedyActor struct {
-	actor               *nn.Network
-	stateDim, actionDim int
-}
-
-// GreedyActor returns an independent greedy replica of the agent's
-// current policy.
-func (a *Agent) GreedyActor() *GreedyActor {
-	return &GreedyActor{actor: a.Actor.Clone(), stateDim: a.cfg.StateDim, actionDim: a.cfg.ActionDim}
-}
-
-// Clone returns an independent replica with the same weights.
-func (g *GreedyActor) Clone() *GreedyActor {
-	c := *g
-	c.actor = g.actor.Clone()
-	return &c
-}
-
-// ActInto writes the clamped greedy action for state into dst (length
-// ActionDim), allocating nothing.
-func (g *GreedyActor) ActInto(state, dst []float64) error {
-	return actInto(g.actor, g.stateDim, g.actionDim, state, nil, dst)
 }
 
 // ActBatch computes policy actions for n states (row-major
@@ -139,21 +217,11 @@ func (a *Agent) ActBatch(states []float64, n int, noises []*OUNoise, dst []float
 		copy(dst[:n*A], out)
 	}
 	for r := 0; r < n; r++ {
-		row := dst[r*A : (r+1)*A]
-		if noises != nil && noises[r] != nil {
-			noise := noises[r].Sample()
-			for i := range row {
-				row[i] += noise[i]
-			}
+		var noise *OUNoise
+		if noises != nil {
+			noise = noises[r]
 		}
-		for i := range row {
-			if row[i] < -1 {
-				row[i] = -1
-			}
-			if row[i] > 1 {
-				row[i] = 1
-			}
-		}
+		finishAction(dst[r*A:(r+1)*A], noise)
 	}
 	return nil
 }
@@ -167,26 +235,25 @@ func (a *Agent) ActBatch(states []float64, n int, noises []*OUNoise, dst []float
 //
 // On the f64 path out[i] is bit-identical to TDError(batch[i]); with
 // SetActFloat32 the passes run through the f32 batch engine (priorities
-// are sampling weights, not gradients — the f32 drift is harmless and
-// the parallel mode that enables it is non-deterministic anyway).
-func (a *Agent) TDErrorBatch(batch []replay.Transition, out []float64) []float64 {
+// are sampling weights, not gradients — the f32 drift is harmless).
+func (v *View) TDErrorBatch(batch []replay.Transition, out []float64) []float64 {
 	out = nn.Grow(out, len(batch))
 	if len(batch) == 0 {
 		return out
 	}
-	if a.actF32 {
-		return tdErrorBatch(a, &a.act32, nn.ForwardBatch[float32], batch, out)
+	if v.actF32 {
+		return tdErrorBatch(v, &v.act32, nn.ForwardBatch[float32], batch, out)
 	}
-	return tdErrorBatch(a, &a.act64, (*nn.Network).ForwardRows, batch, out)
+	return tdErrorBatch(v, &v.act64, (*nn.Network).ForwardRows, batch, out)
 }
 
 // tdErrorBatch is TDErrorBatch at element type T through the given
 // batched forward: three passes (target actor, target critic, critic)
 // over matrices assembled from the float64 transitions, with the final
 // target/error arithmetic in float64 over the widened Q values.
-func tdErrorBatch[T float](a *Agent, s *actScratch[T], forward func(*nn.Network, []T, int) []T, batch []replay.Transition, out []float64) []float64 {
+func tdErrorBatch[T float](v *View, s *actScratch[T], forward func(*nn.Network, []T, int) []T, batch []replay.Transition, out []float64) []float64 {
 	n := len(batch)
-	S, A := a.cfg.StateDim, a.cfg.ActionDim
+	S, A := v.stateDim, v.actionDim
 	SA := S + A
 	s.states = nn.Grow(s.states, n*S)
 	s.nextSA = nn.Grow(s.nextSA, n*SA)
@@ -198,16 +265,19 @@ func tdErrorBatch[T float](a *Agent, s *actScratch[T], forward func(*nn.Network,
 		convert(s.sa[i*SA:i*SA+S], t.State)
 		convert(s.sa[i*SA+S:(i+1)*SA], t.Action)
 	}
-	nextA := forward(a.actorTarget, s.states, n)
+	nextA := forward(v.actorTarget, s.states, n)
 	for i := 0; i < n; i++ {
 		copy(s.nextSA[i*SA+S:(i+1)*SA], nextA[i*A:(i+1)*A])
 	}
-	qNext := forward(a.criticTarget, s.nextSA, n)
-	q := forward(a.Critic, s.sa, n)
+	// qNext lives in the target critic's output buffer, so the critic
+	// pass below must run on another network, even in an actor's view,
+	// where the two hold the same weights forever.
+	qNext := forward(v.criticTarget, s.nextSA, n)
+	q := forward(v.Critic, s.sa, n)
 	for i := range batch {
 		target := batch[i].Reward
 		if !batch[i].Done {
-			target += a.cfg.Gamma * float64(qNext[i])
+			target += v.gamma * float64(qNext[i])
 		}
 		out[i] = target - float64(q[i])
 	}
@@ -225,7 +295,7 @@ func tdErrorBatch[T float](a *Agent, s *actScratch[T], forward func(*nn.Network,
 // agent is unsupported (the learner trains the f32 mirrors, and a
 // re-snapshot from the stale f64 weights would revert them), and
 // SetActFloat32 is a no-op while the learn path owns the mirrors.
-// Scalar Act/ActInto/TDError always stay on the f64 weights.
+// Scalar ActInto/TDError always stay on the f64 weights.
 func (a *Agent) SetActFloat32(enable bool) {
 	if a.f32 {
 		return // learn path owns the mirrors

@@ -17,15 +17,16 @@ func actConfig() Config {
 	return cfg
 }
 
-// ActInto must be bit-identical to Act and consume the noise RNG the
-// same way: two identically-seeded agents stepped through the two
-// entry points may never diverge.
-func TestActIntoMatchesAct(t *testing.T) {
+// ActInto is the scalar reference spelled out: one Forward, the
+// agent's own OU draw when exploring, the clamp. An identically seeded
+// agent computing that by hand may never diverge from it, so the noise
+// RNG is consumed the same way too.
+func TestActIntoMatchesScalarReference(t *testing.T) {
 	a, err := New(actConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := New(actConfig())
+	ref, err := New(actConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,36 +38,36 @@ func TestActIntoMatchesAct(t *testing.T) {
 			state[i] = rng.NormFloat64()
 		}
 		explore := step%3 != 0
-		want, err := a.Act(state, explore)
-		if err != nil {
+		if err := a.ActInto(state, explore, dst); err != nil {
 			t.Fatal(err)
 		}
-		if err := b.ActInto(state, explore, dst); err != nil {
-			t.Fatal(err)
+		want := append([]float64(nil), ref.Actor.Forward(state)...)
+		if explore {
+			for i, v := range ref.noise.Sample() {
+				want[i] += v
+			}
 		}
 		for i := range want {
+			want[i] = max(-1, min(1, want[i]))
 			if dst[i] != want[i] {
-				t.Fatalf("step %d: ActInto[%d] = %v, Act = %v (not bit-identical)", step, i, dst[i], want[i])
+				t.Fatalf("step %d: ActInto[%d] = %v, reference %v (not bit-identical)", step, i, dst[i], want[i])
 			}
 		}
 	}
-	if err := b.ActInto(state, false, dst[:2]); err == nil {
+	if err := a.ActInto(state, false, dst[:2]); err == nil {
 		t.Error("short dst accepted")
 	}
 }
 
-// ActBatch on the f64 path must be bit-identical to the scalar
-// reference — one Forward per row plus that row's own OU noise plus
-// the clamp — at any row count.
-// A GreedyActor — and a clone of it — must act bit-identically to the
-// agent's own greedy ActInto, stay independent of the agent's later
+// A Policy clone — and a clone of that — must act bit-identically to
+// the agent's own greedy ActInto, stay independent of the agent's later
 // updates, reject wrong dimensions, and allocate nothing per action.
-func TestGreedyActorMatchesAgent(t *testing.T) {
+func TestPolicyCloneMatchesAgent(t *testing.T) {
 	a, err := New(actConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	replica := a.GreedyActor()
+	replica := a.Policy.Clone()
 	clone := replica.Clone()
 	rng := rand.New(rand.NewSource(11))
 	state := make([]float64, 5)
@@ -78,10 +79,10 @@ func TestGreedyActorMatchesAgent(t *testing.T) {
 		if err := a.ActInto(state, false, want); err != nil {
 			t.Fatal(err)
 		}
-		if err := replica.ActInto(state, got); err != nil {
+		if err := replica.Greedy(state, got); err != nil {
 			t.Fatal(err)
 		}
-		if err := clone.ActInto(state, got2); err != nil {
+		if err := clone.Greedy(state, got2); err != nil {
 			t.Fatal(err)
 		}
 		for i := range want {
@@ -96,7 +97,7 @@ func TestGreedyActorMatchesAgent(t *testing.T) {
 			p[i] += 0.5
 		}
 	}
-	if err := replica.ActInto(state, got); err != nil {
+	if err := replica.Greedy(state, got); err != nil {
 		t.Fatal(err)
 	}
 	for i := range want {
@@ -104,14 +105,80 @@ func TestGreedyActorMatchesAgent(t *testing.T) {
 			t.Fatalf("replica moved with the agent: action[%d] %v -> %v", i, want[i], got[i])
 		}
 	}
-	if err := replica.ActInto(state[:4], got); err == nil {
+	if err := replica.Greedy(state[:4], got); err == nil {
 		t.Error("short state accepted")
 	}
-	if err := replica.ActInto(state, got[:2]); err == nil {
+	if err := replica.Greedy(state, got[:2]); err == nil {
 		t.Error("short action buffer accepted")
 	}
-	if allocs := testing.AllocsPerRun(100, func() { replica.ActInto(state, got) }); allocs != 0 {
-		t.Errorf("GreedyActor.ActInto allocates %v per action", allocs)
+	if allocs := testing.AllocsPerRun(100, func() { replica.Greedy(state, got) }); allocs != 0 {
+		t.Errorf("Policy.Greedy allocates %v per action", allocs)
+	}
+}
+
+// A View is the acting half of New(cfg) with the same seed, bit for
+// bit: over 20 push windows of exploring actions, each window's
+// TDErrorBatch equals the agent's, and so does everything after a
+// parameter load between two windows. It refuses what New refuses.
+func TestViewMatchesAgent(t *testing.T) {
+	cfg := actConfig()
+	a, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := NewView(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := cfg
+	other.Seed += 99
+	donor, err := New(other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame, _ := donor.ActorBytes()
+	rng := rand.New(rand.NewSource(23))
+	const window = 8
+	ts := randomTransitions(cfg, window, 600)
+	want, got := make([]float64, cfg.ActionDim), make([]float64, cfg.ActionDim)
+	var tdWant, tdGot []float64
+	for w := 0; w < 20; w++ {
+		if w == 10 {
+			if err := a.LoadActorBytes(frame); err != nil {
+				t.Fatal(err)
+			}
+			if err := v.LoadActorBytes(frame); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := range ts {
+			for j := range ts[i].State {
+				ts[i].State[j] = 2 * rng.NormFloat64()
+			}
+			if err := a.ActInto(ts[i].State, true, want); err != nil {
+				t.Fatal(err)
+			}
+			if err := v.ActInto(ts[i].State, true, got); err != nil {
+				t.Fatal(err)
+			}
+			for j := range want {
+				if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+					t.Fatalf("window %d step %d: view action[%d] = %v, agent %v", w, i, j, got[j], want[j])
+				}
+			}
+			copy(ts[i].Action, got)
+		}
+		tdWant, tdGot = a.TDErrorBatch(ts, tdWant), v.TDErrorBatch(ts, tdGot)
+		for i := range tdWant {
+			if math.Float64bits(tdGot[i]) != math.Float64bits(tdWant[i]) {
+				t.Fatalf("window %d: view TD error %d = %v, agent %v", w, i, tdGot[i], tdWant[i])
+			}
+		}
+	}
+	bad := cfg
+	bad.BufferCap = bad.BatchSize - 1
+	if _, err := NewView(bad); err == nil {
+		t.Error("NewView accepted a config New refuses")
 	}
 }
 

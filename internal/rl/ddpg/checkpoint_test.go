@@ -51,9 +51,7 @@ func runCheckpointRoundTrip(t *testing.T, f32 bool) {
 	fillReplay(orig, cfg, 64, 71)
 	state := make([]float64, cfg.StateDim)
 	for i := 0; i < 9; i++ {
-		if _, err := orig.Act(state, true); err != nil {
-			t.Fatal(err)
-		}
+		act(t, orig, state, true)
 		if loss := orig.Learn(); math.IsNaN(loss) {
 			t.Fatalf("NaN loss at warmup step %d", i)
 		}
@@ -93,14 +91,7 @@ func runCheckpointRoundTrip(t *testing.T, f32 bool) {
 	// Both agents now walk the same future: exploration actions and
 	// updates must track bit-for-bit.
 	for i := 0; i < 6; i++ {
-		aOrig, err := orig.Act(state, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		aRest, err := restored.Act(state, true)
-		if err != nil {
-			t.Fatal(err)
-		}
+		aOrig, aRest := act(t, orig, state, true), act(t, restored, state, true)
 		for j := range aOrig {
 			if aOrig[j] != aRest[j] {
 				t.Fatalf("step %d: explore action diverged: %v vs %v", i, aOrig, aRest)
@@ -181,9 +172,7 @@ func TestLoadAgentFromCheckpointAlone(t *testing.T) {
 	fillReplay(orig, cfg, 64, 71)
 	state := make([]float64, cfg.StateDim)
 	for i := 0; i < 5; i++ {
-		if _, err := orig.Act(state, true); err != nil {
-			t.Fatal(err)
-		}
+		act(t, orig, state, true)
 		orig.Learn()
 	}
 	// Replay included on purpose: LoadAgent must skip it, not demand a
@@ -207,14 +196,7 @@ func TestLoadAgentFromCheckpointAlone(t *testing.T) {
 		for j := range state {
 			state[j] = 0.01 * float64(trial*10+j)
 		}
-		want, err := orig.Act(state, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := served.Act(state, false)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want, got := greedy(t, orig, state), greedy(t, served, state)
 		for j := range want {
 			if want[j] != got[j] {
 				t.Fatalf("trial %d: greedy action diverged: %v vs %v", trial, got, want)

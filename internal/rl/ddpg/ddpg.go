@@ -2,7 +2,6 @@ package ddpg
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
 
 	"greennfv/internal/nn"
@@ -189,27 +188,20 @@ func (c *countedSource) skipTo(draws uint64) {
 }
 
 // Agent is one DDPG learner-actor pair with target networks and a
-// replay buffer.
+// replay buffer: the acting View plus what training needs.
 type Agent struct {
+	*View
 	cfg    Config
 	rng    *rand.Rand
 	rngSrc *countedSource // rng's source, counted for checkpoint/restore
 
-	Actor        *nn.Network
-	Critic       *nn.Network
-	actorTarget  *nn.Network
-	criticTarget *nn.Network
-	actorOpt     *nn.Adam
-	criticOpt    *nn.Adam
-
-	noise *OUNoise
+	actorOpt  *nn.Adam
+	criticOpt *nn.Adam
 
 	uniform     *replay.Uniform
 	prioritized PrioritizedReplay
 
 	learnSteps int
-	// scratch buffers to avoid per-step garbage.
-	saBuf []float64
 	// sample buffers and the TD errors for priority updates, sized on
 	// first use and reused forever.
 	batchBuf  []replay.Transition
@@ -222,12 +214,6 @@ type Agent struct {
 	f32 bool
 	s64 scratch[float64]
 	s32 scratch[float32]
-	// batched acting scratch (act.go), one per element type (f32:
-	// SetActFloat32 on acting-only agents routes ActBatch/TDErrorBatch
-	// through the f32 batch engine).
-	actF32 bool
-	act64  actScratch[float64]
-	act32  actScratch[float32]
 }
 
 // float is the element type of an update or a batched acting pass.
@@ -265,36 +251,19 @@ func convert[T float](dst []T, src []float64) {
 
 // New builds an agent from a validated configuration.
 func New(cfg Config) (*Agent, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	src := newCountedSource(cfg.Seed)
 	rng := rand.New(src)
-	actorSizes := append([]int{cfg.StateDim}, cfg.Hidden...)
-	actorSizes = append(actorSizes, cfg.ActionDim)
-	criticSizes := append([]int{cfg.StateDim + cfg.ActionDim}, cfg.Hidden...)
-	criticSizes = append(criticSizes, 1)
-
-	actor, err := nn.NewMLP(actorSizes, nn.ReLU, nn.Tanh, rng)
-	if err != nil {
-		return nil, err
-	}
-	critic, err := nn.NewMLP(criticSizes, nn.ReLU, nn.Linear, rng)
+	view, err := newView(cfg, rng, true)
 	if err != nil {
 		return nil, err
 	}
 	a := &Agent{
-		cfg:          cfg,
-		rng:          rng,
-		rngSrc:       src,
-		Actor:        actor,
-		Critic:       critic,
-		actorTarget:  actor.Clone(),
-		criticTarget: critic.Clone(),
-		actorOpt:     nn.MustAdam(cfg.ActorLR),
-		criticOpt:    nn.MustAdam(cfg.CriticLR),
-		noise:        NewOUNoise(cfg.ActionDim, cfg.OUTheta, cfg.OUSigma, rng),
-		saBuf:        make([]float64, cfg.StateDim+cfg.ActionDim),
+		View:      view,
+		cfg:       cfg,
+		rng:       rng,
+		rngSrc:    src,
+		actorOpt:  nn.MustAdam(cfg.ActorLR),
+		criticOpt: nn.MustAdam(cfg.CriticLR),
 	}
 	a.criticOpt.ClipNorm = 5
 	a.actorOpt.ClipNorm = 5
@@ -311,32 +280,6 @@ func New(cfg Config) (*Agent, error) {
 
 // Config returns the agent's configuration.
 func (a *Agent) Config() Config { return a.cfg }
-
-// Act computes the policy action for a state; with explore set, OU
-// noise is added. The result is clamped to [-1, 1]^ActionDim and is
-// freshly allocated.
-func (a *Agent) Act(state []float64, explore bool) ([]float64, error) {
-	if len(state) != a.cfg.StateDim {
-		return nil, fmt.Errorf("ddpg: state dim %d, want %d", len(state), a.cfg.StateDim)
-	}
-	out := a.Actor.Forward(state)
-	action := append([]float64(nil), out...)
-	if explore {
-		noise := a.noise.Sample()
-		for i := range action {
-			action[i] += noise[i]
-		}
-	}
-	for i := range action {
-		if action[i] < -1 {
-			action[i] = -1
-		}
-		if action[i] > 1 {
-			action[i] = 1
-		}
-	}
-	return action, nil
-}
 
 // Observe stores a transition in the replay buffer.
 func (a *Agent) Observe(t replay.Transition) {
@@ -401,20 +344,6 @@ func (a *Agent) SampleReplayInto(rng *rand.Rand, n int, samples []replay.Transit
 		return nil, nil, nil
 	}
 	return a.prioritized.SampleInto(rng, n, samples, indices, weights)
-}
-
-// TDError computes the temporal-difference error of a single
-// transition under the current networks — Ape-X actors use it for
-// initial priorities.
-func (a *Agent) TDError(t replay.Transition) float64 {
-	target := t.Reward
-	if !t.Done {
-		nextA := a.actorTarget.Forward(t.NextState)
-		q := a.criticTarget.Forward(concat(a.saBuf[:0], t.NextState, nextA))
-		target += a.cfg.Gamma * q[0]
-	}
-	q := a.Critic.Forward(concat(a.saBuf[:0], t.State, t.Action))
-	return target - q[0]
 }
 
 // Learn runs one DDPG update (Algorithm 2): sample a minibatch,
@@ -647,24 +576,6 @@ func (a *Agent) ActorBytes() ([]byte, error) {
 		a.Actor.FlushF32()
 	}
 	return a.Actor.ParamFrame(), nil
-}
-
-// LoadActorBytes replaces the actor's parameters from a broadcast or a
-// policy file, in place: an ActorBytes frame is copied straight in
-// without allocating, a policy saved before the frame existed (a gob
-// blob) is still read. Bytes that do not decode or do not match the
-// actor's shape and activations leave the actor untouched. While the
-// f32 acting path is active the actor's parameter mirrors are
-// refreshed from the new weights, so batched acting never runs on a
-// stale policy.
-func (a *Agent) LoadActorBytes(data []byte) error {
-	if err := a.Actor.LoadParams(data); err != nil {
-		return err
-	}
-	if a.actF32 {
-		a.Actor.EnableF32()
-	}
-	return nil
 }
 
 // concat appends a and b into dst and returns it.

@@ -18,15 +18,21 @@ func smallConfig() Config {
 	return cfg
 }
 
-// greedy is the agent's clamped deterministic action for state, through
-// ActInto into a fresh buffer.
-func greedy(t testing.TB, a *Agent, state []float64) []float64 {
+// act is the agent's clamped action for state (OU noise added when
+// explore is set), through ActInto into a fresh buffer.
+func act(t testing.TB, a *Agent, state []float64, explore bool) []float64 {
 	t.Helper()
 	dst := make([]float64, a.cfg.ActionDim)
-	if err := a.ActInto(state, false, dst); err != nil {
+	if err := a.ActInto(state, explore, dst); err != nil {
 		t.Fatal(err)
 	}
 	return dst
+}
+
+// greedy is act without exploration.
+func greedy(t testing.TB, a *Agent, state []float64) []float64 {
+	t.Helper()
+	return act(t, a, state, false)
 }
 
 func TestConfigValidation(t *testing.T) {
@@ -54,19 +60,12 @@ func TestActBoundsAndDim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	act, err := a.Act([]float64{0.5, -0.5, 0.1}, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(act) != 2 {
-		t.Fatalf("action dim = %d", len(act))
-	}
-	for _, v := range act {
+	for _, v := range act(t, a, []float64{0.5, -0.5, 0.1}, true) {
 		if v < -1 || v > 1 || math.IsNaN(v) {
 			t.Errorf("action %v outside [-1,1]", v)
 		}
 	}
-	if _, err := a.Act([]float64{1}, false); err == nil {
+	if err := a.ActInto([]float64{1}, false, make([]float64, 2)); err == nil {
 		t.Error("wrong state dim accepted")
 	}
 	// The greedy action is deterministic.
@@ -82,8 +81,7 @@ func TestActBoundsAndDim(t *testing.T) {
 func TestExplorationNoiseVaries(t *testing.T) {
 	a, _ := New(smallConfig())
 	s := []float64{0.1, 0.2, 0.3}
-	a1, _ := a.Act(s, true)
-	a2, _ := a.Act(s, true)
+	a1, a2 := act(t, a, s, true), act(t, a, s, true)
 	same := true
 	for i := range a1 {
 		if a1[i] != a2[i] {
@@ -120,11 +118,11 @@ func TestLearnsContinuousBandit(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	state := []float64{0.3, -0.3}
 	for step := 0; step < 3000; step++ {
-		act, _ := a.Act(state, true)
-		r := -(act[0] - 0.5) * (act[0] - 0.5)
+		action := act(t, a, state, true)
+		r := -(action[0] - 0.5) * (action[0] - 0.5)
 		a.Observe(replay.Transition{
 			State:     append([]float64(nil), state...),
-			Action:    append([]float64(nil), act...),
+			Action:    action,
 			Reward:    r,
 			NextState: append([]float64(nil), state...),
 			Done:      true,
@@ -315,28 +313,46 @@ func TestLoadActorBytesInPlace(t *testing.T) {
 }
 
 // TestAgentFootprint: BufferCap bounds the replay, it does not reserve
-// it. An agent that only acts — every Ape-X actor, every serving
-// replica — never stores a transition, and building one used to zero a
-// 65 536-slot ring and a 1 MB sum tree it would never touch (6.8 MB).
+// it — building an agent used to zero a 65 536-slot ring and a 1 MB sum
+// tree a starved learner never touches (6.8 MB). And what only acts
+// holds no training state: an agent's targets have no gradient
+// buffers, and a view, what every Ape-X actor holds, has none at all,
+// no optimizer and no replay.
 func TestAgentFootprint(t *testing.T) {
 	cfg := DefaultConfig(15, 15) // the paper workload's environment
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	a, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	state, action := make([]float64, cfg.StateDim), make([]float64, cfg.ActionDim)
-	for i := 0; i < 100; i++ {
-		if err := a.ActInto(state, true, action); err != nil {
+	measure := func(build func() (*View, error)) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		v, err := build()
+		if err != nil {
 			t.Fatal(err)
 		}
+		for i := 0; i < 100; i++ {
+			if err := v.ActInto(state, true, action); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
 	}
-	a.Learn() // a no-op on an empty replay, as in a starved round-robin step
-	runtime.ReadMemStats(&after)
-	// Four 15-48-48-15-ish networks with their gradient buffers are
-	// ~270 KB of that.
-	if got := after.TotalAlloc - before.TotalAlloc; got > 512<<10 {
-		t.Errorf("building and acting with a default agent allocates %d KB, want under 512 KB", got>>10)
+	agent := measure(func() (*View, error) {
+		a, err := New(cfg)
+		if err != nil {
+			return nil, err
+		}
+		a.Learn() // a no-op on an empty replay, as in a starved round-robin step
+		return a.View, nil
+	})
+	view := measure(func() (*View, error) { return NewView(cfg) })
+	t.Logf("building and acting: agent %d KB, view %d KB", agent>>10, view>>10)
+	// A 15-48-48-15-ish network is ~35 KB of weights and caches and as
+	// much again of gradients, which only the agent's policy and critic
+	// carry (212 and 149 KB measured).
+	if agent > 232<<10 {
+		t.Errorf("a default agent allocates %d KB, want under 232 KB", agent>>10)
+	}
+	if view > 164<<10 {
+		t.Errorf("a default view allocates %d KB, want under 164 KB", view>>10)
 	}
 }

@@ -14,7 +14,8 @@
 // # Concurrency and determinism
 //
 // An Agent is NOT goroutine-safe; the Ape-X learner serializes
-// updates and actors own private Agent copies. Training is
+// updates, and each actor owns a private View (act.go: the policy,
+// frozen priority networks and noise, inference-only). Training is
 // deterministic given Config.Seed and a fixed replay history (up to
 // the CPU-feature caveat documented in internal/nn), which is what
 // keeps the round-robin training figures byte-identical.
@@ -62,7 +63,7 @@
 // mirrors of all four networks are authoritative and the f64 weights
 // go stale; ActorBytes flushes the actor mirror before encoding
 // (broadcasts always carry the current policy) and SetFloat32(false)
-// flushes everything back, after which Act/Greedy/TDError see the
+// flushes everything back, after which ActInto/TDError see the
 // trained policy. The path is deterministic given the seed on a fixed
 // CPU feature set but NOT bit-comparable to the f64 update; its drift
 // is quantified by TestLearnF32ParityWithF64 (max |ΔQ| and |Δaction|
@@ -77,13 +78,14 @@
 // The acting side has its own batched layer, independent of the
 // learner paths above:
 //
-//   - ActInto is Act without the return-value allocation: action
-//     selection into a caller-owned slice, bit-identical to Act.
+//   - ActInto is the one way to act: action selection into a
+//     caller-owned slice, defined once on Policy (Greedy is its
+//     noiseless form) and reached through View and Agent.
 //   - ActBatch selects actions for n actors' states in one call —
 //     one nn.ForwardRows pass over the row matrix plus the per-lane
 //     OU noise draws and clamps. ForwardRows keeps the scalar
 //     per-row summation order, so the f64 batch is BIT-IDENTICAL to
-//     n scalar Act calls (pinned by TestActBatchMatchesScalarReference);
+//     n scalar ActInto calls (pinned by TestActBatchMatchesScalarReference);
 //     it exists so batching is a pure throughput knob, never a numerics
 //     change. No trainer uses it: every Ape-X actor acts through
 //     ActInto, and bench/'s ddpg.act_batch_f32_us probe is the one
@@ -151,9 +153,10 @@
 //
 // Every agent is built with a replay of Config.BufferCap, but the
 // capacity is a bound, not a reservation (internal/rl/replay): storage
-// appears when transitions are stored. The agents that only act — each
-// Ape-X actor's local network copy, a serving replica rebuilt by
-// LoadAgent, an agent whose buffer SetReplay swaps for a sharded one —
-// never store any and hold a few hundred bytes of replay; the learner's
-// holds what its run has observed (TestAgentFootprint).
+// appears when transitions are stored, so a starved learner holds a few
+// hundred bytes of replay and a running one what it has observed. What
+// only acts holds no training state: an Ape-X actor's View (NewView)
+// and a serving replica's Policy have no replay, no optimizer and
+// inference-only networks, and an Agent's targets carry no gradient
+// buffers either (TestAgentFootprint).
 package ddpg

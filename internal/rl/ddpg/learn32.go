@@ -9,8 +9,8 @@ package ddpg
 // SetFloat32 switches the agent's learn path between double and
 // single precision. Enabling snapshots the f64 weights into f32
 // mirrors (allocating them on first use); disabling flushes the
-// trained mirrors back into the f64 weights so Greedy, Act,
-// MarshalBinary and the scalar TDError see the trained policy.
+// trained mirrors back into the f64 weights so ActInto, MarshalBinary
+// and the scalar TDError see the trained policy.
 // Redundant calls in either direction are no-ops — in particular,
 // enabling twice must NOT re-snapshot, because the f64 weights go
 // stale while the f32 path trains and re-reading them would silently

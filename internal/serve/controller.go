@@ -139,7 +139,7 @@ type shard struct {
 type policySnapshot struct {
 	blob    []byte
 	version int
-	actor   *ddpg.GreedyActor
+	actor   *ddpg.Policy
 }
 
 // reportScratch is one in-flight report's private inference state: a
@@ -150,7 +150,7 @@ type policySnapshot struct {
 // snapshot is re-cloned lazily on checkout.
 type reportScratch struct {
 	version int
-	actor   *ddpg.GreedyActor
+	actor   *ddpg.Policy
 	action  []float64
 	knobs   []perfmodel.NFKnobs
 	guard   Guardrail
@@ -282,10 +282,10 @@ func (c *Controller) shardFor(nodeID string) *shard {
 
 // validatePolicy decodes a full policy checkpoint and checks its
 // dimensions against the node spec — the gate both boot and hot
-// reload pass through — and returns the decoded policy's greedy
-// actor. The rest of the decoded agent (critics, optimiser moments,
-// replay arena) is garbage once this returns.
-func (c *Controller) validatePolicy(blob []byte) (*ddpg.GreedyActor, error) {
+// reload pass through — and returns an inference-only clone of the
+// decoded policy. The rest of the decoded agent (critics, optimiser
+// moments, replay arena) is garbage once this returns.
+func (c *Controller) validatePolicy(blob []byte) (*ddpg.Policy, error) {
 	agent, err := ddpg.LoadAgentBytes(blob)
 	if err != nil {
 		return nil, fmt.Errorf("serve: load policy: %w", err)
@@ -295,7 +295,7 @@ func (c *Controller) validatePolicy(blob []byte) (*ddpg.GreedyActor, error) {
 		return nil, fmt.Errorf("serve: policy dims %dx%d do not match node spec %dx%d",
 			acfg.StateDim, acfg.ActionDim, c.probe.StateDim(), c.probe.ActionDim())
 	}
-	return agent.GreedyActor(), nil
+	return agent.Policy.Clone(), nil
 }
 
 // getScratch checks out pooled report scratch whose actor replica
@@ -608,7 +608,7 @@ func (c *Controller) decide(start time.Time, args *ReportArgs, reply *ReportRepl
 	defer c.scratch.Put(sc)
 
 	// Rung 1: fresh policy decision, rate-limited then vetted.
-	if err := sc.actor.ActInto(args.Obs, sc.action); err != nil {
+	if err := sc.actor.Greedy(args.Obs, sc.action); err != nil {
 		return fmt.Errorf("serve: policy action: %w", err)
 	}
 	for i := range sc.knobs {

@@ -53,8 +53,8 @@
 // reports read it lock-free, and only ReloadPolicy takes the writer
 // path (validate, then swap a new snapshot with a bumped version).
 // Each in-flight report draws pooled inference scratch — a private
-// greedy-actor replica (ddpg.GreedyActor, cloned from the snapshot's
-// validated actor) plus action/knob buffers — because the actor's
+// policy replica (ddpg.Policy, an inference-only clone of the
+// snapshot's validated policy) plus action/knob buffers — because the actor's
 // forward pass reuses per-network scratch and cannot be shared. The
 // greedy action consumes no randomness, so a node's decision depends
 // only on its own history and the snapshot: concurrent serving is

@@ -33,9 +33,13 @@ gates=(
 	# rewritten; hostile frames change nothing. Replay capacity is a
 	# bound, not a reservation: a trainer and an acting agent are small,
 	# an idle buffer holds no storage, growth shows in no sample, and a
-	# corrupt snapshot cursor is refused.
+	# corrupt snapshot cursor is refused. What only acts holds
+	# inference-only networks: an actor reaches no training state, a
+	# view acts and prioritizes bit for bit like the agent it mirrors,
+	# and a network clone carries no gradients.
 	"./internal/rl/apex TestPublishAllocatesOneFrame|TestSyncParamsAllocatesNothing|TestPublishedFrameIsImmutable|TestNewTrainerFootprint"
-	"./internal/rl/ddpg TestLoadActorBytesInPlace|TestLoadActorBytesRejectsHostileFrames|TestLoadActorBytesLegacyGob|TestAgentFootprint"
+	"./internal/rl/ddpg TestLoadActorBytesInPlace|TestLoadActorBytesRejectsHostileFrames|TestLoadActorBytesLegacyGob|TestAgentFootprint|TestViewMatchesAgent"
+	"./internal/nn TestCloneFootprint"
 	"./internal/rl/replay TestReplayGrowthParity|TestIdleBufferHoldsNoStorage|TestSetStateRejectsCorruptSnapshot"
 	# One NN engine at two element types: 300 f64 and 200 f32 composed
 	# updates hash to the recorded values on both kernel sets, the
