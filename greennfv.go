@@ -306,11 +306,13 @@ func (p *Policy) Save(w io.Writer) error {
 	return p.ctl.SaveActor(w)
 }
 
-// SaveCheckpoint writes the policy's full agent state to w — the
-// serving-plane checkpoint format that cmd/greennfvd serves and
-// System.LoadPolicyCheckpoint reloads. Unlike Save (actor network
-// only), the checkpoint embeds the agent configuration, so loaders
-// validate dimensions instead of assuming them.
+// SaveCheckpoint writes the policy's serving checkpoint to w: a policy
+// section (the agent configuration and the actor's parameter frame,
+// under one length and CRC32 of the whole file) followed by the full
+// agent state. cmd/greennfvd serves it reading the section alone;
+// System.LoadPolicyCheckpoint reloads the whole agent. Unlike Save
+// (actor network only), the checkpoint embeds the agent configuration,
+// so loaders validate dimensions instead of assuming them.
 func (p *Policy) SaveCheckpoint(w io.Writer) error {
 	if p == nil || p.ctl == nil {
 		return errors.New("greennfv: nil policy")
@@ -318,11 +320,13 @@ func (p *Policy) SaveCheckpoint(w io.Writer) error {
 	return p.ctl.SavePolicyState(w)
 }
 
-// LoadPolicyCheckpoint reads a full policy checkpoint written by
-// Policy.SaveCheckpoint, validates its dimensions against the
+// LoadPolicyCheckpoint reads a checkpoint written by
+// Policy.SaveCheckpoint — its policy section and the full agent state
+// after it, which must agree — validates its dimensions against the
 // system's chain, and binds it to the SLA — the serve-only path:
 // train once, deploy the checkpoint many times without the training
-// driver.
+// driver. A checkpoint written before the policy section existed is
+// refused with an error that says so.
 func (s *System) LoadPolicyCheckpoint(agreement SLA, r io.Reader) (*Policy, error) {
 	probe, err := s.factory(agreement.spec)(s.cfg.Seed, perfmodel.EvalOptions{})
 	if err != nil {

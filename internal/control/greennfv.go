@@ -126,14 +126,15 @@ func (g *GreenNFV) SaveActor(w io.Writer) error {
 	return err
 }
 
-// SavePolicyState writes the deployed policy's full agent state — the
-// ddpg checkpoint format the serving plane (internal/serve,
-// cmd/greennfvd) loads and validates, replay buffer excluded.
+// SavePolicyState writes the deployed policy's serving checkpoint
+// (ddpg.Agent.SaveServing): the policy section the serving plane
+// (internal/serve, cmd/greennfvd) reads, then the agent's training
+// state, replay buffer excluded, which LoadAgent reads too.
 func (g *GreenNFV) SavePolicyState(w io.Writer) error {
 	if g.agent == nil {
 		return errors.New("control: GreenNFV has no trained policy")
 	}
-	return g.agent.SaveState(w, false)
+	return g.agent.SaveServing(w)
 }
 
 // NewGreenNFVFromAgent builds a deploy-only controller around an

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"math/bits"
 )
 
 // The parameter frame is the fixed layout a network's parameters travel
@@ -28,6 +29,37 @@ func (n *Network) paramFrameLen() int {
 		size += 8 * (len(l.W) + len(l.B))
 	}
 	return size
+}
+
+// MLPFrameLen is the exact length of the frame of an MLP with these
+// layer sizes (NewMLP's sizes), computed in checked arithmetic so that
+// a size read from a file cannot wrap it short. ok is false when there
+// is no layer, a size is not positive, or the length overflows an int:
+// a caller sizing nothing before this check allocates nothing for it.
+func MLPFrameLen(sizes []int) (n int, ok bool) {
+	if len(sizes) < 2 || uint64(len(sizes)-1) > math.MaxUint32 {
+		return 0, false
+	}
+	total := uint64(frameHeaderLen) + uint64(layerHeaderLen)*uint64(len(sizes)-1)
+	for i := 1; i < len(sizes); i++ {
+		in, out := sizes[i-1], sizes[i]
+		if in <= 0 || out <= 0 {
+			return 0, false
+		}
+		// W and B: (in+1)·out parameters of 8 bytes each.
+		hi, params := bits.Mul64(uint64(in)+1, uint64(out))
+		if hi != 0 || params > math.MaxInt64/8 {
+			return 0, false
+		}
+		var carry uint64
+		if total, carry = bits.Add64(total, 8*params, 0); carry != 0 {
+			return 0, false
+		}
+	}
+	if total > math.MaxInt {
+		return 0, false
+	}
+	return int(total), true
 }
 
 // ParamFrame encodes the float64 parameters as one parameter frame, in
@@ -61,6 +93,15 @@ func (n *Network) ParamFrame() []byte {
 // defined).
 func isParamFrame(data []byte) bool {
 	return len(data) >= len(paramMagic) && string(data[:len(paramMagic)]) == paramMagic
+}
+
+// LoadParamFrame is LoadParams for a parameter frame alone: bytes that
+// do not open with the frame magic are refused, not read as a gob blob.
+func (n *Network) LoadParamFrame(frame []byte) error {
+	if !isParamFrame(frame) {
+		return errors.New("nn: not a parameter frame")
+	}
+	return n.loadParamFrame(frame)
 }
 
 // loadParamFrame copies a frame's parameters into this network, in

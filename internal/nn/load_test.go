@@ -175,6 +175,30 @@ func TestParamFrame(t *testing.T) {
 	}
 }
 
+// TestMLPFrameLen: the length computed from sizes alone is the length of
+// the built network's frame, and sizes whose parameter count does not
+// fit — however the product would wrap — are refused, not wrapped.
+func TestMLPFrameLen(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, sizes := range [][]int{{5, 3}, {5, 7, 3}, {12, 48, 48, 15}} {
+		n, ok := MLPFrameLen(sizes)
+		if want := len(MustMLP(sizes, ReLU, Tanh, rng).ParamFrame()); !ok || n != want {
+			t.Errorf("MLPFrameLen(%v) = %d, %v, want %d", sizes, n, ok, want)
+		}
+	}
+	for _, sizes := range [][]int{
+		nil, {4}, {4, 0}, {4, -1, 3},
+		{1 << 32, 1 << 32}, // (In+1)·Out overflows 64 bits; In·Out wraps to 0
+		{1 << 31, 1 << 31}, // the product fits; 8× it does not
+		{1, 1 << 58, 2},    // each layer fits; the sum does not
+		{math.MaxInt, 1},
+	} {
+		if n, ok := MLPFrameLen(sizes); ok {
+			t.Errorf("MLPFrameLen(%v) = %d, want refused", sizes, n)
+		}
+	}
+}
+
 // FuzzNetworkUnmarshal: any byte string is either rejected with the
 // receiver untouched, or yields a network every pass can run on. The
 // seeds are the committed corpus (testdata/fuzz/FuzzNetworkUnmarshal):

@@ -120,22 +120,18 @@ func newView(cfg Config, rng *rand.Rand, trainable bool) (*View, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	actorSizes := append([]int{cfg.StateDim}, cfg.Hidden...)
-	actorSizes = append(actorSizes, cfg.ActionDim)
-	criticSizes := append([]int{cfg.StateDim + cfg.ActionDim}, cfg.Hidden...)
-	criticSizes = append(criticSizes, 1)
-	actor, err := nn.NewMLP(actorSizes, nn.ReLU, nn.Tanh, rng, trainable)
+	policy, err := newPolicy(cfg, rng, trainable)
 	if err != nil {
 		return nil, err
 	}
-	critic, err := nn.NewMLP(criticSizes, nn.ReLU, nn.Linear, rng, trainable)
+	critic, err := nn.NewMLP(criticSizes(cfg), nn.ReLU, nn.Linear, rng, trainable)
 	if err != nil {
 		return nil, err
 	}
 	return &View{
-		Policy:       Policy{Actor: actor, stateDim: cfg.StateDim, actionDim: cfg.ActionDim},
+		Policy:       policy,
 		Critic:       critic,
-		actorTarget:  actor.Clone(),
+		actorTarget:  policy.Actor.Clone(),
 		criticTarget: critic.Clone(),
 		noise:        NewOUNoise(cfg.ActionDim, cfg.OUTheta, cfg.OUSigma, rng),
 		gamma:        cfg.Gamma,

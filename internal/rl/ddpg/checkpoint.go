@@ -203,32 +203,3 @@ func (a *Agent) applyState(st *agentState, resume bool) error {
 func (a *Agent) LoadStateBytes(data []byte) error {
 	return a.LoadState(bytes.NewReader(data))
 }
-
-// LoadAgent builds a fresh agent from a SaveState checkpoint alone:
-// the embedded Config constructs the agent, then everything except
-// replay contents and the RNG stream position is restored. This is the
-// serving-plane entry point — a controller daemon handed a checkpoint
-// file knows nothing about the configuration that trained it, and
-// inference never touches the replay buffer or the RNG, so a carried
-// replay snapshot is skipped rather than required to fit and the RNG
-// stays at its seed position (resuming training from the result would
-// not reproduce the saved agent's sampling; LoadState is that path).
-func LoadAgent(r io.Reader) (*Agent, error) {
-	var st agentState
-	if err := gob.NewDecoder(r).Decode(&st); err != nil {
-		return nil, fmt.Errorf("ddpg: decode checkpoint: %w", err)
-	}
-	a, err := New(st.Cfg)
-	if err != nil {
-		return nil, fmt.Errorf("ddpg: checkpoint config: %w", err)
-	}
-	if err := a.applyState(&st, false); err != nil {
-		return nil, err
-	}
-	return a, nil
-}
-
-// LoadAgentBytes is LoadAgent from a byte slice.
-func LoadAgentBytes(data []byte) (*Agent, error) {
-	return LoadAgent(bytes.NewReader(data))
-}

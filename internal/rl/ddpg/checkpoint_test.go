@@ -156,11 +156,11 @@ func TestCheckpointRejectsDirtyReplay(t *testing.T) {
 	}
 }
 
-// TestLoadAgentFromCheckpointAlone pins the serving-plane entry
-// point: LoadAgent reconstructs an agent from the blob alone (the
-// embedded Config builds it), skips the replay snapshot instead of
-// requiring a matching buffer, and deploys the same policy — greedy
-// actions identical to the saved agent's.
+// TestLoadAgentFromCheckpointAlone pins the whole-agent reader of a
+// serving checkpoint: LoadAgent reconstructs an agent from the file
+// alone (the embedded Config builds it), skips a replay snapshot
+// instead of requiring a matching buffer, and deploys the same policy
+// — greedy actions identical to the saved agent's.
 func TestLoadAgentFromCheckpointAlone(t *testing.T) {
 	cfg := DefaultConfig(6, 4)
 	cfg.BatchSize = 16
@@ -175,12 +175,13 @@ func TestLoadAgentFromCheckpointAlone(t *testing.T) {
 		act(t, orig, state, true)
 		orig.Learn()
 	}
-	// Replay included on purpose: LoadAgent must skip it, not demand a
-	// buffer that fits it.
-	blob, err := orig.StateBytes(true)
+	// Replay included on purpose (SaveServing never writes it): LoadAgent
+	// must skip it, not demand a buffer that fits it.
+	training, err := orig.StateBytes(true)
 	if err != nil {
 		t.Fatal(err)
 	}
+	blob := servingWith(t, orig, training)
 
 	served, err := LoadAgentBytes(blob)
 	if err != nil {
@@ -306,13 +307,13 @@ func TestLoadAgentSkipsRNGFastForward(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := LoadAgentBytes(blob)
+	want, err := LoadAgentBytes(servingWith(t, orig, blob))
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	start := time.Now()
-	got, err := LoadAgentBytes(reencode(t, blob, func(st *agentState) { st.RNGDraws = 1 << 62 }))
+	got, err := LoadAgentBytes(servingWith(t, orig, reencode(t, blob, func(st *agentState) { st.RNGDraws = 1 << 62 })))
 	if err != nil {
 		t.Fatal(err)
 	}

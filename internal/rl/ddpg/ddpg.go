@@ -92,9 +92,15 @@ func (c Config) Validate() error {
 		return errors.New("ddpg: tau must be in (0,1]")
 	case c.BatchSize <= 0 || c.BufferCap < c.BatchSize:
 		return errors.New("ddpg: need batch <= buffer capacity")
+	case c.BufferCap > maxBufferCap:
+		return errors.New("ddpg: buffer capacity beyond 2^40 transitions")
 	}
 	return nil
 }
+
+// maxBufferCap bounds Config.BufferCap far above any memory, and below
+// where rounding the replay's sum tree up to a power of two overflows.
+const maxBufferCap = 1 << 40
 
 // OUNoise is an Ornstein-Uhlenbeck process: temporally correlated
 // exploration noise suited to physical control problems.

@@ -45,6 +45,7 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Gamma = 1.5 },
 		func(c *Config) { c.Tau = 0 },
 		func(c *Config) { c.BufferCap = 1 },
+		func(c *Config) { c.BufferCap = math.MaxInt }, // the sum tree's power of two would overflow
 	}
 	for i, mut := range bad {
 		cfg := smallConfig()

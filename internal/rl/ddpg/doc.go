@@ -127,10 +127,31 @@
 // restores by draw count — the counting source re-seeds and
 // fast-forwards — so snapshots stay valid across Go versions only as
 // far as math/rand's generator is stable, which is the same
-// assumption seeded training already makes. LoadAgent, the serving
-// entry point, restores neither the replay nor the stream position:
-// the fast-forward costs one generator step per draw, the count comes
-// from the blob, and greedy inference never draws.
+// assumption seeded training already makes.
+//
+// # Serving checkpoint
+//
+// What a controller serves (SaveServing, serving.go — the file
+// greennfv -save-policy writes) is a policy section followed by the
+// SaveState(w, false) bytes, unchanged. The section is a magic
+// ("GNFVPOL1"), the length and IEEE CRC32 of every byte after them
+// (an atomicio.Sum, so the one check covers the whole file), the
+// Config in a fixed little-endian layout, and the actor's parameter
+// frame. LoadPolicy reads the section alone: one CRC pass, the Config
+// validated as New validates it, an inference-only actor of its
+// topology filled from the frame. It returns the policy, the Config and
+// the policy-only form — the section with nothing after it, and a sum
+// to match — which is what a serving controller persists and which
+// LoadPolicy reads back to the same policy. LoadAgent reads the
+// section, then the training state, and refuses a file whose two
+// halves disagree on the Config or the actor; it restores neither the
+// replay nor the RNG stream position (the fast-forward costs one
+// generator step per draw, the count comes from the blob, and greedy
+// inference never draws). Both compare what the Config implies — the
+// actor frame's length, and for LoadAgent the critic too — with the
+// bytes present, in checked arithmetic, before anything is sized by
+// it. A bare SaveState blob, which is what the serving checkpoint was
+// before the section, is refused with an error that says so.
 //
 // # Parameter broadcast and policy file
 //
@@ -146,8 +167,9 @@
 // against the live actor before writing and then copies in place
 // without allocating. A policy file from before the frame existed (the
 // actor's gob blob) still loads; nothing writes that form any more.
-// The checkpoint above and the frame are unrelated on the wire:
-// checkpoints embed gob network blobs, which LoadState keeps reading.
+// The training state embeds gob network blobs, which LoadState keeps
+// reading; the frame appears whole in one place only, the serving
+// checkpoint's policy section.
 //
 // # Replay ownership
 //

@@ -1,0 +1,323 @@
+package ddpg
+
+import (
+	"bytes"
+	"errors"
+	"math"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"testing"
+
+	"greennfv/internal/nn"
+)
+
+// servingWith is a's serving checkpoint with the given training state
+// behind the policy section: what SaveServing writes when state is
+// StateBytes(false), and otherwise a file only a test makes.
+func servingWith(t testing.TB, a *Agent, state []byte) []byte {
+	t.Helper()
+	frame, err := a.ActorBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return appendSection(nil, appendConfig(nil, a.cfg), frame, state)
+}
+
+// servingAgent is an agent of cfg after a few updates, and the serving
+// checkpoint SaveServing writes for it.
+func servingAgent(t testing.TB, cfg Config) (*Agent, []byte) {
+	t.Helper()
+	a, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillReplay(a, cfg, 64, 71)
+	for i := 0; i < 5; i++ {
+		a.Learn()
+	}
+	var buf bytes.Buffer
+	if err := a.SaveServing(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return a, buf.Bytes()
+}
+
+// TestSaveServingLayout pins what SaveServing writes: the policy section,
+// then StateBytes(false) byte for byte; and what LoadPolicy returns: the
+// same section with nothing after it, which loads back to itself and
+// from which no agent can be built.
+func TestSaveServingLayout(t *testing.T) {
+	cfg := DefaultConfig(6, 4)
+	a, file := servingAgent(t, cfg)
+	state, err := a.StateBytes(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(file, servingWith(t, a, state)) || !bytes.HasSuffix(file, state) {
+		t.Fatal("SaveServing is not the policy section followed by StateBytes(false)")
+	}
+	_, got, form, err := LoadPolicy(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, cfg) {
+		t.Errorf("LoadPolicy config %+v, want %+v", got, cfg)
+	}
+	if want := servingWith(t, a, nil); !bytes.Equal(form, want) || len(form) != len(file)-len(state) {
+		t.Fatalf("policy-only form is %d bytes, want the %d-byte section alone", len(form), len(want))
+	}
+	_, _, again, err := LoadPolicy(form)
+	if err != nil || !bytes.Equal(again, form) {
+		t.Fatalf("the policy-only form does not load back to itself: %v", err)
+	}
+	if _, err := LoadAgentBytes(form); err == nil {
+		t.Error("LoadAgent built an agent from a policy-only form")
+	}
+}
+
+// TestConfigCodecCoversEveryField: the section's config layout carries
+// every Config field, each to its own place — a field added to Config
+// and not to appendConfig/readConfig fails here, not in a served file.
+func TestConfigCodecCoversEveryField(t *testing.T) {
+	var cfg Config
+	v := reflect.ValueOf(&cfg).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Int, reflect.Int64:
+			f.SetInt(int64(100 + i))
+		case reflect.Float64:
+			f.SetFloat(0.5 + float64(i))
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.Slice:
+			f.Set(reflect.ValueOf([]int{7, 8, 9}))
+		default:
+			t.Fatalf("Config.%s is a %v: teach appendConfig and readConfig about it", v.Type().Field(i).Name, f.Kind())
+		}
+	}
+	enc := appendConfig(nil, cfg)
+	got, rest, err := readConfig(append(enc, 0xAB))
+	if err != nil || !reflect.DeepEqual(got, cfg) || !bytes.Equal(rest, []byte{0xAB}) {
+		t.Fatalf("readConfig(appendConfig(%+v)) = %+v, rest %v, %v", cfg, got, rest, err)
+	}
+	for n := range enc {
+		if _, _, err := readConfig(enc[:n]); err == nil {
+			t.Fatalf("a config cut to %d of %d bytes was read", n, len(enc))
+		}
+	}
+}
+
+// TestLoadPolicyMatchesLoadAgent: the policy LoadPolicy reads from the
+// section acts bit for bit like the agent LoadAgent decodes from the
+// training state, and like the agent that saved both.
+func TestLoadPolicyMatchesLoadAgent(t *testing.T) {
+	orig, file := servingAgent(t, DefaultConfig(6, 4))
+	p, _, _, err := LoadPolicy(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := LoadAgentBytes(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	state := make([]float64, 6)
+	got := make([]float64, 4)
+	for trial := 0; trial < 20; trial++ {
+		for j := range state {
+			state[j] = 2 * rng.NormFloat64()
+		}
+		if err := p.Greedy(state, got); err != nil {
+			t.Fatal(err)
+		}
+		for name, ref := range map[string]*Agent{"LoadAgent": a, "saved agent": orig} {
+			want := greedy(t, ref, state)
+			for j := range want {
+				if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+					t.Fatalf("state %d: LoadPolicy acts %v, %s %v", trial, got, name, want)
+				}
+			}
+		}
+	}
+}
+
+// TestLoadPolicyRefusesDamage: the sum covers the whole file, so every
+// truncation and one flipped byte anywhere — header, config, actor
+// frame or the training state LoadPolicy never decodes — is refused by
+// both readers.
+func TestLoadPolicyRefusesDamage(t *testing.T) {
+	a, file := servingAgent(t, DefaultConfig(6, 4))
+	for n := 0; n < len(file); n += 1024 {
+		if _, _, _, err := LoadPolicy(file[:n]); err == nil {
+			t.Fatalf("LoadPolicy accepted the first %d of %d bytes", n, len(file))
+		}
+		if _, err := LoadAgentBytes(file[:n]); err == nil {
+			t.Fatalf("LoadAgent accepted the first %d of %d bytes", n, len(file))
+		}
+	}
+	configEnd := sectionHeaderLen + len(appendConfig(nil, a.cfg))
+	frame, _ := a.ActorBytes()
+	stateAt := configEnd + len(frame)
+	for part, at := range map[string]int{
+		"sum":    len(servingMagic) + 9,
+		"config": sectionHeaderLen + 3,
+		"frame":  configEnd + len(frame)/2,
+		"state":  stateAt + (len(file)-stateAt)/2,
+	} {
+		bad := bytes.Clone(file)
+		bad[at] ^= 0x10
+		if _, _, _, err := LoadPolicy(bad); err == nil {
+			t.Errorf("LoadPolicy accepted a flipped byte in the %s", part)
+		}
+		if _, err := LoadAgentBytes(bad); err == nil {
+			t.Errorf("LoadAgent accepted a flipped byte in the %s", part)
+		}
+	}
+}
+
+// TestLoadAgentRefusesDisagreeingSection: a file whose section and
+// training state describe different agents — another actor, another
+// Config — is refused by LoadAgent, though its sum is right.
+func TestLoadAgentRefusesDisagreeingSection(t *testing.T) {
+	a, _ := servingAgent(t, DefaultConfig(6, 4))
+	state, err := a.StateBytes(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Learn()
+	moved := servingWith(t, a, state) // the actor one update later
+	if _, _, _, err := LoadPolicy(moved); err != nil {
+		t.Fatalf("the section alone is sound, yet LoadPolicy refused it: %v", err)
+	}
+	if _, err := LoadAgentBytes(moved); err == nil {
+		t.Error("LoadAgent accepted a section actor that differs from the training state's")
+	}
+	other := a.cfg
+	other.Seed++
+	frame, _ := a.ActorBytes()
+	if _, err := LoadAgentBytes(appendSection(nil, appendConfig(nil, other), frame, state)); err == nil {
+		t.Error("LoadAgent accepted a section Config that differs from the training state's")
+	}
+}
+
+// TestLoadRefusesPreSectionCheckpoint: a bare SaveState blob — what the
+// serving checkpoint was before the section — gets the error that says
+// so from both readers.
+func TestLoadRefusesPreSectionCheckpoint(t *testing.T) {
+	a, _ := servingAgent(t, smallConfig())
+	bare, err := a.StateBytes(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := LoadPolicy(bare); !errors.Is(err, errNotServing) {
+		t.Errorf("LoadPolicy(bare state) = %v, want %v", err, errNotServing)
+	}
+	if _, err := LoadAgentBytes(bare); !errors.Is(err, errNotServing) {
+		t.Errorf("LoadAgentBytes(bare state) = %v, want %v", err, errNotServing)
+	}
+}
+
+// allocated is the heap bytes f allocates.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestLoadRefusesOversizedConfig: a Config is read from the file, and
+// what it implies is compared with the bytes present before anything is
+// sized by it — with arithmetic that cannot wrap. Each hostile file,
+// sum intact, is refused for under 1 MB of allocation.
+func TestLoadRefusesOversizedConfig(t *testing.T) {
+	small, _ := servingAgent(t, frameConfig())
+	frame, _ := small.ActorBytes()
+	state, err := small.StateBytes(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hostile := func(edit func(*Config)) Config {
+		cfg := small.cfg
+		edit(&cfg)
+		return cfg
+	}
+	const budget = 1 << 20
+	for name, cfg := range map[string]Config{
+		"hidden 2^19":        hostile(func(c *Config) { c.Hidden = []int{1 << 19} }),
+		"hidden 2^32 × 2^32": hostile(func(c *Config) { c.Hidden = []int{1 << 32, 1 << 32} }), // In·Out wraps to 0
+		"hidden 2^31 × 2^31": hostile(func(c *Config) { c.Hidden = []int{1 << 31, 1 << 31} }),
+		"state dim 2^62":     hostile(func(c *Config) { c.StateDim = 1 << 62 }),
+		"negative width":     hostile(func(c *Config) { c.Hidden = []int{4, -3} }),
+		"buffer beyond 2^40": hostile(func(c *Config) { c.BufferCap = math.MaxInt }),
+	} {
+		blob := appendSection(nil, appendConfig(nil, cfg), frame, state)
+		var perr, aerr error
+		if n := allocated(func() { _, _, _, perr = LoadPolicy(blob) }); perr == nil || n > budget {
+			t.Errorf("%s: LoadPolicy returned %v after allocating %d bytes", name, perr, n)
+		}
+		if n := allocated(func() { _, aerr = LoadAgentBytes(blob) }); aerr == nil || n > budget {
+			t.Errorf("%s: LoadAgentBytes returned %v after allocating %d bytes", name, aerr, n)
+		}
+	}
+
+	// An actor whose frame is all present beside a critic the training
+	// state cannot hold: only LoadAgent builds a critic, and it must
+	// refuse before New sizes one (~1 M parameters here) by the Config.
+	cfg := hostile(func(c *Config) { c.StateDim, c.Hidden, c.ActionDim = 1, []int{64, 1}, 1<<14 })
+	// The training state claims the same Config, so that nothing but the
+	// size check stands between it and New.
+	actorLen, _ := nn.MLPFrameLen(actorSizes(cfg)) // 264 KB
+	claims := reencode(t, state, func(st *agentState) { st.Cfg = cfg })
+	blob := appendSection(nil, appendConfig(nil, cfg), make([]byte, actorLen), claims)
+	var aerr error
+	if n := allocated(func() { _, aerr = LoadAgentBytes(blob) }); aerr == nil || n > budget {
+		t.Errorf("wide critic: LoadAgentBytes returned %v after allocating %d bytes", aerr, n)
+	}
+}
+
+// FuzzLoadPolicy: no input panics LoadPolicy, and an accepted input's
+// policy-only form loads back to itself, the same Config and the same
+// actor bits. Each input also runs again under a sum rewritten to match
+// it, so mutations reach the config and frame checks behind the CRC.
+// Seeds (f.Add, a small topology so inputs stay a few KB): a serving
+// checkpoint, its policy-only form, a bare pre-section StateBytes blob,
+// and the checkpoint cut at the end of its actor frame.
+func FuzzLoadPolicy(f *testing.F) {
+	a, file := servingAgent(f, frameConfig())
+	_, _, form, err := LoadPolicy(file)
+	if err != nil {
+		f.Fatal(err)
+	}
+	bare, err := a.StateBytes(false)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(file)
+	f.Add(form)
+	f.Add(bare)
+	f.Add(file[:len(form)])
+	check := func(t *testing.T, data []byte) {
+		p, cfg, form, err := LoadPolicy(data)
+		if err != nil {
+			return
+		}
+		q, again, form2, err := LoadPolicy(form)
+		if err != nil {
+			t.Fatalf("an accepted file's policy-only form was refused: %v", err)
+		}
+		if !bytes.Equal(form2, form) || !bytes.Equal(appendConfig(nil, again), appendConfig(nil, cfg)) {
+			t.Fatal("the policy-only form does not load back to itself")
+		}
+		if !bytes.Equal(p.Actor.ParamFrame(), q.Actor.ParamFrame()) {
+			t.Fatal("the policy-only form loads other actor bits")
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		check(t, data)
+		if len(data) >= sectionHeaderLen {
+			check(t, appendSection(nil, data[sectionHeaderLen:], nil, nil))
+		}
+	})
+}

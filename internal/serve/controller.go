@@ -73,12 +73,14 @@ type Config struct {
 	// The controller uses it to size the policy, decode actions and
 	// predict proposals; agents use it to build their local env.
 	Spec apex.ActorSpec
-	// PolicyPath is the boot policy checkpoint (ddpg.SaveState blob).
-	// Ignored when StatePath resumes a persisted policy.
+	// PolicyPath is the boot policy checkpoint (ddpg.Agent.SaveServing,
+	// greennfv -save-policy). Ignored when StatePath resumes a persisted
+	// policy.
 	PolicyPath string
-	// StatePath, when set, persists controller state (policy blob +
-	// last-known-good configs) crash-safely across restarts: a
-	// snapshot at this path plus a journal at StatePath+".journal".
+	// StatePath, when set, persists controller state (the policy's
+	// policy-only form + last-known-good configs) crash-safely across
+	// restarts: a snapshot at this path plus a journal at
+	// StatePath+".journal".
 	StatePath string
 	// LeaseWindow is the heartbeat window: a node silent for longer
 	// loses its lease and must re-register. Zero defaults to 10s.
@@ -133,7 +135,8 @@ type shard struct {
 
 // policySnapshot is the immutable serving policy: reports load it
 // with one atomic read, reload/persist swap it on the writer path.
-// actor is the validated checkpoint's policy network, kept only as the
+// blob is the checkpoint's policy-only form (ddpg.LoadPolicy), what the
+// state file persists; actor is its policy network, kept only as the
 // template report scratch clones its replicas from; nothing runs
 // inference on it.
 type policySnapshot struct {
@@ -229,11 +232,12 @@ func NewController(cfg Config) (*Controller, error) {
 	}
 	switch {
 	case resumed != nil:
-		actor, err := c.validatePolicy(resumed.PolicyBlob)
+		snap, err := c.validatePolicy(resumed.PolicyBlob)
 		if err != nil {
-			return nil, fmt.Errorf("serve: persisted policy: %w", err)
+			return nil, fmt.Errorf("serve: persisted policy in %s: %w", cfg.StatePath, err)
 		}
-		c.policy.Store(&policySnapshot{blob: resumed.PolicyBlob, version: resumed.PolicyVersion, actor: actor})
+		snap.version = resumed.PolicyVersion
+		c.policy.Store(snap)
 		for id, ks := range resumed.LastGood {
 			sh := c.shardFor(id)
 			sh.lastGood[id] = ks
@@ -243,11 +247,12 @@ func NewController(cfg Config) (*Controller, error) {
 		if err != nil {
 			return nil, fmt.Errorf("serve: read policy: %w", err)
 		}
-		actor, err := c.validatePolicy(blob)
+		snap, err := c.validatePolicy(blob)
 		if err != nil {
 			return nil, err
 		}
-		c.policy.Store(&policySnapshot{blob: blob, version: 1, actor: actor})
+		snap.version = 1
+		c.policy.Store(snap)
 	default:
 		return nil, errors.New("serve: controller needs a policy (PolicyPath or persisted state)")
 	}
@@ -280,22 +285,23 @@ func (c *Controller) shardFor(nodeID string) *shard {
 	return &c.shards[h%numShards]
 }
 
-// validatePolicy decodes a full policy checkpoint and checks its
-// dimensions against the node spec — the gate both boot and hot
-// reload pass through — and returns an inference-only clone of the
-// decoded policy. The rest of the decoded agent (critics, optimiser
-// moments, replay arena) is garbage once this returns.
-func (c *Controller) validatePolicy(blob []byte) (*ddpg.Policy, error) {
-	agent, err := ddpg.LoadAgentBytes(blob)
+// validatePolicy reads a checkpoint's policy section (ddpg.LoadPolicy:
+// the sum over the whole blob, the Config, the actor frame against the
+// Config's topology) and checks its dimensions against the node spec —
+// the gate boot, resume and hot reload all pass through. Nothing after
+// the section is decoded. It returns the snapshot to serve, version
+// unset: the inference-only policy and the section's policy-only form,
+// which is what the state file persists.
+func (c *Controller) validatePolicy(blob []byte) (*policySnapshot, error) {
+	actor, acfg, form, err := ddpg.LoadPolicy(blob)
 	if err != nil {
 		return nil, fmt.Errorf("serve: load policy: %w", err)
 	}
-	acfg := agent.Config()
 	if acfg.StateDim != c.probe.StateDim() || acfg.ActionDim != c.probe.ActionDim() {
 		return nil, fmt.Errorf("serve: policy dims %dx%d do not match node spec %dx%d",
 			acfg.StateDim, acfg.ActionDim, c.probe.StateDim(), c.probe.ActionDim())
 	}
-	return agent.Policy.Clone(), nil
+	return &policySnapshot{blob: form, actor: actor}, nil
 }
 
 // getScratch checks out pooled report scratch whose actor replica
@@ -471,9 +477,10 @@ func (c *Controller) RegisterMetrics(reg *stats.Registry) {
 }
 
 // ReloadPolicy hot-swaps the serving policy from a checkpoint file:
-// the blob is read and fully validated first, then swapped in as a
-// new immutable snapshot — in-flight reports finish on the snapshot
-// they loaded; later reports see the new one. A corrupt or mismatched
+// the file is read and its policy section validated first (whole-file
+// sum, Config, actor frame, dimensions), then swapped in as a new
+// immutable snapshot — in-flight reports finish on the snapshot they
+// loaded; later reports see the new one. A corrupt or mismatched
 // checkpoint is rejected loudly and the current policy keeps serving
 // untouched.
 func (c *Controller) ReloadPolicy(path string) error {
@@ -481,12 +488,13 @@ func (c *Controller) ReloadPolicy(path string) error {
 	if err != nil {
 		return fmt.Errorf("serve: reload policy: %w", err)
 	}
-	actor, err := c.validatePolicy(blob)
+	snap, err := c.validatePolicy(blob)
 	if err != nil {
 		return fmt.Errorf("serve: reload rejected: %w", err)
 	}
 	c.reloadMu.Lock()
-	c.policy.Store(&policySnapshot{blob: blob, version: c.policy.Load().version + 1, actor: actor})
+	snap.version = c.policy.Load().version + 1
+	c.policy.Store(snap)
 	c.reloadMu.Unlock()
 	return c.snapshot()
 }

@@ -86,7 +86,9 @@
 //
 // # Crash safety
 //
-// Controller state — the current policy blob, its version, and each
+// Controller state — the serving policy's policy-only form (its
+// checkpoint's policy section, ~31 KB at the default topology: the
+// training state behind it is never kept), its version, and each
 // node's last-known-good config — lives in two files. The snapshot at
 // StatePath is the whole state, written through atomicio (magic
 // "GNFVSRV1", temp+fsync+rename, CRC). The journal at
@@ -101,7 +103,7 @@
 // that changes nothing touches no file. There is no background
 // flusher, timer or staleness window — the cost of a change is one
 // small write and one fsync, independent of fleet size and of the
-// policy blob.
+// policy.
 //
 // The snapshot is rewritten only where the blob or the base changes:
 // ReloadPolicy, Close, the first change of a controller that booted
@@ -128,12 +130,17 @@
 // last serving (hot reloads included) and the fleet re-registers
 // transparently.
 //
-// Hot policy reload validates the new checkpoint in full (decodable
-// agent, dimensions against the node spec) before an atomic swap; a
-// corrupt or mismatched checkpoint is rejected loudly without dropping
-// the serving loop. The validated agent's actor network stays with the
-// policy snapshot, and each pooled report scratch clones its replica
-// from it — the checkpoint is decoded once per boot or reload, not
-// once per replica, and no replica pins the checkpoint's replay arena,
-// critics or optimiser state.
+// Hot policy reload reads only the new checkpoint's policy section
+// (ddpg.LoadPolicy) and checks it before an atomic swap: the length
+// and CRC32 the section's header records for the whole file, the
+// Config (validated as a new agent's would be, and held to imply an
+// actor whose frame fits the bytes present), the actor frame against
+// that topology, and the dimensions against the node spec. A corrupt
+// or mismatched checkpoint is rejected loudly without dropping the
+// serving loop. Boot and resume pass the same gate. No agent is built:
+// the critics, targets, optimiser moments and noise behind the section
+// are covered by the CRC and never decoded. The section's actor stays
+// with the policy snapshot, and each pooled report scratch clones its
+// replica from it — the checkpoint is read once per boot or reload,
+// not once per replica.
 package serve

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"bytes"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -11,6 +13,7 @@ import (
 	"greennfv/internal/perfmodel"
 	"greennfv/internal/rl/apex"
 	"greennfv/internal/rl/ddpg"
+	"greennfv/internal/rl/replay"
 	"greennfv/internal/sla"
 )
 
@@ -56,26 +59,48 @@ func TestReadSpec(t *testing.T) {
 }
 
 // writePolicy saves an untrained (random-weight — the noisiest policy
-// there is) agent checkpoint sized for spec, returning its path.
+// there is) serving checkpoint sized for spec, returning its path.
 func writePolicy(t testing.TB, dir string, spec apex.ActorSpec, seed int64) string {
+	t.Helper()
+	return writeTrainedPolicy(t, dir, spec, seed, []int{16, 16}, 0)
+}
+
+// writeTrainedPolicy is writePolicy at the given hidden widths, after
+// that many updates on random transitions — enough to give the
+// checkpoint the optimiser moments a trained one carries.
+func writeTrainedPolicy(t testing.TB, dir string, spec apex.ActorSpec, seed int64, hidden []int, updates int) string {
 	t.Helper()
 	e, err := spec.BuildEnv(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := ddpg.DefaultConfig(e.StateDim(), e.ActionDim())
-	cfg.Hidden = []int{16, 16}
+	cfg.Hidden = hidden
 	cfg.Seed = seed
 	agent, err := ddpg.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, err := agent.StateBytes(false)
-	if err != nil {
+	rng := rand.New(rand.NewSource(seed))
+	random := func(n int) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = 2*rng.Float64() - 1
+		}
+		return v
+	}
+	for i := 0; i < cfg.BatchSize; i++ {
+		agent.Observe(replay.Transition{State: random(cfg.StateDim), Action: random(cfg.ActionDim), Reward: rng.Float64(), NextState: random(cfg.StateDim)})
+	}
+	for i := 0; i < updates; i++ {
+		agent.Learn()
+	}
+	var buf bytes.Buffer
+	if err := agent.SaveServing(&buf); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, "policy.ckpt")
-	if err := os.WriteFile(path, blob, 0o644); err != nil {
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return path

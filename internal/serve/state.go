@@ -31,8 +31,11 @@ func journalPath(statePath string) string { return statePath + ".journal" }
 // last-known-good configuration, the middle rung of the degradation
 // ladder.
 type ControllerState struct {
-	// PolicyBlob is the full ddpg.SaveState blob of the serving
-	// policy; PolicyVersion counts swaps (boot = 1).
+	// PolicyBlob is the serving policy's policy-only form: its
+	// checkpoint's policy section (Config and actor frame, ~31 KB at
+	// the default topology) without the training state behind it,
+	// which ddpg.LoadPolicy reads back. PolicyVersion counts swaps
+	// (boot = 1).
 	PolicyBlob    []byte
 	PolicyVersion int
 	// LastGood maps node ID to the last guardrail-approved config the

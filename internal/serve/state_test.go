@@ -13,10 +13,13 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
 	"greennfv/internal/perfmodel"
+	"greennfv/internal/rl/ddpg"
 	"greennfv/internal/sla"
 )
 
@@ -427,6 +430,121 @@ func TestReportsRacingReload(t *testing.T) {
 	}
 	if want := fleetLastGood(ctrl, nodes); !reflect.DeepEqual(st.LastGood, want) {
 		t.Errorf("persisted last-known-good %+v, serving %+v", st.LastGood, want)
+	}
+}
+
+// TestServingHoldsPolicyOnly gates what serving reads and keeps of a
+// checkpoint: after boot, after a resume and after a hot reload, the
+// state file's PolicyBlob is the checkpoint's policy-only form — the
+// policy section, without the critic, target, optimiser or noise bytes
+// behind it — and a ReloadPolicy allocates at most twice the file.
+func TestServingHoldsPolicyOnly(t *testing.T) {
+	spec := testSpec(sla.NewEnergyEfficiency())
+	// The default topology with optimiser moments: a file the size
+	// greennfv -save-policy writes.
+	hidden := ddpg.DefaultConfig(0, 0).Hidden
+	policies := []string{
+		writeTrainedPolicy(t, t.TempDir(), spec, 71, hidden, 2),
+		writeTrainedPolicy(t, t.TempDir(), spec, 72, hidden, 2),
+	}
+	statePath := filepath.Join(t.TempDir(), "controller.state")
+	persists := func(when, policy string) {
+		t.Helper()
+		st, err := loadAt(t, statePath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		file, err := os.ReadFile(policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		actor, _, form, err := ddpg.LoadPolicy(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(st.PolicyBlob, form) {
+			t.Errorf("%s: the state file holds a %d-byte policy, not the %d-byte policy-only form of the %d-byte checkpoint",
+				when, len(st.PolicyBlob), len(form), len(file))
+		}
+		if extra := len(st.PolicyBlob) - len(actor.Actor.ParamFrame()); extra > 256 {
+			t.Errorf("%s: the persisted policy carries %d bytes beside the actor frame", when, extra)
+		}
+		if _, err := ddpg.LoadAgentBytes(st.PolicyBlob); err == nil {
+			t.Errorf("%s: a whole agent decodes from the persisted policy", when)
+		}
+	}
+
+	boot, err := NewController(Config{Spec: spec, PolicyPath: policies[0], StatePath: statePath})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := boot.Close(); err != nil {
+		t.Fatal(err)
+	}
+	persists("after boot", policies[0])
+	ctrl, err := NewController(Config{Spec: spec, StatePath: statePath})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctrl.Close()
+	if err := ctrl.snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	persists("after resume", policies[0])
+	if err := ctrl.ReloadPolicy(policies[1]); err != nil {
+		t.Fatal(err)
+	}
+	persists("after reload", policies[1])
+
+	info, err := os.Stat(policies[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	const reloads = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < reloads; i++ {
+		if err := ctrl.ReloadPolicy(policies[i%2]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perReload := float64(after.TotalAlloc-before.TotalAlloc) / reloads
+	t.Logf("ReloadPolicy allocates %.0f bytes for a %d-byte checkpoint (%.2fx)", perReload, info.Size(), perReload/float64(info.Size()))
+	if perReload > 2*float64(info.Size()) {
+		t.Errorf("ReloadPolicy allocates %.0f bytes, over twice the %d-byte checkpoint", perReload, info.Size())
+	}
+}
+
+// TestResumeRefusesPreSectionState: a state file whose policy is a bare
+// agent state — what controllers persisted before the policy section —
+// is refused at boot with an error naming the file and the cause,
+// rather than served or silently replaced by the boot checkpoint.
+func TestResumeRefusesPreSectionState(t *testing.T) {
+	spec := testSpec(sla.NewEnergyEfficiency())
+	e, err := spec.BuildEnv(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	agent, err := ddpg.New(ddpg.DefaultConfig(e.StateDim(), e.ActionDim()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare, err := agent.StateBytes(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	statePath := filepath.Join(t.TempDir(), "controller.state")
+	store, err := OpenStateStore(statePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Save(&ControllerState{PolicyBlob: bare, PolicyVersion: 3}); err != nil {
+		t.Fatal(err)
+	}
+	_, err = NewController(Config{Spec: spec, PolicyPath: writePolicy(t, t.TempDir(), spec, 9), StatePath: statePath})
+	if err == nil || !strings.Contains(err.Error(), statePath) || !strings.Contains(err.Error(), "before the section existed") {
+		t.Fatalf("resuming a pre-section state file: %v", err)
 	}
 }
 

@@ -58,8 +58,13 @@ gates=(
 	# violate the SLA on any ladder rung; the 32-node fleet soak and its
 	# serial-vs-concurrent bit-identity; lease expiry racing the shards;
 	# a steady report over loopback, client and server, inside its
-	# allocation budget.
-	"./internal/serve TestGuardrailProperty|TestFleet|TestExpireLeasesChurnRace|TestReportRoundTripAllocs"
+	# allocation budget; boot, resume and hot reload keep only a
+	# checkpoint's policy section, for under twice the file per reload.
+	"./internal/serve TestGuardrailProperty|TestFleet|TestExpireLeasesChurnRace|TestReportRoundTripAllocs|TestServingHoldsPolicyOnly"
+	# The serving checkpoint: the section's policy acts like the whole
+	# agent bit for bit, any damage is refused, and a Config claiming
+	# more than the file holds is refused before it sizes anything.
+	"./internal/rl/ddpg TestSaveServingLayout|TestLoadPolicyMatchesLoadAgent|TestLoadPolicyRefusesDamage|TestLoadAgentRefusesDisagreeingSection|TestLoadRefusesOversizedConfig"
 	# The fault proxy both planes' chaos tests stand on.
 	"./internal/faultrpc TestFaultProxy"
 	# One environment: single-node episodes bit-identical to the
