@@ -296,9 +296,8 @@ func (p *Policy) TrainingCurve() (episodes []int, tput, energy, efficiency []flo
 // Save writes the trained policy network to w — its parameters as one
 // fixed-layout frame (internal/nn, "Parameter frame"), the same bytes
 // the trainer broadcasts to its actors. A saved policy can be reloaded
-// with System.LoadPolicy, which also still reads the gob files written
-// before the frame existed — the train-once / deploy-many workflow
-// whose energy amortization Figure 11 quantifies.
+// with System.LoadPolicy — the train-once / deploy-many workflow whose
+// energy amortization Figure 11 quantifies.
 func (p *Policy) Save(w io.Writer) error {
 	if p == nil || p.ctl == nil {
 		return errors.New("greennfv: nil policy")
@@ -326,7 +325,8 @@ func (p *Policy) SaveCheckpoint(w io.Writer) error {
 // system's chain, and binds it to the SLA — the serve-only path:
 // train once, deploy the checkpoint many times without the training
 // driver. A checkpoint written before the policy section existed is
-// refused with an error that says so.
+// refused with an error that says so, as is one whose agent state
+// stores its networks as gob blobs rather than parameter frames.
 func (s *System) LoadPolicyCheckpoint(agreement SLA, r io.Reader) (*Policy, error) {
 	probe, err := s.factory(agreement.spec)(s.cfg.Seed, perfmodel.EvalOptions{})
 	if err != nil {
@@ -353,8 +353,12 @@ func (s *System) WriteNodeSpec(agreement SLA, w io.Writer) error {
 	return s.actorSpec(agreement.spec).Encode(w)
 }
 
-// LoadPolicy reads a policy checkpoint saved by Policy.Save, binding
-// it to the given SLA for constraint reporting.
+// LoadPolicy reads a policy saved by Policy.Save — a parameter frame
+// of the system's default actor shape — binding it to the given SLA
+// for constraint reporting. A policy file written before the frame
+// existed (the actor's gob encoding) is refused with an error that says
+// so: load it with a build that still reads it and save it again, or
+// retrain.
 func (s *System) LoadPolicy(agreement SLA, r io.Reader) (*Policy, error) {
 	// State and action dimensions follow from the chain length.
 	probe, err := s.factory(agreement.spec)(s.cfg.Seed, perfmodel.EvalOptions{})

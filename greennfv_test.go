@@ -2,10 +2,13 @@ package greennfv
 
 import (
 	"bytes"
+	"encoding/gob"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"greennfv/internal/perfmodel"
 )
 
 func TestSLAConstructors(t *testing.T) {
@@ -283,5 +286,52 @@ func TestPolicyCheckpointServeOnly(t *testing.T) {
 	}
 	if !strings.Contains(spec.String(), "\"env_seed\"") {
 		t.Errorf("node spec JSON missing fields: %s", spec.String())
+	}
+}
+
+// preFramePolicy is a policy file as Policy.Save wrote it before the
+// parameter frame: the gob encoding of the actor network's layer sizes,
+// activations (ReLU hidden, Tanh out), weights and biases — here of an
+// all-zero network of the system's default shape.
+func preFramePolicy(t *testing.T, sys *System, agreement SLA) []byte {
+	t.Helper()
+	probe, err := sys.factory(agreement.spec)(sys.cfg.Seed, perfmodel.EvalOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st struct {
+		Sizes []int
+		Acts  []int
+		W, B  [][]float64
+	}
+	st.Sizes = []int{probe.StateDim(), 48, 48, probe.ActionDim()}
+	st.Acts = []int{1, 1, 2}
+	for i := 1; i < len(st.Sizes); i++ {
+		st.W = append(st.W, make([]float64, st.Sizes[i-1]*st.Sizes[i]))
+		st.B = append(st.B, make([]float64, st.Sizes[i]))
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestLoadPolicyRefusesPreFrameFile: LoadPolicy reads parameter frames
+// only. A policy file from before the frame gets an error that names the
+// format and the remedy, not a policy.
+func TestLoadPolicyRefusesPreFrameFile(t *testing.T) {
+	sys, err := NewSystem(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := sys.LoadPolicy(EfficiencySLA(), bytes.NewReader(preFramePolicy(t, sys, EfficiencySLA())))
+	if p != nil || err == nil {
+		t.Fatalf("LoadPolicy of a pre-frame gob file returned %v, %v", p, err)
+	}
+	for _, word := range []string{"gob", "save it again", "retrain"} {
+		if !strings.Contains(err.Error(), word) {
+			t.Errorf("error %q does not say %q", err, word)
+		}
 	}
 }

@@ -144,7 +144,10 @@ func NewGreenNFVFromAgent(s sla.SLA, agent *ddpg.Agent) *GreenNFV {
 }
 
 // NewGreenNFVFromActor builds a deploy-only controller from a saved
-// actor checkpoint (no trainer, no further learning).
+// policy file — the actor's parameter frame, as Policy.Save writes it —
+// for the default agent shape at these dimensions (no trainer, no
+// further learning). Anything else, a pre-frame gob policy file
+// included, is refused (ddpg.View.LoadActorBytes).
 func NewGreenNFVFromActor(s sla.SLA, stateDim, actionDim int, r io.Reader) (*GreenNFV, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {

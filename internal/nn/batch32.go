@@ -86,8 +86,8 @@ func reluDeriv32(dY, z, dz []float32) {
 // EnableF32 allocates (once) and refreshes the float32 parameter
 // mirrors from the f64 weights, with float32 gradients where the layer
 // has float64 ones (a Clone has neither). Call it before the first
-// float32 pass and after any f64-side parameter change (LoadParams,
-// UnmarshalBinary) while the f32 path is in use.
+// float32 pass and after any f64-side parameter change (LoadParams)
+// while the f32 path is in use.
 func (n *Network) EnableF32() {
 	for _, l := range n.layers {
 		p := &l.f32
@@ -109,8 +109,8 @@ func (n *Network) EnableF32() {
 }
 
 // FlushF32 writes the float32 parameter mirrors back into the f64
-// weights, making the f32 path's training visible to MarshalBinary
-// and the scalar f64 Forward. No-op if EnableF32 was never called.
+// weights, making the f32 path's training visible to ParamFrame and
+// the scalar f64 Forward. No-op if EnableF32 was never called.
 func (n *Network) FlushF32() {
 	for _, l := range n.layers {
 		if l.f32.w == nil {

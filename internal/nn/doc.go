@@ -1,7 +1,7 @@
 // Package nn is a small, dependency-free neural-network library: the
-// dense multilayer perceptrons, Adam optimizer, gob checkpointing and
-// fixed-layout parameter frame that GreenNFV's DDPG actor and critic
-// are built from. It replaces
+// dense multilayer perceptrons, Adam optimizer and fixed-layout
+// parameter frame — the one encoding of a network — that GreenNFV's
+// DDPG actor and critic are built from. It replaces
 // the paper's Python 3.6 + TensorFlow learner with a pure-Go
 // implementation sized for the problem (networks of a few thousand
 // parameters, trained on one machine).
@@ -213,8 +213,9 @@
 // # Parameter frame
 //
 // A network's parameters travel — from the Ape-X learner to every
-// actor, and into the saved policy file — as one fixed-layout frame
-// (frame.go), little-endian throughout:
+// actor, into the saved policy file and into a training checkpoint —
+// as one fixed-layout frame (frame.go), little-endian throughout; it is
+// the only way this package serializes a network:
 //
 //	offset        size       field
 //	0             8          magic "GNFVPRM1"
@@ -234,9 +235,9 @@
 // never to size anything. Validation order — all of it before the
 // first parameter is written, so a refused frame changes nothing:
 //
-//  1. the magic (bytes that do not start with it are tried as a
-//     MarshalBinary gob blob instead: checkpoints embed those, and so
-//     did policy files written before the frame existed);
+//  1. the magic (bytes that do not start with it get ErrNotParamFrame
+//     — the gob encoding networks were saved in before the frame,
+//     among them — and are not read further);
 //  2. the total length, against the length of this network's own frame
 //     — exact, so truncation, trailing bytes and every later
 //     out-of-bounds read are excluded at once, and no product of sizes

@@ -30,11 +30,11 @@ import (
 // the separate float32 engine before it became the second
 // instantiation of the generic one.
 const (
-	learnFingerprintAVX2 = "981d18d8fe483b4b2a37d35d7fe28d0b2b2984d51443e07d71bfb4abfc6839b0"
-	learnFingerprintGo   = "a6dac5e26fe1ebaf070412938c86fe521ee4b46b35d33e725f2be7130323bd10"
+	learnFingerprintAVX2 = "cd09ac8d0cb78af8ececd43bad6353927ec1ab55f1d85bce8e1e53bcb8a60f54"
+	learnFingerprintGo   = "eeda12be0ad42de248e35768593d786aaea4190551c0e3a9b09002246835afc7"
 
-	learnFingerprintF32AVX2 = "b627ec41d99d6104c2dca6c98df81d8e3c08931dc16c82d2b29c851e9c87acd2"
-	learnFingerprintF32Go   = "6ce29c9f67387863adde4352309338e99fb1c53a982549a0bf01864af271ddcb"
+	learnFingerprintF32AVX2 = "61886519007af65b046ab5d6a77b3463b42daf447f095f30f464c27a2b2d1b3e"
+	learnFingerprintF32Go   = "17861940b9ab6576dd2505e5accf9220ebd6a65f54070e6a7b35983d873978de"
 )
 
 // fingerprintAgent builds the agent both fingerprints train — the

@@ -7,12 +7,13 @@ import (
 	"math/bits"
 )
 
-// The parameter frame is the fixed layout a network's parameters travel
-// in: the Ape-X broadcast (one frame per parameter version, shared by
-// every puller) and the saved policy file. doc.go ("Parameter frame")
-// has the layout byte by byte. It carries parameters for a network the
-// receiver already has — the header exists to be checked against that
-// network, not to build one.
+// The parameter frame is the one encoding of a network's parameters:
+// the Ape-X broadcast (one frame per parameter version, shared by every
+// puller), the saved policy file and each of the four networks of a
+// training state. doc.go ("Parameter frame") has the layout byte by
+// byte. It carries parameters for a network the receiver already has —
+// the header exists to be checked against that network, not to build
+// one.
 
 // paramMagic opens every parameter frame.
 const paramMagic = "GNFVPRM1"
@@ -88,30 +89,22 @@ func (n *Network) ParamFrame() []byte {
 	return frame
 }
 
-// isParamFrame reports whether data opens with the frame magic (a gob
-// stream cannot: its first message would be a value of a type id never
-// defined).
-func isParamFrame(data []byte) bool {
-	return len(data) >= len(paramMagic) && string(data[:len(paramMagic)]) == paramMagic
-}
+// ErrNotParamFrame is LoadParams' refusal of bytes that do not open
+// with the frame magic — among them the gob encoding networks were
+// saved in before the frame existed, which nothing reads any more.
+var ErrNotParamFrame = errors.New("nn: not a parameter frame")
 
-// LoadParamFrame is LoadParams for a parameter frame alone: bytes that
-// do not open with the frame magic are refused, not read as a gob blob.
-func (n *Network) LoadParamFrame(frame []byte) error {
-	if !isParamFrame(frame) {
-		return errors.New("nn: not a parameter frame")
+// LoadParams copies a frame's parameters into this network, in place
+// and without allocating. The bytes may come from a remote peer or a
+// file: the magic, the total length, the layer count and every layer's
+// sizes and activation are checked against this network — in that
+// order, so every later read is in bounds and no size is ever computed
+// from the bytes — before the first parameter is written. On error
+// nothing has changed.
+func (n *Network) LoadParams(frame []byte) error {
+	if len(frame) < len(paramMagic) || string(frame[:len(paramMagic)]) != paramMagic {
+		return ErrNotParamFrame
 	}
-	return n.loadParamFrame(frame)
-}
-
-// loadParamFrame copies a frame's parameters into this network, in
-// place and without allocating. The bytes may come from a remote peer
-// or a file: the total length, the layer count and every layer's sizes
-// and activation are checked against this network — in that order, so
-// every later read is in bounds and no size is ever computed from the
-// bytes — before the first parameter is written. On error nothing has
-// changed.
-func (n *Network) loadParamFrame(frame []byte) error {
 	le := binary.LittleEndian
 	if len(frame) != n.paramFrameLen() {
 		return errors.New("nn: parameter frame length does not match this network")

@@ -2,124 +2,44 @@ package nn
 
 import (
 	"bytes"
-	"encoding/gob"
+	"errors"
 	"math"
-	"math/bits"
 	"math/rand"
 	"reflect"
 	"testing"
 )
 
-func encodeState(t testing.TB, st netState) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// hostileStates are well-formed gobs of ill-formed networks. The first
-// is the reproduced panic: one layer declared, no W to index.
-func hostileStates(t testing.TB) map[string][]byte {
-	w6, b2 := make([]float64, 6), make([]float64, 2)
-	// Size products that wrap around the int width: to 0, and to 12,
-	// the length of a W that is really there.
-	const half, quarter = 1 << (bits.UintSize / 2), 1 << (bits.UintSize - 2)
-	return map[string][]byte{
-		"no-w":         encodeState(t, netState{Sizes: []int{3, 2}, Acts: []Activation{ReLU}}),
-		"short-b":      encodeState(t, netState{Sizes: []int{3, 2}, Acts: []Activation{ReLU}, W: [][]float64{w6}}),
-		"short-acts":   encodeState(t, netState{Sizes: []int{3, 2, 2}, Acts: []Activation{ReLU}, W: [][]float64{w6}, B: [][]float64{b2}}),
-		"one-size":     encodeState(t, netState{Sizes: []int{3}}),
-		"zero-sizes":   encodeState(t, netState{Sizes: []int{0, 0}, Acts: []Activation{ReLU}, W: [][]float64{{}}, B: [][]float64{{}}}),
-		"zero-in":      encodeState(t, netState{Sizes: []int{0, 2}, Acts: []Activation{ReLU}, W: [][]float64{{}}, B: [][]float64{b2}}),
-		"negative":     encodeState(t, netState{Sizes: []int{-3, -2}, Acts: []Activation{ReLU}, W: [][]float64{w6}, B: [][]float64{b2}}),
-		"giant":        encodeState(t, netState{Sizes: []int{half, half}, Acts: []Activation{ReLU}, W: [][]float64{{}}, B: [][]float64{{}}}),
-		"giant-wraps":  encodeState(t, netState{Sizes: []int{quarter + 3, 4}, Acts: []Activation{ReLU}, W: [][]float64{make([]float64, 12)}, B: [][]float64{make([]float64, 4)}}),
-		"w-mismatch":   encodeState(t, netState{Sizes: []int{4, 2}, Acts: []Activation{ReLU}, W: [][]float64{w6}, B: [][]float64{b2}}),
-		"unknown-act":  encodeState(t, netState{Sizes: []int{3, 2}, Acts: []Activation{Activation(9)}, W: [][]float64{w6}, B: [][]float64{b2}}),
-		"negative-act": encodeState(t, netState{Sizes: []int{3, 2}, Acts: []Activation{Activation(-1)}, W: [][]float64{w6}, B: [][]float64{b2}}),
-	}
-}
-
-// TestUnmarshalRejectsHostileState: bytes from a remote peer must come
-// back as an error, never a panic, and leave the receiver untouched.
-func TestUnmarshalRejectsHostileState(t *testing.T) {
-	live := MustMLP([]int{3, 2}, ReLU, Linear, rand.New(rand.NewSource(1)))
-	before, err := live.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := hostileStates(t)
-	cases["truncated"] = before[:len(before)/2]
-	cases["empty"] = nil
-	for name, blob := range cases {
-		if err := new(Network).UnmarshalBinary(blob); err == nil {
-			t.Errorf("%s: UnmarshalBinary accepted it", name)
-		}
-		if err := live.UnmarshalBinary(blob); err == nil {
-			t.Errorf("%s: UnmarshalBinary over a live network accepted it", name)
-		}
-		if err := live.LoadParams(blob); err == nil {
-			t.Errorf("%s: LoadParams accepted it", name)
-		}
-		after, err := live.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(before, after) {
-			t.Fatalf("%s: a rejected blob changed the live network", name)
-		}
-	}
-}
-
-// paramEncodings are the two forms LoadParams reads: the parameter
-// frame and the gob blob (checkpoints, policy files from before the
-// frame).
-var paramEncodings = map[string]func(*Network) []byte{
-	"frame": (*Network).ParamFrame,
-	"gob": func(n *Network) []byte {
-		blob, err := n.MarshalBinary()
-		if err != nil {
-			panic(err)
-		}
-		return blob
-	},
-}
-
-// TestLoadParams: an in-place load equals a rebuild, and a blob whose
+// TestLoadParams: an in-place load equals a rebuild, and a frame whose
 // LAST layer is the one that mismatches changes nothing — the check
-// covers the whole network before the first copy. In either encoding.
+// covers the whole network before the first copy.
 func TestLoadParams(t *testing.T) {
-	for enc, encode := range paramEncodings {
-		rng := rand.New(rand.NewSource(5))
-		src := MustMLP([]int{6, 9, 4}, ReLU, Tanh, rng)
-		dst := MustMLP([]int{6, 9, 4}, ReLU, Tanh, rng)
-		if err := dst.LoadParams(encode(src)); err != nil {
-			t.Fatal(enc, err)
-		}
-		for i, p := range src.ParamSlices() {
-			for j := range p {
-				if math.Float64bits(p[j]) != math.Float64bits(dst.ParamSlices()[i][j]) {
-					t.Fatalf("%s: param slice %d[%d] not loaded", enc, i, j)
-				}
+	rng := rand.New(rand.NewSource(5))
+	src := MustMLP([]int{6, 9, 4}, ReLU, Tanh, rng)
+	dst := MustMLP([]int{6, 9, 4}, ReLU, Tanh, rng)
+	if err := dst.LoadParams(src.ParamFrame()); err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range src.ParamSlices() {
+		for j := range p {
+			if math.Float64bits(p[j]) != math.Float64bits(dst.ParamSlices()[i][j]) {
+				t.Fatalf("param slice %d[%d] not loaded", i, j)
 			}
 		}
+	}
 
-		before := dst.ParamFrame()
-		for name, other := range map[string]*Network{
-			"last layer wider":      MustMLP([]int{6, 9, 5}, ReLU, Tanh, rng),
-			"last layer activation": MustMLP([]int{6, 9, 4}, ReLU, Linear, rng),
-			"one layer more":        MustMLP([]int{6, 9, 4, 4}, ReLU, Tanh, rng),
-			"one layer fewer":       MustMLP([]int{6, 4}, ReLU, Tanh, rng),
-			"same size, transposed": MustMLP([]int{6, 4, 9}, ReLU, Tanh, rng),
-		} {
-			if err := dst.LoadParams(encode(other)); err == nil {
-				t.Errorf("%s, %s: LoadParams accepted a mismatched network", enc, name)
-			}
-			if !bytes.Equal(before, dst.ParamFrame()) {
-				t.Fatalf("%s, %s: a rejected load was partially applied", enc, name)
-			}
+	before := dst.ParamFrame()
+	for name, other := range map[string]*Network{
+		"last layer wider":      MustMLP([]int{6, 9, 5}, ReLU, Tanh, rng),
+		"last layer activation": MustMLP([]int{6, 9, 4}, ReLU, Linear, rng),
+		"one layer more":        MustMLP([]int{6, 9, 4, 4}, ReLU, Tanh, rng),
+		"one layer fewer":       MustMLP([]int{6, 4}, ReLU, Tanh, rng),
+		"same size, transposed": MustMLP([]int{6, 4, 9}, ReLU, Tanh, rng),
+	} {
+		if err := dst.LoadParams(other.ParamFrame()); err == nil {
+			t.Errorf("%s: LoadParams accepted a mismatched network", name)
+		}
+		if !bytes.Equal(before, dst.ParamFrame()) {
+			t.Fatalf("%s: a rejected load was partially applied", name)
 		}
 	}
 }
@@ -199,31 +119,42 @@ func TestMLPFrameLen(t *testing.T) {
 	}
 }
 
-// FuzzNetworkUnmarshal: any byte string is either rejected with the
-// receiver untouched, or yields a network every pass can run on. The
-// seeds are the committed corpus (testdata/fuzz/FuzzNetworkUnmarshal):
-// the hostile states above, a truncated gob and a valid 5-7-3 network.
+// FuzzNetworkUnmarshal fuzzes the package's one network decoder,
+// LoadParams, into a live 5-7-3 network: any byte string is refused
+// with every parameter bit untouched — with ErrNotParamFrame whenever it
+// lacks the frame magic — or loaded, and then the network's own frame
+// is those bytes exactly and every pass runs on it. The committed corpus
+// (testdata/fuzz/FuzzNetworkUnmarshal) is the gob encoding networks had
+// before the frame: ill-formed networks, a truncated stream and a valid
+// 5-7-3 network ("valid"), all of which must now be refused; the f.Add
+// seeds are the receiver's own frame and one of another activation.
 func FuzzNetworkUnmarshal(f *testing.F) {
+	rng := rand.New(rand.NewSource(41))
+	n := MustMLP([]int{5, 7, 3}, ReLU, Tanh, rng)
+	start := n.ParamFrame()
+	f.Add(start)
+	f.Add(MustMLP([]int{5, 7, 3}, ReLU, Linear, rng).ParamFrame())
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var n Network
-		if err := n.UnmarshalBinary(data); err != nil {
-			if n.layers != nil {
-				t.Fatal("a rejected blob left layers behind")
+		if err := n.LoadParams(start); err != nil {
+			t.Fatal(err)
+		}
+		if err := n.LoadParams(data); err != nil {
+			if !bytes.HasPrefix(data, []byte(paramMagic)) && !errors.Is(err, ErrNotParamFrame) {
+				t.Fatalf("bytes without the frame magic refused with %v, want ErrNotParamFrame", err)
+			}
+			if !bytes.Equal(n.ParamFrame(), start) {
+				t.Fatal("a refused input changed the network")
 			}
 			return
 		}
+		if !bytes.Equal(n.ParamFrame(), data) {
+			t.Fatal("an accepted frame does not read back byte for byte")
+		}
 		const rows = 5 // one 4-row group and a remainder row
-		x := make([]float64, rows*n.layers[0].In)
-		n.Forward(x[:n.layers[0].In])
+		x := make([]float64, rows*5)
+		n.Forward(x[:5])
 		n.ForwardBatch(x, rows)
-		n.BackwardBatch(make([]float64, rows*n.layers[len(n.layers)-1].Out), rows)
-		blob, err := n.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := n.LoadParams(blob); err != nil {
-			t.Fatalf("a network rejects its own parameters: %v", err)
-		}
+		n.BackwardBatch(make([]float64, rows*3), rows)
 	})
 }
 

@@ -1,8 +1,6 @@
 package nn
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math"
@@ -230,112 +228,4 @@ func (n *Network) Clone() *Network {
 			append([]float64(nil), l.W...), append([]float64(nil), l.B...), false))
 	}
 	return c
-}
-
-// netState is the gob-serializable form.
-type netState struct {
-	Sizes []int
-	Acts  []Activation
-	W     [][]float64
-	B     [][]float64
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler: the
-// self-describing gob form checkpoints embed, from which
-// UnmarshalBinary can build a network. Parameters alone travel as a
-// ParamFrame.
-func (n *Network) MarshalBinary() ([]byte, error) {
-	st := netState{}
-	for i, l := range n.layers {
-		if i == 0 {
-			st.Sizes = append(st.Sizes, l.In)
-		}
-		st.Sizes = append(st.Sizes, l.Out)
-		st.Acts = append(st.Acts, l.Act)
-		st.W = append(st.W, l.W)
-		st.B = append(st.B, l.B)
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// decodeState decodes a MarshalBinary blob and validates it in full:
-// the four lists describe the same number of layers, every size is
-// positive, every activation is known, and each W/B length matches
-// its sizes (by division, so a huge size product cannot wrap around
-// to a short slice's length). The bytes may come from a remote peer.
-func decodeState(data []byte) (*netState, error) {
-	var st netState
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
-		return nil, err
-	}
-	layers := len(st.Sizes) - 1
-	if layers < 1 || len(st.Acts) != layers || len(st.W) != layers || len(st.B) != layers {
-		return nil, errors.New("nn: corrupt network state")
-	}
-	for i, s := range st.Sizes {
-		if s <= 0 {
-			return nil, fmt.Errorf("nn: corrupt network state: layer %d size %d", i, s)
-		}
-	}
-	for i := 0; i < layers; i++ {
-		in, out := st.Sizes[i], st.Sizes[i+1]
-		if a := st.Acts[i]; a < Linear || a > Sigmoid {
-			return nil, fmt.Errorf("nn: corrupt layer state: unknown %v", a)
-		}
-		if len(st.B[i]) != out || len(st.W[i])%out != 0 || len(st.W[i])/out != in {
-			return nil, errors.New("nn: corrupt layer state")
-		}
-	}
-	return &st, nil
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler. On error the
-// network is left as it was.
-func (n *Network) UnmarshalBinary(data []byte) error {
-	st, err := decodeState(data)
-	if err != nil {
-		return err
-	}
-	*n = Network{}
-	for i, act := range st.Acts {
-		n.layers = append(n.layers, newLayer(st.Sizes[i], st.Sizes[i+1], act, st.W[i], st.B[i], true))
-	}
-	return nil
-}
-
-// LoadParams overwrites this network's parameters in place from those
-// of a network with the same layer sizes and activations: a ParamFrame
-// (the per-broadcast path of a parameter pull — copied straight in,
-// zero allocations) or a MarshalBinary blob (checkpoints, and policy
-// files written before the frame existed), told apart by the frame's
-// magic. Either is checked against this network completely before the
-// first parameter is written: on error nothing has changed.
-func (n *Network) LoadParams(data []byte) error {
-	if isParamFrame(data) {
-		return n.loadParamFrame(data)
-	}
-	st, err := decodeState(data)
-	if err != nil {
-		return err
-	}
-	if len(st.Acts) != len(n.layers) {
-		return errors.New("nn: topology mismatch")
-	}
-	for i, l := range n.layers {
-		if st.Sizes[i] != l.In || st.Sizes[i+1] != l.Out {
-			return errors.New("nn: layer size mismatch")
-		}
-		if st.Acts[i] != l.Act {
-			return errors.New("nn: layer activation mismatch")
-		}
-	}
-	for i, l := range n.layers {
-		copy(l.W, st.W[i])
-		copy(l.B, st.B[i])
-	}
-	return nil
 }

@@ -351,30 +351,6 @@ func TestAdamStepTargetUpdate(t *testing.T) {
 	panics("topology mismatch", func() { AdamStep(opt, src, 1, other, 0.5) })
 }
 
-func TestSerializationRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	a := MustMLP([]int{3, 7, 2}, ReLU, Tanh, rng)
-	data, err := a.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b Network
-	if err := b.UnmarshalBinary(data); err != nil {
-		t.Fatal(err)
-	}
-	x := []float64{0.1, -0.5, 0.9}
-	outA := append([]float64(nil), a.Forward(x)...)
-	outB := b.Forward(x)
-	for i := range outA {
-		if outA[i] != outB[i] {
-			t.Fatalf("restored network differs at %d: %v vs %v", i, outA[i], outB[i])
-		}
-	}
-	if err := b.UnmarshalBinary([]byte("junk")); err == nil {
-		t.Error("junk deserialized")
-	}
-}
-
 func TestCopyParamsFrom(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	a := MustMLP([]int{2, 3, 1}, ReLU, Linear, rng)

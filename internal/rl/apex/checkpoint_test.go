@@ -228,6 +228,36 @@ func TestResumeRejectsMissingAndMismatched(t *testing.T) {
 	}
 }
 
+// TestResumeRefusesGobNetworks: testdata/gob-networks.ckpt is a
+// trainer checkpoint written by commit 495a5c0, the last build that
+// stored the agent's networks as gob blobs, from a run of
+// checkpointTrainerConfig(40) at Hidden {4} without replay. Resuming it
+// fails with an error that names the format and the remedy, and the
+// learner's agent is left as it was built.
+func TestResumeRefusesGobNetworks(t *testing.T) {
+	cfg := checkpointTrainerConfig(t, 40)
+	cfg.AgentConfig.Hidden = []int{4}
+	cfg.CheckpointReplay = false
+	tr, err := NewTrainer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := tr.Learner().Agent().StateBytes(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Resume(filepath.Join("testdata", "gob-networks.ckpt")); err != nil {
+		t.Fatal(err)
+	}
+	err = tr.Run()
+	if err == nil || !strings.Contains(err.Error(), "gob") || !strings.Contains(err.Error(), "retrain") {
+		t.Fatalf("resuming a gob-network checkpoint: Run returned %v, want the refusal naming gob and retrain", err)
+	}
+	if after, _ := tr.Learner().Agent().StateBytes(false); !bytes.Equal(before, after) {
+		t.Fatal("a refused checkpoint changed the learner's agent")
+	}
+}
+
 // FuzzTrainerCheckpoint: a checkpoint file whose frame is intact (magic,
 // length and CRC all valid — what the frame cannot catch) but whose
 // payload is arbitrary either fails to restore or leaves a trainer whose

@@ -99,8 +99,12 @@
 // file; a pull that finds no newer version is a version compare.
 // TestPublishAllocatesOneFrame, TestSyncParamsAllocatesNothing and
 // TestPublishedFrameIsImmutable pin the costs and the immutability.
-// An apexactor built before the frame cannot read a newer learner's
-// broadcast (it expects gob); the reverse works.
+// A fleet that mixes builds from before and after the frame fails in
+// both directions: an apexactor built before it cannot read a newer
+// learner's broadcast (it expects gob), and a newer actor refuses an
+// older learner's gob broadcast, since frames are the only encoding
+// nn reads. So does a trainer checkpoint whose agent state stores
+// its networks as gob blobs: Resume refuses it, and the run retrains.
 //
 // The central replay is the learner's alone. An actor holds a
 // ddpg.View — the policy, the frozen priority networks and its noise,

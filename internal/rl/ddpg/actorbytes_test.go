@@ -3,12 +3,14 @@ package ddpg
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"flag"
 	"math"
 	"os"
 	"path/filepath"
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
 
 	"greennfv/internal/nn"
@@ -88,10 +90,6 @@ func hostileFrames(t testing.TB) map[string][]byte {
 	wide.Hidden = []int{4, 5}
 	other, _ := New(wide)
 	otherFrame, _ := other.ActorBytes()
-	otherGob, err := other.Actor.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
 	return map[string][]byte{
 		"empty":            {},
 		"bad-magic":        edit(func(b []byte) []byte { b[7] = '2'; return b }),
@@ -118,8 +116,33 @@ func hostileFrames(t testing.TB) map[string][]byte {
 			return b
 		}),
 		"other-shape-frame": otherFrame,
-		"other-shape-gob":   otherGob,
+		"other-shape-gob":   corpusSeed(t, "other-shape-gob"),
 	}
+}
+
+// gobSeeds are the corpus seeds that are policy files as Policy.Save
+// wrote them before the frame existed — the actor network's gob
+// encoding, of this agent's shape and of the wider one. Nothing writes
+// that form any more, so nothing regenerates them: the committed bytes
+// are the originals and -update-corpus leaves them alone.
+var gobSeeds = []string{"legacy-gob", "other-shape-gob"}
+
+// corpusSeed reads the committed FuzzLoadActorBytes seed name.
+func corpusSeed(t testing.TB, name string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzLoadActorBytes", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	quoted, ok := strings.CutPrefix(string(raw), "go test fuzz v1\n[]byte(")
+	if ok {
+		quoted, ok = strings.CutSuffix(quoted, ")\n")
+	}
+	data, err := strconv.Unquote(quoted)
+	if !ok || err != nil {
+		t.Fatalf("corpus seed %s is not one []byte value: %v", name, err)
+	}
+	return []byte(data)
 }
 
 // TestLoadActorBytesRejectsHostileFrames: bytes from a peer or a file
@@ -144,38 +167,37 @@ func TestLoadActorBytesRejectsHostileFrames(t *testing.T) {
 	}
 }
 
-// TestLoadActorBytesLegacyGob: a policy saved before the frame existed
-// is the actor network's gob blob; it still loads, and what the agent
-// writes from then on is the frame.
-func TestLoadActorBytesLegacyGob(t *testing.T) {
-	cfg := frameConfig()
-	cfg.Seed = 5
-	src, _ := New(cfg)
-	legacy, err := src.Actor.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestLoadActorBytesRefusesLegacyGob: a policy file saved before the
+// frame existed (the actor's gob encoding, as the committed seeds hold
+// it) is refused with an error that names the format and the remedy,
+// and leaves every actor parameter and float32 mirror as it was.
+func TestLoadActorBytesRefusesLegacyGob(t *testing.T) {
 	b := frameAgent(t)
-	if err := b.LoadActorBytes(legacy); err != nil {
-		t.Fatalf("legacy policy blob rejected: %v", err)
-	}
-	got, _ := b.ActorBytes()
-	want, _ := src.ActorBytes()
-	if !bytes.Equal(got, want) {
-		t.Fatal("legacy blob loaded other parameters than it holds")
-	}
-	if !bytes.HasPrefix(got, frameMagic) {
-		t.Fatal("ActorBytes did not write a frame")
+	before := actorState(b)
+	for _, name := range gobSeeds {
+		err := b.LoadActorBytes(corpusSeed(t, name))
+		if !errors.Is(err, errGobPolicy) {
+			t.Fatalf("%s: LoadActorBytes returned %v, want the pre-frame policy refusal", name, err)
+		}
+		for _, word := range []string{"gob", "save it again", "retrain"} {
+			if !strings.Contains(err.Error(), word) {
+				t.Errorf("%s: error %q does not say %q", name, err, word)
+			}
+		}
+		if !slices.Equal(before, actorState(b)) {
+			t.Fatalf("%s: a refused policy file changed the actor", name)
+		}
 	}
 }
 
 // FuzzLoadActorBytes: any byte string is either refused with the actor
-// and its float32 mirrors bit-for-bit untouched, or loaded — and then a
-// frame reads back byte for byte (NaN payloads and -0 included) and a
-// legacy blob re-encodes to a frame that does. The committed corpus
-// (testdata/fuzz/FuzzLoadActorBytes) is hostileFrames plus a valid
-// frame, a frame of NaNs and signed zeros, and a legacy gob blob;
-// `go test . -run TestLoadActorBytesCorpus -update-corpus` rewrites it.
+// and its float32 mirrors bit-for-bit untouched, or loaded — and then it
+// was a frame, which reads back byte for byte (NaN payloads and -0
+// included). The committed corpus (testdata/fuzz/FuzzLoadActorBytes) is
+// hostileFrames plus a valid frame, a frame of NaNs and signed zeros,
+// and a pre-frame gob policy file, which must be refused;
+// `go test . -run TestLoadActorBytesCorpus -update-corpus` rewrites all
+// but the gobSeeds.
 func FuzzLoadActorBytes(f *testing.F) {
 	// One receiving pair per fuzz process, put back to the same
 	// parameters before every input: building an agent costs far more
@@ -194,7 +216,7 @@ func FuzzLoadActorBytes(f *testing.F) {
 			return
 		}
 		out, _ := a.ActorBytes()
-		if bytes.HasPrefix(data, frameMagic) && !bytes.Equal(out, data) {
+		if !bytes.Equal(out, data) {
 			t.Fatal("an accepted frame does not read back byte for byte")
 		}
 		if err := b.LoadActorBytes(out); err != nil {
@@ -207,7 +229,8 @@ func FuzzLoadActorBytes(f *testing.F) {
 }
 
 // TestLoadActorBytesCorpus keeps the committed fuzz corpus in step with
-// hostileFrames: every seed is present with exactly these bytes.
+// hostileFrames: every seed is present with exactly these bytes, and the
+// gobSeeds, which nothing can regenerate, are present.
 func TestLoadActorBytesCorpus(t *testing.T) {
 	seeds := hostileFrames(t)
 	a, _ := New(frameConfig())
@@ -219,22 +242,14 @@ func TestLoadActorBytesCorpus(t *testing.T) {
 		}
 	}
 	seeds["valid-nan-negzero"], _ = a.ActorBytes()
-	legacy, _ := New(frameConfig())
-	var err error
-	if seeds["legacy-gob"], err = legacy.Actor.MarshalBinary(); err != nil {
-		t.Fatal(err)
+	for _, name := range gobSeeds {
+		delete(seeds, name)
+		corpusSeed(t, name) // present and well-formed
 	}
 	dir := filepath.Join("testdata", "fuzz", "FuzzLoadActorBytes")
 	for name, data := range seeds {
 		path := filepath.Join(dir, name)
 		want := "go test fuzz v1\n[]byte(" + strconv.Quote(string(data)) + ")\n"
-		if name == "legacy-gob" {
-			// gob type ids depend on what was encoded earlier in the
-			// process: the committed blob is whichever one was written.
-			if _, err := os.Stat(path); err == nil && !*updateCorpus {
-				continue
-			}
-		}
 		if *updateCorpus {
 			if err := os.MkdirAll(dir, 0o755); err != nil {
 				t.Fatal(err)

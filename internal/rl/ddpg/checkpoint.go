@@ -31,7 +31,7 @@ import (
 // agentState is the gob-serializable form of an Agent.
 type agentState struct {
 	Cfg Config
-	// The four networks, each in nn.Network wire format.
+	// The four networks, each an nn parameter frame.
 	Actor, Critic, ActorTarget, CriticTarget []byte
 	// Optimizer moments (f64 and, when the f32 path ran, f32).
 	ActorOpt, CriticOpt nn.AdamState
@@ -61,26 +61,17 @@ func (a *Agent) SaveState(w io.Writer, includeReplay bool) error {
 		a.criticTarget.FlushF32()
 	}
 	st := agentState{
-		Cfg:        a.cfg,
-		ActorOpt:   a.actorOpt.State(),
-		CriticOpt:  a.criticOpt.State(),
-		NoiseState: a.noise.State(),
-		NoiseSigma: a.noise.Sigma(),
-		RNGDraws:   a.rngSrc.draws,
-		LearnSteps: a.learnSteps,
-	}
-	var err error
-	if st.Actor, err = a.Actor.MarshalBinary(); err != nil {
-		return fmt.Errorf("ddpg: checkpoint actor: %w", err)
-	}
-	if st.Critic, err = a.Critic.MarshalBinary(); err != nil {
-		return fmt.Errorf("ddpg: checkpoint critic: %w", err)
-	}
-	if st.ActorTarget, err = a.actorTarget.MarshalBinary(); err != nil {
-		return fmt.Errorf("ddpg: checkpoint actor target: %w", err)
-	}
-	if st.CriticTarget, err = a.criticTarget.MarshalBinary(); err != nil {
-		return fmt.Errorf("ddpg: checkpoint critic target: %w", err)
+		Cfg:          a.cfg,
+		Actor:        a.Actor.ParamFrame(),
+		Critic:       a.Critic.ParamFrame(),
+		ActorTarget:  a.actorTarget.ParamFrame(),
+		CriticTarget: a.criticTarget.ParamFrame(),
+		ActorOpt:     a.actorOpt.State(),
+		CriticOpt:    a.criticOpt.State(),
+		NoiseState:   a.noise.State(),
+		NoiseSigma:   a.noise.Sigma(),
+		RNGDraws:     a.rngSrc.draws,
+		LearnSteps:   a.learnSteps,
 	}
 	if includeReplay {
 		switch buf := a.prioritized.(type) {
@@ -108,9 +99,18 @@ func (a *Agent) StateBytes(includeReplay bool) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// loadNetwork replaces dst's parameters from a checkpoint blob.
-func loadNetwork(dst *nn.Network, data []byte, name string) error {
-	if err := dst.LoadParams(data); err != nil {
+// errGobNetworks refuses a training state written before its networks
+// were parameter frames. Nothing converts one: the run starts again,
+// while the policy section of a serving checkpoint that old still
+// serves.
+var errGobNetworks = errors.New("ddpg: the training state stores its networks as gob blobs, the encoding before nn parameter frames, which is no longer read: retrain (a serving checkpoint's policy section still serves)")
+
+// loadNetwork replaces dst's parameters from a checkpoint's frame.
+func loadNetwork(dst *nn.Network, frame []byte, name string) error {
+	if err := dst.LoadParams(frame); err != nil {
+		if errors.Is(err, nn.ErrNotParamFrame) {
+			return errGobNetworks
+		}
 		return fmt.Errorf("ddpg: restore %s: %w", name, err)
 	}
 	return nil

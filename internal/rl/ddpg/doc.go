@@ -165,11 +165,13 @@
 // never touches it again, so a published frame may be read by any number of pullers
 // while the next one is made; LoadActorBytes checks the whole frame
 // against the live actor before writing and then copies in place
-// without allocating. A policy file from before the frame existed (the
-// actor's gob blob) still loads; nothing writes that form any more.
-// The training state embeds gob network blobs, which LoadState keeps
-// reading; the frame appears whole in one place only, the serving
-// checkpoint's policy section.
+// without allocating. The frame is the package's only encoding of a
+// network: SaveState's training state carries all four as frames, which
+// LoadState and LoadAgent copy back in place through the same
+// nn.LoadParams. What came before the frame is refused by name, never
+// read: a gob policy file (LoadActorBytes) and a training state of gob
+// networks (LoadState, LoadAgent, and so a trainer's Resume). A serving
+// checkpoint that old still serves its policy section.
 //
 // # Replay ownership
 //

@@ -9,7 +9,7 @@ package ddpg
 // SetFloat32 switches the agent's learn path between double and
 // single precision. Enabling snapshots the f64 weights into f32
 // mirrors (allocating them on first use); disabling flushes the
-// trained mirrors back into the f64 weights so ActInto, MarshalBinary
+// trained mirrors back into the f64 weights so ActInto, ActorBytes
 // and the scalar TDError see the trained policy.
 // Redundant calls in either direction are no-ops — in particular,
 // enabling twice must NOT re-snapshot, because the f64 weights go

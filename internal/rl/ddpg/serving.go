@@ -228,7 +228,7 @@ func (a *Agent) SaveServing(w io.Writer) error {
 // after it: the sum over the whole file (a CRC pass, no decoding), the
 // Config — validated as New validates it, and checked to imply an actor
 // whose frame the bytes present can hold before anything is allocated
-// for it — and the actor frame, which LoadParamFrame checks against that
+// for it — and the actor frame, which LoadParams checks against that
 // topology in full. It returns an inference-only policy, the Config and
 // the policy-only form (a new slice), which LoadPolicy reads back to
 // the same policy. data may be either form.
@@ -241,7 +241,7 @@ func LoadPolicy(data []byte) (*Policy, Config, []byte, error) {
 	if err != nil {
 		return nil, Config{}, nil, fmt.Errorf("ddpg: serving checkpoint config: %w", err)
 	}
-	if err := p.Actor.LoadParamFrame(s.frame); err != nil {
+	if err := p.Actor.LoadParams(s.frame); err != nil {
 		return nil, Config{}, nil, fmt.Errorf("ddpg: serving checkpoint actor: %w", err)
 	}
 	return &p, s.cfg, s.policyOnly(), nil
@@ -274,13 +274,13 @@ func LoadAgentBytes(data []byte) (*Agent, error) {
 	if len(s.state) == 0 {
 		return nil, errors.New("ddpg: a policy-only checkpoint carries no training state")
 	}
-	// The state holds the actor's and the critic's parameters twice
-	// each (networks and targets), at a byte or more per float64 in gob;
-	// a frame is eight bytes per parameter. So a config whose two frames
-	// outgrow four times the state is refused before New sizes anything
-	// by it.
+	// The state holds the actor's and the critic's frames twice each
+	// (networks and targets). So a config whose two frames outgrow half
+	// the state is refused before New sizes anything by it. (Halving the
+	// state, not doubling the sum: two lengths up to MaxInt each fit in
+	// a uint64, twice their sum may not.)
 	critic, ok := nn.MLPFrameLen(criticSizes(s.cfg))
-	if !ok || uint64(len(s.frame))+uint64(critic) > 4*uint64(len(s.state)) {
+	if !ok || uint64(len(s.frame))+uint64(critic) > uint64(len(s.state))/2 {
 		return nil, fmt.Errorf("ddpg: serving checkpoint config implies networks the %d-byte training state cannot hold", len(s.state))
 	}
 	var st agentState

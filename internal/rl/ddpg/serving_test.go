@@ -5,8 +5,11 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"greennfv/internal/nn"
@@ -218,6 +221,57 @@ func TestLoadRefusesPreSectionCheckpoint(t *testing.T) {
 	}
 }
 
+// TestLoadRefusesGobNetworks: testdata/gob-networks.ckpt is
+// servingAgent(frameConfig())'s serving checkpoint as written by commit
+// 495a5c0, the last build that stored a training state's networks as
+// gob blobs. Its policy section still serves — LoadPolicy reads nothing
+// after it — but LoadAgent and LoadState refuse the training state with
+// an error that names the format and the remedy, and LoadState leaves
+// the agent it was given as it was.
+func TestLoadRefusesGobNetworks(t *testing.T) {
+	file, err := os.ReadFile(filepath.Join("testdata", "gob-networks.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, cfg, _, err := LoadPolicy(file)
+	if err != nil {
+		t.Fatalf("the policy section of a gob-era checkpoint no longer serves: %v", err)
+	}
+	if !reflect.DeepEqual(cfg, frameConfig()) {
+		t.Fatalf("section Config %+v, want frameConfig's", cfg)
+	}
+	s, err := readSection(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(p.Actor.ParamFrame(), s.frame) {
+		t.Fatal("LoadPolicy's actor differs from the section's frame")
+	}
+	refused := func(what string, err error) {
+		t.Helper()
+		if !errors.Is(err, errGobNetworks) {
+			t.Fatalf("%s returned %v, want the gob-network refusal", what, err)
+		}
+		for _, word := range []string{"gob", "retrain"} {
+			if !strings.Contains(err.Error(), word) {
+				t.Errorf("%s: error %q does not say %q", what, err, word)
+			}
+		}
+	}
+	_, err = LoadAgentBytes(file)
+	refused("LoadAgentBytes", err)
+
+	a, _ := servingAgent(t, frameConfig())
+	before, err := a.StateBytes(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused("LoadStateBytes", a.LoadStateBytes(s.state))
+	if after, _ := a.StateBytes(false); !bytes.Equal(before, after) {
+		t.Fatal("a refused training state changed the agent")
+	}
+}
+
 // allocated is the heap bytes f allocates.
 func allocated(f func()) uint64 {
 	var before, after runtime.MemStats
@@ -274,6 +328,24 @@ func TestLoadRefusesOversizedConfig(t *testing.T) {
 	var aerr error
 	if n := allocated(func() { _, aerr = LoadAgentBytes(blob) }); aerr == nil || n > budget {
 		t.Errorf("wide critic: LoadAgentBytes returned %v after allocating %d bytes", aerr, n)
+	}
+
+	// Two frames that a training state of frames could not hold, but
+	// that fit four times its length — the slack gob's variable-length
+	// floats once needed. The state is padded to 256 KB, so New would
+	// build ~850 KB of frames' parameters several times over (weights,
+	// gradients, targets, Adam moments) before anything read them.
+	cfg = hostile(func(c *Config) { c.Hidden = []int{8192} })
+	actorLen, _ = nn.MLPFrameLen(actorSizes(cfg))
+	criticLen, _ := nn.MLPFrameLen(criticSizes(cfg))
+	padded := make([]byte, 256<<10)
+	copy(padded, reencode(t, state, func(st *agentState) { st.Cfg = cfg }))
+	if two := actorLen + criticLen; two <= len(padded)/2 || two > 4*len(padded) {
+		t.Fatalf("frames of %d bytes beside a %d-byte state no longer sit between the two bounds", two, len(padded))
+	}
+	blob = appendSection(nil, appendConfig(nil, cfg), make([]byte, actorLen), padded)
+	if n := allocated(func() { _, aerr = LoadAgentBytes(blob) }); aerr == nil || n > budget {
+		t.Errorf("frames beyond half the state: LoadAgentBytes returned %v after allocating %d bytes", aerr, n)
 	}
 }
 

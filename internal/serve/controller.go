@@ -571,6 +571,16 @@ func (c *Controller) report(args *ReportArgs, reply *ReportReply) error {
 // finite reports whether v is neither NaN nor infinite.
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
+// allFinite reports whether every element of vs is finite.
+func allFinite(vs []float64) bool {
+	for _, v := range vs {
+		if !finite(v) {
+			return false
+		}
+	}
+	return true
+}
+
 // decide is one report's serving decision: lease check, input checks,
 // policy action, limiter, guardrail, ladder. Reports from different
 // nodes run concurrently end to end; reports from the same node
@@ -615,22 +625,27 @@ func (c *Controller) decide(start time.Time, args *ReportArgs, reply *ReportRepl
 	sc := c.getScratch(snap)
 	defer c.scratch.Put(sc)
 
-	// Rung 1: fresh policy decision, rate-limited then vetted.
+	// Rung 1: fresh policy decision, rate-limited then vetted. A
+	// non-finite action — a NaN-weight policy, or activations an extreme
+	// observation overflowed — is no decision (the decode would read NaN
+	// as mid-range knobs), so it is rejected like an unsafe proposal.
 	if err := sc.actor.Greedy(args.Obs, sc.action); err != nil {
 		return fmt.Errorf("serve: policy action: %w", err)
 	}
-	for i := range sc.knobs {
-		sc.knobs[i] = c.probe.DecodeAction(sc.action[i*env.KnobsPerNF : (i+1)*env.KnobsPerNF])
-	}
-	limited := rec.limiter.Limit(sc.knobs)
-	if _, err := sc.guard.Check(limited, args.Traffic); err == nil {
-		reply.Config = append([]perfmodel.NFKnobs(nil), limited...)
-		reply.Source = SourcePolicy
-		rec.limiter.Record(limited)
-		c.recordLastGood(sh, args.NodeID, limited)
-		c.counters.Inc(CounterConfigsPushed)
-		c.counters.Inc(CounterSourcePolicy)
-		return nil
+	if allFinite(sc.action) {
+		for i := range sc.knobs {
+			sc.knobs[i] = c.probe.DecodeAction(sc.action[i*env.KnobsPerNF : (i+1)*env.KnobsPerNF])
+		}
+		limited := rec.limiter.Limit(sc.knobs)
+		if _, err := sc.guard.Check(limited, args.Traffic); err == nil {
+			reply.Config = append([]perfmodel.NFKnobs(nil), limited...)
+			reply.Source = SourcePolicy
+			rec.limiter.Record(limited)
+			c.recordLastGood(sh, args.NodeID, limited)
+			c.counters.Inc(CounterConfigsPushed)
+			c.counters.Inc(CounterSourcePolicy)
+			return nil
+		}
 	}
 	c.counters.Inc(CounterGuardrailRejections)
 

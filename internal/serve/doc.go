@@ -36,7 +36,9 @@
 //
 // Fresh policy → last-known-good config → heuristic fallback
 // (control.Heuristic, Algorithm 1) → hold. The controller walks the
-// ladder when the guardrail rejects the policy's proposal; the agent
+// ladder when the guardrail rejects the policy's proposal, or when the
+// policy's action is not finite (NaN weights, or activations an extreme
+// observation overflowed) and so proposes nothing; the agent
 // walks it locally when the controller is unreachable or its configs
 // have gone stale, so a partitioned node keeps serving safely and
 // reconverges to policy-driven configs within one heartbeat window of

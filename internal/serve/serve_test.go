@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -173,50 +174,147 @@ func TestServePolicyEndToEnd(t *testing.T) {
 }
 
 // TestGuardrailProperty is the serving-plane safety invariant: over
-// many intervals under a constrained SLA and an untrained (noisy)
-// policy, every configuration the node applies is inside the knob
-// bounds, and every interval that applied one (any rung) has a
-// measurement satisfying the SLA — nothing guardrail-rejected ever
-// reaches the node. Jitter-free traffic makes prediction equal
-// measurement, so the assertion is exact.
+// many intervals under a constrained SLA, every configuration the node
+// applies is inside the knob bounds, holds no NaN, and every interval
+// that applied one (any rung) has a measurement satisfying the SLA —
+// nothing guardrail-rejected ever reaches the node. Jitter-free traffic
+// makes prediction equal measurement, so the assertion is exact. Three
+// ways for the policy to go wrong: an untrained (noisy) policy; a
+// policy whose actor weights are all NaN, which the parameter frame
+// carries bit for bit and whose actions are NaN, so the policy rung
+// never supplies a config; and finite observations of ±1e308, which
+// overflow the actor's activations.
 func TestGuardrailProperty(t *testing.T) {
 	budget, err := sla.NewMaxThroughput(2600)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
 	spec := testSpec(budget)
-	ctrl := startController(t, Config{
-		Spec:       spec,
-		PolicyPath: writePolicy(t, dir, spec, 2),
+	vet := func(t *testing.T, step int, source string, ks []perfmodel.NFKnobs, b perfmodel.KnobBounds, res perfmodel.Result) {
+		t.Helper()
+		for _, k := range ks {
+			if math.IsNaN(k.CPUShare) || math.IsNaN(k.FreqGHz) || math.IsNaN(k.LLCFraction) {
+				t.Fatalf("step %d (%s): applied a NaN knob: %+v", step, source, ks)
+			}
+		}
+		if !inBounds(ks, b) {
+			t.Fatalf("step %d (%s): knobs out of bounds: %+v", step, source, ks)
+		}
+		if !budget.Satisfied(res.ThroughputGbps, res.EnergyJoules) {
+			t.Fatalf("step %d (%s): applied config violates SLA: %.2f Gbps %.0f J",
+				step, source, res.ThroughputGbps, res.EnergyJoules)
+		}
+	}
+	// ladder steps a node agent against a controller serving the
+	// checkpoint at path for 60 intervals and counts the applying ones
+	// by source.
+	ladder := func(t *testing.T, path string) map[string]int {
+		ctrl := startController(t, Config{Spec: spec, PolicyPath: path})
+		agent, err := NewNodeAgent(NodeConfig{
+			NodeID: "node-a", ControllerAddr: ctrl.Addr(), Spec: spec,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer agent.Close()
+		applied := map[string]int{}
+		now := time.Now()
+		for i := 0; i < 60; i++ {
+			agent.Step(now.Add(time.Duration(i) * time.Second)) // degraded intervals are allowed
+			if ks := agent.Env().Knobs(); !inBounds(ks, agent.Env().Bounds()) {
+				t.Fatalf("step %d: knobs out of bounds: %+v", i, ks)
+			}
+			if agent.Mode() != SourceHold {
+				applied[agent.Mode()]++
+				vet(t, i, agent.Mode(), agent.Env().Knobs(), agent.Env().Bounds(), agent.LastResult())
+			}
+		}
+		if len(applied) == 0 {
+			t.Fatal("no interval applied a config; property vacuous")
+		}
+		return applied
+	}
+
+	t.Run("noisy policy", func(t *testing.T) {
+		ladder(t, writePolicy(t, t.TempDir(), spec, 2))
 	})
-	agent, err := NewNodeAgent(NodeConfig{
-		NodeID: "node-a", ControllerAddr: ctrl.Addr(), Spec: spec,
+	t.Run("NaN policy", func(t *testing.T) {
+		applied := ladder(t, writeNaNPolicy(t, t.TempDir(), spec, 2))
+		if applied[SourcePolicy] != 0 {
+			t.Errorf("a NaN policy supplied %d configs", applied[SourcePolicy])
+		}
 	})
+	t.Run("adversarial observations", func(t *testing.T) {
+		ctrl := startController(t, Config{Spec: spec, PolicyPath: writePolicy(t, t.TempDir(), spec, 2)})
+		n := newSimNode(t, spec, 0)
+		if err := n.register(ctrl); err != nil {
+			t.Fatal(err)
+		}
+		// Every fourth interval reports the true observation, so the
+		// controller has a last-known-good to fall back on.
+		applied := 0
+		for i := 0; i < 60; i++ {
+			n.env.ObserveInto(n.obs)
+			for j := range n.obs {
+				switch i % 4 {
+				case 0:
+					n.obs[j] = 1e308
+				case 1:
+					n.obs[j] = -1e308
+				case 2:
+					n.obs[j] = math.Copysign(math.MaxFloat64, float64(j%2)-0.5)
+				}
+			}
+			var reply ReportReply
+			if err := ctrl.report(&ReportArgs{NodeID: n.id, Epoch: n.epoch, Obs: n.obs, Traffic: n.env.LastTraffic()}, &reply); err != nil {
+				t.Fatalf("step %d: %v", i, err)
+			}
+			if reply.Hold {
+				if _, err := n.env.SetKnobs(n.env.Knobs()); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			res, err := n.env.SetKnobs(reply.Config)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i%4 != 3 {
+				applied++
+			}
+			vet(t, i, reply.Source, reply.Config, n.env.Bounds(), res)
+		}
+		if applied == 0 {
+			t.Fatal("no adversarial interval applied a config; property vacuous")
+		}
+	})
+}
+
+// writeNaNPolicy is writePolicy with every actor weight and bias NaN.
+func writeNaNPolicy(t testing.TB, dir string, spec apex.ActorSpec, seed int64) string {
+	t.Helper()
+	path := writePolicy(t, dir, spec, seed)
+	blob, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer agent.Close()
-
-	applied := 0
-	now := time.Now()
-	for i := 0; i < 60; i++ {
-		agent.Step(now.Add(time.Duration(i) * time.Second)) // degraded intervals are allowed
-		if ks := agent.Env().Knobs(); !inBounds(ks, agent.Env().Bounds()) {
-			t.Fatalf("step %d: knobs out of bounds: %+v", i, ks)
-		}
-		if agent.Mode() != SourceHold {
-			applied++
-			res := agent.LastResult()
-			if !budget.Satisfied(res.ThroughputGbps, res.EnergyJoules) {
-				t.Fatalf("step %d (%s): applied config violates SLA: %.2f Gbps %.0f J",
-					i, agent.Mode(), res.ThroughputGbps, res.EnergyJoules)
-			}
+	agent, err := ddpg.LoadAgentBytes(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range agent.Actor.ParamSlices() {
+		for i := range p {
+			p[i] = math.NaN()
 		}
 	}
-	if applied == 0 {
-		t.Fatal("no interval applied a config; property vacuous")
+	var buf bytes.Buffer
+	if err := agent.SaveServing(&buf); err != nil {
+		t.Fatal(err)
 	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
 }
 
 // TestLimiter pins rate caps and hysteresis: pass-through first, caps

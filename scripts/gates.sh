@@ -22,15 +22,17 @@ gates=(
 	# whole round-robin runs hash (on raw parameter bits) to the values
 	# recorded before the broadcast left gob, replay storage became lazy
 	# and ReLU moved into assembly. A well-framed checkpoint whose
-	# counters lie is refused by field (the fuzz target's seed run).
-	"./internal/rl/apex TestChaosKillResume|TestFleetFailureStopsLearner|TestTrainerCheckpointResume|TestWriteReadCheckpoint|TestTrainerFingerprint|FuzzTrainerCheckpoint"
+	# counters lie is refused by field (the fuzz target's seed run), and
+	# one whose agent stores its networks as gob blobs is refused whole.
+	"./internal/rl/apex TestChaosKillResume|TestFleetFailureStopsLearner|TestTrainerCheckpointResume|TestWriteReadCheckpoint|TestTrainerFingerprint|FuzzTrainerCheckpoint|TestResumeRefusesGobNetworks"
 	# One actor, one stepping loop: the in-process driver and round-robin
 	# take identical steps and stamp snapshots on one grid.
 	"./internal/rl/apex TestParallelDriverMatchesRoundRobinStepping|TestParallelSnapshotsOnRoundRobinGrid"
 	"./internal/rl/ddpg TestCheckpoint"
 	# The parameter broadcast: one allocation per version (the frame), a
 	# pull copies in place with none, a published frame is never
-	# rewritten; hostile frames change nothing. Replay capacity is a
+	# rewritten; hostile frames, and policy files from before the
+	# frame, change nothing. Replay capacity is a
 	# bound, not a reservation: a trainer and an acting agent are small,
 	# an idle buffer holds no storage, growth shows in no sample, and a
 	# corrupt snapshot cursor is refused. What only acts holds
@@ -38,7 +40,7 @@ gates=(
 	# view acts and prioritizes bit for bit like the agent it mirrors,
 	# and a network clone carries no gradients.
 	"./internal/rl/apex TestPublishAllocatesOneFrame|TestSyncParamsAllocatesNothing|TestPublishedFrameIsImmutable|TestNewTrainerFootprint"
-	"./internal/rl/ddpg TestLoadActorBytesInPlace|TestLoadActorBytesRejectsHostileFrames|TestLoadActorBytesLegacyGob|TestAgentFootprint|TestViewMatchesAgent"
+	"./internal/rl/ddpg TestLoadActorBytesInPlace|TestLoadActorBytesRejectsHostileFrames|TestLoadActorBytesRefusesLegacyGob|TestAgentFootprint|TestViewMatchesAgent"
 	"./internal/nn TestCloneFootprint"
 	"./internal/rl/replay TestReplayGrowthParity|TestIdleBufferHoldsNoStorage|TestSetStateRejectsCorruptSnapshot"
 	# One NN engine at two element types: 300 f64 and 200 f32 composed
@@ -63,8 +65,10 @@ gates=(
 	"./internal/serve TestGuardrailProperty|TestFleet|TestExpireLeasesChurnRace|TestReportRoundTripAllocs|TestServingHoldsPolicyOnly"
 	# The serving checkpoint: the section's policy acts like the whole
 	# agent bit for bit, any damage is refused, and a Config claiming
-	# more than the file holds is refused before it sizes anything.
-	"./internal/rl/ddpg TestSaveServingLayout|TestLoadPolicyMatchesLoadAgent|TestLoadPolicyRefusesDamage|TestLoadAgentRefusesDisagreeingSection|TestLoadRefusesOversizedConfig"
+	# more than the file holds is refused before it sizes anything. A
+	# checkpoint whose training state stores gob networks still serves
+	# its section and is refused as an agent.
+	"./internal/rl/ddpg TestSaveServingLayout|TestLoadPolicyMatchesLoadAgent|TestLoadPolicyRefusesDamage|TestLoadAgentRefusesDisagreeingSection|TestLoadRefusesOversizedConfig|TestLoadRefusesGobNetworks"
 	# The fault proxy both planes' chaos tests stand on.
 	"./internal/faultrpc TestFaultProxy"
 	# One environment: single-node episodes bit-identical to the
