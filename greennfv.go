@@ -171,9 +171,6 @@ type TrainOptions struct {
 	// replay, prefetched minibatches — (fast, non-deterministic)
 	// instead of the reproducible round-robin interleaving.
 	Parallel bool
-	// ReplayShards overrides the parallel replay's lock-stripe count
-	// (0 = auto).
-	ReplayShards int
 	// Float32 runs the learner's updates through the single-precision
 	// NN fast path (8-lane AVX2 kernels, ~1.3x the update rate) when
 	// combined with Parallel or RemoteActors. The deployed policy is
@@ -231,7 +228,6 @@ func (s *System) Train(agreement SLA, opts TrainOptions) (*Policy, error) {
 	}
 	g := control.NewGreenNFV(agreement.spec, opts.Steps, opts.Actors, s.cfg.Seed)
 	g.Train.Parallel = opts.Parallel
-	g.Train.ReplayShards = opts.ReplayShards
 	g.Train.Float32 = opts.Float32
 	g.Train.SamplesPerInsert = opts.SamplesPerInsert
 	g.Train.CheckpointPath = opts.Checkpoint

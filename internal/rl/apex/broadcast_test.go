@@ -174,17 +174,15 @@ func TestNewTrainerFootprint(t *testing.T) {
 
 // trainingTypes are what only a learner needs.
 var trainingTypes = map[reflect.Type]bool{
-	reflect.TypeOf((*ddpg.Agent)(nil)).Elem():             true,
-	reflect.TypeOf((*ddpg.PrioritizedReplay)(nil)).Elem(): true,
-	reflect.TypeOf((*nn.Adam)(nil)).Elem():                true,
-	reflect.TypeOf((*replay.Prioritized)(nil)).Elem():     true,
-	reflect.TypeOf((*replay.Sharded)(nil)).Elem():         true,
-	reflect.TypeOf((*replay.Uniform)(nil)).Elem():         true,
+	reflect.TypeOf((*ddpg.Agent)(nil)).Elem():         true,
+	reflect.TypeOf((*nn.Adam)(nil)).Elem():            true,
+	reflect.TypeOf((*replay.Prioritized)(nil)).Elem(): true,
+	reflect.TypeOf((*replay.Uniform)(nil)).Elem():     true,
 }
 
 // reachesTraining walks the static field types reachable from t and
 // returns the path to the first training type, or "" when there is
-// none. Interface-typed fields are not followed, except that one.
+// none. Interface-typed fields are not followed.
 func reachesTraining(t reflect.Type, seen map[reflect.Type]bool) string {
 	if trainingTypes[t] {
 		return t.String()

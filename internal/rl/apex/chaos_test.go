@@ -58,7 +58,6 @@ func chaosConfig(bin, ckpt, mark string) TrainerConfig {
 	cfg.AgentConfig.Hidden = []int{16, 16}
 	cfg.AgentConfig.BatchSize = 16
 	cfg.AgentConfig.Seed = 17
-	cfg.ReplayShards = 2 // explicit: restores must match across processes
 	cfg.CheckpointPath = ckpt
 	cfg.CheckpointEvery = 20
 	cfg.CheckpointReplay = true
@@ -84,9 +83,6 @@ type chaosStatus struct {
 func restoreSHA(cfg TrainerConfig, path string) (string, error) {
 	tr, err := NewTrainer(cfg)
 	if err != nil {
-		return "", err
-	}
-	if err := tr.installShardedReplay(tr.learner.Agent()); err != nil {
 		return "", err
 	}
 	ck, err := ReadCheckpoint(path)

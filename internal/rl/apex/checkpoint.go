@@ -122,8 +122,8 @@ func (t *Trainer) Resume(path string) error {
 }
 
 // applyResume restores the recorded checkpoint into the learner. The
-// run modes call it once their replay implementation is installed
-// (the snapshot must restore into a matching buffer).
+// run modes call it once their replay is installed; a replay snapshot
+// replaces that buffer with one of the snapshot's stripe count.
 func (t *Trainer) applyResume() error {
 	if t.resumePath == "" {
 		return nil

@@ -5,12 +5,14 @@ import (
 	"encoding/gob"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
 	"greennfv/internal/atomicio"
 
 	"greennfv/internal/rl/ddpg"
+	"greennfv/internal/rl/replay"
 	"greennfv/internal/sla"
 )
 
@@ -94,7 +96,6 @@ func TestTrainerCheckpointResume(t *testing.T) {
 			config := func() TrainerConfig {
 				cfg := checkpointTrainerConfig(t, total)
 				cfg.Parallel = mode.parallel
-				cfg.ReplayShards = 2 // restores must match whatever GOMAXPROCS is
 				return cfg
 			}
 			tr, err := NewTrainer(config())
@@ -146,20 +147,152 @@ func TestTrainerCheckpointResume(t *testing.T) {
 
 			// Next-update parity: one more update on each learner from
 			// the restored replay must produce bit-identical weights.
-			// Only the single-tree replay promises it — a sharded
-			// snapshot does not carry its per-shard sampling streams.
-			if mode.parallel {
-				return
-			}
-			tr.Learner().LearnStep(1)
-			tr2.Learner().LearnStep(1)
-			a, _ := tr.Learner().Agent().ActorBytes()
-			b, _ := tr2.Learner().Agent().ActorBytes()
-			if !bytes.Equal(a, b) {
-				t.Fatal("post-restore update diverged from the original learner")
-			}
+			// Sampling reads only the agent's restored RNG, so a striped
+			// snapshot promises it as the one-shard one does.
+			assertNextUpdates(t, tr, tr2, 1)
 		})
 	}
+}
+
+// assertNextUpdates runs n more updates on both learners and fails
+// unless their weights agree bit for bit after every one.
+func assertNextUpdates(t *testing.T, want, got *Trainer, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		want.Learner().LearnStep(1)
+		got.Learner().LearnStep(1)
+		a, err := want.Learner().Agent().ActorBytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := got.Learner().Agent().ActorBytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Fatalf("update %d after the restore diverged from the original learner", i+1)
+		}
+	}
+}
+
+// TestResumeAcrossGOMAXPROCS: a replay snapshot restores at its own
+// stripe count, whatever the parallelism or the mode of the run that
+// resumes it. A Parallel checkpoint written at GOMAXPROCS 4 (four
+// stripes) resumes at GOMAXPROCS 2, whose pipeline installs two, and in
+// round-robin; a round-robin checkpoint (one stripe) resumes in the
+// pipeline. Each resumed learner holds the writer's weights and
+// experience, and its next updates are the writer's bit for bit.
+func TestResumeAcrossGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, c := range []struct {
+		name                        string
+		writeProcs                  int
+		writeParallel, readParallel bool
+	}{
+		{"parallel at 4 into parallel at 2", 4, true, true},
+		{"parallel at 4 into round-robin", 4, true, false},
+		{"round-robin into parallel at 2", 2, false, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			const total = 80
+			runtime.GOMAXPROCS(c.writeProcs)
+			cfg := checkpointTrainerConfig(t, total)
+			cfg.Parallel = c.writeParallel
+			tr, err := NewTrainer(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tr.Run(); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(t.TempDir(), "trainer.ckpt")
+			if err := tr.Checkpoint(path); err != nil {
+				t.Fatal(err)
+			}
+
+			runtime.GOMAXPROCS(2)
+			cfg = checkpointTrainerConfig(t, total)
+			cfg.Parallel = c.readParallel
+			tr2, err := NewTrainer(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tr2.Resume(path); err != nil {
+				t.Fatal(err)
+			}
+			if err := tr2.Run(); err != nil {
+				t.Fatalf("resume: %v", err)
+			}
+			// The whole training state, the replay's stripes included.
+			a, err := tr.Learner().Agent().StateBytes(true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := tr2.Learner().Agent().StateBytes(true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(a, b) {
+				t.Fatal("the resumed learner's state differs from the writer's")
+			}
+			assertNextUpdates(t, tr, tr2, 3)
+		})
+	}
+}
+
+// TestResumeSingleTreeReplay: testdata/single-tree-replay.ckpt is a
+// trainer checkpoint written by commit 91c09c5, the last build with a
+// single-tree replay buffer, from a round-robin run of
+// checkpointTrainerConfig(40) at Hidden {4} with its replay. Its agent
+// state carries the single-tree snapshot; resumed, that is a one-shard
+// buffer, and the learner goes on exactly as an uninterrupted run of
+// the same configuration on this tree.
+func TestResumeSingleTreeReplay(t *testing.T) {
+	path := filepath.Join("testdata", "single-tree-replay.ckpt")
+	ck, err := ReadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snaps struct {
+		Replay        *replay.PrioritizedState
+		ShardedReplay *replay.ShardedState
+	}
+	if err := gob.NewDecoder(bytes.NewReader(ck.Agent)).Decode(&snaps); err != nil {
+		t.Fatal(err)
+	}
+	if snaps.Replay == nil || snaps.ShardedReplay != nil {
+		t.Fatal("the fixture does not carry a single-tree replay snapshot")
+	}
+
+	cfg := checkpointTrainerConfig(t, 40)
+	cfg.AgentConfig.Hidden = []int{4}
+	want, err := NewTrainer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := want.Run(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := NewTrainer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := got.Resume(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := got.Run(); err != nil {
+		t.Fatal(err)
+	}
+	buf := got.Learner().Agent().Replay()
+	if buf.NumShards() != 1 || buf.Len() != len(snaps.Replay.Data) {
+		t.Fatalf("resumed replay has %d shards holding %d transitions, want 1 holding %d", buf.NumShards(), buf.Len(), len(snaps.Replay.Data))
+	}
+	a, _ := want.Learner().Agent().ActorBytes()
+	b, _ := got.Learner().Agent().ActorBytes()
+	if !bytes.Equal(a, b) {
+		t.Fatal("the resumed weights differ from an uninterrupted run's")
+	}
+	assertNextUpdates(t, want, got, 20)
 }
 
 // TestResumeRejectsMissingAndMismatched pins Resume error handling: a

@@ -38,9 +38,11 @@
 //
 // Parallel and Remote are the two experience transports of the one
 // concurrent pipeline (pipeline.go): a sampler prefetches minibatches
-// from a lock-striped replay under the pacing rule below while the
-// learner goroutine runs batched updates and writes interval
-// checkpoints. NOT deterministic in what it learns; the in-process
+// with its own RNG from the replay — the one prioritized buffer, which
+// the pipeline stripes over min(max(GOMAXPROCS, 2), 16) locks where
+// round-robin's has one (internal/rl/replay) — under the pacing rule
+// below while the learner goroutine runs batched updates and writes
+// interval checkpoints. NOT deterministic in what it learns; the in-process
 // driver's stepping is — with no version published it takes the steps
 // round-robin takes and stamps snapshots on the same grid
 // (TestParallelDriverMatchesRoundRobinStepping,

@@ -14,7 +14,7 @@ import (
 // actor driver (parallel.go) or the RPC server plus actor fleet
 // (remote.go):
 //
-//	transport ── PushExperience ──▶ sharded replay
+//	transport ── PushExperience ──▶ striped replay
 //	sampler ── pacing gate ── SampleInto ──▶ ready ──▶ learner (LearnBatchStep, checkpoints)
 //
 // The sampler prefetches the next minibatch while the learner consumes
@@ -73,8 +73,9 @@ func (t *Trainer) runPipeline(open func(steps int) (transport, error)) error {
 		agent.SetFloat32(true)
 		defer agent.SetFloat32(false)
 	}
-	// Restore checkpoint state only after the replay implementation
-	// and precision mode match the one that wrote it.
+	// Restore checkpoint state only after the precision mode matches
+	// the one that wrote it. A replay snapshot replaces the buffer just
+	// installed with one of the snapshot's stripe count.
 	if err := t.applyResume(); err != nil {
 		return err
 	}
@@ -91,26 +92,23 @@ func (t *Trainer) runPipeline(open func(steps int) (transport, error)) error {
 	return err
 }
 
-// installShardedReplay swaps the agent's replay for the lock-striped
-// buffer while it is still empty, so concurrent ingest and sampling
-// contend on shard locks, never on one global mutex.
+// installShardedReplay swaps the agent's one-shard replay, while it is
+// still empty, for one striped over the parallelism actually available
+// (clamped to keep per-shard capacity useful), so concurrent ingest and
+// sampling contend on shard locks, never on one global mutex. A resumed
+// replay snapshot replaces it again at the snapshot's own count.
 func (t *Trainer) installShardedReplay(agent *ddpg.Agent) error {
 	if agent.BufferLen() != 0 {
 		return nil
 	}
 	acfg := agent.Config()
-	shards := t.cfg.ReplayShards
-	if shards <= 0 {
-		// The parallelism actually available, clamped to keep
-		// per-shard capacity useful.
-		shards = min(max(runtime.GOMAXPROCS(0), 2), 16)
-	}
-	sharded, err := replay.NewSharded(acfg.BufferCap, shards,
-		acfg.PERAlpha, acfg.PERBeta, acfg.PERBetaInc, acfg.Seed)
+	shards := min(max(runtime.GOMAXPROCS(0), 2), 16)
+	buf, err := replay.NewSharded(acfg.BufferCap, shards,
+		acfg.PERAlpha, acfg.PERBeta, acfg.PERBetaInc, 0)
 	if err != nil {
 		return fmt.Errorf("apex: sharded replay: %w", err)
 	}
-	if err := agent.SetReplay(sharded); err != nil {
+	if err := agent.SetReplay(buf); err != nil {
 		return fmt.Errorf("apex: sharded replay: %w", err)
 	}
 	return nil
@@ -177,6 +175,7 @@ func (t *Trainer) learn(tp transport) error {
 
 	go func() { // sampler
 		defer close(ready)
+		// The sampler's own stream: every stratum of every draw reads it.
 		rng := rand.New(rand.NewSource(agent.Config().Seed*0x5DEECE66D + 11))
 		for produced := updates; produced < budget; produced++ {
 			// Pacing gate: block on ingest until the rule allows this

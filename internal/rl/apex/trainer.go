@@ -92,10 +92,6 @@ type TrainerConfig struct {
 	// Horgan et al. Round-robin remains the default: it is reproducible,
 	// which tests and figures rely on.
 	Parallel bool
-	// ReplayShards sets the lock-stripe count of the concurrent
-	// pipeline's sharded replay buffer (0 = GOMAXPROCS, clamped to
-	// [2, 16]). Round-robin keeps the single-tree buffer.
-	ReplayShards int
 	// Float32 runs the pipeline's updates through the single-precision
 	// NN fast path (8-lane AVX2 kernels, roughly 1.3x the f64 update
 	// rate). The trained policy is flushed back to float64 when the run

@@ -42,8 +42,10 @@ type agentState struct {
 	// seeding) — replay sampling and OU noise share this stream.
 	RNGDraws   uint64
 	LearnSteps int
-	// At most one replay snapshot is set, matching the installed
-	// buffer implementation; both nil when the caller skipped replay.
+	// ShardedReplay is the replay snapshot, nil when the caller skipped
+	// replay. Replay is only read: the snapshot of the single-tree
+	// buffer that checkpoints from before the buffer was striped carry,
+	// restored as the one-shard snapshot it equals.
 	Replay        *replay.PrioritizedState
 	ShardedReplay *replay.ShardedState
 }
@@ -74,18 +76,11 @@ func (a *Agent) SaveState(w io.Writer, includeReplay bool) error {
 		LearnSteps:   a.learnSteps,
 	}
 	if includeReplay {
-		switch buf := a.prioritized.(type) {
-		case *replay.Prioritized:
-			snap := buf.State()
-			st.Replay = &snap
-		case *replay.Sharded:
-			snap := buf.State()
-			st.ShardedReplay = &snap
-		case nil:
+		if a.prioritized == nil {
 			return errors.New("ddpg: replay snapshot requires a prioritized agent")
-		default:
-			return fmt.Errorf("ddpg: replay snapshot unsupported for %T", buf)
 		}
+		snap := a.prioritized.State()
+		st.ShardedReplay = &snap
 	}
 	return gob.NewEncoder(w).Encode(&st)
 }
@@ -119,8 +114,9 @@ func loadNetwork(dst *nn.Network, frame []byte, name string) error {
 // LoadState restores a SaveState checkpoint into this agent, which
 // must have been built with the identical Config (the construction
 // seed included — the restored RNG stream is replayed from it) and,
-// when the checkpoint carries a replay snapshot, have a still-empty
-// buffer of the matching implementation and capacity installed.
+// when the checkpoint carries a replay snapshot, still have an empty
+// buffer, which the restore replaces with one of the snapshot's stripe
+// count.
 // After a successful restore the agent's weights, optimizer moments,
 // noise, RNG position and learn counter are bit-identical to the
 // saved agent's.
@@ -168,23 +164,7 @@ func (a *Agent) applyState(st *agentState, resume bool) error {
 	a.learnSteps = st.LearnSteps
 	if resume {
 		a.rngSrc.skipTo(st.RNGDraws)
-	}
-	switch {
-	case !resume:
-	case st.Replay != nil:
-		buf, ok := a.prioritized.(*replay.Prioritized)
-		if !ok {
-			return fmt.Errorf("ddpg: checkpoint carries a single-tree replay snapshot but agent has %T", a.prioritized)
-		}
-		if err := buf.SetState(*st.Replay); err != nil {
-			return err
-		}
-	case st.ShardedReplay != nil:
-		buf, ok := a.prioritized.(*replay.Sharded)
-		if !ok {
-			return fmt.Errorf("ddpg: checkpoint carries a sharded replay snapshot but agent has %T", a.prioritized)
-		}
-		if err := buf.SetState(*st.ShardedReplay); err != nil {
+		if err := a.restoreReplay(st); err != nil {
 			return err
 		}
 	}
@@ -197,6 +177,27 @@ func (a *Agent) applyState(st *agentState, resume bool) error {
 		a.criticTarget.EnableF32()
 	}
 	return nil
+}
+
+// restoreReplay replaces the agent's still-empty buffer with the
+// checkpoint's replay snapshot, at the snapshot's stripe count. The
+// Config check has matched the capacity and the PER parameters.
+func (a *Agent) restoreReplay(st *agentState) error {
+	snap := st.ShardedReplay
+	if st.Replay != nil {
+		snap = &replay.ShardedState{Shards: []replay.PrioritizedState{*st.Replay}, Beta: st.Replay.Beta}
+	}
+	if snap == nil {
+		return nil
+	}
+	buf, err := replay.NewSharded(a.cfg.BufferCap, len(snap.Shards), a.cfg.PERAlpha, a.cfg.PERBeta, a.cfg.PERBetaInc, 0)
+	if err != nil {
+		return fmt.Errorf("ddpg: restore replay: %w", err)
+	}
+	if err := buf.SetState(*snap); err != nil {
+		return err
+	}
+	return a.SetReplay(buf)
 }
 
 // LoadStateBytes is LoadState from a byte slice.

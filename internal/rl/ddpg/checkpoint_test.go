@@ -32,12 +32,13 @@ func fillReplay(a *Agent, cfg Config, n int, seed int64) {
 	}
 }
 
-// runCheckpointRoundTrip drives an agent through warmup learning,
-// checkpoints it mid-run, restores into a fresh agent and asserts the
-// two futures are bit-identical: same ActorBytes immediately after
-// restore and after every further update, same losses, same
+// runCheckpointRoundTrip drives an agent whose replay is striped over
+// shards locks through warmup learning, checkpoints it mid-run,
+// restores into a fresh agent (one shard) and asserts the two futures
+// are bit-identical: same replay stripes and ActorBytes immediately
+// after restore and after every further update, same losses, same
 // exploration actions (noise + RNG stream parity).
-func runCheckpointRoundTrip(t *testing.T, f32 bool) {
+func runCheckpointRoundTrip(t *testing.T, f32 bool, shards int) {
 	t.Helper()
 	cfg := DefaultConfig(6, 4)
 	cfg.BatchSize = 16
@@ -45,6 +46,13 @@ func runCheckpointRoundTrip(t *testing.T, f32 bool) {
 
 	orig, err := New(cfg)
 	if err != nil {
+		t.Fatal(err)
+	}
+	buf, err := replay.NewSharded(cfg.BufferCap, shards, cfg.PERAlpha, cfg.PERBeta, cfg.PERBetaInc, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := orig.SetReplay(buf); err != nil {
 		t.Fatal(err)
 	}
 	orig.SetFloat32(f32)
@@ -84,8 +92,9 @@ func runCheckpointRoundTrip(t *testing.T, f32 bool) {
 	if restored.LearnSteps() != orig.LearnSteps() {
 		t.Fatalf("learn steps: restored %d, want %d", restored.LearnSteps(), orig.LearnSteps())
 	}
-	if restored.BufferLen() != orig.BufferLen() {
-		t.Fatalf("buffer len: restored %d, want %d", restored.BufferLen(), orig.BufferLen())
+	if restored.BufferLen() != orig.BufferLen() || restored.Replay().NumShards() != shards {
+		t.Fatalf("replay: restored %d transitions in %d shards, want %d in %d",
+			restored.BufferLen(), restored.Replay().NumShards(), orig.BufferLen(), shards)
 	}
 
 	// Both agents now walk the same future: exploration actions and
@@ -109,8 +118,14 @@ func runCheckpointRoundTrip(t *testing.T, f32 bool) {
 	}
 }
 
-func TestCheckpointRoundTrip(t *testing.T)    { runCheckpointRoundTrip(t, false) }
-func TestCheckpointRoundTripF32(t *testing.T) { runCheckpointRoundTrip(t, true) }
+func TestCheckpointRoundTrip(t *testing.T)    { runCheckpointRoundTrip(t, false, 1) }
+func TestCheckpointRoundTripF32(t *testing.T) { runCheckpointRoundTrip(t, true, 1) }
+
+// TestCheckpointRestoresStripeCount: a replay snapshot restores at its
+// own stripe count — the fresh agent's one-shard buffer is replaced by
+// a four-shard one — and the restored agent samples, acts and learns
+// exactly as the one that saved it.
+func TestCheckpointRestoresStripeCount(t *testing.T) { runCheckpointRoundTrip(t, false, 4) }
 
 // TestCheckpointConfigMismatch pins that a checkpoint cannot be
 // restored into an agent built from a different Config.

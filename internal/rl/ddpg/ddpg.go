@@ -8,26 +8,6 @@ import (
 	"greennfv/internal/rl/replay"
 )
 
-// PrioritizedReplay abstracts the prioritized buffer the agent
-// samples from: the single-tree replay.Prioritized (default — its RNG
-// stream is what the recorded deterministic figures use) and the
-// lock-striped replay.Sharded (the parallel Ape-X trainer) both
-// satisfy it.
-type PrioritizedReplay interface {
-	Len() int
-	Add(t replay.Transition)
-	AddWithPriority(t replay.Transition, priority float64)
-	AddBatch(ts []replay.Transition, priorities []float64)
-	SampleInto(rng *rand.Rand, n int, samples []replay.Transition, indices []int, weights []float64) ([]replay.Transition, []int, []float64)
-	UpdatePrioritiesBatch(indices []int, tdErrs []float64)
-	Beta() float64
-}
-
-var (
-	_ PrioritizedReplay = (*replay.Prioritized)(nil)
-	_ PrioritizedReplay = (*replay.Sharded)(nil)
-)
-
 // Config hyper-parameterizes an agent.
 type Config struct {
 	StateDim  int
@@ -205,7 +185,7 @@ type Agent struct {
 	criticOpt *nn.Adam
 
 	uniform     *replay.Uniform
-	prioritized PrioritizedReplay
+	prioritized *replay.Prioritized
 
 	learnSteps int
 	// sample buffers and the TD errors for priority updates, sized on
@@ -317,11 +297,11 @@ func (a *Agent) BufferLen() int {
 	return a.uniform.Len()
 }
 
-// SetReplay swaps the prioritized replay implementation — the
-// parallel Ape-X trainer installs a sharded buffer before any
-// experience flows. Only allowed on a prioritized agent whose buffer
-// is still empty, so no experience is silently dropped.
-func (a *Agent) SetReplay(buf PrioritizedReplay) error {
+// SetReplay swaps the prioritized replay buffer — the concurrent Ape-X
+// pipeline installs one striped over more shards before any experience
+// flows. Only allowed on a prioritized agent whose buffer is still
+// empty, so no experience is silently dropped.
+func (a *Agent) SetReplay(buf *replay.Prioritized) error {
 	if a.prioritized == nil {
 		return errors.New("ddpg: agent is not configured for prioritized replay")
 	}
@@ -335,10 +315,9 @@ func (a *Agent) SetReplay(buf PrioritizedReplay) error {
 	return nil
 }
 
-// Replay exposes the prioritized replay implementation currently
-// installed (nil for uniform agents) — introspection for tests and
-// monitoring.
-func (a *Agent) Replay() PrioritizedReplay { return a.prioritized }
+// Replay exposes the prioritized replay buffer currently installed
+// (nil for uniform agents) — introspection for tests and monitoring.
+func (a *Agent) Replay() *replay.Prioritized { return a.prioritized }
 
 // SampleReplayInto samples a minibatch from the agent's prioritized
 // replay into caller-owned buffers. With a goroutine-safe buffer it

@@ -121,9 +121,11 @@
 // original would have — pinned per precision mode by
 // TestCheckpointRoundTrip/F32. Two consequences shape the API: the
 // target Config must match the snapshot exactly (strict equality, no
-// silent topology adaption), and LoadState requires an EMPTY replay
-// of matching capacity when the snapshot carries one (restoring over
-// live experience would splice two histories). The RNG stream
+// silent topology adaption), and LoadState requires an EMPTY
+// prioritized replay when the snapshot carries one (restoring over
+// live experience would splice two histories), which it replaces with
+// a buffer of the snapshot's stripe count — a checkpoint resumes at
+// the count of the run that wrote it. The RNG stream
 // restores by draw count — the counting source re-seeds and
 // fast-forwards — so snapshots stay valid across Go versions only as
 // far as math/rand's generator is stable, which is the same

@@ -53,7 +53,7 @@ func TestLearnBatchLearns(t *testing.T) {
 	samples := make([]replay.Transition, 0, cfg.BatchSize)
 	indices := make([]int, 0, cfg.BatchSize)
 	weights := make([]float64, 0, cfg.BatchSize)
-	betaBefore := sharded.Beta()
+	betaBefore := sharded.State().Beta
 	for i := 0; i < 20; i++ {
 		s, idx, w := a.SampleReplayInto(rng, cfg.BatchSize, samples, indices, weights)
 		if len(s) != cfg.BatchSize {
@@ -67,7 +67,7 @@ func TestLearnBatchLearns(t *testing.T) {
 	if got := a.LearnSteps(); got != 20 {
 		t.Errorf("learn steps = %d, want 20", got)
 	}
-	if sharded.Beta() <= betaBefore {
+	if sharded.State().Beta <= betaBefore {
 		t.Error("beta did not anneal through the external sampling path")
 	}
 	// Empty and oversized batches are handled.

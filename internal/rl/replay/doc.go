@@ -2,50 +2,72 @@
 // uniform ring buffer and the prioritized buffer (Schaul et al.,
 // "Prioritized Experience Replay") that the Ape-X architecture
 // (Horgan et al.) extends to distributed actors. Priorities live in
-// a sum tree so sampling and updates are O(log n).
+// sum trees so sampling and updates are O(log n).
 //
 // # Paper mapping
 //
 // The shared prioritized replay of §4.3.2/Algorithm 3 — the buffer
 // NF-controller actors fill and the central learner samples.
 //
+// # One buffer, K stripes
+//
+// There is one prioritized buffer, Prioritized: its capacity is split
+// over K lock stripes (shards), each a mutex with its own data ring and
+// sum tree. Ingest rotates whole chunks round-robin across the stripes
+// (AddBatch takes one stripe lock per chunk); UpdatePrioritiesBatch
+// relocks only where the indices cross a stripe; Len is an atomic
+// count. SampleInto divides the concatenated priority mass into n
+// equal strata and draws one point per stratum, in ascending order,
+// from the caller's RNG; the walk visits each stripe at most once under
+// its lock, so every transition is drawn with probability p^α/Σp^α
+// whatever K is (TestShardedStratifiedParity holds eight stripes and
+// one within total-variation distance 0.03 of the exact law). Returned
+// indices are global: stripe × per-stripe capacity + slot.
+//
+// Every agent is built with one stripe (NewPrioritized), the buffer of
+// the deterministic round-robin learner behind every recorded figure:
+// one stripe is the historical single-tree buffer — same leaves, same
+// strata, same draws from the same RNG, bit for bit
+// (TestReplayGrowthParity's "prioritized" hash is the single tree's).
+// The concurrent Ape-X pipeline installs K = min(max(GOMAXPROCS, 2), 16)
+// stripes (NewSharded) before experience flows, so actors pushing and
+// the learner's sampler contend on stripe locks, never on one mutex.
+// Sampling is deterministic given the caller's RNG, the stripe count
+// and the insertion history.
+//
 // # Capacity is a bound, not a reservation
 //
 // A buffer's capacity says when the ring starts evicting, not what it
 // allocates. Transition storage grows with the contents (doubling, never
-// past the capacity), and a prioritized buffer's sum tree is allocated
-// by the first add — at its full power-of-two size from then on,
-// because leaf positions and the order of the partial sums decide which
-// transition a prefix sum finds, so nothing a caller can observe
-// depends on how much is stored (TestReplayGrowthParity hashes a script
-// of adds, samples, priority write-backs and snapshot hand-overs against
-// the values of the fully preallocated buffers). A buffer nobody adds
-// to — every Ape-X actor's, every serving replica's — costs a few
-// hundred bytes; a 65 536-slot one used to cost 6.8 MB at construction.
+// past the capacity), and a stripe's sum tree is allocated by the first
+// add to it — at its full power-of-two size from then on, because leaf
+// positions and the order of the partial sums decide which transition
+// a prefix sum finds, so nothing a caller can observe depends on how
+// much is stored (TestReplayGrowthParity hashes a script of adds,
+// samples, priority write-backs and snapshot hand-overs against the
+// values of the fully preallocated buffers). A buffer nobody adds to —
+// every Ape-X actor's, every serving replica's — costs a few hundred
+// bytes; a 65 536-slot one used to cost 6.8 MB at construction.
 //
 // # Snapshots
 //
 // State/SetState (snapshot.go) move a buffer's contents through a
-// checkpoint. SetState treats the snapshot as bytes from a file: fill
-// level within capacity, Data and Leaves agreeing with it, the ring
-// cursor where a ring of that fill level has it, no NaN or negative
-// leaf — for every shard before any shard is written — or the target
-// is left untouched.
+// checkpoint: one PrioritizedState record per stripe in a ShardedState.
+// A record is also what the single-tree buffer's whole snapshot was, so
+// an old snapshot restores as the one-stripe snapshot it equals.
+// SetState treats the snapshot as bytes from a file: the stripe count
+// must be the buffer's, and for every stripe before any stripe is
+// written the fill level must be within capacity, Data and Leaves must
+// agree with it, the ring cursor must be where a ring of that fill
+// level has it, and no leaf may be NaN or negative — or the target is
+// left untouched. A restoring caller that does not know the count in
+// advance builds the buffer from the snapshot (ddpg.Agent.LoadState
+// does).
 //
-// # Concurrency and determinism
+// # Concurrency
 //
-// All buffers are goroutine-safe. Uniform and Prioritized each use
-// one internal mutex (Prioritized's guards the sum tree), and
-// AddBatch/UpdatePrioritiesBatch amortize it to one acquire per
-// chunk. Sharded is the lock-striped variant the
-// parallel/remote Ape-X modes install: K shards, each with its own
-// sum tree and RNG stream, round-robin chunk ingest (one shard lock
-// per AddBatch chunk), stratified SampleInto with boundary carry
-// (unbiased — total-variation distance to the single-tree sampler is
-// pinned < 0.03 by a parity test), and an atomic Len. Sampling from
-// either prioritized buffer is deterministic given the caller's RNG
-// and the insertion history; the deterministic round-robin figure
-// path uses the single-tree Prioritized so recorded training curves
-// replay exactly. SampleInto variants are the zero-alloc sampling
-// path (caller-owned slices).
+// Both buffers are goroutine-safe. Uniform uses one mutex; Prioritized
+// one per stripe plus one that serializes samplers (it owns β and the
+// per-stripe mass snapshot). SampleInto variants are the zero-alloc
+// sampling path (caller-owned slices).
 package replay

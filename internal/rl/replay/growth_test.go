@@ -10,35 +10,28 @@ import (
 )
 
 // Storage grows with its contents, and nothing a caller can observe may
-// depend on that: these are the SHA-256 of one fixed script per buffer
-// — adds (single, prioritized, batched) from empty through every growth
-// step and several wrap-arounds of the ring, a State/SetState hand-over
-// to a fresh buffer taken mid-growth and again after the wrap, and
-// between them every sampled reward, index and weight and the effect of
-// every priority write-back — recorded at a5d8e5b, where every buffer
+// depend on that: these are the SHA-256 of one fixed script per shard
+// count — adds (single, prioritized, batched) from empty through every
+// growth step and several wrap-arounds of the ring, a State/SetState
+// hand-over to a fresh buffer taken mid-growth and again after the
+// wrap, and between them every sampled reward, index and weight and the
+// effect of every priority write-back. "prioritized" (one shard) was
+// recorded at a5d8e5b on the single-tree buffer, where every buffer
 // still reserved its whole capacity and its whole sum tree up front.
-// The tree keeps its full power-of-two size once it exists because leaf
-// positions and the order of the partial sums are what these depend on.
+// "sharded" (four shards) was re-recorded when its sampler moved from
+// per-shard RNG streams to the caller's RNG; 91c09c5's sampler with
+// only that change gives the same hash. The tree keeps its full
+// power-of-two size once it exists because leaf positions and the order
+// of the partial sums are what these depend on.
 var growthFingerprints = map[string]string{
 	"prioritized": "cc694777b1c86c22d19fc470cb9aca067e7c96ec786049c87cd53630a06c31bc",
-	"sharded":     "cd2418a2ea57e2595f84ab9a6a0b784e0cfa8ec94b9cbf4705964a824e7abb4d",
-}
-
-// growthBuffer is what the script drives; both prioritized buffers
-// satisfy it.
-type growthBuffer interface {
-	Len() int
-	Add(t Transition)
-	AddWithPriority(t Transition, priority float64)
-	AddBatch(ts []Transition, priorities []float64)
-	SampleInto(rng *rand.Rand, n int, samples []Transition, indices []int, weights []float64) ([]Transition, []int, []float64)
-	UpdatePrioritiesBatch(indices []int, tdErrs []float64)
+	"sharded":     "16dd6bff978aee0d6017db87a5bfdab18273f080fc333534ab68b20055ca1f52",
 }
 
 // growthScript runs the fixed script on buf and returns its hash.
 // handOver moves the contents into a fresh buffer through
 // State/SetState and writes the snapshot's fields to the hash.
-func growthScript(t *testing.T, buf growthBuffer, capacity int, handOver func(growthBuffer, func(...float64)) growthBuffer) string {
+func growthScript(t *testing.T, buf *Prioritized, capacity int, handOver func(*Prioritized, func(...float64)) *Prioritized) string {
 	t.Helper()
 	h := sha256.New()
 	put := func(vs ...float64) {
@@ -106,6 +99,9 @@ func TestReplayGrowthParity(t *testing.T) {
 			t.Errorf("%s: growth fingerprint %s, recorded %s", name, got, want)
 		}
 	}
+	// A one-shard buffer replays the single-tree buffer's script: the
+	// same draws from the sampler, and a snapshot whose one record,
+	// with the buffer's β, is what the single-tree State wrote.
 	t.Run("prioritized", func(t *testing.T) {
 		fresh := func() *Prioritized {
 			p, err := NewPrioritized(capacity, 0.6, 0.4, 1e-3)
@@ -114,9 +110,11 @@ func TestReplayGrowthParity(t *testing.T) {
 			}
 			return p
 		}
-		check("prioritized", growthScript(t, fresh(), capacity, func(b growthBuffer, put func(...float64)) growthBuffer {
-			st := b.(*Prioritized).State()
-			putPrioritizedState(put, st)
+		check("prioritized", growthScript(t, fresh(), capacity, func(b *Prioritized, put func(...float64)) *Prioritized {
+			st := b.State()
+			rec := st.Shards[0]
+			rec.Beta = st.Beta
+			putPrioritizedState(put, rec)
 			p := fresh()
 			if err := p.SetState(st); err != nil {
 				t.Fatal(err)
@@ -125,15 +123,15 @@ func TestReplayGrowthParity(t *testing.T) {
 		}))
 	})
 	t.Run("sharded", func(t *testing.T) {
-		fresh := func() *Sharded {
+		fresh := func() *Prioritized {
 			s, err := NewSharded(capacity, 4, 0.6, 0.4, 1e-3, 7)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return s
 		}
-		check("sharded", growthScript(t, fresh(), capacity, func(b growthBuffer, put func(...float64)) growthBuffer {
-			st := b.(*Sharded).State()
+		check("sharded", growthScript(t, fresh(), capacity, func(b *Prioritized, put func(...float64)) *Prioritized {
+			st := b.State()
 			put(st.Beta, float64(st.Ingest))
 			for _, rec := range st.Shards {
 				putPrioritizedState(put, rec)

@@ -56,7 +56,7 @@ func TestShardedEvictionPerShard(t *testing.T) {
 	}
 	// Round-robin single adds: shard k holds i ≡ k (mod 4), and each
 	// 4-slot ring keeps only the last 4 of its 10 — rewards ≥ 24.
-	samples, _, _ := s.SampleInto(nil, 200, nil, nil, nil)
+	samples, _, _ := s.Sample(rand.New(rand.NewSource(7)), 200)
 	if len(samples) != 200 {
 		t.Fatalf("sampled %d, want 200", len(samples))
 	}
@@ -107,7 +107,7 @@ func TestShardedSamplingSkew(t *testing.T) {
 	s.AddWithPriority(tr(99), 10)
 	hits := 0
 	const draws = 2000
-	samples, _, _ := s.SampleInto(nil, draws, nil, nil, nil)
+	samples, _, _ := s.Sample(rand.New(rand.NewSource(5)), draws)
 	for _, x := range samples {
 		if x.Reward == 99 {
 			hits++
@@ -121,9 +121,9 @@ func TestShardedSamplingSkew(t *testing.T) {
 }
 
 // TestShardedStratifiedParity is the distributional-equivalence check
-// of the PR: the sharded buffer's stratified sampling must reproduce
-// the single-tree buffer's sampling distribution within tolerance.
-// Both buffers hold identical transitions and priorities; empirical
+// of striping: stratified sampling across eight shards must reproduce
+// the one-shard buffer's sampling distribution within tolerance. Both
+// buffers hold identical transitions and priorities; empirical
 // marginals over many draws are compared by total variation distance,
 // and both are compared to the exact p^α/Σp^α law.
 func TestShardedStratifiedParity(t *testing.T) {
@@ -171,7 +171,7 @@ func TestShardedStratifiedParity(t *testing.T) {
 		return s
 	})
 	shardedFreq := count(func() []Transition {
-		s, _, _ := sharded.SampleInto(nil, batch, sBuf, iBuf, wBuf)
+		s, _, _ := sharded.SampleInto(rng, batch, sBuf, iBuf, wBuf)
 		return s
 	})
 
@@ -197,10 +197,10 @@ func TestShardedStratifiedParity(t *testing.T) {
 		t.Errorf("sharded vs theory: total variation %.4f > 0.03", d)
 	}
 	if d := tv(singleFreq, theory); d > 0.03 {
-		t.Errorf("single-tree vs theory: total variation %.4f > 0.03", d)
+		t.Errorf("one shard vs theory: total variation %.4f > 0.03", d)
 	}
 	if d := tv(shardedFreq, singleFreq); d > 0.04 {
-		t.Errorf("sharded vs single-tree: total variation %.4f > 0.04", d)
+		t.Errorf("sharded vs one shard: total variation %.4f > 0.04", d)
 	}
 }
 
@@ -214,7 +214,8 @@ func TestShardedIndicesRoundTrip(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		s.AddWithPriority(tr(float64(i)), 1)
 	}
-	samples, indices, _ := s.SampleInto(nil, 64, nil, nil, nil)
+	rng := rand.New(rand.NewSource(9))
+	samples, indices, _ := s.Sample(rng, 64)
 	for j, idx := range indices {
 		k := idx / s.shardCap
 		local := idx % s.shardCap
@@ -236,7 +237,7 @@ func TestShardedIndicesRoundTrip(t *testing.T) {
 	}
 	s.UpdatePrioritiesBatch(all, tds)
 	s.UpdatePrioritiesBatch([]int{target}, []float64{50})
-	samples, _, _ = s.SampleInto(nil, 500, nil, nil, nil)
+	samples, _, _ = s.Sample(rng, 500)
 	hits := 0
 	want := s.shards[target/s.shardCap].data[target%s.shardCap].Reward
 	for _, x := range samples {
@@ -293,7 +294,7 @@ func TestShardedConcurrent(t *testing.T) {
 		weights := make([]float64, 0, 16)
 		rng := rand.New(rand.NewSource(99))
 		for i := 0; i < 400; i++ {
-			sm, idx, _ := s.SampleInto(nil, 16, samples, indices, weights)
+			sm, idx, _ := s.SampleInto(rng, 16, samples, indices, weights)
 			if sm == nil {
 				continue
 			}
@@ -328,7 +329,7 @@ func TestShardedSampleIntoZeroAlloc(t *testing.T) {
 	indices := make([]int, 0, 32)
 	weights := make([]float64, 0, 32)
 	allocs := testing.AllocsPerRun(20, func() {
-		sm, _, _ := s.SampleInto(nil, 32, samples, indices, weights)
+		sm, _, _ := s.SampleInto(rng, 32, samples, indices, weights)
 		if len(sm) != 32 {
 			t.Fatal("short sample")
 		}
@@ -338,13 +339,14 @@ func TestShardedSampleIntoZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestShardedBadPriorities mirrors the single-tree sanitization.
+// TestShardedBadPriorities mirrors TestPrioritizedBadPriorities at two
+// shards.
 func TestShardedBadPriorities(t *testing.T) {
 	s, _ := NewSharded(8, 2, 0.6, 0.4, 0, 1)
 	s.AddWithPriority(tr(1), math.NaN())
 	s.AddWithPriority(tr(2), -5)
 	s.AddWithPriority(tr(3), 0)
-	samples, _, weights := s.SampleInto(nil, 10, nil, nil, nil)
+	samples, _, weights := s.Sample(rand.New(rand.NewSource(19)), 10)
 	if len(samples) != 10 {
 		t.Fatalf("sampling failed with sanitized priorities")
 	}
@@ -358,8 +360,33 @@ func TestShardedBadPriorities(t *testing.T) {
 // TestShardedEmptySample: an empty buffer returns nil, not junk.
 func TestShardedEmptySample(t *testing.T) {
 	s, _ := NewSharded(8, 2, 0.6, 0.4, 0, 1)
-	if sm, _, _ := s.SampleInto(nil, 5, nil, nil, nil); sm != nil {
+	if sm, _, _ := s.Sample(rand.New(rand.NewSource(23)), 5); sm != nil {
 		t.Error("sample from empty buffer")
+	}
+}
+
+// zeroSource makes every Float64 draw of its rand.Rand zero.
+type zeroSource struct{}
+
+func (zeroSource) Int63() int64 { return 0 }
+func (zeroSource) Seed(int64)   {}
+
+// TestShardedSampleSkipsEmptyShards: the walk draws only from a shard
+// holding mass, also for a point no comparison places — 0·∞ is NaN
+// when an infinite priority makes the segment infinite — instead of
+// indexing the empty shard it starts in.
+func TestShardedSampleSkipsEmptyShards(t *testing.T) {
+	s, _ := NewSharded(8, 2, 0.6, 0.4, 0, 1)
+	rec := snapshotOf(1, 1)
+	rec.Leaves[0] = math.Inf(1)
+	if err := s.SetState(ShardedState{Shards: []PrioritizedState{{}, rec}, Beta: 0.4}); err != nil {
+		t.Fatal(err)
+	}
+	_, indices, _ := s.Sample(rand.New(zeroSource{}), 4)
+	for j, idx := range indices {
+		if idx != s.shardCap {
+			t.Fatalf("draw %d took index %d, want shard 1's only transition at %d", j, idx, s.shardCap)
+		}
 	}
 }
 
@@ -380,7 +407,7 @@ func BenchmarkShardedSample(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.SampleInto(nil, 32, samples, indices, weights)
+		s.SampleInto(rng, 32, samples, indices, weights)
 	}
 }
 

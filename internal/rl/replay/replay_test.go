@@ -167,7 +167,7 @@ func TestPrioritizedUpdateChangesSampling(t *testing.T) {
 	// Crush all priorities except index 3.
 	indices := []int{0, 1, 2, 3, 4, 5, 6, 7}
 	tds := []float64{0, 0, 0, 50, 0, 0, 0, 0}
-	p.UpdatePriorities(indices, tds)
+	p.UpdatePrioritiesBatch(indices, tds)
 	rng := rand.New(rand.NewSource(11))
 	samples, _, _ := p.Sample(rng, 500)
 	hits := 0
@@ -180,7 +180,7 @@ func TestPrioritizedUpdateChangesSampling(t *testing.T) {
 		t.Errorf("updated priority sampled only %d/500", hits)
 	}
 	// Out-of-range updates are ignored, not panics.
-	p.UpdatePriorities([]int{-1, 999}, []float64{1, 1})
+	p.UpdatePrioritiesBatch([]int{-1, 999}, []float64{1, 1})
 }
 
 func TestPrioritizedBetaAnneals(t *testing.T) {
@@ -278,7 +278,7 @@ func TestPrioritizedConcurrent(t *testing.T) {
 			for j := range tds {
 				tds[j] = rng.NormFloat64()
 			}
-			p.UpdatePriorities(idx, tds)
+			p.UpdatePrioritiesBatch(idx, tds)
 			_ = w
 		}
 	}()
@@ -355,26 +355,28 @@ func TestIdleBufferHoldsNoStorage(t *testing.T) {
 	if err := s.SetState(s.State()); err != nil {
 		t.Fatal(err)
 	}
-	if p.Len()+s.Len()+u.Len() != 0 || p.data != nil || p.tree.tree != nil || u.data != nil {
-		t.Error("an idle buffer allocated storage")
+	if p.Len()+s.Len()+u.Len() != 0 || u.data != nil {
+		t.Error("an idle buffer holds experience or storage")
 	}
-	for k := range s.shards {
-		if s.shards[k].data != nil || s.shards[k].tree.tree != nil {
-			t.Errorf("idle shard %d allocated storage", k)
+	for _, b := range []*Prioritized{p, s} {
+		for k := range b.shards {
+			if b.shards[k].data != nil || b.shards[k].tree.tree != nil {
+				t.Errorf("idle %d-shard buffer: shard %d allocated storage", b.NumShards(), k)
+			}
 		}
 	}
 	p.Add(tr(1))
 	u.Add(tr(1))
-	if len(p.tree.tree) != 2<<16 || cap(p.data) >= 1<<10 || cap(u.data) >= 1<<10 {
-		t.Errorf("after one add: tree %d nodes, rings %d and %d slots", len(p.tree.tree), cap(p.data), cap(u.data))
+	if one := &p.shards[0]; len(one.tree.tree) != 2<<16 || cap(one.data) >= 1<<10 || cap(u.data) >= 1<<10 {
+		t.Errorf("after one add: tree %d nodes, rings %d and %d slots", len(one.tree.tree), cap(one.data), cap(u.data))
 	}
 	// A full ring holds exactly its capacity.
 	small, _ := NewPrioritized(300, 0.6, 0.4, 0)
 	for i := 0; i < 1000; i++ {
 		small.Add(tr(float64(i)))
 	}
-	if len(small.data) != 300 || cap(small.data) != 300 {
-		t.Errorf("full 300-slot ring holds %d slots in a %d-slot array", len(small.data), cap(small.data))
+	if ring := small.shards[0].data; len(ring) != 300 || cap(ring) != 300 {
+		t.Errorf("full 300-slot ring holds %d slots in a %d-slot array", len(ring), cap(ring))
 	}
 }
 
@@ -384,6 +386,19 @@ func (u *Uniform) Sample(rng *rand.Rand, n int) []Transition {
 		return nil
 	}
 	return u.SampleInto(rng, n, make([]Transition, 0, n))
+}
+
+// AddWithPriority stores one transition with an explicit priority: a
+// one-transition AddBatch.
+func (p *Prioritized) AddWithPriority(t Transition, priority float64) {
+	p.AddBatch([]Transition{t}, []float64{priority})
+}
+
+// Beta reports the current importance-sampling exponent.
+func (p *Prioritized) Beta() float64 {
+	p.sampleMu.Lock()
+	defer p.sampleMu.Unlock()
+	return p.beta
 }
 
 // Sample is SampleInto with fresh buffers.

@@ -6,17 +6,17 @@ import (
 	"math"
 )
 
-// Checkpoint/restore support for the prioritized buffers. A snapshot
-// captures the stored transitions together with the sum-tree leaf
-// values (the priorities already raised to the power α) — restoring
-// leaves verbatim makes the restored sampling distribution
-// bit-identical without recomputing any math.Pow. The single-tree
-// Prioritized restores exactly (its RNG stream lives in the caller);
-// the lock-striped Sharded restores contents exactly but re-derives
-// its per-shard RNG streams from a fresh seed, which is fine because
-// only the non-deterministic trainer modes use it.
+// Checkpoint/restore support. A snapshot captures every shard's stored
+// transitions together with its sum-tree leaf values (the priorities
+// already raised to the power α) — restoring leaves verbatim makes the
+// restored sampling distribution bit-identical without recomputing any
+// math.Pow — plus β and the ingest cursor. Sampling draws from the
+// caller's RNG, so a restored buffer given the same RNG draws what the
+// saved one would have.
 
-// PrioritizedState is the serializable form of a Prioritized buffer.
+// PrioritizedState is the serializable form of one shard. Before the
+// buffer was striped it was the whole snapshot of a single-tree buffer,
+// which is the one-shard snapshot {Shards: [st], Beta: st.Beta}.
 type PrioritizedState struct {
 	// Data and Leaves hold the first Count ring slots (the ring wraps
 	// only when full, so slots [0, Count) are exactly the live ones).
@@ -24,29 +24,11 @@ type PrioritizedState struct {
 	Leaves []float64
 	// Next and Count are the ring cursor and fill level.
 	Next, Count int
-	// Beta is the annealed importance-sampling exponent; MaxPrior the
-	// running maximal raw priority used for Add bootstraps.
+	// Beta is the single-tree snapshot's annealed importance-sampling
+	// exponent, zero in a shard record (ShardedState carries β);
+	// MaxPrior is the running maximal raw priority used for Add
+	// bootstraps.
 	Beta, MaxPrior float64
-}
-
-// State deep-copies the buffer contents for checkpointing. Transition
-// slices are aliased, not copied: the snapshot shares float data with
-// the live buffer, which is safe because transitions are never
-// mutated in place (only overwritten slot-wise on eviction — and gob
-// encoding for a checkpoint reads them before any eviction can).
-func (p *Prioritized) State() PrioritizedState {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	st := PrioritizedState{
-		Data:   append([]Transition(nil), p.data[:p.count]...),
-		Leaves: make([]float64, p.count),
-		Next:   p.next, Count: p.count,
-		Beta: p.beta, MaxPrior: p.maxPrior,
-	}
-	for i := 0; i < p.count; i++ {
-		st.Leaves[i] = p.tree.get(i)
-	}
-	return st
 }
 
 // validate reports why the snapshot cannot be the contents of a ring of
@@ -71,40 +53,20 @@ func (st *PrioritizedState) validate(capacity int) error {
 	return nil
 }
 
-// restore installs a validated snapshot's transitions, leaves and
-// cursor into an empty ring and its tree.
-func (r *ring) restore(tree *sumTree, st *PrioritizedState) {
+// restore installs a validated record's transitions, leaves, cursor
+// and maximal priority into an empty shard. Caller holds sh.mu.
+func (sh *shard) restore(st *PrioritizedState) {
 	if st.Count > 0 {
-		r.data = append(make([]Transition, 0, st.Count), st.Data...)
+		sh.data = append(make([]Transition, 0, st.Count), st.Data...)
 	}
 	for i, leaf := range st.Leaves {
-		tree.set(i, leaf)
+		sh.tree.set(i, leaf)
 	}
-	r.next, r.count = st.Next, st.Count
+	sh.next, sh.count, sh.maxPrior = st.Next, st.Count, st.MaxPrior
 }
 
-// SetState restores a snapshot into this buffer, which must have the
-// same capacity it was taken from and must still be empty. A refused
-// snapshot leaves the buffer untouched.
-func (p *Prioritized) SetState(st PrioritizedState) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.count != 0 {
-		return errors.New("replay: restore target already holds experience")
-	}
-	if err := st.validate(p.capacity); err != nil {
-		return err
-	}
-	p.restore(&p.tree, &st)
-	p.beta, p.maxPrior = st.Beta, st.MaxPrior
-	return nil
-}
-
-// ShardedState is the serializable form of a Sharded buffer: one
-// PrioritizedState-shaped record per shard plus the shared sampling
-// state. Per-shard RNG streams are not captured; a restored buffer
-// samples from fresh streams (the parallel modes are
-// non-deterministic by contract).
+// ShardedState is the serializable form of a Prioritized buffer: one
+// record per shard plus the shared sampling state.
 type ShardedState struct {
 	Shards []PrioritizedState
 	Beta   float64
@@ -114,13 +76,17 @@ type ShardedState struct {
 // State deep-copies the buffer contents for checkpointing, locking
 // one shard at a time (concurrent ingest keeps flowing; the snapshot
 // is per-shard consistent, which is all a crash-recovery checkpoint
-// needs).
-func (s *Sharded) State() ShardedState {
-	s.sampleMu.Lock()
-	st := ShardedState{Beta: s.beta, Ingest: s.ingest.Load()}
-	s.sampleMu.Unlock()
-	for k := range s.shards {
-		sh := &s.shards[k]
+// needs). Transition slices are aliased, not copied: the snapshot
+// shares float data with the live buffer, which is safe because
+// transitions are never mutated in place (only overwritten slot-wise on
+// eviction — and gob encoding for a checkpoint reads them before any
+// eviction can).
+func (p *Prioritized) State() ShardedState {
+	p.sampleMu.Lock()
+	st := ShardedState{Beta: p.beta, Ingest: p.ingest.Load()}
+	p.sampleMu.Unlock()
+	for k := range p.shards {
+		sh := &p.shards[k]
 		sh.mu.Lock()
 		rec := PrioritizedState{
 			Data:   append([]Transition(nil), sh.data[:sh.count]...),
@@ -140,32 +106,31 @@ func (s *Sharded) State() ShardedState {
 // same shard count and per-shard capacity and must still be empty.
 // Every shard's record is validated before the first is written, so a
 // refused snapshot leaves the buffer untouched.
-func (s *Sharded) SetState(st ShardedState) error {
-	if len(st.Shards) != len(s.shards) {
+func (p *Prioritized) SetState(st ShardedState) error {
+	if len(st.Shards) != len(p.shards) {
 		return errors.New("replay: snapshot shard count mismatch")
 	}
-	if s.count.Load() != 0 {
+	if p.count.Load() != 0 {
 		return errors.New("replay: restore target already holds experience")
 	}
 	for k := range st.Shards {
-		if err := st.Shards[k].validate(s.shardCap); err != nil {
+		if err := st.Shards[k].validate(p.shardCap); err != nil {
 			return fmt.Errorf("shard %d: %w", k, err)
 		}
 	}
 	total := int64(0)
-	for k := range s.shards {
-		sh := &s.shards[k]
+	for k := range p.shards {
+		sh := &p.shards[k]
 		rec := &st.Shards[k]
 		sh.mu.Lock()
-		sh.restore(&sh.tree, rec)
-		sh.maxPrior = rec.MaxPrior
+		sh.restore(rec)
 		sh.mu.Unlock()
 		total += int64(rec.Count)
 	}
-	s.sampleMu.Lock()
-	s.beta = st.Beta
-	s.sampleMu.Unlock()
-	s.ingest.Store(st.Ingest)
-	s.count.Store(total)
+	p.sampleMu.Lock()
+	p.beta = st.Beta
+	p.sampleMu.Unlock()
+	p.ingest.Store(st.Ingest)
+	p.count.Store(total)
 	return nil
 }

@@ -21,8 +21,9 @@ func TestSnapshotRoundTripAtEvictionBoundary(t *testing.T) {
 	for i := 0; i < 13; i++ {
 		src.AddWithPriority(tr(float64(i)), 0.25+float64(i))
 	}
-	if src.Len() != capacity || src.next != 13%capacity {
-		t.Fatalf("fixture not at eviction boundary: len %d next %d", src.Len(), src.next)
+	a := &src.shards[0]
+	if src.Len() != capacity || a.next != 13%capacity {
+		t.Fatalf("fixture not at eviction boundary: len %d next %d", src.Len(), a.next)
 	}
 
 	st := src.State()
@@ -33,20 +34,21 @@ func TestSnapshotRoundTripAtEvictionBoundary(t *testing.T) {
 	if err := dst.SetState(st); err != nil {
 		t.Fatal(err)
 	}
-	if dst.count != src.count || dst.next != src.next || dst.maxPrior != src.maxPrior || dst.beta != src.beta {
+	b := &dst.shards[0]
+	if b.count != a.count || b.next != a.next || b.maxPrior != a.maxPrior || dst.beta != src.beta {
 		t.Fatalf("restored cursor state differs: %d/%d/%v vs %d/%d/%v",
-			dst.count, dst.next, dst.maxPrior, src.count, src.next, src.maxPrior)
+			b.count, b.next, b.maxPrior, a.count, a.next, a.maxPrior)
 	}
 	for i := 0; i < capacity; i++ {
-		if got, want := dst.tree.get(i), src.tree.get(i); got != want {
+		if got, want := b.tree.get(i), a.tree.get(i); got != want {
 			t.Errorf("leaf %d: restored priority %v, want %v", i, got, want)
 		}
-		if dst.data[i].Reward != src.data[i].Reward {
-			t.Errorf("slot %d: restored reward %v, want %v", i, dst.data[i].Reward, src.data[i].Reward)
+		if b.data[i].Reward != a.data[i].Reward {
+			t.Errorf("slot %d: restored reward %v, want %v", i, b.data[i].Reward, a.data[i].Reward)
 		}
 	}
-	if dst.tree.total() != src.tree.total() {
-		t.Errorf("tree total %v, want %v", dst.tree.total(), src.tree.total())
+	if b.tree.total() != a.tree.total() {
+		t.Errorf("tree total %v, want %v", b.tree.total(), a.tree.total())
 	}
 
 	// Identical RNG streams must sample identical indices and weights.
@@ -60,10 +62,10 @@ func TestSnapshotRoundTripAtEvictionBoundary(t *testing.T) {
 	}
 
 	// The restored ring keeps evicting where the original would.
-	wantNext := (src.next + 1) % capacity
+	wantNext := (a.next + 1) % capacity
 	dst.Add(tr(99))
-	if dst.next != wantNext {
-		t.Errorf("post-restore eviction cursor %d, want %d", dst.next, wantNext)
+	if b.next != wantNext {
+		t.Errorf("post-restore eviction cursor %d, want %d", b.next, wantNext)
 	}
 }
 
@@ -76,8 +78,8 @@ func TestSnapshotRestorePartialBuffer(t *testing.T) {
 		src.Add(tr(float64(i)))
 	}
 	st := src.State()
-	if len(st.Data) != 3 || len(st.Leaves) != 3 {
-		t.Fatalf("partial snapshot sized %d/%d, want 3/3", len(st.Data), len(st.Leaves))
+	if rec := st.Shards[0]; len(rec.Data) != 3 || len(rec.Leaves) != 3 {
+		t.Fatalf("partial snapshot sized %d/%d, want 3/3", len(rec.Data), len(rec.Leaves))
 	}
 
 	// A partially-filled snapshot restores into an empty buffer.
@@ -85,8 +87,8 @@ func TestSnapshotRestorePartialBuffer(t *testing.T) {
 	if err := empty.SetState(st); err != nil {
 		t.Fatalf("partial snapshot rejected by empty buffer: %v", err)
 	}
-	if empty.Len() != 3 || empty.next != 3 {
-		t.Errorf("restored partial fill %d/next %d, want 3/3", empty.Len(), empty.next)
+	if empty.Len() != 3 || empty.shards[0].next != 3 {
+		t.Errorf("restored partial fill %d/next %d, want 3/3", empty.Len(), empty.shards[0].next)
 	}
 
 	// Any pre-existing experience refuses the restore.
@@ -95,7 +97,7 @@ func TestSnapshotRestorePartialBuffer(t *testing.T) {
 	if err := dirty.SetState(st); err == nil {
 		t.Fatal("restore into non-empty buffer accepted")
 	}
-	if dirty.Len() != 1 || dirty.data[0].Reward != 42 {
+	if dirty.Len() != 1 || dirty.shards[0].data[0].Reward != 42 {
 		t.Error("refused restore mutated the target")
 	}
 }
@@ -116,15 +118,16 @@ func TestSnapshotCapacityMismatch(t *testing.T) {
 	// A wrapped cursor beyond the target capacity is refused even when
 	// the payload itself would fit.
 	st := big.State()
-	st.Data, st.Leaves, st.Count = st.Data[:4], st.Leaves[:4], 4
-	st.Next = 12
+	rec := &st.Shards[0]
+	rec.Data, rec.Leaves, rec.Count = rec.Data[:4], rec.Leaves[:4], 4
+	rec.Next = 12
 	if err := small.SetState(st); err == nil {
 		t.Fatal("out-of-range cursor accepted")
 	}
 
 	// Torn snapshots (Data/Leaves disagreeing with Count) are refused.
 	torn := big.State()
-	torn.Leaves = torn.Leaves[:len(torn.Leaves)-1]
+	torn.Shards[0].Leaves = torn.Shards[0].Leaves[:len(torn.Shards[0].Leaves)-1]
 	fresh, _ := NewPrioritized(16, 0.6, 0.4, 0)
 	if err := fresh.SetState(torn); err == nil {
 		t.Fatal("torn snapshot accepted")
@@ -133,7 +136,7 @@ func TestSnapshotCapacityMismatch(t *testing.T) {
 	// Corrupt leaves: NaN or negative priorities are refused.
 	for _, bad := range []float64{math.NaN(), -1} {
 		corrupt := big.State()
-		corrupt.Leaves[2] = bad
+		corrupt.Shards[0].Leaves[2] = bad
 		target, _ := NewPrioritized(16, 0.6, 0.4, 0)
 		if err := target.SetState(corrupt); err == nil {
 			t.Fatalf("corrupt leaf %v accepted", bad)
@@ -198,6 +201,11 @@ func TestShardedSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// oneShard is the one-shard buffer snapshot holding rec.
+func oneShard(rec PrioritizedState) ShardedState {
+	return ShardedState{Shards: []PrioritizedState{rec}, Beta: rec.Beta}
+}
+
 // snapshotOf builds the snapshot of a ring holding count transitions
 // with the cursor at next.
 func snapshotOf(count, next int) PrioritizedState {
@@ -213,9 +221,9 @@ func snapshotOf(count, next int) PrioritizedState {
 // checkpoint file. One whose cursor a ring of its fill level cannot
 // have (reproduced before the fix: Next == capacity and Next < 0 were
 // accepted and the next Add indexed out of range), whose fill level does
-// not fit, or whose leaves are corrupt is refused by both buffers, the
-// refused buffer is untouched — every shard of it, also when a later
-// shard is the bad one — and still usable.
+// not fit, or whose leaves are corrupt is refused at one shard and at
+// two, the refused buffer is untouched — every shard of it, also when a
+// later shard is the bad one — and still usable.
 func TestSetStateRejectsCorruptSnapshot(t *testing.T) {
 	const capacity = 4
 	leaf := func(v float64) PrioritizedState {
@@ -243,11 +251,11 @@ func TestSetStateRejectsCorruptSnapshot(t *testing.T) {
 	}
 	for name, st := range cases {
 		p, _ := NewPrioritized(capacity, 0.6, 0.4, 0)
-		if err := p.SetState(st); err == nil {
-			t.Errorf("%s: Prioritized accepted it", name)
+		if err := p.SetState(oneShard(st)); err == nil {
+			t.Errorf("%s: one shard accepted it", name)
 			continue
 		}
-		if p.Len() != 0 || p.next != 0 || p.tree.total() != 0 {
+		if p.Len() != 0 || p.shards[0].next != 0 || p.shards[0].tree.total() != 0 {
 			t.Errorf("%s: refused snapshot changed the buffer", name)
 		}
 		for i := 0; i < 2*capacity; i++ {
@@ -258,7 +266,7 @@ func TestSetStateRejectsCorruptSnapshot(t *testing.T) {
 		// sharded snapshot.
 		s, _ := NewSharded(2*capacity, 2, 0.6, 0.4, 0, 1)
 		if err := s.SetState(ShardedState{Shards: []PrioritizedState{snapshotOf(2, 2), st}, Beta: 0.4}); err == nil {
-			t.Errorf("%s: Sharded accepted it", name)
+			t.Errorf("%s: two shards accepted it", name)
 			continue
 		}
 		if s.Len() != 0 || s.shards[0].count != 0 || s.shards[0].tree.total() != 0 {
@@ -272,15 +280,16 @@ func TestSetStateRejectsCorruptSnapshot(t *testing.T) {
 	// The cursors a ring can have are all accepted.
 	for _, st := range []PrioritizedState{snapshotOf(0, 0), snapshotOf(3, 3), snapshotOf(capacity, 0), snapshotOf(capacity, capacity-1)} {
 		p, _ := NewPrioritized(capacity, 0.6, 0.4, 0)
-		if err := p.SetState(st); err != nil {
+		if err := p.SetState(oneShard(st)); err != nil {
 			t.Errorf("count %d next %d: %v", st.Count, st.Next, err)
 		}
 		p.Add(tr(9))
 	}
 }
 
-// FuzzReplaySetState: whatever a snapshot claims, both buffers either
-// refuse it untouched or take it and go on working — adds across the
+// FuzzReplaySetState: whatever a snapshot claims, a one-shard and a
+// two-shard buffer either refuse it untouched or take it and go on
+// working — adds across the
 // wrap, samples, priority write-backs — without indexing outside their
 // storage.
 func FuzzReplaySetState(f *testing.F) {
@@ -303,7 +312,7 @@ func FuzzReplaySetState(f *testing.F) {
 			st.Leaves = append(st.Leaves, leaf)
 		}
 		rng := rand.New(rand.NewSource(1))
-		drive := func(buf growthBuffer, accepted bool) {
+		drive := func(buf *Prioritized, accepted bool) {
 			if !accepted && buf.Len() != 0 {
 				t.Fatal("a refused snapshot left experience behind")
 			}
@@ -317,7 +326,7 @@ func FuzzReplaySetState(f *testing.F) {
 			}
 		}
 		p, _ := NewPrioritized(capacity, 0.6, 0.4, 0)
-		drive(p, p.SetState(st) == nil)
+		drive(p, p.SetState(oneShard(st)) == nil)
 		s, _ := NewSharded(2*capacity, 2, 0.6, 0.4, 0, 1)
 		drive(s, s.SetState(ShardedState{Shards: []PrioritizedState{snapshotOf(2, 2), st}, Beta: 0.4}) == nil)
 	})

@@ -24,11 +24,14 @@ gates=(
 	# and ReLU moved into assembly. A well-framed checkpoint whose
 	# counters lie is refused by field (the fuzz target's seed run), and
 	# one whose agent stores its networks as gob blobs is refused whole.
-	"./internal/rl/apex TestChaosKillResume|TestFleetFailureStopsLearner|TestTrainerCheckpointResume|TestWriteReadCheckpoint|TestTrainerFingerprint|FuzzTrainerCheckpoint|TestResumeRefusesGobNetworks"
+	# A replay snapshot resumes at its own stripe count, across
+	# GOMAXPROCS and modes, and a single-tree snapshot from before the
+	# buffer was striped resumes as one stripe, bit for bit.
+	"./internal/rl/apex TestChaosKillResume|TestFleetFailureStopsLearner|TestTrainerCheckpointResume|TestWriteReadCheckpoint|TestTrainerFingerprint|FuzzTrainerCheckpoint|TestResumeRefusesGobNetworks|TestResumeAcrossGOMAXPROCS|TestResumeSingleTreeReplay"
 	# One actor, one stepping loop: the in-process driver and round-robin
 	# take identical steps and stamp snapshots on one grid.
 	"./internal/rl/apex TestParallelDriverMatchesRoundRobinStepping|TestParallelSnapshotsOnRoundRobinGrid"
-	"./internal/rl/ddpg TestCheckpoint"
+	"./internal/rl/ddpg TestCheckpoint|TestCheckpointRestoresStripeCount"
 	# The parameter broadcast: one allocation per version (the frame), a
 	# pull copies in place with none, a published frame is never
 	# rewritten; hostile frames, and policy files from before the
