@@ -36,12 +36,6 @@ func main() {
 	quiet := flag.Bool("q", false, "suppress progress logging")
 	verifyPrio := flag.Bool("verifyprio", false,
 		"cross-check batched TD-error priorities against the scalar path (bit-for-bit); fail on any difference")
-	crashAt := flag.Int("crashat", 0,
-		"fault injection: exit with an error after this many steps (0 = never)")
-	crashRank := flag.Int("crashrank", -1,
-		"fault injection: apply -crashat only to this rank (-1 = any rank)")
-	crashMark := flag.String("crashmark", "",
-		"fault injection: marker file that disarms -crashat once it exists (created when the crash fires, so a respawn runs clean)")
 	flag.Parse()
 
 	log.SetFlags(0)
@@ -72,10 +66,6 @@ func main() {
 	opt := apex.RemoteActorOptions{
 		Addr: *learnerAddr, Rank: *rank, Steps: *steps, Logf: logf,
 		VerifyPriorities: *verifyPrio,
-	}
-	if *crashAt > 0 && (*crashRank < 0 || *crashRank == *rank) {
-		opt.CrashAfter = *crashAt
-		opt.CrashOnceMarker = *crashMark
 	}
 	if err := apex.RunRemoteActor(spec, opt); err != nil {
 		log.Fatal(err)

@@ -90,8 +90,7 @@ type Config struct {
 	// ablation.
 	FrozenKnobs [KnobsPerNF]bool
 	// Options selects the platform variant (poll mode, C-state
-	// policy, LLC contention). The zero value is the GreenNFV
-	// platform.
+	// policy). The zero value is the GreenNFV platform.
 	Options perfmodel.EvalOptions
 	// Seed makes the load process deterministic.
 	Seed int64

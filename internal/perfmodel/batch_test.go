@@ -34,9 +34,8 @@ func gridJobs(n int) []BatchJob {
 				Burstiness: rng.Float64() * 8,
 			},
 			Options: EvalOptions{
-				BusyPoll:         i%2 == 0,
-				NoSleep:          i%3 == 0,
-				ContendingChains: i % 4,
+				BusyPoll: i%2 == 0,
+				NoSleep:  i%3 == 0,
 			},
 		})
 	}

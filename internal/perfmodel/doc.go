@@ -16,8 +16,7 @@
 //   - Evaluate/EvaluateInto: the end-to-end knobs→measurement map
 //     behind every figure; calibration targets Figures 1–4.
 //   - EvalOptions: the platform variants of the Figure 9 comparison
-//     (busy-poll vs poll/callback mix, C-state policy, LLC
-//     contention).
+//     (busy-poll vs poll/callback mix, C-state policy).
 //   - ChainSpec presets (calibration.go): the paper's evaluation
 //     chains.
 //

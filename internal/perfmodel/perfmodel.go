@@ -199,10 +199,6 @@ type EvalOptions struct {
 	// Baseline's DPDK tuning); EE-Pstate busy-polls (BusyPoll true)
 	// but manages C-states (NoSleep false).
 	NoSleep bool
-	// ContendingChains is how many co-located chains share the LLC
-	// when CAT partitioning is NOT applied: the effective allocation
-	// divides by this. 0 or 1 means the chain's LLCFraction holds.
-	ContendingChains int
 }
 
 // Evaluate runs the analytic model for one chain under per-NF knobs.
@@ -274,9 +270,6 @@ func (c *Config) EvaluateInto(res *Result, chain ChainSpec, knobs []NFKnobs, tr 
 		}
 
 		alloc := clamp(k.LLCFraction, 0, 1) * llcScale * sharedLLC
-		if opt.ContendingChains > 1 {
-			alloc /= float64(opt.ContendingChains)
-		}
 		chainLLCBytes += alloc
 
 		// Working set: NF state plus the in-flight batch buffers of

@@ -317,27 +317,6 @@ func TestPollModeEnergyGap(t *testing.T) {
 	}
 }
 
-// Contention: an unpartitioned cache shared by several chains behaves
-// like a smaller allocation.
-func TestContentionReducesThroughput(t *testing.T) {
-	cfg := Default()
-	chain := HeavyChain()
-	k := NFKnobs{CPUShare: 4, FreqGHz: 2.1, LLCFraction: 0.33, DMABytes: 2 << 20, Batch: 64}
-	tr := Traffic{OfferedPPS: 13e6, FrameBytes: 64, Burstiness: 1}
-	alone, err := cfg.EvaluateUniform(chain, k, tr, EvalOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	contended, err := cfg.EvaluateUniform(chain, k, tr, EvalOptions{ContendingChains: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if contended.ThroughputGbps >= alone.ThroughputGbps {
-		t.Errorf("contention did not reduce throughput: %v vs %v",
-			contended.ThroughputGbps, alone.ThroughputGbps)
-	}
-}
-
 // LLC oversubscription rescales instead of exceeding the cache.
 func TestLLCOversubscriptionRescaled(t *testing.T) {
 	cfg := Default()

@@ -23,12 +23,13 @@ import (
 // learner process mid-budget (checkpoint/Resume). The trainer runs in
 // a subprocess — this test binary re-executes itself with
 // GREENNFV_CHAOS_ROLE=trainer — so the parent can kill it with no
-// opportunity for cleanup, exactly like a real crash.
+// opportunity for cleanup, exactly like a real crash. Its actors are
+// this binary again, in the actor role (actorRoleMain), which injects
+// the crash.
 
 // Environment variables carrying paths into the trainer subprocess.
 const (
 	chaosRoleEnv   = "GREENNFV_CHAOS_ROLE"
-	chaosBinEnv    = "GREENNFV_CHAOS_BIN"
 	chaosCkptEnv   = "GREENNFV_CHAOS_CKPT"
 	chaosMarkEnv   = "GREENNFV_CHAOS_MARK"
 	chaosStatusEnv = "GREENNFV_CHAOS_STATUS"
@@ -43,14 +44,14 @@ const chaosTotalSteps = 1200
 // chaosConfig is the trainer configuration shared by both phases of
 // the chaos run and by the parent's verification restore — all three
 // must agree or the checkpoint restore would rightly refuse.
-func chaosConfig(bin, ckpt, mark string) TrainerConfig {
+func chaosConfig(ckpt, mark string) TrainerConfig {
 	cfg := DefaultTrainerConfig(chaosTotalSteps)
 	cfg.RemoteActors = 2
 	// Rank 1 crashes once after 10 steps (the marker file disarms the
 	// injection for its respawn); -verifyprio keeps the bit-exactness
 	// check on batched priorities active throughout the chaos.
-	cfg.SpawnRemote = []string{bin, "-q", "-verifyprio",
-		"-crashat", "10", "-crashrank", "1", "-crashmark", mark}
+	cfg.SpawnRemote = actorArgv("-q", "-verifyprio",
+		"-crashat", "10", "-crashrank", "1", "-crashmark", mark)
 	cfg.RemoteSpec = testSpec()
 	cfg.WarmupSteps = 32
 	cfg.VersionEvery = 4
@@ -101,8 +102,13 @@ func restoreSHA(cfg TrainerConfig, path string) (string, error) {
 }
 
 // TestMain diverts re-executed copies of the test binary into the
-// chaos trainer role; everything else runs the tests as usual.
+// actor role or the chaos trainer role; everything else runs the tests
+// as usual. The actor argument is checked first: an actor spawned by
+// the chaos trainer also carries the trainer's role variable.
 func TestMain(m *testing.M) {
+	if len(os.Args) > 1 && os.Args[1] == actorRoleArg {
+		os.Exit(actorRoleMain(os.Args[2:]))
+	}
 	if os.Getenv(chaosRoleEnv) == "trainer" {
 		os.Exit(chaosTrainerMain())
 	}
@@ -118,7 +124,7 @@ func chaosTrainerMain() int {
 		fmt.Fprintln(os.Stderr, "chaos trainer:", err)
 		return 1
 	}
-	cfg := chaosConfig(os.Getenv(chaosBinEnv), os.Getenv(chaosCkptEnv), os.Getenv(chaosMarkEnv))
+	cfg := chaosConfig(os.Getenv(chaosCkptEnv), os.Getenv(chaosMarkEnv))
 
 	// Pre-pick the learner's port so the fault proxy can sit in front
 	// of it: actors are pointed at the proxy via AdvertiseAddr.
@@ -146,7 +152,7 @@ func chaosTrainerMain() int {
 	if resumePath != "" {
 		// Independent verification restore first (hashed and reported),
 		// then the real resume through the normal path.
-		if restoredSHA, err = restoreSHA(chaosConfig(os.Getenv(chaosBinEnv), os.Getenv(chaosCkptEnv), os.Getenv(chaosMarkEnv)), resumePath); err != nil {
+		if restoredSHA, err = restoreSHA(chaosConfig(os.Getenv(chaosCkptEnv), os.Getenv(chaosMarkEnv)), resumePath); err != nil {
 			return fail(err)
 		}
 		if err := tr.Resume(resumePath); err != nil {
@@ -202,18 +208,16 @@ func TestChaosKillResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocesses")
 	}
-	bin := buildActorBinary(t)
 	dir := t.TempDir()
 	ckpt := filepath.Join(dir, "trainer.ckpt")
 	mark := filepath.Join(dir, "crash.marker")
 	status := filepath.Join(dir, "status.json")
 	env := map[string]string{
-		chaosBinEnv:    bin,
 		chaosCkptEnv:   ckpt,
 		chaosMarkEnv:   mark,
 		chaosStatusEnv: status,
 	}
-	cfg := chaosConfig(bin, ckpt, mark)
+	cfg := chaosConfig(ckpt, mark)
 	budget := cfg.LearnPerStep * (cfg.TotalSteps - cfg.WarmupSteps)
 
 	// Phase 1: run until the first checkpoint has landed AND rank 1's

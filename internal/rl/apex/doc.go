@@ -188,6 +188,13 @@
 //     unregistered ID is rejected outright (ErrUnregisteredActor).
 //     Drain is additionally bounded by DrainTimeout of push-heartbeat
 //     silence, after which stragglers are killed.
+//   - Malformed experience: a pushed batch with a row of the wrong
+//     shape, a non-finite float or reward, or a NaN, infinite or
+//     negative priority is refused whole before it reaches the
+//     statistics or the replay, so one bad peer cannot poison the
+//     policy every actor is broadcast. The in-process
+//     Learner.PushExperience, fed only by the trainer's own actors, is
+//     not vetted.
 //   - Network faults: every client call has a deadline
 //     (RemoteLearner.CallTimeout) that tears down the connection
 //     rather than wedging a goroutine; RemoteLearner redials with
@@ -199,5 +206,7 @@
 // delays and partitions between actors and learner; TestChaosKillResume
 // drives the whole story — crash-injected actor, lossy proxy, SIGKILL'd
 // and resumed learner — and still demands the full update budget and
-// bit-exact restored weights across processes.
+// bit-exact restored weights across processes. The crash is injected by
+// the package's test binary, which the fault-tolerance tests spawn as
+// the actor process; cmd/apexactor carries no fault injection.
 package apex

@@ -3,7 +3,9 @@ package apex
 import (
 	"errors"
 	"io"
+	"math"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -45,6 +47,97 @@ func TestUnregisteredActorRejected(t *testing.T) {
 	}
 	if err := client.PushExperience(rpcBatch(2)); err != nil {
 		t.Errorf("registered push: %v", err)
+	}
+}
+
+// TestPushRejectsMalformedExperience pins the learner's vetting of
+// pushed experience: a batch with one row of the wrong shape, a
+// non-finite float or an impossible priority is refused whole, by row
+// and field, before it reaches the statistics or the replay, and an
+// honest push afterwards is accepted. Without the vetting one such push
+// reached the replay and a few updates later every weight of the
+// broadcast policy was NaN.
+func TestPushRejectsMalformedExperience(t *testing.T) {
+	serve := func() (*Learner, *Server, *RemoteLearner) {
+		learner := rpcLearner(t)
+		srv, err := Serve(learner, "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		client := singleShot(srv.Addr(), 0)
+		t.Cleanup(func() { client.Close() })
+		if _, err := client.Register(); err != nil {
+			t.Fatal(err)
+		}
+		return learner, srv, client
+	}
+	learner, srv, client := serve()
+
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name, field string
+		spoil       func(e *Experience)
+	}{
+		{"short state", "State", func(e *Experience) { e.State = e.State[:1] }},
+		{"long state", "State", func(e *Experience) { e.State = append(e.State, 5) }},
+		{"missing state", "State", func(e *Experience) { e.State = nil }},
+		{"short next state", "NextState", func(e *Experience) { e.NextState = e.NextState[:3] }},
+		{"short action", "Action", func(e *Experience) { e.Action = e.Action[:2] }},
+		{"NaN in state", "State", func(e *Experience) { e.State[2] = nan }},
+		{"Inf in next state", "NextState", func(e *Experience) { e.NextState[0] = -inf }},
+		{"NaN in action", "Action", func(e *Experience) { e.Action[1] = nan }},
+		{"NaN reward", "Reward", func(e *Experience) { e.Reward = nan }},
+		{"Inf reward", "Reward", func(e *Experience) { e.Reward = inf }},
+		{"NaN priority", "Priority", func(e *Experience) { e.Priority = nan }},
+		{"Inf priority", "Priority", func(e *Experience) { e.Priority = inf }},
+		{"negative priority", "Priority", func(e *Experience) { e.Priority = -1 }},
+	}
+	for _, tc := range cases {
+		batch := rpcBatch(3)
+		tc.spoil(&batch[1])
+		before := learner.Agent().BufferLen()
+		stats := srv.Service().ActorStats()[0]
+		err := client.PushExperience(batch)
+		if err == nil {
+			t.Errorf("%s: malformed push accepted", tc.name)
+		} else if msg := err.Error(); !strings.Contains(msg, "row 1") || !strings.Contains(msg, tc.field) {
+			t.Errorf("%s: error %q does not name row 1 and %s", tc.name, msg, tc.field)
+		}
+		if got := learner.Agent().BufferLen(); got != before {
+			t.Errorf("%s: replay grew from %d to %d on a refused push", tc.name, before, got)
+		}
+		if got := srv.Service().ActorStats()[0]; got != stats {
+			t.Errorf("%s: refused push changed the actor's stats: %+v, was %+v", tc.name, got, stats)
+		}
+		if err := client.PushExperience(rpcBatch(2)); err != nil {
+			t.Errorf("%s: honest push after the refusal: %v", tc.name, err)
+		}
+		if got := learner.Agent().BufferLen(); got != before+2 {
+			t.Errorf("%s: replay holds %d after an honest push, want %d", tc.name, got, before+2)
+		}
+	}
+
+	// The poisoning push, on a fresh learner: a truncated state and a
+	// NaN reward must not reach the policy the learner broadcasts.
+	learner, _, client = serve()
+	if err := client.PushExperience(rpcBatch(8)); err != nil {
+		t.Fatal(err)
+	}
+	poison := rpcBatch(1)
+	poison[0].State, poison[0].Reward = poison[0].State[:1], nan
+	if err := client.PushExperience(poison); err == nil {
+		t.Error("poisoning push accepted")
+	}
+	for i := 0; i < 20; i++ {
+		learner.LearnStep(1)
+	}
+	for _, p := range learner.Agent().Actor.ParamSlices() {
+		for _, w := range p {
+			if math.IsNaN(w) || math.IsInf(w, 0) {
+				t.Fatalf("actor weight %v after 20 updates", w)
+			}
+		}
 	}
 }
 

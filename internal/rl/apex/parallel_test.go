@@ -150,7 +150,7 @@ func TestParallelMatchesBudget(t *testing.T) {
 }
 
 // steppingConfig is the run the two stepping tests share: four actors on
-// the default cadences, SnapshotEvery = steps/40.
+// the default cadences.
 func steppingConfig(steps int, parallel bool) TrainerConfig {
 	cfg := DefaultTrainerConfig(steps)
 	cfg.Parallel = parallel
@@ -163,7 +163,7 @@ func steppingConfig(steps int, parallel bool) TrainerConfig {
 }
 
 // TestParallelSnapshotsOnRoundRobinGrid: the driver stamps snapshots on
-// the grid round-robin uses — every multiple of SnapshotEvery, nothing
+// the grid round-robin uses — every multiple of steps/40, nothing
 // else — so the "episode" column of a training curve does not depend on
 // the training mode.
 func TestParallelSnapshotsOnRoundRobinGrid(t *testing.T) {
@@ -175,11 +175,12 @@ func TestParallelSnapshotsOnRoundRobinGrid(t *testing.T) {
 	if err := tr.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := len(tr.Snapshots), cfg.TotalSteps/cfg.SnapshotEvery; got != want {
+	every := max(cfg.TotalSteps/40, 1)
+	if got, want := len(tr.Snapshots), cfg.TotalSteps/every; got != want {
 		t.Fatalf("%d snapshots, want %d", got, want)
 	}
 	for i, s := range tr.Snapshots {
-		if want := (i + 1) * cfg.SnapshotEvery; s.Episode != want {
+		if want := (i + 1) * every; s.Episode != want {
 			t.Errorf("snapshot %d stamped episode %d, want %d", i, s.Episode, want)
 		}
 	}

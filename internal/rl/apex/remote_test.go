@@ -1,6 +1,10 @@
 package apex
 
 import (
+	"errors"
+	"flag"
+	"fmt"
+	"log"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -12,9 +16,10 @@ import (
 	"greennfv/internal/sla"
 )
 
-// buildActorBinary compiles cmd/apexactor once per test binary run.
-// The children are plain (non-race) builds; the race detector checks
-// the trainer process, which is where all shared state lives.
+// buildActorBinary compiles cmd/apexactor, so a round runs the shipped
+// actor binary and its flag set. The child is a plain (non-race) build;
+// the race detector checks the trainer process, which is where all
+// shared state lives.
 func buildActorBinary(t *testing.T) string {
 	t.Helper()
 	bin := filepath.Join(t.TempDir(), "apexactor")
@@ -24,6 +29,80 @@ func buildActorBinary(t *testing.T) string {
 		t.Skipf("cannot build apexactor (no toolchain?): %v\n%s", err, out)
 	}
 	return bin
+}
+
+// actorRoleArg, as this test binary's first argument, makes it run as
+// one remote actor process (actorRoleMain) instead of the tests. It is
+// an argument, not an environment variable, because the chaos trainer's
+// children inherit that process's environment, role variable included.
+const actorRoleArg = "apex-actor-role"
+
+// actorArgv is the SpawnRemote prefix that runs this test binary as an
+// actor process with the given flags.
+func actorArgv(flags ...string) []string {
+	return append([]string{os.Args[0], actorRoleArg}, flags...)
+}
+
+// actorRoleMain is the actor process the fault-tolerance tests spawn:
+// cmd/apexactor's flags, with the spec read from stdin, plus an
+// injected crash. The rank -crashat arms (every rank when -crashrank is
+// -1) runs that many steps, flushes, and exits non-zero, unless the
+// -crashmark file exists; the file is created when the crash fires, so
+// a supervised respawn of the rank runs its budget clean.
+func actorRoleMain(args []string) int {
+	fs := flag.NewFlagSet(actorRoleArg, flag.ContinueOnError)
+	learner := fs.String("learner", "", "learner RPC address")
+	specPath := fs.String("spec", "-", "actor spec JSON (only \"-\", stdin)")
+	rank := fs.Int("rank", 0, "actor rank")
+	steps := fs.Int("steps", 0, "environment-step budget (0 = spec's)")
+	quiet := fs.Bool("q", false, "suppress progress logging")
+	verifyPrio := fs.Bool("verifyprio", false, "cross-check batched priorities against the scalar path")
+	crashAt := fs.Int("crashat", 0, "exit non-zero after this many steps (0 = never)")
+	crashRank := fs.Int("crashrank", -1, "apply -crashat only to this rank (-1 = any rank)")
+	crashMark := fs.String("crashmark", "", "marker file that disarms -crashat once it exists")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(os.Stderr, "%s[%d]: %v\n", actorRoleArg, *rank, err)
+		return 1
+	}
+	if *specPath != "-" {
+		return fail(errors.New("-spec: the actor role reads its spec from stdin"))
+	}
+	spec, err := DecodeActorSpec(os.Stdin)
+	if err != nil {
+		return fail(err)
+	}
+	opt := RemoteActorOptions{Addr: *learner, Rank: *rank, Steps: *steps, VerifyPriorities: *verifyPrio}
+	if !*quiet {
+		opt.Logf = log.New(os.Stderr, fmt.Sprintf("%s[%d]: ", actorRoleArg, *rank), 0).Printf
+	}
+	budget := *steps
+	if budget <= 0 {
+		budget = spec.Steps
+	}
+	armed := *crashAt > 0 && (*crashRank < 0 || *crashRank == *rank) && (budget <= 0 || *crashAt < budget)
+	if armed && *crashMark != "" {
+		if _, err := os.Stat(*crashMark); err == nil {
+			armed = false // crashed once already
+		}
+	}
+	if armed {
+		opt.Steps = *crashAt
+	}
+	if err := RunRemoteActor(spec, opt); err != nil {
+		return fail(err)
+	}
+	if !armed {
+		return 0
+	}
+	if *crashMark != "" {
+		if err := os.WriteFile(*crashMark, []byte("crashed\n"), 0o644); err != nil {
+			return fail(err)
+		}
+	}
+	return fail(fmt.Errorf("injected crash after %d steps", *crashAt))
 }
 
 // testSpec is the shared environment description for remote tests.
@@ -126,7 +205,8 @@ func TestRemoteTrainingRound(t *testing.T) {
 }
 
 // TestFleetFailureStopsLearner pins what a fatal fleet failure does to
-// the round: rank 1 crashes after 100 steps with no restart budget, so
+// the round: rank 1 (this test binary in the actor role) crashes after
+// 100 steps with no restart budget, so
 // the supervisor gives up and kills the fleet — and the learner must
 // stop with it instead of spending the rest of an 8 000-step budget on
 // the couple of hundred transitions that arrived, and must leave the
@@ -136,12 +216,11 @@ func TestFleetFailureStopsLearner(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocesses")
 	}
-	bin := buildActorBinary(t)
 	ckpt := filepath.Join(t.TempDir(), "trainer.ckpt")
 
 	cfg := DefaultTrainerConfig(8000)
 	cfg.RemoteActors = 2
-	cfg.SpawnRemote = []string{bin, "-q", "-crashat", "100", "-crashrank", "1"}
+	cfg.SpawnRemote = actorArgv("-q", "-crashat", "100", "-crashrank", "1")
 	cfg.RemoteSpec = testSpec()
 	cfg.WarmupSteps = 32
 	cfg.MaxActorRestarts = 0
@@ -267,7 +346,7 @@ func TestNoRetryAfterDrain(t *testing.T) {
 	r.MaxRetries = 10
 	r.Backoff = 200 * time.Millisecond
 	// The drain reply is still delivered with the accepted batch.
-	if err := r.PushExperience([]Experience{{Priority: 1}}); err != nil {
+	if err := r.PushExperience(rpcBatch(1)); err != nil {
 		t.Fatal(err)
 	}
 	if !r.Draining() {
@@ -278,7 +357,7 @@ func TestNoRetryAfterDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	err = r.PushExperience([]Experience{{Priority: 1}})
+	err = r.PushExperience(rpcBatch(1))
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("push to a closed learner succeeded")

@@ -3,7 +3,6 @@ package apex
 import (
 	"fmt"
 	"math/rand"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -281,36 +280,17 @@ type RemoteActorOptions struct {
 	// self-check (ActorConfig.VerifyPriorities); used by tests to prove
 	// the batched TD-error path is bit-identical across processes.
 	VerifyPriorities bool
-	// CrashAfter, when positive, makes the run fail with an injected
-	// error after that many steps — the chaos tests' actor-crash
-	// fault. CrashOnceMarker names a file that disarms the fault once
-	// it exists; it is created when the crash fires, so a supervised
-	// respawn of the same rank runs clean.
-	CrashAfter      int
-	CrashOnceMarker string
 	// Logf, when non-nil, receives progress messages.
 	Logf func(format string, args ...any)
-}
-
-// shouldInjectCrash decides (and latches, via the marker file) one
-// injected actor crash.
-func shouldInjectCrash(opt *RemoteActorOptions) bool {
-	if opt.CrashOnceMarker != "" {
-		if _, err := os.Stat(opt.CrashOnceMarker); err == nil {
-			return false // already crashed once; run clean
-		}
-		os.WriteFile(opt.CrashOnceMarker, []byte("crashed\n"), 0o644)
-	}
-	return true
 }
 
 // RunRemoteActor is the main loop of an actor process: build the
 // environment and local network from the spec, register with the
 // learner, sync the initial parameters, then step/push/pull until the
 // step budget is spent or the learner drains the round, and flush the
-// local buffer before returning. A crashed actor process (or an
-// injected CrashAfter fault) loses at most PushEvery-1 unflushed
-// transitions; the supervising trainer respawns the rank on its rung.
+// local buffer before returning. A crashed actor process loses at most
+// PushEvery-1 unflushed transitions; the supervising trainer respawns
+// the rank on its rung.
 func RunRemoteActor(spec ActorSpec, opt RemoteActorOptions) error {
 	logf := opt.Logf
 	if logf == nil {
@@ -349,9 +329,6 @@ func RunRemoteActor(spec ActorSpec, opt RemoteActorOptions) error {
 		steps = spec.Steps
 	}
 	for i := 0; steps <= 0 || i < steps; i++ {
-		if opt.CrashAfter > 0 && i == opt.CrashAfter && shouldInjectCrash(&opt) {
-			return fmt.Errorf("apex: actor %d: injected crash after %d steps", opt.Rank, i)
-		}
 		if _, _, err := actor.Step(learner); err != nil {
 			return fmt.Errorf("apex: actor %d step %d: %w", opt.Rank, i, err)
 		}

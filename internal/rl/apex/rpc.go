@@ -3,6 +3,7 @@ package apex
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -196,11 +197,16 @@ func (s *LearnerService) checkActor(id int, epoch uint64) (*actorRec, error) {
 // Push is the RPC method actors call to submit experience. A batch
 // pushed while the service is draining is still accepted (the
 // experience is real; dropping it would waste actor work), but the
-// reply tells the actor to stop. Unregistered or superseded callers
-// are rejected before the batch touches the replay.
+// reply tells the actor to stop. Unregistered or superseded callers,
+// and batches with a malformed row (vetExperience), are rejected
+// before the batch touches the statistics or the replay.
 func (s *LearnerService) Push(args *PushArgs, reply *PushReply) error {
 	s.mu.Lock()
 	rec, err := s.checkActor(args.ActorID, args.Epoch)
+	if err == nil {
+		cfg := s.learner.agent.Config()
+		err = vetExperience(args.Batch, cfg.StateDim, cfg.ActionDim)
+	}
 	if err != nil {
 		s.mu.Unlock()
 		return err
@@ -217,6 +223,40 @@ func (s *LearnerService) Push(args *PushArgs, reply *PushReply) error {
 	}
 	reply.Accepted = len(args.Batch)
 	reply.Drain = s.drain.Load()
+	return nil
+}
+
+// vetExperience refuses a batch arriving from outside the process
+// unless every row has stateDim State and NextState entries and
+// actionDim Action entries, all finite, a finite Reward and a finite,
+// non-negative Priority. The replay copies rows without looking, so one
+// short or NaN row would otherwise poison every later update and the
+// policy broadcast from it.
+func vetExperience(batch []Experience, stateDim, actionDim int) error {
+	finite := func(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+	for i := range batch {
+		e := &batch[i]
+		for _, f := range [...]struct {
+			name string
+			v    []float64
+			dim  int
+		}{{"State", e.State, stateDim}, {"Action", e.Action, actionDim}, {"NextState", e.NextState, stateDim}} {
+			if len(f.v) != f.dim {
+				return fmt.Errorf("apex: push row %d: %s has %d entries, want %d", i, f.name, len(f.v), f.dim)
+			}
+			for j, x := range f.v {
+				if !finite(x) {
+					return fmt.Errorf("apex: push row %d: %s[%d] is %v", i, f.name, j, x)
+				}
+			}
+		}
+		if !finite(e.Reward) {
+			return fmt.Errorf("apex: push row %d: Reward is %v", i, e.Reward)
+		}
+		if !finite(e.Priority) || e.Priority < 0 {
+			return fmt.Errorf("apex: push row %d: Priority is %v", i, e.Priority)
+		}
+	}
 	return nil
 }
 

@@ -71,9 +71,6 @@ type TrainerConfig struct {
 	// VersionEvery bumps the broadcast parameter version every N
 	// learner updates.
 	VersionEvery int
-	// SnapshotEvery records a training-progress snapshot every N
-	// steps (the paper samples every 2000 episodes).
-	SnapshotEvery int
 	// BaseSigma is actor 0's OU noise; each additional actor gets
 	// progressively more exploration (Ape-X's per-actor epsilon).
 	BaseSigma float64
@@ -160,19 +157,17 @@ type TrainerConfig struct {
 }
 
 // DefaultTrainerConfig returns a configuration matched to the
-// GreenNFV environment: small networks, four actors, snapshot
-// cadence proportional to run length.
+// GreenNFV environment: small networks and four actors.
 func DefaultTrainerConfig(totalSteps int) TrainerConfig {
 	return TrainerConfig{
-		Actors:        4,
-		TotalSteps:    totalSteps,
-		LearnPerStep:  1,
-		WarmupSteps:   64,
-		PushEvery:     8,
-		SyncEvery:     16,
-		VersionEvery:  8,
-		SnapshotEvery: max(totalSteps/40, 1),
-		BaseSigma:     0.3,
+		Actors:       4,
+		TotalSteps:   totalSteps,
+		LearnPerStep: 1,
+		WarmupSteps:  64,
+		PushEvery:    8,
+		SyncEvery:    16,
+		VersionEvery: 8,
+		BaseSigma:    0.3,
 		// Supervision default: a crashed actor rank gets two respawns
 		// before the round is declared failed.
 		MaxActorRestarts:    2,
@@ -349,12 +344,14 @@ func (t *Trainer) runRoundRobin() error {
 // (every pass starts at actor 0, a resumed run's first too), calls
 // afterStep with the count n once step n is taken, and records actor 0's
 // latest measurement as a snapshot whenever n is a multiple of
-// SnapshotEvery. What runs between two steps is the caller's: round-robin
-// learns there; the concurrent pipeline's driver (parallel.go) does
-// nothing and leaves learning to the other goroutine.
+// max(TotalSteps/40, 1): forty points on the training curve (the paper
+// samples every 2000 episodes). What runs between two steps is the
+// caller's: round-robin learns there; the concurrent pipeline's driver
+// (parallel.go) does nothing and leaves learning to the other goroutine.
 func (t *Trainer) stepActors(from, to int, afterStep func(n int)) error {
 	var last0 perfmodel.Result
 	var lastR0 float64
+	every := max(t.cfg.TotalSteps/40, 1)
 	for n := from; n < to; {
 		for _, actor := range t.actors {
 			if n >= to {
@@ -369,7 +366,7 @@ func (t *Trainer) stepActors(from, to int, afterStep func(n int)) error {
 			}
 			n++
 			afterStep(n)
-			if t.cfg.SnapshotEvery > 0 && n%t.cfg.SnapshotEvery == 0 {
+			if n%every == 0 {
 				t.Snapshots = append(t.Snapshots,
 					SnapshotOf(n, t.actors[0].Env(), last0, lastR0))
 			}

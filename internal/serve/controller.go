@@ -85,8 +85,6 @@ type Config struct {
 	// LeaseWindow is the heartbeat window: a node silent for longer
 	// loses its lease and must re-register. Zero defaults to 10s.
 	LeaseWindow time.Duration
-	// NewLimiter builds each node's rate limiter (nil: DefaultLimiter).
-	NewLimiter func() *Limiter
 	// Now injects the controller clock used for lease stamps and
 	// report-latency measurement (nil: time.Now). Tests drive it so
 	// lease expiry is deterministic instead of sleep-based.
@@ -199,9 +197,6 @@ type Controller struct {
 func NewController(cfg Config) (*Controller, error) {
 	if cfg.LeaseWindow <= 0 {
 		cfg.LeaseWindow = 10 * time.Second
-	}
-	if cfg.NewLimiter == nil {
-		cfg.NewLimiter = DefaultLimiter
 	}
 	probe, err := cfg.Spec.BuildEnv(0)
 	if err != nil {
@@ -538,7 +533,7 @@ func (c *Controller) register(args *RegisterNodeArgs, reply *RegisterNodeReply) 
 	sh.mu.Lock()
 	rec, ok := sh.nodes[args.NodeID]
 	if !ok {
-		rec = &nodeRec{limiter: c.cfg.NewLimiter()}
+		rec = &nodeRec{limiter: DefaultLimiter()}
 		sh.nodes[args.NodeID] = rec
 	}
 	sh.mu.Unlock()

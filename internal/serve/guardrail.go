@@ -10,18 +10,19 @@ import (
 // Guardrail vets proposed knob configurations before they reach a
 // node: every knob must lie inside the bounds, and the performance
 // model's prediction at the node's current traffic must satisfy the
-// SLA. It is the reason a noisy or stale policy cannot push a node
+// SLA. The prediction is made on the GreenNFV platform (the zero
+// perfmodel.EvalOptions), the one every node's environment runs. It
+// is the reason a noisy or stale policy cannot push a node
 // into violation — rejected proposals fall down the degradation
 // ladder instead of onto hardware.
 //
 // Not goroutine-safe: the prediction scratch is reused per check.
 // The controller guards calls with its own lock; each agent owns one.
 type Guardrail struct {
-	Model   perfmodel.Config
-	Chain   perfmodel.ChainSpec
-	Bounds  perfmodel.KnobBounds
-	SLA     sla.SLA
-	Options perfmodel.EvalOptions
+	Model  perfmodel.Config
+	Chain  perfmodel.ChainSpec
+	Bounds perfmodel.KnobBounds
+	SLA    sla.SLA
 
 	res perfmodel.Result // prediction scratch
 }
@@ -40,7 +41,7 @@ func (g *Guardrail) Check(knobs []perfmodel.NFKnobs, tr perfmodel.Traffic) (perf
 			return perfmodel.Result{}, fmt.Errorf("serve: NF %d knobs %+v outside bounds", i, k)
 		}
 	}
-	if err := g.Model.EvaluateInto(&g.res, g.Chain, knobs, tr, g.Options); err != nil {
+	if err := g.Model.EvaluateInto(&g.res, g.Chain, knobs, tr, perfmodel.EvalOptions{}); err != nil {
 		return perfmodel.Result{}, fmt.Errorf("serve: guardrail predict: %w", err)
 	}
 	if !g.SLA.Satisfied(g.res.ThroughputGbps, g.res.EnergyJoules) {

@@ -10,7 +10,11 @@ import (
 // proposals for one node, so a noisy policy cannot thrash hardware
 // states: per-interval knob deltas are capped against the node's
 // last applied configuration, and changes inside a relative deadband
-// hold the previous value instead of twitching the hardware.
+// hold the previous value instead of twitching the hardware. The
+// limits are fixed: per interval a node moves at most 2 cores,
+// 0.3 GHz and 25% of the LLC, swings its DMA ring and batch by at
+// most 4x either way, and a knob whose relative change is at most 5%
+// holds its previous value.
 //
 // Limit computes the limited proposal; Record advances the baseline
 // to the configuration actually applied — kept separate so a
@@ -20,35 +24,25 @@ import (
 //
 // Not goroutine-safe; one Limiter per node, owned by its serving loop.
 type Limiter struct {
-	// MaxShareStep, MaxFreqStep and MaxLLCStep cap the per-interval
-	// change of the continuous knobs (absolute units: cores, GHz, LLC
-	// fraction). Zero disables that knob's rate cap.
-	MaxShareStep, MaxFreqStep, MaxLLCStep float64
-	// MaxDMAFactor and MaxBatchFactor cap the per-interval
-	// multiplicative change of the log-scaled knobs (e.g. 2 allows at
-	// most doubling/halving). Values <= 1 disable the cap.
-	MaxDMAFactor, MaxBatchFactor float64
-	// Deadband is the relative change below which a knob holds its
-	// previous value (hysteresis). Zero disables it.
-	Deadband float64
-
 	prev []perfmodel.NFKnobs // last Recorded config (nil: no baseline)
 	out  []perfmodel.NFKnobs // Limit scratch
 }
 
-// DefaultLimiter returns the serving-plane limits: at most 2 cores,
-// 0.3 GHz and 25% of the LLC moved per interval, at most a 4x swing
-// on DMA ring and batch, and a 5% deadband.
-func DefaultLimiter() *Limiter {
-	return &Limiter{
-		MaxShareStep:   2,
-		MaxFreqStep:    0.3,
-		MaxLLCStep:     0.25,
-		MaxDMAFactor:   4,
-		MaxBatchFactor: 4,
-		Deadband:       0.05,
-	}
-}
+// The limits documented on Limiter: absolute caps for the continuous
+// knobs (cores, GHz, LLC fraction), multiplicative caps for the
+// log-scaled ones, and the relative deadband.
+const (
+	maxShareStep   = 2
+	maxFreqStep    = 0.3
+	maxLLCStep     = 0.25
+	maxDMAFactor   = 4
+	maxBatchFactor = 4
+	deadband       = 0.05
+)
+
+// DefaultLimiter returns a Limiter with no baseline, enforcing the
+// limits documented on Limiter.
+func DefaultLimiter() *Limiter { return &Limiter{} }
 
 // Reset forgets the baseline (the next Limit passes through). Used
 // when a node re-registers after an outage.
@@ -75,54 +69,47 @@ func (l *Limiter) Limit(proposed []perfmodel.NFKnobs) []perfmodel.NFKnobs {
 	}
 	for i, p := range proposed {
 		prev := l.prev[i]
-		p.CPUShare = l.limitLinear(p.CPUShare, prev.CPUShare, l.MaxShareStep)
-		p.FreqGHz = l.limitLinear(p.FreqGHz, prev.FreqGHz, l.MaxFreqStep)
-		p.LLCFraction = l.limitLinear(p.LLCFraction, prev.LLCFraction, l.MaxLLCStep)
-		p.DMABytes = int64(l.limitFactor(float64(p.DMABytes), float64(prev.DMABytes), l.MaxDMAFactor))
-		p.Batch = int(math.Round(l.limitFactor(float64(p.Batch), float64(prev.Batch), l.MaxBatchFactor)))
+		p.CPUShare = limitLinear(p.CPUShare, prev.CPUShare, maxShareStep)
+		p.FreqGHz = limitLinear(p.FreqGHz, prev.FreqGHz, maxFreqStep)
+		p.LLCFraction = limitLinear(p.LLCFraction, prev.LLCFraction, maxLLCStep)
+		p.DMABytes = int64(limitFactor(float64(p.DMABytes), float64(prev.DMABytes), maxDMAFactor))
+		p.Batch = int(math.Round(limitFactor(float64(p.Batch), float64(prev.Batch), maxBatchFactor)))
 		l.out[i] = p
 	}
 	return l.out
 }
 
 // limitLinear caps |v - prev| at step and applies the deadband.
-func (l *Limiter) limitLinear(v, prev, step float64) float64 {
-	if l.hold(v, prev) {
+func limitLinear(v, prev, step float64) float64 {
+	switch {
+	case hold(v, prev):
 		return prev
-	}
-	if step > 0 {
-		if v > prev+step {
-			return prev + step
-		}
-		if v < prev-step {
-			return prev - step
-		}
+	case v > prev+step:
+		return prev + step
+	case v < prev-step:
+		return prev - step
 	}
 	return v
 }
 
 // limitFactor caps v/prev at factor (and prev/v likewise) and applies
 // the deadband.
-func (l *Limiter) limitFactor(v, prev, factor float64) float64 {
-	if l.hold(v, prev) {
+func limitFactor(v, prev, factor float64) float64 {
+	switch {
+	case hold(v, prev):
 		return prev
-	}
-	if factor > 1 && prev > 0 {
-		if v > prev*factor {
-			return prev * factor
-		}
-		if v < prev/factor {
-			return prev / factor
-		}
+	case prev <= 0:
+		return v
+	case v > prev*factor:
+		return prev * factor
+	case v < prev/factor:
+		return prev / factor
 	}
 	return v
 }
 
 // hold reports whether the relative change from prev to v is inside
 // the deadband.
-func (l *Limiter) hold(v, prev float64) bool {
-	if l.Deadband <= 0 || prev == 0 {
-		return false
-	}
-	return math.Abs(v-prev) <= l.Deadband*math.Abs(prev)
+func hold(v, prev float64) bool {
+	return prev != 0 && math.Abs(v-prev) <= deadband*math.Abs(prev)
 }

@@ -15,8 +15,10 @@ set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
 gates=(
-	# Fault tolerance: actor crash + respawn, lossy proxy, learner
-	# SIGKILL + resume; a fleet that fails for good stops the learner;
+	# Fault tolerance: actor crash (injected by this package's test
+	# binary in its actor role) + respawn, lossy proxy, learner SIGKILL
+	# + resume; a fleet that fails for good stops the learner; a pushed
+	# batch with a malformed row is refused whole before the replay;
 	# serialize → restore bit-identical (weights and next updates) at
 	# agent and trainer level, both precisions. And the reference loop:
 	# whole round-robin runs hash (on raw parameter bits) to the values
@@ -27,7 +29,7 @@ gates=(
 	# A replay snapshot resumes at its own stripe count, across
 	# GOMAXPROCS and modes, and a single-tree snapshot from before the
 	# buffer was striped resumes as one stripe, bit for bit.
-	"./internal/rl/apex TestChaosKillResume|TestFleetFailureStopsLearner|TestTrainerCheckpointResume|TestWriteReadCheckpoint|TestTrainerFingerprint|FuzzTrainerCheckpoint|TestResumeRefusesGobNetworks|TestResumeAcrossGOMAXPROCS|TestResumeSingleTreeReplay"
+	"./internal/rl/apex TestChaosKillResume|TestFleetFailureStopsLearner|TestPushRejectsMalformedExperience|TestTrainerCheckpointResume|TestWriteReadCheckpoint|TestTrainerFingerprint|FuzzTrainerCheckpoint|TestResumeRefusesGobNetworks|TestResumeAcrossGOMAXPROCS|TestResumeSingleTreeReplay"
 	# One actor, one stepping loop: the in-process driver and round-robin
 	# take identical steps and stamp snapshots on one grid.
 	"./internal/rl/apex TestParallelDriverMatchesRoundRobinStepping|TestParallelSnapshotsOnRoundRobinGrid"
