@@ -303,11 +303,12 @@ func (p *Policy) Save(w io.Writer) error {
 
 // SaveCheckpoint writes the policy's serving checkpoint to w: a policy
 // section (the agent configuration and the actor's parameter frame,
-// under one length and CRC32 of the whole file) followed by the full
-// agent state. cmd/greennfvd serves it reading the section alone;
-// System.LoadPolicyCheckpoint reloads the whole agent. Unlike Save
-// (actor network only), the checkpoint embeds the agent configuration,
-// so loaders validate dimensions instead of assuming them.
+// under one length and CRC32 of the whole file) followed by the rest of
+// the agent's training state in a fixed layout. cmd/greennfvd serves it
+// reading the section alone; System.LoadPolicyCheckpoint reloads the
+// whole agent. Unlike Save (actor network only), the checkpoint embeds
+// the agent configuration, so loaders validate dimensions instead of
+// assuming them.
 func (p *Policy) SaveCheckpoint(w io.Writer) error {
 	if p == nil || p.ctl == nil {
 		return errors.New("greennfv: nil policy")
@@ -316,19 +317,23 @@ func (p *Policy) SaveCheckpoint(w io.Writer) error {
 }
 
 // LoadPolicyCheckpoint reads a checkpoint written by
-// Policy.SaveCheckpoint — its policy section and the full agent state
-// after it, which must agree — validates its dimensions against the
-// system's chain, and binds it to the SLA — the serve-only path:
-// train once, deploy the checkpoint many times without the training
-// driver. A checkpoint written before the policy section existed is
-// refused with an error that says so, as is one whose agent state
-// stores its networks as gob blobs rather than parameter frames.
+// Policy.SaveCheckpoint — its policy section and the training state
+// after it, read once and checked whole — validates its dimensions
+// against the system's chain, and binds it to the SLA — the serve-only
+// path: train once, deploy the checkpoint many times without the
+// training driver. A checkpoint written before the policy section
+// existed, or whose training state is gob rather than the fixed layout,
+// is refused with an error that says so: retrain.
 func (s *System) LoadPolicyCheckpoint(agreement SLA, r io.Reader) (*Policy, error) {
 	probe, err := s.factory(agreement.spec)(s.cfg.Seed, perfmodel.EvalOptions{})
 	if err != nil {
 		return nil, err
 	}
-	agent, err := ddpg.LoadAgent(r)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("greennfv: read checkpoint: %w", err)
+	}
+	agent, err := ddpg.LoadAgentBytes(data)
 	if err != nil {
 		return nil, err
 	}

@@ -127,14 +127,14 @@ func (g *GreenNFV) SaveActor(w io.Writer) error {
 }
 
 // SavePolicyState writes the deployed policy's serving checkpoint
-// (ddpg.Agent.SaveServing): the policy section the serving plane
-// (internal/serve, cmd/greennfvd) reads, then the agent's training
-// state, replay buffer excluded, which LoadAgent reads too.
+// (ddpg.Agent.SaveState without replay): the policy section the serving
+// plane (internal/serve, cmd/greennfvd) reads, then the agent's training
+// state, which LoadAgentBytes reads too.
 func (g *GreenNFV) SavePolicyState(w io.Writer) error {
 	if g.agent == nil {
 		return errors.New("control: GreenNFV has no trained policy")
 	}
-	return g.agent.SaveServing(w)
+	return g.agent.SaveState(w, false)
 }
 
 // NewGreenNFVFromAgent builds a deploy-only controller around an

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
 )
@@ -161,82 +162,90 @@ func clipFree(sq, clip float64, count int) bool {
 	return count < 1<<30 && lim > 0x1p-1000 && lim < 0x1p1000 && sq < lim
 }
 
-// AdamState is the serializable optimizer state: the step counters and
-// first/second moment estimates of both precisions. Together with the
-// network parameters it is everything a checkpoint needs to make the
-// next optimizer step bit-identical to an uninterrupted run.
-type AdamState struct {
-	T    int
-	M, V [][]float64
-	// Float32-path moments; empty when the f32 path never ran.
-	T32      int
-	M32, V32 [][]float32
+// The optimizer's state, as AppendState writes it and LoadState reads
+// it: for float64 then float32, an int64 step count t and, when t > 0,
+// the first- then the second-moment estimates of every parameter slice
+// in ParamSlices order, each the raw little-endian bits of a value of
+// that type. t = 0 stands for no moments (no step at that type yet).
+// The shapes are the network's, never the bytes'.
+
+// AppendState appends the optimizer's state.
+func (a *Adam) AppendState(dst []byte) []byte {
+	return appendMoments(appendMoments(dst, &a.f64), &a.f32)
 }
 
-// copy2 deep-copies a slice of slices (nil stays nil).
-func copy2[T float](src [][]T) [][]T {
-	var dst [][]T
-	for _, s := range src {
-		dst = append(dst, append([]T(nil), s...))
+func appendMoments[T float](dst []byte, mo *moments[T]) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(mo.t))
+	for _, s := range append(append([][]T(nil), mo.m...), mo.v...) {
+		dst, _ = binary.Append(dst, binary.LittleEndian, s) // fails only on data of no fixed size
 	}
 	return dst
 }
 
-// State deep-copies the optimizer's moment estimates for
-// checkpointing. A fresh optimizer returns a zero state.
-func (a *Adam) State() AdamState {
-	return AdamState{
-		T: a.f64.t, M: copy2(a.f64.m), V: copy2(a.f64.v),
-		T32: a.f32.t, M32: copy2(a.f32.m), V32: copy2(a.f32.v),
-	}
-}
-
-// checkMoments validates checkpointed moments of one element type —
-// the bytes may come from disk: the step count is not negative, m and
-// v have the same shape slice by slice, and, when n is non-nil and
-// there are moments at all (a zero state matches any network — it
-// restores a fresh optimizer), that shape is exactly n's parameter
-// slices'. AdamStep indexes the moments by the parameter shapes and
-// hands the assembly kernels bare pointers, so anything this lets
-// through is an out-of-bounds write later.
-func checkMoments[T float](t int, m, v [][]T, n *Network) error {
-	if t < 0 {
-		return errors.New("nn: adam state step count is negative")
-	}
-	if len(m) != len(v) {
-		return errors.New("nn: adam state m/v length mismatch")
-	}
-	for i := range m {
-		if len(m[i]) != len(v[i]) {
-			return errors.New("nn: adam state m/v length mismatch")
+// SplitAdamState checks the optimizer state at the front of b for a
+// network of params parameters and returns it and the bytes after it,
+// allocating nothing. The bytes may come from a file: a step count must
+// not be negative, the moments it implies must be present, and every
+// moment must be finite and every second moment non-negative (Adam
+// divides by its square root).
+func SplitAdamState(b []byte, params int) (state, rest []byte, err error) {
+	le := binary.LittleEndian
+	n := 0
+	for _, width := range [2]int{8, 4} {
+		if len(b)-n < 8 || int64(le.Uint64(b[n:])) < 0 {
+			return nil, nil, errors.New("nn: adam state is truncated or its step count negative")
 		}
-	}
-	if n != nil && len(m) > 0 {
-		params := n.ParamSlices() // the float32 mirrors have the same shapes
-		if len(m) != len(params) {
-			return errors.New("nn: adam state does not match network topology")
+		if n += 8; le.Uint64(b[n-8:]) == 0 {
+			continue
 		}
-		for i := range params {
-			if len(m[i]) != len(params[i]) {
-				return errors.New("nn: adam state does not match network layer sizes")
+		if params < 0 || uint64(params) > uint64(len(b)-n)/uint64(2*width) {
+			return nil, nil, errors.New("nn: adam state is truncated")
+		}
+		for i := 0; i < 2*params; i++ {
+			x := float64(math.Float32frombits(le.Uint32(b[n+4*i:])))
+			if width == 8 {
+				x = math.Float64frombits(le.Uint64(b[n+8*i:]))
+			}
+			if math.IsNaN(x) || math.IsInf(x, 0) || i >= params && x < 0 {
+				return nil, nil, errors.New("nn: adam state holds a non-finite moment or a negative second moment")
 			}
 		}
+		n += 2 * params * width
 	}
+	return b[:n], b[n:], nil
+}
+
+// LoadState replaces the optimizer's state with one SplitAdamState
+// accepts whole for n's parameter count; the moments take n's parameter
+// shapes. On error the optimizer is left as it was.
+func (a *Adam) LoadState(state []byte, n *Network) error {
+	state, rest, err := SplitAdamState(state, n.paramCount())
+	if err == nil && len(rest) != 0 {
+		err = errors.New("nn: adam state does not match the network's parameter count")
+	}
+	if err != nil {
+		return err
+	}
+	params := n.ParamSlices()
+	loadMoments(&a.f32, loadMoments(&a.f64, state, params), params)
 	return nil
 }
 
-// SetState restores checkpointed moment estimates. n, when non-nil, is
-// the network this optimizer will step: the moment shapes of both
-// precisions must match its parameter slices exactly. On error the
-// optimizer is left as it was.
-func (a *Adam) SetState(st AdamState, n *Network) error {
-	if err := checkMoments(st.T, st.M, st.V, n); err != nil {
-		return err
+// loadMoments reads one type's checked record off the front of b into
+// mo, shaped like params, and returns the bytes after it.
+func loadMoments[T float](mo *moments[T], b []byte, params [][]float64) []byte {
+	*mo = moments[T]{t: int(binary.LittleEndian.Uint64(b))}
+	b = b[8:]
+	if mo.t == 0 {
+		return b
 	}
-	if err := checkMoments(st.T32, st.M32, st.V32, n); err != nil {
-		return err
+	mo.m, mo.v = make([][]T, len(params)), make([][]T, len(params))
+	for _, set := range [2][][]T{mo.m, mo.v} {
+		for i, p := range params {
+			set[i] = make([]T, len(p))
+			n, _ := binary.Decode(b, binary.LittleEndian, set[i]) // SplitAdamState saw the record whole
+			b = b[n:]
+		}
 	}
-	a.f64 = moments[float64]{st.T, copy2(st.M), copy2(st.V)}
-	a.f32 = moments[float32]{st.T32, copy2(st.M32), copy2(st.V32)}
-	return nil
+	return b
 }

@@ -14,10 +14,4 @@ func (n *Network) GradSlices() [][]float64 {
 }
 
 // NumParams reports the total parameter count.
-func (n *Network) NumParams() int {
-	total := 0
-	for _, l := range n.layers {
-		total += len(l.W) + len(l.B)
-	}
-	return total
-}
+func (n *Network) NumParams() int { return n.paramCount() }

@@ -29,12 +29,20 @@ import (
 // The F32 pair is learnFingerprintF32, recorded at PR 15's tree from
 // the separate float32 engine before it became the second
 // instantiation of the generic one.
+//
+// All four hash the checkpoint's bytes, so a change of its encoding
+// alone moves them: they were re-recorded when the training state left
+// gob for the fixed layout, after every field they cover — the four
+// frames, both optimizers' step counts and moments at both precisions,
+// the noise, sigma, RNG position and LearnSteps, and the extra vectors
+// — was dumped at 5acf634 and on the new layout and the four dumps
+// compared byte-identical.
 const (
-	learnFingerprintAVX2 = "cd09ac8d0cb78af8ececd43bad6353927ec1ab55f1d85bce8e1e53bcb8a60f54"
-	learnFingerprintGo   = "eeda12be0ad42de248e35768593d786aaea4190551c0e3a9b09002246835afc7"
+	learnFingerprintAVX2 = "1bb4fd1c523534f15af2c1db0f4fd34f1bf62aca9f04637defa21148b69aa12b"
+	learnFingerprintGo   = "fb242c71b5da64735a10fc0a4a25a4104f23a5da86f07a8e4eeac6b16700bba8"
 
-	learnFingerprintF32AVX2 = "61886519007af65b046ab5d6a77b3463b42daf447f095f30f464c27a2b2d1b3e"
-	learnFingerprintF32Go   = "17861940b9ab6576dd2505e5accf9220ebd6a65f54070e6a7b35983d873978de"
+	learnFingerprintF32AVX2 = "937d5be24a352a83a94bef5f8fc48ae9aeebc01a5f672888cb43a459e98bb52f"
+	learnFingerprintF32Go   = "4f89e731be7920de9118a602211f6405da991b9447c80b87b6aede0b11777611"
 )
 
 // fingerprintAgent builds the agent both fingerprints train — the

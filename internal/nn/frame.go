@@ -25,38 +25,41 @@ const (
 
 // paramFrameLen is the exact length of this network's frame.
 func (n *Network) paramFrameLen() int {
-	size := frameHeaderLen + layerHeaderLen*len(n.layers)
-	for _, l := range n.layers {
-		size += 8 * (len(l.W) + len(l.B))
-	}
-	return size
+	return frameHeaderLen + layerHeaderLen*len(n.layers) + 8*n.paramCount()
 }
 
-// MLPFrameLen is the exact length of the frame of an MLP with these
-// layer sizes (NewMLP's sizes), computed in checked arithmetic so that
-// a size read from a file cannot wrap it short. ok is false when there
-// is no layer, a size is not positive, or the length overflows an int:
-// a caller sizing nothing before this check allocates nothing for it.
-func MLPFrameLen(sizes []int) (n int, ok bool) {
+// MLPParams is the parameter count of an MLP with these layer sizes
+// (NewMLP's), in checked arithmetic so that sizes read from a file
+// cannot wrap it short: ok is false when there is no layer, a size is
+// not positive, or a frame of the count would overflow an int.
+func MLPParams(sizes []int) (n int, ok bool) {
 	if len(sizes) < 2 || uint64(len(sizes)-1) > math.MaxUint32 {
 		return 0, false
 	}
-	total := uint64(frameHeaderLen) + uint64(layerHeaderLen)*uint64(len(sizes)-1)
+	var total uint64
 	for i := 1; i < len(sizes); i++ {
 		in, out := sizes[i-1], sizes[i]
 		if in <= 0 || out <= 0 {
 			return 0, false
 		}
-		// W and B: (in+1)·out parameters of 8 bytes each.
+		// W and B: (in+1)·out parameters.
 		hi, params := bits.Mul64(uint64(in)+1, uint64(out))
-		if hi != 0 || params > math.MaxInt64/8 {
-			return 0, false
-		}
 		var carry uint64
-		if total, carry = bits.Add64(total, 8*params, 0); carry != 0 {
+		if total, carry = bits.Add64(total, params, 0); hi != 0 || carry != 0 || total > math.MaxInt64/8 {
 			return 0, false
 		}
 	}
+	return int(total), true
+}
+
+// MLPFrameLen is the exact length of the frame of an MLP with these
+// layer sizes, checked as MLPParams is.
+func MLPFrameLen(sizes []int) (n int, ok bool) {
+	params, ok := MLPParams(sizes)
+	if !ok {
+		return 0, false
+	}
+	total := uint64(frameHeaderLen) + uint64(layerHeaderLen)*uint64(len(sizes)-1) + 8*uint64(params)
 	if total > math.MaxInt {
 		return 0, false
 	}
@@ -94,14 +97,12 @@ func (n *Network) ParamFrame() []byte {
 // saved in before the frame existed, which nothing reads any more.
 var ErrNotParamFrame = errors.New("nn: not a parameter frame")
 
-// LoadParams copies a frame's parameters into this network, in place
-// and without allocating. The bytes may come from a remote peer or a
-// file: the magic, the total length, the layer count and every layer's
-// sizes and activation are checked against this network — in that
-// order, so every later read is in bounds and no size is ever computed
-// from the bytes — before the first parameter is written. On error
-// nothing has changed.
-func (n *Network) LoadParams(frame []byte) error {
+// CheckParams reports why LoadParams would refuse frame, bytes from a
+// remote peer or a file: its magic, total length, layer count and every
+// layer's sizes and activation are checked against this network, in
+// that order, so every later read is in bounds and no size is ever
+// computed from the bytes.
+func (n *Network) CheckParams(frame []byte) error {
 	if len(frame) < len(paramMagic) || string(frame[:len(paramMagic)]) != paramMagic {
 		return ErrNotParamFrame
 	}
@@ -122,6 +123,17 @@ func (n *Network) LoadParams(frame []byte) error {
 		}
 		at = at[layerHeaderLen:]
 	}
+	return nil
+}
+
+// LoadParams copies a frame CheckParams accepts into this network, in
+// place and without allocating. On error nothing has changed.
+func (n *Network) LoadParams(frame []byte) error {
+	if err := n.CheckParams(frame); err != nil {
+		return err
+	}
+	le := binary.LittleEndian
+	at := frame[frameHeaderLen+layerHeaderLen*len(n.layers):]
 	for _, l := range n.layers {
 		for _, p := range [2][]float64{l.W, l.B} {
 			for i := range p {

@@ -2,10 +2,10 @@ package nn
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
-	"reflect"
 	"testing"
 )
 
@@ -158,38 +158,16 @@ func FuzzNetworkUnmarshal(f *testing.F) {
 	})
 }
 
-// hostileMoments returns ill-shaped variants of the valid moments
-// (m, v) of an optimizer at step t, at one element type.
-func hostileMoments[T float](t int, m, v [][]T) map[string]moments[T] {
-	last := len(m) - 1
-	edit := func(src [][]T, i int, f func([]T) []T) [][]T {
-		dst := copy2(src)
-		dst[i] = f(dst[i])
-		return dst
-	}
-	short := func(s []T) []T { return s[:len(s)-1] }
-	long := func(s []T) []T { return append(s, 0) }
-	return map[string]moments[T]{
-		"short":       {t, edit(m, 0, short), edit(v, 0, short)},
-		"short-last":  {t, edit(m, last, short), edit(v, last, short)},
-		"long":        {t, edit(m, 0, long), edit(v, 0, long)},
-		"ragged":      {t, edit(m, 1, short), v},
-		"count-short": {t, m[:last], v[:last]},
-		"count-long":  {t, append(copy2(m), nil), append(copy2(v), nil)},
-		"m-without-v": {t, m, nil},
-		"v-without-m": {t, nil, v},
-		"one-scalar":  {t, [][]T{{1}}, [][]T{{1}}},
-		"negative-t":  {-1, m, v},
-	}
-}
-
 // TestAdamSetStateRejectsHostile: optimizer moments come from disk
 // with the rest of a checkpoint, and AdamStep indexes them by the
 // network's parameter shapes (the assembly kernels get a bare pointer
-// and the parameter count). Every ill-shaped state, at either element
-// type and with the other type's moments valid or absent, must come
+// and the parameter count). Every hostile edit of a valid state's bytes,
+// at either element type — a negative step count, a count claiming
+// moments that are not there or denying ones that are, one moment short
+// or long, a non-finite moment, a negative second moment — must come
 // back as an error that leaves the optimizer as it was and still able
-// to step.
+// to step. The layout has no per-slice lengths, so ragged or
+// mis-shaped moments are one of these: a record of the wrong length.
 func TestAdamSetStateRejectsHostile(t *testing.T) {
 	for _, simd := range []bool{useSIMD, false} {
 		setSIMD(t, simd)
@@ -216,40 +194,74 @@ func TestAdamSetStateRejectsHostile(t *testing.T) {
 			AdamStep[float32](opt, net, 1, target, 0.01)
 		}
 		step()
-		valid := opt.State()
-		if err := opt.SetState(valid, net); err != nil {
+		valid := opt.AppendState(nil)
+		if err := opt.LoadState(valid, net); err != nil {
 			t.Fatalf("valid state rejected: %v", err)
 		}
+		if again := opt.AppendState(nil); !bytes.Equal(again, valid) {
+			t.Fatal("a loaded state does not write back byte for byte")
+		}
 
-		var cases []AdamState
-		var names []string
-		for name, h := range hostileMoments(valid.T, valid.M, valid.V) {
-			names = append(names, "f64 "+name, "f64 "+name+", no f32")
-			cases = append(cases,
-				AdamState{T: h.t, M: h.m, V: h.v, T32: valid.T32, M32: valid.M32, V32: valid.V32},
-				AdamState{T: h.t, M: h.m, V: h.v})
+		p := net.NumParams()
+		f32At := 8 + 16*p // the f32 record: its count, then 8·p bytes of moments
+		le := binary.LittleEndian
+		edit := func(f func(b []byte) []byte) []byte { return f(bytes.Clone(valid)) }
+		put64 := func(at int, v uint64) []byte {
+			return edit(func(b []byte) []byte { le.PutUint64(b[at:], v); return b })
 		}
-		for name, h := range hostileMoments(valid.T32, valid.M32, valid.V32) {
-			names = append(names, "f32 "+name, "f32 "+name+", no f64")
-			cases = append(cases,
-				AdamState{T: valid.T, M: valid.M, V: valid.V, T32: h.t, M32: h.m, V32: h.v},
-				AdamState{T32: h.t, M32: h.m, V32: h.v})
+		putF64 := func(at int, v float64) []byte { return put64(at, math.Float64bits(v)) }
+		putF32 := func(at int, v float32) []byte {
+			return edit(func(b []byte) []byte { le.PutUint32(b[at:], math.Float32bits(v)); return b })
 		}
-		for i, st := range cases {
-			if err := opt.SetState(st, net); err == nil {
-				t.Errorf("simd=%v %s: SetState accepted it", simd, names[i])
+		cut := func(at, n int) []byte {
+			return edit(func(b []byte) []byte { return append(b[:at], b[at+n:]...) })
+		}
+		grow := func(at, n int) []byte {
+			return edit(func(b []byte) []byte { return append(b[:at], append(make([]byte, n), b[at:]...)...) })
+		}
+		cases := map[string][]byte{
+			"f64 negative t":        put64(0, 1<<63),
+			"f64 count without m/v": put64(0, 0),
+			"f64 short":             cut(8+8*p, 8),
+			"f64 short-last":        cut(f32At-8, 8),
+			"f64 long":              grow(8+8*p, 8),
+			"f64 NaN m":             putF64(8, math.NaN()),
+			"f64 infinite v":        putF64(8+8*p, math.Inf(1)),
+			"f64 negative v":        putF64(8+8*p+8, -1),
+			"f32 negative t":        put64(f32At, 1<<63),
+			"f32 count without m/v": put64(f32At, 0),
+			"f32 one scalar":        edit(func(b []byte) []byte { return le.AppendUint32(le.AppendUint32(b[:f32At+8], 1), 1) }),
+			"f32 short":             cut(f32At+8+4*p, 4),
+			"f32 short-last":        cut(len(valid)-4, 4),
+			"f32 long":              grow(f32At+8, 4),
+			"f32 NaN v":             putF32(f32At+8+4*p, float32(math.NaN())),
+			"f32 negative v":        putF32(len(valid)-4, -1),
+			"truncated count":       valid[:4],
+			"trailing byte":         append(bytes.Clone(valid), 0),
+		}
+		// A fresh optimizer's state, two zero counts, claims no moments.
+		fresh := MustAdam(1e-3).AppendState(nil)
+		cases["f64 moments without a count"] = append(le.AppendUint64(nil, 3), fresh[8:]...)
+		for name, bad := range cases {
+			if err := opt.LoadState(bad, net); err == nil {
+				t.Errorf("simd=%v %s: LoadState accepted it", simd, name)
 			}
-			if got := opt.State(); !reflect.DeepEqual(got, valid) {
-				t.Fatalf("simd=%v %s: a rejected state changed the optimizer", simd, names[i])
+			if got := opt.AppendState(nil); !bytes.Equal(got, valid) {
+				t.Fatalf("simd=%v %s: a rejected state changed the optimizer", simd, name)
 			}
+		}
+		if err := opt.LoadState(fresh, net); err != nil {
+			t.Fatalf("a fresh optimizer's state was refused: %v", err)
+		}
+		if err := opt.LoadState(valid, net); err != nil {
+			t.Fatal(err)
 		}
 		step()
 
-		// Without a network to compare with, m and v must still agree
-		// slice by slice.
-		ragged := hostileMoments(valid.T32, valid.M32, valid.V32)["ragged"]
-		if err := opt.SetState(AdamState{T32: ragged.t, M32: ragged.m, V32: ragged.v}, nil); err == nil {
-			t.Errorf("simd=%v: SetState(ragged f32, nil network) accepted it", simd)
+		// The state of another network's parameter count is refused.
+		other := MustMLP([]int{8, 15, 1}, ReLU, Linear, rng)
+		if err := opt.LoadState(valid, other); err == nil {
+			t.Errorf("simd=%v: the state of %d parameters loaded for %d", simd, p, other.NumParams())
 		}
 	}
 }

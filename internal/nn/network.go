@@ -217,6 +217,15 @@ func (n *Network) ParamSlices() [][]float64 {
 	return params
 }
 
+// paramCount is the total parameter count.
+func (n *Network) paramCount() int {
+	total := 0
+	for _, l := range n.layers {
+		total += len(l.W) + len(l.B)
+	}
+	return total
+}
+
 // Clone copies the network for inference: the same weights, fresh
 // forward caches and no gradient buffers. A clone runs every forward
 // pass and can be an optimizer step's target (AdamStep only reads and

@@ -90,7 +90,11 @@ func restoreSHA(cfg TrainerConfig, path string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if err := tr.learner.restoreCheckpoint(ck); err != nil {
+	state, err := ddpg.ReadCheckpoint(ck.Agent)
+	if err != nil {
+		return "", err
+	}
+	if err := tr.learner.restoreCheckpoint(ck, state); err != nil {
 		return "", err
 	}
 	blob, err := tr.learner.Agent().ActorBytes()

@@ -1,37 +1,34 @@
 package apex
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 
 	"greennfv/internal/atomicio"
+	"greennfv/internal/rl/ddpg"
 )
 
 // Trainer checkpointing: the learner's full training state — the
-// serialized ddpg.Agent (networks, optimizer moments, noise/RNG
-// stream, learn counter, optionally the replay buffer) plus the
-// trainer-level progress counters — written atomically so a SIGKILL'd
-// learner process restarts mid-budget with bit-exact weights.
-//
-// File format: an 8-byte magic ("GNFVCKP1"), the big-endian uint64
-// payload length, the IEEE CRC32 of the payload, then the
-// gob-encoded TrainerCheckpoint — the internal/atomicio framing,
-// which also does the temp+fsync+rename write so a crash mid-write
-// leaves the previous checkpoint intact and the CRC rejects the
-// torn-read case of a checkpoint copied off a dying machine. A
-// trainer that starts a run sweeps any temp file its crashed
-// predecessor left next to the checkpoint path.
+// agent's checkpoint plus the trainer's progress counters — written
+// atomically so a SIGKILL'd learner process restarts mid-budget with
+// bit-exact weights. File format: atomicio's framing (magic "GNFVCKP2",
+// big-endian payload length and IEEE CRC32; its temp+fsync+rename write
+// leaves the previous checkpoint intact if a crash interrupts it, and
+// the CRC rejects a torn copy) around six little-endian int64s —
+// Version, Updates, Pushes, Received, Steps, TotalSteps — and then the
+// agent's checkpoint (ddpg.Agent.SaveState) to the end. A trainer that
+// starts a run sweeps any temp file a crashed predecessor left. A
+// GNFVCKP1 file, the gob encoding before, is refused by name.
 
 // checkpointMagic identifies (and versions) the checkpoint format.
-const checkpointMagic = "GNFVCKP1"
+const checkpointMagic = "GNFVCKP2"
 
 // TrainerCheckpoint is everything a restarted trainer needs to resume
 // a training run where it stopped.
 type TrainerCheckpoint struct {
-	// Agent is the ddpg.Agent state blob (ddpg.Agent.SaveState).
+	// Agent is the agent's checkpoint (ddpg.Agent.SaveState).
 	Agent []byte
 	// Version is the learner's parameter-broadcast version.
 	Version int
@@ -45,31 +42,39 @@ type TrainerCheckpoint struct {
 	Steps, TotalSteps int
 }
 
+// payload is ck's file payload.
+func (ck *TrainerCheckpoint) payload() []byte {
+	// binary.Append fails only on data of no fixed size.
+	b, _ := binary.Append(nil, binary.LittleEndian, [6]int64{int64(ck.Version), int64(ck.Updates), ck.Pushes, ck.Received, int64(ck.Steps), int64(ck.TotalSteps)})
+	return append(b, ck.Agent...)
+}
+
 // WriteCheckpoint atomically writes ck to path: temp file in the same
 // directory, fsync, rename (atomicio.WriteFile).
 func WriteCheckpoint(path string, ck *TrainerCheckpoint) error {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(ck); err != nil {
-		return fmt.Errorf("apex: encode checkpoint: %w", err)
-	}
-	if err := atomicio.WriteFile(path, checkpointMagic, payload.Bytes()); err != nil {
+	if err := atomicio.WriteFile(path, checkpointMagic, ck.payload()); err != nil {
 		return fmt.Errorf("apex: checkpoint: %w", err)
 	}
 	return nil
 }
 
 // ReadCheckpoint reads and validates a checkpoint file: magic, length
-// and CRC must all match before the payload is decoded.
+// and CRC must all match before the counters are read.
 func ReadCheckpoint(path string) (*TrainerCheckpoint, error) {
 	payload, err := atomicio.ReadFile(path, checkpointMagic)
 	if err != nil {
+		if _, gob := atomicio.ReadFile(path, "GNFVCKP1"); gob == nil {
+			return nil, errors.New("apex: checkpoint is a GNFVCKP1 file, the gob encoding before " + checkpointMagic + ", which is no longer read: retrain")
+		}
 		return nil, fmt.Errorf("apex: checkpoint: %w", err)
 	}
-	var ck TrainerCheckpoint
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&ck); err != nil {
-		return nil, fmt.Errorf("apex: decode checkpoint: %w", err)
+	var c [6]int64
+	n, err := binary.Decode(payload, binary.LittleEndian, &c)
+	if err != nil {
+		return nil, fmt.Errorf("apex: checkpoint: %d-byte payload, shorter than its counters", len(payload))
 	}
-	return &ck, nil
+	return &TrainerCheckpoint{Agent: payload[n:], Version: int(c[0]), Updates: int(c[1]), Pushes: c[2], Received: c[3],
+		Steps: int(c[4]), TotalSteps: int(c[5])}, nil
 }
 
 // Checkpoint writes the trainer's current training state to path
@@ -132,10 +137,14 @@ func (t *Trainer) applyResume() error {
 	if err != nil {
 		return err
 	}
-	if err := ck.vet(t.cfg.TotalSteps); err != nil {
+	state, err := ddpg.ReadCheckpoint(ck.Agent)
+	if err != nil {
 		return err
 	}
-	if err := t.learner.restoreCheckpoint(ck); err != nil {
+	if err := ck.vet(t.cfg.TotalSteps, state.LearnSteps()); err != nil {
+		return err
+	}
+	if err := t.learner.restoreCheckpoint(ck, state); err != nil {
 		return err
 	}
 	t.steps = ck.Steps
@@ -143,11 +152,11 @@ func (t *Trainer) applyResume() error {
 	return nil
 }
 
-// vet refuses a checkpoint whose counters no trainer with a budget of
-// totalSteps could have written, naming the field — everything that can
-// be checked before the agent blob is decoded, so a refused checkpoint
-// loads nothing.
-func (ck *TrainerCheckpoint) vet(totalSteps int) error {
+// vet refuses, naming the field, a checkpoint whose counters no trainer
+// with a budget of totalSteps could have written or that disagree with
+// the learnSteps its agent's checkpoint records — all before the agent
+// is written, so a refused checkpoint loads nothing.
+func (ck *TrainerCheckpoint) vet(totalSteps, learnSteps int) error {
 	switch {
 	case ck.TotalSteps != totalSteps:
 		return fmt.Errorf("apex: checkpoint: TotalSteps %d, this trainer's budget is %d", ck.TotalSteps, totalSteps)
@@ -155,8 +164,8 @@ func (ck *TrainerCheckpoint) vet(totalSteps int) error {
 		return fmt.Errorf("apex: checkpoint: Steps %d outside [0, TotalSteps %d]", ck.Steps, ck.TotalSteps)
 	case ck.Version < 1:
 		return fmt.Errorf("apex: checkpoint: Version %d, the first broadcast is 1", ck.Version)
-	case ck.Updates < 0:
-		return fmt.Errorf("apex: checkpoint: negative Updates %d", ck.Updates)
+	case ck.Updates != learnSteps:
+		return fmt.Errorf("apex: checkpoint: Updates %d, but its agent state has run %d", ck.Updates, learnSteps)
 	case ck.Pushes < 0:
 		return fmt.Errorf("apex: checkpoint: negative Pushes %d", ck.Pushes)
 	case ck.Received < 0:
@@ -166,15 +175,11 @@ func (ck *TrainerCheckpoint) vet(totalSteps int) error {
 }
 
 // restoreCheckpoint loads a vetted checkpoint into the learner: agent
-// state (whose own update count must be the one the checkpoint
-// records), broadcast version (with a fresh parameter cache), and the
+// state, broadcast version (with a fresh parameter cache), and the
 // experience counters the pacing rule reads.
-func (l *Learner) restoreCheckpoint(ck *TrainerCheckpoint) error {
-	if err := l.agent.LoadStateBytes(ck.Agent); err != nil {
+func (l *Learner) restoreCheckpoint(ck *TrainerCheckpoint, state *ddpg.Checkpoint) error {
+	if err := l.agent.LoadState(state); err != nil {
 		return err
-	}
-	if got := l.agent.LearnSteps(); got != ck.Updates {
-		return fmt.Errorf("apex: checkpoint: Updates %d, but its agent state has run %d", ck.Updates, got)
 	}
 	l.mu.Lock()
 	l.version = ck.Version

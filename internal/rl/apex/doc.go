@@ -105,8 +105,9 @@
 // both directions: an apexactor built before it cannot read a newer
 // learner's broadcast (it expects gob), and a newer actor refuses an
 // older learner's gob broadcast, since frames are the only encoding
-// nn reads. So does a trainer checkpoint whose agent state stores
-// its networks as gob blobs: Resume refuses it, and the run retrains.
+// nn reads. So does a trainer checkpoint from before the fixed layout
+// (a GNFVCKP1 file, gob throughout): Resume refuses it by name, and the
+// run retrains.
 //
 // The central replay is the learner's alone. An actor holds a
 // ddpg.View — the policy, the frozen priority networks and its noise,
@@ -164,8 +165,9 @@
 // every failure either recoverable or loud:
 //
 //   - Learner crash: with TrainerConfig.CheckpointPath set the
-//     pipeline atomically writes its full training state (the agent's
-//     SaveState blob plus version/progress counters; checkpoint.go)
+//     pipeline atomically writes its full training state (six
+//     version/progress counters, then the agent's checkpoint;
+//     checkpoint.go)
 //     every CheckpointEvery updates — in either concurrent mode — and
 //     Run writes it once more when the round completes.
 //     Trainer.Resume restores it: a SIGKILL'd learner restarts

@@ -2,205 +2,209 @@ package ddpg
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"reflect"
+	"math"
 
 	"greennfv/internal/nn"
 	"greennfv/internal/rl/replay"
 )
 
-// Full-agent checkpoint/restore. A DDPG agent's training state is more
-// than its four networks: the Adam moment estimates (both precisions),
-// the OU exploration-noise vector and annealed sigma, the RNG stream
-// position, the learn-step counter and (optionally) the replay buffer
-// all feed the next update. SaveState captures every piece so that a
-// restored agent's next Learn is bit-identical to the update an
-// uninterrupted run would have made — the property the checkpoint
-// round-trip test pins and the crash-recovery story of the remote
-// trainer depends on.
-//
-// Float32 interplay: saving while SetFloat32 is active first flushes
-// the trained mirrors into the f64 weights (like ActorBytes), so the
-// blob always carries the current policy in double precision; the f32
-// Adam moments ride along. Restoring onto an agent with the f32 path
-// active refreshes its mirrors from the restored f64 weights.
+// Full-agent checkpoint/restore (doc.go, "Checkpoint"). Saving while
+// SetFloat32 is active first flushes the trained mirrors into the f64
+// weights (like ActorBytes); restoring onto an agent with an f32 path
+// active refreshes its mirrors from the restored weights.
 
-// agentState is the gob-serializable form of an Agent.
-type agentState struct {
-	Cfg Config
-	// The four networks, each an nn parameter frame.
-	Actor, Critic, ActorTarget, CriticTarget []byte
-	// Optimizer moments (f64 and, when the f32 path ran, f32).
-	ActorOpt, CriticOpt nn.AdamState
-	// Exploration state.
-	NoiseState []float64
-	NoiseSigma float64
-	// RNGDraws is the agent RNG's stream position (draw count since
-	// seeding) — replay sampling and OU noise share this stream.
-	RNGDraws   uint64
-	LearnSteps int
-	// ShardedReplay is the replay snapshot, nil when the caller skipped
-	// replay. Replay is only read: the snapshot of the single-tree
-	// buffer that checkpoints from before the buffer was striped carry,
-	// restored as the one-shard snapshot it equals.
-	Replay        *replay.PrioritizedState
-	ShardedReplay *replay.ShardedState
-}
+// stateMagic opens the training state behind the policy section.
+const stateMagic = "GNFVAGT1"
 
-// SaveState serializes the agent's complete training state to w.
-// includeReplay additionally snapshots the replay buffer contents
-// (required for next-update parity after restore; skippable when only
-// the policy and optimizer state matter).
+// errGobState refuses a training state in the encoding before the layout.
+var errGobState = errors.New("ddpg: the training state after the policy section is not a " + stateMagic +
+	" layout: a gob training state, which is no longer read — retrain (the policy section still serves)")
+
+// SaveState writes the agent's checkpoint to w, with the replay buffer
+// contents when includeReplay is set (next-update parity after a restore
+// needs them). SaveState(w, false) is the serving checkpoint.
 func (a *Agent) SaveState(w io.Writer, includeReplay bool) error {
-	if a.f32 {
-		// Make the f64 weights current; the mirrors stay authoritative.
-		a.Actor.FlushF32()
-		a.Critic.FlushF32()
-		a.actorTarget.FlushF32()
-		a.criticTarget.FlushF32()
+	b, err := a.StateBytes(includeReplay)
+	if err == nil {
+		_, err = w.Write(b)
 	}
-	st := agentState{
-		Cfg:          a.cfg,
-		Actor:        a.Actor.ParamFrame(),
-		Critic:       a.Critic.ParamFrame(),
-		ActorTarget:  a.actorTarget.ParamFrame(),
-		CriticTarget: a.criticTarget.ParamFrame(),
-		ActorOpt:     a.actorOpt.State(),
-		CriticOpt:    a.criticOpt.State(),
-		NoiseState:   a.noise.State(),
-		NoiseSigma:   a.noise.Sigma(),
-		RNGDraws:     a.rngSrc.draws,
-		LearnSteps:   a.learnSteps,
-	}
-	if includeReplay {
-		if a.prioritized == nil {
-			return errors.New("ddpg: replay snapshot requires a prioritized agent")
-		}
-		snap := a.prioritized.State()
-		st.ShardedReplay = &snap
-	}
-	return gob.NewEncoder(w).Encode(&st)
+	return err
 }
 
 // StateBytes is SaveState into a fresh byte slice.
 func (a *Agent) StateBytes(includeReplay bool) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := a.SaveState(&buf, includeReplay); err != nil {
+	if includeReplay && a.prioritized == nil {
+		return nil, errors.New("ddpg: replay snapshot requires a prioritized agent")
+	}
+	nets := []*nn.Network{a.Actor, a.Critic, a.actorTarget, a.criticTarget}
+	if a.f32 {
+		// Make the f64 weights current; the mirrors stay authoritative.
+		for _, n := range nets {
+			n.FlushF32()
+		}
+	}
+	le := binary.LittleEndian
+	b := append(beginSection(nil, appendConfig(nil, a.cfg), a.Actor.ParamFrame()), stateMagic...)
+	for _, n := range nets[1:] {
+		b = append(b, n.ParamFrame()...)
+	}
+	b = a.criticOpt.AppendState(a.actorOpt.AppendState(b))
+	for _, v := range append(a.noise.state, a.noise.sigma) {
+		b = le.AppendUint64(b, math.Float64bits(v))
+	}
+	b = le.AppendUint64(le.AppendUint64(b, a.rngSrc.draws), uint64(a.learnSteps))
+	if !includeReplay {
+		return sealSection(append(b, 0)), nil
+	}
+	b, err := a.prioritized.AppendState(append(b, 1), a.cfg.StateDim, a.cfg.ActionDim)
+	if err != nil {
+		return nil, fmt.Errorf("ddpg: replay snapshot: %w", err)
+	}
+	return sealSection(b), nil
+}
+
+// Checkpoint is a checkpoint read and checked whole, not yet applied;
+// its byte fields are slices of the bytes it was read from.
+type Checkpoint struct {
+	*section
+	critic, actorTarget, criticTarget []byte // parameter frames
+	actorOpt, criticOpt               []byte // nn.Adam states
+	noise                             []float64
+	sigma                             float64
+	draws                             uint64
+	learnSteps                        int
+	replay                            []byte // nil without a snapshot
+	stripes                           int
+}
+
+// LearnSteps is the learn-step counter the checkpoint records.
+func (c *Checkpoint) LearnSteps() int { return c.learnSteps }
+
+// ReadCheckpoint reads a checkpoint SaveState wrote, once, and checks
+// everything the bytes can show (doc.go, "Checkpoint") — every length
+// against the bytes left before anything is read or sized by it.
+func ReadCheckpoint(data []byte) (*Checkpoint, error) {
+	s, err := readSection(data)
+	if err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
-}
-
-// errGobNetworks refuses a training state written before its networks
-// were parameter frames. Nothing converts one: the run starts again,
-// while the policy section of a serving checkpoint that old still
-// serves.
-var errGobNetworks = errors.New("ddpg: the training state stores its networks as gob blobs, the encoding before nn parameter frames, which is no longer read: retrain (a serving checkpoint's policy section still serves)")
-
-// loadNetwork replaces dst's parameters from a checkpoint's frame.
-func loadNetwork(dst *nn.Network, frame []byte, name string) error {
-	if err := dst.LoadParams(frame); err != nil {
-		if errors.Is(err, nn.ErrNotParamFrame) {
-			return errGobNetworks
+	if len(s.state) == 0 {
+		return nil, errors.New("ddpg: a policy-only checkpoint carries no training state")
+	}
+	if !bytes.HasPrefix(s.state, []byte(stateMagic)) {
+		return nil, errGobState
+	}
+	b, cfg, actorLen := s.state[len(stateMagic):], s.cfg, len(s.frame)
+	criticLen, ok := nn.MLPFrameLen(criticSizes(cfg))
+	if !ok || 2*uint64(criticLen)+uint64(actorLen) > uint64(len(b)) {
+		return nil, fmt.Errorf("ddpg: checkpoint config implies networks the %d-byte training state cannot hold", len(b))
+	}
+	c := &Checkpoint{section: s, critic: b[:criticLen], actorTarget: b[criticLen : criticLen+actorLen],
+		criticTarget: b[criticLen+actorLen : 2*criticLen+actorLen]}
+	actorParams, _ := nn.MLPParams(actorSizes(cfg))
+	criticParams, _ := nn.MLPParams(criticSizes(cfg))
+	if c.actorOpt, b, err = nn.SplitAdamState(b[2*criticLen+actorLen:], actorParams); err == nil {
+		c.criticOpt, b, err = nn.SplitAdamState(b, criticParams)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("ddpg: checkpoint optimizer: %w", err)
+	}
+	// The noise (ActionDim ≤ the actor frame's length, so the bytes
+	// bound it), sigma, the RNG position, LearnSteps and the replay flag.
+	r := reader{b: b, ok: true}
+	c.noise = make([]float64, cfg.ActionDim)
+	for i := range c.noise {
+		r.f64s(&c.noise[i])
+	}
+	r.f64s(&c.sigma)
+	c.draws, c.learnSteps = uint64(r.i64()), int(r.i64())
+	for _, v := range append(c.noise, c.sigma) {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, errors.New("ddpg: checkpoint OU noise is not finite")
 		}
-		return fmt.Errorf("ddpg: restore %s: %w", name, err)
 	}
-	return nil
+	switch flag := r.take(1)[0]; {
+	case !r.ok:
+		return nil, errors.New("ddpg: checkpoint training state is truncated")
+	case c.learnSteps < 0:
+		return nil, fmt.Errorf("ddpg: checkpoint LearnSteps %d is negative", c.learnSteps)
+	case flag == 1 && cfg.Prioritized:
+		if c.replay, c.stripes, r.b, err = replay.SplitState(r.b, cfg.BufferCap, cfg.StateDim, cfg.ActionDim); err != nil {
+			return nil, fmt.Errorf("ddpg: checkpoint replay: %w", err)
+		}
+	case flag != 0:
+		return nil, fmt.Errorf("ddpg: checkpoint replay flag %d (a snapshot needs a prioritized Config)", flag)
+	}
+	if len(r.b) != 0 {
+		return nil, fmt.Errorf("ddpg: %d bytes after the checkpoint's training state", len(r.b))
+	}
+	return c, nil
 }
 
-// LoadState restores a SaveState checkpoint into this agent, which
-// must have been built with the identical Config (the construction
-// seed included — the restored RNG stream is replayed from it) and,
-// when the checkpoint carries a replay snapshot, still have an empty
-// buffer, which the restore replaces with one of the snapshot's stripe
-// count.
-// After a successful restore the agent's weights, optimizer moments,
-// noise, RNG position and learn counter are bit-identical to the
-// saved agent's.
-func (a *Agent) LoadState(r io.Reader) error {
-	var st agentState
-	if err := gob.NewDecoder(r).Decode(&st); err != nil {
-		return fmt.Errorf("ddpg: decode checkpoint: %w", err)
+// LoadState restores a checkpoint into this agent, built with the
+// identical Config (the seed included: the RNG stream is replayed from
+// it) and, when the checkpoint carries a replay snapshot, with a still
+// empty buffer, which a buffer of the snapshot's stripe count replaces.
+// A refused checkpoint changes nothing.
+func (a *Agent) LoadState(c *Checkpoint) error {
+	if !bytes.Equal(c.config, appendConfig(nil, a.cfg)) {
+		return fmt.Errorf("ddpg: checkpoint config %+v does not match agent config %+v", c.cfg, a.cfg)
 	}
-	if !reflect.DeepEqual(st.Cfg, a.cfg) {
-		return fmt.Errorf("ddpg: checkpoint config %+v does not match agent config %+v", st.Cfg, a.cfg)
-	}
-	return a.applyState(&st, true)
+	return a.applyState(c, true)
 }
 
-// applyState restores a decoded checkpoint into a, whose Config
-// already matches st.Cfg. resume additionally restores a carried
-// replay snapshot and fast-forwards the RNG to the recorded stream
-// position, which together give next-update parity. Inference-only
-// consumers skip both — the fast-forward costs one generator step per
-// recorded draw, a count read from the blob, and greedy inference
-// never draws — so their RNG stays at its seed position.
-func (a *Agent) applyState(st *agentState, resume bool) error {
-	if err := loadNetwork(a.Actor, st.Actor, "actor"); err != nil {
-		return err
+// applyState restores c into a, whose Config is c's: what is left to
+// check is checked first, then everything is written. resume also
+// restores a carried replay snapshot and fast-forwards the RNG to the
+// recorded position; inference skips both (the fast-forward is one
+// generator step per recorded draw, and greedy inference never draws).
+func (a *Agent) applyState(c *Checkpoint, resume bool) error {
+	nets := []*nn.Network{a.Actor, a.Critic, a.actorTarget, a.criticTarget}
+	frames := [][]byte{c.frame, c.critic, c.actorTarget, c.criticTarget}
+	for i, n := range nets {
+		if err := n.CheckParams(frames[i]); err != nil {
+			return fmt.Errorf("ddpg: checkpoint %s: %w", [...]string{"actor", "critic", "actor target", "critic target"}[i], err)
+		}
 	}
-	if err := loadNetwork(a.Critic, st.Critic, "critic"); err != nil {
-		return err
+	var buf *replay.Prioritized
+	if resume && c.replay != nil {
+		if a.prioritized.Len() > 0 {
+			return errors.New("ddpg: replay already holds experience")
+		}
+		var err error
+		if buf, err = replay.NewSharded(a.cfg.BufferCap, c.stripes, a.cfg.PERAlpha, a.cfg.PERBeta, a.cfg.PERBetaInc, 0); err == nil {
+			err = buf.LoadState(c.replay, a.cfg.StateDim, a.cfg.ActionDim)
+		}
+		if err != nil {
+			return fmt.Errorf("ddpg: restore replay: %w", err)
+		}
 	}
-	if err := loadNetwork(a.actorTarget, st.ActorTarget, "actor target"); err != nil {
-		return err
+
+	// Nothing below can fail: the frames are checked, and the optimizer
+	// states were checked against the Config's parameter counts, which
+	// are these networks'.
+	for i, n := range nets {
+		_ = n.LoadParams(frames[i])
 	}
-	if err := loadNetwork(a.criticTarget, st.CriticTarget, "critic target"); err != nil {
-		return err
-	}
-	if err := a.actorOpt.SetState(st.ActorOpt, a.Actor); err != nil {
-		return fmt.Errorf("ddpg: restore actor optimizer: %w", err)
-	}
-	if err := a.criticOpt.SetState(st.CriticOpt, a.Critic); err != nil {
-		return fmt.Errorf("ddpg: restore critic optimizer: %w", err)
-	}
-	if err := a.noise.SetState(st.NoiseState); err != nil {
-		return err
-	}
-	a.noise.SetSigma(st.NoiseSigma)
-	a.learnSteps = st.LearnSteps
+	_ = a.actorOpt.LoadState(c.actorOpt, a.Actor)
+	_ = a.criticOpt.LoadState(c.criticOpt, a.Critic)
+	copy(a.noise.state, c.noise)
+	a.noise.SetSigma(c.sigma)
+	a.learnSteps = c.learnSteps
 	if resume {
-		a.rngSrc.skipTo(st.RNGDraws)
-		if err := a.restoreReplay(st); err != nil {
-			return err
+		a.rngSrc.skipTo(c.draws)
+		if buf != nil {
+			a.prioritized = buf
 		}
 	}
 	if a.f32 || a.actF32 {
-		// Refresh the f32 mirrors from the restored f64 weights; the
-		// restored f32 Adam moments continue where they left off.
-		a.Actor.EnableF32()
-		a.Critic.EnableF32()
-		a.actorTarget.EnableF32()
-		a.criticTarget.EnableF32()
+		for _, n := range nets {
+			n.EnableF32()
+		}
 	}
 	return nil
-}
-
-// restoreReplay replaces the agent's still-empty buffer with the
-// checkpoint's replay snapshot, at the snapshot's stripe count. The
-// Config check has matched the capacity and the PER parameters.
-func (a *Agent) restoreReplay(st *agentState) error {
-	snap := st.ShardedReplay
-	if st.Replay != nil {
-		snap = &replay.ShardedState{Shards: []replay.PrioritizedState{*st.Replay}, Beta: st.Replay.Beta}
-	}
-	if snap == nil {
-		return nil
-	}
-	buf, err := replay.NewSharded(a.cfg.BufferCap, len(snap.Shards), a.cfg.PERAlpha, a.cfg.PERBeta, a.cfg.PERBetaInc, 0)
-	if err != nil {
-		return fmt.Errorf("ddpg: restore replay: %w", err)
-	}
-	if err := buf.SetState(*snap); err != nil {
-		return err
-	}
-	return a.SetReplay(buf)
-}
-
-// LoadStateBytes is LoadState from a byte slice.
-func (a *Agent) LoadStateBytes(data []byte) error {
-	return a.LoadState(bytes.NewReader(data))
 }

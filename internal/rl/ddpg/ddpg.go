@@ -117,18 +117,6 @@ func (o *OUNoise) Reset() {
 	}
 }
 
-// State copies the process state vector (for checkpoints).
-func (o *OUNoise) State() []float64 { return append([]float64(nil), o.state...) }
-
-// SetState restores a checkpointed process state vector.
-func (o *OUNoise) SetState(s []float64) error {
-	if len(s) != len(o.state) {
-		return errors.New("ddpg: OU noise state dimension mismatch")
-	}
-	copy(o.state, s)
-	return nil
-}
-
 // countedSource is a rand.Source64 that counts draws, so a checkpoint
 // can record the stream position and a restored agent can fast-forward
 // a freshly seeded source to the identical point. Wrapping changes

@@ -109,51 +109,64 @@
 // (TestActBatchNoAllocs); scratch grows monotonically to the largest
 // batch seen.
 //
-// # Serialization contract
+// # Checkpoint
 //
-// SaveState/LoadState (checkpoint.go) serialize the COMPLETE training
-// state, not just the policy: all four networks, both Adam moment
-// sets (f64 and, when the f32 path ran, f32), the OU
-// noise process, the exploration-RNG stream position, the learn-step
-// counter and optionally the replay contents. The restore contract is
-// bit-exactness: an agent restored from a snapshot produces the same
-// actions, losses and parameter bytes on every subsequent step as the
-// original would have — pinned per precision mode by
-// TestCheckpointRoundTrip/F32. Two consequences shape the API: the
-// target Config must match the snapshot exactly (strict equality, no
-// silent topology adaption), and LoadState requires an EMPTY
-// prioritized replay when the snapshot carries one (restoring over
-// live experience would splice two histories), which it replaces with
-// a buffer of the snapshot's stripe count — a checkpoint resumes at
-// the count of the run that wrote it. The RNG stream
-// restores by draw count — the counting source re-seeds and
-// fast-forwards — so snapshots stay valid across Go versions only as
-// far as math/rand's generator is stable, which is the same
-// assumption seeded training already makes.
+// SaveState (checkpoint.go) writes the COMPLETE training state: all four
+// networks, both Adam moment sets (f64 and, once the f32 path ran, f32),
+// the OU noise, the exploration-RNG stream position, the learn-step
+// counter and optionally the replay contents. An agent restored from it
+// acts, learns and writes parameter bytes on every later step exactly
+// as the original would have (TestCheckpointRoundTrip/F32). So the
+// target Config must match byte for byte, and LoadState requires an
+// EMPTY replay when the checkpoint carries one (two histories would
+// splice), replacing it with one of the snapshot's stripe count. The
+// RNG restores by draw count — re-seed and fast-forward — so a
+// checkpoint is as stable across Go versions as math/rand's generator.
+//
+// There is one layout; SaveState(w, false) is the serving checkpoint.
+// Little-endian (A = ActionDim, P = a network's parameter count):
+//
+//	policy section, serving.go:
+//	  magic "GNFVPOL1"; uint64 length and uint32 IEEE CRC32 of every
+//	  byte after them, to the end of the file (an atomicio.Sum)
+//	  config: int64 StateDim, ActionDim; uint32 len(Hidden), int64 each
+//	  width; float64 ActorLR, CriticLR, Gamma, Tau; int64 BatchSize,
+//	  BufferCap; byte Prioritized (0/1); float64 PERAlpha, PERBeta,
+//	  PERBetaInc, OUTheta, OUSigma, NoiseDecay; int64 Seed
+//	  the actor's nn parameter frame
+//	training state, checkpoint.go (absent in the policy-only form):
+//	  magic "GNFVAGT1"
+//	  the critic's, actor target's and critic target's frames
+//	  the actor's, then the critic's nn.Adam state: per precision, f64
+//	  then f32, int64 step count t and, if t > 0, P first then P second
+//	  moments at that precision
+//	  float64 × A OU state, float64 sigma; uint64 RNG draws; int64
+//	  LearnSteps
+//	  byte 0, or 1 and a replay.Prioritized snapshot to the end
+//
+// Every length follows from the Config and from counts stored before
+// what they count. ReadCheckpoint reads a file once, comparing each
+// length with the bytes left before anything is read or sized by it,
+// and checks what the bytes can show: the sum, the Config as New
+// validates it, finite moments with non-negative second moments, a
+// finite noise state, LearnSteps ≥ 0, and the replay (replay.SplitState).
+// LoadState (resume) and LoadAgentBytes (inference, which builds its agent
+// from the Config and skips the replay and the RNG fast-forward) then
+// check the frame headers against the live networks and the Config and
+// replay against the receiving agent, and only then write: a refused
+// checkpoint changes nothing.
 //
 // # Serving checkpoint
 //
-// What a controller serves (SaveServing, serving.go — the file
-// greennfv -save-policy writes) is a policy section followed by the
-// SaveState(w, false) bytes, unchanged. The section is a magic
-// ("GNFVPOL1"), the length and IEEE CRC32 of every byte after them
-// (an atomicio.Sum, so the one check covers the whole file), the
-// Config in a fixed little-endian layout, and the actor's parameter
-// frame. LoadPolicy reads the section alone: one CRC pass, the Config
-// validated as New validates it, an inference-only actor of its
-// topology filled from the frame. It returns the policy, the Config and
-// the policy-only form — the section with nothing after it, and a sum
-// to match — which is what a serving controller persists and which
-// LoadPolicy reads back to the same policy. LoadAgent reads the
-// section, then the training state, and refuses a file whose two
-// halves disagree on the Config or the actor; it restores neither the
-// replay nor the RNG stream position (the fast-forward costs one
-// generator step per draw, the count comes from the blob, and greedy
-// inference never draws). Both compare what the Config implies — the
-// actor frame's length, and for LoadAgent the critic too — with the
-// bytes present, in checked arithmetic, before anything is sized by
-// it. A bare SaveState blob, which is what the serving checkpoint was
-// before the section, is refused with an error that says so.
+// A controller serves the policy section. LoadPolicy reads it alone:
+// one CRC pass over the file; the Config validated as New does and, in
+// checked arithmetic, shown to imply an actor frame the bytes present
+// hold before anything is allocated; an inference-only actor filled
+// from the frame. The policy-only form it returns, the section with a
+// sum of its own, is what a serving controller persists. Files from
+// before the training state's layout keep serving (the section is
+// unchanged); their gob training states, and bare gob states from
+// before the section, are refused by name: retrain.
 //
 // # Parameter broadcast and policy file
 //
@@ -168,12 +181,10 @@
 // while the next one is made; LoadActorBytes checks the whole frame
 // against the live actor before writing and then copies in place
 // without allocating. The frame is the package's only encoding of a
-// network: SaveState's training state carries all four as frames, which
-// LoadState and LoadAgent copy back in place through the same
-// nn.LoadParams. What came before the frame is refused by name, never
-// read: a gob policy file (LoadActorBytes) and a training state of gob
-// networks (LoadState, LoadAgent, and so a trainer's Resume). A serving
-// checkpoint that old still serves its policy section.
+// network: a checkpoint carries all four as frames, which LoadState
+// and LoadAgentBytes copy back in place through the same nn.LoadParams. A
+// gob policy file, what came before the frame, is refused by name,
+// never read.
 //
 // # Replay ownership
 //

@@ -1,6 +1,7 @@
 package ddpg
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -53,7 +54,15 @@ func TestLearnBatchLearns(t *testing.T) {
 	samples := make([]replay.Transition, 0, cfg.BatchSize)
 	indices := make([]int, 0, cfg.BatchSize)
 	weights := make([]float64, 0, cfg.BatchSize)
-	betaBefore := sharded.State().Beta
+	// β is the snapshot's float64 after its uint32 stripe count.
+	beta := func() float64 {
+		st, err := sharded.AppendState(nil, cfg.StateDim, cfg.ActionDim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return math.Float64frombits(binary.LittleEndian.Uint64(st[4:]))
+	}
+	betaBefore := beta()
 	for i := 0; i < 20; i++ {
 		s, idx, w := a.SampleReplayInto(rng, cfg.BatchSize, samples, indices, weights)
 		if len(s) != cfg.BatchSize {
@@ -67,7 +76,7 @@ func TestLearnBatchLearns(t *testing.T) {
 	if got := a.LearnSteps(); got != 20 {
 		t.Errorf("learn steps = %d, want 20", got)
 	}
-	if sharded.State().Beta <= betaBefore {
+	if beta() <= betaBefore {
 		t.Error("beta did not anneal through the external sampling path")
 	}
 	// Empty and oversized batches are handled.

@@ -1,13 +1,10 @@
 package ddpg
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"math"
 	"math/rand"
 
@@ -15,23 +12,10 @@ import (
 	"greennfv/internal/nn"
 )
 
-// The serving checkpoint is what a controller serves: a policy section
-// — the Config and the actor's parameter frame — followed by the
-// training state SaveState(w, false) writes, byte for byte. A server
-// reads the section and nothing after it; LoadAgent reads both. The
-// section's policy-only form, the same section with nothing after it,
-// is what a serving controller keeps and persists. Layout, little-endian:
-//
-//	magic      "GNFVPOL1"
-//	sum        uint64 length, uint32 IEEE CRC32 of every byte after the sum
-//	config     int64 StateDim, ActionDim; uint32 len(Hidden), int64 each
-//	           width; float64 ActorLR, CriticLR, Gamma, Tau; int64
-//	           BatchSize, BufferCap; byte Prioritized (0 or 1); float64
-//	           PERAlpha, PERBeta, PERBetaInc, OUTheta, OUSigma, NoiseDecay;
-//	           int64 Seed
-//	frame      the actor's nn parameter frame, its length implied by the
-//	           config's topology
-//	state      optional: SaveState(w, false)'s gob stream
+// The policy section opens every checkpoint (doc.go, "Checkpoint"): the
+// Config and the actor's parameter frame behind a length and CRC32 of
+// everything after them. A server reads it and nothing after it, and
+// keeps its policy-only form, the section with nothing after it.
 
 // servingMagic opens a serving checkpoint and its policy-only form.
 const servingMagic = "GNFVPOL1"
@@ -39,10 +23,9 @@ const servingMagic = "GNFVPOL1"
 // sectionHeaderLen is the magic and the sum.
 const sectionHeaderLen = len(servingMagic) + 8 + 4
 
-// errNotServing is what a file without the section gets — a bare
-// SaveState blob, which is what SaveCheckpoint wrote before the section
-// existed, among them.
-var errNotServing = errors.New("ddpg: no GNFVPOL1 policy section: not a serving checkpoint, or one written before the section existed (re-save the policy with greennfv -save-policy)")
+// errNotServing is what a file without the section gets, among them a
+// bare gob training state: what SaveCheckpoint wrote before the section.
+var errNotServing = errors.New("ddpg: no GNFVPOL1 policy section: not a ddpg checkpoint, or a gob one written before the section existed, which is no longer read (retrain and save with greennfv -save-policy)")
 
 // appendConfig appends cfg in the section's layout.
 func appendConfig(dst []byte, cfg Config) []byte {
@@ -71,14 +54,14 @@ func appendConfig(dst []byte, cfg Config) []byte {
 	return le.AppendUint64(dst, uint64(cfg.Seed))
 }
 
-// configReader reads the section's config fields off the front of b;
-// a read past the end leaves ok false and reads zeros from then on.
-type configReader struct {
+// reader reads a checkpoint's fixed-width fields off the front of b; a
+// read past the end leaves ok false and reads zeros from then on.
+type reader struct {
 	b  []byte
 	ok bool
 }
 
-func (r *configReader) take(n int) []byte {
+func (r *reader) take(n int) []byte {
 	if !r.ok || len(r.b) < n {
 		r.ok = false
 		return make([]byte, n)
@@ -88,9 +71,9 @@ func (r *configReader) take(n int) []byte {
 	return v
 }
 
-func (r *configReader) i64() int64  { return int64(binary.LittleEndian.Uint64(r.take(8))) }
-func (r *configReader) u32() uint32 { return binary.LittleEndian.Uint32(r.take(4)) }
-func (r *configReader) f64s(ps ...*float64) {
+func (r *reader) i64() int64  { return int64(binary.LittleEndian.Uint64(r.take(8))) }
+func (r *reader) u32() uint32 { return binary.LittleEndian.Uint32(r.take(4)) }
+func (r *reader) f64s(ps ...*float64) {
 	for _, p := range ps {
 		*p = math.Float64frombits(binary.LittleEndian.Uint64(r.take(8)))
 	}
@@ -100,7 +83,7 @@ func (r *configReader) f64s(ps ...*float64) {
 // config. The width count is checked against the bytes present before
 // the widths are allocated.
 func readConfig(b []byte) (Config, []byte, error) {
-	r := configReader{b: b, ok: true}
+	r := reader{b: b, ok: true}
 	var cfg Config
 	cfg.StateDim, cfg.ActionDim = int(r.i64()), int(r.i64())
 	hidden := uint64(r.u32())
@@ -126,21 +109,30 @@ func readConfig(b []byte) (Config, []byte, error) {
 	return cfg, r.b, nil
 }
 
-// appendSection appends a serving checkpoint: the section of an encoded
-// config and the actor frame, then state (empty for the policy-only
-// form), the sum covering all three.
-func appendSection(dst, config, frame, state []byte) []byte {
-	start := len(dst)
+// beginSection appends the section of an encoded config and the actor
+// frame, its sum left to sealSection once whatever follows is appended.
+// dst must hold nothing before the section.
+func beginSection(dst, config, frame []byte) []byte {
 	dst = append(dst, servingMagic...)
 	dst = append(dst, make([]byte, sectionHeaderLen-len(servingMagic))...)
 	dst = append(dst, config...)
-	dst = append(dst, frame...)
-	dst = append(dst, state...)
-	body := dst[start+sectionHeaderLen:]
+	return append(dst, frame...)
+}
+
+// sealSection writes the sum of every byte after the section header.
+func sealSection(b []byte) []byte {
 	le := binary.LittleEndian
-	le.PutUint64(dst[start+len(servingMagic):], uint64(len(body)))
-	le.PutUint32(dst[start+len(servingMagic)+8:], crc32.ChecksumIEEE(body))
-	return dst
+	body := b[sectionHeaderLen:]
+	le.PutUint64(b[len(servingMagic):], uint64(len(body)))
+	le.PutUint32(b[len(servingMagic)+8:], crc32.ChecksumIEEE(body))
+	return b
+}
+
+// appendSection is a whole checkpoint in one new slice: the section,
+// then state (empty for the policy-only form), the sum covering both.
+func appendSection(config, frame, state []byte) []byte {
+	b := make([]byte, 0, sectionHeaderLen+len(config)+len(frame)+len(state))
+	return sealSection(append(beginSection(b, config, frame), state...))
 }
 
 // section is a serving checkpoint read and checked up to the end of the
@@ -193,7 +185,7 @@ func readSection(data []byte) (*section, error) {
 
 // policyOnly is the section's policy-only form, in one new slice.
 func (s *section) policyOnly() []byte {
-	return appendSection(make([]byte, 0, sectionHeaderLen+len(s.config)+len(s.frame)), s.config, s.frame, nil)
+	return appendSection(s.config, s.frame, nil)
 }
 
 // newPolicy builds a policy of cfg's topology whose weights draw from
@@ -206,32 +198,10 @@ func newPolicy(cfg Config, rng *rand.Rand, trainable bool) (Policy, error) {
 	return Policy{Actor: actor, stateDim: cfg.StateDim, actionDim: cfg.ActionDim}, nil
 }
 
-// SaveServing writes the serving checkpoint: the policy section — the
-// Config and the actor's parameter frame behind a length and CRC32 of
-// everything after them — then exactly the bytes SaveState(w, false)
-// writes. This is the file greennfv -save-policy writes and greennfvd
-// serves; LoadPolicy reads its section, LoadAgent the whole file.
-func (a *Agent) SaveServing(w io.Writer) error {
-	frame, err := a.ActorBytes()
-	if err != nil {
-		return err
-	}
-	state, err := a.StateBytes(false)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(appendSection(nil, appendConfig(nil, a.cfg), frame, state))
-	return err
-}
-
-// LoadPolicy reads a serving checkpoint's policy section and nothing
-// after it: the sum over the whole file (a CRC pass, no decoding), the
-// Config — validated as New validates it, and checked to imply an actor
-// whose frame the bytes present can hold before anything is allocated
-// for it — and the actor frame, which LoadParams checks against that
-// topology in full. It returns an inference-only policy, the Config and
-// the policy-only form (a new slice), which LoadPolicy reads back to
-// the same policy. data may be either form.
+// LoadPolicy reads a checkpoint's policy section and nothing after it
+// (doc.go, "Serving checkpoint"): an inference-only policy, the Config
+// and the policy-only form (a new slice), which LoadPolicy reads back
+// to the same policy. data may be either form.
 func LoadPolicy(data []byte) (*Policy, Config, []byte, error) {
 	s, err := readSection(data)
 	if err != nil {
@@ -247,58 +217,25 @@ func LoadPolicy(data []byte) (*Policy, Config, []byte, error) {
 	return &p, s.cfg, s.policyOnly(), nil
 }
 
-// LoadAgent builds a fresh agent from a serving checkpoint: the policy
-// section is read and checked as LoadPolicy does, the Config builds the
-// agent, then everything in the training state except replay contents
-// and the RNG stream position is restored. Inference never touches the
-// replay buffer or the RNG, so a carried replay snapshot is skipped
-// rather than required to fit and the RNG stays at its seed position
-// (resuming training from the result would not reproduce the saved
-// agent's sampling; LoadState is that path). A training state whose
-// Config or actor differs from the section's is refused, as is a
-// policy-only form: it has no training state to build an agent from.
-func LoadAgent(r io.Reader) (*Agent, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("ddpg: read checkpoint: %w", err)
-	}
-	return LoadAgentBytes(data)
-}
-
-// LoadAgentBytes is LoadAgent from a byte slice.
+// LoadAgentBytes builds a fresh agent from a checkpoint: ReadCheckpoint
+// reads and checks it whole, so the training state's lengths bound what
+// the Config builds before New sizes anything by it, then everything
+// but the replay contents and the RNG stream position is restored.
+// Inference touches neither, so a replay snapshot is checked and
+// skipped and the RNG stays at its seed position (LoadState is the
+// resume path). A policy-only form has no training state and is
+// refused.
 func LoadAgentBytes(data []byte) (*Agent, error) {
-	s, err := readSection(data)
+	c, err := ReadCheckpoint(data)
 	if err != nil {
 		return nil, err
 	}
-	if len(s.state) == 0 {
-		return nil, errors.New("ddpg: a policy-only checkpoint carries no training state")
-	}
-	// The state holds the actor's and the critic's frames twice each
-	// (networks and targets). So a config whose two frames outgrow half
-	// the state is refused before New sizes anything by it. (Halving the
-	// state, not doubling the sum: two lengths up to MaxInt each fit in
-	// a uint64, twice their sum may not.)
-	critic, ok := nn.MLPFrameLen(criticSizes(s.cfg))
-	if !ok || uint64(len(s.frame))+uint64(critic) > uint64(len(s.state))/2 {
-		return nil, fmt.Errorf("ddpg: serving checkpoint config implies networks the %d-byte training state cannot hold", len(s.state))
-	}
-	var st agentState
-	if err := gob.NewDecoder(bytes.NewReader(s.state)).Decode(&st); err != nil {
-		return nil, fmt.Errorf("ddpg: decode checkpoint: %w", err)
-	}
-	if !bytes.Equal(appendConfig(nil, st.Cfg), s.config) {
-		return nil, fmt.Errorf("ddpg: checkpoint training state config %+v differs from its policy section's %+v", st.Cfg, s.cfg)
-	}
-	a, err := New(st.Cfg)
+	a, err := New(c.cfg)
 	if err != nil {
 		return nil, fmt.Errorf("ddpg: checkpoint config: %w", err)
 	}
-	if err := a.applyState(&st, false); err != nil {
+	if err := a.applyState(c, false); err != nil {
 		return nil, err
-	}
-	if !bytes.Equal(a.Actor.ParamFrame(), s.frame) {
-		return nil, errors.New("ddpg: checkpoint policy section's actor differs from its training state's")
 	}
 	return a, nil
 }

@@ -2,6 +2,7 @@ package ddpg
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
@@ -15,20 +16,30 @@ import (
 	"greennfv/internal/nn"
 )
 
-// servingWith is a's serving checkpoint with the given training state
-// behind the policy section: what SaveServing writes when state is
-// StateBytes(false), and otherwise a file only a test makes.
+// servingWith is a's policy section with the given bytes behind it:
+// the policy-only form when state is nil, and otherwise a file only a
+// test makes.
 func servingWith(t testing.TB, a *Agent, state []byte) []byte {
 	t.Helper()
 	frame, err := a.ActorBytes()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return appendSection(nil, appendConfig(nil, a.cfg), frame, state)
+	return appendSection(appendConfig(nil, a.cfg), frame, state)
+}
+
+// trainingState is the part of a checkpoint after its policy section.
+func trainingState(t testing.TB, blob []byte) []byte {
+	t.Helper()
+	s, err := readSection(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s.state
 }
 
 // servingAgent is an agent of cfg after a few updates, and the serving
-// checkpoint SaveServing writes for it.
+// checkpoint SaveState(w, false) writes for it.
 func servingAgent(t testing.TB, cfg Config) (*Agent, []byte) {
 	t.Helper()
 	a, err := New(cfg)
@@ -40,25 +51,25 @@ func servingAgent(t testing.TB, cfg Config) (*Agent, []byte) {
 		a.Learn()
 	}
 	var buf bytes.Buffer
-	if err := a.SaveServing(&buf); err != nil {
+	if err := a.SaveState(&buf, false); err != nil {
 		t.Fatal(err)
 	}
 	return a, buf.Bytes()
 }
 
-// TestSaveServingLayout pins what SaveServing writes: the policy section,
-// then StateBytes(false) byte for byte; and what LoadPolicy returns: the
-// same section with nothing after it, which loads back to itself and
-// from which no agent can be built.
-func TestSaveServingLayout(t *testing.T) {
+// TestStateLayout pins the checkpoint layout (doc.go, "Checkpoint")
+// length by length: the policy section — what LoadPolicy returns as the
+// policy-only form, which loads back to itself and from which no agent
+// can be built — then the training state: its magic, the critic and
+// both target frames, two optimizer records (f64 moments only: no f32
+// step ran), the noise, sigma, the RNG position, LearnSteps and the
+// replay flag, and with the replay the snapshot's header and its rows.
+func TestStateLayout(t *testing.T) {
 	cfg := DefaultConfig(6, 4)
+	cfg.BufferCap = 256
 	a, file := servingAgent(t, cfg)
-	state, err := a.StateBytes(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(file, servingWith(t, a, state)) || !bytes.HasSuffix(file, state) {
-		t.Fatal("SaveServing is not the policy section followed by StateBytes(false)")
+	if state, err := a.StateBytes(false); err != nil || !bytes.Equal(file, state) {
+		t.Fatalf("SaveState(w, false) is not StateBytes(false): %v", err)
 	}
 	_, got, form, err := LoadPolicy(file)
 	if err != nil {
@@ -67,7 +78,8 @@ func TestSaveServingLayout(t *testing.T) {
 	if !reflect.DeepEqual(got, cfg) {
 		t.Errorf("LoadPolicy config %+v, want %+v", got, cfg)
 	}
-	if want := servingWith(t, a, nil); !bytes.Equal(form, want) || len(form) != len(file)-len(state) {
+	frame, _ := a.ActorBytes()
+	if want := servingWith(t, a, nil); !bytes.Equal(form, want) || len(form) != sectionHeaderLen+len(appendConfig(nil, cfg))+len(frame) {
 		t.Fatalf("policy-only form is %d bytes, want the %d-byte section alone", len(form), len(want))
 	}
 	_, _, again, err := LoadPolicy(form)
@@ -76,6 +88,32 @@ func TestSaveServingLayout(t *testing.T) {
 	}
 	if _, err := LoadAgentBytes(form); err == nil {
 		t.Error("LoadAgent built an agent from a policy-only form")
+	}
+
+	rest := file[len(form):]
+	criticLen, _ := nn.MLPFrameLen(criticSizes(cfg))
+	actorParams, _ := nn.MLPParams(actorSizes(cfg))
+	criticParams, _ := nn.MLPParams(criticSizes(cfg))
+	want := len(stateMagic) + criticLen + len(frame) + criticLen +
+		16 + 16*actorParams + 16 + 16*criticParams +
+		8*cfg.ActionDim + 8 + 8 + 8 + 1
+	if len(rest) != want || !bytes.HasPrefix(rest, []byte(stateMagic)) || rest[len(rest)-1] != 0 {
+		t.Fatalf("the training state is %d bytes, want the %d of the layout, magic first, no replay flag last", len(rest), want)
+	}
+	if !bytes.Equal(rest[len(stateMagic):len(stateMagic)+criticLen], a.Critic.ParamFrame()) {
+		t.Error("the critic's frame does not follow the magic")
+	}
+	if got := binary.LittleEndian.Uint64(rest[len(rest)-9:]); got != uint64(a.LearnSteps()) {
+		t.Errorf("LearnSteps reads %d, want %d", got, a.LearnSteps())
+	}
+
+	withReplay, err := a.StateBytes(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := 8*(2+2*cfg.StateDim+cfg.ActionDim) + 1
+	if n := len(withReplay) - len(file); n != 20+24+a.BufferLen()*row || withReplay[len(file)-1] != 1 {
+		t.Errorf("the replay adds %d bytes, want a one-stripe header and %d rows of %d", n, a.BufferLen(), row)
 	}
 }
 
@@ -179,45 +217,30 @@ func TestLoadPolicyRefusesDamage(t *testing.T) {
 	}
 }
 
-// TestLoadAgentRefusesDisagreeingSection: a file whose section and
-// training state describe different agents — another actor, another
-// Config — is refused by LoadAgent, though its sum is right.
-func TestLoadAgentRefusesDisagreeingSection(t *testing.T) {
-	a, _ := servingAgent(t, DefaultConfig(6, 4))
-	state, err := a.StateBytes(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.Learn()
-	moved := servingWith(t, a, state) // the actor one update later
-	if _, _, _, err := LoadPolicy(moved); err != nil {
-		t.Fatalf("the section alone is sound, yet LoadPolicy refused it: %v", err)
-	}
-	if _, err := LoadAgentBytes(moved); err == nil {
-		t.Error("LoadAgent accepted a section actor that differs from the training state's")
-	}
-	other := a.cfg
-	other.Seed++
-	frame, _ := a.ActorBytes()
-	if _, err := LoadAgentBytes(appendSection(nil, appendConfig(nil, other), frame, state)); err == nil {
-		t.Error("LoadAgent accepted a section Config that differs from the training state's")
-	}
-}
-
-// TestLoadRefusesPreSectionCheckpoint: a bare SaveState blob — what the
-// serving checkpoint was before the section — gets the error that says
-// so from both readers.
+// TestLoadRefusesPreSectionCheckpoint: a bare gob training state —
+// what the serving checkpoint was before the section, here the one
+// behind testdata/gob-networks.ckpt's section — gets the error that
+// says so, naming gob and the remedy, from every reader.
 func TestLoadRefusesPreSectionCheckpoint(t *testing.T) {
-	a, _ := servingAgent(t, smallConfig())
-	bare, err := a.StateBytes(false)
+	file, err := os.ReadFile(filepath.Join("testdata", "gob-networks.ckpt"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	bare := trainingState(t, file)
 	if _, _, _, err := LoadPolicy(bare); !errors.Is(err, errNotServing) {
 		t.Errorf("LoadPolicy(bare state) = %v, want %v", err, errNotServing)
 	}
 	if _, err := LoadAgentBytes(bare); !errors.Is(err, errNotServing) {
 		t.Errorf("LoadAgentBytes(bare state) = %v, want %v", err, errNotServing)
+	}
+	a, _ := servingAgent(t, frameConfig())
+	if err := a.LoadStateBytes(bare); !errors.Is(err, errNotServing) {
+		t.Errorf("LoadStateBytes(bare state) = %v, want %v", err, errNotServing)
+	}
+	for _, word := range []string{"gob", "retrain"} {
+		if !strings.Contains(errNotServing.Error(), word) {
+			t.Errorf("the refusal %q does not say %q", errNotServing, word)
+		}
 	}
 }
 
@@ -225,9 +248,9 @@ func TestLoadRefusesPreSectionCheckpoint(t *testing.T) {
 // servingAgent(frameConfig())'s serving checkpoint as written by commit
 // 495a5c0, the last build that stored a training state's networks as
 // gob blobs. Its policy section still serves — LoadPolicy reads nothing
-// after it — but LoadAgent and LoadState refuse the training state with
-// an error that names the format and the remedy, and LoadState leaves
-// the agent it was given as it was.
+// after it — but LoadAgent and LoadState refuse its gob training state
+// with an error that names the format and the remedy, and LoadState
+// leaves the agent it was given as it was.
 func TestLoadRefusesGobNetworks(t *testing.T) {
 	file, err := os.ReadFile(filepath.Join("testdata", "gob-networks.ckpt"))
 	if err != nil {
@@ -249,8 +272,8 @@ func TestLoadRefusesGobNetworks(t *testing.T) {
 	}
 	refused := func(what string, err error) {
 		t.Helper()
-		if !errors.Is(err, errGobNetworks) {
-			t.Fatalf("%s returned %v, want the gob-network refusal", what, err)
+		if !errors.Is(err, errGobState) {
+			t.Fatalf("%s returned %v, want the gob training-state refusal", what, err)
 		}
 		for _, word := range []string{"gob", "retrain"} {
 			if !strings.Contains(err.Error(), word) {
@@ -266,7 +289,7 @@ func TestLoadRefusesGobNetworks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refused("LoadStateBytes", a.LoadStateBytes(s.state))
+	refused("LoadStateBytes", a.LoadStateBytes(file))
 	if after, _ := a.StateBytes(false); !bytes.Equal(before, after) {
 		t.Fatal("a refused training state changed the agent")
 	}
@@ -286,12 +309,9 @@ func allocated(f func()) uint64 {
 // sized by it — with arithmetic that cannot wrap. Each hostile file,
 // sum intact, is refused for under 1 MB of allocation.
 func TestLoadRefusesOversizedConfig(t *testing.T) {
-	small, _ := servingAgent(t, frameConfig())
+	small, file := servingAgent(t, frameConfig())
 	frame, _ := small.ActorBytes()
-	state, err := small.StateBytes(false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	state := trainingState(t, file)
 	hostile := func(edit func(*Config)) Config {
 		cfg := small.cfg
 		edit(&cfg)
@@ -306,7 +326,7 @@ func TestLoadRefusesOversizedConfig(t *testing.T) {
 		"negative width":     hostile(func(c *Config) { c.Hidden = []int{4, -3} }),
 		"buffer beyond 2^40": hostile(func(c *Config) { c.BufferCap = math.MaxInt }),
 	} {
-		blob := appendSection(nil, appendConfig(nil, cfg), frame, state)
+		blob := appendSection(appendConfig(nil, cfg), frame, state)
 		var perr, aerr error
 		if n := allocated(func() { _, _, _, perr = LoadPolicy(blob) }); perr == nil || n > budget {
 			t.Errorf("%s: LoadPolicy returned %v after allocating %d bytes", name, perr, n)
@@ -320,32 +340,29 @@ func TestLoadRefusesOversizedConfig(t *testing.T) {
 	// state cannot hold: only LoadAgent builds a critic, and it must
 	// refuse before New sizes one (~1 M parameters here) by the Config.
 	cfg := hostile(func(c *Config) { c.StateDim, c.Hidden, c.ActionDim = 1, []int{64, 1}, 1<<14 })
-	// The training state claims the same Config, so that nothing but the
-	// size check stands between it and New.
 	actorLen, _ := nn.MLPFrameLen(actorSizes(cfg)) // 264 KB
-	claims := reencode(t, state, func(st *agentState) { st.Cfg = cfg })
-	blob := appendSection(nil, appendConfig(nil, cfg), make([]byte, actorLen), claims)
+	blob := appendSection(appendConfig(nil, cfg), make([]byte, actorLen), state)
 	var aerr error
 	if n := allocated(func() { _, aerr = LoadAgentBytes(blob) }); aerr == nil || n > budget {
 		t.Errorf("wide critic: LoadAgentBytes returned %v after allocating %d bytes", aerr, n)
 	}
 
-	// Two frames that a training state of frames could not hold, but
-	// that fit four times its length — the slack gob's variable-length
-	// floats once needed. The state is padded to 256 KB, so New would
-	// build ~850 KB of frames' parameters several times over (weights,
-	// gradients, targets, Adam moments) before anything read them.
+	// Two frames that fit four times the training state's length — the
+	// slack gob's variable-length floats once needed — but not the state
+	// itself. The state is padded to 256 KB, so New would build ~850 KB
+	// of frames' parameters several times over (weights, gradients,
+	// targets, Adam moments) before anything read them.
 	cfg = hostile(func(c *Config) { c.Hidden = []int{8192} })
 	actorLen, _ = nn.MLPFrameLen(actorSizes(cfg))
 	criticLen, _ := nn.MLPFrameLen(criticSizes(cfg))
 	padded := make([]byte, 256<<10)
-	copy(padded, reencode(t, state, func(st *agentState) { st.Cfg = cfg }))
+	copy(padded, state)
 	if two := actorLen + criticLen; two <= len(padded)/2 || two > 4*len(padded) {
 		t.Fatalf("frames of %d bytes beside a %d-byte state no longer sit between the two bounds", two, len(padded))
 	}
-	blob = appendSection(nil, appendConfig(nil, cfg), make([]byte, actorLen), padded)
+	blob = appendSection(appendConfig(nil, cfg), make([]byte, actorLen), padded)
 	if n := allocated(func() { _, aerr = LoadAgentBytes(blob) }); aerr == nil || n > budget {
-		t.Errorf("frames beyond half the state: LoadAgentBytes returned %v after allocating %d bytes", aerr, n)
+		t.Errorf("frames beyond the state: LoadAgentBytes returned %v after allocating %d bytes", aerr, n)
 	}
 }
 
@@ -354,21 +371,17 @@ func TestLoadRefusesOversizedConfig(t *testing.T) {
 // actor bits. Each input also runs again under a sum rewritten to match
 // it, so mutations reach the config and frame checks behind the CRC.
 // Seeds (f.Add, a small topology so inputs stay a few KB): a serving
-// checkpoint, its policy-only form, a bare pre-section StateBytes blob,
-// and the checkpoint cut at the end of its actor frame.
+// checkpoint, its policy-only form, its training state alone, and the
+// checkpoint cut at the end of its actor frame.
 func FuzzLoadPolicy(f *testing.F) {
-	a, file := servingAgent(f, frameConfig())
+	_, file := servingAgent(f, frameConfig())
 	_, _, form, err := LoadPolicy(file)
-	if err != nil {
-		f.Fatal(err)
-	}
-	bare, err := a.StateBytes(false)
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(file)
 	f.Add(form)
-	f.Add(bare)
+	f.Add(trainingState(f, file))
 	f.Add(file[:len(form)])
 	check := func(t *testing.T, data []byte) {
 		p, cfg, form, err := LoadPolicy(data)
@@ -389,7 +402,7 @@ func FuzzLoadPolicy(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		check(t, data)
 		if len(data) >= sectionHeaderLen {
-			check(t, appendSection(nil, data[sectionHeaderLen:], nil, nil))
+			check(t, appendSection(data[sectionHeaderLen:], nil, nil))
 		}
 	})
 }

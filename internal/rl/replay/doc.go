@@ -51,18 +51,12 @@
 //
 // # Snapshots
 //
-// State/SetState (snapshot.go) move a buffer's contents through a
-// checkpoint: one PrioritizedState record per stripe in a ShardedState.
-// A record is also what the single-tree buffer's whole snapshot was, so
-// an old snapshot restores as the one-stripe snapshot it equals.
-// SetState treats the snapshot as bytes from a file: the stripe count
-// must be the buffer's, and for every stripe before any stripe is
-// written the fill level must be within capacity, Data and Leaves must
-// agree with it, the ring cursor must be where a ring of that fill
-// level has it, and no leaf may be NaN or negative — or the target is
-// left untouched. A restoring caller that does not know the count in
-// advance builds the buffer from the snapshot (ddpg.Agent.LoadState
-// does).
+// AppendState writes a buffer's contents as bytes (snapshot.go has the
+// layout) and LoadState restores them into an empty buffer of the same
+// stripe count, checking all of it as SplitState does — fill levels,
+// cursors, rows, leaves — before the first stripe is written. A caller
+// that does not know the stripe count reads it off SplitState and
+// builds the buffer to match (ddpg.Agent.LoadState does).
 //
 // # Concurrency
 //

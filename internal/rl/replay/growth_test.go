@@ -12,7 +12,7 @@ import (
 // Storage grows with its contents, and nothing a caller can observe may
 // depend on that: these are the SHA-256 of one fixed script per shard
 // count — adds (single, prioritized, batched) from empty through every
-// growth step and several wrap-arounds of the ring, a State/SetState
+// growth step and several wrap-arounds of the ring, a snapshot
 // hand-over to a fresh buffer taken mid-growth and again after the
 // wrap, and between them every sampled reward, index and weight and the
 // effect of every priority write-back. "prioritized" (one shard) was
@@ -29,8 +29,8 @@ var growthFingerprints = map[string]string{
 }
 
 // growthScript runs the fixed script on buf and returns its hash.
-// handOver moves the contents into a fresh buffer through
-// State/SetState and writes the snapshot's fields to the hash.
+// handOver moves the contents into a fresh buffer through a snapshot
+// and writes the snapshot's fields to the hash.
 func growthScript(t *testing.T, buf *Prioritized, capacity int, handOver func(*Prioritized, func(...float64)) *Prioritized) string {
 	t.Helper()
 	h := sha256.New()
@@ -84,13 +84,6 @@ func growthScript(t *testing.T, buf *Prioritized, capacity int, handOver func(*P
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-func putPrioritizedState(put func(...float64), st PrioritizedState) {
-	put(float64(st.Next), float64(st.Count), st.Beta, st.MaxPrior)
-	for i := range st.Data {
-		put(st.Data[i].Reward, st.Leaves[i])
-	}
-}
-
 func TestReplayGrowthParity(t *testing.T) {
 	const capacity = 300 // not a power of two: the tree pads to 512
 	check := func(name, got string) {
@@ -99,9 +92,37 @@ func TestReplayGrowthParity(t *testing.T) {
 			t.Errorf("%s: growth fingerprint %s, recorded %s", name, got, want)
 		}
 	}
+	// handOver moves b's snapshot into fresh() and hashes the fields
+	// read off its layout, each stripe as the record the snapshot structs
+	// once held — next, count, β (the buffer's for the single-tree
+	// record, zero in a stripe's), the maximal priority, then every
+	// row's reward and leaf — the sharded form after the buffer's β and
+	// ingest cursor.
+	handOver := func(t *testing.T, fresh func() *Prioritized, sharded bool) func(*Prioritized, func(...float64)) *Prioritized {
+		return func(b *Prioritized, put func(...float64)) *Prioritized {
+			st := snapshot(t, b)
+			d := decodeSnapshot(t, st, capacity)
+			recBeta := d.beta
+			if sharded {
+				put(d.beta, float64(d.ingest))
+				recBeta = 0
+			}
+			for k := range d.count {
+				put(float64(d.next[k]), float64(d.count[k]), recBeta, d.maxPrior[k])
+				for i := range d.rewards[k] {
+					put(d.rewards[k][i], d.leaves[k][i])
+				}
+			}
+			p := fresh()
+			if err := p.LoadState(st, trDim, trDim); err != nil {
+				t.Fatal(err)
+			}
+			return p
+		}
+	}
 	// A one-shard buffer replays the single-tree buffer's script: the
 	// same draws from the sampler, and a snapshot whose one record,
-	// with the buffer's β, is what the single-tree State wrote.
+	// with the buffer's β, is what the single-tree snapshot held.
 	t.Run("prioritized", func(t *testing.T) {
 		fresh := func() *Prioritized {
 			p, err := NewPrioritized(capacity, 0.6, 0.4, 1e-3)
@@ -110,17 +131,7 @@ func TestReplayGrowthParity(t *testing.T) {
 			}
 			return p
 		}
-		check("prioritized", growthScript(t, fresh(), capacity, func(b *Prioritized, put func(...float64)) *Prioritized {
-			st := b.State()
-			rec := st.Shards[0]
-			rec.Beta = st.Beta
-			putPrioritizedState(put, rec)
-			p := fresh()
-			if err := p.SetState(st); err != nil {
-				t.Fatal(err)
-			}
-			return p
-		}))
+		check("prioritized", growthScript(t, fresh(), capacity, handOver(t, fresh, false)))
 	})
 	t.Run("sharded", func(t *testing.T) {
 		fresh := func() *Prioritized {
@@ -130,17 +141,6 @@ func TestReplayGrowthParity(t *testing.T) {
 			}
 			return s
 		}
-		check("sharded", growthScript(t, fresh(), capacity, func(b *Prioritized, put func(...float64)) *Prioritized {
-			st := b.State()
-			put(st.Beta, float64(st.Ingest))
-			for _, rec := range st.Shards {
-				putPrioritizedState(put, rec)
-			}
-			s := fresh()
-			if err := s.SetState(st); err != nil {
-				t.Fatal(err)
-			}
-			return s
-		}))
+		check("sharded", growthScript(t, fresh(), capacity, handOver(t, fresh, true)))
 	})
 }

@@ -377,9 +377,8 @@ func (zeroSource) Seed(int64)   {}
 // indexing the empty shard it starts in.
 func TestShardedSampleSkipsEmptyShards(t *testing.T) {
 	s, _ := NewSharded(8, 2, 0.6, 0.4, 0, 1)
-	rec := snapshotOf(1, 1)
-	rec.Leaves[0] = math.Inf(1)
-	if err := s.SetState(ShardedState{Shards: []PrioritizedState{{}, rec}, Beta: 0.4}); err != nil {
+	st := snapshotBytes(0.4, 0, stripe{}, stripe{count: 1, next: 1, maxPrior: 1, leaves: []float64{math.Inf(1)}})
+	if err := s.LoadState(st, trDim, trDim); err != nil {
 		t.Fatal(err)
 	}
 	_, indices, _ := s.Sample(rand.New(zeroSource{}), 4)

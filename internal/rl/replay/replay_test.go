@@ -349,10 +349,10 @@ func TestIdleBufferHoldsNoStorage(t *testing.T) {
 	if got, _, _ := s.SampleInto(rng, 8, nil, nil, nil); got != nil {
 		t.Error("empty sharded buffer sampled something")
 	}
-	if err := p.SetState(p.State()); err != nil {
+	if err := p.LoadState(snapshot(t, p), trDim, trDim); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SetState(s.State()); err != nil {
+	if err := s.LoadState(snapshot(t, s), trDim, trDim); err != nil {
 		t.Fatal(err)
 	}
 	if p.Len()+s.Len()+u.Len() != 0 || u.data != nil {

@@ -1,10 +1,111 @@
 package replay
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
 )
+
+// The tests' transitions, tr(r), have one-wide states and actions.
+const trDim = 1
+
+// stripe is one stripe of a hand-made snapshot: its header and leaves,
+// the rows holding tr(0), tr(1), ….
+type stripe struct {
+	count, next int
+	maxPrior    float64
+	leaves      []float64
+}
+
+// snapshotBytes lays out a snapshot of these stripes as AppendState
+// does.
+func snapshotBytes(beta float64, ingest uint64, stripes ...stripe) []byte {
+	le := binary.LittleEndian
+	f64 := func(b []byte, vs ...float64) []byte {
+		for _, v := range vs {
+			b = le.AppendUint64(b, math.Float64bits(v))
+		}
+		return b
+	}
+	b := le.AppendUint32(nil, uint32(len(stripes)))
+	b = f64(b, beta)
+	b = le.AppendUint64(b, ingest)
+	for _, s := range stripes {
+		b = le.AppendUint64(b, uint64(s.count))
+		b = le.AppendUint64(b, uint64(s.next))
+		b = f64(b, s.maxPrior)
+	}
+	for _, s := range stripes {
+		for i, leaf := range s.leaves {
+			t := tr(float64(i))
+			b = f64(b, leaf, t.State[0], t.Action[0], t.Reward, t.NextState[0])
+			b = append(b, 0)
+		}
+	}
+	return b
+}
+
+// snapshotOf is one stripe holding count transitions at leaf 1 with the
+// cursor at next.
+func snapshotOf(count, next int) []byte {
+	s := stripe{count: count, next: next, maxPrior: 1}
+	for i := 0; i < count; i++ {
+		s.leaves = append(s.leaves, 1)
+	}
+	return snapshotBytes(0.4, 0, s)
+}
+
+// decoded is a snapshot's fields read off its bytes (tr widths).
+type decoded struct {
+	beta   float64
+	ingest uint64
+	// per stripe
+	count, next []int
+	maxPrior    []float64
+	rewards     [][]float64
+	leaves      [][]float64
+}
+
+func decodeSnapshot(t *testing.T, b []byte, capacity int) decoded {
+	t.Helper()
+	state, k, rest, err := SplitState(b, capacity, trDim, trDim)
+	if err != nil || len(rest) != 0 {
+		t.Fatalf("snapshot does not split whole: %v", err)
+	}
+	le := binary.LittleEndian
+	f64 := func(at int) float64 { return math.Float64frombits(le.Uint64(state[at:])) }
+	d := decoded{beta: f64(4), ingest: le.Uint64(state[12:])}
+	rows := snapshotHeaderLen + stripeHeaderLen*k
+	width := rowLen(trDim, trDim)
+	for i := 0; i < k; i++ {
+		h := snapshotHeaderLen + stripeHeaderLen*i
+		count := int(le.Uint64(state[h:]))
+		d.count = append(d.count, count)
+		d.next = append(d.next, int(le.Uint64(state[h+8:])))
+		d.maxPrior = append(d.maxPrior, f64(h+16))
+		var rewards, leaves []float64
+		for j := 0; j < count; j++ {
+			leaves = append(leaves, f64(rows))
+			rewards = append(rewards, f64(rows+8*(1+2*trDim)))
+			rows += width
+		}
+		d.rewards = append(d.rewards, rewards)
+		d.leaves = append(d.leaves, leaves)
+	}
+	return d
+}
+
+// snapshot is b's AppendState at tr widths.
+func snapshot(t testing.TB, b *Prioritized) []byte {
+	t.Helper()
+	st, err := b.AppendState(nil, trDim, trDim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
 
 // TestSnapshotRoundTripAtEvictionBoundary drives the ring past
 // capacity so eviction has wrapped the cursor, then checks the
@@ -26,12 +127,12 @@ func TestSnapshotRoundTripAtEvictionBoundary(t *testing.T) {
 		t.Fatalf("fixture not at eviction boundary: len %d next %d", src.Len(), a.next)
 	}
 
-	st := src.State()
+	st := snapshot(t, src)
 	dst, err := NewPrioritized(capacity, 0.6, 0.4, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dst.SetState(st); err != nil {
+	if err := dst.LoadState(st, trDim, trDim); err != nil {
 		t.Fatal(err)
 	}
 	b := &dst.shards[0]
@@ -49,6 +150,9 @@ func TestSnapshotRoundTripAtEvictionBoundary(t *testing.T) {
 	}
 	if b.tree.total() != a.tree.total() {
 		t.Errorf("tree total %v, want %v", b.tree.total(), a.tree.total())
+	}
+	if again := snapshot(t, dst); !bytes.Equal(again, st) {
+		t.Error("the restored buffer's snapshot differs from the one it was restored from")
 	}
 
 	// Identical RNG streams must sample identical indices and weights.
@@ -77,14 +181,14 @@ func TestSnapshotRestorePartialBuffer(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		src.Add(tr(float64(i)))
 	}
-	st := src.State()
-	if rec := st.Shards[0]; len(rec.Data) != 3 || len(rec.Leaves) != 3 {
-		t.Fatalf("partial snapshot sized %d/%d, want 3/3", len(rec.Data), len(rec.Leaves))
+	st := snapshot(t, src)
+	if d := decodeSnapshot(t, st, 8); d.count[0] != 3 || len(d.leaves[0]) != 3 {
+		t.Fatalf("partial snapshot holds %d rows of %d, want 3 of 3", len(d.leaves[0]), d.count[0])
 	}
 
 	// A partially-filled snapshot restores into an empty buffer.
 	empty, _ := NewPrioritized(8, 0.6, 0.4, 0)
-	if err := empty.SetState(st); err != nil {
+	if err := empty.LoadState(st, trDim, trDim); err != nil {
 		t.Fatalf("partial snapshot rejected by empty buffer: %v", err)
 	}
 	if empty.Len() != 3 || empty.shards[0].next != 3 {
@@ -94,7 +198,7 @@ func TestSnapshotRestorePartialBuffer(t *testing.T) {
 	// Any pre-existing experience refuses the restore.
 	dirty, _ := NewPrioritized(8, 0.6, 0.4, 0)
 	dirty.Add(tr(42))
-	if err := dirty.SetState(st); err == nil {
+	if err := dirty.LoadState(st, trDim, trDim); err == nil {
 		t.Fatal("restore into non-empty buffer accepted")
 	}
 	if dirty.Len() != 1 || dirty.shards[0].data[0].Reward != 42 {
@@ -103,42 +207,54 @@ func TestSnapshotRestorePartialBuffer(t *testing.T) {
 }
 
 // TestSnapshotCapacityMismatch pins the fit checks: snapshots from a
-// larger buffer, torn Data/Leaves pairs, and corrupt leaf priorities
+// larger buffer, torn rows, other widths and corrupt leaf priorities
 // are all refused.
 func TestSnapshotCapacityMismatch(t *testing.T) {
 	big, _ := NewPrioritized(16, 0.6, 0.4, 0)
 	for i := 0; i < 12; i++ {
 		big.Add(tr(float64(i)))
 	}
+	st := snapshot(t, big)
 	small, _ := NewPrioritized(8, 0.6, 0.4, 0)
-	if err := small.SetState(big.State()); err == nil {
+	if err := small.LoadState(st, trDim, trDim); err == nil {
 		t.Fatal("oversized snapshot accepted")
 	}
 
 	// A wrapped cursor beyond the target capacity is refused even when
 	// the payload itself would fit.
-	st := big.State()
-	rec := &st.Shards[0]
-	rec.Data, rec.Leaves, rec.Count = rec.Data[:4], rec.Leaves[:4], 4
-	rec.Next = 12
-	if err := small.SetState(st); err == nil {
+	wrapped := snapshotBytes(0.4, 0, stripe{count: 4, next: 12, maxPrior: 1, leaves: []float64{1, 1, 1, 1}})
+	if err := small.LoadState(wrapped, trDim, trDim); err == nil {
 		t.Fatal("out-of-range cursor accepted")
 	}
 
-	// Torn snapshots (Data/Leaves disagreeing with Count) are refused.
-	torn := big.State()
-	torn.Shards[0].Leaves = torn.Shards[0].Leaves[:len(torn.Shards[0].Leaves)-1]
+	// Torn snapshots (rows disagreeing with the count) and the right
+	// bytes read at other widths are refused.
 	fresh, _ := NewPrioritized(16, 0.6, 0.4, 0)
-	if err := fresh.SetState(torn); err == nil {
-		t.Fatal("torn snapshot accepted")
+	for name, bad := range map[string][]byte{
+		"a row short":   st[:len(st)-1],
+		"a byte extra":  append(bytes.Clone(st), 0),
+		"no rows":       st[:snapshotHeaderLen+stripeHeaderLen],
+		"header only":   st[:snapshotHeaderLen],
+		"under a frame": st[:3],
+	} {
+		if err := fresh.LoadState(bad, trDim, trDim); err == nil {
+			t.Fatalf("%s: torn snapshot accepted", name)
+		}
+	}
+	if err := fresh.LoadState(st, 2, trDim); err == nil {
+		t.Fatal("a snapshot was read at another state width")
+	}
+	if _, err := big.AppendState(nil, 2, trDim); err == nil {
+		t.Fatal("a snapshot was written at another state width")
 	}
 
 	// Corrupt leaves: NaN or negative priorities are refused.
 	for _, bad := range []float64{math.NaN(), -1} {
-		corrupt := big.State()
-		corrupt.Shards[0].Leaves[2] = bad
+		corrupt := bytes.Clone(st)
+		at := snapshotHeaderLen + stripeHeaderLen + 2*rowLen(trDim, trDim)
+		binary.LittleEndian.PutUint64(corrupt[at:], math.Float64bits(bad))
 		target, _ := NewPrioritized(16, 0.6, 0.4, 0)
-		if err := target.SetState(corrupt); err == nil {
+		if err := target.LoadState(corrupt, trDim, trDim); err == nil {
 			t.Fatalf("corrupt leaf %v accepted", bad)
 		}
 	}
@@ -156,13 +272,13 @@ func TestShardedSnapshotRoundTrip(t *testing.T) {
 	for i := 0; i < 23; i++ {
 		src.AddWithPriority(tr(float64(i)), 0.5+float64(i))
 	}
-	st := src.State()
+	st := snapshot(t, src)
 
 	dst, err := NewSharded(16, 4, 0.6, 0.4, 1e-3, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dst.SetState(st); err != nil {
+	if err := dst.LoadState(st, trDim, trDim); err != nil {
 		t.Fatal(err)
 	}
 	if dst.Len() != src.Len() {
@@ -185,73 +301,71 @@ func TestShardedSnapshotRoundTrip(t *testing.T) {
 
 	// Shard-count mismatch is refused.
 	other, _ := NewSharded(16, 2, 0.6, 0.4, 1e-3, 7)
-	if err := other.SetState(st); err == nil {
+	if err := other.LoadState(st, trDim, trDim); err == nil {
 		t.Fatal("shard-count mismatch accepted")
 	}
 	// Non-empty target is refused.
 	dirty, _ := NewSharded(16, 4, 0.6, 0.4, 1e-3, 7)
 	dirty.Add(tr(1))
-	if err := dirty.SetState(st); err == nil {
+	if err := dirty.LoadState(st, trDim, trDim); err == nil {
 		t.Fatal("restore into non-empty sharded buffer accepted")
 	}
 	// Per-shard capacity mismatch is refused.
 	tiny, _ := NewSharded(4, 4, 0.6, 0.4, 1e-3, 7)
-	if err := tiny.SetState(st); err == nil {
+	if err := tiny.LoadState(st, trDim, trDim); err == nil {
 		t.Fatal("per-shard capacity mismatch accepted")
 	}
 }
 
-// oneShard is the one-shard buffer snapshot holding rec.
-func oneShard(rec PrioritizedState) ShardedState {
-	return ShardedState{Shards: []PrioritizedState{rec}, Beta: rec.Beta}
-}
-
-// snapshotOf builds the snapshot of a ring holding count transitions
-// with the cursor at next.
-func snapshotOf(count, next int) PrioritizedState {
-	st := PrioritizedState{Next: next, Count: count, Beta: 0.4, MaxPrior: 1}
-	for i := 0; i < count; i++ {
-		st.Data = append(st.Data, tr(float64(i)))
-		st.Leaves = append(st.Leaves, 1)
+// corruptStripes are stripes no ring of capacity 4 can hold, by name.
+func corruptStripes(capacity int) map[string]stripe {
+	ones := func(n int) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = 1
+		}
+		return v
 	}
-	return st
+	at := func(count, next int) stripe {
+		return stripe{count: count, next: next, maxPrior: 1, leaves: ones(count)}
+	}
+	leaf := func(v float64) stripe {
+		s := at(3, 3)
+		s.leaves[1] = v
+		return s
+	}
+	return map[string]stripe{
+		"cursor at capacity":          at(capacity, capacity),
+		"cursor past capacity":        at(capacity, capacity+1),
+		"negative cursor":             at(capacity, -1),
+		"negative cursor, not full":   at(2, -1),
+		"cursor behind the fill":      at(3, 1),
+		"cursor ahead of the fill":    at(2, 3),
+		"wrapped cursor, empty":       at(0, 2),
+		"negative count":              {count: -1, next: -1},
+		"count past capacity":         at(capacity+1, 0),
+		"leaves shorter than count":   {count: 3, next: 3, maxPrior: 1, leaves: ones(2)},
+		"NaN leaf":                    leaf(math.NaN()),
+		"negative leaf":               leaf(-1),
+		"negative infinity leaf":      leaf(math.Inf(-1)),
+		"count without data (forged)": {count: 2, next: 2},
+	}
 }
 
 // TestSetStateRejectsCorruptSnapshot: a snapshot is bytes from a
 // checkpoint file. One whose cursor a ring of its fill level cannot
 // have (reproduced before the fix: Next == capacity and Next < 0 were
 // accepted and the next Add indexed out of range), whose fill level does
-// not fit, or whose leaves are corrupt is refused at one shard and at
-// two, the refused buffer is untouched — every shard of it, also when a
-// later shard is the bad one — and still usable.
+// not fit, whose rows are missing or whose leaves are corrupt is
+// refused at one shard and at two, the refused buffer is untouched —
+// every shard of it, also when a later shard is the bad one — and still
+// usable.
 func TestSetStateRejectsCorruptSnapshot(t *testing.T) {
 	const capacity = 4
-	leaf := func(v float64) PrioritizedState {
-		st := snapshotOf(3, 3)
-		st.Leaves[1] = v
-		return st
-	}
-	short := snapshotOf(3, 3)
-	short.Leaves = short.Leaves[:2]
-	cases := map[string]PrioritizedState{
-		"cursor at capacity":          snapshotOf(capacity, capacity),
-		"cursor past capacity":        snapshotOf(capacity, capacity+1),
-		"negative cursor":             snapshotOf(capacity, -1),
-		"negative cursor, not full":   snapshotOf(2, -1),
-		"cursor behind the fill":      snapshotOf(3, 1),
-		"cursor ahead of the fill":    snapshotOf(2, 3),
-		"wrapped cursor, empty":       snapshotOf(0, 2),
-		"negative count":              {Count: -1, Next: -1},
-		"count past capacity":         snapshotOf(capacity+1, 0),
-		"leaves shorter than data":    short,
-		"NaN leaf":                    leaf(math.NaN()),
-		"negative leaf":               leaf(-1),
-		"negative infinity leaf":      leaf(math.Inf(-1)),
-		"count without data (forged)": {Count: 2, Next: 2},
-	}
-	for name, st := range cases {
+	good := stripe{count: 2, next: 2, maxPrior: 1, leaves: []float64{1, 1}}
+	for name, st := range corruptStripes(capacity) {
 		p, _ := NewPrioritized(capacity, 0.6, 0.4, 0)
-		if err := p.SetState(oneShard(st)); err == nil {
+		if err := p.LoadState(snapshotBytes(0.4, 0, st), trDim, trDim); err == nil {
 			t.Errorf("%s: one shard accepted it", name)
 			continue
 		}
@@ -265,7 +379,7 @@ func TestSetStateRejectsCorruptSnapshot(t *testing.T) {
 		// The same record as the LAST shard of an otherwise valid
 		// sharded snapshot.
 		s, _ := NewSharded(2*capacity, 2, 0.6, 0.4, 0, 1)
-		if err := s.SetState(ShardedState{Shards: []PrioritizedState{snapshotOf(2, 2), st}, Beta: 0.4}); err == nil {
+		if err := s.LoadState(snapshotBytes(0.4, 0, good, st), trDim, trDim); err == nil {
 			t.Errorf("%s: two shards accepted it", name)
 			continue
 		}
@@ -278,43 +392,41 @@ func TestSetStateRejectsCorruptSnapshot(t *testing.T) {
 	}
 
 	// The cursors a ring can have are all accepted.
-	for _, st := range []PrioritizedState{snapshotOf(0, 0), snapshotOf(3, 3), snapshotOf(capacity, 0), snapshotOf(capacity, capacity-1)} {
+	for _, c := range [][2]int{{0, 0}, {3, 3}, {capacity, 0}, {capacity, capacity - 1}} {
 		p, _ := NewPrioritized(capacity, 0.6, 0.4, 0)
-		if err := p.SetState(oneShard(st)); err != nil {
-			t.Errorf("count %d next %d: %v", st.Count, st.Next, err)
+		if err := p.LoadState(snapshotOf(c[0], c[1]), trDim, trDim); err != nil {
+			t.Errorf("count %d next %d: %v", c[0], c[1], err)
 		}
 		p.Add(tr(9))
 	}
 }
 
-// FuzzReplaySetState: whatever a snapshot claims, a one-shard and a
-// two-shard buffer either refuse it untouched or take it and go on
-// working — adds across the
-// wrap, samples, priority write-backs — without indexing outside their
-// storage.
+// FuzzReplaySetState: whatever bytes a snapshot holds, a one-shard and
+// a two-shard buffer either refuse them untouched or take them and go
+// on working — adds across the wrap, samples, priority write-backs —
+// without indexing outside their storage. An accepted snapshot writes
+// back byte for byte. Seeds (f.Add) are sound one- and two-stripe
+// snapshots and the corrupt stripes TestSetStateRejectsCorruptSnapshot
+// refuses.
 func FuzzReplaySetState(f *testing.F) {
-	f.Add(3, 3, uint8(3), uint8(3), 1.0)
-	f.Add(8, 0, uint8(8), uint8(8), 0.5)
-	f.Add(8, 8, uint8(8), uint8(8), 1.0)
-	f.Add(8, -1, uint8(8), uint8(8), 1.0)
-	f.Add(2, 5, uint8(2), uint8(2), 1.0)
-	f.Add(-1, -1, uint8(0), uint8(0), 0.0)
-	f.Add(3, 3, uint8(3), uint8(2), 1.0)
-	f.Add(3, 3, uint8(3), uint8(3), math.NaN())
-	f.Add(3, 3, uint8(3), uint8(3), math.Inf(1))
-	f.Fuzz(func(t *testing.T, count, next int, nData, nLeaves uint8, leaf float64) {
-		const capacity = 8
-		st := PrioritizedState{Next: next, Count: count, Beta: 0.4, MaxPrior: 1}
-		for i := 0; i < int(nData%32); i++ {
-			st.Data = append(st.Data, tr(float64(i)))
-		}
-		for i := 0; i < int(nLeaves%32); i++ {
-			st.Leaves = append(st.Leaves, leaf)
-		}
+	const capacity = 8
+	f.Add(snapshotOf(3, 3))
+	f.Add(snapshotOf(8, 0))
+	f.Add(snapshotOf(8, 7))
+	f.Add(snapshotOf(0, 0))
+	f.Add(snapshotBytes(0.4, 5, stripe{count: 2, next: 2, maxPrior: 1, leaves: []float64{1, 2}}, stripe{count: 3, next: 3, maxPrior: 2, leaves: []float64{0, 1, math.Inf(1)}}))
+	for _, name := range []string{"cursor past capacity", "negative count", "leaves shorter than count", "NaN leaf", "count without data (forged)"} {
+		f.Add(snapshotBytes(0.4, 0, corruptStripes(capacity)[name]))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
 		rng := rand.New(rand.NewSource(1))
-		drive := func(buf *Prioritized, accepted bool) {
-			if !accepted && buf.Len() != 0 {
-				t.Fatal("a refused snapshot left experience behind")
+		drive := func(buf *Prioritized, err error) {
+			if err != nil {
+				if buf.Len() != 0 {
+					t.Fatal("a refused snapshot left experience behind")
+				}
+			} else if again := snapshot(t, buf); !bytes.Equal(again, data) {
+				t.Fatal("an accepted snapshot does not write back byte for byte")
 			}
 			for i := 0; i < 3*capacity; i++ {
 				buf.Add(tr(float64(i)))
@@ -326,8 +438,8 @@ func FuzzReplaySetState(f *testing.F) {
 			}
 		}
 		p, _ := NewPrioritized(capacity, 0.6, 0.4, 0)
-		drive(p, p.SetState(oneShard(st)) == nil)
+		drive(p, p.LoadState(data, trDim, trDim))
 		s, _ := NewSharded(2*capacity, 2, 0.6, 0.4, 0, 1)
-		drive(s, s.SetState(ShardedState{Shards: []PrioritizedState{snapshotOf(2, 2), st}, Beta: 0.4}) == nil)
+		drive(s, s.LoadState(data, trDim, trDim))
 	})
 }

@@ -73,8 +73,8 @@ type Config struct {
 	// The controller uses it to size the policy, decode actions and
 	// predict proposals; agents use it to build their local env.
 	Spec apex.ActorSpec
-	// PolicyPath is the boot policy checkpoint (ddpg.Agent.SaveServing,
-	// greennfv -save-policy). Ignored when StatePath resumes a persisted
+	// PolicyPath is the boot policy checkpoint (ddpg.Agent.SaveState
+	// without replay, greennfv -save-policy). Ignored when StatePath resumes a persisted
 	// policy.
 	PolicyPath string
 	// StatePath, when set, persists controller state (the policy's

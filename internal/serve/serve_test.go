@@ -97,7 +97,7 @@ func writeTrainedPolicy(t testing.TB, dir string, spec apex.ActorSpec, seed int6
 		agent.Learn()
 	}
 	var buf bytes.Buffer
-	if err := agent.SaveServing(&buf); err != nil {
+	if err := agent.SaveState(&buf, false); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, "policy.ckpt")
@@ -308,7 +308,7 @@ func writeNaNPolicy(t testing.TB, dir string, spec apex.ActorSpec, seed int64) s
 		}
 	}
 	var buf bytes.Buffer
-	if err := agent.SaveServing(&buf); err != nil {
+	if err := agent.SaveState(&buf, false); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {

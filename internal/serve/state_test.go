@@ -517,23 +517,21 @@ func TestServingHoldsPolicyOnly(t *testing.T) {
 }
 
 // TestResumeRefusesPreSectionState: a state file whose policy is a bare
-// agent state — what controllers persisted before the policy section —
-// is refused at boot with an error naming the file and the cause,
-// rather than served or silently replaced by the boot checkpoint.
+// agent state — what controllers persisted before the policy section,
+// here the gob training state behind testdata/gob-networks's policy
+// section — is refused at boot with an error naming the file and the
+// cause, rather than served or silently replaced by the boot checkpoint.
 func TestResumeRefusesPreSectionState(t *testing.T) {
 	spec := testSpec(sla.NewEnergyEfficiency())
-	e, err := spec.BuildEnv(0)
+	file, err := os.ReadFile(filepath.Join("testdata", "gob-networks", "policy.ckpt"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	agent, err := ddpg.New(ddpg.DefaultConfig(e.StateDim(), e.ActionDim()))
+	_, _, form, err := ddpg.LoadPolicy(file)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bare, err := agent.StateBytes(false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bare := file[len(form):]
 	statePath := filepath.Join(t.TempDir(), "controller.state")
 	store, err := OpenStateStore(statePath)
 	if err != nil {

@@ -24,12 +24,11 @@ gates=(
 	# whole round-robin runs hash (on raw parameter bits) to the values
 	# recorded before the broadcast left gob, replay storage became lazy
 	# and ReLU moved into assembly. A well-framed checkpoint whose
-	# counters lie is refused by field (the fuzz target's seed run), and
-	# one whose agent stores its networks as gob blobs is refused whole.
-	# A replay snapshot resumes at its own stripe count, across
-	# GOMAXPROCS and modes, and a single-tree snapshot from before the
-	# buffer was striped resumes as one stripe, bit for bit.
-	"./internal/rl/apex TestChaosKillResume|TestFleetFailureStopsLearner|TestPushRejectsMalformedExperience|TestTrainerCheckpointResume|TestWriteReadCheckpoint|TestTrainerFingerprint|FuzzTrainerCheckpoint|TestResumeRefusesGobNetworks|TestResumeAcrossGOMAXPROCS|TestResumeSingleTreeReplay"
+	# counters lie is refused by field, before anything is loaded (the
+	# fuzz target's seed run), and a gob one from before the layout is
+	# refused whole. A replay snapshot resumes at its own stripe count,
+	# across GOMAXPROCS and modes, bit for bit.
+	"./internal/rl/apex TestChaosKillResume|TestFleetFailureStopsLearner|TestPushRejectsMalformedExperience|TestTrainerCheckpointResume|TestWriteReadCheckpoint|TestTrainerFingerprint|FuzzTrainerCheckpoint|TestResumeRefusesGobNetworks|TestResumeAcrossGOMAXPROCS|TestResumeRejectsMissingAndMismatched"
 	# One actor, one stepping loop: the in-process driver and round-robin
 	# take identical steps and stamp snapshots on one grid.
 	"./internal/rl/apex TestParallelDriverMatchesRoundRobinStepping|TestParallelSnapshotsOnRoundRobinGrid"
@@ -68,12 +67,14 @@ gates=(
 	# allocation budget; boot, resume and hot reload keep only a
 	# checkpoint's policy section, for under twice the file per reload.
 	"./internal/serve TestGuardrailProperty|TestFleet|TestExpireLeasesChurnRace|TestReportRoundTripAllocs|TestServingHoldsPolicyOnly"
-	# The serving checkpoint: the section's policy acts like the whole
-	# agent bit for bit, any damage is refused, and a Config claiming
-	# more than the file holds is refused before it sizes anything. A
-	# checkpoint whose training state stores gob networks still serves
-	# its section and is refused as an agent.
-	"./internal/rl/ddpg TestSaveServingLayout|TestLoadPolicyMatchesLoadAgent|TestLoadPolicyRefusesDamage|TestLoadAgentRefusesDisagreeingSection|TestLoadRefusesOversizedConfig|TestLoadRefusesGobNetworks"
+	# The checkpoint: one layout, the section's policy acts like the
+	# whole agent bit for bit, any damage is refused, a Config claiming
+	# more than the file holds is refused before it sizes anything, and
+	# a checkpoint corrupted in any region — or with hostile optimizer
+	# moments — is refused before the first write. A checkpoint whose
+	# training state is gob still serves its section and is refused as
+	# an agent, as is a bare gob state from before the section.
+	"./internal/rl/ddpg TestStateLayout|TestLoadPolicyMatchesLoadAgent|TestLoadPolicyRefusesDamage|TestLoadRefusesOversizedConfig|TestLoadRefusesGobNetworks|TestLoadRefusesPreSectionCheckpoint|TestRefusedLoadStateChangesNothing|TestLoadStateRejectsHostileOptimizer|FuzzLoadState"
 	# The fault proxy both planes' chaos tests stand on.
 	"./internal/faultrpc TestFaultProxy"
 	# One environment: single-node episodes bit-identical to the
@@ -96,6 +97,14 @@ gates=(
 	# measuring a policy twice gives the same answer.
 	". TestReachability|TestMeasureIsIdempotent"
 )
+
+# The training plane has no gob: no non-test file of ddpg or apex
+# imports encoding/gob (the checkpoints are fixed layouts).
+if go list -f '{{join .Imports " "}}' ./internal/rl/ddpg ./internal/rl/apex | grep -qw 'encoding/gob'; then
+	echo "gates: a non-test file in internal/rl/ddpg or internal/rl/apex imports encoding/gob" >&2
+	exit 1
+fi
+echo "gates: no encoding/gob in internal/rl/ddpg or internal/rl/apex"
 
 for gate in "${gates[@]}"; do
 	pkg=${gate%% *}
