@@ -6,6 +6,7 @@ package serve
 // contract.
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"math"
@@ -419,60 +420,65 @@ func TestControllerMetricsExposition(t *testing.T) {
 // checkpoint and the controller state file beside it, written by commit
 // 495a5c0 — the last build that stored a training state's networks as
 // gob blobs — from writeTrainedPolicy(testSpec(energy efficiency), 7,
-// {4}, 5) and two nodes reporting three intervals each. A controller
-// boots on the pair and resumes it unchanged: the same policy version,
-// each node's last-known-good as the file holds it, and reports served
-// by the policy. It reads only the checkpoint's policy section; the
-// training state behind it, which ddpg.LoadAgent refuses, never matters.
+// {4}, 5) and two nodes reporting three intervals each. The checkpoint
+// still boots: a controller reads only its policy section and serves
+// the policy, while the training state behind it, which
+// ddpg.LoadAgentBytes refuses, never matters. The state file is a gob
+// snapshot ("GNFVSRV1"), which boot refuses by name, leaving the file
+// as it was and telling the operator to boot from the checkpoint.
 func TestServesGobEraFiles(t *testing.T) {
 	src := filepath.Join("testdata", "gob-networks")
 	policyPath := filepath.Join(src, "policy.ckpt")
-	statePath := filepath.Join(t.TempDir(), "controller.state")
-	data, err := os.ReadFile(filepath.Join(src, "controller.state"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(statePath, data, 0o600); err != nil {
-		t.Fatal(err)
-	}
-	store, err := OpenStateStore(statePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := store.Load()
-	if err != nil || want == nil || len(want.LastGood) != 2 {
-		t.Fatalf("the committed state file does not load as two nodes' state: %v", err)
-	}
-
 	spec := testSpec(sla.NewEnergyEfficiency())
-	ctrl, err := NewController(Config{Spec: spec, PolicyPath: policyPath, StatePath: statePath})
-	if err != nil {
-		t.Fatalf("a gob-era checkpoint and state file no longer boot: %v", err)
-	}
-	defer ctrl.Close()
-	if got := ctrl.PolicyVersion(); got != want.PolicyVersion {
-		t.Errorf("resumed policy version %d, the file holds %d", got, want.PolicyVersion)
-	}
-	for node, ks := range want.LastGood {
-		if got := ctrl.LastGood(node); !reflect.DeepEqual(got, ks) {
-			t.Errorf("%s: resumed last-known-good %+v, the file holds %+v", node, got, ks)
-		}
-	}
-	n := newSimNode(t, spec, 0)
-	if err := n.register(ctrl); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if reply, err := n.step(ctrl); err != nil || reply.Source != SourcePolicy {
-			t.Fatalf("interval %d: %v, source %q, want the policy's config", i, err, reply.Source)
-		}
-	}
 
-	ckpt, err := os.ReadFile(policyPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ddpg.LoadAgentBytes(ckpt); err == nil || !strings.Contains(err.Error(), "gob") {
-		t.Errorf("ddpg.LoadAgentBytes on the gob-era checkpoint returned %v, want the gob-network refusal", err)
-	}
+	t.Run("checkpoint", func(t *testing.T) {
+		statePath := filepath.Join(t.TempDir(), "controller.state")
+		ctrl, err := NewController(Config{Spec: spec, PolicyPath: policyPath, StatePath: statePath})
+		if err != nil {
+			t.Fatalf("a gob-era checkpoint no longer boots: %v", err)
+		}
+		defer ctrl.Close()
+		if got := ctrl.PolicyVersion(); got != 1 {
+			t.Errorf("booted policy version %d, want 1", got)
+		}
+		n := newSimNode(t, spec, 0)
+		if err := n.register(ctrl); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			if reply, err := n.step(ctrl); err != nil || reply.Source != SourcePolicy {
+				t.Fatalf("interval %d: %v, source %q, want the policy's config", i, err, reply.Source)
+			}
+		}
+		ckpt, err := os.ReadFile(policyPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ddpg.LoadAgentBytes(ckpt); err == nil || !strings.Contains(err.Error(), "gob") {
+			t.Errorf("ddpg.LoadAgentBytes on the gob-era checkpoint returned %v, want the gob-network refusal", err)
+		}
+	})
+
+	t.Run("state", func(t *testing.T) {
+		statePath := filepath.Join(t.TempDir(), "controller.state")
+		data, err := os.ReadFile(filepath.Join(src, "controller.state"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(statePath, data, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		_, err = NewController(Config{Spec: spec, PolicyPath: policyPath, StatePath: statePath})
+		if err == nil {
+			t.Fatal("a gob-era state file booted")
+		}
+		for _, want := range []string{statePath, "gob", "remove it", "-policy"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("refusal %q does not say %q", err, want)
+			}
+		}
+		if after, err := os.ReadFile(statePath); err != nil || !bytes.Equal(after, data) {
+			t.Errorf("the refused state file changed (%v)", err)
+		}
+	})
 }

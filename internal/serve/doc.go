@@ -93,11 +93,31 @@
 // training state behind it is never kept), its version, and each
 // node's last-known-good config — lives in two files. The snapshot at
 // StatePath is the whole state, written through atomicio (magic
-// "GNFVSRV1", temp+fsync+rename, CRC). The journal at
+// "GNFVSRV2", temp+fsync+rename, CRC). The journal at
 // StatePath+".journal" (magic "GNFVSRJ1") extends it: a header naming
 // the snapshot it belongs to (that snapshot's payload length and
 // CRC32), then one CRC-framed "set node = knobs" record per
 // last-known-good change, ~150 bytes in a fixed binary layout.
+//
+// Both files carry one record format, the change record, big-endian:
+//
+//	u32 idLen | id (1..MaxNodeIDLen bytes) | u32 n |
+//	n × knobs (f64 CPUShare, f64 FreqGHz, f64 LLCFraction,
+//	           i64 DMABytes, i64 Batch: 40 bytes)
+//
+// A journal record's body is exactly one. The snapshot's payload is
+//
+//	i64 policyVersion (>= 1; boot is 1) | u32 blobLen | blob |
+//	one change record per node, to the end, IDs strictly ascending
+//
+// so a given state always encodes to the same bytes, and one decoder
+// reads both files. Every length is checked against the bytes present
+// before anything is sized by it. Load refuses a version below 1, a
+// blobLen past the end, an empty or over-long node ID, an ID out of
+// order or repeated, a knob count the bytes do not hold, and trailing
+// bytes that are not a whole record. A "GNFVSRV1" snapshot is the gob
+// layout of earlier builds: Load refuses it by name, and the operator
+// removes it and boots from the policy checkpoint; nothing converts it.
 //
 // What is durable when a report returns: everything it decided. A
 // report whose vetted config differs from the node's last-known-good
@@ -114,8 +134,7 @@
 // serving continues, the next change heals with a full snapshot), and
 // compaction once the journal has grown past the snapshot's own size.
 // Every snapshot retires the journal, so a clean Close leaves exactly
-// one self-contained file, readable on its own and by a build that
-// predates the journal.
+// one self-contained file, readable on its own.
 //
 // Recovery: StateStore.Load reads the snapshot, then applies the
 // journal on top if and only if its header names that snapshot. A

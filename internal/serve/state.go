@@ -1,14 +1,14 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"os"
 	"slices"
+	"strings"
 
 	"greennfv/internal/atomicio"
 	"greennfv/internal/perfmodel"
@@ -16,10 +16,26 @@ import (
 
 // stateMagic identifies (and versions) the controller state snapshot;
 // journalMagic the journal of config changes that extends it.
+// gobStateMagic framed the snapshot while it was a gob encoding, which
+// Load refuses by name.
 const (
-	stateMagic   = "GNFVSRV1"
-	journalMagic = "GNFVSRJ1"
+	stateMagic    = "GNFVSRV2"
+	journalMagic  = "GNFVSRJ1"
+	gobStateMagic = "GNFVSRV1"
 )
+
+// The snapshot payload, inside the atomicio frame, is big-endian:
+//
+//	i64 policyVersion (>= 1; boot is 1)
+//	u32 blobLen | blob (PolicyBlob)
+//	change records to the end of the payload, node IDs strictly
+//	ascending, each u32 idLen | id | u32 n | n × 40-byte knobs
+//
+// A change record is byte for byte a journal record's body, so the
+// snapshot and the journal share one encoder (appendChange) and one
+// decoder (splitChange), and a given state always encodes to the same
+// bytes. doc.go ("Crash safety") lists what Load refuses.
+const stateHeaderLen = 8 + 4
 
 // journalPath names the journal that extends the snapshot at
 // statePath.
@@ -88,14 +104,14 @@ func OpenStateStore(path string) (*StateStore, error) {
 // journal, whose records st already holds: after Save the snapshot is
 // the only file and is self-contained.
 func (s *StateStore) Save(st *ControllerState) error {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(st); err != nil {
-		return fmt.Errorf("serve: encode state: %w", err)
+	payload, err := encodeState(st)
+	if err != nil {
+		return err
 	}
-	if err := atomicio.WriteFile(s.path, stateMagic, payload.Bytes()); err != nil {
+	if err := atomicio.WriteFile(s.path, stateMagic, payload); err != nil {
 		return fmt.Errorf("serve: state: %w", err)
 	}
-	s.base, s.based = atomicio.SumOf(payload.Bytes()), true
+	s.base, s.based = atomicio.SumOf(payload), true
 	// A crash from here on leaves a journal that names the previous
 	// snapshot; Load ignores it.
 	s.closeJournal()
@@ -154,20 +170,23 @@ func (s *StateStore) load() (*ControllerState, int, error) {
 	}
 	payload, err := atomicio.ReadFile(s.path, stateMagic)
 	if err != nil {
+		if raw, _ := os.ReadFile(s.path); strings.HasPrefix(string(raw), gobStateMagic) {
+			return nil, 0, fmt.Errorf("serve: state file %s holds the old gob layout (%s), which this build does not read: remove it and boot from the policy checkpoint (-policy)", s.path, gobStateMagic)
+		}
 		return nil, 0, fmt.Errorf("serve: state: %w", err)
 	}
-	var st ControllerState
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&st); err != nil {
-		return nil, 0, fmt.Errorf("serve: decode state: %w", err)
+	st, err := decodeState(payload)
+	if err != nil {
+		return nil, 0, err
 	}
 	base := atomicio.SumOf(payload)
 	replayed, err := atomicio.ReadJournal(journalPath(s.path), journalMagic, base, func(body []byte) error {
-		nodeID, ks, err := decodeChange(body)
+		nodeID, ks, rest, err := splitChange(body)
 		if err != nil {
 			return err
 		}
-		if st.LastGood == nil {
-			st.LastGood = make(map[string][]perfmodel.NFKnobs)
+		if len(rest) != 0 {
+			return errBadChange
 		}
 		st.LastGood[nodeID] = ks
 		return nil
@@ -178,15 +197,74 @@ func (s *StateStore) load() (*ControllerState, int, error) {
 	// A journal with records must be folded into a snapshot (Save)
 	// before this store appends: a new journal would overwrite them.
 	s.base, s.based = base, replayed == 0
-	return &st, replayed, nil
+	return st, replayed, nil
+}
+
+// encodeState lays st out as a snapshot payload, in one buffer of the
+// exact length. It refuses what decodeState would refuse.
+func encodeState(st *ControllerState) ([]byte, error) {
+	if st.PolicyVersion < 1 {
+		return nil, fmt.Errorf("serve: state: policy version %d, want >= 1", st.PolicyVersion)
+	}
+	if len(st.PolicyBlob) > math.MaxUint32 {
+		return nil, fmt.Errorf("serve: state: %d-byte policy", len(st.PolicyBlob))
+	}
+	ids := slices.Sorted(maps.Keys(st.LastGood))
+	size := stateHeaderLen + len(st.PolicyBlob)
+	for _, id := range ids {
+		if err := checkNodeID(id); err != nil {
+			return nil, fmt.Errorf("serve: state: %w", err)
+		}
+		size += 4 + len(id) + 4 + knobsLen*len(st.LastGood[id])
+	}
+	payload := binary.BigEndian.AppendUint64(make([]byte, 0, size), uint64(st.PolicyVersion))
+	payload = binary.BigEndian.AppendUint32(payload, uint32(len(st.PolicyBlob)))
+	payload = append(payload, st.PolicyBlob...)
+	for _, id := range ids {
+		payload = appendChange(payload, id, st.LastGood[id])
+	}
+	return payload, nil
+}
+
+// decodeState is encodeState's inverse; PolicyBlob aliases payload.
+func decodeState(payload []byte) (*ControllerState, error) {
+	if len(payload) < stateHeaderLen {
+		return nil, fmt.Errorf("serve: state snapshot of %d bytes, shorter than its header", len(payload))
+	}
+	version := int64(binary.BigEndian.Uint64(payload))
+	blobLen := uint64(binary.BigEndian.Uint32(payload[8:]))
+	rest := payload[stateHeaderLen:]
+	if version < 1 {
+		return nil, fmt.Errorf("serve: state snapshot: policy version %d, want >= 1", version)
+	}
+	if blobLen > uint64(len(rest)) {
+		return nil, fmt.Errorf("serve: state snapshot: a %d-byte policy in %d bytes", blobLen, len(rest))
+	}
+	st := &ControllerState{
+		PolicyBlob:    rest[:blobLen:blobLen],
+		PolicyVersion: int(version),
+		LastGood:      make(map[string][]perfmodel.NFKnobs),
+	}
+	prev := ""
+	for rest = rest[blobLen:]; len(rest) > 0; {
+		id, ks, next, err := splitChange(rest)
+		if err != nil {
+			return nil, fmt.Errorf("serve: state snapshot: %w", err)
+		}
+		if id <= prev {
+			return nil, fmt.Errorf("serve: state snapshot: node %q after %q", id, prev)
+		}
+		st.LastGood[id], prev, rest = ks, id, next
+	}
+	return st, nil
 }
 
 // knobsLen is one NFKnobs on disk: three float64 and two int64.
 const knobsLen = 5 * 8
 
 // appendKnobs appends a knob config: a uint32 count, then every field
-// of every set fixed-width big-endian. The journal record and the
-// report reply (rpc.go) both end in one.
+// of every set fixed-width big-endian. A change record and the report
+// reply (rpc.go) both end in one.
 func appendKnobs(dst []byte, ks []perfmodel.NFKnobs) []byte {
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(ks)))
 	for _, k := range ks {
@@ -224,31 +302,39 @@ func readKnobs(dst []perfmodel.NFKnobs, body []byte) ([]perfmodel.NFKnobs, bool)
 	return dst, true
 }
 
-// appendChange appends the journal record body "set nodeID's
-// last-known-good to ks": the ID behind a uint32 length, then the
-// config.
+// appendChange appends the change record "set nodeID's
+// last-known-good to ks" — a journal record's body, and one entry of
+// the snapshot: u32 idLen | id | u32 n | n × 40-byte knobs.
 func appendChange(dst []byte, nodeID string, ks []perfmodel.NFKnobs) []byte {
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(nodeID)))
 	dst = append(dst, nodeID...)
 	return appendKnobs(dst, ks)
 }
 
-var errBadChange = errors.New("serve: malformed state journal record")
+var errBadChange = errors.New("serve: malformed state change record")
 
-// decodeChange is appendChange's inverse. The body must be exactly one
-// well-formed change; anything else is corruption.
-func decodeChange(body []byte) (string, []perfmodel.NFKnobs, error) {
-	if len(body) < 4 {
-		return "", nil, errBadChange
+// splitChange is appendChange's inverse: it reads the change record at
+// the front of b and returns the bytes after it. The node ID must be
+// one a node could have registered (checkNodeID), and the knob count
+// must fit the bytes present.
+func splitChange(b []byte) (string, []perfmodel.NFKnobs, []byte, error) {
+	if len(b) < 4 {
+		return "", nil, nil, errBadChange
 	}
-	idLen := uint64(binary.BigEndian.Uint32(body))
-	body = body[4:]
-	if idLen == 0 || uint64(len(body)) < idLen+4 {
-		return "", nil, errBadChange
+	idLen := uint64(binary.BigEndian.Uint32(b))
+	b = b[4:]
+	if idLen > uint64(len(b)) {
+		return "", nil, nil, errBadChange
 	}
-	ks, ok := readKnobs([]perfmodel.NFKnobs{}, body[idLen:])
-	if !ok {
-		return "", nil, errBadChange
+	id := string(b[:idLen])
+	if err := checkNodeID(id); err != nil {
+		return "", nil, nil, fmt.Errorf("%w: %w", errBadChange, err)
 	}
-	return string(body[:idLen]), ks, nil
+	b = b[idLen:]
+	if len(b) < 4 || uint64(len(b)-4)/knobsLen < uint64(binary.BigEndian.Uint32(b)) {
+		return "", nil, nil, errBadChange
+	}
+	end := 4 + knobsLen*int(binary.BigEndian.Uint32(b))
+	ks, _ := readKnobs([]perfmodel.NFKnobs{}, b[:end])
+	return id, ks, b[end:], nil
 }

@@ -8,16 +8,20 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"regexp"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 
+	"greennfv/internal/atomicio"
 	"greennfv/internal/perfmodel"
 	"greennfv/internal/rl/ddpg"
 	"greennfv/internal/sla"
@@ -31,7 +35,7 @@ func testKnobs(tag int) []perfmodel.NFKnobs {
 	}
 }
 
-// journaledStore saves a two-node snapshot at a fresh path and appends
+// journaledStore saves a four-node snapshot at a fresh path and appends
 // changes on top. It returns the store's path, the state expected
 // after each journal prefix (want[k]: snapshot plus the first k
 // records) and the journal's size after each append (sizes[0] is 0: no
@@ -43,7 +47,11 @@ func journaledStore(t testing.TB, dir string) (path string, want []map[string][]
 	if err != nil {
 		t.Fatal(err)
 	}
-	state := map[string][]perfmodel.NFKnobs{"node-a": testKnobs(1), "node-b": testKnobs(2)}
+	// Four nodes: the snapshot must outsize the journal's first three
+	// records, or the fourth append is refused as compaction due.
+	state := map[string][]perfmodel.NFKnobs{
+		"node-a": testKnobs(1), "node-b": testKnobs(2), "node-d": testKnobs(3), "node-e": testKnobs(4),
+	}
 	if err := store.Save(&ControllerState{PolicyBlob: []byte("policy"), PolicyVersion: 3, LastGood: state}); err != nil {
 		t.Fatal(err)
 	}
@@ -246,6 +254,161 @@ func TestJournalCompactsAtSnapshotSize(t *testing.T) {
 	}
 	if err := store.Append("node-a", testKnobs(1)); err != nil {
 		t.Fatalf("append after compaction: %v", err)
+	}
+}
+
+// TestSnapshotLayout pins the snapshot payload (state.go) region by
+// region — the policy version, the length-prefixed blob, then one
+// change record per node in ascending ID order, each byte for byte a
+// journal record's body — and that a state encodes to the same bytes,
+// in a buffer of the exact length, whatever its map's order. Save
+// refuses what Load would refuse, and Load refuses with an error every
+// malformed payload in the table, each inside a sound frame.
+func TestSnapshotLayout(t *testing.T) {
+	blob := []byte("policy-section")
+	lastGood := map[string][]perfmodel.NFKnobs{
+		"node-b": testKnobs(2), "node-a": testKnobs(1), "node-c": {}, "node-ab": testKnobs(3)[:1],
+	}
+	ids := []string{"node-a", "node-ab", "node-b", "node-c"}
+	path := filepath.Join(t.TempDir(), "controller.state")
+	store, err := OpenStateStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Save(&ControllerState{PolicyBlob: blob, PolicyVersion: 7, LastGood: lastGood}); err != nil {
+		t.Fatal(err)
+	}
+	file, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(file, []byte(stateMagic)) {
+		t.Fatalf("snapshot opens with %q, want %q", file[:8], stateMagic)
+	}
+	payload := file[20:] // magic, u64 length, u32 CRC
+	size := 8 + 4 + len(blob)
+	for _, id := range ids {
+		size += 8 + len(id) + 40*len(lastGood[id])
+	}
+	if len(payload) != size {
+		t.Fatalf("payload is %d bytes, want %d", len(payload), size)
+	}
+	if v := binary.BigEndian.Uint64(payload); v != 7 {
+		t.Errorf("policy version reads %d, want 7", v)
+	}
+	if n := binary.BigEndian.Uint32(payload[8:]); n != uint32(len(blob)) || !bytes.Equal(payload[12:12+n], blob) {
+		t.Errorf("blob region is %d bytes %q, want %q", n, payload[12:], blob)
+	}
+	rest := payload[12+len(blob):]
+	for _, id := range ids {
+		idLen := int(binary.BigEndian.Uint32(rest))
+		if got := string(rest[4 : 4+idLen]); got != id {
+			t.Fatalf("record for %q where %q belongs", got, id)
+		}
+		n := int(binary.BigEndian.Uint32(rest[4+idLen:]))
+		record := rest[:8+idLen+40*n]
+		if n != len(lastGood[id]) || !bytes.Equal(record, appendChange(nil, id, lastGood[id])) {
+			t.Fatalf("%s: the snapshot's record is not the journal's", id)
+		}
+		rest = rest[len(record):]
+	}
+
+	// The same state, built in another order, encodes the same.
+	again := make(map[string][]perfmodel.NFKnobs)
+	for i := len(ids) - 1; i >= 0; i-- {
+		again[ids[i]] = lastGood[ids[i]]
+	}
+	for i := 0; i < 5; i++ {
+		got, err := encodeState(&ControllerState{PolicyBlob: blob, PolicyVersion: 7, LastGood: again})
+		if err != nil || !bytes.Equal(got, payload) {
+			t.Fatalf("re-encoding gave different bytes: %v", err)
+		}
+		if cap(got) != len(got) {
+			t.Fatalf("encoded into a %d-byte buffer, want the exact %d", cap(got), len(got))
+		}
+	}
+	st, err := loadAt(t, path)
+	if err != nil || st.PolicyVersion != 7 || !bytes.Equal(st.PolicyBlob, blob) || !reflect.DeepEqual(st.LastGood, lastGood) {
+		t.Fatalf("Load: %+v, %v", st, err)
+	}
+
+	for name, bad := range map[string]*ControllerState{
+		"version 0":   {PolicyBlob: blob, PolicyVersion: 0},
+		"empty ID":    {PolicyBlob: blob, PolicyVersion: 1, LastGood: map[string][]perfmodel.NFKnobs{"": testKnobs(1)}},
+		"256-byte ID": {PolicyBlob: blob, PolicyVersion: 1, LastGood: map[string][]perfmodel.NFKnobs{strings.Repeat("n", 256): testKnobs(1)}},
+	} {
+		if err := store.Save(bad); err == nil {
+			t.Errorf("Save accepted a state with %s", name)
+		}
+	}
+
+	header := func(version int64, blobLen int) []byte {
+		b := binary.BigEndian.AppendUint64(nil, uint64(version))
+		return binary.BigEndian.AppendUint32(b, uint32(blobLen))
+	}
+	body := payload[12+len(blob):]
+	first := appendChange(nil, "node-a", lastGood["node-a"])
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	for name, bad := range map[string][]byte{
+		"empty":                 {},
+		"cut in version":        payload[:5],
+		"cut in blob length":    payload[:10],
+		"cut in blob":           payload[:12+3],
+		"cut in record ID len":  payload[:12+len(blob)+2],
+		"cut in record ID":      payload[:12+len(blob)+6],
+		"cut in record count":   payload[:12+len(blob)+4+6+2],
+		"cut in record knobs":   payload[:12+len(blob)+len(first)-1],
+		"cut in last record":    payload[:len(payload)-1],
+		"blob length past end":  cat(header(7, len(payload)-12+1), payload[12:]),
+		"blob length 4 GiB":     cat(header(7, 1<<32-1), payload[12:]),
+		"version 0":             cat(header(0, len(blob)), payload[8+4:]),
+		"negative version":      cat(header(-1, len(blob)), payload[8+4:]),
+		"unsorted IDs":          cat(payload[:12+len(blob)], body[len(first):], first),
+		"duplicate ID":          cat(payload[:12+len(blob)], first, first),
+		"empty ID":              cat(header(1, 0), appendChange(nil, "", testKnobs(1))),
+		"256-byte ID":           cat(header(1, 0), appendChange(nil, strings.Repeat("n", 256), testKnobs(1))),
+		"ID length past end":    cat(header(1, 0), binary.BigEndian.AppendUint32(nil, 1<<31), []byte("node")),
+		"knob count past end":   cat(header(1, 0), first[:4+6], binary.BigEndian.AppendUint32(nil, 1<<30), first[len(first)-40:]),
+		"partial trailing byte": cat(payload, []byte{0}),
+		"partial trailing rec":  cat(payload, first[:len(first)-1]),
+	} {
+		if err := atomicio.WriteFile(path, stateMagic, bad); err != nil {
+			t.Fatal(err)
+		}
+		if st, err := loadAt(t, path); err == nil {
+			t.Errorf("%s: Load accepted %+v", name, st)
+		}
+	}
+}
+
+// TestJournalRefusesUnregistrableIDs: a journal record's node ID must
+// be one a node could have registered (checkNodeID) — a 256-byte ID
+// fails Load like any other malformed record, and a 255-byte one
+// replays.
+func TestJournalRefusesUnregistrableIDs(t *testing.T) {
+	for _, tc := range []struct {
+		id string
+		ok bool
+	}{{strings.Repeat("n", MaxNodeIDLen), true}, {strings.Repeat("n", MaxNodeIDLen+1), false}, {"", false}} {
+		path := filepath.Join(t.TempDir(), "controller.state")
+		store, err := OpenStateStore(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := store.Save(&ControllerState{PolicyBlob: []byte("policy"), PolicyVersion: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if err := store.Append(tc.id, testKnobs(1)); err != nil {
+			t.Fatal(err)
+		}
+		store.closeJournal()
+		st, err := loadAt(t, path)
+		if tc.ok && (err != nil || !reflect.DeepEqual(st.LastGood[tc.id], testKnobs(1))) {
+			t.Errorf("%d-byte ID: %v", len(tc.id), err)
+		}
+		if !tc.ok && err == nil {
+			t.Errorf("%d-byte ID: Load accepted %d nodes", len(tc.id), len(st.LastGood))
+		}
 	}
 }
 
@@ -569,9 +732,12 @@ func TestPersistPathHasNoDeferredDurability(t *testing.T) {
 // FuzzStateLoad feeds Load arbitrary snapshot and journal bytes:
 // whatever they are, it returns a state or an error — never a panic,
 // never both or neither — and a state it returns is one Save accepts.
+// When no journal record was replayed, that Save writes the input
+// snapshot back byte for byte; a gob-era snapshot is refused by name.
 // The committed corpus in testdata/fuzz/FuzzStateLoad (torn, flipped,
-// stale, oversized and zero-filled journals; damaged snapshots) runs
-// as an ordinary test beside the valid pair added here.
+// stale, oversized and zero-filled journals; damaged snapshots; a gob
+// snapshot — see TestStateLoadCorpus) runs as an ordinary test beside
+// the valid pair added here.
 func FuzzStateLoad(f *testing.F) {
 	path, _, _ := journaledStore(f, f.TempDir())
 	snapshot, err := os.ReadFile(path)
@@ -591,9 +757,16 @@ func FuzzStateLoad(f *testing.F) {
 		if err := os.WriteFile(journalPath(path), journal, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		st, err := loadAt(t, path)
+		loader, err := OpenStateStore(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, replayed, err := loader.load()
 		if (st == nil) == (err == nil) {
 			t.Fatalf("Load returned state %v and error %v", st, err)
+		}
+		if bytes.HasPrefix(snapshot, []byte(gobStateMagic)) && (err == nil || !strings.Contains(err.Error(), "gob")) {
+			t.Fatalf("a gob-era snapshot was not refused by name: %v", err)
 		}
 		if err != nil {
 			return
@@ -607,6 +780,9 @@ func FuzzStateLoad(f *testing.F) {
 		if err := store.Save(st); err != nil {
 			t.Fatal(err)
 		}
+		if written, err := os.ReadFile(again); err != nil || replayed == 0 && !bytes.Equal(written, snapshot) {
+			t.Fatalf("a snapshot loaded with no journal records saves back as other bytes (%v)", err)
+		}
 		back, err := store.Load()
 		if err != nil {
 			t.Fatal(err)
@@ -615,4 +791,63 @@ func FuzzStateLoad(f *testing.F) {
 			t.Fatalf("state changed across a save: %v then %v", st.LastGood, back.LastGood)
 		}
 	})
+}
+
+var updateCorpus = flag.Bool("update-corpus", false, "rewrite testdata/fuzz/FuzzStateLoad")
+
+// TestStateLoadCorpus holds the committed FuzzStateLoad corpus to the
+// damage each entry's name describes, applied to journaledStore's
+// snapshot and journal, so that a change of layout cannot leave the
+// corpus testing only a refusal of the magic. After one, `go test
+// ./internal/serve -run TestStateLoadCorpus -update-corpus` rewrites
+// the entries. gob-snapshot — a gob-era snapshot with the journal that
+// extended it — is not generated: it must stay, and FuzzStateLoad
+// requires its refusal by name.
+func TestStateLoadCorpus(t *testing.T) {
+	path, _, sizes := journaledStore(t, t.TempDir())
+	snapshot, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	journal, err := os.ReadFile(journalPath(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	flip := func(b []byte, off int, bit byte) []byte {
+		b = bytes.Clone(b)
+		b[off] ^= bit
+		return b
+	}
+	second := int(sizes[1]) // the second record's frame starts here
+	huge := bytes.Clone(journal)
+	binary.BigEndian.PutUint32(huge[second:], 1<<30)
+	dir := filepath.Join("testdata", "fuzz", "FuzzStateLoad")
+	for name, in := range map[string][2][]byte{
+		"bad-magic":        {snapshot, flip(journal, 2, 0x20)},
+		"corrupt-snapshot": {flip(snapshot, len(snapshot)-5, 0x20), journal},
+		"flipped-mid":      {snapshot, flip(journal, second+20, 0x20)},
+		"huge-length":      {snapshot, huge},
+		"no-journal":       {snapshot, nil},
+		"other-snapshot":   {snapshot, flip(journal, 12, 0x01)}, // header names a snapshot 16 MiB longer
+		"short-snapshot":   {snapshot[:30], journal},
+		"torn-header":      {snapshot, journal[:13]},
+		"torn-tail":        {snapshot, journal[:len(journal)-91]},
+		"zero-tail":        {snapshot, append(bytes.Clone(journal), make([]byte, 64)...)},
+	} {
+		want := "go test fuzz v1\n[]byte(" + strconv.Quote(string(in[0])) + ")\n[]byte(" + strconv.Quote(string(in[1])) + ")\n"
+		file := filepath.Join(dir, name)
+		if *updateCorpus {
+			if err := os.WriteFile(file, []byte(want), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		if got, err := os.ReadFile(file); err != nil || string(got) != want {
+			t.Errorf("corpus entry %s is missing or stale (go test ./internal/serve -run TestStateLoadCorpus -update-corpus): %v", name, err)
+		}
+	}
+	gob, err := os.ReadFile(filepath.Join(dir, "gob-snapshot"))
+	if err != nil || !bytes.HasPrefix(gob, []byte("go test fuzz v1\n[]byte(\""+gobStateMagic)) {
+		t.Errorf("corpus entry gob-snapshot is missing or does not open with a gob-era snapshot: %v", err)
+	}
 }

@@ -66,7 +66,11 @@ gates=(
 	# a steady report over loopback, client and server, inside its
 	# allocation budget; boot, resume and hot reload keep only a
 	# checkpoint's policy section, for under twice the file per reload.
-	"./internal/serve TestGuardrailProperty|TestFleet|TestExpireLeasesChurnRace|TestReportRoundTripAllocs|TestServingHoldsPolicyOnly"
+	# The controller state: the snapshot's layout region by region and
+	# its refusals, a gob-era checkpoint that still serves beside a
+	# gob-era state file refused by name, every journal truncation
+	# recovering a prefix, and the fuzz target's corpus.
+	"./internal/serve TestGuardrailProperty|TestFleet|TestExpireLeasesChurnRace|TestReportRoundTripAllocs|TestServingHoldsPolicyOnly|TestSnapshotLayout|TestServesGobEraFiles|TestJournalCrashMatrix|FuzzStateLoad"
 	# The checkpoint: one layout, the section's policy acts like the
 	# whole agent bit for bit, any damage is refused, a Config claiming
 	# more than the file holds is refused before it sizes anything, and
@@ -98,13 +102,14 @@ gates=(
 	". TestReachability|TestMeasureIsIdempotent"
 )
 
-# The training plane has no gob: no non-test file of ddpg or apex
-# imports encoding/gob (the checkpoints are fixed layouts).
-if go list -f '{{join .Imports " "}}' ./internal/rl/ddpg ./internal/rl/apex | grep -qw 'encoding/gob'; then
-	echo "gates: a non-test file in internal/rl/ddpg or internal/rl/apex imports encoding/gob" >&2
+# The training plane and the serving plane have no gob: no non-test
+# file of ddpg, apex or serve imports encoding/gob (the checkpoints and
+# the controller state are fixed layouts).
+if go list -f '{{join .Imports " "}}' ./internal/rl/ddpg ./internal/rl/apex ./internal/serve | grep -qw 'encoding/gob'; then
+	echo "gates: a non-test file in internal/rl/ddpg, internal/rl/apex or internal/serve imports encoding/gob" >&2
 	exit 1
 fi
-echo "gates: no encoding/gob in internal/rl/ddpg or internal/rl/apex"
+echo "gates: no encoding/gob in internal/rl/ddpg, internal/rl/apex or internal/serve"
 
 for gate in "${gates[@]}"; do
 	pkg=${gate%% *}
