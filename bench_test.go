@@ -100,15 +100,25 @@ func BenchmarkFig06TrainMaxThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkFig06TrainParallel is the same training run with the
-// concurrent Ape-X mode (actor goroutines + batched learner) instead
-// of the deterministic round-robin interleaving; on multi-core
-// machines actor time overlaps learner time.
+// BenchmarkFig06TrainParallel is Figure 6's training budget and SLA
+// through System.Train with the concurrent Ape-X mode (actor
+// goroutines + batched learner) instead of the deterministic
+// round-robin interleaving; on multi-core machines actor time overlaps
+// learner time.
 func BenchmarkFig06TrainParallel(b *testing.B) {
 	o := benchOptions()
-	o.ParallelTrain = true
+	agreement, err := MaxThroughputSLA(2000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Seed = o.Seed
+	sys, err := NewSystem(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
 	for i := 0; i < b.N; i++ {
-		if _, _, err := experiments.Fig6(o); err != nil {
+		if _, err := sys.Train(agreement, TrainOptions{Steps: o.TrainSteps, Actors: o.Actors, Parallel: true}); err != nil {
 			b.Fatal(err)
 		}
 	}

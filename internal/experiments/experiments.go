@@ -114,11 +114,6 @@ type Options struct {
 	ControlSteps int
 	// Seed fixes all randomness.
 	Seed int64
-	// ParallelTrain runs the Figure 6–8 trainings with concurrent actor
-	// goroutines (fast, non-deterministic) instead of the default
-	// reproducible round-robin interleaving. cmd/experiments never sets
-	// it, so its tables stay byte-diffable.
-	ParallelTrain bool
 }
 
 // Quick returns budgets for fast smoke runs.

@@ -16,7 +16,6 @@ func trainCurve(id, title string, s sla.SLA, o Options) (*Table, *control.GreenN
 		return nil, nil, err
 	}
 	g := control.NewGreenNFV(s, o.TrainSteps, o.Actors, o.Seed)
-	g.Train.Parallel = o.ParallelTrain
 	if _, err := runArms([]arm{{c: g, env: envFactory(s)}}); err != nil {
 		return nil, nil, err
 	}

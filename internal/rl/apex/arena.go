@@ -11,7 +11,7 @@ package apex
 //     slices forever): flushed chunks are handed off and a fresh chunk
 //     backs the next window — ONE allocation per PushEvery steps,
 //     which amortizes to 0 allocs/op.
-//   - Non-retaining learner (RPC: batches are gob-serialized on the
+//   - Non-retaining learner (RPC: batches are encoded as rows on the
 //     wire): flushed chunks return to a free list and the steady state
 //     allocates nothing at all.
 //

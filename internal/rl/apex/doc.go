@@ -94,20 +94,22 @@
 // them be read outside the mutex: by the in-process actors of either
 // scheduler, which copy them straight into their live network
 // (ddpg.View.LoadActorBytes: validated against that network first,
-// zero allocations), and by the RPC handler, whose connection
-// gob-encodes the PullReply around them (rpcutil's body for types
-// without a layout) for a RemoteLearner whose actor then does the same
-// copy. One codec serves all three transports and the saved policy
-// file; a pull that finds no newer version is a version compare.
+// zero allocations), and by the RPC handler, whose PullReply layout is
+// the version followed by the frame's bytes (rpc.go), for a
+// RemoteLearner whose PullReply.ReadWire copies them out of the
+// connection's read buffer and whose actor then does the same load.
+// One codec serves all three transports and the saved policy file; a
+// pull that finds no newer version is a version compare.
 // TestPublishAllocatesOneFrame, TestSyncParamsAllocatesNothing and
-// TestPublishedFrameIsImmutable pin the costs and the immutability.
-// A fleet that mixes builds from before and after the frame fails in
-// both directions: an apexactor built before it cannot read a newer
-// learner's broadcast (it expects gob), and a newer actor refuses an
-// older learner's gob broadcast, since frames are the only encoding
-// nn reads. So does a trainer checkpoint from before the fixed layout
-// (a GNFVCKP1 file, gob throughout): Resume refuses it by name, and the
-// run retrains.
+// TestPublishedFrameIsImmutable pin the costs and the immutability. A
+// fleet that mixes builds from before and after the laid-out messages
+// fails at its first call: an older actor's Register is a gob body
+// where the learner expects a layout, and a newer actor's a layout
+// where an older learner expects gob; either learner refuses it by
+// body kind ("undecodable arguments"), an error the actor does not
+// retry, so it exits. A trainer checkpoint from before the fixed
+// layout (a GNFVCKP1 file, gob throughout) is refused by name by
+// Resume, and the run retrains.
 //
 // The central replay is the learner's alone. An actor holds a
 // ddpg.View — the policy, the frozen priority networks and its noise,
@@ -127,8 +129,8 @@
 // the chunk after PushExperience is the learner's call:
 // LearnerAPI.RetainsExperience reports whether the endpoint keeps
 // aliases of the pushed slices (the in-process Learner does;
-// RemoteLearner gob-serializes the experience inside the call and does
-// not), and
+// RemoteLearner encodes the experience as replay rows inside the call
+// and does not), and
 // the arena recycles the chunk through a free list only when it may.
 // BenchmarkActorStep and TestActorStepAllocGate pin the 0 allocs/op
 // contract.

@@ -50,13 +50,15 @@ func TestUnregisteredActorRejected(t *testing.T) {
 	}
 }
 
-// TestPushRejectsMalformedExperience pins the learner's vetting of
-// pushed experience: a batch with one row of the wrong shape, a
-// non-finite float or an impossible priority is refused whole, by row
-// and field, before it reaches the statistics or the replay, and an
-// honest push afterwards is accepted. Without the vetting one such push
-// reached the replay and a few updates later every weight of the
-// broadcast policy was NaN.
+// TestPushRejectsMalformedExperience pins the vetting of pushed
+// experience: a batch with one row of the wrong shape (refused by the
+// client, which cannot lay it out), a non-finite float or an impossible
+// priority (refused by the push layout's decoder), or with every row of
+// a width not the learner's (refused by the learner) is refused whole,
+// by row and field, before it reaches the statistics or the replay, and
+// an honest push afterwards, on the same connection, is accepted.
+// Without the vetting one such push reached the replay and a few
+// updates later every weight of the broadcast policy was NaN.
 func TestPushRejectsMalformedExperience(t *testing.T) {
 	serve := func() (*Learner, *Server, *RemoteLearner) {
 		learner := rpcLearner(t)
@@ -116,6 +118,26 @@ func TestPushRejectsMalformedExperience(t *testing.T) {
 		if got := learner.Agent().BufferLen(); got != before+2 {
 			t.Errorf("%s: replay holds %d after an honest push, want %d", tc.name, got, before+2)
 		}
+	}
+
+	// Every row one width, but not the learner's: the layout carries
+	// the batch, and the learner refuses it whole.
+	wide := rpcBatch(3)
+	for i := range wide {
+		wide[i].State, wide[i].NextState = append(wide[i].State, 5), append(wide[i].NextState, 5)
+	}
+	before, stats := learner.Agent().BufferLen(), srv.Service().ActorStats()[0]
+	if err := client.PushExperience(wide); err == nil || !strings.Contains(err.Error(), "learner of 4 and 3") {
+		t.Errorf("push of 5-wide states to a 4-wide learner: %v", err)
+	}
+	if got := learner.Agent().BufferLen(); got != before {
+		t.Errorf("wrong-width push: replay grew from %d to %d", before, got)
+	}
+	if got := srv.Service().ActorStats()[0]; got != stats {
+		t.Errorf("wrong-width push changed the actor's stats: %+v, was %+v", got, stats)
+	}
+	if err := client.PushExperience(rpcBatch(2)); err != nil {
+		t.Errorf("honest push after the wrong-width push: %v", err)
 	}
 
 	// The poisoning push, on a fresh learner: a truncated state and a

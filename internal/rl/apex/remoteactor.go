@@ -211,8 +211,13 @@ func (r *RemoteLearner) Register() (int, error) {
 
 // PushExperience implements LearnerAPI, tagging the batch with the
 // actor's rank, registration epoch and current parameter version and
-// latching the learner's drain signal from the reply.
+// latching the learner's drain signal from the reply. A ragged batch
+// is refused before the call, naming the row and the field: the push
+// layout carries one state and one action width.
 func (r *RemoteLearner) PushExperience(batch []Experience) error {
+	if err := checkRectangular(batch); err != nil {
+		return err
+	}
 	var reply PushReply
 	err := r.call("Learner.Push", func(c *rpcutil.Conn) error {
 		r.mu.Lock()
@@ -225,6 +230,28 @@ func (r *RemoteLearner) PushExperience(batch []Experience) error {
 	}
 	if reply.Drain {
 		r.drain.Store(true)
+	}
+	return nil
+}
+
+// checkRectangular refuses a batch unless every row's State and
+// NextState are as long as row 0's State and every Action as long as
+// row 0's.
+func checkRectangular(batch []Experience) error {
+	if len(batch) == 0 {
+		return nil
+	}
+	stateDim, actionDim := len(batch[0].State), len(batch[0].Action)
+	for i := range batch {
+		e := &batch[i]
+		for _, f := range [...]struct {
+			name     string
+			got, dim int
+		}{{"State", len(e.State), stateDim}, {"Action", len(e.Action), actionDim}, {"NextState", len(e.NextState), stateDim}} {
+			if f.got != f.dim {
+				return fmt.Errorf("apex: push row %d: %s has %d entries, want %d as in row 0", i, f.name, f.got, f.dim)
+			}
+		}
 	}
 	return nil
 }
@@ -247,7 +274,7 @@ func (r *RemoteLearner) PullParams(haveVersion int) (int, []byte, error) {
 	return reply.Version, reply.ActorBytes, nil
 }
 
-// RetainsExperience implements LearnerAPI: pushes are gob-serialized
+// RetainsExperience implements LearnerAPI: pushes are encoded as rows
 // inside the synchronous call (even across redials the batch is fully
 // encoded per attempt), so the caller's slices are free for reuse when
 // PushExperience returns.

@@ -1,25 +1,47 @@
 package apex
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"greennfv/internal/rl/replay"
 	"greennfv/internal/rpcutil"
 )
 
 // The RPC transport lets actors run in separate processes or on
 // separate machines, matching the paper's six-node deployment where
 // NF controllers on the chain-hosting servers feed one central
-// learner. The transport is internal/rpcutil; these messages have no
-// layout of their own, so each crosses as one gob value inside a frame
-// — a push or a pull is hundreds of transitions or a whole parameter
-// frame, which amortises gob. The trainer's remote
+// learner. The transport is internal/rpcutil; the trainer's remote
 // mode (remote.go) serves a Learner here and spawns cmd/apexactor
 // processes against it; LearnerService adds the connection lifecycle.
+//
+// The six messages implement rpcutil.Wire. Every field is fixed-width
+// little-endian, as in the trainer checkpoint (ints as two's-complement
+// 64-bit), every count is checked against the bytes present before
+// anything is sized by it, and a body with bytes left over is an error:
+//
+//	RegisterArgs   i64 actorID
+//	RegisterReply  i64 version | u64 epoch
+//	PushArgs       i64 actorID | u64 epoch | i64 version |
+//	               u32 S | u32 A | u32 n | n × row (replay.AppendRow);
+//	               S = A = 0 when n is 0, both at least 1 otherwise
+//	PushReply      i64 accepted | u8 drain (0, 1)
+//	PullArgs       i64 haveVersion | i64 actorID | u64 epoch
+//	PullReply      i64 version | the parameter frame, to the end
+//
+// A push row is the replay snapshot's row with the experience's raw
+// priority in the leaf slot, so PushArgs.ReadWire vets what it reads
+// with the replay's own decoder (replay.ReadRows): a non-finite float,
+// a negative priority or a done byte other than 0 or 1 gets the push
+// refused by row and field before it reaches the service. The layout
+// carries one state and one action width per push, so a push is
+// rectangular by construction; LearnerService.Push compares the widths
+// with the learner's.
 //
 // Fault-tolerance contract: every Push/Pull carries the actor's
 // (ID, epoch) pair issued by Register. A call without a live
@@ -56,8 +78,59 @@ var (
 // rejection, locally or over RPC.
 func IsUnregisteredActor(err error) bool { return rpcutil.Matches(err, ErrUnregisteredActor) }
 
+// errBadWire refuses a message body that is not its layout.
+var errBadWire = errors.New("apex: malformed message")
+
+// le is the byte order of every apex layout.
+var le = binary.LittleEndian
+
+// RegisterArgs announces an actor to the learner.
+type RegisterArgs struct {
+	ActorID int
+}
+
+// AppendWire implements rpcutil.Wire.
+func (a *RegisterArgs) AppendWire(dst []byte) []byte {
+	return le.AppendUint64(dst, uint64(int64(a.ActorID)))
+}
+
+// ReadWire implements rpcutil.Wire.
+func (a *RegisterArgs) ReadWire(body []byte) error {
+	if len(body) != 8 {
+		return errBadWire
+	}
+	a.ActorID = int(int64(le.Uint64(body)))
+	return nil
+}
+
+// RegisterReply returns the current parameter version, so a fresh
+// actor can pull immediately, and the epoch it must echo in every call.
+type RegisterReply struct {
+	Version int
+	Epoch   uint64
+}
+
+// AppendWire implements rpcutil.Wire.
+func (r *RegisterReply) AppendWire(dst []byte) []byte {
+	dst = le.AppendUint64(dst, uint64(int64(r.Version)))
+	return le.AppendUint64(dst, r.Epoch)
+}
+
+// ReadWire implements rpcutil.Wire.
+func (r *RegisterReply) ReadWire(body []byte) error {
+	if len(body) != 16 {
+		return errBadWire
+	}
+	r.Version, r.Epoch = int(int64(le.Uint64(body))), le.Uint64(body[8:])
+	return nil
+}
+
 // PushArgs is the RPC request for experience submission.
 type PushArgs struct {
+	// Batch is the experience, rows of one state and one action width
+	// (RemoteLearner.PushExperience refuses a ragged batch before the
+	// call; AppendWire writes every row at the widths of row 0's State
+	// and Action, which only a rectangular batch fills).
 	Batch []Experience
 	// ActorID identifies the pushing actor (its rank) for the
 	// learner-side per-actor statistics.
@@ -70,6 +143,62 @@ type PushArgs struct {
 	Version int
 }
 
+// pushHeaderLen is a PushArgs before its rows: actor ID, epoch,
+// version, S, A, n.
+const pushHeaderLen = 3*8 + 3*4
+
+// AppendWire implements rpcutil.Wire.
+func (a *PushArgs) AppendWire(dst []byte) []byte {
+	var stateDim, actionDim int
+	if len(a.Batch) > 0 {
+		stateDim, actionDim = len(a.Batch[0].State), len(a.Batch[0].Action)
+	}
+	dst = le.AppendUint64(dst, uint64(int64(a.ActorID)))
+	dst = le.AppendUint64(dst, a.Epoch)
+	dst = le.AppendUint64(dst, uint64(int64(a.Version)))
+	dst = le.AppendUint32(dst, uint32(stateDim))
+	dst = le.AppendUint32(dst, uint32(actionDim))
+	dst = le.AppendUint32(dst, uint32(len(a.Batch)))
+	for i := range a.Batch {
+		e := &a.Batch[i]
+		dst = replay.AppendRow(dst, e.Priority, replay.Transition{
+			State: e.State, Action: e.Action, Reward: e.Reward, NextState: e.NextState, Done: e.Done})
+	}
+	return dst
+}
+
+// ReadWire implements rpcutil.Wire. The rows must fill the body at the
+// declared widths, which an empty push declares as 0 and a non-empty
+// one as at least 1, and pass replay.ReadRows. Batch is new storage,
+// one backing array for every row's floats, which the replay keeps; it
+// is nil when the push carries no rows.
+func (a *PushArgs) ReadWire(body []byte) error {
+	if len(body) < pushHeaderLen {
+		return fmt.Errorf("apex: push of %d bytes, shorter than its %d-byte header", len(body), pushHeaderLen)
+	}
+	stateDim, actionDim, n := le.Uint32(body[24:]), le.Uint32(body[28:]), le.Uint32(body[32:])
+	rows := body[pushHeaderLen:]
+	if (n == 0) != (stateDim == 0) || (n == 0) != (actionDim == 0) {
+		return fmt.Errorf("apex: push of %d rows %d/%d wide", n, stateDim, actionDim)
+	}
+	width := uint64(replay.RowLen(int(stateDim), int(actionDim)))
+	if hi, size := bits.Mul64(uint64(n), width); hi != 0 || size != uint64(len(rows)) {
+		return fmt.Errorf("apex: push of %d rows of %d bytes in %d", n, width, len(rows))
+	}
+	var batch []Experience
+	if n > 0 {
+		batch = make([]Experience, n)
+	}
+	if err := replay.ReadRows(rows, int(stateDim), int(actionDim), func(i int, leaf float64, t replay.Transition) {
+		batch[i] = Experience{State: t.State, Action: t.Action, Reward: t.Reward, NextState: t.NextState, Done: t.Done, Priority: leaf}
+	}); err != nil {
+		return fmt.Errorf("apex: push: %w", err)
+	}
+	a.ActorID, a.Epoch, a.Version = int(int64(le.Uint64(body))), le.Uint64(body[8:]), int(int64(le.Uint64(body[16:])))
+	a.Batch = batch
+	return nil
+}
+
 // PushReply acknowledges a push.
 type PushReply struct {
 	Accepted int
@@ -79,16 +208,22 @@ type PushReply struct {
 	Drain bool
 }
 
-// RegisterArgs announces an actor to the learner.
-type RegisterArgs struct {
-	ActorID int
+// AppendWire implements rpcutil.Wire.
+func (r *PushReply) AppendWire(dst []byte) []byte {
+	drain := byte(0)
+	if r.Drain {
+		drain = 1
+	}
+	return append(le.AppendUint64(dst, uint64(int64(r.Accepted))), drain)
 }
 
-// RegisterReply returns the current parameter version, so a fresh
-// actor can pull immediately, and the epoch it must echo in every call.
-type RegisterReply struct {
-	Version int
-	Epoch   uint64
+// ReadWire implements rpcutil.Wire.
+func (r *PushReply) ReadWire(body []byte) error {
+	if len(body) != 9 || body[8] > 1 {
+		return errBadWire
+	}
+	r.Accepted, r.Drain = int(int64(le.Uint64(body))), body[8] == 1
+	return nil
 }
 
 // PullArgs requests parameters newer than HaveVersion, authenticated
@@ -101,11 +236,46 @@ type PullArgs struct {
 	Epoch   uint64
 }
 
-// PullReply carries the current version and, when newer, the
-// serialized actor network.
+// AppendWire implements rpcutil.Wire.
+func (a *PullArgs) AppendWire(dst []byte) []byte {
+	dst = le.AppendUint64(dst, uint64(int64(a.HaveVersion)))
+	dst = le.AppendUint64(dst, uint64(int64(a.ActorID)))
+	return le.AppendUint64(dst, a.Epoch)
+}
+
+// ReadWire implements rpcutil.Wire.
+func (a *PullArgs) ReadWire(body []byte) error {
+	if len(body) != 24 {
+		return errBadWire
+	}
+	a.HaveVersion, a.ActorID, a.Epoch = int(int64(le.Uint64(body))), int(int64(le.Uint64(body[8:]))), le.Uint64(body[16:])
+	return nil
+}
+
+// PullReply carries the current version and, when newer, the actor
+// network's parameter frame (nil otherwise).
 type PullReply struct {
 	Version    int
 	ActorBytes []byte
+}
+
+// AppendWire implements rpcutil.Wire.
+func (r *PullReply) AppendWire(dst []byte) []byte {
+	return append(le.AppendUint64(dst, uint64(int64(r.Version))), r.ActorBytes...)
+}
+
+// ReadWire implements rpcutil.Wire. ActorBytes is a copy, nil when the
+// reply carries no frame; the actor checks the frame when it loads it
+// (ddpg.View.LoadActorBytes).
+func (r *PullReply) ReadWire(body []byte) error {
+	if len(body) < 8 {
+		return errBadWire
+	}
+	r.Version, r.ActorBytes = int(int64(le.Uint64(body))), nil
+	if len(body) > 8 {
+		r.ActorBytes = append([]byte(nil), body[8:]...)
+	}
+	return nil
 }
 
 // ActorStats is the learner-side record of one remote actor's
@@ -198,14 +368,17 @@ func (s *LearnerService) checkActor(id int, epoch uint64) (*actorRec, error) {
 // pushed while the service is draining is still accepted (the
 // experience is real; dropping it would waste actor work), but the
 // reply tells the actor to stop. Unregistered or superseded callers,
-// and batches with a malformed row (vetExperience), are rejected
-// before the batch touches the statistics or the replay.
+// and batches whose widths are not the learner's, are rejected before
+// the batch touches the statistics or the replay; ReadWire has already
+// refused a malformed row.
 func (s *LearnerService) Push(args *PushArgs, reply *PushReply) error {
 	s.mu.Lock()
 	rec, err := s.checkActor(args.ActorID, args.Epoch)
-	if err == nil {
-		cfg := s.learner.agent.Config()
-		err = vetExperience(args.Batch, cfg.StateDim, cfg.ActionDim)
+	if cfg := s.learner.agent.Config(); err == nil && len(args.Batch) > 0 {
+		if e := &args.Batch[0]; len(e.State) != cfg.StateDim || len(e.Action) != cfg.ActionDim {
+			err = fmt.Errorf("apex: push of %d-wide states and %d-wide actions to a learner of %d and %d",
+				len(e.State), len(e.Action), cfg.StateDim, cfg.ActionDim)
+		}
 	}
 	if err != nil {
 		s.mu.Unlock()
@@ -223,40 +396,6 @@ func (s *LearnerService) Push(args *PushArgs, reply *PushReply) error {
 	}
 	reply.Accepted = len(args.Batch)
 	reply.Drain = s.drain.Load()
-	return nil
-}
-
-// vetExperience refuses a batch arriving from outside the process
-// unless every row has stateDim State and NextState entries and
-// actionDim Action entries, all finite, a finite Reward and a finite,
-// non-negative Priority. The replay copies rows without looking, so one
-// short or NaN row would otherwise poison every later update and the
-// policy broadcast from it.
-func vetExperience(batch []Experience, stateDim, actionDim int) error {
-	finite := func(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
-	for i := range batch {
-		e := &batch[i]
-		for _, f := range [...]struct {
-			name string
-			v    []float64
-			dim  int
-		}{{"State", e.State, stateDim}, {"Action", e.Action, actionDim}, {"NextState", e.NextState, stateDim}} {
-			if len(f.v) != f.dim {
-				return fmt.Errorf("apex: push row %d: %s has %d entries, want %d", i, f.name, len(f.v), f.dim)
-			}
-			for j, x := range f.v {
-				if !finite(x) {
-					return fmt.Errorf("apex: push row %d: %s[%d] is %v", i, f.name, j, x)
-				}
-			}
-		}
-		if !finite(e.Reward) {
-			return fmt.Errorf("apex: push row %d: Reward is %v", i, e.Reward)
-		}
-		if !finite(e.Priority) || e.Priority < 0 {
-			return fmt.Errorf("apex: push row %d: Priority is %v", i, e.Priority)
-		}
-	}
 	return nil
 }
 

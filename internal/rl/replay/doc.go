@@ -58,6 +58,13 @@
 // that does not know the stripe count reads it off SplitState and
 // builds the buffer to match (ddpg.Agent.LoadState does).
 //
+// A stored transition crosses every boundary as one row: its leaf, then
+// its fields, written by AppendRow and read by ReadRows, which refuses a
+// non-finite float, a negative leaf or a done byte other than 0 or 1.
+// The snapshot is rows behind stripe headers, and an Ape-X push
+// (internal/rl/apex) is rows behind the pushing actor's header, its
+// leaf slot the actor's raw priority.
+//
 // # Concurrency
 //
 // Both buffers are goroutine-safe. Uniform uses one mutex; Prioritized

@@ -377,9 +377,10 @@ func (zeroSource) Seed(int64)   {}
 // indexing the empty shard it starts in.
 func TestShardedSampleSkipsEmptyShards(t *testing.T) {
 	s, _ := NewSharded(8, 2, 0.6, 0.4, 0, 1)
-	st := snapshotBytes(0.4, 0, stripe{}, stripe{count: 1, next: 1, maxPrior: 1, leaves: []float64{math.Inf(1)}})
-	if err := s.LoadState(st, trDim, trDim); err != nil {
-		t.Fatal(err)
+	s.ingest.Store(1) // the next add lands in shard 1
+	s.AddWithPriority(tr(0), math.Inf(1))
+	if s.shards[0].count != 0 || !math.IsInf(s.shards[1].tree.get(0), 1) {
+		t.Fatal("setup: want shard 0 empty and shard 1's one leaf infinite")
 	}
 	_, indices, _ := s.Sample(rand.New(zeroSource{}), 4)
 	for j, idx := range indices {

@@ -19,30 +19,125 @@ import (
 //	uint32 K, the stripe count; float64 β; uint64 the ingest cursor
 //	K × (int64 count, int64 next, float64 the maximal raw priority)
 //	each stripe's slots [0, count) in order (a ring wraps only when
-//	full, so these are the live ones), each a row of 8·(2S+A+2)+1
-//	bytes: float64 leaf; float64 × S state, × A action, reward, × S
-//	next state; byte done
+//	full, so these are the live ones), each a row (below) whose leaf
+//	is the slot's sum-tree leaf
 
 const (
 	snapshotHeaderLen = 4 + 8 + 8
 	stripeHeaderLen   = 8 + 8 + 8
 )
 
-// rowLen is the bytes one stored transition takes.
-func rowLen(stateDim, actionDim int) int { return 8*(2*stateDim+actionDim+2) + 1 }
+// A row is one transition and the float64 in front of it, the leaf:
+// a snapshot's sum-tree leaf (the priority raised to α), or the raw
+// priority an Ape-X actor pushes (internal/rl/apex). It is the one
+// encoding of a transition anywhere, written by AppendRow and read
+// and vetted by ReadRows. Little-endian, at widths S (state) and A
+// (action), 8·(2S+A+2)+1 bytes:
+//
+//	float64 leaf | float64 × S state | × A action | reward |
+//	× S next state | byte done
+
+// RowLen is the bytes one row takes at these widths.
+func RowLen(stateDim, actionDim int) int { return 8*(2*stateDim+actionDim+2) + 1 }
+
+// AppendRow appends t's row with leaf in front. t's State and
+// NextState must be equally long: the row records one state width.
+func AppendRow(dst []byte, leaf float64, t Transition) []byte {
+	dst = appendFloats(dst, leaf)
+	dst = appendFloats(dst, t.State...)
+	dst = appendFloats(dst, t.Action...)
+	dst = appendFloats(dst, t.Reward)
+	dst = appendFloats(dst, t.NextState...)
+	done := byte(0)
+	if t.Done {
+		done = 1
+	}
+	return append(dst, done)
+}
+
+func appendFloats(dst []byte, vs ...float64) []byte {
+	for _, v := range vs {
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
+	}
+	return dst
+}
+
+// ReadRows checks that rows is whole rows at these widths and nothing
+// else, with every float finite, every leaf non-negative and every
+// done byte 0 or 1, naming the first row and field that is not. Then,
+// unless put is nil (a check that allocates nothing), it decodes the
+// rows in order and hands each to put. A refused run reaches put not
+// at all. The transitions share one new backing array and none aliases
+// rows, so a caller may keep them after rows is reused.
+func ReadRows(rows []byte, stateDim, actionDim int, put func(i int, leaf float64, t Transition)) error {
+	width := RowLen(stateDim, actionDim)
+	if len(rows)%width != 0 {
+		return fmt.Errorf("replay: %d bytes are not whole rows of %d", len(rows), width)
+	}
+	n := len(rows) / width
+	le := binary.LittleEndian
+	for i := 0; i < n; i++ {
+		row := rows[width*i : width*(i+1)]
+		for k := 0; 8*k < width-1; k++ {
+			bits := le.Uint64(row[8*k:])
+			if v := math.Float64frombits(bits); bits&expMask == expMask || k == 0 && v < 0 {
+				return fmt.Errorf("replay: row %d: %s is %v", i, fieldName(k, stateDim, actionDim), v)
+			}
+		}
+		if done := row[width-1]; done > 1 {
+			return fmt.Errorf("replay: row %d: Done byte is %d, not 0 or 1", i, done)
+		}
+	}
+	if put == nil {
+		return nil
+	}
+	floats := 2*stateDim + actionDim + 1
+	vals := make([]float64, n*floats)
+	for i := 0; i < n; i++ {
+		row, v := rows[width*i:], vals[floats*i:floats*(i+1):floats*(i+1)]
+		for k := range v {
+			v[k] = math.Float64frombits(le.Uint64(row[8+8*k:]))
+		}
+		put(i, math.Float64frombits(le.Uint64(row)), Transition{
+			State:     v[:stateDim:stateDim],
+			Action:    v[stateDim : stateDim+actionDim : stateDim+actionDim],
+			Reward:    v[stateDim+actionDim],
+			NextState: v[stateDim+actionDim+1:],
+			Done:      row[width-1] == 1,
+		})
+	}
+	return nil
+}
+
+// expMask is a float64's exponent bits, all set only in NaN and ±Inf.
+const expMask = 0x7ff << 52
+
+// fieldName names a row's k-th float by the field it holds; the leaf
+// is a priority in both of a row's uses.
+func fieldName(k, stateDim, actionDim int) string {
+	switch {
+	case k == 0:
+		return "Priority"
+	case k <= stateDim:
+		return fmt.Sprintf("State[%d]", k-1)
+	case k <= stateDim+actionDim:
+		return fmt.Sprintf("Action[%d]", k-1-stateDim)
+	case k == stateDim+actionDim+1:
+		return "Reward"
+	}
+	return fmt.Sprintf("NextState[%d]", k-2-stateDim-actionDim)
+}
 
 // AppendState appends the buffer's snapshot, one stripe lock at a time
 // (ingest keeps flowing; per-stripe consistency is all a crash-recovery
 // checkpoint needs). A transition of other widths is an error.
 func (p *Prioritized) AppendState(dst []byte, stateDim, actionDim int) ([]byte, error) {
 	le := binary.LittleEndian
-	// binary.Append fails only on data of no fixed size.
-	f64 := func(vs ...float64) { dst, _ = binary.Append(dst, le, vs) }
 	p.sampleMu.Lock()
 	beta := p.beta
 	p.sampleMu.Unlock()
 	dst = le.AppendUint32(dst, uint32(len(p.shards)))
-	f64(beta)
+	dst = le.AppendUint64(dst, math.Float64bits(beta))
 	dst = le.AppendUint64(dst, p.ingest.Load())
 	headers := len(dst)
 	dst = append(dst, make([]byte, stripeHeaderLen*len(p.shards))...)
@@ -59,12 +154,7 @@ func (p *Prioritized) AppendState(dst []byte, stateDim, actionDim int) ([]byte, 
 				return nil, fmt.Errorf("replay: a stored transition is %d/%d/%d wide, not %d/%d/%d",
 					len(t.State), len(t.Action), len(t.NextState), stateDim, actionDim, stateDim)
 			}
-			f64(sh.tree.get(i))
-			f64(t.State...)
-			f64(t.Action...)
-			f64(t.Reward)
-			f64(t.NextState...)
-			dst, _ = binary.Append(dst, le, t.Done)
+			dst = AppendRow(dst, sh.tree.get(i), t)
 		}
 		sh.mu.Unlock()
 	}
@@ -77,7 +167,7 @@ func (p *Prioritized) AppendState(dst []byte, stateDim, actionDim int) ([]byte, 
 // stripe's fill level must fit, its cursor be where a ring of that fill
 // level has it (next == count until the ring is full, then 0 ≤ next <
 // capacity; anything else indexes outside the storage at the next Add),
-// its rows be present, every done byte 0 or 1 and no leaf NaN or < 0.
+// and its rows be present and pass ReadRows.
 func SplitState(b []byte, capacity, stateDim, actionDim int) (state []byte, stripes int, rest []byte, err error) {
 	le := binary.LittleEndian
 	if len(b) < snapshotHeaderLen {
@@ -98,14 +188,12 @@ func SplitState(b []byte, capacity, stateDim, actionDim int) (state []byte, stri
 		}
 		rows += count
 	}
-	width := uint64(rowLen(stateDim, actionDim))
+	width := uint64(RowLen(stateDim, actionDim))
 	if hi, size := bits.Mul64(rows, width); hi != 0 || size > uint64(len(body)) {
 		return nil, 0, nil, errors.New("replay: snapshot is truncated")
 	}
-	for row := body[:rows*width]; len(row) > 0; row = row[width:] {
-		if leaf := math.Float64frombits(le.Uint64(row)); math.IsNaN(leaf) || leaf < 0 || row[width-1] > 1 {
-			return nil, 0, nil, errors.New("replay: snapshot row with a NaN or negative leaf or a done byte other than 0 or 1")
-		}
+	if err := ReadRows(body[:rows*width], stateDim, actionDim, nil); err != nil {
+		return nil, 0, nil, err
 	}
 	end := len(b) - len(body) + int(rows*width)
 	return b[:end], int(k), b[end:], nil
@@ -114,7 +202,8 @@ func SplitState(b []byte, capacity, stateDim, actionDim int) (state []byte, stri
 // LoadState restores a snapshot, checked whole as SplitState checks it
 // before the first stripe is written, into this still empty buffer of
 // the snapshot's stripe count. A stripe's transitions share one backing
-// array, which nothing writes: a slot is only ever replaced whole.
+// array (ReadRows), which nothing writes: a slot is only ever replaced
+// whole.
 func (p *Prioritized) LoadState(state []byte, stateDim, actionDim int) error {
 	if p.count.Load() != 0 {
 		return errors.New("replay: restore target already holds experience")
@@ -128,7 +217,7 @@ func (p *Prioritized) LoadState(state []byte, stateDim, actionDim int) error {
 	}
 	le := binary.LittleEndian
 	rows := state[snapshotHeaderLen+stripeHeaderLen*stripes:]
-	width, floats := rowLen(stateDim, actionDim), 2*stateDim+actionDim+1
+	width := RowLen(stateDim, actionDim)
 	total := 0
 	for k := range p.shards {
 		h := state[snapshotHeaderLen+stripeHeaderLen*k:]
@@ -139,14 +228,11 @@ func (p *Prioritized) LoadState(state []byte, stateDim, actionDim int) error {
 		if sh.count > 0 {
 			sh.data = make([]Transition, sh.count)
 		}
-		vals := make([]float64, sh.count*floats)
-		for i := range sh.data {
-			row, v := rows[width*i:], vals[floats*i:floats*(i+1):floats*(i+1)]
-			sh.tree.set(i, math.Float64frombits(le.Uint64(row)))
-			_, _ = binary.Decode(row[8:], le, v) // SplitState saw the row whole
-			sh.data[i] = Transition{State: v[:stateDim:stateDim], Action: v[stateDim : stateDim+actionDim : stateDim+actionDim],
-				Reward: v[stateDim+actionDim], NextState: v[stateDim+actionDim+1:], Done: row[width-1] == 1}
-		}
+		// SplitState passed these rows.
+		_ = ReadRows(rows[:width*sh.count], stateDim, actionDim, func(i int, leaf float64, t Transition) {
+			sh.tree.set(i, leaf)
+			sh.data[i] = t
+		})
 		rows = rows[width*sh.count:]
 		total += sh.count
 		sh.mu.Unlock()

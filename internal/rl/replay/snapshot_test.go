@@ -12,11 +12,13 @@ import (
 const trDim = 1
 
 // stripe is one stripe of a hand-made snapshot: its header and leaves,
-// the rows holding tr(0), tr(1), ….
+// the rows holding row(0), row(1), …, or tr(0), tr(1), … when row is
+// nil.
 type stripe struct {
 	count, next int
 	maxPrior    float64
 	leaves      []float64
+	row         func(i int) Transition
 }
 
 // snapshotBytes lays out a snapshot of these stripes as AppendState
@@ -40,6 +42,9 @@ func snapshotBytes(beta float64, ingest uint64, stripes ...stripe) []byte {
 	for _, s := range stripes {
 		for i, leaf := range s.leaves {
 			t := tr(float64(i))
+			if s.row != nil {
+				t = s.row(i)
+			}
 			b = f64(b, leaf, t.State[0], t.Action[0], t.Reward, t.NextState[0])
 			b = append(b, 0)
 		}
@@ -78,7 +83,7 @@ func decodeSnapshot(t *testing.T, b []byte, capacity int) decoded {
 	f64 := func(at int) float64 { return math.Float64frombits(le.Uint64(state[at:])) }
 	d := decoded{beta: f64(4), ingest: le.Uint64(state[12:])}
 	rows := snapshotHeaderLen + stripeHeaderLen*k
-	width := rowLen(trDim, trDim)
+	width := RowLen(trDim, trDim)
 	for i := 0; i < k; i++ {
 		h := snapshotHeaderLen + stripeHeaderLen*i
 		count := int(le.Uint64(state[h:]))
@@ -251,7 +256,7 @@ func TestSnapshotCapacityMismatch(t *testing.T) {
 	// Corrupt leaves: NaN or negative priorities are refused.
 	for _, bad := range []float64{math.NaN(), -1} {
 		corrupt := bytes.Clone(st)
-		at := snapshotHeaderLen + stripeHeaderLen + 2*rowLen(trDim, trDim)
+		at := snapshotHeaderLen + stripeHeaderLen + 2*RowLen(trDim, trDim)
 		binary.LittleEndian.PutUint64(corrupt[at:], math.Float64bits(bad))
 		target, _ := NewPrioritized(16, 0.6, 0.4, 0)
 		if err := target.LoadState(corrupt, trDim, trDim); err == nil {
@@ -334,6 +339,17 @@ func corruptStripes(capacity int) map[string]stripe {
 		s.leaves[1] = v
 		return s
 	}
+	spoilt := func(spoil func(t *Transition)) stripe {
+		s := at(3, 3)
+		s.row = func(i int) Transition {
+			t := tr(float64(i))
+			if i == 1 {
+				spoil(&t)
+			}
+			return t
+		}
+		return s
+	}
 	return map[string]stripe{
 		"cursor at capacity":          at(capacity, capacity),
 		"cursor past capacity":        at(capacity, capacity+1),
@@ -348,7 +364,11 @@ func corruptStripes(capacity int) map[string]stripe {
 		"NaN leaf":                    leaf(math.NaN()),
 		"negative leaf":               leaf(-1),
 		"negative infinity leaf":      leaf(math.Inf(-1)),
+		"infinite leaf":               leaf(math.Inf(1)),
 		"count without data (forged)": {count: 2, next: 2},
+		"NaN state":                   spoilt(func(t *Transition) { t.State[0] = math.NaN() }),
+		"infinite next state":         spoilt(func(t *Transition) { t.NextState[0] = math.Inf(-1) }),
+		"NaN reward":                  spoilt(func(t *Transition) { t.Reward = math.NaN() }),
 	}
 }
 
@@ -356,8 +376,9 @@ func corruptStripes(capacity int) map[string]stripe {
 // checkpoint file. One whose cursor a ring of its fill level cannot
 // have (reproduced before the fix: Next == capacity and Next < 0 were
 // accepted and the next Add indexed out of range), whose fill level does
-// not fit, whose rows are missing or whose leaves are corrupt is
-// refused at one shard and at two, the refused buffer is untouched —
+// not fit, whose rows are missing, or whose rows hold a float ReadRows
+// refuses (a NaN, infinite or negative leaf, a non-finite state, reward
+// or next state) is refused at one shard and at two, the refused buffer is untouched —
 // every shard of it, also when a later shard is the bad one — and still
 // usable.
 func TestSetStateRejectsCorruptSnapshot(t *testing.T) {

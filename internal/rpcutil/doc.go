@@ -36,23 +36,28 @@
 //
 // A message type that implements Wire crosses as its own layout
 // (kind 1): AppendWire writes it, ReadWire checks and reads it, and
-// this package never looks inside. internal/serve's four messages do,
-// as fixed big-endian layouts (serve/rpc.go), because a fleet sends
-// them every tick. Any other type crosses as one value on a gob
-// encoder/decoder pair the connection keeps for its lifetime (kind 2),
-// so a type's descriptor crosses once, as under net/rpc:
-// internal/rl/apex's Push and Pull, whose payloads are large enough
-// to amortise gob, ride this way. Which path a value takes is a
+// this package never looks inside. Both planes' messages do:
+// internal/serve's four as fixed big-endian layouts (serve/rpc.go),
+// because a fleet sends them every tick, and internal/rl/apex's six as
+// fixed little-endian ones (apex/rpc.go), a push being rows of the
+// replay snapshot's layout. Any other type crosses as one value on a
+// gob encoder/decoder pair the connection keeps for its lifetime
+// (kind 2), so a type's descriptor crosses once, as under net/rpc. Its
+// one sender left is the benchmark's Echo.Ping probe, and kind 2 goes
+// when that probe moves to a layout. Which path a value takes is a
 // property of its type, not an option, and the receiver holds the
 // sender to it: a body whose kind is not the one the receiving type
 // would have been sent as is undecodable.
 //
-// The gob stream is why an undecodable request body is answered with
-// an error and then a hang-up — the decoder may be out of step with
-// the peer's encoder — while a call to an unknown method is answered
-// with an error and the connection lives: the server reads the body
-// into nothing, descriptors included. A handler's error crosses in
-// the error field with no body at all, so it never touches the stream.
+// An undecodable request body is answered with an error,
+// "rpc: undecodable arguments for <method>: " and the decoder's
+// reason. After a refused layout the connection lives: ReadWire read
+// bytes and touched no state. After a refused gob body the server
+// hangs up, because the decoder may be out of step with the peer's
+// encoder. A call to an unknown method is answered with an error and
+// the connection lives: the server reads the body into nothing,
+// descriptors included. A handler's error crosses in the error field
+// with no body at all, so it never touches the stream.
 //
 // # Ordering
 //

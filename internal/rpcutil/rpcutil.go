@@ -384,16 +384,24 @@ func (s *Server) serveConn(conn net.Conn) {
 			errMsg string
 			hangUp bool
 		)
-		if h, ok := s.handlers[string(f.method)]; !ok {
+		h, ok := s.handlers[string(f.method)]
+		var decodeErr error
+		if ok {
+			in[1] = reflect.New(h.args)
+			decodeErr = l.decodeBody(f.kind, f.body, in[1].Interface())
+		}
+		switch {
+		case !ok:
 			s.rejected.Add(1)
 			errMsg = "rpc: can't find method " + string(f.method)
 			hangUp = l.decodeBody(f.kind, f.body, nil) != nil
-		} else if in[1] = reflect.New(h.args); l.decodeBody(f.kind, f.body, in[1].Interface()) != nil {
-			// The gob stream may be out of step: answer, then hang up.
+		case decodeErr != nil:
+			// A refused layout touched nothing; a refused gob body may
+			// have left the stream out of step: answer, then hang up.
 			s.rejected.Add(1)
-			errMsg = "rpc: undecodable arguments for " + string(f.method)
-			hangUp = true
-		} else {
+			errMsg = "rpc: undecodable arguments for " + string(f.method) + ": " + decodeErr.Error()
+			hangUp = f.kind == kindGob
+		default:
 			// Fresh values per call: a handler may keep them.
 			in[2] = reflect.New(h.reply)
 			s.calls.Add(1)

@@ -178,8 +178,9 @@ func TestGobAndWireBodiesInterleave(t *testing.T) {
 	}
 }
 
-// An argument the server cannot decode is answered with an error and
-// then a hang-up: here a gob body where the method takes a layout.
+// A gob body the server cannot decode is answered with an error and
+// then a hang-up, since the gob stream may be out of step: here a gob
+// body where the method takes a layout.
 func TestUndecodableBodyIsAnsweredThenHungUp(t *testing.T) {
 	m, srv := serveMixed(t)
 	conn, err := Dial(srv.Addr(), 5*time.Second)
@@ -197,6 +198,38 @@ func TestUndecodableBodyIsAnsweredThenHungUp(t *testing.T) {
 	}
 	if st := srv.Stats(); st.Calls != 0 || st.Rejected != 1 || m.undecoded.Load() != 0 {
 		t.Errorf("stats %+v, undecoded %d; want no call, 1 rejected", st, m.undecoded.Load())
+	}
+}
+
+// shortBlob lays out a blob whose length byte claims more than follows.
+type shortBlob struct{}
+
+func (shortBlob) AppendWire(dst []byte) []byte { return append(dst, 5, 'a') }
+func (shortBlob) ReadWire([]byte) error        { return errors.New("shortBlob: write-only") }
+
+// A layout the method's ReadWire refuses is answered with ReadWire's
+// reason and the connection lives: a layout touches no stream state.
+func TestRefusedLayoutIsAnsweredAndKept(t *testing.T) {
+	m, srv := serveMixed(t)
+	conn, err := Dial(srv.Addr(), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	var se ServerError
+	err = conn.Call("Mixed.Reverse", shortBlob{}, &blob{})
+	if !errors.As(err, &se) || string(se) != "rpc: undecodable arguments for Mixed.Reverse: blob: bad length" {
+		t.Fatalf("refused layout: %v, want a ServerError with ReadWire's reason", err)
+	}
+	if st := srv.Stats(); st.Calls != 0 || st.Rejected != 1 {
+		t.Errorf("stats after the refusal %+v, want no call and 1 rejected", st)
+	}
+	in, out := blob{Data: []byte("abc")}, blob{}
+	if err := conn.Call("Mixed.Reverse", &in, &out); err != nil || string(out.Data) != "cba" {
+		t.Fatalf("call on the same Conn after the refusal: %q, %v", out.Data, err)
+	}
+	if st := srv.Stats(); st.Calls != 1 || st.Rejected != 1 || m.undecoded.Load() != 0 {
+		t.Errorf("stats %+v, undecoded %d; want 1 call, 1 rejected", st, m.undecoded.Load())
 	}
 }
 
@@ -394,7 +427,8 @@ func TestHostileFramesAreRefused(t *testing.T) {
 			t.Errorf("%s: stats %+v -> %+v, want one more rejection and no call", name, before, after)
 		}
 	}
-	// A bad layout inside a good frame is answered, then hung up on.
+	// A bad layout inside a good frame is answered (the connection
+	// would live; exchange's half-close ends it).
 	got := exchange(t, srv.Addr(), mutate(func(b []byte) { b[16+len("Mixed.Reverse")] = 0x7f }))
 	if len(got) == 0 {
 		t.Error("bad layout: no error reply")

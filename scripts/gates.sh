@@ -29,6 +29,16 @@ gates=(
 	# refused whole. A replay snapshot resumes at its own stripe count,
 	# across GOMAXPROCS and modes, bit for bit.
 	"./internal/rl/apex TestChaosKillResume|TestFleetFailureStopsLearner|TestPushRejectsMalformedExperience|TestTrainerCheckpointResume|TestWriteReadCheckpoint|TestTrainerFingerprint|FuzzTrainerCheckpoint|TestResumeRefusesGobNetworks|TestResumeAcrossGOMAXPROCS|TestResumeRejectsMissingAndMismatched"
+	# The learner's six messages are fixed layouts: each at its length,
+	# a push malformed in any region refused by row and field before
+	# the replay, and whatever a push body holds either refused or read
+	# back byte for byte with every float finite (the fuzz target's
+	# seed run).
+	"./internal/rl/apex TestLearnerMessageLayouts|FuzzPushWire"
+	# No gob on either plane: every RPC method of the learner's and the
+	# controller's services takes and returns rpcutil.Wire types, and a
+	# refused layout is answered on a connection that stays usable.
+	"./internal/rpcutil TestServiceMessagesAreLaidOut|TestRefusedLayoutIsAnsweredAndKept"
 	# One actor, one stepping loop: the in-process driver and round-robin
 	# take identical steps and stamp snapshots on one grid.
 	"./internal/rl/apex TestParallelDriverMatchesRoundRobinStepping|TestParallelSnapshotsOnRoundRobinGrid"
