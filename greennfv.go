@@ -166,10 +166,10 @@ type TrainOptions struct {
 	Steps int
 	// Actors is the Ape-X worker count (default 4).
 	Actors int
-	// Parallel trains with the concurrent Ape-X pipeline — one
-	// batched-acting driver over all actor environments, sharded
-	// replay, prefetched minibatches — (fast, non-deterministic)
-	// instead of the reproducible round-robin interleaving.
+	// Parallel trains with the concurrent Ape-X pipeline — one driver
+	// goroutine stepping the actors one at a time, sharded replay,
+	// prefetched minibatches — (fast, non-deterministic) instead of
+	// the reproducible round-robin interleaving.
 	Parallel bool
 	// Float32 runs the learner's updates through the single-precision
 	// NN fast path (8-lane AVX2 kernels, ~1.3x the update rate) when

@@ -175,7 +175,7 @@ func TestHeterogeneousAggregation(t *testing.T) {
 }
 
 // TestPartialResultsOnError: a failing chain must not destroy the
-// other chains' results (the contract BatchEvaluate does not give).
+// other chains' results.
 func TestPartialResultsOnError(t *testing.T) {
 	topo := Homogeneous(2)
 	w := workload3()

@@ -34,7 +34,7 @@
 //
 // # Partial results
 //
-// Unlike perfmodel.BatchEvaluate's stop-on-first-error contract,
-// EvaluateClusterInto always attempts every chain, so per-chain
-// results survive an individual chain failure.
+// EvaluateClusterInto does not stop at the first failing chain: it
+// attempts every chain, so per-chain results survive an individual
+// chain failure.
 package cluster

@@ -41,7 +41,7 @@ func AblationPER(o Options) (*Table, error) {
 	}
 	// The two arms are independent trainings; run them concurrently.
 	var per, uni float64
-	_, err := pool.ForEach(2, batchWorkers(), func(i int) error {
+	err := pool.ForEach(2, 0, func(i int) error {
 		var err error
 		if i == 0 {
 			per, err = trainEESingle(o, true)

@@ -33,7 +33,6 @@ func FigCluster(o Options) (*Table, []sweep.Result, error) {
 		TrainSteps:   o.TrainSteps,
 		Actors:       o.Actors,
 		ControlSteps: o.ControlSteps,
-		Workers:      batchWorkers(),
 	})
 	if err != nil {
 		return nil, nil, err

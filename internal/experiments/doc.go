@@ -24,13 +24,13 @@
 //
 // The whole suite is byte-diffable: every driver is deterministic
 // given its seeds, map-ordered outputs are sorted before rendering,
-// and the cell formatter's integer fast path is byte-identical to
-// the fmt %.Nf it replaced. Parallelism never changes bytes — the
-// Figure 1–4 grids run through perfmodel.BatchEvaluate and the arms
-// through pool.ForEach, both order-preserving and bit-identical at
-// any worker count, and each arm owns its controller. Trained
-// figures use the deterministic round-robin Ape-X mode, never the
-// parallel or remote modes. The figure-output byte-diff against the
-// previous commit (scripts/figdiff.sh) is the regression gate every
-// perf change must pass.
+// and the cell formatters are the strconv call fmt's %.Nf makes. The
+// Figure 1–4 grids are serial loops, one perfmodel.Evaluate per
+// evaluated point. Parallelism never changes bytes — the arms run
+// through pool.ForEach, which is order-preserving at any worker
+// count, and each arm owns its controller. Trained figures use the
+// deterministic round-robin Ape-X mode, never the parallel or remote
+// modes. The figure-output byte-diff against the previous commit
+// (scripts/figdiff.sh) is the regression gate every perf change must
+// pass.
 package experiments

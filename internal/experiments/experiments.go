@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"strconv"
 	"strings"
 
@@ -176,7 +175,7 @@ type arm struct {
 // equal a serial loop's at any worker count.
 func runArms(arms []arm) ([][]perfmodel.Result, error) {
 	series := make([][]perfmodel.Result, len(arms))
-	_, err := pool.ForEach(len(arms), batchWorkers(), func(i int) error {
+	err := pool.ForEach(len(arms), 0, func(i int) error {
 		a := arms[i]
 		if err := a.c.Prepare(a.env); err != nil {
 			return fmt.Errorf("prepare %s: %w", a.c.Name(), err)
@@ -199,56 +198,9 @@ func snapshots(a arm) []apex.Snapshot {
 	return a.c.(*control.GreenNFV).Trainer().Snapshots
 }
 
-// Cell formatters, byte-identical to the fmt.Sprintf("%.Nf") calls
-// they replaced but ~10× cheaper: Go's strconv takes the big-decimal
-// slow path for the 'f' verb, and profiling showed float formatting
-// was over half of the Fig 1–4 micro-benchmark wall-clock.
-func f1(v float64) string { return fixed(v, 1) }
-func f2(v float64) string { return fixed(v, 2) }
-func f0(v float64) string { return fixed(v, 0) }
+// Cell formatters: the strconv call fmt makes for %.0f, %.1f and
+// %.2f.
+func f0(v float64) string { return strconv.FormatFloat(v, 'f', 0, 64) }
+func f1(v float64) string { return strconv.FormatFloat(v, 'f', 1, 64) }
+func f2(v float64) string { return strconv.FormatFloat(v, 'f', 2, 64) }
 func itoa(v int) string   { return strconv.Itoa(v) }
-
-var (
-	pow10f = [3]float64{1, 10, 100}
-	pow10i = [3]int64{1, 10, 100}
-)
-
-// fixed formats v with prec (0–2) decimal digits exactly as
-// strconv.FormatFloat(v, 'f', prec, 64) would. The fast path scales
-// into an int64 and rounds half away from zero; that matches
-// strconv's exact-decimal rounding whenever the scaled value is
-// farther from a halfway point than the scaling error (< 4 ulps), so
-// anything inside a conservative guard band — along with ties (which
-// strconv rounds to even), NaN, ±Inf and huge magnitudes — falls back
-// to strconv. TestCellFormattersMatchFmt enforces the equivalence.
-func fixed(v float64, prec int) string {
-	abs := math.Abs(v)
-	if !(abs < 1e15) { // NaN, Inf, or beyond the int64 fast path
-		return strconv.FormatFloat(v, 'f', prec, 64)
-	}
-	s := abs * pow10f[prec]
-	fl := math.Floor(s)
-	d := s - fl
-	if math.Abs(d-0.5) <= 1e-9+s*1e-12 {
-		return strconv.FormatFloat(v, 'f', prec, 64)
-	}
-	n := int64(fl)
-	if d > 0.5 {
-		n++
-	}
-	var buf [24]byte
-	b := buf[:0]
-	if math.Signbit(v) {
-		b = append(b, '-')
-	}
-	b = strconv.AppendInt(b, n/pow10i[prec], 10)
-	if prec > 0 {
-		frac := n % pow10i[prec]
-		b = append(b, '.')
-		if prec == 2 {
-			b = append(b, byte('0'+frac/10))
-		}
-		b = append(b, byte('0'+frac%10))
-	}
-	return string(b)
-}

@@ -1,32 +1,14 @@
 package experiments
 
-import (
-	"runtime"
+import "greennfv/internal/perfmodel"
 
-	"greennfv/internal/perfmodel"
-)
-
-// The §3 micro-benchmarks are pure knob-grid sweeps over the analytic
-// model, so all four figures build their grid as a flat job list and
-// fan it through perfmodel.BatchEvaluate: results land at the same
-// index as their job, which keeps row order — and therefore the
-// rendered figure — identical to the serial loops these replaced,
-// while the sweep itself parallelizes across cores.
-
-// batchWorkers is the bounded parallelism of the figure sweeps.
-func batchWorkers() int { return runtime.GOMAXPROCS(0) }
-
-// uniformJob builds one grid point applying knob set k to every NF of
-// the chain, appending the per-NF copies to *flat (the shared backing
-// array for the whole grid) and returning the job.
-func uniformJob(chain perfmodel.ChainSpec, k perfmodel.NFKnobs, tr perfmodel.Traffic,
-	opt perfmodel.EvalOptions, flat *[]perfmodel.NFKnobs) perfmodel.BatchJob {
-	base := len(*flat)
-	for range chain.NFs {
-		*flat = append(*flat, k)
+// uniform returns k repeated once per NF of chain.
+func uniform(chain perfmodel.ChainSpec, k perfmodel.NFKnobs) []perfmodel.NFKnobs {
+	knobs := make([]perfmodel.NFKnobs, len(chain.NFs))
+	for i := range knobs {
+		knobs[i] = k
 	}
-	return perfmodel.BatchJob{Chain: chain, Knobs: (*flat)[base:len(*flat):len(*flat)],
-		Traffic: tr, Options: opt}
+	return knobs
 }
 
 // Fig1 reproduces the LLC-allocation micro-benchmark (paper Figure
@@ -43,26 +25,22 @@ func Fig1() (*Table, error) {
 		Columns: []string{"split", "C1 miss/s", "C2 miss/s", "C1 Gbps", "C2 Gbps",
 			"C1 J/MP", "C2 J/MP"},
 	}
-	splits := []float64{0.9, 0.7, 0.4, 0.2}
 	opt := perfmodel.EvalOptions{BusyPoll: true, NoSleep: true}
-	flat := make([]perfmodel.NFKnobs, 0, len(splits)*(len(heavy.NFs)+len(light.NFs)))
-	jobs := make([]perfmodel.BatchJob, 0, 2*len(splits))
-	for _, split := range splits {
+	for _, split := range []float64{0.9, 0.7, 0.4, 0.2} {
 		kH := perfmodel.NFKnobs{CPUShare: 4, FreqGHz: 2.1, LLCFraction: split / 3,
 			DMABytes: 2 << 20, Batch: 64}
-		jobs = append(jobs, uniformJob(heavy, kH,
-			perfmodel.Traffic{OfferedPPS: 13e6, FrameBytes: 64, Burstiness: 1}, opt, &flat))
+		rH, err := cfg.Evaluate(heavy, uniform(heavy, kH),
+			perfmodel.Traffic{OfferedPPS: 13e6, FrameBytes: 64, Burstiness: 1}, opt)
+		if err != nil {
+			return nil, err
+		}
 		kL := perfmodel.NFKnobs{CPUShare: 1, FreqGHz: 2.1, LLCFraction: (1 - split) / 2,
 			DMABytes: 2 << 20, Batch: 64}
-		jobs = append(jobs, uniformJob(light, kL,
-			perfmodel.Traffic{OfferedPPS: 1e6, FrameBytes: 64, Burstiness: 1}, opt, &flat))
-	}
-	results := perfmodel.PreallocResults(jobs)
-	if err := cfg.BatchEvaluate(jobs, results, batchWorkers()); err != nil {
-		return nil, err
-	}
-	for i, split := range splits {
-		rH, rL := &results[2*i], &results[2*i+1]
+		rL, err := cfg.Evaluate(light, uniform(light, kL),
+			perfmodel.Traffic{OfferedPPS: 1e6, FrameBytes: 64, Burstiness: 1}, opt)
+		if err != nil {
+			return nil, err
+		}
 		t.AddRow(
 			f0(split*100)+"%+"+f0((1-split)*100)+"%",
 			f0(rH.MissesPerSecond/1e3), f0(rL.MissesPerSecond/1e3),
@@ -86,23 +64,14 @@ func Fig2() (*Table, error) {
 	}
 	tr := perfmodel.Traffic{OfferedPPS: 812743, FrameBytes: 1518, Burstiness: 1}
 	opt := perfmodel.EvalOptions{BusyPoll: true, NoSleep: true}
-	var freqs []float64
 	for f := 1.2; f <= 2.1+1e-9; f += 0.1 {
-		freqs = append(freqs, f)
-	}
-	flat := make([]perfmodel.NFKnobs, 0, len(freqs)*len(chain.NFs))
-	jobs := make([]perfmodel.BatchJob, 0, len(freqs))
-	for _, f := range freqs {
 		k := perfmodel.NFKnobs{CPUShare: 2, FreqGHz: f, LLCFraction: 0.15,
 			DMABytes: 2 << 20, Batch: 32}
-		jobs = append(jobs, uniformJob(chain, k, tr, opt, &flat))
-	}
-	results := perfmodel.PreallocResults(jobs)
-	if err := cfg.BatchEvaluate(jobs, results, batchWorkers()); err != nil {
-		return nil, err
-	}
-	for i, f := range freqs {
-		t.AddRow(f1(f), f2(results[i].ThroughputGbps), f0(results[i].EnergyJoules))
+		r, err := cfg.Evaluate(chain, uniform(chain, k), tr, opt)
+		if err != nil {
+			return nil, err
+		}
+		t.AddRow(f1(f), f2(r.ThroughputGbps), f0(r.EnergyJoules))
 	}
 	return t, nil
 }
@@ -119,21 +88,15 @@ func Fig3() (*Table, error) {
 	}
 	tr := perfmodel.Traffic{OfferedPPS: 3e6, FrameBytes: 256, Burstiness: 1}
 	opt := perfmodel.EvalOptions{BusyPoll: true, NoSleep: true}
-	batches := []int{1, 25, 50, 100, 150, 200, 250, 256}
-	flat := make([]perfmodel.NFKnobs, 0, len(batches)*len(chain.NFs))
-	jobs := make([]perfmodel.BatchJob, 0, len(batches))
-	for _, b := range batches {
+	for _, b := range []int{1, 25, 50, 100, 150, 200, 250, 256} {
 		k := perfmodel.NFKnobs{CPUShare: 1, FreqGHz: 2.1, LLCFraction: 0.06,
 			DMABytes: 2 << 20, Batch: b}
-		jobs = append(jobs, uniformJob(chain, k, tr, opt, &flat))
-	}
-	results := perfmodel.PreallocResults(jobs)
-	if err := cfg.BatchEvaluate(jobs, results, batchWorkers()); err != nil {
-		return nil, err
-	}
-	for i, b := range batches {
-		t.AddRow(itoa(b), f2(results[i].ThroughputGbps),
-			f2(results[i].EnergyJoules/1000), f0(results[i].MissesPerSecond/1e4))
+		r, err := cfg.Evaluate(chain, uniform(chain, k), tr, opt)
+		if err != nil {
+			return nil, err
+		}
+		t.AddRow(itoa(b), f2(r.ThroughputGbps),
+			f2(r.EnergyJoules/1000), f0(r.MissesPerSecond/1e4))
 	}
 	return t, nil
 }
@@ -150,27 +113,19 @@ func Fig4() (*Table, error) {
 		Columns: []string{"MB", "Gbps 64B", "Gbps 1518B", "J/MP 64B", "J/MP 1518B"},
 	}
 	opt := perfmodel.EvalOptions{BusyPoll: true, NoSleep: true}
-	mbs := []int64{1, 2, 4, 8, 12, 16, 24, 32, 40}
-	flat := make([]perfmodel.NFKnobs, 0, 2*len(mbs)*len(chain.NFs))
-	jobs := make([]perfmodel.BatchJob, 0, 2*len(mbs))
-	for _, mb := range mbs {
-		for _, fr := range []struct {
-			frame   int
-			offered float64
-		}{{64, 3.0e6}, {1518, 700e3}} {
-			k := perfmodel.NFKnobs{CPUShare: 1, FreqGHz: 2.1, LLCFraction: 0.25,
-				DMABytes: mb << 20, Batch: 64}
-			jobs = append(jobs, uniformJob(chain, k,
-				perfmodel.Traffic{OfferedPPS: fr.offered, FrameBytes: fr.frame, Burstiness: 128},
-				opt, &flat))
+	for _, mb := range []int64{1, 2, 4, 8, 12, 16, 24, 32, 40} {
+		knobs := uniform(chain, perfmodel.NFKnobs{CPUShare: 1, FreqGHz: 2.1,
+			LLCFraction: 0.25, DMABytes: mb << 20, Batch: 64})
+		r64, err := cfg.Evaluate(chain, knobs,
+			perfmodel.Traffic{OfferedPPS: 3.0e6, FrameBytes: 64, Burstiness: 128}, opt)
+		if err != nil {
+			return nil, err
 		}
-	}
-	results := perfmodel.PreallocResults(jobs)
-	if err := cfg.BatchEvaluate(jobs, results, batchWorkers()); err != nil {
-		return nil, err
-	}
-	for i, mb := range mbs {
-		r64, r1518 := &results[2*i], &results[2*i+1]
+		r1518, err := cfg.Evaluate(chain, knobs,
+			perfmodel.Traffic{OfferedPPS: 700e3, FrameBytes: 1518, Burstiness: 128}, opt)
+		if err != nil {
+			return nil, err
+		}
 		t.AddRow(itoa(int(mb)),
 			f2(r64.ThroughputGbps), f2(r1518.ThroughputGbps),
 			f0(r64.EnergyPerMPkt), f0(r1518.EnergyPerMPkt))

@@ -27,10 +27,6 @@
 // recorded figure outputs byte-identical across PRs. EvaluateInto is
 // the zero-alloc path — the caller owns the PerNF scratch and the
 // steady state allocates nothing (Evaluate is a convenience wrapper
-// that allocates fresh results). BatchEvaluate fans a knob grid over
-// the shared bounded worker pool (internal/pool) and is
-// order-preserving and bit-identical at any worker count, so the
-// figure drivers can parallelize without perturbing recorded tables.
-// Config and ChainSpec values are read-only after construction and
-// safe to share between goroutines.
+// that allocates fresh results). Config and ChainSpec values are
+// read-only after construction and safe to share between goroutines.
 package perfmodel

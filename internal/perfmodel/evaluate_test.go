@@ -5,14 +5,23 @@ import (
 	"testing"
 )
 
-// gridJobs builds a deterministic pseudo-random knob grid across the
+// gridPoint is one evaluation of a knob grid: a chain, its per-NF
+// knob settings, the offered traffic and the platform variant.
+type gridPoint struct {
+	chain   ChainSpec
+	knobs   []NFKnobs
+	traffic Traffic
+	opt     EvalOptions
+}
+
+// grid builds a deterministic pseudo-random knob grid across the
 // three calibrated chains, mixed traffic and platform variants — the
 // shape the figure drivers sweep.
-func gridJobs(n int) []BatchJob {
+func grid(n int) []gridPoint {
 	rng := rand.New(rand.NewSource(42))
 	chains := []ChainSpec{StandardChain(), HeavyChain(), LightChain()}
 	b := DefaultBounds()
-	jobs := make([]BatchJob, 0, n)
+	points := make([]gridPoint, 0, n)
 	for i := 0; i < n; i++ {
 		chain := chains[i%len(chains)]
 		knobs := make([]NFKnobs, len(chain.NFs))
@@ -25,21 +34,21 @@ func gridJobs(n int) []BatchJob {
 				Batch:       b.BatchMin + rng.Intn(b.BatchMax-b.BatchMin),
 			}
 		}
-		jobs = append(jobs, BatchJob{
-			Chain: chain,
-			Knobs: knobs,
-			Traffic: Traffic{
+		points = append(points, gridPoint{
+			chain: chain,
+			knobs: knobs,
+			traffic: Traffic{
 				OfferedPPS: 1e5 + rng.Float64()*14e6,
 				FrameBytes: 64 + rng.Intn(1455),
 				Burstiness: rng.Float64() * 8,
 			},
-			Options: EvalOptions{
+			opt: EvalOptions{
 				BusyPoll: i%2 == 0,
 				NoSleep:  i%3 == 0,
 			},
 		})
 	}
-	return jobs
+	return points
 }
 
 func resultsEqual(a, b Result) bool {
@@ -64,79 +73,22 @@ func resultsEqual(a, b Result) bool {
 func TestEvaluateIntoMatchesEvaluate(t *testing.T) {
 	cfg := Default()
 	var scratch Result
-	for i, j := range gridJobs(64) {
-		want, err := cfg.Evaluate(j.Chain, j.Knobs, j.Traffic, j.Options)
+	for i, p := range grid(64) {
+		want, err := cfg.Evaluate(p.chain, p.knobs, p.traffic, p.opt)
 		if err != nil {
-			t.Fatalf("job %d: %v", i, err)
+			t.Fatalf("point %d: %v", i, err)
 		}
-		if err := cfg.EvaluateInto(&scratch, j.Chain, j.Knobs, j.Traffic, j.Options); err != nil {
-			t.Fatalf("job %d: %v", i, err)
+		if err := cfg.EvaluateInto(&scratch, p.chain, p.knobs, p.traffic, p.opt); err != nil {
+			t.Fatalf("point %d: %v", i, err)
 		}
 		if !resultsEqual(want, scratch) {
-			t.Fatalf("job %d: EvaluateInto diverges from Evaluate:\n%+v\nvs\n%+v", i, scratch, want)
+			t.Fatalf("point %d: EvaluateInto diverges from Evaluate:\n%+v\nvs\n%+v", i, scratch, want)
 		}
-	}
-}
-
-// BatchEvaluate must produce bit-identical results at any worker
-// count (the pool is a throughput knob, not a semantics knob). CI
-// runs this under -race, which also exercises the pool for data
-// races.
-func TestBatchEvaluateMatchesSerial(t *testing.T) {
-	cfg := Default()
-	jobs := gridJobs(97) // odd count: uneven split across workers
-	want := make([]Result, len(jobs))
-	for i, j := range jobs {
-		r, err := cfg.Evaluate(j.Chain, j.Knobs, j.Traffic, j.Options)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = r
-	}
-	for _, workers := range []int{1, 2, 4, 16} {
-		got := make([]Result, len(jobs))
-		if err := cfg.BatchEvaluate(jobs, got, workers); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		for i := range got {
-			if !resultsEqual(want[i], got[i]) {
-				t.Fatalf("workers=%d job %d: batch diverges from scalar", workers, i)
-			}
-		}
-	}
-}
-
-// The reported error must be the lowest-indexed failure regardless of
-// scheduling. Jobs below the failing index always evaluate (they are
-// claimed first); later jobs may be skipped once the failure stops
-// the batch.
-func TestBatchEvaluateDeterministicError(t *testing.T) {
-	cfg := Default()
-	jobs := gridJobs(32)
-	jobs[7].Knobs = nil  // knob/NF mismatch
-	jobs[21].Knobs = nil // a later failure that must not win
-	for _, workers := range []int{1, 4} {
-		results := make([]Result, len(jobs))
-		err := cfg.BatchEvaluate(jobs, results, workers)
-		if err == nil {
-			t.Fatalf("workers=%d: bad jobs accepted", workers)
-		}
-		want := "perfmodel: job 7: "
-		if got := err.Error(); len(got) < len(want) || got[:len(want)] != want {
-			t.Errorf("workers=%d: error %q does not report lowest failing job", workers, got)
-		}
-		if results[6].ThroughputPPS <= 0 {
-			t.Errorf("workers=%d: job below the failing index skipped", workers)
-		}
-	}
-	results := make([]Result, len(jobs))
-	if err := cfg.BatchEvaluate(jobs, results[:3], 2); err == nil {
-		t.Error("results length mismatch accepted")
 	}
 }
 
 // The steady-state evaluation core must not allocate: this is the
-// contract the RL environment's step path and the grid sweeps rely
+// contract the RL environment's step path and the cluster model rely
 // on.
 func TestEvaluateIntoZeroAlloc(t *testing.T) {
 	cfg := Default()
@@ -182,19 +134,6 @@ func BenchmarkEvaluate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := cfg.Evaluate(chain, knobs, tr, EvalOptions{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkBatchEvaluate64(b *testing.B) {
-	cfg := Default()
-	jobs := gridJobs(64)
-	results := make([]Result, len(jobs))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := cfg.BatchEvaluate(jobs, results, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,6 @@
 // Package pool is the one bounded worker pool the batch surfaces
-// share: perfmodel.BatchEvaluate, the experiments figure
-// drivers and the internal/sweep grid all fan independent
+// share: the experiments figure harness (runArms and AblationPER's
+// two arms) and the internal/sweep grid fan independent
 // index-addressed work through ForEach instead of growing private
 // copies of the same scheduling and error-selection logic.
 //
@@ -16,6 +16,6 @@
 // claimed (and its in-flight call completed) before any failure can
 // stop the pool. Index-slot output (callers write results[i]) keeps
 // result order independent of worker count; that is the property the
-// bit-identical batch guarantees upstream are built on. fn must be
+// byte-identical figure tables upstream are built on. fn must be
 // safe to call concurrently for distinct indices.
 package pool

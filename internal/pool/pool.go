@@ -14,13 +14,13 @@ import (
 // one with the lowest index regardless of scheduling — the lowest
 // failing index is always claimed before any failure that could stop
 // the pool, so error behavior is deterministic under concurrency.
-// Returns (-1, nil) on success, else the lowest failing index and its
-// error. Callers communicate results positionally — worker i writes
-// only slot i — which keeps outcomes identical to the serial loop at
-// any worker count.
-func ForEach(n, workers int, f func(i int) error) (int, error) {
+// Returns nil on success, else the lowest failing index's error.
+// Callers communicate results positionally — worker i writes only
+// slot i — which keeps outcomes identical to the serial loop at any
+// worker count.
+func ForEach(n, workers int, f func(i int) error) error {
 	if n <= 0 {
-		return -1, nil
+		return nil
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -31,10 +31,10 @@ func ForEach(n, workers int, f func(i int) error) (int, error) {
 	if workers == 1 {
 		for i := 0; i < n; i++ {
 			if err := f(i); err != nil {
-				return i, err
+				return err
 			}
 		}
-		return -1, nil
+		return nil
 	}
 
 	var (
@@ -67,8 +67,5 @@ func ForEach(n, workers int, f func(i int) error) (int, error) {
 		}()
 	}
 	wg.Wait()
-	if firstErr != nil {
-		return firstIdx, firstErr
-	}
-	return -1, nil
+	return firstErr
 }

@@ -15,12 +15,11 @@ func TestForEachCoversAllIndices(t *testing.T) {
 	const n = 1000
 	for _, workers := range []int{0, 1, 2, 8, n + 50} {
 		hits := make([]atomic.Int32, n)
-		idx, err := ForEach(n, workers, func(i int) error {
+		if err := ForEach(n, workers, func(i int) error {
 			hits[i].Add(1)
 			return nil
-		})
-		if idx != -1 || err != nil {
-			t.Fatalf("workers=%d: ForEach = (%d, %v), want (-1, nil)", workers, idx, err)
+		}); err != nil {
+			t.Fatalf("workers=%d: ForEach = %v, want nil", workers, err)
 		}
 		for i := range hits {
 			if got := hits[i].Load(); got != 1 {
@@ -30,21 +29,35 @@ func TestForEachCoversAllIndices(t *testing.T) {
 	}
 }
 
+// indexError is a failure that names the index that returned it.
+type indexError int
+
+func (e indexError) Error() string { return fmt.Sprintf("boom at %d", int(e)) }
+
+// failedAt returns the index err names, or -1 for any other error.
+func failedAt(err error) int {
+	var ie indexError
+	if errors.As(err, &ie) {
+		return int(ie)
+	}
+	return -1
+}
+
 // TestForEachFirstErrorWins: with failures at several indices, the
-// lowest failing index and its error are reported regardless of the
-// worker count or scheduling.
+// lowest failing index's error is reported regardless of the worker
+// count or scheduling.
 func TestForEachFirstErrorWins(t *testing.T) {
 	const n = 200
 	fail := map[int]bool{37: true, 73: true, 150: true}
 	for _, workers := range []int{0, 1, 4, 16} {
-		idx, err := ForEach(n, workers, func(i int) error {
+		err := ForEach(n, workers, func(i int) error {
 			if fail[i] {
-				return fmt.Errorf("boom at %d", i)
+				return indexError(i)
 			}
 			return nil
 		})
-		if idx != 37 {
-			t.Errorf("workers=%d: failing index %d, want 37", workers, idx)
+		if got := failedAt(err); got != 37 {
+			t.Errorf("workers=%d: failing index %d, want 37", workers, got)
 		}
 		if err == nil || err.Error() != "boom at 37" {
 			t.Errorf("workers=%d: err %v, want boom at 37", workers, err)
@@ -59,15 +72,15 @@ func TestForEachFirstErrorWins(t *testing.T) {
 func TestForEachStopsAfterError(t *testing.T) {
 	const n = 10000
 	var calls atomic.Int32
-	idx, err := ForEach(n, 1, func(i int) error {
+	err := ForEach(n, 1, func(i int) error {
 		calls.Add(1)
 		if i == 5 {
-			return errors.New("stop")
+			return indexError(i)
 		}
 		return nil
 	})
-	if idx != 5 || err == nil {
-		t.Fatalf("serial: ForEach = (%d, %v)", idx, err)
+	if idx := failedAt(err); idx != 5 {
+		t.Fatalf("serial: ForEach = %v, failing index %d, want 5", err, idx)
 	}
 	if got := calls.Load(); got != 6 {
 		t.Errorf("serial: %d calls after failure at index 5, want 6", got)
@@ -75,14 +88,15 @@ func TestForEachStopsAfterError(t *testing.T) {
 
 	const workers = 4
 	calls.Store(0)
-	if idx, err = ForEach(n, workers, func(i int) error {
+	err = ForEach(n, workers, func(i int) error {
 		calls.Add(1)
 		if i == 5 {
-			return errors.New("stop")
+			return indexError(i)
 		}
 		return nil
-	}); idx != 5 || err == nil {
-		t.Fatalf("concurrent: ForEach = (%d, %v)", idx, err)
+	})
+	if idx := failedAt(err); idx != 5 {
+		t.Fatalf("concurrent: ForEach = %v, failing index %d, want 5", err, idx)
 	}
 	// The claim counter can run ahead of the failure by the in-flight
 	// work of the other workers, but nowhere near the full range.
@@ -95,12 +109,12 @@ func TestForEachStopsAfterError(t *testing.T) {
 // counts mean GOMAXPROCS, n == 0 is a successful no-op, and a single
 // index runs inline.
 func TestForEachClamps(t *testing.T) {
-	if idx, err := ForEach(0, 8, func(int) error { return errors.New("never") }); idx != -1 || err != nil {
-		t.Errorf("n=0: (%d, %v), want (-1, nil)", idx, err)
+	if err := ForEach(0, 8, func(int) error { return errors.New("never") }); err != nil {
+		t.Errorf("n=0: %v, want nil", err)
 	}
 	for _, workers := range []int{0, -3} {
 		var ran atomic.Int32
-		if _, err := ForEach(2*runtime.GOMAXPROCS(0)+4, workers, func(int) error {
+		if err := ForEach(2*runtime.GOMAXPROCS(0)+4, workers, func(int) error {
 			ran.Add(1)
 			return nil
 		}); err != nil {
