@@ -226,10 +226,16 @@
 //	…             8·Out      layer 0's B
 //	…                        layer 1's W, then B, and so on to layer L-1
 //
-// so a frame is exactly 12 + 12·L + 8·NumParams bytes. ParamFrame
-// writes one in a single allocation of exactly that size and keeps no
-// reference to it: a published frame is immutable, which is what lets
-// pullers read it while the next one is being made. LoadParams reads
+// so a frame is exactly 12 + 12·L + 8·NumParams bytes.
+// AppendParamFrame is the one encoder: it appends a frame to the
+// caller's buffer, allocating only when the buffer lacks the room, and
+// keeps no reference to it; ParamFrame is its wrapper into a new buffer
+// of exactly the frame's size. The buffer is the caller's to reuse, so
+// the caller owns the lifetime rule: the Ape-X learner hands a frame to
+// its pullers, each of which may read it until it releases it, and
+// re-encodes into that buffer only once no puller holds it — a held
+// frame is never rewritten (internal/rl/apex, "Parameter broadcast").
+// LoadParams reads
 // one into a network that already exists, in place and without
 // allocating; the header is there to be compared with that network,
 // never to size anything. Validation order — all of it before the

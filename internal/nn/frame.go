@@ -69,9 +69,21 @@ func MLPFrameLen(sizes []int) (n int, ok bool) {
 // ParamFrame encodes the float64 parameters as one parameter frame, in
 // one allocation of exactly the frame's size. The caller owns the
 // result; nothing in this package keeps or rewrites it.
-func (n *Network) ParamFrame() []byte {
+func (n *Network) ParamFrame() []byte { return n.AppendParamFrame(nil) }
+
+// AppendParamFrame appends the float64 parameters' frame to dst and
+// returns the extended slice — the one encoder. It allocates only when
+// dst lacks the room, once, doubling dst's capacity plus the frame (so
+// exactly the frame for a nil dst); a caller that hands back its
+// previous frame as dst[:0] re-encodes in place.
+func (n *Network) AppendParamFrame(dst []byte) []byte {
 	le := binary.LittleEndian
-	frame := make([]byte, n.paramFrameLen())
+	start, size := len(dst), n.paramFrameLen()
+	if cap(dst)-start < size {
+		dst = append(make([]byte, 0, 2*cap(dst)+size), dst...)
+	}
+	dst = dst[:start+size]
+	frame := dst[start:]
 	copy(frame, paramMagic)
 	le.PutUint32(frame[len(paramMagic):], uint32(len(n.layers)))
 	at := frame[frameHeaderLen:]
@@ -89,7 +101,7 @@ func (n *Network) ParamFrame() []byte {
 			at = at[8*len(p):]
 		}
 	}
-	return frame
+	return dst
 }
 
 // ErrNotParamFrame is LoadParams' refusal of bytes that do not open

@@ -93,6 +93,17 @@ func TestParamFrame(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("loading a frame makes %v allocations, want 0", n)
 	}
+	// AppendParamFrame is the same encoder: it leaves what dst holds
+	// alone, and handed its own frame back it rewrites it in place.
+	if got := src.AppendParamFrame([]byte("head")); string(got[:4]) != "head" || !bytes.Equal(got[4:], frame) {
+		t.Error("AppendParamFrame after a prefix is not the prefix and the frame")
+	}
+	if n := testing.AllocsPerRun(50, func() { frame = src.AppendParamFrame(frame[:0]) }); n != 0 {
+		t.Errorf("re-encoding into the previous frame makes %v allocations, want 0", n)
+	}
+	if !bytes.Equal(frame, dst.ParamFrame()) {
+		t.Error("a frame re-encoded in place differs from a fresh one")
+	}
 }
 
 // TestMLPFrameLen: the length computed from sizes alone is the length of

@@ -32,9 +32,13 @@ type LearnerAPI interface {
 	PushExperience(batch []Experience) error
 	// PullParams returns the current parameter version and, when it is
 	// newer than haveVersion, the actor network's parameter frame
-	// (nil bytes otherwise). The bytes are shared with every other
-	// puller and must not be written.
+	// (nil bytes otherwise). The bytes may be shared with other pullers
+	// and must not be written. They are valid until the caller hands
+	// them to ReleaseParams and are never rewritten while held.
 	PullParams(haveVersion int) (version int, actorBytes []byte, err error)
+	// ReleaseParams hands back bytes PullParams returned, once, after
+	// the caller's last read of them.
+	ReleaseParams(actorBytes []byte)
 	// RetainsExperience reports whether pushed batches' float slices
 	// stay referenced after PushExperience returns. The in-process
 	// Learner aliases them into the replay buffer forever; RemoteLearner
@@ -45,18 +49,22 @@ type LearnerAPI interface {
 }
 
 // Learner is the central learner process of Algorithm 3. The mutex
-// guards only the parameter broadcast (version + cache); experience
+// guards only the parameter broadcast (version, frame, lends); experience
 // ingest goes straight to the goroutine-safe replay buffer, so actors
 // pushing chunks never wait behind a learning step.
 type Learner struct {
 	mu      sync.Mutex
 	agent   *ddpg.Agent
 	version int
-	// paramCache is the current version's parameter frame. A published
-	// frame is immutable: PullParams hands the same bytes to every
-	// puller, who reads them after mu is released, so refreshParamCache
-	// installs a new buffer per version and never rewrites an old one.
+	// paramCache is the current version's parameter frame, and lent
+	// counts the pulls that returned it and have not released it.
+	// PullParams hands the same bytes to every puller, who reads them
+	// after mu is released until it releases them, so refreshParamCache
+	// re-encodes into this buffer only when lent is 0 and otherwise
+	// leaves it to its holders and starts a new one: a frame is never
+	// rewritten while held.
 	paramCache []byte
+	lent       int
 	pushes     atomic.Int64
 	received   atomic.Int64
 	// ingestCh carries a (coalesced) wake-up per PushExperience so the
@@ -75,9 +83,7 @@ func NewLearner(agent *ddpg.Agent) (*Learner, error) {
 		return nil, errors.New("apex: learner requires prioritized replay")
 	}
 	l := &Learner{agent: agent, version: 1, ingestCh: make(chan struct{}, 1)}
-	if err := l.refreshParamCache(); err != nil {
-		return nil, err
-	}
+	l.refreshParamCache()
 	return l, nil
 }
 
@@ -129,14 +135,27 @@ func (l *Learner) PushExperience(batch []Experience) error {
 // actors must not reuse flushed chunks.
 func (l *Learner) RetainsExperience() bool { return true }
 
-// PullParams implements LearnerAPI.
+// PullParams implements LearnerAPI, counting a lend of the frame
+// whenever it returns it.
 func (l *Learner) PullParams(haveVersion int) (int, []byte, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if haveVersion >= l.version {
 		return l.version, nil, nil
 	}
+	l.lent++
 	return l.version, l.paramCache, nil
+}
+
+// ReleaseParams implements LearnerAPI. Only a release of the current
+// frame counts, and never below zero: a frame that was lent when the
+// next version was published is already its holders' alone.
+func (l *Learner) ReleaseParams(actorBytes []byte) {
+	l.mu.Lock()
+	if l.lent > 0 && len(actorBytes) > 0 && &actorBytes[0] == &l.paramCache[0] {
+		l.lent--
+	}
+	l.mu.Unlock()
 }
 
 // LearnStep runs one DDPG update on a minibatch the agent samples
@@ -160,10 +179,10 @@ func (l *Learner) LearnBatchStep(samples []replay.Transition, indices []int, wei
 	return loss
 }
 
-// publish bumps the parameter version and encodes its frame (one
-// allocation, the frame) every versionEvery completed updates. A call
-// that could not update (replay below one batch) leaves the version
-// alone, so actors are not rebroadcast identical parameters.
+// publish bumps the parameter version and encodes its frame every
+// versionEvery completed updates. A call that could not update (replay
+// below one batch) leaves the version alone, so actors are not
+// rebroadcast identical parameters.
 func (l *Learner) publish(before, versionEvery int) {
 	steps := l.agent.LearnSteps()
 	if steps == before || steps%max(versionEvery, 1) != 0 {
@@ -171,24 +190,20 @@ func (l *Learner) publish(before, versionEvery int) {
 	}
 	l.mu.Lock()
 	l.version++
-	err := l.refreshParamCache()
+	l.refreshParamCache()
 	l.mu.Unlock()
-	if err != nil {
-		// Encoding a network cannot fail; treat it as a programming
-		// error.
-		panic(fmt.Sprintf("apex: param cache: %v", err))
-	}
 }
 
-// refreshParamCache encodes the actor into a fresh frame. Caller holds
-// mu (or is the constructor).
-func (l *Learner) refreshParamCache() error {
-	data, err := l.agent.ActorBytes()
-	if err != nil {
-		return err
+// refreshParamCache encodes the actor's frame in place when no pull
+// holds the current one, and into a new buffer otherwise — the only
+// allocation a version can cost. Caller holds mu (or is the
+// constructor).
+func (l *Learner) refreshParamCache() {
+	buf := l.paramCache[:0]
+	if l.lent > 0 {
+		buf, l.lent = nil, 0
 	}
-	l.paramCache = data
-	return nil
+	l.paramCache = l.agent.AppendActorBytes(buf)
 }
 
 // Stats reports how much experience the learner has received.
@@ -388,7 +403,9 @@ func (a *Actor) SyncParams(learner LearnerAPI) error {
 		return fmt.Errorf("apex: pull: %w", err)
 	}
 	if data != nil {
-		if err := a.view.LoadActorBytes(data); err != nil {
+		err := a.view.LoadActorBytes(data)
+		learner.ReleaseParams(data)
+		if err != nil {
 			return fmt.Errorf("apex: load params: %w", err)
 		}
 	}

@@ -242,6 +242,7 @@ type discardLearner struct{}
 
 func (discardLearner) PushExperience([]Experience) error   { return nil }
 func (discardLearner) PullParams(int) (int, []byte, error) { return 1, nil, nil }
+func (discardLearner) ReleaseParams([]byte)                {}
 func (discardLearner) RetainsExperience() bool             { return false }
 
 // TestActorStepAllocGate pins the zero-alloc actor step. With a

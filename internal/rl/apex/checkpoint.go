@@ -175,7 +175,7 @@ func (ck *TrainerCheckpoint) vet(totalSteps, learnSteps int) error {
 }
 
 // restoreCheckpoint loads a vetted checkpoint into the learner: agent
-// state, broadcast version (with a fresh parameter cache), and the
+// state, broadcast version (with its frame re-encoded), and the
 // experience counters the pacing rule reads.
 func (l *Learner) restoreCheckpoint(ck *TrainerCheckpoint, state *ddpg.Checkpoint) error {
 	if err := l.agent.LoadState(state); err != nil {
@@ -183,11 +183,8 @@ func (l *Learner) restoreCheckpoint(ck *TrainerCheckpoint, state *ddpg.Checkpoin
 	}
 	l.mu.Lock()
 	l.version = ck.Version
-	err := l.refreshParamCache()
+	l.refreshParamCache()
 	l.mu.Unlock()
-	if err != nil {
-		return err
-	}
 	l.pushes.Store(ck.Pushes)
 	l.received.Store(ck.Received)
 	return nil

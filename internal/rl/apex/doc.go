@@ -86,23 +86,33 @@
 //
 // Algorithm 3's actors only act, and "periodically" take the learner's
 // parameters. Every VersionEvery completed updates the learner
-// publishes a version: ddpg.Agent.ActorBytes encodes the policy network
-// as one fixed-layout parameter frame (internal/nn, "Parameter frame")
-// in one allocation, and the learner swaps it in under its mutex. A
-// published frame is immutable — never reused, never rewritten — which
-// is what lets PullParams hand the same bytes to every puller and lets
-// them be read outside the mutex: by the in-process actors of either
-// scheduler, which copy them straight into their live network
+// publishes a version: ddpg.Agent.AppendActorBytes encodes the policy
+// network as one fixed-layout parameter frame (internal/nn, "Parameter
+// frame"), under the learner's mutex. PullParams hands the same bytes
+// to every puller, to be read outside the mutex, and counts the lend;
+// ReleaseParams hands them back. A frame is valid until its puller
+// releases it and is never rewritten while held: the learner encodes a
+// version into the last one's buffer only when every pull of it has
+// been released, and into a new buffer otherwise, which leaves the held
+// frame to its holders (their later releases of it count for nothing,
+// and no release takes the count below zero). The in-process actors of
+// either scheduler copy a frame straight into their live network
 // (ddpg.View.LoadActorBytes: validated against that network first,
-// zero allocations), and by the RPC handler, whose PullReply layout is
-// the version followed by the frame's bytes (rpc.go), for a
-// RemoteLearner whose PullReply.ReadWire copies them out of the
-// connection's read buffer and whose actor then does the same load.
-// One codec serves all three transports and the saved policy file; a
-// pull that finds no newer version is a version compare.
-// TestPublishAllocatesOneFrame, TestSyncParamsAllocatesNothing and
-// TestPublishedFrameIsImmutable pin the costs and the immutability. A
-// fleet that mixes builds from before and after the laid-out messages
+// zero allocations) and release it at once, so a round-robin version
+// costs no allocation, and a Parallel one costs one frame only when an
+// actor's pull overlaps the publish. The RPC handler replies with a
+// PullReply, laid out as the version followed by the frame's bytes
+// (rpc.go) and encoded after the handler returns, so the handler never
+// releases the frame: the version after one a remote actor pulled
+// costs one new frame. A RemoteLearner copies the bytes out of the
+// connection's read buffer (PullReply.ReadWire), so its ReleaseParams
+// does nothing, and its actor does the same load. One codec serves all
+// three transports and the saved policy file; a pull that finds no
+// newer version is a version compare. TestPublishRecyclesReleasedFrame,
+// TestSyncParamsReleasesItsPull, TestReleaseCountsOnlyTheCurrentFrame,
+// TestConcurrentPullersSeeTheirVersion, TestSyncParamsAllocatesNothing
+// and TestPublishedFrameIsImmutable pin the costs and the lifetime
+// rule. A fleet that mixes builds from before and after the laid-out messages
 // fails at its first call: an older actor's Register is a gob body
 // where the learner expects a layout, and a newer actor's a layout
 // where an older learner expects gob; either learner refuses it by

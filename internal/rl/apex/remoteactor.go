@@ -274,6 +274,10 @@ func (r *RemoteLearner) PullParams(haveVersion int) (int, []byte, error) {
 	return reply.Version, reply.ActorBytes, nil
 }
 
+// ReleaseParams implements LearnerAPI. It does nothing: the bytes are
+// the reply's own copy (PullReply.ReadWire).
+func (r *RemoteLearner) ReleaseParams([]byte) {}
+
 // RetainsExperience implements LearnerAPI: pushes are encoded as rows
 // inside the synchronous call (even across redials the batch is fully
 // encoded per attempt), so the caller's slices are free for reuse when

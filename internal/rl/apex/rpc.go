@@ -342,10 +342,11 @@ func (s *LearnerService) Register(args *RegisterArgs, reply *RegisterReply) erro
 	rec.lastPush = time.Now()
 	reply.Epoch = rec.epoch
 	s.mu.Unlock()
-	v, _, err := s.learner.PullParams(0)
+	v, data, err := s.learner.PullParams(0)
 	if err != nil {
 		return err
 	}
+	s.learner.ReleaseParams(data) // only the version is replied
 	reply.Version = v
 	return nil
 }
@@ -400,7 +401,9 @@ func (s *LearnerService) Push(args *PushArgs, reply *PushReply) error {
 }
 
 // Pull is the RPC method actors call to refresh parameters, with the
-// same registration check as Push.
+// same registration check as Push. The reply is encoded after the
+// handler returns, so the frame is never released: the learner's next
+// version goes into a new buffer.
 func (s *LearnerService) Pull(args *PullArgs, reply *PullReply) error {
 	s.mu.Lock()
 	_, err := s.checkActor(args.ActorID, args.Epoch)

@@ -145,6 +145,30 @@ func corpusSeed(t testing.TB, name string) []byte {
 	return []byte(data)
 }
 
+// TestAppendActorBytesInPlace: the broadcast encoder writes the frame
+// ActorBytes writes — on the float32 path too, where each flushes the
+// trained mirrors first — and, handed its previous frame back, rewrites
+// it without allocating.
+func TestAppendActorBytesInPlace(t *testing.T) {
+	cfg := DefaultConfig(12, 15)
+	cfg.BatchSize = 16
+	a, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.SetFloat32(true)
+	frame := a.AppendActorBytes(nil)
+	for u, batch := range fixedMinibatches(cfg, 3) {
+		a.LearnBatch(batch, nil, nil)
+		if n := testing.AllocsPerRun(1, func() { frame = a.AppendActorBytes(frame[:0]) }); n != 0 {
+			t.Errorf("update %d: re-encoding into the previous frame makes %v allocations, want 0", u, n)
+		}
+		if want, _ := a.ActorBytes(); !bytes.Equal(frame, want) {
+			t.Fatalf("update %d: AppendActorBytes and ActorBytes encode different frames", u)
+		}
+	}
+}
+
 // TestLoadActorBytesRejectsHostileFrames: bytes from a peer or a file
 // that are not exactly this actor's frame come back as an error, leave
 // every parameter and float32 mirror as it was, and cost no allocation

@@ -48,9 +48,9 @@ func (a *Agent) StateBytes(includeReplay bool) ([]byte, error) {
 		}
 	}
 	le := binary.LittleEndian
-	b := append(beginSection(nil, appendConfig(nil, a.cfg), a.Actor.ParamFrame()), stateMagic...)
+	b := append(a.Actor.AppendParamFrame(beginSection(nil, appendConfig(nil, a.cfg), nil)), stateMagic...)
 	for _, n := range nets[1:] {
-		b = append(b, n.ParamFrame()...)
+		b = n.AppendParamFrame(b)
 	}
 	b = a.criticOpt.AppendState(a.actorOpt.AppendState(b))
 	for _, v := range append(a.noise.state, a.noise.sigma) {

@@ -537,18 +537,26 @@ func (a *Agent) finishUpdate() {
 // LearnSteps reports completed updates.
 func (a *Agent) LearnSteps() int { return a.learnSteps }
 
-// ActorBytes encodes the actor's parameters for broadcast and for the
-// saved policy file: one nn parameter frame, one allocation of exactly
-// its size, never touched again by the agent — so a published version
-// can be read by any number of pullers while the next is being made.
-// On the float32 path the trained mirrors are flushed to the f64
-// weights first, so broadcasts always carry the current policy. The
-// error is always nil (the signature predates the frame).
+// ActorBytes is AppendActorBytes into a new buffer of exactly the
+// frame's size, which the agent never touches again: the saved policy
+// file. The error is always nil (the signature predates the frame).
 func (a *Agent) ActorBytes() ([]byte, error) {
 	if a.f32 {
 		a.Actor.FlushF32()
 	}
 	return a.Actor.ParamFrame(), nil
+}
+
+// AppendActorBytes appends the actor's parameters to dst as one nn
+// parameter frame — the Ape-X broadcast, which re-encodes each version
+// into the last one's buffer once no puller holds it (internal/rl/apex).
+// On the float32 path the trained mirrors are flushed to the f64
+// weights first, so a frame always carries the current policy.
+func (a *Agent) AppendActorBytes(dst []byte) []byte {
+	if a.f32 {
+		a.Actor.FlushF32()
+	}
+	return a.Actor.AppendParamFrame(dst)
 }
 
 // concat appends a and b into dst and returns it.

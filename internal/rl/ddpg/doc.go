@@ -175,12 +175,16 @@
 // the raw bits of W and B) of the actor network. It is the Ape-X
 // broadcast on every transport — in-process actors, under either
 // scheduler, and remote actor processes all LoadActorBytes what the
-// learner's ActorBytes made — and the policy file Policy.Save writes.
-// One frame is allocated per call, exactly its size, and the agent
-// never touches it again, so a published frame may be read by any number of pullers
-// while the next one is made; LoadActorBytes checks the whole frame
-// against the live actor before writing and then copies in place
-// without allocating. The frame is the package's only encoding of a
+// learner's AppendActorBytes made — and the policy file Policy.Save
+// writes. ActorBytes encodes into a new buffer of exactly the frame's
+// size that the agent never touches again; AppendActorBytes encodes
+// into the caller's, which is how the Ape-X learner keeps one buffer
+// across versions: a puller may read a frame until it releases it, and
+// the learner re-encodes into that buffer only when no puller holds it
+// and into a new one otherwise, so a held frame is never rewritten
+// (internal/rl/apex, "Parameter broadcast"). LoadActorBytes checks the
+// whole frame against the live actor before writing and then copies in
+// place without allocating. The frame is the package's only encoding of a
 // network: a checkpoint carries all four as frames, which LoadState
 // and LoadAgentBytes copy back in place through the same nn.LoadParams. A
 // gob policy file, what came before the frame, is refused by name,

@@ -43,18 +43,23 @@ gates=(
 	# take identical steps and stamp snapshots on one grid.
 	"./internal/rl/apex TestParallelDriverMatchesRoundRobinStepping|TestParallelSnapshotsOnRoundRobinGrid"
 	"./internal/rl/ddpg TestCheckpoint|TestCheckpointRestoresStripeCount"
-	# The parameter broadcast: one allocation per version (the frame), a
-	# pull copies in place with none, a published frame is never
-	# rewritten; hostile frames, and policy files from before the
-	# frame, change nothing. Replay capacity is a
-	# bound, not a reservation: a trainer and an acting agent are small,
-	# an idle buffer holds no storage, growth shows in no sample, and a
-	# corrupt snapshot cursor is refused. What only acts holds
-	# inference-only networks: an actor reaches no training state, a
-	# view acts and prioritizes bit for bit like the agent it mirrors,
-	# and a network clone carries no gradients.
-	"./internal/rl/apex TestPublishAllocatesOneFrame|TestSyncParamsAllocatesNothing|TestPublishedFrameIsImmutable|TestNewTrainerFootprint"
-	"./internal/rl/ddpg TestLoadActorBytesInPlace|TestLoadActorBytesRejectsHostileFrames|TestLoadActorBytesRefusesLegacyGob|TestAgentFootprint|TestViewMatchesAgent"
+	# The parameter broadcast: a version is encoded into the last one's
+	# frame once every pull of it is released (no allocation) and into
+	# one new frame while a pull holds it; an actor hands back each
+	# frame it syncs, a stale or repeated release frees nothing another
+	# puller holds, concurrent pullers copy the frame of the version
+	# they were told, a pull copies in place with no allocation, a held
+	# frame is never rewritten, and the agent's encoder rewrites its
+	# previous frame with none; hostile frames, and policy files from
+	# before the frame, change nothing. Replay capacity is a bound, not
+	# a reservation: a trainer and an acting agent are small, an idle
+	# buffer holds no storage, growth shows in no sample, and a corrupt
+	# snapshot cursor is refused. What only acts holds inference-only
+	# networks: an actor reaches no training state, a view acts and
+	# prioritizes bit for bit like the agent it mirrors, and a network
+	# clone carries no gradients.
+	"./internal/rl/apex TestPublishRecyclesReleasedFrame|TestSyncParamsReleasesItsPull|TestReleaseCountsOnlyTheCurrentFrame|TestConcurrentPullersSeeTheirVersion|TestSyncParamsAllocatesNothing|TestPublishedFrameIsImmutable|TestNewTrainerFootprint"
+	"./internal/rl/ddpg TestLoadActorBytesInPlace|TestAppendActorBytesInPlace|TestLoadActorBytesRejectsHostileFrames|TestLoadActorBytesRefusesLegacyGob|TestAgentFootprint|TestViewMatchesAgent"
 	"./internal/nn TestCloneFootprint"
 	"./internal/rl/replay TestReplayGrowthParity|TestIdleBufferHoldsNoStorage|TestSetStateRejectsCorruptSnapshot"
 	# One NN engine at two element types: 300 f64 and 200 f32 composed
