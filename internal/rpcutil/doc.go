@@ -5,8 +5,12 @@
 // terminates, and error matching that survives a server-side error
 // crossing as its message only. The serving tick pays for it every
 // control interval on every node, so a call costs what it must — one
-// write and one read on each side — and nothing per call is allocated,
-// scheduled or timed beyond that.
+// write and one read on each side — and nothing per call is scheduled
+// or timed beyond that. What a call still allocates is the server's
+// handler invocation: reflect.Value.Call makes the slice of results it
+// returns and a cell for the handler's error. The messages themselves
+// are kept per connection (see "Ordering"), and a ReadWire that hands
+// out fresh storage allocates it, as apex's push rows do.
 //
 // # The frame
 //
@@ -26,11 +30,12 @@
 //
 // Every length is checked against the bytes present before it is
 // used. A declared length outside its range is refused before any
-// buffer is sized by it; a kind past 2, or a body behind kind 0, is
-// malformed. On a malformed frame the server closes the connection
-// without answering and the client fails the call: the byte stream has
-// no resynchronisation point, and a peer that produced one bad frame
-// is not one to keep reading.
+// buffer is sized by it, and one inside it sizes nothing ahead of its
+// bytes: the read buffer grows as they arrive. A kind past 2, or a
+// body behind kind 0, is malformed. On a malformed frame the server
+// closes the connection without answering and the client fails the
+// call: the byte stream has no resynchronisation point, and a peer
+// that produced one bad frame is not one to keep reading.
 //
 // # Bodies
 //
@@ -70,8 +75,16 @@
 // writes the reply: a connection's calls are answered in order, and a
 // handler that blocks holds up only its own connection. Handlers of
 // different connections run concurrently and must be goroutine-safe.
-// The server hands each call freshly allocated argument and reply
-// values, which the handler may keep.
+//
+// Each connection keeps one argument and one reply value per method,
+// made at the method's first call, and hands them to every call of it.
+// A laid-out argument is overwritten by ReadWire; a gob one is zeroed
+// before it is decoded. The reply is zeroed once it is encoded, so
+// every handler starts from an empty reply, and no connection holds
+// what a handler pointed its reply at between calls. Both values are
+// valid until the handler returns: a handler copies what it keeps.
+// What ReadWire hands out as fresh storage is the handler's, as apex's
+// push rows are the replay's.
 //
 // # Server lifecycle
 //

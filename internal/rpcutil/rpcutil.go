@@ -11,6 +11,7 @@ import (
 	"math"
 	"net"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -157,11 +158,7 @@ func (l *link) readFrame() (frame, error) {
 		return f, fmt.Errorf("%w: length %d outside [%d, %d]", errMalformed, n, minFrame, maxFrame)
 	}
 	l.br.Discard(4)
-	if cap(l.rbuf) < n {
-		l.rbuf = make([]byte, n)
-	}
-	b = l.rbuf[:n]
-	if _, err := io.ReadFull(l.br, b); err != nil {
+	if b, err = l.readBody(n); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
@@ -186,6 +183,30 @@ func (l *link) readFrame() (frame, error) {
 		return f, fmt.Errorf("%w: body kind %d with %d bytes", errMalformed, f.kind, len(f.body))
 	}
 	return f, nil
+}
+
+// growChunk is the least readBody grows rbuf by: the bufio.Reader's
+// default size, what one read can bring.
+const growChunk = 4096
+
+// readBody reads the next n bytes into rbuf. A buffer that already
+// fits them is read into as it is; otherwise it grows only as bytes
+// arrive, each time by at most what it holds or growChunk, so a
+// declared length the peer never sends sizes nothing.
+func (l *link) readBody(n int) ([]byte, error) {
+	b := l.rbuf[:0]
+	for len(b) < n {
+		if len(b) == cap(b) {
+			b = slices.Grow(b, min(n-len(b), max(len(b), growChunk)))
+			l.rbuf = b
+		}
+		m, err := l.br.Read(b[len(b):min(n, cap(b))])
+		b = b[:len(b)+m]
+		if err != nil && len(b) < n {
+			return nil, err
+		}
+	}
+	return b, nil
 }
 
 // appendFrame queues one frame carrying v (nil: no body). After an
@@ -264,11 +285,16 @@ func (l *link) decodeBody(kind byte, body []byte, v any) error {
 
 // handler is one registered method: its func takes the receiver first.
 type handler struct {
+	index       int // of the method's kept values on each connection
 	fn          reflect.Value
 	args, reply reflect.Type // what the two pointer parameters point at
+	gobArgs     bool         // args has no layout: zeroed before each decode
 }
 
-var errorType = reflect.TypeOf((*error)(nil)).Elem()
+var (
+	errorType = reflect.TypeOf((*error)(nil)).Elem()
+	wireType  = reflect.TypeOf((*Wire)(nil)).Elem()
+)
 
 // handlersOf finds rcvr's exported methods of the form
 // func(*A, *R) error, keyed "name.Method".
@@ -284,7 +310,8 @@ func handlersOf(name string, rcvr any) (map[string]handler, error) {
 		if len(name)+1+len(m.Name) > math.MaxUint8 {
 			return nil, fmt.Errorf("rpc: method name %s.%s is over %d bytes", name, m.Name, math.MaxUint8)
 		}
-		handlers[name+"."+m.Name] = handler{fn: m.Func, args: t.In(1).Elem(), reply: t.In(2).Elem()}
+		handlers[name+"."+m.Name] = handler{index: len(handlers), fn: m.Func, args: t.In(1).Elem(), reply: t.In(2).Elem(),
+			gobArgs: !t.In(1).Implements(wireType)}
 	}
 	if len(handlers) == 0 {
 		return nil, fmt.Errorf("rpc: %T has no exported func(*A, *R) error methods", rcvr)
@@ -370,6 +397,10 @@ func Serve(name string, rcvr any, addr string) (*Server, error) {
 func (s *Server) serveConn(conn net.Conn) {
 	l := newLink(conn)
 	in := [3]reflect.Value{s.rcvr} // receiver, arguments, reply
+	// One argument and one reply value per method, made at its first
+	// call and kept for the connection's life (package comment,
+	// "Ordering").
+	kept := make([][2]reflect.Value, len(s.handlers))
 	for {
 		f, err := l.readFrame()
 		s.bytesIn.Add(uint64(f.size))
@@ -383,11 +414,21 @@ func (s *Server) serveConn(conn net.Conn) {
 			reply  any
 			errMsg string
 			hangUp bool
+			called bool
 		)
 		h, ok := s.handlers[string(f.method)]
 		var decodeErr error
 		if ok {
-			in[1] = reflect.New(h.args)
+			k := &kept[h.index]
+			if !k[0].IsValid() {
+				k[0], k[1] = reflect.New(h.args), reflect.New(h.reply)
+			}
+			in[1], in[2] = k[0], k[1]
+			// ReadWire overwrites a layout; gob leaves a field the
+			// sender's zero value omits as it was.
+			if h.gobArgs {
+				in[1].Elem().SetZero()
+			}
 			decodeErr = l.decodeBody(f.kind, f.body, in[1].Interface())
 		}
 		switch {
@@ -402,9 +443,8 @@ func (s *Server) serveConn(conn net.Conn) {
 			errMsg = "rpc: undecodable arguments for " + string(f.method) + ": " + decodeErr.Error()
 			hangUp = f.kind == kindGob
 		default:
-			// Fresh values per call: a handler may keep them.
-			in[2] = reflect.New(h.reply)
 			s.calls.Add(1)
+			called = true
 			if err, _ := h.fn.Call(in[:])[0].Interface().(error); err == nil {
 				reply = in[2].Interface()
 			} else if errMsg = err.Error(); errMsg == "" {
@@ -415,6 +455,12 @@ func (s *Server) serveConn(conn net.Conn) {
 			hangUp = true
 			// Cannot fail: no method, no body, and the error is cut to fit.
 			_ = l.appendFrame(f.seq, "", "rpc: unencodable reply: "+err.Error(), nil)
+		}
+		if called {
+			// Encoded or failed, the reply is done with: the next call's
+			// handler starts from an empty one, and the connection holds
+			// nothing the handler pointed it at.
+			in[2].Elem().SetZero()
 		}
 		n, err := l.flush()
 		s.bytesOut.Add(uint64(n))

@@ -23,7 +23,7 @@ import (
 // benchFleet builds a controller with nodes registered nodes plus the
 // matching per-node observation/traffic fixtures; persist sets
 // StatePath.
-func benchFleet(b *testing.B, nodes int, persist bool) (*Controller, []*simNode) {
+func benchFleet(b testing.TB, nodes int, persist bool) (*Controller, []*simNode) {
 	b.Helper()
 	dir := b.TempDir()
 	spec := testSpec(sla.NewEnergyEfficiency())

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -633,10 +634,9 @@ func (c *Controller) decide(start time.Time, args *ReportArgs, reply *ReportRepl
 		}
 		limited := rec.limiter.Limit(sc.knobs)
 		if _, err := sc.guard.Check(limited, args.Traffic); err == nil {
-			reply.Config = append([]perfmodel.NFKnobs(nil), limited...)
+			reply.Config = c.recordLastGood(sh, args.NodeID, limited)
 			reply.Source = SourcePolicy
 			rec.limiter.Record(limited)
-			c.recordLastGood(sh, args.NodeID, limited)
 			c.counters.Inc(CounterConfigsPushed)
 			c.counters.Inc(CounterSourcePolicy)
 			return nil
@@ -652,7 +652,7 @@ func (c *Controller) decide(start time.Time, args *ReportArgs, reply *ReportRepl
 	sh.mu.Unlock()
 	if lg != nil {
 		if _, err := sc.guard.Check(lg, args.Traffic); err == nil {
-			reply.Config = append([]perfmodel.NFKnobs(nil), lg...)
+			reply.Config = lg
 			reply.Source = SourceLastGood
 			rec.limiter.Record(lg)
 			c.counters.Inc(CounterConfigsPushed)
@@ -674,33 +674,29 @@ func (c *Controller) decide(start time.Time, args *ReportArgs, reply *ReportRepl
 
 // recordLastGood stores a vetted config as the node's last-known-good
 // and, if it changed, makes the change durable before returning — so
-// before the report replies. Called with the node's rec.mu held and
-// its shard; takes only the shard map lock (never another node's
-// record), so the persist path cannot deadlock two concurrent reports.
-func (c *Controller) recordLastGood(sh *shard, nodeID string, ks []perfmodel.NFKnobs) {
+// before the report replies. It returns the stored slice, which the
+// reply shares: a stored slice is never written again, only replaced.
+// Called with the node's rec.mu held and its shard; takes only the
+// shard map lock (never another node's record), so the persist path
+// cannot deadlock two concurrent reports.
+func (c *Controller) recordLastGood(sh *shard, nodeID string, ks []perfmodel.NFKnobs) []perfmodel.NFKnobs {
 	sh.mu.Lock()
 	prev := sh.lastGood[nodeID]
-	same := len(prev) == len(ks)
-	if same {
-		for i := range ks {
-			if prev[i] != ks[i] {
-				same = false
-				break
-			}
+	if slices.Equal(prev, ks) {
+		sh.mu.Unlock()
+		return prev
+	}
+	stored := append([]perfmodel.NFKnobs(nil), ks...)
+	sh.lastGood[nodeID] = stored
+	sh.mu.Unlock()
+	if c.store != nil {
+		if err := c.persistChange(nodeID, stored); err != nil {
+			// Persistence failure must not take down serving; the
+			// ledger records it and the next change retries.
+			c.counters.Inc(CounterStatePersistErrors)
 		}
 	}
-	if !same {
-		sh.lastGood[nodeID] = append([]perfmodel.NFKnobs(nil), ks...)
-	}
-	sh.mu.Unlock()
-	if same || c.store == nil {
-		return
-	}
-	if err := c.persistChange(nodeID, ks); err != nil {
-		// Persistence failure must not take down serving; the ledger
-		// records it and the next change retries.
-		c.counters.Inc(CounterStatePersistErrors)
-	}
+	return stored
 }
 
 // persistChange makes one node's new last-known-good durable: one

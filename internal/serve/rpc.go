@@ -86,13 +86,23 @@ func appendNodeID(dst []byte, id string) []byte {
 	return append(append(dst, byte(len(id))), id...)
 }
 
-// readNodeID splits u8 length | id off the front of body.
-func readNodeID(body []byte) (id string, rest []byte, ok bool) {
+// readNodeID splits u8 length | id off the front of body; id aliases
+// body.
+func readNodeID(body []byte) (id, rest []byte, ok bool) {
 	if len(body) < 1 || len(body) < 1+int(body[0]) {
-		return "", nil, false
+		return nil, nil, false
 	}
 	end := 1 + int(body[0])
-	return string(body[1:end]), body[end:], true
+	return body[1:end], body[end:], true
+}
+
+// setNodeID stores id in *dst, keeping the string already there when
+// the bytes match: the server reads a connection's reports into one
+// kept value, and a node reports under one ID.
+func setNodeID(dst *string, id []byte) {
+	if *dst != string(id) {
+		*dst = string(id)
+	}
 }
 
 // Config sources, reported so agents and tests can observe which rung
@@ -127,7 +137,7 @@ func (a *RegisterNodeArgs) ReadWire(body []byte) error {
 	if !ok || len(rest) != 0 {
 		return errBadWire
 	}
-	a.NodeID = id
+	setNodeID(&a.NodeID, id)
 	return nil
 }
 
@@ -199,7 +209,7 @@ func (a *ReportArgs) ReadWire(body []byte) error {
 	if uint64(len(body)-reportFixedLen) != n*8 {
 		return errBadWire
 	}
-	a.NodeID = id
+	setNodeID(&a.NodeID, id)
 	a.Epoch = binary.BigEndian.Uint64(body)
 	a.Traffic = perfmodel.Traffic{
 		OfferedPPS: math.Float64frombits(binary.BigEndian.Uint64(body[8:])),
@@ -223,7 +233,10 @@ type ReportReply struct {
 	// guardrail this interval: the node keeps its current
 	// configuration (and walks its own ladder). Config is nil.
 	Hold bool
-	// Config is the vetted knob configuration to apply.
+	// Config is the vetted knob configuration to apply. A reply the
+	// controller fills is its stored last-known-good, shared and
+	// read-only: copy it to change it, and do not ReadWire into that
+	// reply, which would reuse the storage.
 	Config []perfmodel.NFKnobs
 	// Source is the ladder rung that produced Config (SourcePolicy or
 	// SourceLastGood; the heuristic rung runs agent-side).

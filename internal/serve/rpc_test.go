@@ -5,6 +5,7 @@ import (
 	"net"
 	"reflect"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -202,17 +203,16 @@ func TestNodeIDBounds(t *testing.T) {
 }
 
 // reportAllocBudget is what one steady Report costs in allocations,
-// client and server together, as this transport landed. All seven are
-// the server's: the call's two fresh messages, the report's ID and
-// observations, the reply's config, and the two reflect.Value.Call makes
-// for the handler's result.
-const reportAllocBudget = 7
+// client and server together. Both are reflect.Value.Call's, on the
+// server: the []reflect.Value it returns and the cell it boxes the
+// handler's error result in. The call's messages are the connection's
+// kept values, the node ID is kept while it matches, and the reply
+// shares the controller's stored last-known-good.
+const reportAllocBudget = 2
 
-// TestReportRoundTripAllocs holds a steady Report over loopback — the
-// agent's reused messages out, the controller's decision, the layouts
-// back — to its allocation budget. AllocsPerRun counts every goroutine,
-// so the server side is in the figure.
-func TestReportRoundTripAllocs(t *testing.T) {
+// skipUnderRace skips an allocation gate in a race-detector build.
+func skipUnderRace(t *testing.T) {
+	t.Helper()
 	if info, ok := debug.ReadBuildInfo(); ok {
 		for _, s := range info.Settings {
 			if s.Key == "-race" && s.Value == "true" {
@@ -220,6 +220,14 @@ func TestReportRoundTripAllocs(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestReportRoundTripAllocs holds a steady Report over loopback — the
+// agent's reused messages out, the controller's decision, the layouts
+// back — to its allocation budget. AllocsPerRun counts every goroutine,
+// so the server side is in the figure.
+func TestReportRoundTripAllocs(t *testing.T) {
+	skipUnderRace(t)
 	dir := t.TempDir()
 	spec := testSpec(sla.NewEnergyEfficiency())
 	ctrl := startController(t, Config{Spec: spec, PolicyPath: writePolicy(t, dir, spec, 5)})
@@ -243,6 +251,53 @@ func TestReportRoundTripAllocs(t *testing.T) {
 	})
 	if allocs > reportAllocBudget {
 		t.Errorf("a steady report costs %.1f allocations, budget %d", allocs, reportAllocBudget)
+	}
+}
+
+// The controller's own part of a steady report, called in process,
+// allocates nothing: the decision runs on pooled scratch, and the
+// reply's config is the stored last-known-good.
+func TestSteadyReportAllocatesNothing(t *testing.T) {
+	skipUnderRace(t)
+	ctrl, sims := benchFleet(t, 1, false)
+	var reply ReportReply
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := reportOnce(ctrl, sims[0], &reply); err != nil || reply.Hold {
+			t.Fatalf("report: hold=%v, %v", reply.Hold, err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a steady report costs the controller %.1f allocations, want 0", allocs)
+	}
+}
+
+// A reply shares the node's stored last-known-good, which a changing
+// report replaces rather than rewrites: a config already replied keeps
+// its contents.
+func TestPolicyReplyOutlivesRecord(t *testing.T) {
+	ctrl, sims := benchFleet(t, 1, false)
+	n := sims[0]
+	first, err := n.step(ctrl)
+	if err != nil || first.Source != SourcePolicy {
+		t.Fatalf("first report: %+v, %v", first, err)
+	}
+	want := slices.Clone(first.Config)
+	changed := false
+	for i := 0; i < 200 && !changed; i++ {
+		reply, err := n.step(ctrl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		changed = reply.Source == SourcePolicy && !slices.Equal(reply.Config, want)
+	}
+	if !changed {
+		t.Fatal("no report changed the config; test vacuous")
+	}
+	if !slices.Equal(first.Config, want) {
+		t.Errorf("a replied config moved when the record was replaced: %+v, was %+v", first.Config, want)
+	}
+	if lg := ctrl.LastGood(n.id); slices.Equal(lg, want) {
+		t.Errorf("last-known-good %+v was not replaced", lg)
 	}
 }
 

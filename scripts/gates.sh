@@ -39,6 +39,10 @@ gates=(
 	# controller's services takes and returns rpcutil.Wire types, and a
 	# refused layout is answered on a connection that stays usable.
 	"./internal/rpcutil TestServiceMessagesAreLaidOut|TestRefusedLayoutIsAnsweredAndKept"
+	# A connection's kept messages: each call sees only its own argument
+	# and an empty reply, on one connection and on two at once; a frame
+	# header's declared length sizes no buffer ahead of its bytes.
+	"./internal/rpcutil TestKeptValuesStartEmpty|TestKeptValuesPerConnection|TestDeclaredLengthSizesNothing|TestGrownBufferReadsWholeFrames"
 	# One actor, one stepping loop: the in-process driver and round-robin
 	# take identical steps and stamp snapshots on one grid.
 	"./internal/rl/apex TestParallelDriverMatchesRoundRobinStepping|TestParallelSnapshotsOnRoundRobinGrid"
@@ -79,13 +83,15 @@ gates=(
 	# violate the SLA on any ladder rung; the 32-node fleet soak and its
 	# serial-vs-concurrent bit-identity; lease expiry racing the shards;
 	# a steady report over loopback, client and server, inside its
-	# allocation budget; boot, resume and hot reload keep only a
-	# checkpoint's policy section, for under twice the file per reload.
+	# allocation budget, and none at all in the controller; a replied
+	# config outlives the record that replaced it; boot, resume and hot
+	# reload keep only a checkpoint's policy section, for under twice
+	# the file per reload.
 	# The controller state: the snapshot's layout region by region and
 	# its refusals, a gob-era checkpoint that still serves beside a
 	# gob-era state file refused by name, every journal truncation
 	# recovering a prefix, and the fuzz target's corpus.
-	"./internal/serve TestGuardrailProperty|TestFleet|TestExpireLeasesChurnRace|TestReportRoundTripAllocs|TestServingHoldsPolicyOnly|TestSnapshotLayout|TestServesGobEraFiles|TestJournalCrashMatrix|FuzzStateLoad"
+	"./internal/serve TestGuardrailProperty|TestFleet|TestExpireLeasesChurnRace|TestReportRoundTripAllocs|TestSteadyReportAllocatesNothing|TestPolicyReplyOutlivesRecord|TestServingHoldsPolicyOnly|TestSnapshotLayout|TestServesGobEraFiles|TestJournalCrashMatrix|FuzzStateLoad"
 	# The checkpoint: one layout, the section's policy acts like the
 	# whole agent bit for bit, any damage is refused, a Config claiming
 	# more than the file holds is refused before it sizes anything, and
