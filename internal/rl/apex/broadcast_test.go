@@ -315,10 +315,11 @@ func TestNewTrainerFootprint(t *testing.T) {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&ran)
-	// The one replay that stores something allocates its 1 MB sum tree
-	// (full size from the first add) and a few hundred slots.
-	if got := ran.TotalAlloc - built.TotalAlloc; got > 4<<20 {
-		t.Errorf("a 400-step run allocates %d KB, want under 4 MB", got>>10)
+	// The one replay that stores something grows its ring and sum tree
+	// to the few hundred slots it holds (1,162 KB measured; 2,170 KB
+	// while the tree took its full 1 MB at the first add).
+	if got := ran.TotalAlloc - built.TotalAlloc; got > 1536<<10 {
+		t.Errorf("a 400-step run allocates %d KB, want under 1.5 MB", got>>10)
 	}
 	t.Logf("NewTrainer %d KB, 400 steps %d KB", (built.TotalAlloc-before.TotalAlloc)>>10, (ran.TotalAlloc-built.TotalAlloc)>>10)
 	// An actor holds no training state at all: no agent, optimizer or

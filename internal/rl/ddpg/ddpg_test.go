@@ -315,8 +315,10 @@ func TestLoadActorBytesInPlace(t *testing.T) {
 
 // TestAgentFootprint: BufferCap bounds the replay, it does not reserve
 // it — building an agent used to zero a 65 536-slot ring and a 1 MB sum
-// tree a starved learner never touches (6.8 MB). And what only acts
-// holds no training state: an agent's targets have no gradient
+// tree a starved learner never touches (6.8 MB), and later the first
+// stored transition still took the whole tree. Storage now follows
+// what is stored (internal/rl/replay's package doc). And what only
+// acts holds no training state: an agent's targets have no gradient
 // buffers, and a view, what every Ape-X actor holds, has none at all,
 // no optimizer and no replay.
 func TestAgentFootprint(t *testing.T) {
@@ -355,5 +357,24 @@ func TestAgentFootprint(t *testing.T) {
 	}
 	if view > 164<<10 {
 		t.Errorf("a default view allocates %d KB, want under 164 KB", view>>10)
+	}
+	// 300 stored transitions, all sharing one set of slices so that
+	// only the replay's own storage counts, grow its ring and tree to
+	// 512 slots.
+	a, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := replay.Transition{State: state, Action: action, NextState: state}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 300; i++ {
+		a.Observe(tr)
+	}
+	runtime.ReadMemStats(&after)
+	stored := after.TotalAlloc - before.TotalAlloc
+	t.Logf("storing 300 transitions: %d KB", stored>>10)
+	if stored > 256<<10 {
+		t.Errorf("storing 300 transitions allocates %d KB, want under 256 KB", stored>>10)
 	}
 }

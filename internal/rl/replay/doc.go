@@ -38,16 +38,47 @@
 // # Capacity is a bound, not a reservation
 //
 // A buffer's capacity says when the ring starts evicting, not what it
-// allocates. Transition storage grows with the contents (doubling, never
-// past the capacity), and a stripe's sum tree is allocated by the first
-// add to it — at its full power-of-two size from then on, because leaf
-// positions and the order of the partial sums decide which transition
-// a prefix sum finds, so nothing a caller can observe depends on how
-// much is stored (TestReplayGrowthParity hashes a script of adds,
-// samples, priority write-backs and snapshot hand-overs against the
-// values of the fully preallocated buffers). A buffer nobody adds to —
-// every Ape-X actor's, every serving replica's — costs a few hundred
-// bytes; a 65 536-slot one used to cost 6.8 MB at construction.
+// allocates. Transition storage and a stripe's sum tree both grow with
+// the contents, doubling and never past the capacity: the ring from 16
+// slots, the tree from 16 leaves (minTreeLeaves) to the power of two
+// that covers the highest slot set so far, at most the stripe capacity
+// rounded up to a power of two (cap). A set beyond the held leaves
+// doubles the tree, copies the leaves and recomputes every internal
+// node bottom-up as left + right; LoadState sizes each stripe's tree
+// once for the fill level it restores; a stripe grows under the lock
+// it is written under.
+//
+// Nothing a caller can observe depends on how much is stored, because
+// what the tree answers is the full cap-leaf tree's, bit for bit:
+//
+//   - Every internal node of either tree is its left child plus its
+//     right child (a set recomputes each node it passes from both
+//     children), so a node depends only on the leaves below it. The
+//     grown tree is the full tree's leftmost subtree of n leaves, node
+//     for node; every leaf right of it is +0, and so is every sum of
+//     them.
+//   - Each full-tree node above the grown root X is therefore
+//     X + (+0), which is X — except that it turns −0 into +0, so total
+//     adds +0 to X while n < cap. A −0 leaf is possible: ReadRows
+//     refuses a negative leaf, and −0 < 0 is false.
+//   - find(v) for v < X takes the full tree's path: each comparison
+//     above X is v < X (sign of zero aside) and goes left, leaving v
+//     unchanged. For !(v < X) — v ≥ X, or NaN; SampleInto hands find
+//     +Inf and NaN when an infinite priority makes the mass infinite —
+//     the full tree goes right into its padding, where every left
+//     child is +0 and v − X never drops below it, and ends at leaf
+//     cap−1. So while n < cap find returns cap−1 there, and SampleInto
+//     clamps it to the last stored slot as it clamps every padding
+//     leaf.
+//
+// TestSumTreeWalksLikeFullTree holds a growing tree against a copy of
+// the full-size one through random adds, wrap-arounds, write-backs
+// (+Inf leaves among them) and restores (−0 among them), comparing
+// every find and the bits of total; TestReplayGrowthParity hashes a
+// script of adds, samples, priority write-backs and snapshot hand-overs
+// against the values of the fully preallocated buffers. A buffer nobody
+// adds to — every Ape-X actor's, every serving replica's — costs a few
+// hundred bytes; a 65 536-slot one used to cost 6.8 MB at construction.
 //
 // # Snapshots
 //

@@ -20,9 +20,9 @@ import (
 // still reserved its whole capacity and its whole sum tree up front.
 // "sharded" (four shards) was re-recorded when its sampler moved from
 // per-shard RNG streams to the caller's RNG; 91c09c5's sampler with
-// only that change gives the same hash. The tree keeps its full
-// power-of-two size once it exists because leaf positions and the order
-// of the partial sums are what these depend on.
+// only that change gives the same hash. Both hold since the sum tree
+// grew with its contents too (package doc, "Capacity is a bound, not a
+// reservation", has why no sample can tell).
 var growthFingerprints = map[string]string{
 	"prioritized": "cc694777b1c86c22d19fc470cb9aca067e7c96ec786049c87cd53630a06c31bc",
 	"sharded":     "16dd6bff978aee0d6017db87a5bfdab18273f080fc333534ab68b20055ca1f52",

@@ -95,15 +95,20 @@ func (u *Uniform) SampleInto(rng *rand.Rand, n int, dst []Transition) []Transiti
 
 // sumTree is a complete binary tree whose leaves hold priorities and
 // whose internal nodes hold subtree sums, supporting O(log n)
-// prefix-sum search. The nodes are allocated by the first set — a
-// buffer nobody adds to holds no tree — and at full size from then on:
-// leaf positions and the order of the partial sums decide which
-// transition a prefix sum finds, so a tree that grew would sample
-// differently.
+// prefix-sum search. Like the ring it grows with its contents: it holds
+// n leaves, a power of two that is 0 until the first set and doubles
+// (from minTreeLeaves, never past cap) when a set lands beyond it. What
+// a caller observes — total, and the leaf find picks — is the full
+// cap-leaf tree's, bit for bit; the package doc, "Capacity is a bound,
+// not a reservation", has the argument and the one edge it needs.
 type sumTree struct {
-	cap  int       // leaves: the buffer capacity rounded up to a power of two
-	tree []float64 // 1-indexed; leaves at [cap, 2cap); nil until the first set
+	cap  int       // the full tree's leaves: the capacity rounded up to a power of two
+	n    int       // leaves held: 0, or a power of two in [min(minTreeLeaves, cap), cap]
+	tree []float64 // 1-indexed; leaves at [n, 2n); nil until the first set
 }
+
+// minTreeLeaves is the leaf count a tree starts at.
+const minTreeLeaves = 16
 
 func newSumTree(capacity int) sumTree {
 	capPow := 1
@@ -113,11 +118,31 @@ func newSumTree(capacity int) sumTree {
 	return sumTree{cap: capPow}
 }
 
-func (s *sumTree) set(idx int, p float64) {
-	if s.tree == nil {
-		s.tree = make([]float64, 2*s.cap)
+// grow makes room for leaves [0, leaves): it doubles n until it covers
+// them, copies the leaves and recomputes every internal node bottom-up
+// as left + right, as set does on each node it passes.
+func (s *sumTree) grow(leaves int) {
+	n := max(s.n, minTreeLeaves)
+	for n < leaves {
+		n *= 2
 	}
-	i := idx + s.cap
+	n = min(n, s.cap)
+	if n == s.n {
+		return
+	}
+	tree := make([]float64, 2*n)
+	copy(tree[n:], s.tree[s.n:])
+	for i := n - 1; i >= 1; i-- {
+		tree[i] = tree[2*i] + tree[2*i+1]
+	}
+	s.n, s.tree = n, tree
+}
+
+func (s *sumTree) set(idx int, p float64) {
+	if idx >= s.n {
+		s.grow(idx + 1)
+	}
+	i := idx + s.n
 	s.tree[i] = p
 	for i >>= 1; i >= 1; i >>= 1 {
 		s.tree[i] = s.tree[2*i] + s.tree[2*i+1]
@@ -125,20 +150,30 @@ func (s *sumTree) set(idx int, p float64) {
 }
 
 // get reads a leaf that was set (every stored slot's has been).
-func (s *sumTree) get(idx int) float64 { return s.tree[idx+s.cap] }
+func (s *sumTree) get(idx int) float64 { return s.tree[idx+s.n] }
 
 func (s *sumTree) total() float64 {
-	if s.tree == nil {
+	switch {
+	case s.n == 0:
 		return 0
+	case s.n < s.cap:
+		// The full tree's root: each node above this one adds its +0
+		// padding, which turns a −0 sum into +0.
+		return s.tree[1] + 0
 	}
 	return s.tree[1]
 }
 
 // find locates the leaf containing prefix sum v. Callers sample only
-// from a positive total, so the tree exists.
+// from a positive total, so the tree exists. A v the held leaves do not
+// cover (+Inf, NaN, or v ≥ total) is where the full tree walks into its
+// zero padding, which ends at its last leaf.
 func (s *sumTree) find(v float64) int {
+	if s.n < s.cap && !(v < s.tree[1]) {
+		return s.cap - 1
+	}
 	i := 1
-	for i < s.cap {
+	for i < s.n {
 		left := s.tree[2*i]
 		if v < left {
 			i = 2 * i
@@ -147,5 +182,5 @@ func (s *sumTree) find(v float64) int {
 			i = 2*i + 1
 		}
 	}
-	return i - s.cap
+	return i - s.n
 }

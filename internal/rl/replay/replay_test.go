@@ -336,8 +336,9 @@ func BenchmarkPrioritizedSample(b *testing.B) {
 // TestIdleBufferHoldsNoStorage: capacity is a bound, not a
 // reservation. A buffer nobody has added to — asked for its length,
 // sampled, snapshotted and restored from an empty snapshot — holds no
-// ring and no sum tree; the first add allocates the tree at full size
-// and the ring at a few slots.
+// ring and no sum tree; the first add allocates both at a few slots,
+// and a full buffer's tree holds its capacity's power of two of
+// leaves, never more.
 func TestIdleBufferHoldsNoStorage(t *testing.T) {
 	p, _ := NewPrioritized(1<<16, 0.6, 0.4, 1e-5)
 	s, _ := NewSharded(1<<16, 4, 0.6, 0.4, 1e-5, 1)
@@ -367,16 +368,20 @@ func TestIdleBufferHoldsNoStorage(t *testing.T) {
 	}
 	p.Add(tr(1))
 	u.Add(tr(1))
-	if one := &p.shards[0]; len(one.tree.tree) != 2<<16 || cap(one.data) >= 1<<10 || cap(u.data) >= 1<<10 {
+	if one := &p.shards[0]; len(one.tree.tree) > 2*minTreeLeaves || cap(one.data) >= 1<<10 || cap(u.data) >= 1<<10 {
 		t.Errorf("after one add: tree %d nodes, rings %d and %d slots", len(one.tree.tree), cap(one.data), cap(u.data))
 	}
-	// A full ring holds exactly its capacity.
+	// A full ring holds exactly its capacity, and its tree the power of
+	// two above it.
 	small, _ := NewPrioritized(300, 0.6, 0.4, 0)
 	for i := 0; i < 1000; i++ {
 		small.Add(tr(float64(i)))
 	}
 	if ring := small.shards[0].data; len(ring) != 300 || cap(ring) != 300 {
 		t.Errorf("full 300-slot ring holds %d slots in a %d-slot array", len(ring), cap(ring))
+	}
+	if tree := &small.shards[0].tree; tree.n != 512 || len(tree.tree) != 2*512 {
+		t.Errorf("full 300-slot buffer's tree holds %d leaves in %d nodes, want 512 in 1024", tree.n, len(tree.tree))
 	}
 }
 

@@ -227,6 +227,7 @@ func (p *Prioritized) LoadState(state []byte, stateDim, actionDim int) error {
 		sh.maxPrior = math.Float64frombits(le.Uint64(h[16:]))
 		if sh.count > 0 {
 			sh.data = make([]Transition, sh.count)
+			sh.tree.grow(sh.count)
 		}
 		// SplitState passed these rows.
 		_ = ReadRows(rows[:width*sh.count], stateDim, actionDim, func(i int, leaf float64, t Transition) {

@@ -57,15 +57,16 @@ gates=(
 	# previous frame with none; hostile frames, and policy files from
 	# before the frame, change nothing. Replay capacity is a bound, not
 	# a reservation: a trainer and an acting agent are small, an idle
-	# buffer holds no storage, growth shows in no sample, and a corrupt
-	# snapshot cursor is refused. What only acts holds inference-only
+	# buffer holds no storage, neither the ring's growth nor the sum
+	# tree's shows in any sample, total or prefix-sum walk, and a
+	# corrupt snapshot cursor is refused. What only acts holds inference-only
 	# networks: an actor reaches no training state, a view acts and
 	# prioritizes bit for bit like the agent it mirrors, and a network
 	# clone carries no gradients.
 	"./internal/rl/apex TestPublishRecyclesReleasedFrame|TestSyncParamsReleasesItsPull|TestReleaseCountsOnlyTheCurrentFrame|TestConcurrentPullersSeeTheirVersion|TestSyncParamsAllocatesNothing|TestPublishedFrameIsImmutable|TestNewTrainerFootprint"
 	"./internal/rl/ddpg TestLoadActorBytesInPlace|TestAppendActorBytesInPlace|TestLoadActorBytesRejectsHostileFrames|TestLoadActorBytesRefusesLegacyGob|TestAgentFootprint|TestViewMatchesAgent"
 	"./internal/nn TestCloneFootprint"
-	"./internal/rl/replay TestReplayGrowthParity|TestIdleBufferHoldsNoStorage|TestSetStateRejectsCorruptSnapshot"
+	"./internal/rl/replay TestReplayGrowthParity|TestIdleBufferHoldsNoStorage|TestSumTreeWalksLikeFullTree|TestSetStateRejectsCorruptSnapshot"
 	# One NN engine at two element types: 300 f64 and 200 f32 composed
 	# updates hash to the recorded values on both kernel sets, the
 	# kernels equal their element-wise reference, and a train step, a
