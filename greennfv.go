@@ -171,14 +171,6 @@ type TrainOptions struct {
 	// prefetched minibatches — (fast, non-deterministic) instead of
 	// the reproducible round-robin interleaving.
 	Parallel bool
-	// Float32 runs the learner's updates through the single-precision
-	// NN fast path (8-lane AVX2 kernels, ~1.3x the update rate) when
-	// combined with Parallel or RemoteActors. The deployed policy is
-	// converted back to float64 when training ends; deviation from the
-	// f64 update is bounded by the ddpg parity test (max |ΔQ| well
-	// under 1e-3). Ignored by the default deterministic mode, which
-	// stays byte-reproducible.
-	Float32 bool
 	// SamplesPerInsert, when positive, paces the learner against the
 	// actors in the asynchronous modes (Parallel, RemoteActors): at
 	// most SamplesPerInsert replay samples are consumed per inserted
@@ -228,7 +220,6 @@ func (s *System) Train(agreement SLA, opts TrainOptions) (*Policy, error) {
 	}
 	g := control.NewGreenNFV(agreement.spec, opts.Steps, opts.Actors, s.cfg.Seed)
 	g.Train.Parallel = opts.Parallel
-	g.Train.Float32 = opts.Float32
 	g.Train.SamplesPerInsert = opts.SamplesPerInsert
 	g.Train.CheckpointPath = opts.Checkpoint
 	g.Train.CheckpointEvery = opts.CheckpointEvery
@@ -321,9 +312,8 @@ func (p *Policy) SaveCheckpoint(w io.Writer) error {
 // after it, read once and checked whole — validates its dimensions
 // against the system's chain, and binds it to the SLA — the serve-only
 // path: train once, deploy the checkpoint many times without the
-// training driver. A checkpoint written before the policy section
-// existed, or whose training state is gob rather than the fixed layout,
-// is refused with an error that says so: retrain.
+// training driver. A checkpoint without the policy section, or whose
+// training state is not the GNFVAGT1 layout, is refused.
 func (s *System) LoadPolicyCheckpoint(agreement SLA, r io.Reader) (*Policy, error) {
 	probe, err := s.factory(agreement.spec)(s.cfg.Seed, perfmodel.EvalOptions{})
 	if err != nil {
@@ -356,10 +346,8 @@ func (s *System) WriteNodeSpec(agreement SLA, w io.Writer) error {
 
 // LoadPolicy reads a policy saved by Policy.Save — a parameter frame
 // of the system's default actor shape — binding it to the given SLA
-// for constraint reporting. A policy file written before the frame
-// existed (the actor's gob encoding) is refused with an error that says
-// so: load it with a build that still reads it and save it again, or
-// retrain.
+// for constraint reporting. Bytes that are not such a frame are
+// refused.
 func (s *System) LoadPolicy(agreement SLA, r io.Reader) (*Policy, error) {
 	// State and action dimensions follow from the chain length.
 	probe, err := s.factory(agreement.spec)(s.cfg.Seed, perfmodel.EvalOptions{})

@@ -2,13 +2,10 @@ package greennfv
 
 import (
 	"bytes"
-	"encoding/gob"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"greennfv/internal/perfmodel"
 )
 
 func TestSLAConstructors(t *testing.T) {
@@ -169,6 +166,7 @@ func TestPolicySaveLoadRoundTrip(t *testing.T) {
 	if buf.Len() == 0 {
 		t.Fatal("empty checkpoint")
 	}
+	foreign := bytes.Clone(buf.Bytes())
 	loaded, err := sys.LoadPolicy(EfficiencySLA(), &buf)
 	if err != nil {
 		t.Fatal(err)
@@ -189,9 +187,14 @@ func TestPolicySaveLoadRoundTrip(t *testing.T) {
 	if len(eps) != 0 {
 		t.Error("loaded policy reports a training curve")
 	}
-	// Corrupt checkpoints are rejected.
+	// Corrupt checkpoints are rejected, and so is a frame under another
+	// magic, with nn's refusal.
 	if _, err := sys.LoadPolicy(EfficiencySLA(), strings.NewReader("garbage")); err == nil {
 		t.Error("garbage checkpoint accepted")
+	}
+	foreign[7]++
+	if p, err := sys.LoadPolicy(EfficiencySLA(), bytes.NewReader(foreign)); p != nil || err == nil || !strings.Contains(err.Error(), "not a parameter frame") {
+		t.Errorf("a policy file under another magic loaded as %v, %v", p, err)
 	}
 	// Saving a nil policy errors.
 	var nilPolicy *Policy
@@ -286,52 +289,5 @@ func TestPolicyCheckpointServeOnly(t *testing.T) {
 	}
 	if !strings.Contains(spec.String(), "\"env_seed\"") {
 		t.Errorf("node spec JSON missing fields: %s", spec.String())
-	}
-}
-
-// preFramePolicy is a policy file as Policy.Save wrote it before the
-// parameter frame: the gob encoding of the actor network's layer sizes,
-// activations (ReLU hidden, Tanh out), weights and biases — here of an
-// all-zero network of the system's default shape.
-func preFramePolicy(t *testing.T, sys *System, agreement SLA) []byte {
-	t.Helper()
-	probe, err := sys.factory(agreement.spec)(sys.cfg.Seed, perfmodel.EvalOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st struct {
-		Sizes []int
-		Acts  []int
-		W, B  [][]float64
-	}
-	st.Sizes = []int{probe.StateDim(), 48, 48, probe.ActionDim()}
-	st.Acts = []int{1, 1, 2}
-	for i := 1; i < len(st.Sizes); i++ {
-		st.W = append(st.W, make([]float64, st.Sizes[i-1]*st.Sizes[i]))
-		st.B = append(st.B, make([]float64, st.Sizes[i]))
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// TestLoadPolicyRefusesPreFrameFile: LoadPolicy reads parameter frames
-// only. A policy file from before the frame gets an error that names the
-// format and the remedy, not a policy.
-func TestLoadPolicyRefusesPreFrameFile(t *testing.T) {
-	sys, err := NewSystem(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := sys.LoadPolicy(EfficiencySLA(), bytes.NewReader(preFramePolicy(t, sys, EfficiencySLA())))
-	if p != nil || err == nil {
-		t.Fatalf("LoadPolicy of a pre-frame gob file returned %v, %v", p, err)
-	}
-	for _, word := range []string{"gob", "save it again", "retrain"} {
-		if !strings.Contains(err.Error(), word) {
-			t.Errorf("error %q does not say %q", err, word)
-		}
 	}
 }

@@ -2,7 +2,6 @@ package atomicio
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -10,7 +9,7 @@ import (
 )
 
 // MagicLen is the required magic length: 8 bytes, by convention an
-// ASCII tag ending in a format version digit (e.g. "GNFVCKP1").
+// ASCII tag ending in a format version digit (e.g. "GNFVCKP2").
 const MagicLen = 8
 
 // headerLen is magic + uint64 payload length + uint32 CRC.
@@ -38,10 +37,14 @@ func appendHeader(dst []byte, magic string, sum Sum) []byte {
 }
 
 // parseHeader checks raw's magic and returns the Sum its header
-// carries.
+// carries. The one refusal of every other format, older or newer,
+// names the magic it found beside the one it wants.
 func parseHeader(raw []byte, magic string) (Sum, error) {
-	if len(raw) < headerLen || string(raw[:MagicLen]) != magic {
-		return Sum{}, errors.New("atomicio: bad magic")
+	if len(raw) < headerLen {
+		return Sum{}, fmt.Errorf("atomicio: %d bytes, shorter than the %d-byte header", len(raw), headerLen)
+	}
+	if found := string(raw[:MagicLen]); found != magic {
+		return Sum{}, fmt.Errorf("atomicio: magic %q, want %q", found, magic)
 	}
 	return Sum{
 		Len: binary.BigEndian.Uint64(raw[MagicLen : MagicLen+8]),

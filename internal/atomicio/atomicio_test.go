@@ -2,8 +2,10 @@ package atomicio
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -49,22 +51,42 @@ func TestReadRejectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cases := map[string][]byte{
-		"flipped payload byte": append(append([]byte(nil), raw[:len(raw)-2]...), raw[len(raw)-2]^0x40, raw[len(raw)-1]),
-		"truncated":            raw[:len(raw)-3],
-		"wrong magic":          append([]byte("XXXXXXX1"), raw[MagicLen:]...),
-		"too short":            raw[:headerLen-1],
-		"garbage":              []byte("not a framed file at all........"),
-	}
-	for name, data := range cases {
+	// A wrong magic is refused by quoting it beside the one wanted —
+	// escaped, whatever the file held where the magic should be.
+	magic := func(found string) string { return fmt.Sprintf("magic %q, want %q", found, testMagic) }
+	for _, tc := range []struct{ name, data, says string }{
+		{"flipped payload byte", string(raw[:len(raw)-2]) + string([]byte{raw[len(raw)-2] ^ 0x40, raw[len(raw)-1]}), "corrupt file"},
+		{"truncated", string(raw[:len(raw)-3]), "truncated file"},
+		{"another tag", "GNFVTST2" + string(raw[MagicLen:]), `magic "GNFVTST2", want "GNFVTST1"`},
+		{"hostile magic", hostileMagic + string(raw[MagicLen:]), magic(hostileMagic)},
+		{"too short", string(raw[:headerLen-1]), "19 bytes, shorter than the 20-byte header"},
+		{"garbage", "not a framed file at all........", magic("not a fr")},
+	} {
 		bad := filepath.Join(t.TempDir(), "bad")
-		if err := os.WriteFile(bad, data, 0o644); err != nil {
+		if err := os.WriteFile(bad, []byte(tc.data), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ReadFile(bad, testMagic); err == nil {
-			t.Errorf("%s: ReadFile accepted corrupt file", name)
+		_, err := ReadFile(bad, testMagic)
+		if err == nil || !strings.Contains(err.Error(), tc.says) {
+			t.Errorf("%s: ReadFile returned %v, want an error saying %s", tc.name, err, tc.says)
+		} else if !printable(err.Error()) {
+			t.Errorf("%s: refusal %q carries unescaped bytes", tc.name, err)
 		}
 	}
+}
+
+// hostileMagic is what a file may hold where the magic should be:
+// NUL, a terminal escape and bytes that are not UTF-8.
+const hostileMagic = "\xff\x00\x1b[2J\xfe\x80"
+
+// printable reports whether s is all printable ASCII.
+func printable(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] < ' ' || s[i] > '~' {
+			return false
+		}
+	}
+	return true
 }
 
 func TestWriteRejectsBadMagic(t *testing.T) {

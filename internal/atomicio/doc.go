@@ -14,7 +14,11 @@
 // payload, then the payload. ReadFile rejects a wrong magic, a length
 // that disagrees with the file size, and a CRC mismatch — the
 // torn-read case of a file copied off a dying machine — before the
-// caller ever decodes a byte.
+// caller ever decodes a byte. A wrong magic is refused with an error
+// that quotes the magic found and the one wanted; this one refusal
+// covers every other format, older or newer, so no caller keeps a
+// list of the formats it used to write. A file shorter than the
+// header is refused with its length.
 //
 // # Write protocol
 //

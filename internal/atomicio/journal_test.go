@@ -3,8 +3,10 @@ package atomicio
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -77,8 +79,24 @@ func TestJournalRoundTripAndBinding(t *testing.T) {
 	if _, err := replay(t, path, base); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadJournal(path, "GNFVXXX1", base, func([]byte) error { return nil }); err == nil {
-		t.Error("wrong magic accepted")
+	// A journal under another tag, or with hostile bytes where its
+	// magic should be, is refused naming both magics and replays
+	// nothing. (One cut inside its header replays nothing and is no
+	// error: TestJournalTornTailAndCorruption.)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, found := range []string{"GNFVTSJ2", hostileMagic} {
+		if err := os.WriteFile(path, append([]byte(found), raw[MagicLen:]...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := replay(t, path, base)
+		if says := fmt.Sprintf("magic %q, want %q", found, testJournalMagic); err == nil || !strings.Contains(err.Error(), says) || got != nil {
+			t.Errorf("journal under magic %q: replayed %q, %v; want nothing and an error saying %s", found, got, err, says)
+		} else if !printable(err.Error()) {
+			t.Errorf("refusal %q carries unescaped bytes", err)
+		}
 	}
 	// CreateJournal replaces what was there.
 	writeJournal(t, path, base, "fresh")

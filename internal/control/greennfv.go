@@ -146,8 +146,7 @@ func NewGreenNFVFromAgent(s sla.SLA, agent *ddpg.Agent) *GreenNFV {
 // NewGreenNFVFromActor builds a deploy-only controller from a saved
 // policy file — the actor's parameter frame, as Policy.Save writes it —
 // for the default agent shape at these dimensions (no trainer, no
-// further learning). Anything else, a pre-frame gob policy file
-// included, is refused (ddpg.View.LoadActorBytes).
+// further learning). Anything else is refused (ddpg.View.LoadActorBytes).
 func NewGreenNFVFromActor(s sla.SLA, stateDim, actionDim int, r io.Reader) (*GreenNFV, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {

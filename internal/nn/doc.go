@@ -241,9 +241,9 @@
 // never to size anything. Validation order — all of it before the
 // first parameter is written, so a refused frame changes nothing:
 //
-//  1. the magic (bytes that do not start with it get ErrNotParamFrame
-//     — the gob encoding networks were saved in before the frame,
-//     among them — and are not read further);
+//  1. the magic (bytes that do not start with it, another format or
+//     frame version among them, get ErrNotParamFrame and are not read
+//     further);
 //  2. the total length, against the length of this network's own frame
 //     — exact, so truncation, trailing bytes and every later
 //     out-of-bounds read are excluded at once, and no product of sizes

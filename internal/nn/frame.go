@@ -105,8 +105,7 @@ func (n *Network) AppendParamFrame(dst []byte) []byte {
 }
 
 // ErrNotParamFrame is LoadParams' refusal of bytes that do not open
-// with the frame magic — among them the gob encoding networks were
-// saved in before the frame existed, which nothing reads any more.
+// with the frame magic.
 var ErrNotParamFrame = errors.New("nn: not a parameter frame")
 
 // CheckParams reports why LoadParams would refuse frame, bytes from a

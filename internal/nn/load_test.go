@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"flag"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strconv"
 	"testing"
 )
 
@@ -130,21 +134,90 @@ func TestMLPFrameLen(t *testing.T) {
 	}
 }
 
+var updateCorpus = flag.Bool("update-corpus", false, "rewrite testdata/fuzz/FuzzNetworkUnmarshal")
+
+// fuzzSizes shapes FuzzNetworkUnmarshal's receiver: two layers, and a
+// 244-byte frame, so the committed corpus stays small.
+var fuzzSizes = []int{3, 4, 2}
+
+// networkSeeds is FuzzNetworkUnmarshal's committed corpus: a valid
+// frame of another network of the receiver's shape and that frame with
+// one thing wrong in each of the others, so that the fuzzer starts past
+// the magic at every check LoadParams makes (doc.go, "Parameter frame").
+func networkSeeds() map[string][]byte {
+	valid := MustMLP(fuzzSizes, ReLU, Tanh, rand.New(rand.NewSource(43))).ParamFrame()
+	edit := func(f func(b []byte) []byte) []byte { return f(bytes.Clone(valid)) }
+	put32 := func(at int, v uint32) []byte {
+		return edit(func(b []byte) []byte { binary.LittleEndian.PutUint32(b[at:], v); return b })
+	}
+	const (
+		count  = len(paramMagic)           // the layer count
+		layer0 = frameHeaderLen            // layer 0's In, Out, Act
+		layer1 = layer0 + layerHeaderLen   // layer 1's
+		w0     = layer0 + 2*layerHeaderLen // layer 0's W, 3·4 float64s
+	)
+	return map[string][]byte{
+		"valid":        valid,
+		"bad-magic":    edit(func(b []byte) []byte { b[len(paramMagic)-1]++; return b }),
+		"truncated":    valid[:len(valid)/2],
+		"short-b":      valid[:len(valid)-8],
+		"no-w":         append(bytes.Clone(valid[:w0]), valid[w0+8*3*4:]...),
+		"short-acts":   valid[:layer1+8], // cut before layer 1's Act
+		"zero-sizes":   put32(count, 0),
+		"one-size":     put32(count, 1),
+		"zero-in":      put32(layer0, 0),
+		"negative":     put32(layer0, math.MaxUint32),
+		"giant":        put32(layer0+4, 1<<31),
+		"w-mismatch":   put32(layer1, 5), // layer 1's In is not layer 0's Out
+		"unknown-act":  put32(layer1+8, 9),
+		"negative-act": put32(layer0+8, math.MaxUint32),
+		// In·Out = 2³² wraps to 0 in 32 bits.
+		"giant-wraps": edit(func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[layer0:], 1<<16)
+			binary.LittleEndian.PutUint32(b[layer0+4:], 1<<16)
+			return b
+		}),
+	}
+}
+
+// TestNetworkUnmarshalCorpus keeps the committed corpus in step with
+// networkSeeds, whose every seed but "valid" the receiver refuses;
+// `go test ./internal/nn -run TestNetworkUnmarshalCorpus -update-corpus`
+// rewrites it.
+func TestNetworkUnmarshalCorpus(t *testing.T) {
+	n := MustMLP(fuzzSizes, ReLU, Tanh, rand.New(rand.NewSource(41)))
+	dir := filepath.Join("testdata", "fuzz", "FuzzNetworkUnmarshal")
+	for name, data := range networkSeeds() {
+		if err := n.CheckParams(data); (err == nil) != (name == "valid") {
+			t.Errorf("seed %s: CheckParams returned %v", name, err)
+		}
+		path := filepath.Join(dir, name)
+		want := "go test fuzz v1\n[]byte(" + strconv.Quote(string(data)) + ")\n"
+		if *updateCorpus {
+			if err := os.WriteFile(path, []byte(want), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		if got, err := os.ReadFile(path); err != nil || string(got) != want {
+			t.Errorf("corpus seed %s is missing or stale (go test ./internal/nn -run TestNetworkUnmarshalCorpus -update-corpus): %v", name, err)
+		}
+	}
+}
+
 // FuzzNetworkUnmarshal fuzzes the package's one network decoder,
-// LoadParams, into a live 5-7-3 network: any byte string is refused
+// LoadParams, into a live 3-4-2 network: any byte string is refused
 // with every parameter bit untouched — with ErrNotParamFrame whenever it
 // lacks the frame magic — or loaded, and then the network's own frame
 // is those bytes exactly and every pass runs on it. The committed corpus
-// (testdata/fuzz/FuzzNetworkUnmarshal) is the gob encoding networks had
-// before the frame: ill-formed networks, a truncated stream and a valid
-// 5-7-3 network ("valid"), all of which must now be refused; the f.Add
-// seeds are the receiver's own frame and one of another activation.
+// is networkSeeds; the f.Add seeds are the receiver's own frame and one
+// of another activation.
 func FuzzNetworkUnmarshal(f *testing.F) {
 	rng := rand.New(rand.NewSource(41))
-	n := MustMLP([]int{5, 7, 3}, ReLU, Tanh, rng)
+	n := MustMLP(fuzzSizes, ReLU, Tanh, rng)
 	start := n.ParamFrame()
 	f.Add(start)
-	f.Add(MustMLP([]int{5, 7, 3}, ReLU, Linear, rng).ParamFrame())
+	f.Add(MustMLP(fuzzSizes, ReLU, Linear, rng).ParamFrame())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if err := n.LoadParams(start); err != nil {
 			t.Fatal(err)
@@ -162,10 +235,11 @@ func FuzzNetworkUnmarshal(f *testing.F) {
 			t.Fatal("an accepted frame does not read back byte for byte")
 		}
 		const rows = 5 // one 4-row group and a remainder row
-		x := make([]float64, rows*5)
-		n.Forward(x[:5])
+		in, out := fuzzSizes[0], fuzzSizes[len(fuzzSizes)-1]
+		x := make([]float64, rows*in)
+		n.Forward(x[:in])
 		n.ForwardBatch(x, rows)
-		n.BackwardBatch(make([]float64, rows*3), rows)
+		n.BackwardBatch(make([]float64, rows*out), rows)
 	})
 }
 

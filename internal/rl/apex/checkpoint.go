@@ -19,8 +19,8 @@ import (
 // the CRC rejects a torn copy) around six little-endian int64s —
 // Version, Updates, Pushes, Received, Steps, TotalSteps — and then the
 // agent's checkpoint (ddpg.Agent.SaveState) to the end. A trainer that
-// starts a run sweeps any temp file a crashed predecessor left. A
-// GNFVCKP1 file, the gob encoding before, is refused by name.
+// starts a run sweeps any temp file a crashed predecessor left. A file
+// under any other magic is refused (atomicio names the tag it found).
 
 // checkpointMagic identifies (and versions) the checkpoint format.
 const checkpointMagic = "GNFVCKP2"
@@ -63,9 +63,6 @@ func WriteCheckpoint(path string, ck *TrainerCheckpoint) error {
 func ReadCheckpoint(path string) (*TrainerCheckpoint, error) {
 	payload, err := atomicio.ReadFile(path, checkpointMagic)
 	if err != nil {
-		if _, gob := atomicio.ReadFile(path, "GNFVCKP1"); gob == nil {
-			return nil, errors.New("apex: checkpoint is a GNFVCKP1 file, the gob encoding before " + checkpointMagic + ", which is no longer read: retrain")
-		}
 		return nil, fmt.Errorf("apex: checkpoint: %w", err)
 	}
 	var c [6]int64

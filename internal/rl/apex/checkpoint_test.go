@@ -240,9 +240,10 @@ func TestResumeAcrossGOMAXPROCS(t *testing.T) {
 
 // TestResumeRejectsMissingAndMismatched pins Resume error handling: a
 // missing file fails at Resume time; a checkpoint from a different
-// agent configuration, or a well-framed one whose counters no run with
-// this budget could have written, fails at restore time with an error
-// that names the field.
+// agent configuration, a well-framed one whose counters no run with
+// this budget could have written, or one under another magic fails at
+// restore time with an error that names the field or the magic, and
+// changes neither the learner nor the file.
 func TestResumeRejectsMissingAndMismatched(t *testing.T) {
 	cfg := checkpointTrainerConfig(t, 40)
 	tr, err := NewTrainer(cfg)
@@ -277,18 +278,28 @@ func TestResumeRejectsMissingAndMismatched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for field, corrupt := range map[string]func(*TrainerCheckpoint){
-		"TotalSteps": func(ck *TrainerCheckpoint) { ck.TotalSteps = 41 },
-		"Steps":      func(ck *TrainerCheckpoint) { ck.Steps = ck.TotalSteps + 1 },
-		"Version":    func(ck *TrainerCheckpoint) { ck.Version = 0 },
-		"Updates":    func(ck *TrainerCheckpoint) { ck.Updates++ },
-		"Pushes":     func(ck *TrainerCheckpoint) { ck.Pushes = -1 },
-		"Received":   func(ck *TrainerCheckpoint) { ck.Received = -360 },
+	corrupted := func(corrupt func(*TrainerCheckpoint)) func(string) error {
+		return func(path string) error {
+			ck := *good
+			corrupt(&ck)
+			return WriteCheckpoint(path, &ck)
+		}
+	}
+	for field, write := range map[string]func(path string) error{
+		"TotalSteps":       corrupted(func(ck *TrainerCheckpoint) { ck.TotalSteps = 41 }),
+		"Steps":            corrupted(func(ck *TrainerCheckpoint) { ck.Steps = ck.TotalSteps + 1 }),
+		"Version":          corrupted(func(ck *TrainerCheckpoint) { ck.Version = 0 }),
+		"Updates":          corrupted(func(ck *TrainerCheckpoint) { ck.Updates++ }),
+		"Pushes":           corrupted(func(ck *TrainerCheckpoint) { ck.Pushes = -1 }),
+		"Received":         corrupted(func(ck *TrainerCheckpoint) { ck.Received = -360 }),
+		`magic "GNFVCKP3"`: func(path string) error { return atomicio.WriteFile(path, "GNFVCKP3", good.payload()) },
 	} {
-		ck := *good
-		corrupt(&ck)
 		bad := filepath.Join(t.TempDir(), "bad")
-		if err := WriteCheckpoint(bad, &ck); err != nil {
+		if err := write(bad); err != nil {
+			t.Fatal(err)
+		}
+		file, err := os.ReadFile(bad)
+		if err != nil {
 			t.Fatal(err)
 		}
 		tr3, err := NewTrainer(cfg)
@@ -303,7 +314,7 @@ func TestResumeRejectsMissingAndMismatched(t *testing.T) {
 			t.Fatal(err)
 		}
 		if err := tr3.Run(); err == nil || !strings.Contains(err.Error(), field) {
-			t.Errorf("checkpoint with a bad %s: Run returned %v, want an error naming the field", field, err)
+			t.Errorf("checkpoint with a bad %s: Run returned %v, want an error naming it", field, err)
 		}
 		// A refused checkpoint loads nothing: before the agent's own
 		// LearnSteps was read off the layout, a bad Updates was caught
@@ -311,37 +322,9 @@ func TestResumeRejectsMissingAndMismatched(t *testing.T) {
 		if after, _ := tr3.Learner().Agent().StateBytes(true); !bytes.Equal(before, after) {
 			t.Errorf("checkpoint with a bad %s changed the learner's agent", field)
 		}
-	}
-}
-
-// TestResumeRefusesGobNetworks: testdata/gob-networks.ckpt is a
-// trainer checkpoint written by commit 495a5c0, the last build that
-// stored the agent's networks as gob blobs, from a run of
-// checkpointTrainerConfig(40) at Hidden {4} without replay — a GNFVCKP1
-// file, gob throughout. Resuming it fails with an error that names the
-// format and the remedy, and the learner's agent is left as it was
-// built.
-func TestResumeRefusesGobNetworks(t *testing.T) {
-	cfg := checkpointTrainerConfig(t, 40)
-	cfg.AgentConfig.Hidden = []int{4}
-	cfg.CheckpointReplay = false
-	tr, err := NewTrainer(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before, err := tr.Learner().Agent().StateBytes(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Resume(filepath.Join("testdata", "gob-networks.ckpt")); err != nil {
-		t.Fatal(err)
-	}
-	err = tr.Run()
-	if err == nil || !strings.Contains(err.Error(), "gob") || !strings.Contains(err.Error(), "retrain") {
-		t.Fatalf("resuming a gob-network checkpoint: Run returned %v, want the refusal naming gob and retrain", err)
-	}
-	if after, _ := tr.Learner().Agent().StateBytes(false); !bytes.Equal(before, after) {
-		t.Fatal("a refused checkpoint changed the learner's agent")
+		if after, err := os.ReadFile(bad); err != nil || !bytes.Equal(after, file) {
+			t.Errorf("checkpoint with a bad %s changed on disk (%v)", field, err)
+		}
 	}
 }
 

@@ -117,9 +117,9 @@
 // where the learner expects a layout, and a newer actor's a layout
 // where an older learner expects gob; either learner refuses it by
 // body kind ("undecodable arguments"), an error the actor does not
-// retry, so it exits. A trainer checkpoint from before the fixed
-// layout (a GNFVCKP1 file, gob throughout) is refused by name by
-// Resume, and the run retrains.
+// retry, so it exits. A trainer checkpoint under any magic but
+// GNFVCKP2 fails the resumed run with atomicio's refusal, which names
+// the magic it found.
 //
 // The central replay is the learner's alone. An actor holds a
 // ddpg.View — the policy, the frozen priority networks and its noise,

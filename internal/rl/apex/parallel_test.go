@@ -77,50 +77,6 @@ func TestParallelTrainerSmoke(t *testing.T) {
 	}
 }
 
-// TestParallelFloat32 runs the concurrent mode with the
-// single-precision learner (meaningful under -race: actors pull f64
-// broadcasts that ActorBytes flushes from the f32 mirrors while the
-// learner trains) and checks the run completes with the full update
-// budget, the policy lands back in f64 for greedy evaluation, and the
-// f32 path is switched off after the run.
-func TestParallelFloat32(t *testing.T) {
-	cfg := DefaultTrainerConfig(400)
-	cfg.Actors = 2
-	cfg.Parallel = true
-	cfg.Float32 = true
-	cfg.StepperFactory = stepperFactory(sla.NewEnergyEfficiency())
-	cfg.AgentConfig = ddpg.DefaultConfig(0, 0)
-	cfg.AgentConfig.Hidden = []int{24, 24}
-	cfg.AgentConfig.BatchSize = 16
-	cfg.AgentConfig.Seed = 13
-	tr, err := NewTrainer(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Run(); err != nil {
-		t.Fatal(err)
-	}
-	want := cfg.LearnPerStep * (cfg.TotalSteps - cfg.WarmupSteps)
-	agent := tr.Learner().Agent()
-	if got := agent.LearnSteps(); got != want {
-		t.Errorf("f32 learner ran %d updates, want %d", got, want)
-	}
-	if agent.Float32() {
-		t.Error("f32 path still enabled after the run")
-	}
-	e, err := envFactory(sla.NewEnergyEfficiency())(9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := tr.GreedyEval(e, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ThroughputGbps <= 0 || math.IsNaN(res.ThroughputGbps) {
-		t.Errorf("greedy eval after f32 parallel training: %+v", res)
-	}
-}
-
 // TestParallelMatchesBudget verifies the learner runs the same update
 // budget as the round-robin mode would at the same step count.
 func TestParallelMatchesBudget(t *testing.T) {

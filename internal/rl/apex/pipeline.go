@@ -67,15 +67,8 @@ func (t *Trainer) runPipeline(open func(steps int) (transport, error)) error {
 	if err := t.installShardedReplay(agent); err != nil {
 		return err
 	}
-	if t.cfg.Float32 {
-		// The flush makes the trained policy visible to the f64 side
-		// once the run ends; broadcasts are f64 throughout.
-		agent.SetFloat32(true)
-		defer agent.SetFloat32(false)
-	}
-	// Restore checkpoint state only after the precision mode matches
-	// the one that wrote it. A replay snapshot replaces the buffer just
-	// installed with one of the snapshot's stripe count.
+	// A replay snapshot replaces the buffer just installed with one of
+	// the snapshot's stripe count.
 	if err := t.applyResume(); err != nil {
 		return err
 	}

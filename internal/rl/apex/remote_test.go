@@ -134,12 +134,6 @@ func TestRemoteTrainingRound(t *testing.T) {
 	// computation is bit-for-bit across processes.
 	cfg.SpawnRemote = []string{bin, "-q", "-verifyprio"}
 	cfg.RemoteSpec = testSpec()
-	// The learner runs single-precision: every invariant below
-	// (transition counts, update budget, version propagation) is
-	// precision-independent, so this doubles as the end-to-end test of
-	// the f32 path over RPC — actors must receive usable f64
-	// broadcasts flushed from the f32 mirrors.
-	cfg.Float32 = true
 	cfg.WarmupSteps = 32
 	cfg.VersionEvery = 4
 	cfg.AgentConfig = ddpg.DefaultConfig(0, 0)

@@ -89,15 +89,6 @@ type TrainerConfig struct {
 	// Horgan et al. Round-robin remains the default: it is reproducible,
 	// which tests and figures rely on.
 	Parallel bool
-	// Float32 runs the pipeline's updates through the single-precision
-	// NN fast path (8-lane AVX2 kernels, roughly 1.3x the f64 update
-	// rate). The trained policy is flushed back to float64 when the run
-	// ends, and every parameter broadcast carries the current weights.
-	// Round-robin ignores it: its recorded figures depend on the f64
-	// path staying byte-identical. Parity of the f32 update is bounded
-	// by the ddpg package's f32-vs-f64 test (max |ΔQ| well under 1e-3
-	// over a fixed schedule).
-	Float32 bool
 	// RemoteActors selects the pipeline's multi-process transport (the
 	// paper's six-node deployment): the trainer serves the learner over
 	// rpcutil and RemoteActors actor processes connect as RPC clients,

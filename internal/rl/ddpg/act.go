@@ -1,7 +1,6 @@
 package ddpg
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 
@@ -165,11 +164,6 @@ func (v *View) TDError(t replay.Transition) float64 {
 	return target - q[0]
 }
 
-// errGobPolicy refuses bytes that are not a parameter frame, naming
-// the one such policy file there was: the actor's gob encoding, which
-// Policy.Save wrote before the frame existed.
-var errGobPolicy = errors.New("ddpg: not an nn parameter frame (GNFVPRM1); a policy file saved before the frame (the actor's gob encoding) is no longer read: load it with a build that still reads it and save it again, or retrain")
-
 // LoadActorBytes replaces the policy's parameters in place from an
 // ActorBytes frame, copied without allocating. Bytes that are not a
 // frame matching the actor's shape and activations leave it untouched.
@@ -177,9 +171,6 @@ var errGobPolicy = errors.New("ddpg: not an nn parameter frame (GNFVPRM1); a pol
 // from the new weights.
 func (v *View) LoadActorBytes(data []byte) error {
 	if err := v.Actor.LoadParams(data); err != nil {
-		if errors.Is(err, nn.ErrNotParamFrame) {
-			return errGobPolicy
-		}
 		return err
 	}
 	if v.actF32 {

@@ -10,7 +10,6 @@ import (
 	"path/filepath"
 	"slices"
 	"strconv"
-	"strings"
 	"testing"
 
 	"greennfv/internal/nn"
@@ -73,8 +72,9 @@ const (
 )
 
 // hostileFrames are ActorBytes frames of the receiving agent's own
-// shape with one thing wrong each, and what a peer of another shape or
-// another version sends. None may be accepted.
+// shape with one thing wrong each — "bad-magic" is a frame of another
+// format version — and what a peer of another shape sends. None may be
+// accepted.
 func hostileFrames(t testing.TB) map[string][]byte {
 	a, err := New(frameConfig())
 	if err != nil {
@@ -116,33 +116,7 @@ func hostileFrames(t testing.TB) map[string][]byte {
 			return b
 		}),
 		"other-shape-frame": otherFrame,
-		"other-shape-gob":   corpusSeed(t, "other-shape-gob"),
 	}
-}
-
-// gobSeeds are the corpus seeds that are policy files as Policy.Save
-// wrote them before the frame existed — the actor network's gob
-// encoding, of this agent's shape and of the wider one. Nothing writes
-// that form any more, so nothing regenerates them: the committed bytes
-// are the originals and -update-corpus leaves them alone.
-var gobSeeds = []string{"legacy-gob", "other-shape-gob"}
-
-// corpusSeed reads the committed FuzzLoadActorBytes seed name.
-func corpusSeed(t testing.TB, name string) []byte {
-	t.Helper()
-	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzLoadActorBytes", name))
-	if err != nil {
-		t.Fatal(err)
-	}
-	quoted, ok := strings.CutPrefix(string(raw), "go test fuzz v1\n[]byte(")
-	if ok {
-		quoted, ok = strings.CutSuffix(quoted, ")\n")
-	}
-	data, err := strconv.Unquote(quoted)
-	if !ok || err != nil {
-		t.Fatalf("corpus seed %s is not one []byte value: %v", name, err)
-	}
-	return []byte(data)
 }
 
 // TestAppendActorBytesInPlace: the broadcast encoder writes the frame
@@ -170,15 +144,19 @@ func TestAppendActorBytesInPlace(t *testing.T) {
 }
 
 // TestLoadActorBytesRejectsHostileFrames: bytes from a peer or a file
-// that are not exactly this actor's frame come back as an error, leave
-// every parameter and float32 mirror as it was, and cost no allocation
-// that grows with anything the bytes claim.
+// that are not exactly this actor's frame come back as an error — nn's
+// own ErrNotParamFrame when the magic is not the frame's — leave every
+// parameter and float32 mirror as it was, and cost no allocation that
+// grows with anything the bytes claim.
 func TestLoadActorBytesRejectsHostileFrames(t *testing.T) {
 	b := frameAgent(t)
 	before := actorState(b)
 	for name, frame := range hostileFrames(t) {
-		if err := b.LoadActorBytes(frame); err == nil {
+		err := b.LoadActorBytes(frame)
+		if err == nil {
 			t.Errorf("%s: accepted", name)
+		} else if !bytes.HasPrefix(frame, frameMagic) && !errors.Is(err, nn.ErrNotParamFrame) {
+			t.Errorf("%s: refused with %v, want nn.ErrNotParamFrame", name, err)
 		}
 		if after := actorState(b); !slices.Equal(before, after) {
 			t.Fatalf("%s: rejected bytes changed the actor", name)
@@ -191,37 +169,13 @@ func TestLoadActorBytesRejectsHostileFrames(t *testing.T) {
 	}
 }
 
-// TestLoadActorBytesRefusesLegacyGob: a policy file saved before the
-// frame existed (the actor's gob encoding, as the committed seeds hold
-// it) is refused with an error that names the format and the remedy,
-// and leaves every actor parameter and float32 mirror as it was.
-func TestLoadActorBytesRefusesLegacyGob(t *testing.T) {
-	b := frameAgent(t)
-	before := actorState(b)
-	for _, name := range gobSeeds {
-		err := b.LoadActorBytes(corpusSeed(t, name))
-		if !errors.Is(err, errGobPolicy) {
-			t.Fatalf("%s: LoadActorBytes returned %v, want the pre-frame policy refusal", name, err)
-		}
-		for _, word := range []string{"gob", "save it again", "retrain"} {
-			if !strings.Contains(err.Error(), word) {
-				t.Errorf("%s: error %q does not say %q", name, err, word)
-			}
-		}
-		if !slices.Equal(before, actorState(b)) {
-			t.Fatalf("%s: a refused policy file changed the actor", name)
-		}
-	}
-}
-
 // FuzzLoadActorBytes: any byte string is either refused with the actor
 // and its float32 mirrors bit-for-bit untouched, or loaded — and then it
 // was a frame, which reads back byte for byte (NaN payloads and -0
 // included). The committed corpus (testdata/fuzz/FuzzLoadActorBytes) is
-// hostileFrames plus a valid frame, a frame of NaNs and signed zeros,
-// and a pre-frame gob policy file, which must be refused;
-// `go test . -run TestLoadActorBytesCorpus -update-corpus` rewrites all
-// but the gobSeeds.
+// hostileFrames plus a valid frame and a frame of NaNs and signed
+// zeros; `go test . -run TestLoadActorBytesCorpus -update-corpus`
+// rewrites it.
 func FuzzLoadActorBytes(f *testing.F) {
 	// One receiving pair per fuzz process, put back to the same
 	// parameters before every input: building an agent costs far more
@@ -253,8 +207,7 @@ func FuzzLoadActorBytes(f *testing.F) {
 }
 
 // TestLoadActorBytesCorpus keeps the committed fuzz corpus in step with
-// hostileFrames: every seed is present with exactly these bytes, and the
-// gobSeeds, which nothing can regenerate, are present.
+// hostileFrames: every seed is present with exactly these bytes.
 func TestLoadActorBytesCorpus(t *testing.T) {
 	seeds := hostileFrames(t)
 	a, _ := New(frameConfig())
@@ -266,10 +219,6 @@ func TestLoadActorBytesCorpus(t *testing.T) {
 		}
 	}
 	seeds["valid-nan-negzero"], _ = a.ActorBytes()
-	for _, name := range gobSeeds {
-		delete(seeds, name)
-		corpusSeed(t, name) // present and well-formed
-	}
 	dir := filepath.Join("testdata", "fuzz", "FuzzLoadActorBytes")
 	for name, data := range seeds {
 		path := filepath.Join(dir, name)

@@ -20,10 +20,6 @@ import (
 // stateMagic opens the training state behind the policy section.
 const stateMagic = "GNFVAGT1"
 
-// errGobState refuses a training state in the encoding before the layout.
-var errGobState = errors.New("ddpg: the training state after the policy section is not a " + stateMagic +
-	" layout: a gob training state, which is no longer read — retrain (the policy section still serves)")
-
 // SaveState writes the agent's checkpoint to w, with the replay buffer
 // contents when includeReplay is set (next-update parity after a restore
 // needs them). SaveState(w, false) is the serving checkpoint.
@@ -96,7 +92,7 @@ func ReadCheckpoint(data []byte) (*Checkpoint, error) {
 		return nil, errors.New("ddpg: a policy-only checkpoint carries no training state")
 	}
 	if !bytes.HasPrefix(s.state, []byte(stateMagic)) {
-		return nil, errGobState
+		return nil, errors.New("ddpg: not a " + stateMagic + " training state")
 	}
 	b, cfg, actorLen := s.state[len(stateMagic):], s.cfg, len(s.frame)
 	criticLen, ok := nn.MLPFrameLen(criticSizes(cfg))

@@ -5,8 +5,6 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -517,8 +515,8 @@ func plausible(a *Agent) bool {
 // reads through LoadAgentBytes: the resume path also fast-forwards the
 // RNG by a count the bytes claim, one generator step per draw (ROADMAP
 // item 7). Seeds (f.Add): the training states of a trained agent with
-// and without its replay and of a fresh agent, and the gob training
-// state of testdata/gob-networks.ckpt.
+// and without its replay and of a fresh agent, and the first of them
+// under another state magic.
 func FuzzLoadState(f *testing.F) {
 	cfg := frameConfig()
 	cfg.BufferCap = 256
@@ -535,19 +533,13 @@ func FuzzLoadState(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	gobFile, err := os.ReadFile(filepath.Join("testdata", "gob-networks.ckpt"))
-	if err != nil {
-		f.Fatal(err)
-	}
 	sectionEnd := regions(f, file)["state magic"]
 	for _, b := range [][]byte{file, withReplay, empty} {
 		f.Add(b[sectionEnd:])
 	}
-	s, err := readSection(gobFile)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(s.state)
+	foreign := bytes.Clone(file[sectionEnd:])
+	foreign[len(stateMagic)-1]++
+	f.Add(foreign)
 	section := file[sectionHeaderLen:sectionEnd]
 	obs := make([]float64, cfg.StateDim)
 	f.Fuzz(func(t *testing.T, rest []byte) {

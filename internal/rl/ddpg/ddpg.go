@@ -183,8 +183,7 @@ type Agent struct {
 	weightBuf []float64
 	tdErrBuf  []float64
 	// minibatch scratch of the update, one per element type (f32: the
-	// fast path SetFloat32 enables, used by the non-deterministic
-	// Parallel/RemoteActors trainer modes).
+	// fast path SetFloat32 enables, which no trainer turns on).
 	f32 bool
 	s64 scratch[float64]
 	s32 scratch[float32]

@@ -67,11 +67,10 @@
 // trained policy. The path is deterministic given the seed on a fixed
 // CPU feature set but NOT bit-comparable to the f64 update; its drift
 // is quantified by TestLearnF32ParityWithF64 (max |ΔQ| and |Δaction|
-// well under 1e-3 after a fixed 40-update schedule). Only the
-// non-deterministic Ape-X Parallel/RemoteActors modes enable it — the
-// round-robin figure path never does, keeping recorded figures
-// byte-identical. Zero allocations per update once warm, pinned by
-// TestLearnBatchF32ZeroAlloc.
+// well under 1e-3 after a fixed 40-update schedule). No trainer
+// enables it, so no figure depends on it; bench/'s f32 probes and this
+// package's tests are its callers. Zero allocations per update once
+// warm, pinned by TestLearnBatchF32ZeroAlloc.
 //
 // # Batched acting
 //
@@ -163,10 +162,10 @@
 // checked arithmetic, shown to imply an actor frame the bytes present
 // hold before anything is allocated; an inference-only actor filled
 // from the frame. The policy-only form it returns, the section with a
-// sum of its own, is what a serving controller persists. Files from
-// before the training state's layout keep serving (the section is
-// unchanged); their gob training states, and bare gob states from
-// before the section, are refused by name: retrain.
+// sum of its own, is what a serving controller persists. A training
+// state that does not open with GNFVAGT1 is refused by LoadAgentBytes
+// and LoadState while its section still serves, and bytes that do not
+// open with the section are refused by every reader.
 //
 // # Parameter broadcast and policy file
 //
@@ -186,9 +185,8 @@
 // whole frame against the live actor before writing and then copies in
 // place without allocating. The frame is the package's only encoding of a
 // network: a checkpoint carries all four as frames, which LoadState
-// and LoadAgentBytes copy back in place through the same nn.LoadParams. A
-// gob policy file, what came before the frame, is refused by name,
-// never read.
+// and LoadAgentBytes copy back in place through the same nn.LoadParams.
+// Bytes that are not a frame get nn.ErrNotParamFrame.
 //
 // # Replay ownership
 //

@@ -37,6 +37,3 @@ func (a *Agent) SetFloat32(enable bool) {
 	a.criticTarget.FlushF32()
 	a.f32 = false
 }
-
-// Float32 reports whether the f32 learn path is active.
-func (a *Agent) Float32() bool { return a.f32 }

@@ -57,7 +57,7 @@ func TestLearnF32ParityWithF64(t *testing.T) {
 		t.Fatal(err)
 	}
 	a32.SetFloat32(true)
-	if !a32.Float32() {
+	if !a32.f32 {
 		t.Fatal("SetFloat32(true) did not enable the f32 path")
 	}
 
@@ -77,7 +77,7 @@ func TestLearnF32ParityWithF64(t *testing.T) {
 
 	// Flush the f32 mirrors and compare the deployed policies.
 	a32.SetFloat32(false)
-	if a32.Float32() {
+	if a32.f32 {
 		t.Fatal("SetFloat32(false) left the f32 path enabled")
 	}
 	probe := rand.New(rand.NewSource(733))

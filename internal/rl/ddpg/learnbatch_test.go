@@ -178,10 +178,10 @@ func TestSetReplayGuards(t *testing.T) {
 
 // benchLearnBatch measures the fused prefetcher-path update
 // (externally sampled minibatch + LearnBatch), the per-update cost the
-// concurrent pipeline's learner pays — in single precision with
-// TrainerConfig.Float32 set. The f64/f32 pair at each size is the
-// comparison ROADMAP's f32 decision needs (round-robin ignores the
-// precision switch, so no end-to-end workload can make it).
+// concurrent pipeline's learner pays — and the same update in single
+// precision (SetFloat32). The f64/f32 pair at each size is the
+// comparison ROADMAP's f32 decision needs (no trainer runs the f32
+// path, so no end-to-end workload can make it).
 func benchLearnBatch(b *testing.B, dims [2]int, f32 bool) {
 	benchLearn(b, func() func() float64 { return prefetcherAgent(b, dims, f32) })
 }

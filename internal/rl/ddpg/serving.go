@@ -23,9 +23,8 @@ const servingMagic = "GNFVPOL1"
 // sectionHeaderLen is the magic and the sum.
 const sectionHeaderLen = len(servingMagic) + 8 + 4
 
-// errNotServing is what a file without the section gets, among them a
-// bare gob training state: what SaveCheckpoint wrote before the section.
-var errNotServing = errors.New("ddpg: no GNFVPOL1 policy section: not a ddpg checkpoint, or a gob one written before the section existed, which is no longer read (retrain and save with greennfv -save-policy)")
+// errNotServing is what a file without the section gets.
+var errNotServing = errors.New("ddpg: no GNFVPOL1 policy section")
 
 // appendConfig appends cfg in the section's layout.
 func appendConfig(dst []byte, cfg Config) []byte {

@@ -3,11 +3,8 @@ package ddpg
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"math"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
@@ -217,81 +214,46 @@ func TestLoadPolicyRefusesDamage(t *testing.T) {
 	}
 }
 
-// TestLoadRefusesPreSectionCheckpoint: a bare gob training state —
-// what the serving checkpoint was before the section, here the one
-// behind testdata/gob-networks.ckpt's section — gets the error that
-// says so, naming gob and the remedy, from every reader.
-func TestLoadRefusesPreSectionCheckpoint(t *testing.T) {
-	file, err := os.ReadFile(filepath.Join("testdata", "gob-networks.ckpt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	bare := trainingState(t, file)
-	if _, _, _, err := LoadPolicy(bare); !errors.Is(err, errNotServing) {
-		t.Errorf("LoadPolicy(bare state) = %v, want %v", err, errNotServing)
-	}
-	if _, err := LoadAgentBytes(bare); !errors.Is(err, errNotServing) {
-		t.Errorf("LoadAgentBytes(bare state) = %v, want %v", err, errNotServing)
-	}
-	a, _ := servingAgent(t, frameConfig())
-	if err := a.LoadStateBytes(bare); !errors.Is(err, errNotServing) {
-		t.Errorf("LoadStateBytes(bare state) = %v, want %v", err, errNotServing)
-	}
-	for _, word := range []string{"gob", "retrain"} {
-		if !strings.Contains(errNotServing.Error(), word) {
-			t.Errorf("the refusal %q does not say %q", errNotServing, word)
+// TestLoadRefusesUnknownState: each reader refuses what it does not
+// read whole, and a LoadStateBytes refusal leaves the agent as it was.
+// A bare training state, with no policy section in front, is refused
+// by all three readers. A section followed by a training state under
+// another magic still serves — LoadPolicy reads nothing after the
+// section — while LoadAgentBytes and LoadStateBytes refuse it.
+func TestLoadRefusesUnknownState(t *testing.T) {
+	a, file := servingAgent(t, frameConfig())
+	state := trainingState(t, file)
+	foreign := bytes.Clone(state)
+	foreign[len(stateMagic)-1]++
+	frame, _ := a.ActorBytes()
+	for _, tc := range []struct {
+		name   string
+		data   []byte
+		serves bool   // LoadPolicy reads it
+		refuse string // what the agent readers' refusal says
+	}{
+		{"bare state", state, false, errNotServing.Error()},
+		{"unknown state magic", servingWith(t, a, foreign), true, "not a " + stateMagic + " training state"},
+	} {
+		p, _, _, err := LoadPolicy(tc.data)
+		if (err == nil) != tc.serves {
+			t.Errorf("%s: LoadPolicy returned %v, want it served: %v", tc.name, err, tc.serves)
+		} else if tc.serves && !bytes.Equal(p.Actor.ParamFrame(), frame) {
+			t.Errorf("%s: LoadPolicy's actor differs from the section's frame", tc.name)
 		}
-	}
-}
-
-// TestLoadRefusesGobNetworks: testdata/gob-networks.ckpt is
-// servingAgent(frameConfig())'s serving checkpoint as written by commit
-// 495a5c0, the last build that stored a training state's networks as
-// gob blobs. Its policy section still serves — LoadPolicy reads nothing
-// after it — but LoadAgent and LoadState refuse its gob training state
-// with an error that names the format and the remedy, and LoadState
-// leaves the agent it was given as it was.
-func TestLoadRefusesGobNetworks(t *testing.T) {
-	file, err := os.ReadFile(filepath.Join("testdata", "gob-networks.ckpt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, cfg, _, err := LoadPolicy(file)
-	if err != nil {
-		t.Fatalf("the policy section of a gob-era checkpoint no longer serves: %v", err)
-	}
-	if !reflect.DeepEqual(cfg, frameConfig()) {
-		t.Fatalf("section Config %+v, want frameConfig's", cfg)
-	}
-	s, err := readSection(file)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(p.Actor.ParamFrame(), s.frame) {
-		t.Fatal("LoadPolicy's actor differs from the section's frame")
-	}
-	refused := func(what string, err error) {
-		t.Helper()
-		if !errors.Is(err, errGobState) {
-			t.Fatalf("%s returned %v, want the gob training-state refusal", what, err)
+		if _, err := LoadAgentBytes(tc.data); err == nil || !strings.Contains(err.Error(), tc.refuse) {
+			t.Errorf("%s: LoadAgentBytes returned %v, want an error saying %q", tc.name, err, tc.refuse)
 		}
-		for _, word := range []string{"gob", "retrain"} {
-			if !strings.Contains(err.Error(), word) {
-				t.Errorf("%s: error %q does not say %q", what, err, word)
-			}
+		before, err := a.StateBytes(false)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	_, err = LoadAgentBytes(file)
-	refused("LoadAgentBytes", err)
-
-	a, _ := servingAgent(t, frameConfig())
-	before, err := a.StateBytes(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refused("LoadStateBytes", a.LoadStateBytes(file))
-	if after, _ := a.StateBytes(false); !bytes.Equal(before, after) {
-		t.Fatal("a refused training state changed the agent")
+		if err := a.LoadStateBytes(tc.data); err == nil || !strings.Contains(err.Error(), tc.refuse) {
+			t.Errorf("%s: LoadStateBytes returned %v, want an error saying %q", tc.name, err, tc.refuse)
+		}
+		if after, _ := a.StateBytes(false); !bytes.Equal(before, after) {
+			t.Errorf("%s: a refused training state changed the agent", tc.name)
+		}
 	}
 }
 

@@ -7,7 +7,9 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
 	"math"
 	"net/http/httptest"
@@ -19,6 +21,7 @@ import (
 	"testing"
 	"time"
 
+	"greennfv/internal/atomicio"
 	"greennfv/internal/nn"
 	"greennfv/internal/perfmodel"
 	"greennfv/internal/rl/ddpg"
@@ -416,31 +419,45 @@ func TestControllerMetricsExposition(t *testing.T) {
 	}
 }
 
-// TestServesGobEraFiles: testdata/gob-networks holds a serving
-// checkpoint and the controller state file beside it, written by commit
-// 495a5c0 — the last build that stored a training state's networks as
-// gob blobs — from writeTrainedPolicy(testSpec(energy efficiency), 7,
-// {4}, 5) and two nodes reporting three intervals each. The checkpoint
-// still boots: a controller reads only its policy section and serves
-// the policy, while the training state behind it, which
-// ddpg.LoadAgentBytes refuses, never matters. The state file is a gob
-// snapshot ("GNFVSRV1"), which boot refuses by name, leaving the file
-// as it was and telling the operator to boot from the checkpoint.
-func TestServesGobEraFiles(t *testing.T) {
-	src := filepath.Join("testdata", "gob-networks")
-	policyPath := filepath.Join(src, "policy.ckpt")
+// TestBootOnUnknownLayouts: a controller reads only the formats it
+// knows, and refuses the rest without writing. A serving checkpoint
+// whose training state is under another magic — which
+// ddpg.LoadAgentBytes refuses — still boots and serves, because boot
+// reads only the policy section. A state file or journal under another
+// magic is refused at boot with an error naming the file, the magic
+// found and the one wanted, and both files stay as they were.
+func TestBootOnUnknownLayouts(t *testing.T) {
 	spec := testSpec(sla.NewEnergyEfficiency())
+	policyPath := writeTrainedPolicy(t, t.TempDir(), spec, 7, []int{4}, 5)
 
 	t.Run("checkpoint", func(t *testing.T) {
-		statePath := filepath.Join(t.TempDir(), "controller.state")
-		ctrl, err := NewController(Config{Spec: spec, PolicyPath: policyPath, StatePath: statePath})
+		file, err := os.ReadFile(policyPath)
 		if err != nil {
-			t.Fatalf("a gob-era checkpoint no longer boots: %v", err)
+			t.Fatal(err)
+		}
+		_, _, form, err := ddpg.LoadPolicy(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The training state's magic opens where the policy-only form
+		// ends. Bump its version digit and reseal the section: the
+		// little-endian CRC32 at bytes 16–19 covers everything from byte
+		// 20 (internal/rl/ddpg doc, "Checkpoint").
+		foreign := bytes.Clone(file)
+		foreign[len(form)+7]++
+		binary.LittleEndian.PutUint32(foreign[16:], crc32.ChecksumIEEE(foreign[20:]))
+		if _, err := ddpg.LoadAgentBytes(foreign); err == nil {
+			t.Fatal("ddpg.LoadAgentBytes read a training state under another magic")
+		}
+		path := filepath.Join(t.TempDir(), "policy.ckpt")
+		if err := os.WriteFile(path, foreign, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ctrl, err := NewController(Config{Spec: spec, PolicyPath: path, StatePath: filepath.Join(t.TempDir(), "controller.state")})
+		if err != nil {
+			t.Fatalf("a checkpoint with an unreadable training state does not boot: %v", err)
 		}
 		defer ctrl.Close()
-		if got := ctrl.PolicyVersion(); got != 1 {
-			t.Errorf("booted policy version %d, want 1", got)
-		}
 		n := newSimNode(t, spec, 0)
 		if err := n.register(ctrl); err != nil {
 			t.Fatal(err)
@@ -450,35 +467,40 @@ func TestServesGobEraFiles(t *testing.T) {
 				t.Fatalf("interval %d: %v, source %q, want the policy's config", i, err, reply.Source)
 			}
 		}
-		ckpt, err := os.ReadFile(policyPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ddpg.LoadAgentBytes(ckpt); err == nil || !strings.Contains(err.Error(), "gob") {
-			t.Errorf("ddpg.LoadAgentBytes on the gob-era checkpoint returned %v, want the gob-network refusal", err)
-		}
 	})
 
 	t.Run("state", func(t *testing.T) {
-		statePath := filepath.Join(t.TempDir(), "controller.state")
-		data, err := os.ReadFile(filepath.Join(src, "controller.state"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(statePath, data, 0o600); err != nil {
-			t.Fatal(err)
-		}
-		_, err = NewController(Config{Spec: spec, PolicyPath: policyPath, StatePath: statePath})
-		if err == nil {
-			t.Fatal("a gob-era state file booted")
-		}
-		for _, want := range []string{statePath, "gob", "remove it", "-policy"} {
-			if !strings.Contains(err.Error(), want) {
-				t.Errorf("refusal %q does not say %q", err, want)
+		readFile := func(path string) []byte {
+			t.Helper()
+			b, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
 			}
+			return b
 		}
-		if after, err := os.ReadFile(statePath); err != nil || !bytes.Equal(after, data) {
-			t.Errorf("the refused state file changed (%v)", err)
+		for _, name := range []string{"controller.state", "controller.state.journal"} {
+			path, _, _ := journaledStore(t, t.TempDir())
+			target := filepath.Join(filepath.Dir(path), name)
+			raw := readFile(target)
+			want := string(raw[:atomicio.MagicLen])
+			raw[atomicio.MagicLen-1]++ // the format's version digit
+			found := string(raw[:atomicio.MagicLen])
+			if err := os.WriteFile(target, raw, 0o600); err != nil {
+				t.Fatal(err)
+			}
+			snapshot, journal := readFile(path), readFile(journalPath(path))
+			_, err := NewController(Config{Spec: spec, PolicyPath: policyPath, StatePath: path})
+			if err == nil {
+				t.Fatalf("%s under magic %q booted", name, found)
+			}
+			for _, say := range []string{target, strconv.Quote(found), strconv.Quote(want)} {
+				if !strings.Contains(err.Error(), say) {
+					t.Errorf("%s: refusal %q does not say %s", name, err, say)
+				}
+			}
+			if !bytes.Equal(readFile(path), snapshot) || !bytes.Equal(readFile(journalPath(path)), journal) {
+				t.Errorf("%s: a refused boot changed the state files", name)
+			}
 		}
 	})
 }

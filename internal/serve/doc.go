@@ -115,9 +115,9 @@
 // before anything is sized by it. Load refuses a version below 1, a
 // blobLen past the end, an empty or over-long node ID, an ID out of
 // order or repeated, a knob count the bytes do not hold, and trailing
-// bytes that are not a whole record. A "GNFVSRV1" snapshot is the gob
-// layout of earlier builds: Load refuses it by name, and the operator
-// removes it and boots from the policy checkpoint; nothing converts it.
+// bytes that are not a whole record. A snapshot or journal under
+// another magic is refused with atomicio's error, which names the
+// magic found and the one wanted, and Load's error names the file.
 //
 // What is durable when a report returns: everything it decided. A
 // report whose vetted config differs from the node's last-known-good

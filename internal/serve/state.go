@@ -8,7 +8,6 @@ import (
 	"math"
 	"os"
 	"slices"
-	"strings"
 
 	"greennfv/internal/atomicio"
 	"greennfv/internal/perfmodel"
@@ -16,12 +15,9 @@ import (
 
 // stateMagic identifies (and versions) the controller state snapshot;
 // journalMagic the journal of config changes that extends it.
-// gobStateMagic framed the snapshot while it was a gob encoding, which
-// Load refuses by name.
 const (
-	stateMagic    = "GNFVSRV2"
-	journalMagic  = "GNFVSRJ1"
-	gobStateMagic = "GNFVSRV1"
+	stateMagic   = "GNFVSRV2"
+	journalMagic = "GNFVSRJ1"
 )
 
 // The snapshot payload, inside the atomicio frame, is big-endian:
@@ -170,10 +166,7 @@ func (s *StateStore) load() (*ControllerState, int, error) {
 	}
 	payload, err := atomicio.ReadFile(s.path, stateMagic)
 	if err != nil {
-		if raw, _ := os.ReadFile(s.path); strings.HasPrefix(string(raw), gobStateMagic) {
-			return nil, 0, fmt.Errorf("serve: state file %s holds the old gob layout (%s), which this build does not read: remove it and boot from the policy checkpoint (-policy)", s.path, gobStateMagic)
-		}
-		return nil, 0, fmt.Errorf("serve: state: %w", err)
+		return nil, 0, fmt.Errorf("serve: state file %s: %w", s.path, err)
 	}
 	st, err := decodeState(payload)
 	if err != nil {
@@ -192,7 +185,7 @@ func (s *StateStore) load() (*ControllerState, int, error) {
 		return nil
 	})
 	if err != nil {
-		return nil, 0, fmt.Errorf("serve: state: %w", err)
+		return nil, 0, fmt.Errorf("serve: state journal %s: %w", journalPath(s.path), err)
 	}
 	// A journal with records must be folded into a snapshot (Save)
 	// before this store appends: a new journal would overwrite them.

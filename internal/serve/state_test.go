@@ -680,13 +680,13 @@ func TestServingHoldsPolicyOnly(t *testing.T) {
 }
 
 // TestResumeRefusesPreSectionState: a state file whose policy is a bare
-// agent state — what controllers persisted before the policy section,
-// here the gob training state behind testdata/gob-networks's policy
-// section — is refused at boot with an error naming the file and the
-// cause, rather than served or silently replaced by the boot checkpoint.
+// agent state, with no policy section in front — here the training
+// state behind a fresh checkpoint's section — is refused at boot with
+// an error naming the file and the cause, rather than served or
+// silently replaced by the boot checkpoint.
 func TestResumeRefusesPreSectionState(t *testing.T) {
 	spec := testSpec(sla.NewEnergyEfficiency())
-	file, err := os.ReadFile(filepath.Join("testdata", "gob-networks", "policy.ckpt"))
+	file, err := os.ReadFile(writePolicy(t, t.TempDir(), spec, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -704,7 +704,7 @@ func TestResumeRefusesPreSectionState(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = NewController(Config{Spec: spec, PolicyPath: writePolicy(t, t.TempDir(), spec, 9), StatePath: statePath})
-	if err == nil || !strings.Contains(err.Error(), statePath) || !strings.Contains(err.Error(), "before the section existed") {
+	if err == nil || !strings.Contains(err.Error(), statePath) || !strings.Contains(err.Error(), "no GNFVPOL1 policy section") {
 		t.Fatalf("resuming a pre-section state file: %v", err)
 	}
 }
@@ -733,11 +733,11 @@ func TestPersistPathHasNoDeferredDurability(t *testing.T) {
 // whatever they are, it returns a state or an error — never a panic,
 // never both or neither — and a state it returns is one Save accepts.
 // When no journal record was replayed, that Save writes the input
-// snapshot back byte for byte; a gob-era snapshot is refused by name.
-// The committed corpus in testdata/fuzz/FuzzStateLoad (torn, flipped,
-// stale, oversized and zero-filled journals; damaged snapshots; a gob
-// snapshot — see TestStateLoadCorpus) runs as an ordinary test beside
-// the valid pair added here.
+// snapshot back byte for byte. The committed corpus in
+// testdata/fuzz/FuzzStateLoad (torn, flipped, stale, oversized and
+// zero-filled journals, one under another magic; damaged snapshots —
+// see TestStateLoadCorpus) runs as an ordinary test beside the valid
+// pair added here.
 func FuzzStateLoad(f *testing.F) {
 	path, _, _ := journaledStore(f, f.TempDir())
 	snapshot, err := os.ReadFile(path)
@@ -764,9 +764,6 @@ func FuzzStateLoad(f *testing.F) {
 		st, replayed, err := loader.load()
 		if (st == nil) == (err == nil) {
 			t.Fatalf("Load returned state %v and error %v", st, err)
-		}
-		if bytes.HasPrefix(snapshot, []byte(gobStateMagic)) && (err == nil || !strings.Contains(err.Error(), "gob")) {
-			t.Fatalf("a gob-era snapshot was not refused by name: %v", err)
 		}
 		if err != nil {
 			return
@@ -800,9 +797,7 @@ var updateCorpus = flag.Bool("update-corpus", false, "rewrite testdata/fuzz/Fuzz
 // snapshot and journal, so that a change of layout cannot leave the
 // corpus testing only a refusal of the magic. After one, `go test
 // ./internal/serve -run TestStateLoadCorpus -update-corpus` rewrites
-// the entries. gob-snapshot — a gob-era snapshot with the journal that
-// extended it — is not generated: it must stay, and FuzzStateLoad
-// requires its refusal by name.
+// the entries.
 func TestStateLoadCorpus(t *testing.T) {
 	path, _, sizes := journaledStore(t, t.TempDir())
 	snapshot, err := os.ReadFile(path)
@@ -845,9 +840,5 @@ func TestStateLoadCorpus(t *testing.T) {
 		if got, err := os.ReadFile(file); err != nil || string(got) != want {
 			t.Errorf("corpus entry %s is missing or stale (go test ./internal/serve -run TestStateLoadCorpus -update-corpus): %v", name, err)
 		}
-	}
-	gob, err := os.ReadFile(filepath.Join(dir, "gob-snapshot"))
-	if err != nil || !bytes.HasPrefix(gob, []byte("go test fuzz v1\n[]byte(\""+gobStateMagic)) {
-		t.Errorf("corpus entry gob-snapshot is missing or does not open with a gob-era snapshot: %v", err)
 	}
 }

@@ -24,11 +24,11 @@ gates=(
 	# whole round-robin runs hash (on raw parameter bits) to the values
 	# recorded before the broadcast left gob, replay storage became lazy
 	# and ReLU moved into assembly. A well-framed checkpoint whose
-	# counters lie is refused by field, before anything is loaded (the
-	# fuzz target's seed run), and a gob one from before the layout is
-	# refused whole. A replay snapshot resumes at its own stripe count,
-	# across GOMAXPROCS and modes, bit for bit.
-	"./internal/rl/apex TestChaosKillResume|TestFleetFailureStopsLearner|TestPushRejectsMalformedExperience|TestTrainerCheckpointResume|TestWriteReadCheckpoint|TestTrainerFingerprint|FuzzTrainerCheckpoint|TestResumeRefusesGobNetworks|TestResumeAcrossGOMAXPROCS|TestResumeRejectsMissingAndMismatched"
+	# counters lie is refused by field, and one under another magic by
+	# its magic, before anything is loaded (the fuzz target's seed run
+	# too). A replay snapshot resumes at its own stripe count, across
+	# GOMAXPROCS and modes, bit for bit.
+	"./internal/rl/apex TestChaosKillResume|TestFleetFailureStopsLearner|TestPushRejectsMalformedExperience|TestTrainerCheckpointResume|TestWriteReadCheckpoint|TestTrainerFingerprint|FuzzTrainerCheckpoint|TestResumeAcrossGOMAXPROCS|TestResumeRejectsMissingAndMismatched"
 	# The learner's six messages are fixed layouts: each at its length,
 	# a push malformed in any region refused by row and field before
 	# the replay, and whatever a push body holds either refused or read
@@ -54,8 +54,8 @@ gates=(
 	# puller holds, concurrent pullers copy the frame of the version
 	# they were told, a pull copies in place with no allocation, a held
 	# frame is never rewritten, and the agent's encoder rewrites its
-	# previous frame with none; hostile frames, and policy files from
-	# before the frame, change nothing. Replay capacity is a bound, not
+	# previous frame with none; hostile frames, a frame under another
+	# magic among them, change nothing. Replay capacity is a bound, not
 	# a reservation: a trainer and an acting agent are small, an idle
 	# buffer holds no storage, neither the ring's growth nor the sum
 	# tree's shows in any sample, total or prefix-sum walk, and a
@@ -64,7 +64,7 @@ gates=(
 	# prioritizes bit for bit like the agent it mirrors, and a network
 	# clone carries no gradients.
 	"./internal/rl/apex TestPublishRecyclesReleasedFrame|TestSyncParamsReleasesItsPull|TestReleaseCountsOnlyTheCurrentFrame|TestConcurrentPullersSeeTheirVersion|TestSyncParamsAllocatesNothing|TestPublishedFrameIsImmutable|TestNewTrainerFootprint"
-	"./internal/rl/ddpg TestLoadActorBytesInPlace|TestAppendActorBytesInPlace|TestLoadActorBytesRejectsHostileFrames|TestLoadActorBytesRefusesLegacyGob|TestAgentFootprint|TestViewMatchesAgent"
+	"./internal/rl/ddpg TestLoadActorBytesInPlace|TestAppendActorBytesInPlace|TestLoadActorBytesRejectsHostileFrames|TestAgentFootprint|TestViewMatchesAgent"
 	"./internal/nn TestCloneFootprint"
 	"./internal/rl/replay TestReplayGrowthParity|TestIdleBufferHoldsNoStorage|TestSumTreeWalksLikeFullTree|TestSetStateRejectsCorruptSnapshot"
 	# One NN engine at two element types: 300 f64 and 200 f32 composed
@@ -89,18 +89,24 @@ gates=(
 	# reload keep only a checkpoint's policy section, for under twice
 	# the file per reload.
 	# The controller state: the snapshot's layout region by region and
-	# its refusals, a gob-era checkpoint that still serves beside a
-	# gob-era state file refused by name, every journal truncation
-	# recovering a prefix, and the fuzz target's corpus.
-	"./internal/serve TestGuardrailProperty|TestFleet|TestExpireLeasesChurnRace|TestReportRoundTripAllocs|TestSteadyReportAllocatesNothing|TestPolicyReplyOutlivesRecord|TestServingHoldsPolicyOnly|TestSnapshotLayout|TestServesGobEraFiles|TestJournalCrashMatrix|FuzzStateLoad"
+	# its refusals, a checkpoint whose training state is unreadable
+	# that still serves beside a state file and a journal under
+	# another magic refused at boot without a write, every journal
+	# truncation recovering a prefix, and the fuzz target's corpus.
+	"./internal/serve TestGuardrailProperty|TestFleet|TestExpireLeasesChurnRace|TestReportRoundTripAllocs|TestSteadyReportAllocatesNothing|TestPolicyReplyOutlivesRecord|TestServingHoldsPolicyOnly|TestSnapshotLayout|TestBootOnUnknownLayouts|TestJournalCrashMatrix|FuzzStateLoad"
 	# The checkpoint: one layout, the section's policy acts like the
 	# whole agent bit for bit, any damage is refused, a Config claiming
 	# more than the file holds is refused before it sizes anything, and
 	# a checkpoint corrupted in any region — or with hostile optimizer
 	# moments — is refused before the first write. A checkpoint whose
-	# training state is gob still serves its section and is refused as
-	# an agent, as is a bare gob state from before the section.
-	"./internal/rl/ddpg TestStateLayout|TestLoadPolicyMatchesLoadAgent|TestLoadPolicyRefusesDamage|TestLoadRefusesOversizedConfig|TestLoadRefusesGobNetworks|TestLoadRefusesPreSectionCheckpoint|TestRefusedLoadStateChangesNothing|TestLoadStateRejectsHostileOptimizer|FuzzLoadState"
+	# training state is under another magic still serves its section
+	# and is refused as an agent, as is a bare state with no section.
+	"./internal/rl/ddpg TestStateLayout|TestLoadPolicyMatchesLoadAgent|TestLoadPolicyRefusesDamage|TestLoadRefusesOversizedConfig|TestLoadRefusesUnknownState|TestRefusedLoadStateChangesNothing|TestLoadStateRejectsHostileOptimizer|FuzzLoadState"
+	# One refusal of every other format: a framed file or a journal
+	# under another magic is refused with both magics quoted, escaped
+	# whatever the file held, and a framed file shorter than its header
+	# with its length.
+	"./internal/atomicio TestReadRejectsCorruption|TestJournalRoundTripAndBinding"
 	# The fault proxy both planes' chaos tests stand on.
 	"./internal/faultrpc TestFaultProxy"
 	# One environment: single-node episodes bit-identical to the
