@@ -2,10 +2,13 @@ package greennfv
 
 import (
 	"bytes"
+	"encoding/gob"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"greennfv/internal/perfmodel"
 )
 
 func TestSLAConstructors(t *testing.T) {
@@ -289,5 +292,48 @@ func TestPolicyCheckpointServeOnly(t *testing.T) {
 	}
 	if !strings.Contains(spec.String(), "\"env_seed\"") {
 		t.Errorf("node spec JSON missing fields: %s", spec.String())
+	}
+}
+
+// preFramePolicy is a policy file as Policy.Save wrote it before the
+// parameter frame: the gob encoding of the actor network's layer sizes,
+// activations (ReLU hidden, Tanh out), weights and biases — here of an
+// all-zero network of the system's default shape. Nothing writes that
+// form any more; it is built here so that its refusal stays pinned.
+func preFramePolicy(t *testing.T, sys *System, agreement SLA) []byte {
+	t.Helper()
+	probe, err := sys.factory(agreement.spec)(sys.cfg.Seed, perfmodel.EvalOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st struct {
+		Sizes []int
+		Acts  []int
+		W, B  [][]float64
+	}
+	st.Sizes = []int{probe.StateDim(), 48, 48, probe.ActionDim()}
+	st.Acts = []int{1, 1, 2}
+	for i := 1; i < len(st.Sizes); i++ {
+		st.W = append(st.W, make([]float64, st.Sizes[i-1]*st.Sizes[i]))
+		st.B = append(st.B, make([]float64, st.Sizes[i]))
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestLoadPolicyRefusesPreFrameFile: LoadPolicy reads parameter frames
+// only. A policy file from before the frame gets nn's refusal of
+// anything that is not one, not a policy.
+func TestLoadPolicyRefusesPreFrameFile(t *testing.T) {
+	sys, err := NewSystem(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := sys.LoadPolicy(EfficiencySLA(), bytes.NewReader(preFramePolicy(t, sys, EfficiencySLA())))
+	if p != nil || err == nil || !strings.Contains(err.Error(), "not a parameter frame") {
+		t.Fatalf("LoadPolicy of a pre-frame gob file returned %v, %v; want nn's not-a-parameter-frame refusal", p, err)
 	}
 }

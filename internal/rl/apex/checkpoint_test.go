@@ -2,6 +2,7 @@ package apex
 
 import (
 	"bytes"
+	"encoding/gob"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -325,6 +326,56 @@ func TestResumeRejectsMissingAndMismatched(t *testing.T) {
 		if after, err := os.ReadFile(bad); err != nil || !bytes.Equal(after, file) {
 			t.Errorf("checkpoint with a bad %s changed on disk (%v)", field, err)
 		}
+	}
+}
+
+// TestResumeRefusesGobNetworks: a trainer checkpoint as builds wrote it
+// before the fixed layout — a GNFVCKP1 frame around the gob encoding of
+// the counters and the agent's state, built here since nothing writes
+// it any more — is refused when the trainer restores it, with an error
+// that quotes the magic it found and the one it wants, and neither the
+// learner's agent nor the file changes.
+func TestResumeRefusesGobNetworks(t *testing.T) {
+	cfg := checkpointTrainerConfig(t, 40)
+	tr, err := NewTrainer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := tr.Learner().Agent().StateBytes(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var old struct {
+		Version, Updates  int
+		Pushes, Received  int64
+		Steps, TotalSteps int
+		Agent             []byte
+	}
+	old.Version, old.TotalSteps, old.Agent = 1, cfg.TotalSteps, before
+	var payload bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(old); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "gob.ckpt")
+	if err := atomicio.WriteFile(path, "GNFVCKP1", payload.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	file, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Resume(path); err != nil {
+		t.Fatal(err)
+	}
+	says := `magic "GNFVCKP1", want "` + checkpointMagic + `"`
+	if err := tr.Run(); err == nil || !strings.Contains(err.Error(), says) {
+		t.Fatalf("resuming a gob-era checkpoint: Run returned %v, want an error saying %s", err, says)
+	}
+	if after, _ := tr.Learner().Agent().StateBytes(true); !bytes.Equal(before, after) {
+		t.Error("a refused checkpoint changed the learner's agent")
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, file) {
+		t.Errorf("a refused checkpoint changed on disk (%v)", err)
 	}
 }
 

@@ -3,6 +3,7 @@ package ddpg
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"errors"
 	"flag"
 	"math"
@@ -165,6 +166,54 @@ func TestLoadActorBytesRejectsHostileFrames(t *testing.T) {
 			if n := testing.AllocsPerRun(10, func() { _ = b.LoadActorBytes(frame) }); n > 1 {
 				t.Errorf("%s: rejecting it makes %v allocations", name, n)
 			}
+		}
+	}
+}
+
+// gobNetwork is a network as its gob encoding held it before the
+// parameter frame — what Policy.Save wrote for the actor: layer sizes,
+// activations (ReLU hidden, Tanh out), weights and biases, all zero
+// here. Nothing writes that form any more; it is built here so that the
+// readers' refusal of it stays pinned.
+func gobNetwork(t testing.TB, sizes []int) []byte {
+	t.Helper()
+	var st struct {
+		Sizes []int
+		Acts  []int
+		W, B  [][]float64
+	}
+	st.Sizes = sizes
+	for i := 1; i < len(sizes); i++ {
+		act := nn.ReLU
+		if i == len(sizes)-1 {
+			act = nn.Tanh
+		}
+		st.Acts = append(st.Acts, int(act))
+		st.W = append(st.W, make([]float64, sizes[i-1]*sizes[i]))
+		st.B = append(st.B, make([]float64, sizes[i]))
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestLoadActorBytesRefusesLegacyGob: a policy file saved before the
+// frame existed — the actor's gob encoding, of this agent's shape and
+// of a wider one — is refused with nn's ErrNotParamFrame, and leaves
+// every actor parameter and float32 mirror as it was.
+func TestLoadActorBytesRefusesLegacyGob(t *testing.T) {
+	b := frameAgent(t)
+	before := actorState(b)
+	wide := frameConfig()
+	wide.Hidden = []int{4, 5}
+	for name, cfg := range map[string]Config{"own shape": frameConfig(), "other shape": wide} {
+		if err := b.LoadActorBytes(gobNetwork(t, actorSizes(cfg))); !errors.Is(err, nn.ErrNotParamFrame) {
+			t.Errorf("%s: LoadActorBytes returned %v, want nn.ErrNotParamFrame", name, err)
+		}
+		if !slices.Equal(before, actorState(b)) {
+			t.Fatalf("%s: a refused policy file changed the actor", name)
 		}
 	}
 }

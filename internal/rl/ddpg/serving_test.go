@@ -3,6 +3,7 @@ package ddpg
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
@@ -214,46 +215,71 @@ func TestLoadPolicyRefusesDamage(t *testing.T) {
 	}
 }
 
-// TestLoadRefusesUnknownState: each reader refuses what it does not
-// read whole, and a LoadStateBytes refusal leaves the agent as it was.
-// A bare training state, with no policy section in front, is refused
-// by all three readers. A section followed by a training state under
-// another magic still serves — LoadPolicy reads nothing after the
-// section — while LoadAgentBytes and LoadStateBytes refuse it.
-func TestLoadRefusesUnknownState(t *testing.T) {
+// gobState is a training state as the agent wrote it before the
+// GNFVAGT1 layout: the critic, actor target and critic target as gob
+// network encodings, one after another (all-zero networks of a's
+// shapes). Nothing writes that form any more; it is built here so that
+// the readers' refusal of it stays pinned.
+func gobState(t testing.TB, a *Agent) []byte {
+	var b []byte
+	for _, sizes := range [][]int{criticSizes(a.cfg), actorSizes(a.cfg), criticSizes(a.cfg)} {
+		b = append(b, gobNetwork(t, sizes)...)
+	}
+	return b
+}
+
+// agentReadersRefuse: LoadAgentBytes and LoadStateBytes both refuse
+// data with an error that says want, and the refusal leaves a as it
+// was.
+func agentReadersRefuse(t *testing.T, a *Agent, name string, data []byte, want string) {
+	t.Helper()
+	if _, err := LoadAgentBytes(data); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("%s: LoadAgentBytes returned %v, want an error saying %q", name, err, want)
+	}
+	before, err := a.StateBytes(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.LoadStateBytes(data); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("%s: LoadStateBytes returned %v, want an error saying %q", name, err, want)
+	}
+	if after, _ := a.StateBytes(false); !bytes.Equal(before, after) {
+		t.Errorf("%s: a refused training state changed the agent", name)
+	}
+}
+
+// TestLoadRefusesPreSectionCheckpoint: a bare training state — what
+// the serving checkpoint was before the policy section, in today's
+// layout or as gob networks — gets errNotServing from every reader.
+func TestLoadRefusesPreSectionCheckpoint(t *testing.T) {
 	a, file := servingAgent(t, frameConfig())
-	state := trainingState(t, file)
-	foreign := bytes.Clone(state)
+	for name, bare := range map[string][]byte{"bare state": trainingState(t, file), "bare gob state": gobState(t, a)} {
+		if _, _, _, err := LoadPolicy(bare); !errors.Is(err, errNotServing) {
+			t.Errorf("%s: LoadPolicy returned %v, want %v", name, err, errNotServing)
+		}
+		agentReadersRefuse(t, a, name, bare, errNotServing.Error())
+	}
+}
+
+// TestLoadRefusesGobNetworks: a policy section followed by a training
+// state the agent readers do not read — gob networks from before the
+// GNFVAGT1 layout, or a state under another magic — still serves, since
+// LoadPolicy reads nothing after the section, while LoadAgentBytes and
+// LoadStateBytes refuse it and leave the agent as it was.
+func TestLoadRefusesGobNetworks(t *testing.T) {
+	a, file := servingAgent(t, frameConfig())
+	foreign := bytes.Clone(trainingState(t, file))
 	foreign[len(stateMagic)-1]++
 	frame, _ := a.ActorBytes()
-	for _, tc := range []struct {
-		name   string
-		data   []byte
-		serves bool   // LoadPolicy reads it
-		refuse string // what the agent readers' refusal says
-	}{
-		{"bare state", state, false, errNotServing.Error()},
-		{"unknown state magic", servingWith(t, a, foreign), true, "not a " + stateMagic + " training state"},
-	} {
-		p, _, _, err := LoadPolicy(tc.data)
-		if (err == nil) != tc.serves {
-			t.Errorf("%s: LoadPolicy returned %v, want it served: %v", tc.name, err, tc.serves)
-		} else if tc.serves && !bytes.Equal(p.Actor.ParamFrame(), frame) {
-			t.Errorf("%s: LoadPolicy's actor differs from the section's frame", tc.name)
-		}
-		if _, err := LoadAgentBytes(tc.data); err == nil || !strings.Contains(err.Error(), tc.refuse) {
-			t.Errorf("%s: LoadAgentBytes returned %v, want an error saying %q", tc.name, err, tc.refuse)
-		}
-		before, err := a.StateBytes(false)
+	for name, state := range map[string][]byte{"gob networks": gobState(t, a), "unknown state magic": foreign} {
+		data := servingWith(t, a, state)
+		p, cfg, _, err := LoadPolicy(data)
 		if err != nil {
-			t.Fatal(err)
+			t.Errorf("%s: the policy section no longer serves: %v", name, err)
+		} else if !reflect.DeepEqual(cfg, frameConfig()) || !bytes.Equal(p.Actor.ParamFrame(), frame) {
+			t.Errorf("%s: LoadPolicy's Config or actor differs from the section's", name)
 		}
-		if err := a.LoadStateBytes(tc.data); err == nil || !strings.Contains(err.Error(), tc.refuse) {
-			t.Errorf("%s: LoadStateBytes returned %v, want an error saying %q", tc.name, err, tc.refuse)
-		}
-		if after, _ := a.StateBytes(false); !bytes.Equal(before, after) {
-			t.Errorf("%s: a refused training state changed the agent", tc.name)
-		}
+		agentReadersRefuse(t, a, name, data, "not a "+stateMagic+" training state")
 	}
 }
 

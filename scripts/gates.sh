@@ -24,11 +24,12 @@ gates=(
 	# whole round-robin runs hash (on raw parameter bits) to the values
 	# recorded before the broadcast left gob, replay storage became lazy
 	# and ReLU moved into assembly. A well-framed checkpoint whose
-	# counters lie is refused by field, and one under another magic by
-	# its magic, before anything is loaded (the fuzz target's seed run
-	# too). A replay snapshot resumes at its own stripe count, across
-	# GOMAXPROCS and modes, bit for bit.
-	"./internal/rl/apex TestChaosKillResume|TestFleetFailureStopsLearner|TestPushRejectsMalformedExperience|TestTrainerCheckpointResume|TestWriteReadCheckpoint|TestTrainerFingerprint|FuzzTrainerCheckpoint|TestResumeAcrossGOMAXPROCS|TestResumeRejectsMissingAndMismatched"
+	# counters lie is refused by field, and one under another magic —
+	# a gob-era GNFVCKP1 file among them — by its magic, before anything
+	# is loaded (the fuzz target's seed run too). A replay snapshot
+	# resumes at its own stripe count, across GOMAXPROCS and modes, bit
+	# for bit.
+	"./internal/rl/apex TestChaosKillResume|TestFleetFailureStopsLearner|TestPushRejectsMalformedExperience|TestTrainerCheckpointResume|TestWriteReadCheckpoint|TestTrainerFingerprint|FuzzTrainerCheckpoint|TestResumeRefusesGobNetworks|TestResumeAcrossGOMAXPROCS|TestResumeRejectsMissingAndMismatched"
 	# The learner's six messages are fixed layouts: each at its length,
 	# a push malformed in any region refused by row and field before
 	# the replay, and whatever a push body holds either refused or read
@@ -55,7 +56,8 @@ gates=(
 	# they were told, a pull copies in place with no allocation, a held
 	# frame is never rewritten, and the agent's encoder rewrites its
 	# previous frame with none; hostile frames, a frame under another
-	# magic among them, change nothing. Replay capacity is a bound, not
+	# magic among them, and policy files from before the frame, change
+	# nothing. Replay capacity is a bound, not
 	# a reservation: a trainer and an acting agent are small, an idle
 	# buffer holds no storage, neither the ring's growth nor the sum
 	# tree's shows in any sample, total or prefix-sum walk, and a
@@ -64,7 +66,7 @@ gates=(
 	# prioritizes bit for bit like the agent it mirrors, and a network
 	# clone carries no gradients.
 	"./internal/rl/apex TestPublishRecyclesReleasedFrame|TestSyncParamsReleasesItsPull|TestReleaseCountsOnlyTheCurrentFrame|TestConcurrentPullersSeeTheirVersion|TestSyncParamsAllocatesNothing|TestPublishedFrameIsImmutable|TestNewTrainerFootprint"
-	"./internal/rl/ddpg TestLoadActorBytesInPlace|TestAppendActorBytesInPlace|TestLoadActorBytesRejectsHostileFrames|TestAgentFootprint|TestViewMatchesAgent"
+	"./internal/rl/ddpg TestLoadActorBytesInPlace|TestAppendActorBytesInPlace|TestLoadActorBytesRejectsHostileFrames|TestLoadActorBytesRefusesLegacyGob|TestAgentFootprint|TestViewMatchesAgent"
 	"./internal/nn TestCloneFootprint"
 	"./internal/rl/replay TestReplayGrowthParity|TestIdleBufferHoldsNoStorage|TestSumTreeWalksLikeFullTree|TestSetStateRejectsCorruptSnapshot"
 	# One NN engine at two element types: 300 f64 and 200 f32 composed
@@ -99,9 +101,10 @@ gates=(
 	# more than the file holds is refused before it sizes anything, and
 	# a checkpoint corrupted in any region — or with hostile optimizer
 	# moments — is refused before the first write. A checkpoint whose
-	# training state is under another magic still serves its section
-	# and is refused as an agent, as is a bare state with no section.
-	"./internal/rl/ddpg TestStateLayout|TestLoadPolicyMatchesLoadAgent|TestLoadPolicyRefusesDamage|TestLoadRefusesOversizedConfig|TestLoadRefusesUnknownState|TestRefusedLoadStateChangesNothing|TestLoadStateRejectsHostileOptimizer|FuzzLoadState"
+	# training state is gob networks or under another magic still
+	# serves its section and is refused as an agent, as is a bare state
+	# with no section.
+	"./internal/rl/ddpg TestStateLayout|TestLoadPolicyMatchesLoadAgent|TestLoadPolicyRefusesDamage|TestLoadRefusesOversizedConfig|TestLoadRefusesGobNetworks|TestLoadRefusesPreSectionCheckpoint|TestRefusedLoadStateChangesNothing|TestLoadStateRejectsHostileOptimizer|FuzzLoadState"
 	# One refusal of every other format: a framed file or a journal
 	# under another magic is refused with both magics quoted, escaped
 	# whatever the file held, and a framed file shorter than its header
