@@ -11,7 +11,8 @@
 // policy was trained for; controller and agents must load the same
 // spec. SIGHUP hot-reloads the -policy checkpoint (a corrupt or
 // mismatched file is rejected loudly and the old policy keeps
-// serving); SIGINT/SIGTERM shuts down gracefully, persisting state to
+// serving; a new policy whose state write failed serves and is logged
+// as not persisted); SIGINT/SIGTERM shuts down gracefully, persisting state to
 // -state so a restarted daemon resumes with its fleet re-registering
 // transparently.
 //
@@ -23,6 +24,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"log"
 	"os"
@@ -92,11 +94,14 @@ func main() {
 				log.Print("reload requested but no -policy path configured")
 				continue
 			}
-			if err := ctrl.ReloadPolicy(*policyPath); err != nil {
+			switch err := ctrl.ReloadPolicy(*policyPath); {
+			case errors.Is(err, serve.ErrReloadNotPersisted):
+				log.Printf("policy reloaded: now serving v%d; state not persisted: %v", ctrl.PolicyVersion(), err)
+			case err != nil:
 				log.Printf("reload rejected, still serving v%d: %v", ctrl.PolicyVersion(), err)
-				continue
+			default:
+				log.Printf("policy reloaded: now serving v%d", ctrl.PolicyVersion())
 			}
-			log.Printf("policy reloaded: now serving v%d", ctrl.PolicyVersion())
 		case now := <-sweep.C:
 			if n := ctrl.ExpireLeases(now); n > 0 {
 				log.Printf("expired %d stale node leases", n)

@@ -157,12 +157,23 @@
 //
 // # Serving checkpoint
 //
-// A controller serves the policy section. LoadPolicy reads it alone:
-// one CRC pass over the file; the Config validated as New does and, in
-// checked arithmetic, shown to imply an actor frame the bytes present
-// hold before anything is allocated; an inference-only actor filled
-// from the frame. The policy-only form it returns, the section with a
-// sum of its own, is what a serving controller persists. A training
+// A controller serves the policy section. ReadPolicy reads it alone
+// from a stream of a stated size: the magic; the config's width count
+// and then, in checked arithmetic, the actor frame the Config implies,
+// each compared with the bytes the size leaves before anything is
+// allocated by it; the Config validated as New does; the section read
+// straight into its policy-only form, one slice of exactly the
+// section's size, sealed in place with a sum of its own; every byte
+// after the section streamed through the CRC in a fixed 8 KB buffer and
+// dropped; an inference-only actor filled from the frame. So what a
+// read allocates is the policy's size, whatever the file carries behind
+// the section. A refusal found in the section waits for the sum: a file
+// whose sum fails gets the sum's refusal, the same message readSection
+// (ReadCheckpoint's whole-slice reader, which makes the same checks in
+// the same order) gives. LoadPolicy is ReadPolicy over bytes in memory.
+// The policy-only form is what a serving controller persists, and
+// ActorFrame finds the actor frame inside it, from which a replica
+// refreshes in place. A training
 // state that does not open with GNFVAGT1 is refused by LoadAgentBytes
 // and LoadState while its section still serves, and bytes that do not
 // open with the section are refused by every reader.

@@ -1,10 +1,12 @@
 package ddpg
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"math/rand"
 
@@ -14,8 +16,9 @@ import (
 
 // The policy section opens every checkpoint (doc.go, "Checkpoint"): the
 // Config and the actor's parameter frame behind a length and CRC32 of
-// everything after them. A server reads it and nothing after it, and
-// keeps its policy-only form, the section with nothing after it.
+// everything after them. A server decodes it and nothing after it — the
+// rest passes through the sum and is dropped — and keeps its
+// policy-only form, the section with nothing after it.
 
 // servingMagic opens a serving checkpoint and its policy-only form.
 const servingMagic = "GNFVPOL1"
@@ -78,18 +81,42 @@ func (r *reader) f64s(ps ...*float64) {
 	}
 }
 
+// configHeadLen is the config's bytes before the widths (StateDim,
+// ActionDim, the width count); configTailLen the bytes after them.
+const (
+	configHeadLen = 8 + 8 + 4
+	configTailLen = 4*8 + 2*8 + 1 + 6*8 + 8
+)
+
+// configLen is the length of the config b opens with, as its width
+// count implies; ok is false when b is shorter than the count's end or
+// the config would run past the left bytes the file holds from b on.
+func configLen(b []byte, left int64) (n int, ok bool) {
+	if len(b) < configHeadLen {
+		return 0, false
+	}
+	widths := uint64(binary.LittleEndian.Uint32(b[configHeadLen-4:]))
+	if total := configHeadLen + 8*widths + configTailLen; total <= uint64(max(left, 0)) {
+		return int(total), true
+	}
+	return 0, false
+}
+
+// errConfigTruncated is the refusal of a config the bytes cannot hold.
+var errConfigTruncated = errors.New("ddpg: serving checkpoint config is truncated")
+
 // readConfig is appendConfig's inverse, returning the bytes after the
 // config. The width count is checked against the bytes present before
 // the widths are allocated.
 func readConfig(b []byte) (Config, []byte, error) {
-	r := reader{b: b, ok: true}
+	n, ok := configLen(b, int64(len(b)))
+	if !ok {
+		return Config{}, nil, errConfigTruncated
+	}
+	r := reader{b: b[:n], ok: true}
 	var cfg Config
 	cfg.StateDim, cfg.ActionDim = int(r.i64()), int(r.i64())
-	hidden := uint64(r.u32())
-	if !r.ok || hidden*8 > uint64(len(r.b)) {
-		return Config{}, nil, errors.New("ddpg: serving checkpoint config is truncated")
-	}
-	cfg.Hidden = make([]int, hidden)
+	cfg.Hidden = make([]int, r.u32())
 	for i := range cfg.Hidden {
 		cfg.Hidden[i] = int(r.i64())
 	}
@@ -98,14 +125,11 @@ func readConfig(b []byte) (Config, []byte, error) {
 	prioritized := r.take(1)[0]
 	r.f64s(&cfg.PERAlpha, &cfg.PERBeta, &cfg.PERBetaInc, &cfg.OUTheta, &cfg.OUSigma, &cfg.NoiseDecay)
 	cfg.Seed = r.i64()
-	if !r.ok {
-		return Config{}, nil, errors.New("ddpg: serving checkpoint config is truncated")
-	}
 	if prioritized > 1 {
 		return Config{}, nil, fmt.Errorf("ddpg: serving checkpoint config: Prioritized byte %d", prioritized)
 	}
 	cfg.Prioritized = prioritized == 1
-	return cfg, r.b, nil
+	return cfg, b[n:], nil
 }
 
 // beginSection appends the section of an encoded config and the actor
@@ -127,13 +151,6 @@ func sealSection(b []byte) []byte {
 	return b
 }
 
-// appendSection is a whole checkpoint in one new slice: the section,
-// then state (empty for the policy-only form), the sum covering both.
-func appendSection(config, frame, state []byte) []byte {
-	b := make([]byte, 0, sectionHeaderLen+len(config)+len(frame)+len(state))
-	return sealSection(append(beginSection(b, config, frame), state...))
-}
-
 // section is a serving checkpoint read and checked up to the end of the
 // policy section: its sum, config and the frame's extent.
 type section struct {
@@ -152,39 +169,149 @@ func criticSizes(cfg Config) []int {
 	return append(append([]int{cfg.StateDim + cfg.ActionDim}, cfg.Hidden...), 1)
 }
 
-// readSection checks data's magic and sum, reads the config and
-// validates it as New does, and finds the actor frame — comparing the
-// frame length the config implies with the bytes present before
-// anything is sized by it. It allocates only the config's widths.
-func readSection(data []byte) (*section, error) {
-	if len(data) < sectionHeaderLen || string(data[:len(servingMagic)]) != servingMagic {
-		return nil, errNotServing
+// The section's checks, which both readers make, each reporting the
+// first that fails in this order: the magic (readHeader), the sum over
+// every byte after the header (sumError), the config's length
+// (configLen, inside readConfig), the Config as New validates it and
+// the actor frame's length against the bytes left (actorFrameLen).
+
+// readHeader checks that hdr, a file's first bytes, opens the section,
+// and returns the sum the header records for the rest of the file.
+func readHeader(hdr []byte) (atomicio.Sum, error) {
+	if len(hdr) < sectionHeaderLen || string(hdr[:len(servingMagic)]) != servingMagic {
+		return atomicio.Sum{}, errNotServing
 	}
 	le := binary.LittleEndian
-	want := atomicio.Sum{Len: le.Uint64(data[len(servingMagic):]), CRC: le.Uint32(data[len(servingMagic)+8:])}
+	return atomicio.Sum{Len: le.Uint64(hdr[len(servingMagic):]), CRC: le.Uint32(hdr[len(servingMagic)+8:])}, nil
+}
+
+// sumError is the refusal of a file whose bytes after the header do
+// not have the sum the header records.
+func sumError(got, want atomicio.Sum) error {
+	return fmt.Errorf("ddpg: serving checkpoint is truncated or corrupt: %d bytes with CRC %08x after the header, which records %d with %08x",
+		got.Len, got.CRC, want.Len, want.CRC)
+}
+
+// actorFrameLen validates cfg as New does and returns the length of the
+// actor frame it implies, in checked arithmetic, refusing one longer
+// than the left bytes after the config.
+func actorFrameLen(cfg Config, left int64) (int, error) {
+	if err := cfg.Validate(); err != nil {
+		return 0, fmt.Errorf("ddpg: serving checkpoint config: %w", err)
+	}
+	n, ok := nn.MLPFrameLen(actorSizes(cfg))
+	if !ok || int64(n) > left {
+		return 0, fmt.Errorf("ddpg: serving checkpoint config implies an actor of layer sizes %v, whose frame the %d bytes present cannot hold",
+			actorSizes(cfg), left)
+	}
+	return n, nil
+}
+
+// readSection checks a whole checkpoint in memory up to the end of its
+// policy section, sum first, and returns its parts as slices of data.
+// It allocates only the config's widths.
+func readSection(data []byte) (*section, error) {
+	want, err := readHeader(data)
+	if err != nil {
+		return nil, err
+	}
 	body := data[sectionHeaderLen:]
 	if got := atomicio.SumOf(body); got != want {
-		return nil, fmt.Errorf("ddpg: serving checkpoint is truncated or corrupt: %d bytes with CRC %08x after the header, which records %d with %08x",
-			got.Len, got.CRC, want.Len, want.CRC)
+		return nil, sumError(got, want)
 	}
 	cfg, rest, err := readConfig(body)
 	if err != nil {
 		return nil, err
 	}
-	if err := cfg.Validate(); err != nil {
-		return nil, fmt.Errorf("ddpg: serving checkpoint config: %w", err)
-	}
-	n, ok := nn.MLPFrameLen(actorSizes(cfg))
-	if !ok || n > len(rest) {
-		return nil, fmt.Errorf("ddpg: serving checkpoint config implies an actor of layer sizes %v, whose frame the %d bytes present cannot hold",
-			actorSizes(cfg), len(rest))
+	n, err := actorFrameLen(cfg, int64(len(rest)))
+	if err != nil {
+		return nil, err
 	}
 	return &section{cfg: cfg, config: body[:len(body)-len(rest)], frame: rest[:n], state: rest[n:]}, nil
 }
 
-// policyOnly is the section's policy-only form, in one new slice.
-func (s *section) policyOnly() []byte {
-	return appendSection(s.config, s.frame, nil)
+// sectionStream reads a checkpoint from a stream: its section into one
+// exact-size slice, everything after the section through buf, and every
+// byte after the header into the sum as it passes. The section's checks
+// come before the sum's, so a refusal found there is held until the
+// sum is known: a file whose sum fails gets the sum's refusal, as it
+// does from readSection.
+type sectionStream struct {
+	r    io.Reader
+	left int64  // bytes of the file not yet read
+	crc  uint32 // of the bytes read after the header
+	err  error  // the first failed read; every later read is skipped
+	buf  [8 << 10]byte
+}
+
+// fill reads len(p) bytes into p and adds them to the sum.
+func (s *sectionStream) fill(p []byte) {
+	if s.err != nil {
+		return
+	}
+	if _, err := io.ReadFull(s.r, p); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		s.err = fmt.Errorf("ddpg: read serving checkpoint: %w", err)
+		return
+	}
+	s.crc = crc32.Update(s.crc, crc32.IEEETable, p)
+	s.left -= int64(len(p))
+}
+
+// header reads the section header and returns the sum it records.
+func (s *sectionStream) header() (atomicio.Sum, error) {
+	hdr := s.buf[:sectionHeaderLen]
+	if s.left < int64(len(hdr)) {
+		return atomicio.Sum{}, errNotServing
+	}
+	if s.fill(hdr); s.err != nil {
+		return atomicio.Sum{}, s.err
+	}
+	s.crc = 0
+	return readHeader(hdr)
+}
+
+// section reads the config and the actor frame into the policy-only
+// form, its sum not yet written. A refused section stops the reading
+// where it was found, and drain sums the rest.
+func (s *sectionStream) section() (Config, []byte, error) {
+	head := s.buf[:configHeadLen]
+	if s.left < int64(len(head)) {
+		return Config{}, nil, errConfigTruncated
+	}
+	s.fill(head)
+	n, ok := configLen(head, s.left+configHeadLen)
+	if !ok {
+		return Config{}, nil, errConfigTruncated
+	}
+	config := make([]byte, n)
+	copy(config, head)
+	s.fill(config[configHeadLen:])
+	if s.err != nil {
+		return Config{}, nil, s.err
+	}
+	cfg, _, err := readConfig(config)
+	if err != nil {
+		return Config{}, nil, err
+	}
+	frameLen, err := actorFrameLen(cfg, s.left)
+	if err != nil {
+		return Config{}, nil, err
+	}
+	form := make([]byte, sectionHeaderLen+n+frameLen)
+	copy(form, servingMagic)
+	copy(form[sectionHeaderLen:], config)
+	s.fill(form[sectionHeaderLen+n:])
+	return cfg, form, nil
+}
+
+// drain reads the rest of the file through buf into the sum.
+func (s *sectionStream) drain() {
+	for s.left > 0 && s.err == nil {
+		s.fill(s.buf[:min(s.left, int64(len(s.buf)))])
+	}
 }
 
 // newPolicy builds a policy of cfg's topology whose weights draw from
@@ -197,23 +324,59 @@ func newPolicy(cfg Config, rng *rand.Rand, trainable bool) (Policy, error) {
 	return Policy{Actor: actor, stateDim: cfg.StateDim, actionDim: cfg.ActionDim}, nil
 }
 
-// LoadPolicy reads a checkpoint's policy section and nothing after it
-// (doc.go, "Serving checkpoint"): an inference-only policy, the Config
-// and the policy-only form (a new slice), which LoadPolicy reads back
-// to the same policy. data may be either form.
-func LoadPolicy(data []byte) (*Policy, Config, []byte, error) {
-	s, err := readSection(data)
+// ReadPolicy reads a checkpoint's policy section from r, which holds
+// size bytes, without keeping anything after it (doc.go, "Serving
+// checkpoint"): an inference-only policy, the Config and the policy-only
+// form, which ReadPolicy reads back to the same policy. r may hold either
+// form. The magic, the config's width count and the actor frame's length
+// are checked against size before anything is sized by them; the section
+// is read into the form, one slice of exactly its size sealed in place,
+// and every byte after it passes through the sum in a fixed buffer.
+func ReadPolicy(r io.Reader, size int64) (*Policy, Config, []byte, error) {
+	s := &sectionStream{r: r, left: size}
+	want, err := s.header()
 	if err != nil {
 		return nil, Config{}, nil, err
 	}
-	p, err := newPolicy(s.cfg, rand.New(rand.NewSource(s.cfg.Seed)), false)
+	cfg, form, refused := s.section()
+	s.drain()
+	if s.err != nil {
+		return nil, Config{}, nil, s.err
+	}
+	if got := (atomicio.Sum{Len: uint64(size - int64(sectionHeaderLen)), CRC: s.crc}); got != want {
+		return nil, Config{}, nil, sumError(got, want)
+	}
+	if refused != nil {
+		return nil, Config{}, nil, refused
+	}
+	p, err := newPolicy(cfg, rand.New(rand.NewSource(cfg.Seed)), false)
 	if err != nil {
 		return nil, Config{}, nil, fmt.Errorf("ddpg: serving checkpoint config: %w", err)
 	}
-	if err := p.Actor.LoadParams(s.frame); err != nil {
+	if err := p.Actor.LoadParams(ActorFrame(form)); err != nil {
 		return nil, Config{}, nil, fmt.Errorf("ddpg: serving checkpoint actor: %w", err)
 	}
-	return &p, s.cfg, s.policyOnly(), nil
+	return &p, cfg, sealSection(form), nil
+}
+
+// LoadPolicy is ReadPolicy over a checkpoint in memory.
+func LoadPolicy(data []byte) (*Policy, Config, []byte, error) {
+	return ReadPolicy(bytes.NewReader(data), int64(len(data)))
+}
+
+// ActorFrame is the actor's parameter frame inside a policy-only form,
+// sharing its bytes: what the policy's Actor, or a replica's, reads in
+// place through LoadParams. It is nil when form does not hold a config's
+// length after the header.
+func ActorFrame(form []byte) []byte {
+	if len(form) < sectionHeaderLen {
+		return nil
+	}
+	n, ok := configLen(form[sectionHeaderLen:], int64(len(form)-sectionHeaderLen))
+	if !ok {
+		return nil
+	}
+	return form[sectionHeaderLen+n:]
 }
 
 // LoadAgentBytes builds a fresh agent from a checkpoint: ReadCheckpoint

@@ -4,15 +4,26 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
 	"strings"
 	"testing"
+	"testing/iotest"
 
+	"greennfv/internal/atomicio"
 	"greennfv/internal/nn"
 )
+
+// appendSection is a whole checkpoint in one new slice: the section,
+// then state (empty for the policy-only form), the sum covering both.
+func appendSection(config, frame, state []byte) []byte {
+	b := make([]byte, 0, sectionHeaderLen+len(config)+len(frame)+len(state))
+	return sealSection(append(beginSection(b, config, frame), state...))
+}
 
 // servingWith is a's policy section with the given bytes behind it:
 // the policy-only form when state is nil, and otherwise a file only a
@@ -283,6 +294,71 @@ func TestLoadRefusesGobNetworks(t *testing.T) {
 	}
 }
 
+// TestReadPolicyRefusesStreamedDamage: the streaming reader refuses
+// each damaged file with the whole-slice readers' message — the sum's,
+// unless the sum holds and the config is what fails — whether r hands it
+// the file whole or a byte at a time, and a width count of 2^32−1 sizes
+// no allocation.
+func TestReadPolicyRefusesStreamedDamage(t *testing.T) {
+	_, file := servingAgent(t, DefaultConfig(6, 4))
+	s, err := readSection(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	le := binary.LittleEndian
+	sectionEnd := len(file) - len(s.state)
+	edited := func(edit func(b []byte)) []byte {
+		b := bytes.Clone(file)
+		edit(b)
+		return b
+	}
+	sumRefusal := func(b []byte) string {
+		got := atomicio.SumOf(b[sectionHeaderLen:])
+		return fmt.Sprintf("ddpg: serving checkpoint is truncated or corrupt: %d bytes with CRC %08x after the header, which records %d with %08x",
+			got.Len, got.CRC, le.Uint64(b[len(servingMagic):]), le.Uint32(b[len(servingMagic)+8:]))
+	}
+	const truncatedConfig = "ddpg: serving checkpoint config is truncated"
+	for _, row := range []struct {
+		name   string
+		data   []byte
+		config bool // refused by the config, its sum intact
+	}{
+		{"header length past the end", edited(func(b []byte) { le.PutUint64(b[len(servingMagic):], uint64(len(b)-sectionHeaderLen+1)) }), false},
+		{"header length short of the end", edited(func(b []byte) { le.PutUint64(b[len(servingMagic):], uint64(len(b)-sectionHeaderLen-1)) }), false},
+		{"flipped byte in the training state", edited(func(b []byte) { b[sectionEnd+len(s.state)/2] ^= 0x10 }), false},
+		{"cut mid-frame", file[:sectionEnd-len(s.frame)/2], false},
+		{"cut mid-tail", file[:sectionEnd+len(s.state)/2], false},
+		{"width count 2^32-1", sealSection(edited(func(b []byte) { le.PutUint32(b[sectionHeaderLen+configHeadLen-4:], math.MaxUint32) })), true},
+		{"the magic alone in 20 bytes", append([]byte(servingMagic), make([]byte, sectionHeaderLen-len(servingMagic))...), true},
+	} {
+		want := truncatedConfig
+		if !row.config {
+			want = sumRefusal(row.data)
+		}
+		size := int64(len(row.data))
+		var err error
+		n := allocated(func() { _, _, _, err = ReadPolicy(bytes.NewReader(row.data), size) })
+		if err == nil || err.Error() != want {
+			t.Errorf("%s: ReadPolicy returned %v, want %q", row.name, err, want)
+		}
+		if row.config && n > 16<<10 {
+			t.Errorf("%s: ReadPolicy allocated %d bytes before refusing the config", row.name, n)
+		}
+		if _, _, _, err := ReadPolicy(iotest.OneByteReader(bytes.NewReader(row.data)), size); err == nil || err.Error() != want {
+			t.Errorf("%s: a byte at a time, ReadPolicy returned %v, want %q", row.name, err, want)
+		}
+		if _, err := ReadCheckpoint(row.data); err == nil || err.Error() != want {
+			t.Errorf("%s: ReadCheckpoint returned %v, want %q", row.name, err, want)
+		}
+	}
+
+	// A stream that ends before the size it was said to hold is a read
+	// error, not a file of that size.
+	if _, _, _, err := ReadPolicy(bytes.NewReader(file[:len(file)-1]), int64(len(file))); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("a stream one byte short returned %v, want %v", err, io.ErrUnexpectedEOF)
+	}
+}
+
 // allocated is the heap bytes f allocates.
 func allocated(f func()) uint64 {
 	var before, after runtime.MemStats
@@ -354,7 +430,9 @@ func TestLoadRefusesOversizedConfig(t *testing.T) {
 	}
 }
 
-// FuzzLoadPolicy: no input panics LoadPolicy, and an accepted input's
+// FuzzLoadPolicy: no input panics LoadPolicy, ReadPolicy fed a byte at
+// a time returns what the whole-slice call does (the same refusal, or
+// the same form, Config and actor bits), and an accepted input's
 // policy-only form loads back to itself, the same Config and the same
 // actor bits. Each input also runs again under a sum rewritten to match
 // it, so mutations reach the config and frame checks behind the CRC.
@@ -373,8 +451,15 @@ func FuzzLoadPolicy(f *testing.F) {
 	f.Add(file[:len(form)])
 	check := func(t *testing.T, data []byte) {
 		p, cfg, form, err := LoadPolicy(data)
+		sp, scfg, sform, serr := ReadPolicy(iotest.OneByteReader(bytes.NewReader(data)), int64(len(data)))
+		if fmt.Sprint(serr) != fmt.Sprint(err) || !bytes.Equal(sform, form) || !bytes.Equal(appendConfig(nil, scfg), appendConfig(nil, cfg)) {
+			t.Fatalf("a byte at a time ReadPolicy returns %v, the whole slice %v", serr, err)
+		}
 		if err != nil {
 			return
+		}
+		if !bytes.Equal(sp.Actor.ParamFrame(), p.Actor.ParamFrame()) {
+			t.Fatal("a byte at a time ReadPolicy loads other actor bits")
 		}
 		q, again, form2, err := LoadPolicy(form)
 		if err != nil {

@@ -134,12 +134,14 @@ type shard struct {
 
 // policySnapshot is the immutable serving policy: reports load it
 // with one atomic read, reload/persist swap it on the writer path.
-// blob is the checkpoint's policy-only form (ddpg.LoadPolicy), what the
-// state file persists; actor is its policy network, kept only as the
-// template report scratch clones its replicas from; nothing runs
-// inference on it.
+// blob is the checkpoint's policy-only form (ddpg.ReadPolicy), what the
+// state file persists, and frame its actor frame (a slice of blob),
+// from which a stale replica refreshes in place; actor is the decoded
+// policy, kept only as the template a replica is cloned from when there
+// is none yet or its topology differs. Nothing runs inference on it.
 type policySnapshot struct {
 	blob    []byte
+	frame   []byte
 	version int
 	actor   *ddpg.Policy
 }
@@ -149,7 +151,7 @@ type policySnapshot struct {
 // concurrent reports need distinct replicas), the action/knob decode
 // buffers, and a guardrail (whose prediction scratch is equally
 // single-owner). Pooled; a replica older than the current policy
-// snapshot is re-cloned lazily on checkout.
+// snapshot is refreshed lazily on checkout.
 type reportScratch struct {
 	version int
 	actor   *ddpg.Policy
@@ -228,7 +230,7 @@ func NewController(cfg Config) (*Controller, error) {
 	}
 	switch {
 	case resumed != nil:
-		snap, err := c.validatePolicy(resumed.PolicyBlob)
+		snap, err := c.validatePolicy(ddpg.LoadPolicy(resumed.PolicyBlob))
 		if err != nil {
 			return nil, fmt.Errorf("serve: persisted policy in %s: %w", cfg.StatePath, err)
 		}
@@ -239,11 +241,7 @@ func NewController(cfg Config) (*Controller, error) {
 			sh.lastGood[id] = ks
 		}
 	case cfg.PolicyPath != "":
-		blob, err := os.ReadFile(cfg.PolicyPath)
-		if err != nil {
-			return nil, fmt.Errorf("serve: read policy: %w", err)
-		}
-		snap, err := c.validatePolicy(blob)
+		snap, err := c.readPolicyFile(cfg.PolicyPath)
 		if err != nil {
 			return nil, err
 		}
@@ -281,15 +279,17 @@ func (c *Controller) shardFor(nodeID string) *shard {
 	return &c.shards[h%numShards]
 }
 
-// validatePolicy reads a checkpoint's policy section (ddpg.LoadPolicy:
-// the sum over the whole blob, the Config, the actor frame against the
-// Config's topology) and checks its dimensions against the node spec —
-// the gate boot, resume and hot reload all pass through. Nothing after
-// the section is decoded. It returns the snapshot to serve, version
-// unset: the inference-only policy and the section's policy-only form,
-// which is what the state file persists.
-func (c *Controller) validatePolicy(blob []byte) (*policySnapshot, error) {
-	actor, acfg, form, err := ddpg.LoadPolicy(blob)
+// validatePolicy takes what ddpg.ReadPolicy (boot and reload, streaming
+// the file) or ddpg.LoadPolicy (resume, from the persisted form) returned
+// — the section read into its policy-only form, checked up to the
+// whole-file sum, the Config and the actor frame against the Config's
+// topology — and checks the dimensions against the node spec. It is the
+// gate boot, resume and hot reload all pass through. It returns the
+// snapshot to serve, version unset: the inference-only policy and the
+// policy-only form, which is what the state file persists. What it
+// keeps is the policy's size, whatever the critic, targets, optimiser
+// moments or replay behind the section weigh.
+func (c *Controller) validatePolicy(actor *ddpg.Policy, acfg ddpg.Config, form []byte, err error) (*policySnapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: load policy: %w", err)
 	}
@@ -297,12 +297,27 @@ func (c *Controller) validatePolicy(blob []byte) (*policySnapshot, error) {
 		return nil, fmt.Errorf("serve: policy dims %dx%d do not match node spec %dx%d",
 			acfg.StateDim, acfg.ActionDim, c.probe.StateDim(), c.probe.ActionDim())
 	}
-	return &policySnapshot{blob: form, actor: actor}, nil
+	return &policySnapshot{blob: form, frame: ddpg.ActorFrame(form), actor: actor}, nil
+}
+
+// readPolicyFile opens a checkpoint file and validates it as a stream
+// (validatePolicy); a file that cannot be opened or sized is an error of
+// its own.
+func (c *Controller) readPolicyFile(path string) (*policySnapshot, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("serve: read policy: %w", err)
+	}
+	defer f.Close()
+	info, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("serve: read policy: %w", err)
+	}
+	return c.validatePolicy(ddpg.ReadPolicy(f, info.Size()))
 }
 
 // getScratch checks out pooled report scratch whose actor replica
-// matches snap, re-cloning the replica from the snapshot's validated
-// actor only when a reload made it stale.
+// matches snap (reportScratch.sync).
 func (c *Controller) getScratch(snap *policySnapshot) *reportScratch {
 	sc, _ := c.scratch.Get().(*reportScratch)
 	if sc == nil {
@@ -317,10 +332,23 @@ func (c *Controller) getScratch(snap *policySnapshot) *reportScratch {
 			},
 		}
 	}
-	if sc.actor == nil || sc.version != snap.version {
-		sc.actor, sc.version = snap.actor.Clone(), snap.version
-	}
+	sc.sync(snap)
 	return sc
+}
+
+// sync makes the scratch's replica serve snap. A replica of another
+// version reads the snapshot's actor frame in place (LoadParams copies
+// it into the network it has, allocating nothing); only a scratch with
+// no replica yet, or one whose topology the frame does not fit, clones
+// the snapshot's actor.
+func (sc *reportScratch) sync(snap *policySnapshot) {
+	if sc.actor != nil && sc.version == snap.version {
+		return
+	}
+	if sc.actor == nil || sc.actor.Actor.LoadParams(snap.frame) != nil {
+		sc.actor = snap.actor.Clone()
+	}
+	sc.version = snap.version
 }
 
 // Start serves the controller RPC on addr (e.g. "127.0.0.1:7070";
@@ -472,19 +500,23 @@ func (c *Controller) RegisterMetrics(reg *stats.Registry) {
 		"Report decision latency (lease check through reply).", c.reportLatency)
 }
 
+// ErrReloadNotPersisted marks a ReloadPolicy that swapped the new
+// policy in but could not write the state file: the controller serves
+// the new version, a restart before the next successful snapshot
+// resumes the old one, and the next state change retries with a full
+// snapshot. Every other ReloadPolicy error is a rejection.
+var ErrReloadNotPersisted = errors.New("serve: reloaded policy is serving but not persisted")
+
 // ReloadPolicy hot-swaps the serving policy from a checkpoint file:
-// the file is read and its policy section validated first (whole-file
-// sum, Config, actor frame, dimensions), then swapped in as a new
-// immutable snapshot — in-flight reports finish on the snapshot they
-// loaded; later reports see the new one. A corrupt or mismatched
-// checkpoint is rejected loudly and the current policy keeps serving
-// untouched.
+// the file is streamed and its policy section validated first
+// (validatePolicy: whole-file sum, Config, actor frame, dimensions),
+// then swapped in as a new immutable snapshot — in-flight reports
+// finish on the snapshot they loaded; later reports see the new one. A
+// corrupt or mismatched checkpoint is rejected loudly and the current
+// policy keeps serving untouched. A state write that fails after the
+// swap counts as a persist error and returns ErrReloadNotPersisted.
 func (c *Controller) ReloadPolicy(path string) error {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("serve: reload policy: %w", err)
-	}
-	snap, err := c.validatePolicy(blob)
+	snap, err := c.readPolicyFile(path)
 	if err != nil {
 		return fmt.Errorf("serve: reload rejected: %w", err)
 	}
@@ -492,7 +524,11 @@ func (c *Controller) ReloadPolicy(path string) error {
 	snap.version = c.policy.Load().version + 1
 	c.policy.Store(snap)
 	c.reloadMu.Unlock()
-	return c.snapshot()
+	if err := c.snapshot(); err != nil {
+		c.counters.Inc(CounterStatePersistErrors)
+		return fmt.Errorf("%w: v%d: %w", ErrReloadNotPersisted, snap.version, err)
+	}
+	return nil
 }
 
 // ExpireLeases revokes the lease of every node that has not reported

@@ -55,9 +55,12 @@
 // reports read it lock-free, and only ReloadPolicy takes the writer
 // path (validate, then swap a new snapshot with a bumped version).
 // Each in-flight report draws pooled inference scratch — a private
-// policy replica (ddpg.Policy, an inference-only clone of the
-// snapshot's validated policy) plus action/knob buffers — because the actor's
-// forward pass reuses per-network scratch and cannot be shared. The
+// policy replica (ddpg.Policy, inference-only) plus action/knob
+// buffers — because the actor's forward pass reuses per-network scratch
+// and cannot be shared. A replica older than the snapshot refreshes in
+// place from the snapshot's actor frame (nn LoadParams: no allocation);
+// it is cloned from the snapshot's policy only when it is the scratch's
+// first or a reload changed the hidden widths. The
 // greedy action consumes no randomness, so a node's decision depends
 // only on its own history and the snapshot: concurrent serving is
 // bit-for-bit identical to serial (the fleet harness pins this).
@@ -151,17 +154,30 @@
 // last serving (hot reloads included) and the fleet re-registers
 // transparently.
 //
-// Hot policy reload reads only the new checkpoint's policy section
-// (ddpg.LoadPolicy) and checks it before an atomic swap: the length
-// and CRC32 the section's header records for the whole file, the
-// Config (validated as a new agent's would be, and held to imply an
-// actor whose frame fits the bytes present), the actor frame against
-// that topology, and the dimensions against the node spec. A corrupt
-// or mismatched checkpoint is rejected loudly without dropping the
-// serving loop. Boot and resume pass the same gate. No agent is built:
-// the critics, targets, optimiser moments and noise behind the section
-// are covered by the CRC and never decoded. The section's actor stays
-// with the policy snapshot, and each pooled report scratch clones its
-// replica from it — the checkpoint is read once per boot or reload,
-// not once per replica.
+// Hot policy reload opens the new checkpoint and streams it through
+// ddpg.ReadPolicy, which decodes the policy section alone and checks it
+// before an atomic swap: the magic; the config's width count and the
+// actor frame's length against the file's size before anything is sized
+// by them; the Config, validated as a new agent's would be; the actor
+// frame against that topology; the length and CRC32 the header records
+// for the whole file; and, here, the dimensions against the node spec.
+// A corrupt or mismatched checkpoint is rejected loudly without dropping
+// the serving loop. Boot from PolicyPath reads the file the same way,
+// and resume passes the persisted form through the same reader. What is
+// kept is the policy: the section is read into one exact-size slice,
+// the policy-only form the state file persists, and the actor decoded
+// from it. The critics, targets, optimiser moments, noise and replay
+// behind the section pass through the CRC in a fixed buffer and are
+// neither decoded nor kept, so a reload's memory does not grow with
+// them (TestReloadCostIgnoresTrainingState). Pooled replicas refresh
+// from the snapshot's actor frame in place — the checkpoint is read once
+// per boot or reload, not once per replica.
+//
+// A reload is one of three outcomes. Rejected: an error, and the old
+// policy serves at its old version. Swapped: nil, and the new version
+// serves and is persisted. Swapped but not persisted: the state write
+// after the swap failed, which counts in state_persist_errors and
+// returns an error matching ErrReloadNotPersisted — the new version
+// serves, a restart before the next successful snapshot would resume
+// the old one, and the next state change retries with a full snapshot.
 package serve

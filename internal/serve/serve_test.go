@@ -2,11 +2,15 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -71,6 +75,13 @@ func writePolicy(t testing.TB, dir string, spec apex.ActorSpec, seed int64) stri
 // checkpoint the optimiser moments a trained one carries.
 func writeTrainedPolicy(t testing.TB, dir string, spec apex.ActorSpec, seed int64, hidden []int, updates int) string {
 	t.Helper()
+	return writeCheckpoint(t, dir, trainedAgent(t, spec, seed, hidden, updates, 0), false)
+}
+
+// trainedAgent is the agent writeTrainedPolicy saves, with extra
+// random transitions observed after its updates.
+func trainedAgent(t testing.TB, spec apex.ActorSpec, seed int64, hidden []int, updates, extra int) *ddpg.Agent {
+	t.Helper()
 	e, err := spec.BuildEnv(0)
 	if err != nil {
 		t.Fatal(err)
@@ -90,14 +101,25 @@ func writeTrainedPolicy(t testing.TB, dir string, spec apex.ActorSpec, seed int6
 		}
 		return v
 	}
-	for i := 0; i < cfg.BatchSize; i++ {
-		agent.Observe(replay.Transition{State: random(cfg.StateDim), Action: random(cfg.ActionDim), Reward: rng.Float64(), NextState: random(cfg.StateDim)})
+	observe := func(n int) {
+		for i := 0; i < n; i++ {
+			agent.Observe(replay.Transition{State: random(cfg.StateDim), Action: random(cfg.ActionDim), Reward: rng.Float64(), NextState: random(cfg.StateDim)})
+		}
 	}
+	observe(cfg.BatchSize)
 	for i := 0; i < updates; i++ {
 		agent.Learn()
 	}
+	observe(extra)
+	return agent
+}
+
+// writeCheckpoint saves agent's checkpoint, with its replay contents
+// when includeReplay is set, as dir/policy.ckpt.
+func writeCheckpoint(t testing.TB, dir string, agent *ddpg.Agent, includeReplay bool) string {
+	t.Helper()
 	var buf bytes.Buffer
-	if err := agent.SaveState(&buf, false); err != nil {
+	if err := agent.SaveState(&buf, includeReplay); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, "policy.ckpt")
@@ -483,6 +505,185 @@ func TestHotReload(t *testing.T) {
 	if err := agent.Step(time.Now()); err != nil {
 		t.Fatalf("serving after rejected reload: %v", err)
 	}
+}
+
+// TestReloadRefusesStreamedDamage: ReloadPolicy streams the file
+// through ddpg.ReadPolicy and refuses every row of ddpg's
+// TestReadPolicyRefusesStreamedDamage with that reader's message; the
+// controller keeps serving its old policy at its old version, and the
+// file stays as it was. Offsets are the section's layout (internal/rl/ddpg
+// doc, "Checkpoint"): the magic, a uint64 length and a uint32 CRC32 of
+// everything from byte 20, then the config, whose width count is its
+// uint32 at bytes 36–39.
+func TestReloadRefusesStreamedDamage(t *testing.T) {
+	spec := testSpec(sla.NewEnergyEfficiency())
+	dir := t.TempDir()
+	ctrl, err := NewController(Config{Spec: spec, PolicyPath: writePolicy(t, dir, spec, 4)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctrl.Close()
+	if err := ctrl.ReloadPolicy(writePolicy(t, t.TempDir(), spec, 5)); err != nil {
+		t.Fatal(err)
+	}
+	serving := ctrl.policy.Load()
+
+	file, err := os.ReadFile(filepath.Join(dir, "policy.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, form, err := ddpg.LoadPolicy(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frameLen, stateLen := len(ddpg.ActorFrame(form)), len(file)-len(form)
+	le := binary.LittleEndian
+	edited := func(edit func(b []byte)) []byte {
+		b := bytes.Clone(file)
+		edit(b)
+		return b
+	}
+	reseal := func(b []byte) { le.PutUint32(b[16:], crc32.ChecksumIEEE(b[20:])) }
+	for name, data := range map[string][]byte{
+		"header length past the end":         edited(func(b []byte) { le.PutUint64(b[8:], uint64(len(b)-20+1)) }),
+		"header length short of the end":     edited(func(b []byte) { le.PutUint64(b[8:], uint64(len(b)-20-1)) }),
+		"flipped byte in the training state": edited(func(b []byte) { b[len(form)+stateLen/2] ^= 0x10 }),
+		"cut mid-frame":                      file[:len(form)-frameLen/2],
+		"cut mid-tail":                       file[:len(form)+stateLen/2],
+		"width count 2^32-1":                 edited(func(b []byte) { le.PutUint32(b[36:], math.MaxUint32); reseal(b) }),
+		"the magic alone in 20 bytes":        append([]byte("GNFVPOL1"), make([]byte, 12)...),
+	} {
+		_, _, _, want := ddpg.LoadPolicy(data)
+		if want == nil {
+			t.Fatalf("%s: ddpg.LoadPolicy accepted the file", name)
+		}
+		path := filepath.Join(t.TempDir(), "damaged.ckpt")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		err := ctrl.ReloadPolicy(path)
+		if err == nil || !strings.Contains(err.Error(), "serve: reload rejected: ") || !strings.HasSuffix(err.Error(), want.Error()) ||
+			errors.Is(err, ErrReloadNotPersisted) {
+			t.Errorf("%s: ReloadPolicy returned %v, want a rejection ending %q", name, err, want)
+		}
+		if ctrl.policy.Load() != serving || ctrl.PolicyVersion() != serving.version {
+			t.Errorf("%s: a refused reload changed the serving policy", name)
+		}
+		if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, data) {
+			t.Errorf("%s: a refused reload changed the file (%v)", name, err)
+		}
+	}
+}
+
+// TestReloadPersistFailureIsNotRejection: a reload whose policy swapped
+// in but whose state file could not be written — its directory removed
+// under the controller, which fails for root too — is counted as a
+// persist error and returns ErrReloadNotPersisted, while the new
+// version serves. A rejected reload is neither.
+func TestReloadPersistFailureIsNotRejection(t *testing.T) {
+	spec := testSpec(sla.NewEnergyEfficiency())
+	stateDir := t.TempDir()
+	ctrl, err := NewController(Config{
+		Spec:       spec,
+		PolicyPath: writePolicy(t, t.TempDir(), spec, 4),
+		StatePath:  filepath.Join(stateDir, "controller.state"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ctrl.ReloadPolicy(filepath.Join(t.TempDir(), "missing.ckpt")); err == nil || errors.Is(err, ErrReloadNotPersisted) {
+		t.Fatalf("reloading a missing file returned %v, want a rejection", err)
+	}
+	if err := os.RemoveAll(stateDir); err != nil {
+		t.Fatal(err)
+	}
+	next := writePolicy(t, t.TempDir(), spec, 5)
+	err = ctrl.ReloadPolicy(next)
+	if !errors.Is(err, ErrReloadNotPersisted) {
+		t.Fatalf("a reload that could not persist returned %v, want %v", err, ErrReloadNotPersisted)
+	}
+	if v := ctrl.PolicyVersion(); v != 2 {
+		t.Errorf("serving v%d after the unpersisted reload, want v2", v)
+	}
+	if got := ctrl.Counters().Get(CounterStatePersistErrors); got != 1 {
+		t.Errorf("state_persist_errors = %d, want 1", got)
+	}
+	n := newSimNode(t, spec, 0)
+	if err := n.register(ctrl); err != nil {
+		t.Fatal(err)
+	}
+	if reply, err := n.step(ctrl); err != nil || reply.PolicyVersion != 2 {
+		t.Errorf("report after the unpersisted reload: %v, policy v%d, want v2", err, reply.PolicyVersion)
+	}
+}
+
+// TestReplicaRefreshesInPlace: after a reload a pooled replica keeps its
+// network, which now holds the new snapshot's weights — its greedy
+// actions equal, bit for bit, those of the policy the new checkpoint
+// loads to — and a reload to other hidden widths gives it a clone of the
+// new topology instead.
+func TestReplicaRefreshesInPlace(t *testing.T) {
+	spec := testSpec(sla.NewEnergyEfficiency())
+	ctrl, err := NewController(Config{Spec: spec, PolicyPath: writePolicy(t, t.TempDir(), spec, 4)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctrl.Close()
+	sc := ctrl.getScratch(ctrl.policy.Load())
+	actsLike := func(when, path string) {
+		t.Helper()
+		file, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, _, err := ddpg.LoadPolicy(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(9))
+		obs := make([]float64, ctrl.probe.StateDim())
+		got, ref := make([]float64, ctrl.probe.ActionDim()), make([]float64, ctrl.probe.ActionDim())
+		for trial := 0; trial < 10; trial++ {
+			for i := range obs {
+				obs[i] = 2*rng.Float64() - 1
+			}
+			if err := sc.actor.Greedy(obs, got); err != nil {
+				t.Fatal(err)
+			}
+			if err := want.Greedy(obs, ref); err != nil {
+				t.Fatal(err)
+			}
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(ref[i]) {
+					t.Fatalf("%s: the replica acts %v, the reloaded policy %v", when, got, ref)
+				}
+			}
+		}
+	}
+
+	net := sc.actor.Actor
+	same := writePolicy(t, t.TempDir(), spec, 5)
+	if err := ctrl.ReloadPolicy(same); err != nil {
+		t.Fatal(err)
+	}
+	sc.sync(ctrl.policy.Load())
+	if sc.actor.Actor != net {
+		t.Error("a reload to the same topology replaced the replica's network")
+	}
+	if sc.version != ctrl.PolicyVersion() {
+		t.Errorf("replica at v%d, serving v%d", sc.version, ctrl.PolicyVersion())
+	}
+	actsLike("same topology", same)
+
+	wider := writeTrainedPolicy(t, t.TempDir(), spec, 6, []int{24, 8}, 0)
+	if err := ctrl.ReloadPolicy(wider); err != nil {
+		t.Fatal(err)
+	}
+	sc.sync(ctrl.policy.Load())
+	if sc.actor.Actor == net || sc.actor.Actor == ctrl.policy.Load().actor.Actor {
+		t.Error("a reload to other widths kept the old network or shares the snapshot's")
+	}
+	actsLike("other widths", wider)
 }
 
 // TestControllerStatePersistence pins crash-safe state: a controller

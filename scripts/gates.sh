@@ -88,23 +88,30 @@ gates=(
 	# a steady report over loopback, client and server, inside its
 	# allocation budget, and none at all in the controller; a replied
 	# config outlives the record that replaced it; boot, resume and hot
-	# reload keep only a checkpoint's policy section, for under twice
-	# the file per reload.
+	# reload keep only a checkpoint's policy section, a reload allocates
+	# at most reloadAllocBound policy-only forms and the same with or
+	# without a replay behind the section, and refuses each damaged
+	# stream with the section reader's message, keeping its old policy
+	# and version; a reload that swapped but could not persist is told
+	# apart from a rejection and counted; a pooled replica refreshes in
+	# place and is cloned only for other hidden widths.
 	# The controller state: the snapshot's layout region by region and
 	# its refusals, a checkpoint whose training state is unreadable
 	# that still serves beside a state file and a journal under
 	# another magic refused at boot without a write, every journal
 	# truncation recovering a prefix, and the fuzz target's corpus.
-	"./internal/serve TestGuardrailProperty|TestFleet|TestExpireLeasesChurnRace|TestReportRoundTripAllocs|TestSteadyReportAllocatesNothing|TestPolicyReplyOutlivesRecord|TestServingHoldsPolicyOnly|TestSnapshotLayout|TestBootOnUnknownLayouts|TestJournalCrashMatrix|FuzzStateLoad"
+	"./internal/serve TestGuardrailProperty|TestFleet|TestExpireLeasesChurnRace|TestReportRoundTripAllocs|TestSteadyReportAllocatesNothing|TestPolicyReplyOutlivesRecord|TestServingHoldsPolicyOnly|TestReloadCostIgnoresTrainingState|TestReloadRefusesStreamedDamage|TestReloadPersistFailureIsNotRejection|TestReplicaRefreshesInPlace|TestSnapshotLayout|TestBootOnUnknownLayouts|TestJournalCrashMatrix|FuzzStateLoad"
 	# The checkpoint: one layout, the section's policy acts like the
-	# whole agent bit for bit, any damage is refused, a Config claiming
+	# whole agent bit for bit, any damage is refused — by the streaming
+	# reader, whole or a byte at a time, with the whole-slice readers'
+	# message (the fuzz target's seed run too) — a Config claiming
 	# more than the file holds is refused before it sizes anything, and
 	# a checkpoint corrupted in any region — or with hostile optimizer
 	# moments — is refused before the first write. A checkpoint whose
 	# training state is gob networks or under another magic still
 	# serves its section and is refused as an agent, as is a bare state
 	# with no section.
-	"./internal/rl/ddpg TestStateLayout|TestLoadPolicyMatchesLoadAgent|TestLoadPolicyRefusesDamage|TestLoadRefusesOversizedConfig|TestLoadRefusesGobNetworks|TestLoadRefusesPreSectionCheckpoint|TestRefusedLoadStateChangesNothing|TestLoadStateRejectsHostileOptimizer|FuzzLoadState"
+	"./internal/rl/ddpg TestStateLayout|TestLoadPolicyMatchesLoadAgent|TestLoadPolicyRefusesDamage|TestReadPolicyRefusesStreamedDamage|TestLoadRefusesOversizedConfig|TestLoadRefusesGobNetworks|TestLoadRefusesPreSectionCheckpoint|TestRefusedLoadStateChangesNothing|TestLoadStateRejectsHostileOptimizer|FuzzLoadState|FuzzLoadPolicy"
 	# One refusal of every other format: a framed file or a journal
 	# under another magic is refused with both magics quoted, escaped
 	# whatever the file held, and a framed file shorter than its header
