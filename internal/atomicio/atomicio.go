@@ -23,9 +23,15 @@ type Sum struct {
 	CRC uint32
 }
 
-// SumOf computes payload's Sum.
-func SumOf(payload []byte) Sum {
-	return Sum{Len: uint64(len(payload)), CRC: crc32.ChecksumIEEE(payload)}
+// SumOf computes the Sum of the payload that is its pieces one after
+// another, without joining them.
+func SumOf(pieces ...[]byte) Sum {
+	var sum Sum
+	for _, p := range pieces {
+		sum.Len += uint64(len(p))
+		sum.CRC = crc32.Update(sum.CRC, crc32.IEEETable, p)
+	}
+	return sum
 }
 
 // appendHeader appends the header shared by framed files and
@@ -75,11 +81,13 @@ func syncDir(dir string) {
 // whose writer crashed, which is what lets Sweep target only its own.
 func tempPattern(base string) string { return "." + base + ".tmp-*" }
 
-// WriteFile atomically writes payload to path under the given magic:
-// temp file in the same directory, fsync, rename, best-effort
-// directory sync. On error the temp file is removed; path is either
-// untouched or fully replaced, never torn.
-func WriteFile(path, magic string, payload []byte) error {
+// WriteFile atomically writes the payload that is its pieces one after
+// another to path under the given magic: temp file in the same
+// directory, fsync, rename, best-effort directory sync. The pieces are
+// written as they are, never joined, so the file is the one a single
+// piece of their concatenation makes. On error the temp file is
+// removed; path is either untouched or fully replaced, never torn.
+func WriteFile(path, magic string, pieces ...[]byte) error {
 	if err := checkMagic(magic); err != nil {
 		return err
 	}
@@ -95,11 +103,13 @@ func WriteFile(path, magic string, payload []byte) error {
 		return err
 	}
 	var header [headerLen]byte
-	if _, err := f.Write(appendHeader(header[:0], magic, SumOf(payload))); err != nil {
+	if _, err := f.Write(appendHeader(header[:0], magic, SumOf(pieces...))); err != nil {
 		return cleanup(fmt.Errorf("atomicio: write: %w", err))
 	}
-	if _, err := f.Write(payload); err != nil {
-		return cleanup(fmt.Errorf("atomicio: write: %w", err))
+	for _, p := range pieces {
+		if _, err := f.Write(p); err != nil {
+			return cleanup(fmt.Errorf("atomicio: write: %w", err))
+		}
 	}
 	if err := f.Sync(); err != nil {
 		return cleanup(fmt.Errorf("atomicio: sync: %w", err))

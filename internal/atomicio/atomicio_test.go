@@ -41,6 +41,56 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWritePiecesIsWriteWhole: a payload handed to WriteFile in pieces
+// makes byte for byte the file its concatenation makes as one piece,
+// and SumOf the pieces is SumOf the concatenation — for no pieces,
+// empty pieces and a payload split at every byte.
+func TestWritePiecesIsWriteWhole(t *testing.T) {
+	dir := t.TempDir()
+	file := func(name string, pieces ...[]byte) []byte {
+		t.Helper()
+		path := filepath.Join(dir, name)
+		if err := WriteFile(path, testMagic, pieces...); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	payload := []byte("header|policy section|records")
+	rows := map[string][][]byte{
+		"no pieces":     nil,
+		"one empty":     {{}},
+		"nil and empty": {nil, {}, nil},
+		"empty between": {payload[:6], {}, payload[6:], nil},
+		"byte by byte": func() [][]byte {
+			var ps [][]byte
+			for i := range payload {
+				ps = append(ps, payload[i:i+1])
+			}
+			return ps
+		}(),
+	}
+	for at := 0; at <= len(payload); at++ {
+		rows[fmt.Sprintf("split at %d", at)] = [][]byte{payload[:at], payload[at:]}
+	}
+	for name, pieces := range rows {
+		whole := bytes.Join(pieces, nil)
+		want := file("whole", whole)
+		if got := file("pieces", pieces...); !bytes.Equal(got, want) {
+			t.Errorf("%s: pieces wrote %x, their concatenation %x", name, got, want)
+		}
+		if got, want := SumOf(pieces...), SumOf(whole); got != want {
+			t.Errorf("%s: SumOf the pieces is %+v, of their concatenation %+v", name, got, want)
+		}
+		if got, err := ReadFile(filepath.Join(dir, "pieces"), testMagic); err != nil || !bytes.Equal(got, whole) {
+			t.Errorf("%s: read back %q, %v, want %q", name, got, err, whole)
+		}
+	}
+}
+
 func TestReadRejectsCorruption(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "state")
 	if err := WriteFile(path, testMagic, []byte("payload-bytes")); err != nil {

@@ -25,7 +25,13 @@
 // WriteFile creates a temp file next to the destination (same
 // directory, so the rename cannot cross filesystems), writes header
 // and payload, fsyncs, closes, renames over the destination, and
-// best-effort fsyncs the directory. A writer killed mid-write leaves
+// best-effort fsyncs the directory. The payload may be handed over in
+// pieces, which are summed (SumOf takes pieces too) and written one
+// after another, never joined: a caller whose payload is a small header
+// around a large slice it already holds — the serving state's policy
+// section, a trainer checkpoint's agent state — writes the large slice
+// as it is instead of copying it into one buffer, and the file is byte
+// for byte the one the joined payload makes. A writer killed mid-write leaves
 // only a stale temp file; Sweep(path) removes such leftovers and is
 // called by the owning process on startup (single-writer-per-file is
 // the contract — two live writers sharing one path would sweep each
@@ -61,6 +67,6 @@
 //
 // Functions here are stateless and safe for concurrent use on
 // distinct paths; a Journal is single-owner. Output bytes are a pure function of (magic,
-// payload) plus the rename, so checkpoint files are byte-reproducible
+// payload) plus the rename, however the payload is split into pieces, so checkpoint files are byte-reproducible
 // for identical payloads.
 package atomicio

@@ -237,19 +237,24 @@
 // frame is never rewritten (internal/rl/apex, "Parameter broadcast").
 // LoadParams reads
 // one into a network that already exists, in place and without
-// allocating; the header is there to be compared with that network,
-// never to size anything. Validation order — all of it before the
-// first parameter is written, so a refused frame changes nothing:
+// allocating; MLPFromFrame builds an inference-only MLP of given layer
+// sizes around one, its weights decoded straight from the frame with no
+// random draw. Either way the header is there to be compared with a
+// shape the receiver already knows, never to size anything: CheckParams
+// compares it with a network, CheckMLPFrame with layer sizes, and both
+// are the one check (checkFrame) with the same refusals. Validation
+// order — all of it before the first parameter is written, so a refused
+// frame changes nothing:
 //
 //  1. the magic (bytes that do not start with it, another format or
 //     frame version among them, get ErrNotParamFrame and are not read
 //     further);
-//  2. the total length, against the length of this network's own frame
+//  2. the total length, against the length of the expected shape's frame
 //     — exact, so truncation, trailing bytes and every later
 //     out-of-bounds read are excluded at once, and no product of sizes
 //     read from the bytes is ever formed;
 //  3. the layer count;
-//  4. each layer's In, Out and Act, against the live layer.
+//  4. each layer's In, Out and Act, against the expected layer.
 //
 // Every bit pattern survives the trip (NaN payloads, -0), so
 // ParamFrame ∘ LoadParams ∘ ParamFrame is the identity on frames.

@@ -3,6 +3,7 @@ package nn
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"math/bits"
 )
@@ -11,9 +12,10 @@ import (
 // the Ape-X broadcast (one frame per parameter version, shared by every
 // puller), the saved policy file and each of the four networks of a
 // training state. doc.go ("Parameter frame") has the layout byte by
-// byte. It carries parameters for a network the receiver already has —
-// the header exists to be checked against that network, not to build
-// one.
+// byte. It carries parameters for a shape the receiver already knows —
+// the network it has (CheckParams, LoadParams) or the layer sizes of the
+// MLP it builds (CheckMLPFrame, MLPFromFrame): the header exists to be
+// checked against that shape, never to size anything.
 
 // paramMagic opens every parameter frame.
 const paramMagic = "GNFVPRM1"
@@ -114,22 +116,47 @@ var ErrNotParamFrame = errors.New("nn: not a parameter frame")
 // that order, so every later read is in bounds and no size is ever
 // computed from the bytes.
 func (n *Network) CheckParams(frame []byte) error {
+	return checkFrame(frame, n.paramFrameLen(), len(n.layers), func(i int) (int, int, Activation) {
+		l := n.layers[i]
+		return l.In, l.Out, l.Act
+	})
+}
+
+// CheckMLPFrame is CheckParams without a network: it reports why an
+// MLP NewMLP(sizes, hidden, outAct, …) builds would refuse frame, with
+// the same checks in the same order and the same errors. Sizes NewMLP
+// refuses, or whose frame would not fit an int, refuse every frame.
+func CheckMLPFrame(frame []byte, sizes []int, hidden, outAct Activation) error {
+	size, ok := MLPFrameLen(sizes)
+	if !ok {
+		return fmt.Errorf("nn: MLP layer sizes %v have no parameter frame", sizes)
+	}
+	return checkFrame(frame, size, len(sizes)-1, func(i int) (int, int, Activation) {
+		return sizes[i], sizes[i+1], mlpActivation(i, len(sizes)-1, hidden, outAct)
+	})
+}
+
+// checkFrame is the one frame check, against an expected shape: a frame
+// of size bytes and layers layers, layer i's In, Out and Act being what
+// layer(i) returns.
+func checkFrame(frame []byte, size, layers int, layer func(i int) (in, out int, act Activation)) error {
 	if len(frame) < len(paramMagic) || string(frame[:len(paramMagic)]) != paramMagic {
 		return ErrNotParamFrame
 	}
 	le := binary.LittleEndian
-	if len(frame) != n.paramFrameLen() {
+	if len(frame) != size {
 		return errors.New("nn: parameter frame length does not match this network")
 	}
-	if le.Uint32(frame[len(paramMagic):]) != uint32(len(n.layers)) {
+	if le.Uint32(frame[len(paramMagic):]) != uint32(layers) {
 		return errors.New("nn: topology mismatch")
 	}
 	at := frame[frameHeaderLen:]
-	for _, l := range n.layers {
-		if le.Uint32(at) != uint32(l.In) || le.Uint32(at[4:]) != uint32(l.Out) {
+	for i := 0; i < layers; i++ {
+		in, out, act := layer(i)
+		if le.Uint32(at) != uint32(in) || le.Uint32(at[4:]) != uint32(out) {
 			return errors.New("nn: layer size mismatch")
 		}
-		if le.Uint32(at[8:]) != uint32(l.Act) {
+		if le.Uint32(at[8:]) != uint32(act) {
 			return errors.New("nn: layer activation mismatch")
 		}
 		at = at[layerHeaderLen:]
@@ -143,6 +170,30 @@ func (n *Network) LoadParams(frame []byte) error {
 	if err := n.CheckParams(frame); err != nil {
 		return err
 	}
+	n.readParams(frame)
+	return nil
+}
+
+// MLPFromFrame builds the inference-only MLP (no gradient buffers, as
+// NewMLP without trainable) whose parameters frame holds, checked as
+// CheckMLPFrame checks it: the weights are decoded straight from the
+// frame, with no random draw to overwrite.
+func MLPFromFrame(frame []byte, sizes []int, hidden, outAct Activation) (*Network, error) {
+	if err := CheckMLPFrame(frame, sizes, hidden, outAct); err != nil {
+		return nil, err
+	}
+	n := &Network{layers: make([]*Dense, len(sizes)-1)}
+	for i := range n.layers {
+		in, out := sizes[i], sizes[i+1]
+		n.layers[i] = newLayer(in, out, mlpActivation(i, len(n.layers), hidden, outAct),
+			make([]float64, in*out), make([]float64, out), false)
+	}
+	n.readParams(frame)
+	return n, nil
+}
+
+// readParams copies the parameters of a checked frame into n.
+func (n *Network) readParams(frame []byte) {
 	le := binary.LittleEndian
 	at := frame[frameHeaderLen+layerHeaderLen*len(n.layers):]
 	for _, l := range n.layers {
@@ -153,5 +204,4 @@ func (n *Network) LoadParams(frame []byte) error {
 			at = at[8*len(p):]
 		}
 	}
-	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"flag"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -177,6 +178,70 @@ func networkSeeds() map[string][]byte {
 			binary.LittleEndian.PutUint32(b[layer0+4:], 1<<16)
 			return b
 		}),
+	}
+}
+
+// TestCheckMLPFrameMatchesCheckParams: the network-free check gives
+// every frame the error CheckParams gives it — networkSeeds, frames of
+// the wrong activation and of the wrong layer count, and the network's
+// own frame, which both accept — and MLPFromFrame builds exactly what
+// the check accepts: an inference-only network whose frame is the one it
+// read and whose Forward is bit-identical to a network that loaded it.
+// Sizes NewMLP refuses refuse every frame.
+func TestCheckMLPFrameMatchesCheckParams(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	n := MustMLP(fuzzSizes, ReLU, Tanh, rng)
+	rows := networkSeeds()
+	for name, sizes := range map[string][]int{"own frame": fuzzSizes, "one layer more": {3, 4, 4, 2}, "one layer fewer": {3, 2}} {
+		rows[name] = MustMLP(sizes, ReLU, Tanh, rng).ParamFrame()
+	}
+	rows["output activation"] = MustMLP(fuzzSizes, ReLU, Linear, rng).ParamFrame()
+	rows["hidden activation"] = MustMLP(fuzzSizes, Sigmoid, Tanh, rng).ParamFrame()
+	accepted := 0
+	for name, frame := range rows {
+		want := n.CheckParams(frame)
+		if got := CheckMLPFrame(frame, fuzzSizes, ReLU, Tanh); fmt.Sprint(got) != fmt.Sprint(want) || errors.Is(got, ErrNotParamFrame) != errors.Is(want, ErrNotParamFrame) {
+			t.Errorf("%s: CheckMLPFrame returned %v, CheckParams %v", name, got, want)
+		}
+		m, err := MLPFromFrame(frame, fuzzSizes, ReLU, Tanh)
+		if fmt.Sprint(err) != fmt.Sprint(want) || (err == nil) != (m != nil) {
+			t.Errorf("%s: MLPFromFrame returned %v, CheckParams %v", name, err, want)
+		}
+		if err != nil {
+			continue
+		}
+		accepted++
+		if !bytes.Equal(m.ParamFrame(), frame) {
+			t.Errorf("%s: the built network's frame is not the one it read", name)
+		}
+		for i, l := range m.layers {
+			if l.f64.dw != nil || l.f64.db != nil {
+				t.Errorf("%s: layer %d of a network built from a frame holds gradient buffers", name, i)
+			}
+		}
+		if err := n.LoadParams(frame); err != nil {
+			t.Fatal(err)
+		}
+		x := make([]float64, fuzzSizes[0])
+		for round := 0; round < 10; round++ {
+			for i := range x {
+				x[i] = 2 * rng.NormFloat64()
+			}
+			want := append([]float64(nil), n.Forward(x)...)
+			for i, v := range m.Forward(x) {
+				if math.Float64bits(v) != math.Float64bits(want[i]) {
+					t.Fatalf("%s: round %d: built out[%d] = %v, loaded %v", name, round, i, v, want[i])
+				}
+			}
+		}
+	}
+	if accepted != 2 { // "valid" and "own frame"
+		t.Errorf("%d frames accepted, want 2", accepted)
+	}
+	for _, sizes := range [][]int{nil, {3}, {3, 0, 2}, {3, -4, 2}} {
+		if err := CheckMLPFrame(rows["valid"], sizes, ReLU, Tanh); err == nil {
+			t.Errorf("sizes %v accepted a frame", sizes)
+		}
 	}
 }
 

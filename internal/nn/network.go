@@ -169,13 +169,18 @@ func NewMLP(sizes []int, hidden, outAct Activation, rng *rand.Rand, trainable bo
 	}
 	n := &Network{}
 	for i := 0; i < len(sizes)-1; i++ {
-		act := hidden
-		if i == len(sizes)-2 {
-			act = outAct
-		}
-		n.layers = append(n.layers, newDense(sizes[i], sizes[i+1], act, rng, trainable))
+		n.layers = append(n.layers, newDense(sizes[i], sizes[i+1], mlpActivation(i, len(sizes)-1, hidden, outAct), rng, trainable))
 	}
 	return n, nil
+}
+
+// mlpActivation is the activation of layer i of an MLP of layers
+// layers: hidden for the interior ones, outAct for the last.
+func mlpActivation(i, layers int, hidden, outAct Activation) Activation {
+	if i == layers-1 {
+		return outAct
+	}
+	return hidden
 }
 
 // MustMLP is a trainable NewMLP that panics on error.

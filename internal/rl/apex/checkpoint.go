@@ -42,17 +42,20 @@ type TrainerCheckpoint struct {
 	Steps, TotalSteps int
 }
 
-// payload is ck's file payload.
-func (ck *TrainerCheckpoint) payload() []byte {
+// counters is the front of ck's file payload: its six counters, which
+// ck.Agent follows.
+func (ck *TrainerCheckpoint) counters() []byte {
 	// binary.Append fails only on data of no fixed size.
 	b, _ := binary.Append(nil, binary.LittleEndian, [6]int64{int64(ck.Version), int64(ck.Updates), ck.Pushes, ck.Received, int64(ck.Steps), int64(ck.TotalSteps)})
-	return append(b, ck.Agent...)
+	return b
 }
 
 // WriteCheckpoint atomically writes ck to path: temp file in the same
-// directory, fsync, rename (atomicio.WriteFile).
+// directory, fsync, rename (atomicio.WriteFile). The counters and the
+// agent's checkpoint go out as two pieces, so the training state is
+// never copied.
 func WriteCheckpoint(path string, ck *TrainerCheckpoint) error {
-	if err := atomicio.WriteFile(path, checkpointMagic, ck.payload()); err != nil {
+	if err := atomicio.WriteFile(path, checkpointMagic, ck.counters(), ck.Agent); err != nil {
 		return fmt.Errorf("apex: checkpoint: %w", err)
 	}
 	return nil

@@ -2,7 +2,9 @@ package apex
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -31,9 +33,11 @@ func checkpointTrainerConfig(t *testing.T, totalSteps int) TrainerConfig {
 	return cfg
 }
 
-// TestWriteReadCheckpoint pins the checkpoint file format round-trip
-// and its corruption detection: bad magic, truncation and bit flips
-// must all be rejected before any state is decoded.
+// TestWriteReadCheckpoint pins the checkpoint file format byte for byte
+// and its round-trip and corruption detection: the file is the magic,
+// the big-endian payload length and CRC32, the six little-endian
+// counters and the agent's bytes, and bad magic, truncation and bit
+// flips must all be rejected before any state is decoded.
 func TestWriteReadCheckpoint(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ck")
 	want := &TrainerCheckpoint{
@@ -56,6 +60,16 @@ func TestWriteReadCheckpoint(t *testing.T) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
+	}
+	var payload []byte
+	for _, v := range []int64{7, 42, 9, 360, 100, 500} {
+		payload = binary.LittleEndian.AppendUint64(payload, uint64(v))
+	}
+	payload = append(payload, want.Agent...)
+	file := binary.BigEndian.AppendUint64([]byte(checkpointMagic), uint64(len(payload)))
+	file = append(binary.BigEndian.AppendUint32(file, crc32.ChecksumIEEE(payload)), payload...)
+	if !bytes.Equal(raw, file) {
+		t.Fatalf("checkpoint file is\n%x\nwant\n%x", raw, file)
 	}
 	// Bit flip inside the payload: CRC must catch it.
 	flipped := append([]byte(nil), raw...)
@@ -293,7 +307,7 @@ func TestResumeRejectsMissingAndMismatched(t *testing.T) {
 		"Updates":          corrupted(func(ck *TrainerCheckpoint) { ck.Updates++ }),
 		"Pushes":           corrupted(func(ck *TrainerCheckpoint) { ck.Pushes = -1 }),
 		"Received":         corrupted(func(ck *TrainerCheckpoint) { ck.Received = -360 }),
-		`magic "GNFVCKP3"`: func(path string) error { return atomicio.WriteFile(path, "GNFVCKP3", good.payload()) },
+		`magic "GNFVCKP3"`: func(path string) error { return atomicio.WriteFile(path, "GNFVCKP3", good.counters(), good.Agent) },
 	} {
 		bad := filepath.Join(t.TempDir(), "bad")
 		if err := write(bad); err != nil {
@@ -415,7 +429,7 @@ func FuzzTrainerCheckpoint(f *testing.F) {
 			f.Fatal(err)
 		}
 		corrupt(ck)
-		f.Add(ck.payload())
+		f.Add(append(ck.counters(), ck.Agent...))
 	}
 	seed(true, func(*TrainerCheckpoint) {})
 	seed(false, func(*TrainerCheckpoint) {})

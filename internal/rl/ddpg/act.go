@@ -37,19 +37,10 @@ type actScratch[T float] struct {
 
 // Policy is the actor-only part of acting: the policy network and its
 // dimensions. It owns forward scratch, so each concurrent caller needs
-// its own; Clone makes one (concurrent Clones of one Policy are safe —
-// they only read it).
+// its own; PolicyFromFrame builds one from an actor frame.
 type Policy struct {
 	Actor               *nn.Network
 	stateDim, actionDim int
-}
-
-// Clone returns an independent replica with the same weights, holding
-// an inference-only nn clone of the network.
-func (p *Policy) Clone() *Policy {
-	c := *p
-	c.Actor = p.Actor.Clone()
-	return &c
 }
 
 // Greedy writes the clamped greedy action for state into dst (length

@@ -59,16 +59,27 @@ func TestActIntoMatchesScalarReference(t *testing.T) {
 	}
 }
 
-// A Policy clone — and a clone of that — must act bit-identically to
+// A replica PolicyFromFrame builds from the agent's actor frame — and
+// one built from that replica's own frame — must act bit-identically to
 // the agent's own greedy ActInto, stay independent of the agent's later
 // updates, reject wrong dimensions, and allocate nothing per action.
-func TestPolicyCloneMatchesAgent(t *testing.T) {
+func TestPolicyReplicaMatchesAgent(t *testing.T) {
 	a, err := New(actConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	replica := a.Policy.Clone()
-	clone := replica.Clone()
+	frame, err := a.ActorBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	replica, err := PolicyFromFrame(actConfig(), frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rebuilt, err := PolicyFromFrame(actConfig(), replica.Actor.ParamFrame())
+	if err != nil {
+		t.Fatal(err)
+	}
 	rng := rand.New(rand.NewSource(11))
 	state := make([]float64, 5)
 	want, got, got2 := make([]float64, 3), make([]float64, 3), make([]float64, 3)
@@ -82,12 +93,12 @@ func TestPolicyCloneMatchesAgent(t *testing.T) {
 		if err := replica.Greedy(state, got); err != nil {
 			t.Fatal(err)
 		}
-		if err := clone.Greedy(state, got2); err != nil {
+		if err := rebuilt.Greedy(state, got2); err != nil {
 			t.Fatal(err)
 		}
 		for i := range want {
 			if got[i] != want[i] || got2[i] != want[i] {
-				t.Fatalf("step %d action[%d]: agent %v, replica %v, clone %v", step, i, want[i], got[i], got2[i])
+				t.Fatalf("step %d action[%d]: agent %v, replica %v, rebuilt %v", step, i, want[i], got[i], got2[i])
 			}
 		}
 	}

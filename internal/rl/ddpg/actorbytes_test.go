@@ -6,11 +6,13 @@ import (
 	"encoding/gob"
 	"errors"
 	"flag"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
 
 	"greennfv/internal/nn"
@@ -166,6 +168,32 @@ func TestLoadActorBytesRejectsHostileFrames(t *testing.T) {
 			if n := testing.AllocsPerRun(10, func() { _ = b.LoadActorBytes(frame) }); n > 1 {
 				t.Errorf("%s: rejecting it makes %v allocations", name, n)
 			}
+		}
+	}
+}
+
+// TestActorFrameCheckMatchesCheckParams: the serving reader's
+// network-free check of an actor frame and PolicyFromFrame refuse each
+// hostile frame with the error the agent's own actor network gives it,
+// and accept its own frame.
+func TestActorFrameCheckMatchesCheckParams(t *testing.T) {
+	a, err := New(frameConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := hostileFrames(t)
+	frames["own frame"], _ = a.ActorBytes()
+	for name, frame := range frames {
+		want := a.Actor.CheckParams(frame)
+		if got := checkActorFrame(frameConfig(), frame); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s: checkActorFrame returned %v, the actor's CheckParams %v", name, got, want)
+		}
+		p, err := PolicyFromFrame(frameConfig(), frame)
+		if (err == nil) != (want == nil) || (err != nil && !strings.HasSuffix(err.Error(), want.Error())) {
+			t.Errorf("%s: PolicyFromFrame returned %v, the actor's CheckParams %v", name, err, want)
+		}
+		if err == nil && !bytes.Equal(p.Actor.ParamFrame(), frame) {
+			t.Errorf("%s: PolicyFromFrame holds other actor bits", name)
 		}
 	}
 }

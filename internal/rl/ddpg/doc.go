@@ -165,15 +165,20 @@
 // straight into its policy-only form, one slice of exactly the
 // section's size, sealed in place with a sum of its own; every byte
 // after the section streamed through the CRC in a fixed 8 KB buffer and
-// dropped; an inference-only actor filled from the frame. So what a
-// read allocates is the policy's size, whatever the file carries behind
-// the section. A refusal found in the section waits for the sum: a file
+// dropped; the actor frame's header checked against the Config's
+// topology by nn.CheckMLPFrame, which needs no network (the check
+// LoadParams makes, with its refusals). ReadPolicy builds nothing: it
+// returns the Config and the policy-only form, so what a read allocates
+// is the form and the buffer, whatever the file carries behind the
+// section. A refusal found in the section waits for the sum: a file
 // whose sum fails gets the sum's refusal, the same message readSection
 // (ReadCheckpoint's whole-slice reader, which makes the same checks in
 // the same order) gives. LoadPolicy is ReadPolicy over bytes in memory.
 // The policy-only form is what a serving controller persists, and
-// ActorFrame finds the actor frame inside it, from which a replica
-// refreshes in place. A training
+// ActorFrame finds the actor frame inside it: PolicyFromFrame builds an
+// inference-only policy from it, its weights decoded straight from the
+// frame with no random draw, and a replica of the same topology
+// refreshes from it in place (LoadParams). A training
 // state that does not open with GNFVAGT1 is refused by LoadAgentBytes
 // and LoadState while its section still serves, and bytes that do not
 // open with the section are refused by every reader.

@@ -314,60 +314,86 @@ func (s *sectionStream) drain() {
 	}
 }
 
+// The actor's activations: ReLU between its layers, Tanh at the output
+// (actions live in [-1, 1]).
+const (
+	actorHidden = nn.ReLU
+	actorOut    = nn.Tanh
+)
+
 // newPolicy builds a policy of cfg's topology whose weights draw from
 // rng; trainable gives the network gradient buffers (an Agent's).
 func newPolicy(cfg Config, rng *rand.Rand, trainable bool) (Policy, error) {
-	actor, err := nn.NewMLP(actorSizes(cfg), nn.ReLU, nn.Tanh, rng, trainable)
+	actor, err := nn.NewMLP(actorSizes(cfg), actorHidden, actorOut, rng, trainable)
 	if err != nil {
 		return Policy{}, err
 	}
 	return Policy{Actor: actor, stateDim: cfg.StateDim, actionDim: cfg.ActionDim}, nil
 }
 
+// checkActorFrame reports why frame is not the parameter frame of cfg's
+// actor (nn.CheckMLPFrame): the refusal LoadParams would give it on a
+// network of that topology, with no network built.
+func checkActorFrame(cfg Config, frame []byte) error {
+	return nn.CheckMLPFrame(frame, actorSizes(cfg), actorHidden, actorOut)
+}
+
+// PolicyFromFrame builds the inference-only policy of cfg's topology
+// whose actor is frame — the parameter frame ActorBytes writes, or the
+// one ActorFrame finds in a policy-only form — its weights decoded
+// straight from the frame: no random draw, no gradient buffers. It
+// refuses a frame of another topology as LoadParams would. Each caller
+// that runs inference concurrently builds its own.
+func PolicyFromFrame(cfg Config, frame []byte) (*Policy, error) {
+	actor, err := nn.MLPFromFrame(frame, actorSizes(cfg), actorHidden, actorOut)
+	if err != nil {
+		return nil, fmt.Errorf("ddpg: actor frame: %w", err)
+	}
+	return &Policy{Actor: actor, stateDim: cfg.StateDim, actionDim: cfg.ActionDim}, nil
+}
+
 // ReadPolicy reads a checkpoint's policy section from r, which holds
 // size bytes, without keeping anything after it (doc.go, "Serving
-// checkpoint"): an inference-only policy, the Config and the policy-only
-// form, which ReadPolicy reads back to the same policy. r may hold either
+// checkpoint"), and builds nothing from it: it returns the checked
+// Config and the policy-only form, which ReadPolicy reads back to the
+// same two; PolicyFromFrame builds a policy from them. r may hold either
 // form. The magic, the config's width count and the actor frame's length
 // are checked against size before anything is sized by them; the section
 // is read into the form, one slice of exactly its size sealed in place,
-// and every byte after it passes through the sum in a fixed buffer.
-func ReadPolicy(r io.Reader, size int64) (*Policy, Config, []byte, error) {
+// and every byte after it passes through the sum in a fixed buffer. The
+// actor frame's header is checked against the Config's topology last.
+func ReadPolicy(r io.Reader, size int64) (Config, []byte, error) {
 	s := &sectionStream{r: r, left: size}
 	want, err := s.header()
 	if err != nil {
-		return nil, Config{}, nil, err
+		return Config{}, nil, err
 	}
 	cfg, form, refused := s.section()
 	s.drain()
 	if s.err != nil {
-		return nil, Config{}, nil, s.err
+		return Config{}, nil, s.err
 	}
 	if got := (atomicio.Sum{Len: uint64(size - int64(sectionHeaderLen)), CRC: s.crc}); got != want {
-		return nil, Config{}, nil, sumError(got, want)
+		return Config{}, nil, sumError(got, want)
 	}
 	if refused != nil {
-		return nil, Config{}, nil, refused
+		return Config{}, nil, refused
 	}
-	p, err := newPolicy(cfg, rand.New(rand.NewSource(cfg.Seed)), false)
-	if err != nil {
-		return nil, Config{}, nil, fmt.Errorf("ddpg: serving checkpoint config: %w", err)
+	if err := checkActorFrame(cfg, ActorFrame(form)); err != nil {
+		return Config{}, nil, fmt.Errorf("ddpg: serving checkpoint actor: %w", err)
 	}
-	if err := p.Actor.LoadParams(ActorFrame(form)); err != nil {
-		return nil, Config{}, nil, fmt.Errorf("ddpg: serving checkpoint actor: %w", err)
-	}
-	return &p, cfg, sealSection(form), nil
+	return cfg, sealSection(form), nil
 }
 
 // LoadPolicy is ReadPolicy over a checkpoint in memory.
-func LoadPolicy(data []byte) (*Policy, Config, []byte, error) {
+func LoadPolicy(data []byte) (Config, []byte, error) {
 	return ReadPolicy(bytes.NewReader(data), int64(len(data)))
 }
 
 // ActorFrame is the actor's parameter frame inside a policy-only form,
-// sharing its bytes: what the policy's Actor, or a replica's, reads in
-// place through LoadParams. It is nil when form does not hold a config's
-// length after the header.
+// sharing its bytes: what PolicyFromFrame builds a policy from and a
+// replica reads in place through LoadParams. It is nil when form does
+// not hold a config's length after the header.
 func ActorFrame(form []byte) []byte {
 	if len(form) < sectionHeaderLen {
 		return nil

@@ -80,7 +80,7 @@ func TestStateLayout(t *testing.T) {
 	if state, err := a.StateBytes(false); err != nil || !bytes.Equal(file, state) {
 		t.Fatalf("SaveState(w, false) is not StateBytes(false): %v", err)
 	}
-	_, got, form, err := LoadPolicy(file)
+	got, form, err := LoadPolicy(file)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestStateLayout(t *testing.T) {
 	if want := servingWith(t, a, nil); !bytes.Equal(form, want) || len(form) != sectionHeaderLen+len(appendConfig(nil, cfg))+len(frame) {
 		t.Fatalf("policy-only form is %d bytes, want the %d-byte section alone", len(form), len(want))
 	}
-	_, _, again, err := LoadPolicy(form)
+	_, again, err := LoadPolicy(form)
 	if err != nil || !bytes.Equal(again, form) {
 		t.Fatalf("the policy-only form does not load back to itself: %v", err)
 	}
@@ -158,12 +158,17 @@ func TestConfigCodecCoversEveryField(t *testing.T) {
 	}
 }
 
-// TestLoadPolicyMatchesLoadAgent: the policy LoadPolicy reads from the
-// section acts bit for bit like the agent LoadAgent decodes from the
-// training state, and like the agent that saved both.
+// TestLoadPolicyMatchesLoadAgent: the policy PolicyFromFrame builds
+// from what LoadPolicy reads of the section acts bit for bit like the
+// agent LoadAgent decodes from the training state, and like the agent
+// that saved both.
 func TestLoadPolicyMatchesLoadAgent(t *testing.T) {
 	orig, file := servingAgent(t, DefaultConfig(6, 4))
-	p, _, _, err := LoadPolicy(file)
+	cfg, form, err := LoadPolicy(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := PolicyFromFrame(cfg, ActorFrame(form))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +204,7 @@ func TestLoadPolicyMatchesLoadAgent(t *testing.T) {
 func TestLoadPolicyRefusesDamage(t *testing.T) {
 	a, file := servingAgent(t, DefaultConfig(6, 4))
 	for n := 0; n < len(file); n += 1024 {
-		if _, _, _, err := LoadPolicy(file[:n]); err == nil {
+		if _, _, err := LoadPolicy(file[:n]); err == nil {
 			t.Fatalf("LoadPolicy accepted the first %d of %d bytes", n, len(file))
 		}
 		if _, err := LoadAgentBytes(file[:n]); err == nil {
@@ -217,7 +222,7 @@ func TestLoadPolicyRefusesDamage(t *testing.T) {
 	} {
 		bad := bytes.Clone(file)
 		bad[at] ^= 0x10
-		if _, _, _, err := LoadPolicy(bad); err == nil {
+		if _, _, err := LoadPolicy(bad); err == nil {
 			t.Errorf("LoadPolicy accepted a flipped byte in the %s", part)
 		}
 		if _, err := LoadAgentBytes(bad); err == nil {
@@ -265,7 +270,7 @@ func agentReadersRefuse(t *testing.T, a *Agent, name string, data []byte, want s
 func TestLoadRefusesPreSectionCheckpoint(t *testing.T) {
 	a, file := servingAgent(t, frameConfig())
 	for name, bare := range map[string][]byte{"bare state": trainingState(t, file), "bare gob state": gobState(t, a)} {
-		if _, _, _, err := LoadPolicy(bare); !errors.Is(err, errNotServing) {
+		if _, _, err := LoadPolicy(bare); !errors.Is(err, errNotServing) {
 			t.Errorf("%s: LoadPolicy returned %v, want %v", name, err, errNotServing)
 		}
 		agentReadersRefuse(t, a, name, bare, errNotServing.Error())
@@ -284,10 +289,10 @@ func TestLoadRefusesGobNetworks(t *testing.T) {
 	frame, _ := a.ActorBytes()
 	for name, state := range map[string][]byte{"gob networks": gobState(t, a), "unknown state magic": foreign} {
 		data := servingWith(t, a, state)
-		p, cfg, _, err := LoadPolicy(data)
+		cfg, form, err := LoadPolicy(data)
 		if err != nil {
 			t.Errorf("%s: the policy section no longer serves: %v", name, err)
-		} else if !reflect.DeepEqual(cfg, frameConfig()) || !bytes.Equal(p.Actor.ParamFrame(), frame) {
+		} else if !reflect.DeepEqual(cfg, frameConfig()) || !bytes.Equal(ActorFrame(form), frame) {
 			t.Errorf("%s: LoadPolicy's Config or actor differs from the section's", name)
 		}
 		agentReadersRefuse(t, a, name, data, "not a "+stateMagic+" training state")
@@ -337,14 +342,14 @@ func TestReadPolicyRefusesStreamedDamage(t *testing.T) {
 		}
 		size := int64(len(row.data))
 		var err error
-		n := allocated(func() { _, _, _, err = ReadPolicy(bytes.NewReader(row.data), size) })
+		n := allocated(func() { _, _, err = ReadPolicy(bytes.NewReader(row.data), size) })
 		if err == nil || err.Error() != want {
 			t.Errorf("%s: ReadPolicy returned %v, want %q", row.name, err, want)
 		}
 		if row.config && n > 16<<10 {
 			t.Errorf("%s: ReadPolicy allocated %d bytes before refusing the config", row.name, n)
 		}
-		if _, _, _, err := ReadPolicy(iotest.OneByteReader(bytes.NewReader(row.data)), size); err == nil || err.Error() != want {
+		if _, _, err := ReadPolicy(iotest.OneByteReader(bytes.NewReader(row.data)), size); err == nil || err.Error() != want {
 			t.Errorf("%s: a byte at a time, ReadPolicy returned %v, want %q", row.name, err, want)
 		}
 		if _, err := ReadCheckpoint(row.data); err == nil || err.Error() != want {
@@ -354,7 +359,7 @@ func TestReadPolicyRefusesStreamedDamage(t *testing.T) {
 
 	// A stream that ends before the size it was said to hold is a read
 	// error, not a file of that size.
-	if _, _, _, err := ReadPolicy(bytes.NewReader(file[:len(file)-1]), int64(len(file))); !errors.Is(err, io.ErrUnexpectedEOF) {
+	if _, _, err := ReadPolicy(bytes.NewReader(file[:len(file)-1]), int64(len(file))); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Errorf("a stream one byte short returned %v, want %v", err, io.ErrUnexpectedEOF)
 	}
 }
@@ -392,7 +397,7 @@ func TestLoadRefusesOversizedConfig(t *testing.T) {
 	} {
 		blob := appendSection(appendConfig(nil, cfg), frame, state)
 		var perr, aerr error
-		if n := allocated(func() { _, _, _, perr = LoadPolicy(blob) }); perr == nil || n > budget {
+		if n := allocated(func() { _, _, perr = LoadPolicy(blob) }); perr == nil || n > budget {
 			t.Errorf("%s: LoadPolicy returned %v after allocating %d bytes", name, perr, n)
 		}
 		if n := allocated(func() { _, aerr = LoadAgentBytes(blob) }); aerr == nil || n > budget {
@@ -432,16 +437,17 @@ func TestLoadRefusesOversizedConfig(t *testing.T) {
 
 // FuzzLoadPolicy: no input panics LoadPolicy, ReadPolicy fed a byte at
 // a time returns what the whole-slice call does (the same refusal, or
-// the same form, Config and actor bits), and an accepted input's
-// policy-only form loads back to itself, the same Config and the same
-// actor bits. Each input also runs again under a sum rewritten to match
-// it, so mutations reach the config and frame checks behind the CRC.
-// Seeds (f.Add, a small topology so inputs stay a few KB): a serving
-// checkpoint, its policy-only form, its training state alone, and the
-// checkpoint cut at the end of its actor frame.
+// the same form and Config), and an accepted input's policy-only form
+// loads back to itself and the same Config; from each of the three reads
+// PolicyFromFrame builds a policy of the same actor bits, the frame's. Each input also runs
+// again under a sum rewritten to match it, so mutations reach the
+// config and frame checks behind the CRC. Seeds (f.Add, a small topology
+// so inputs stay a few KB): a serving checkpoint, its policy-only form,
+// its training state alone, and the checkpoint cut at the end of its
+// actor frame.
 func FuzzLoadPolicy(f *testing.F) {
 	_, file := servingAgent(f, frameConfig())
-	_, _, form, err := LoadPolicy(file)
+	_, form, err := LoadPolicy(file)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -450,26 +456,32 @@ func FuzzLoadPolicy(f *testing.F) {
 	f.Add(trainingState(f, file))
 	f.Add(file[:len(form)])
 	check := func(t *testing.T, data []byte) {
-		p, cfg, form, err := LoadPolicy(data)
-		sp, scfg, sform, serr := ReadPolicy(iotest.OneByteReader(bytes.NewReader(data)), int64(len(data)))
+		cfg, form, err := LoadPolicy(data)
+		scfg, sform, serr := ReadPolicy(iotest.OneByteReader(bytes.NewReader(data)), int64(len(data)))
 		if fmt.Sprint(serr) != fmt.Sprint(err) || !bytes.Equal(sform, form) || !bytes.Equal(appendConfig(nil, scfg), appendConfig(nil, cfg)) {
 			t.Fatalf("a byte at a time ReadPolicy returns %v, the whole slice %v", serr, err)
 		}
 		if err != nil {
 			return
 		}
-		if !bytes.Equal(sp.Actor.ParamFrame(), p.Actor.ParamFrame()) {
-			t.Fatal("a byte at a time ReadPolicy loads other actor bits")
-		}
-		q, again, form2, err := LoadPolicy(form)
+		again, form2, err := LoadPolicy(form)
 		if err != nil {
 			t.Fatalf("an accepted file's policy-only form was refused: %v", err)
 		}
 		if !bytes.Equal(form2, form) || !bytes.Equal(appendConfig(nil, again), appendConfig(nil, cfg)) {
 			t.Fatal("the policy-only form does not load back to itself")
 		}
-		if !bytes.Equal(p.Actor.ParamFrame(), q.Actor.ParamFrame()) {
-			t.Fatal("the policy-only form loads other actor bits")
+		for name, read := range map[string]struct {
+			cfg  Config
+			form []byte
+		}{"whole": {cfg, form}, "a byte at a time": {scfg, sform}, "policy-only form": {again, form2}} {
+			p, err := PolicyFromFrame(read.cfg, ActorFrame(read.form))
+			if err != nil {
+				t.Fatalf("%s: an accepted form's actor frame was refused: %v", name, err)
+			}
+			if !bytes.Equal(p.Actor.ParamFrame(), ActorFrame(form)) {
+				t.Fatalf("%s: the policy built from the form holds other actor bits", name)
+			}
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -135,15 +135,15 @@ type shard struct {
 // policySnapshot is the immutable serving policy: reports load it
 // with one atomic read, reload/persist swap it on the writer path.
 // blob is the checkpoint's policy-only form (ddpg.ReadPolicy), what the
-// state file persists, and frame its actor frame (a slice of blob),
-// from which a stale replica refreshes in place; actor is the decoded
-// policy, kept only as the template a replica is cloned from when there
-// is none yet or its topology differs. Nothing runs inference on it.
+// state file persists, frame its actor frame (a slice of blob) and cfg
+// the Config ReadPolicy checked it against. It holds no network: a
+// stale replica reads frame in place, and a missing one, or one of
+// other widths, is built from frame and cfg (reportScratch.sync).
 type policySnapshot struct {
 	blob    []byte
 	frame   []byte
 	version int
-	actor   *ddpg.Policy
+	cfg     ddpg.Config
 }
 
 // reportScratch is one in-flight report's private inference state: a
@@ -285,11 +285,11 @@ func (c *Controller) shardFor(nodeID string) *shard {
 // whole-file sum, the Config and the actor frame against the Config's
 // topology — and checks the dimensions against the node spec. It is the
 // gate boot, resume and hot reload all pass through. It returns the
-// snapshot to serve, version unset: the inference-only policy and the
-// policy-only form, which is what the state file persists. What it
-// keeps is the policy's size, whatever the critic, targets, optimiser
+// snapshot to serve, version unset: the Config and the policy-only form,
+// which is what the state file persists; it decodes no network. What it
+// keeps is the form's size, whatever the critic, targets, optimiser
 // moments or replay behind the section weigh.
-func (c *Controller) validatePolicy(actor *ddpg.Policy, acfg ddpg.Config, form []byte, err error) (*policySnapshot, error) {
+func (c *Controller) validatePolicy(acfg ddpg.Config, form []byte, err error) (*policySnapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: load policy: %w", err)
 	}
@@ -297,7 +297,7 @@ func (c *Controller) validatePolicy(actor *ddpg.Policy, acfg ddpg.Config, form [
 		return nil, fmt.Errorf("serve: policy dims %dx%d do not match node spec %dx%d",
 			acfg.StateDim, acfg.ActionDim, c.probe.StateDim(), c.probe.ActionDim())
 	}
-	return &policySnapshot{blob: form, frame: ddpg.ActorFrame(form), actor: actor}, nil
+	return &policySnapshot{blob: form, frame: ddpg.ActorFrame(form), cfg: acfg}, nil
 }
 
 // readPolicyFile opens a checkpoint file and validates it as a stream
@@ -318,7 +318,7 @@ func (c *Controller) readPolicyFile(path string) (*policySnapshot, error) {
 
 // getScratch checks out pooled report scratch whose actor replica
 // matches snap (reportScratch.sync).
-func (c *Controller) getScratch(snap *policySnapshot) *reportScratch {
+func (c *Controller) getScratch(snap *policySnapshot) (*reportScratch, error) {
 	sc, _ := c.scratch.Get().(*reportScratch)
 	if sc == nil {
 		sc = &reportScratch{
@@ -332,23 +332,33 @@ func (c *Controller) getScratch(snap *policySnapshot) *reportScratch {
 			},
 		}
 	}
-	sc.sync(snap)
-	return sc
+	if err := sc.sync(snap); err != nil {
+		return nil, err
+	}
+	return sc, nil
 }
 
 // sync makes the scratch's replica serve snap. A replica of another
 // version reads the snapshot's actor frame in place (LoadParams copies
 // it into the network it has, allocating nothing); only a scratch with
-// no replica yet, or one whose topology the frame does not fit, clones
-// the snapshot's actor.
-func (sc *reportScratch) sync(snap *policySnapshot) {
+// no replica yet, or one whose topology the frame does not fit, gets a
+// replica built from the frame (ddpg.PolicyFromFrame). The frame passed
+// the same check in validatePolicy, so that build does not fail; if it
+// did, the report would fail and the scratch would not go back to the
+// pool.
+func (sc *reportScratch) sync(snap *policySnapshot) error {
 	if sc.actor != nil && sc.version == snap.version {
-		return
+		return nil
 	}
 	if sc.actor == nil || sc.actor.Actor.LoadParams(snap.frame) != nil {
-		sc.actor = snap.actor.Clone()
+		actor, err := ddpg.PolicyFromFrame(snap.cfg, snap.frame)
+		if err != nil {
+			return fmt.Errorf("serve: policy replica: %w", err)
+		}
+		sc.actor = actor
 	}
 	sc.version = snap.version
+	return nil
 }
 
 // Start serves the controller RPC on addr (e.g. "127.0.0.1:7070";
@@ -654,7 +664,10 @@ func (c *Controller) decide(start time.Time, args *ReportArgs, reply *ReportRepl
 	}
 	snap := c.policy.Load()
 	reply.PolicyVersion = snap.version
-	sc := c.getScratch(snap)
+	sc, err := c.getScratch(snap)
+	if err != nil {
+		return err
+	}
 	defer c.scratch.Put(sc)
 
 	// Rung 1: fresh policy decision, rate-limited then vetted. A

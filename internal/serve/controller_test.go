@@ -435,7 +435,7 @@ func TestBootOnUnknownLayouts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, _, form, err := ddpg.LoadPolicy(file)
+		_, form, err := ddpg.LoadPolicy(file)
 		if err != nil {
 			t.Fatal(err)
 		}

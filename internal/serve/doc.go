@@ -59,8 +59,8 @@
 // buffers — because the actor's forward pass reuses per-network scratch
 // and cannot be shared. A replica older than the snapshot refreshes in
 // place from the snapshot's actor frame (nn LoadParams: no allocation);
-// it is cloned from the snapshot's policy only when it is the scratch's
-// first or a reload changed the hidden widths. The
+// it is built from that frame (ddpg.PolicyFromFrame) only when it is the
+// scratch's first or a reload changed the hidden widths. The
 // greedy action consumes no randomness, so a node's decision depends
 // only on its own history and the snapshot: concurrent serving is
 // bit-for-bit identical to serial (the fleet harness pins this).
@@ -155,23 +155,28 @@
 // transparently.
 //
 // Hot policy reload opens the new checkpoint and streams it through
-// ddpg.ReadPolicy, which decodes the policy section alone and checks it
+// ddpg.ReadPolicy, which reads the policy section alone and checks it
 // before an atomic swap: the magic; the config's width count and the
 // actor frame's length against the file's size before anything is sized
 // by them; the Config, validated as a new agent's would be; the actor
-// frame against that topology; the length and CRC32 the header records
-// for the whole file; and, here, the dimensions against the node spec.
-// A corrupt or mismatched checkpoint is rejected loudly without dropping
-// the serving loop. Boot from PolicyPath reads the file the same way,
-// and resume passes the persisted form through the same reader. What is
-// kept is the policy: the section is read into one exact-size slice,
-// the policy-only form the state file persists, and the actor decoded
-// from it. The critics, targets, optimiser moments, noise and replay
-// behind the section pass through the CRC in a fixed buffer and are
-// neither decoded nor kept, so a reload's memory does not grow with
-// them (TestReloadCostIgnoresTrainingState). Pooled replicas refresh
-// from the snapshot's actor frame in place — the checkpoint is read once
-// per boot or reload, not once per replica.
+// frame's header against that topology, with no network built; the
+// length and CRC32 the header records for the whole file; and, here, the
+// dimensions against the node spec. A corrupt or mismatched checkpoint
+// is rejected loudly without dropping the serving loop. Boot from
+// PolicyPath reads the file the same way, and resume passes the
+// persisted form through the same reader. What is kept is the section,
+// read into one exact-size slice — the policy-only form, which the
+// snapshot holds beside its Config and the state file persists as it is
+// (Save writes it as one piece of the payload, never copied). No
+// network is decoded at reload: the critics, targets, optimiser moments,
+// noise and replay behind the section pass through the CRC in a fixed
+// buffer, so a reload's memory does not grow with them
+// (TestReloadCostIgnoresTrainingState), and a reload allocates about
+// one and a half forms (TestServingHoldsPolicyOnly). Pooled replicas
+// refresh from the snapshot's actor frame in place; a scratch with no
+// replica, or one of other hidden widths, gets one built from that frame
+// (ddpg.PolicyFromFrame) — the checkpoint is read once per boot or
+// reload, not once per replica.
 //
 // A reload is one of three outcomes. Rejected: an error, and the old
 // policy serves at its old version. Swapped: nil, and the new version

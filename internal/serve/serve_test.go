@@ -532,7 +532,7 @@ func TestReloadRefusesStreamedDamage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, form, err := ddpg.LoadPolicy(file)
+	_, form, err := ddpg.LoadPolicy(file)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -553,7 +553,7 @@ func TestReloadRefusesStreamedDamage(t *testing.T) {
 		"width count 2^32-1":                 edited(func(b []byte) { le.PutUint32(b[36:], math.MaxUint32); reseal(b) }),
 		"the magic alone in 20 bytes":        append([]byte("GNFVPOL1"), make([]byte, 12)...),
 	} {
-		_, _, _, want := ddpg.LoadPolicy(data)
+		_, _, want := ddpg.LoadPolicy(data)
 		if want == nil {
 			t.Fatalf("%s: ddpg.LoadPolicy accepted the file", name)
 		}
@@ -619,9 +619,10 @@ func TestReloadPersistFailureIsNotRejection(t *testing.T) {
 
 // TestReplicaRefreshesInPlace: after a reload a pooled replica keeps its
 // network, which now holds the new snapshot's weights — its greedy
-// actions equal, bit for bit, those of the policy the new checkpoint
-// loads to — and a reload to other hidden widths gives it a clone of the
-// new topology instead.
+// actions equal, bit for bit, those of the agent the new checkpoint
+// holds — and a reload to other hidden widths gives it a new network,
+// built from the snapshot's frame, which acts bit-identically to that
+// checkpoint's agent.
 func TestReplicaRefreshesInPlace(t *testing.T) {
 	spec := testSpec(sla.NewEnergyEfficiency())
 	ctrl, err := NewController(Config{Spec: spec, PolicyPath: writePolicy(t, t.TempDir(), spec, 4)})
@@ -629,14 +630,17 @@ func TestReplicaRefreshesInPlace(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ctrl.Close()
-	sc := ctrl.getScratch(ctrl.policy.Load())
+	sc, err := ctrl.getScratch(ctrl.policy.Load())
+	if err != nil {
+		t.Fatal(err)
+	}
 	actsLike := func(when, path string) {
 		t.Helper()
 		file, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _, _, err := ddpg.LoadPolicy(file)
+		want, err := ddpg.LoadAgentBytes(file)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -650,14 +654,23 @@ func TestReplicaRefreshesInPlace(t *testing.T) {
 			if err := sc.actor.Greedy(obs, got); err != nil {
 				t.Fatal(err)
 			}
-			if err := want.Greedy(obs, ref); err != nil {
+			if err := want.ActInto(obs, false, ref); err != nil {
 				t.Fatal(err)
 			}
 			for i := range got {
 				if math.Float64bits(got[i]) != math.Float64bits(ref[i]) {
-					t.Fatalf("%s: the replica acts %v, the reloaded policy %v", when, got, ref)
+					t.Fatalf("%s: the replica acts %v, the checkpoint's agent %v", when, got, ref)
 				}
 			}
+		}
+	}
+	resync := func() {
+		t.Helper()
+		if err := sc.sync(ctrl.policy.Load()); err != nil {
+			t.Fatal(err)
+		}
+		if sc.version != ctrl.PolicyVersion() {
+			t.Errorf("replica at v%d, serving v%d", sc.version, ctrl.PolicyVersion())
 		}
 	}
 
@@ -666,12 +679,9 @@ func TestReplicaRefreshesInPlace(t *testing.T) {
 	if err := ctrl.ReloadPolicy(same); err != nil {
 		t.Fatal(err)
 	}
-	sc.sync(ctrl.policy.Load())
+	resync()
 	if sc.actor.Actor != net {
 		t.Error("a reload to the same topology replaced the replica's network")
-	}
-	if sc.version != ctrl.PolicyVersion() {
-		t.Errorf("replica at v%d, serving v%d", sc.version, ctrl.PolicyVersion())
 	}
 	actsLike("same topology", same)
 
@@ -679,9 +689,9 @@ func TestReplicaRefreshesInPlace(t *testing.T) {
 	if err := ctrl.ReloadPolicy(wider); err != nil {
 		t.Fatal(err)
 	}
-	sc.sync(ctrl.policy.Load())
-	if sc.actor.Actor == net || sc.actor.Actor == ctrl.policy.Load().actor.Actor {
-		t.Error("a reload to other widths kept the old network or shares the snapshot's")
+	resync()
+	if sc.actor.Actor == net {
+		t.Error("a reload to other widths kept the old network")
 	}
 	actsLike("other widths", wider)
 }

@@ -81,7 +81,9 @@ type StateStore struct {
 	based bool
 	// journal is nil until the first Append after a snapshot.
 	journal *atomicio.Journal
-	rec     []byte // reused record encode buffer
+	// rec is the reused encode buffer: a journal record, or a snapshot's
+	// header and change records (appendSnapshot).
+	rec []byte
 }
 
 // OpenStateStore prepares a store at path, sweeping stale temp files
@@ -98,16 +100,21 @@ func OpenStateStore(path string) (*StateStore, error) {
 
 // Save writes st as the new snapshot, atomically, and retires the
 // journal, whose records st already holds: after Save the snapshot is
-// the only file and is self-contained.
+// the only file and is self-contained. The payload goes out in three
+// pieces — the header, PolicyBlob as it is, the change records — so
+// the policy is never copied; header and records are encoded into the
+// store's reused buffer.
 func (s *StateStore) Save(st *ControllerState) error {
-	payload, err := encodeState(st)
+	rec, err := appendSnapshot(s.rec[:0], st)
 	if err != nil {
 		return err
 	}
-	if err := atomicio.WriteFile(s.path, stateMagic, payload); err != nil {
+	s.rec = rec
+	head, records := rec[:stateHeaderLen], rec[stateHeaderLen:]
+	if err := atomicio.WriteFile(s.path, stateMagic, head, st.PolicyBlob, records); err != nil {
 		return fmt.Errorf("serve: state: %w", err)
 	}
-	s.base, s.based = atomicio.SumOf(payload), true
+	s.base, s.based = atomicio.SumOf(head, st.PolicyBlob, records), true
 	// A crash from here on leaves a journal that names the previous
 	// snapshot; Load ignores it.
 	s.closeJournal()
@@ -193,33 +200,34 @@ func (s *StateStore) load() (*ControllerState, int, error) {
 	return st, replayed, nil
 }
 
-// encodeState lays st out as a snapshot payload, in one buffer of the
-// exact length. It refuses what decodeState would refuse.
-func encodeState(st *ControllerState) ([]byte, error) {
+// appendSnapshot appends st's snapshot payload to dst without its
+// policy: the header (stateHeaderLen bytes), then the change records,
+// which PolicyBlob goes between. It refuses what decodeState would
+// refuse, appending nothing.
+func appendSnapshot(dst []byte, st *ControllerState) ([]byte, error) {
 	if st.PolicyVersion < 1 {
-		return nil, fmt.Errorf("serve: state: policy version %d, want >= 1", st.PolicyVersion)
+		return dst, fmt.Errorf("serve: state: policy version %d, want >= 1", st.PolicyVersion)
 	}
 	if len(st.PolicyBlob) > math.MaxUint32 {
-		return nil, fmt.Errorf("serve: state: %d-byte policy", len(st.PolicyBlob))
+		return dst, fmt.Errorf("serve: state: %d-byte policy", len(st.PolicyBlob))
 	}
 	ids := slices.Sorted(maps.Keys(st.LastGood))
-	size := stateHeaderLen + len(st.PolicyBlob)
 	for _, id := range ids {
 		if err := checkNodeID(id); err != nil {
-			return nil, fmt.Errorf("serve: state: %w", err)
+			return dst, fmt.Errorf("serve: state: %w", err)
 		}
-		size += 4 + len(id) + 4 + knobsLen*len(st.LastGood[id])
 	}
-	payload := binary.BigEndian.AppendUint64(make([]byte, 0, size), uint64(st.PolicyVersion))
-	payload = binary.BigEndian.AppendUint32(payload, uint32(len(st.PolicyBlob)))
-	payload = append(payload, st.PolicyBlob...)
+	dst = binary.BigEndian.AppendUint64(dst, uint64(st.PolicyVersion))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(st.PolicyBlob)))
 	for _, id := range ids {
-		payload = appendChange(payload, id, st.LastGood[id])
+		dst = appendChange(dst, id, st.LastGood[id])
 	}
-	return payload, nil
+	return dst, nil
 }
 
-// decodeState is encodeState's inverse; PolicyBlob aliases payload.
+// decodeState reads a snapshot payload — the header, PolicyBlob and the
+// change records appendSnapshot and Save lay out; PolicyBlob aliases
+// payload.
 func decodeState(payload []byte) (*ControllerState, error) {
 	if len(payload) < stateHeaderLen {
 		return nil, fmt.Errorf("serve: state snapshot of %d bytes, shorter than its header", len(payload))

@@ -260,10 +260,11 @@ func TestJournalCompactsAtSnapshotSize(t *testing.T) {
 // TestSnapshotLayout pins the snapshot payload (state.go) region by
 // region — the policy version, the length-prefixed blob, then one
 // change record per node in ascending ID order, each byte for byte a
-// journal record's body — and that a state encodes to the same bytes,
-// in a buffer of the exact length, whatever its map's order. Save
-// refuses what Load would refuse, and Load refuses with an error every
-// malformed payload in the table, each inside a sound frame.
+// journal record's body — and that Save writes a state to the same
+// bytes whatever its map's order, encoding the header and records into
+// the buffer it reuses. Save refuses what Load would refuse, and Load
+// refuses with an error every malformed payload in the table, each
+// inside a sound frame.
 func TestSnapshotLayout(t *testing.T) {
 	blob := []byte("policy-section")
 	lastGood := map[string][]perfmodel.NFKnobs{
@@ -313,19 +314,29 @@ func TestSnapshotLayout(t *testing.T) {
 		rest = rest[len(record):]
 	}
 
-	// The same state, built in another order, encodes the same.
+	// The same state, built in another order, saves to the same bytes,
+	// every time, with the header and records in one reused buffer.
 	again := make(map[string][]perfmodel.NFKnobs)
 	for i := len(ids) - 1; i >= 0; i-- {
 		again[ids[i]] = lastGood[ids[i]]
 	}
+	otherPath := filepath.Join(t.TempDir(), "controller.state")
+	other, err := OpenStateStore(otherPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf *byte
 	for i := 0; i < 5; i++ {
-		got, err := encodeState(&ControllerState{PolicyBlob: blob, PolicyVersion: 7, LastGood: again})
-		if err != nil || !bytes.Equal(got, payload) {
-			t.Fatalf("re-encoding gave different bytes: %v", err)
+		if err := other.Save(&ControllerState{PolicyBlob: blob, PolicyVersion: 7, LastGood: again}); err != nil {
+			t.Fatal(err)
 		}
-		if cap(got) != len(got) {
-			t.Fatalf("encoded into a %d-byte buffer, want the exact %d", cap(got), len(got))
+		if got, err := os.ReadFile(otherPath); err != nil || !bytes.Equal(got, file) {
+			t.Fatalf("saving the state built in another order gave different bytes: %v", err)
 		}
+		if i > 0 && &other.rec[0] != buf {
+			t.Fatalf("save %d encoded into a new buffer", i)
+		}
+		buf = &other.rec[0]
 	}
 	st, err := loadAt(t, path)
 	if err != nil || st.PolicyVersion != 7 || !bytes.Equal(st.PolicyBlob, blob) || !reflect.DeepEqual(st.LastGood, lastGood) {
@@ -622,7 +633,7 @@ func TestServingHoldsPolicyOnly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		actor, _, form, err := ddpg.LoadPolicy(file)
+		_, form, err := ddpg.LoadPolicy(file)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -630,7 +641,7 @@ func TestServingHoldsPolicyOnly(t *testing.T) {
 			t.Errorf("%s: the state file holds a %d-byte policy, not the %d-byte policy-only form of the %d-byte checkpoint",
 				when, len(st.PolicyBlob), len(form), len(file))
 		}
-		if extra := len(st.PolicyBlob) - len(actor.Actor.ParamFrame()); extra > 256 {
+		if extra := len(st.PolicyBlob) - len(ddpg.ActorFrame(form)); extra > 256 {
 			t.Errorf("%s: the persisted policy carries %d bytes beside the actor frame", when, extra)
 		}
 		if _, err := ddpg.LoadAgentBytes(st.PolicyBlob); err == nil {
@@ -675,11 +686,13 @@ func TestServingHoldsPolicyOnly(t *testing.T) {
 
 // reloadAllocBound is what a ReloadPolicy may allocate, in policy-only
 // forms of the policy it loads. At the default topology it measured
-// 3.96 forms (118 KB for a 29.9 KB form in a 239 KB checkpoint): the
-// form, the decoded actor, the stream's fixed buffer and the state
-// file's snapshot, which holds the form again. Reading the whole file
-// as well would cost eight forms more.
-const reloadAllocBound = 4.25
+// 1.49 forms (44.5 KB for a 29.9 KB form in a 239 KB checkpoint): the
+// form, the stream's fixed 8 KB buffer, and ~6 KB of file handles,
+// names and the config's bytes. The bound leaves 0.11 form (~3 KB) of
+// margin: decoding an actor at reload, or copying the form into the
+// state file's snapshot, costs about one form more each, and reading
+// the whole file eight.
+const reloadAllocBound = 1.6
 
 // reloadAllocs is the heap bytes one ReloadPolicy allocates, averaged
 // over ten reloads that alternate between paths.
@@ -748,7 +761,7 @@ func TestResumeRefusesPreSectionState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, form, err := ddpg.LoadPolicy(file)
+	_, form, err := ddpg.LoadPolicy(file)
 	if err != nil {
 		t.Fatal(err)
 	}

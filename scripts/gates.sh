@@ -20,7 +20,8 @@ gates=(
 	# + resume; a fleet that fails for good stops the learner; a pushed
 	# batch with a malformed row is refused whole before the replay;
 	# serialize → restore bit-identical (weights and next updates) at
-	# agent and trainer level, both precisions. And the reference loop:
+	# agent and trainer level, both precisions, the trainer's file
+	# pinned byte for byte. And the reference loop:
 	# whole round-robin runs hash (on raw parameter bits) to the values
 	# recorded before the broadcast left gob, replay storage became lazy
 	# and ReLU moved into assembly. A well-framed checkpoint whose
@@ -64,10 +65,12 @@ gates=(
 	# corrupt snapshot cursor is refused. What only acts holds inference-only
 	# networks: an actor reaches no training state, a view acts and
 	# prioritizes bit for bit like the agent it mirrors, and a network
-	# clone carries no gradients.
+	# clone carries no gradients. The frame check that needs no network
+	# — what the serving reader runs and a network built from a frame
+	# passes — gives every hostile frame the network's own refusal.
 	"./internal/rl/apex TestPublishRecyclesReleasedFrame|TestSyncParamsReleasesItsPull|TestReleaseCountsOnlyTheCurrentFrame|TestConcurrentPullersSeeTheirVersion|TestSyncParamsAllocatesNothing|TestPublishedFrameIsImmutable|TestNewTrainerFootprint"
-	"./internal/rl/ddpg TestLoadActorBytesInPlace|TestAppendActorBytesInPlace|TestLoadActorBytesRejectsHostileFrames|TestLoadActorBytesRefusesLegacyGob|TestAgentFootprint|TestViewMatchesAgent"
-	"./internal/nn TestCloneFootprint"
+	"./internal/rl/ddpg TestLoadActorBytesInPlace|TestAppendActorBytesInPlace|TestLoadActorBytesRejectsHostileFrames|TestActorFrameCheckMatchesCheckParams|TestLoadActorBytesRefusesLegacyGob|TestAgentFootprint|TestViewMatchesAgent"
+	"./internal/nn TestCloneFootprint|TestCheckMLPFrameMatchesCheckParams"
 	"./internal/rl/replay TestReplayGrowthParity|TestIdleBufferHoldsNoStorage|TestSumTreeWalksLikeFullTree|TestSetStateRejectsCorruptSnapshot"
 	# One NN engine at two element types: 300 f64 and 200 f32 composed
 	# updates hash to the recorded values on both kernel sets, the
@@ -89,12 +92,13 @@ gates=(
 	# allocation budget, and none at all in the controller; a replied
 	# config outlives the record that replaced it; boot, resume and hot
 	# reload keep only a checkpoint's policy section, a reload allocates
-	# at most reloadAllocBound policy-only forms and the same with or
-	# without a replay behind the section, and refuses each damaged
-	# stream with the section reader's message, keeping its old policy
-	# and version; a reload that swapped but could not persist is told
-	# apart from a rejection and counted; a pooled replica refreshes in
-	# place and is cloned only for other hidden widths.
+	# at most reloadAllocBound forms, the same with or without a replay
+	# behind the section, and refuses each damaged stream with the
+	# section reader's message, keeping its old policy and version; a
+	# reload that swapped but could not persist is told apart from a
+	# rejection and counted; a pooled replica refreshes in place, and a
+	# replica is built from the snapshot's frame only for other hidden
+	# widths.
 	# The controller state: the snapshot's layout region by region and
 	# its refusals, a checkpoint whose training state is unreadable
 	# that still serves beside a state file and a journal under
@@ -115,8 +119,9 @@ gates=(
 	# One refusal of every other format: a framed file or a journal
 	# under another magic is refused with both magics quoted, escaped
 	# whatever the file held, and a framed file shorter than its header
-	# with its length.
-	"./internal/atomicio TestReadRejectsCorruption|TestJournalRoundTripAndBinding"
+	# with its length. A payload written in pieces is the file its
+	# concatenation makes, and its sum the concatenation's.
+	"./internal/atomicio TestReadRejectsCorruption|TestJournalRoundTripAndBinding|TestWritePiecesIsWriteWhole"
 	# The fault proxy both planes' chaos tests stand on.
 	"./internal/faultrpc TestFaultProxy"
 	# One environment: single-node episodes bit-identical to the
