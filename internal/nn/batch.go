@@ -10,12 +10,12 @@ import (
 // [rows × dim] matrix per call with preallocated, layer-owned scratch
 // buffers (zero allocations once warm) and two layer-granular kernels,
 // rows4 and accumGrads, which are free to reassociate floating-point
-// sums for speed. Scalar Forward and ForwardRows are not: their product
-// (seqProduct, below) keeps the sequential order on every path, and
-// they share this file's activation leaves. Each element type is its
-// own instantiation of the same bodies, calling its own assembly
-// symbols; what differs between the two beyond the type is listed in
-// doc.go ("Float32 fast path").
+// sums for speed. ForwardRows (rows.go; Forward is its one-row case)
+// does not: its product (seqProduct, below) keeps the sequential order
+// on every path, and it shares this file's activation leaves. Each
+// element type is its own instantiation of the same bodies, calling
+// its own assembly symbols; what differs between the two beyond the
+// type is listed in doc.go ("Float32 fast path").
 
 // KernelSet names the kernel set the CPU probe selected for this
 // process: "avx2+fma" or "go". The two compute different last bits in
@@ -182,9 +182,8 @@ func product[T float](w, x, bias, z []T, rows, n, m int) {
 	}
 }
 
-// seqProduct is the sequential-order product under Forward and
-// ForwardRows, the passes whose rows must not depend on how they are
-// batched:
+// seqProduct is the sequential-order product under ForwardRows, the
+// pass whose rows must not depend on how they are batched:
 //
 //	z[o] = b[o] + Σ_i w[o*in+i]·x[i]
 //
@@ -304,8 +303,8 @@ func reluDerivVec[T float](dY, z, dz []T) int {
 }
 
 // applyBatch evaluates the activation elementwise with the branch
-// hoisted out of the loop; every forward pass, scalar Forward included,
-// applies its activation here. ReLU and Tanh are the leaves that differ
+// hoisted out of the loop; every forward pass applies its activation
+// here. ReLU and Tanh are the leaves that differ
 // per element type (math.Abs and math.Tanh here, abs32 and tanh32 in
 // batch32.go); the pair is chosen once per layer call, on the slice
 // type. ReLU's whole vectors go to the AVX2 kernels reluasm/reluasmf32
@@ -364,7 +363,7 @@ func tanhs64(z, y []float64) {
 
 // reluDeriv64 is dz = dY ⊙ step(z) at float64, the step a branchless
 // 1/0 via Copysign. At exactly z == +0 this passes the gradient where
-// the scalar path drops it; the subgradient at 0 is arbitrary and the
+// the tests' per-sample reference (backward_test.go) drops it; the subgradient at 0 is arbitrary and the
 // case has measure zero.
 func reluDeriv64(dY, z, dz []float64) {
 	for i, v := range z {

@@ -110,7 +110,7 @@ func (n *Network) EnableF32() {
 
 // FlushF32 writes the float32 parameter mirrors back into the f64
 // weights, making the f32 path's training visible to ParamFrame and
-// the scalar f64 Forward. No-op if EnableF32 was never called.
+// the float64 forward passes. No-op if EnableF32 was never called.
 func (n *Network) FlushF32() {
 	for _, l := range n.layers {
 		if l.f32.w == nil {

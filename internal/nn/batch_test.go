@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// Batched forward must agree with the scalar path per row (the two
+// Batched forward must agree with a one-row Forward per row (the two
 // paths differ only in floating-point summation order).
 func TestForwardBatchMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
@@ -34,7 +34,8 @@ func TestForwardBatchMatchesScalar(t *testing.T) {
 }
 
 // Batched backward must accumulate the same parameter gradients and
-// input gradients as summing per-row scalar backward passes.
+// input gradients as summing per-row reference backward passes
+// (backward_test.go).
 func TestBackwardBatchMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for _, acts := range []struct {
@@ -141,23 +142,6 @@ func testZeroAllocSteadyState[T float](t *testing.T) {
 func TestBatchZeroAllocSteadyState(t *testing.T) { testZeroAllocSteadyState[float64](t) }
 func TestF32ZeroAllocSteadyState(t *testing.T)   { testZeroAllocSteadyState[float32](t) }
 
-// Scalar Backward no longer allocates its dX result.
-func TestScalarBackwardZeroAlloc(t *testing.T) {
-	rng := rand.New(rand.NewSource(59))
-	net := MustMLP([]int{8, 16, 4}, Tanh, Linear, rng)
-	x := make([]float64, 8)
-	dOut := make([]float64, 4)
-	net.Forward(x)
-	net.Backward(dOut)
-	allocs := testing.AllocsPerRun(20, func() {
-		net.Forward(x)
-		net.Backward(dOut)
-	})
-	if allocs != 0 {
-		t.Errorf("scalar forward+backward allocates %v/op, want 0", allocs)
-	}
-}
-
 // testDotKernel checks dot, dot4 and rows4 (the assembly of T's width
 // where selected, the pure-Go loop otherwise) against a naive float64
 // accumulation, including tail lengths.
@@ -236,7 +220,7 @@ func BenchmarkDenseBackwardBatch(b *testing.B)    { benchBackwardBatch[float64](
 func BenchmarkDenseForwardBatchF32(b *testing.B)  { benchForwardBatch[float32](b) }
 func BenchmarkDenseBackwardBatchF32(b *testing.B) { benchBackwardBatch[float32](b) }
 
-// BenchmarkDenseForwardScalarLoop is the old per-sample path over the
+// BenchmarkDenseForwardScalarLoop is one Forward per sample over the
 // same 32-row minibatch, for comparison with BenchmarkDenseForwardBatch.
 func BenchmarkDenseForwardScalarLoop(b *testing.B) {
 	net, x, _, rows := benchNet[float64](b)
@@ -249,7 +233,7 @@ func BenchmarkDenseForwardScalarLoop(b *testing.B) {
 	}
 }
 
-// BenchmarkDenseForward is one scalar Forward end to end — what a
+// BenchmarkDenseForward is one Forward end to end — what a
 // serving decision and an actor's step pay — on the serving actor
 // (12→48→48→15) and on the cluster sweep's (104→48→48→114).
 func BenchmarkDenseForward(b *testing.B) {

@@ -15,23 +15,26 @@
 //
 // # Concurrency and determinism
 //
-// Networks are NOT goroutine-safe: forward caches activations for
-// the following backward pass, and batch passes reuse layer-owned
-// scratch. Give each concurrent inference user its own Clone (a
-// clone, like NewMLP without trainable, has no gradient buffers and
-// only runs forward). Initialization
-// and training are deterministic given the seed on a fixed CPU
-// feature set: the hot kernels (the batch passes' layer kernels, the
-// optimizer step) have AVX2+FMA assembly variants, CPUID-gated with a
-// pure-Go fallback, and FMA contraction rounds differently than the
-// scalar code — so results are reproducible on a given machine but
-// may differ in the last bits across machines with different vector
-// support. KernelSet names the set this process selected. Inference —
-// Forward and ForwardRows — does NOT depend on it: its kernels equal
-// their Go loops bit for bit (below). The batch passes
-// (ForwardBatch/BackwardBatch and the BackwardBatchSplit variant)
-// allocate nothing in steady state; scalar Forward, Backward and
-// ForwardRows are also allocation-free.
+// Networks are NOT goroutine-safe: every forward pass caches its
+// activations in layer-owned scratch for the following backward pass,
+// and the result a forward pass returns is that scratch, valid until
+// the network's next forward pass of any kind. Give each concurrent
+// inference user its own Clone (a clone, like NewMLP without trainable,
+// has no gradient buffers and only runs forward). Initialization and
+// training are deterministic given the seed on a fixed CPU feature
+// set: the hot kernels (the batch passes' layer kernels, the optimizer
+// step) have AVX2+FMA assembly variants, CPUID-gated with a pure-Go
+// fallback, and FMA contraction rounds differently than the pure-Go
+// code — so results are reproducible on a given machine but may differ
+// in the last bits across machines with different vector support.
+// KernelSet names the set this process selected. The package has one
+// float64 forward per numerics contract: ForwardRows keeps the
+// sequential summation order, ForwardBatch reassociates. Inference —
+// ForwardRows, and Forward, which is ForwardRows with one row — does
+// NOT depend on the kernel set: its kernels equal their Go loops bit
+// for bit (below). Every pass (ForwardBatch/BackwardBatch and the
+// BackwardBatchSplit variant, ForwardRows and Forward) allocates
+// nothing in steady state.
 //
 // # Kernel contract
 //
@@ -88,9 +91,9 @@
 //     (kernel_relu_amd64.h, whole vectors) and in the pure-Go leaves
 //     (relu64/reluDeriv64, relu32/reluDeriv32: the fallback, and the
 //     tail after the last whole vector) alike, so where a layer's
-//     elements split between them does not show. Forward and
-//     ForwardRows apply the same leaves, so there is one ReLU (and one
-//     Tanh, one Sigmoid) in the package. It is deliberately
+//     elements split between them does not show. ForwardRows applies
+//     the same leaves, so there is one ReLU (and one Tanh, one Sigmoid)
+//     in the package. It is deliberately
 //     not max(0, z) and a select: the step at z = ±0 follows the sign
 //     bit (+0 passes the gradient, -0 does not), dY·0 is -0 for
 //     negative dY and that sign travels on into dX, and ±Inf·0 is NaN.
@@ -102,8 +105,8 @@
 //     same order. A row whose dz is zero of either sign is skipped
 //     entirely — not an optimisation: adding a +0 would turn a -0
 //     accumulator into +0.
-//   - Sequential-order product (seqProduct, under Forward and
-//     ForwardRows — serving inference, acting, replay priorities). An
+//   - Sequential-order product (seqProduct, under ForwardRows and so
+//     Forward — serving inference, acting, replay priorities). An
 //     output is z[o] = b[o] + Σ_i W[o][i]·x[i] summed in ascending i
 //     starting from the bias, every step one rounded multiply then one
 //     rounded add, never an FMA: `sum := b[o]; sum += W[o][i] * x[i]`.
@@ -277,7 +280,7 @@
 //     contract: EnableF32 copies the f64 weights into the mirrors, the
 //     float32 passes and AdamStep (target update included) then treat
 //     the mirrors as the authoritative weights, and FlushF32 writes them back for
-//     serialization and scalar f64 inference. Nothing at float64 reads
+//     serialization and f64 inference. Nothing at float64 reads
 //     the mirrors, so the deterministic figure path is unaffected by
 //     f32 use elsewhere.
 //   - Elementwise leaves (batch32.go). Tanh is the rational tanh32

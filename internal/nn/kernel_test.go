@@ -678,7 +678,7 @@ func TestSeqKernelParity(t *testing.T) {
 					}
 
 					d := newLayer(in, out, Linear, w, b, false)
-					sameBitsNaN(t, name+" Forward", d.Forward(x[:in]), want[:out])
+					sameBitsNaN(t, name+" one row", d.ForwardRows(x, 1), want[:out])
 					sameBitsNaN(t, name+" ForwardRows", d.ForwardRows(x, rows), want)
 				}
 			}

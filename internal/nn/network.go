@@ -38,37 +38,15 @@ func (a Activation) String() string {
 	}
 }
 
-// derivative computes dAct/dz given the post-activation output y and
-// pre-activation z.
-func (a Activation) derivative(y, z float64) float64 {
-	switch a {
-	case ReLU:
-		if z > 0 {
-			return 1
-		}
-		return 0
-	case Tanh:
-		return 1 - y*y
-	case Sigmoid:
-		return y * (1 - y)
-	default:
-		return 1
-	}
-}
-
 // Dense is one fully connected layer y = act(Wx + b).
 type Dense struct {
 	In, Out int
 	Act     Activation
 	// W is row-major Out x In; B has Out entries.
 	W, B []float64
-	// forward caches for backprop.
-	x, z, y []float64
-	// dx is the reusable scalar-Backward output buffer.
-	dx []float64
-	// Batch state per element type (batch.go). f64.w and f64.b ARE W
-	// and B (same backing arrays), and f64.dw/db are the gradients the
-	// scalar Backward accumulates into as well. f32's parameters mirror
+	// Batch state per element type (batch.go): parameters, gradients
+	// and the activation caches every forward pass fills. f64.w and
+	// f64.b ARE W and B (same backing arrays). f32's parameters mirror
 	// W/B while the float32 path is active: allocated by EnableF32,
 	// nil before it.
 	f64 precision[float64]
@@ -85,7 +63,6 @@ func newLayer(in, out int, act Activation, w, b []float64, trainable bool) *Dens
 	d := &Dense{
 		In: in, Out: out, Act: act,
 		W: w, B: b,
-		x: make([]float64, in), z: make([]float64, out), y: make([]float64, out),
 		f64: precision[float64]{w: w, b: b},
 	}
 	if trainable {
@@ -102,41 +79,6 @@ func newDense(in, out int, act Activation, rng *rand.Rand, trainable bool) *Dens
 		d.W[i] = (2*rng.Float64() - 1) * limit
 	}
 	return d
-}
-
-// Forward computes the layer output, caching inputs for Backward.
-func (d *Dense) Forward(x []float64) []float64 {
-	if len(x) != d.In {
-		panic("nn: Forward input length differs from In")
-	}
-	copy(d.x, x)
-	seqProduct(d.W, d.x, d.B, d.z, d.In, d.Out)
-	applyBatch(d.Act, d.z, d.y)
-	return d.y
-}
-
-// Backward consumes dL/dy, accumulates dW/dB, and returns dL/dx.
-// The returned slice is owned by the layer and valid until its next
-// Backward call.
-func (d *Dense) Backward(dY []float64) []float64 {
-	if d.dx == nil {
-		d.dx = make([]float64, d.In)
-	}
-	dX := d.dx
-	for i := range dX {
-		dX[i] = 0
-	}
-	for o := 0; o < d.Out; o++ {
-		dz := dY[o] * d.Act.derivative(d.y[o], d.z[o])
-		d.f64.db[o] += dz
-		row := d.W[o*d.In : (o+1)*d.In]
-		dRow := d.f64.dw[o*d.In : (o+1)*d.In]
-		for i := 0; i < d.In; i++ {
-			dRow[i] += dz * d.x[i]
-			dX[i] += dz * row[i]
-		}
-	}
-	return dX
 }
 
 // Network is a feed-forward stack of dense layers.
@@ -192,24 +134,15 @@ func MustMLP(sizes []int, hidden, outAct Activation, rng *rand.Rand) *Network {
 	return n
 }
 
-// Forward runs the network. The returned slice is owned by the last
-// layer and valid until the next Forward; copy it to retain.
+// Forward runs the network on one input of exactly the first layer's
+// width: it is ForwardRows with one row. The returned slice shares the
+// layers' batch scratch, so it is valid only until the next forward
+// pass of any kind on this network; copy it to retain.
 func (n *Network) Forward(x []float64) []float64 {
-	out := x
-	for _, l := range n.layers {
-		out = l.Forward(out)
+	if len(x) != n.layers[0].In {
+		panic("nn: Forward input length differs from In")
 	}
-	return out
-}
-
-// Backward propagates dL/dOutput through the network, accumulating
-// parameter gradients, and returns dL/dInput.
-func (n *Network) Backward(dOut []float64) []float64 {
-	d := dOut
-	for i := len(n.layers) - 1; i >= 0; i-- {
-		d = n.layers[i].Backward(d)
-	}
-	return d
+	return n.ForwardRows(x, 1)
 }
 
 // ZeroGrad clears the accumulated float64 gradients.
@@ -231,10 +164,10 @@ func (n *Network) paramCount() int {
 	return total
 }
 
-// Clone copies the network for inference: the same weights, fresh
-// forward caches and no gradient buffers. A clone runs every forward
-// pass and can be an optimizer step's target (AdamStep only reads and
-// writes its parameters), but its backward passes panic.
+// Clone copies the network for inference: the same weights, no
+// activation caches yet and no gradient buffers. A clone runs every
+// forward pass and can be an optimizer step's target (AdamStep only
+// reads and writes its parameters), but its backward passes panic.
 func (n *Network) Clone() *Network {
 	c := &Network{}
 	for _, l := range n.layers {

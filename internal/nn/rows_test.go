@@ -5,10 +5,12 @@ import (
 	"testing"
 )
 
-// ForwardRows exists for one reason: per-row BIT-identity with the
-// scalar Forward (ForwardBatch only promises a tolerance — its fused
-// kernels reassociate the sums). The deterministic figure path and the
-// actors' bit-for-bit priority verification stand on this test.
+// ForwardRows exists for one reason: a row's bits do not depend on the
+// rows batched with it (ForwardBatch only promises a tolerance — its
+// fused kernels reassociate the sums). Forward is ForwardRows with one
+// row, so this pins every row of an n-row pass against a one-row pass
+// of the same input. The deterministic figure path and the actors'
+// bit-for-bit priority verification stand on this test.
 func TestForwardRowsBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	shapes := [][]int{
@@ -38,7 +40,7 @@ func TestForwardRowsBitIdentical(t *testing.T) {
 					want := ref.Forward(x[r*in : (r+1)*in])
 					for j := range want {
 						if got[r*out+j] != want[j] {
-							t.Errorf("shape %d act %d rows %d: row %d out[%d] = %v, scalar %v (not bit-identical)",
+							t.Errorf("shape %d act %d rows %d: row %d out[%d] = %v, one row %v (not bit-identical)",
 								si, ai, rows, r, j, got[r*out+j], want[j])
 						}
 					}
@@ -65,16 +67,16 @@ func TestForwardRowsInterleavedWithBatch(t *testing.T) {
 		want := ref.Forward(x[r*6 : (r+1)*6])
 		for j := range want {
 			if got[r*4+j] != want[j] {
-				t.Errorf("after ForwardBatch: row %d out[%d] = %v, scalar %v", r, j, got[r*4+j], want[j])
+				t.Errorf("after ForwardBatch: row %d out[%d] = %v, one row %v", r, j, got[r*4+j], want[j])
 			}
 		}
 	}
 }
 
-// Steady-state ForwardRows and scalar Forward must not allocate (the
-// acting hot path runs one every environment step, serving one every
-// report), on either kernel set: the layers are wide enough that the
-// product and the Tanh head go through their kernels where selected.
+// Steady-state ForwardRows and Forward must not allocate (the acting
+// hot path runs one every environment step, serving one every report),
+// on either kernel set: the layers are wide enough that the product and
+// the Tanh head go through their kernels where selected.
 func TestForwardRowsNoAllocs(t *testing.T) {
 	for _, simd := range []bool{useSIMD, false} {
 		setSIMD(t, simd)

@@ -306,8 +306,8 @@ func TestNewTrainerFootprint(t *testing.T) {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&built)
-	// The learner's agent (~212 KB), four actors' inference views
-	// (~150 KB each) and their environments: 853 KB measured.
+	// The learner's agent (~204 KB), four actors' inference views
+	// (~140 KB each) and their environments: 799 KB measured.
 	if got := built.TotalAlloc - before.TotalAlloc; got > 920<<10 {
 		t.Errorf("NewTrainer allocates %d KB, want under 920 KB", got>>10)
 	}
@@ -316,7 +316,7 @@ func TestNewTrainerFootprint(t *testing.T) {
 	}
 	runtime.ReadMemStats(&ran)
 	// The one replay that stores something grows its ring and sum tree
-	// to the few hundred slots it holds (1,162 KB measured; 2,170 KB
+	// to the few hundred slots it holds (1,172 KB measured; 2,170 KB
 	// while the tree took its full 1 MB at the first add).
 	if got := ran.TotalAlloc - built.TotalAlloc; got > 1536<<10 {
 		t.Errorf("a 400-step run allocates %d KB, want under 1.5 MB", got>>10)

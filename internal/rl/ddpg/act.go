@@ -15,10 +15,10 @@ import (
 // probe calls. Two precision regimes share the batched entry points:
 //
 //   - f64 (default): nn.ForwardRows, whose per-row results are
-//     bit-identical to the scalar Forward. Batching over rows changes
-//     NOTHING numerically — the deterministic round-robin figure path
-//     and the remote actors' bit-for-bit priority verification both
-//     rely on this.
+//     bit-identical to a one-row pass — nn's Forward, which ActInto and
+//     TDError run. Batching over rows changes NOTHING numerically — the
+//     deterministic round-robin figure path and the remote actors'
+//     bit-for-bit priority verification both rely on this.
 //   - f32 (SetActFloat32): nn.ForwardBatchF32 over the f32 parameter
 //     mirrors — the vectorized 8-lane kernels. Not bit-comparable to
 //     f64; the acting parity test bounds |Δaction| ≤ 1e-3. No trainer
@@ -47,7 +47,7 @@ type Policy struct {
 // ActionDim), allocating nothing.
 func (p *Policy) Greedy(state, dst []float64) error { return p.actInto(state, nil, dst) }
 
-// actInto runs one scalar actor pass into dst: dimension checks,
+// actInto runs the actor on one state into dst: dimension checks,
 // forward, optional noise, clamp to [-1, 1] — the single definition
 // every way of acting shares.
 func (p *Policy) actInto(state []float64, noise *OUNoise, dst []float64) error {

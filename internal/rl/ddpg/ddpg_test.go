@@ -351,12 +351,13 @@ func TestAgentFootprint(t *testing.T) {
 	t.Logf("building and acting: agent %d KB, view %d KB", agent>>10, view>>10)
 	// A 15-48-48-15-ish network is ~35 KB of weights and caches and as
 	// much again of gradients, which only the agent's policy and critic
-	// carry (212 and 149 KB measured).
-	if agent > 232<<10 {
-		t.Errorf("a default agent allocates %d KB, want under 232 KB", agent>>10)
+	// carry (204 and 140 KB measured, with one set of activation caches
+	// per layer; 212 and 149 KB with two). The bounds leave ~8 %.
+	if agent > 220<<10 {
+		t.Errorf("a default agent allocates %d KB, want under 220 KB", agent>>10)
 	}
-	if view > 164<<10 {
-		t.Errorf("a default view allocates %d KB, want under 164 KB", view>>10)
+	if view > 152<<10 {
+		t.Errorf("a default view allocates %d KB, want under 152 KB", view>>10)
 	}
 	// 300 stored transitions, all sharing one set of slices so that
 	// only the replay's own storage counts, grow its ring and tree to

@@ -82,9 +82,9 @@
 //     noiseless form) and reached through View and Agent.
 //   - ActBatch selects actions for n actors' states in one call —
 //     one nn.ForwardRows pass over the row matrix plus the per-lane
-//     OU noise draws and clamps. ForwardRows keeps the scalar
-//     per-row summation order, so the f64 batch is BIT-IDENTICAL to
-//     n scalar ActInto calls (pinned by TestActBatchMatchesScalarReference);
+//     OU noise draws and clamps. ForwardRows keeps one sequential
+//     summation order per row, so the f64 batch is BIT-IDENTICAL to
+//     n one-row ActInto calls (pinned by TestActBatchMatchesScalarReference);
 //     it exists so batching is a pure throughput knob, never a numerics
 //     change. No trainer uses it: every Ape-X actor acts through
 //     ActInto, and bench/'s ddpg.act_batch_f32_us probe is the one
@@ -164,13 +164,15 @@
 // allocated by it; the Config validated as New does; the section read
 // straight into its policy-only form, one slice of exactly the
 // section's size, sealed in place with a sum of its own; every byte
-// after the section streamed through the CRC in a fixed 8 KB buffer and
-// dropped; the actor frame's header checked against the Config's
-// topology by nn.CheckMLPFrame, which needs no network (the check
-// LoadParams makes, with its refusals). ReadPolicy builds nothing: it
+// after the section streamed through the CRC and dropped, in an 8 KB
+// buffer that a sync.Pool keeps with its reader, so that boots,
+// reloads and resumes do not each allocate one; the actor frame's
+// header checked against the Config's topology by nn.CheckMLPFrame,
+// which needs no network (the check LoadParams makes, with its
+// refusals). ReadPolicy builds nothing: it
 // returns the Config and the policy-only form, so what a read allocates
-// is the form and the buffer, whatever the file carries behind the
-// section. A refusal found in the section waits for the sum: a file
+// is the form and the config's bytes, whatever the file carries behind
+// the section. A refusal found in the section waits for the sum: a file
 // whose sum fails gets the sum's refusal, the same message readSection
 // (ReadCheckpoint's whole-slice reader, which makes the same checks in
 // the same order) gives. LoadPolicy is ReadPolicy over bytes in memory.

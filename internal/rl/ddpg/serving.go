@@ -9,6 +9,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"sync"
 
 	"greennfv/internal/atomicio"
 	"greennfv/internal/nn"
@@ -314,6 +315,11 @@ func (s *sectionStream) drain() {
 	}
 }
 
+// streams recycles sectionStreams, each with its buffer, across
+// ReadPolicy calls: a boot, a reload and a resume each read through one,
+// and the buffer is most of what a read allocates besides its form.
+var streams = sync.Pool{New: func() any { return new(sectionStream) }}
+
 // The actor's activations: ReLU between its layers, Tanh at the output
 // (actions live in [-1, 1]).
 const (
@@ -360,10 +366,16 @@ func PolicyFromFrame(cfg Config, frame []byte) (*Policy, error) {
 // form. The magic, the config's width count and the actor frame's length
 // are checked against size before anything is sized by them; the section
 // is read into the form, one slice of exactly its size sealed in place,
-// and every byte after it passes through the sum in a fixed buffer. The
+// and every byte after it passes through the sum in a pooled buffer. The
 // actor frame's header is checked against the Config's topology last.
 func ReadPolicy(r io.Reader, size int64) (Config, []byte, error) {
-	s := &sectionStream{r: r, left: size}
+	// Every field but buf is reset; buf is written before it is read.
+	s := streams.Get().(*sectionStream)
+	s.r, s.left, s.crc, s.err = r, size, 0, nil
+	defer func() {
+		s.r, s.err = nil, nil // keep neither the caller's reader nor its error
+		streams.Put(s)
+	}()
 	want, err := s.header()
 	if err != nil {
 		return Config{}, nil, err

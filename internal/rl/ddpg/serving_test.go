@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"testing/iotest"
 
@@ -362,6 +363,49 @@ func TestReadPolicyRefusesStreamedDamage(t *testing.T) {
 	if _, _, err := ReadPolicy(bytes.NewReader(file[:len(file)-1]), int64(len(file))); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Errorf("a stream one byte short returned %v, want %v", err, io.ErrUnexpectedEOF)
 	}
+}
+
+// TestReadPolicyStreamsArePerCall: ReadPolicy's stream and buffer come
+// from a pool, and nothing of one read reaches the next. A read right
+// after one that failed mid-stream returns the file's own form, and
+// reads from several goroutines at once, of two files, each return
+// their own (run under -race too).
+func TestReadPolicyStreamsArePerCall(t *testing.T) {
+	var files, forms [2][]byte
+	for i, seed := range []int64{3, 4} {
+		cfg := DefaultConfig(6, 4)
+		cfg.Seed = seed
+		_, files[i] = servingAgent(t, cfg)
+		var err error
+		if _, forms[i], err = LoadPolicy(files[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if bytes.Equal(forms[0], forms[1]) {
+		t.Fatal("two seeds wrote the same policy")
+	}
+	short := files[0][:len(files[0])-1]
+	if _, _, err := ReadPolicy(bytes.NewReader(short), int64(len(files[0]))); err == nil {
+		t.Fatal("a stream one byte short was read")
+	}
+	if _, form, err := LoadPolicy(files[1]); err != nil || !bytes.Equal(form, forms[1]) {
+		t.Fatalf("the read after a failed one: err %v, same form %v", err, bytes.Equal(form, forms[1]))
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				k := (g + i) % 2
+				if _, form, err := LoadPolicy(files[k]); err != nil || !bytes.Equal(form, forms[k]) {
+					t.Errorf("goroutine %d read %d: err %v, same form %v", g, i, err, bytes.Equal(form, forms[k]))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // allocated is the heap bytes f allocates.

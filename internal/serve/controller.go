@@ -414,6 +414,18 @@ func (c *Controller) PolicyVersion() int {
 // RegisteredNodes counts the nodes currently holding a live lease.
 func (c *Controller) RegisteredNodes() int {
 	n := 0
+	c.eachRecord(func(rec *nodeRec) {
+		if rec.registered {
+			n++
+		}
+	})
+	return n
+}
+
+// eachRecord calls f on every node record, holding that record's lock.
+// A shard's records are copied under its lock first, so no shard lock
+// is held while f runs.
+func (c *Controller) eachRecord(f func(*nodeRec)) {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
@@ -424,13 +436,10 @@ func (c *Controller) RegisteredNodes() int {
 		sh.mu.Unlock()
 		for _, rec := range recs {
 			rec.mu.Lock()
-			if rec.registered {
-				n++
-			}
+			f(rec)
 			rec.mu.Unlock()
 		}
 	}
-	return n
 }
 
 // LastGood returns a copy of a node's last-known-good configuration
@@ -549,25 +558,14 @@ func (c *Controller) ReloadPolicy(path string) error {
 func (c *Controller) ExpireLeases(now time.Time) int {
 	expired := 0
 	cutoff := now.Add(-c.cfg.LeaseWindow)
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		recs := make([]*nodeRec, 0, len(sh.nodes))
-		for _, rec := range sh.nodes {
-			recs = append(recs, rec)
+	c.eachRecord(func(rec *nodeRec) {
+		if rec.registered && rec.lastReport.Before(cutoff) {
+			rec.registered = false
+			rec.limiter.Reset()
+			c.counters.Inc(CounterHeartbeatMisses)
+			expired++
 		}
-		sh.mu.Unlock()
-		for _, rec := range recs {
-			rec.mu.Lock()
-			if rec.registered && rec.lastReport.Before(cutoff) {
-				rec.registered = false
-				rec.limiter.Reset()
-				c.counters.Inc(CounterHeartbeatMisses)
-				expired++
-			}
-			rec.mu.Unlock()
-		}
-	}
+	})
 	return expired
 }
 

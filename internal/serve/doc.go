@@ -169,10 +169,10 @@
 // snapshot holds beside its Config and the state file persists as it is
 // (Save writes it as one piece of the payload, never copied). No
 // network is decoded at reload: the critics, targets, optimiser moments,
-// noise and replay behind the section pass through the CRC in a fixed
+// noise and replay behind the section pass through the CRC in a pooled
 // buffer, so a reload's memory does not grow with them
 // (TestReloadCostIgnoresTrainingState), and a reload allocates about
-// one and a half forms (TestServingHoldsPolicyOnly). Pooled replicas
+// 1.2 forms (TestServingHoldsPolicyOnly). Pooled replicas
 // refresh from the snapshot's actor frame in place; a scratch with no
 // replica, or one of other hidden widths, gets one built from that frame
 // (ddpg.PolicyFromFrame) — the checkpoint is read once per boot or

@@ -216,7 +216,7 @@ func skipUnderRace(t *testing.T) {
 	if info, ok := debug.ReadBuildInfo(); ok {
 		for _, s := range info.Settings {
 			if s.Key == "-race" && s.Value == "true" {
-				t.Skip("the race detector makes sync.Pool drop the report scratch at random; scripts/gates.sh runs this gate without it")
+				t.Skip("the race detector makes sync.Pool drop pooled scratch at random; scripts/gates.sh runs this gate without it")
 			}
 		}
 	}

@@ -83,7 +83,9 @@ gates=(
 	# product on every shape to 70×70 at both widths, the windowed
 	# first-layer input gradient, and the fused optimizer step (target
 	# update, b1c and clip-norm skips) against the step it replaced.
-	"./internal/nn TestLearnFingerprint|TestKernelParityAVX2|TestKernelParityGo|TestReLUKernelParity|TestSeqKernelParity|TestTanhKernelParity|TestTransposeParity|TestKernelsF32MatchGoWide|TestRows4TreeParity|TestBackwardInputColumns|TestFusedOptimizerParity|TestParamFrame|TestBatchZeroAllocSteadyState|TestF32ZeroAllocSteadyState|TestForwardRowsNoAllocs"
+	# Forward is ForwardRows with one row: every row of an n-row pass
+	# has the bits of a one-row pass, and a wrong input length panics.
+	"./internal/nn TestLearnFingerprint|TestKernelParityAVX2|TestKernelParityGo|TestReLUKernelParity|TestSeqKernelParity|TestTanhKernelParity|TestTransposeParity|TestKernelsF32MatchGoWide|TestRows4TreeParity|TestBackwardInputColumns|TestFusedOptimizerParity|TestParamFrame|TestBatchZeroAllocSteadyState|TestF32ZeroAllocSteadyState|TestForwardRowsNoAllocs|TestForwardRowsBitIdentical|TestForwardInputLength"
 	"./internal/rl/ddpg TestLearnBatchZeroAlloc|TestLearnBatchF32ZeroAlloc|TestActBatchNoAllocs|TestLearnF32ParityWithF64"
 	# Serving safety: no applied config outside bounds or predicted to
 	# violate the SLA on any ladder rung; the 32-node fleet soak and its
@@ -114,8 +116,9 @@ gates=(
 	# moments — is refused before the first write. A checkpoint whose
 	# training state is gob networks or under another magic still
 	# serves its section and is refused as an agent, as is a bare state
-	# with no section.
-	"./internal/rl/ddpg TestStateLayout|TestLoadPolicyMatchesLoadAgent|TestLoadPolicyRefusesDamage|TestReadPolicyRefusesStreamedDamage|TestLoadRefusesOversizedConfig|TestLoadRefusesGobNetworks|TestLoadRefusesPreSectionCheckpoint|TestRefusedLoadStateChangesNothing|TestLoadStateRejectsHostileOptimizer|FuzzLoadState|FuzzLoadPolicy"
+	# with no section. The reader's pooled stream carries nothing from
+	# one read to the next, nor between goroutines.
+	"./internal/rl/ddpg TestStateLayout|TestLoadPolicyMatchesLoadAgent|TestLoadPolicyRefusesDamage|TestReadPolicyRefusesStreamedDamage|TestReadPolicyStreamsArePerCall|TestLoadRefusesOversizedConfig|TestLoadRefusesGobNetworks|TestLoadRefusesPreSectionCheckpoint|TestRefusedLoadStateChangesNothing|TestLoadStateRejectsHostileOptimizer|FuzzLoadState|FuzzLoadPolicy"
 	# One refusal of every other format: a framed file or a journal
 	# under another magic is refused with both magics quoted, escaped
 	# whatever the file held, and a framed file shorter than its header
