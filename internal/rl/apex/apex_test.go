@@ -179,7 +179,7 @@ func TestRPCTransport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := Serve(learner, "127.0.0.1:0")
+	srv, err := Serve(learner, testFleet, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestRPCTransport(t *testing.T) {
 func TestServerCloseIdempotent(t *testing.T) {
 	agent, _ := ddpg.New(ddpg.DefaultConfig(2, 2))
 	learner, _ := NewLearner(agent)
-	srv, err := Serve(learner, "127.0.0.1:0")
+	srv, err := Serve(learner, testFleet, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,9 @@
 //     the concurrent pipeline below.
 //   - Remote (TrainerConfig.RemoteActors): the paper's multi-node
 //     split. Each cmd/apexactor process steps one Actor
-//     (RunRemoteActor). The learner is served over rpcutil (rpc.go) to
+//     (RunRemoteActor). The learner is served over rpcutil (rpc.go:
+//     LearnerService's Register, Push and Pull as typed handlers,
+//     rpcutil.Method, so no call runs reflection) to
 //     the processes (spawned and supervised via SpawnRemote or started
 //     externally against ListenAddr; remote.go), which rebuild their
 //     environments from a JSON ActorSpec and talk through a
@@ -199,7 +201,10 @@
 //     Push/Pull carries it. A respawn supersedes the old epoch, so a
 //     hung predecessor's late calls fail fatally (ErrStaleActorEpoch)
 //     rather than corrupting the new incarnation's accounting; an
-//     unregistered ID is rejected outright (ErrUnregisteredActor).
+//     unregistered ID is rejected outright (ErrUnregisteredActor),
+//     and an ID that is not a rank of the fleet (RemoteActors) is
+//     refused at Register before it becomes a record, so no peer
+//     grows the per-actor table or the stats the trainer reports.
 //     Drain is additionally bounded by DrainTimeout of push-heartbeat
 //     silence, after which stragglers are killed.
 //   - Malformed experience: a pushed batch with a row of the wrong

@@ -19,7 +19,7 @@ import (
 // behavior silently accepted and attributed them).
 func TestUnregisteredActorRejected(t *testing.T) {
 	learner := rpcLearner(t)
-	srv, err := Serve(learner, "127.0.0.1:0")
+	srv, err := Serve(learner, testFleet, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,6 +50,42 @@ func TestUnregisteredActorRejected(t *testing.T) {
 	}
 }
 
+// TestRegisterRefusesIDOutsideFleet pins the fleet bound: a peer that
+// registers as -1 or as the fleet size is refused with an error, over
+// the wire and in process, and leaves no record behind — so no peer
+// grows the per-actor table, or the stats the trainer reports, past
+// the fleet — while a rank of the fleet still registers.
+func TestRegisterRefusesIDOutsideFleet(t *testing.T) {
+	srv, err := Serve(rpcLearner(t), testFleet, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	for _, id := range []int{-1, testFleet, 1 << 62} {
+		client := singleShot(srv.Addr(), id)
+		_, err := client.Register()
+		client.Close()
+		var se rpcutil.ServerError
+		if !errors.As(err, &se) || !strings.Contains(err.Error(), "fleet") {
+			t.Errorf("register as %d over the wire: %v, want the learner's refusal", id, err)
+		}
+		if err := srv.Service().Register(&RegisterArgs{ActorID: id}, &RegisterReply{}); err == nil {
+			t.Errorf("register as %d in process accepted", id)
+		}
+	}
+	if stats := srv.Service().ActorStats(); len(stats) != 0 {
+		t.Errorf("refused IDs left records behind: %+v", stats)
+	}
+	client := singleShot(srv.Addr(), testFleet-1)
+	defer client.Close()
+	if _, err := client.Register(); err != nil {
+		t.Fatalf("register as rank %d: %v", testFleet-1, err)
+	}
+	if stats := srv.Service().ActorStats(); len(stats) != 1 || !stats[testFleet-1].Registered {
+		t.Errorf("a rank of the fleet registered as %+v", stats)
+	}
+}
+
 // TestPushRejectsMalformedExperience pins the vetting of pushed
 // experience: a batch with one row of the wrong shape (refused by the
 // client, which cannot lay it out), a non-finite float or an impossible
@@ -62,7 +98,7 @@ func TestUnregisteredActorRejected(t *testing.T) {
 func TestPushRejectsMalformedExperience(t *testing.T) {
 	serve := func() (*Learner, *Server, *RemoteLearner) {
 		learner := rpcLearner(t)
-		srv, err := Serve(learner, "127.0.0.1:0")
+		srv, err := Serve(learner, testFleet, "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,7 +205,7 @@ func TestPushRejectsMalformedExperience(t *testing.T) {
 // error instead of corrupting the new incarnation's accounting.
 func TestStaleEpochRejected(t *testing.T) {
 	learner := rpcLearner(t)
-	srv, err := Serve(learner, "127.0.0.1:0")
+	srv, err := Serve(learner, testFleet, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +320,7 @@ func TestCallDeadline(t *testing.T) {
 // the server is gone.
 func TestServerCloseUnderLoad(t *testing.T) {
 	learner := rpcLearner(t)
-	srv, err := Serve(learner, "127.0.0.1:0")
+	srv, err := Serve(learner, testFleet, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -174,7 +174,7 @@ func (t *Trainer) serveFleet(steps int) (transport, error) {
 	if addr == "" {
 		addr = "127.0.0.1:0"
 	}
-	srv, err := Serve(t.learner, addr)
+	srv, err := Serve(t.learner, t.cfg.RemoteActors, addr)
 	if err != nil {
 		return nil, fmt.Errorf("apex: remote mode: %w", err)
 	}

@@ -329,7 +329,7 @@ func TestRetryBackoffCap(t *testing.T) {
 // retried MaxRetries times (seconds of sleep) before letting the
 // actor exit.
 func TestNoRetryAfterDrain(t *testing.T) {
-	srv, err := Serve(rpcLearner(t), "127.0.0.1:0")
+	srv, err := Serve(rpcLearner(t), testFleet, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -305,28 +305,44 @@ type actorRec struct {
 	lastPush time.Time
 }
 
-// LearnerService is the receiver a Learner is served through. Beyond the
-// two LearnerAPI methods it tracks per-actor statistics, registration
+// LearnerService is what a Learner is served through. Beyond the two
+// LearnerAPI methods it tracks per-actor statistics, registration
 // epochs and last-push heartbeats, and carries the drain signal that
 // ends a remote training round gracefully.
 type LearnerService struct {
 	learner   *Learner
+	fleet     int // actor IDs are ranks in [0, fleet)
 	drain     atomic.Bool
 	mu        sync.Mutex
 	actors    map[int]*actorRec
 	nextEpoch uint64
 }
 
-// NewLearnerService wraps a learner for RPC registration.
-func NewLearnerService(learner *Learner) *LearnerService {
-	return &LearnerService{learner: learner, actors: make(map[int]*actorRec)}
+// NewLearnerService wraps a learner for a fleet of the given number of
+// actors (TrainerConfig.RemoteActors), whose IDs are their ranks.
+func NewLearnerService(learner *Learner, fleet int) *LearnerService {
+	return &LearnerService{learner: learner, fleet: fleet, actors: make(map[int]*actorRec)}
+}
+
+// Handlers is the service's RPC methods, keyed by the names actors
+// call.
+func (s *LearnerService) Handlers() map[string]rpcutil.Handler {
+	return map[string]rpcutil.Handler{
+		"Learner.Register": rpcutil.Method(s.Register),
+		"Learner.Push":     rpcutil.Method(s.Push),
+		"Learner.Pull":     rpcutil.Method(s.Pull),
+	}
 }
 
 // Register is the RPC method actors call at startup — and again after
 // a learner restart or a supervised respawn. Each call issues a fresh
 // epoch, implicitly fencing off any zombie still holding the previous
-// one.
+// one. An ID that is not a rank of the fleet is refused before it
+// becomes a record, so no peer grows the table past the fleet.
 func (s *LearnerService) Register(args *RegisterArgs, reply *RegisterReply) error {
+	if args.ActorID < 0 || args.ActorID >= s.fleet {
+		return fmt.Errorf("apex: actor ID %d is not a rank of a %d-actor fleet", args.ActorID, s.fleet)
+	}
 	s.mu.Lock()
 	rec, ok := s.actors[args.ActorID]
 	if !ok {
@@ -462,15 +478,16 @@ type Server struct {
 	srv     *rpcutil.Server
 }
 
-// Serve starts an RPC server for the learner on addr (e.g.
-// "127.0.0.1:0" for an ephemeral port). It returns once listening;
-// connections are served in the background until Close.
-func Serve(learner *Learner, addr string) (*Server, error) {
+// Serve starts an RPC server for the learner and a fleet of the given
+// number of actors on addr (e.g. "127.0.0.1:0" for an ephemeral port).
+// It returns once listening; connections are served in the background
+// until Close.
+func Serve(learner *Learner, fleet int, addr string) (*Server, error) {
 	if learner == nil {
 		return nil, errors.New("apex: nil learner")
 	}
-	service := NewLearnerService(learner)
-	srv, err := rpcutil.Serve("Learner", service, addr)
+	service := NewLearnerService(learner, fleet)
+	srv, err := rpcutil.ServeHandlers(addr, service.Handlers())
 	if err != nil {
 		return nil, err
 	}

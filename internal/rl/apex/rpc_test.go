@@ -24,6 +24,10 @@ func rpcLearner(t *testing.T) *Learner {
 	return learner
 }
 
+// testFleet is the fleet size the tests serve a learner for: ranks 0
+// to 7, as many as any test's actors.
+const testFleet = 8
+
 // singleShot is a RemoteLearner that issues every call exactly once —
 // no redial, no re-registration — so a test sees the learner's own
 // answer to that call rather than the client's recovery from it.
@@ -50,7 +54,7 @@ func rpcBatch(n int) []Experience {
 // exhausting it, with the transport error preserved in the chain.
 func TestPushOnStoppedLearner(t *testing.T) {
 	learner := rpcLearner(t)
-	srv, err := Serve(learner, "127.0.0.1:0")
+	srv, err := Serve(learner, testFleet, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +98,7 @@ func TestPushOnStoppedLearner(t *testing.T) {
 // nil bytes.
 func TestPullStaleVersion(t *testing.T) {
 	learner := rpcLearner(t)
-	srv, err := Serve(learner, "127.0.0.1:0")
+	srv, err := Serve(learner, testFleet, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +131,7 @@ func TestPullStaleVersion(t *testing.T) {
 // without wedging its actor fleet.
 func TestClientReconnectAfterRestart(t *testing.T) {
 	learner := rpcLearner(t)
-	srv, err := Serve(learner, "127.0.0.1:0")
+	srv, err := Serve(learner, testFleet, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +147,7 @@ func TestClientReconnectAfterRestart(t *testing.T) {
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	srv2, err := Serve(learner, addr)
+	srv2, err := Serve(learner, testFleet, addr)
 	if err != nil {
 		t.Fatalf("restart on %s: %v", addr, err)
 	}
@@ -169,7 +173,7 @@ func TestClientReconnectAfterRestart(t *testing.T) {
 // reply carries the stop signal, which RemoteLearner latches.
 func TestDrainSignal(t *testing.T) {
 	learner := rpcLearner(t)
-	srv, err := Serve(learner, "127.0.0.1:0")
+	srv, err := Serve(learner, testFleet, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -137,7 +137,7 @@ func TestLearnerMessageLayouts(t *testing.T) {
 	}
 
 	learner := rpcLearner(t)
-	svc := NewLearnerService(learner)
+	svc := NewLearnerService(learner, testFleet)
 	if err := svc.Register(&RegisterArgs{}, &RegisterReply{}); err != nil {
 		t.Fatal(err)
 	}

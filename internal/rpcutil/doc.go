@@ -6,11 +6,11 @@
 // crossing as its message only. The serving tick pays for it every
 // control interval on every node, so a call costs what it must — one
 // write and one read on each side — and nothing per call is scheduled
-// or timed beyond that. What a call still allocates is the server's
-// handler invocation: reflect.Value.Call makes the slice of results it
-// returns and a cell for the handler's error. The messages themselves
-// are kept per connection (see "Ordering"), and a ReadWire that hands
-// out fresh storage allocates it, as apex's push rows do.
+// or timed beyond that. A call of a typed handler allocates nothing
+// of the transport's own: its messages are kept per connection (see
+// "Ordering") and it is called with no reflection (see
+// "Registration"). What a ReadWire hands out as fresh storage it
+// allocates, as apex's push rows do.
 //
 // # The frame
 //
@@ -47,9 +47,10 @@
 // fixed little-endian ones (apex/rpc.go), a push being rows of the
 // replay snapshot's layout. Any other type crosses as one value on a
 // gob encoder/decoder pair the connection keeps for its lifetime
-// (kind 2), so a type's descriptor crosses once, as under net/rpc. Its
-// one sender left is the benchmark's Echo.Ping probe, and kind 2 goes
-// when that probe moves to a layout. Which path a value takes is a
+// (kind 2), so a type's descriptor crosses once, as under net/rpc.
+// Only Serve registers such a type, and its one user outside tests is
+// the benchmark's Echo.Ping probe: kind 2 goes with Serve when that
+// probe moves to a layout. Which path a value takes is a
 // property of its type, not an option, and the receiver holds the
 // sender to it: a body whose kind is not the one the receiving type
 // would have been sent as is undecodable.
@@ -63,6 +64,18 @@
 // the connection lives: the server reads the body into nothing,
 // descriptors included. A handler's error crosses in the error field
 // with no body at all, so it never touches the stream.
+//
+// # Registration
+//
+// A Server answers a table of Handlers keyed by method name
+// (ServeHandlers). Method makes a Handler of a func(*A, *R) error
+// whose A and R both implement Wire; the type constraint is what
+// keeps gob off both planes, which register only this way. Its
+// closures make, zero and call the typed messages, so a frame reaches
+// the func with no reflection. Serve is the adapter for a receiver:
+// it finds the receiver's exported methods of that shape by reflection
+// and calls them through reflect.Value.Call, which allocates per call,
+// and it is the only way to serve a message without a layout.
 //
 // # Ordering
 //
@@ -90,7 +103,7 @@
 //
 // A connection's goroutine blocks reading the next request until its
 // client hangs up, so a naive server's Close would wait on peers that
-// never disconnect. Serve tracks every accepted connection; Close
+// never disconnect. A Server tracks every accepted connection; Close
 // closes them all, then the listener, then waits for handlers to
 // drain. Safe to call concurrently and more than once. Stats counts
 // calls, refused input and bytes each way, for scraping.

@@ -1,6 +1,8 @@
 package rpcutil
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -39,29 +41,113 @@ func (Life) Echo(in *lifeArgs, out *lifeReply) error {
 	return nil
 }
 
-func serveLife(t *testing.T) *Server {
-	t.Helper()
-	srv, err := Serve("Life", Life{}, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+// wireArgs and wireReply are lifeArgs and lifeReply laid out:
+// u8 flags (1 Once, 2 Fail) | tag, and u8 once | tag.
+type (
+	wireArgs  lifeArgs
+	wireReply lifeReply
+)
+
+func (a *wireArgs) AppendWire(dst []byte) []byte {
+	flags := byte(0)
+	if a.Once {
+		flags |= 1
 	}
-	t.Cleanup(func() { srv.Close() })
-	return srv
+	if a.Fail {
+		flags |= 2
+	}
+	return append(append(dst, flags), a.Tag...)
+}
+
+func (a *wireArgs) ReadWire(body []byte) error {
+	if len(body) < 1 || body[0] > 3 {
+		return errors.New("wireArgs: bad flags")
+	}
+	*a = wireArgs{Tag: string(body[1:]), Once: body[0]&1 != 0, Fail: body[0]&2 != 0}
+	return nil
+}
+
+func (r *wireReply) AppendWire(dst []byte) []byte {
+	return append(append(dst, byte(r.Once)), r.Tag...)
+}
+
+func (r *wireReply) ReadWire(body []byte) error {
+	if len(body) < 1 || body[0] > 1 {
+		return errors.New("wireReply: bad once")
+	}
+	*r = wireReply{Tag: string(body[1:]), Once: int(body[0])}
+	return nil
+}
+
+// WireLife is Life over the laid-out messages.
+type WireLife struct{}
+
+func (WireLife) Echo(in *wireArgs, out *wireReply) error {
+	return Life{}.Echo((*lifeArgs)(in), (*lifeReply)(out))
+}
+
+// lifeServer is Life.Echo served one way, and how a call of it carries
+// the test's lifeArgs and lifeReply.
+type lifeServer struct {
+	name string
+	*Server
+	msgs func(*lifeArgs, *lifeReply) (args, reply any)
+}
+
+// serveLife serves Life.Echo three ways: by reflection over gob
+// messages, and over laid-out ones both by reflection and typed.
+func serveLife(t *testing.T) []lifeServer {
+	t.Helper()
+	start := func(srv *Server, err error) *Server {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		return srv
+	}
+	gob := func(a *lifeArgs, r *lifeReply) (any, any) { return a, r }
+	laidOut := func(a *lifeArgs, r *lifeReply) (any, any) { return (*wireArgs)(a), (*wireReply)(r) }
+	return []lifeServer{
+		{"gob", start(Serve("Life", Life{}, "127.0.0.1:0")), gob},
+		{"reflected", start(Serve("Life", WireLife{}, "127.0.0.1:0")), laidOut},
+		{"typed", start(ServeHandlers("127.0.0.1:0", map[string]Handler{"Life.Echo": Method(WireLife{}.Echo)})), laidOut},
+	}
+}
+
+// sameReplies sends one connection's worth of requests to each server
+// and fails unless all of them answer with the same bytes.
+func sameReplies(t *testing.T, requests []byte, srvs ...*Server) {
+	t.Helper()
+	want := exchange(t, srvs[0].Addr(), requests)
+	if len(want) <= len(preamble) {
+		t.Fatal("no reply frame: the comparison would prove nothing")
+	}
+	for _, srv := range srvs[1:] {
+		if got := exchange(t, srv.Addr(), requests); !bytes.Equal(got, want) {
+			t.Errorf("replies differ across registrations:\n%x\n%x", got, want)
+		}
+	}
+}
+
+// echoCalls is one connection's worth of Life.Echo requests with
+// laid-out arguments.
+func echoCalls(t *testing.T, args ...lifeArgs) []byte {
+	t.Helper()
+	calls := make([]func(*link) error, len(args))
+	for i := range args {
+		calls[i] = func(l *link) error { return l.appendFrame(uint64(i+1), "Life.Echo", "", (*wireArgs)(&args[i])) }
+	}
+	return rawFrames(t, calls...)
 }
 
 // The server keeps one argument and one reply per method on a
 // connection, and each call still sees only its own: an argument field
 // the caller left zero reads zero, a reply field an earlier call set
 // reads zero, and a failed call's half-written reply reaches no later
-// one.
+// one. A typed handler answers with the bytes of a reflected one.
 func TestKeptValuesStartEmpty(t *testing.T) {
-	srv := serveLife(t)
-	conn, err := Dial(srv.Addr(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	for i, c := range []struct {
+	cases := []struct {
 		args lifeArgs
 		want lifeReply
 		fail bool
@@ -70,47 +156,70 @@ func TestKeptValuesStartEmpty(t *testing.T) {
 		{args: lifeArgs{}, want: lifeReply{}},
 		{args: lifeArgs{Tag: "half", Once: true, Fail: true}, fail: true},
 		{args: lifeArgs{Tag: "b"}, want: lifeReply{Tag: "b"}},
-	} {
-		var got lifeReply // fresh: gob leaves omitted fields as they were
-		err := conn.Call("Life.Echo", &c.args, &got)
-		if c.fail {
-			if !Matches(err, errSentinel) {
-				t.Fatalf("call %d: %v, want the handler's failure", i, err)
-			}
-			continue
-		}
-		if err != nil || got != c.want {
-			t.Fatalf("call %d with %+v: %+v, %v; want %+v", i, c.args, got, err, c.want)
-		}
 	}
-}
-
-// Each connection keeps values of its own: two connections calling
-// one method concurrently get their own replies (and the race detector
-// sees no shared write).
-func TestKeptValuesPerConnection(t *testing.T) {
-	srv := serveLife(t)
-	var wg sync.WaitGroup
-	for c := 0; c < 2; c++ {
+	srvs := serveLife(t)
+	for _, srv := range srvs {
 		conn, err := Dial(srv.Addr(), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer conn.Close()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				args := lifeArgs{Tag: fmt.Sprintf("conn%d-%d", c, i), Once: i%2 == 0}
-				var got lifeReply
-				if err := conn.Call("Life.Echo", &args, &got); err != nil || got.Tag != args.Tag || (got.Once == 1) != args.Once {
-					t.Errorf("conn %d call %d: %+v, %v", c, i, got, err)
-					return
+		for i, c := range cases {
+			var got lifeReply // fresh: gob leaves omitted fields as they were
+			args, reply := srv.msgs(&c.args, &got)
+			err := conn.Call("Life.Echo", args, reply)
+			if c.fail {
+				if !Matches(err, errSentinel) {
+					t.Fatalf("%s call %d: %v, want the handler's failure", srv.name, i, err)
 				}
+				continue
 			}
-		}()
+			if err != nil || got != c.want {
+				t.Fatalf("%s call %d with %+v: %+v, %v; want %+v", srv.name, i, c.args, got, err, c.want)
+			}
+		}
 	}
-	wg.Wait()
+	var args []lifeArgs
+	for _, c := range cases {
+		args = append(args, c.args)
+	}
+	sameReplies(t, echoCalls(t, args...), srvs[1].Server, srvs[2].Server)
+}
+
+// Each connection keeps values of its own: two connections calling
+// one method concurrently get their own replies (and the race detector
+// sees no shared write), whichever way the method is registered.
+func TestKeptValuesPerConnection(t *testing.T) {
+	srvs := serveLife(t)
+	for _, srv := range srvs {
+		var wg sync.WaitGroup
+		for c := 0; c < 2; c++ {
+			conn, err := Dial(srv.Addr(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 200; i++ {
+					in := lifeArgs{Tag: fmt.Sprintf("conn%d-%d", c, i), Once: i%2 == 0}
+					var got lifeReply
+					args, reply := srv.msgs(&in, &got)
+					if err := conn.Call("Life.Echo", args, reply); err != nil || got.Tag != in.Tag || (got.Once == 1) != in.Once {
+						t.Errorf("%s conn %d call %d: %+v, %v", srv.name, c, i, got, err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	var args []lifeArgs
+	for i := 0; i < 20; i++ {
+		args = append(args, lifeArgs{Tag: fmt.Sprint(i), Once: i%2 == 0})
+	}
+	sameReplies(t, echoCalls(t, args...), srvs[1].Server, srvs[2].Server)
 }
 
 // A frame header's declared length sizes nothing by itself: a peer

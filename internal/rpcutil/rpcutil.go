@@ -283,13 +283,36 @@ func (l *link) decodeBody(kind byte, body []byte, v any) error {
 	return fmt.Errorf("%w: body kind %d for %T", errMalformed, kind, v)
 }
 
-// handler is one registered method: its func takes the receiver first.
-type handler struct {
-	index       int // of the method's kept values on each connection
-	fn          reflect.Value
-	args, reply reflect.Type // what the two pointer parameters point at
-	gobArgs     bool         // args has no layout: zeroed before each decode
+// Handler is one method a Server answers: typed closures that make the
+// method's argument and reply, zero them, and call it. Method builds
+// one for a func over Wire messages; Serve builds them by reflection.
+type Handler struct {
+	messages  func() (args, reply any)
+	zeroArgs  func(args any) // nil when ReadWire overwrites the argument whole
+	zeroReply func(reply any)
+	call      func(args, reply any) error
 }
+
+// Method is fn as a Handler. Both of fn's messages have layouts, so
+// no call of it ever crosses as gob, and a call reaches fn with no
+// reflection and no allocation of the server's own.
+func Method[A, R any, PA interface {
+	*A
+	Wire
+}, PR interface {
+	*R
+	Wire
+}](fn func(PA, PR) error) Handler {
+	return Handler{
+		messages:  func() (any, any) { return PA(new(A)), PR(new(R)) },
+		zeroReply: func(reply any) { *reply.(PR) = *new(R) },
+		call:      func(args, reply any) error { return fn(args.(PA), reply.(PR)) },
+	}
+}
+
+// Messages makes a new argument and reply of h's method: what a
+// connection keeps for it from the method's first call.
+func (h Handler) Messages() (args, reply any) { return h.messages() }
 
 var (
 	errorType = reflect.TypeOf((*error)(nil)).Elem()
@@ -297,21 +320,32 @@ var (
 )
 
 // handlersOf finds rcvr's exported methods of the form
-// func(*A, *R) error, keyed "name.Method".
-func handlersOf(name string, rcvr any) (map[string]handler, error) {
-	handlers := make(map[string]handler)
-	for i, rt := 0, reflect.TypeOf(rcvr); i < rt.NumMethod(); i++ {
+// func(*A, *R) error, keyed "name.Method". Their messages need no
+// layout: an argument without one is zeroed before each gob decode.
+func handlersOf(name string, rcvr any) (map[string]Handler, error) {
+	handlers := make(map[string]Handler)
+	rv := reflect.ValueOf(rcvr)
+	zero := func(v any) { reflect.ValueOf(v).Elem().SetZero() }
+	for i, rt := 0, rv.Type(); i < rt.NumMethod(); i++ {
 		m := rt.Method(i)
 		t := m.Type
 		if t.NumIn() != 3 || t.In(1).Kind() != reflect.Pointer || t.In(2).Kind() != reflect.Pointer ||
 			t.NumOut() != 1 || t.Out(0) != errorType {
 			continue
 		}
-		if len(name)+1+len(m.Name) > math.MaxUint8 {
-			return nil, fmt.Errorf("rpc: method name %s.%s is over %d bytes", name, m.Name, math.MaxUint8)
+		args, reply := t.In(1).Elem(), t.In(2).Elem()
+		h := Handler{
+			messages:  func() (any, any) { return reflect.New(args).Interface(), reflect.New(reply).Interface() },
+			zeroReply: zero,
+			call: func(a, r any) error {
+				err, _ := m.Func.Call([]reflect.Value{rv, reflect.ValueOf(a), reflect.ValueOf(r)})[0].Interface().(error)
+				return err
+			},
 		}
-		handlers[name+"."+m.Name] = handler{index: len(handlers), fn: m.Func, args: t.In(1).Elem(), reply: t.In(2).Elem(),
-			gobArgs: !t.In(1).Implements(wireType)}
+		if !t.In(1).Implements(wireType) {
+			h.zeroArgs = zero
+		}
+		handlers[name+"."+m.Name] = h
 	}
 	if len(handlers) == 0 {
 		return nil, fmt.Errorf("rpc: %T has no exported func(*A, *R) error methods", rcvr)
@@ -319,13 +353,19 @@ func handlersOf(name string, rcvr any) (map[string]handler, error) {
 	return handlers, nil
 }
 
-// Server hosts one RPC receiver over TCP. It tracks its open
+// registered is a Handler and the index of its kept values on each
+// connection.
+type registered struct {
+	Handler
+	index int
+}
+
+// Server answers a table of methods over TCP. It tracks its open
 // connections so Close can tear them down instead of waiting for
 // every client to hang up.
 type Server struct {
 	listener net.Listener
-	rcvr     reflect.Value
-	handlers map[string]handler
+	handlers map[string]registered
 	wg       sync.WaitGroup
 	mu       sync.Mutex
 	conns    map[net.Conn]struct{}
@@ -347,19 +387,37 @@ type ServerStats struct {
 	BytesIn, BytesOut uint64
 }
 
-// Serve registers rcvr's methods under name and starts serving on
-// addr (e.g. "127.0.0.1:0" for an ephemeral port). It returns once
-// listening; connections are served in the background until Close.
+// Serve registers rcvr's methods under name by reflection and starts
+// serving them on addr, as ServeHandlers does. It is the one way to
+// serve messages without a layout, which cross as gob.
 func Serve(name string, rcvr any, addr string) (*Server, error) {
 	handlers, err := handlersOf(name, rcvr)
 	if err != nil {
 		return nil, err
 	}
+	return ServeHandlers(addr, handlers)
+}
+
+// ServeHandlers starts serving the methods in handlers, keyed by the
+// name callers give ("Name.Method"), on addr (e.g. "127.0.0.1:0" for
+// an ephemeral port). It returns once listening; connections are
+// served in the background until Close.
+func ServeHandlers(addr string, handlers map[string]Handler) (*Server, error) {
+	if len(handlers) == 0 {
+		return nil, errors.New("rpc: no methods to serve")
+	}
+	table := make(map[string]registered, len(handlers))
+	for name, h := range handlers {
+		if name == "" || len(name) > math.MaxUint8 {
+			return nil, fmt.Errorf("rpc: method name %q is not 1 to %d bytes", name, math.MaxUint8)
+		}
+		table[name] = registered{Handler: h, index: len(table)}
+	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{listener: ln, rcvr: reflect.ValueOf(rcvr), handlers: handlers, conns: make(map[net.Conn]struct{})}
+	s := &Server{listener: ln, handlers: table, conns: make(map[net.Conn]struct{})}
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
@@ -396,11 +454,9 @@ func Serve(name string, rcvr any, addr string) (*Server, error) {
 // inline, until the peer hangs up or sends something refused.
 func (s *Server) serveConn(conn net.Conn) {
 	l := newLink(conn)
-	in := [3]reflect.Value{s.rcvr} // receiver, arguments, reply
-	// One argument and one reply value per method, made at its first
-	// call and kept for the connection's life (package comment,
-	// "Ordering").
-	kept := make([][2]reflect.Value, len(s.handlers))
+	// One argument and one reply per method, made at its first call
+	// and kept for the connection's life (package comment, "Ordering").
+	kept := make([][2]any, len(s.handlers))
 	for {
 		f, err := l.readFrame()
 		s.bytesIn.Add(uint64(f.size))
@@ -417,19 +473,19 @@ func (s *Server) serveConn(conn net.Conn) {
 			called bool
 		)
 		h, ok := s.handlers[string(f.method)]
+		var k *[2]any
 		var decodeErr error
 		if ok {
-			k := &kept[h.index]
-			if !k[0].IsValid() {
-				k[0], k[1] = reflect.New(h.args), reflect.New(h.reply)
+			k = &kept[h.index]
+			if k[0] == nil {
+				k[0], k[1] = h.Messages()
 			}
-			in[1], in[2] = k[0], k[1]
 			// ReadWire overwrites a layout; gob leaves a field the
 			// sender's zero value omits as it was.
-			if h.gobArgs {
-				in[1].Elem().SetZero()
+			if h.zeroArgs != nil {
+				h.zeroArgs(k[0])
 			}
-			decodeErr = l.decodeBody(f.kind, f.body, in[1].Interface())
+			decodeErr = l.decodeBody(f.kind, f.body, k[0])
 		}
 		switch {
 		case !ok:
@@ -445,8 +501,8 @@ func (s *Server) serveConn(conn net.Conn) {
 		default:
 			s.calls.Add(1)
 			called = true
-			if err, _ := h.fn.Call(in[:])[0].Interface().(error); err == nil {
-				reply = in[2].Interface()
+			if err := h.call(k[0], k[1]); err == nil {
+				reply = k[1]
 			} else if errMsg = err.Error(); errMsg == "" {
 				errMsg = "rpc: handler failed" // an empty error field means success
 			}
@@ -460,7 +516,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			// Encoded or failed, the reply is done with: the next call's
 			// handler starts from an empty one, and the connection holds
 			// nothing the handler pointed it at.
-			in[2].Elem().SetZero()
+			h.zeroReply(k[1])
 		}
 		n, err := l.flush()
 		s.bytesOut.Add(uint64(n))

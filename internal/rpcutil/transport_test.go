@@ -209,28 +209,41 @@ func (shortBlob) ReadWire([]byte) error        { return errors.New("shortBlob: w
 
 // A layout the method's ReadWire refuses is answered with ReadWire's
 // reason and the connection lives: a layout touches no stream state.
+// A typed handler answers the refusal and the call after it with the
+// bytes of a reflected one.
 func TestRefusedLayoutIsAnsweredAndKept(t *testing.T) {
-	m, srv := serveMixed(t)
-	conn, err := Dial(srv.Addr(), 5*time.Second)
+	m, reflected := serveMixed(t)
+	typed, err := ServeHandlers("127.0.0.1:0", map[string]Handler{"Mixed.Reverse": Method(m.Reverse)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	var se ServerError
-	err = conn.Call("Mixed.Reverse", shortBlob{}, &blob{})
-	if !errors.As(err, &se) || string(se) != "rpc: undecodable arguments for Mixed.Reverse: blob: bad length" {
-		t.Fatalf("refused layout: %v, want a ServerError with ReadWire's reason", err)
+	defer typed.Close()
+	for _, srv := range []*Server{reflected, typed} {
+		conn, err := Dial(srv.Addr(), 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		var se ServerError
+		err = conn.Call("Mixed.Reverse", shortBlob{}, &blob{})
+		if !errors.As(err, &se) || string(se) != "rpc: undecodable arguments for Mixed.Reverse: blob: bad length" {
+			t.Fatalf("refused layout: %v, want a ServerError with ReadWire's reason", err)
+		}
+		if st := srv.Stats(); st.Calls != 0 || st.Rejected != 1 {
+			t.Errorf("stats after the refusal %+v, want no call and 1 rejected", st)
+		}
+		in, out := blob{Data: []byte("abc")}, blob{}
+		if err := conn.Call("Mixed.Reverse", &in, &out); err != nil || string(out.Data) != "cba" {
+			t.Fatalf("call on the same Conn after the refusal: %q, %v", out.Data, err)
+		}
+		if st := srv.Stats(); st.Calls != 1 || st.Rejected != 1 || m.undecoded.Load() != 0 {
+			t.Errorf("stats %+v, undecoded %d; want 1 call, 1 rejected", st, m.undecoded.Load())
+		}
 	}
-	if st := srv.Stats(); st.Calls != 0 || st.Rejected != 1 {
-		t.Errorf("stats after the refusal %+v, want no call and 1 rejected", st)
-	}
-	in, out := blob{Data: []byte("abc")}, blob{}
-	if err := conn.Call("Mixed.Reverse", &in, &out); err != nil || string(out.Data) != "cba" {
-		t.Fatalf("call on the same Conn after the refusal: %q, %v", out.Data, err)
-	}
-	if st := srv.Stats(); st.Calls != 1 || st.Rejected != 1 || m.undecoded.Load() != 0 {
-		t.Errorf("stats %+v, undecoded %d; want 1 call, 1 rejected", st, m.undecoded.Load())
-	}
+	sameReplies(t, rawFrames(t,
+		func(l *link) error { return l.appendFrame(1, "Mixed.Reverse", "", shortBlob{}) },
+		reverseCall(2, "abc"),
+	), reflected, typed)
 }
 
 // A connection cut mid-call surfaces as what both planes retry on: not

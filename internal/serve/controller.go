@@ -364,7 +364,7 @@ func (sc *reportScratch) sync(snap *policySnapshot) error {
 // Start serves the controller RPC on addr (e.g. "127.0.0.1:7070";
 // ":0" for an ephemeral port).
 func (c *Controller) Start(addr string) error {
-	srv, err := rpcutil.Serve("Controller", &ControllerService{c: c}, addr)
+	srv, err := rpcutil.ServeHandlers(addr, c.Handlers())
 	if err != nil {
 		return err
 	}
@@ -372,6 +372,18 @@ func (c *Controller) Start(addr string) error {
 	c.srv = srv
 	c.srvMu.Unlock()
 	return nil
+}
+
+// Handlers is the controller's RPC methods, keyed by the names agents
+// call. Register is called at an agent's startup, and again after a
+// controller restart or a lease expiry: each call issues a fresh epoch,
+// fencing off any zombie agent still holding the previous one. Report
+// is called once per control interval.
+func (c *Controller) Handlers() map[string]rpcutil.Handler {
+	return map[string]rpcutil.Handler{
+		"Controller.Register": rpcutil.Method(c.register),
+		"Controller.Report":   rpcutil.Method(c.report),
+	}
 }
 
 // Addr reports the RPC listen address (after Start).

@@ -275,21 +275,3 @@ func (r *ReportReply) ReadWire(body []byte) error {
 	r.PolicyVersion = int(int64(binary.BigEndian.Uint64(body[2:])))
 	return nil
 }
-
-// ControllerService is the receiver a Controller serves over rpcutil.
-type ControllerService struct {
-	c *Controller
-}
-
-// Register is the RPC method agents call at startup — and again after
-// a controller restart or lease expiry. Each call issues a fresh
-// epoch, fencing off any zombie agent instance still holding the
-// previous one.
-func (s *ControllerService) Register(args *RegisterNodeArgs, reply *RegisterNodeReply) error {
-	return s.c.register(args, reply)
-}
-
-// Report is the RPC method agents call once per control interval.
-func (s *ControllerService) Report(args *ReportArgs, reply *ReportReply) error {
-	return s.c.report(args, reply)
-}

@@ -203,12 +203,12 @@ func TestNodeIDBounds(t *testing.T) {
 }
 
 // reportAllocBudget is what one steady Report costs in allocations,
-// client and server together. Both are reflect.Value.Call's, on the
-// server: the []reflect.Value it returns and the cell it boxes the
-// handler's error result in. The call's messages are the connection's
-// kept values, the node ID is kept while it matches, and the reply
-// shares the controller's stored last-known-good.
-const reportAllocBudget = 2
+// client and server together: none. The server keeps the call's typed
+// messages per connection and reaches the handler through
+// rpcutil.Method, with no reflection per call; the node ID is kept
+// while it matches, and the reply shares the controller's stored
+// last-known-good.
+const reportAllocBudget = 0
 
 // skipUnderRace skips an allocation gate in a race-detector build.
 func skipUnderRace(t *testing.T) {

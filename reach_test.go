@@ -349,7 +349,8 @@ func (r *tree) drain() {
 					r.mark(o)
 				}
 			case *ast.CallExpr:
-				// rpcutil.Serve(name, rcvr, addr) registers rcvr's exported methods by reflection.
+				// rpcutil.Serve(name, rcvr, addr) registers rcvr's exported methods by reflection:
+				// bench's Echo is registered so. A typed handler (rpcutil.Method) names its func.
 				if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Serve" && len(n.Args) == 3 {
 					if f := r.info.Uses[sel.Sel]; f != nil && f.Pkg() != nil && f.Pkg().Path() == "greennfv/internal/rpcutil" {
 						ms := types.NewMethodSet(r.info.TypeOf(n.Args[1]))

@@ -18,7 +18,8 @@ gates=(
 	# Fault tolerance: actor crash (injected by this package's test
 	# binary in its actor role) + respawn, lossy proxy, learner SIGKILL
 	# + resume; a fleet that fails for good stops the learner; a pushed
-	# batch with a malformed row is refused whole before the replay;
+	# batch with a malformed row is refused whole before the replay; an
+	# actor ID outside the fleet is refused before it becomes a record;
 	# serialize → restore bit-identical (weights and next updates) at
 	# agent and trainer level, both precisions, the trainer's file
 	# pinned byte for byte. And the reference loop:
@@ -30,19 +31,23 @@ gates=(
 	# is loaded (the fuzz target's seed run too). A replay snapshot
 	# resumes at its own stripe count, across GOMAXPROCS and modes, bit
 	# for bit.
-	"./internal/rl/apex TestChaosKillResume|TestFleetFailureStopsLearner|TestPushRejectsMalformedExperience|TestTrainerCheckpointResume|TestWriteReadCheckpoint|TestTrainerFingerprint|FuzzTrainerCheckpoint|TestResumeRefusesGobNetworks|TestResumeAcrossGOMAXPROCS|TestResumeRejectsMissingAndMismatched"
+	"./internal/rl/apex TestChaosKillResume|TestFleetFailureStopsLearner|TestPushRejectsMalformedExperience|TestRegisterRefusesIDOutsideFleet|TestTrainerCheckpointResume|TestWriteReadCheckpoint|TestTrainerFingerprint|FuzzTrainerCheckpoint|TestResumeRefusesGobNetworks|TestResumeAcrossGOMAXPROCS|TestResumeRejectsMissingAndMismatched"
 	# The learner's six messages are fixed layouts: each at its length,
 	# a push malformed in any region refused by row and field before
 	# the replay, and whatever a push body holds either refused or read
 	# back byte for byte with every float finite (the fuzz target's
 	# seed run).
 	"./internal/rl/apex TestLearnerMessageLayouts|FuzzPushWire"
-	# No gob on either plane: every RPC method of the learner's and the
-	# controller's services takes and returns rpcutil.Wire types, and a
-	# refused layout is answered on a connection that stays usable.
+	# No gob on either plane: the learner's and the controller's handler
+	# tables hold the method names peers call, every handler in them makes
+	# rpcutil.Wire messages, and a refused layout is answered — by a typed
+	# handler with a reflected one's bytes — on a connection that stays
+	# usable.
 	"./internal/rpcutil TestServiceMessagesAreLaidOut|TestRefusedLayoutIsAnsweredAndKept"
 	# A connection's kept messages: each call sees only its own argument
-	# and an empty reply, on one connection and on two at once; a frame
+	# and an empty reply, on one connection and on two at once, whether
+	# the method is registered typed or by reflection, and the two
+	# registrations answer byte for byte alike; a frame
 	# header's declared length sizes no buffer ahead of its bytes.
 	"./internal/rpcutil TestKeptValuesStartEmpty|TestKeptValuesPerConnection|TestDeclaredLengthSizesNothing|TestGrownBufferReadsWholeFrames"
 	# One actor, one stepping loop: the in-process driver and round-robin
@@ -156,6 +161,19 @@ if go list -f '{{join .Imports " "}}' ./internal/rl/ddpg ./internal/rl/apex ./in
 	exit 1
 fi
 echo "gates: no encoding/gob in internal/rl/ddpg, internal/rl/apex or internal/serve"
+
+# Both planes register typed handlers (rpcutil.Method): no non-test
+# file of apex or serve calls the reflective rpcutil.Serve or imports
+# reflect, so no call of theirs runs reflection per frame.
+if go list -f '{{join .Imports " "}}' ./internal/rl/apex ./internal/serve | grep -qw 'reflect'; then
+	echo "gates: a non-test file in internal/rl/apex or internal/serve imports reflect" >&2
+	exit 1
+fi
+if grep -n 'rpcutil\.Serve(' $(go list -f '{{range .GoFiles}}{{$.Dir}}/{{.}} {{end}}' ./internal/rl/apex ./internal/serve); then
+	echo "gates: a non-test file in internal/rl/apex or internal/serve registers by reflection (rpcutil.Serve)" >&2
+	exit 1
+fi
+echo "gates: no reflection in internal/rl/apex or internal/serve"
 
 for gate in "${gates[@]}"; do
 	pkg=${gate%% *}
