@@ -33,6 +33,18 @@ func benchOptions() experiments.Options {
 	return o
 }
 
+// benchSuite is a fresh suite at o. The Fig benchmarks build one per
+// iteration, so every iteration trains its models instead of timing
+// the models an earlier iteration's suite kept.
+func benchSuite(b *testing.B, o experiments.Options) *experiments.Suite {
+	b.Helper()
+	s, err := experiments.NewSuite(o)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return s
+}
+
 var benchPrintOnce sync.Map
 
 func printTableOnce(b *testing.B, t *experiments.Table) {
@@ -87,7 +99,7 @@ func BenchmarkFig04DMABuffer(b *testing.B) {
 func BenchmarkFig06TrainMaxThroughput(b *testing.B) {
 	o := benchOptions()
 	for i := 0; i < b.N; i++ {
-		t, g, err := experiments.Fig6(o)
+		t, g, err := benchSuite(b, o).Fig6()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -127,7 +139,7 @@ func BenchmarkFig06TrainParallel(b *testing.B) {
 func BenchmarkFig07TrainMinEnergy(b *testing.B) {
 	o := benchOptions()
 	for i := 0; i < b.N; i++ {
-		t, g, err := experiments.Fig7(o)
+		t, g, err := benchSuite(b, o).Fig7()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -143,7 +155,7 @@ func BenchmarkFig07TrainMinEnergy(b *testing.B) {
 func BenchmarkFig08TrainEfficiency(b *testing.B) {
 	o := benchOptions()
 	for i := 0; i < b.N; i++ {
-		t, g, err := experiments.Fig8(o)
+		t, g, err := benchSuite(b, o).Fig8()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -157,7 +169,7 @@ func BenchmarkFig08TrainEfficiency(b *testing.B) {
 func BenchmarkFig09ModelComparison(b *testing.B) {
 	o := benchOptions()
 	for i := 0; i < b.N; i++ {
-		t, rows, err := experiments.Fig9(o)
+		t, rows, err := benchSuite(b, o).Fig9()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -176,7 +188,7 @@ func BenchmarkFig09ModelComparison(b *testing.B) {
 func BenchmarkFig10FixedSLA(b *testing.B) {
 	o := benchOptions()
 	for i := 0; i < b.N; i++ {
-		t, err := experiments.Fig10(o)
+		t, err := benchSuite(b, o).Fig10()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -187,7 +199,7 @@ func BenchmarkFig10FixedSLA(b *testing.B) {
 func BenchmarkFig11AmortizedSaving(b *testing.B) {
 	o := benchOptions()
 	for i := 0; i < b.N; i++ {
-		t, err := experiments.Fig11(o)
+		t, err := benchSuite(b, o).Fig11()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -219,7 +231,7 @@ func BenchmarkAblationPER(b *testing.B) {
 	o := benchOptions()
 	o.TrainSteps = 600
 	for i := 0; i < b.N; i++ {
-		t, err := experiments.AblationPER(o)
+		t, err := benchSuite(b, o).AblationPER()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -231,7 +243,7 @@ func BenchmarkAblationActors(b *testing.B) {
 	o := benchOptions()
 	o.TrainSteps = 400
 	for i := 0; i < b.N; i++ {
-		t, err := experiments.AblationActors(o)
+		t, err := benchSuite(b, o).AblationActors()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -243,7 +255,7 @@ func BenchmarkAblationKnobs(b *testing.B) {
 	o := benchOptions()
 	o.TrainSteps = 400
 	for i := 0; i < b.N; i++ {
-		t, err := experiments.AblationKnobs(o)
+		t, err := benchSuite(b, o).AblationKnobs()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -255,7 +267,7 @@ func BenchmarkAblationReward(b *testing.B) {
 	o := benchOptions()
 	o.TrainSteps = 400
 	for i := 0; i < b.N; i++ {
-		t, err := experiments.AblationReward(o)
+		t, err := benchSuite(b, o).AblationReward()
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -14,6 +14,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"log"
@@ -21,10 +22,36 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 
 	"greennfv/internal/experiments"
 	"greennfv/internal/sweep"
 )
+
+// jobs is every experiment -only selects, in the order a full run
+// prints them.
+var jobs = []struct {
+	id  string
+	run func(*experiments.Suite) (*experiments.Table, error)
+}{
+	{"fig1", func(*experiments.Suite) (*experiments.Table, error) { return experiments.Fig1() }},
+	{"fig2", func(*experiments.Suite) (*experiments.Table, error) { return experiments.Fig2() }},
+	{"fig3", func(*experiments.Suite) (*experiments.Table, error) { return experiments.Fig3() }},
+	{"fig4", func(*experiments.Suite) (*experiments.Table, error) { return experiments.Fig4() }},
+	{"fig6", func(s *experiments.Suite) (*experiments.Table, error) { t, _, err := s.Fig6(); return t, err }},
+	{"fig7", func(s *experiments.Suite) (*experiments.Table, error) { t, _, err := s.Fig7(); return t, err }},
+	{"fig8", func(s *experiments.Suite) (*experiments.Table, error) { t, _, err := s.Fig8(); return t, err }},
+	{"fig9", func(s *experiments.Suite) (*experiments.Table, error) { t, _, err := s.Fig9(); return t, err }},
+	{"fig10", (*experiments.Suite).Fig10},
+	{"fig11", (*experiments.Suite).Fig11},
+	{"validation-des", func(*experiments.Suite) (*experiments.Table, error) { return experiments.ValidationDES() }},
+	{"consolidation", func(*experiments.Suite) (*experiments.Table, error) { return experiments.ExpConsolidation() }},
+	{"ablation-per", (*experiments.Suite).AblationPER},
+	{"ablation-actors", (*experiments.Suite).AblationActors},
+	{"ablation-knobs", (*experiments.Suite).AblationKnobs},
+	{"ablation-reward", (*experiments.Suite).AblationReward},
+	{"figcluster", func(s *experiments.Suite) (*experiments.Table, error) { t, _, err := s.FigCluster(); return t, err }},
+}
 
 func main() {
 	log.SetFlags(0)
@@ -38,7 +65,11 @@ func main() {
 // every exit path (log.Fatal in main would skip them).
 func run() error {
 	full := flag.Bool("full", false, "use the experiments.Full() budgets instead of Quick()")
-	only := flag.String("only", "", "run a single experiment: fig1..fig4, fig6..fig11, figcluster, ablations")
+	var ids []string
+	for _, j := range jobs {
+		ids = append(ids, j.id)
+	}
+	only := flag.String("only", "", "run a single experiment: "+strings.Join(ids, ", ")+", or ablations (every ablation-*)")
 	csvDir := flag.String("csv", "", "also write CSV files into this directory")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the figure runs to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile (after GC) to this file on exit")
@@ -91,18 +122,24 @@ func run() error {
 			cfg.Topos = sweep.DefaultTopos()
 			cfg.Placements = sweep.DefaultPlacements()
 		}
-		results, runErr := sweep.Run(cfg)
+		// Open the output before the grid runs: a bad path costs nothing.
 		out := os.Stdout
 		if *sweepOut != "" {
 			f, err := os.Create(*sweepOut)
 			if err != nil {
 				return err
 			}
-			defer f.Close()
+			defer f.Close() // error paths; the written file's Close is checked below
 			out = f
 		}
+		results, runErr := sweep.Run(cfg)
 		if err := sweep.WriteJSONL(out, results); err != nil {
 			return err
+		}
+		if out != os.Stdout {
+			if err := out.Close(); err != nil {
+				return err
+			}
 		}
 		// A row without an error and without training time took its
 		// measurements from an earlier cell built from the same inputs.
@@ -129,36 +166,16 @@ func run() error {
 		return nil
 	}
 
-	type job struct {
-		id  string
-		run func() (*experiments.Table, error)
+	suite, err := experiments.NewSuite(o)
+	if err != nil {
+		return err
 	}
-	jobs := []job{
-		{"fig1", func() (*experiments.Table, error) { return experiments.Fig1() }},
-		{"fig2", func() (*experiments.Table, error) { return experiments.Fig2() }},
-		{"fig3", func() (*experiments.Table, error) { return experiments.Fig3() }},
-		{"fig4", func() (*experiments.Table, error) { return experiments.Fig4() }},
-		{"fig6", func() (*experiments.Table, error) { t, _, err := experiments.Fig6(o); return t, err }},
-		{"fig7", func() (*experiments.Table, error) { t, _, err := experiments.Fig7(o); return t, err }},
-		{"fig8", func() (*experiments.Table, error) { t, _, err := experiments.Fig8(o); return t, err }},
-		{"fig9", func() (*experiments.Table, error) { t, _, err := experiments.Fig9(o); return t, err }},
-		{"fig10", func() (*experiments.Table, error) { return experiments.Fig10(o) }},
-		{"fig11", func() (*experiments.Table, error) { return experiments.Fig11(o) }},
-		{"validation-des", func() (*experiments.Table, error) { return experiments.ValidationDES() }},
-		{"consolidation", func() (*experiments.Table, error) { return experiments.ExpConsolidation() }},
-		{"ablation-per", func() (*experiments.Table, error) { return experiments.AblationPER(o) }},
-		{"ablation-actors", func() (*experiments.Table, error) { return experiments.AblationActors(o) }},
-		{"ablation-knobs", func() (*experiments.Table, error) { return experiments.AblationKnobs(o) }},
-		{"ablation-reward", func() (*experiments.Table, error) { return experiments.AblationReward(o) }},
-		{"figcluster", func() (*experiments.Table, error) { t, _, err := experiments.FigCluster(o); return t, err }},
-	}
-
 	ran := 0
 	for _, j := range jobs {
-		if *only != "" && j.id != *only && !(*only == "ablations" && len(j.id) > 3 && j.id[:3] == "abl") {
+		if *only != "" && j.id != *only && !(*only == "ablations" && strings.HasPrefix(j.id, "ablation-")) {
 			continue
 		}
-		t, err := j.run()
+		t, err := j.run(suite)
 		if err != nil {
 			return fmt.Errorf("%s: %w", j.id, err)
 		}
@@ -169,15 +186,11 @@ func run() error {
 			if err := os.MkdirAll(*csvDir, 0o755); err != nil {
 				return err
 			}
-			f, err := os.Create(filepath.Join(*csvDir, t.ID+".csv"))
-			if err != nil {
+			var b bytes.Buffer
+			if err := t.WriteCSV(&b); err != nil {
 				return err
 			}
-			if err := t.WriteCSV(f); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
+			if err := os.WriteFile(filepath.Join(*csvDir, t.ID+".csv"), b.Bytes(), 0o666); err != nil {
 				return err
 			}
 		}
@@ -187,5 +200,8 @@ func run() error {
 		return fmt.Errorf("no experiment matches -only %q", *only)
 	}
 	fmt.Printf("ran %d experiments\n", ran)
+	if models, arms := suite.Trained(); arms > 0 {
+		fmt.Fprintf(os.Stderr, "experiments: trained %d Ape-X models for %d arms\n", models, arms)
+	}
 	return nil
 }

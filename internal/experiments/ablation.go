@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"greennfv/internal/control"
 	"greennfv/internal/env"
 	"greennfv/internal/perfmodel"
 	"greennfv/internal/pool"
@@ -33,21 +32,14 @@ func lateEfficiency(snaps []apex.Snapshot) float64 {
 // AblationPER compares prioritized vs uniform replay at equal budget
 // (the Ape-X design claim), holding everything else fixed: both arms
 // train one DDPG agent through the identical single-actor loop. It is
-// the one trained table outside runArms: its arms are single agents,
-// not Ape-X controllers.
-func AblationPER(o Options) (*Table, error) {
-	if err := o.Validate(); err != nil {
-		return nil, err
-	}
-	// The two arms are independent trainings; run them concurrently.
-	var per, uni float64
+// the one trained table that runs no arms: its trainings are single
+// agents, not Ape-X controllers.
+func (s *Suite) AblationPER() (*Table, error) {
+	// The two trainings are independent; run them concurrently.
+	var eff [2]float64 // prioritized, uniform
 	err := pool.ForEach(2, 0, func(i int) error {
 		var err error
-		if i == 0 {
-			per, err = trainEESingle(o, true)
-		} else {
-			uni, err = trainEESingle(o, false)
-		}
+		eff[i], err = s.trainEESingle(i == 0)
 		return err
 	})
 	if err != nil {
@@ -58,15 +50,16 @@ func AblationPER(o Options) (*Table, error) {
 		Title:   "Prioritized vs uniform replay (final-quarter mean efficiency, Gbps/kJ)",
 		Columns: []string{"replay", "efficiency"},
 	}
-	t.AddRow("prioritized", f2(per))
-	t.AddRow("uniform", f2(uni))
+	t.AddRow("prioritized", f2(eff[0]))
+	t.AddRow("uniform", f2(eff[1]))
 	return t, nil
 }
 
-// trainEESingle is one single-agent DDPG training arm with the
-// replay variant selected by prioritized.
-func trainEESingle(o Options, prioritized bool) (float64, error) {
-	e, err := envFactory(sla.NewEnergyEfficiency())(o.Seed, perfmodel.EvalOptions{})
+// trainEESingle is one single-agent DDPG training with the replay
+// variant selected by prioritized.
+func (s *Suite) trainEESingle(prioritized bool) (float64, error) {
+	o := s.o
+	e, err := arm{sla: s.ee}.envFactory()(o.Seed, perfmodel.EvalOptions{})
 	if err != nil {
 		return 0, err
 	}
@@ -78,8 +71,7 @@ func trainEESingle(o Options, prioritized bool) (float64, error) {
 		return 0, err
 	}
 	state := e.Reset(o.Seed)
-	var sum float64
-	n := 0
+	var sum float64 // efficiency over the last quarter of the steps
 	for i := 0; i < o.TrainSteps; i++ {
 		action := make([]float64, cfg.ActionDim) // the replay keeps it
 		if err := agent.ActInto(state, true, action); err != nil {
@@ -99,28 +91,21 @@ func trainEESingle(o Options, prioritized bool) (float64, error) {
 		state = next
 		if i >= o.TrainSteps*3/4 {
 			sum += info.Efficiency
-			n++
 		}
 	}
-	if n == 0 {
-		return 0, nil
-	}
-	return sum / float64(n), nil
+	return sum / float64(o.TrainSteps-o.TrainSteps*3/4), nil
 }
 
 // AblationActors sweeps the Ape-X actor count at a fixed total step
 // budget.
-func AblationActors(o Options) (*Table, error) {
-	if err := o.Validate(); err != nil {
-		return nil, err
-	}
-	ee := sla.NewEnergyEfficiency()
+func (s *Suite) AblationActors() (*Table, error) {
 	counts := []int{1, 2, 4, 8}
 	arms := make([]arm, len(counts))
 	for i, actors := range counts {
-		arms[i] = arm{c: control.NewGreenNFV(ee, o.TrainSteps, actors, o.Seed), env: envFactory(ee)}
+		arms[i] = arm{kind: greenNFV, sla: s.ee, actors: actors, seed: s.o.Seed}
 	}
-	if _, err := runArms(arms); err != nil {
+	cs, _, err := s.run(arms)
+	if err != nil {
 		return nil, err
 	}
 	t := &Table{
@@ -129,24 +114,24 @@ func AblationActors(o Options) (*Table, error) {
 		Columns: []string{"actors", "efficiency"},
 	}
 	for i, actors := range counts {
-		t.AddRow(itoa(actors), f2(lateEfficiency(snapshots(arms[i]))))
+		t.AddRow(itoa(actors), f2(lateEfficiency(snapshots(cs[i]))))
 	}
 	return t, nil
 }
 
 // AblationKnobs freezes one knob at a time at platform defaults and
 // retrains, quantifying each knob's contribution.
-func AblationKnobs(o Options) (*Table, error) {
-	if err := o.Validate(); err != nil {
-		return nil, err
-	}
+func (s *Suite) AblationKnobs() (*Table, error) {
 	// Arm 0 is the all-tunable reference; arm k+1 freezes knob k.
-	ee := sla.NewEnergyEfficiency()
-	arms := []arm{{c: control.NewGreenNFV(ee, o.TrainSteps, o.Actors, o.Seed), env: envFactory(ee)}}
-	for k := 0; k < env.KnobsPerNF; k++ {
-		arms = append(arms, arm{c: control.NewGreenNFV(ee, o.TrainSteps, o.Actors, o.Seed), env: envFactory(ee, k)})
+	arms := make([]arm, 1+env.KnobsPerNF)
+	for i := range arms {
+		arms[i] = arm{kind: greenNFV, sla: s.ee, actors: s.o.Actors, seed: s.o.Seed}
+		if i > 0 {
+			arms[i].frozen[i-1] = true
+		}
 	}
-	if _, err := runArms(arms); err != nil {
+	cs, _, err := s.run(arms)
+	if err != nil {
 		return nil, err
 	}
 	names := []string{"CPU share", "frequency", "LLC", "DMA", "batch"}
@@ -155,10 +140,10 @@ func AblationKnobs(o Options) (*Table, error) {
 		Title:   "Knob contribution: efficiency with each knob frozen at defaults",
 		Columns: []string{"frozen knob", "efficiency", "vs all-tunable"},
 	}
-	full := lateEfficiency(snapshots(arms[0]))
+	full := lateEfficiency(snapshots(cs[0]))
 	t.AddRow("(none)", f2(full), "100%")
 	for k, name := range names {
-		eff := lateEfficiency(snapshots(arms[k+1]))
+		eff := lateEfficiency(snapshots(cs[k+1]))
 		t.AddRow(name, f2(eff), f0(eff/full*100)+"%")
 	}
 	return t, nil
@@ -168,24 +153,17 @@ func AblationKnobs(o Options) (*Table, error) {
 // outside the constraint) against penalty shaping for the
 // MaxThroughput SLA, reporting throughput and violation rate over the
 // last quarter of training.
-func AblationReward(o Options) (*Table, error) {
-	if err := o.Validate(); err != nil {
-		return nil, err
-	}
-	hard, err := sla.NewMaxThroughput(2000)
-	if err != nil {
-		return nil, err
-	}
-	shaped := hard
+func (s *Suite) AblationReward() (*Table, error) {
+	shaped := s.maxT
 	shaped.PenaltyWeight = 2.0
 
 	names := []string{"hard (paper)", "penalty-shaped"}
-	slas := []sla.SLA{hard, shaped}
-	arms := make([]arm, len(slas))
-	for i, s := range slas {
-		arms[i] = arm{c: control.NewGreenNFV(s, o.TrainSteps, o.Actors, o.Seed), env: envFactory(s)}
+	arms := []arm{
+		{kind: greenNFV, sla: s.maxT, actors: s.o.Actors, seed: s.o.Seed},
+		{kind: greenNFV, sla: shaped, actors: s.o.Actors, seed: s.o.Seed},
 	}
-	if _, err := runArms(arms); err != nil {
+	cs, _, err := s.run(arms)
+	if err != nil {
 		return nil, err
 	}
 	t := &Table{
@@ -193,10 +171,10 @@ func AblationReward(o Options) (*Table, error) {
 		Title:   "Hard-constraint (paper) vs penalty-shaped reward, MaxT SLA E<=2000J",
 		Columns: []string{"reward", "Gbps", "Energy J", "violation rate"},
 	}
-	for i, s := range slas {
-		snaps := snapshots(arms[i])
+	for i, a := range arms {
+		snaps := snapshots(cs[i])
 		late := snaps[len(snaps)*3/4:]
-		tracker := sla.NewTracker(s)
+		tracker := sla.NewTracker(a.sla)
 		var tput, energy float64
 		for _, sn := range late {
 			tracker.Observe(sn.ThroughputGbps, sn.EnergyJ)

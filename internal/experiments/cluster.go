@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"greennfv/internal/env"
-	"greennfv/internal/sla"
 	"greennfv/internal/sweep"
 )
 
@@ -18,21 +17,18 @@ import (
 // busts it, the SLA pressure that makes placement matter).
 // Deterministic (round-robin training, fixed seeds): the table
 // byte-diffs across runs.
-func FigCluster(o Options) (*Table, []sweep.Result, error) {
-	if err := o.Validate(); err != nil {
-		return nil, nil, err
-	}
+func (s *Suite) FigCluster() (*Table, []sweep.Result, error) {
 	rows, err := sweep.Run(sweep.Config{
-		Seeds: []int64{o.Seed},
-		Tiers: []sweep.Tier{{Name: "ee", SLA: sla.NewEnergyEfficiency()}},
+		Seeds: []int64{s.o.Seed},
+		Tiers: []sweep.Tier{{Name: "ee", SLA: s.ee}},
 		Mixes: []sweep.Mix{{Name: "standard", Flows: env.StandardWorkload(), LoadJitter: 0.05}},
 		Topos: []sweep.Topo{
 			{Name: "hetero-2", Nodes: 2}, {Name: "hetero-4", Nodes: 4}, {Name: "hetero-8", Nodes: 8},
 		},
 		Placements:   sweep.DefaultPlacements(),
-		TrainSteps:   o.TrainSteps,
-		Actors:       o.Actors,
-		ControlSteps: o.ControlSteps,
+		TrainSteps:   s.o.TrainSteps,
+		Actors:       s.o.Actors,
+		ControlSteps: s.o.ControlSteps,
 	})
 	if err != nil {
 		return nil, nil, err

@@ -19,11 +19,11 @@ func tinyOptions() Options {
 // TestFigClusterDeterministic pins the acceptance criterion: the
 // rendered table must be byte-identical across runs.
 func TestFigClusterDeterministic(t *testing.T) {
-	t1, rows1, err := FigCluster(tinyOptions())
+	t1, rows1, err := newSuite(t, tinyOptions()).FigCluster()
 	if err != nil {
 		t.Fatal(err)
 	}
-	t2, _, err := FigCluster(tinyOptions())
+	t2, _, err := newSuite(t, tinyOptions()).FigCluster()
 	if err != nil {
 		t.Fatal(err)
 	}

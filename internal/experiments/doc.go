@@ -7,18 +7,18 @@
 // rows/series the paper plots; renderers emit aligned ASCII tables
 // and CSV.
 //
-// # One figure harness
+// # One figure suite
 //
-// Every trained figure — 6 to 11 and the actor, knob and reward
-// ablations — is a list of arms plus a formatter. An arm is a
-// control.Controller, the environment factory it trains on (its SLA
-// and frozen knobs), a deploy seed and a deploy length; runArms
-// prepares and deploys them all over one pool.ForEach, deploying
-// through control.Deploy. Figures 9 and 11 format settled means of
-// the series, Figure 10 the series, and train-only arms (deploy
-// length 0) their training snapshots. AblationPER stays outside: it
-// trains a single DDPG agent, not an Ape-X controller, and porting it
-// would change its table. FigCluster is a sweep.Run grid.
+// Every trained figure — 6 to 11 and the ablations — is a method on a
+// Suite built once from Options. A figure declares its arms as data
+// (controller kind, SLA, frozen knobs, actors, training seed, deploy
+// seed and length), and the suite builds each arm's controller and
+// environments from those fields alone. As in the paper, each SLA model
+// trains once and runs many times: a GreenNFV arm whose training inputs
+// the suite has seen deploys that model, so all figures train 14 models
+// for 21 GreenNFV arms. Other controllers are prepared per arm. The arms
+// of one model deploy in order, in one pool job. AblationPER trains
+// single DDPG agents, not arms; FigCluster is a sweep.Run grid.
 //
 // # Concurrency and determinism
 //
@@ -26,9 +26,10 @@
 // given its seeds, map-ordered outputs are sorted before rendering,
 // and the cell formatters are the strconv call fmt's %.Nf makes. The
 // Figure 1–4 grids are serial loops, one perfmodel.Evaluate per
-// evaluated point. Parallelism never changes bytes — the arms run
+// evaluated point. Parallelism never changes bytes — the jobs run
 // through pool.ForEach, which is order-preserving at any worker
-// count, and each arm owns its controller. Trained figures use the
+// count, each job owns its controller, and a shared model renders the
+// same table in any figure order. Trained figures use the
 // deterministic round-robin Ape-X mode, never the parallel or remote
 // modes. The figure-output byte-diff against the previous commit
 // (scripts/figdiff.sh) is the regression gate every perf change must

@@ -34,69 +34,57 @@ func (t *Table) Render(w io.Writer) error {
 	}
 	for _, row := range t.Rows {
 		for i, cell := range row {
-			if i < len(widths) && len(cell) > widths[i] {
-				widths[i] = len(cell)
-			}
-		}
-	}
-	if _, err := fmt.Fprintf(w, "%s — %s\n", t.ID, t.Title); err != nil {
-		return err
-	}
-	line := func(cells []string) string {
-		parts := make([]string, len(cells))
-		for i, c := range cells {
 			if i < len(widths) {
-				parts[i] = fmt.Sprintf("%-*s", widths[i], c)
-			} else {
-				parts[i] = c
+				widths[i] = max(widths[i], len(cell))
 			}
 		}
-		return strings.Join(parts, "  ")
 	}
-	if _, err := fmt.Fprintln(w, line(t.Columns)); err != nil {
-		return err
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s — %s\n", t.ID, t.Title)
+	line := func(cells []string) {
+		for i, c := range cells {
+			if i > 0 {
+				b.WriteString("  ")
+			}
+			if i < len(widths) {
+				fmt.Fprintf(&b, "%-*s", widths[i], c)
+			} else {
+				b.WriteString(c)
+			}
+		}
+		b.WriteByte('\n')
 	}
+	line(t.Columns)
 	total := len(widths) - 1
 	for _, wd := range widths {
 		total += wd + 1
 	}
-	if _, err := fmt.Fprintln(w, strings.Repeat("-", total)); err != nil {
-		return err
-	}
+	b.WriteString(strings.Repeat("-", total) + "\n")
 	for _, row := range t.Rows {
-		if _, err := fmt.Fprintln(w, line(row)); err != nil {
-			return err
-		}
+		line(row)
 	}
-	_, err := fmt.Fprintln(w)
+	b.WriteByte('\n')
+	_, err := io.WriteString(w, b.String())
 	return err
 }
 
-// WriteCSV emits the table as CSV.
+// WriteCSV emits the table as CSV, quoting the cells with a comma, quote or newline.
 func (t *Table) WriteCSV(w io.Writer) error {
-	esc := func(s string) string {
-		if strings.ContainsAny(s, ",\"\n") {
-			return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
-		}
-		return s
-	}
-	cols := make([]string, len(t.Columns))
-	for i, c := range t.Columns {
-		cols[i] = esc(c)
-	}
-	if _, err := fmt.Fprintln(w, strings.Join(cols, ",")); err != nil {
-		return err
-	}
-	for _, row := range t.Rows {
-		cells := make([]string, len(row))
+	var b strings.Builder
+	for _, row := range append([][]string{t.Columns}, t.Rows...) {
 		for i, c := range row {
-			cells[i] = esc(c)
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			if strings.ContainsAny(c, ",\"\n") {
+				c = `"` + strings.ReplaceAll(c, `"`, `""`) + `"`
+			}
+			b.WriteString(c)
 		}
-		if _, err := fmt.Fprintln(w, strings.Join(cells, ",")); err != nil {
-			return err
-		}
+		b.WriteByte('\n')
 	}
-	return nil
+	_, err := io.WriteString(w, b.String())
+	return err
 }
 
 // Options scales the experiment suite: Quick shrinks the RL training
@@ -133,69 +121,152 @@ func (o Options) Validate() error {
 	return nil
 }
 
-// envFactory returns the standard single-node environment factory the
-// trained figures share: standard chain, five-flow workload, mild load
-// jitter, the SLA s, and the listed knobs (indices into an NF's
-// env.KnobsPerNF block) frozen at platform defaults.
-func envFactory(s sla.SLA, frozen ...int) control.EnvFactory {
-	var mask [env.KnobsPerNF]bool
-	for _, k := range frozen {
-		mask[k] = true
+// Suite runs the trained figures at one set of Options and trains
+// each distinct GreenNFV model once: an arm whose key an earlier arm
+// of the suite trained deploys that model and skips Prepare. It keeps
+// the models as long as it lives, and it runs one figure at a time.
+type Suite struct {
+	o Options
+	// The paper's SLAs: MaxThroughput at 2,000 and 3,300 J, MinEnergy
+	// at 7.5 and 7.0 Gbps, and Energy-Efficiency.
+	maxT, maxT3300, minE, minE7, ee sla.SLA
+
+	models    map[arm]control.Controller // prepared GreenNFVs by arm.key
+	greenNFVs int                        // GreenNFV arms run
+}
+
+// NewSuite validates o and builds the paper's SLAs once.
+func NewSuite(o Options) (*Suite, error) {
+	maxT, err1 := sla.NewMaxThroughput(2000)
+	maxT3300, err2 := sla.NewMaxThroughput(3300)
+	minE, err3 := sla.NewMinEnergy(7.5)
+	minE7, err4 := sla.NewMinEnergy(7.0)
+	if err := errors.Join(o.Validate(), err1, err2, err3, err4); err != nil {
+		return nil, err
 	}
+	return &Suite{o: o, maxT: maxT, maxT3300: maxT3300, minE: minE, minE7: minE7,
+		ee: sla.NewEnergyEfficiency(), models: map[arm]control.Controller{}}, nil
+}
+
+// Trained reports the GreenNFV models the suite trained and the GreenNFV arms it ran.
+func (s *Suite) Trained() (models, arms int) { return len(s.models), s.greenNFVs }
+
+// kind is an arm's controller.
+type kind int
+
+const (
+	greenNFV kind = iota
+	baseline
+	heuristic
+	eePstate
+	qLearning
+)
+
+// arm is one controller run of a trained figure, as data. An arm with
+// no deploy steps only trains; its figure reads the trainer.
+type arm struct {
+	kind       kind
+	sla        sla.SLA              // of the environments it trains and deploys on
+	frozen     [env.KnobsPerNF]bool // knobs held at platform defaults
+	actors     int                  // Ape-X actors (GreenNFV only)
+	seed       int64                // training seed (GreenNFV only)
+	deploySeed int64
+	steps      int // control intervals deployed
+}
+
+// key is what the arm trains: the arm without its deployment.
+func (a arm) key() arm {
+	a.deploySeed, a.steps = 0, 0
+	return a
+}
+
+// envFactory is the standard single-node environment every trained
+// figure uses: standard chain, five-flow workload, mild load jitter,
+// and the arm's SLA and frozen knobs at platform defaults.
+func (a arm) envFactory() control.EnvFactory {
 	return func(seed int64, opts perfmodel.EvalOptions) (*env.Env, error) {
 		return env.New(env.Config{
 			Model:       perfmodel.Default(),
 			Chain:       perfmodel.StandardChain(),
 			Bounds:      perfmodel.DefaultBounds(),
-			SLA:         s,
+			SLA:         a.sla,
 			Flows:       env.StandardWorkload(),
 			LoadJitter:  0.03,
-			FrozenKnobs: mask,
+			FrozenKnobs: a.frozen,
 			Options:     opts,
 			Seed:        seed,
 		})
 	}
 }
 
-// arm is one controller run of a trained figure: the controller, the
-// environment factory it trains and is deployed on, and the seed and
-// number of control intervals of its deployment. An arm with no
-// intervals only trains; its figure reads the controller's trainer.
-type arm struct {
-	c     control.Controller
-	env   control.EnvFactory
-	seed  int64
-	steps int
+// controller builds the arm's unprepared controller at the suite's budgets.
+func (s *Suite) controller(a arm) control.Controller {
+	switch a.kind {
+	case baseline:
+		return control.NewBaseline()
+	case heuristic:
+		return control.NewHeuristic()
+	case eePstate:
+		return control.NewEEPstate()
+	case qLearning:
+		return control.NewQLearning(a.sla, s.o.QTrainSteps)
+	default:
+		return control.NewGreenNFV(a.sla, s.o.TrainSteps, a.actors, a.seed)
+	}
 }
 
-// runArms prepares and deploys every arm over one bounded pool and
-// returns each arm's per-interval measurements (control.Deploy) at its
-// index, nil for an arm that only trains. Arms share nothing mutable —
-// each has its own controller, environments and seeds — so the numbers
-// equal a serial loop's at any worker count.
-func runArms(arms []arm) ([][]perfmodel.Result, error) {
-	series := make([][]perfmodel.Result, len(arms))
-	err := pool.ForEach(len(arms), 0, func(i int) error {
-		a := arms[i]
-		if err := a.c.Prepare(a.env); err != nil {
-			return fmt.Errorf("prepare %s: %w", a.c.Name(), err)
+// run prepares and deploys arms over one bounded pool and returns each
+// arm's controller and control.Deploy series (nil if it only trains) at
+// its index. The GreenNFV arms of one key are one job, which prepares
+// the model unless the suite has it, then deploys them in order, since
+// a deploy mutates its controller; any other arm is a job of its own.
+func (s *Suite) run(arms []arm) ([]control.Controller, [][]perfmodel.Result, error) {
+	var jobs [][]int
+	byKey := map[arm]int{}
+	for i, a := range arms {
+		if a.kind == greenNFV {
+			s.greenNFVs++
+			if j, ok := byKey[a.key()]; ok {
+				jobs[j] = append(jobs[j], i)
+				continue
+			}
+			byKey[a.key()] = len(jobs)
 		}
-		if a.steps == 0 {
-			return nil
+		jobs = append(jobs, []int{i})
+	}
+	cs, series := make([]control.Controller, len(arms)), make([][]perfmodel.Result, len(arms))
+	err := pool.ForEach(len(jobs), 0, func(j int) error {
+		a := arms[jobs[j][0]]
+		c := s.models[a.key()] // only read while the pool runs
+		if c == nil {
+			c = s.controller(a)
+			if err := c.Prepare(a.envFactory()); err != nil {
+				return fmt.Errorf("prepare %s: %w", c.Name(), err)
+			}
 		}
-		var err error
-		if series[i], err = control.Deploy(a.c, a.env, a.seed, a.steps); err != nil {
-			return fmt.Errorf("run %s: %w", a.c.Name(), err)
+		for _, i := range jobs[j] {
+			cs[i] = c
+			if arms[i].steps == 0 {
+				continue
+			}
+			var err error
+			if series[i], err = control.Deploy(c, arms[i].envFactory(), arms[i].deploySeed, arms[i].steps); err != nil {
+				return fmt.Errorf("run %s: %w", c.Name(), err)
+			}
 		}
 		return nil
 	})
-	return series, err
+	for i, a := range arms {
+		if a.kind == greenNFV && cs[i] != nil {
+			s.models[a.key()] = cs[i]
+		}
+	}
+	return cs, series, err
 }
 
-// snapshots returns the training snapshots of an arm whose controller
-// is a prepared GreenNFV.
-func snapshots(a arm) []apex.Snapshot {
-	return a.c.(*control.GreenNFV).Trainer().Snapshots
+// snapshots returns the training snapshots of a prepared GreenNFV.
+func snapshots(c control.Controller) []apex.Snapshot {
+	return c.(*control.GreenNFV).Trainer().Snapshots
 }
 
 // Cell formatters: the strconv call fmt makes for %.0f, %.1f and

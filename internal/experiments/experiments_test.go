@@ -7,6 +7,26 @@ import (
 	"testing"
 )
 
+// quickSuite is the Quick suite the figure tests share: a model that two
+// figures deploy trains once per test binary.
+var quickSuite = func() *Suite {
+	s, err := NewSuite(Quick())
+	if err != nil {
+		panic(err)
+	}
+	return s
+}()
+
+// newSuite is a fresh suite at o.
+func newSuite(t testing.TB, o Options) *Suite {
+	t.Helper()
+	s, err := NewSuite(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func cellFloat(t *testing.T, tab *Table, row, col int) float64 {
 	t.Helper()
 	s := strings.TrimSuffix(strings.TrimSuffix(tab.Rows[row][col], "%"), "x")
@@ -133,7 +153,7 @@ func TestFig4Shape(t *testing.T) {
 }
 
 func TestFig6TrainingRespectsEnergyBudget(t *testing.T) {
-	tab, g, err := Fig6(Quick())
+	tab, g, err := quickSuite.Fig6()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +178,7 @@ func TestFig6TrainingRespectsEnergyBudget(t *testing.T) {
 }
 
 func TestFig7TrainingHoldsThroughputFloor(t *testing.T) {
-	tab, _, err := Fig7(Quick())
+	tab, _, err := quickSuite.Fig7()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +195,7 @@ func TestFig7TrainingHoldsThroughputFloor(t *testing.T) {
 }
 
 func TestFig8EfficiencyImproves(t *testing.T) {
-	tab, _, err := Fig8(Quick())
+	tab, _, err := quickSuite.Fig8()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +218,7 @@ func TestFig8EfficiencyImproves(t *testing.T) {
 
 // The headline comparison: relative ordering of Figure 9 must hold.
 func TestFig9Ordering(t *testing.T) {
-	_, rows, err := Fig9(Quick())
+	_, rows, err := quickSuite.Fig9()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +255,7 @@ func TestFig9Ordering(t *testing.T) {
 }
 
 func TestFig10SettlesInsideConstraints(t *testing.T) {
-	tab, err := Fig10(Quick())
+	tab, err := quickSuite.Fig10()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +274,7 @@ func TestFig10SettlesInsideConstraints(t *testing.T) {
 }
 
 func TestFig11SavingGrowsWithHours(t *testing.T) {
-	tab, err := Fig11(Quick())
+	tab, err := quickSuite.Fig11()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,8 +292,7 @@ func TestFig11SavingGrowsWithHours(t *testing.T) {
 }
 
 func TestAblationPER(t *testing.T) {
-	o := Quick()
-	tab, err := AblationPER(o)
+	tab, err := quickSuite.AblationPER()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +309,7 @@ func TestAblationPER(t *testing.T) {
 func TestAblationKnobs(t *testing.T) {
 	o := Quick()
 	o.TrainSteps = 250
-	tab, err := AblationKnobs(o)
+	tab, err := newSuite(t, o).AblationKnobs()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +321,7 @@ func TestAblationKnobs(t *testing.T) {
 func TestAblationReward(t *testing.T) {
 	o := Quick()
 	o.TrainSteps = 250
-	tab, err := AblationReward(o)
+	tab, err := newSuite(t, o).AblationReward()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +333,7 @@ func TestAblationReward(t *testing.T) {
 func TestAblationActors(t *testing.T) {
 	o := Quick()
 	o.TrainSteps = 200
-	tab, err := AblationActors(o)
+	tab, err := newSuite(t, o).AblationActors()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,5 +383,61 @@ func TestExpConsolidation(t *testing.T) {
 	}
 	if cellFloat(t, tab, 1, 3) <= 0 {
 		t.Error("no idle power saved")
+	}
+}
+
+// TestSuiteSharesTrainingsByteForByte: a suite trains each distinct
+// GreenNFV model once — 14 for the trained figures' 21 GreenNFV arms —
+// and every figure renders on it the bytes it renders on a fresh suite,
+// whether the figures run in cmd/experiments' order or in reverse.
+func TestSuiteSharesTrainingsByteForByte(t *testing.T) {
+	first := func(tab *Table, _ any, err error) (*Table, error) { return tab, err }
+	figs := []struct {
+		id  string
+		run func(*Suite) (*Table, error)
+	}{
+		{"fig6", func(s *Suite) (*Table, error) { return first(s.Fig6()) }},
+		{"fig7", func(s *Suite) (*Table, error) { return first(s.Fig7()) }},
+		{"fig8", func(s *Suite) (*Table, error) { return first(s.Fig8()) }},
+		{"fig9", func(s *Suite) (*Table, error) { return first(s.Fig9()) }},
+		{"fig10", (*Suite).Fig10},
+		{"fig11", (*Suite).Fig11},
+		{"ablation-per", (*Suite).AblationPER},
+		{"ablation-actors", (*Suite).AblationActors},
+		{"ablation-knobs", (*Suite).AblationKnobs},
+		{"ablation-reward", (*Suite).AblationReward},
+		{"figcluster", func(s *Suite) (*Table, error) { return first(s.FigCluster()) }},
+	}
+	render := func(s *Suite, i int) string {
+		t.Helper()
+		tab, err := figs[i].run(s)
+		if err != nil {
+			t.Fatalf("%s: %v", figs[i].id, err)
+		}
+		var b strings.Builder
+		if err := tab.Render(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	want := make([]string, len(figs))
+	for i := range figs {
+		want[i] = render(newSuite(t, Quick()), i)
+	}
+	for _, reverse := range []bool{false, true} {
+		s := newSuite(t, Quick())
+		for n := range figs {
+			i := n
+			if reverse {
+				i = len(figs) - 1 - n
+			}
+			if got := render(s, i); got != want[i] {
+				t.Errorf("%s on a shared suite (reverse %v) differs from a fresh suite's:\n%s\n---\n%s",
+					figs[i].id, reverse, got, want[i])
+			}
+		}
+		if models, arms := s.Trained(); models != 14 || arms != 21 {
+			t.Errorf("reverse %v: trained %d GreenNFV models for %d arms, want 14 for 21", reverse, models, arms)
+		}
 	}
 }

@@ -1,34 +1,18 @@
 package experiments
 
-import (
-	"greennfv/internal/control"
-	"greennfv/internal/sla"
-)
-
 // Fig10 reproduces the fixed-SLA time series (paper Figure 10):
 // (a) Maximum Throughput SLA with a 3.3 kJ energy budget and (b)
 // Minimum Energy SLA with a 7 Gbps floor, each deployed for 120
 // seconds of control (12 ten-second intervals) after training,
 // showing the settle-in behaviour.
-func Fig10(o Options) (*Table, error) {
-	if err := o.Validate(); err != nil {
-		return nil, err
-	}
-	maxT, err := sla.NewMaxThroughput(3300)
-	if err != nil {
-		return nil, err
-	}
-	minE, err := sla.NewMinEnergy(7.0)
-	if err != nil {
-		return nil, err
-	}
-
+func (s *Suite) Fig10() (*Table, error) {
 	const intervals = 12 // 120 s at the 10 s window
-	slas := []sla.SLA{maxT, minE}
-	series, err := runArms([]arm{
-		{control.NewGreenNFV(maxT, o.TrainSteps, o.Actors, o.Seed), envFactory(maxT), o.Seed + 42, intervals},
-		{control.NewGreenNFV(minE, o.TrainSteps, o.Actors, o.Seed+5), envFactory(minE), o.Seed + 42, intervals},
-	})
+	o := s.o
+	arms := []arm{
+		{kind: greenNFV, sla: s.maxT3300, actors: o.Actors, seed: o.Seed, deploySeed: o.Seed + 42, steps: intervals},
+		{kind: greenNFV, sla: s.minE7, actors: o.Actors, seed: o.Seed + 5, deploySeed: o.Seed + 42, steps: intervals},
+	}
+	_, series, err := s.run(arms)
 	if err != nil {
 		return nil, err
 	}
@@ -40,10 +24,10 @@ func Fig10(o Options) (*Table, error) {
 	}
 	for i := 0; i < intervals; i++ {
 		row := []string{itoa((i + 1) * 10)}
-		for j, s := range slas {
+		for j, a := range arms {
 			r := series[j][i]
 			row = append(row, f2(r.ThroughputGbps), f2(r.EnergyJoules/1000),
-				okMark(s.Satisfied(r.ThroughputGbps, r.EnergyJoules)))
+				okMark(a.sla.Satisfied(r.ThroughputGbps, r.EnergyJoules)))
 		}
 		t.AddRow(row...)
 	}

@@ -1,30 +1,20 @@
 package experiments
 
-import (
-	"greennfv/internal/control"
-	"greennfv/internal/sla"
-)
+import "greennfv/internal/control"
 
 // Fig11 reproduces the amortized energy-saving curve (paper Figure
 // 11, equation 9): the saving of the trained Minimum-Energy model
 // over the baseline as a function of operating hours, charging the
 // RL training energy against the model. The paper reports 23% at one
 // hour growing toward 62% as training amortizes.
-func Fig11(o Options) (*Table, error) {
-	if err := o.Validate(); err != nil {
-		return nil, err
-	}
-	minE, err := sla.NewMinEnergy(7.5)
-	if err != nil {
-		return nil, err
-	}
+func (s *Suite) Fig11() (*Table, error) {
 	// Steady-state energies of the trained model and the baseline
 	// under the same workload and deploy seed.
-	arms := []arm{
-		{control.NewGreenNFV(minE, o.TrainSteps, o.Actors, o.Seed), envFactory(minE), o.Seed + 9, o.ControlSteps},
-		{control.NewBaseline(), envFactory(minE), o.Seed + 9, 8},
-	}
-	series, err := runArms(arms)
+	o := s.o
+	cs, series, err := s.run([]arm{
+		{kind: greenNFV, sla: s.minE, actors: o.Actors, seed: o.Seed, deploySeed: o.Seed + 9, steps: o.ControlSteps},
+		{kind: baseline, sla: s.minE, deploySeed: o.Seed + 9, steps: 8},
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -36,9 +26,9 @@ func Fig11(o Options) (*Table, error) {
 
 	// Training power: the mean over the recorded training snapshots.
 	var pTrain float64
-	snaps := snapshots(arms[0])
-	for _, s := range snaps {
-		pTrain += s.EnergyJ / window
+	snaps := snapshots(cs[0])
+	for _, sn := range snaps {
+		pTrain += sn.EnergyJ / window
 	}
 	if len(snaps) > 0 {
 		pTrain /= float64(len(snaps))

@@ -1,6 +1,6 @@
 // Package pool is the one bounded worker pool the batch surfaces
-// share: the experiments figure harness (runArms and AblationPER's
-// two arms) and the internal/sweep grid fan independent
+// share: the experiments figure suite (Suite.run and AblationPER's
+// two trainings) and the internal/sweep grid fan independent
 // index-addressed work through ForEach instead of growing private
 // copies of the same scheduling and error-selection logic.
 //

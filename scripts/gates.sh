@@ -145,8 +145,9 @@ gates=(
 	# train_seconds shows it; a policy that fails in the plan fails its
 	# own rows.
 	"./internal/sweep TestSweepSharesResolvedCells|TestSweepFailingCellDoesNotStopGrid"
-	# The cluster figure byte-diffs across runs.
-	"./internal/experiments TestFigClusterDeterministic"
+	# The cluster figure byte-diffs across runs, and a figure suite
+	# trains each distinct model once with no byte of any table moved.
+	"./internal/experiments TestFigClusterDeterministic|TestSuiteSharesTrainingsByteForByte"
 	# Nothing outside tests stays unless a binary, the public API or
 	# bench/ reaches it (testdata/reach.keep lists the exceptions), and
 	# measuring a policy twice gives the same answer.
