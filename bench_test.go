@@ -104,7 +104,7 @@ func BenchmarkFig06TrainMaxThroughput(b *testing.B) {
 			b.Fatal(err)
 		}
 		printTableOnce(b, t)
-		if snaps := g.Trainer().Snapshots; len(snaps) > 0 {
+		if snaps := g.Curve(); len(snaps) > 0 {
 			snap := snaps[len(snaps)-1]
 			b.ReportMetric(snap.ThroughputGbps, "Gbps")
 			b.ReportMetric(snap.EnergyJ, "J")
@@ -144,7 +144,7 @@ func BenchmarkFig07TrainMinEnergy(b *testing.B) {
 			b.Fatal(err)
 		}
 		printTableOnce(b, t)
-		if snaps := g.Trainer().Snapshots; len(snaps) > 0 {
+		if snaps := g.Curve(); len(snaps) > 0 {
 			snap := snaps[len(snaps)-1]
 			b.ReportMetric(snap.ThroughputGbps, "Gbps")
 			b.ReportMetric(snap.EnergyJ, "J")
@@ -160,7 +160,7 @@ func BenchmarkFig08TrainEfficiency(b *testing.B) {
 			b.Fatal(err)
 		}
 		printTableOnce(b, t)
-		if snaps := g.Trainer().Snapshots; len(snaps) > 0 {
+		if snaps := g.Curve(); len(snaps) > 0 {
 			b.ReportMetric(snaps[len(snaps)-1].Efficiency, "Gbps/kJ")
 		}
 	}

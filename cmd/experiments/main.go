@@ -166,6 +166,7 @@ func run() error {
 		return nil
 	}
 
+	base := liveHeap()
 	suite, err := experiments.NewSuite(o)
 	if err != nil {
 		return err
@@ -201,7 +202,19 @@ func run() error {
 	}
 	fmt.Printf("ran %d experiments\n", ran)
 	if models, arms := suite.Trained(); arms > 0 {
-		fmt.Fprintf(os.Stderr, "experiments: trained %d Ape-X models for %d arms\n", models, arms)
+		retained := float64(int64(liveHeap()-base)) / (1 << 20)
+		runtime.KeepAlive(suite)
+		fmt.Fprintf(os.Stderr, "experiments: trained %d Ape-X models for %d arms; the suite retains %.1f MB\n", models, arms, retained)
 	}
 	return nil
+}
+
+// liveHeap is the heap in use after two collections: the second frees
+// what the first only moved to the sync.Pool victim caches.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
 }

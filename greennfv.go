@@ -268,10 +268,7 @@ func (s *System) actorSpec(slaSpec sla.SLA) *apex.ActorSpec {
 // (episode, throughput Gbps, energy J, efficiency). A loaded policy
 // has no curve.
 func (p *Policy) TrainingCurve() (episodes []int, tput, energy, efficiency []float64) {
-	if p.ctl.Trainer() == nil {
-		return
-	}
-	for _, s := range p.ctl.Trainer().Snapshots {
+	for _, s := range p.ctl.Curve() {
 		episodes = append(episodes, s.Episode)
 		tput = append(tput, s.ThroughputGbps)
 		energy = append(energy, s.EnergyJ)

@@ -1,10 +1,15 @@
 package control
 
 import (
+	"bytes"
+	"fmt"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"greennfv/internal/env"
 	"greennfv/internal/perfmodel"
+	"greennfv/internal/rl/apex"
 	"greennfv/internal/rl/ddpg"
 	"greennfv/internal/sla"
 )
@@ -128,7 +133,7 @@ func TestGreenNFVPreparesAndControls(t *testing.T) {
 	if err := g.Prepare(factory(t)); err != nil {
 		t.Fatal(err)
 	}
-	if g.Trainer() == nil || len(g.Trainer().Snapshots) == 0 {
+	if len(g.Curve()) == 0 {
 		t.Error("training left no snapshots")
 	}
 	tput, energy, _, err := Run(g, factory(t), 4, 20, 10)
@@ -140,6 +145,112 @@ func TestGreenNFVPreparesAndControls(t *testing.T) {
 	}
 	if g.Options().BusyPoll || g.Options().NoSleep {
 		t.Error("GreenNFV must run the poll/callback + sleep platform")
+	}
+}
+
+// liveHeap is the heap a double GC leaves: the second collects what
+// the first only moved to sync.Pool victim caches.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
+// TestTrainedGreenNFVKeepsOnlyWhatItServes: a controller trained
+// through TrainOn saves, deploys and plots exactly what the learner of
+// the same run, trained directly, does — the actor frame, the serving
+// checkpoint, the curve and 20 greedy intervals, bit for bit — while
+// its replay is empty and it retains little more heap than a policy
+// loaded from its own checkpoint.
+func TestTrainedGreenNFVKeepsOnlyWhatItServes(t *testing.T) {
+	const steps, actors, seed = 300, 2, 5
+	s := sla.NewEnergyEfficiency()
+	before := liveHeap()
+	g := NewGreenNFV(s, steps, actors, seed)
+	if err := g.Prepare(factory(t)); err != nil {
+		t.Fatal(err)
+	}
+	trained := int64(liveHeap() - before)
+	runtime.KeepAlive(g)
+
+	cfg := NewGreenNFV(s, steps, actors, seed).Train
+	cfg.StepperFactory = func(actorID int) (env.Stepper, error) {
+		return factory(t)(seed+int64(actorID)*131, perfmodel.EvalOptions{})
+	}
+	cfg.AgentConfig = ddpg.DefaultConfig(0, 0)
+	cfg.AgentConfig.Seed = seed
+	trainer, err := apex.NewTrainer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := trainer.Run(); err != nil {
+		t.Fatal(err)
+	}
+	direct := trainer.Learner().Agent()
+
+	var actor, state bytes.Buffer
+	if err := g.SaveActor(&actor); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.SavePolicyState(&state); err != nil {
+		t.Fatal(err)
+	}
+	wantActor, _ := direct.ActorBytes()
+	var wantState bytes.Buffer
+	if err := direct.SaveState(&wantState, false); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(actor.Bytes(), wantActor) || !bytes.Equal(state.Bytes(), wantState.Bytes()) {
+		t.Error("the trained controller saves another policy than its learner")
+	}
+	if len(g.Curve()) == 0 || !reflect.DeepEqual(g.Curve(), trainer.Snapshots) {
+		t.Errorf("curve of %d points, the trainer recorded %d", len(g.Curve()), len(trainer.Snapshots))
+	}
+	ref := NewGreenNFVFromAgent(s, direct)
+	ref.Seed = seed
+	e1, err := factory(t)(seed, g.Options())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e2, err := factory(t)(seed, g.Options())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		got, err1 := g.StepOn(e1)
+		want, err2 := ref.StepOn(e2)
+		if err1 != nil || err2 != nil {
+			t.Fatal(err1, err2)
+		}
+		if a, b := fmt.Sprintf("%v", got), fmt.Sprintf("%v", want); a != b {
+			t.Fatalf("interval %d: %s, learner %s", i, a, b)
+		}
+	}
+	if n := g.agent.BufferLen(); n != 0 {
+		t.Errorf("the trained controller's replay holds %d transitions", n)
+	}
+
+	// A policy loaded from the checkpoint holds networks, optimizer
+	// moments and noise, and no replay or batch scratch; after one
+	// interval, one-row forward caches. The trained controller adds the
+	// actor's minibatch-sized forward caches and the curve.
+	before = liveHeap()
+	agent, err := ddpg.LoadAgentBytes(state.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded := NewGreenNFVFromAgent(s, agent)
+	if _, err := loaded.StepOn(e1); err != nil {
+		t.Fatal(err)
+	}
+	minimal := int64(liveHeap() - before)
+	runtime.KeepAlive(loaded)
+	runtime.KeepAlive(&state)
+	t.Logf("the trained controller retains %d KB, a loaded policy %d KB", trained>>10, minimal>>10)
+	if trained > minimal+160<<10 {
+		t.Errorf("the trained controller retains %d KB, over the %d KB of a loaded policy plus 160 KB", trained>>10, minimal>>10)
 	}
 }
 

@@ -35,9 +35,11 @@ type GreenNFV struct {
 	// match the run that wrote the checkpoint.
 	ResumePath string
 
-	trainer *apex.Trainer
-	// agent is the deployed policy network: the learner's agent
-	// after Prepare, or a loaded agent after LoadActor.
+	// curve is the training run's recorded curve (apex.Trainer's
+	// Snapshots); nil for a loaded policy and for remote training.
+	curve []apex.Snapshot
+	// agent is the deployed policy network: the learner's agent, its
+	// training memory released, after TrainOn, or a loaded agent.
 	agent *ddpg.Agent
 	// state is the last observation of on, the environment StepOn is
 	// driving; a different environment starts from its own reset.
@@ -86,7 +88,11 @@ func (g *GreenNFV) Prepare(factory EnvFactory) error {
 // owns topology, workload and placement policy. Round-robin and
 // Parallel step whatever it builds; RemoteActors ignores it and
 // rebuilds *env.Env in the actor processes (apex.ActorSpec.BuildEnv),
-// so cluster environments train in-process only.
+// so cluster environments train in-process only. Once the run (and its
+// completion checkpoint) is done, the controller keeps the learner's
+// agent, with its training memory released
+// (ddpg.Agent.ReleaseTrainingMemory), and the curve; the trainer, its
+// actors and their environments go.
 func (g *GreenNFV) TrainOn(factory func(seed int64) (env.Stepper, error)) error {
 	cfg := g.Train
 	cfg.StepperFactory = func(actorID int) (env.Stepper, error) {
@@ -106,8 +112,9 @@ func (g *GreenNFV) TrainOn(factory func(seed int64) (env.Stepper, error)) error 
 	if err := trainer.Run(); err != nil {
 		return fmt.Errorf("control: GreenNFV training: %w", err)
 	}
-	g.trainer = trainer
+	g.curve = trainer.Snapshots
 	g.agent = trainer.Learner().Agent()
+	g.agent.ReleaseTrainingMemory()
 	return nil
 }
 
@@ -163,9 +170,9 @@ func NewGreenNFVFromActor(s sla.SLA, stateDim, actionDim int, r io.Reader) (*Gre
 	return &GreenNFV{slaSpec: s, agent: agent}, nil
 }
 
-// Trainer exposes the underlying trainer (for training-curve
-// figures).
-func (g *GreenNFV) Trainer() *apex.Trainer { return g.trainer }
+// Curve is the training curve TrainOn recorded (for training-curve
+// figures): nil for a loaded policy and after remote training.
+func (g *GreenNFV) Curve() []apex.Snapshot { return g.curve }
 
 // Step implements Controller: greedy policy action.
 func (g *GreenNFV) Step(e *env.Env) (perfmodel.Result, error) { return g.StepOn(e) }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"encoding/csv"
 	"errors"
 	"fmt"
 	"io"
@@ -68,23 +69,14 @@ func (t *Table) Render(w io.Writer) error {
 	return err
 }
 
-// WriteCSV emits the table as CSV, quoting the cells with a comma, quote or newline.
+// WriteCSV emits the table as CSV (encoding/csv: a cell with a comma,
+// quote or line break, or a leading space, is quoted).
 func (t *Table) WriteCSV(w io.Writer) error {
-	var b strings.Builder
-	for _, row := range append([][]string{t.Columns}, t.Rows...) {
-		for i, c := range row {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			if strings.ContainsAny(c, ",\"\n") {
-				c = `"` + strings.ReplaceAll(c, `"`, `""`) + `"`
-			}
-			b.WriteString(c)
-		}
-		b.WriteByte('\n')
+	c := csv.NewWriter(w)
+	if err := c.Write(t.Columns); err != nil {
+		return err
 	}
-	_, err := io.WriteString(w, b.String())
-	return err
+	return c.WriteAll(t.Rows)
 }
 
 // Options scales the experiment suite: Quick shrinks the RL training
@@ -266,7 +258,7 @@ func (s *Suite) run(arms []arm) ([]control.Controller, [][]perfmodel.Result, err
 
 // snapshots returns the training snapshots of a prepared GreenNFV.
 func snapshots(c control.Controller) []apex.Snapshot {
-	return c.(*control.GreenNFV).Trainer().Snapshots
+	return c.(*control.GreenNFV).Curve()
 }
 
 // Cell formatters: the strconv call fmt makes for %.0f, %.1f and

@@ -40,6 +40,7 @@ func cellFloat(t *testing.T, tab *Table, row, col int) float64 {
 func TestTableRenderAndCSV(t *testing.T) {
 	tab := &Table{ID: "x", Title: "demo", Columns: []string{"a", "b"}}
 	tab.AddRow("1", "hello, world")
+	tab.AddRow("  indented", `say "hi"`)
 	var buf bytes.Buffer
 	if err := tab.Render(&buf); err != nil {
 		t.Fatal(err)
@@ -51,8 +52,8 @@ func TestTableRenderAndCSV(t *testing.T) {
 	if err := tab.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), `"hello, world"`) {
-		t.Errorf("csv escaping: %q", buf.String())
+	if want := "a,b\n1,\"hello, world\"\n\"  indented\",\"say \"\"hi\"\"\"\n"; buf.String() != want {
+		t.Errorf("csv escaping: %q, want %q", buf.String(), want)
 	}
 }
 
@@ -172,7 +173,7 @@ func TestFig6TrainingRespectsEnergyBudget(t *testing.T) {
 	if inside*2 < len(late) {
 		t.Errorf("only %d/%d late snapshots inside the energy budget", inside, len(late))
 	}
-	if len(g.Trainer().Snapshots) == 0 {
+	if len(g.Curve()) == 0 {
 		t.Error("no final snapshot")
 	}
 }

@@ -22,7 +22,7 @@ func (s *Suite) trainCurve(id, title string, target sla.SLA) (*Table, *control.G
 		Columns: []string{"episode", "Gbps", "Energy kJ", "lambda", "CPU %",
 			"GHz", "LLC %", "DMA MB", "batch", "reward"},
 	}
-	for _, snap := range g.Trainer().Snapshots {
+	for _, snap := range g.Curve() {
 		t.AddRow(itoa(snap.Episode), f2(snap.ThroughputGbps), f2(snap.EnergyJ/1000), f2(snap.Efficiency),
 			f0(snap.CPUPercent), f2(snap.FreqGHz), f0(snap.LLCPercent), f1(snap.DMAMB), f0(snap.Batch), f2(snap.Reward))
 	}

@@ -42,6 +42,31 @@ type precision[T float] struct {
 	bx, bz, by, bdz, bdx, wt []T
 }
 
+// dropCaches lets go of the backward pass's scratch and, unless
+// keepForward, the activation caches.
+func (p *precision[T]) dropCaches(keepForward bool) {
+	p.bdz, p.bdx, p.wt = nil, nil, nil
+	if !keepForward {
+		p.bx, p.bz, p.by = nil, nil, nil
+	}
+}
+
+// DropCaches releases the batch scratch of every layer at both element
+// types: the backward pass's (the output gradients, the input
+// gradients, the transposed weights and the gradient kernel's
+// compaction scratch) and, unless keepForward, the activation caches
+// every forward pass fills. Parameters, gradients and the float32
+// mirrors stay, and no pass computes a different bit afterwards: the
+// next pass regrows what it needs, and a backward pass needs a forward
+// pass before it, as on a new network. It allocates nothing.
+func (n *Network) DropCaches(keepForward bool) {
+	for _, l := range n.layers {
+		l.f64.dropCaches(keepForward)
+		l.f32.dropCaches(keepForward)
+		l.bnz = nil
+	}
+}
+
 // at returns the layer's batch state at element type T.
 func at[T float](d *Dense) *precision[T] {
 	if p, ok := any(&d.f64).(*precision[T]); ok {

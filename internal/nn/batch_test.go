@@ -107,6 +107,82 @@ func TestBatchSizeChanges(t *testing.T) {
 	}
 }
 
+// TestDropCachesChangesNoBit: a network that drops its caches between
+// passes computes what its twin that keeps them computes, bit for bit
+// — batch outputs, parameter and input gradients at both element
+// types, and the one-row Forward — and a layer that dropped them holds
+// no cache slice.
+func TestDropCachesChangesNoBit(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	kept := MustMLP([]int{7, 12, 9, 3}, ReLU, Tanh, rng)
+	dropped := trainableClone(kept)
+	kept.EnableF32()
+	dropped.EnableF32()
+	const rows = 6
+	x, dOut := make([]float64, rows*7), make([]float64, rows*3)
+	for _, v := range [][]float64{x, dOut} {
+		for i := range v {
+			v[i] = rng.NormFloat64()
+		}
+	}
+	x32, d32 := make([]float32, len(x)), make([]float32, len(dOut))
+	for i, v := range x {
+		x32[i] = float32(v)
+	}
+	for i, v := range dOut {
+		d32[i] = float32(v)
+	}
+	pass := func(n *Network) []float64 {
+		n.ZeroGrad()
+		ZeroGrad[float32](n)
+		out := append([]float64(nil), n.ForwardBatch(x, rows)...)
+		n.BackwardBatchParams(dOut, rows)
+		out = append(out, n.BackwardBatch(dOut, rows)...)
+		for _, v := range ForwardBatch(n, x32, rows) {
+			out = append(out, float64(v))
+		}
+		BackwardBatchParams(n, d32, rows)
+		for _, g := range n.GradSlices() {
+			out = append(out, g...)
+		}
+		_, grads32 := views[float32](n)
+		for _, g := range grads32 {
+			for _, v := range g {
+				out = append(out, float64(v))
+			}
+		}
+		return append(out, n.Forward(x[:7])...)
+	}
+	for round, keepForward := range []bool{true, false, false} {
+		want, got := pass(kept), pass(dropped)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("round %d: value %d is %v, want %v", round, i, got[i], want[i])
+			}
+		}
+		dropped.DropCaches(keepForward)
+		for li, l := range dropped.layers {
+			for _, held := range []bool{l.f64.bdz != nil, l.f64.bdx != nil, l.f64.wt != nil,
+				l.f32.bdz != nil, l.f32.bdx != nil, l.f32.wt != nil, l.bnz != nil} {
+				if held {
+					t.Errorf("round %d: layer %d kept a backward cache", round, li)
+				}
+			}
+			forward := l.f64.bx != nil && l.f64.bz != nil && l.f64.by != nil &&
+				l.f32.bx != nil && l.f32.bz != nil && l.f32.by != nil
+			none := l.f64.bx == nil && l.f64.bz == nil && l.f64.by == nil &&
+				l.f32.bx == nil && l.f32.bz == nil && l.f32.by == nil
+			if keepForward && !forward || !keepForward && !none {
+				t.Errorf("round %d (keepForward %v): layer %d forward caches %d/%d/%d and %d/%d/%d long", round, keepForward, li,
+					len(l.f64.bx), len(l.f64.bz), len(l.f64.by), len(l.f32.bx), len(l.f32.bz), len(l.f32.by))
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() { dropped.DropCaches(false) }); allocs != 0 {
+		t.Errorf("DropCaches allocates %v/op", allocs)
+	}
+}
+
 // testZeroAllocSteadyState: a whole train step at element type T —
 // the batch passes (full, split and windowed backward) and the
 // optimizer step with its target update — must not allocate once warm.

@@ -536,6 +536,31 @@ func (a *Agent) finishUpdate() {
 // LearnSteps reports completed updates.
 func (a *Agent) LearnSteps() int { return a.learnSteps }
 
+// ReleaseTrainingMemory lets go, in place, of what only training reads:
+// the replay's contents (replay.Prioritized.Release), the update's and
+// the batched acting passes' scratch at both element types, the batch
+// caches of the critic and both targets, and the actor's backward
+// scratch. The actor keeps its forward caches, so a deployed policy's
+// one-row pass still allocates nothing. Everything a checkpoint records
+// stays, so ActInto, TDError, ActorBytes and SaveState(w, false) give
+// the same bits before and after; Learn returns 0 until BatchSize
+// transitions arrive again, and the scratch regrows on the next pass.
+// It allocates nothing.
+func (a *Agent) ReleaseTrainingMemory() {
+	if a.prioritized != nil {
+		a.prioritized.Release()
+	} else {
+		a.uniform.Release()
+	}
+	a.batchBuf, a.idxBuf, a.weightBuf, a.tdErrBuf = nil, nil, nil, nil
+	a.s64, a.s32 = scratch[float64]{}, scratch[float32]{}
+	a.act64, a.act32 = actScratch[float64]{}, actScratch[float32]{}
+	a.Actor.DropCaches(true)
+	a.Critic.DropCaches(false)
+	a.actorTarget.DropCaches(false)
+	a.criticTarget.DropCaches(false)
+}
+
 // ActorBytes is AppendActorBytes into a new buffer of exactly the
 // frame's size, which the agent never touches again: the saved policy
 // file. The error is always nil (the signature predates the frame).

@@ -137,6 +137,83 @@ func TestLearnsContinuousBandit(t *testing.T) {
 	}
 }
 
+// TestReleaseTrainingMemory: releasing a trained agent's training
+// memory allocates nothing and changes no bit of what it serves —
+// greedy actions, TD errors, the actor frame and the serving
+// checkpoint. The replay is empty after it, Learn is a no-op until
+// BatchSize transitions arrive, and then the agent learns again. Both
+// replay kinds.
+func TestReleaseTrainingMemory(t *testing.T) {
+	for _, prioritized := range []bool{true, false} {
+		cfg := smallConfig()
+		cfg.Prioritized = prioritized
+		ts := randomTransitions(cfg, 200, 5)
+		trained := func() *Agent {
+			a, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, tr := range ts[:100] {
+				a.Observe(tr)
+			}
+			for i := 0; i < 50; i++ {
+				a.Learn()
+			}
+			a.TDErrorBatch(ts[:8], nil)
+			return a
+		}
+		serves := func(a *Agent) (bits []uint64, frame, state []byte) {
+			for _, tr := range ts[100:120] {
+				for _, v := range greedy(t, a, tr.State) {
+					bits = append(bits, math.Float64bits(v))
+				}
+				bits = append(bits, math.Float64bits(a.TDError(tr)))
+			}
+			frame, _ = a.ActorBytes()
+			state, err := a.StateBytes(false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return bits, frame, state
+		}
+		// AllocsPerRun's warm-up call releases the first agent, its one
+		// measured call the second: each a first release.
+		agents := []*Agent{trained(), trained()}
+		wantBits, wantFrame, wantState := serves(agents[1])
+		next := 0
+		if allocs := testing.AllocsPerRun(1, func() {
+			agents[next].ReleaseTrainingMemory()
+			next++
+		}); allocs != 0 {
+			t.Errorf("prioritized %v: releasing allocates %v", prioritized, allocs)
+		}
+		a := agents[1]
+		bits, frame, state := serves(a)
+		for i := range wantBits {
+			if bits[i] != wantBits[i] {
+				t.Fatalf("prioritized %v: served value %d moved with the release", prioritized, i)
+			}
+		}
+		if !bytes.Equal(frame, wantFrame) || !bytes.Equal(state, wantState) {
+			t.Errorf("prioritized %v: the actor frame or the serving checkpoint moved with the release", prioritized)
+		}
+		steps := a.LearnSteps()
+		if a.BufferLen() != 0 || a.Learn() != 0 || a.LearnSteps() != steps {
+			t.Errorf("prioritized %v: a released agent holds %d transitions or learned", prioritized, a.BufferLen())
+		}
+		for _, tr := range ts[120 : 120+cfg.BatchSize-1] {
+			a.Observe(tr)
+		}
+		if a.Learn() != 0 {
+			t.Errorf("prioritized %v: learned below BatchSize transitions", prioritized)
+		}
+		a.Observe(ts[199])
+		if loss := a.Learn(); loss == 0 || math.IsNaN(loss) || a.LearnSteps() != steps+1 {
+			t.Errorf("prioritized %v: refilled agent's update: loss %v, %d steps after %d", prioritized, loss, a.LearnSteps(), steps)
+		}
+	}
+}
+
 func TestTDErrorFinite(t *testing.T) {
 	a, _ := New(smallConfig())
 	tr := replay.Transition{

@@ -218,4 +218,21 @@
 // and a serving replica's Policy have no replay, no optimizer and
 // inference-only networks, and an Agent's targets carry no gradient
 // buffers either (TestAgentFootprint).
+//
+// # Releasing training memory
+//
+// A trained agent that will only be deployed and saved
+// (control.GreenNFV after TrainOn) calls ReleaseTrainingMemory. In
+// place and without allocating, it drops the replay's contents
+// (replay.Prioritized.Release: β, the ingest cursor and each stripe's
+// maximal priority survive, the rows and the storage do not), the
+// minibatch and acting scratch at both element types, every batch
+// cache of the critic and both targets, and the actor's backward
+// scratch. It keeps everything a checkpoint records — four networks,
+// gradients, both Adam moment sets, the noise, the RNG position, the
+// counters — and the actor's forward caches, so a deploy's one-row
+// pass still allocates nothing. ActInto, TDError, ActorBytes and
+// SaveState(w, false) give the same bits before and after; Learn
+// returns 0 until BatchSize transitions arrive again, and the scratch
+// regrows on the next pass (TestReleaseTrainingMemory).
 package ddpg

@@ -80,6 +80,15 @@
 // adds to — every Ape-X actor's, every serving replica's — costs a few
 // hundred bytes; a 65 536-slot one used to cost 6.8 MB at construction.
 //
+// Release hands the storage back: each stripe's ring and tree return
+// to nil, as in a new buffer, in place and without allocating. It
+// keeps what a snapshot records besides the rows — β, the ingest
+// cursor and each stripe's maximal priority — so a released buffer is
+// the one LoadState restores from its own snapshot, and once refilled
+// it samples as that one does (TestReleasedBufferHoldsNoStorage).
+// A trained agent calls it when training ends (ddpg's package doc,
+// "Releasing training memory").
+//
 // # Snapshots
 //
 // AppendState writes a buffer's contents as bytes (snapshot.go has the

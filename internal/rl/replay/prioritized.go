@@ -95,6 +95,28 @@ func (p *Prioritized) NumShards() int { return len(p.shards) }
 // Len reports the number of stored transitions (lock-free).
 func (p *Prioritized) Len() int { return int(p.count.Load()) }
 
+// Release empties the buffer in place and lets go of its storage:
+// every stripe's ring and sum tree go back to holding nothing, as in a
+// new buffer. It keeps what a snapshot records besides the rows — β,
+// the ingest cursor and each stripe's maximal priority — so a released
+// buffer is the one LoadState restores from its own snapshot, and once
+// refilled it samples as that one does. It allocates nothing. A
+// transition added while it runs is either released with the rest or
+// kept, and counted accordingly.
+func (p *Prioritized) Release() {
+	p.sampleMu.Lock()
+	defer p.sampleMu.Unlock()
+	for k := range p.shards {
+		sh := &p.shards[k]
+		sh.mu.Lock()
+		p.count.Add(-int64(sh.count))
+		sh.release()
+		sh.tree = sumTree{cap: sh.tree.cap}
+		sh.mass = 0
+		sh.mu.Unlock()
+	}
+}
+
 // addLocked stores one transition in sh. Caller holds sh.mu. Reports
 // whether the shard grew (false when an old transition was evicted).
 func (p *Prioritized) addLocked(sh *shard, t Transition, priority float64) bool {
@@ -186,8 +208,11 @@ func (p *Prioritized) SampleInto(rng *rand.Rand, n int, samples []Transition, in
 			last = k
 		}
 	}
+	// An add counts its transition after unlocking its stripe, so a
+	// Release that ran in between leaves the count short, below zero at
+	// worst, until that add's count lands.
 	N := float64(p.count.Load())
-	if N == 0 || total <= 0 {
+	if N <= 0 || total <= 0 {
 		return nil, nil, nil
 	}
 

@@ -47,6 +47,9 @@ func (r *ring) put(t Transition) int {
 	return idx
 }
 
+// release empties the ring and lets go of its backing array.
+func (r *ring) release() { r.data, r.next, r.count = nil, 0, 0 }
+
 // Uniform is a fixed-capacity ring buffer with uniform sampling.
 // It is goroutine-safe.
 type Uniform struct {
@@ -66,6 +69,14 @@ func NewUniform(capacity int) (*Uniform, error) {
 func (u *Uniform) Add(t Transition) {
 	u.mu.Lock()
 	u.put(t)
+	u.mu.Unlock()
+}
+
+// Release empties the buffer in place and lets go of its storage, as
+// in a new buffer. It allocates nothing.
+func (u *Uniform) Release() {
+	u.mu.Lock()
+	u.release()
 	u.mu.Unlock()
 }
 

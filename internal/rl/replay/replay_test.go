@@ -385,6 +385,118 @@ func TestIdleBufferHoldsNoStorage(t *testing.T) {
 	}
 }
 
+// TestReleasedBufferHoldsNoStorage: a released buffer — one stripe and
+// four, filled, sampled and written back first — holds no experience,
+// no ring and no tree, and keeps β, the ingest cursor and each stripe's
+// maximal priority. Refilled, it draws what a new buffer restored from
+// its snapshot draws, bit for bit. A released Uniform holds no ring.
+func TestReleasedBufferHoldsNoStorage(t *testing.T) {
+	fill := func(b *Prioritized, from int) {
+		for i := from; i < from+300; i += 3 {
+			b.AddBatch([]Transition{tr(float64(i)), tr(float64(i + 1)), tr(float64(i + 2))}, []float64{float64(i%7) + 0.5})
+		}
+	}
+	for _, shards := range []int{1, 4} {
+		p, _ := NewSharded(1<<10, shards, 0.6, 0.4, 1e-3, 1)
+		rng := rand.New(rand.NewSource(int64(shards)))
+		fill(p, 0)
+		_, idx, _ := p.Sample(rng, 32)
+		errs := make([]float64, len(idx))
+		for i := range errs {
+			errs[i] = 0.9 * float64(i)
+		}
+		p.UpdatePrioritiesBatch(idx, errs)
+		beta, ingest := p.beta, p.ingest.Load()
+		maxPrior := make([]float64, shards)
+		for k := range p.shards {
+			maxPrior[k] = p.shards[k].maxPrior
+		}
+
+		p.Release()
+		if p.Len() != 0 || p.beta != beta || p.ingest.Load() != ingest {
+			t.Errorf("%d shards: released buffer holds %d, β %v (was %v), ingest %d (was %d)", shards, p.Len(), p.beta, beta, p.ingest.Load(), ingest)
+		}
+		for k := range p.shards {
+			sh := &p.shards[k]
+			if sh.data != nil || sh.count != 0 || sh.next != 0 || sh.tree.tree != nil || sh.tree.n != 0 || sh.tree.total() != 0 {
+				t.Errorf("%d shards: released shard %d holds %d slots (%d stored, next %d) and %d tree nodes", shards, k, cap(sh.data), sh.count, sh.next, len(sh.tree.tree))
+			}
+			if sh.maxPrior != maxPrior[k] {
+				t.Errorf("%d shards: shard %d max priority %v, was %v", shards, k, sh.maxPrior, maxPrior[k])
+			}
+		}
+		if got, _, _ := p.Sample(rng, 8); got != nil {
+			t.Errorf("%d shards: released buffer sampled something", shards)
+		}
+
+		ref, _ := NewSharded(1<<10, shards, 0.6, 0.4, 1e-3, 1)
+		if err := ref.LoadState(snapshot(t, p), trDim, trDim); err != nil {
+			t.Fatal(err)
+		}
+		fill(p, 1000)
+		fill(ref, 1000)
+		r1, r2 := rand.New(rand.NewSource(9)), rand.New(rand.NewSource(9))
+		for round := 0; round < 5; round++ {
+			s1, i1, w1 := p.Sample(r1, 16)
+			s2, i2, w2 := ref.Sample(r2, 16)
+			for i := range s2 {
+				if s1[i].Reward != s2[i].Reward || i1[i] != i2[i] || math.Float64bits(w1[i]) != math.Float64bits(w2[i]) {
+					t.Fatalf("%d shards, round %d, draw %d: refilled buffer drew %v@%d w %v, restored one %v@%d w %v",
+						shards, round, i, s1[i].Reward, i1[i], w1[i], s2[i].Reward, i2[i], w2[i])
+				}
+			}
+		}
+	}
+	u, _ := NewUniform(64)
+	for i := 0; i < 100; i++ {
+		u.Add(tr(float64(i)))
+	}
+	u.Release()
+	if u.Len() != 0 || u.data != nil || u.next != 0 {
+		t.Errorf("released uniform buffer holds %d of %d slots, next %d", u.Len(), cap(u.data), u.next)
+	}
+}
+
+// TestReleaseDuringIngest: releases racing adders and a sampler leave
+// the count equal to what the stripes hold once the adders are done.
+func TestReleaseDuringIngest(t *testing.T) {
+	p, _ := NewSharded(1<<12, 4, 0.6, 0.4, 1e-5, 1)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				p.AddBatch([]Transition{tr(float64(i)), tr(float64(i + 1))}, nil)
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		rng := rand.New(rand.NewSource(3))
+		for i := 0; i < 200; i++ {
+			_, _, weights := p.Sample(rng, 8)
+			for _, w := range weights {
+				if !(w > 0 && w <= 1) {
+					t.Errorf("weight %v outside (0, 1]", w)
+				}
+			}
+		}
+	}()
+	for i := 0; i < 50; i++ {
+		p.Release()
+	}
+	wg.Wait()
+	held := 0
+	for k := range p.shards {
+		held += p.shards[k].count
+	}
+	if p.Len() != held {
+		t.Errorf("count %d, stripes hold %d", p.Len(), held)
+	}
+}
+
 // Sample is SampleInto with fresh buffers.
 func (u *Uniform) Sample(rng *rand.Rand, n int) []Transition {
 	if n <= 0 {

@@ -67,16 +67,20 @@ gates=(
 	# a reservation: a trainer and an acting agent are small, an idle
 	# buffer holds no storage, neither the ring's growth nor the sum
 	# tree's shows in any sample, total or prefix-sum walk, and a
-	# corrupt snapshot cursor is refused. What only acts holds inference-only
-	# networks: an actor reaches no training state, a view acts and
+	# corrupt snapshot cursor is refused. A trained agent lets go of its
+	# training memory in place — replay contents (a released buffer
+	# holds no storage and refills like a restored one), update scratch,
+	# batch caches — with no allocation and no served bit moved. What
+	# only acts holds inference-only networks: an actor reaches no
+	# training state, a view acts and
 	# prioritizes bit for bit like the agent it mirrors, and a network
 	# clone carries no gradients. The frame check that needs no network
 	# — what the serving reader runs and a network built from a frame
 	# passes — gives every hostile frame the network's own refusal.
 	"./internal/rl/apex TestPublishRecyclesReleasedFrame|TestSyncParamsReleasesItsPull|TestReleaseCountsOnlyTheCurrentFrame|TestConcurrentPullersSeeTheirVersion|TestSyncParamsAllocatesNothing|TestPublishedFrameIsImmutable|TestNewTrainerFootprint"
-	"./internal/rl/ddpg TestLoadActorBytesInPlace|TestAppendActorBytesInPlace|TestLoadActorBytesRejectsHostileFrames|TestActorFrameCheckMatchesCheckParams|TestLoadActorBytesRefusesLegacyGob|TestAgentFootprint|TestViewMatchesAgent"
-	"./internal/nn TestCloneFootprint|TestCheckMLPFrameMatchesCheckParams"
-	"./internal/rl/replay TestReplayGrowthParity|TestIdleBufferHoldsNoStorage|TestSumTreeWalksLikeFullTree|TestSetStateRejectsCorruptSnapshot"
+	"./internal/rl/ddpg TestLoadActorBytesInPlace|TestAppendActorBytesInPlace|TestLoadActorBytesRejectsHostileFrames|TestActorFrameCheckMatchesCheckParams|TestLoadActorBytesRefusesLegacyGob|TestAgentFootprint|TestViewMatchesAgent|TestReleaseTrainingMemory"
+	"./internal/nn TestCloneFootprint|TestCheckMLPFrameMatchesCheckParams|TestDropCachesChangesNoBit"
+	"./internal/rl/replay TestReplayGrowthParity|TestIdleBufferHoldsNoStorage|TestReleasedBufferHoldsNoStorage|TestSumTreeWalksLikeFullTree|TestSetStateRejectsCorruptSnapshot"
 	# One NN engine at two element types: 300 f64 and 200 f32 composed
 	# updates hash to the recorded values on both kernel sets, the
 	# kernels equal their element-wise reference, and a train step, a
@@ -145,6 +149,9 @@ gates=(
 	# train_seconds shows it; a policy that fails in the plan fails its
 	# own rows.
 	"./internal/sweep TestSweepSharesResolvedCells|TestSweepFailingCellDoesNotStopGrid"
+	# A trained controller keeps only what it serves and saves: the
+	# learner's bits, an empty replay, about a loaded policy's heap.
+	"./internal/control TestTrainedGreenNFVKeepsOnlyWhatItServes"
 	# The cluster figure byte-diffs across runs, and a figure suite
 	# trains each distinct model once with no byte of any table moved.
 	"./internal/experiments TestFigClusterDeterministic|TestSuiteSharesTrainingsByteForByte"
