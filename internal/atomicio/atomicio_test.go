@@ -91,6 +91,11 @@ func TestWritePiecesIsWriteWhole(t *testing.T) {
 	}
 }
 
+// TestReadRejectsCorruption: ReadFile refuses a framed file whose
+// payload has a flipped byte or is cut short, one under another magic
+// by quoting the magic it found beside the one it wants — escaped,
+// whatever the file held — and one shorter than its header by its
+// length.
 func TestReadRejectsCorruption(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "state")
 	if err := WriteFile(path, testMagic, []byte("payload-bytes")); err != nil {

@@ -52,6 +52,12 @@ func replay(t *testing.T, path string, base Sum) ([]string, error) {
 	return got, err
 }
 
+// TestJournalRoundTripAndBinding: a journal replays its records in
+// order, empty ones included, and only beside the base payload it was
+// created for — another base replays nothing. A missing journal replays
+// nothing and is not created; one under another magic, hostile bytes
+// among them, is refused with both magics quoted, escaped, and replays
+// nothing; CreateJournal replaces what was there.
 func TestJournalRoundTripAndBinding(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "state.journal")
 	base := SumOf([]byte("the framed file's payload"))

@@ -32,9 +32,9 @@ func defaultKnobs(w *Workload) [][]perfmodel.NFKnobs {
 	return ks
 }
 
-// TestSingleNodeReduction pins the tentpole parity invariant: a
-// 1-node homogeneous cluster hosting one chain is bit-for-bit the
-// existing perfmodel path.
+// TestSingleNodeReduction pins the cluster model's parity with the
+// node model: a 1-node homogeneous cluster hosting one chain is
+// bit-for-bit the perfmodel path.
 func TestSingleNodeReduction(t *testing.T) {
 	topo := Homogeneous(1)
 	chain := perfmodel.StandardChain()
@@ -192,8 +192,8 @@ func TestPartialResultsOnError(t *testing.T) {
 	}
 }
 
-// TestEvaluateClusterAllocs is the satellite alloc gate: steady-state
-// cluster evaluation must average ≤ 1 allocation per node.
+// TestEvaluateClusterAllocs is cluster evaluation's allocation budget:
+// in steady state it must average ≤ 1 allocation per node.
 func TestEvaluateClusterAllocs(t *testing.T) {
 	for _, n := range []int{1, 4, 8} {
 		topo := Heterogeneous(n)

@@ -34,9 +34,8 @@ func clusterCfg(nodes, chains int, pol placement.Policy) ClusterConfig {
 	}
 }
 
-// TestClusterEnvDeterminism is the satellite gate: same seed + same
-// placement policy ⇒ bit-identical episode traces at 1, 2, and 8
-// nodes (a named gate in scripts/gates.sh).
+// TestClusterEnvDeterminism: same seed + same placement policy ⇒
+// bit-identical episode traces at 1, 2, and 8 nodes.
 func TestClusterEnvDeterminism(t *testing.T) {
 	for _, nodes := range []int{1, 2, 8} {
 		for _, pol := range []placement.Policy{nil, placement.FFDSwap{}, placement.Relaxation{}} {

@@ -18,11 +18,15 @@ import (
 // reward, info field, knob and offered-traffic value over 200 StepInto
 // steps and 50 SetKnobs steps — recorded from the stand-alone Env
 // implementation that existed before the two environments were merged
-// (PR 14's tree). They replace the old Env-vs-ClusterEnv parity test:
-// a change to the decode, the load process, the evaluation or the
+// (ecaead5). They replace the old Env-vs-ClusterEnv parity test: a
+// change to the decode, the load process, the evaluation or the
 // observation that moves any bit of a single-node episode moves these.
 // A deliberate change to the model re-records them
 // (go test -run TestEnvEpisodeFingerprint -v prints the new values).
+// They were recorded on a CPU whose math.Exp takes its FMA branch
+// (amd64 with AVX and FMA): the load process and the power and DMA
+// models call it, so on a CPU without FMA they can move with no change
+// to the code.
 var episodeFingerprints = map[string]string{
 	"standard":  "7a388dc3fcab52ebc39c908e55a55dc9551056b62c4d9307a462f27833a3a0c4",
 	"heavy":     "977d8119824d81c4906cde3df82ad12088514a580d97909d4c331da03855f911",
@@ -96,6 +100,8 @@ func episodeFingerprint(t *testing.T, cfg Config) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// TestEnvEpisodeFingerprint holds five single-node episodes to
+// episodeFingerprints (see there).
 func TestEnvEpisodeFingerprint(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("recorded on amd64: other ports use different math.Exp/Log kernels")

@@ -16,8 +16,8 @@ func tinyOptions() Options {
 	return Options{TrainSteps: 60, QTrainSteps: 100, Actors: 2, ControlSteps: 8, Seed: 17}
 }
 
-// TestFigClusterDeterministic pins the acceptance criterion: the
-// rendered table must be byte-identical across runs.
+// TestFigClusterDeterministic: the cluster figure's rendered table is
+// byte-identical across runs.
 func TestFigClusterDeterministic(t *testing.T) {
 	t1, rows1, err := newSuite(t, tinyOptions()).FigCluster()
 	if err != nil {

@@ -17,8 +17,6 @@ func (a Activation) derivative(y, z float64) float64 {
 		return 0
 	case Tanh:
 		return 1 - y*y
-	case Sigmoid:
-		return y * (1 - y)
 	default:
 		return 1
 	}

@@ -333,9 +333,7 @@ func reluDerivVec[T float](dY, z, dz []T) int {
 // per element type (math.Abs and math.Tanh here, abs32 and tanh32 in
 // batch32.go); the pair is chosen once per layer call, on the slice
 // type. ReLU's whole vectors go to the AVX2 kernels reluasm/reluasmf32
-// first, and float64 Tanh's to tanhasm (inside tanhs64). Sigmoid
-// goes through the float64 math library at either type (unused by the
-// GreenNFV networks, so not worth a float32 leaf).
+// first, and float64 Tanh's to tanhasm (inside tanhs64).
 func applyBatch[T float](a Activation, z, y []T) {
 	y = y[:len(z)]
 	switch a {
@@ -353,10 +351,6 @@ func applyBatch[T float](a Activation, z, y []T) {
 			tanhs64(z, any(y).([]float64))
 		case []float32:
 			tanhs32(z, any(y).([]float32))
-		}
-	case Sigmoid:
-		for i, v := range z {
-			y[i] = T(1 / (1 + math.Exp(-float64(v))))
 		}
 	default:
 		copy(y, z)
@@ -414,11 +408,6 @@ func derivBatch[T float](a Activation, dY, z, y, dz []T) {
 		y = y[:len(dY)]
 		for i, yv := range y {
 			dz[i] = dY[i] * (1 - yv*yv)
-		}
-	case Sigmoid:
-		y = y[:len(dY)]
-		for i, yv := range y {
-			dz[i] = dY[i] * yv * (1 - yv)
 		}
 	default:
 		copy(dz, dY)

@@ -92,7 +92,7 @@
 //     (relu64/reluDeriv64, relu32/reluDeriv32: the fallback, and the
 //     tail after the last whole vector) alike, so where a layer's
 //     elements split between them does not show. ForwardRows applies
-//     the same leaves, so there is one ReLU (and one Tanh, one Sigmoid)
+//     the same leaves, so there is one ReLU (and one Tanh)
 //     in the package. It is deliberately
 //     not max(0, z) and a select: the step at z = ±0 follows the sign
 //     bit (+0 passes the gradient, -0 does not), dY·0 is -0 for
@@ -289,7 +289,7 @@
 //     pure-Go leaves only spell the bit masks differently, integer
 //     masks on Float32bits where float64 has math.Abs/Copysign. Each
 //     leaf is chosen once per layer call on the slice type, never per
-//     element. Sigmoid goes through float64 at both types.
+//     element.
 //   - Mixed precision, part of the contract because the recorded
 //     float32 values depend on it: Adam accumulates the clip norm in
 //     float64 and narrows the scale factor; computes both bias

@@ -20,15 +20,20 @@ import (
 // (all four networks' parameters, the Adam moments, the RNG position)
 // after learnFingerprint's 200 Learn + 100 LearnBatch steps, recorded
 // from the per-dot-product kernels this package had before the layer
-// kernels (dot4asm/axpyasm one call per row and column; PR 13's tree)
+// kernels (dot4asm/axpyasm one call per row and column; 0f3a061)
 // — with the AVX2+FMA kernels, and with the pure-Go fallback. A kernel
 // change that moves either value has changed the arithmetic; a change
 // to ddpg's defaults or update rule moves both and re-records them
 // (go test -run TestLearnFingerprint -v prints the new values).
 //
-// The F32 pair is learnFingerprintF32, recorded at PR 15's tree from
-// the separate float32 engine before it became the second
-// instantiation of the generic one.
+// The F32 pair is learnFingerprintF32, recorded at a0c2e75 from the
+// separate float32 engine before it became the second instantiation
+// of the generic one.
+//
+// All four were recorded on a CPU whose math.Exp takes its FMA branch
+// (amd64 with AVX and FMA). The pure-Go Tanh leaf is math.Tanh, which
+// calls math.Exp, so on a CPU without FMA the "go" values can move with
+// no change to the code.
 //
 // All four hash the checkpoint's bytes, so a change of its encoding
 // alone moves them: they were re-recorded when the training state left
@@ -142,6 +147,8 @@ func learnFingerprintF32(t *testing.T) string {
 	return stateHash(t, a, actions, a.TDErrorBatch(batch, nil))
 }
 
+// TestLearnFingerprint holds the learn step to the four recorded hashes
+// above, each on its own kernel set.
 func TestLearnFingerprint(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("recorded on amd64: other compilers may fuse the pure-Go loops")

@@ -196,7 +196,7 @@ func TestCheckMLPFrameMatchesCheckParams(t *testing.T) {
 		rows[name] = MustMLP(sizes, ReLU, Tanh, rng).ParamFrame()
 	}
 	rows["output activation"] = MustMLP(fuzzSizes, ReLU, Linear, rng).ParamFrame()
-	rows["hidden activation"] = MustMLP(fuzzSizes, Sigmoid, Tanh, rng).ParamFrame()
+	rows["hidden activation"] = MustMLP(fuzzSizes, Linear, Tanh, rng).ParamFrame()
 	accepted := 0
 	for name, frame := range rows {
 		want := n.CheckParams(frame)

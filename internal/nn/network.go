@@ -18,8 +18,6 @@ const (
 	ReLU
 	// Tanh squashes to (-1, 1) — the DDPG actor's output activation.
 	Tanh
-	// Sigmoid squashes to (0, 1).
-	Sigmoid
 )
 
 // String implements fmt.Stringer.
@@ -31,8 +29,6 @@ func (a Activation) String() string {
 		return "relu"
 	case Tanh:
 		return "tanh"
-	case Sigmoid:
-		return "sigmoid"
 	default:
 		return fmt.Sprintf("activation(%d)", int(a))
 	}

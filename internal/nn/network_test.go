@@ -39,7 +39,6 @@ func TestActivations(t *testing.T) {
 		{ReLU, -3, 0},
 		{ReLU, 2, 2},
 		{Tanh, 0, 0},
-		{Sigmoid, 0, 0.5},
 	}
 	for _, c := range cases {
 		y := make([]float64, 1)
@@ -125,11 +124,11 @@ func TestGradientCheck(t *testing.T) {
 	}
 }
 
-// Gradient check with ReLU and sigmoid paths too (different
-// derivative branches).
-func TestGradientCheckReLUSigmoid(t *testing.T) {
+// Gradient check through the actor's shape, ReLU hidden and Tanh out
+// (the other two derivative branches).
+func TestGradientCheckReLUTanh(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	net := MustMLP([]int{4, 6, 3}, ReLU, Sigmoid, rng)
+	net := MustMLP([]int{4, 6, 3}, ReLU, Tanh, rng)
 	x := []float64{0.5, -0.2, 0.9, -0.7}
 	net.ZeroGrad()
 	out := net.Forward(x)

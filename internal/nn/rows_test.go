@@ -19,7 +19,7 @@ func TestForwardRowsBitIdentical(t *testing.T) {
 		{10, 24, 24, 5},
 	}
 	acts := []struct{ hidden, out Activation }{
-		{ReLU, Tanh}, {Tanh, Linear}, {Sigmoid, Sigmoid},
+		{ReLU, Tanh}, {Tanh, Linear},
 	}
 	for si, sizes := range shapes {
 		for ai, a := range acts {

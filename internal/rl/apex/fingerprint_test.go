@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"testing"
 
+	"greennfv/internal/nn"
 	"greennfv/internal/rl/ddpg"
 	"greennfv/internal/sla"
 )
@@ -16,17 +17,20 @@ import (
 // and bench/'s train_rr replica are byte-pinned to it. These are the
 // SHA-256 of whole round-robin runs — the bit patterns of the learner's
 // policy parameters, every snapshot field, the experience counters and
-// the update count — first with the AVX2 kernels nn selects on this
-// hardware, then with its pure-Go kernels (the two sum in different
-// orders, and this package cannot ask nn which it chose, so a run must
-// match one of the pair). They hash the parameters themselves, not a
-// serialization of them: the values recorded at PR 16's tree (2712f09)
-// hashed ActorBytes, then a gob stream, whose type ids depend on which
-// gob users ran earlier in the process. These were recorded at a5d8e5b
-// (where those still passed), before the broadcast left gob, replay
-// storage became lazy and ReLU moved into assembly. A change that moves
-// any bit of a round-robin run moves these; a deliberate one re-records
-// them (go test -run TestTrainerFingerprint -v prints the new values).
+// the update count — first with nn's AVX2+FMA kernels, then with its
+// pure-Go kernels (the two sum in different orders); a run is held to
+// the value of the set nn.KernelSet reports. They hash the parameters
+// themselves, not a serialization of them: the values recorded at
+// 2712f09 hashed ActorBytes, then a gob stream, whose type ids depend
+// on which gob users ran earlier in the process. These were recorded at
+// a5d8e5b (where those still passed), before the broadcast left gob,
+// replay storage became lazy and ReLU moved into assembly, on a CPU
+// whose math.Exp takes its FMA branch (amd64 with AVX and FMA): the
+// environment, the power model and the replay's math.Pow all call it,
+// so on a CPU without FMA either value can move with no change to the
+// code. A change that moves any bit of a round-robin run moves these; a
+// deliberate one re-records them (go test -run TestTrainerFingerprint
+// -v prints the new values).
 var trainerFingerprints = map[string][2]string{
 	"default-4-actors": {
 		"243f57cdcbba4821a2aa0a079790ad0d48a7fc847c018f8b9c4002d8ce876356",
@@ -71,6 +75,8 @@ func trainerFingerprint(t *testing.T, cfg TrainerConfig) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// TestTrainerFingerprint holds three whole round-robin runs to
+// trainerFingerprints (see there).
 func TestTrainerFingerprint(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("recorded on amd64: other ports use different math and NN kernels")
@@ -114,8 +120,12 @@ func TestTrainerFingerprint(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			got := trainerFingerprint(t, c.cfg)
 			t.Logf("fingerprint %s", got)
-			if want := trainerFingerprints[c.name]; got != want[0] && got != want[1] {
-				t.Errorf("trainer fingerprint %s, recorded %s (AVX2) / %s (pure Go)", got, want[0], want[1])
+			want := trainerFingerprints[c.name][1]
+			if nn.KernelSet() == "avx2+fma" {
+				want = trainerFingerprints[c.name][0]
+			}
+			if got != want {
+				t.Errorf("trainer fingerprint %s, recorded %s for kernel set %s", got, want, nn.KernelSet())
 			}
 		})
 	}

@@ -195,7 +195,12 @@ func runCheckpointRoundTrip(t *testing.T, f32 bool, shards int) {
 	}
 }
 
-func TestCheckpointRoundTrip(t *testing.T)    { runCheckpointRoundTrip(t, false, 1) }
+// TestCheckpointRoundTrip: an agent restored from its checkpoint holds
+// the saved actor, learn count and replay, and acts and learns bit for
+// bit like the agent that saved it (runCheckpointRoundTrip).
+func TestCheckpointRoundTrip(t *testing.T) { runCheckpointRoundTrip(t, false, 1) }
+
+// TestCheckpointRoundTripF32: the same on the float32 path.
 func TestCheckpointRoundTripF32(t *testing.T) { runCheckpointRoundTrip(t, true, 1) }
 
 // TestCheckpointRestoresStripeCount: a replay snapshot restores at its

@@ -142,7 +142,11 @@ func testLearnBatchZeroAlloc(t *testing.T, f32 bool) {
 	}
 }
 
-func TestLearnBatchZeroAlloc(t *testing.T)    { testLearnBatchZeroAlloc(t, false) }
+// TestLearnBatchZeroAlloc: the pipeline's sample+learn cycle allocates
+// nothing once warm, at float64 (testLearnBatchZeroAlloc).
+func TestLearnBatchZeroAlloc(t *testing.T) { testLearnBatchZeroAlloc(t, false) }
+
+// TestLearnBatchF32ZeroAlloc: the same at float32.
 func TestLearnBatchF32ZeroAlloc(t *testing.T) { testLearnBatchZeroAlloc(t, true) }
 
 // TestSetReplayGuards: swapping is only allowed on an empty

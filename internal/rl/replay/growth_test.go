@@ -22,7 +22,10 @@ import (
 // per-shard RNG streams to the caller's RNG; 91c09c5's sampler with
 // only that change gives the same hash. Both hold since the sum tree
 // grew with its contents too (package doc, "Capacity is a bound, not a
-// reservation", has why no sample can tell).
+// reservation", has why no sample can tell). Both were recorded on a
+// CPU whose math.Exp takes its FMA branch (amd64 with AVX and FMA): the
+// priorities and weights go through math.Pow, which calls it, so on a
+// CPU without FMA they can move with no change to the code.
 var growthFingerprints = map[string]string{
 	"prioritized": "cc694777b1c86c22d19fc470cb9aca067e7c96ec786049c87cd53630a06c31bc",
 	"sharded":     "16dd6bff978aee0d6017db87a5bfdab18273f080fc333534ab68b20055ca1f52",
@@ -84,6 +87,8 @@ func growthScript(t *testing.T, buf *Prioritized, capacity int, handOver func(*P
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// TestReplayGrowthParity runs the growth script on a one-shard and a
+// four-shard buffer and holds each to growthFingerprints (see there).
 func TestReplayGrowthParity(t *testing.T) {
 	const capacity = 300 // not a power of two: the tree pads to 512
 	check := func(name, got string) {

@@ -62,7 +62,9 @@ func TestConfigValidate(t *testing.T) {
 // own row, every other cell still trains and produces a real row,
 // and the lowest failing cell's error is returned after the grid
 // completes. (Regression test: returning cell errors to pool.ForEach
-// would halt the grid and emit zero-valued rows.)
+// would halt the grid and emit zero-valued rows.) A placement policy
+// that fails when the plan resolves it fails its own rows and no
+// other.
 func TestSweepFailingCellDoesNotStopGrid(t *testing.T) {
 	tiers, err := DefaultTiers()
 	if err != nil {
