@@ -257,7 +257,6 @@ type Result struct {
 	pairs   []pairAgg
 	llcSum  []float64
 	nodeCnt []int
-	fwb     []float64
 	knobBuf []perfmodel.NFKnobs
 	knobEff [][]perfmodel.NFKnobs
 	errs    []error
@@ -333,7 +332,6 @@ func (t *Topology) EvaluateClusterInto(res *Result, w *Workload, knobs [][]perfm
 	res.factor = growF(res.factor, nChains)
 	res.latency = growF(res.latency, nChains)
 	res.llcSum = growF(res.llcSum, nNodes)
-	res.fwb = growF(res.fwb, nNodes)
 	res.nodeCnt = growI(res.nodeCnt, nNodes)
 	if cap(res.errs) >= nChains {
 		res.errs = res.errs[:nChains]
@@ -407,27 +405,19 @@ func (t *Topology) EvaluateClusterInto(res *Result, w *Workload, knobs [][]perfm
 	}
 
 	// Node aggregation. One chain: copy its totals (bit-identical to
-	// the single-node path). Several: re-run the single-node tail
-	// over the union of the chains' busy cores.
+	// the single-node path). Several: the single-node tail
+	// (perfmodel.Config.Draw) over the union of the chains' busy cores.
 	res.NodeEnergyJ = 0
 	res.NodesUsed = 0
 	for n := 0; n < nNodes; n++ {
 		m := &t.Nodes[n].Model
-		idleResidual := m.IdleResidualSleep
-		if opt.NoSleep {
-			idleResidual = m.IdleResidualBusyPoll
-		}
 		nr := NodeResult{Chains: res.nodeCnt[n]}
 		switch {
 		case res.nodeCnt[n] == 0:
 			// Empty host: no chains, no mgmt threads — only the
 			// C-state residual draws power.
-			util := idleResidual
-			if util > 1 {
-				util = 1
-			}
-			nr.Utilization = util
-			nr.PowerWatts = m.Power.Power(util, m.Power.FMin)
+			nr.Utilization = min(m.IdleResidual(opt), 1)
+			nr.PowerWatts = m.Power.Power(nr.Utilization, m.Power.FMin)
 			nr.EnergyJoules = nr.PowerWatts * m.WindowSeconds
 		case res.nodeCnt[n] == 1:
 			for c := 0; c < nChains; c++ {
@@ -453,21 +443,8 @@ func (t *Topology) EvaluateClusterInto(res *Result, w *Workload, knobs [][]perfm
 					fw += busy * m.Power.ClampFreq(res.knobEff[c][i].FreqGHz)
 				}
 			}
-			meanFreq := m.Power.FMin
-			if busySum > 0 {
-				meanFreq = fw / busySum
-			}
-			active := busySum + m.MgmtCores
-			if active > float64(m.NumCores) {
-				active = float64(m.NumCores)
-			}
-			util := (active + idleResidual*(float64(m.NumCores)-active)) / float64(m.NumCores)
-			if util > 1 {
-				util = 1
-			}
 			nr.BusyCores = busySum
-			nr.Utilization = util
-			nr.PowerWatts = m.Power.Power(util, meanFreq) + m.StaticCoreWatts*active
+			nr.Utilization, nr.PowerWatts = m.Draw(busySum, fw, opt)
 			nr.EnergyJoules = nr.PowerWatts * m.WindowSeconds
 		}
 		res.PerNode[n] = nr

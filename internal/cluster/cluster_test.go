@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"greennfv/internal/perfmodel"
@@ -33,44 +34,60 @@ func defaultKnobs(w *Workload) [][]perfmodel.NFKnobs {
 }
 
 // TestSingleNodeReduction pins the cluster model's parity with the
-// node model: a 1-node homogeneous cluster hosting one chain is
-// bit-for-bit the perfmodel path.
+// node model: a node hosting one chain is bit-for-bit that node's own
+// perfmodel path (a 1-node homogeneous cluster, and each hosted node
+// of a 3-node heterogeneous one), and an empty node draws only its
+// idle residual at the lowest frequency.
 func TestSingleNodeReduction(t *testing.T) {
-	topo := Homogeneous(1)
-	chain := perfmodel.StandardChain()
-	tr := perfmodel.Traffic{OfferedPPS: 2e6, FrameBytes: 512, Burstiness: 1}
-	knobs := perfmodel.DefaultKnobs(len(chain.NFs))
-	for _, opt := range []perfmodel.EvalOptions{
-		{},
-		{BusyPoll: true, NoSleep: true},
+	std := ChainLoad{Chain: perfmodel.StandardChain(), Traffic: perfmodel.Traffic{OfferedPPS: 2e6, FrameBytes: 512, Burstiness: 1}}
+	light := ChainLoad{Chain: perfmodel.LightChain(), Traffic: perfmodel.Traffic{OfferedPPS: 1e6, FrameBytes: 256, Burstiness: 1}}
+	for _, row := range []struct {
+		name   string
+		topo   Topology
+		w      Workload
+		assign []int
+	}{
+		{"1 node", Homogeneous(1), Workload{Chains: []ChainLoad{std}}, []int{0}},
+		{"3 heterogeneous nodes", Heterogeneous(3), Workload{Chains: []ChainLoad{std, light}}, []int{0, 1}},
 	} {
-		model := perfmodel.Default()
-		want, err := model.Evaluate(chain, knobs, tr, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w := Workload{Chains: []ChainLoad{{Chain: chain, Traffic: tr}}}
-		got, err := topo.EvaluateCluster(&w, [][]perfmodel.NFKnobs{knobs}, []int{0}, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.ThroughputGbps != want.ThroughputGbps {
-			t.Errorf("throughput %v != single-node %v", got.ThroughputGbps, want.ThroughputGbps)
-		}
-		if got.EnergyJ != want.EnergyJoules {
-			t.Errorf("energy %v != single-node %v", got.EnergyJ, want.EnergyJoules)
-		}
-		if got.PerNode[0].PowerWatts != want.PowerWatts {
-			t.Errorf("power %v != single-node %v", got.PerNode[0].PowerWatts, want.PowerWatts)
-		}
-		if got.PerNode[0].Utilization != want.Utilization {
-			t.Errorf("utilization %v != single-node %v", got.PerNode[0].Utilization, want.Utilization)
-		}
-		if got.LinkEnergyJ != 0 || got.CrossGbps != 0 || got.MaxPathLatencyNs != 0 {
-			t.Errorf("single node has fabric costs: %+v", got)
-		}
-		if got.SLAGbps != want.ThroughputGbps {
-			t.Errorf("SLA-credited %v != delivered %v", got.SLAGbps, want.ThroughputGbps)
+		knobs := defaultKnobs(&row.w)
+		for _, opt := range []perfmodel.EvalOptions{
+			{},
+			{BusyPoll: true, NoSleep: true},
+		} {
+			got, err := row.topo.EvaluateCluster(&row.w, knobs, row.assign, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var gbps, energy float64
+			for n, node := range got.PerNode {
+				m := &row.topo.Nodes[n].Model
+				var want perfmodel.Result
+				if c := slices.Index(row.assign, n); c >= 0 {
+					if want, err = m.Evaluate(row.w.Chains[c].Chain, knobs[c], row.w.Chains[c].Traffic, opt); err != nil {
+						t.Fatal(err)
+					}
+					gbps += want.ThroughputGbps
+				} else {
+					want.Utilization = m.IdleResidual(opt)
+					want.PowerWatts = m.Power.Power(want.Utilization, m.Power.FMin)
+					want.EnergyJoules = want.PowerWatts * m.WindowSeconds
+				}
+				energy += want.EnergyJoules
+				if node.Utilization != want.Utilization || node.PowerWatts != want.PowerWatts || node.EnergyJoules != want.EnergyJoules {
+					t.Errorf("%s %+v node %d: utilization %v power %v energy %v, want its own model's %v %v %v", row.name, opt, n,
+						node.Utilization, node.PowerWatts, node.EnergyJoules, want.Utilization, want.PowerWatts, want.EnergyJoules)
+				}
+			}
+			if got.ThroughputGbps != gbps || got.SLAGbps != gbps {
+				t.Errorf("%s %+v: throughput %v, SLA-credited %v, want the nodes' %v", row.name, opt, got.ThroughputGbps, got.SLAGbps, gbps)
+			}
+			if got.EnergyJ != energy {
+				t.Errorf("%s %+v: energy %v, want the nodes' %v", row.name, opt, got.EnergyJ, energy)
+			}
+			if got.LinkEnergyJ != 0 || got.CrossGbps != 0 || got.MaxPathLatencyNs != 0 {
+				t.Errorf("%s %+v: chains with no hops have fabric costs: %+v", row.name, opt, got)
+			}
 		}
 	}
 }

@@ -29,8 +29,10 @@
 // here and the ClusterEnv parity test in internal/env). Co-located
 // chains get a node-wide CAT rescale of their LLC fractions when the
 // node's cache is oversubscribed, and the node's power aggregates
-// every hosted chain's busy cores through the same utilization tail
-// the single-node model uses.
+// every hosted chain's busy cores through perfmodel.Config.Draw, the
+// utilization and power tail the single-node model itself calls. An
+// empty node draws only the C-state residual (Config.IdleResidual) at
+// the lowest frequency.
 //
 // # Partial results
 //

@@ -339,10 +339,6 @@ func (c *Config) EvaluateInto(res *Result, chain ChainSpec, knobs []NFKnobs, tr 
 	if opt.BusyPoll {
 		pollFrac = c.PollIdleFraction
 	}
-	idleResidual := c.IdleResidualSleep
-	if opt.NoSleep {
-		idleResidual = c.IdleResidualBusyPoll
-	}
 	var busySum, freqWeightedBusy float64
 	for i := range perNF {
 		share := clamp(knobs[i].CPUShare, 0.01, float64(c.NumCores))
@@ -355,20 +351,7 @@ func (c *Config) EvaluateInto(res *Result, chain ChainSpec, knobs []NFKnobs, tr 
 		busySum += busy
 		freqWeightedBusy += busy * c.Power.ClampFreq(knobs[i].FreqGHz)
 	}
-	meanFreq := c.Power.FMin
-	if busySum > 0 {
-		meanFreq = freqWeightedBusy / busySum
-	}
-
-	active := busySum + c.MgmtCores
-	if active > float64(c.NumCores) {
-		active = float64(c.NumCores)
-	}
-	util := (active + idleResidual*(float64(c.NumCores)-active)) / float64(c.NumCores)
-	if util > 1 {
-		util = 1
-	}
-	pw := c.Power.Power(util, meanFreq) + c.StaticCoreWatts*active
+	util, pw := c.Draw(busySum, freqWeightedBusy, opt)
 	energy := pw * c.WindowSeconds
 
 	gbps := traffic.ThroughputBps(throughput, tr.FrameBytes) / 1e9
@@ -389,6 +372,37 @@ func (c *Config) EvaluateInto(res *Result, chain ChainSpec, knobs []NFKnobs, tr 
 		res.EnergyPerMPkt = energy / (throughput * c.WindowSeconds / 1e6)
 	}
 	return nil
+}
+
+// IdleResidual is the effective utilization of a core no NF keeps
+// busy: IdleResidualBusyPoll under opt.NoSleep, IdleResidualSleep
+// otherwise.
+func (c *Config) IdleResidual(opt EvalOptions) float64 {
+	if opt.NoSleep {
+		return c.IdleResidualBusyPoll
+	}
+	return c.IdleResidualSleep
+}
+
+// Draw is the host's utilization and power for busy NF cores whose
+// busy-weighted clamped frequencies sum to freqBusy: the busy cores
+// plus MgmtCores are active (at most NumCores) at the busy-weighted
+// mean frequency (FMin when nothing is busy), the rest idle at
+// IdleResidual, and each active core adds StaticCoreWatts.
+func (c *Config) Draw(busy, freqBusy float64, opt EvalOptions) (util, watts float64) {
+	meanFreq := c.Power.FMin
+	if busy > 0 {
+		meanFreq = freqBusy / busy
+	}
+	active := busy + c.MgmtCores
+	if active > float64(c.NumCores) {
+		active = float64(c.NumCores)
+	}
+	util = (active + c.IdleResidual(opt)*(float64(c.NumCores)-active)) / float64(c.NumCores)
+	if util > 1 {
+		util = 1
+	}
+	return util, c.Power.Power(util, meanFreq) + c.StaticCoreWatts*active
 }
 
 // growNF returns buf resized to n, reallocating only when capacity is

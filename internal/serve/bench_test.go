@@ -68,10 +68,14 @@ func reportOnce(c *Controller, n *simNode, reply *ReportReply) error {
 // the same vetted config as ever — counts as a config change and takes
 // the durable path.
 func forgetLastGood(c *Controller, n *simNode) {
-	sh := c.shardFor(n.id)
-	sh.mu.Lock()
-	delete(sh.lastGood, n.id)
-	sh.mu.Unlock()
+	c.fleetMu.Lock()
+	rec := c.nodes[n.id]
+	c.fleetMu.Unlock()
+	rec.mu.Lock()
+	c.fleetMu.Lock()
+	rec.lastGood = nil
+	c.fleetMu.Unlock()
+	rec.mu.Unlock()
 }
 
 func BenchmarkControllerReport(b *testing.B) {

@@ -60,13 +60,6 @@ const (
 	CounterSourceHold     = "configs_source_hold"
 )
 
-// numShards is the lock-striping factor for per-node state. Node IDs
-// hash onto shards, so with fleets well past numShards the expected
-// map-lock collision rate stays low; the per-node record mutex (not
-// the shard lock) guards the report decision itself, so even
-// same-shard nodes only contend for the map lookup.
-const numShards = 32
-
 // Config assembles a Controller.
 type Config struct {
 	// Spec is the node environment contract (chain, workload, SLA) —
@@ -111,25 +104,20 @@ func ReadSpec(path string) (apex.ActorSpec, error) {
 }
 
 // nodeRec is the controller's per-node record: lease, heartbeat,
-// limiter baseline. Its own mutex guards the serving decision, so
-// reports from different nodes never contend — not even within one
-// shard.
+// limiter baseline and last-known-good config. Its own mutex guards
+// the serving decision, so reports from different nodes never contend.
+// A node resumed from state but not yet registered has a record with
+// only lastGood set.
 type nodeRec struct {
 	mu         sync.Mutex
 	epoch      uint64
 	registered bool
 	lastReport time.Time
 	limiter    *Limiter
-}
-
-// shard is one lock stripe of the fleet: the node-record map and the
-// last-known-good store for the node IDs that hash here. shard.mu
-// guards only the maps (lookups, membership, lastGood swaps); it is
-// never held across a policy decision.
-type shard struct {
-	mu       sync.Mutex
-	nodes    map[string]*nodeRec
-	lastGood map[string][]perfmodel.NFKnobs
+	// lastGood is written holding both mu and the controller's
+	// fleetMu, so either lock is enough to read it. A stored slice is
+	// never written again, only replaced.
+	lastGood []perfmodel.NFKnobs
 }
 
 // policySnapshot is the immutable serving policy: reports load it
@@ -162,19 +150,23 @@ type reportScratch struct {
 
 // Controller is the serving-plane brain: it holds the policy, leases
 // the fleet, and turns node observations into vetted knob configs.
-// All methods are goroutine-safe. The report path is built for
-// many-node fleets: per-node state lives in lock-striped shards, the
-// policy behind an atomically-swapped immutable snapshot, and each
-// in-flight report runs on pooled private scratch — so concurrent
-// reports from different nodes share no locks and no buffers.
+// All methods are goroutine-safe. Per-node state lives in one record
+// per node, each with its own mutex; the policy sits behind an
+// atomically-swapped immutable snapshot, and each in-flight report
+// runs on pooled private scratch — so concurrent reports from
+// different nodes share only the fleet map's lock, for one lookup.
 type Controller struct {
 	cfg      Config
 	counters *stats.Counters
 	probe    *env.Env // decodes actions, sizes buffers; never stepped
 
-	policy    atomic.Pointer[policySnapshot]
-	scratch   sync.Pool // *reportScratch
-	shards    [numShards]shard
+	policy  atomic.Pointer[policySnapshot]
+	scratch sync.Pool // *reportScratch
+	// fleetMu guards nodes and the writes of each record's lastGood.
+	// It is a leaf: taken after a record's mu or persistMu, and never
+	// held across a decision or a persist.
+	fleetMu   sync.Mutex
+	nodes     map[string]*nodeRec
 	nextEpoch atomic.Uint64
 
 	reportLatency *stats.PromHistogram
@@ -210,10 +202,7 @@ func NewController(cfg Config) (*Controller, error) {
 		counters:      stats.NewCounters(),
 		probe:         probe,
 		reportLatency: stats.NewPromHistogram(stats.DefLatencyBuckets),
-	}
-	for i := range c.shards {
-		c.shards[i].nodes = make(map[string]*nodeRec)
-		c.shards[i].lastGood = make(map[string][]perfmodel.NFKnobs)
+		nodes:         make(map[string]*nodeRec),
 	}
 
 	var resumed *ControllerState
@@ -237,8 +226,7 @@ func NewController(cfg Config) (*Controller, error) {
 		snap.version = resumed.PolicyVersion
 		c.policy.Store(snap)
 		for id, ks := range resumed.LastGood {
-			sh := c.shardFor(id)
-			sh.lastGood[id] = ks
+			c.nodes[id] = &nodeRec{limiter: DefaultLimiter(), lastGood: ks}
 		}
 	case cfg.PolicyPath != "":
 		snap, err := c.readPolicyFile(cfg.PolicyPath)
@@ -267,16 +255,6 @@ func (c *Controller) now() time.Time {
 		return c.cfg.Now()
 	}
 	return time.Now()
-}
-
-// shardFor maps a node ID onto its lock stripe (FNV-1a, inline: the
-// report path hashes every tick).
-func (c *Controller) shardFor(nodeID string) *shard {
-	h := uint32(2166136261)
-	for i := 0; i < len(nodeID); i++ {
-		h = (h ^ uint32(nodeID[i])) * 16777619
-	}
-	return &c.shards[h%numShards]
 }
 
 // validatePolicy takes what ddpg.ReadPolicy (boot and reload, streaming
@@ -435,36 +413,31 @@ func (c *Controller) RegisteredNodes() int {
 }
 
 // eachRecord calls f on every node record, holding that record's lock.
-// A shard's records are copied under its lock first, so no shard lock
-// is held while f runs.
+// The records are copied under fleetMu first, so fleetMu is not held
+// while f runs.
 func (c *Controller) eachRecord(f func(*nodeRec)) {
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		recs := make([]*nodeRec, 0, len(sh.nodes))
-		for _, rec := range sh.nodes {
-			recs = append(recs, rec)
-		}
-		sh.mu.Unlock()
-		for _, rec := range recs {
-			rec.mu.Lock()
-			f(rec)
-			rec.mu.Unlock()
-		}
+	c.fleetMu.Lock()
+	recs := make([]*nodeRec, 0, len(c.nodes))
+	for _, rec := range c.nodes {
+		recs = append(recs, rec)
+	}
+	c.fleetMu.Unlock()
+	for _, rec := range recs {
+		rec.mu.Lock()
+		f(rec)
+		rec.mu.Unlock()
 	}
 }
 
 // LastGood returns a copy of a node's last-known-good configuration
 // (nil if none recorded).
 func (c *Controller) LastGood(nodeID string) []perfmodel.NFKnobs {
-	sh := c.shardFor(nodeID)
-	sh.mu.Lock()
-	lg := sh.lastGood[nodeID]
-	sh.mu.Unlock()
-	if lg == nil {
-		return nil
+	c.fleetMu.Lock()
+	defer c.fleetMu.Unlock()
+	if rec := c.nodes[nodeID]; rec != nil {
+		return slices.Clone(rec.lastGood)
 	}
-	return append([]perfmodel.NFKnobs(nil), lg...)
+	return nil
 }
 
 // RegisterMetrics exposes the controller on a Prometheus registry:
@@ -586,14 +559,13 @@ func (c *Controller) register(args *RegisterNodeArgs, reply *RegisterNodeReply) 
 	if err := checkNodeID(args.NodeID); err != nil {
 		return err
 	}
-	sh := c.shardFor(args.NodeID)
-	sh.mu.Lock()
-	rec, ok := sh.nodes[args.NodeID]
+	c.fleetMu.Lock()
+	rec, ok := c.nodes[args.NodeID]
 	if !ok {
 		rec = &nodeRec{limiter: DefaultLimiter()}
-		sh.nodes[args.NodeID] = rec
+		c.nodes[args.NodeID] = rec
 	}
-	sh.mu.Unlock()
+	c.fleetMu.Unlock()
 	rec.mu.Lock()
 	rec.registered = true
 	// Allocated under rec.mu so concurrent registrations for the same
@@ -641,10 +613,9 @@ func (c *Controller) decide(start time.Time, args *ReportArgs, reply *ReportRepl
 	if err := checkNodeID(args.NodeID); err != nil {
 		return err
 	}
-	sh := c.shardFor(args.NodeID)
-	sh.mu.Lock()
-	rec := sh.nodes[args.NodeID]
-	sh.mu.Unlock()
+	c.fleetMu.Lock()
+	rec := c.nodes[args.NodeID]
+	c.fleetMu.Unlock()
 	if rec == nil {
 		return fmt.Errorf("%w %q: register first", ErrUnregisteredNode, args.NodeID)
 	}
@@ -693,7 +664,7 @@ func (c *Controller) decide(start time.Time, args *ReportArgs, reply *ReportRepl
 		}
 		limited := rec.limiter.Limit(sc.knobs)
 		if _, err := sc.guard.Check(limited, args.Traffic); err == nil {
-			reply.Config = c.recordLastGood(sh, args.NodeID, limited)
+			reply.Config = c.recordLastGood(rec, args.NodeID, limited)
 			reply.Source = SourcePolicy
 			rec.limiter.Record(limited)
 			c.counters.Inc(CounterConfigsPushed)
@@ -706,10 +677,7 @@ func (c *Controller) decide(start time.Time, args *ReportArgs, reply *ReportRepl
 	// Rung 2: last-known-good, re-vetted under the node's current
 	// traffic. A recovery here keeps the node on vetted configs, so it
 	// is counted as a push, not a fallback.
-	sh.mu.Lock()
-	lg := sh.lastGood[args.NodeID]
-	sh.mu.Unlock()
-	if lg != nil {
+	if lg := rec.lastGood; lg != nil {
 		if _, err := sc.guard.Check(lg, args.Traffic); err == nil {
 			reply.Config = lg
 			reply.Source = SourceLastGood
@@ -735,19 +703,18 @@ func (c *Controller) decide(start time.Time, args *ReportArgs, reply *ReportRepl
 // and, if it changed, makes the change durable before returning — so
 // before the report replies. It returns the stored slice, which the
 // reply shares: a stored slice is never written again, only replaced.
-// Called with the node's rec.mu held and its shard; takes only the
-// shard map lock (never another node's record), so the persist path
-// cannot deadlock two concurrent reports.
-func (c *Controller) recordLastGood(sh *shard, nodeID string, ks []perfmodel.NFKnobs) []perfmodel.NFKnobs {
-	sh.mu.Lock()
-	prev := sh.lastGood[nodeID]
-	if slices.Equal(prev, ks) {
-		sh.mu.Unlock()
-		return prev
+// Called with rec.mu held, so it compares without another lock; it
+// takes fleetMu (never another node's record) only to swap in a
+// changed config, so the persist path cannot deadlock two concurrent
+// reports.
+func (c *Controller) recordLastGood(rec *nodeRec, nodeID string, ks []perfmodel.NFKnobs) []perfmodel.NFKnobs {
+	if slices.Equal(rec.lastGood, ks) {
+		return rec.lastGood
 	}
 	stored := append([]perfmodel.NFKnobs(nil), ks...)
-	sh.lastGood[nodeID] = stored
-	sh.mu.Unlock()
+	c.fleetMu.Lock()
+	rec.lastGood = stored
+	c.fleetMu.Unlock()
 	if c.store != nil {
 		if err := c.persistChange(nodeID, stored); err != nil {
 			// Persistence failure must not take down serving; the
@@ -793,18 +760,17 @@ func (c *Controller) snapshot() error {
 	return c.snapshotLocked()
 }
 
-// snapshotLocked collects the fleet's last-known-good view shard by
-// shard and saves it with the serving policy. Caller holds persistMu.
+// snapshotLocked collects the fleet's last-known-good view under
+// fleetMu and saves it with the serving policy. Caller holds persistMu.
 func (c *Controller) snapshotLocked() error {
 	lg := make(map[string][]perfmodel.NFKnobs)
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		for id, ks := range sh.lastGood {
-			lg[id] = ks
+	c.fleetMu.Lock()
+	for id, rec := range c.nodes {
+		if rec.lastGood != nil {
+			lg[id] = rec.lastGood
 		}
-		sh.mu.Unlock()
 	}
+	c.fleetMu.Unlock()
 	snap := c.policy.Load()
 	err := c.store.Save(&ControllerState{
 		PolicyBlob:    snap.blob,

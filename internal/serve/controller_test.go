@@ -1,6 +1,6 @@
 package serve
 
-// Controller-level unit tests for the sharded fast path's edges: the
+// Controller-level unit tests for the report fast path's edges: the
 // persistence-failure ledger, the per-source counter conservation law
 // (the fallback double-count fix), and the Prometheus exposition
 // contract.
@@ -121,7 +121,7 @@ func TestPersistFailureKeepsServing(t *testing.T) {
 	change := func() []perfmodel.NFKnobs {
 		ks := ctrl.LastGood(n.id)
 		ks[0].Batch++
-		ctrl.recordLastGood(ctrl.shardFor(n.id), n.id, ks)
+		ctrl.recordLastGood(ctrl.nodes[n.id], n.id, ks)
 		return ks
 	}
 	// onDisk asserts what a restart would resume for the node.
@@ -373,7 +373,7 @@ func TestControllerMetricsExposition(t *testing.T) {
 	// snapshot and at least one journal record.
 	changed := ctrl.LastGood(n.id)
 	changed[0].Batch++
-	ctrl.recordLastGood(ctrl.shardFor(n.id), n.id, changed)
+	ctrl.recordLastGood(ctrl.nodes[n.id], n.id, changed)
 
 	reg := stats.NewRegistry()
 	ctrl.RegisterMetrics(reg)
@@ -503,4 +503,89 @@ func TestBootOnUnknownLayouts(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestResumedLastGoodIsUnregistered pins what a resumed
+// last-known-good is before its node registers: a record with no
+// lease, so it counts in no registered-node gauge, expires nothing and
+// is still served by LastGood and re-persisted unchanged by the next
+// snapshot. Once the node registers, the resumed config is its
+// last-known-good rung: with a NaN policy (TestGuardrailProperty's way
+// of refusing every policy proposal) its first report is served from
+// it.
+func TestResumedLastGoodIsUnregistered(t *testing.T) {
+	dir := t.TempDir()
+	spec := testSpec(sla.NewEnergyEfficiency())
+	cfg := Config{
+		Spec:       spec,
+		PolicyPath: writePolicy(t, dir, spec, 45),
+		StatePath:  filepath.Join(dir, "controller.state"),
+	}
+	first, err := NewController(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := []*simNode{newSimNode(t, spec, 0), newSimNode(t, spec, 1)}
+	want := map[string][]perfmodel.NFKnobs{}
+	for _, n := range nodes {
+		if err := n.register(first); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := n.step(first); err != nil {
+			t.Fatal(err)
+		}
+		if want[n.id] = first.LastGood(n.id); want[n.id] == nil {
+			t.Fatalf("%s has no last-known-good to resume", n.id)
+		}
+	}
+	if err := first.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	ctrl, err := NewController(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctrl.Close()
+	if got := ctrl.RegisteredNodes(); got != 0 {
+		t.Errorf("%d nodes registered after resume, want 0", got)
+	}
+	if got := ctrl.ExpireLeases(time.Now().Add(time.Hour)); got != 0 {
+		t.Errorf("ExpireLeases expired %d resumed records, want 0", got)
+	}
+	for id, ks := range want {
+		if got := ctrl.LastGood(id); !reflect.DeepEqual(got, ks) {
+			t.Errorf("LastGood(%s) = %+v, want the resumed %+v", id, got, ks)
+		}
+	}
+	// ReloadPolicy writes a snapshot: the resumed configs are in it.
+	if err := ctrl.ReloadPolicy(writeNaNPolicy(t, t.TempDir(), spec, 45)); err != nil {
+		t.Fatal(err)
+	}
+	if got := ctrl.Counters().Get(CounterStateSnapshots); got != 1 {
+		t.Fatalf("state_snapshots = %d, want 1", got)
+	}
+	st, err := ctrl.store.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(st.LastGood, want) {
+		t.Errorf("snapshot holds %+v, want the resumed %+v", st.LastGood, want)
+	}
+
+	n := newSimNode(t, spec, 0)
+	if err := n.register(ctrl); err != nil {
+		t.Fatal(err)
+	}
+	reply, err := n.step(ctrl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reply.Source != SourceLastGood || !reflect.DeepEqual(reply.Config, want[n.id]) {
+		t.Errorf("first report under a NaN policy: source %q config %+v, want %q %+v",
+			reply.Source, reply.Config, SourceLastGood, want[n.id])
+	}
+	if got := ctrl.RegisteredNodes(); got != 1 {
+		t.Errorf("%d nodes registered, want 1", got)
+	}
 }

@@ -44,13 +44,14 @@
 // reconverges to policy-driven configs within one heartbeat window of
 // the partition healing.
 //
-// # Sharding and the report fast path
+// # The fleet table and the report fast path
 //
 // The controller is built to take a whole fleet reporting at once.
-// Per-node state lives in lock-striped shards (FNV-1a of the node ID
-// over a fixed shard count); a shard's mutex guards only its lookup
-// maps, while each node record carries its own mutex for the serving
-// decision — so two nodes never contend, even hash neighbours. The
+// It keeps one record per node (lease, limiter baseline,
+// last-known-good) in one map. The map's mutex guards only lookups,
+// membership and last-known-good swaps, and is never held across a
+// decision or a state write; each record carries its own mutex for the
+// serving decision, so two nodes contend only for a map lookup. The
 // policy sits behind an atomically swapped immutable snapshot:
 // reports read it lock-free, and only ReloadPolicy takes the writer
 // path (validate, then swap a new snapshot with a bumped version).

@@ -1,7 +1,7 @@
 package serve
 
 // Fleet-scale serving harness: a deterministic, in-process fleet
-// simulator for the sharded controller. 32+ node agents with seeded
+// simulator for the controller. 32+ node agents with seeded
 // per-rank traffic drive a live controller through scripted lease
 // churn, partitions (faultrpc.FaultProxy) and hot policy reloads
 // mid-storm — all on an injectable clock, under -race in CI. The
@@ -159,7 +159,7 @@ func sameRecord(a, b recorded) bool {
 }
 
 // TestFleetDeterminismVsSerial is the scratch-isolation gate: 32
-// nodes storm the sharded controller concurrently, then an identical
+// nodes storm the controller concurrently, then an identical
 // serial controller replays every node's recorded input sequence one
 // node at a time. Per-node decisions depend only on that node's own
 // history plus the immutable policy snapshot, so every reply must be
@@ -349,8 +349,8 @@ func TestFleetSoakStorm(t *testing.T) {
 	assertCountersConserve(t, ctrl)
 }
 
-// TestExpireLeasesChurnRace is the shard-dangerous interleaving the
-// striping change makes possible: ExpireLeases sweeping all shards
+// TestExpireLeasesChurnRace is the fleet-map interleaving most likely
+// to race: ExpireLeases sweeping every node record
 // while registers, reports and hot reloads land concurrently, on the
 // injected clock, under -race. Semantics (not just absence of data
 // races) are asserted at the end: the ledger conserves and a fresh

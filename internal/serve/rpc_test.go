@@ -193,11 +193,7 @@ func TestNodeIDBounds(t *testing.T) {
 	if got := ctrl.RegisteredNodes(); got != 1 {
 		t.Errorf("%d nodes registered, want only the %d-byte one", got, MaxNodeIDLen)
 	}
-	records := 0
-	for i := range ctrl.shards {
-		records += len(ctrl.shards[i].nodes)
-	}
-	if records != 1 {
+	if records := len(ctrl.nodes); records != 1 {
 		t.Errorf("%d node records kept, want 1: a refused ID must not become a map key", records)
 	}
 }

@@ -3,9 +3,9 @@
 # run per package, and the one list of them. `go test -race ./...` runs
 # every one too; this runs them verbose (each PASS line grep-able in a
 # CI log), without the race detector's instrumentation (so allocation
-# budgets are the real ones), and fails if a listed name matches no
-# passing test (renamed or removed). A name matches as a prefix. Each
-# test's doc comment says what it pins. Extra arguments go to `go test`
+# budgets are the real ones), and fails if a listed name is not the
+# whole name of a passing test (renamed or removed). Each test's doc
+# comment says what it pins. Extra arguments go to `go test`
 # (scripts/gates.sh -race).
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
@@ -14,7 +14,7 @@ gates=(
 	# Training plane: chaos kill/resume, checkpoints and resume, fleet bounds, the learner's messages, the broadcast, the stepping loop, the reference fingerprints.
 	"./internal/rl/apex TestChaosKillResume|TestFleetFailureStopsLearner|TestPushRejectsMalformedExperience|TestRegisterRefusesIDOutsideFleet|TestTrainerCheckpointResume|TestWriteReadCheckpoint|TestTrainerFingerprint|FuzzTrainerCheckpoint|TestResumeRefusesGobNetworks|TestResumeAcrossGOMAXPROCS|TestResumeRejectsMissingAndMismatched|TestLearnerMessageLayouts|FuzzPushWire|TestParallelDriverMatchesRoundRobinStepping|TestParallelSnapshotsOnRoundRobinGrid|TestParallelTrainsClusterEnv|TestPublishRecyclesReleasedFrame|TestSyncParamsReleasesItsPull|TestReleaseCountsOnlyTheCurrentFrame|TestConcurrentPullersSeeTheirVersion|TestSyncParamsAllocatesNothing|TestPublishedFrameIsImmutable|TestNewTrainerFootprint|FuzzDecodeActorSpec"
 	# The agent: its checkpoint layout and refusals, actor frames, what acts and what is released, zero-alloc learning and acting, f32 drift.
-	"./internal/rl/ddpg TestCheckpoint|TestCheckpointRestoresStripeCount|TestLoadActorBytesInPlace|TestAppendActorBytesInPlace|TestLoadActorBytesRejectsHostileFrames|TestActorFrameCheckMatchesCheckParams|TestLoadActorBytesRefusesLegacyGob|TestLoadActorBytesCorpus|FuzzLoadActorBytes|TestAgentFootprint|TestViewMatchesAgent|TestReleaseTrainingMemory|TestLearnBatchZeroAlloc|TestLearnBatchF32ZeroAlloc|TestActBatchNoAllocs|TestLearnF32ParityWithF64|TestStateLayout|TestLoadPolicyMatchesLoadAgent|TestLoadPolicyRefusesDamage|TestReadPolicyRefusesStreamedDamage|TestReadPolicyStreamsArePerCall|TestLoadRefusesOversizedConfig|TestLoadRefusesGobNetworks|TestLoadRefusesPreSectionCheckpoint|TestRefusedLoadStateChangesNothing|TestLoadStateRejectsHostileOptimizer|FuzzLoadState|FuzzLoadPolicy"
+	"./internal/rl/ddpg TestCheckpointRoundTrip|TestCheckpointRoundTripF32|TestCheckpointConfigMismatch|TestCheckpointRejectsDirtyReplay|TestCheckpointRestoresStripeCount|TestLoadActorBytesInPlace|TestAppendActorBytesInPlace|TestLoadActorBytesRejectsHostileFrames|TestActorFrameCheckMatchesCheckParams|TestLoadActorBytesRefusesLegacyGob|TestLoadActorBytesCorpus|FuzzLoadActorBytes|TestAgentFootprint|TestViewMatchesAgent|TestReleaseTrainingMemory|TestLearnBatchZeroAlloc|TestLearnBatchF32ZeroAlloc|TestActBatchNoAllocs|TestLearnF32ParityWithF64|TestStateLayout|TestLoadPolicyMatchesLoadAgent|TestLoadPolicyRefusesDamage|TestReadPolicyRefusesStreamedDamage|TestReadPolicyStreamsArePerCall|TestLoadRefusesOversizedConfig|TestLoadRefusesGobNetworks|TestLoadRefusesPreSectionCheckpoint|TestRefusedLoadStateChangesNothing|TestLoadStateRejectsHostileOptimizer|FuzzLoadState|FuzzLoadPolicy"
 	# The NN engine: learn fingerprints, kernel parity, zero-alloc passes, the parameter frame and its decoder.
 	"./internal/nn TestLearnFingerprint|TestKernelParityAVX2|TestKernelParityGo|TestReLUKernelParity|TestSeqKernelParity|TestTanhKernelParity|FuzzTanhKernelParity|TestTransposeParity|TestKernelsF32MatchGoWide|TestKernelsConcurrent|TestRows4TreeParity|TestBackwardInputColumns|TestFusedOptimizerParity|TestOptimizerKernelsBitExact|TestParamFrame|TestNetworkUnmarshalCorpus|FuzzNetworkUnmarshal|TestBatchZeroAllocSteadyState|TestF32ZeroAllocSteadyState|TestForwardRowsNoAllocs|TestForwardRowsBitIdentical|TestForwardInputLength|TestCloneFootprint|TestCheckMLPFrameMatchesCheckParams|TestDropCachesChangesNoBit"
 	# Replay: storage that grows with its contents, the growth fingerprint, snapshot refusals.
@@ -22,11 +22,11 @@ gates=(
 	# The RPC transport: no gob on either plane, per-connection kept values, frame sizing.
 	"./internal/rpcutil TestServiceMessagesAreLaidOut|TestRefusedLayoutIsAnsweredAndKept|TestKeptValuesStartEmpty|TestKeptValuesPerConnection|TestDeclaredLengthSizesNothing|TestGrownBufferReadsWholeFrames|FuzzServerConn"
 	# Serving: guardrail safety, the fleet soak, report allocations, policy-only reloads, the controller state.
-	"./internal/serve TestGuardrailProperty|TestFleet|TestExpireLeasesChurnRace|TestReportRoundTripAllocs|TestSteadyReportAllocatesNothing|TestPolicyReplyOutlivesRecord|FuzzReportWire|TestServingHoldsPolicyOnly|TestReloadCostIgnoresTrainingState|TestReloadRefusesStreamedDamage|TestReloadPersistFailureIsNotRejection|TestReplicaRefreshesInPlace|TestSnapshotLayout|TestBootOnUnknownLayouts|TestJournalCrashMatrix|FuzzStateLoad|TestStateLoadCorpus"
+	"./internal/serve TestGuardrailProperty|TestFleetDeterminismVsSerial|TestFleetSoakStorm|TestExpireLeasesChurnRace|TestReportRoundTripAllocs|TestSteadyReportAllocatesNothing|TestPolicyReplyOutlivesRecord|FuzzReportWire|TestServingHoldsPolicyOnly|TestReloadCostIgnoresTrainingState|TestReloadRefusesStreamedDamage|TestReloadPersistFailureIsNotRejection|TestReplicaRefreshesInPlace|TestSnapshotLayout|TestBootOnUnknownLayouts|TestJournalCrashMatrix|FuzzStateLoad|TestStateLoadCorpus"
 	# Framed files and journals: one refusal of every other format.
 	"./internal/atomicio TestReadRejectsCorruption|TestJournalRoundTripAndBinding|TestWritePiecesIsWriteWhole"
 	# The fault proxy both planes' chaos tests stand on.
-	"./internal/faultrpc TestFaultProxy"
+	"./internal/faultrpc TestFaultProxyTransparent|TestFaultProxyDropsAndRetry|TestFaultProxyDelay|TestFaultProxyPartition|TestFaultProxyCloseUnderChurn"
 	# The environment: single-node fingerprints, cluster determinism, zero-alloc steps, pinned assignments.
 	"./internal/env TestEnvEpisodeFingerprint|TestClusterEnvDeterminism|TestClusterEnvStepAllocs|TestEnvStepZeroAlloc|TestClusterEnvPinVetting|TestClusterEnvResolvedAssignment"
 	# The cluster model: the 1-node reduction and the evaluation's allocation budget.
@@ -62,7 +62,7 @@ echo "gates: no reflection in internal/rl/apex or internal/serve"
 for gate in "${gates[@]}"; do
 	pkg=${gate%% *}
 	pattern=${gate#* }
-	out=$(go test "$@" -count=1 -v -run "^($pattern)" "$pkg") || {
+	out=$(go test "$@" -count=1 -v -run "^($pattern)\$" "$pkg") || {
 		echo "$out"
 		echo "gates: FAILED in $pkg" >&2
 		exit 1
@@ -70,7 +70,7 @@ for gate in "${gates[@]}"; do
 	grep -E '^(--- |ok|PASS)' <<<"$out" || true
 	# Every name in the pattern must have matched a test that passed.
 	for name in ${pattern//|/ }; do
-		if ! grep -q "^--- PASS: $name" <<<"$out"; then
+		if ! grep -q "^--- PASS: $name (" <<<"$out"; then
 			echo "gates: no passing test matches $name in $pkg (renamed or removed?)" >&2
 			exit 1
 		fi
