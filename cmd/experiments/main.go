@@ -25,6 +25,7 @@ import (
 	"strings"
 
 	"greennfv/internal/experiments"
+	"greennfv/internal/nn"
 	"greennfv/internal/sweep"
 )
 
@@ -204,7 +205,8 @@ func run() error {
 	if models, arms := suite.Trained(); arms > 0 {
 		retained := float64(int64(liveHeap()-base)) / (1 << 20)
 		runtime.KeepAlive(suite)
-		fmt.Fprintf(os.Stderr, "experiments: trained %d Ape-X models for %d arms; the suite retains %.1f MB\n", models, arms, retained)
+		fmt.Fprintf(os.Stderr, "experiments: trained %d Ape-X models for %d arms on the %s nn kernels; the suite retains %.1f MB\n",
+			models, arms, nn.KernelSet(), retained)
 	}
 	return nil
 }

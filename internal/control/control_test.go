@@ -233,9 +233,12 @@ func TestTrainedGreenNFVKeepsOnlyWhatItServes(t *testing.T) {
 	}
 
 	// A policy loaded from the checkpoint holds networks, optimizer
-	// moments and noise, and no replay or batch scratch; after one
-	// interval, one-row forward caches. The trained controller adds the
-	// actor's minibatch-sized forward caches and the curve.
+	// moments and noise, and no replay, gradients or batch scratch; its
+	// actor's one-row forward caches sit in the block ddpg.New sized.
+	// The trained controller holds the same and adds the curve, which
+	// this test reads as 6–7 KB. The bound leaves ~17 KB: 32-row actor
+	// caches would add ~85 KB, and the actor's and critic's gradients
+	// ~62 KB.
 	before = liveHeap()
 	agent, err := ddpg.LoadAgentBytes(state.Bytes())
 	if err != nil {
@@ -249,8 +252,8 @@ func TestTrainedGreenNFVKeepsOnlyWhatItServes(t *testing.T) {
 	runtime.KeepAlive(loaded)
 	runtime.KeepAlive(&state)
 	t.Logf("the trained controller retains %d KB, a loaded policy %d KB", trained>>10, minimal>>10)
-	if trained > minimal+160<<10 {
-		t.Errorf("the trained controller retains %d KB, over the %d KB of a loaded policy plus 160 KB", trained>>10, minimal>>10)
+	if trained > minimal+24<<10 {
+		t.Errorf("the trained controller retains %d KB, over the %d KB of a loaded policy plus 24 KB", trained>>10, minimal>>10)
 	}
 }
 
@@ -315,6 +318,42 @@ func TestGreenNFVStepOnAllocs(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Errorf("StepOn allocates %v per interval, want 0", allocs)
+	}
+}
+
+// TestTrainedGreenNFVFirstStepAllocatesNothing: a trained controller's
+// first interval allocates nothing of its own, on an environment that
+// has already run one. TrainOn sizes the observation and action
+// buffers, and the released actor runs its one-row pass in the block
+// ddpg.New allocated for it (ddpg.Agent.ReleaseTrainingMemory).
+// AllocsPerRun's warm-up call deploys the first controller, its one
+// measured call the second: each a first interval.
+func TestTrainedGreenNFVFirstStepAllocatesNothing(t *testing.T) {
+	var gs [2]*GreenNFV
+	var es [2]*env.Env
+	for i := range gs {
+		gs[i] = NewGreenNFV(sla.NewEnergyEfficiency(), 128, 1, 3)
+		if err := gs[i].Prepare(factory(t)); err != nil {
+			t.Fatal(err)
+		}
+		e, err := factory(t)(int64(i), gs[i].Options())
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Reset(1)
+		if _, _, _, err := e.Step(make([]float64, e.ActionDim())); err != nil {
+			t.Fatal(err)
+		}
+		es[i] = e
+	}
+	next := 0
+	if allocs := testing.AllocsPerRun(1, func() {
+		if _, err := gs[next].StepOn(es[next]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}); allocs != 0 {
+		t.Errorf("a trained controller's first interval allocates %v times", allocs)
 	}
 }
 

@@ -52,13 +52,15 @@
 // times", so once TrainOn's run (and its completion checkpoint) is
 // done the controller keeps only what StepOn, SaveActor,
 // SavePolicyState and Curve read: the learner's agent — networks, Adam
-// moments, noise, RNG position, counters — and the training curve.
-// The trainer goes with its actors, their views and environments, and
-// the agent releases its replay contents, batch scratch and the
-// critic's and targets' caches in place
+// moments, noise, RNG position, counters, and one row of actor forward
+// caches — the training curve, and StepOn's observation and action
+// buffers. The trainer goes with its actors, their views and
+// environments, and the agent releases its replay contents, the
+// actor's and critic's gradients and every minibatch cache in place
 // (ddpg.Agent.ReleaseTrainingMemory). None of that changes a saved or
-// deployed bit (TestTrainedGreenNFVKeepsOnlyWhatItServes). A policy
-// trained for 2,000 steps retains about 0.4 MB, where the run held
-// 2.1 MB more that nothing reads after it, and the figure suite's 14
-// models 5.6 MB.
+// deployed bit (TestTrainedGreenNFVKeepsOnlyWhatItServes), and the
+// first interval a trained controller deploys allocates nothing of its
+// own (TestTrainedGreenNFVFirstStepAllocatesNothing). A policy trained
+// for 2,000 steps retains about 0.26 MB, and the figure suite's 14
+// models 3.6 MB.
 package control

@@ -42,8 +42,10 @@ type GreenNFV struct {
 	// training memory released, after TrainOn, or a loaded agent.
 	agent *ddpg.Agent
 	// state is the last observation of on, the environment StepOn is
-	// driving; a different environment starts from its own reset.
-	// action is StepOn's reused action buffer.
+	// driving; a different environment starts from its own reset into
+	// the same buffer. action is StepOn's reused action buffer. TrainOn
+	// sizes both for the agent, so a trained controller's first
+	// interval allocates nothing of its own.
 	state, action []float64
 	on            env.Stepper
 }
@@ -115,6 +117,8 @@ func (g *GreenNFV) TrainOn(factory func(seed int64) (env.Stepper, error)) error 
 	g.curve = trainer.Snapshots
 	g.agent = trainer.Learner().Agent()
 	g.agent.ReleaseTrainingMemory()
+	acfg := g.agent.Config()
+	g.state, g.action = make([]float64, acfg.StateDim), make([]float64, acfg.ActionDim)
 	return nil
 }
 
@@ -180,14 +184,17 @@ func (g *GreenNFV) Step(e *env.Env) (perfmodel.Result, error) { return g.StepOn(
 // StepOn runs one greedy policy action on the environment and returns
 // its info Result (on a cluster, the roll-up — see
 // env.ClusterEnv.StepInto). After the first interval on an environment
-// it allocates nothing.
+// it allocates nothing, and a switch to another environment of the same
+// dimensions resets it into the same buffers.
 func (g *GreenNFV) StepOn(e env.Stepper) (perfmodel.Result, error) {
 	if g.agent == nil {
 		return perfmodel.Result{}, errors.New("control: GreenNFV not prepared")
 	}
 	if g.on != e {
-		g.state, g.on = e.Reset(g.Seed+7777), e
-		g.action = make([]float64, e.ActionDim())
+		if len(g.state) != e.StateDim() || len(g.action) != e.ActionDim() {
+			g.state, g.action = make([]float64, e.StateDim()), make([]float64, e.ActionDim())
+		}
+		g.state, g.on = e.ResetInto(g.Seed+7777, g.state), e
 	}
 	if err := g.agent.ActInto(g.state, false, g.action); err != nil {
 		return perfmodel.Result{}, err

@@ -74,8 +74,8 @@ func AdamStep[T float](a *Adam, n *Network, gscale T, target *Network, tau T) {
 	if tau < 0 || tau > 1 {
 		panic("nn: tau must be in [0,1]")
 	}
-	params, grads := views[T](n)
-	to, _ := views[T](target)
+	params, grads := paramsAt[T](n), gradsAt[T](n)
+	to := paramsAt[T](target)
 	if len(to) != len(params) {
 		panic("nn: target topology differs from the network's")
 	}

@@ -150,16 +150,16 @@ func checkFusedOptimizer[T float](t *testing.T) {
 	target := MustMLP(sizes, ReLU, Tanh, rng)
 	net.EnableF32()
 	target.EnableF32()
-	ref, refTarget := trainableClone(net), target.Clone()
+	ref, refTarget := net.Clone(), target.Clone()
 	ref.EnableF32()
 	refTarget.EnableF32()
 	opt := MustAdam(0.01)
 	opt.ClipNorm = 0.5
 	var ra refAdam[T]
-	params, grads := views[T](net)
-	tparams, _ := views[T](target)
-	rparams, rgrads := views[T](ref)
-	rtargets, _ := views[T](refTarget)
+	params, grads := paramsAt[T](net), gradsAt[T](net)
+	tparams := paramsAt[T](target)
+	rparams, rgrads := paramsAt[T](ref), gradsAt[T](ref)
+	rtargets := paramsAt[T](refTarget)
 	gscale, tau := 1/T(32), T(0.01)
 	var clipped, kept, certified int
 	for step := 0; step < 400; step++ {

@@ -42,28 +42,46 @@ type precision[T float] struct {
 	bx, bz, by, bdz, bdx, wt []T
 }
 
-// dropCaches lets go of the backward pass's scratch and, unless
-// keepForward, the activation caches.
-func (p *precision[T]) dropCaches(keepForward bool) {
-	p.bdz, p.bdx, p.wt = nil, nil, nil
-	if !keepForward {
-		p.bx, p.bz, p.by = nil, nil, nil
-	}
-}
-
 // DropCaches releases the batch scratch of every layer at both element
 // types: the backward pass's (the output gradients, the input
 // gradients, the transposed weights and the gradient kernel's
-// compaction scratch) and, unless keepForward, the activation caches
-// every forward pass fills. Parameters, gradients and the float32
-// mirrors stay, and no pass computes a different bit afterwards: the
-// next pass regrows what it needs, and a backward pass needs a forward
-// pass before it, as on a new network. It allocates nothing.
-func (n *Network) DropCaches(keepForward bool) {
+// compaction scratch) and the activation caches every forward pass
+// fills. Parameters, gradients and the float32 mirrors stay, and no
+// pass computes a different bit afterwards: the next pass regrows what
+// it needs, and a backward pass needs a forward pass before it, as on a
+// new network. It allocates nothing.
+func (n *Network) DropCaches() {
 	for _, l := range n.layers {
-		l.f64.dropCaches(keepForward)
-		l.f32.dropCaches(keepForward)
+		l.f64 = precision[float64]{w: l.f64.w, b: l.f64.b, dw: l.f64.dw, db: l.f64.db}
+		l.f32 = precision[float32]{w: l.f32.w, b: l.f32.b, dw: l.f32.dw, db: l.f32.db}
 		l.bnz = nil
+	}
+}
+
+// ForwardCacheLen is how many float64s the activation caches of a
+// rows-row float64 forward pass take: rows·(In + 2·Out) per layer.
+func (n *Network) ForwardCacheLen(rows int) int {
+	per := 0
+	for _, l := range n.layers {
+		per += l.In + 2*l.Out
+	}
+	return rows * per
+}
+
+// SetForwardCaches puts the float64 activation caches on buf, which
+// holds ForwardCacheLen(rows) float64s for some rows ≥ 1 and stays the
+// caller's: the caches the layers held go, a float64 forward pass of up
+// to rows rows then runs in buf and allocates nothing, and a larger one
+// regrows the caches on the heap, as from nil. The caches are scratch,
+// so no pass computes a different bit. It allocates nothing.
+func (n *Network) SetForwardCaches(buf []float64) {
+	rows := len(buf) / n.ForwardCacheLen(1)
+	for _, l := range n.layers {
+		p := &l.f64
+		in, out := rows*l.In, rows*l.Out
+		p.bx, buf = buf[:in:in], buf[in:]
+		p.bz, buf = buf[:out:out], buf[out:]
+		p.by, buf = buf[:out:out], buf[out:]
 	}
 }
 
@@ -525,10 +543,14 @@ func ForwardBatch[T float](n *Network, x []T, rows int) []T {
 }
 
 // backwardBatch is the whole backward pass: parameter gradients from
-// the first gradRows rows, and the first layer's input gradient for
+// the first gradRows rows (allocated first if the network holds none),
+// and the first layer's input gradient for
 // rows [row0, rows) and input columns [col0, InputDim) (none when row0
 // is rows); every later layer's dX is computed whole.
 func backwardBatch[T float](n *Network, dOut []T, rows, gradRows, row0, col0 int) []T {
+	if gradRows > 0 {
+		gradsAt[T](n)
+	}
 	d := dOut
 	for i := len(n.layers) - 1; i >= 0; i-- {
 		l := n.layers[i]
@@ -596,28 +618,52 @@ func (n *Network) BackwardBatchInput(dOut []float64, rows, col int) []float64 {
 	return backwardBatch(n, dOut, rows, 0, 0, col)
 }
 
-// views returns the network's parameter and gradient buffers at
-// element type T (weights then biases, layer by layer), cached because
-// the layer buffers never move — optimizer steps don't allocate.
-func views[T float](n *Network) (params, grads [][]T) {
-	c, ok := any(&n.v64).(*sliceViews[T])
-	if !ok {
-		c = any(&n.v32).(*sliceViews[T])
+// viewsAt returns the network's cached slice headers at element type T.
+func viewsAt[T float](n *Network) *sliceViews[T] {
+	if c, ok := any(&n.v64).(*sliceViews[T]); ok {
+		return c
 	}
+	return any(&n.v32).(*sliceViews[T])
+}
+
+// paramsAt returns the network's parameter buffers at element type T
+// (weights then biases, layer by layer), cached because the layer
+// buffers never move — optimizer steps don't allocate.
+func paramsAt[T float](n *Network) [][]T {
+	c := viewsAt[T](n)
 	if c.params == nil {
 		for _, l := range n.layers {
 			p := at[T](l)
 			c.params = append(c.params, p.w, p.b)
+		}
+	}
+	return c.params
+}
+
+// gradsAt returns the gradient buffers at element type T in paramsAt's
+// order, first allocating (zeroed) those the layers lack. Every pass
+// that writes gradients — ZeroGrad, a backward pass that accumulates
+// them, AdamStep — gets them here, so a network that only runs forward
+// never holds any and one whose gradients were dropped (DropGrads)
+// regrows them. Cached like paramsAt until DropGrads.
+func gradsAt[T float](n *Network) [][]T {
+	c := viewsAt[T](n)
+	if c.grads == nil {
+		for _, l := range n.layers {
+			p := at[T](l)
+			if p.dw == nil {
+				p.dw, p.db = make([]T, len(l.W)), make([]T, len(l.B))
+			}
 			c.grads = append(c.grads, p.dw, p.db)
 		}
 	}
-	return c.params, c.grads
+	return c.grads
 }
 
-// ZeroGrad clears the accumulated gradients of element type T.
+// ZeroGrad clears the accumulated gradients of element type T,
+// allocating them if the network holds none.
 func ZeroGrad[T float](n *Network) {
-	_, grads := views[T](n)
-	for _, g := range grads {
+	for _, g := range gradsAt[T](n) {
 		clear(g)
 	}
 }

@@ -84,20 +84,16 @@ func reluDeriv32(dY, z, dz []float32) {
 }
 
 // EnableF32 allocates (once) and refreshes the float32 parameter
-// mirrors from the f64 weights, with float32 gradients where the layer
-// has float64 ones (a Clone has neither). Call it before the first
-// float32 pass and after any f64-side parameter change (LoadParams)
-// while the f32 path is in use.
+// mirrors from the f64 weights. Float32 gradients, like float64 ones,
+// are allocated by the first pass that writes them. Call it before the
+// first float32 pass and after any f64-side parameter change
+// (LoadParams) while the f32 path is in use.
 func (n *Network) EnableF32() {
 	for _, l := range n.layers {
 		p := &l.f32
 		if p.w == nil {
 			p.w = make([]float32, len(l.W))
 			p.b = make([]float32, len(l.B))
-			if l.f64.dw != nil {
-				p.dw = make([]float32, len(l.W))
-				p.db = make([]float32, len(l.B))
-			}
 		}
 		for i, w := range l.W {
 			p.w[i] = float32(w)

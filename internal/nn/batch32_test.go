@@ -68,7 +68,7 @@ func TestBackwardBatchF32MatchesF64(t *testing.T) {
 	net.ForwardBatchF32(x32, rows)
 	ZeroGrad[float32](net)
 	gotDX := net.BackwardBatchF32(dOut32, rows)
-	_, gotG := views[float32](net)
+	gotG := gradsAt[float32](net)
 
 	for i := range wantDX {
 		if !relClose(float64(gotDX[i]), wantDX[i], 1e-4) {
@@ -118,8 +118,8 @@ func TestF32KernelsMatchGo(t *testing.T) {
 			net.BackwardBatchF32(dOut, 4)
 			AdamStep[float32](opt, net, 0.25, target, 0.01)
 		}
-		params, _ := views[float32](net)
-		targets, _ := views[float32](target)
+		params := paramsAt[float32](net)
+		targets := paramsAt[float32](target)
 		return params, targets
 	}
 	gotP, gotT := run(true)

@@ -44,7 +44,7 @@ func TestBackwardBatchMatchesScalar(t *testing.T) {
 		{ReLU, Linear}, {Tanh, Tanh},
 	} {
 		net := MustMLP([]int{6, 10, 4}, acts.hidden, acts.out, rng)
-		ref := trainableClone(net)
+		ref := net.Clone()
 		const rows = 8
 		x := make([]float64, rows*6)
 		dOut := make([]float64, rows*4)
@@ -115,7 +115,7 @@ func TestBatchSizeChanges(t *testing.T) {
 func TestDropCachesChangesNoBit(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	kept := MustMLP([]int{7, 12, 9, 3}, ReLU, Tanh, rng)
-	dropped := trainableClone(kept)
+	dropped := kept.Clone()
 	kept.EnableF32()
 	dropped.EnableF32()
 	const rows = 6
@@ -145,7 +145,7 @@ func TestDropCachesChangesNoBit(t *testing.T) {
 		for _, g := range n.GradSlices() {
 			out = append(out, g...)
 		}
-		_, grads32 := views[float32](n)
+		grads32 := gradsAt[float32](n)
 		for _, g := range grads32 {
 			for _, v := range g {
 				out = append(out, float64(v))
@@ -153,14 +153,14 @@ func TestDropCachesChangesNoBit(t *testing.T) {
 		}
 		return append(out, n.Forward(x[:7])...)
 	}
-	for round, keepForward := range []bool{true, false, false} {
+	for round := 0; round < 3; round++ {
 		want, got := pass(kept), pass(dropped)
 		for i := range want {
 			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 				t.Fatalf("round %d: value %d is %v, want %v", round, i, got[i], want[i])
 			}
 		}
-		dropped.DropCaches(keepForward)
+		dropped.DropCaches()
 		for li, l := range dropped.layers {
 			for _, held := range []bool{l.f64.bdz != nil, l.f64.bdx != nil, l.f64.wt != nil,
 				l.f32.bdz != nil, l.f32.bdx != nil, l.f32.wt != nil, l.bnz != nil} {
@@ -168,18 +168,92 @@ func TestDropCachesChangesNoBit(t *testing.T) {
 					t.Errorf("round %d: layer %d kept a backward cache", round, li)
 				}
 			}
-			forward := l.f64.bx != nil && l.f64.bz != nil && l.f64.by != nil &&
-				l.f32.bx != nil && l.f32.bz != nil && l.f32.by != nil
-			none := l.f64.bx == nil && l.f64.bz == nil && l.f64.by == nil &&
-				l.f32.bx == nil && l.f32.bz == nil && l.f32.by == nil
-			if keepForward && !forward || !keepForward && !none {
-				t.Errorf("round %d (keepForward %v): layer %d forward caches %d/%d/%d and %d/%d/%d long", round, keepForward, li,
+			if l.f64.bx != nil || l.f64.bz != nil || l.f64.by != nil ||
+				l.f32.bx != nil || l.f32.bz != nil || l.f32.by != nil {
+				t.Errorf("round %d: layer %d forward caches %d/%d/%d and %d/%d/%d long", round, li,
 					len(l.f64.bx), len(l.f64.bz), len(l.f64.by), len(l.f32.bx), len(l.f32.bz), len(l.f32.by))
 			}
 		}
 	}
-	if allocs := testing.AllocsPerRun(10, func() { dropped.DropCaches(false) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(10, dropped.DropCaches); allocs != 0 {
 		t.Errorf("DropCaches allocates %v/op", allocs)
+	}
+}
+
+// TestDroppedGradsRegrow: gradients are allocated by the pass that
+// writes them. A new network holds none; one whose gradients are
+// dropped between updates (DropGrads, which allocates nothing and
+// leaves no gradient buffer at either element type) trains bit for bit
+// like a twin that kept them — its weights and its target's after
+// rounds of ZeroGrad → BackwardBatchParams → AdamStep, at both element
+// types. In every other round after a drop the network skips ZeroGrad,
+// so its backward pass is what regrows the gradients.
+func TestDroppedGradsRegrow(t *testing.T) {
+	t.Run("f64", testDroppedGradsRegrow[float64])
+	t.Run("f32", testDroppedGradsRegrow[float32])
+}
+
+func testDroppedGradsRegrow[T float](t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	sizes := []int{7, 12, 9, 3}
+	kept := MustMLP(sizes, ReLU, Tanh, rng)
+	dropped, keptTarget, droppedTarget := kept.Clone(), kept.Clone(), kept.Clone()
+	holdsGrads := func(n *Network) bool {
+		for _, l := range n.layers {
+			if l.f64.dw != nil || l.f64.db != nil || l.f32.dw != nil || l.f32.db != nil {
+				return true
+			}
+		}
+		return false
+	}
+	if holdsGrads(kept) {
+		t.Fatal("a new network holds gradient buffers")
+	}
+	type learner struct {
+		net, target *Network
+		opt         *Adam
+	}
+	var ls [2]learner
+	for i, n := range [][2]*Network{{kept, keptTarget}, {dropped, droppedTarget}} {
+		n[0].EnableF32()
+		n[1].EnableF32()
+		ls[i] = learner{n[0], n[1], MustAdam(1e-2)}
+		ls[i].opt.ClipNorm = 1
+	}
+	const rows, rounds = 5, 12
+	x, dOut := make([]T, rows*sizes[0]), make([]T, rows*sizes[len(sizes)-1])
+	for round := 0; round < rounds; round++ {
+		for _, v := range [][]T{x, dOut} {
+			for i := range v {
+				v[i] = T(rng.NormFloat64())
+			}
+		}
+		for _, l := range ls {
+			ForwardBatch(l.net, x, rows)
+			if l.net != dropped || round%6 != 2 {
+				ZeroGrad[T](l.net)
+			}
+			BackwardBatchParams(l.net, dOut, rows)
+			AdamStep(l.opt, l.net, 1/T(rows), l.target, 0.1)
+		}
+		if round%3 == 1 {
+			if allocs := testing.AllocsPerRun(1, dropped.DropGrads); allocs != 0 {
+				t.Errorf("DropGrads allocates %v/op", allocs)
+			}
+			if holdsGrads(dropped) {
+				t.Fatalf("round %d: a network that dropped its gradients holds gradient buffers", round)
+			}
+		}
+	}
+	for _, pair := range [][2]*Network{{kept, dropped}, {keptTarget, droppedTarget}} {
+		want, got := paramsAt[T](pair[0]), paramsAt[T](pair[1])
+		for i := range want {
+			for j := range want[i] {
+				if math.Float64bits(float64(got[i][j])) != math.Float64bits(float64(want[i][j])) {
+					t.Fatalf("parameter %d[%d] is %v, its twin that kept its gradients %v", i, j, got[i][j], want[i][j])
+				}
+			}
+		}
 	}
 }
 

@@ -19,8 +19,7 @@
 // activations in layer-owned scratch for the following backward pass,
 // and the result a forward pass returns is that scratch, valid until
 // the network's next forward pass of any kind. Give each concurrent
-// inference user its own Clone (a clone, like NewMLP without trainable,
-// has no gradient buffers and only runs forward). Initialization and
+// inference user its own Clone. Initialization and
 // training are deterministic given the seed on a fixed CPU feature
 // set: the hot kernels (the batch passes' layer kernels, the optimizer
 // step) have AVX2+FMA assembly variants, CPUID-gated with a pure-Go
@@ -35,6 +34,23 @@
 // for bit (below). Every pass (ForwardBatch/BackwardBatch and the
 // BackwardBatchSplit variant, ForwardRows and Forward) allocates
 // nothing in steady state.
+//
+// # Memory
+//
+// A network holds its parameters and, grown to the largest pass seen,
+// its activation caches and backward scratch. Gradients are allocated
+// by the first pass that writes them — ZeroGrad, a backward pass that
+// accumulates them, AdamStep — at that pass's element type, so a
+// network that only runs forward (a Clone, an MLPFromFrame, a DDPG
+// target or actor view) never holds any, and NewMLP allocates none.
+// What a trained network keeps can be let go of in place, without
+// allocating and without changing a bit any later pass computes:
+// DropCaches the scratch and caches, DropGrads the gradients (the next
+// pass that writes them regrows them zeroed, as ZeroGrad leaves them),
+// and SetForwardCaches moves the float64 activation caches onto a
+// block the caller sized with ForwardCacheLen — a deployed DDPG actor
+// runs its one-row passes there (TestDroppedGradsRegrow,
+// TestDropCachesChangesNoBit).
 //
 // # Kernel contract
 //

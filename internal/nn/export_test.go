@@ -9,7 +9,7 @@ func SetSIMD(t *testing.T, on bool) { setSIMD(t, on) }
 // GradSlices exposes gradient buffers in the same order as
 // ParamSlices.
 func (n *Network) GradSlices() [][]float64 {
-	_, grads := views[float64](n)
+	grads := gradsAt[float64](n)
 	return grads
 }
 

@@ -174,8 +174,8 @@ func (n *Network) LoadParams(frame []byte) error {
 	return nil
 }
 
-// MLPFromFrame builds the inference-only MLP (no gradient buffers, as
-// NewMLP without trainable) whose parameters frame holds, checked as
+// MLPFromFrame builds the MLP (no gradient buffers until a pass writes
+// gradients, as NewMLP) whose parameters frame holds, checked as
 // CheckMLPFrame checks it: the weights are decoded straight from the
 // frame, with no random draw to overwrite.
 func MLPFromFrame(frame []byte, sizes []int, hidden, outAct Activation) (*Network, error) {
@@ -186,7 +186,7 @@ func MLPFromFrame(frame []byte, sizes []int, hidden, outAct Activation) (*Networ
 	for i := range n.layers {
 		in, out := sizes[i], sizes[i+1]
 		n.layers[i] = newLayer(in, out, mlpActivation(i, len(n.layers), hidden, outAct),
-			make([]float64, in*out), make([]float64, out), false)
+			make([]float64, in*out), make([]float64, out))
 	}
 	n.readParams(frame)
 	return n, nil

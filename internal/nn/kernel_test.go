@@ -162,6 +162,7 @@ func checkKernelParity(t *testing.T, simd bool) {
 	for si, sizes := range shapes {
 		for _, rows := range []int{1, 3, 4, 7, 32, 64} {
 			net := MustMLP(sizes, acts[si%len(acts)], acts[(si+1)%len(acts)], rng)
+			net.ZeroGrad() // allocates the gradients seeded below
 			for _, l := range net.layers {
 				for i := range l.B {
 					l.B[i] = rng.NormFloat64()
@@ -506,7 +507,7 @@ func TestKernelsF32MatchGoWide(t *testing.T) {
 		out = append(out, net.ForwardBatchF32(x, rows)...)
 		ZeroGrad[float32](net)
 		dx = append(dx, BackwardBatchSplit(net, dOut, rows, 6, 0)...)
-		_, grads = views[float32](net)
+		grads = gradsAt[float32](net)
 		return out, dx, grads
 	}
 	gotOut, gotDX, gotG := run(true)
@@ -681,7 +682,7 @@ func TestSeqKernelParity(t *testing.T) {
 						}
 					}
 
-					d := newLayer(in, out, Linear, w, b, false)
+					d := newLayer(in, out, Linear, w, b)
 					sameBitsNaN(t, name+" one row", d.ForwardRows(x, 1), want[:out])
 					sameBitsNaN(t, name+" ForwardRows", d.ForwardRows(x, rows), want)
 				}

@@ -334,7 +334,7 @@ func TestAdamSetStateRejectsHostile(t *testing.T) {
 					g[i] = rng.NormFloat64()
 				}
 			}
-			_, g32 := views[float32](net)
+			g32 := gradsAt[float32](net)
 			for _, g := range g32 {
 				for i := range g {
 					g[i] = float32(rng.NormFloat64())

@@ -53,23 +53,20 @@ type Dense struct {
 }
 
 // newLayer builds a layer around the given parameter buffers, which
-// it keeps (W/B and the float64 batch state alias them), with gradient
-// buffers when trainable. A layer without them only runs forward.
-func newLayer(in, out int, act Activation, w, b []float64, trainable bool) *Dense {
-	d := &Dense{
+// it keeps (W/B and the float64 batch state alias them). It holds no
+// gradient buffers: the first pass that writes gradients allocates them
+// (gradsAt).
+func newLayer(in, out int, act Activation, w, b []float64) *Dense {
+	return &Dense{
 		In: in, Out: out, Act: act,
 		W: w, B: b,
 		f64: precision[float64]{w: w, b: b},
 	}
-	if trainable {
-		d.f64.dw, d.f64.db = make([]float64, len(w)), make([]float64, len(b))
-	}
-	return d
 }
 
 // newDense builds a layer with Xavier/Glorot-uniform weights.
-func newDense(in, out int, act Activation, rng *rand.Rand, trainable bool) *Dense {
-	d := newLayer(in, out, act, make([]float64, in*out), make([]float64, out), trainable)
+func newDense(in, out int, act Activation, rng *rand.Rand) *Dense {
+	d := newLayer(in, out, act, make([]float64, in*out), make([]float64, out))
 	limit := math.Sqrt(6 / float64(in+out))
 	for i := range d.W {
 		d.W[i] = (2*rng.Float64() - 1) * limit
@@ -81,7 +78,7 @@ func newDense(in, out int, act Activation, rng *rand.Rand, trainable bool) *Dens
 type Network struct {
 	layers []*Dense
 	// cached parameter and gradient slice headers per element type
-	// (see views).
+	// (see paramsAt and gradsAt).
 	v64 sliceViews[float64]
 	v32 sliceViews[float32]
 }
@@ -90,10 +87,11 @@ type sliceViews[T float] struct{ params, grads [][]T }
 
 // NewMLP builds a multilayer perceptron with the given layer sizes
 // (sizes[0] = input dim, sizes[len-1] = output dim), hidden
-// activation for interior layers and outAct for the final layer.
-// Without trainable it holds no gradient buffers and only runs forward,
-// like a Clone; either way the weights are the same draws from rng.
-func NewMLP(sizes []int, hidden, outAct Activation, rng *rand.Rand, trainable bool) (*Network, error) {
+// activation for interior layers and outAct for the final layer, its
+// weights drawn from rng. It holds no gradient buffers until a pass
+// writes gradients (ZeroGrad, a backward pass that accumulates them,
+// AdamStep), so a network that only runs forward never has any.
+func NewMLP(sizes []int, hidden, outAct Activation, rng *rand.Rand) (*Network, error) {
 	if len(sizes) < 2 {
 		return nil, errors.New("nn: MLP needs at least input and output sizes")
 	}
@@ -107,7 +105,7 @@ func NewMLP(sizes []int, hidden, outAct Activation, rng *rand.Rand, trainable bo
 	}
 	n := &Network{}
 	for i := 0; i < len(sizes)-1; i++ {
-		n.layers = append(n.layers, newDense(sizes[i], sizes[i+1], mlpActivation(i, len(sizes)-1, hidden, outAct), rng, trainable))
+		n.layers = append(n.layers, newDense(sizes[i], sizes[i+1], mlpActivation(i, len(sizes)-1, hidden, outAct), rng))
 	}
 	return n, nil
 }
@@ -121,9 +119,9 @@ func mlpActivation(i, layers int, hidden, outAct Activation) Activation {
 	return hidden
 }
 
-// MustMLP is a trainable NewMLP that panics on error.
+// MustMLP is NewMLP that panics on error.
 func MustMLP(sizes []int, hidden, outAct Activation, rng *rand.Rand) *Network {
-	n, err := NewMLP(sizes, hidden, outAct, rng, true)
+	n, err := NewMLP(sizes, hidden, outAct, rng)
 	if err != nil {
 		panic(err)
 	}
@@ -141,15 +139,25 @@ func (n *Network) Forward(x []float64) []float64 {
 	return n.ForwardRows(x, 1)
 }
 
-// ZeroGrad clears the accumulated float64 gradients.
+// ZeroGrad clears the accumulated float64 gradients, allocating them
+// if the network holds none.
 func (n *Network) ZeroGrad() { ZeroGrad[float64](n) }
+
+// DropGrads lets go of the gradients at both element types, in place
+// and without allocating. What they held is lost: the next pass that
+// writes gradients regrows them zeroed, as ZeroGrad leaves them, so a
+// caller that starts every accumulation with ZeroGrad computes the
+// same bits with or without the drop.
+func (n *Network) DropGrads() {
+	for _, l := range n.layers {
+		l.f64.dw, l.f64.db, l.f32.dw, l.f32.db = nil, nil, nil, nil
+	}
+	n.v64.grads, n.v32.grads = nil, nil
+}
 
 // ParamSlices exposes the parameter buffers (weights then biases,
 // layer by layer) for optimizers and synchronization.
-func (n *Network) ParamSlices() [][]float64 {
-	params, _ := views[float64](n)
-	return params
-}
+func (n *Network) ParamSlices() [][]float64 { return paramsAt[float64](n) }
 
 // paramCount is the total parameter count.
 func (n *Network) paramCount() int {
@@ -160,15 +168,16 @@ func (n *Network) paramCount() int {
 	return total
 }
 
-// Clone copies the network for inference: the same weights, no
-// activation caches yet and no gradient buffers. A clone runs every
-// forward pass and can be an optimizer step's target (AdamStep only
-// reads and writes its parameters), but its backward passes panic.
+// Clone copies the network: the same weights, and no activation caches
+// or gradient buffers yet. A clone that is only run forward or is an
+// optimizer step's target (AdamStep only reads and writes a target's
+// parameters), as the DDPG targets and an actor's view are, never
+// holds gradients.
 func (n *Network) Clone() *Network {
 	c := &Network{}
 	for _, l := range n.layers {
 		c.layers = append(c.layers, newLayer(l.In, l.Out, l.Act,
-			append([]float64(nil), l.W...), append([]float64(nil), l.B...), false))
+			append([]float64(nil), l.W...), append([]float64(nil), l.B...)))
 	}
 	return c
 }

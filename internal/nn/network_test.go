@@ -18,13 +18,13 @@ func TestMLPConstruction(t *testing.T) {
 	if n.NumParams() != 4*8+8+8*2+2 {
 		t.Errorf("params = %d", n.NumParams())
 	}
-	if _, err := NewMLP([]int{4}, ReLU, Linear, rng, true); err == nil {
+	if _, err := NewMLP([]int{4}, ReLU, Linear, rng); err == nil {
 		t.Error("single-layer spec accepted")
 	}
-	if _, err := NewMLP([]int{4, 0, 2}, ReLU, Linear, rng, true); err == nil {
+	if _, err := NewMLP([]int{4, 0, 2}, ReLU, Linear, rng); err == nil {
 		t.Error("zero-size layer accepted")
 	}
-	if _, err := NewMLP([]int{4, 2}, ReLU, Linear, nil, true); err == nil {
+	if _, err := NewMLP([]int{4, 2}, ReLU, Linear, nil); err == nil {
 		t.Error("nil rng accepted")
 	}
 }
@@ -248,16 +248,6 @@ func TestAdamClipNorm(t *testing.T) {
 	}
 }
 
-// trainableClone is Clone with gradient buffers: a network with the
-// same weights that a test trains beside the original.
-func trainableClone(n *Network) *Network {
-	c := n.Clone()
-	for _, l := range c.layers {
-		l.f64.dw, l.f64.db = make([]float64, len(l.W)), make([]float64, len(l.B))
-	}
-	return c
-}
-
 func TestCloneIndependence(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	a := MustMLP([]int{2, 3, 1}, ReLU, Linear, rng)
@@ -277,14 +267,16 @@ func TestCloneIndependence(t *testing.T) {
 
 // TestCloneFootprint: a Clone is for inference. It holds no gradient
 // buffers at either element type, its Forward is bit-identical to its
-// source's, and it takes about half of its source's heap — the
-// gradients were the other half.
+// source's, and it takes about half the heap of a source that trains —
+// the gradients its source's first ZeroGrad allocates are the other
+// half.
 func TestCloneFootprint(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	sizes := []int{15, 48, 48, 15} // the paper workload's actor
 	var m0, m1, m2 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	src := MustMLP(sizes, ReLU, Tanh, rng)
+	src.ZeroGrad()
 	runtime.ReadMemStats(&m1)
 	c := src.Clone()
 	runtime.ReadMemStats(&m2)
@@ -320,7 +312,7 @@ func TestCloneFootprint(t *testing.T) {
 func TestAdamStepTargetUpdate(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	target := MustMLP([]int{2, 2}, Linear, Linear, rng)
-	src := trainableClone(target)
+	src := target.Clone()
 	src.ParamSlices()[0][0] = 10
 	target.ParamSlices()[0][0] = 0
 	opt := MustAdam(0.1)

@@ -37,7 +37,7 @@ func testSplitParity[T float](t *testing.T, sizes []int, half, col int) {
 	ForwardBatch(ref, x[:half*in], half)
 	ZeroGrad[T](ref)
 	BackwardBatchParams(ref, dY[:half*out], half)
-	_, refGrads := views[T](ref)
+	refGrads := gradsAt[T](ref)
 
 	// Reference pass 2: input gradients from the second half alone.
 	ref2 := build()
@@ -49,7 +49,7 @@ func testSplitParity[T float](t *testing.T, sizes []int, half, col int) {
 	ForwardBatch(ref3, x, rows)
 	ZeroGrad[T](ref3)
 	refDX := backwardBatch(ref3, dY, rows, 0, 0, 0)
-	_, grads3 := views[T](ref3)
+	grads3 := gradsAt[T](ref3)
 	for li, g := range grads3 {
 		for j := range g {
 			if g[j] != 0 {
@@ -64,7 +64,7 @@ func testSplitParity[T float](t *testing.T, sizes []int, half, col int) {
 	ZeroGrad[T](fused)
 	dX := BackwardBatchSplit(fused, dY, rows, half, col)
 
-	_, grads := views[T](fused)
+	grads := gradsAt[T](fused)
 	for li, g := range grads {
 		for j := range g {
 			if g[j] != refGrads[li][j] {

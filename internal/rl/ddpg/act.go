@@ -78,9 +78,9 @@ func finishAction(dst []float64, noise *OUNoise) {
 // View is the inference view of an agent: the Policy, the priority
 // networks (critic and both targets, frozen: only a learner's update
 // moves them, and a broadcast carries the policy alone), the OU noise,
-// γ and the acting scratch — inference-only networks, no optimizer, no
-// replay. Agent embeds one with a trainable policy and critic, so
-// acting has one definition.
+// γ and the acting scratch — networks that only run forward, no
+// optimizer, no replay. Agent embeds one and trains its policy and
+// critic, so acting has one definition.
 type View struct {
 	Policy
 	Critic                    *nn.Network
@@ -101,21 +101,20 @@ type View struct {
 // init, critic init, then the OU noise on the same stream — so actions
 // and priorities are bit-identical to New(cfg)'s.
 func NewView(cfg Config) (*View, error) {
-	return newView(cfg, rand.New(newCountedSource(cfg.Seed)), false)
+	return newView(cfg, rand.New(newCountedSource(cfg.Seed)))
 }
 
 // newView validates cfg and builds a view whose networks and noise draw
-// from rng; trainable gives the policy and critic gradient buffers (an
-// Agent's view).
-func newView(cfg Config, rng *rand.Rand, trainable bool) (*View, error) {
+// from rng.
+func newView(cfg Config, rng *rand.Rand) (*View, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	policy, err := newPolicy(cfg, rng, trainable)
+	policy, err := newPolicy(cfg, rng)
 	if err != nil {
 		return nil, err
 	}
-	critic, err := nn.NewMLP(criticSizes(cfg), nn.ReLU, nn.Linear, rng, trainable)
+	critic, err := nn.NewMLP(criticSizes(cfg), nn.ReLU, nn.Linear, rng)
 	if err != nil {
 		return nil, err
 	}

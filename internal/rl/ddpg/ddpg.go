@@ -176,6 +176,11 @@ type Agent struct {
 	prioritized *replay.Prioritized
 
 	learnSteps int
+	// actorRow holds the actor's one-row forward caches
+	// (nn.Network.SetForwardCaches) from New on and again after
+	// ReleaseTrainingMemory, so neither a release nor a deploy's first
+	// action allocates them.
+	actorRow []float64
 	// sample buffers and the TD errors for priority updates, sized on
 	// first use and reused forever.
 	batchBuf  []replay.Transition
@@ -226,7 +231,7 @@ func convert[T float](dst []T, src []float64) {
 func New(cfg Config) (*Agent, error) {
 	src := newCountedSource(cfg.Seed)
 	rng := rand.New(src)
-	view, err := newView(cfg, rng, true)
+	view, err := newView(cfg, rng)
 	if err != nil {
 		return nil, err
 	}
@@ -237,7 +242,9 @@ func New(cfg Config) (*Agent, error) {
 		rngSrc:    src,
 		actorOpt:  nn.MustAdam(cfg.ActorLR),
 		criticOpt: nn.MustAdam(cfg.CriticLR),
+		actorRow:  make([]float64, view.Actor.ForwardCacheLen(1)),
 	}
+	a.Actor.SetForwardCaches(a.actorRow)
 	a.criticOpt.ClipNorm = 5
 	a.actorOpt.ClipNorm = 5
 	if cfg.Prioritized {
@@ -538,14 +545,15 @@ func (a *Agent) LearnSteps() int { return a.learnSteps }
 
 // ReleaseTrainingMemory lets go, in place, of what only training reads:
 // the replay's contents (replay.Prioritized.Release), the update's and
-// the batched acting passes' scratch at both element types, the batch
-// caches of the critic and both targets, and the actor's backward
-// scratch. The actor keeps its forward caches, so a deployed policy's
-// one-row pass still allocates nothing. Everything a checkpoint records
-// stays, so ActInto, TDError, ActorBytes and SaveState(w, false) give
-// the same bits before and after; Learn returns 0 until BatchSize
-// transitions arrive again, and the scratch regrows on the next pass.
-// It allocates nothing.
+// the batched acting passes' scratch at both element types, the
+// gradients of the actor and the critic, and every batch cache of all
+// four networks. The actor's forward caches move back onto its one-row
+// block, so a deployed policy's one-row pass still allocates nothing.
+// Everything a checkpoint records stays, so ActInto, TDError,
+// ActorBytes and SaveState(w, false) give the same bits before and
+// after; Learn returns 0 until BatchSize transitions arrive again, and
+// the gradients and scratch regrow on the next update. It allocates
+// nothing.
 func (a *Agent) ReleaseTrainingMemory() {
 	if a.prioritized != nil {
 		a.prioritized.Release()
@@ -555,10 +563,12 @@ func (a *Agent) ReleaseTrainingMemory() {
 	a.batchBuf, a.idxBuf, a.weightBuf, a.tdErrBuf = nil, nil, nil, nil
 	a.s64, a.s32 = scratch[float64]{}, scratch[float32]{}
 	a.act64, a.act32 = actScratch[float64]{}, actScratch[float32]{}
-	a.Actor.DropCaches(true)
-	a.Critic.DropCaches(false)
-	a.actorTarget.DropCaches(false)
-	a.criticTarget.DropCaches(false)
+	for _, n := range []*nn.Network{a.Actor, a.Critic, a.actorTarget, a.criticTarget} {
+		n.DropCaches()
+	}
+	a.Actor.SetForwardCaches(a.actorRow)
+	a.Actor.DropGrads()
+	a.Critic.DropGrads()
 }
 
 // ActorBytes is AppendActorBytes into a new buffer of exactly the

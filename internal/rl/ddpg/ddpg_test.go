@@ -214,6 +214,42 @@ func TestReleaseTrainingMemory(t *testing.T) {
 	}
 }
 
+// TestReleasedAgentActsWithoutAllocating: a release puts the actor's
+// forward caches on the one-row block New allocated, so a trained
+// agent's first greedy action after it allocates nothing, whatever
+// minibatch its last update ran. AllocsPerRun's warm-up call acts with
+// the first released agent, its one measured call with the second:
+// each a first action.
+func TestReleasedAgentActsWithoutAllocating(t *testing.T) {
+	cfg := smallConfig()
+	ts := randomTransitions(cfg, 100, 9)
+	var agents [2]*Agent
+	for i := range agents {
+		a, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tr := range ts {
+			a.Observe(tr)
+		}
+		for k := 0; k < 20; k++ {
+			a.Learn()
+		}
+		a.ReleaseTrainingMemory()
+		agents[i] = a
+	}
+	dst := make([]float64, cfg.ActionDim)
+	next := 0
+	if allocs := testing.AllocsPerRun(1, func() {
+		if err := agents[next].ActInto(ts[0].State, false, dst); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}); allocs != 0 {
+		t.Errorf("a released agent's first action allocates %v times", allocs)
+	}
+}
+
 func TestTDErrorFinite(t *testing.T) {
 	a, _ := New(smallConfig())
 	tr := replay.Transition{

@@ -157,25 +157,26 @@
 //
 // # Serving checkpoint
 //
-// A controller serves the policy section. ReadPolicy reads it alone
-// from a stream of a stated size: the magic; the config's width count
-// and then, in checked arithmetic, the actor frame the Config implies,
-// each compared with the bytes the size leaves before anything is
-// allocated by it; the Config validated as New does; the section read
-// straight into its policy-only form, one slice of exactly the
+// A controller serves the policy section. PolicyReader.Read reads it
+// alone from a stream of a stated size: the magic; the config's width
+// count and then, in checked arithmetic, the actor frame the Config
+// implies, each compared with the bytes the size leaves before anything
+// is allocated by it; the Config validated as New does; the section
+// read straight into its policy-only form, one slice of exactly the
 // section's size, sealed in place with a sum of its own; every byte
-// after the section streamed through the CRC and dropped, in an 8 KB
-// buffer that a sync.Pool keeps with its reader, so that boots,
-// reloads and resumes do not each allocate one; the actor frame's
-// header checked against the Config's topology by nn.CheckMLPFrame,
-// which needs no network (the check LoadParams makes, with its
-// refusals). ReadPolicy builds nothing: it
-// returns the Config and the policy-only form, so what a read allocates
-// is the form and the config's bytes, whatever the file carries behind
-// the section. A refusal found in the section waits for the sum: a file
-// whose sum fails gets the sum's refusal, the same message readSection
-// (ReadCheckpoint's whole-slice reader, which makes the same checks in
-// the same order) gives. LoadPolicy is ReadPolicy over bytes in memory.
+// after the section streamed through the CRC and dropped, in the
+// reader's 8 KB buffer, which a caller that reads many files — a serving
+// controller — keeps and reuses; the actor frame's header checked
+// against the Config's topology by nn.CheckMLPFrame, which needs no
+// network (the check LoadParams makes, with its refusals). Read builds
+// nothing: it returns the Config and the policy-only form, so what a
+// read allocates is the form and the config's bytes, whatever the file
+// carries behind the section. A refusal found in the section waits for
+// the sum: a file whose sum fails gets the sum's refusal, the same
+// message readSection (ReadCheckpoint's whole-slice reader, which makes
+// the same checks in the same order) gives. LoadPolicy is Read over
+// bytes in memory, through that whole-slice reader: no stream, no
+// buffer.
 // The policy-only form is what a serving controller persists, and
 // ActorFrame finds the actor frame inside it: PolicyFromFrame builds an
 // inference-only policy from it, its weights decoded straight from the
@@ -215,9 +216,9 @@
 // holds a few hundred bytes of replay and a running one what it has
 // observed: about 110 KB for 300 transitions (TestAgentFootprint). What
 // only acts holds no training state: an Ape-X actor's View (NewView)
-// and a serving replica's Policy have no replay, no optimizer and
-// inference-only networks, and an Agent's targets carry no gradient
-// buffers either (TestAgentFootprint).
+// and a serving replica's Policy have no replay, no optimizer and no
+// gradient buffers, and neither do an Agent's targets, nor its actor
+// and critic before their first update (TestAgentFootprint).
 //
 // # Releasing training memory
 //
@@ -226,13 +227,17 @@
 // place and without allocating, it drops the replay's contents
 // (replay.Prioritized.Release: β, the ingest cursor and each stripe's
 // maximal priority survive, the rows and the storage do not), the
-// minibatch and acting scratch at both element types, every batch
-// cache of the critic and both targets, and the actor's backward
-// scratch. It keeps everything a checkpoint records — four networks,
-// gradients, both Adam moment sets, the noise, the RNG position, the
-// counters — and the actor's forward caches, so a deploy's one-row
-// pass still allocates nothing. ActInto, TDError, ActorBytes and
-// SaveState(w, false) give the same bits before and after; Learn
-// returns 0 until BatchSize transitions arrive again, and the scratch
-// regrows on the next pass (TestReleaseTrainingMemory).
+// minibatch and acting scratch at both element types, the actor's and
+// the critic's gradients, and every batch cache of the four networks.
+// A checkpoint records no gradient: every update clears them before
+// its backward pass, and the next update regrows them zeroed (internal/nn
+// allocates gradients in the pass that writes them). It keeps
+// everything a checkpoint records — four networks, both Adam moment
+// sets, the noise, the RNG position, the counters — and puts the
+// actor's forward caches back on the one-row block New allocated for
+// them (330 float64s at 12-48-48-15), so a deploy's one-row pass still
+// allocates nothing. ActInto, TDError, ActorBytes and SaveState(w,
+// false) give the same bits before and after; Learn returns 0 until
+// BatchSize transitions arrive again, and the scratch regrows on the
+// next pass (TestReleaseTrainingMemory).
 package ddpg

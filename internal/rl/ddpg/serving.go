@@ -1,7 +1,6 @@
 package ddpg
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -9,7 +8,6 @@ import (
 	"io"
 	"math"
 	"math/rand"
-	"sync"
 
 	"greennfv/internal/atomicio"
 	"greennfv/internal/nn"
@@ -231,13 +229,17 @@ func readSection(data []byte) (*section, error) {
 	return &section{cfg: cfg, config: body[:len(body)-len(rest)], frame: rest[:n], state: rest[n:]}, nil
 }
 
-// sectionStream reads a checkpoint from a stream: its section into one
-// exact-size slice, everything after the section through buf, and every
-// byte after the header into the sum as it passes. The section's checks
-// come before the sum's, so a refusal found there is held until the
-// sum is known: a file whose sum fails gets the sum's refusal, as it
-// does from readSection.
-type sectionStream struct {
+// PolicyReader reads checkpoints' policy sections from streams
+// (Read): each section into one exact-size slice, everything after the
+// section through the reader's 8 KB buffer, and every byte after the
+// header into the sum as it passes. The section's checks come before
+// the sum's, so a refusal found there is held until the sum is known: a
+// file whose sum fails gets the sum's refusal, as it does from
+// readSection. A caller that reads many checkpoints, as a serving
+// controller's boot and reloads do, keeps one and so allocates the
+// buffer once. Nothing of one read reaches the next; a PolicyReader is
+// not goroutine-safe.
+type PolicyReader struct {
 	r    io.Reader
 	left int64  // bytes of the file not yet read
 	crc  uint32 // of the bytes read after the header
@@ -246,7 +248,7 @@ type sectionStream struct {
 }
 
 // fill reads len(p) bytes into p and adds them to the sum.
-func (s *sectionStream) fill(p []byte) {
+func (s *PolicyReader) fill(p []byte) {
 	if s.err != nil {
 		return
 	}
@@ -262,7 +264,7 @@ func (s *sectionStream) fill(p []byte) {
 }
 
 // header reads the section header and returns the sum it records.
-func (s *sectionStream) header() (atomicio.Sum, error) {
+func (s *PolicyReader) header() (atomicio.Sum, error) {
 	hdr := s.buf[:sectionHeaderLen]
 	if s.left < int64(len(hdr)) {
 		return atomicio.Sum{}, errNotServing
@@ -277,7 +279,7 @@ func (s *sectionStream) header() (atomicio.Sum, error) {
 // section reads the config and the actor frame into the policy-only
 // form, its sum not yet written. A refused section stops the reading
 // where it was found, and drain sums the rest.
-func (s *sectionStream) section() (Config, []byte, error) {
+func (s *PolicyReader) section() (Config, []byte, error) {
 	head := s.buf[:configHeadLen]
 	if s.left < int64(len(head)) {
 		return Config{}, nil, errConfigTruncated
@@ -309,16 +311,11 @@ func (s *sectionStream) section() (Config, []byte, error) {
 }
 
 // drain reads the rest of the file through buf into the sum.
-func (s *sectionStream) drain() {
+func (s *PolicyReader) drain() {
 	for s.left > 0 && s.err == nil {
 		s.fill(s.buf[:min(s.left, int64(len(s.buf)))])
 	}
 }
-
-// streams recycles sectionStreams, each with its buffer, across
-// ReadPolicy calls: a boot, a reload and a resume each read through one,
-// and the buffer is most of what a read allocates besides its form.
-var streams = sync.Pool{New: func() any { return new(sectionStream) }}
 
 // The actor's activations: ReLU between its layers, Tanh at the output
 // (actions live in [-1, 1]).
@@ -328,9 +325,9 @@ const (
 )
 
 // newPolicy builds a policy of cfg's topology whose weights draw from
-// rng; trainable gives the network gradient buffers (an Agent's).
-func newPolicy(cfg Config, rng *rand.Rand, trainable bool) (Policy, error) {
-	actor, err := nn.NewMLP(actorSizes(cfg), actorHidden, actorOut, rng, trainable)
+// rng.
+func newPolicy(cfg Config, rng *rand.Rand) (Policy, error) {
+	actor, err := nn.NewMLP(actorSizes(cfg), actorHidden, actorOut, rng)
 	if err != nil {
 		return Policy{}, err
 	}
@@ -358,24 +355,20 @@ func PolicyFromFrame(cfg Config, frame []byte) (*Policy, error) {
 	return &Policy{Actor: actor, stateDim: cfg.StateDim, actionDim: cfg.ActionDim}, nil
 }
 
-// ReadPolicy reads a checkpoint's policy section from r, which holds
-// size bytes, without keeping anything after it (doc.go, "Serving
+// Read reads a checkpoint's policy section from r, which holds size
+// bytes, without keeping anything after it (doc.go, "Serving
 // checkpoint"), and builds nothing from it: it returns the checked
-// Config and the policy-only form, which ReadPolicy reads back to the
-// same two; PolicyFromFrame builds a policy from them. r may hold either
+// Config and the policy-only form, which Read reads back to the same
+// two; PolicyFromFrame builds a policy from them. r may hold either
 // form. The magic, the config's width count and the actor frame's length
 // are checked against size before anything is sized by them; the section
 // is read into the form, one slice of exactly its size sealed in place,
-// and every byte after it passes through the sum in a pooled buffer. The
-// actor frame's header is checked against the Config's topology last.
-func ReadPolicy(r io.Reader, size int64) (Config, []byte, error) {
+// and every byte after it passes through the sum in the reader's buffer.
+// The actor frame's header is checked against the Config's topology last.
+func (s *PolicyReader) Read(r io.Reader, size int64) (Config, []byte, error) {
 	// Every field but buf is reset; buf is written before it is read.
-	s := streams.Get().(*sectionStream)
 	s.r, s.left, s.crc, s.err = r, size, 0, nil
-	defer func() {
-		s.r, s.err = nil, nil // keep neither the caller's reader nor its error
-		streams.Put(s)
-	}()
+	defer func() { s.r, s.err = nil, nil }() // keep neither the caller's reader nor its error
 	want, err := s.header()
 	if err != nil {
 		return Config{}, nil, err
@@ -392,14 +385,31 @@ func ReadPolicy(r io.Reader, size int64) (Config, []byte, error) {
 		return Config{}, nil, refused
 	}
 	if err := checkActorFrame(cfg, ActorFrame(form)); err != nil {
-		return Config{}, nil, fmt.Errorf("ddpg: serving checkpoint actor: %w", err)
+		return Config{}, nil, actorFrameError(err)
 	}
 	return cfg, sealSection(form), nil
 }
 
-// LoadPolicy is ReadPolicy over a checkpoint in memory.
+// actorFrameError is the refusal of a section whose actor frame does
+// not fit its Config's topology.
+func actorFrameError(err error) error {
+	return fmt.Errorf("ddpg: serving checkpoint actor: %w", err)
+}
+
+// LoadPolicy is Read over a checkpoint in memory, through the
+// whole-slice reader (readSection, the same checks in the same order
+// with the same refusals): no stream and no buffer, only the form and
+// the config's widths.
 func LoadPolicy(data []byte) (Config, []byte, error) {
-	return ReadPolicy(bytes.NewReader(data), int64(len(data)))
+	s, err := readSection(data)
+	if err != nil {
+		return Config{}, nil, err
+	}
+	if err := checkActorFrame(s.cfg, s.frame); err != nil {
+		return Config{}, nil, actorFrameError(err)
+	}
+	form := make([]byte, 0, sectionHeaderLen+len(s.config)+len(s.frame))
+	return s.cfg, sealSection(beginSection(form, s.config, s.frame)), nil
 }
 
 // ActorFrame is the actor's parameter frame inside a policy-only form,

@@ -343,15 +343,15 @@ func TestReadPolicyRefusesStreamedDamage(t *testing.T) {
 		}
 		size := int64(len(row.data))
 		var err error
-		n := allocated(func() { _, _, err = ReadPolicy(bytes.NewReader(row.data), size) })
+		n := allocated(func() { _, _, err = new(PolicyReader).Read(bytes.NewReader(row.data), size) })
 		if err == nil || err.Error() != want {
-			t.Errorf("%s: ReadPolicy returned %v, want %q", row.name, err, want)
+			t.Errorf("%s: Read returned %v, want %q", row.name, err, want)
 		}
 		if row.config && n > 16<<10 {
-			t.Errorf("%s: ReadPolicy allocated %d bytes before refusing the config", row.name, n)
+			t.Errorf("%s: Read allocated %d bytes before refusing the config", row.name, n)
 		}
-		if _, _, err := ReadPolicy(iotest.OneByteReader(bytes.NewReader(row.data)), size); err == nil || err.Error() != want {
-			t.Errorf("%s: a byte at a time, ReadPolicy returned %v, want %q", row.name, err, want)
+		if _, _, err := new(PolicyReader).Read(iotest.OneByteReader(bytes.NewReader(row.data)), size); err == nil || err.Error() != want {
+			t.Errorf("%s: a byte at a time, Read returned %v, want %q", row.name, err, want)
 		}
 		if _, err := ReadCheckpoint(row.data); err == nil || err.Error() != want {
 			t.Errorf("%s: ReadCheckpoint returned %v, want %q", row.name, err, want)
@@ -360,16 +360,17 @@ func TestReadPolicyRefusesStreamedDamage(t *testing.T) {
 
 	// A stream that ends before the size it was said to hold is a read
 	// error, not a file of that size.
-	if _, _, err := ReadPolicy(bytes.NewReader(file[:len(file)-1]), int64(len(file))); !errors.Is(err, io.ErrUnexpectedEOF) {
+	if _, _, err := new(PolicyReader).Read(bytes.NewReader(file[:len(file)-1]), int64(len(file))); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Errorf("a stream one byte short returned %v, want %v", err, io.ErrUnexpectedEOF)
 	}
 }
 
-// TestReadPolicyStreamsArePerCall: ReadPolicy's stream and buffer come
-// from a pool, and nothing of one read reaches the next. A read right
-// after one that failed mid-stream returns the file's own form, and
-// reads from several goroutines at once, of two files, each return
-// their own (run under -race too).
+// TestReadPolicyStreamsArePerCall: a PolicyReader, its stream and
+// buffer belong to the caller that keeps it, LoadPolicy needs none, and
+// nothing of one read reaches the next. A read right after one that
+// failed mid-stream, by the same reader or by LoadPolicy, returns the
+// file's own form, and reads from several goroutines at once, of two
+// files, each return their own (run under -race too).
 func TestReadPolicyStreamsArePerCall(t *testing.T) {
 	var files, forms [2][]byte
 	for i, seed := range []int64{3, 4} {
@@ -385,11 +386,15 @@ func TestReadPolicyStreamsArePerCall(t *testing.T) {
 		t.Fatal("two seeds wrote the same policy")
 	}
 	short := files[0][:len(files[0])-1]
-	if _, _, err := ReadPolicy(bytes.NewReader(short), int64(len(files[0]))); err == nil {
+	var pr PolicyReader
+	if _, _, err := pr.Read(bytes.NewReader(short), int64(len(files[0]))); err == nil {
 		t.Fatal("a stream one byte short was read")
 	}
 	if _, form, err := LoadPolicy(files[1]); err != nil || !bytes.Equal(form, forms[1]) {
 		t.Fatalf("the read after a failed one: err %v, same form %v", err, bytes.Equal(form, forms[1]))
+	}
+	if _, form, err := pr.Read(bytes.NewReader(files[1]), int64(len(files[1]))); err != nil || !bytes.Equal(form, forms[1]) {
+		t.Fatalf("the same reader's read after a failed one: err %v, same form %v", err, bytes.Equal(form, forms[1]))
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -479,7 +484,7 @@ func TestLoadRefusesOversizedConfig(t *testing.T) {
 	}
 }
 
-// FuzzLoadPolicy: no input panics LoadPolicy, ReadPolicy fed a byte at
+// FuzzLoadPolicy: no input panics LoadPolicy, PolicyReader.Read fed a byte at
 // a time returns what the whole-slice call does (the same refusal, or
 // the same form and Config), and an accepted input's policy-only form
 // loads back to itself and the same Config; from each of the three reads
@@ -501,9 +506,9 @@ func FuzzLoadPolicy(f *testing.F) {
 	f.Add(file[:len(form)])
 	check := func(t *testing.T, data []byte) {
 		cfg, form, err := LoadPolicy(data)
-		scfg, sform, serr := ReadPolicy(iotest.OneByteReader(bytes.NewReader(data)), int64(len(data)))
+		scfg, sform, serr := new(PolicyReader).Read(iotest.OneByteReader(bytes.NewReader(data)), int64(len(data)))
 		if fmt.Sprint(serr) != fmt.Sprint(err) || !bytes.Equal(sform, form) || !bytes.Equal(appendConfig(nil, scfg), appendConfig(nil, cfg)) {
-			t.Fatalf("a byte at a time ReadPolicy returns %v, the whole slice %v", serr, err)
+			t.Fatalf("a byte at a time Read returns %v, the whole slice %v", serr, err)
 		}
 		if err != nil {
 			return

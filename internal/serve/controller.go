@@ -122,9 +122,9 @@ type nodeRec struct {
 
 // policySnapshot is the immutable serving policy: reports load it
 // with one atomic read, reload/persist swap it on the writer path.
-// blob is the checkpoint's policy-only form (ddpg.ReadPolicy), what the
-// state file persists, frame its actor frame (a slice of blob) and cfg
-// the Config ReadPolicy checked it against. It holds no network: a
+// blob is the checkpoint's policy-only form (ddpg.PolicyReader.Read),
+// what the state file persists, frame its actor frame (a slice of blob)
+// and cfg the Config the read checked it against. It holds no network: a
 // stale replica reads frame in place, and a missing one, or one of
 // other widths, is built from frame and cfg (reportScratch.sync).
 type policySnapshot struct {
@@ -172,12 +172,16 @@ type Controller struct {
 	reportLatency *stats.PromHistogram
 
 	// persistMu serializes state writes (journal appends and
-	// snapshots alike); reloadMu serializes policy swaps (so concurrent
-	// reloads cannot race the version bump). Neither is ever held while
-	// a nodeRec mutex is wanted.
+	// snapshots alike); reloadMu serializes policy reads and swaps (so
+	// concurrent reloads share the reader and cannot race the version
+	// bump). Neither is ever held while a nodeRec mutex is wanted.
 	persistMu sync.Mutex
 	reloadMu  sync.Mutex
-	store     stateStore
+	// reader reads every checkpoint file, under reloadMu once the
+	// controller is shared. NewController allocates it, so that a
+	// resumed controller's first reload allocates no buffer either.
+	reader *ddpg.PolicyReader
+	store  stateStore
 	// snapshotDue (under persistMu) is set by a failed state write:
 	// disk and memory may disagree by more than one record, so the
 	// next change writes the whole state instead of appending.
@@ -203,6 +207,7 @@ func NewController(cfg Config) (*Controller, error) {
 		probe:         probe,
 		reportLatency: stats.NewPromHistogram(stats.DefLatencyBuckets),
 		nodes:         make(map[string]*nodeRec),
+		reader:        new(ddpg.PolicyReader),
 	}
 
 	var resumed *ControllerState
@@ -257,13 +262,13 @@ func (c *Controller) now() time.Time {
 	return time.Now()
 }
 
-// validatePolicy takes what ddpg.ReadPolicy (boot and reload, streaming
-// the file) or ddpg.LoadPolicy (resume, from the persisted form) returned
-// — the section read into its policy-only form, checked up to the
-// whole-file sum, the Config and the actor frame against the Config's
-// topology — and checks the dimensions against the node spec. It is the
-// gate boot, resume and hot reload all pass through. It returns the
-// snapshot to serve, version unset: the Config and the policy-only form,
+// validatePolicy takes what ddpg.PolicyReader.Read (boot and reload,
+// streaming the file) or ddpg.LoadPolicy (resume, from the persisted
+// form) returned — the section read into its policy-only form, checked
+// up to the whole-file sum, the Config and the actor frame against the
+// Config's topology — and checks the dimensions against the node spec.
+// It is the gate boot, resume and hot reload all pass through. It
+// returns the snapshot to serve, version unset: the Config and the policy-only form,
 // which is what the state file persists; it decodes no network. What it
 // keeps is the form's size, whatever the critic, targets, optimiser
 // moments or replay behind the section weigh.
@@ -279,8 +284,9 @@ func (c *Controller) validatePolicy(acfg ddpg.Config, form []byte, err error) (*
 }
 
 // readPolicyFile opens a checkpoint file and validates it as a stream
-// (validatePolicy); a file that cannot be opened or sized is an error of
-// its own.
+// (validatePolicy) through the controller's reader, so no read allocates
+// a buffer; a file that cannot be opened or sized is an error of its
+// own. The caller holds reloadMu, or is NewController.
 func (c *Controller) readPolicyFile(path string) (*policySnapshot, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -291,7 +297,7 @@ func (c *Controller) readPolicyFile(path string) (*policySnapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: read policy: %w", err)
 	}
-	return c.validatePolicy(ddpg.ReadPolicy(f, info.Size()))
+	return c.validatePolicy(c.reader.Read(f, info.Size()))
 }
 
 // getScratch checks out pooled report scratch whose actor replica
@@ -520,14 +526,16 @@ var ErrReloadNotPersisted = errors.New("serve: reloaded policy is serving but no
 // policy keeps serving untouched. A state write that fails after the
 // swap counts as a persist error and returns ErrReloadNotPersisted.
 func (c *Controller) ReloadPolicy(path string) error {
+	c.reloadMu.Lock()
 	snap, err := c.readPolicyFile(path)
+	if err == nil {
+		snap.version = c.policy.Load().version + 1
+		c.policy.Store(snap)
+	}
+	c.reloadMu.Unlock()
 	if err != nil {
 		return fmt.Errorf("serve: reload rejected: %w", err)
 	}
-	c.reloadMu.Lock()
-	snap.version = c.policy.Load().version + 1
-	c.policy.Store(snap)
-	c.reloadMu.Unlock()
 	if err := c.snapshot(); err != nil {
 		c.counters.Inc(CounterStatePersistErrors)
 		return fmt.Errorf("%w: v%d: %w", ErrReloadNotPersisted, snap.version, err)

@@ -156,7 +156,8 @@
 // transparently.
 //
 // Hot policy reload opens the new checkpoint and streams it through
-// ddpg.ReadPolicy, which reads the policy section alone and checks it
+// the controller's ddpg.PolicyReader, which reads the policy section
+// alone and checks it
 // before an atomic swap: the magic; the config's width count and the
 // actor frame's length against the file's size before anything is sized
 // by them; the Config, validated as a new agent's would be; the actor
@@ -165,13 +166,15 @@
 // dimensions against the node spec. A corrupt or mismatched checkpoint
 // is rejected loudly without dropping the serving loop. Boot from
 // PolicyPath reads the file the same way, and resume passes the
-// persisted form through the same reader. What is kept is the section,
+// persisted form through ddpg.LoadPolicy, the same checks over bytes in
+// memory. What is kept is the section,
 // read into one exact-size slice — the policy-only form, which the
 // snapshot holds beside its Config and the state file persists as it is
 // (Save writes it as one piece of the payload, never copied). No
 // network is decoded at reload: the critics, targets, optimiser moments,
-// noise and replay behind the section pass through the CRC in a pooled
-// buffer, so a reload's memory does not grow with them
+// noise and replay behind the section pass through the CRC in the
+// reader's buffer, which NewController allocates and every file read
+// reuses, so a reload's memory does not grow with them
 // (TestReloadCostIgnoresTrainingState), and a reload allocates about
 // 1.2 forms (TestServingHoldsPolicyOnly). Pooled replicas
 // refresh from the snapshot's actor frame in place; a scratch with no

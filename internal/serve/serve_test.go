@@ -508,7 +508,7 @@ func TestHotReload(t *testing.T) {
 }
 
 // TestReloadRefusesStreamedDamage: ReloadPolicy streams the file
-// through ddpg.ReadPolicy and refuses every row of ddpg's
+// through its ddpg.PolicyReader and refuses every row of ddpg's
 // TestReadPolicyRefusesStreamedDamage with that reader's message; the
 // controller keeps serving its old policy at its old version, and the
 // file stays as it was. Offsets are the section's layout (internal/rl/ddpg

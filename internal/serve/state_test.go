@@ -671,7 +671,6 @@ func TestServingHoldsPolicyOnly(t *testing.T) {
 	}
 	persists("after reload", policies[1])
 
-	skipUnderRace(t) // ReadPolicy's stream comes from a sync.Pool
 	info, err := os.Stat(policies[0])
 	if err != nil {
 		t.Fatal(err)
@@ -689,7 +688,8 @@ func TestServingHoldsPolicyOnly(t *testing.T) {
 // forms of the policy it loads. At the default topology it measured
 // 1.17 forms (35.1 KB for a 29.9 KB form in a 239 KB checkpoint): the
 // form and ~5 KB of file handles, names and the config's bytes; the
-// stream and its 8 KB buffer come from a pool. The bound leaves 0.13
+// controller's reader and its 8 KB buffer were allocated by
+// NewController. The bound leaves 0.13
 // form (~3.9 KB) of margin: a stream allocated per read costs 0.27
 // form more, decoding an actor at reload or copying the form into the
 // state file's snapshot about one form each, and reading the whole
@@ -747,7 +747,6 @@ func TestReloadCostIgnoresTrainingState(t *testing.T) {
 	if !bytes.Equal(forms["with replay"], forms["without replay"]) {
 		t.Error("the two checkpoints serve different policy-only forms")
 	}
-	skipUnderRace(t) // ReadPolicy's stream comes from a sync.Pool
 	if a, b := cost["with replay"], cost["without replay"]; a > 1.05*b || b > 1.05*a {
 		t.Errorf("reloading with the replay allocates %.0f bytes, without it %.0f: more than 5%% apart", a, b)
 	}

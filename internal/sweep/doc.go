@@ -59,6 +59,10 @@
 //   - "error" (string, omitted when empty): the cell's failure, if
 //     any; a failing cell still emits its row with the identity and
 //     budget fields filled.
+//   - "kernels" (string): the internal/nn kernel set the process ran,
+//     nn.KernelSet — "avx2+fma" or "go". Trained rows depend on it in
+//     their last bits (internal/nn doc, "Kernel contract"), so a row
+//     made on another CPU says so.
 //
 // # Concurrency and determinism
 //

@@ -10,6 +10,7 @@ import (
 	"greennfv/internal/cluster"
 	"greennfv/internal/control"
 	"greennfv/internal/env"
+	"greennfv/internal/nn"
 	"greennfv/internal/perfmodel"
 	"greennfv/internal/placement"
 	"greennfv/internal/pool"
@@ -225,6 +226,10 @@ type Result struct {
 
 	TrainSeconds float64 `json:"train_seconds"`
 	Error        string  `json:"error,omitempty"`
+	// Kernels is the nn kernel set the row was computed with
+	// (nn.KernelSet): trained rows differ in their last bits across
+	// sets.
+	Kernels string `json:"kernels"`
 }
 
 // cell is one grid position — a seed, indices into the tier and mix
@@ -401,7 +406,7 @@ func runCell(cfg Config, c cell) (Result, error) {
 	r := Result{
 		Seed: c.seed, SLA: tier.Name, SLADetail: tier.SLA.Describe(),
 		Traffic: mix.Name, TrainSteps: cfg.TrainSteps, Actors: cfg.Actors,
-		ControlSteps: cfg.ControlSteps,
+		ControlSteps: cfg.ControlSteps, Kernels: nn.KernelSet(),
 	}
 	c.stamp(&r)
 	if c.planErr != nil {

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"greennfv/internal/nn"
 	"greennfv/internal/placement"
 )
 
@@ -330,6 +331,9 @@ func TestSweepSmallGrid(t *testing.T) {
 		var row Result
 		if err := json.Unmarshal([]byte(line), &row); err != nil {
 			t.Fatalf("row %q: %v", line, err)
+		}
+		if row.Kernels != nn.KernelSet() {
+			t.Errorf("row %q names kernel set %q, this process runs %q", line, row.Kernels, nn.KernelSet())
 		}
 	}
 }

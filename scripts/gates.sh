@@ -14,9 +14,9 @@ gates=(
 	# Training plane: chaos kill/resume, checkpoints and resume, fleet bounds, the learner's messages, the broadcast, the stepping loop, the reference fingerprints.
 	"./internal/rl/apex TestChaosKillResume|TestFleetFailureStopsLearner|TestPushRejectsMalformedExperience|TestRegisterRefusesIDOutsideFleet|TestTrainerCheckpointResume|TestWriteReadCheckpoint|TestTrainerFingerprint|FuzzTrainerCheckpoint|TestResumeRefusesGobNetworks|TestResumeAcrossGOMAXPROCS|TestResumeRejectsMissingAndMismatched|TestLearnerMessageLayouts|FuzzPushWire|TestParallelDriverMatchesRoundRobinStepping|TestParallelSnapshotsOnRoundRobinGrid|TestParallelTrainsClusterEnv|TestPublishRecyclesReleasedFrame|TestSyncParamsReleasesItsPull|TestReleaseCountsOnlyTheCurrentFrame|TestConcurrentPullersSeeTheirVersion|TestSyncParamsAllocatesNothing|TestPublishedFrameIsImmutable|TestNewTrainerFootprint|FuzzDecodeActorSpec"
 	# The agent: its checkpoint layout and refusals, actor frames, what acts and what is released, zero-alloc learning and acting, f32 drift.
-	"./internal/rl/ddpg TestCheckpointRoundTrip|TestCheckpointRoundTripF32|TestCheckpointConfigMismatch|TestCheckpointRejectsDirtyReplay|TestCheckpointRestoresStripeCount|TestLoadActorBytesInPlace|TestAppendActorBytesInPlace|TestLoadActorBytesRejectsHostileFrames|TestActorFrameCheckMatchesCheckParams|TestLoadActorBytesRefusesLegacyGob|TestLoadActorBytesCorpus|FuzzLoadActorBytes|TestAgentFootprint|TestViewMatchesAgent|TestReleaseTrainingMemory|TestLearnBatchZeroAlloc|TestLearnBatchF32ZeroAlloc|TestActBatchNoAllocs|TestLearnF32ParityWithF64|TestStateLayout|TestLoadPolicyMatchesLoadAgent|TestLoadPolicyRefusesDamage|TestReadPolicyRefusesStreamedDamage|TestReadPolicyStreamsArePerCall|TestLoadRefusesOversizedConfig|TestLoadRefusesGobNetworks|TestLoadRefusesPreSectionCheckpoint|TestRefusedLoadStateChangesNothing|TestLoadStateRejectsHostileOptimizer|FuzzLoadState|FuzzLoadPolicy"
+	"./internal/rl/ddpg TestCheckpointRoundTrip|TestCheckpointRoundTripF32|TestCheckpointConfigMismatch|TestCheckpointRejectsDirtyReplay|TestCheckpointRestoresStripeCount|TestLoadActorBytesInPlace|TestAppendActorBytesInPlace|TestLoadActorBytesRejectsHostileFrames|TestActorFrameCheckMatchesCheckParams|TestLoadActorBytesRefusesLegacyGob|TestLoadActorBytesCorpus|FuzzLoadActorBytes|TestAgentFootprint|TestViewMatchesAgent|TestReleaseTrainingMemory|TestReleasedAgentActsWithoutAllocating|TestLearnBatchZeroAlloc|TestLearnBatchF32ZeroAlloc|TestActBatchNoAllocs|TestLearnF32ParityWithF64|TestStateLayout|TestLoadPolicyMatchesLoadAgent|TestLoadPolicyRefusesDamage|TestReadPolicyRefusesStreamedDamage|TestReadPolicyStreamsArePerCall|TestLoadRefusesOversizedConfig|TestLoadRefusesGobNetworks|TestLoadRefusesPreSectionCheckpoint|TestRefusedLoadStateChangesNothing|TestLoadStateRejectsHostileOptimizer|FuzzLoadState|FuzzLoadPolicy"
 	# The NN engine: learn fingerprints, kernel parity, zero-alloc passes, the parameter frame and its decoder.
-	"./internal/nn TestLearnFingerprint|TestKernelParityAVX2|TestKernelParityGo|TestReLUKernelParity|TestSeqKernelParity|TestTanhKernelParity|FuzzTanhKernelParity|TestTransposeParity|TestKernelsF32MatchGoWide|TestKernelsConcurrent|TestRows4TreeParity|TestBackwardInputColumns|TestFusedOptimizerParity|TestOptimizerKernelsBitExact|TestParamFrame|TestNetworkUnmarshalCorpus|FuzzNetworkUnmarshal|TestBatchZeroAllocSteadyState|TestF32ZeroAllocSteadyState|TestForwardRowsNoAllocs|TestForwardRowsBitIdentical|TestForwardInputLength|TestCloneFootprint|TestCheckMLPFrameMatchesCheckParams|TestDropCachesChangesNoBit"
+	"./internal/nn TestLearnFingerprint|TestKernelParityAVX2|TestKernelParityGo|TestReLUKernelParity|TestSeqKernelParity|TestTanhKernelParity|FuzzTanhKernelParity|TestTransposeParity|TestKernelsF32MatchGoWide|TestKernelsConcurrent|TestRows4TreeParity|TestBackwardInputColumns|TestFusedOptimizerParity|TestOptimizerKernelsBitExact|TestParamFrame|TestNetworkUnmarshalCorpus|FuzzNetworkUnmarshal|TestBatchZeroAllocSteadyState|TestF32ZeroAllocSteadyState|TestForwardRowsNoAllocs|TestForwardRowsBitIdentical|TestForwardInputLength|TestCloneFootprint|TestCheckMLPFrameMatchesCheckParams|TestDropCachesChangesNoBit|TestDroppedGradsRegrow"
 	# Replay: storage that grows with its contents, the growth fingerprint, snapshot refusals.
 	"./internal/rl/replay TestReplayGrowthParity|TestIdleBufferHoldsNoStorage|TestReleasedBufferHoldsNoStorage|TestSumTreeWalksLikeFullTree|TestSetStateRejectsCorruptSnapshot|FuzzReplaySetState"
 	# The RPC transport: no gob on either plane, per-connection kept values, frame sizing.
@@ -33,8 +33,8 @@ gates=(
 	"./internal/cluster TestSingleNodeReduction|TestEvaluateClusterAllocs"
 	# The sweep: shared cells, failing cells.
 	"./internal/sweep TestSweepSharesResolvedCells|TestSweepFailingCellDoesNotStopGrid"
-	# A trained controller keeps only what it serves and saves.
-	"./internal/control TestTrainedGreenNFVKeepsOnlyWhatItServes"
+	# A trained controller keeps only what it serves and saves, and deploys without allocating.
+	"./internal/control TestTrainedGreenNFVKeepsOnlyWhatItServes|TestTrainedGreenNFVFirstStepAllocatesNothing"
 	# The figures: byte-identical across runs and across shared trainings.
 	"./internal/experiments TestFigClusterDeterministic|TestSuiteSharesTrainingsByteForByte"
 	# The root package: reachability of every declaration, an idempotent Measure.
