@@ -1,6 +1,7 @@
 package apex
 
 import (
+	"bytes"
 	"errors"
 	"flag"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -43,12 +45,17 @@ func actorArgv(flags ...string) []string {
 	return append([]string{os.Args[0], actorRoleArg}, flags...)
 }
 
-// actorRoleMain is the actor process the fault-tolerance tests spawn:
+// actorRoleMain is the actor process the remote tests spawn:
 // cmd/apexactor's flags, with the spec read from stdin, plus an
-// injected crash. The rank -crashat arms (every rank when -crashrank is
-// -1) runs that many steps, flushes, and exits non-zero, unless the
-// -crashmark file exists; the file is created when the crash fires, so
-// a supervised respawn of the rank runs its budget clean.
+// injected crash and a wait for a parameter version. The rank -crashat
+// arms (every rank when -crashrank is -1) runs that many steps,
+// flushes, and exits non-zero, unless the -crashmark file exists; the
+// file is created when the crash fires, so a supervised respawn of the
+// rank runs its budget clean. With -awaitversion, the rank runs all
+// but its last PushEvery steps, waits until the learner has published
+// that version, and runs the rest as a fresh registration, which acts
+// on and reports that version or a later one. With -bin, the steps run
+// in that actor binary (cmd/apexactor) instead of in this process.
 func actorRoleMain(args []string) int {
 	fs := flag.NewFlagSet(actorRoleArg, flag.ContinueOnError)
 	learner := fs.String("learner", "", "learner RPC address")
@@ -60,6 +67,8 @@ func actorRoleMain(args []string) int {
 	crashAt := fs.Int("crashat", 0, "exit non-zero after this many steps (0 = never)")
 	crashRank := fs.Int("crashrank", -1, "apply -crashat only to this rank (-1 = any rank)")
 	crashMark := fs.String("crashmark", "", "marker file that disarms -crashat once it exists")
+	awaitVersion := fs.Int("awaitversion", 0, "run the last PushEvery steps once the learner has published this version (0 = never)")
+	bin := fs.String("bin", "", "run the steps in this actor binary")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -88,10 +97,39 @@ func actorRoleMain(args []string) int {
 			armed = false // crashed once already
 		}
 	}
-	if armed {
-		opt.Steps = *crashAt
+	run := func(steps int) error {
+		if *bin == "" {
+			opt := opt
+			opt.Steps = steps
+			return RunRemoteActor(spec, opt)
+		}
+		cmd := exec.Command(*bin, "-learner", *learner, "-rank", strconv.Itoa(*rank), "-steps", strconv.Itoa(steps), "-spec", "-")
+		if *quiet {
+			cmd.Args = append(cmd.Args, "-q")
+		}
+		if *verifyPrio {
+			cmd.Args = append(cmd.Args, "-verifyprio")
+		}
+		var in bytes.Buffer
+		if err := spec.Encode(&in); err != nil {
+			return err
+		}
+		cmd.Stdin, cmd.Stdout, cmd.Stderr = &in, os.Stdout, os.Stderr
+		return cmd.Run()
 	}
-	if err := RunRemoteActor(spec, opt); err != nil {
+	n := opt.Steps
+	if armed {
+		n = *crashAt
+	} else if *awaitVersion > 0 && budget > spec.PushEvery {
+		if err := run(budget - spec.PushEvery); err != nil {
+			return fail(err)
+		}
+		if err := awaitParamVersion(*learner, *rank, *awaitVersion); err != nil {
+			return fail(err)
+		}
+		n = spec.PushEvery
+	}
+	if err := run(n); err != nil {
 		return fail(err)
 	}
 	if !armed {
@@ -105,6 +143,24 @@ func actorRoleMain(args []string) int {
 	return fail(fmt.Errorf("injected crash after %d steps", *crashAt))
 }
 
+// awaitParamVersion registers as rank and pulls until the learner has
+// published version v. The learner waits on nothing of this rank's to
+// get there: it may update once what was pushed is past warm-up.
+func awaitParamVersion(addr string, rank, v int) error {
+	l := NewRemoteLearner(addr, rank)
+	defer l.Close()
+	if _, err := l.Register(); err != nil {
+		return err
+	}
+	for {
+		got, _, err := l.PullParams(v - 1)
+		if err != nil || got >= v {
+			return err
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // testSpec is the shared environment description for remote tests.
 func testSpec() *ActorSpec {
 	return &ActorSpec{
@@ -116,9 +172,12 @@ func testSpec() *ActorSpec {
 
 // TestRemoteTrainingRound runs a real 2-process-actor training round
 // end-to-end (meaningful under -race): the trainer serves the learner
-// over net/rpc, spawns two apexactor subprocesses, and must see the
-// full experience budget arrive over RPC, the parameter version
-// propagate to both actors, and a clean shutdown.
+// over rpcutil, spawns two actor processes that step in cmd/apexactor,
+// and must see the full experience budget arrive over RPC, the
+// parameter version propagate to both actors, and a clean shutdown.
+// Each rank runs its last push's steps once the learner has published
+// version 2 (-awaitversion), so the propagation holds however fast the
+// actors run against the learner.
 func TestRemoteTrainingRound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocesses")
@@ -132,7 +191,7 @@ func TestRemoteTrainingRound(t *testing.T) {
 	// TD-error priority against the scalar path and exit nonzero on any
 	// bit difference, so this round also proves the batched priority
 	// computation is bit-for-bit across processes.
-	cfg.SpawnRemote = []string{bin, "-q", "-verifyprio"}
+	cfg.SpawnRemote = actorArgv("-q", "-verifyprio", "-awaitversion", "2", "-bin", bin)
 	cfg.RemoteSpec = testSpec()
 	cfg.WarmupSteps = 32
 	cfg.VersionEvery = 4

@@ -462,12 +462,12 @@ func TestAgentFootprint(t *testing.T) {
 	})
 	view := measure(func() (*View, error) { return NewView(cfg) })
 	t.Logf("building and acting: agent %d KB, view %d KB", agent>>10, view>>10)
-	// A 15-48-48-15-ish network is ~35 KB of weights and caches and as
-	// much again of gradients, which only the agent's policy and critic
-	// carry (204 and 140 KB measured, with one set of activation caches
-	// per layer; 212 and 149 KB with two). The bounds leave ~8 %.
-	if agent > 220<<10 {
-		t.Errorf("a default agent allocates %d KB, want under 220 KB", agent>>10)
+	// A 15-48-48-15-ish network is ~35 KB of weights and caches. An
+	// agent's gradients are allocated by its first learning pass, so
+	// one that has not learned holds little more than a view: 142 and
+	// 140 KB measured. The agent's bound leaves ~15 %, the view's ~8 %.
+	if agent > 164<<10 {
+		t.Errorf("a default agent allocates %d KB, want under 164 KB", agent>>10)
 	}
 	if view > 152<<10 {
 		t.Errorf("a default view allocates %d KB, want under 152 KB", view>>10)

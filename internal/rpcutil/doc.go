@@ -29,12 +29,17 @@
 //	...  body, to the end of the frame
 //
 // Every length is checked against the bytes present before it is
-// used. A declared length outside its range is refused before any
-// buffer is sized by it, and one inside it sizes nothing ahead of its
-// bytes: the read buffer grows as they arrive. A kind past 2, or a
-// body behind kind 0, is malformed. On a malformed frame the server
-// closes the connection without answering and the client fails the
-// call: the byte stream has no resynchronisation point, and a peer
+// used. Each end of a connection has one read buffer, which the socket
+// is read straight into: a read takes whatever fits, so bytes of the
+// next frame wait there, and a warm connection reads a frame with one
+// read. A parsed frame aliases the buffer until the next is read. A
+// declared length outside its range is refused before any buffer is
+// sized by it, and one inside it sizes nothing ahead of its bytes: the
+// buffer grows as they arrive, to the largest frame the connection has
+// carried (a serving report's link holds ~200 bytes). A kind past 2,
+// or a body behind kind 0, is malformed. On a malformed frame the
+// server closes the connection without answering and the client fails
+// the call: the byte stream has no resynchronisation point, and a peer
 // that produced one bad frame is not one to keep reading.
 //
 // # Bodies

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -288,5 +289,66 @@ func TestGrownBufferReadsWholeFrames(t *testing.T) {
 			t.Error("a second frame of the same size grew the read buffer again")
 		}
 		grown = l.rbuf
+	}
+}
+
+// chunkConn serves its chunks one per Read, as a socket does small
+// writes that arrive one at a time, and counts the reads.
+type chunkConn struct {
+	net.Conn
+	chunks [][]byte
+	reads  int
+}
+
+func (c *chunkConn) Read(p []byte) (int, error) {
+	c.reads++
+	if len(c.chunks) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, c.chunks[0])
+	if c.chunks[0] = c.chunks[0][n:]; len(c.chunks[0]) == 0 {
+		c.chunks = c.chunks[1:]
+	}
+	return n, nil
+}
+
+// What one connection costs to read, which a fleet pays once per node:
+// after the first frame, a link reads each report-sized frame (167
+// bytes, a serving report's) with exactly one conn.Read; after 100 of
+// them its one read buffer is under 512 B, and reading them has
+// allocated under 1 KB in all, so no 4 KB reader sits beside the
+// buffer.
+func TestWarmLinkReadsOnceIntoOneSmallBuffer(t *testing.T) {
+	const frames = 100
+	body := make(rawBody, 167-23) // 23 bytes of frame header with "Raw.Put"
+	w := newLink(nil)
+	conn := new(chunkConn) // one write per frame, the first with the preamble
+	for seq := uint64(1); seq <= frames; seq++ {
+		if err := w.appendFrame(seq, "Raw.Put", "", &body); err != nil {
+			t.Fatal(err)
+		}
+		conn.chunks, w.wbuf = append(conn.chunks, w.wbuf), nil
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	l := newLink(conn)
+	for seq := uint64(1); seq <= frames; seq++ {
+		reads := conn.reads
+		f, err := l.readFrame()
+		if err != nil || f.seq != seq || string(f.method) != "Raw.Put" || len(f.body) != len(body) {
+			t.Fatalf("frame %d: seq %d method %q, %d-byte body, %v", seq, f.seq, f.method, len(f.body), err)
+		}
+		if seq > 1 && conn.reads-reads != 1 {
+			t.Fatalf("warm frame %d took %d conn.Reads, want 1", seq, conn.reads-reads)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	allocated := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d frames: %d conn.Reads, a %d-byte read buffer, %d bytes allocated", frames, conn.reads, cap(l.rbuf), allocated)
+	if c := cap(l.rbuf); c >= 512 {
+		t.Errorf("after %d 167-byte frames the read buffer holds %d bytes, want under 512", frames, c)
+	}
+	if allocated >= 1024 {
+		t.Errorf("a link reading %d 167-byte frames allocated %d bytes, want under 1024", frames, allocated)
 	}
 }

@@ -1,7 +1,6 @@
 package rpcutil
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
@@ -104,9 +103,9 @@ type frame struct {
 // neither is goroutine-safe.
 type link struct {
 	conn    net.Conn
-	br      *bufio.Reader
 	greeted bool   // peer's preamble seen
-	rbuf    []byte // last frame read
+	rbuf    []byte // bytes read: rbuf[:rpos] consumed, the rest not yet
+	rpos    int
 	wbuf    []byte // frames (and, first, our preamble) not yet written
 	enc     *gob.Encoder
 	dec     *gob.Decoder
@@ -114,7 +113,7 @@ type link struct {
 }
 
 func newLink(conn net.Conn) *link {
-	return &link{conn: conn, br: bufio.NewReader(conn), wbuf: append([]byte(nil), preamble...)}
+	return &link{conn: conn, wbuf: append([]byte(nil), preamble...)}
 }
 
 // Write appends to the pending frame: the gob encoder's sink.
@@ -123,14 +122,36 @@ func (l *link) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
+// growChunk is the most a full rbuf of fewer bytes grows by at once; a
+// larger one grows by at most what it holds. Neither grows past the
+// bytes asked for, so a buffer grows only as they arrive.
+const growChunk = 4096
+
 // peek returns the next n unread bytes; a stream that ends inside them
-// is io.ErrUnexpectedEOF, one that ends before them io.EOF.
+// is io.ErrUnexpectedEOF, one that ends before them io.EOF. rbuf is
+// the link's one read buffer: peek reads the connection straight into
+// its spare capacity and takes whatever fits, so bytes of the next
+// frame stay buffered, and drops consumed bytes from its front only
+// when it must read. A declared length the peer never sends sizes
+// nothing (growChunk).
 func (l *link) peek(n int) ([]byte, error) {
-	b, err := l.br.Peek(n)
-	if err == io.EOF && len(b) > 0 {
-		err = io.ErrUnexpectedEOF
+	for len(l.rbuf)-l.rpos < n {
+		if l.rpos > 0 {
+			l.rbuf, l.rpos = l.rbuf[:copy(l.rbuf, l.rbuf[l.rpos:])], 0
+		}
+		b := l.rbuf
+		if len(b) == cap(b) {
+			b = slices.Grow(b, min(n-len(b), max(len(b), growChunk)))
+		}
+		m, err := l.conn.Read(b[len(b):cap(b)])
+		if l.rbuf = b[:len(b)+m]; err != nil && len(l.rbuf) < n {
+			if err == io.EOF && len(l.rbuf) > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
 	}
-	return b, err
+	return l.rbuf[l.rpos : l.rpos+n], nil
 }
 
 // readFrame reads and parses the next frame, after the peer's
@@ -145,7 +166,7 @@ func (l *link) readFrame() (frame, error) {
 		if string(b) != preamble {
 			return f, fmt.Errorf("%w: peer does not speak rpcutil version %d", errMalformed, preamble[len(preamble)-1])
 		}
-		l.br.Discard(len(preamble))
+		l.rpos += len(preamble)
 		l.greeted = true
 		f.size = len(preamble)
 	}
@@ -157,14 +178,12 @@ func (l *link) readFrame() (frame, error) {
 	if n < minFrame || n > maxFrame {
 		return f, fmt.Errorf("%w: length %d outside [%d, %d]", errMalformed, n, minFrame, maxFrame)
 	}
-	l.br.Discard(4)
-	if b, err = l.readBody(n); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return f, err
+	if b, err = l.peek(4 + n); err != nil {
+		return f, err // inside the frame: never a clean io.EOF
 	}
+	l.rpos += 4 + n
 	f.size += 4 + n
+	b = b[4:]
 	f.seq = binary.BigEndian.Uint64(b)
 	methodLen := int(b[8])
 	b = b[9:]
@@ -183,30 +202,6 @@ func (l *link) readFrame() (frame, error) {
 		return f, fmt.Errorf("%w: body kind %d with %d bytes", errMalformed, f.kind, len(f.body))
 	}
 	return f, nil
-}
-
-// growChunk is the least readBody grows rbuf by: the bufio.Reader's
-// default size, what one read can bring.
-const growChunk = 4096
-
-// readBody reads the next n bytes into rbuf. A buffer that already
-// fits them is read into as it is; otherwise it grows only as bytes
-// arrive, each time by at most what it holds or growChunk, so a
-// declared length the peer never sends sizes nothing.
-func (l *link) readBody(n int) ([]byte, error) {
-	b := l.rbuf[:0]
-	for len(b) < n {
-		if len(b) == cap(b) {
-			b = slices.Grow(b, min(n-len(b), max(len(b), growChunk)))
-			l.rbuf = b
-		}
-		m, err := l.br.Read(b[len(b):min(n, cap(b))])
-		b = b[:len(b)+m]
-		if err != nil && len(b) < n {
-			return nil, err
-		}
-	}
-	return b, nil
 }
 
 // appendFrame queues one frame carrying v (nil: no body). After an

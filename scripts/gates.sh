@@ -19,8 +19,8 @@ gates=(
 	"./internal/nn TestLearnFingerprint|TestKernelParityAVX2|TestKernelParityGo|TestReLUKernelParity|TestSeqKernelParity|TestTanhKernelParity|FuzzTanhKernelParity|TestTransposeParity|TestKernelsF32MatchGoWide|TestKernelsConcurrent|TestRows4TreeParity|TestBackwardInputColumns|TestFusedOptimizerParity|TestOptimizerKernelsBitExact|TestParamFrame|TestNetworkUnmarshalCorpus|FuzzNetworkUnmarshal|TestBatchZeroAllocSteadyState|TestF32ZeroAllocSteadyState|TestForwardRowsNoAllocs|TestForwardRowsBitIdentical|TestForwardInputLength|TestCloneFootprint|TestCheckMLPFrameMatchesCheckParams|TestDropCachesChangesNoBit|TestDroppedGradsRegrow"
 	# Replay: storage that grows with its contents, the growth fingerprint, snapshot refusals.
 	"./internal/rl/replay TestReplayGrowthParity|TestIdleBufferHoldsNoStorage|TestReleasedBufferHoldsNoStorage|TestSumTreeWalksLikeFullTree|TestSetStateRejectsCorruptSnapshot|FuzzReplaySetState"
-	# The RPC transport: no gob on either plane, per-connection kept values, frame sizing.
-	"./internal/rpcutil TestServiceMessagesAreLaidOut|TestRefusedLayoutIsAnsweredAndKept|TestKeptValuesStartEmpty|TestKeptValuesPerConnection|TestDeclaredLengthSizesNothing|TestGrownBufferReadsWholeFrames|FuzzServerConn"
+	# The RPC transport: no gob on either plane, per-connection kept values, frame sizing, one small read buffer per connection.
+	"./internal/rpcutil TestServiceMessagesAreLaidOut|TestRefusedLayoutIsAnsweredAndKept|TestKeptValuesStartEmpty|TestKeptValuesPerConnection|TestDeclaredLengthSizesNothing|TestGrownBufferReadsWholeFrames|TestWarmLinkReadsOnceIntoOneSmallBuffer|FuzzServerConn"
 	# Serving: guardrail safety, the fleet soak, report allocations, policy-only reloads, the controller state.
 	"./internal/serve TestGuardrailProperty|TestFleetDeterminismVsSerial|TestFleetSoakStorm|TestExpireLeasesChurnRace|TestReportRoundTripAllocs|TestSteadyReportAllocatesNothing|TestPolicyReplyOutlivesRecord|FuzzReportWire|TestServingHoldsPolicyOnly|TestReloadCostIgnoresTrainingState|TestReloadRefusesStreamedDamage|TestReloadPersistFailureIsNotRejection|TestReplicaRefreshesInPlace|TestSnapshotLayout|TestBootOnUnknownLayouts|TestJournalCrashMatrix|FuzzStateLoad|TestStateLoadCorpus"
 	# Framed files and journals: one refusal of every other format.
