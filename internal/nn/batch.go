@@ -484,31 +484,23 @@ func (p *precision[T]) forward(d *Dense, x []T, rows int) []T {
 }
 
 // backward consumes dL/dY for the rows of the preceding forward:
-// parameter gradients accumulate from the first gradRows rows only
-// (0 = none, rows = the whole minibatch), and dX is computed for rows
-// [row0, rows) and input columns [col0, In) only — none when row0 is
-// rows — into a [(rows−row0) × (In−col0)] matrix owned by the layer.
-// The gradRows split is what lets the fused DDPG learn step push a
-// regression half-batch and an action-gradient half-batch through one
-// pass; the dX window is what lets the critic's first layer skip the
-// state columns and the regression rows, whose input gradients nobody
-// reads. A row's bits depend on whether it falls in a full 4-row group
-// counted from row0 (doc.go), so a window equals the matching slice of
-// the whole dX when row0 is a multiple of four.
-func (p *precision[T]) backward(d *Dense, dY []T, rows, gradRows, row0, col0 int) []T {
+// parameter gradients accumulate over every row when grads is set, and
+// when dx is set it returns dX for input columns [col0, In) only, a
+// [rows × (In−col0)] matrix owned by the layer (nil otherwise). The
+// column window is what lets the critic's first layer skip the state
+// columns, whose input gradients nobody reads; each kept element has
+// the bits of the whole dX's (doc.go).
+func (p *precision[T]) backward(d *Dense, dY []T, rows int, grads, dx bool, col0 int) []T {
 	if len(dY) < rows*d.Out {
 		panic("nn: BackwardBatch gradient shorter than rows*Out")
 	}
-	if gradRows > rows {
-		gradRows = rows
-	}
 	p.bdz = Grow(p.bdz, rows*d.Out)
 	derivBatch(d.Act, dY[:rows*d.Out], p.bz, p.by, p.bdz)
-	if gradRows > 0 {
-		d.bnz = Grow(d.bnz, 2*gradRows)
-		accumGrads(p.bdz, p.bx, p.dw, p.db, d.bnz, gradRows, d.In, d.Out)
+	if grads {
+		d.bnz = Grow(d.bnz, 2*rows)
+		accumGrads(p.bdz, p.bx, p.dw, p.db, d.bnz, rows, d.In, d.Out)
 	}
-	if row0 >= rows {
+	if !dx {
 		return nil
 	}
 	// dX = dz × W, computed against a transposed weight copy so each
@@ -520,8 +512,8 @@ func (p *precision[T]) backward(d *Dense, dY []T, rows, gradRows, row0, col0 int
 	p.wt = Grow(p.wt, d.In*d.Out)
 	transpose(p.w, p.wt, d.In, d.Out)
 	cols := d.In - col0
-	p.bdx = Grow(p.bdx, (rows-row0)*cols)
-	product(p.wt[col0*d.Out:], p.bdz[row0*d.Out:], nil, p.bdx, rows-row0, d.Out, cols)
+	p.bdx = Grow(p.bdx, rows*cols)
+	product(p.wt[col0*d.Out:], p.bdz, nil, p.bdx, rows, d.Out, cols)
 	return p.bdx
 }
 
@@ -542,22 +534,21 @@ func ForwardBatch[T float](n *Network, x []T, rows int) []T {
 	return out
 }
 
-// backwardBatch is the whole backward pass: parameter gradients from
-// the first gradRows rows (allocated first if the network holds none),
-// and the first layer's input gradient for
-// rows [row0, rows) and input columns [col0, InputDim) (none when row0
-// is rows); every later layer's dX is computed whole.
-func backwardBatch[T float](n *Network, dOut []T, rows, gradRows, row0, col0 int) []T {
-	if gradRows > 0 {
+// backwardBatch is the whole backward pass: parameter gradients over
+// every row when grads is set (allocated first if the network holds
+// none), and when dx is set the first layer's input gradient for input
+// columns [col0, InputDim); every later layer's dX is computed whole.
+func backwardBatch[T float](n *Network, dOut []T, rows int, grads, dx bool, col0 int) []T {
+	if grads {
 		gradsAt[T](n)
 	}
 	d := dOut
 	for i := len(n.layers) - 1; i >= 0; i-- {
 		l := n.layers[i]
 		if i > 0 {
-			d = at[T](l).backward(l, d, rows, gradRows, 0, 0)
+			d = at[T](l).backward(l, d, rows, grads, true, 0)
 		} else {
-			d = at[T](l).backward(l, d, rows, gradRows, row0, col0)
+			d = at[T](l).backward(l, d, rows, grads, dx, col0)
 		}
 	}
 	return d
@@ -568,26 +559,17 @@ func backwardBatch[T float](n *Network, dOut []T, rows, gradRows, row0, col0 int
 // over the minibatch. The first layer's input gradient — pure overhead
 // in a critic or actor regression step — is skipped.
 func BackwardBatchParams[T float](n *Network, dOut []T, rows int) {
-	backwardBatch(n, dOut, rows, rows, rows, 0)
+	backwardBatch(n, dOut, rows, true, false, 0)
 }
 
-// BackwardBatchSplit propagates dL/dOutput for ALL rows of the
-// preceding ForwardBatch but accumulates parameter gradients from the
-// FIRST gradRows rows only, and returns dL/dInput of the rows after
-// them, for input columns [col, InputDim) only: a
-// [(rows−gradRows) × (InputDim−col)] matrix owned by the first layer.
-// It is the fused DDPG critic pass: rows [0, gradRows) carry the critic
-// regression (their parameter gradients are kept, per-row identical
-// to a separate BackwardBatchParams call), rows [gradRows, rows) carry
-// dQ/da probes whose action-column input gradients flow to the actor
-// (per element identical to the whole pass's dX: the window starts at
-// the 4-row group gradRows falls in). One pass replaces two,
-// transposing each weight matrix once instead of twice.
-func BackwardBatchSplit[T float](n *Network, dOut []T, rows, gradRows, col int) []T {
-	gradRows = min(gradRows, rows)
-	row0 := gradRows &^ 3
-	dx := backwardBatch(n, dOut, rows, gradRows, row0, col)
-	return dx[(gradRows-row0)*(n.layers[0].In-col):]
+// BackwardBatchInput propagates input gradients WITHOUT accumulating
+// any parameter gradients and returns dL/dInput for input columns
+// [col, InputDim) only ([rows × (InputDim−col)], owned by the first
+// layer) — the DDPG actor update pushes dQ/da back through the critic
+// for the action columns and throws the critic's own gradients and the
+// state columns away, so neither is computed.
+func BackwardBatchInput[T float](n *Network, dOut []T, rows, col int) []T {
+	return backwardBatch(n, dOut, rows, false, true, col)
 }
 
 // ForwardBatch is the float64 ForwardBatch.
@@ -600,22 +582,7 @@ func (n *Network) ForwardBatch(x []float64, rows int) []float64 {
 // parameter gradients over the minibatch, and returns dL/dInput
 // ([rows × InputDim]).
 func (n *Network) BackwardBatch(dOut []float64, rows int) []float64 {
-	return backwardBatch(n, dOut, rows, rows, 0, 0)
-}
-
-// BackwardBatchParams is the float64 BackwardBatchParams.
-func (n *Network) BackwardBatchParams(dOut []float64, rows int) {
-	BackwardBatchParams(n, dOut, rows)
-}
-
-// BackwardBatchInput propagates input gradients WITHOUT accumulating
-// any parameter gradients and returns dL/dInput for input columns
-// [col, InputDim) only ([rows × (InputDim−col)], owned by the first
-// layer) — the unfused DDPG actor update pushes dQ/da back through the
-// critic for the action columns and throws the critic's own gradients
-// and the state columns away, so neither is computed.
-func (n *Network) BackwardBatchInput(dOut []float64, rows, col int) []float64 {
-	return backwardBatch(n, dOut, rows, 0, 0, col)
+	return backwardBatch(n, dOut, rows, true, true, 0)
 }
 
 // viewsAt returns the network's cached slice headers at element type T.

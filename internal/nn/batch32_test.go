@@ -61,7 +61,7 @@ func TestBackwardBatchF32MatchesF64(t *testing.T) {
 	}
 
 	net.ForwardBatch(x, rows)
-	net.ZeroGrad()
+	ZeroGrad[float64](net)
 	wantDX := net.BackwardBatch(dOut, rows)
 	wantG := net.GradSlices()
 

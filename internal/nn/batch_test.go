@@ -55,11 +55,11 @@ func TestBackwardBatchMatchesScalar(t *testing.T) {
 			dOut[i] = rng.NormFloat64()
 		}
 
-		net.ZeroGrad()
+		ZeroGrad[float64](net)
 		net.ForwardBatch(x, rows)
 		dXb := net.BackwardBatch(dOut, rows)
 
-		ref.ZeroGrad()
+		ZeroGrad[float64](ref)
 		dXs := make([]float64, rows*6)
 		for r := 0; r < rows; r++ {
 			ref.Forward(x[r*6 : (r+1)*6])
@@ -133,10 +133,10 @@ func TestDropCachesChangesNoBit(t *testing.T) {
 		d32[i] = float32(v)
 	}
 	pass := func(n *Network) []float64 {
-		n.ZeroGrad()
+		ZeroGrad[float64](n)
 		ZeroGrad[float32](n)
 		out := append([]float64(nil), n.ForwardBatch(x, rows)...)
-		n.BackwardBatchParams(dOut, rows)
+		BackwardBatchParams(n, dOut, rows)
 		out = append(out, n.BackwardBatch(dOut, rows)...)
 		for _, v := range ForwardBatch(n, x32, rows) {
 			out = append(out, float64(v))
@@ -258,7 +258,7 @@ func testDroppedGradsRegrow[T float](t *testing.T) {
 }
 
 // testZeroAllocSteadyState: a whole train step at element type T —
-// the batch passes (full, split and windowed backward) and the
+// the batch passes (full and column-windowed input backward) and the
 // optimizer step with its target update — must not allocate once warm.
 func testZeroAllocSteadyState[T float](t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
@@ -279,8 +279,8 @@ func testZeroAllocSteadyState[T float](t *testing.T) {
 	step := func() {
 		ForwardBatch(net, x, rows)
 		ZeroGrad[T](net)
-		backwardBatch(net, dOut, rows, rows, 0, 0)
-		BackwardBatchSplit(net, dOut, rows, rows/2, 22)
+		backwardBatch(net, dOut, rows, true, true, 0)
+		BackwardBatchInput(net, dOut, rows, 22)
 		AdamStep(opt, net, T(1.0/rows), target, T(0.01))
 	}
 	step() // warm scratch, moments and slice caches
@@ -362,11 +362,11 @@ func benchForwardBatch[T float](b *testing.B) {
 func benchBackwardBatch[T float](b *testing.B) {
 	net, x, dOut, rows := benchNet[T](b)
 	ForwardBatch(net, x, rows)
-	backwardBatch(net, dOut, rows, rows, 0, 0)
+	backwardBatch(net, dOut, rows, true, true, 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		backwardBatch(net, dOut, rows, rows, 0, 0)
+		backwardBatch(net, dOut, rows, true, true, 0)
 	}
 }
 
@@ -456,7 +456,7 @@ func TestOptimizerKernelsBitExact(t *testing.T) {
 			for i := range dOut {
 				dOut[i] = rng.NormFloat64()
 			}
-			net.ZeroGrad()
+			ZeroGrad[float64](net)
 			net.Forward(x)
 			net.Backward(dOut)
 			AdamStep(opt, net, 0.125, target, 0.01)

@@ -31,9 +31,8 @@
 // sequential summation order, ForwardBatch reassociates. Inference —
 // ForwardRows, and Forward, which is ForwardRows with one row — does
 // NOT depend on the kernel set: its kernels equal their Go loops bit
-// for bit (below). Every pass (ForwardBatch/BackwardBatch and the
-// BackwardBatchSplit variant, ForwardRows and Forward) allocates
-// nothing in steady state.
+// for bit (below). Every pass (ForwardBatch, the backward passes,
+// ForwardRows and Forward) allocates nothing in steady state.
 //
 // # Memory
 //
@@ -96,9 +95,7 @@
 //   - Remainder rows. The rows%4 rows after the last full group use the
 //     pure-Go dot — four accumulators over indices mod 4, multiply then
 //     add, (s0+s1)+(s2+s3), tail into s0 — on every CPU. So a row's
-//     bits depend on whether it falls in a full group, which is why
-//     BackwardBatchSplit's parity with separate passes holds for
-//     halves that are multiples of four.
+//     bits depend on whether it falls in a full group.
 //   - ReLU. The forward pass computes y = 0.5·(z + |z|) — |z| by
 //     clearing the sign bit, then one rounded add and one rounded
 //     multiply — and the derivative dz = dY·(0.5·(copysign(1, z) + 1)) —
@@ -167,12 +164,10 @@
 //     wt[i][o] = W[o][i] moves whole 4×4 blocks through registers and
 //     copies the edges in Go. Movement only: no element is computed.
 //   - Input-gradient window. The first layer's dX may be asked for
-//     rows [row0, rows) and columns [col0, In) only (the DDPG critic:
-//     the action columns of the probe rows). A window element is the
-//     same rows4 product of the same column of W against the same dz
-//     row; the row groups count from row0, so with row0 a multiple of
-//     four a window is bit for bit the matching slice of the whole dX
-//     (BackwardBatchSplit rounds its row0 down to one).
+//     columns [col0, In) only (BackwardBatchInput; the DDPG critic: the
+//     action columns). A window element is the same rows4 product of
+//     the same column of W against the same dz row, so a window is bit
+//     for bit the matching slice of the whole dX.
 //   - Optimizer step (AdamStep). Per element, in order: the gradient
 //     times the scale (one multiply); Adam's m' = β1·m + (1−β1)·g,
 //     v' = β2·v + (1−β2)·g·g, p' = p − lr·(m'/b1c) / (√(v'/b2c) + ε),
@@ -199,8 +194,8 @@
 // four-row product at both widths on every n × m from 1×1 to 70×70,
 // bias on and off, zeros of both signs, subnormals, overflowing
 // magnitudes, NaNs and infinities in every lane, n == 1 included;
-// TestBackwardInputColumns: windows against the whole dX, odd column
-// and multiple-of-4 row offsets; TestReLUKernelParity: both
+// TestBackwardInputColumns: windows against the whole dX at odd column
+// offsets; TestReLUKernelParity: both
 // ReLU kernels against the Go leaves at both widths, every length from
 // 0 to 17 and a 32×48 layer, zeros of both signs, NaNs, infinities and
 // subnormals in every lane; TestSeqKernelParity: every shape from 1×1
@@ -213,9 +208,8 @@
 // ClipNorm, NaN, infinite and zero gradients, past both b1c = 1
 // points), TestKernelsConcurrent runs the stateless
 // kernels from eight goroutines at once, and fingerprint_test.go
-// pins 300 composed float64 DDPG updates to the values recorded before
-// the kernels were made layer-granular, and 200 float32 ones to the
-// values recorded before the two engines became one. Kernel scratch
+// pins 300 composed float64 DDPG updates and 200 float32 ones to
+// recorded values (its constants say when and how each was recorded). Kernel scratch
 // (the gradient kernel's compacted non-zero rows) is layer-owned like
 // every other batch buffer, and shared by both element types of a
 // layer: the figure pool trains networks concurrently, and a
@@ -286,10 +280,11 @@
 // The float32 instantiation of the engine halves the memory traffic of
 // the learn step (8 lanes per register instead of 4). Callers outside
 // the package reach either element type through the generic functions
-// (ForwardBatch, BackwardBatchParams, BackwardBatchSplit, ZeroGrad,
-// AdamStep); the methods of the same names, where they exist, are the
-// float64 instantiations, and ForwardBatchF32/BackwardBatchF32 the
-// float32 ones. What differs between the two beyond the type, and why:
+// (ForwardBatch, BackwardBatchParams, BackwardBatchInput, ZeroGrad,
+// AdamStep), which ddpg's one update body calls at either type; the
+// ForwardBatch and BackwardBatch methods are float64 instantiations,
+// and ForwardBatchF32/BackwardBatchF32 the float32 ones. What differs
+// between the two beyond the type, and why:
 //
 //   - Parameters. Float64 passes run on W/B themselves. Float32 ones
 //     run on mirrors, an explicit opt-in with a snapshot/flush

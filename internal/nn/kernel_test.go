@@ -60,29 +60,31 @@ func (l *refLayer) forward(x []float64, rows int, simd bool) []float64 {
 	return l.y
 }
 
-func (l *refLayer) backward(dY []float64, rows int, needDX bool, gradRows int, simd bool) []float64 {
+func (l *refLayer) backward(dY []float64, rows int, grads, dx bool, simd bool) []float64 {
 	dz := make([]float64, rows*l.out)
 	derivBatch(l.act, dY[:rows*l.out], l.z, l.y, dz)
-	for o := 0; o < l.out; o++ {
-		for r := 0; r < gradRows; r++ {
-			v := dz[r*l.out+o]
-			if v == 0 {
-				continue
-			}
-			l.db[o] += v
-			for i := 0; i < l.in; i++ {
-				if simd {
-					l.dw[o*l.in+i] = math.FMA(v, l.x[r*l.in+i], l.dw[o*l.in+i])
-				} else {
-					l.dw[o*l.in+i] += v * l.x[r*l.in+i]
+	if grads {
+		for o := 0; o < l.out; o++ {
+			for r := 0; r < rows; r++ {
+				v := dz[r*l.out+o]
+				if v == 0 {
+					continue
+				}
+				l.db[o] += v
+				for i := 0; i < l.in; i++ {
+					if simd {
+						l.dw[o*l.in+i] = math.FMA(v, l.x[r*l.in+i], l.dw[o*l.in+i])
+					} else {
+						l.dw[o*l.in+i] += v * l.x[r*l.in+i]
+					}
 				}
 			}
 		}
 	}
-	if !needDX {
+	if !dx {
 		return nil
 	}
-	dx := make([]float64, rows*l.in)
+	dX := make([]float64, rows*l.in)
 	col := make([]float64, l.out)
 	grouped := rows - rows%4
 	for i := 0; i < l.in; i++ {
@@ -92,13 +94,13 @@ func (l *refLayer) backward(dY []float64, rows int, needDX bool, gradRows int, s
 		for r := 0; r < rows; r++ {
 			dzr := dz[r*l.out : (r+1)*l.out]
 			if r < grouped {
-				dx[r*l.in+i] = refProduct(col, dzr, simd)
+				dX[r*l.in+i] = refProduct(col, dzr, simd)
 			} else {
-				dx[r*l.in+i] = dot(dzr, col)
+				dX[r*l.in+i] = dot(dzr, col)
 			}
 		}
 	}
-	return dx
+	return dX
 }
 
 // refNet mirrors a Network layer for layer, sharing nothing with it.
@@ -162,7 +164,7 @@ func checkKernelParity(t *testing.T, simd bool) {
 	for si, sizes := range shapes {
 		for _, rows := range []int{1, 3, 4, 7, 32, 64} {
 			net := MustMLP(sizes, acts[si%len(acts)], acts[(si+1)%len(acts)], rng)
-			net.ZeroGrad() // allocates the gradients seeded below
+			ZeroGrad[float64](net) // allocates the gradients seeded below
 			for _, l := range net.layers {
 				for i := range l.B {
 					l.B[i] = rng.NormFloat64()
@@ -204,23 +206,18 @@ func checkKernelParity(t *testing.T, simd bool) {
 			sameBits(t, name+" forward", got, want)
 
 			for _, mode := range []struct {
-				name     string
-				needDX   bool
-				gradRows int
+				name      string
+				grads, dx bool
 			}{
-				{"full", true, rows}, {"params", false, rows}, {"input", true, 0}, {"split", true, rows / 2},
+				{"full", true, true}, {"params", true, false}, {"input", false, true},
 			} {
-				row0 := rows
-				if mode.needDX {
-					row0 = 0
-				}
-				gotDX := backwardBatch(net, dY, rows, mode.gradRows, row0, 0)
+				gotDX := backwardBatch(net, dY, rows, mode.grads, mode.dx, 0)
 				d := dY
 				for i := len(ref) - 1; i >= 0; i-- {
-					d = ref[i].backward(d, rows, i > 0 || mode.needDX, mode.gradRows, simd)
+					d = ref[i].backward(d, rows, mode.grads, i > 0 || mode.dx, simd)
 				}
 				what := name + " backward " + mode.name
-				if mode.needDX {
+				if mode.dx {
 					sameBits(t, what+" dX", gotDX, d)
 				}
 				for li, l := range net.layers {
@@ -387,10 +384,9 @@ func TestRows4TreeParity(t *testing.T) {
 }
 
 // checkInputColumns holds the windowed first-layer input gradient —
-// rows [row0, rows), columns [col0, In) — to the matching slice of the
-// whole pass's dX, bit for bit, at T: every odd column offset (a
-// sample of them on wide inputs), row offsets in steps of four, and the
-// public forms that take a window.
+// columns [col0, In) — to the matching slice of the whole pass's dX,
+// bit for bit, at T: every odd column offset (a sample of them on wide
+// inputs), through backwardBatch and through BackwardBatchInput.
 func checkInputColumns[T float](t *testing.T, sizes []int, rows int) {
 	rng := rand.New(rand.NewSource(191))
 	net := MustMLP(sizes, ReLU, Linear, rng)
@@ -405,19 +401,19 @@ func checkInputColumns[T float](t *testing.T, sizes []int, rows int) {
 		dY[i] = T(rng.NormFloat64())
 	}
 	ForwardBatch(net, x, rows)
-	full := append([]T(nil), backwardBatch(net, dY, rows, 0, 0, 0)...)
-	window := func(what string, got []T, row0, col0 int) {
+	full := append([]T(nil), backwardBatch(net, dY, rows, false, true, 0)...)
+	window := func(what string, got []T, col0 int) {
 		t.Helper()
 		cols := in - col0
-		if len(got) != (rows-row0)*cols {
-			t.Fatalf("%s: %d elements, want %d × %d", what, len(got), rows-row0, cols)
+		if len(got) != rows*cols {
+			t.Fatalf("%s: %d elements, want %d × %d", what, len(got), rows, cols)
 		}
-		for r := row0; r < rows; r++ {
+		for r := 0; r < rows; r++ {
 			for c := col0; c < in; c++ {
-				g, w := got[(r-row0)*cols+c-col0], full[r*in+c]
+				g, w := got[r*cols+c-col0], full[r*in+c]
 				if math.Float64bits(float64(g)) != math.Float64bits(float64(w)) {
-					t.Fatalf("%s sizes=%v rows=%d window (%d, %d): dX[%d][%d] = %v, whole pass %v",
-						what, sizes, rows, row0, col0, r, c, g, w)
+					t.Fatalf("%s sizes=%v rows=%d col0=%d: dX[%d][%d] = %v, whole pass %v",
+						what, sizes, rows, col0, r, c, g, w)
 				}
 			}
 		}
@@ -428,25 +424,18 @@ func checkInputColumns[T float](t *testing.T, sizes []int, rows int) {
 			offsets = append(offsets, c)
 		}
 	}
-	for row0 := 0; row0 < rows; row0 += 4 {
-		for _, col0 := range offsets {
-			window("backwardBatch", backwardBatch(net, dY, rows, 0, row0, col0), row0, col0)
-		}
+	for _, col0 := range offsets {
+		window("backwardBatch", backwardBatch(net, dY, rows, false, true, col0), col0)
 	}
 	col0 := offsets[len(offsets)/2]
-	half := rows / 2 &^ 3
-	ZeroGrad[T](net)
-	window("BackwardBatchSplit", BackwardBatchSplit(net, dY, rows, half, col0), half, col0)
-	if d64, ok := any(dY).([]float64); ok {
-		window("BackwardBatchInput", any(net.BackwardBatchInput(d64, rows, col0)).([]T), 0, col0)
-	}
+	window("BackwardBatchInput", BackwardBatchInput(net, dY, rows, col0), col0)
 }
 
 // TestBackwardInputColumns: computing the first layer's input gradient
-// only for the action columns and the probe rows, as the DDPG critic
-// pass does, changes none of the elements it keeps — on both kernel
-// sets, at both widths, on the critic shapes of the paper and of the
-// cluster sweep and on odd ones.
+// only for the action columns, as the DDPG critic pass does, changes
+// none of the elements it keeps — on both kernel sets, at both widths,
+// on the critic shapes of the paper and of the cluster sweep and on odd
+// ones.
 func TestBackwardInputColumns(t *testing.T) {
 	for _, simd := range []bool{useSIMD, false} {
 		setSIMD(t, simd)
@@ -482,7 +471,7 @@ func TestKernelZeroSkipSign(t *testing.T) {
 
 // TestKernelsF32MatchGoWide covers what the small f32 parity nets do
 // not reach: the 8-vector gradient tile (In >= 64 floats), its masked
-// remainder, remainder rows and the split backward. f32 has no bit
+// remainder, remainder rows and the whole backward pass. f32 has no bit
 // contract, so the AVX2 kernels are held to the pure-Go ones within a
 // relative tolerance.
 func TestKernelsF32MatchGoWide(t *testing.T) {
@@ -506,7 +495,7 @@ func TestKernelsF32MatchGoWide(t *testing.T) {
 		}
 		out = append(out, net.ForwardBatchF32(x, rows)...)
 		ZeroGrad[float32](net)
-		dx = append(dx, BackwardBatchSplit(net, dOut, rows, 6, 0)...)
+		dx = append(dx, net.BackwardBatchF32(dOut, rows)...)
 		grads = gradsAt[float32](net)
 		return out, dx, grads
 	}

@@ -139,10 +139,6 @@ func (n *Network) Forward(x []float64) []float64 {
 	return n.ForwardRows(x, 1)
 }
 
-// ZeroGrad clears the accumulated float64 gradients, allocating them
-// if the network holds none.
-func (n *Network) ZeroGrad() { ZeroGrad[float64](n) }
-
 // DropGrads lets go of the gradients at both element types, in place
 // and without allocating. What they held is lost: the next pass that
 // writes gradients regrows them zeroed, as ZeroGrad leaves them, so a

@@ -89,7 +89,7 @@ func TestGradientCheck(t *testing.T) {
 	}
 
 	// Analytic gradients.
-	net.ZeroGrad()
+	ZeroGrad[float64](net)
 	out := net.Forward(x)
 	dOut := make([]float64, len(out))
 	for i := range out {
@@ -130,7 +130,7 @@ func TestGradientCheckReLUTanh(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	net := MustMLP([]int{4, 6, 3}, ReLU, Tanh, rng)
 	x := []float64{0.5, -0.2, 0.9, -0.7}
-	net.ZeroGrad()
+	ZeroGrad[float64](net)
 	out := net.Forward(x)
 	dOut := make([]float64, len(out))
 	for i := range out {
@@ -168,7 +168,7 @@ func TestBackwardInputGradient(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	net := MustMLP([]int{2, 4, 1}, Tanh, Linear, rng)
 	x := []float64{0.4, -0.6}
-	net.ZeroGrad()
+	ZeroGrad[float64](net)
 	net.Forward(x)
 	dX := net.Backward([]float64{1})
 	// Finite difference on the input.
@@ -210,7 +210,7 @@ func TestAdamReducesLoss(t *testing.T) {
 	}
 	initial := lossAt()
 	for epoch := 0; epoch < 400; epoch++ {
-		net.ZeroGrad()
+		ZeroGrad[float64](net)
 		for i := range xs {
 			out := net.Forward(xs[i])
 			net.Backward([]float64{out[0] - ys[i]})
@@ -236,7 +236,7 @@ func TestAdamClipNorm(t *testing.T) {
 	opt := MustAdam(0.1)
 	opt.ClipNorm = 0.001
 	before := append([]float64(nil), net.ParamSlices()[0]...)
-	net.ZeroGrad()
+	ZeroGrad[float64](net)
 	net.Forward([]float64{100, 100})
 	net.Backward([]float64{1000, 1000}) // huge gradients
 	AdamStep(opt, net, 1, target, 0.01)
@@ -276,7 +276,7 @@ func TestCloneFootprint(t *testing.T) {
 	var m0, m1, m2 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	src := MustMLP(sizes, ReLU, Tanh, rng)
-	src.ZeroGrad()
+	ZeroGrad[float64](src)
 	runtime.ReadMemStats(&m1)
 	c := src.Clone()
 	runtime.ReadMemStats(&m2)

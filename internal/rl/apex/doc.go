@@ -50,9 +50,12 @@
 // (TestParallelDriverMatchesRoundRobinStepping,
 // TestParallelSnapshotsOnRoundRobinGrid).
 //
-// All spend the same learner-update budget (LearnPerStep × post-warmup
-// steps, counted on from the restored update count after a Resume), so
-// they are comparable runs of one algorithm. The one difference:
+// All three run one update, ddpg's one body (round-robin through
+// Agent.Learn, the pipeline through Agent.LearnBatch on its prefetched
+// minibatch): the modes differ only in who samples and when. All spend
+// the same learner-update budget (LearnPerStep × post-warmup steps,
+// counted on from the restored update count after a Resume), so they
+// are comparable runs of one algorithm. The one difference in budget:
 // round-robin counts LearnStep attempts, the pipeline completed
 // updates. They diverge only while the replay holds less than one
 // batch after warm-up — round-robin's attempts are then no-ops it

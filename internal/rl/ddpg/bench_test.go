@@ -43,7 +43,7 @@ func learnAgent(b *testing.B, dims [2]int) func() float64 {
 	return a.Learn
 }
 
-// BenchmarkAgentLearn measures one DDPG update — the unfused Learn the
+// BenchmarkAgentLearn measures one DDPG update — the Learn the
 // round-robin trainer runs — at the GreenNFV problem size (12-dim
 // state, 15-dim action, 48×48 hidden, batch 32); BenchmarkAgentLearnWide
 // at sweep_cluster's 104/114. The steady state should not allocate.

@@ -205,10 +205,8 @@ type scratch[T float] struct {
 	nextStates []T // n × StateDim
 	nextSA     []T // n × (StateDim+ActionDim)
 	y          []T // n targets
-	// The critic pass: the regression rows and, stacked behind them in
-	// the fused update, the action-gradient probe rows.
-	sa []T // 2n × (StateDim+ActionDim)
-	dq []T // 2n dL/dQ
+	sa         []T // n × (StateDim+ActionDim), the critic's input rows
+	dq         []T // n dL/dQ
 }
 
 // convert is copy from the float64 replay into a matrix row of element
@@ -348,96 +346,38 @@ func (a *Agent) Learn() float64 {
 	} else {
 		a.batchBuf = a.uniform.SampleInto(a.rng, n, nn.Grow(a.batchBuf, n))
 	}
-	return a.learnMinibatch(a.batchBuf, indices, weights, false)
+	return a.learnMinibatch(a.batchBuf, indices, weights)
 }
 
 // LearnBatch runs one update on an externally sampled minibatch — the
 // Ape-X prefetcher path, where a sampler goroutine fills the next
-// minibatch while this one is consumed. It uses the FUSED critic
-// pass: the regression rows and the dQ/da probe rows go through one
-// 2n-row forward/backward (nn.BackwardBatchSplit), cutting one full
-// ForwardBatch call and one weight transpose per layer per step. The
-// fused ordering evaluates dQ/da against the pre-update critic (the
-// sequential Learn uses the just-updated critic), which is why the
-// deterministic round-robin path keeps the unfused sequence and stays
-// byte-identical. Updated priorities are written back through
-// UpdatePrioritiesBatch.
+// minibatch while this one is consumed. It is the update Learn runs,
+// on the minibatch it is given: a caller that samples as Learn does
+// trains the same bits (TestLearnBatchIsLearn). Updated priorities are
+// written back through UpdatePrioritiesBatch.
 func (a *Agent) LearnBatch(batch []replay.Transition, indices []int, weights []float64) float64 {
 	if len(batch) > a.cfg.BatchSize {
 		batch = batch[:a.cfg.BatchSize] // scratch is sized to BatchSize
 	}
-	return a.learnMinibatch(batch, indices, weights, true)
+	return a.learnMinibatch(batch, indices, weights)
 }
 
-// learnMinibatch routes one update: the fused body (learnFused) for
-// LearnBatch, and for both entry points while SetFloat32 is active;
-// otherwise the unfused sequence, which is op-for-op the historical
-// Learn and must stay byte-identical.
-func (a *Agent) learnMinibatch(batch []replay.Transition, indices []int, weights []float64, fused bool) float64 {
+// learnMinibatch runs the one update body, learn, at the element type
+// SetFloat32 selects.
+func (a *Agent) learnMinibatch(batch []replay.Transition, indices []int, weights []float64) float64 {
 	if len(batch) == 0 {
 		return 0
 	}
 	if a.f32 {
-		return learnFused(a, &a.s32, batch, indices, weights)
+		return learn(a, &a.s32, batch, indices, weights)
 	}
-	if fused {
-		return learnFused(a, &a.s64, batch, indices, weights)
-	}
-
-	s := &a.s64
-	n := len(batch)
-	S, A := a.cfg.StateDim, a.cfg.ActionDim
-	SA := S + A
-	bootstrapTargets(a, s, batch)
-
-	// Critic update: minimize Σ w_i (y_i − Q(s_i, a_i))².
-	q := a.Critic.ForwardBatch(s.sa, n)
-	var loss float64
-	for i := range batch {
-		diff := q[i] - s.y[i]
-		a.tdErrBuf[i] = -diff
-		w := 1.0
-		if weights != nil {
-			w = weights[i]
-		}
-		loss += w * diff * diff
-		s.dq[i] = w * diff
-	}
-	a.Critic.ZeroGrad()
-	a.Critic.BackwardBatchParams(s.dq, n)
-	nn.AdamStep(a.criticOpt, a.Critic, 1/float64(n), a.criticTarget, a.cfg.Tau)
-	loss /= float64(n)
-
-	if a.prioritized != nil && indices != nil {
-		a.prioritized.UpdatePrioritiesBatch(indices, a.tdErrBuf[:n])
-	}
-
-	// Actor update: ascend E[Q(s, μ(s))] — equation 6. Push dQ/da
-	// back through the critic and through the actor in one batched
-	// pass each; BackwardBatchInput leaves the critic's own gradients
-	// untouched, so no ZeroGrad bookkeeping is needed around it, and
-	// returns the action columns of dQ/d(s, a) alone: the actor's dY.
-	actions := a.Actor.ForwardBatch(s.states, n)
-	for i := 0; i < n; i++ {
-		copy(s.sa[i*SA+S:(i+1)*SA], actions[i*A:(i+1)*A]) // states already in place
-	}
-	a.Critic.ForwardBatch(s.sa, n)
-	for i := 0; i < n; i++ {
-		s.dq[i] = -1 // ascend Q
-	}
-	dAct := a.Critic.BackwardBatchInput(s.dq, n, S)
-	a.Actor.ZeroGrad()
-	a.Actor.BackwardBatchParams(dAct, n)
-	nn.AdamStep(a.actorOpt, a.Actor, 1/float64(n), a.actorTarget, a.cfg.Tau)
-
-	a.finishUpdate()
-	return loss
+	return learn(a, &a.s64, batch, indices, weights)
 }
 
-// bootstrapTargets is the head every update shares. It sizes the
-// update's scratch, assembles the minibatch matrices at element type T
-// straight from the float64 transitions — states, next states, the regression rows of the critic
-// input, the state columns of the target critic input (its action
+// bootstrapTargets is the update's head. It sizes the update's
+// scratch, assembles the minibatch matrices at element type T straight
+// from the float64 transitions — states, next states, the critic's
+// input rows, the state columns of the target critic input (its action
 // columns come from the target actor) — and computes the bootstrapped
 // targets y_i = r_i + γ Q'(s', μ'(s')).
 func bootstrapTargets[T float](a *Agent, s *scratch[T], batch []replay.Transition) {
@@ -449,8 +389,8 @@ func bootstrapTargets[T float](a *Agent, s *scratch[T], batch []replay.Transitio
 	s.nextStates = nn.Grow(s.nextStates, n*S)
 	s.nextSA = nn.Grow(s.nextSA, n*SA)
 	s.y = nn.Grow(s.y, n)
-	s.sa = nn.Grow(s.sa, 2*n*SA)
-	s.dq = nn.Grow(s.dq, 2*n)
+	s.sa = nn.Grow(s.sa, n*SA)
+	s.dq = nn.Grow(s.dq, n)
 	for i := range batch {
 		t := &batch[i]
 		convert(s.states[i*S:(i+1)*S], t.State)
@@ -474,37 +414,27 @@ func bootstrapTargets[T float](a *Agent, s *scratch[T], batch []replay.Transitio
 	}
 }
 
-// learnFused is the fused update at element type T: after the shared
-// head, one 2n-row critic forward over [regression rows; (s, μ(s))
-// probe rows] and one BackwardBatchSplit that keeps parameter
-// gradients from the first half while returning the action-column
-// input gradients of the second, then the actor ascent — each network's
-// optimizer step carrying its target's soft update — all through nn's
-// batch engine at T, zero allocations once warm. The
-// places it leaves T are the same at either type and are identities at
-// float64: the TD errors and the loss are widened from a product
-// computed in T, importance weights are narrowed to T, and everything
-// after the optimizer steps is float64 bookkeeping.
-func learnFused[T float](a *Agent, s *scratch[T], batch []replay.Transition, indices []int, weights []float64) float64 {
+// learn is the DDPG update at element type T: after the head, the
+// critic regresses on the targets, then the actor ascends along dQ/da
+// of the just-updated critic, each network's optimizer step carrying
+// its target's soft update — all through nn's batch engine at T, zero
+// allocations once warm. The places it leaves T are the same at either
+// type and are identities at float64: the TD errors and the loss are
+// widened from a product computed in T, importance weights are narrowed
+// to T, and everything after the optimizer steps is float64
+// bookkeeping.
+func learn[T float](a *Agent, s *scratch[T], batch []replay.Transition, indices []int, weights []float64) float64 {
 	n := len(batch)
 	S, A := a.cfg.StateDim, a.cfg.ActionDim
 	SA := S + A
+	tau := T(a.cfg.Tau)
 	bootstrapTargets(a, s, batch)
 
-	// Probe actions μ(s) from the online actor; its cached
-	// activations feed the actor backward below (the critic passes in
-	// between do not disturb them).
-	actions := nn.ForwardBatch(a.Actor, s.states, n)
-	for i := 0; i < n; i++ {
-		row := s.sa[(n+i)*SA : (n+i+1)*SA]
-		copy(row[:S], s.states[i*S:(i+1)*S])
-		copy(row[S:], actions[i*A:(i+1)*A])
-	}
-
-	q2 := nn.ForwardBatch(a.Critic, s.sa, 2*n)
+	// Critic update: minimize Σ w_i (y_i − Q(s_i, a_i))².
+	q := nn.ForwardBatch(a.Critic, s.sa, n)
 	var loss float64
-	for i := 0; i < n; i++ {
-		diff := q2[i] - s.y[i]
+	for i := range batch {
+		diff := q[i] - s.y[i]
 		a.tdErrBuf[i] = float64(-diff)
 		w := T(1)
 		if weights != nil {
@@ -512,11 +442,9 @@ func learnFused[T float](a *Agent, s *scratch[T], batch []replay.Transition, ind
 		}
 		loss += float64(w * diff * diff)
 		s.dq[i] = w * diff
-		s.dq[n+i] = -1 // ascend Q along the probe rows
 	}
-	tau := T(a.cfg.Tau)
 	nn.ZeroGrad[T](a.Critic)
-	dAct := nn.BackwardBatchSplit(a.Critic, s.dq, 2*n, n, S)
+	nn.BackwardBatchParams(a.Critic, s.dq, n)
 	nn.AdamStep(a.criticOpt, a.Critic, 1/T(n), a.criticTarget, tau)
 	loss /= float64(n)
 
@@ -524,6 +452,20 @@ func learnFused[T float](a *Agent, s *scratch[T], batch []replay.Transition, ind
 		a.prioritized.UpdatePrioritiesBatch(indices, a.tdErrBuf[:n])
 	}
 
+	// Actor update: ascend E[Q(s, μ(s))] — equation 6. Push dQ/da
+	// back through the critic and through the actor in one batched
+	// pass each; BackwardBatchInput leaves the critic's own gradients
+	// untouched, so no ZeroGrad bookkeeping is needed around it, and
+	// returns the action columns of dQ/d(s, a) alone: the actor's dY.
+	actions := nn.ForwardBatch(a.Actor, s.states, n)
+	for i := 0; i < n; i++ {
+		copy(s.sa[i*SA+S:(i+1)*SA], actions[i*A:(i+1)*A]) // states already in place
+	}
+	nn.ForwardBatch(a.Critic, s.sa, n)
+	for i := 0; i < n; i++ {
+		s.dq[i] = -1 // ascend Q
+	}
+	dAct := nn.BackwardBatchInput(a.Critic, s.dq, n, S)
 	nn.ZeroGrad[T](a.Actor)
 	nn.BackwardBatchParams(a.Actor, dAct, n)
 	nn.AdamStep(a.actorOpt, a.Actor, 1/T(n), a.actorTarget, tau)

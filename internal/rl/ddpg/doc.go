@@ -23,37 +23,32 @@
 // Learn is organized as sample + learnMinibatch: Learn draws a
 // prioritized minibatch and hands it to the update, and the Ape-X
 // pipeline reaches the same update through LearnBatch with a
-// prefetched minibatch instead. Every update starts with one head
-// (bootstrapTargets: assemble the matrices, compute the targets) and
-// runs batched network passes over reusable scratch (zero allocations
-// per update, including sampling, pinned by benchmarks). There are
-// two bodies behind the head. LearnBatch takes the fused one,
-// learnFused — one 2n-row critic forward over [regression; (s,μ(s))
-// probes] with nn.BackwardBatchSplit, where dQ/da reads the
-// pre-update critic — which is bit-unidentical to the unfused order
-// and therefore used only by the non-deterministic parallel mode;
-// the unfused sequence is op-identical to the original Learn and
-// stays on the figure path. learnFused and the head are written once
-// over float32 | float64, on nn's generic batch engine. Both bodies end
-// each network's half the same way: one nn.AdamStep that averages the
-// gradients, clips, steps Adam and soft-updates that network's target
-// in the same kernel pass (Algorithm 2 lines 9–10 ride the optimizer;
-// the targets are read by nothing in between, so moving them earlier
-// in the step changes no bit). And both ask the critic's first layer
-// for dQ/da alone — the action columns of dQ/d(s, a), and in the fused
-// body only the probe rows (nn.BackwardBatchInput, nn.BackwardBatchSplit
-// with a column offset) — which is exactly the actor's dY: the state
-// columns and regression rows are never computed, and nothing is
-// copied. The replay behind Observe/ObserveBatch is
-// goroutine-safe (see internal/replay), so experience ingest may run
-// concurrently with action selection but not with updates.
+// prefetched minibatch instead. There is one update body, learn,
+// written once over float32 | float64 on nn's generic batch engine;
+// where the minibatch came from changes nothing in it, so LearnBatch on
+// the minibatch Learn would have drawn computes Learn's bits
+// (TestLearnBatchIsLearn). It starts with one head (bootstrapTargets:
+// assemble the matrices, compute the targets), regresses the critic,
+// then ascends the actor along dQ/da of the just-updated critic, all in
+// batched network passes over reusable scratch (zero allocations per
+// update, including sampling, pinned by benchmarks). Each network's
+// half ends the same way: one nn.AdamStep that averages the gradients,
+// clips, steps Adam and soft-updates that network's target in the same
+// kernel pass (Algorithm 2 lines 9–10 ride the optimizer; the targets
+// are read by nothing in between, so moving them earlier in the step
+// changes no bit). The critic's first layer is asked for dQ/da alone —
+// the action columns of dQ/d(s, a) (nn.BackwardBatchInput with a column
+// offset) — which is exactly the actor's dY: the state columns are
+// never computed, and nothing is copied. The replay behind
+// Observe/ObserveBatch is goroutine-safe (see internal/replay), so
+// experience ingest may run concurrently with action selection but not
+// with updates.
 //
 // # Float32 fast path
 //
-// SetFloat32(true) routes both Learn and LearnBatch through
-// learnFused at float32 — the same body LearnBatch runs at float64,
-// on the float32 instantiation of internal/nn's batch engine —
-// roughly 1.3x the f64 update rate on AVX2. Where that body leaves T
+// SetFloat32(true) routes both Learn and LearnBatch through learn at
+// float32 — the same body both run at float64, on the float32
+// instantiation of internal/nn's batch engine. Where that body leaves T
 // it does so at either type, and each is an identity at float64: the
 // transitions, rewards and importance weights arrive as float64 and
 // are narrowed to T; the loss and the TD errors written back as

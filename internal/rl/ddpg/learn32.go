@@ -1,10 +1,11 @@
 package ddpg
 
-// The float32 fast path of the DDPG update is learnFused (ddpg.go) at
-// T = float32: the fused LearnBatch structure through the float32
-// instantiation of nn's batch engine (8-lane AVX2 kernels, half the
-// memory traffic of f64). This file is the switch; the precision
-// contract it puts in force is in doc.go ("Float32 fast path").
+// The float32 fast path of the DDPG update is learn (ddpg.go) at
+// T = float32: the one update body Learn and LearnBatch run, through
+// the float32 instantiation of nn's batch engine (8-lane AVX2 kernels,
+// half the memory traffic of f64). This file is the switch; the
+// precision contract it puts in force is in doc.go ("Float32 fast
+// path").
 
 // SetFloat32 switches the agent's learn path between double and
 // single precision. Enabling snapshots the f64 weights into f32

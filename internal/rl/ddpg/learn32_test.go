@@ -38,7 +38,7 @@ func fixedMinibatches(cfg Config, updates int) [][]replay.Transition {
 }
 
 // TestLearnF32ParityWithF64 quantifies the f32 path's drift against
-// the f64 fused update: two identically seeded agents consume the
+// the f64 update: two identically seeded agents consume the
 // same fixed minibatch schedule, one in each precision, and the
 // critic's Q predictions and the actor's actions must stay within
 // 1e-3 after the full schedule. This is the acceptance bound for

@@ -1,6 +1,7 @@
 package ddpg
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"math/rand"
@@ -29,7 +30,7 @@ func fillAgent(t testing.TB, a *Agent, n int) {
 	}
 }
 
-// TestLearnBatchLearns drives the fused prefetcher-path update on a
+// TestLearnBatchLearns drives the prefetcher-path update on a
 // sharded replay end to end: externally sampled minibatch in,
 // finite loss, a bumped learn-step counter and annealed beta out.
 func TestLearnBatchLearns(t *testing.T) {
@@ -82,6 +83,46 @@ func TestLearnBatchLearns(t *testing.T) {
 	// Empty and oversized batches are handled.
 	if loss := a.LearnBatch(nil, nil, nil); loss != 0 {
 		t.Errorf("empty batch loss = %v", loss)
+	}
+}
+
+// TestLearnBatchIsLearn pins that Learn and LearnBatch run one update
+// body, at float64 and under SetFloat32: two agents on one seed and one
+// replay history, one calling Learn 100 times, the other drawing each
+// minibatch as Learn does (SampleReplayInto on the agent's own
+// generator) and handing it to LearnBatch, end with byte-equal
+// checkpoints, replay included.
+func TestLearnBatchIsLearn(t *testing.T) {
+	for _, f32 := range []bool{false, true} {
+		cfg := DefaultConfig(6, 4)
+		cfg.Hidden = []int{16, 16}
+		cfg.BatchSize = 8
+		var states [2][]byte
+		for i, batched := range []bool{false, true} {
+			a, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a.SetFloat32(f32)
+			fillAgent(t, a, 64)
+			var samples []replay.Transition
+			var indices []int
+			var weights []float64
+			for step := 0; step < 100; step++ {
+				if !batched {
+					a.Learn()
+					continue
+				}
+				samples, indices, weights = a.SampleReplayInto(a.rng, cfg.BatchSize, samples, indices, weights)
+				a.LearnBatch(samples, indices, weights)
+			}
+			if states[i], err = a.StateBytes(true); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !bytes.Equal(states[0], states[1]) {
+			t.Errorf("f32=%v: 100 LearnBatch steps on Learn's minibatches leave a different state than 100 Learn steps", f32)
+		}
 	}
 }
 
@@ -180,7 +221,7 @@ func TestSetReplayGuards(t *testing.T) {
 	}
 }
 
-// benchLearnBatch measures the fused prefetcher-path update
+// benchLearnBatch measures the prefetcher-path update
 // (externally sampled minibatch + LearnBatch), the per-update cost the
 // concurrent pipeline's learner pays — and the same update in single
 // precision (SetFloat32). The f64/f32 pair at each size is the

@@ -31,13 +31,14 @@ if [ "$fail" -ne 0 ]; then
 fi
 echo "checkdocs: every internal and cmd package has a package comment"
 
-# A quoted name matches as a prefix, since the docs quote -run patterns
-# (TestPublish|TestRelease) as well as whole names.
+# A quoted name must be a whole test name, as in gates.sh: a -run
+# pattern is quoted as its alternatives (TestPublish|TestRelease), and a
+# deleted test does not stay quoted behind a longer name.
 funcs=$(grep -rhoE --include='*_test.go' '^func (Test|Fuzz|Benchmark)[A-Za-z0-9_]*' . | cut -d' ' -f2 | sort -u)
 docs=$(find . -name doc.go -not -path './.git/*')
 stale=$(grep -noE '\b(Test|Fuzz|Benchmark)[A-Z0-9_][A-Za-z0-9_]*' .claude/skills/verify/SKILL.md README.md $docs |
     while IFS=: read -r file line name; do
-        printf '%s\n' "$funcs" | grep -q "^$name" || echo "$file:$line: $name names no test function"
+        printf '%s\n' "$funcs" | grep -qx "$name" || echo "$file:$line: $name names no test function"
     done)
 if [ -n "$stale" ]; then
     echo "$stale" >&2
