@@ -46,16 +46,7 @@ func main() {
 
 	cfg := greennfv.DefaultConfig()
 	cfg.Seed = *seed
-	switch *chain {
-	case "standard":
-		cfg.Chain = greennfv.StandardChain
-	case "heavy":
-		cfg.Chain = greennfv.HeavyChain
-	case "light":
-		cfg.Chain = greennfv.LightChain
-	default:
-		log.Fatalf("unknown chain %q", *chain)
-	}
+	cfg.Chain = greennfv.ChainPreset(*chain)
 	sys, err := greennfv.NewSystem(cfg)
 	if err != nil {
 		log.Fatal(err)

@@ -11,6 +11,12 @@
 // five per-NF resource knobs: CPU share, core frequency, LLC
 // allocation, DMA buffer size and packet batch size.
 //
+// A System is one node, described once: NewSystem turns the Config
+// (chain preset name, flows, load jitter, seed) into the node spec
+// that WriteNodeSpec writes for the serving daemons and remote actors
+// read, and every environment the System trains or measures on is
+// built from that spec.
+//
 // Quickstart:
 //
 //	sys, _ := greennfv.NewSystem(greennfv.DefaultConfig())
@@ -42,19 +48,20 @@ type Flow struct {
 	Burstiness float64
 }
 
-// ChainPreset selects one of the calibrated service chains.
-type ChainPreset int
+// ChainPreset names one of the calibrated service chains — the name
+// the node spec carries. The empty name is the standard chain.
+type ChainPreset string
 
 // Available chain presets.
 const (
 	// StandardChain is the paper's 3-NF evaluation chain
 	// (firewall → NAT → monitor class).
-	StandardChain ChainPreset = iota
+	StandardChain ChainPreset = "standard"
 	// HeavyChain is cache- and payload-hungry (IDS → crypto →
 	// router class).
-	HeavyChain
+	HeavyChain ChainPreset = "heavy"
 	// LightChain is a 2-NF header-only chain.
-	LightChain
+	LightChain ChainPreset = "light"
 )
 
 // SLA is an opaque service-level agreement.
@@ -82,12 +89,12 @@ func (s SLA) Describe() string { return s.spec.Describe() }
 
 // Config assembles a system.
 type Config struct {
-	// Chain selects the service chain preset.
+	// Chain names the service chain preset (empty: StandardChain).
 	Chain ChainPreset
 	// Flows is the offered workload; nil selects the paper's
 	// five-flow evaluation mix.
 	Flows []Flow
-	// LoadJitter is per-interval relative load noise.
+	// LoadJitter is per-interval relative load noise, in [0,1).
 	LoadJitter float64
 	// Seed fixes randomness.
 	Seed int64
@@ -110,52 +117,46 @@ type Measurement struct {
 	SLASatisfied        bool
 }
 
-// System is a configured NFV node simulation.
+// System is a configured NFV node simulation. It holds the node as
+// the spec remote actors and the serving daemons rebuild it from
+// (WriteNodeSpec), with the SLA unset: every environment it trains or
+// measures on is built from that spec under the run's agreement.
 type System struct {
-	cfg   Config
-	chain perfmodel.ChainSpec
-	flows []env.FlowLoad
+	spec apex.ActorSpec
 }
 
 // NewSystem validates the configuration and builds a system.
 func NewSystem(cfg Config) (*System, error) {
-	var chain perfmodel.ChainSpec
-	switch cfg.Chain {
-	case StandardChain:
-		chain = perfmodel.StandardChain()
-	case HeavyChain:
-		chain = perfmodel.HeavyChain()
-	case LightChain:
-		chain = perfmodel.LightChain()
-	default:
-		return nil, fmt.Errorf("greennfv: unknown chain preset %d", cfg.Chain)
+	s := &System{spec: apex.ActorSpec{Chain: string(cfg.Chain), LoadJitter: cfg.LoadJitter, EnvSeed: cfg.Seed}}
+	if s.spec.Chain == "" { // the written spec names its chain
+		s.spec.Chain = string(StandardChain)
 	}
-	flows := make([]env.FlowLoad, 0, len(cfg.Flows))
 	for _, f := range cfg.Flows {
-		flows = append(flows, env.FlowLoad{PPS: f.PPS, FrameBytes: f.FrameBytes, Burstiness: f.Burstiness})
+		s.spec.Flows = append(s.spec.Flows, env.FlowLoad{PPS: f.PPS, FrameBytes: f.FrameBytes, Burstiness: f.Burstiness})
 	}
-	if len(flows) == 0 {
-		flows = env.StandardWorkload()
+	if len(s.spec.Flows) == 0 {
+		s.spec.Flows = env.StandardWorkload()
 	}
-	if _, err := env.Aggregate(flows); err != nil {
+	if err := s.spec.Validate(); err != nil {
 		return nil, err
 	}
-	return &System{cfg: cfg, chain: chain, flows: flows}, nil
+	return s, nil
 }
 
-// factory builds environments for controllers.
-func (s *System) factory(slaSpec sla.SLA) control.EnvFactory {
+// node is the system's spec under the agreement.
+func (s *System) node(agreement sla.SLA) *apex.ActorSpec {
+	spec := s.spec
+	spec.SLA = agreement
+	return &spec
+}
+
+// factory builds the node's environments for controllers.
+func (s *System) factory(agreement sla.SLA) control.EnvFactory {
+	spec := s.node(agreement)
 	return func(seed int64, opts perfmodel.EvalOptions) (*env.Env, error) {
-		return env.New(env.Config{
-			Model:      perfmodel.Default(),
-			Chain:      s.chain,
-			Bounds:     perfmodel.DefaultBounds(),
-			SLA:        slaSpec,
-			Flows:      s.flows,
-			LoadJitter: s.cfg.LoadJitter,
-			Options:    opts,
-			Seed:       seed,
-		})
+		cfg := spec.EnvConfig(seed)
+		cfg.Options = opts
+		return env.New(cfg)
 	}
 }
 
@@ -218,7 +219,7 @@ func (s *System) Train(agreement SLA, opts TrainOptions) (*Policy, error) {
 	if opts.Steps <= 0 {
 		return nil, errors.New("greennfv: TrainOptions.Steps must be positive")
 	}
-	g := control.NewGreenNFV(agreement.spec, opts.Steps, opts.Actors, s.cfg.Seed)
+	g := control.NewGreenNFV(agreement.spec, opts.Steps, opts.Actors, s.spec.EnvSeed)
 	g.Train.Parallel = opts.Parallel
 	g.Train.SamplesPerInsert = opts.SamplesPerInsert
 	g.Train.CheckpointPath = opts.Checkpoint
@@ -231,37 +232,12 @@ func (s *System) Train(agreement SLA, opts TrainOptions) (*Policy, error) {
 		if len(g.Train.SpawnRemote) == 0 {
 			g.Train.SpawnRemote = []string{"apexactor"}
 		}
-		g.Train.RemoteSpec = s.actorSpec(agreement.spec)
+		g.Train.RemoteSpec = s.node(agreement.spec)
 	}
 	if err := g.Prepare(s.factory(agreement.spec)); err != nil {
 		return nil, err
 	}
 	return &Policy{slaSpec: agreement.spec, ctl: g}, nil
-}
-
-// actorSpec serializes the system's environment setup for remote
-// actor processes (which cannot share the in-process EnvFactory
-// closure). Seeding matches the in-process factory: actor rank r gets
-// environment seed Seed+131r.
-func (s *System) actorSpec(slaSpec sla.SLA) *apex.ActorSpec {
-	chain := "standard"
-	switch s.cfg.Chain {
-	case HeavyChain:
-		chain = "heavy"
-	case LightChain:
-		chain = "light"
-	}
-	flows := make([]apex.FlowSpec, 0, len(s.flows))
-	for _, f := range s.flows {
-		flows = append(flows, apex.FlowSpec{PPS: f.PPS, FrameBytes: f.FrameBytes, Burstiness: f.Burstiness})
-	}
-	return &apex.ActorSpec{
-		Chain:      chain,
-		Flows:      flows,
-		LoadJitter: s.cfg.LoadJitter,
-		SLA:        slaSpec,
-		EnvSeed:    s.cfg.Seed,
-	}
 }
 
 // TrainingCurve reports the recorded training-progress points
@@ -312,7 +288,7 @@ func (p *Policy) SaveCheckpoint(w io.Writer) error {
 // training driver. A checkpoint without the policy section, or whose
 // training state is not the GNFVAGT1 layout, is refused.
 func (s *System) LoadPolicyCheckpoint(agreement SLA, r io.Reader) (*Policy, error) {
-	probe, err := s.factory(agreement.spec)(s.cfg.Seed, perfmodel.EvalOptions{})
+	probe, err := s.node(agreement.spec).BuildEnv(0)
 	if err != nil {
 		return nil, err
 	}
@@ -329,16 +305,16 @@ func (s *System) LoadPolicyCheckpoint(agreement SLA, r io.Reader) (*Policy, erro
 			cfg.StateDim, cfg.ActionDim, probe.StateDim(), probe.ActionDim())
 	}
 	ctl := control.NewGreenNFVFromAgent(agreement.spec, agent)
-	ctl.Seed = s.cfg.Seed
+	ctl.Seed = s.spec.EnvSeed
 	return &Policy{slaSpec: agreement.spec, ctl: ctl}, nil
 }
 
 // WriteNodeSpec serializes the node environment contract (chain,
-// workload, SLA, seed) as one line of JSON — the spec file
-// cmd/greennfvd and cmd/greennfv-agent share so controller and fleet
-// agree on the environment a policy was trained for.
+// workload, SLA, seed) as one line of JSON — the system's own spec,
+// the file cmd/greennfvd and cmd/greennfv-agent share so controller
+// and fleet agree on the environment a policy was trained for.
 func (s *System) WriteNodeSpec(agreement SLA, w io.Writer) error {
-	return s.actorSpec(agreement.spec).Encode(w)
+	return s.node(agreement.spec).Encode(w)
 }
 
 // LoadPolicy reads a policy saved by Policy.Save — a parameter frame
@@ -347,7 +323,7 @@ func (s *System) WriteNodeSpec(agreement SLA, w io.Writer) error {
 // refused.
 func (s *System) LoadPolicy(agreement SLA, r io.Reader) (*Policy, error) {
 	// State and action dimensions follow from the chain length.
-	probe, err := s.factory(agreement.spec)(s.cfg.Seed, perfmodel.EvalOptions{})
+	probe, err := s.node(agreement.spec).BuildEnv(0)
 	if err != nil {
 		return nil, err
 	}
@@ -355,7 +331,7 @@ func (s *System) LoadPolicy(agreement SLA, r io.Reader) (*Policy, error) {
 	if err != nil {
 		return nil, err
 	}
-	ctl.Seed = s.cfg.Seed
+	ctl.Seed = s.spec.EnvSeed
 	return &Policy{slaSpec: agreement.spec, ctl: ctl}, nil
 }
 
@@ -365,19 +341,7 @@ func (s *System) Measure(p *Policy) (Measurement, error) {
 	if p == nil || p.ctl == nil {
 		return Measurement{}, errors.New("greennfv: nil policy")
 	}
-	tput, energy, last, err := control.Run(p.ctl, s.factory(p.slaSpec), s.cfg.Seed+1000, 20, 10)
-	if err != nil {
-		return Measurement{}, err
-	}
-	return Measurement{
-		ThroughputGbps:      tput,
-		EnergyJ:             energy,
-		EfficiencyGbpsPerKJ: tput / (energy / 1000),
-		CPUPercent:          last.CPUPercent,
-		PowerWatts:          last.PowerWatts,
-		MissRate:            last.MissRate,
-		SLASatisfied:        p.slaSpec.Satisfied(tput, energy),
-	}, nil
+	return s.measure(p.ctl, p.slaSpec, 20, 10)
 }
 
 // BaselineName selects one of the comparison controllers.
@@ -410,10 +374,18 @@ func (s *System) MeasureBaseline(name BaselineName) (Measurement, error) {
 	default:
 		return Measurement{}, fmt.Errorf("greennfv: unknown baseline %q", name)
 	}
-	if err := c.Prepare(s.factory(sla.NewEnergyEfficiency())); err != nil {
+	agreement := sla.NewEnergyEfficiency()
+	if err := c.Prepare(s.factory(agreement)); err != nil {
 		return Measurement{}, err
 	}
-	tput, energy, last, err := control.Run(c, s.factory(sla.NewEnergyEfficiency()), s.cfg.Seed+1000, steps, settle)
+	return s.measure(c, agreement, steps, settle)
+}
+
+// measure deploys a prepared controller on the node for steps control
+// intervals and reports the mean of the last settle under the
+// agreement.
+func (s *System) measure(c control.Controller, agreement sla.SLA, steps, settle int) (Measurement, error) {
+	tput, energy, last, err := control.Run(c, s.factory(agreement), s.spec.EnvSeed+1000, steps, settle)
 	if err != nil {
 		return Measurement{}, err
 	}
@@ -424,6 +396,6 @@ func (s *System) MeasureBaseline(name BaselineName) (Measurement, error) {
 		CPUPercent:          last.CPUPercent,
 		PowerWatts:          last.PowerWatts,
 		MissRate:            last.MissRate,
-		SLASatisfied:        true,
+		SLASatisfied:        agreement.Satisfied(tput, energy),
 	}, nil
 }

@@ -3,6 +3,7 @@ package greennfv
 import (
 	"bytes"
 	"encoding/gob"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -30,9 +31,12 @@ func TestSLAConstructors(t *testing.T) {
 	}
 }
 
+// TestNewSystemValidation: NewSystem refuses a configuration no node
+// can build from — an unknown chain, a bad flow, a load jitter outside
+// [0,1) — so that Train, Measure and WriteNodeSpec never see one.
 func TestNewSystemValidation(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Chain = ChainPreset(99)
+	cfg.Chain = "bogus"
 	if _, err := NewSystem(cfg); err == nil {
 		t.Error("bad preset accepted")
 	}
@@ -41,12 +45,59 @@ func TestNewSystemValidation(t *testing.T) {
 	if _, err := NewSystem(cfg); err == nil {
 		t.Error("bad flow accepted")
 	}
-	for _, preset := range []ChainPreset{StandardChain, HeavyChain, LightChain} {
+	for _, jitter := range []float64{1, -0.1, 5, math.NaN()} {
+		cfg = DefaultConfig()
+		cfg.LoadJitter = jitter
+		if _, err := NewSystem(cfg); err == nil {
+			t.Errorf("load jitter %v accepted", jitter)
+		}
+	}
+	for _, preset := range []ChainPreset{StandardChain, HeavyChain, LightChain, ""} {
 		cfg = DefaultConfig()
 		cfg.Chain = preset
 		if _, err := NewSystem(cfg); err != nil {
-			t.Errorf("preset %d: %v", preset, err)
+			t.Errorf("preset %q: %v", preset, err)
 		}
+	}
+}
+
+// TestWriteNodeSpecBytes pins WriteNodeSpec's exact output — the file
+// greennfvd and greennfv-agent read — for the default configuration, a
+// heavy chain with its own flows and a configuration with no chain
+// set, each under all three SLAs, in testdata/nodespec.golden.
+func TestWriteNodeSpecBytes(t *testing.T) {
+	maxTput, err := MaxThroughputSLA(2000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	minEnergy, err := MinEnergySLA(7.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	heavy := Config{
+		Chain:      HeavyChain,
+		Flows:      []Flow{{PPS: 1.2e6, FrameBytes: 512, Burstiness: 2}, {PPS: 250e3, FrameBytes: 64}},
+		LoadJitter: 0.1,
+		Seed:       7,
+	}
+	var got bytes.Buffer
+	for _, cfg := range []Config{DefaultConfig(), heavy, {LoadJitter: 0.05, Seed: 3}} {
+		sys, err := NewSystem(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, agreement := range []SLA{EfficiencySLA(), maxTput, minEnergy} {
+			if err := sys.WriteNodeSpec(agreement, &got); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "nodespec.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("WriteNodeSpec wrote\n%s\nwant\n%s", got.Bytes(), want)
 	}
 }
 
@@ -302,7 +353,7 @@ func TestPolicyCheckpointServeOnly(t *testing.T) {
 // form any more; it is built here so that its refusal stays pinned.
 func preFramePolicy(t *testing.T, sys *System, agreement SLA) []byte {
 	t.Helper()
-	probe, err := sys.factory(agreement.spec)(sys.cfg.Seed, perfmodel.EvalOptions{})
+	probe, err := sys.factory(agreement.spec)(sys.spec.EnvSeed, perfmodel.EvalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,11 +19,15 @@ const KnobsPerNF = 5
 // (equation 8 of the paper).
 const StatePerNF = 4
 
-// FlowLoad is one offered flow.
+// FlowLoad is one offered flow. Its JSON form is a flow of the node
+// spec (apex.ActorSpec.Flows).
 type FlowLoad struct {
-	PPS        float64
-	FrameBytes int
-	Burstiness float64
+	// PPS is the mean packet rate.
+	PPS float64 `json:"pps"`
+	// FrameBytes is the Ethernet frame size (64-1518).
+	FrameBytes int `json:"frame_bytes"`
+	// Burstiness is the index of dispersion (1 = Poisson).
+	Burstiness float64 `json:"burstiness"`
 }
 
 // StandardWorkload returns the paper's evaluation load: five flows of

@@ -173,21 +173,15 @@ func (a arm) key() arm {
 }
 
 // envFactory is the standard single-node environment every trained
-// figure uses: standard chain, five-flow workload, mild load jitter,
-// and the arm's SLA and frozen knobs at platform defaults.
+// figure uses: the node spec's defaults (standard chain, five-flow
+// workload) under mild load jitter, and the arm's SLA and frozen knobs
+// at platform defaults.
 func (a arm) envFactory() control.EnvFactory {
+	spec := apex.ActorSpec{LoadJitter: 0.03, SLA: a.sla}
 	return func(seed int64, opts perfmodel.EvalOptions) (*env.Env, error) {
-		return env.New(env.Config{
-			Model:       perfmodel.Default(),
-			Chain:       perfmodel.StandardChain(),
-			Bounds:      perfmodel.DefaultBounds(),
-			SLA:         a.sla,
-			Flows:       env.StandardWorkload(),
-			LoadJitter:  0.03,
-			FrozenKnobs: a.frozen,
-			Options:     opts,
-			Seed:        seed,
-		})
+		cfg := spec.EnvConfig(seed)
+		cfg.FrozenKnobs, cfg.Options = a.frozen, opts
+		return env.New(cfg)
 	}
 }
 

@@ -69,7 +69,11 @@
 // StateDim/ActionDim, so the placement head needs nothing special).
 // Round-robin and Parallel take either (TestParallelTrainsClusterEnv);
 // Remote ignores the factory and builds *env.Env from RemoteSpec on
-// both sides of the wire. Every actor of every mode sits on its rung of
+// both sides of the wire. ActorSpec is also the node spec of the whole
+// repository: its flows are env.FlowLoad values, and
+// ActorSpec.EnvConfig is the one mapping from a spec to the
+// single-host env.Config, behind BuildEnv, greennfv.System's
+// environments and the figures' (internal/experiments). Every actor of every mode sits on its rung of
 // one exploration ladder (ladderRung: seed + 101·rank, sigma =
 // BaseSigma·(1 + rank/2)).
 //

@@ -18,17 +18,9 @@ import (
 // boundary, so the remote mode ships this spec instead; the trainer
 // normalizes it (normalizeSpec, remote.go) so the actor's agent
 // hyperparameters — network shape above all — always match the
-// learner's.
-
-// FlowSpec is one offered traffic flow in an ActorSpec.
-type FlowSpec struct {
-	// PPS is the mean packet rate.
-	PPS float64 `json:"pps"`
-	// FrameBytes is the Ethernet frame size (64-1518).
-	FrameBytes int `json:"frame_bytes"`
-	// Burstiness is the index of dispersion (1 = Poisson).
-	Burstiness float64 `json:"burstiness"`
-}
+// learner's. The same spec is the node spec of the serving plane
+// (greennfv -write-spec) and the node greennfv.System is built on;
+// EnvConfig is the one mapping from it to an env.Config.
 
 // ActorSpec describes a remote actor's environment and agent so a
 // separate process (cmd/apexactor) can reconstruct both. It is the
@@ -42,8 +34,9 @@ type ActorSpec struct {
 	// (default), "heavy", or "light".
 	Chain string `json:"chain,omitempty"`
 	// Flows is the offered workload; empty selects the paper's
-	// five-flow evaluation mix.
-	Flows []FlowSpec `json:"flows,omitempty"`
+	// five-flow evaluation mix. The environment reads it only at
+	// construction, so environments built from one spec share it.
+	Flows []env.FlowLoad `json:"flows,omitempty"`
 	// LoadJitter is the per-interval relative load noise.
 	LoadJitter float64 `json:"load_jitter"`
 	// SLA is the reward model (sla.SLA is a plain struct and
@@ -75,14 +68,32 @@ type ActorSpec struct {
 	Steps int `json:"steps,omitempty"`
 }
 
-// validateEnv checks the environment half of the spec (all BuildEnv
-// needs; the trainer probes dimensions before it has normalized the
-// exchange cadence).
-func (s *ActorSpec) validateEnv() error {
-	switch s.Chain {
-	case "", "standard", "heavy", "light":
-	default:
+// chains maps every chain name a spec may carry to its calibrated
+// preset — the one place a name becomes a chain. The empty name is the
+// standard chain.
+var chains = map[string]func() perfmodel.ChainSpec{
+	"":         perfmodel.StandardChain,
+	"standard": perfmodel.StandardChain,
+	"heavy":    perfmodel.HeavyChain,
+	"light":    perfmodel.LightChain,
+}
+
+// Validate checks the environment half of the spec — the chain name,
+// the flows, the load jitter and the exploration noise — without
+// building an environment. The exchange cadence is not its business: a
+// serving node reads a spec that has none, the trainer fills it in
+// (normalizeSpec) and NewActor refuses a spec without it.
+func (s *ActorSpec) Validate() error {
+	if chains[s.Chain] == nil {
 		return fmt.Errorf("apex: unknown chain %q (want standard, heavy or light)", s.Chain)
+	}
+	if len(s.Flows) > 0 {
+		if _, err := env.Aggregate(s.Flows); err != nil {
+			return err
+		}
+	}
+	if !(s.LoadJitter >= 0 && s.LoadJitter < 1) { // also rejects NaN
+		return fmt.Errorf("apex: load jitter %v outside [0,1)", s.LoadJitter)
 	}
 	if s.BaseSigma < 0 {
 		return fmt.Errorf("apex: negative BaseSigma %v", s.BaseSigma)
@@ -90,50 +101,33 @@ func (s *ActorSpec) validateEnv() error {
 	return nil
 }
 
-// Validate reports whether the spec can run an actor.
-func (s *ActorSpec) Validate() error {
-	if err := s.validateEnv(); err != nil {
-		return err
+// EnvConfig is the one mapping from a spec to the single-host
+// environment it describes: the calibrated platform model and knob
+// bounds, the named chain, the flows (empty: the paper's five-flow
+// mix), the load jitter and the SLA, seeded with seed. Callers set the
+// rest (FrozenKnobs, Options) on the result. The spec must be valid.
+func (s *ActorSpec) EnvConfig(seed int64) env.Config {
+	flows := s.Flows
+	if len(flows) == 0 {
+		flows = env.StandardWorkload()
 	}
-	if s.PushEvery <= 0 || s.SyncEvery <= 0 {
-		return fmt.Errorf("apex: spec needs positive PushEvery/SyncEvery (got %d/%d)", s.PushEvery, s.SyncEvery)
-	}
-	return nil
-}
-
-// chainSpec resolves the chain preset.
-func (s *ActorSpec) chainSpec() perfmodel.ChainSpec {
-	switch s.Chain {
-	case "heavy":
-		return perfmodel.HeavyChain()
-	case "light":
-		return perfmodel.LightChain()
-	default:
-		return perfmodel.StandardChain()
+	return env.Config{
+		Model:      perfmodel.Default(),
+		Chain:      chains[s.Chain](),
+		Bounds:     perfmodel.DefaultBounds(),
+		SLA:        s.SLA,
+		Flows:      flows,
+		LoadJitter: s.LoadJitter,
+		Seed:       seed,
 	}
 }
 
 // BuildEnv constructs the environment for one actor rank.
 func (s *ActorSpec) BuildEnv(rank int) (*env.Env, error) {
-	if err := s.validateEnv(); err != nil {
+	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	flows := make([]env.FlowLoad, 0, len(s.Flows))
-	for _, f := range s.Flows {
-		flows = append(flows, env.FlowLoad{PPS: f.PPS, FrameBytes: f.FrameBytes, Burstiness: f.Burstiness})
-	}
-	if len(flows) == 0 {
-		flows = env.StandardWorkload()
-	}
-	return env.New(env.Config{
-		Model:      perfmodel.Default(),
-		Chain:      s.chainSpec(),
-		Bounds:     perfmodel.DefaultBounds(),
-		SLA:        s.SLA,
-		Flows:      flows,
-		LoadJitter: s.LoadJitter,
-		Seed:       s.EnvSeed + int64(rank)*131,
-	})
+	return env.New(s.EnvConfig(s.EnvSeed + int64(rank)*131))
 }
 
 // agentConfig builds the rank's local-network configuration from the
@@ -147,7 +141,8 @@ func (s *ActorSpec) agentConfig(stateDim, actionDim, rank int) ddpg.Config {
 	return ladderRung(cfg, s.BaseSigma, rank)
 }
 
-// DecodeActorSpec reads one JSON-encoded spec.
+// DecodeActorSpec reads one JSON-encoded spec and checks its
+// environment half (Validate).
 func DecodeActorSpec(r io.Reader) (ActorSpec, error) {
 	var s ActorSpec
 	if err := json.NewDecoder(r).Decode(&s); err != nil {

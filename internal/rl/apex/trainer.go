@@ -230,6 +230,9 @@ func NewTrainer(cfg TrainerConfig) (*Trainer, error) {
 		if err := spec.Validate(); err != nil {
 			return nil, err
 		}
+		if spec.PushEvery <= 0 || spec.SyncEvery <= 0 {
+			return nil, fmt.Errorf("apex: spec needs positive PushEvery/SyncEvery (got %d/%d)", spec.PushEvery, spec.SyncEvery)
+		}
 		t.cfg.RemoteSpec = &spec
 		return t, nil
 	}

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -86,21 +85,16 @@ type Config struct {
 }
 
 // ReadSpec loads the node spec file greennfvd and greennfv-agent share
-// (greennfv -write-spec). Only the environment half matters for
-// serving, so it decodes the JSON directly (building the environment
-// validates it) instead of requiring the training-cadence fields
-// apex.DecodeActorSpec insists on.
+// (greennfv -write-spec) through apex.DecodeActorSpec, which refuses a
+// spec whose environment half is invalid. The training cadence does
+// not matter for serving, and the file carries none.
 func ReadSpec(path string) (apex.ActorSpec, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return apex.ActorSpec{}, err
 	}
 	defer f.Close()
-	var spec apex.ActorSpec
-	if err := json.NewDecoder(f).Decode(&spec); err != nil {
-		return apex.ActorSpec{}, err
-	}
-	return spec, nil
+	return apex.DecodeActorSpec(f)
 }
 
 // nodeRec is the controller's per-node record: lease, heartbeat,

@@ -31,8 +31,8 @@ func testSpec(s sla.SLA) apex.ActorSpec {
 }
 
 // ReadSpec reads back what ActorSpec.Encode (greennfv -write-spec)
-// wrote, without the training-cadence fields DecodeActorSpec requires,
-// and refuses a missing or malformed file.
+// wrote, and refuses a missing or malformed file and a spec no node
+// can build from: an unknown chain, a load jitter outside [0,1).
 func TestReadSpec(t *testing.T) {
 	dir := t.TempDir()
 	want := testSpec(sla.NewEnergyEfficiency())
@@ -52,11 +52,19 @@ func TestReadSpec(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("ReadSpec = %+v, want %+v", got, want)
 	}
-	bad := filepath.Join(dir, "bad.json")
-	if err := os.WriteFile(bad, []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
+	refused := []string{filepath.Join(dir, "missing.json")}
+	for name, body := range map[string]string{
+		"bad.json":    "{not json",
+		"chain.json":  `{"chain":"bogus"}`,
+		"jitter.json": `{"load_jitter":5}`,
+	} {
+		p := filepath.Join(dir, name)
+		if err := os.WriteFile(p, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		refused = append(refused, p)
 	}
-	for _, p := range []string{bad, filepath.Join(dir, "missing.json")} {
+	for _, p := range refused {
 		if _, err := ReadSpec(p); err == nil {
 			t.Errorf("ReadSpec(%s) succeeded", filepath.Base(p))
 		}

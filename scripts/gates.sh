@@ -21,8 +21,8 @@ gates=(
 	"./internal/rl/replay TestReplayGrowthParity|TestIdleBufferHoldsNoStorage|TestReleasedBufferHoldsNoStorage|TestSumTreeWalksLikeFullTree|TestSetStateRejectsCorruptSnapshot|FuzzReplaySetState"
 	# The RPC transport: no gob on either plane, per-connection kept values, frame sizing, one small read buffer per connection.
 	"./internal/rpcutil TestServiceMessagesAreLaidOut|TestRefusedLayoutIsAnsweredAndKept|TestKeptValuesStartEmpty|TestKeptValuesPerConnection|TestDeclaredLengthSizesNothing|TestGrownBufferReadsWholeFrames|TestWarmLinkReadsOnceIntoOneSmallBuffer|FuzzServerConn"
-	# Serving: guardrail safety, the fleet soak, report allocations, policy-only reloads, the controller state.
-	"./internal/serve TestGuardrailProperty|TestFleetDeterminismVsSerial|TestFleetSoakStorm|TestExpireLeasesChurnRace|TestReportRoundTripAllocs|TestSteadyReportAllocatesNothing|TestPolicyReplyOutlivesRecord|FuzzReportWire|TestServingHoldsPolicyOnly|TestReloadCostIgnoresTrainingState|TestReloadRefusesStreamedDamage|TestReloadPersistFailureIsNotRejection|TestReplicaRefreshesInPlace|TestSnapshotLayout|TestBootOnUnknownLayouts|TestJournalCrashMatrix|FuzzStateLoad|TestStateLoadCorpus"
+	# Serving: guardrail safety, the fleet soak, report allocations, policy-only reloads, the controller state, the node spec's refusals.
+	"./internal/serve TestReadSpec|TestGuardrailProperty|TestFleetDeterminismVsSerial|TestFleetSoakStorm|TestExpireLeasesChurnRace|TestReportRoundTripAllocs|TestSteadyReportAllocatesNothing|TestPolicyReplyOutlivesRecord|FuzzReportWire|TestServingHoldsPolicyOnly|TestReloadCostIgnoresTrainingState|TestReloadRefusesStreamedDamage|TestReloadPersistFailureIsNotRejection|TestReplicaRefreshesInPlace|TestSnapshotLayout|TestBootOnUnknownLayouts|TestJournalCrashMatrix|FuzzStateLoad|TestStateLoadCorpus"
 	# Framed files and journals: one refusal of every other format.
 	"./internal/atomicio TestReadRejectsCorruption|TestJournalRoundTripAndBinding|TestWritePiecesIsWriteWhole"
 	# The fault proxy both planes' chaos tests stand on.
@@ -37,8 +37,8 @@ gates=(
 	"./internal/control TestTrainedGreenNFVKeepsOnlyWhatItServes|TestTrainedGreenNFVFirstStepAllocatesNothing"
 	# The figures: byte-identical across runs and across shared trainings.
 	"./internal/experiments TestFigClusterDeterministic|TestSuiteSharesTrainingsByteForByte"
-	# The root package: reachability of every declaration, an idempotent Measure.
-	". TestReachability|TestMeasureIsIdempotent"
+	# The root package: reachability of every declaration, an idempotent Measure, the node spec's bytes and refusals.
+	". TestReachability|TestMeasureIsIdempotent|TestWriteNodeSpecBytes|TestNewSystemValidation"
 )
 
 # No gob on the training or serving plane: checkpoints and controller state are fixed layouts.
