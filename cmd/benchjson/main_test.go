@@ -11,7 +11,8 @@ import (
 // TestParseStripsGOMAXPROCSSuffix: parallel benchmarks print as
 // BenchmarkName-N with N = GOMAXPROCS, which varies by machine. The
 // parser must fold them onto the suffix-free key so
-// BenchmarkFig06TrainParallel aggregates stably across machines —
+// BenchmarkControllerReport/parallel/nodes=8 aggregates stably across
+// machines —
 // while names whose legitimate tail looks dash-numeric keep
 // everything but the final GOMAXPROCS suffix.
 func TestParseStripsGOMAXPROCSSuffix(t *testing.T) {
@@ -19,7 +20,7 @@ func TestParseStripsGOMAXPROCSSuffix(t *testing.T) {
 		"goos: linux",
 		"goarch: amd64",
 		"cpu: Intel(R) Xeon(R) Processor @ 2.10GHz",
-		"BenchmarkFig06TrainParallel-8   \t       3\t 338264784 ns/op",
+		"BenchmarkControllerReport/parallel/nodes=8-8   \t    2000\t      2712 ns/op",
 		"BenchmarkFig06TrainMaxThroughput \t       1\t 365775750 ns/op\t         0.7394 Gbps\t      1226 J",
 		"BenchmarkAgentLearn-16 \t    7154\t    300315 ns/op\t       0 B/op\t       0 allocs/op",
 		"BenchmarkDot4-2x-8 \t     100\t      1234 ns/op",
@@ -30,10 +31,10 @@ func TestParseStripsGOMAXPROCSSuffix(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := map[string]bool{
-		"BenchmarkFig06TrainParallel":      true,
-		"BenchmarkFig06TrainMaxThroughput": true,
-		"BenchmarkAgentLearn":              true,
-		"BenchmarkDot4-2x":                 true,
+		"BenchmarkControllerReport/parallel/nodes=8": true,
+		"BenchmarkFig06TrainMaxThroughput":           true,
+		"BenchmarkAgentLearn":                        true,
+		"BenchmarkDot4-2x":                           true,
 	}
 	if len(sum.Benchmarks) != len(want) {
 		t.Fatalf("parsed %d benchmarks, want %d", len(sum.Benchmarks), len(want))
@@ -72,7 +73,7 @@ func TestCompareGate(t *testing.T) {
 	dir := t.TempDir()
 	baseline := dir + "/base.json"
 	base := &Summary{Benchmarks: []Benchmark{
-		{Name: "BenchmarkFig06TrainParallel", NsPerOp: 100e6},
+		{Name: "BenchmarkFig06TrainMaxThroughput", NsPerOp: 100e6},
 		{Name: "BenchmarkFig07TrainMinEnergy", NsPerOp: 200e6},
 		{Name: "BenchmarkAgentLearn", NsPerOp: 300e3},
 	}}
@@ -85,10 +86,10 @@ func TestCompareGate(t *testing.T) {
 	}
 
 	cur := &Summary{Benchmarks: []Benchmark{
-		{Name: "BenchmarkFig06TrainParallel", NsPerOp: 60e6},   // improved
-		{Name: "BenchmarkFig07TrainMinEnergy", NsPerOp: 240e6}, // +20%: regressed
-		{Name: "BenchmarkAgentLearn", NsPerOp: 900e3},          // filtered out by -match Fig
-		{Name: "BenchmarkFigNew", NsPerOp: 1},                  // no baseline: skipped
+		{Name: "BenchmarkFig06TrainMaxThroughput", NsPerOp: 60e6}, // improved
+		{Name: "BenchmarkFig07TrainMinEnergy", NsPerOp: 240e6},    // +20%: regressed
+		{Name: "BenchmarkAgentLearn", NsPerOp: 900e3},             // filtered out by -match Fig
+		{Name: "BenchmarkFigNew", NsPerOp: 1},                     // no baseline: skipped
 	}}
 	var buf bytes.Buffer
 	n, err := compare(&buf, baseline, cur, "Fig", 0.15, 1)

@@ -10,7 +10,7 @@
 //	experiments -csv out/        # also write CSV per figure
 //	experiments -cpuprofile p.pb # profile the figure runs (go tool pprof)
 //	experiments -sweep           # seed × SLA tier × traffic grid, JSONL
-//	experiments -sweep -sweep-out sweep.jsonl -sweep-parallel
+//	experiments -sweep -sweep-out sweep.jsonl -sweep-cluster
 package main
 
 import (
@@ -76,7 +76,6 @@ func run() error {
 	memProfile := flag.String("memprofile", "", "write a heap profile (after GC) to this file on exit")
 	runSweep := flag.Bool("sweep", false, "run the seed × SLA tier × traffic-mix grid instead of the figures, one JSON row per cell")
 	sweepOut := flag.String("sweep-out", "", "sweep JSONL output file (default stdout)")
-	sweepParallel := flag.Bool("sweep-parallel", false, "train sweep cells with the concurrent Ape-X pipeline (fast, non-deterministic)")
 	sweepWorkers := flag.Int("sweep-workers", 0, "concurrently running sweep cells (0 = GOMAXPROCS)")
 	sweepCluster := flag.Bool("sweep-cluster", false, "add the topology x placement axes to the sweep grid (single node plus heterogeneous 4- and 8-node clusters)")
 	flag.Parse()
@@ -117,7 +116,6 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		cfg.ParallelTrain = *sweepParallel
 		cfg.Workers = *sweepWorkers
 		if *sweepCluster {
 			cfg.Topos = sweep.DefaultTopos()

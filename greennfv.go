@@ -160,28 +160,26 @@ func (s *System) factory(agreement sla.SLA) control.EnvFactory {
 	}
 }
 
-// TrainOptions sizes a training run.
+// TrainOptions sizes a training run. Without RemoteActors, training
+// interleaves the actors and the learner round-robin in this process
+// and is deterministic given the system's seed.
 type TrainOptions struct {
 	// Steps is the total training episodes (paper-scale runs use
 	// tens of thousands; 4000 reproduces the shapes).
 	Steps int
 	// Actors is the Ape-X worker count (default 4).
 	Actors int
-	// Parallel trains with the concurrent Ape-X pipeline — one driver
-	// goroutine stepping the actors one at a time, sharded replay,
-	// prefetched minibatches — (fast, non-deterministic) instead of
-	// the reproducible round-robin interleaving.
-	Parallel bool
-	// SamplesPerInsert, when positive, paces the learner against the
-	// actors in the asynchronous modes (Parallel, RemoteActors): at
-	// most SamplesPerInsert replay samples are consumed per inserted
-	// transition, so a learner that outruns experience generation
-	// blocks for fresh data instead of replaying a stale buffer. Zero
-	// disables pacing; the deterministic mode ignores it.
+	// SamplesPerInsert, when positive, paces the learner against
+	// remote actors (RemoteActors): at most SamplesPerInsert replay
+	// samples are consumed per inserted transition, so a learner that
+	// outruns experience generation blocks for fresh data instead of
+	// replaying a stale buffer. Zero disables pacing; round-robin
+	// training ignores it.
 	SamplesPerInsert float64
 	// RemoteActors > 0 trains with actor OS processes connected to
 	// the learner over TCP (internal/rpcutil) — the paper's six-node
-	// topology. The
+	// topology — on the concurrent Ape-X pipeline (sharded replay,
+	// prefetched minibatches), which is not deterministic. The
 	// processes run ActorCommand (default: an "apexactor" binary
 	// found on PATH; build it with `go build ./cmd/apexactor`).
 	RemoteActors int
@@ -191,14 +189,12 @@ type TrainOptions struct {
 	ActorCommand []string
 	// Checkpoint, when set, makes training write its full state (the
 	// networks, optimizer moments, noise/RNG stream and progress
-	// counters) to this path atomically: when training completes in
-	// every mode, and on an update interval in the concurrent modes
-	// (Parallel, RemoteActors). A killed training run can then continue
-	// via Resume instead of starting over.
+	// counters) to this path atomically: when training completes, and
+	// with RemoteActors on an update interval too. A killed training
+	// run can then continue via Resume instead of starting over.
 	Checkpoint string
 	// CheckpointEvery is the learner-update interval between
-	// checkpoints in the Parallel and RemoteActors modes (<= 0:
-	// completion only).
+	// checkpoints with RemoteActors (<= 0: completion only).
 	CheckpointEvery int
 	// CheckpointReplay additionally snapshots the replay buffer, making
 	// resumed updates bit-exact at the cost of much larger files.
@@ -220,7 +216,6 @@ func (s *System) Train(agreement SLA, opts TrainOptions) (*Policy, error) {
 		return nil, errors.New("greennfv: TrainOptions.Steps must be positive")
 	}
 	g := control.NewGreenNFV(agreement.spec, opts.Steps, opts.Actors, s.spec.EnvSeed)
-	g.Train.Parallel = opts.Parallel
 	g.Train.SamplesPerInsert = opts.SamplesPerInsert
 	g.Train.CheckpointPath = opts.Checkpoint
 	g.Train.CheckpointEvery = opts.CheckpointEvery

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -154,6 +155,48 @@ func TestMeasureIsIdempotent(t *testing.T) {
 		if m != first {
 			t.Errorf("Measure call %d = %+v, first call %+v", call, m, first)
 		}
+	}
+}
+
+// TestTrainIsAFunctionOfTheSeed: training without remote actors is
+// round-robin, so two runs with one configuration save the same policy
+// bytes and record the same curve, and a run at another seed does not.
+func TestTrainIsAFunctionOfTheSeed(t *testing.T) {
+	type run struct {
+		policy []byte
+		curve  [4]any
+	}
+	train := func(seed int64) run {
+		cfg := DefaultConfig()
+		cfg.Seed = seed
+		sys, err := NewSystem(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := sys.Train(EfficiencySLA(), TrainOptions{Steps: 200, Actors: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := p.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		episodes, tput, energy, eff := p.TrainingCurve()
+		if len(episodes) == 0 {
+			t.Fatal("training recorded no curve")
+		}
+		return run{buf.Bytes(), [4]any{episodes, tput, energy, eff}}
+	}
+	seed := DefaultConfig().Seed
+	a, b := train(seed), train(seed)
+	if !bytes.Equal(a.policy, b.policy) {
+		t.Error("two runs at one seed saved different policies")
+	}
+	if !reflect.DeepEqual(a.curve, b.curve) {
+		t.Errorf("two runs at one seed recorded different curves:\n%v\n%v", a.curve, b.curve)
+	}
+	if c := train(seed + 1); bytes.Equal(a.policy, c.policy) {
+		t.Error("a run at another seed saved the same policy")
 	}
 }
 

@@ -36,15 +36,14 @@
 //
 // Controllers are NOT goroutine-safe; the sweep and figure drivers
 // give each concurrently running cell its own controller and
-// environment. With the default (round-robin) trainer every
-// controller is deterministic given its seed — the property the
-// byte-diffed figure tables rest on. Train.Parallel and
-// Train.RemoteActors run apex's concurrent learner pipeline over
-// its in-process or multi-process experience transport, which is
-// faster but not deterministic, so the figure harness never enables
-// them. With Train.CheckpointPath set the trainer itself writes the
-// completion checkpoint in every mode, and interval checkpoints in
-// the two concurrent ones.
+// environment. Training without remote actors is round-robin, and
+// every controller trained so is deterministic given its seed — the
+// property the byte-diffed figure tables rest on. Train.RemoteActors
+// runs apex's concurrent learner pipeline fed by actor processes,
+// which is not deterministic, so the figure harness never enables it.
+// With Train.CheckpointPath set the trainer itself writes the
+// completion checkpoint in both modes, and interval checkpoints with
+// remote actors.
 //
 // # What a trained GreenNFV keeps
 //

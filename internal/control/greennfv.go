@@ -87,10 +87,10 @@ func (g *GreenNFV) Prepare(factory EnvFactory) error {
 
 // TrainOn runs Ape-X training over the environments the factory
 // builds, one per actor (actor i gets seed Seed + 131·i). The factory
-// owns topology, workload and placement policy. Round-robin and
-// Parallel step whatever it builds; RemoteActors ignores it and
-// rebuilds *env.Env in the actor processes (apex.ActorSpec.BuildEnv),
-// so cluster environments train in-process only. Once the run (and its
+// owns topology, workload and placement policy. Round-robin steps
+// whatever it builds; RemoteActors ignores it and rebuilds *env.Env in
+// the actor processes (apex.ActorSpec.BuildEnv), so cluster
+// environments train round-robin only. Once the run (and its
 // completion checkpoint) is done, the controller keeps the learner's
 // agent, with its training memory released
 // (ddpg.Agent.ReleaseTrainingMemory), and the curve; the trainer, its

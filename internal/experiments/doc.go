@@ -30,8 +30,8 @@
 // through pool.ForEach, which is order-preserving at any worker
 // count, each job owns its controller, and a shared model renders the
 // same table in any figure order. Trained figures use the
-// deterministic round-robin Ape-X mode, never the parallel or remote
-// modes. The figure-output byte-diff against the previous commit
+// deterministic round-robin Ape-X mode, never the remote one. The
+// figure-output byte-diff against the previous commit
 // (scripts/figdiff.sh) is the regression gate every perf change must
 // pass.
 package experiments

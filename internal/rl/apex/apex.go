@@ -102,7 +102,7 @@ var pushPool = sync.Pool{New: func() any { return &pushScratch{} }}
 
 // PushExperience implements LearnerAPI. The whole chunk lands in the
 // replay buffer through one batched call — with the sharded buffer of
-// the parallel trainer that is a single shard-lock acquire — and the
+// the concurrent pipeline that is a single shard-lock acquire — and the
 // learner mutex is never taken, so concurrent pushes neither serialize
 // each other nor stall behind a learning step.
 func (l *Learner) PushExperience(batch []Experience) error {
@@ -216,9 +216,8 @@ func (l *Learner) Stats() (pushes, transitions int) {
 // with its own exploration intensity on a local inference view of the
 // policy, keeps the arena-backed window of transitions not yet pushed
 // with their lazily settled priorities, and exchanges data with the
-// learner. Every scheduler steps this type — the round-robin loop, the
-// concurrent pipeline's in-process driver, and each cmd/apexactor
-// process.
+// learner. Every scheduler steps this type — the round-robin loop and
+// each cmd/apexactor process.
 //
 // Staging a transition allocates nothing: its rows live in a pooled
 // arena (arena.go) handed off at Flush granularity, and TD-error

@@ -233,7 +233,7 @@ func TestSyncParamsAllocatesNothing(t *testing.T) {
 }
 
 // TestPublishedFrameIsImmutable: pullers read a published frame outside
-// the learner mutex (the RPC handler encodes it, the Parallel driver
+// the learner mutex (the RPC handler encodes it, an in-process actor
 // loads it) while the learner goes on publishing, so publish must never
 // reuse or rewrite a buffer it has handed out. Under -race a write into
 // a published frame is a reported race; without it, the frame's bytes

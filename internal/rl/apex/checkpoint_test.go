@@ -96,26 +96,21 @@ func TestWriteReadCheckpoint(t *testing.T) {
 // trainer, and require bit-identical weights plus next-update parity
 // (both learners step once more and must remain bit-identical — the
 // optimizer moments, RNG stream and replay contents all survived). It
-// runs in the reference loop and in the concurrent pipeline: a resumed
-// trainer spends what is left of the budget in either, which for a
-// completed checkpoint is nothing.
+// runs in the reference loop and in the concurrent pipeline (fed by the
+// in-process test transport): a resumed trainer spends what is left of
+// the budget in either, which for a completed checkpoint is nothing.
 func TestTrainerCheckpointResume(t *testing.T) {
 	for _, mode := range []struct {
-		name     string
-		parallel bool
-	}{{"round-robin", false}, {"parallel", true}} {
+		name string
+		run  func(*Trainer) error
+	}{{"round-robin", (*Trainer).Run}, {"pipeline", runInProcessPipeline}} {
 		t.Run(mode.name, func(t *testing.T) {
 			const total = 80
-			config := func() TrainerConfig {
-				cfg := checkpointTrainerConfig(t, total)
-				cfg.Parallel = mode.parallel
-				return cfg
-			}
-			tr, err := NewTrainer(config())
+			tr, err := NewTrainer(checkpointTrainerConfig(t, total))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := tr.Run(); err != nil {
+			if err := mode.run(tr); err != nil {
 				t.Fatal(err)
 			}
 			path := filepath.Join(t.TempDir(), "trainer.ckpt")
@@ -129,7 +124,7 @@ func TestTrainerCheckpointResume(t *testing.T) {
 			wantUpdates := tr.Learner().Agent().LearnSteps()
 			_, wantReceived := tr.Learner().Stats()
 
-			tr2, err := NewTrainer(config())
+			tr2, err := NewTrainer(checkpointTrainerConfig(t, total))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -138,7 +133,7 @@ func TestTrainerCheckpointResume(t *testing.T) {
 			}
 			// The checkpoint was taken at steps == TotalSteps, so the
 			// resumed run restores state and immediately completes.
-			if err := tr2.Run(); err != nil {
+			if err := mode.run(tr2); err != nil {
 				t.Fatal(err)
 			}
 			if got := tr2.resumedUpdates; got != wantUpdates {
@@ -190,32 +185,32 @@ func assertNextUpdates(t *testing.T, want, got *Trainer, n int) {
 
 // TestResumeAcrossGOMAXPROCS: a replay snapshot restores at its own
 // stripe count, whatever the parallelism or the mode of the run that
-// resumes it. A Parallel checkpoint written at GOMAXPROCS 4 (four
+// resumes it. A pipeline checkpoint written at GOMAXPROCS 4 (four
 // stripes) resumes at GOMAXPROCS 2, whose pipeline installs two, and in
 // round-robin; a round-robin checkpoint (one stripe) resumes in the
-// pipeline. Each resumed learner holds the writer's weights and
-// experience, and its next updates are the writer's bit for bit.
+// pipeline. The pipeline runs on the in-process test transport. Each
+// resumed learner holds the writer's weights and experience, and its
+// next updates are the writer's bit for bit.
 func TestResumeAcrossGOMAXPROCS(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	roundRobin, pipeline := (*Trainer).Run, runInProcessPipeline
 	for _, c := range []struct {
-		name                        string
-		writeProcs                  int
-		writeParallel, readParallel bool
+		name        string
+		writeProcs  int
+		write, read func(*Trainer) error
 	}{
-		{"parallel at 4 into parallel at 2", 4, true, true},
-		{"parallel at 4 into round-robin", 4, true, false},
-		{"round-robin into parallel at 2", 2, false, true},
+		{"pipeline at 4 into pipeline at 2", 4, pipeline, pipeline},
+		{"pipeline at 4 into round-robin", 4, pipeline, roundRobin},
+		{"round-robin into pipeline at 2", 2, roundRobin, pipeline},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			const total = 80
 			runtime.GOMAXPROCS(c.writeProcs)
-			cfg := checkpointTrainerConfig(t, total)
-			cfg.Parallel = c.writeParallel
-			tr, err := NewTrainer(cfg)
+			tr, err := NewTrainer(checkpointTrainerConfig(t, total))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := tr.Run(); err != nil {
+			if err := c.write(tr); err != nil {
 				t.Fatal(err)
 			}
 			path := filepath.Join(t.TempDir(), "trainer.ckpt")
@@ -224,16 +219,14 @@ func TestResumeAcrossGOMAXPROCS(t *testing.T) {
 			}
 
 			runtime.GOMAXPROCS(2)
-			cfg = checkpointTrainerConfig(t, total)
-			cfg.Parallel = c.readParallel
-			tr2, err := NewTrainer(cfg)
+			tr2, err := NewTrainer(checkpointTrainerConfig(t, total))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if err := tr2.Resume(path); err != nil {
 				t.Fatal(err)
 			}
-			if err := tr2.Run(); err != nil {
+			if err := c.read(tr2); err != nil {
 				t.Fatalf("resume: %v", err)
 			}
 			// The whole training state, the replay's stripes included.

@@ -17,17 +17,13 @@
 // # Training modes
 //
 // There is one actor type — Actor: act, stage experience with a local
-// priority, push, pull — and three schedulers of it:
+// priority, push, pull — and two schedulers of it:
 //
-//   - Round-robin (default): Trainer.stepActors steps the actors in rank
-//     order on one goroutine, with one LearnStep attempt per
+//   - Round-robin (default): Trainer.runRoundRobin steps the actors in
+//     rank order on one goroutine, with one LearnStep attempt per
 //     post-warm-up step in between. Deterministic given the seeds — the
 //     loop behind every recorded figure; its outputs are byte-diffed
 //     across PRs and TestTrainerFingerprint hashes whole runs of it.
-//   - Parallel (TrainerConfig.Parallel): ONE driver goroutine
-//     (parallel.go) runs the same stepActors over the same actors with
-//     nothing in between, and flushes their tails; learning happens on
-//     the concurrent pipeline below.
 //   - Remote (TrainerConfig.RemoteActors): the paper's multi-node
 //     split. Each cmd/apexactor process steps one Actor
 //     (RunRemoteActor). The learner is served over rpcutil (rpc.go:
@@ -38,21 +34,20 @@
 //     environments from a JSON ActorSpec and talk through a
 //     reconnecting RemoteLearner.
 //
-// Parallel and Remote are the two experience transports of the one
-// concurrent pipeline (pipeline.go): a sampler prefetches minibatches
-// with its own RNG from the replay — the one prioritized buffer, which
-// the pipeline stripes over min(max(GOMAXPROCS, 2), 16) locks where
-// round-robin's has one (internal/rl/replay) — under the pacing rule
-// below while the learner goroutine runs batched updates and writes
-// interval checkpoints. NOT deterministic in what it learns; the in-process
-// driver's stepping is — with no version published it takes the steps
-// round-robin takes and stamps snapshots on the same grid
-// (TestParallelDriverMatchesRoundRobinStepping,
-// TestParallelSnapshotsOnRoundRobinGrid).
+// The remote fleet feeds the one concurrent pipeline (pipeline.go): a
+// sampler prefetches minibatches with its own RNG from the replay — the
+// one prioritized buffer, which the pipeline stripes over
+// min(max(GOMAXPROCS, 2), 16) locks where round-robin's has one
+// (internal/rl/replay) — under the pacing rule below while the learner
+// goroutine runs batched updates and writes interval checkpoints. NOT
+// deterministic in what it learns. The fleet is the pipeline's one
+// production transport; its tests feed it from an in-process test
+// transport that steps the trainer's own actors
+// (TestPipelineSpendsBudget, TestSamplesPerInsertPacesLearner).
 //
-// All three run one update, ddpg's one body (round-robin through
+// Both modes run one update, ddpg's one body (round-robin through
 // Agent.Learn, the pipeline through Agent.LearnBatch on its prefetched
-// minibatch): the modes differ only in who samples and when. All spend
+// minibatch): the modes differ only in who samples and when. Both spend
 // the same learner-update budget (LearnPerStep × post-warmup steps,
 // counted on from the restored update count after a Resume), so they
 // are comparable runs of one algorithm. The one difference in budget:
@@ -67,10 +62,10 @@
 // *env.Env for the paper's single host, *env.ClusterEnv for a
 // multi-node topology (actor networks are sized from the probe's
 // StateDim/ActionDim, so the placement head needs nothing special).
-// Round-robin and Parallel take either (TestParallelTrainsClusterEnv);
-// Remote ignores the factory and builds *env.Env from RemoteSpec on
-// both sides of the wire. ActorSpec is also the node spec of the whole
-// repository: its flows are env.FlowLoad values, and
+// Round-robin takes either; Remote ignores the factory and builds
+// *env.Env from RemoteSpec on both sides of the wire, so cluster
+// environments train round-robin only. ActorSpec is also the node
+// spec of the whole repository: its flows are env.FlowLoad values, and
 // ActorSpec.EnvConfig is the one mapping from a spec to the
 // single-host env.Config, behind BuildEnv, greennfv.System's
 // environments and the figures' (internal/experiments). Every actor of every mode sits on its rung of
@@ -88,8 +83,9 @@
 // and own their environments. The RPC service is goroutine-safe (the
 // server calls it from one goroutine per actor connection);
 // per-actor connection lifecycle (registration, push stats, drain)
-// lives in LearnerService. Only the round-robin mode is
-// deterministic; tests and figures rely on it.
+// lives in LearnerService. Training without remote actors is
+// round-robin, deterministic given its seeds; tests and figures rely
+// on it.
 //
 // # Parameter broadcast
 //
@@ -104,19 +100,18 @@
 // version into the last one's buffer only when every pull of it has
 // been released, and into a new buffer otherwise, which leaves the held
 // frame to its holders (their later releases of it count for nothing,
-// and no release takes the count below zero). The in-process actors of
-// either scheduler copy a frame straight into their live network
+// and no release takes the count below zero). The round-robin actors
+// copy a frame straight into their live network
 // (ddpg.View.LoadActorBytes: validated against that network first,
 // zero allocations) and release it at once, so a round-robin version
-// costs no allocation, and a Parallel one costs one frame only when an
-// actor's pull overlaps the publish. The RPC handler replies with a
+// costs no allocation. The RPC handler replies with a
 // PullReply, laid out as the version followed by the frame's bytes
 // (rpc.go) and encoded after the handler returns, so the handler never
 // releases the frame: the version after one a remote actor pulled
 // costs one new frame. A RemoteLearner copies the bytes out of the
 // connection's read buffer (PullReply.ReadWire), so its ReleaseParams
-// does nothing, and its actor does the same load. One codec serves all
-// three transports and the saved policy file; a pull that finds no
+// does nothing, and its actor does the same load. One codec serves both
+// schedulers and the saved policy file; a pull that finds no
 // newer version is a version compare. TestPublishRecyclesReleasedFrame,
 // TestSyncParamsReleasesItsPull, TestReleaseCountsOnlyTheCurrentFrame,
 // TestConcurrentPullersSeeTheirVersion, TestSyncParamsAllocatesNothing
@@ -177,8 +172,7 @@
 // experience instead of replaying a stale buffer, and gives up what the
 // ratio still withholds when the producers are done. A closed gate
 // blocks on the learner's ingest notification — signalled by every
-// PushExperience, from the driver goroutine or an RPC handler — never
-// on a timer.
+// PushExperience an RPC handler makes — never on a timer.
 //
 // # Fault tolerance
 //
@@ -189,8 +183,8 @@
 //     pipeline atomically writes its full training state (six
 //     version/progress counters, then the agent's checkpoint;
 //     checkpoint.go)
-//     every CheckpointEvery updates — in either concurrent mode — and
-//     Run writes it once more when the round completes.
+//     every CheckpointEvery updates, and Run writes it once more when
+//     the round completes.
 //     Trainer.Resume restores it: a SIGKILL'd learner restarts
 //     mid-budget with bit-exact weights and spends only what is left
 //     of the update and step budgets. Files are magic-tagged and
@@ -202,8 +196,7 @@
 //     MaxActorRestarts times; exhausting the budget fails the round:
 //     the learner stops at once instead of training on with a hole in
 //     the exploration ladder, no completion checkpoint overwrites the
-//     last interval one, and Run returns the supervisor's error. A
-//     failed in-process driver ends the round the same way.
+//     last interval one, and Run returns the supervisor's error.
 //   - Zombie actors: Register issues a per-actor epoch, and every
 //     Push/Pull carries it. A respawn supersedes the old epoch, so a
 //     hung predecessor's late calls fail fatally (ErrStaleActorEpoch)

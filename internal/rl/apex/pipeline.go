@@ -9,10 +9,8 @@ import (
 	"greennfv/internal/rl/replay"
 )
 
-// This file is the one concurrent learner pipeline. Parallel and Remote
-// are the same loop over two experience transports — the in-process
-// actor driver (parallel.go) or the RPC server plus actor fleet
-// (remote.go):
+// This file is the one concurrent learner pipeline, fed by the remote
+// actor fleet (remote.go: the RPC server plus the actor processes):
 //
 //	transport ── PushExperience ──▶ striped replay
 //	sampler ── pacing gate ── SampleInto ──▶ ready ──▶ learner (LearnBatchStep, checkpoints)
@@ -20,11 +18,13 @@ import (
 // The sampler prefetches the next minibatch while the learner consumes
 // the current one, and every stage blocks on channels — the gate on the
 // learner's ingest notification, never on a timer
-// (TestNoBusyWaitInParallel keeps polls and yields out of this file).
+// (TestNoBusyWaitInPipeline keeps polls and yields out of this file).
 
 // transport is the experience side of a concurrent round: whatever
 // steps environments and pushes their transitions to t.learner, opened
 // once the learner is set up with the environment steps still to take.
+// The fleet is the one production transport; the interface is the seam
+// the pipeline's in-process tests feed it through.
 type transport interface {
 	// done is closed once no more experience will arrive: the
 	// producers finished their steps, or died. A fleet the trainer did

@@ -10,13 +10,67 @@ import (
 	"greennfv/internal/sla"
 )
 
-// TestParallelInstallsShardedReplay: the parallel pipeline must swap
-// the learner onto a buffer striped over the parallelism available
-// before experience flows.
-func TestParallelInstallsShardedReplay(t *testing.T) {
+// actorDriver is the pipeline's in-process test transport: ONE
+// goroutine steps the trainer's own actors in rank order, and their
+// pushes land straight in the learner's striped replay, so the pipeline
+// runs in a test binary without an actor fleet.
+type actorDriver struct {
+	signals
+	err error // set before failedCh closes
+}
+
+// driveActors opens the test transport: the driver goroutine takes
+// steps more environment steps and flushes every actor's tail, so a
+// window shorter than PushEvery is not lost.
+func (t *Trainer) driveActors(steps int) (transport, error) {
+	d := &actorDriver{signals: newSignals()}
+	go func() {
+		defer close(d.doneCh)
+		if d.err = t.stepAndFlush(steps); d.err != nil {
+			close(d.failedCh) // before doneCh
+		}
+	}()
+	return d, nil
+}
+
+// stepAndFlush steps the actors in rank order, steps in all, then
+// flushes each one's tail.
+func (t *Trainer) stepAndFlush(steps int) error {
+	for n := 0; n < steps; {
+		for _, actor := range t.actors {
+			if n == steps {
+				break
+			}
+			if _, _, err := actor.Step(t.learner); err != nil {
+				return err
+			}
+			n++
+		}
+	}
+	for _, actor := range t.actors {
+		if err := actor.Flush(t.learner); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// finish waits for the driver.
+func (d *actorDriver) finish() error {
+	<-d.doneCh
+	return d.err
+}
+
+// runInProcessPipeline trains tr on the concurrent pipeline, fed by
+// its own actors through the test transport.
+func runInProcessPipeline(tr *Trainer) error { return tr.runPipeline(tr.driveActors) }
+
+// TestPipelineInstallsShardedReplay: the pipeline must swap the learner
+// onto a buffer striped over the parallelism available before
+// experience flows.
+func TestPipelineInstallsShardedReplay(t *testing.T) {
 	cfg := DefaultTrainerConfig(200)
 	cfg.Actors = 2
-	cfg.Parallel = true
 	cfg.StepperFactory = stepperFactory(sla.NewEnergyEfficiency())
 	cfg.AgentConfig = ddpg.DefaultConfig(0, 0)
 	cfg.AgentConfig.Hidden = []int{12}
@@ -26,7 +80,7 @@ func TestParallelInstallsShardedReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Run(); err != nil {
+	if err := runInProcessPipeline(tr); err != nil {
 		t.Fatal(err)
 	}
 	buf := tr.Learner().Agent().Replay()
@@ -61,30 +115,52 @@ func TestRoundRobinKeepsSingleTreeReplay(t *testing.T) {
 	}
 }
 
-// TestNoBusyWaitInParallel pins two hard-won properties of the
-// concurrent modes. The learner loop once busy-waited on the replay
-// with a 100µs poll and a runtime.Gosched handoff, and the remote
-// mode's pacing loop slept 500µs between looks at the received counter;
-// the one sampler/learner pipeline (pipeline.go) blocks on channels only
-// — the pacing gate waits on the ingest notification in both modes —
-// and no polling or yield primitive may reappear there. And the
-// per-actor goroutines once needed a cooperative Gosched so one actor
-// could not monopolize a core; the single driver goroutine (parallel.go)
-// has no sibling goroutines to starve, so no yield or sleep belongs in
-// the acting half either. (The supervisor's back-off and the drain's
-// heartbeat ticker pace no learning and live in remote.go.) A listed
-// file that is missing fails the test: a rename must not retire it.
-func TestNoBusyWaitInParallel(t *testing.T) {
-	for _, file := range []string{"pipeline.go", "parallel.go"} {
-		src, err := os.ReadFile(file)
-		if err != nil {
-			t.Fatal(err)
+// TestNoBusyWaitInPipeline pins a hard-won property of the concurrent
+// pipeline. The learner loop once busy-waited on the replay with a
+// 100µs poll and a runtime.Gosched handoff, and the remote mode's
+// pacing loop slept 500µs between looks at the received counter; the
+// one sampler/learner pipeline (pipeline.go) blocks on channels only —
+// the pacing gate waits on the ingest notification — and no polling or
+// yield primitive may reappear there. (The supervisor's back-off and
+// the drain's heartbeat ticker pace no learning and live in remote.go.)
+// A missing pipeline.go fails the test: a rename must not retire it.
+func TestNoBusyWaitInPipeline(t *testing.T) {
+	const file = "pipeline.go"
+	src, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, banned := range []string{"runtime.Gosched", "time.After", "time.Sleep", "time.Tick"} {
+		if strings.Contains(string(src), banned) {
+			t.Errorf("%s contains %s — the concurrent pipeline must block on channels, not poll or yield", file, banned)
 		}
-		for _, banned := range []string{"runtime.Gosched", "time.After", "time.Sleep", "time.Tick"} {
-			if strings.Contains(string(src), banned) {
-				t.Errorf("%s contains %s — the concurrent pipeline must block on channels, not poll or yield", file, banned)
-			}
-		}
+	}
+}
+
+// TestPipelineSpendsBudget: the pipeline's learner completes exactly
+// the update budget round-robin attempts at the same step count.
+func TestPipelineSpendsBudget(t *testing.T) {
+	s, err := sla.NewMaxThroughput(2000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultTrainerConfig(300)
+	cfg.Actors = 2
+	cfg.StepperFactory = stepperFactory(s)
+	cfg.AgentConfig = ddpg.DefaultConfig(0, 0)
+	cfg.AgentConfig.Hidden = []int{16, 16}
+	cfg.AgentConfig.BatchSize = 8
+	cfg.AgentConfig.Seed = 5
+	tr, err := NewTrainer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := runInProcessPipeline(tr); err != nil {
+		t.Fatal(err)
+	}
+	want := cfg.LearnPerStep * (cfg.TotalSteps - cfg.WarmupSteps)
+	if got := tr.Learner().Agent().LearnSteps(); got != want {
+		t.Errorf("learner ran %d updates, want %d", got, want)
 	}
 }
 
@@ -97,7 +173,6 @@ func TestNoBusyWaitInParallel(t *testing.T) {
 func TestSamplesPerInsertPacesLearner(t *testing.T) {
 	cfg := DefaultTrainerConfig(200)
 	cfg.Actors = 2
-	cfg.Parallel = true
 	cfg.LearnPerStep = 2
 	cfg.SamplesPerInsert = 1
 	cfg.StepperFactory = stepperFactory(sla.NewEnergyEfficiency())
@@ -109,7 +184,7 @@ func TestSamplesPerInsertPacesLearner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Run(); err != nil {
+	if err := runInProcessPipeline(tr); err != nil {
 		t.Fatal(err)
 	}
 	got := tr.Learner().Agent().LearnSteps()

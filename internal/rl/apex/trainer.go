@@ -82,19 +82,14 @@ type TrainerConfig struct {
 	// leaves only the LearnPerStep cadence and the update budget is
 	// spent exactly. Round-robin ignores it.
 	SamplesPerInsert float64
-	// Parallel selects the concurrent pipeline over its in-process
-	// transport — a driver goroutine stepping the same actors round-robin
-	// steps, in the same rank order, while the sampler/learner runs
-	// batched updates over a lock-striped replay, the architecture of
-	// Horgan et al. Round-robin remains the default: it is reproducible,
-	// which tests and figures rely on.
-	Parallel bool
-	// RemoteActors selects the pipeline's multi-process transport (the
-	// paper's six-node deployment): the trainer serves the learner over
-	// rpcutil and RemoteActors actor processes connect as RPC clients,
-	// each with its own environment and exploration intensity.
-	// Actors/StepperFactory/Parallel are ignored; RemoteSpec is
-	// required. Not deterministic; the figure harness keeps round-robin.
+	// RemoteActors selects the concurrent pipeline (the paper's
+	// six-node deployment, the architecture of Horgan et al.): the
+	// trainer serves the learner over rpcutil and RemoteActors actor
+	// processes connect as RPC clients, each with its own environment
+	// and exploration intensity, while the sampler/learner runs batched
+	// updates over a lock-striped replay. Actors/StepperFactory are
+	// ignored; RemoteSpec is required. Not deterministic; zero (the
+	// default) trains round-robin, which is.
 	RemoteActors int
 	// SpawnRemote, when non-empty, is the argv prefix the trainer
 	// execs to launch each actor process (typically cmd/apexactor). It
@@ -117,12 +112,11 @@ type TrainerConfig struct {
 	AdvertiseAddr string
 	// CheckpointPath, when non-empty, makes Run write an atomic
 	// training checkpoint (see WriteCheckpoint) when the round
-	// completes and, in the concurrent modes (Parallel, remote), every
-	// CheckpointEvery learner updates on the way, so a killed trainer
-	// resumes mid-budget via Resume. CheckpointReplay additionally
-	// snapshots the replay buffer into each checkpoint — required for
-	// bit-exact update parity after restore, at the cost of checkpoint
-	// size.
+	// completes and, with remote actors, every CheckpointEvery learner
+	// updates on the way, so a killed trainer resumes mid-budget via
+	// Resume. CheckpointReplay additionally snapshots the replay buffer
+	// into each checkpoint — required for bit-exact update parity after
+	// restore, at the cost of checkpoint size.
 	CheckpointPath   string
 	CheckpointEvery  int
 	CheckpointReplay bool
@@ -139,8 +133,8 @@ type TrainerConfig struct {
 	DrainTimeout time.Duration
 	// StepperFactory builds one environment per actor (distinct
 	// seeds): *env.Env for the paper's single host, *env.ClusterEnv
-	// for a multi-node topology. Round-robin and Parallel step either
-	// through the same Actor.
+	// for a multi-node topology. Round-robin steps either through the
+	// same Actor.
 	StepperFactory func(actorID int) (env.Stepper, error)
 	// AgentConfig templates the learner and actor networks; state
 	// and action dims are filled from the environment.
@@ -167,8 +161,8 @@ func DefaultTrainerConfig(totalSteps int) TrainerConfig {
 }
 
 // Trainer orchestrates an Ape-X run: the round-robin reference loop,
-// or the concurrent pipeline fed by in-process actors (Parallel) or
-// remote actor processes (RemoteActors).
+// or the concurrent pipeline fed by remote actor processes
+// (RemoteActors).
 type Trainer struct {
 	cfg     TrainerConfig
 	learner *Learner
@@ -285,10 +279,10 @@ func (t *Trainer) Actors() []*Actor { return t.actors }
 
 // Run executes the configured number of steps — in the deterministic
 // round-robin reference loop (default, snapshots from actor 0), or in
-// the concurrent pipeline over its in-process (cfg.Parallel) or
-// multi-process (cfg.RemoteActors) transport — and, with CheckpointPath
-// set, writes the completion checkpoint of a round that succeeded. A
-// round that failed leaves the last interval checkpoint in place.
+// the concurrent pipeline fed by remote actor processes
+// (cfg.RemoteActors) — and, with CheckpointPath set, writes the
+// completion checkpoint of a round that succeeded. A round that failed
+// leaves the last interval checkpoint in place.
 func (t *Trainer) Run() error {
 	if t.cfg.CheckpointPath != "" {
 		// A run killed mid-write may have left checkpoint temp files;
@@ -298,12 +292,9 @@ func (t *Trainer) Run() error {
 		}
 	}
 	var err error
-	switch {
-	case t.cfg.RemoteActors > 0:
+	if t.cfg.RemoteActors > 0 {
 		err = t.runPipeline(t.serveFleet)
-	case t.cfg.Parallel:
-		err = t.runPipeline(t.driveActors)
-	default:
+	} else {
 		err = t.runRoundRobin()
 	}
 	if err != nil || t.cfg.CheckpointPath == "" {
@@ -317,38 +308,24 @@ func (t *Trainer) Run() error {
 func (t *Trainer) RemoteActorStats() map[int]ActorStats { return t.remoteStats }
 
 // runRoundRobin interleaves acting and learning single-threaded —
-// deterministic, which suits both tests and the figure harness: after
-// every post-warm-up step it makes LearnPerStep LearnStep attempts.
+// deterministic, which suits both tests and the figure harness. It
+// takes the environment steps still to take, stepping the actors in
+// rank order (every pass starts at actor 0, a resumed run's first too);
+// after every post-warm-up step it makes LearnPerStep LearnStep
+// attempts, and it records actor 0's latest measurement as a snapshot
+// whenever the step count n is a multiple of max(TotalSteps/40, 1):
+// forty points on the training curve (the paper samples every 2000
+// episodes).
 func (t *Trainer) runRoundRobin() error {
 	if err := t.applyResume(); err != nil {
 		return err
 	}
-	return t.stepActors(t.steps, t.cfg.TotalSteps, func(n int) {
-		t.steps = n
-		if n > t.cfg.WarmupSteps {
-			for l := 0; l < t.cfg.LearnPerStep; l++ {
-				t.learner.LearnStep(t.cfg.VersionEvery)
-			}
-		}
-	})
-}
-
-// stepActors is the one stepping loop of the in-process modes: it takes
-// environment steps from+1 … to, stepping the actors in rank order
-// (every pass starts at actor 0, a resumed run's first too), calls
-// afterStep with the count n once step n is taken, and records actor 0's
-// latest measurement as a snapshot whenever n is a multiple of
-// max(TotalSteps/40, 1): forty points on the training curve (the paper
-// samples every 2000 episodes). What runs between two steps is the
-// caller's: round-robin learns there; the concurrent pipeline's driver
-// (parallel.go) does nothing and leaves learning to the other goroutine.
-func (t *Trainer) stepActors(from, to int, afterStep func(n int)) error {
 	var last0 perfmodel.Result
 	var lastR0 float64
 	every := max(t.cfg.TotalSteps/40, 1)
-	for n := from; n < to; {
+	for t.steps < t.cfg.TotalSteps {
 		for _, actor := range t.actors {
-			if n >= to {
+			if t.steps >= t.cfg.TotalSteps {
 				break
 			}
 			reward, info, err := actor.Step(t.learner)
@@ -358,11 +335,15 @@ func (t *Trainer) stepActors(from, to int, afterStep func(n int)) error {
 			if actor.ID == 0 {
 				last0, lastR0 = info, reward
 			}
-			n++
-			afterStep(n)
-			if n%every == 0 {
+			t.steps++
+			if t.steps > t.cfg.WarmupSteps {
+				for l := 0; l < t.cfg.LearnPerStep; l++ {
+					t.learner.LearnStep(t.cfg.VersionEvery)
+				}
+			}
+			if t.steps%every == 0 {
 				t.Snapshots = append(t.Snapshots,
-					SnapshotOf(n, t.actors[0].Env(), last0, lastR0))
+					SnapshotOf(t.steps, t.actors[0].Env(), last0, lastR0))
 			}
 		}
 	}

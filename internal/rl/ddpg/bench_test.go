@@ -96,5 +96,5 @@ func benchActBatch(b *testing.B, n int, f32 bool) {
 func BenchmarkActBatch(b *testing.B) { benchActBatch(b, 4, false) }
 
 // BenchmarkActBatchF32: the same pass through the vectorized f32
-// engine (the Parallel-mode acting fast path).
+// engine (built, though no trainer enables it).
 func BenchmarkActBatchF32(b *testing.B) { benchActBatch(b, 4, true) }

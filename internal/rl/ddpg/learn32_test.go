@@ -42,7 +42,7 @@ func fixedMinibatches(cfg Config, updates int) [][]replay.Transition {
 // same fixed minibatch schedule, one in each precision, and the
 // critic's Q predictions and the actor's actions must stay within
 // 1e-3 after the full schedule. This is the acceptance bound for
-// running the Parallel/RemoteActors learner in single precision.
+// running the concurrent pipeline's learner in single precision.
 func TestLearnF32ParityWithF64(t *testing.T) {
 	cfg := DefaultConfig(12, 15)
 	cfg.BatchSize = 16

@@ -69,12 +69,10 @@
 // Cells run concurrently (Config.Workers, 0 = GOMAXPROCS) over
 // internal/pool, but results are returned — and rows emitted — in
 // deterministic seed-major grid order regardless of scheduling.
-// With the default round-robin trainer each cell is deterministic
-// given its seed; Config.ParallelTrain trades that determinism for
-// speed (multi-node cells ignore it — cluster environments always
-// train round-robin, so cluster rows stay deterministic regardless). A
-// failing cell records its error in its own row (and in the rows that
-// share its training) without stopping the rest of the grid.
+// Every cell trains round-robin, so each row — cluster rows included —
+// is deterministic given its seed. A failing cell records its error in
+// its own row (and in the rows that share its training) without
+// stopping the rest of the grid.
 //
 // # Planning and shared cells
 //
@@ -89,9 +87,9 @@
 // A pinned multi-node cell is keyed by exactly what its environments
 // are constructed from: (seed, tier index, mix index, cluster size,
 // resolved assignment). Such a cell consults nothing else — the
-// policy's name is a row label — and always trains round-robin, so
-// two cells with equal keys are one deterministic computation. Run
-// trains the first of them and fills the others' rows by copy, each
+// policy's name is a row label — and trains round-robin, so two cells
+// with equal keys are one deterministic computation. Run trains the
+// first of them and fills the others' rows by copy, each
 // under its own "topology" and "placement" names, with
 // "train_seconds" 0: no training was spent on that row. Every other
 // field equals, bit for bit, what the cell would have measured had it
@@ -102,12 +100,11 @@
 // default-placement cluster grid, 3 of FigCluster's 9, 60 of
 // -sweep-cluster's 210.
 //
-// Only pinned multi-node cells qualify. A DRL-head cell has no
-// resolved assignment to compare, and a single-node cell may train
-// with the non-deterministic concurrent pipeline (ParallelTrain);
-// each gets a key of its own and is always trained. Sharing is not an
-// option and has no switch: the key is the environment's inputs, so
-// equal key ⇒ equal row holds by construction.
+// Only pinned multi-node cells qualify: neither a DRL-head nor a
+// single-node cell has a resolved assignment to compare, so each gets
+// a key of its own and is always trained. Sharing is not an option and
+// has no switch: the key is the environment's inputs, so equal key ⇒
+// equal row holds by construction.
 //
 // # Topology and placement axes
 //

@@ -141,9 +141,6 @@ type Config struct {
 	TrainSteps   int
 	Actors       int
 	ControlSteps int
-	// ParallelTrain trains each cell with the concurrent pipeline
-	// (fast, non-deterministic) instead of round-robin.
-	ParallelTrain bool
 	// Workers bounds concurrently running cells (0 = GOMAXPROCS).
 	Workers int
 }
@@ -292,10 +289,10 @@ func resolve(m Mix, nodes int, pol placement.Policy) ([]int, error) {
 // at the first cell built from the same inputs. The key of a pinned
 // multi-node cell is exactly what cellEnv constructs its environments
 // from — seed, tier, mix, cluster size, resolved assignment — and
-// such a cell always trains round-robin, so cells with equal keys are
-// one deterministic computation. Every other cell is its own primary:
-// the DRL head has no assignment to compare, and single-node cells
-// may train with the non-deterministic pipeline.
+// every cell trains round-robin, deterministic given its seeds, so
+// cells with equal keys are one computation. Every other cell is its
+// own primary: neither a DRL-head nor a single-node cell has a
+// resolved assignment to compare.
 func plan(cfg Config) []cell {
 	topos := cfg.Topos
 	if len(topos) == 0 {
@@ -395,12 +392,10 @@ func cellEnv(s sla.SLA, m Mix, nodes int, pinned []int, seed int64) (env.Stepper
 	return env.NewCluster(cc)
 }
 
-// runCell trains and measures one grid cell. Multi-node cells add the
-// placement name and the cluster extras, and always train round-robin:
-// the concurrent pipeline would step a ClusterEnv just as well, but
-// plan shares one training between cells with equal keys, which only a
-// deterministic trainer makes the same computation — so every cluster
-// row is deterministic given its seed.
+// runCell trains and measures one grid cell, round-robin, so its row
+// is deterministic given its seed — what lets plan share one training
+// between cells with equal keys. Multi-node cells add the placement
+// name and the cluster extras.
 func runCell(cfg Config, c cell) (Result, error) {
 	tier, mix := cfg.Tiers[c.tier], cfg.Mixes[c.mix]
 	r := Result{
@@ -414,7 +409,6 @@ func runCell(cfg Config, c cell) (Result, error) {
 	}
 	multi := c.topo.Nodes > 1
 	g := control.NewGreenNFV(tier.SLA, cfg.TrainSteps, cfg.Actors, c.seed)
-	g.Train.Parallel = cfg.ParallelTrain && !multi
 	newEnv := func(seed int64) (env.Stepper, error) {
 		return cellEnv(tier.SLA, mix, c.topo.Nodes, c.pinned, seed)
 	}

@@ -256,16 +256,13 @@ func TestSweepSharesResolvedCells(t *testing.T) {
 	}
 
 	// (e) Cells without a resolved assignment never share: two DRL
-	// heads, two single nodes, round-robin or concurrent.
+	// heads, two single nodes.
 	own := cfg
 	own.Topos = []Topo{{Name: "single-a", Nodes: 1}, {Name: "single-b", Nodes: 1}, {Name: "hetero-2", Nodes: 2}}
 	own.Placements = []Placement{{Name: "drl-a"}, {Name: "drl-b"}}
-	for _, parallel := range []bool{false, true} {
-		own.ParallelTrain = parallel
-		for i, r := range run(own) {
-			if r.TrainSeconds <= 0 {
-				t.Errorf("parallel=%v row %d (%s/%s) was not trained: %+v", parallel, i, r.Topology, r.Placement, r)
-			}
+	for i, r := range run(own) {
+		if r.TrainSeconds <= 0 {
+			t.Errorf("row %d (%s/%s) was not trained: %+v", i, r.Topology, r.Placement, r)
 		}
 	}
 }

@@ -11,8 +11,8 @@ set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
 gates=(
-	# Training plane: chaos kill/resume, checkpoints and resume, fleet bounds, the learner's messages, the broadcast, the stepping loop, the reference fingerprints.
-	"./internal/rl/apex TestChaosKillResume|TestFleetFailureStopsLearner|TestPushRejectsMalformedExperience|TestRegisterRefusesIDOutsideFleet|TestTrainerCheckpointResume|TestWriteReadCheckpoint|TestTrainerFingerprint|FuzzTrainerCheckpoint|TestResumeRefusesGobNetworks|TestResumeAcrossGOMAXPROCS|TestResumeRejectsMissingAndMismatched|TestLearnerMessageLayouts|FuzzPushWire|TestParallelDriverMatchesRoundRobinStepping|TestParallelSnapshotsOnRoundRobinGrid|TestParallelTrainsClusterEnv|TestPublishRecyclesReleasedFrame|TestSyncParamsReleasesItsPull|TestReleaseCountsOnlyTheCurrentFrame|TestConcurrentPullersSeeTheirVersion|TestSyncParamsAllocatesNothing|TestPublishedFrameIsImmutable|TestNewTrainerFootprint|FuzzDecodeActorSpec"
+	# Training plane: chaos kill/resume, checkpoints and resume, fleet bounds, the learner's messages, the broadcast, the reference fingerprints.
+	"./internal/rl/apex TestChaosKillResume|TestFleetFailureStopsLearner|TestPushRejectsMalformedExperience|TestRegisterRefusesIDOutsideFleet|TestTrainerCheckpointResume|TestWriteReadCheckpoint|TestTrainerFingerprint|FuzzTrainerCheckpoint|TestResumeRefusesGobNetworks|TestResumeAcrossGOMAXPROCS|TestResumeRejectsMissingAndMismatched|TestLearnerMessageLayouts|FuzzPushWire|TestPublishRecyclesReleasedFrame|TestSyncParamsReleasesItsPull|TestReleaseCountsOnlyTheCurrentFrame|TestConcurrentPullersSeeTheirVersion|TestSyncParamsAllocatesNothing|TestPublishedFrameIsImmutable|TestNewTrainerFootprint|FuzzDecodeActorSpec"
 	# The agent: its checkpoint layout and refusals, actor frames, what acts and what is released, zero-alloc learning and acting, f32 drift.
 	"./internal/rl/ddpg TestCheckpointRoundTrip|TestCheckpointRoundTripF32|TestCheckpointConfigMismatch|TestCheckpointRejectsDirtyReplay|TestCheckpointRestoresStripeCount|TestLoadActorBytesInPlace|TestAppendActorBytesInPlace|TestLoadActorBytesRejectsHostileFrames|TestActorFrameCheckMatchesCheckParams|TestLoadActorBytesRefusesLegacyGob|TestLoadActorBytesCorpus|FuzzLoadActorBytes|TestAgentFootprint|TestViewMatchesAgent|TestReleaseTrainingMemory|TestReleasedAgentActsWithoutAllocating|TestLearnBatchZeroAlloc|TestLearnBatchF32ZeroAlloc|TestLearnBatchIsLearn|TestActBatchNoAllocs|TestLearnF32ParityWithF64|TestStateLayout|TestLoadPolicyMatchesLoadAgent|TestLoadPolicyRefusesDamage|TestReadPolicyRefusesStreamedDamage|TestReadPolicyStreamsArePerCall|TestLoadRefusesOversizedConfig|TestLoadRefusesGobNetworks|TestLoadRefusesPreSectionCheckpoint|TestRefusedLoadStateChangesNothing|TestLoadStateRejectsHostileOptimizer|FuzzLoadState|FuzzLoadPolicy"
 	# The NN engine: learn fingerprints, kernel parity, zero-alloc passes, the parameter frame and its decoder.
@@ -37,8 +37,8 @@ gates=(
 	"./internal/control TestTrainedGreenNFVKeepsOnlyWhatItServes|TestTrainedGreenNFVFirstStepAllocatesNothing"
 	# The figures: byte-identical across runs and across shared trainings.
 	"./internal/experiments TestFigClusterDeterministic|TestSuiteSharesTrainingsByteForByte"
-	# The root package: reachability of every declaration, an idempotent Measure, the node spec's bytes and refusals.
-	". TestReachability|TestMeasureIsIdempotent|TestWriteNodeSpecBytes|TestNewSystemValidation"
+	# The root package: reachability of every declaration, an idempotent Measure, training as a function of the seed, the node spec's bytes and refusals.
+	". TestReachability|TestMeasureIsIdempotent|TestTrainIsAFunctionOfTheSeed|TestWriteNodeSpecBytes|TestNewSystemValidation"
 )
 
 # No gob on the training or serving plane: checkpoints and controller state are fixed layouts.
