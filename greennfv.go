@@ -178,10 +178,10 @@ type TrainOptions struct {
 	SamplesPerInsert float64
 	// RemoteActors > 0 trains with actor OS processes connected to
 	// the learner over TCP (internal/rpcutil) — the paper's six-node
-	// topology — on the concurrent Ape-X pipeline (sharded replay,
-	// prefetched minibatches), which is not deterministic. The
-	// processes run ActorCommand (default: an "apexactor" binary
-	// found on PATH; build it with `go build ./cmd/apexactor`).
+	// topology — on the concurrent Ape-X pipeline (prefetched
+	// minibatches), which is not deterministic. The processes run
+	// ActorCommand (default: an "apexactor" binary found on PATH;
+	// build it with `go build ./cmd/apexactor`).
 	RemoteActors int
 	// ActorCommand is the argv prefix that launches one actor
 	// process; the system appends the learner address, rank, step

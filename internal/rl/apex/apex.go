@@ -101,10 +101,9 @@ type pushScratch struct {
 var pushPool = sync.Pool{New: func() any { return &pushScratch{} }}
 
 // PushExperience implements LearnerAPI. The whole chunk lands in the
-// replay buffer through one batched call — with the sharded buffer of
-// the concurrent pipeline that is a single shard-lock acquire — and the
-// learner mutex is never taken, so concurrent pushes neither serialize
-// each other nor stall behind a learning step.
+// replay buffer through one batched call — a single stripe-lock
+// acquire — and the learner mutex is never taken, so concurrent pushes
+// neither serialize each other nor stall behind a learning step.
 func (l *Learner) PushExperience(batch []Experience) error {
 	sc := pushPool.Get().(*pushScratch)
 	sc.ts, sc.ps = sc.ts[:0], sc.ps[:0]

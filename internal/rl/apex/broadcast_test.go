@@ -54,6 +54,8 @@ func TestPublishRecyclesReleasedFrame(t *testing.T) {
 	var before, after runtime.MemStats
 	want, fresh := make([]byte, 0, len(frame)), []byte(nil)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // as AllocsPerRun does
+	// No cycle left running from the setup into the window.
+	runtime.GC()
 	runtime.ReadMemStats(&before)
 	for i := 0; i < held; i++ {
 		_, frame, _ := learner.PullParams(0)
@@ -73,8 +75,8 @@ func TestPublishRecyclesReleasedFrame(t *testing.T) {
 	// Each is one frame, rounded up to the allocator's size class.
 	n, per := after.Mallocs-before.Mallocs, int(after.TotalAlloc-before.TotalAlloc)/held
 	if n != held || per < len(fresh) || per > len(fresh)+len(fresh)/8 || cap(fresh) != len(fresh) {
-		t.Errorf("%d publishes over a held frame make %d allocations of %d B each, into %d-byte buffers; want %d of one %d-byte frame",
-			held, n, per, cap(fresh), held, len(fresh))
+		t.Errorf("%d publishes over a held frame make %d allocations of %d B each, into %d-byte buffers; want %d of one %d-byte frame (GC cycles %d to %d over the window)",
+			held, n, per, cap(fresh), held, len(fresh), before.NumGC, after.NumGC)
 	}
 	if n := testing.AllocsPerRun(50, func() { learner.LearnStep(1 << 30) }); n != 0 {
 		t.Errorf("an update that publishes nothing makes %v allocations, want 0", n)

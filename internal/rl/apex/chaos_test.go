@@ -4,11 +4,13 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"syscall"
 	"testing"
 	"time"
 
@@ -129,41 +131,31 @@ func chaosTrainerMain() int {
 		return 1
 	}
 	cfg := chaosConfig(os.Getenv(chaosCkptEnv), os.Getenv(chaosMarkEnv))
-
-	// Pre-pick the learner's port so the fault proxy can sit in front
-	// of it: actors are pointed at the proxy via AdvertiseAddr.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return fail(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-	cfg.ListenAddr = addr
-	proxy, err := faultrpc.NewFaultProxy(addr, 42)
-	if err != nil {
-		return fail(err)
-	}
-	defer proxy.Close()
-	proxy.SetRule(faultrpc.FaultRule{DropProb: 0.05, DelayProb: 0.2, Delay: 2 * time.Millisecond})
-	cfg.AdvertiseAddr = proxy.Addr()
-
-	tr, err := NewTrainer(cfg)
-	if err != nil {
-		return fail(err)
-	}
+	var (
+		tr          *Trainer
+		err         error
+		restoredSHA string
+	)
 	resumePath := os.Getenv(chaosResumeEnv)
-	restoredSHA := ""
 	if resumePath != "" {
 		// Independent verification restore first (hashed and reported),
 		// then the real resume through the normal path.
 		if restoredSHA, err = restoreSHA(chaosConfig(os.Getenv(chaosCkptEnv), os.Getenv(chaosMarkEnv)), resumePath); err != nil {
 			return fail(err)
 		}
-		if err := tr.Resume(resumePath); err != nil {
-			return fail(err)
-		}
 	}
-	if err := tr.Run(); err != nil {
+	// The learner's port is picked free and released before the trainer
+	// binds it, so another process can take it in between: a run that
+	// finds it taken picks another port and starts over, with a new
+	// proxy and a new trainer, up to three attempts.
+	for attempt := 1; ; attempt++ {
+		tr, err = runChaosTrainer(cfg, resumePath)
+		if err == nil || attempt == 3 || !errors.Is(err, syscall.EADDRINUSE) {
+			break
+		}
+		fmt.Fprintln(os.Stderr, "chaos trainer: learner port taken, retrying:", err)
+	}
+	if err != nil {
 		return fail(err)
 	}
 
@@ -182,6 +174,38 @@ func chaosTrainerMain() int {
 		return fail(err)
 	}
 	return 0
+}
+
+// runChaosTrainer runs one trainer behind a fault proxy on a freshly
+// picked learner port, resuming from resumePath when it is set.
+func runChaosTrainer(cfg TrainerConfig, resumePath string) (*Trainer, error) {
+	// Pre-pick the learner's port so the fault proxy can sit in front
+	// of it: actors are pointed at the proxy via AdvertiseAddr.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return nil, err
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	cfg.ListenAddr = addr
+	proxy, err := faultrpc.NewFaultProxy(addr, 42)
+	if err != nil {
+		return nil, err
+	}
+	defer proxy.Close()
+	proxy.SetRule(faultrpc.FaultRule{DropProb: 0.05, DelayProb: 0.2, Delay: 2 * time.Millisecond})
+	cfg.AdvertiseAddr = proxy.Addr()
+
+	tr, err := NewTrainer(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if resumePath != "" {
+		if err := tr.Resume(resumePath); err != nil {
+			return nil, err
+		}
+	}
+	return tr, tr.Run()
 }
 
 // chaosCmd builds a re-exec of this test binary in the trainer role.

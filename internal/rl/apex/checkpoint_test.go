@@ -155,8 +155,8 @@ func TestTrainerCheckpointResume(t *testing.T) {
 
 			// Next-update parity: one more update on each learner from
 			// the restored replay must produce bit-identical weights.
-			// Sampling reads only the agent's restored RNG, so a striped
-			// snapshot promises it as the one-shard one does.
+			// Sampling reads only the agent's restored RNG and the
+			// restored one-stripe replay, in either mode.
 			assertNextUpdates(t, tr, tr2, 1)
 		})
 	}
@@ -183,14 +183,14 @@ func assertNextUpdates(t *testing.T, want, got *Trainer, n int) {
 	}
 }
 
-// TestResumeAcrossGOMAXPROCS: a replay snapshot restores at its own
-// stripe count, whatever the parallelism or the mode of the run that
-// resumes it. A pipeline checkpoint written at GOMAXPROCS 4 (four
-// stripes) resumes at GOMAXPROCS 2, whose pipeline installs two, and in
-// round-robin; a round-robin checkpoint (one stripe) resumes in the
-// pipeline. The pipeline runs on the in-process test transport. Each
-// resumed learner holds the writer's weights and experience, and its
-// next updates are the writer's bit for bit.
+// TestResumeAcrossGOMAXPROCS: the replay layout does not depend on the
+// core count, so a checkpoint restores the same way wherever it
+// resumes. A pipeline checkpoint written at GOMAXPROCS 4 holds one
+// stripe, as a round-robin one does; it resumes at GOMAXPROCS 2 in the
+// pipeline and in round-robin, and a round-robin checkpoint resumes in
+// the pipeline. The pipeline runs on the in-process test transport.
+// Each resumed learner holds the writer's weights and experience, and
+// its next updates are the writer's bit for bit.
 func TestResumeAcrossGOMAXPROCS(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	roundRobin, pipeline := (*Trainer).Run, runInProcessPipeline
@@ -228,6 +228,10 @@ func TestResumeAcrossGOMAXPROCS(t *testing.T) {
 			}
 			if err := c.read(tr2); err != nil {
 				t.Fatalf("resume: %v", err)
+			}
+			// The replay restores at the snapshot's own stripe count.
+			if n := tr2.Learner().Agent().Replay().NumShards(); n != 1 {
+				t.Errorf("the checkpoint written at GOMAXPROCS %d holds %d stripes, want 1", c.writeProcs, n)
 			}
 			// The whole training state, the replay's stripes included.
 			a, err := tr.Learner().Agent().StateBytes(true)

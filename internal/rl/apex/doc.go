@@ -36,9 +36,9 @@
 //
 // The remote fleet feeds the one concurrent pipeline (pipeline.go): a
 // sampler prefetches minibatches with its own RNG from the replay — the
-// one prioritized buffer, which the pipeline stripes over
-// min(max(GOMAXPROCS, 2), 16) locks where round-robin's has one
-// (internal/rl/replay) — under the pacing rule below while the learner
+// agent's own one-stripe prioritized buffer, the one round-robin trains
+// on, at every core count (internal/rl/replay) — under the pacing rule
+// below while the learner
 // goroutine runs batched updates and writes interval checkpoints. NOT
 // deterministic in what it learns. The fleet is the pipeline's one
 // production transport; its tests feed it from an in-process test

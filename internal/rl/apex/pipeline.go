@@ -1,18 +1,15 @@
 package apex
 
 import (
-	"fmt"
 	"math/rand"
-	"runtime"
 
-	"greennfv/internal/rl/ddpg"
 	"greennfv/internal/rl/replay"
 )
 
 // This file is the one concurrent learner pipeline, fed by the remote
 // actor fleet (remote.go: the RPC server plus the actor processes):
 //
-//	transport ── PushExperience ──▶ striped replay
+//	transport ── PushExperience ──▶ replay (the agent's one-stripe buffer)
 //	sampler ── pacing gate ── SampleInto ──▶ ready ──▶ learner (LearnBatchStep, checkpoints)
 //
 // The sampler prefetches the next minibatch while the learner consumes
@@ -63,12 +60,9 @@ func closed(signal <-chan struct{}) bool {
 // NOT deterministic: sampling interleaves with ingest on the
 // scheduler's terms.
 func (t *Trainer) runPipeline(open func(steps int) (transport, error)) error {
-	agent := t.learner.Agent()
-	if err := t.installShardedReplay(agent); err != nil {
-		return err
-	}
-	// A replay snapshot replaces the buffer just installed with one of
-	// the snapshot's stripe count.
+	// The learner trains on the agent's own buffer, the one-stripe
+	// replay round-robin uses; a replay snapshot replaces it with one
+	// of the snapshot's stripe count.
 	if err := t.applyResume(); err != nil {
 		return err
 	}
@@ -83,28 +77,6 @@ func (t *Trainer) runPipeline(open func(steps int) (transport, error)) error {
 		return learnErr
 	}
 	return err
-}
-
-// installShardedReplay swaps the agent's one-shard replay, while it is
-// still empty, for one striped over the parallelism actually available
-// (clamped to keep per-shard capacity useful), so concurrent ingest and
-// sampling contend on shard locks, never on one global mutex. A resumed
-// replay snapshot replaces it again at the snapshot's own count.
-func (t *Trainer) installShardedReplay(agent *ddpg.Agent) error {
-	if agent.BufferLen() != 0 {
-		return nil
-	}
-	acfg := agent.Config()
-	shards := min(max(runtime.GOMAXPROCS(0), 2), 16)
-	buf, err := replay.NewSharded(acfg.BufferCap, shards,
-		acfg.PERAlpha, acfg.PERBeta, acfg.PERBetaInc, 0)
-	if err != nil {
-		return fmt.Errorf("apex: sharded replay: %w", err)
-	}
-	if err := agent.SetReplay(buf); err != nil {
-		return fmt.Errorf("apex: sharded replay: %w", err)
-	}
-	return nil
 }
 
 // received is a concurrent round's progress in environment steps: the

@@ -12,7 +12,7 @@ import (
 
 // actorDriver is the pipeline's in-process test transport: ONE
 // goroutine steps the trainer's own actors in rank order, and their
-// pushes land straight in the learner's striped replay, so the pipeline
+// pushes land straight in the learner's replay, so the pipeline
 // runs in a test binary without an actor fleet.
 type actorDriver struct {
 	signals
@@ -65,53 +65,43 @@ func (d *actorDriver) finish() error {
 // its own actors through the test transport.
 func runInProcessPipeline(tr *Trainer) error { return tr.runPipeline(tr.driveActors) }
 
-// TestPipelineInstallsShardedReplay: the pipeline must swap the learner
-// onto a buffer striped over the parallelism available before
-// experience flows.
-func TestPipelineInstallsShardedReplay(t *testing.T) {
-	cfg := DefaultTrainerConfig(200)
-	cfg.Actors = 2
-	cfg.StepperFactory = stepperFactory(sla.NewEnergyEfficiency())
-	cfg.AgentConfig = ddpg.DefaultConfig(0, 0)
-	cfg.AgentConfig.Hidden = []int{12}
-	cfg.AgentConfig.BatchSize = 8
-	cfg.AgentConfig.Seed = 3
-	tr, err := NewTrainer(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := runInProcessPipeline(tr); err != nil {
-		t.Fatal(err)
-	}
-	buf := tr.Learner().Agent().Replay()
-	if want := min(max(runtime.GOMAXPROCS(0), 2), 16); buf.NumShards() != want {
-		t.Errorf("shards = %d, want %d", buf.NumShards(), want)
-	}
-	if buf.Len() == 0 {
-		t.Error("sharded replay received no experience")
-	}
-}
-
-// TestRoundRobinKeepsSingleTreeReplay: the deterministic mode must
-// not change buffers — its one shard samples exactly as the single-tree
-// buffer the recorded figures were made with did.
-func TestRoundRobinKeepsSingleTreeReplay(t *testing.T) {
-	cfg := DefaultTrainerConfig(100)
-	cfg.Actors = 2
-	cfg.StepperFactory = stepperFactory(sla.NewEnergyEfficiency())
-	cfg.AgentConfig = ddpg.DefaultConfig(0, 0)
-	cfg.AgentConfig.Hidden = []int{12}
-	cfg.AgentConfig.BatchSize = 8
-	cfg.AgentConfig.Seed = 3
-	tr, err := NewTrainer(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if buf := tr.Learner().Agent().Replay(); buf.NumShards() != 1 || buf.Len() == 0 {
-		t.Fatalf("round-robin learner replay has %d shards and %d transitions, want 1 shard holding experience", buf.NumShards(), buf.Len())
+// TestTrainersKeepAgentReplay: both modes train on the agent's own
+// buffer, the one-stripe replay ddpg.New builds, whatever the core
+// count — the buffer Run returns with is the one it started with, one
+// stripe, holding the round's experience.
+func TestTrainersKeepAgentReplay(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for _, c := range []struct {
+		name string
+		run  func(*Trainer) error
+	}{
+		{"round-robin", (*Trainer).Run},
+		{"pipeline", runInProcessPipeline},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := DefaultTrainerConfig(200)
+			cfg.Actors = 2
+			cfg.StepperFactory = stepperFactory(sla.NewEnergyEfficiency())
+			cfg.AgentConfig = ddpg.DefaultConfig(0, 0)
+			cfg.AgentConfig.Hidden = []int{12}
+			cfg.AgentConfig.BatchSize = 8
+			cfg.AgentConfig.Seed = 3
+			tr, err := NewTrainer(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := tr.Learner().Agent().Replay()
+			if err := c.run(tr); err != nil {
+				t.Fatal(err)
+			}
+			buf := tr.Learner().Agent().Replay()
+			if buf != before {
+				t.Error("the run replaced the agent's replay buffer")
+			}
+			if buf.NumShards() != 1 || buf.Len() == 0 {
+				t.Errorf("learner replay has %d stripes and %d transitions, want 1 stripe holding experience", buf.NumShards(), buf.Len())
+			}
+		})
 	}
 }
 

@@ -87,7 +87,7 @@ type TrainerConfig struct {
 	// trainer serves the learner over rpcutil and RemoteActors actor
 	// processes connect as RPC clients, each with its own environment
 	// and exploration intensity, while the sampler/learner runs batched
-	// updates over a lock-striped replay. Actors/StepperFactory are
+	// updates over the agent's own replay. Actors/StepperFactory are
 	// ignored; RemoteSpec is required. Not deterministic; zero (the
 	// default) trains round-robin, which is.
 	RemoteActors int

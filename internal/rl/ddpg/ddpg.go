@@ -289,10 +289,10 @@ func (a *Agent) BufferLen() int {
 	return a.uniform.Len()
 }
 
-// SetReplay swaps the prioritized replay buffer — the concurrent Ape-X
-// pipeline installs one striped over more shards before any experience
-// flows. Only allowed on a prioritized agent whose buffer is still
-// empty, so no experience is silently dropped.
+// SetReplay swaps the prioritized replay buffer — the bench module's
+// replay probes install a striped one to price stripe counts. Only
+// allowed on a prioritized agent whose buffer is still empty, so no
+// experience is silently dropped.
 func (a *Agent) SetReplay(buf *replay.Prioritized) error {
 	if a.prioritized == nil {
 		return errors.New("ddpg: agent is not configured for prioritized replay")

@@ -113,9 +113,11 @@
 // as the original would have (TestCheckpointRoundTrip/F32). So the
 // target Config must match byte for byte, and LoadState requires an
 // EMPTY replay when the checkpoint carries one (two histories would
-// splice), replacing it with one of the snapshot's stripe count. The
-// RNG restores by draw count — re-seed and fast-forward — so a
-// checkpoint is as stable across Go versions as math/rand's generator.
+// splice), replacing it with one of the snapshot's stripe count: every
+// trainer writes one stripe, and a K-stripe snapshot from an older
+// pipeline round still restores at K. The RNG restores by draw count —
+// re-seed and fast-forward — so a checkpoint is as stable across Go
+// versions as math/rand's generator.
 //
 // There is one layout; SaveState(w, false) is the serving checkpoint.
 // Little-endian (A = ActionDim, P = a network's parameter count):

@@ -29,11 +29,13 @@
 // one stripe is the historical single-tree buffer — same leaves, same
 // strata, same draws from the same RNG, bit for bit
 // (TestReplayGrowthParity's "prioritized" hash is the single tree's).
-// The concurrent Ape-X pipeline installs K = min(max(GOMAXPROCS, 2), 16)
-// stripes (NewSharded) before experience flows, so actors pushing and
-// the learner's sampler contend on stripe locks, never on one mutex.
-// Sampling is deterministic given the caller's RNG, the stripe count
-// and the insertion history.
+// The concurrent Ape-X pipeline keeps that buffer too, at every core
+// count: striping bought its learner no updates at any ingest rate it
+// can follow, and cost it most of them under saturated ingest at eight
+// stripes. NewSharded builds K > 1 stripes for the bench module's
+// replay probes and for restoring a K-stripe snapshot. Sampling is
+// deterministic given the caller's RNG, the stripe count and the
+// insertion history.
 //
 // # Capacity is a bound, not a reservation
 //
