@@ -38,9 +38,8 @@
 // sampler prefetches minibatches with its own RNG from the replay — the
 // agent's own one-stripe prioritized buffer, the one round-robin trains
 // on, at every core count (internal/rl/replay) — under the pacing rule
-// below while the learner
-// goroutine runs batched updates and writes interval checkpoints. NOT
-// deterministic in what it learns. The fleet is the pipeline's one
+// below while the learner goroutine runs batched updates and writes
+// interval checkpoints. NOT deterministic in what it learns. The fleet is the pipeline's one
 // production transport; its tests feed it from an in-process test
 // transport that steps the trainer's own actors
 // (TestPipelineSpendsBudget, TestSamplesPerInsertPacesLearner).
